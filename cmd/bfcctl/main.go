@@ -548,9 +548,9 @@ func (c *client) top(args []string) error {
 				s.ID, s.Done, s.Total, s.Cached, s.Executed)
 			mu.Lock()
 			if v := runs[s.ID]; v != nil && v.exec != nil {
-				line += fmt.Sprintf(" last=%s shards=%d util=%.1f%% events=%d wall=%.1fms spills=%d",
+				line += fmt.Sprintf(" last=%s shards=%d util=%.1f%% events=%d wall=%.1fms",
 					v.job, v.exec.Shards, 100*v.exec.Utilization,
-					v.exec.Events, v.exec.WallMS, v.exec.Spills)
+					v.exec.Events, v.exec.WallMS)
 			}
 			mu.Unlock()
 			fmt.Println(line)

@@ -36,7 +36,7 @@ func main() {
 		buffer     = flag.Int("buffer-mb", 12, "switch shared buffer (MB)")
 		shards     = flag.Int("shards", 0, "shards for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(pods, GOMAXPROCS)); output is byte-identical across shard counts")
 		digest     = flag.Bool("digest", false, "print the SHA-256 result digest (telemetry excluded); identical digests across -shards values certify determinism")
-		execStats  = flag.Bool("exec-stats", false, "collect and print the wall-clock execution profile (per-shard events, barrier wait, window utilization, boundary spills); observational — digests are unchanged")
+		execStats  = flag.Bool("exec-stats", false, "collect and print the wall-clock execution profile (per-shard events, barrier wait, window utilization, boundary traffic); observational — digests are unchanged")
 		execTrace  = flag.String("exec-trace", "", "write a wall-clock Chrome trace of the execution machinery to this file (implies -exec-stats); load in Perfetto")
 	)
 	logOpts := telemetry.RegisterLogFlags(flag.CommandLine)
@@ -108,16 +108,15 @@ func main() {
 		fmt.Printf("digest=%s execution=%s\n", d, res.Sharding.Describe())
 	}
 	if ex := res.Exec; ex != nil {
-		fmt.Printf("exec: shards=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v spills=%d\n",
+		fmt.Printf("exec: shards=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
 			len(ex.Shards), ex.Windows, ex.Barriers, 100*ex.Utilization(),
 			time.Duration(ex.BusyNS()).Round(time.Microsecond),
-			time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond), ex.Spills())
+			time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 		for i := range ex.Shards {
 			ss := &ex.Shards[i]
-			fmt.Printf("  shard %d: events=%d heap-hw=%d pool=%d/%d util=%.1f%% boundary: pushes=%d occ-hw=%d spills=%d max-drain=%d\n",
+			fmt.Printf("  shard %d: events=%d heap-hw=%d pool=%d/%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
 				ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled,
-				100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.OccupancyHighWater,
-				ss.Boundary.Spills, ss.Boundary.MaxDrain)
+				100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.MaxDrain)
 		}
 		if *execTrace != "" {
 			tf, err := os.Create(*execTrace)

@@ -154,11 +154,11 @@ func main() {
 	if *execProf && runner.Exec.Runs > 0 {
 		// The harness-level aggregate: one line across every scheme's run.
 		ex := runner.Exec
-		fmt.Fprintf(os.Stderr, "# exec: runs=%d sharded=%d events=%d windows=%d barriers=%d utilization=%.1f%% (worst %.1f%%) busy=%v barrier-wait=%v spills=%d\n",
+		fmt.Fprintf(os.Stderr, "# exec: runs=%d sharded=%d events=%d windows=%d barriers=%d utilization=%.1f%% (worst %.1f%%) busy=%v barrier-wait=%v\n",
 			ex.Runs, ex.ShardedRuns, ex.Events, ex.Windows, ex.Barriers,
 			100*ex.Utilization(), 100*ex.UtilizationMin,
 			time.Duration(ex.BusyNS).Round(time.Microsecond),
-			time.Duration(ex.BarrierWaitNS).Round(time.Microsecond), ex.Spills)
+			time.Duration(ex.BarrierWaitNS).Round(time.Microsecond))
 	}
 
 	if *traceDir != "" {

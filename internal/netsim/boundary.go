@@ -17,127 +17,49 @@ type BoundaryMsg struct {
 	Ctrl ControlFrame
 }
 
-// DefaultBoundaryCap is the ring capacity of a boundary queue. Windows are a
-// few link delays long, so a few thousand in-flight deliveries per directed
-// boundary link pair is generous; overflow spills to a growable slice rather
-// than blocking, so capacity only tunes allocation behavior, never
-// correctness.
-const DefaultBoundaryCap = 1024
-
-// Boundary is a bounded single-producer single-consumer queue carrying
-// deliveries from a sending shard to a receiving shard. The producer is the
-// sending shard's goroutine during a window; the consumer is the coordinator
-// between windows. The barrier join that separates the two provides the
-// happens-before edge, so no atomics are needed.
-//
-// Push never blocks: when the ring is full, messages spill into a growable
-// slice. A conservative PDES barrier must drain every queue before any shard
-// resumes, so a blocking producer at the horizon would deadlock the whole
-// run — spilling trades a transient allocation for that guarantee.
-type Boundary struct {
-	ring  []BoundaryMsg
-	head  int
-	count int
-	spill []BoundaryMsg
-
-	// Cumulative traffic counters, maintained unconditionally (one branch
-	// each on the push/drain paths) and never reset by DrainInto, so the
-	// coordinator can read whole-run totals after the final barrier.
-	pushes   uint64
-	spilled  uint64
-	drains   uint64
-	occHW    int
-	maxDrain int
-}
-
-// BoundaryStats is a snapshot of a queue's cumulative traffic counters.
+// BoundaryStats is a queue's cumulative traffic: DrainInto never resets it,
+// so the coordinator reads whole-run totals after the final barrier.
 type BoundaryStats struct {
-	Pushes             uint64 // total messages pushed
-	Spilled            uint64 // messages that overflowed the ring into the spill slice
-	Drains             uint64 // DrainInto calls
-	OccupancyHighWater int    // max ring occupancy reached (excluding spill)
-	MaxDrain           int    // largest single drain batch
+	Pushes   uint64 // total messages pushed
+	MaxDrain int    // largest single drain batch, i.e. the occupancy high-water
 }
 
-// NewBoundary returns an empty queue with the given ring capacity
-// (DefaultBoundaryCap if cap <= 0).
-func NewBoundary(capacity int) *Boundary {
-	if capacity <= 0 {
-		capacity = DefaultBoundaryCap
-	}
-	return &Boundary{ring: make([]BoundaryMsg, capacity)}
+// Boundary carries deliveries from a sending shard to a receiving shard: one
+// reusable slice the sender appends to during a window and the coordinator
+// empties at the barrier; the join between the two is the happens-before
+// edge, so no atomics are needed. A conservative barrier drains every queue
+// before any shard resumes, so Push must never block — it appends. Capacity
+// grows to the largest window ever seen and is kept, so steady state
+// allocates nothing. The zero value is ready to use.
+type Boundary struct {
+	msgs  []BoundaryMsg
+	stats BoundaryStats
 }
 
-// Push enqueues one boundary delivery. Never blocks; overflow spills.
+// Push enqueues one boundary delivery.
 func (b *Boundary) Push(m BoundaryMsg) {
-	b.pushes++
-	// Once a message has spilled, later ones spill too until the next drain,
-	// keeping ring+spill a single FIFO.
-	if len(b.spill) == 0 && b.count < len(b.ring) {
-		b.ring[(b.head+b.count)%len(b.ring)] = m
-		b.count++
-		if b.count > b.occHW {
-			b.occHW = b.count
-		}
-		return
-	}
-	b.spill = append(b.spill, m)
-	b.spilled++
+	b.stats.Pushes++
+	b.msgs = append(b.msgs, m)
 }
-
-// Len returns the number of queued messages.
-func (b *Boundary) Len() int { return b.count + len(b.spill) }
-
-// Spilled returns the number of messages currently in the overflow slice
-// (diagnostics for capacity tuning).
-func (b *Boundary) Spilled() int { return len(b.spill) }
-
-// Cap returns the ring capacity (the spill threshold).
-func (b *Boundary) Cap() int { return len(b.ring) }
 
 // Stats returns the queue's cumulative traffic counters.
-func (b *Boundary) Stats() BoundaryStats {
-	return BoundaryStats{
-		Pushes:             b.pushes,
-		Spilled:            b.spilled,
-		Drains:             b.drains,
-		OccupancyHighWater: b.occHW,
-		MaxDrain:           b.maxDrain,
-	}
-}
+func (b *Boundary) Stats() BoundaryStats { return b.stats }
 
 // DrainInto schedules every queued delivery onto the receiving shard's
-// scheduler, in FIFO order, and empties the queue. Each message is injected
-// under its original ordering key, so the receiver's heap interleaves
-// boundary deliveries with local events exactly as the serial engine would.
-// Returns the number of messages drained.
+// scheduler in FIFO order, each under its original ordering key — so the
+// receiver's heap interleaves boundary deliveries with local events exactly
+// as the serial engine would — empties the queue and returns the count.
 func (b *Boundary) DrainInto(sched *eventsim.Scheduler) int {
-	n := 0
-	for b.count > 0 {
-		m := &b.ring[b.head]
-		scheduleBoundary(sched, *m)
-		*m = BoundaryMsg{} // drop packet/frame refs
-		b.head = (b.head + 1) % len(b.ring)
-		b.count--
-		n++
+	n := len(b.msgs)
+	for i := range b.msgs {
+		if m := &b.msgs[i]; m.Pkt != nil {
+			sched.ScheduleCallInjected(m.Key, m.Link.deliver, m.Pkt)
+		} else {
+			sched.ScheduleCallInjected(m.Key, m.Link.deliverCtrl, m.Ctrl)
+		}
 	}
-	for i := range b.spill {
-		scheduleBoundary(sched, b.spill[i])
-		b.spill[i] = BoundaryMsg{}
-	}
-	n += len(b.spill)
-	b.spill = b.spill[:0]
-	b.drains++
-	if n > b.maxDrain {
-		b.maxDrain = n
-	}
+	clear(b.msgs) // the kept backing array must not pin pooled packets or frames
+	b.msgs = b.msgs[:0]
+	b.stats.MaxDrain = max(b.stats.MaxDrain, n)
 	return n
-}
-
-func scheduleBoundary(sched *eventsim.Scheduler, m BoundaryMsg) {
-	if m.Pkt != nil {
-		sched.ScheduleCallInjected(m.Key, m.Link.deliver, m.Pkt)
-		return
-	}
-	sched.ScheduleCallInjected(m.Key, m.Link.deliverCtrl, m.Ctrl)
 }

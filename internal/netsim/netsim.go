@@ -140,9 +140,6 @@ func NewLink(sched *eventsim.Scheduler, name string, rate units.Rate, delay unit
 // nil to restore local delivery.
 func (l *Link) SetBoundary(b *Boundary) { l.boundary = b }
 
-// Boundary returns the cross-shard queue, nil for an intra-shard link.
-func (l *Link) BoundaryQueue() *Boundary { return l.boundary }
-
 // strand consumes a packet lost on the down link.
 func (l *Link) strand(p *packet.Packet) {
 	l.strandedPackets++

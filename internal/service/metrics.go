@@ -35,7 +35,6 @@ type serviceMetrics struct {
 	execEvents        *telemetry.Counter
 	execWindows       *telemetry.Counter
 	execBarrierWaitNS *telemetry.Counter
-	execSpills        *telemetry.Counter
 }
 
 // newServiceMetrics registers the service families, on the given registry
@@ -66,7 +65,6 @@ func newServiceMetrics(reg *telemetry.Registry) *serviceMetrics {
 		execEvents:        reg.NewCounter("bfcd_exec_events_total", "Simulator events dispatched by profiled jobs."),
 		execWindows:       reg.NewCounter("bfcd_exec_windows_total", "Lookahead windows executed by profiled sharded jobs."),
 		execBarrierWaitNS: reg.NewCounter("bfcd_exec_barrier_wait_ns_total", "Cumulative wall-clock nanoseconds shards spent parked at barriers."),
-		execSpills:        reg.NewCounter("bfcd_exec_boundary_spills_total", "Boundary-ring messages that overflowed into spill slices."),
 	}
 	info := telemetry.ReadBuildInfo()
 	reg.Const("bfcd_build_info", "Build information (value is always 1).", 1, map[string]string{
@@ -92,7 +90,6 @@ func (m *serviceMetrics) recordExec(rs *execstats.RunStats) {
 	if wait := rs.BarrierWaitNS(); wait > 0 {
 		m.execBarrierWaitNS.Add(uint64(wait))
 	}
-	m.execSpills.Add(rs.Spills())
 }
 
 // Metrics exposes the service's metric registry (for /metrics and tests).

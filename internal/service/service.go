@@ -222,8 +222,6 @@ type ExecEventStats struct {
 	Windows uint64 `json:"windows"`
 	// Utilization is busy/(busy+barrier-wait) across shards (1 for serial).
 	Utilization float64 `json:"utilization"`
-	// Spills counts boundary-ring overflows.
-	Spills uint64 `json:"spills"`
 	// WallMS is the run's wall-clock in milliseconds.
 	WallMS float64 `json:"wall_ms"`
 }
@@ -239,7 +237,6 @@ func execEventStats(rs *execstats.RunStats) *ExecEventStats {
 		Events:      rs.TotalEvents,
 		Windows:     rs.Windows,
 		Utilization: rs.Utilization(),
-		Spills:      rs.Spills(),
 		WallMS:      float64(rs.WallNS) / 1e6,
 	}
 }

@@ -1,19 +1,17 @@
 package sim
 
 import (
-	"sort"
 	"testing"
 
 	"bfc/internal/eventsim"
 	"bfc/internal/units"
 )
 
-// BenchmarkShardMerge times the coordinator's end-of-run completion merge:
-// concatenating 8 per-shard key-sorted FCT buffers (16k records each, the
-// order of a full-load 1024-host run) and stable-sorting them by ordering key,
-// exactly as runSharded does. The merge is the only O(flows log flows) step
-// the sharded engine adds over the serial one, so its cost is pinned in
-// BENCH_baseline.json.
+// BenchmarkShardMerge times the coordinator's end-of-run completion merge —
+// mergeFCT, the function runSharded calls — over 8 per-shard key-sorted FCT
+// buffers (16k records each, the order of a full-load 1024-host run). The
+// merge is the only O(flows log flows) step the sharded engine adds over the
+// serial one, so its cost is pinned in BENCH_baseline.json.
 func BenchmarkShardMerge(b *testing.B) {
 	const S, per = 8, 16384
 	shards := make([][]fctRec, S)
@@ -32,11 +30,7 @@ func BenchmarkShardMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs := make([]fctRec, 0, S*per)
-		for _, sr := range shards {
-			recs = append(recs, sr...)
-		}
-		sort.SliceStable(recs, func(x, y int) bool { return recs[x].key.Less(recs[y].key) })
+		recs := mergeFCT(shards)
 		if len(recs) != S*per || recs[0].key.At != 0 {
 			b.Fatal("merge corrupted the record stream")
 		}

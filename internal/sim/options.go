@@ -186,15 +186,10 @@ type Options struct {
 	// other Recorder implementation forces serial, reported — like every
 	// fallback — in Result.Sharding rather than silently.
 	Shards int
-	// ShardQueueCap bounds the ring capacity of each cross-shard boundary
-	// queue (netsim.DefaultBoundaryCap when zero). Overflow spills to a
-	// growable slice rather than blocking, so the cap tunes steady-state
-	// allocation, never correctness.
-	ShardQueueCap int
 	// ExecStats enables the wall-clock execution profiler
 	// (internal/telemetry/execstats): per-shard event counts, heap and pool
 	// high-water marks, barrier-wait timings, lookahead-window utilization,
-	// and boundary-ring traffic, merged into Result.Exec at run end. Purely
+	// and boundary-queue traffic, merged into Result.Exec at run end. Purely
 	// observational — it never schedules events or consumes RNG, Result.Exec
 	// is excluded from both the marshalled result and ResultDigest, and the
 	// disabled path costs a nil check (BenchmarkExecStatsOverhead).

@@ -1,0 +1,247 @@
+package sim
+
+import (
+	"fmt"
+
+	"bfc/internal/netsim"
+	"bfc/internal/nic"
+	"bfc/internal/packet"
+	"bfc/internal/scenario"
+	"bfc/internal/stats"
+	"bfc/internal/switchsim"
+	"bfc/internal/telemetry"
+	"bfc/internal/topology"
+	"bfc/internal/units"
+)
+
+// registry is the device table of one run. NodeIDs are dense, so the switch
+// or NIC of every node sits in a slice indexed by NodeID (nil where the node
+// is of the other kind). The serial runner holds one; a sharded run hands the
+// same registry to every shard runner, each filling only the slots of the
+// nodes it owns — construction is sequential on the coordinator goroutine,
+// and inside windows shards only read it — so the coordinator samples at
+// barriers and collects at the end straight from it. Its methods need nothing
+// beyond the topology and the two slices.
+type registry struct {
+	topo     *topology.Topology
+	switches []*switchsim.Switch
+	nics     []*nic.NIC
+}
+
+func newRegistry(topo *topology.Topology) *registry {
+	return &registry{
+		topo:     topo,
+		switches: make([]*switchsim.Switch, topo.NumNodes()),
+		nics:     make([]*nic.NIC, topo.NumNodes()),
+	}
+}
+
+// device returns a node's device, nil until its owner has built it.
+func (g *registry) device(id packet.NodeID) netsim.Device {
+	if sw := g.switches[id]; sw != nil {
+		return sw
+	}
+	if n := g.nics[id]; n != nil {
+		return n
+	}
+	return nil
+}
+
+// outLink returns a device's outgoing link on the given port.
+func (g *registry) outLink(id packet.NodeID, port int) *netsim.Link {
+	if sw := g.switches[id]; sw != nil {
+		return sw.Link(port)
+	}
+	return g.nics[id].Link()
+}
+
+func (g *registry) linkPorts(a, b packet.NodeID) (pa, pb int) {
+	pa, pb, ok := g.topo.LinkBetween(a, b)
+	if !ok {
+		panic(fmt.Sprintf("sim: no link between nodes %d and %d", a, b))
+	}
+	return pa, pb
+}
+
+// setLinkState applies a link up/down event: reroute first (so no new packet
+// is steered at the dead link), then flip both unidirectional links, then
+// reset the pause machinery on both attached devices. rec (nil when untraced)
+// receives the trace event stamped at, after the reroute and before the
+// devices react — the resets can emit pause records of their own, and the
+// serial trace pins them behind the link event. The serial runner calls it
+// mid-dispatch; the sharded coordinator calls it with every shard parked at a
+// barrier, where the mutation is race-free and observed atomically.
+func (g *registry) setLinkState(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, up bool) int {
+	pa, pb := g.linkPorts(a, b)
+	reroutes := g.topo.SetLinkState(a, b, up)
+	if rec != nil {
+		kind := telemetry.KindLinkDown
+		if up {
+			kind = telemetry.KindLinkUp
+		}
+		rec.Record(telemetry.Event{At: at, Kind: kind,
+			Node: a, Port: int32(pa), Queue: -1, Value: int64(reroutes)})
+	}
+	if l := g.outLink(a, pa); l != nil {
+		l.SetDown(!up)
+	}
+	if l := g.outLink(b, pb); l != nil {
+		l.SetDown(!up)
+	}
+	g.notifyLinkChange(a, pa, up)
+	g.notifyLinkChange(b, pb, up)
+	return reroutes
+}
+
+func (g *registry) notifyLinkChange(id packet.NodeID, port int, up bool) {
+	if sw := g.switches[id]; sw != nil {
+		sw.OnLinkStateChange(port, up)
+		return
+	}
+	g.nics[id].OnLinkStateChange(up)
+}
+
+// setLinkParams degrades both directions of a link (topology tables and wired
+// links), recording like setLinkState.
+func (g *registry) setLinkParams(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, rate units.Rate, delay units.Time) {
+	pa, pb := g.linkPorts(a, b)
+	g.topo.SetLinkParams(a, b, rate, delay)
+	if rec != nil {
+		rec.Record(telemetry.Event{At: at, Kind: telemetry.KindLinkDegrade,
+			Node: a, Port: int32(pa), Queue: -1, Value: int64(rate)})
+	}
+	for _, l := range []*netsim.Link{g.outLink(a, pa), g.outLink(b, pb)} {
+		if l != nil {
+			l.SetRate(rate)
+			l.SetDelay(delay)
+		}
+	}
+}
+
+// sampleSwitches returns the switches in topology (NodeID) order: the sample
+// sequence feeds Result distributions that the harness persists, and
+// artifacts must be byte-identical across reruns and worker counts.
+func (g *registry) sampleSwitches() []*switchsim.Switch {
+	var sws []*switchsim.Switch
+	for _, sw := range g.switches {
+		if sw != nil {
+			sws = append(sws, sw)
+		}
+	}
+	return sws
+}
+
+// sampleTick takes one statistics sample over sws into res. It is the body of
+// the serial sampling ticker, and is called directly by the sharded
+// coordinator at its tick barriers (where the shards are parked at exactly the
+// state the serial tick would observe).
+func sampleTick(res *Result, sws []*switchsim.Switch, sampler *seriesSampler) {
+	for _, sw := range sws {
+		occ := sw.BufferOccupancy()
+		res.BufferOccupancy.Add(float64(occ))
+		if occ > res.MaxBufferOccupancy {
+			res.MaxBufferOccupancy = occ
+		}
+		res.OccupiedQueues.Add(float64(sw.OccupiedDataQueues()))
+		if q := sw.MaxPhysicalQueueBytes(); q > res.MaxPhysicalQueueBytes {
+			res.MaxPhysicalQueueBytes = q
+		}
+	}
+	if sampler != nil {
+		sampler.sample()
+	}
+}
+
+// collect fills res with everything read off the devices after the last
+// event: utilization, switch and BFC-engine counters, pause-time fractions.
+// scen (nil without a scenario) receives the no-route drops and is attached to
+// the result. Events, flow counts and the telemetry bundle are the caller's.
+func (g *registry) collect(res *Result, horizon units.Time, flows []*packet.Flow, scen *scenario.Metrics) {
+	res.Elapsed = horizon
+
+	// Utilization over all hosts, and over receivers only.
+	receiver := make([]bool, len(g.nics))
+	receivers := 0
+	for _, f := range flows {
+		if !receiver[f.Dst] {
+			receiver[f.Dst] = true
+			receivers++
+		}
+	}
+	var delivered, receiverDelivered units.Bytes
+	for id, n := range g.nics {
+		if n == nil {
+			continue
+		}
+		st := n.Stats()
+		delivered += st.DeliveredBytes
+		if receiver[id] {
+			receiverDelivered += st.DeliveredBytes
+		}
+	}
+	hostRate := g.topo.HostRate(g.topo.Hosts()[0])
+	capacityAll := stats.NewUtilization(hostRate*units.Rate(len(g.topo.Hosts())), horizon)
+	capacityAll.AddBytes(delivered)
+	res.Utilization = capacityAll.Value()
+	if receivers > 0 {
+		capRecv := stats.NewUtilization(hostRate*units.Rate(receivers), horizon)
+		capRecv.AddBytes(receiverDelivered)
+		res.ReceiverUtilization = capRecv.Value()
+	}
+
+	// Switch counters and pause-time accounting.
+	tracker := stats.NewPauseTracker(horizon)
+	for id, sw := range g.switches {
+		if sw == nil {
+			continue
+		}
+		st := sw.Stats()
+		res.Drops += st.Drops
+		if scen != nil {
+			scen.NoRouteDrops += st.NoRouteDrops
+		}
+		res.ECNMarks += st.ECNMarks
+		res.PFCPauses += st.PFCPausesSent
+		res.BFCFrames += st.BFCFramesSent
+		node := g.topo.Node(packet.NodeID(id))
+		for portIdx, port := range node.Ports {
+			peerTier := g.topo.Node(port.Peer).Tier
+			key := fmt.Sprintf("%s->%s", node.Tier, peerTier)
+			tracker.RegisterLink(key)
+			if link := sw.Link(portIdx); link != nil {
+				tracker.AddPaused(key, link.PausedTime())
+			}
+		}
+		if eng := sw.Engine(); eng != nil {
+			es := eng.Stats()
+			res.Assignments += es.Assignments
+			res.CollidedAssignments += es.CollidedAssignments
+			res.VFIDCollisions += es.VFIDCollisions
+			res.TableOverflowPackets += es.TableOverflowPackets
+			res.DataPackets += es.DataPackets
+			res.Pauses += es.Pauses
+			res.Resumes += es.Resumes
+			if es.MaxActiveFlows > res.MaxActiveFlows {
+				res.MaxActiveFlows = es.MaxActiveFlows
+			}
+		} else {
+			res.DataPackets += st.DataPacketsIn
+		}
+	}
+	// Host uplinks can also be PFC-paused (by the ToR); account them too.
+	for id, n := range g.nics {
+		if n == nil {
+			continue
+		}
+		node := g.topo.Node(packet.NodeID(id))
+		key := fmt.Sprintf("%s->%s", node.Tier, g.topo.Node(node.Ports[0].Peer).Tier)
+		tracker.RegisterLink(key)
+		if link := n.Link(); link != nil {
+			tracker.AddPaused(key, link.PausedTime())
+		}
+	}
+	for _, key := range tracker.Keys() {
+		res.PauseTimeFraction[key] = tracker.Fraction(key)
+	}
+	res.Scenario = scen
+}

@@ -144,8 +144,7 @@ func Run(opts Options, flows []*packet.Flow) (*Result, error) {
 		res.Sharding = ShardInfo{Requested: opts.Shards, Used: plan.Shards}
 		return res, nil
 	}
-	r := newRunner(opts)
-	res, err := r.run(flows)
+	res, err := newRunner(opts, newRegistry(opts.Topo)).run(flows)
 	if err != nil {
 		return nil, err
 	}
@@ -159,18 +158,23 @@ type runner struct {
 	topo  *topology.Topology
 	pool  *packet.Pool
 
-	switches map[packet.NodeID]*switchsim.Switch
-	nics     map[packet.NodeID]*nic.NIC
-	devices  map[packet.NodeID]netsim.Device
+	// reg holds the run's devices; the shard runners of a partitioned run
+	// share one and each build only the devices they own.
+	reg *registry
 
 	// plan and shardID restrict the runner to one shard of a partitioned run
 	// (plan nil for the classic serial engine). A shard runner owns only the
 	// devices its shard is assigned, buffers flow completions in fctBuf
 	// instead of recording them (the coordinator merges the per-shard streams
-	// into serial order), and leaves sampling to the coordinator.
+	// into serial order), and leaves sampling and the Result to the
+	// coordinator: result is nil on a shard runner.
 	plan    *topology.ShardPlan
 	shardID int
 	fctBuf  []fctRec
+
+	// flowsTotal counts the background flows this runner offered (base trace
+	// at construction, injected scenario flows when their event fires).
+	flowsTotal int
 
 	// scen is the installed scenario's metrics (nil without a scenario).
 	scen *scenario.Metrics
@@ -196,7 +200,8 @@ func (r *runner) owned(id packet.NodeID) bool {
 	return r.plan == nil || r.plan.Assign[id] == r.shardID
 }
 
-func newRunner(opts Options) *runner {
+// newResult returns an empty Result with the collectors the options ask for.
+func newResult(opts *Options) *Result {
 	res := &Result{
 		Scheme:            opts.Scheme,
 		FCT:               stats.NewFCTCollector(nil),
@@ -211,16 +216,17 @@ func newRunner(opts Options) *runner {
 		res.BufferOccupancy = stats.NewStreamingDistribution(opts.StatsSketchSize)
 		res.OccupiedQueues = stats.NewStreamingDistribution(opts.StatsSketchSize)
 	}
+	return res
+}
+
+func newRunner(opts Options, reg *registry) *runner {
 	return &runner{
-		opts:     opts,
-		sched:    eventsim.New(),
-		topo:     opts.Topo,
-		pool:     packet.NewPool(),
-		switches: map[packet.NodeID]*switchsim.Switch{},
-		nics:     map[packet.NodeID]*nic.NIC{},
-		devices:  map[packet.NodeID]netsim.Device{},
-		rec:      opts.Recorder,
-		result:   res,
+		opts:  opts,
+		sched: eventsim.New(),
+		topo:  opts.Topo,
+		pool:  packet.NewPool(),
+		reg:   reg,
+		rec:   opts.Recorder,
 	}
 }
 
@@ -247,21 +253,13 @@ func (r *runner) hopRTT() units.Time {
 
 func (r *runner) run(flows []*packet.Flow) (*Result, error) {
 	opts := r.opts
+	r.result = newResult(&opts)
 	var execStart time.Time
 	if opts.ExecStats {
 		execStart = time.Now()
 	}
-	hopRTT := r.hopRTT()
-	baseRTT := r.topo.MaxBaseRTT(opts.MTU + packet.DataHeaderSize)
-	hostRate := r.topo.HostRate(r.topo.Hosts()[0])
-	windowCap := opts.WindowCap
-	if windowCap == 0 {
-		windowCap = units.BDP(hostRate, baseRTT)
-	}
-
-	r.buildSwitches(hopRTT)
-	r.buildNICs(hostRate, baseRTT, windowCap)
-	r.wireLinks()
+	r.buildDevices()
+	r.wireLinks(nil)
 	r.scheduleFlows(flows)
 	r.startSampling()
 
@@ -273,14 +271,38 @@ func (r *runner) run(flows []*packet.Flow) (*Result, error) {
 	}
 	r.sched.RunUntil(horizon)
 
-	r.collect(horizon, flows)
+	res := r.result
+	res.Events = r.sched.Executed
+	res.FlowsTotal = r.flowsTotal
+	if r.scen != nil {
+		r.scen.StrandedPackets += r.strandedPkts
+		r.scen.StrandedBytes += r.strandedBytes
+	}
+	r.reg.collect(res, horizon, flows, r.scen)
+	if r.sampler != nil {
+		res.Telemetry = r.sampler.finish()
+	}
 	if opts.ExecStats {
 		// Observational only: built after the last event fired, from counters
 		// the engine maintains anyway, so the result bytes are untouched.
-		r.result.Exec = execstats.Serial(time.Since(execStart), r.sched.Executed,
+		res.Exec = execstats.Serial(time.Since(execStart), r.sched.Executed,
 			r.sched.HeapHighWater(), r.pool.Allocated(), r.pool.Recycled())
 	}
-	return r.result, nil
+	return res, nil
+}
+
+// buildDevices constructs the switches and NICs this runner owns, with the
+// fabric-wide parameters every device shares derived from the options alone —
+// so each shard runner of a partitioned run derives the same ones.
+func (r *runner) buildDevices() {
+	baseRTT := r.topo.MaxBaseRTT(r.opts.MTU + packet.DataHeaderSize)
+	hostRate := r.topo.HostRate(r.topo.Hosts()[0])
+	windowCap := r.opts.WindowCap
+	if windowCap == 0 {
+		windowCap = units.BDP(hostRate, baseRTT)
+	}
+	r.buildSwitches(r.hopRTT())
+	r.buildNICs(hostRate, baseRTT, windowCap)
 }
 
 func (r *runner) bfcConfig(hopRTT units.Time) *core.Config {
@@ -337,9 +359,7 @@ func (r *runner) buildSwitches(hopRTT units.Time) {
 			cfg.InfiniteBuffer = true
 			cfg.EnablePFC = false
 		}
-		sw := switchsim.New(cfg)
-		r.switches[node.ID] = sw
-		r.devices[node.ID] = sw
+		r.reg.switches[node.ID] = switchsim.New(cfg)
 	}
 }
 
@@ -386,30 +406,24 @@ func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time, windowCap un
 				return cc.FixedWindow{W: windowCap}
 			}
 		}
-		n := nic.New(cfg)
-		r.nics[node.ID] = n
-		r.devices[node.ID] = n
+		r.reg.nics[node.ID] = nic.New(cfg)
 	}
 }
 
-// wireLinks creates the unidirectional links for every topology port pair and
-// attaches them to the devices.
-func (r *runner) wireLinks() {
-	r.wireLinksWith(func(id packet.NodeID) netsim.Device { return r.devices[id] }, nil)
-}
-
-// wireLinksWith wires the outgoing links of every node this runner owns,
-// resolving receiving devices through peerDev (which, in a sharded run, spans
-// all shards) and marking links for which boundary returns a queue as
-// cross-shard.
-func (r *runner) wireLinksWith(peerDev func(packet.NodeID) netsim.Device, boundary func(from, to packet.NodeID) *netsim.Boundary) {
+// wireLinks creates the outgoing unidirectional links of every node this
+// runner owns and attaches them to the devices. Receiving devices come from
+// the registry (which, in a sharded run, spans all shards, so every shard's
+// devices must be built first). A link whose peer another shard owns is marked
+// cross-shard: it delivers through out[that shard], this shard's row of the
+// run's boundary queues (nil in a serial run, which owns every node).
+func (r *runner) wireLinks(out []netsim.Boundary) {
 	for _, node := range r.topo.Nodes() {
-		dev := r.devices[node.ID]
-		if dev == nil {
-			continue // another shard owns this node
+		if !r.owned(node.ID) {
+			continue
 		}
+		dev := r.reg.device(node.ID)
 		for portIdx, port := range node.Ports {
-			peer := peerDev(port.Peer)
+			peer := r.reg.device(port.Peer)
 			name := fmt.Sprintf("%s:p%d->%s", node.Name, portIdx, r.topo.Node(port.Peer).Name)
 			link := netsim.NewLink(r.sched, name, port.Rate, port.Delay, peer, port.PeerPort)
 			link.OnStranded = r.onStranded
@@ -424,10 +438,8 @@ func (r *runner) wireLinksWith(peerDev func(packet.NodeID) netsim.Device, bounda
 					r.onStranded(pkt)
 				}
 			}
-			if boundary != nil {
-				if b := boundary(node.ID, port.Peer); b != nil {
-					link.SetBoundary(b)
-				}
+			if !r.owned(port.Peer) {
+				link.SetBoundary(&out[r.plan.Assign[port.Peer]])
 			}
 			dev.AttachLink(portIdx, link)
 		}
@@ -488,77 +500,23 @@ func (r *runner) startInjected(f *packet.Flow) {
 	r.StartFlow(f)
 }
 
-// outLink returns a device's outgoing link on the given port.
-func (r *runner) outLink(id packet.NodeID, port int) *netsim.Link {
-	if sw, ok := r.switches[id]; ok {
-		return sw.Link(port)
-	}
-	return r.nics[id].Link()
-}
-
-// SetLinkState implements scenario.Network: reroute first (so no new packet
-// is steered at the dead link), then flip both unidirectional links, then
-// reset the pause machinery on both attached devices.
+// SetLinkState implements scenario.Network for the serial engine.
 func (r *runner) SetLinkState(a, b packet.NodeID, up bool) int {
-	pa, pb, ok := r.topo.LinkBetween(a, b)
-	if !ok {
-		panic(fmt.Sprintf("sim: no link between nodes %d and %d", a, b))
-	}
-	reroutes := r.topo.SetLinkState(a, b, up)
-	if r.rec != nil {
-		kind := telemetry.KindLinkDown
-		if up {
-			kind = telemetry.KindLinkUp
-		}
-		r.rec.Record(telemetry.Event{At: r.sched.Now(), Kind: kind,
-			Node: a, Port: int32(pa), Queue: -1, Value: int64(reroutes)})
-	}
-	if l := r.outLink(a, pa); l != nil {
-		l.SetDown(!up)
-	}
-	if l := r.outLink(b, pb); l != nil {
-		l.SetDown(!up)
-	}
-	r.notifyLinkChange(a, pa, up)
-	r.notifyLinkChange(b, pb, up)
-	return reroutes
+	return r.reg.setLinkState(r.sched.Now(), r.rec, a, b, up)
 }
 
-func (r *runner) notifyLinkChange(id packet.NodeID, port int, up bool) {
-	if sw, ok := r.switches[id]; ok {
-		sw.OnLinkStateChange(port, up)
-		return
-	}
-	r.nics[id].OnLinkStateChange(up)
-}
-
-// SetLinkParams implements scenario.Network: degrade both directions of a
-// link (topology tables and wired links).
+// SetLinkParams implements scenario.Network for the serial engine.
 func (r *runner) SetLinkParams(a, b packet.NodeID, rate units.Rate, delay units.Time) {
-	pa, pb, ok := r.topo.LinkBetween(a, b)
-	if !ok {
-		panic(fmt.Sprintf("sim: no link between nodes %d and %d", a, b))
-	}
-	r.topo.SetLinkParams(a, b, rate, delay)
-	if r.rec != nil {
-		r.rec.Record(telemetry.Event{At: r.sched.Now(), Kind: telemetry.KindLinkDegrade,
-			Node: a, Port: int32(pa), Queue: -1, Value: int64(rate)})
-	}
-	for _, l := range []*netsim.Link{r.outLink(a, pa), r.outLink(b, pb)} {
-		if l != nil {
-			l.SetRate(rate)
-			l.SetDelay(delay)
-		}
-	}
+	r.reg.setLinkParams(r.sched.Now(), r.rec, a, b, rate, delay)
 }
 
 // StartFlow implements scenario.Network: start an injected flow at its
 // source NIC, keeping the offered-flow accounting consistent with the base
 // trace.
 func (r *runner) StartFlow(f *packet.Flow) {
-	r.nics[f.Src].StartFlow(f)
+	r.reg.nics[f.Src].StartFlow(f)
 	if !f.IsIncast && !f.LongLived {
-		r.result.FlowsTotal++
+		r.flowsTotal++
 	}
 }
 
@@ -573,10 +531,10 @@ func (r *runner) scheduleFlows(flows []*packet.Flow) {
 		// simultaneous arrivals (an incast burst) by flow creation order on
 		// every shard.
 		r.sched.ScheduleTagged(f.StartTime, uint64(f.ID), func() {
-			r.nics[f.Src].StartFlow(f)
+			r.reg.nics[f.Src].StartFlow(f)
 		})
 		if !f.IsIncast && !f.LongLived {
-			r.result.FlowsTotal++
+			r.flowsTotal++
 		}
 	}
 }
@@ -585,30 +543,17 @@ func (r *runner) onFlowComplete(f *packet.Flow) {
 	if f.LongLived {
 		return
 	}
-	ideal := r.idealFCT(f)
-	fct := f.FCT()
+	rec := fctRec{start: f.StartTime, size: f.Size, fct: f.FCT(),
+		ideal: IdealFCT(r.topo, r.opts.MTU, f), incast: f.IsIncast}
 	if r.plan != nil {
-		// Shard runner: completions are recorded into the merged collectors by
+		// Shard runner: completions are recorded into the run's collectors by
 		// the coordinator, ordered by the triggering delivery event's key, so
 		// the merged record stream is byte-identical to the serial one.
-		r.fctBuf = append(r.fctBuf, fctRec{
-			key: r.sched.CurrentKey(), start: f.StartTime,
-			size: f.Size, fct: fct, ideal: ideal, incast: f.IsIncast})
+		rec.key = r.sched.CurrentKey()
+		r.fctBuf = append(r.fctBuf, rec)
 		return
 	}
-	if r.scen != nil {
-		r.scen.RecordCompletion(f.StartTime, f.Size, fct, ideal, f.IsIncast)
-	}
-	if f.IsIncast {
-		r.result.FCTIncast.Record(f.Size, fct, ideal)
-		return
-	}
-	r.result.FlowsCompleted++
-	r.result.FCT.Record(f.Size, fct, ideal)
-}
-
-func (r *runner) idealFCT(f *packet.Flow) units.Time {
-	return IdealFCT(r.topo, r.opts.MTU, f)
+	rec.record(r.result, r.scen)
 }
 
 // IdealFCT is the best possible completion time for a flow on an unloaded
@@ -631,143 +576,18 @@ func minBytes(a, b units.Bytes) units.Bytes {
 	return b
 }
 
-// sampleSwitches returns the switches in topology order, not map order: the
-// sample sequence feeds Result distributions that the harness persists, and
-// artifacts must be byte-identical across reruns and worker counts.
-func (r *runner) sampleSwitches() []*switchsim.Switch {
-	var sws []*switchsim.Switch
-	for _, node := range r.topo.Nodes() {
-		if sw, ok := r.switches[node.ID]; ok {
-			sws = append(sws, sw)
-		}
-	}
-	return sws
-}
-
-// sampleTick takes one statistics sample over sws. It is the body of the
-// serial sampling ticker, and is called directly by the sharded coordinator
-// at its tick barriers (where the shards are parked at exactly the state the
-// serial tick would observe).
-func (r *runner) sampleTick(sws []*switchsim.Switch) {
-	for _, sw := range sws {
-		occ := sw.BufferOccupancy()
-		r.result.BufferOccupancy.Add(float64(occ))
-		if occ > r.result.MaxBufferOccupancy {
-			r.result.MaxBufferOccupancy = occ
-		}
-		r.result.OccupiedQueues.Add(float64(sw.OccupiedDataQueues()))
-		if q := sw.MaxPhysicalQueueBytes(); q > r.result.MaxPhysicalQueueBytes {
-			r.result.MaxPhysicalQueueBytes = q
-		}
-	}
-	if r.sampler != nil {
-		r.sampler.sample()
-	}
-}
-
 func (r *runner) startSampling() {
-	sws := r.sampleSwitches()
+	sws := r.reg.sampleSwitches()
 	// The time-series sampler piggybacks on this one ticker rather than
 	// scheduling its own, so enabling it adds no simulator events and the
 	// run's event stream is unchanged.
 	if r.opts.SampleSeries {
-		r.sampler = r.newSeriesSampler()
+		r.sampler = r.reg.newSeriesSampler(&r.opts, func() uint64 { return r.sched.Executed })
 	}
 	// Each tick's ordering key is the arithmetic chain (T, T-Δ, T-2Δ, T-3Δ),
 	// which the sharded coordinator reconstructs at its barriers to flush
 	// exactly the events a serial run executes before the sample.
 	eventsim.NewTicker(r.sched, r.opts.BufferSampleInterval, func() {
-		r.sampleTick(sws)
+		sampleTick(r.result, sws, r.sampler)
 	})
-}
-
-func (r *runner) collect(horizon units.Time, flows []*packet.Flow) {
-	res := r.result
-	res.Elapsed = horizon
-	if r.sched != nil {
-		// The sharded coordinator (which runs collect on a scheduler-less
-		// union view) sets Events itself: shard counts plus emulated ticks.
-		res.Events = r.sched.Executed
-	}
-
-	// Utilization over all hosts, and over receivers only.
-	var delivered units.Bytes
-	receivers := map[packet.NodeID]bool{}
-	for _, f := range flows {
-		receivers[f.Dst] = true
-	}
-	var receiverDelivered units.Bytes
-	for id, n := range r.nics {
-		st := n.Stats()
-		delivered += st.DeliveredBytes
-		if receivers[id] {
-			receiverDelivered += st.DeliveredBytes
-		}
-	}
-	hostRate := r.topo.HostRate(r.topo.Hosts()[0])
-	capacityAll := stats.NewUtilization(hostRate*units.Rate(len(r.topo.Hosts())), horizon)
-	capacityAll.AddBytes(delivered)
-	res.Utilization = capacityAll.Value()
-	if len(receivers) > 0 {
-		capRecv := stats.NewUtilization(hostRate*units.Rate(len(receivers)), horizon)
-		capRecv.AddBytes(receiverDelivered)
-		res.ReceiverUtilization = capRecv.Value()
-	}
-
-	// Switch counters and pause-time accounting.
-	tracker := stats.NewPauseTracker(horizon)
-	for id, sw := range r.switches {
-		st := sw.Stats()
-		res.Drops += st.Drops
-		if r.scen != nil {
-			r.scen.NoRouteDrops += st.NoRouteDrops
-		}
-		res.ECNMarks += st.ECNMarks
-		res.PFCPauses += st.PFCPausesSent
-		res.BFCFrames += st.BFCFramesSent
-		node := r.topo.Node(id)
-		for portIdx, port := range node.Ports {
-			peerTier := r.topo.Node(port.Peer).Tier
-			key := fmt.Sprintf("%s->%s", node.Tier, peerTier)
-			tracker.RegisterLink(key)
-			if link := sw.Link(portIdx); link != nil {
-				tracker.AddPaused(key, link.PausedTime())
-			}
-		}
-		if eng := sw.Engine(); eng != nil {
-			es := eng.Stats()
-			res.Assignments += es.Assignments
-			res.CollidedAssignments += es.CollidedAssignments
-			res.VFIDCollisions += es.VFIDCollisions
-			res.TableOverflowPackets += es.TableOverflowPackets
-			res.DataPackets += es.DataPackets
-			res.Pauses += es.Pauses
-			res.Resumes += es.Resumes
-			if es.MaxActiveFlows > res.MaxActiveFlows {
-				res.MaxActiveFlows = es.MaxActiveFlows
-			}
-		} else {
-			res.DataPackets += st.DataPacketsIn
-		}
-	}
-	// Host uplinks can also be PFC-paused (by the ToR); account them too.
-	for id, n := range r.nics {
-		node := r.topo.Node(id)
-		key := fmt.Sprintf("%s->%s", node.Tier, r.topo.Node(node.Ports[0].Peer).Tier)
-		tracker.RegisterLink(key)
-		if link := n.Link(); link != nil {
-			tracker.AddPaused(key, link.PausedTime())
-		}
-	}
-	for _, key := range tracker.Keys() {
-		res.PauseTimeFraction[key] = tracker.Fraction(key)
-	}
-	if r.scen != nil {
-		r.scen.StrandedPackets += r.strandedPkts
-		r.scen.StrandedBytes += r.strandedBytes
-	}
-	res.Scenario = r.scen
-	if r.sampler != nil {
-		res.Telemetry = r.sampler.finish()
-	}
 }

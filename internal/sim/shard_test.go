@@ -120,24 +120,36 @@ func fatTreeFlows(t testing.TB, topo *topology.Topology, duration units.Time) []
 
 // TestShardedParityFatTree compares serial and sharded runs byte-for-byte on a
 // four-pod fat-tree, where shards 2..4 genuinely partition the fabric, shard
-// count 8 clamps to the pod count, and -1 resolves to min(pods, GOMAXPROCS).
+// count 8 clamps to the pod count, and -1 resolves to min(pods, GOMAXPROCS) —
+// and on the smallest (two-pod, two-core) fat-tree at shards = pods, the one
+// partition where every shard holds a pod and a core switch, so every directed
+// shard pair owns a live boundary queue and every shard fills registry slots
+// next to another shard's (the case `go test -race` is pointed at).
 func TestShardedParityFatTree(t *testing.T) {
-	topo := topology.NewFatTree(topology.FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
-	if pods := topology.NumPods(topo); pods != 4 {
-		t.Fatalf("expected 4 pods, got %d", pods)
-	}
-	flows := fatTreeFlows(t, topo, 60*units.Microsecond)
-	for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN, SchemeHPCC} {
-		opts := DefaultOptions(sc, topo)
-		opts.Duration = 60 * units.Microsecond
-		opts.Drain = 400 * units.Microsecond
-		opts.Seed = 11
-		serial := runWithShards(t, opts, flows, 0)
-		for _, shards := range []int{2, 3, 4, 8, -1} {
-			sharded := runWithShards(t, opts, flows, shards)
-			if !bytes.Equal(serial, sharded) {
-				t.Errorf("%s shards=%d: sharded result differs from serial (%d vs %d bytes)",
-					sc, shards, len(serial), len(sharded))
+	for _, tc := range []struct {
+		hosts, pods int
+		shards      []int
+	}{
+		{hosts: 32, pods: 4, shards: []int{2, 3, 4, 8, -1}},
+		{hosts: 16, pods: 2, shards: []int{2}},
+	} {
+		topo := topology.NewFatTree(topology.FatTreeForHosts(tc.hosts, 100*units.Gbps, units.Microsecond))
+		if pods := topology.NumPods(topo); pods != tc.pods {
+			t.Fatalf("%d hosts: expected %d pods, got %d", tc.hosts, tc.pods, pods)
+		}
+		flows := fatTreeFlows(t, topo, 60*units.Microsecond)
+		for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN, SchemeHPCC} {
+			opts := DefaultOptions(sc, topo)
+			opts.Duration = 60 * units.Microsecond
+			opts.Drain = 400 * units.Microsecond
+			opts.Seed = 11
+			serial := runWithShards(t, opts, flows, 0)
+			for _, shards := range tc.shards {
+				sharded := runWithShards(t, opts, flows, shards)
+				if !bytes.Equal(serial, sharded) {
+					t.Errorf("%d hosts %s shards=%d: sharded result differs from serial (%d vs %d bytes)",
+						tc.hosts, sc, shards, len(serial), len(sharded))
+				}
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
@@ -29,8 +28,8 @@ import (
 //     the minimum propagation delay over cross-shard links: a delivery
 //     emitted during a window reaches another shard no earlier than one full
 //     W later, so windows of width <= W never miss a cross-shard event.
-//   - Cross-shard links push their deliveries onto bounded SPSC boundary
-//     queues (one per directed shard pair) instead of scheduling locally.
+//   - Cross-shard links append their deliveries to boundary queues (one
+//     reusable slice per directed shard pair) instead of scheduling locally.
 //     At each barrier the coordinator drains every queue — in deterministic
 //     shard order — into the receiving shards' schedulers.
 //   - Every event carries its scheduling-chain ordering key (see
@@ -59,9 +58,10 @@ import (
 //     event that completed them and merged into the shared collectors in key
 //     order, reproducing the serial record stream.
 
-// fctRec buffers one flow completion on a shard until the coordinator merges
-// the per-shard streams in key order. start carries the flow's start time for
-// scenario phase attribution.
+// fctRec is one flow completion. A shard buffers them, stamped with the key
+// of the completing event, until the coordinator merges the per-shard streams
+// in key order; the serial runner records each as it happens (key unused).
+// start carries the flow's start time for scenario phase attribution.
 type fctRec struct {
 	key    eventsim.Key
 	start  units.Time
@@ -69,6 +69,20 @@ type fctRec struct {
 	fct    units.Time
 	ideal  units.Time
 	incast bool
+}
+
+// record enters the completion into the run's collectors and, under a
+// scenario, its phase attribution.
+func (c *fctRec) record(res *Result, scen *scenario.Metrics) {
+	if scen != nil {
+		scen.RecordCompletion(c.start, c.size, c.fct, c.ideal, c.incast)
+	}
+	if c.incast {
+		res.FCTIncast.Record(c.size, c.fct, c.ideal)
+		return
+	}
+	res.FlowsCompleted++
+	res.FCT.Record(c.size, c.fct, c.ideal)
 }
 
 // ShardInfo reports how a run was executed: the shard count requested, the
@@ -220,42 +234,42 @@ func (sr *shardRecorder) events() []keyedEvent {
 }
 
 // barrierNet is the scenario.Network the coordinator applies link events
-// through. All shards are parked at the barrier, so mutating the shared
-// topology (route recomputation) and the affected shards' wired links through
-// the union runner is race-free and observed atomically — exactly what the
-// serial injector's closure sees mid-dispatch. The trace records the serial
-// runner would emit land in the coordinator's keyed recorder instead.
+// through: the shared registry's link events, stamped with the barrier
+// instant. The trace records the serial runner would emit land in the
+// coordinator's keyed recorder instead.
 type barrierNet struct {
-	merged *runner
-	at     units.Time
-	record func(telemetry.Event)
+	reg *registry
+	at  units.Time
+	rec telemetry.Recorder
 }
 
 func (n *barrierNet) SetLinkState(a, b packet.NodeID, up bool) int {
-	reroutes := n.merged.SetLinkState(a, b, up)
-	if n.record != nil {
-		pa, _, _ := n.merged.topo.LinkBetween(a, b)
-		kind := telemetry.KindLinkDown
-		if up {
-			kind = telemetry.KindLinkUp
-		}
-		n.record(telemetry.Event{At: n.at, Kind: kind,
-			Node: a, Port: int32(pa), Queue: -1, Value: int64(reroutes)})
-	}
-	return reroutes
+	return n.reg.setLinkState(n.at, n.rec, a, b, up)
 }
 
 func (n *barrierNet) SetLinkParams(a, b packet.NodeID, rate units.Rate, delay units.Time) {
-	n.merged.SetLinkParams(a, b, rate, delay)
-	if n.record != nil {
-		pa, _, _ := n.merged.topo.LinkBetween(a, b)
-		n.record(telemetry.Event{At: n.at, Kind: telemetry.KindLinkDegrade,
-			Node: a, Port: int32(pa), Queue: -1, Value: int64(rate)})
-	}
+	n.reg.setLinkParams(n.at, n.rec, a, b, rate, delay)
 }
 
 func (n *barrierNet) StartFlow(f *packet.Flow) {
 	panic("sim: scenario flow injections are scheduled per shard, not at barriers")
+}
+
+// mergeFCT merges the per-shard completion buffers into serial key order.
+// Each shard's buffer is already key-sorted (heaps pop in key order), and the
+// stable sort keeps lower shard indexes first on exact ties — the same order
+// the drains imposed.
+func mergeFCT(bufs [][]fctRec) []fctRec {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	recs := make([]fctRec, 0, n)
+	for _, b := range bufs {
+		recs = append(recs, b...)
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].key.Less(recs[j].key) })
+	return recs
 }
 
 // runSharded executes the simulation partitioned across plan.Shards shards.
@@ -272,15 +286,17 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		ec = execstats.NewCollector(S)
 	}
 
-	// Per-shard runners build only the devices their shard owns. Every shard
-	// derives device seeds from (Options.Seed, NodeID) and draws packets from
-	// its own pool, so construction is independent of the partition. Traced
-	// runs swap each shard's recorder for a keyed per-shard ring before any
-	// device captures it.
+	// Per-shard runners build only the devices their shard owns, into the one
+	// registry they share with the coordinator. Every shard derives device
+	// seeds from (Options.Seed, NodeID) and draws packets from its own pool, so
+	// construction is independent of the partition. Traced runs swap each
+	// shard's recorder for a keyed per-shard ring before any device captures
+	// it.
+	reg := newRegistry(opts.Topo)
 	shards := make([]*runner, S)
 	var srecs []*shardRecorder
 	for i := range shards {
-		r := newRunner(opts)
+		r := newRunner(opts, reg)
 		r.plan, r.shardID = plan, i
 		if userRing != nil {
 			sr := newShardRecorder(r.sched, userRing)
@@ -289,41 +305,18 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		shards[i] = r
 	}
-	hopRTT := shards[0].hopRTT()
-	baseRTT := opts.Topo.MaxBaseRTT(opts.MTU + packet.DataHeaderSize)
-	hostRate := opts.Topo.HostRate(opts.Topo.Hosts()[0])
-	windowCap := opts.WindowCap
-	if windowCap == 0 {
-		windowCap = units.BDP(hostRate, baseRTT)
-	}
 	for _, r := range shards {
-		r.buildSwitches(hopRTT)
-		r.buildNICs(hostRate, baseRTT, windowCap)
+		r.buildDevices()
 	}
 
 	// One boundary queue per directed shard pair. All cross-shard links of a
 	// pair share it, so the receiver sees the sender's emissions in the
 	// sender's scheduling order — the same relative order a serial run's
 	// sequence numbers would have imposed.
-	bounds := make([][]*netsim.Boundary, S)
-	for i := range bounds {
-		bounds[i] = make([]*netsim.Boundary, S)
-		for j := range bounds[i] {
-			if i != j {
-				bounds[i][j] = netsim.NewBoundary(opts.ShardQueueCap)
-			}
-		}
-	}
-	devAt := func(id packet.NodeID) netsim.Device {
-		return shards[plan.Assign[id]].devices[id]
-	}
+	bounds := make([][]netsim.Boundary, S)
 	for i, r := range shards {
-		from := i
-		r.wireLinksWith(devAt, func(_, to packet.NodeID) *netsim.Boundary {
-			return bounds[from][plan.Assign[to]] // nil diagonal for intra-shard links
-		})
-	}
-	for _, r := range shards {
+		bounds[i] = make([]netsim.Boundary, S) // [i][i] stays unused
+		r.wireLinks(bounds[i])
 		r.scheduleFlows(flows)
 	}
 
@@ -331,13 +324,14 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// under their serial keys, and leave the events themselves to the
 	// coordinator's barriers.
 	var scen *scenario.Planned
+	var scenM *scenario.Metrics
 	var coordRec *shardRecorder
 	if opts.Scenario != nil {
 		pl, err := scenario.Plan(opts.Scenario, scenarioParams(&opts, flows, horizon))
 		if err != nil {
 			return nil, err
 		}
-		scen = pl
+		scen, scenM = pl, pl.Metrics()
 		for _, r := range shards {
 			pl.ScheduleFlows(r.sched, r.owned, r.startInjected)
 		}
@@ -346,28 +340,11 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 	}
 
-	// The union view holds every shard's devices behind one merged Result; it
-	// is what the coordinator samples at barriers and collects from at the
-	// end, reusing the serial paths unchanged. Its recorder stays nil: the
-	// coordinator's own records carry explicit keys through coordRec.
-	merged := newRunner(opts)
-	merged.sched = nil
-	merged.rec = nil
-	for _, r := range shards {
-		for id, sw := range r.switches {
-			merged.switches[id] = sw
-		}
-		for id, n := range r.nics {
-			merged.nics[id] = n
-		}
-		for id, d := range r.devices {
-			merged.devices[id] = d
-		}
-	}
-	if scen != nil {
-		merged.scen = scen.Metrics()
-	}
-	sws := merged.sampleSwitches()
+	// The coordinator owns the Result: it samples the shared registry at tick
+	// barriers and collects from it at the end, through the same functions the
+	// serial runner uses.
+	res := newResult(&opts)
+	sws := reg.sampleSwitches()
 
 	// Tick emulation: ticks executed so far feed both Result.Events and the
 	// series sampler's events-per-tick counter, exactly as the serial ticker's
@@ -381,9 +358,9 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		return sum + ticks + coordExec
 	}
+	var sampler *seriesSampler
 	if opts.SampleSeries {
-		merged.sampler = merged.newSeriesSampler()
-		merged.sampler.executed = executedEmu
+		sampler = reg.newSeriesSampler(&opts, executedEmu)
 	}
 
 	// Window loop. Barriers sit at every multiple of the lookahead W (drain
@@ -420,10 +397,6 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		wg.Wait()
 	}
-	// The first ring overflow of the run logs once, unconditionally: spills
-	// are correct but allocate (ROADMAP names this edge), and serial-log users
-	// without exec stats should still see them happen.
-	spillWarned := false
 	drainAll := func() {
 		var t0 time.Time
 		if ec != nil {
@@ -439,22 +412,6 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		if ec != nil {
 			ec.Barrier(time.Since(t0), drained)
-		}
-		if !spillWarned {
-			for from := 0; from < S && !spillWarned; from++ {
-				for to := 0; to < S; to++ {
-					if from == to {
-						continue
-					}
-					if st := bounds[from][to].Stats(); st.Spilled > 0 {
-						slog.Warn("boundary ring spilled; deliveries overflowed into a growable slice (correct but allocating — consider a larger Options.ShardQueueCap)",
-							"from_shard", from, "to_shard", to,
-							"ring_cap", bounds[from][to].Cap(), "spilled", st.Spilled)
-						spillWarned = true
-						break
-					}
-				}
-			}
 		}
 	}
 	nextSync, nextTick := W, delta
@@ -480,19 +437,20 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		doTick := func() {
 			k := tickKeyAt(b, delta)
 			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
-			merged.sampleTick(sws)
+			sampleTick(res, sws, sampler)
 			ticks++
 			nextTick += delta
 		}
 		doEvents := func() {
 			k := setupKeyAt(b)
 			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
+			net := &barrierNet{reg: reg, at: b}
 			var record func(telemetry.Event)
 			if coordRec != nil {
 				coordRec.key = k
-				record = coordRec.Record
+				net.rec, record = coordRec, coordRec.Record
 			}
-			coordExec += uint64(scen.Apply(b, &barrierNet{merged: merged, at: b, record: record}, record))
+			coordExec += uint64(scen.Apply(b, net, record))
 			evIdx++
 		}
 		isTick := b == nextTick
@@ -528,50 +486,40 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	runAll(func(r *runner) { r.sched.RunUntil(horizon) })
 	ec.EndWindow(executedEmu())
 
-	// Offered-flow counts merge after the run: injected scenario flows join a
-	// shard's count when their injection event fires, not at construction.
-	for _, r := range shards {
-		merged.result.FlowsTotal += r.result.FlowsTotal
+	// Merge flow completions in key order. Scenario phase attribution replays
+	// in the same merged order, so the phase collectors fill exactly as the
+	// serial run's would.
+	bufs := make([][]fctRec, S)
+	for i, r := range shards {
+		bufs[i] = r.fctBuf
+	}
+	merged := mergeFCT(bufs)
+	for i := range merged {
+		merged[i].record(res, scenM)
 	}
 
-	// Merge flow completions in key order. Each shard's buffer is already
-	// key-sorted (heaps pop in key order), and the stable sort keeps lower
-	// shard indexes first on exact ties — the same order the drains imposed.
-	// Scenario phase attribution replays in the same merged order, so the
-	// phase collectors fill exactly as the serial run's would.
-	var recs []fctRec
+	// Counters accumulated shard-locally during parallel windows. Offered-flow
+	// counts merge after the run because injected scenario flows join a shard's
+	// count when their injection event fires, not at construction.
 	for _, r := range shards {
-		recs = append(recs, r.fctBuf...)
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].key.Less(recs[j].key) })
-	for _, rec := range recs {
-		if merged.scen != nil {
-			merged.scen.RecordCompletion(rec.start, rec.size, rec.fct, rec.ideal, rec.incast)
-		}
-		if rec.incast {
-			merged.result.FCTIncast.Record(rec.size, rec.fct, rec.ideal)
-			continue
-		}
-		merged.result.FlowsCompleted++
-		merged.result.FCT.Record(rec.size, rec.fct, rec.ideal)
-	}
-
-	// Scenario counters accumulated shard-locally during parallel windows.
-	for _, r := range shards {
-		merged.strandedPkts += r.strandedPkts
-		merged.strandedBytes += r.strandedBytes
-		if merged.scen != nil {
-			merged.scen.InjectedFlows += r.injectedFlows
+		res.FlowsTotal += r.flowsTotal
+		if scenM != nil {
+			scenM.StrandedPackets += r.strandedPkts
+			scenM.StrandedBytes += r.strandedBytes
+			scenM.InjectedFlows += r.injectedFlows
 		}
 	}
 
-	merged.collect(horizon, flows)
-	merged.result.Events = executedEmu()
+	reg.collect(res, horizon, flows, scenM)
+	res.Events = executedEmu()
+	if sampler != nil {
+		res.Telemetry = sampler.finish()
+	}
 
 	// Seal the execution profile: the collector contributes windows, barriers,
 	// and busy/wait timings; scheduler, pool, and boundary finals come from
 	// the engines themselves. Boundary totals sum each shard's *outbound*
-	// rings, so per-shard counters add up to run totals exactly once.
+	// queues, so per-shard counters add up to run totals exactly once.
 	if ec != nil {
 		rs := ec.Finish()
 		for i, r := range shards {
@@ -580,16 +528,14 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 			ss.HeapHighWater = r.sched.HeapHighWater()
 			ss.PoolAllocated = r.pool.Allocated()
 			ss.PoolRecycled = r.pool.Recycled()
-			for to := 0; to < S; to++ {
-				if to != i {
-					st := bounds[i][to].Stats()
-					ss.Boundary.Merge(st.Pushes, st.Spilled, st.Drains, st.OccupancyHighWater, st.MaxDrain)
-				}
+			for to := range bounds[i] {
+				st := bounds[i][to].Stats()
+				ss.Boundary.Merge(st.Pushes, st.MaxDrain)
 			}
 		}
-		rs.TotalEvents = merged.result.Events
+		rs.TotalEvents = res.Events
 		rs.CoordEvents = ticks + coordExec
-		merged.result.Exec = rs
+		res.Exec = rs
 	}
 
 	// Replay the merged trace into the caller's ring in serial key order. Per
@@ -609,5 +555,5 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 			userRing.Record(all[i].ev)
 		}
 	}
-	return merged.result, nil
+	return res, nil
 }

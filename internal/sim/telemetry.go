@@ -72,19 +72,20 @@ type seriesSampler struct {
 	out *telemetry.RunSeries
 }
 
-// newSeriesSampler builds the sampler; call after wireLinks so every link
-// exists. The runner invokes sample() from the shared sampling ticker.
-func (r *runner) newSeriesSampler() *seriesSampler {
-	interval := r.opts.BufferSampleInterval
-	capacity := r.opts.SeriesMaxSamples
-	s := &seriesSampler{interval: interval}
+// newSeriesSampler builds the sampler over the registry's devices; call after
+// wireLinks so every link exists. executed is the run's executed-event
+// counter. sampleTick invokes sample() from the shared sampling tick.
+func (g *registry) newSeriesSampler(opts *Options, executed func() uint64) *seriesSampler {
+	interval := opts.BufferSampleInterval
+	capacity := opts.SeriesMaxSamples
+	s := &seriesSampler{interval: interval, executed: executed}
 
 	// Group links by tier-pair class, in topology order.
 	classIdx := map[string]int{}
-	for _, node := range r.topo.Nodes() {
+	for _, node := range g.topo.Nodes() {
 		for portIdx, port := range node.Ports {
-			key := fmt.Sprintf("%s->%s", node.Tier, r.topo.Node(port.Peer).Tier)
-			link := r.outLink(node.ID, portIdx)
+			key := fmt.Sprintf("%s->%s", node.Tier, g.topo.Node(port.Peer).Tier)
+			link := g.outLink(node.ID, portIdx)
 			if link == nil {
 				continue
 			}
@@ -99,15 +100,15 @@ func (r *runner) newSeriesSampler() *seriesSampler {
 	}
 	sort.Slice(s.classes, func(i, j int) bool { return s.classes[i].key < s.classes[j].key })
 
-	for _, node := range r.topo.Nodes() {
-		if sw, ok := r.switches[node.ID]; ok {
+	for _, node := range g.topo.Nodes() {
+		if sw := g.switches[node.ID]; sw != nil {
 			s.switches = append(s.switches, sw)
 			s.swBuffer = append(s.swBuffer,
 				telemetry.NewSeries("switch/"+node.Name+"/buffer_bytes", 0, interval, capacity))
 			s.swMaxQ = append(s.swMaxQ,
 				telemetry.NewSeries("switch/"+node.Name+"/max_queue_bytes", 0, interval, capacity))
 		}
-		if n, ok := r.nics[node.ID]; ok {
+		if n := g.nics[node.ID]; n != nil {
 			s.nics = append(s.nics, n)
 		}
 	}
@@ -123,9 +124,6 @@ func (r *runner) newSeriesSampler() *seriesSampler {
 	}
 	s.prevBusy = make([]units.Time, len(s.classes))
 	s.prevPause = make([]units.Time, len(s.classes))
-	if sched := r.sched; sched != nil {
-		s.executed = func() uint64 { return sched.Executed }
-	}
 
 	s.out = &telemetry.RunSeries{Interval: interval}
 	s.out.Series = append(s.out.Series, s.goodput, s.active, s.events)

@@ -2,8 +2,8 @@
 // engine itself. Where the flight recorder (internal/telemetry) observes
 // *sim-time* behavior — packets, queues, pauses — execstats observes the
 // *machinery*: how many events each shard dispatched, how deep the scheduler
-// heap grew, how long shards parked at lookahead barriers, and whether the
-// SPSC boundary rings between shards ever spilled.
+// heap grew, how long shards parked at lookahead barriers, and how much
+// traffic crossed the boundary queues between shards.
 //
 // The profiler follows the telemetry.Recorder idiom: a nil *Collector is a
 // valid collector whose every method is a single nil check, so the disabled
@@ -26,24 +26,20 @@ import "time"
 // per-window detail is dropped (counted in RunStats.TruncatedSpans).
 const DefaultMaxSpans = 1 << 14
 
-// BoundaryTotals aggregates cross-shard boundary-ring traffic for one
-// producing shard (sums over its outbound rings).
+// BoundaryTotals aggregates cross-shard boundary-queue traffic for one
+// producing shard (over its outbound queues).
 type BoundaryTotals struct {
-	Pushes             uint64 `json:"pushes"`               // messages pushed into outbound rings
-	Spills             uint64 `json:"spills"`               // messages that overflowed a full ring into its spill slice
-	Drains             uint64 `json:"drains"`               // DrainInto calls that moved at least zero messages
-	OccupancyHighWater int    `json:"occupancy_high_water"` // max ring occupancy observed (excluding spill)
-	MaxDrain           int    `json:"max_drain"`            // largest single drain batch
+	Pushes   uint64 `json:"pushes"`    // messages pushed into outbound queues
+	MaxDrain int    `json:"max_drain"` // largest single drain batch, i.e. the occupancy high-water
+	// Spills is always 0: nothing writes it since the queue became a slice.
+	// bench/simwork.go (frozen) still reads it; the next [benchmark] issue
+	// removes the field together with the netsim.boundary_spills* rows.
+	Spills uint64 `json:"spills"`
 }
 
-// Merge folds one ring's counters into the totals.
-func (b *BoundaryTotals) Merge(pushes, spills, drains uint64, occHW, maxDrain int) {
+// Merge folds one queue's counters into the totals.
+func (b *BoundaryTotals) Merge(pushes uint64, maxDrain int) {
 	b.Pushes += pushes
-	b.Spills += spills
-	b.Drains += drains
-	if occHW > b.OccupancyHighWater {
-		b.OccupancyHighWater = occHW
-	}
 	if maxDrain > b.MaxDrain {
 		b.MaxDrain = maxDrain
 	}
@@ -60,7 +56,7 @@ type ShardStats struct {
 	BusyNS        int64  `json:"busy_ns"`         // wall-clock ns spent executing events
 	BarrierWaitNS int64  `json:"barrier_wait_ns"` // wall-clock ns parked while other shards finished a window
 
-	// Boundary sums this shard's *outbound* rings (messages it produced for
+	// Boundary sums this shard's *outbound* queues (messages it produced for
 	// other shards), so per-shard values sum to the run-wide totals exactly
 	// once.
 	Boundary BoundaryTotals `json:"boundary"`
@@ -84,7 +80,7 @@ type WindowSpan struct {
 	WallNS  int64   `json:"wall_ns"`  // full window duration (execute + drain)
 	Events  uint64  `json:"events"`   // events executed during this window (all shards)
 	BusyNS  []int64 `json:"busy_ns"`  // per-shard execution ns inside this window
-	DrainNS int64   `json:"drain_ns"` // coordinator time draining boundary rings
+	DrainNS int64   `json:"drain_ns"` // coordinator time draining boundary queues
 	Drained int     `json:"drained"`  // boundary messages delivered at this window's barrier
 }
 
@@ -122,16 +118,7 @@ func (r *RunStats) BarrierWaitNS() int64 {
 	return n
 }
 
-// Spills sums boundary-ring spills across shards.
-func (r *RunStats) Spills() uint64 {
-	var n uint64
-	for i := range r.Shards {
-		n += r.Shards[i].Boundary.Spills
-	}
-	return n
-}
-
-// BoundaryPushes sums boundary-ring pushes across shards.
+// BoundaryPushes sums boundary-queue pushes across shards.
 func (r *RunStats) BoundaryPushes() uint64 {
 	var n uint64
 	for i := range r.Shards {
@@ -322,7 +309,6 @@ type Summary struct {
 	BusyNS         int64   `json:"busy_ns"`
 	BarrierWaitNS  int64   `json:"barrier_wait_ns"`
 	WallNS         int64   `json:"wall_ns"`
-	Spills         uint64  `json:"spills"`
 	UtilizationMin float64 `json:"utilization_min"` // worst per-run utilization seen (1 when no runs)
 }
 
@@ -344,7 +330,6 @@ func (s *Summary) Add(rs *RunStats) {
 	s.BusyNS += rs.BusyNS()
 	s.BarrierWaitNS += rs.BarrierWaitNS()
 	s.WallNS += rs.WallNS
-	s.Spills += rs.Spills()
 }
 
 // Utilization is the aggregate busy/(busy+wait) across all added runs.

@@ -6,7 +6,7 @@
 // that consumed its boundary messages. Load the file in Perfetto or
 // chrome://tracing; a healthy sharded run shows dense same-length slices,
 // while a straggling shard shows one long slice per window with the others
-// idle — exactly the signal the adaptive-ring and placement work needs.
+// idle — exactly the signal shard-placement work needs.
 package execstats
 
 import (
@@ -122,7 +122,6 @@ func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 			"barriers":        rs.Barriers,
 			"total_events":    rs.TotalEvents,
 			"utilization":     rs.Utilization(),
-			"boundary_spills": rs.Spills(),
 			"truncated_spans": rs.TruncatedSpans,
 			"wall_ns":         rs.WallNS,
 			"barrier_wait_ns": rs.BarrierWaitNS(),
