@@ -38,10 +38,16 @@ func main() {
 		digest     = flag.Bool("digest", false, "print the SHA-256 result digest (telemetry excluded); identical digests across -shards values certify determinism")
 		execStats  = flag.Bool("exec-stats", false, "collect and print the wall-clock execution profile (per-shard events, barrier wait, window utilization, boundary traffic); observational — digests are unchanged")
 		execTrace  = flag.String("exec-trace", "", "write a wall-clock Chrome trace of the execution machinery to this file (implies -exec-stats); load in Perfetto")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (topology build, workload generation and run) to this file; read with go tool pprof")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken after the run to this file; pprof -sample_index=alloc_space shows what the run allocated")
 	)
 	logOpts := telemetry.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 	telemetry.SetupLogging(logOpts)
+	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	scheme, err := parseScheme(*schemeName)
 	if err != nil {
@@ -90,6 +96,9 @@ func main() {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
+	if err := stopProfiles(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("scheme=%v topology=%s workload=%s load=%.0f%% incast=%v\n",
 		scheme, *topoName, cdf.Name, *load*100, *incast)

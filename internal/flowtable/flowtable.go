@@ -12,6 +12,13 @@
 // When a bucket is full, entries spill into a small associative overflow
 // cache (the paper's "overflow TCAM", 100 entries). If that also fills, the
 // caller must fall back to the per-egress overflow queue.
+//
+// The host-side layout keeps an idle table cheap — a run builds one per
+// switch and most VFIDs never see a flow: the VFID index is one int32 per
+// VFID, a bucket is a chain through its entries, and its capacity is a bound
+// on the chain's length. Entries are allocated one by one, owned by a slab
+// and recycled through a free chain, so an *Entry is stable: from Insert
+// until Remove it is the same object at the same address.
 package flowtable
 
 import (
@@ -68,6 +75,11 @@ type Entry struct {
 	// inOverflow marks entries living in the overflow cache rather than a
 	// bucket slot.
 	inOverflow bool
+
+	// slot is 1 + the entry's index in Table.slab, fixed for its lifetime.
+	// next chains the entry to the following one of its bucket, or of the
+	// free list once removed, in the same encoding; 0 ends a chain.
+	slot, next int32
 }
 
 // Key identifies an entry: the VFID plus the port pair that disambiguates
@@ -97,7 +109,14 @@ type Stats struct {
 type Table struct {
 	numVFIDs   int
 	bucketSize int
-	buckets    [][]*Entry // len numVFIDs, each at most bucketSize entries
+	// heads[v] is the first entry of VFID v's bucket, as 1 + its slab index
+	// (0 = empty bucket); the bucket is the chain through Entry.next, at most
+	// bucketSize long. The index holds no pointers: New clears 4 bytes per
+	// VFID and the collector never scans it.
+	heads []int32
+	// slab owns every entry the table ever allocated: bucket, overflow or
+	// free. It grows to the table's high-water occupancy and never shrinks.
+	slab []*Entry
 
 	overflow    map[Key]*Entry
 	overflowCap int
@@ -105,11 +124,11 @@ type Table struct {
 	active int
 	stats  Stats
 
-	// free recycles removed entries. Flow activations are the dominant
-	// allocation in steady state (one entry per active flow per switch), and
-	// the engine drops every pointer to an entry before calling Remove, so
-	// reuse is invisible to callers.
-	free []*Entry
+	// free heads the chain of removed entries, most recent first. Flow
+	// activations are the dominant allocation in steady state (one entry per
+	// active flow per switch), and the engine drops every pointer to an entry
+	// before calling Remove, so reuse is invisible to callers.
+	free int32
 }
 
 // New creates a table with the given VFID space, bucket size and overflow
@@ -127,7 +146,7 @@ func New(numVFIDs, bucketSize, overflowCap int) *Table {
 	return &Table{
 		numVFIDs:    numVFIDs,
 		bucketSize:  bucketSize,
-		buckets:     make([][]*Entry, numVFIDs),
+		heads:       make([]int32, numVFIDs),
 		overflow:    make(map[Key]*Entry),
 		overflowCap: overflowCap,
 	}
@@ -158,16 +177,26 @@ func (t *Table) MemoryBytes() units.Bytes {
 // Lookup finds the entry for a VFID arriving on ingress and destined to
 // egress. It returns nil if no such entry exists.
 func (t *Table) Lookup(v packet.VFID, ingress, egress int) *Entry {
+	e, _ := t.find(v, ingress, egress)
+	return e
+}
+
+// find is Lookup that also reports the length of v's bucket chain when the
+// entry is not in it.
+func (t *Table) find(v packet.VFID, ingress, egress int) (*Entry, int) {
 	t.checkVFID(v)
-	for _, e := range t.buckets[v] {
+	depth := 0
+	for i := t.heads[v]; i != 0; depth++ {
+		e := t.slab[i-1]
 		if e.Ingress == ingress && e.Egress == egress {
-			return e
+			return e, depth
 		}
+		i = e.next
 	}
-	if e, ok := t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}]; ok {
-		return e
+	if len(t.overflow) == 0 {
+		return nil, depth
 	}
-	return nil
+	return t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}], depth
 }
 
 // InsertResult describes where a new entry was stored.
@@ -188,42 +217,45 @@ const (
 // with Lookup that no entry exists (inserting a duplicate key panics, since
 // it would silently split one flow's state in two).
 func (t *Table) Insert(v packet.VFID, ingress, egress int) (*Entry, InsertResult) {
-	t.checkVFID(v)
-	if t.Lookup(v, ingress, egress) != nil {
+	dup, depth := t.find(v, ingress, egress)
+	if dup != nil {
 		panic(fmt.Sprintf("flowtable: duplicate insert for VFID %d in=%d out=%d", v, ingress, egress))
 	}
-	var e *Entry
-	if n := len(t.free); n > 0 {
-		e = t.free[n-1]
-		t.free[n-1] = nil
-		t.free = t.free[:n-1]
-		*e = Entry{VFID: v, Ingress: ingress, Egress: egress, Queue: -1}
-	} else {
-		e = &Entry{VFID: v, Ingress: ingress, Egress: egress, Queue: -1}
-	}
-	if len(t.buckets[v]) < t.bucketSize {
-		t.buckets[v] = append(t.buckets[v], e)
-		t.noteInsert()
+	if depth < t.bucketSize {
+		e := t.newEntry(v, ingress, egress)
+		e.next, t.heads[v] = t.heads[v], e.slot
 		return e, InsertedBucket
 	}
 	t.stats.BucketFull++
 	if len(t.overflow) < t.overflowCap {
+		e := t.newEntry(v, ingress, egress)
 		e.inOverflow = true
 		t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}] = e
-		t.noteInsert()
 		return e, InsertedOverflowCache
 	}
 	t.stats.CacheFull++
-	t.free = append(t.free, e)
 	return nil, InsertFailed
 }
 
-func (t *Table) noteInsert() {
+// newEntry takes an entry off the free chain, or grows the slab by one, and
+// counts the insert.
+func (t *Table) newEntry(v packet.VFID, ingress, egress int) *Entry {
+	var e *Entry
+	if t.free != 0 {
+		e = t.slab[t.free-1]
+		t.free = e.next
+	} else {
+		e = new(Entry)
+		t.slab = append(t.slab, e)
+		e.slot = int32(len(t.slab))
+	}
+	*e = Entry{VFID: v, Ingress: ingress, Egress: egress, Queue: -1, slot: e.slot}
 	t.active++
 	t.stats.Inserts++
 	if t.active > t.stats.MaxOccupancy {
 		t.stats.MaxOccupancy = t.active
 	}
+	return e
 }
 
 // Remove deletes an entry once the last packet of the flow has left the
@@ -239,31 +271,27 @@ func (t *Table) Remove(e *Entry) {
 			panic("flowtable: removing unknown overflow entry")
 		}
 		delete(t.overflow, k)
-		t.active--
-		t.free = append(t.free, e)
-		return
-	}
-	b := t.buckets[e.VFID]
-	for i, cur := range b {
-		if cur == e {
-			b[i] = b[len(b)-1]
-			b[len(b)-1] = nil
-			t.buckets[e.VFID] = b[:len(b)-1]
-			t.active--
-			t.free = append(t.free, e)
-			return
+	} else {
+		link := &t.heads[e.VFID]
+		for *link != 0 && t.slab[*link-1] != e {
+			link = &t.slab[*link-1].next
 		}
+		if *link == 0 {
+			panic("flowtable: removing unknown entry")
+		}
+		*link = e.next
 	}
-	panic("flowtable: removing unknown entry")
+	t.active--
+	e.next, t.free = t.free, e.slot
 }
 
 // ForEach calls fn for every active entry. Iteration order over bucket slots
 // is deterministic; overflow-cache order is not (it is only used for
 // statistics).
 func (t *Table) ForEach(fn func(*Entry)) {
-	for _, b := range t.buckets {
-		for _, e := range b {
-			fn(e)
+	for _, i := range t.heads {
+		for ; i != 0; i = t.slab[i-1].next {
+			fn(t.slab[i-1])
 		}
 	}
 	for _, e := range t.overflow {

@@ -167,41 +167,114 @@ func assertPanics(t *testing.T, f func()) {
 	f()
 }
 
-// Property: a random interleaving of inserts and removes keeps the table
-// consistent with a reference map, and Active always matches.
+// Property: seeded random Insert/Lookup/Remove sequences, on a table small
+// enough to pass through bucket-full, the overflow cache and InsertFailed,
+// agree with a map model on every result, on Stats and Active, keep every
+// live *Entry where it was, and hand a removed entry's slot to the next
+// insert.
 func TestTableMatchesReferenceMap(t *testing.T) {
-	prop := func(seed int64, opsRaw uint8) bool {
+	const vfids, bucketSize, overflowCap, ports = 8, 2, 3, 3
+	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := New(32, 2, 4)
+		tbl := New(vfids, bucketSize, overflowCap)
 		ref := map[Key]*Entry{}
-		ops := int(opsRaw)
-		for i := 0; i < ops; i++ {
-			k := Key{
-				VFID:    packet.VFID(rng.Intn(32)),
-				Ingress: rng.Intn(3),
-				Egress:  rng.Intn(3),
-			}
-			if e, ok := ref[k]; ok && rng.Intn(2) == 0 {
+		var want Stats
+		bucketLen := map[packet.VFID]int{}
+		overflowed := 0
+		var lastRemoved *Entry
+		results := map[InsertResult]int{}
+		for i := 0; i < 400; i++ {
+			k := Key{VFID: packet.VFID(rng.Intn(vfids)), Ingress: rng.Intn(ports), Egress: rng.Intn(ports)}
+			e, live := ref[k]
+			switch {
+			case live && rng.Intn(3) > 0:
 				tbl.Remove(e)
 				delete(ref, k)
-			} else if !ok {
-				e, res := tbl.Insert(k.VFID, k.Ingress, k.Egress)
-				if res != InsertFailed {
-					ref[k] = e
+				if e.inOverflow {
+					overflowed--
+				} else {
+					bucketLen[k.VFID]--
 				}
-			}
-			if tbl.Active() != len(ref) {
-				return false
-			}
-			for k2, e2 := range ref {
-				if tbl.Lookup(k2.VFID, k2.Ingress, k2.Egress) != e2 {
+				lastRemoved = e
+				assertPanics(t, func() { tbl.Remove(e) })
+			case live:
+				assertPanics(t, func() { tbl.Insert(k.VFID, k.Ingress, k.Egress) })
+			default:
+				wantRes := InsertedBucket
+				if bucketLen[k.VFID] == bucketSize {
+					want.BucketFull++
+					wantRes = InsertedOverflowCache
+					if overflowed == overflowCap {
+						want.CacheFull++
+						wantRes = InsertFailed
+					}
+				}
+				e, res := tbl.Insert(k.VFID, k.Ingress, k.Egress)
+				results[res]++
+				if res != wantRes || (e == nil) != (res == InsertFailed) {
+					t.Logf("seed %d op %d: insert %+v = %v, want %v", seed, i, k, res, wantRes)
 					return false
 				}
+				if res == InsertFailed {
+					break
+				}
+				if lastRemoved != nil && e != lastRemoved {
+					t.Logf("seed %d op %d: removed entry not reused", seed, i)
+					return false
+				}
+				lastRemoved = nil
+				if *e != (Entry{VFID: k.VFID, Ingress: k.Ingress, Egress: k.Egress, Queue: -1,
+					inOverflow: res == InsertedOverflowCache, slot: e.slot, next: e.next}) {
+					t.Logf("seed %d op %d: recycled entry not reset: %+v", seed, i, *e)
+					return false
+				}
+				ref[k] = e
+				want.Inserts++
+				if res == InsertedBucket {
+					bucketLen[k.VFID]++
+				} else {
+					overflowed++
+				}
+				if len(ref) > want.MaxOccupancy {
+					want.MaxOccupancy = len(ref)
+				}
 			}
+			if tbl.Active() != len(ref) || tbl.Stats() != want {
+				t.Logf("seed %d op %d: active %d stats %+v, want %d %+v", seed, i, tbl.Active(), tbl.Stats(), len(ref), want)
+				return false
+			}
+			// Every key: live ones resolve to the pointer Insert returned,
+			// still carrying their key; all others miss.
+			for v := 0; v < vfids; v++ {
+				for in := 0; in < ports; in++ {
+					for out := 0; out < ports; out++ {
+						k2 := Key{VFID: packet.VFID(v), Ingress: in, Egress: out}
+						got := tbl.Lookup(k2.VFID, in, out)
+						if got != ref[k2] || (got != nil && (Key{got.VFID, got.Ingress, got.Egress}) != k2) {
+							t.Logf("seed %d op %d: lookup %+v = %p, want %p", seed, i, k2, got, ref[k2])
+							return false
+						}
+					}
+				}
+			}
+			seen := 0
+			tbl.ForEach(func(e *Entry) {
+				if ref[Key{e.VFID, e.Ingress, e.Egress}] == e {
+					seen++
+				}
+			})
+			if seen != len(ref) {
+				t.Logf("seed %d op %d: ForEach visited %d of %d", seed, i, seen, len(ref))
+				return false
+			}
+		}
+		if results[InsertedBucket] == 0 || results[InsertedOverflowCache] == 0 || results[InsertFailed] == 0 {
+			t.Logf("seed %d: sequence never reached every insert outcome: %v", seed, results)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -168,7 +168,7 @@ func New(cfg Config) *NIC {
 		cfg:       cfg,
 		sched:     cfg.Scheduler,
 		pool:      cfg.Pool,
-		ctrlQueue: queue.NewFIFO("nic-ctrl"),
+		ctrlQueue: queue.NewFIFO(),
 		senders:   map[packet.FlowID]*senderFlow{},
 		receivers: map[packet.FlowID]*receiverFlow{},
 	}

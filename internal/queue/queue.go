@@ -18,11 +18,9 @@ import (
 )
 
 // FIFO is a first-in first-out packet queue with byte accounting and a pause
-// flag.
+// flag. The zero value is an empty queue, so a device may carve its queues
+// out of one []FIFO; a FIFO must not be copied once in use.
 type FIFO struct {
-	// Name is a diagnostic label ("q7", "hiprio", "ctrl", ...).
-	Name string
-
 	packets []*packet.Packet
 	head    int
 	bytes   units.Bytes
@@ -40,7 +38,7 @@ type FIFO struct {
 }
 
 // NewFIFO returns an empty queue.
-func NewFIFO(name string) *FIFO { return &FIFO{Name: name} }
+func NewFIFO() *FIFO { return &FIFO{} }
 
 // Push appends a packet.
 func (q *FIFO) Push(p *packet.Packet) {

@@ -14,7 +14,7 @@ func pkt(size units.Bytes) *packet.Packet {
 }
 
 func TestFIFOBasics(t *testing.T) {
-	q := NewFIFO("test")
+	q := NewFIFO()
 	if !q.Empty() || q.Len() != 0 || q.Bytes() != 0 || q.Pop() != nil || q.Head() != nil {
 		t.Fatal("new queue should be empty")
 	}
@@ -40,7 +40,7 @@ func TestFIFOBasics(t *testing.T) {
 }
 
 func TestFIFOPauseFlag(t *testing.T) {
-	q := NewFIFO("test")
+	q := NewFIFO()
 	if q.Paused() {
 		t.Fatal("new queue should not be paused")
 	}
@@ -55,7 +55,7 @@ func TestFIFOPauseFlag(t *testing.T) {
 }
 
 func TestFIFOPushNilPanics(t *testing.T) {
-	q := NewFIFO("test")
+	q := NewFIFO()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -65,7 +65,7 @@ func TestFIFOPushNilPanics(t *testing.T) {
 }
 
 func TestFIFOForEach(t *testing.T) {
-	q := NewFIFO("test")
+	q := NewFIFO()
 	for i := 0; i < 5; i++ {
 		q.Push(pkt(units.Bytes(i + 1)))
 	}
@@ -80,7 +80,7 @@ func TestFIFOForEach(t *testing.T) {
 func TestFIFOCompaction(t *testing.T) {
 	// Push and pop many packets to force internal compaction; FIFO order and
 	// byte accounting must survive.
-	q := NewFIFO("test")
+	q := NewFIFO()
 	next := 0
 	popped := 0
 	for i := 0; i < 1000; i++ {
@@ -107,7 +107,7 @@ func TestFIFOCompaction(t *testing.T) {
 }
 
 func TestDRRValidation(t *testing.T) {
-	assertPanics(t, func() { NewDRR([]*FIFO{NewFIFO("a")}, 0) })
+	assertPanics(t, func() { NewDRR([]*FIFO{NewFIFO()}, 0) })
 	assertPanics(t, func() { NewDRR(nil, 1000) })
 }
 
@@ -122,7 +122,7 @@ func assertPanics(t *testing.T, f func()) {
 }
 
 func TestDRREmptyReturnsNothing(t *testing.T) {
-	d := NewDRR([]*FIFO{NewFIFO("a"), NewFIFO("b")}, 1000)
+	d := NewDRR([]*FIFO{NewFIFO(), NewFIFO()}, 1000)
 	if p, i := d.Dequeue(); p != nil || i != -1 {
 		t.Fatal("dequeue from empty scheduler should return nil")
 	}
@@ -134,7 +134,7 @@ func TestDRREmptyReturnsNothing(t *testing.T) {
 func TestDRRFairnessEqualSizes(t *testing.T) {
 	// Two queues with equal-size packets should alternate service and get
 	// equal shares.
-	qa, qb := NewFIFO("a"), NewFIFO("b")
+	qa, qb := NewFIFO(), NewFIFO()
 	for i := 0; i < 100; i++ {
 		qa.Push(pkt(1000))
 		qb.Push(pkt(1000))
@@ -156,7 +156,7 @@ func TestDRRFairnessEqualSizes(t *testing.T) {
 func TestDRRFairnessByBytes(t *testing.T) {
 	// One queue has 500B packets, the other 1000B packets. Byte-level shares
 	// should be roughly equal (within one quantum per queue).
-	qa, qb := NewFIFO("small"), NewFIFO("big")
+	qa, qb := NewFIFO(), NewFIFO()
 	for i := 0; i < 400; i++ {
 		qa.Push(pkt(500))
 	}
@@ -184,7 +184,7 @@ func TestDRRFairnessByBytes(t *testing.T) {
 }
 
 func TestDRRSkipsPausedQueues(t *testing.T) {
-	qa, qb := NewFIFO("a"), NewFIFO("b")
+	qa, qb := NewFIFO(), NewFIFO()
 	for i := 0; i < 10; i++ {
 		qa.Push(pkt(1000))
 		qb.Push(pkt(1000))
@@ -221,7 +221,7 @@ func TestDRRWorkConserving(t *testing.T) {
 	// With one busy queue and others empty, the busy queue gets full service.
 	queues := make([]*FIFO, 8)
 	for i := range queues {
-		queues[i] = NewFIFO("q")
+		queues[i] = NewFIFO()
 	}
 	for i := 0; i < 50; i++ {
 		queues[3].Push(pkt(1000))
@@ -238,7 +238,7 @@ func TestDRRWorkConserving(t *testing.T) {
 func TestDRRLargePacketsSmallQuantum(t *testing.T) {
 	// Packets larger than the quantum must still be scheduled (deficit
 	// accumulates across rounds).
-	qa, qb := NewFIFO("a"), NewFIFO("b")
+	qa, qb := NewFIFO(), NewFIFO()
 	qa.Push(pkt(4000))
 	qb.Push(pkt(1000))
 	d := NewDRR([]*FIFO{qa, qb}, 1000)
@@ -264,7 +264,7 @@ func TestDRRConservationProperty(t *testing.T) {
 		numQ := int(nq%8) + 1
 		queues := make([]*FIFO, numQ)
 		for i := range queues {
-			queues[i] = NewFIFO("q")
+			queues[i] = NewFIFO()
 		}
 		total := int(np%200) + 1
 		for i := 0; i < total; i++ {
@@ -297,7 +297,7 @@ func TestDRRConservationProperty(t *testing.T) {
 func TestDRRFairnessProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		qa, qb := NewFIFO("a"), NewFIFO("b")
+		qa, qb := NewFIFO(), NewFIFO()
 		for i := 0; i < 3000; i++ {
 			qa.Push(pkt(units.Bytes(rng.Intn(1400) + 100)))
 			qb.Push(pkt(units.Bytes(rng.Intn(1400) + 100)))

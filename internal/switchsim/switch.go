@@ -96,14 +96,12 @@ func New(cfg Config) *Switch {
 		pfcPausedByPeer: make([]bool, numPorts),
 	}
 	for i := 0; i < numPorts; i++ {
-		p := &egressPort{
-			ctrl:     queue.NewFIFO(fmt.Sprintf("p%d-ctrl", i)),
-			hiPrio:   queue.NewFIFO(fmt.Sprintf("p%d-hiprio", i)),
-			overflow: queue.NewFIFO(fmt.Sprintf("p%d-overflow", i)),
-		}
+		// One allocation holds all of the port's queues.
+		fifos := make([]queue.FIFO, 3+cfg.NumQueues)
+		p := &egressPort{ctrl: &fifos[0], hiPrio: &fifos[1], overflow: &fifos[2]}
 		p.data = make([]*queue.FIFO, cfg.NumQueues)
 		for q := range p.data {
-			p.data[q] = queue.NewFIFO(fmt.Sprintf("p%d-q%d", i, q))
+			p.data[q] = &fifos[3+q]
 		}
 		drrSet := append(append([]*queue.FIFO{}, p.data...), p.overflow)
 		p.drr = queue.NewDRR(drrSet, cfg.MTU+packet.DataHeaderSize)

@@ -11,10 +11,20 @@
 // (internal/scenario): SetLinkState fails or recovers a link and incrementally
 // recomputes the ECMP tables of the hosts whose shortest-path DAGs the link
 // touched, and SetLinkParams degrades a link's rate or latency in place.
+//
+// The routing tables are flat and hold no pointers: one row per node, one
+// column per host plus column 0, never written, for every destination that is
+// not a host; per entry a uint16 index into the node's interned next-hop port
+// sets and an int16 hop count. Interned sets are immutable and append-only,
+// so the slices NextHops hands out stay valid, and two entries of one node
+// hold equal indexes exactly when their port sets are equal — which is how a
+// reroute counts the sets it changed. Index 0 is the empty set: no route.
 package topology
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"bfc/internal/packet"
 	"bfc/internal/units"
@@ -92,25 +102,40 @@ type Node struct {
 // construction; link state (up/down) and link parameters (rate, delay) may
 // change mid-run through SetLinkState and SetLinkParams, which keep the
 // routing tables consistent. A Topology must not be shared between
-// simulations that mutate link state.
+// simulations that mutate link state, and SetLinkState must not run beside
+// any other call on the same Topology: it rewrites the live tables through
+// scratch buffers the Topology owns. (The sharded engine calls it from the
+// coordinator, with every shard parked at a barrier.)
 type Topology struct {
 	Name  string
 	nodes []*Node
 	hosts []packet.NodeID
 
-	// routes[node][host] lists the egress ports on equal-cost shortest paths
-	// from node toward host.
-	routes [][][]int
-	// dist[node][host] is the hop count of those paths.
-	dist [][]int
+	// hostCol[node] is the node's column in the tables below: 1 + its index
+	// in hosts, or 0 for a switch.
+	hostCol []int32
+	// sets[node] holds the node's interned next-hop port sets (see the
+	// package comment); sets[node][0] is the empty set.
+	sets [][][]int
+	// routes[at(node, host)] indexes sets[node]: the egress ports on
+	// equal-cost shortest paths from node toward host.
+	routes []uint16
+	// dist, indexed like routes, is the hop count of those paths, -1 if none.
+	dist []int16
 
 	// baseRoutes and baseDist snapshot the pristine (all links up) tables at
 	// build time. Forwarding uses the live tables; the unloaded-path metrics
 	// (PathOneWay, MinPathRate, HopCount) use the baseline, so ideal-FCT
 	// denominators stay well-defined and constant while scenario link events
 	// reshape the live routes.
-	baseRoutes [][][]int
-	baseDist   [][]int
+	baseRoutes []uint16
+	baseDist   []int16
+
+	// Scratch reused by every bfsFrom, so that a reroute allocates only when
+	// it produces a port set the node never had.
+	bfsDist  []int32
+	bfsQueue []packet.NodeID
+	bfsPorts []int
 }
 
 // Nodes returns all nodes, indexed by NodeID.
@@ -162,55 +187,52 @@ func (b *builder) build() *Topology {
 		}
 	}
 	t.computeRoutes()
-	t.snapshotBaseline()
+	t.baseRoutes, t.baseDist = slices.Clone(t.routes), slices.Clone(t.dist)
 	return t
-}
-
-// snapshotBaseline copies the freshly computed tables. Row headers are
-// copied (bfsFrom replaces t.routes[node][host] wholesale and writes
-// t.dist[node][host] in place, so the baseline needs its own rows; the inner
-// port slices are immutable once built and safely shared).
-func (t *Topology) snapshotBaseline() {
-	t.baseRoutes = make([][][]int, len(t.routes))
-	t.baseDist = make([][]int, len(t.dist))
-	for i := range t.routes {
-		t.baseRoutes[i] = append([][]int(nil), t.routes[i]...)
-		t.baseDist[i] = append([]int(nil), t.dist[i]...)
-	}
 }
 
 // computeRoutes runs a reverse BFS from every host, recording for each node
 // the set of egress ports that lie on a shortest path toward that host.
 func (t *Topology) computeRoutes() {
 	n := len(t.nodes)
-	t.routes = make([][][]int, n)
-	t.dist = make([][]int, n)
-	for i := range t.routes {
-		t.routes[i] = make([][]int, n)
-		t.dist[i] = make([]int, n)
-		for j := range t.dist[i] {
-			t.dist[i][j] = -1
-		}
+	t.hostCol = make([]int32, n)
+	for col, host := range t.hosts {
+		t.hostCol[host] = int32(col) + 1
 	}
+	t.sets = make([][][]int, n)
+	for i := range t.sets {
+		t.sets[i] = [][]int{nil}
+	}
+	t.routes = make([]uint16, n*(len(t.hosts)+1))
+	t.dist = make([]int16, len(t.routes))
+	for i := range t.dist {
+		t.dist[i] = -1
+	}
+	t.bfsDist = make([]int32, n)
+	t.bfsQueue = make([]packet.NodeID, 0, n)
 	for _, host := range t.hosts {
 		t.bfsFrom(host)
 	}
 }
 
+// at returns the table index of (node, dst). A dst that is not a host lands
+// in column 0, which reads as no route at distance -1.
+func (t *Topology) at(node, dst packet.NodeID) int {
+	return int(node)*(len(t.hosts)+1) + int(t.hostCol[dst])
+}
+
 // bfsFrom recomputes the shortest-path DAG toward host over the currently-up
 // links and installs it, returning the number of (node, host) next-hop sets
-// that changed. Unreachable nodes get an empty port set and distance -1.
+// that changed. Unreachable nodes get the empty port set and distance -1.
 func (t *Topology) bfsFrom(host packet.NodeID) (changed int) {
-	n := len(t.nodes)
-	dist := make([]int, n)
+	dist := t.bfsDist
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[host] = 0
-	queue := []packet.NodeID{host}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	queue := append(t.bfsQueue[:0], host)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, p := range t.nodes[cur].Ports {
 			if p.Up && dist[p.Peer] == -1 {
 				dist[p.Peer] = dist[cur] + 1
@@ -218,12 +240,16 @@ func (t *Topology) bfsFrom(host packet.NodeID) (changed int) {
 			}
 		}
 	}
+	// BFS order is distance order, so the last node reached is a farthest one.
+	if dist[queue[len(queue)-1]] > math.MaxInt16 {
+		panic("topology: path length overflows the int16 distance table")
+	}
 	// A node's next hops toward host are the neighbors one step closer.
 	for _, node := range t.nodes {
 		if node.ID == host {
 			continue
 		}
-		var ports []int
+		ports := t.bfsPorts[:0]
 		if dist[node.ID] != -1 {
 			for pi, p := range node.Ports {
 				if p.Up && dist[p.Peer] == dist[node.ID]-1 {
@@ -231,25 +257,34 @@ func (t *Topology) bfsFrom(host packet.NodeID) (changed int) {
 				}
 			}
 		}
-		if !equalInts(t.routes[node.ID][host], ports) {
+		t.bfsPorts = ports
+		at := t.at(node.ID, host)
+		if set := t.intern(node.ID, ports, t.routes[at]); set != t.routes[at] {
 			changed++
+			t.routes[at] = set
 		}
-		t.routes[node.ID][host] = ports
-		t.dist[node.ID][host] = dist[node.ID]
+		t.dist[at] = int16(dist[node.ID])
 	}
 	return changed
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// intern returns the index of ports among node's interned sets, trying the
+// currently installed set first and adding a copy when the set is new.
+func (t *Topology) intern(node packet.NodeID, ports []int, installed uint16) uint16 {
+	sets := t.sets[node]
+	if slices.Equal(sets[installed], ports) {
+		return installed
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for i, set := range sets {
+		if slices.Equal(set, ports) {
+			return uint16(i)
 		}
 	}
-	return true
+	if len(sets) > math.MaxUint16 {
+		panic(fmt.Sprintf("topology: %s has more than %d distinct next-hop sets", t.nodes[node].Name, math.MaxUint16))
+	}
+	t.sets[node] = append(sets, slices.Clone(ports))
+	return uint16(len(sets))
 }
 
 // Link dynamics ---------------------------------------------------------------
@@ -287,20 +322,17 @@ func (t *Topology) SetLinkState(a, b packet.NodeID, up bool) int {
 	if t.nodes[a].Ports[pa].Up == up {
 		return 0
 	}
-	// Decide which hosts are affected BEFORE mutating state: the pre-change
-	// distances tell us whether the link lies on (failure) or adds to
-	// (recovery) a host's shortest-path DAG.
-	affected := make([]packet.NodeID, 0, len(t.hosts))
-	for _, host := range t.hosts {
-		if t.hostAffected(host, a, b, up) {
-			affected = append(affected, host)
-		}
-	}
 	t.nodes[a].Ports[pa].Up = up
 	t.nodes[b].Ports[pb].Up = up
+	// Whether a host is affected is decided from the pre-change distances:
+	// they tell whether the link lies on (failure) or adds to (recovery) the
+	// host's shortest-path DAG. Each host's distances are its own column,
+	// which nothing rewrites before its own bfsFrom.
 	changed := 0
-	for _, host := range affected {
-		changed += t.bfsFrom(host)
+	for _, host := range t.hosts {
+		if t.hostAffected(host, a, b, up) {
+			changed += t.bfsFrom(host)
+		}
 	}
 	return changed
 }
@@ -312,7 +344,7 @@ func (t *Topology) SetLinkState(a, b packet.NodeID, up bool) int {
 // endpoint distances differ. Unknown (-1) distances are conservatively
 // treated as affected.
 func (t *Topology) hostAffected(host, a, b packet.NodeID, up bool) bool {
-	da, db := t.dist[a][host], t.dist[b][host]
+	da, db := t.dist[t.at(a, host)], t.dist[t.at(b, host)]
 	if da == -1 || db == -1 {
 		return true
 	}
@@ -342,7 +374,7 @@ func (t *Topology) SetLinkParams(a, b packet.NodeID, rate units.Rate, delay unit
 // be a host. It panics when no route exists; devices on a dynamic topology
 // should use NextHopsOrNil and treat an empty result as a routable drop.
 func (t *Topology) NextHops(node, dst packet.NodeID) []int {
-	ports := t.routes[node][dst]
+	ports := t.NextHopsOrNil(node, dst)
 	if len(ports) == 0 {
 		panic(fmt.Sprintf("topology: no route from %s to %s", t.nodes[node].Name, t.nodes[dst].Name))
 	}
@@ -351,9 +383,10 @@ func (t *Topology) NextHops(node, dst packet.NodeID) []int {
 
 // NextHopsOrNil returns the equal-cost egress ports from node toward dst, or
 // nil when dst is (transiently) unreachable — e.g. a packet in flight toward
-// a switch whose only link onward just failed.
+// a switch whose only link onward just failed, or a dst that is not a host.
+// The returned slice is shared and must not be modified.
 func (t *Topology) NextHopsOrNil(node, dst packet.NodeID) []int {
-	return t.routes[node][dst]
+	return t.sets[node][t.routes[t.at(node, dst)]]
 }
 
 // EgressPort picks the egress port for a flow at the given node using ECMP:
@@ -371,11 +404,11 @@ func (t *Topology) EgressPort(node packet.NodeID, f *packet.Flow) int {
 // baseNextHops returns the baseline (all links up) equal-cost ports from
 // node toward dst.
 func (t *Topology) baseNextHops(node, dst packet.NodeID) []int {
-	ports := t.baseRoutes[node][dst]
-	if len(ports) == 0 {
+	set := t.baseRoutes[t.at(node, dst)]
+	if set == 0 {
 		panic(fmt.Sprintf("topology: no route from %s to %s", t.nodes[node].Name, t.nodes[dst].Name))
 	}
-	return ports
+	return t.sets[node][set]
 }
 
 // HopCount returns the number of links on the baseline shortest path from
@@ -384,11 +417,11 @@ func (t *Topology) HopCount(src, dst packet.NodeID) int {
 	if src == dst {
 		return 0
 	}
-	d := t.baseDist[src][dst]
+	d := t.baseDist[t.at(src, dst)]
 	if d < 0 {
 		panic(fmt.Sprintf("topology: no path from %d to %d", src, dst))
 	}
-	return d
+	return int(d)
 }
 
 // PathRTT returns the base (unloaded) round-trip time between two hosts:
@@ -451,10 +484,10 @@ func (t *Topology) HostRate(host packet.NodeID) units.Rate {
 // for sizing end-to-end windows (1 BDP caps in DCQCN+Win and Ideal-FQ).
 func (t *Topology) MaxBaseRTT(mtu units.Bytes) units.Time {
 	var max units.Time
-	// The diameter pair is always (first host, last host) in the built-in
-	// regular topologies, but compute it properly over a sample to stay
-	// correct for irregular ones. For large host counts sample the first host
-	// of each "rack" to avoid quadratic cost.
+	// Every pair is scanned up to 32 hosts. Beyond that the scan is the first
+	// host against every other: quadratic cost is avoided at the price of
+	// assuming the first host sees the diameter, which holds for the symmetric
+	// built-in topologies.
 	hosts := t.hosts
 	for _, a := range hosts {
 		for _, b := range hosts {
@@ -466,7 +499,6 @@ func (t *Topology) MaxBaseRTT(mtu units.Bytes) units.Time {
 			}
 		}
 		if len(hosts) > 32 {
-			// one full row is enough for the symmetric built-in topologies
 			break
 		}
 	}
