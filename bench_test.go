@@ -1,24 +1,18 @@
-// bench_test.go is the benchmark harness that regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md §3 for the figure → bench
-// mapping and EXPERIMENTS.md for paper-vs-measured numbers).
-//
-// By default the benchmarks run at reduced scale so the whole suite finishes
-// in minutes; set BFC_FULL=1 to use the paper-scale parameters (hours of CPU
-// time). Each benchmark prints the rows/series the corresponding figure
-// plots, and reports its headline number via b.ReportMetric so regressions
-// are visible in -benchmem output diffs.
+// bench_test.go holds the three whole-run benchmarks CI feeds to the
+// benchjson gate against BENCH_baseline.json: a fat-tree scale point, the
+// sharded engine against the serial one on 1024 hosts, and raw simulator
+// throughput. The paper's figures are regenerated by cmd/experiments from the
+// figure table in internal/experiments, not from here.
 package bfc_test
 
 import (
-	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"bfc/internal/experiments"
+	"bfc/internal/harness"
 	"bfc/internal/packet"
 	"bfc/internal/sim"
 	"bfc/internal/topology"
@@ -26,269 +20,11 @@ import (
 	"bfc/internal/workload"
 )
 
-// benchScale picks reduced or full scale (BFC_FULL=1).
-func benchScale() experiments.Scale {
-	if os.Getenv("BFC_FULL") == "1" {
-		return experiments.Full()
-	}
-	return experiments.Reduced()
-}
-
-// quickScale is used by the heaviest multi-scheme benchmarks so that the
-// default `go test -bench=.` stays tractable; BFC_FULL=1 still upgrades it.
-func quickScale() experiments.Scale {
-	if os.Getenv("BFC_FULL") == "1" {
-		return experiments.Full()
-	}
-	s := experiments.Tiny()
-	s.Name = "bench-quick"
-	return s
-}
-
-func BenchmarkFig01_HardwareTrend(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig01HardwareTrend()
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig1 %-10s %d  %5.1f Tbps  %5.1f MB  %6.1f us buffer/capacity",
-					r.Chip, r.Year, r.CapacityTbps, r.BufferMB, r.BufferOverCapU)
-			}
-		}
-	}
-}
-
-func BenchmarkFig02_DCQCNBufferVsLinkSpeed(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig02BufferVsLinkSpeed(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig2 %-8v p50=%v p90=%v p99=%v max=%v", r.LinkRate, r.P50, r.P90, r.P99, r.Max)
-			}
-			b.ReportMetric(float64(rows[len(rows)-1].P99), "p99BufferBytes@100G")
-		}
-	}
-}
-
-func BenchmarkFig03_DCQCNBufferRatio(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig03BufferRatio(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig3 buffer/capacity=%.0fus buffer=%v p99slowdown=%.2f",
-					r.BufferPerCapacityUS, r.Buffer, r.Series.Overall)
-			}
-			b.ReportMetric(rows[0].Series.Overall, "p99slowdown@10us")
-		}
-	}
-}
-
-func BenchmarkFig04_WorkloadCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig04WorkloadCDF()
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig4 %-10s bytes<=1BDP=%.2f flows<1KB=%.2f", r.Workload, r.BytesWithin1BDP, r.FlowsUnder1KB)
-			}
-		}
-	}
-}
-
-func benchFig05(b *testing.B, variant experiments.Fig05Variant, name string) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig05(scale, variant, nil)
-		if i == 0 {
-			b.Log("\n" + experiments.FormatSeries(name, res.Series))
-			for _, s := range res.Series {
-				if s.Label == "BFC" {
-					b.ReportMetric(s.Overall, "BFC-p99slowdown")
-				}
-				if s.Label == "DCQCN" {
-					b.ReportMetric(s.Overall, "DCQCN-p99slowdown")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig05a_GoogleIncast(b *testing.B) {
-	benchFig05(b, experiments.Fig05aGoogleIncast, "Fig5a Google + incast, p99 FCT slowdown")
-}
-
-func BenchmarkFig05b_FBHadoopIncast(b *testing.B) {
-	benchFig05(b, experiments.Fig05bFBHadoopIncast, "Fig5b FB_Hadoop + incast, p99 FCT slowdown")
-}
-
-func BenchmarkFig05c_GoogleNoIncast(b *testing.B) {
-	benchFig05(b, experiments.Fig05cGoogleNoIncast, "Fig5c Google without incast, p99 FCT slowdown")
-}
-
-func BenchmarkFig06a_BufferOccupancy(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig05(scale, experiments.Fig05aGoogleIncast,
-			[]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN, sim.SchemeDCQCNWin})
-		if i == 0 {
-			for _, label := range sortedKeys(res.BufferP99) {
-				b.Logf("Fig6a %-12s p99 buffer occupancy = %v", label, res.BufferP99[label])
-			}
-			b.ReportMetric(float64(res.BufferP99["BFC"]), "BFC-p99BufferBytes")
-			b.ReportMetric(float64(res.BufferP99["DCQCN"]), "DCQCN-p99BufferBytes")
-		}
-	}
-}
-
-func BenchmarkFig06b_PauseTime(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig05(scale, experiments.Fig05aGoogleIncast,
-			[]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})
-		if i == 0 {
-			for _, label := range sortedKeys(res.PauseFraction) {
-				fracs := res.PauseFraction[label]
-				b.Logf("Fig6b %-12s ToR->Spine=%.4f Spine->ToR=%.4f",
-					label, fracs["ToR->Spine"], fracs["Spine->ToR"])
-			}
-		}
-	}
-}
-
-func BenchmarkFig07_StaticQueueAssignment(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig07StaticQueueAssignment(scale)
-		if i == 0 {
-			b.Log("\n" + experiments.FormatSeries("Fig7a BFC vs BFC-VFID vs SFQ+InfBuffer", res.Series))
-			for _, label := range sortedKeys(res.CollisionFraction) {
-				b.Logf("Fig7b %-10s collision fraction = %.4f", label, res.CollisionFraction[label])
-			}
-			b.ReportMetric(res.CollisionFraction["BFC"], "BFC-collisions")
-			b.ReportMetric(res.CollisionFraction["BFC-VFID"], "BFC-VFID-collisions")
-		}
-	}
-}
-
-func BenchmarkFig08_IncastFanIn(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig08IncastFanIn(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig8 %-10s fanin=%-4d utilization=%.2f p99buffer=%v",
-					r.Scheme, r.FanIn, r.Utilization, r.BufferP99)
-			}
-			for _, r := range rows {
-				if r.Scheme == "BFC" {
-					b.ReportMetric(r.Utilization, fmt.Sprintf("BFC-util@%d", r.FanIn))
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFig09_CrossDC(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig09CrossDC(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig9 %-10s intra-p99=%.2f inter-p99=%.2f", r.Scheme, r.IntraP99, r.InterP99)
-				b.ReportMetric(r.InterP99, r.Scheme+"-inter-p99")
-			}
-		}
-	}
-}
-
-func BenchmarkFig10_BufferOptimization(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig10BufferOptimization(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig10 %-14s flows=%-4d queueP99=%v (2-hop BDP=%v)",
-					r.Scheme, r.ConcurrentFlows, r.QueueP99, r.TwoHopBDP)
-			}
-		}
-	}
-}
-
-func BenchmarkFig11_HighPriorityQueue(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		res := experiments.Fig11HighPriorityQueue(scale)
-		if i == 0 {
-			b.Log("\n" + experiments.FormatSeries("Fig11b high-priority-queue ablation", res.Series))
-			for _, label := range sortedKeys(res.OccupiedQueuesP99) {
-				b.Logf("Fig11a %-18s p99 occupied queues = %.1f", label, res.OccupiedQueuesP99[label])
-			}
-		}
-	}
-}
-
-func BenchmarkFig12_NumPhysicalQueues(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig12NumPhysicalQueues(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig12 queues=%-4d collisions=%.4f p99slowdown=%.2f",
-					r.Parameter, r.CollisionFraction, r.Series.Overall)
-			}
-		}
-	}
-}
-
-func BenchmarkFig13_NumVFIDs(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig13NumVFIDs(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig13 vfids=%-6d collisions=%.5f overflows=%.5f p99slowdown=%.2f",
-					r.Parameter, r.CollisionFraction, r.OverflowFraction, r.Series.Overall)
-			}
-		}
-	}
-}
-
-func BenchmarkFig14_BloomFilterSize(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig14BloomFilterSize(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig14 bloom=%-4dB p99slowdown=%.2f", r.Parameter, r.Series.Overall)
-			}
-		}
-	}
-}
-
-// BenchmarkFig16_ScaleSweep regenerates the Fig 16 scale tier (fat-tree
-// host-count sweep with streaming statistics) like the other figure
-// benchmarks. At default scale it sweeps up to 128 hosts; BFC_FULL=1 runs the
-// paper-boundary 128 through 1024.
-func BenchmarkFig16_ScaleSweep(b *testing.B) {
-	scale := quickScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig16ScaleSweep(scale)
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("Fig16 %-14s hosts=%-5d p99slowdown=%-8.2f util=%.2f statsSamples=%d",
-					r.Scheme, r.Hosts, r.P99, r.Utilization, r.StatsSamples)
-			}
-		}
-	}
-}
-
 // BenchmarkFatTreeScalePoint is the scale tier's regression gate: one BFC run
 // on a 64-host three-tier fat-tree with streaming statistics. ns/op is the
 // wall-clock per run (the unit the harness shards), B/op and allocs/op track
 // the hot path and the constant-memory stats mode, and events/run pins the
 // simulated work so a throughput regression cannot hide behind doing less.
-// Unlike the figure benchmarks above it is cheap enough for CI, which feeds
-// it to the benchjson gate against BENCH_baseline.json.
 func BenchmarkFatTreeScalePoint(b *testing.B) {
 	cfg := topology.FatTreeForHosts(64, 100*units.Gbps, units.Microsecond)
 	var totalEvents uint64
@@ -457,20 +193,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	scale := experiments.Tiny()
 	var totalEvents uint64
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig05(scale, experiments.Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC})
+		jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC})
+		res := experiments.Fig05FromRecords(harness.MustRun(jobs))
 		totalEvents += res.Raw["BFC"].Events
 	}
 	b.ReportMetric(float64(totalEvents)/float64(b.N), "events/run")
-	_ = units.Second
-}
-
-// sortedKeys returns a map's keys in sorted order, so benchmark logs print
-// rows in a stable order across runs.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

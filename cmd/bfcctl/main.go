@@ -8,7 +8,7 @@
 //	bfcctl status s000001                  # one status snapshot
 //	bfcctl trace s000001 'test/scheme=BFC' # flight-recorder trace of one job
 //	bfcctl fetch s000001 > records.jsonl   # completed records, job order
-//	bfcctl fetch -table s000001            # render the FCT slowdown table
+//	bfcctl fetch -table s000001            # render the figure (or scenario) table
 //	bfcctl cancel s000001
 //	bfcctl store                           # completed artifacts on the server
 //	bfcctl fleet                           # fleet status (coordinator or worker)
@@ -390,7 +390,7 @@ func (c *client) follow(id string) error {
 
 func (c *client) fetch(args []string) error {
 	fs := flag.NewFlagSet("fetch", flag.ExitOnError)
-	table := fs.Bool("table", false, "render an FCT-slowdown table instead of raw JSONL")
+	table := fs.Bool("table", false, "render the suite's figure table (for a scenario, FCT slowdown by scheme) instead of raw JSONL")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("fetch needs a suite id")
@@ -418,6 +418,14 @@ func (c *client) fetch(args []string) error {
 			return err
 		}
 		recs = append(recs, rec)
+	}
+	// A figure suite prints as cmd/experiments prints the figure: its records
+	// carry the figure key, and the figure table renders from records alone.
+	if len(recs) > 0 {
+		if fig, ok := experiments.FigureByKey(recs[0].Meta["fig"]); ok {
+			fig.Render(os.Stdout, recs)
+			return nil
+		}
 	}
 	series := experiments.SeriesFromRecords(recs)
 	fmt.Print(experiments.FormatSeries("suite "+id+": p99 FCT slowdown by flow size", series))

@@ -1,12 +1,16 @@
-// Command experiments regenerates the paper's tables and figures. Each figure
-// has a named experiment (see DESIGN.md §3); the command prints the rows or
-// series the figure plots.
+// Command experiments regenerates the paper's tables and figures. Every
+// figure is one entry of the figure table in internal/experiments (-list
+// prints it); the command compiles the selected entries' harness jobs, runs
+// them and prints the rows or series each figure plots.
 //
-// Grid-shaped figures (5a/5b/5c/6, 8, 9, 12, 13, 14) run on the experiment
-// harness: their points are sharded across a worker pool (-parallel), each
-// completed point can be persisted as a JSONL artifact (-out), and an
-// interrupted run can be resumed without re-executing completed points
-// (-resume).
+// Every simulated figure runs on the experiment harness: its points are
+// sharded across a worker pool (-parallel), each completed point can be
+// persisted as a JSONL artifact (-out), and an interrupted run can be resumed
+// without re-executing completed points (-resume). Figs 1 and 4 are static
+// data and run nothing. Fig 17 is the one figure that also needs a flight
+// recorder while it runs: its jobs record into a ring and keep the counts it
+// prints, and -trace-dir swaps in rings the command reads back to export the
+// raw events, which a resumed (not re-simulated) point does not have.
 //
 // Examples:
 //
@@ -22,9 +26,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 
 	"bfc/internal/experiments"
@@ -33,35 +35,30 @@ import (
 	"bfc/internal/telemetry"
 )
 
-// sortedKeys returns a map's keys in sorted order: every figure row printed
-// from a map must come out in a stable order so reruns diff cleanly.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 func main() {
 	log.SetFlags(0)
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 1,2,3,4,5a,5b,5c,6,7,8,9,10,11,12,13,14,15,16,17 or all")
+		fig      = flag.String("fig", "all", `figures to regenerate, comma-separated: names as -list prints them ("5a"), registry keys ("fig05a"), or "all"`)
 		full     = flag.Bool("full", false, "use paper-scale parameters (slow)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for harness-backed figures")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
 		out      = flag.String("out", "", "results directory for per-job JSONL artifacts (empty = keep results in memory)")
 		resume   = flag.Bool("resume", false, "skip jobs whose artifact already exists under -out")
-		schemes  = flag.String("schemes", "all", `restrict the scheme axis of figures 5a/5b/5c (and 6, which reuses the 5a runs), 15, 16 and 17 ("BFC,DCQCN,..." or "all"); other figures have fixed scheme sets and ignore it`)
+		schemes  = flag.String("schemes", "all", `restrict the scheme axis ("BFC,DCQCN,..." or "all") of the figures that have one; figures with a paper-fixed scheme set ignore it`)
 		shards   = flag.Int("shards", 0, "shards per run for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(pods, GOMAXPROCS)); output is byte-identical across shard counts")
 		list     = flag.Bool("list", false, "list the available figures/scenarios with descriptions and exit")
-		traceDir = flag.String("trace-dir", "", "directory for fig 17's per-scheme flight-recorder exports (<scheme>.trace.json Chrome/Perfetto trace + <scheme>.events.jsonl)")
+		traceDir = flag.String("trace-dir", "", "directory for the per-scheme flight-recorder exports of a figure that records one (fig 17): <scheme>.trace.json Chrome/Perfetto trace + <scheme>.events.jsonl")
 	)
 	flag.Parse()
 
 	if *list {
-		listFigures()
+		for _, f := range experiments.Figures() {
+			fmt.Printf("  %-4s %s\n", f.Token(), f.Desc)
+		}
 		return
+	}
+	figs, err := selectFigures(*fig)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	scale := experiments.Reduced()
@@ -73,7 +70,6 @@ func main() {
 	// nil keeps each figure's default scheme set.
 	var schemeList []sim.Scheme
 	if *schemes != "all" {
-		var err error
 		schemeList, err = sim.ParseSchemes(*schemes)
 		if err != nil {
 			log.Fatal(err)
@@ -96,43 +92,78 @@ func main() {
 	fmt.Printf("# scale: %s (%d ToR x %d hosts, %v horizon)\n\n",
 		scale.Name, scale.NumToR, scale.HostsPerToR, scale.Duration)
 
-	figs := strings.Split(strings.ToLower(*fig), ",")
-	if *fig == "all" {
-		figs = []string{"1", "2", "3", "4", "5a", "5b", "5c", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17"}
-	}
+	// Two entries can share jobs (Fig 6 is a second rendering of Fig 5a's), so
+	// a job already run in this invocation is not run again: done holds every
+	// record by job hash.
+	done := map[string]*harness.Record{}
 	for _, f := range figs {
-		runFigure(strings.TrimSpace(f), scale, runner, schemeList, *traceDir)
+		var jobs, todo []harness.Job
+		if f.Jobs != nil {
+			var s []sim.Scheme
+			if f.SchemesSelectable {
+				s = schemeList
+			}
+			jobs = f.Jobs(scale, s)
+		}
+		for _, j := range jobs {
+			if done[j.Hash()] == nil {
+				todo = append(todo, j)
+			}
+		}
+		var rings []*telemetry.Ring
+		if f.TraceRing > 0 && *traceDir != "" {
+			rings = harness.AttachRings(todo, f.TraceRing)
+		}
+		ran, err := runner.Run(todo)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, rec := range ran {
+			done[rec.Hash] = rec
+		}
+		recs := make([]*harness.Record, len(jobs))
+		for i, j := range jobs {
+			recs[i] = done[j.Hash()]
+		}
+		f.Render(os.Stdout, recs)
+		if rings != nil {
+			// A point -resume loaded from -out was not simulated and left its
+			// ring empty: it has no trace to export.
+			written, err := harness.WriteTraces(*traceDir, todo, rings)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if written < len(jobs) {
+				fmt.Fprintf(os.Stderr, "experiments: %d of %d points were not re-simulated and have no trace\n", len(jobs)-written, len(jobs))
+			}
+			if written > 0 {
+				fmt.Printf("  traces written to %s (load *.trace.json at https://ui.perfetto.dev)\n", *traceDir)
+			}
+		}
+		fmt.Println()
 	}
 }
 
-// figureCatalog is the -list output: one row per runnable figure/scenario.
-// Keep it in sync with runFigure.
-var figureCatalog = []struct{ key, desc string }{
-	{"1", "switch hardware trend table (static data)"},
-	{"2", "DCQCN (no PFC) buffer occupancy vs link speed"},
-	{"3", "DCQCN p99 FCT slowdown vs buffer/capacity ratio"},
-	{"4", "byte-weighted flow-size CDFs of the three workloads"},
-	{"5a", "headline p99 FCT slowdown, Google traffic at 60% + 5% incast"},
-	{"5b", "headline p99 FCT slowdown, FB_Hadoop traffic at 60% + 5% incast"},
-	{"5c", "headline p99 FCT slowdown, Google traffic at 65%, no incast"},
-	{"6", "buffer occupancy and PFC pause time on the Fig 5a runs"},
-	{"7", "dynamic vs static queue assignment (BFC vs BFC-VFID vs SFQ)"},
-	{"8", "incast fan-in sweep: utilization and buffer p99"},
-	{"9", "cross-data-center intra/inter tail latency"},
-	{"10", "physical queue buffering vs concurrent flows (resume throttling)"},
-	{"11", "high-priority queue ablation"},
-	{"12", "sensitivity to number of physical queues"},
-	{"13", "sensitivity to VFID table size"},
-	{"14", "sensitivity to bloom filter size"},
-	{"15", "scenario robustness: all schemes through a link fail/recover (see also cmd/scenarios)"},
-	{"16", "scale tier: three-tier fat-tree host-count sweep with streaming stats (128-1024 hosts at -full)"},
-	{"17", "congestion dynamics through an incast: queue occupancy + pause activity time-series, exportable as Perfetto traces (-trace-dir)"},
-}
-
-func listFigures() {
-	for _, f := range figureCatalog {
-		fmt.Printf("  %-4s %s\n", f.key, f.desc)
+// selectFigures resolves the -fig argument against the figure table.
+func selectFigures(arg string) ([]experiments.Figure, error) {
+	var figs []experiments.Figure
+	for _, token := range strings.Split(arg, ",") {
+		if strings.EqualFold(strings.TrimSpace(token), "all") {
+			figs = append(figs, experiments.Figures()...)
+			continue
+		}
+		f, ok := experiments.FigureByKey(token)
+		if !ok {
+			var valid []string
+			for _, f := range experiments.Figures() {
+				valid = append(valid, f.Key)
+			}
+			return nil, fmt.Errorf("unknown figure %q (want all, or any of %s; the fig and leading zero are optional)",
+				strings.TrimSpace(token), strings.Join(valid, ", "))
+		}
+		figs = append(figs, f)
 	}
+	return figs, nil
 }
 
 // printProgress reports each finished harness job on stderr, keeping stdout
@@ -144,167 +175,4 @@ func printProgress(p harness.Progress) {
 	}
 	fmt.Fprintf(os.Stderr, "[%3d/%3d] %-56s %-6s %.2fs\n",
 		p.Done, p.Total, p.Job, status, p.Elapsed.Seconds())
-}
-
-// run executes a harness job list, aborting the command on failure.
-func run(runner *harness.Runner, jobs []harness.Job) []*harness.Record {
-	recs, err := runner.Run(jobs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return recs
-}
-
-// fig05Cache memoizes Fig 5 panels within one invocation, so "-fig all"
-// renders Fig 6 from the records Fig 5a already produced instead of
-// re-simulating the six-scheme panel.
-var fig05Cache = map[experiments.Fig05Variant]*experiments.Fig05Result{}
-
-func fig05(scale experiments.Scale, variant experiments.Fig05Variant, runner *harness.Runner, schemes []sim.Scheme) *experiments.Fig05Result {
-	if res, ok := fig05Cache[variant]; ok {
-		return res
-	}
-	recs := run(runner, experiments.Fig05Jobs(scale, variant, schemes))
-	res := experiments.Fig05FromRecords(variant, recs)
-	fig05Cache[variant] = res
-	return res
-}
-
-func runFigure(fig string, scale experiments.Scale, runner *harness.Runner, schemes []sim.Scheme, traceDir string) {
-	switch fig {
-	case "1":
-		fmt.Println("## Fig 1: switch hardware trend")
-		for _, r := range experiments.Fig01HardwareTrend() {
-			fmt.Printf("  %-10s %d  %5.2f Tbps  %5.1f MB  %6.1f us buffer/capacity\n",
-				r.Chip, r.Year, r.CapacityTbps, r.BufferMB, r.BufferOverCapU)
-		}
-	case "2":
-		fmt.Println("## Fig 2: DCQCN (no PFC) buffer occupancy vs link speed")
-		for _, r := range experiments.Fig02BufferVsLinkSpeed(scale) {
-			fmt.Printf("  %-8v p50=%-10v p90=%-10v p99=%-10v max=%v\n", r.LinkRate, r.P50, r.P90, r.P99, r.Max)
-		}
-	case "3":
-		fmt.Println("## Fig 3: DCQCN p99 FCT slowdown vs buffer/capacity ratio")
-		for _, r := range experiments.Fig03BufferRatio(scale) {
-			fmt.Printf("  %5.0f us (%v): overall p99 slowdown %.2f\n", r.BufferPerCapacityUS, r.Buffer, r.Series.Overall)
-		}
-	case "4":
-		fmt.Println("## Fig 4: byte-weighted flow size CDFs")
-		for _, r := range experiments.Fig04WorkloadCDF() {
-			fmt.Printf("  %-10s bytes<=1BDP=%.2f flows<1KB=%.2f\n", r.Workload, r.BytesWithin1BDP, r.FlowsUnder1KB)
-		}
-	case "5a", "5b", "5c":
-		variant := map[string]experiments.Fig05Variant{
-			"5a": experiments.Fig05aGoogleIncast,
-			"5b": experiments.Fig05bFBHadoopIncast,
-			"5c": experiments.Fig05cGoogleNoIncast,
-		}[fig]
-		res := fig05(scale, variant, runner, schemes)
-		fmt.Print(experiments.FormatSeries("## Fig "+fig+": p99 FCT slowdown by flow size", res.Series))
-	case "6":
-		fmt.Println("## Fig 6: buffer occupancy and PFC pause time (Fig 5a workload)")
-		res := fig05(scale, experiments.Fig05aGoogleIncast, runner, schemes)
-		for _, s := range res.Series {
-			fmt.Printf("  %-14s p99 buffer=%-10v ToR->Spine paused=%.4f Spine->ToR paused=%.4f\n",
-				s.Label, res.BufferP99[s.Label],
-				res.PauseFraction[s.Label]["ToR->Spine"], res.PauseFraction[s.Label]["Spine->ToR"])
-		}
-	case "7":
-		res := experiments.Fig07StaticQueueAssignment(scale)
-		fmt.Print(experiments.FormatSeries("## Fig 7a: dynamic vs static queue assignment", res.Series))
-		for _, label := range sortedKeys(res.CollisionFraction) {
-			fmt.Printf("  Fig 7b %-10s collision fraction = %.4f\n", label, res.CollisionFraction[label])
-		}
-	case "8":
-		fmt.Println("## Fig 8: incast fan-in sweep")
-		for _, r := range experiments.Fig08FromRecords(run(runner, experiments.Fig08Jobs(scale))) {
-			fmt.Printf("  %-10s fanin=%-4d utilization=%.2f p99buffer=%v\n", r.Scheme, r.FanIn, r.Utilization, r.BufferP99)
-		}
-	case "9":
-		fmt.Println("## Fig 9: cross-data-center tail latency")
-		for _, r := range experiments.Fig09FromRecords(run(runner, experiments.Fig09Jobs(scale))) {
-			fmt.Printf("  %-10s intra-p99=%.2f inter-p99=%.2f\n", r.Scheme, r.IntraP99, r.InterP99)
-		}
-	case "10":
-		fmt.Println("## Fig 10: physical queue size vs concurrent flows")
-		for _, r := range experiments.Fig10BufferOptimization(scale) {
-			fmt.Printf("  %-14s flows=%-4d queueP99=%-10v (2-hop BDP=%v)\n", r.Scheme, r.ConcurrentFlows, r.QueueP99, r.TwoHopBDP)
-		}
-	case "11":
-		res := experiments.Fig11HighPriorityQueue(scale)
-		fmt.Print(experiments.FormatSeries("## Fig 11: high-priority queue ablation", res.Series))
-		for _, label := range sortedKeys(res.OccupiedQueuesP99) {
-			fmt.Printf("  %-18s p99 occupied queues = %.1f\n", label, res.OccupiedQueuesP99[label])
-		}
-	case "12":
-		fmt.Println("## Fig 12: sensitivity to number of physical queues")
-		for _, r := range experiments.SensitivityFromRecords(run(runner, experiments.Fig12NumPhysicalQueuesJobs(scale))) {
-			fmt.Printf("  queues=%-4d collisions=%.4f p99slowdown=%.2f\n", r.Parameter, r.CollisionFraction, r.Series.Overall)
-		}
-	case "13":
-		fmt.Println("## Fig 13: sensitivity to VFID table size")
-		for _, r := range experiments.SensitivityFromRecords(run(runner, experiments.Fig13NumVFIDsJobs(scale))) {
-			fmt.Printf("  vfids=%-6d collisions=%.5f overflows=%.5f p99slowdown=%.2f\n",
-				r.Parameter, r.CollisionFraction, r.OverflowFraction, r.Series.Overall)
-		}
-	case "14":
-		fmt.Println("## Fig 14: sensitivity to bloom filter size")
-		for _, r := range experiments.SensitivityFromRecords(run(runner, experiments.Fig14BloomFilterSizeJobs(scale))) {
-			fmt.Printf("  bloom=%-4dB p99slowdown=%.2f\n", r.Parameter, r.Series.Overall)
-		}
-	case "15":
-		fmt.Println("## Fig 15: scheme robustness under link fail/recover (p99 slowdown by phase)")
-		for _, r := range experiments.Fig15FromRecords(run(runner, experiments.Fig15Jobs(scale, schemes))) {
-			fmt.Printf("  %-14s pre=%-8.2f fail=%-8.2f recovered=%-8.2f reroutes=%-4d stranded=%-5d noroute=%-5d completed=%d/%d\n",
-				r.Scheme, r.PreP99, r.FailP99, r.RecoverP99, r.Reroutes, r.Stranded, r.NoRoute, r.Completed, r.Offered)
-		}
-	case "16":
-		fmt.Println("## Fig 16: scale tier — fat-tree host-count sweep (streaming stats)")
-		for _, r := range experiments.Fig16FromRecords(run(runner, experiments.Fig16Jobs(scale, nil, schemes))) {
-			fmt.Printf("  %-14s hosts=%-5d switches=%-4d p99slowdown=%-8.2f util=%-6.2f p99buffer=%-10v statsSamples=%-6d completed=%d/%d digest=%s\n",
-				r.Scheme, r.Hosts, r.Switches, r.P99, r.Utilization, r.BufferP99, r.StatsSamples, r.Completed, r.Offered, r.Digest)
-		}
-	case "17":
-		fmt.Println("## Fig 17: congestion dynamics through an incast (flight recorder + series sampler)")
-		for _, r := range experiments.Fig17Dynamics(scale, schemes) {
-			fmt.Printf("  %-14s p99slowdown=%-8.2f peakBuffer=%-10v peakPauseFrac=%-7.4f pauseEvents=%-6d assigns=%-6d drops=%-4d events=%d\n",
-				r.Scheme, r.P99, r.PeakBuffer, r.PeakPauseFraction, r.PauseEvents, r.QueueAssignments, r.Drops, r.EventsSeen)
-			for _, p := range experiments.Fig17Timeline(r, 8) {
-				fmt.Printf("      t=%-12v buffer=%-10v pauseFrac=%.4f\n", p.At, p.Buffer, p.PauseFraction)
-			}
-			if traceDir != "" {
-				if err := writeFig17Traces(traceDir, r); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		if traceDir != "" {
-			fmt.Printf("  traces written to %s (load *.trace.json at https://ui.perfetto.dev)\n", traceDir)
-		}
-	default:
-		log.Fatalf("unknown figure %q", fig)
-	}
-	fmt.Println()
-}
-
-// writeFig17Traces exports one scheme's flight-recorder trace as a Chrome
-// trace_event file (Perfetto-loadable) and a raw JSONL event stream.
-func writeFig17Traces(dir string, r experiments.Fig17Row) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tf, err := os.Create(filepath.Join(dir, r.Scheme+".trace.json"))
-	if err != nil {
-		return err
-	}
-	defer tf.Close()
-	if err := telemetry.WriteChromeTrace(tf, r.Trace, r.Events); err != nil {
-		return err
-	}
-	jf, err := os.Create(filepath.Join(dir, r.Scheme+".events.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer jf.Close()
-	return telemetry.WriteJSONL(jf, r.Events)
 }

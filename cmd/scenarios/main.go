@@ -27,9 +27,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"bfc/internal/harness"
@@ -133,17 +131,10 @@ func main() {
 
 	jobs := grid.Jobs()
 	// Flight recorders are observational: attaching one leaves the job hash,
-	// the result, and therefore the printed digest unchanged. The rings are
-	// created up front and only read after Run returns, so the worker count
-	// cannot influence what a trace contains.
+	// the result, and therefore the printed digest unchanged.
 	var rings []*telemetry.Ring
 	if *traceDir != "" {
-		rings = make([]*telemetry.Ring, len(jobs))
-		for i := range jobs {
-			ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
-			rings[i] = ring
-			jobs[i].Options = append(jobs[i].Options, func(o *sim.Options) { o.Recorder = ring })
-		}
+		rings = harness.AttachRings(jobs, telemetry.DefaultRingCapacity)
 	}
 
 	runner := &harness.Runner{Parallel: *parallel}
@@ -162,8 +153,12 @@ func main() {
 	}
 
 	if *traceDir != "" {
-		if err := writeTraces(*traceDir, jobs, recs, rings); err != nil {
+		if _, err := harness.WriteTraces(*traceDir, jobs, rings); err != nil {
 			log.Fatal(err)
+		}
+		for i, ring := range rings {
+			fmt.Fprintf(os.Stderr, "wrote %s traces: %d events (%d seen, %d overwritten)\n",
+				recs[i].Scheme, ring.Len(), ring.Seen(), ring.Overwritten())
 		}
 	}
 
@@ -194,48 +189,6 @@ func resultDigest(rec *harness.Record) string {
 		log.Fatal(err)
 	}
 	return sum
-}
-
-// writeTraces exports each scheme's recorded events as a Perfetto-loadable
-// Chrome trace plus the raw JSONL event stream.
-func writeTraces(dir string, jobs []harness.Job, recs []*harness.Record, rings []*telemetry.Ring) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i := range jobs {
-		topo := jobs[i].Topology()
-		cfg := telemetry.TraceConfig{
-			RunName:  jobs[i].Name,
-			NodeName: func(n packet.NodeID) string { return topo.Node(n).Name },
-		}
-		events := rings[i].Events()
-		scheme := strings.ReplaceAll(recs[i].Scheme, "+", "_")
-		tf, err := os.Create(filepath.Join(dir, scheme+".trace.json"))
-		if err != nil {
-			return err
-		}
-		if err := telemetry.WriteChromeTrace(tf, cfg, events); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		jf, err := os.Create(filepath.Join(dir, scheme+".events.jsonl"))
-		if err != nil {
-			return err
-		}
-		if err := telemetry.WriteJSONL(jf, events); err != nil {
-			jf.Close()
-			return err
-		}
-		if err := jf.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s traces: %d events (%d seen, %d overwritten)\n",
-			recs[i].Scheme, len(events), rings[i].Seen(), rings[i].Overwritten())
-	}
-	return nil
 }
 
 func printResult(rec *harness.Record, sum string) {

@@ -1,18 +1,18 @@
 // Package experiments defines one named, parameterized experiment per table
-// and figure in the paper's evaluation (§4). Each experiment builds the
-// topology and workload the paper describes, runs the relevant schemes
-// through internal/sim, and returns the rows/series the figure plots.
+// and figure in the paper's evaluation (§4). Every figure is one entry of the
+// Figures table (registry.go): a key, a description, a FigNNJobs function
+// that compiles the topology, workload and schemes the paper describes into
+// harness jobs, and a renderer that prints the figure's rows from the
+// completed records (through the matching FigNNFromRecords). Listing, running,
+// persisting and serving a figure all go through that one entry.
 //
 // Every experiment takes a Scale. Reduced() keeps the topology shape, load
 // level and flow-size distribution of the paper but shrinks host counts and
-// durations so the whole suite (and the benchmark harness that wraps it) runs
-// in minutes on a laptop; Full() uses the paper's parameters.
+// durations so the whole suite runs in minutes on a laptop; Full() uses the
+// paper's parameters.
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -99,33 +99,25 @@ func Full() Scale {
 }
 
 // clos builds the scaled T1-shaped fabric.
-func (s Scale) clos() *topology.Topology {
-	cfg := topology.ClosConfig{
-		Name:        "T1",
-		NumToR:      s.NumToR,
-		NumSpine:    s.NumSpine,
-		HostsPerToR: s.HostsPerToR,
-		LinkRate:    100 * units.Gbps,
-		LinkDelay:   1 * units.Microsecond,
-	}
-	return topology.NewClos(cfg)
-}
+func (s Scale) clos() *topology.Topology { return s.closOf("T1", s.NumToR, 100*units.Gbps) }
 
 // closT2 builds the scaled T2-shaped fabric (half the racks of T1).
-func (s Scale) closT2() *topology.Topology {
-	numToR := s.NumToR / 2
-	if numToR < 1 {
-		numToR = 1
-	}
-	cfg := topology.ClosConfig{
-		Name:        "T2",
+func (s Scale) closT2() *topology.Topology { return s.closT2At(100 * units.Gbps) }
+
+// closT2At builds the T2-shaped fabric with every link at the given rate.
+func (s Scale) closT2At(rate units.Rate) *topology.Topology {
+	return s.closOf("T2", max(s.NumToR/2, 1), rate)
+}
+
+func (s Scale) closOf(name string, numToR int, rate units.Rate) *topology.Topology {
+	return topology.NewClos(topology.ClosConfig{
+		Name:        name,
 		NumToR:      numToR,
 		NumSpine:    s.NumSpine,
 		HostsPerToR: s.HostsPerToR,
-		LinkRate:    100 * units.Gbps,
+		LinkRate:    rate,
 		LinkDelay:   1 * units.Microsecond,
-	}
-	return topology.NewClos(cfg)
+	})
 }
 
 // sweep trims a sweep to SweepPoints entries, keeping the extremes.
@@ -141,40 +133,32 @@ func (s Scale) sweep(points []int) []int {
 	return append(out, points[len(points)-1])
 }
 
-// backgroundTrace generates the standard background + incast workload.
-func (s Scale) backgroundTrace(topo *topology.Topology, cdf *workload.CDF, load float64, incast bool, seed int64) []*packet.Flow {
-	cfg := workload.Config{
-		Hosts:    topo.Hosts(),
-		CDF:      cdf,
-		Load:     load,
-		HostRate: topo.HostRate(topo.Hosts()[0]),
-		Duration: s.Duration,
-		Seed:     seed,
-	}
-	if incast {
-		cfg.Incast = workload.IncastConfig{
-			Enabled:       true,
-			FanIn:         s.IncastFanIn,
-			AggregateSize: s.IncastAggregate,
-			LoadFraction:  0.05,
+// background returns the Flows builder for the standard background (+ 5%
+// incast) workload on whatever topology the job builds.
+func (s Scale) background(cdf *workload.CDF, load float64, incast bool, seed int64) func(*topology.Topology) []*packet.Flow {
+	return func(topo *topology.Topology) []*packet.Flow {
+		cfg := workload.Config{
+			Hosts:    topo.Hosts(),
+			CDF:      cdf,
+			Load:     load,
+			HostRate: topo.HostRate(topo.Hosts()[0]),
+			Duration: s.Duration,
+			Seed:     seed,
 		}
+		if incast {
+			cfg.Incast = workload.IncastConfig{
+				Enabled:       true,
+				FanIn:         s.IncastFanIn,
+				AggregateSize: s.IncastAggregate,
+				LoadFraction:  0.05,
+			}
+		}
+		tr, err := workload.Generate(cfg)
+		if err != nil {
+			panic(err)
+		}
+		return tr.Flows
 	}
-	tr, err := workload.Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return tr.Flows
-}
-
-// cloneFlows deep-copies flows so that independent runs never share mutable
-// completion state.
-func cloneFlows(flows []*packet.Flow) []*packet.Flow {
-	out := make([]*packet.Flow, len(flows))
-	for i, f := range flows {
-		c := *f
-		out[i] = &c
-	}
-	return out
 }
 
 // SlowdownSeries is one labelled FCT-slowdown-vs-flow-size curve.
@@ -230,20 +214,41 @@ func (s Scale) applyOptions(o *sim.Options) {
 	o.Shards = s.Shards
 }
 
-// runScheme is the shared helper: run one scheme over (a copy of) the flows.
-func runScheme(scale Scale, scheme sim.Scheme, topo *topology.Topology, flows []*packet.Flow, mutate func(*sim.Options)) *sim.Result {
-	opts := sim.DefaultOptions(scheme, topo)
-	opts.Duration = scale.Duration
-	opts.Drain = scale.Drain
-	opts.Shards = scale.Shards
-	if mutate != nil {
-		mutate(&opts)
+// pinDefaultSeed keeps Figs 2, 3, 7, 10, 11 and 17 on sim's default
+// simulation seed. They predate the harness, which derives each job's seed
+// from its name; a mutator has the final say over the derived seed (see
+// harness.Job.Options), and pinning it keeps the rows these figures have
+// always printed.
+func pinDefaultSeed(o *sim.Options) { o.Seed = 1 }
+
+// singleSchemeJob is the grid base of a figure that runs one scheme at every
+// point: named and labelled for the figure, on the scale's horizon.
+func (s Scale) singleSchemeJob(fig string, scheme sim.Scheme) harness.Job {
+	return harness.Job{
+		Name:    s.Name + "/" + fig,
+		Scheme:  scheme,
+		Meta:    map[string]string{"fig": fig, "scale": s.Name, "scheme": scheme.String()},
+		Options: []func(*sim.Options){s.applyOptions},
 	}
-	res, err := sim.Run(opts, cloneFlows(flows))
+}
+
+// variant is an axis value for ablation figures whose points are labelled
+// design variants rather than numbers: it selects the scheme and appends the
+// variant's option overrides.
+func variant(label string, scheme sim.Scheme, opts ...func(*sim.Options)) harness.Value {
+	return harness.Value{Label: label, Apply: func(j *harness.Job) {
+		j.Scheme = scheme
+		j.Options = append(j.Options, opts...)
+	}}
+}
+
+// metaInt reads an integer axis label back from a record.
+func metaInt(rec *harness.Record, key string) int {
+	v, err := strconv.Atoi(rec.Meta[key])
 	if err != nil {
-		panic(err)
+		panic(fmt.Sprintf("experiments: record %q has no %s: %v", rec.Name, key, err))
 	}
-	return res
+	return v
 }
 
 // ---------------------------------------------------------------------------
@@ -283,24 +288,29 @@ type BufferCDFRow struct {
 	P50, P90, P99, Max units.Bytes
 }
 
-// Fig02BufferVsLinkSpeed reproduces Fig 2: DCQCN without PFC on the T2-shaped
-// fabric under Google traffic at 75% load plus incast, for increasing link
-// speeds; higher speeds lose control of the buffer.
-func Fig02BufferVsLinkSpeed(scale Scale) []BufferCDFRow {
-	rates := []units.Rate{10 * units.Gbps, 40 * units.Gbps, 100 * units.Gbps}
-	var rows []BufferCDFRow
-	for _, rate := range rates {
-		cfg := topology.ClosConfig{
-			Name: "T2", NumToR: max(scale.NumToR/2, 1), NumSpine: scale.NumSpine,
-			HostsPerToR: scale.HostsPerToR, LinkRate: rate, LinkDelay: 1 * units.Microsecond,
-		}
-		topo := topology.NewClos(cfg)
-		flows := scale.backgroundTrace(topo, workload.Google(), 0.75, true, 2)
-		res := runScheme(scale, sim.SchemeDCQCN, topo, flows, func(o *sim.Options) {
-			o.DisablePFC = true
-		})
+// Fig02Jobs declares Fig 2: DCQCN without PFC on the T2-shaped fabric under
+// Google traffic at 75% load plus incast, one job per link speed; higher
+// speeds lose control of the buffer.
+func Fig02Jobs(scale Scale) []harness.Job {
+	base := scale.singleSchemeJob("fig02", sim.SchemeDCQCN)
+	base.Flows = scale.background(workload.Google(), 0.75, true, 2)
+	base.Options = append(base.Options, pinDefaultSeed, func(o *sim.Options) { o.DisablePFC = true })
+	grid := harness.Grid{
+		Base: base,
+		Axes: []harness.Axis{harness.IntAxis("gbps", []int{10, 40, 100}, func(j *harness.Job, gbps int) {
+			j.Topology = func() *topology.Topology { return scale.closT2At(units.Rate(gbps) * units.Gbps) }
+		})},
+	}
+	return grid.Jobs()
+}
+
+// Fig02FromRecords assembles the buffer-occupancy rows from harness records.
+func Fig02FromRecords(recs []*harness.Record) []BufferCDFRow {
+	rows := make([]BufferCDFRow, 0, len(recs))
+	for _, rec := range recs {
+		res := rec.Result
 		rows = append(rows, BufferCDFRow{
-			LinkRate: rate,
+			LinkRate: units.Rate(metaInt(rec, "gbps")) * units.Gbps,
 			P50:      units.Bytes(res.BufferOccupancy.Percentile(50)),
 			P90:      units.Bytes(res.BufferOccupancy.Percentile(90)),
 			P99:      units.Bytes(res.BufferOccupancy.Percentile(99)),
@@ -320,24 +330,36 @@ type BufferRatioRow struct {
 	Series              SlowdownSeries
 }
 
-// Fig03BufferRatio reproduces Fig 3: shrinking the switch buffer (expressed
-// as buffer/switch-capacity in microseconds) hurts DCQCN tail latency.
-func Fig03BufferRatio(scale Scale) []BufferRatioRow {
-	topo := scale.closT2()
-	flows := scale.backgroundTrace(topo, workload.Google(), 0.75, true, 3)
+// Fig03Jobs declares Fig 3: shrinking the switch buffer (expressed as
+// buffer/switch-capacity in microseconds) hurts DCQCN tail latency. The
+// buffer each ratio works out to on the scaled ToR is carried in Meta, so the
+// rows can name it without the scale.
+func Fig03Jobs(scale Scale) []harness.Job {
 	// Switch capacity of the scaled ToR: (hosts + spines) * 100 Gbps.
-	portCount := scale.HostsPerToR + scale.NumSpine
-	capacity := units.Rate(portCount) * 100 * units.Gbps
-	var rows []BufferRatioRow
-	for _, ratioUS := range []float64{10, 20, 30} {
-		buffer := units.Bytes(float64(capacity) / 8 * ratioUS / 1e6)
-		res := runScheme(scale, sim.SchemeDCQCN, topo, flows, func(o *sim.Options) {
-			o.SwitchBuffer = buffer
-		})
+	capacity := units.Rate(scale.HostsPerToR+scale.NumSpine) * 100 * units.Gbps
+	base := scale.singleSchemeJob("fig03", sim.SchemeDCQCN)
+	base.Topology = scale.closT2
+	base.Flows = scale.background(workload.Google(), 0.75, true, 3)
+	base.Options = append(base.Options, pinDefaultSeed)
+	grid := harness.Grid{
+		Base: base,
+		Axes: []harness.Axis{harness.IntAxis("ratio_us", []int{10, 20, 30}, func(j *harness.Job, ratioUS int) {
+			buffer := units.Bytes(float64(capacity) / 8 * float64(ratioUS) / 1e6)
+			j.Meta["buffer_bytes"] = strconv.FormatInt(int64(buffer), 10)
+			j.Options = append(j.Options, func(o *sim.Options) { o.SwitchBuffer = buffer })
+		})},
+	}
+	return grid.Jobs()
+}
+
+// Fig03FromRecords assembles the buffer-ratio rows from harness records.
+func Fig03FromRecords(recs []*harness.Record) []BufferRatioRow {
+	rows := make([]BufferRatioRow, 0, len(recs))
+	for _, rec := range recs {
 		rows = append(rows, BufferRatioRow{
-			BufferPerCapacityUS: ratioUS,
-			Buffer:              buffer,
-			Series:              seriesFromResult(fmt.Sprintf("%.0fus", ratioUS), res),
+			BufferPerCapacityUS: float64(metaInt(rec, "ratio_us")),
+			Buffer:              units.Bytes(metaInt(rec, "buffer_bytes")),
+			Series:              seriesFromResult(rec.Meta["ratio_us"]+"us", rec.Result),
 		})
 	}
 	return rows
@@ -397,27 +419,23 @@ const (
 // Fig05Result bundles the per-scheme curves plus the auxiliary measurements
 // Fig 6 reports for the same runs.
 type Fig05Result struct {
-	Variant Fig05Variant
-	Series  []SlowdownSeries
-	// BufferP99 and PauseFraction reproduce Fig 6 (keyed by scheme label).
-	BufferP99     map[string]units.Bytes
-	PauseFraction map[string]map[string]float64
-	// Raw keeps the full results keyed by scheme label for downstream use.
+	Series []SlowdownSeries
+	// Raw keeps the full results keyed by scheme label: Fig 6 reads its
+	// buffer occupancy and pause-time fractions from them.
 	Raw map[string]*sim.Result
 }
 
-// key names the variant in job names and artifact metadata.
-func (v Fig05Variant) key() string {
-	switch v {
-	case Fig05aGoogleIncast:
-		return "fig05a"
-	case Fig05bFBHadoopIncast:
-		return "fig05b"
-	case Fig05cGoogleNoIncast:
-		return "fig05c"
-	default:
-		panic("experiments: unknown Fig 5 variant")
-	}
+// fig05Panels holds each panel's registry key (which also names its jobs and
+// labels their artifacts) and workload.
+var fig05Panels = [...]struct {
+	key    string
+	cdf    func() *workload.CDF
+	load   float64
+	incast bool
+}{
+	Fig05aGoogleIncast:   {"fig05a", workload.Google, 0.60, true},
+	Fig05bFBHadoopIncast: {"fig05b", workload.FBHadoop, 0.60, true},
+	Fig05cGoogleNoIncast: {"fig05c", workload.Google, 0.65, false},
 }
 
 // Fig05Jobs declares one harness job per scheme for a Fig 5 panel. schemes
@@ -428,31 +446,15 @@ func Fig05Jobs(scale Scale, variant Fig05Variant, schemes []sim.Scheme) []harnes
 	if schemes == nil {
 		schemes = sim.AllSchemes()
 	}
-	var (
-		cdf    *workload.CDF
-		load   float64
-		incast bool
-	)
-	switch variant {
-	case Fig05aGoogleIncast:
-		cdf, load, incast = workload.Google(), 0.60, true
-	case Fig05bFBHadoopIncast:
-		cdf, load, incast = workload.FBHadoop(), 0.60, true
-	case Fig05cGoogleNoIncast:
-		cdf, load, incast = workload.Google(), 0.65, false
-	default:
-		panic("experiments: unknown Fig 5 variant")
-	}
-	seed := harness.DeriveSeed(variant.key(), scale.Name, "workload")
+	panel := fig05Panels[variant]
+	seed := harness.DeriveSeed(panel.key, scale.Name, "workload")
 	grid := harness.Grid{
 		Base: harness.Job{
-			Name:     scale.Name + "/" + variant.key(),
-			Meta:     map[string]string{"fig": variant.key(), "scale": scale.Name},
+			Name:     scale.Name + "/" + panel.key,
+			Meta:     map[string]string{"fig": panel.key, "scale": scale.Name},
 			Topology: scale.clos,
-			Flows: func(topo *topology.Topology) []*packet.Flow {
-				return scale.backgroundTrace(topo, cdf, load, incast, seed)
-			},
-			Options: []func(*sim.Options){scale.applyOptions},
+			Flows:    scale.background(panel.cdf(), panel.load, panel.incast, seed),
+			Options:  []func(*sim.Options){scale.applyOptions},
 		},
 		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
 	}
@@ -460,29 +462,13 @@ func Fig05Jobs(scale Scale, variant Fig05Variant, schemes []sim.Scheme) []harnes
 }
 
 // Fig05FromRecords assembles a Fig 5 panel from completed harness records.
-func Fig05FromRecords(variant Fig05Variant, recs []*harness.Record) *Fig05Result {
-	out := &Fig05Result{
-		Variant:       variant,
-		BufferP99:     map[string]units.Bytes{},
-		PauseFraction: map[string]map[string]float64{},
-		Raw:           map[string]*sim.Result{},
-	}
+func Fig05FromRecords(recs []*harness.Record) *Fig05Result {
+	out := &Fig05Result{Raw: map[string]*sim.Result{}}
 	for _, rec := range recs {
-		res := rec.Result
-		label := rec.Scheme
-		out.Series = append(out.Series, seriesFromResult(label, res))
-		out.BufferP99[label] = units.Bytes(res.BufferOccupancy.Percentile(99))
-		out.PauseFraction[label] = res.PauseTimeFraction
-		out.Raw[label] = res
+		out.Series = append(out.Series, seriesFromResult(rec.Scheme, rec.Result))
+		out.Raw[rec.Scheme] = rec.Result
 	}
 	return out
-}
-
-// Fig05 reproduces one panel of Fig 5 (and collects the Fig 6 measurements),
-// sharding the schemes across all cores. schemes defaults to the paper's six
-// when nil.
-func Fig05(scale Scale, variant Fig05Variant, schemes []sim.Scheme) *Fig05Result {
-	return Fig05FromRecords(variant, harness.MustRun(Fig05Jobs(scale, variant, schemes)))
 }
 
 // ---------------------------------------------------------------------------
@@ -496,24 +482,38 @@ type Fig07Result struct {
 	CollisionFraction map[string]float64
 }
 
-// Fig07StaticQueueAssignment reproduces Fig 7 on the Fig 5a workload.
-func Fig07StaticQueueAssignment(scale Scale) *Fig07Result {
-	topo := scale.clos()
-	flows := scale.backgroundTrace(topo, workload.Google(), 0.60, true, 5)
+// Fig07Jobs declares Fig 7 on the Fig 5a workload: BFC, the BFC-VFID straw
+// proposal (static queue assignment), and SFQ over 32 queues with infinite
+// buffering.
+func Fig07Jobs(scale Scale) []harness.Job {
+	grid := harness.Grid{
+		Base: harness.Job{
+			Name:     scale.Name + "/fig07",
+			Meta:     map[string]string{"fig": "fig07", "scale": scale.Name},
+			Topology: scale.clos,
+			Flows:    scale.background(workload.Google(), 0.60, true, 5),
+			Options:  []func(*sim.Options){scale.applyOptions, pinDefaultSeed},
+		},
+		Axes: []harness.Axis{{Name: "variant", Values: []harness.Value{
+			variant("BFC", sim.SchemeBFC),
+			variant("BFC-VFID", sim.SchemeBFCStatic),
+			variant("SFQ+InfBuffer", sim.SchemeIdealFQ, func(o *sim.Options) { o.IdealFQQueues = 32 }),
+		}}},
+	}
+	return grid.Jobs()
+}
+
+// Fig07FromRecords assembles Fig 7 from harness records; only the two BFC
+// variants assign queues, so only they get a collision fraction.
+func Fig07FromRecords(recs []*harness.Record) *Fig07Result {
 	out := &Fig07Result{CollisionFraction: map[string]float64{}}
-
-	bfc := runScheme(scale, sim.SchemeBFC, topo, flows, nil)
-	out.Series = append(out.Series, seriesFromResult("BFC", bfc))
-	out.CollisionFraction["BFC"] = bfc.CollisionFraction()
-
-	static := runScheme(scale, sim.SchemeBFCStatic, topo, flows, nil)
-	out.Series = append(out.Series, seriesFromResult("BFC-VFID", static))
-	out.CollisionFraction["BFC-VFID"] = static.CollisionFraction()
-
-	sfqInf := runScheme(scale, sim.SchemeIdealFQ, topo, flows, func(o *sim.Options) {
-		o.IdealFQQueues = 32
-	})
-	out.Series = append(out.Series, seriesFromResult("SFQ+InfBuffer", sfqInf))
+	for _, rec := range recs {
+		label := rec.Meta["variant"]
+		out.Series = append(out.Series, seriesFromResult(label, rec.Result))
+		if rec.Scheme != sim.SchemeIdealFQ.String() {
+			out.CollisionFraction[label] = rec.Result.CollisionFraction()
+		}
+	}
 	return out
 }
 
@@ -576,7 +576,9 @@ func (s Scale) fig08Flows(fanIn int) func(*topology.Topology) []*packet.Flow {
 	}
 }
 
-// Fig08Jobs declares the Fig 8 grid: incast fan-in x scheme.
+// Fig08Jobs declares the Fig 8 grid, incast fan-in x scheme: long-lived flows
+// to every receiver plus a periodic 20 MB incast whose fan-in increases;
+// DCQCN's utilization collapses while BFC stays near full utilization.
 func Fig08Jobs(scale Scale) []harness.Job {
 	fanIns := scale.sweep([]int{10, 50, 100, 200, 400, 800})
 	grid := harness.Grid{
@@ -605,26 +607,14 @@ func Fig08Jobs(scale Scale) []harness.Job {
 func Fig08FromRecords(recs []*harness.Record) []FanInRow {
 	rows := make([]FanInRow, 0, len(recs))
 	for _, rec := range recs {
-		fanIn, err := strconv.Atoi(rec.Meta["fanin"])
-		if err != nil {
-			panic(fmt.Sprintf("experiments: record %q has no fan-in: %v", rec.Name, err))
-		}
 		rows = append(rows, FanInRow{
 			Scheme:      rec.Scheme,
-			FanIn:       fanIn,
+			FanIn:       metaInt(rec, "fanin"),
 			Utilization: rec.Result.ReceiverUtilization,
 			BufferP99:   units.Bytes(rec.Result.BufferOccupancy.Percentile(99)),
 		})
 	}
 	return rows
-}
-
-// Fig08IncastFanIn reproduces Fig 8: long-lived flows to every receiver plus
-// a periodic 20 MB incast whose fan-in increases; DCQCN's utilization
-// collapses while BFC stays near full utilization. The grid points are
-// sharded across all cores.
-func Fig08IncastFanIn(scale Scale) []FanInRow {
-	return Fig08FromRecords(harness.MustRun(Fig08Jobs(scale)))
 }
 
 // ---------------------------------------------------------------------------
@@ -637,7 +627,9 @@ type CrossDCRow struct {
 	InterP99 float64
 }
 
-// Fig09Jobs declares one job per scheme for the cross-DC experiment. The
+// Fig09Jobs declares one job per scheme for the cross-DC experiment: two data
+// centers joined by a 100 Gbps link with 200 us one-way delay, FB_Hadoop
+// traffic with 20% inter-DC flows. The
 // intra/inter split needs the completed flow list, so it is computed
 // in-worker by each job's Extract hook and carried in Record.Extra.
 func Fig09Jobs(scale Scale) []harness.Job {
@@ -735,12 +727,6 @@ func Fig09FromRecords(recs []*harness.Record) []CrossDCRow {
 	return rows
 }
 
-// Fig09CrossDC reproduces Fig 9: two data centers joined by a 100 Gbps link
-// with 200 us one-way delay, FB_Hadoop traffic with 20% inter-DC flows.
-func Fig09CrossDC(scale Scale) []CrossDCRow {
-	return Fig09FromRecords(harness.MustRun(Fig09Jobs(scale)))
-}
-
 // ---------------------------------------------------------------------------
 // Figure 10: physical-queue buffering vs concurrent flows.
 
@@ -752,37 +738,54 @@ type BufferOptRow struct {
 	TwoHopBDP       units.Bytes
 }
 
-// Fig10BufferOptimization reproduces Fig 10: concurrent long-lived flows to a
-// single receiver; BFC's resume throttling keeps the shared physical queue
-// near two hop-BDPs while BFC-BufferOpt (resume-all) grows linearly. As in
-// the paper the senders sit behind a two-tier fabric, so the bottleneck ToR's
-// upstream (the spines) paces resumed flows rather than the NICs bursting
-// directly into the measured queue.
-func Fig10BufferOptimization(scale Scale) []BufferOptRow {
-	counts := scale.sweep([]int{8, 32, 64, 128, 256})
-	var rows []BufferOptRow
-	for _, count := range counts {
-		for _, resumeAll := range []bool{false, true} {
-			topo := scale.closT2()
-			hosts := topo.Hosts()
-			rng := rand.New(rand.NewSource(23))
-			flows := workload.LongLivedFlows(rng, hosts, hosts[0], count, 1)
-			label := "BFC"
-			if resumeAll {
-				label = "BFC-BufferOpt"
-			}
-			res := runScheme(scale, sim.SchemeBFC, topo, flows, func(o *sim.Options) {
-				o.ResumeAll = resumeAll
-				o.Drain = 0
-			})
-			hopRTT := 2 * (1*units.Microsecond + units.SerializationTime(1048, 100*units.Gbps))
-			rows = append(rows, BufferOptRow{
-				Scheme:          label,
-				ConcurrentFlows: count,
-				QueueP99:        res.MaxPhysicalQueueBytes,
-				TwoHopBDP:       2 * units.BDP(100*units.Gbps, hopRTT),
-			})
-		}
+// Fig10Jobs declares Fig 10: concurrent long-lived flows to a single
+// receiver; BFC's resume throttling keeps the shared physical queue near two
+// hop-BDPs while BFC-BufferOpt (resume-all) grows linearly. As in the paper
+// the senders sit behind a two-tier fabric, so the bottleneck ToR's upstream
+// (the spines) paces resumed flows rather than the NICs bursting directly
+// into the measured queue.
+//
+// The drain is sim's default 2 ms at every scale, not the scale's: the figure
+// used to set Drain = 0 meaning "long-lived flows need no drain", which
+// Options.Validate reads as "use the default", so 2 ms is what its rows have
+// always been measured with.
+func Fig10Jobs(scale Scale) []harness.Job {
+	grid := harness.Grid{
+		Base: harness.Job{
+			Name:     scale.Name + "/fig10",
+			Meta:     map[string]string{"fig": "fig10", "scale": scale.Name},
+			Topology: scale.closT2,
+			Options: []func(*sim.Options){scale.applyOptions, pinDefaultSeed, func(o *sim.Options) {
+				o.Drain = 2 * units.Millisecond
+			}},
+		},
+		Axes: []harness.Axis{
+			harness.IntAxis("flows", scale.sweep([]int{8, 32, 64, 128, 256}), func(j *harness.Job, count int) {
+				j.Flows = func(topo *topology.Topology) []*packet.Flow {
+					hosts := topo.Hosts()
+					return workload.LongLivedFlows(rand.New(rand.NewSource(23)), hosts, hosts[0], count, 1)
+				}
+			}),
+			{Name: "resume", Values: []harness.Value{
+				variant("BFC", sim.SchemeBFC, func(o *sim.Options) { o.ResumeAll = false }),
+				variant("BFC-BufferOpt", sim.SchemeBFC, func(o *sim.Options) { o.ResumeAll = true }),
+			}},
+		},
+	}
+	return grid.Jobs()
+}
+
+// Fig10FromRecords assembles the queue-depth rows from harness records.
+func Fig10FromRecords(recs []*harness.Record) []BufferOptRow {
+	hopRTT := 2 * (1*units.Microsecond + units.SerializationTime(1048, 100*units.Gbps))
+	rows := make([]BufferOptRow, 0, len(recs))
+	for _, rec := range recs {
+		rows = append(rows, BufferOptRow{
+			Scheme:          rec.Meta["resume"],
+			ConcurrentFlows: metaInt(rec, "flows"),
+			QueueP99:        rec.Result.MaxPhysicalQueueBytes,
+			TwoHopBDP:       2 * units.BDP(100*units.Gbps, hopRTT),
+		})
 	}
 	return rows
 }
@@ -797,21 +800,32 @@ type Fig11Result struct {
 	OccupiedQueuesP99 map[string]float64
 }
 
-// Fig11HighPriorityQueue reproduces Fig 11 on a high-load Google workload.
-func Fig11HighPriorityQueue(scale Scale) *Fig11Result {
-	topo := scale.clos()
-	flows := scale.backgroundTrace(topo, workload.Google(), 0.80, true, 29)
+// Fig11Jobs declares Fig 11 on a high-load Google workload: BFC with and
+// without the high-priority queue.
+func Fig11Jobs(scale Scale) []harness.Job {
+	grid := harness.Grid{
+		Base: harness.Job{
+			Name:     scale.Name + "/fig11",
+			Meta:     map[string]string{"fig": "fig11", "scale": scale.Name},
+			Topology: scale.clos,
+			Flows:    scale.background(workload.Google(), 0.80, true, 29),
+			Options:  []func(*sim.Options){scale.applyOptions, pinDefaultSeed},
+		},
+		Axes: []harness.Axis{{Name: "variant", Values: []harness.Value{
+			variant("BFC", sim.SchemeBFC, func(o *sim.Options) { o.HighPriorityQueue = true }),
+			variant("BFC-HighPriorityQ", sim.SchemeBFC, func(o *sim.Options) { o.HighPriorityQueue = false }),
+		}}},
+	}
+	return grid.Jobs()
+}
+
+// Fig11FromRecords assembles the ablation from harness records.
+func Fig11FromRecords(recs []*harness.Record) *Fig11Result {
 	out := &Fig11Result{OccupiedQueuesP99: map[string]float64{}}
-	for _, hiPrio := range []bool{true, false} {
-		label := "BFC"
-		if !hiPrio {
-			label = "BFC-HighPriorityQ"
-		}
-		res := runScheme(scale, sim.SchemeBFC, topo, flows, func(o *sim.Options) {
-			o.HighPriorityQueue = hiPrio
-		})
-		out.Series = append(out.Series, seriesFromResult(label, res))
-		out.OccupiedQueuesP99[label] = res.OccupiedQueues.Percentile(99)
+	for _, rec := range recs {
+		label := rec.Meta["variant"]
+		out.Series = append(out.Series, seriesFromResult(label, rec.Result))
+		out.OccupiedQueuesP99[label] = rec.Result.OccupiedQueues.Percentile(99)
 	}
 	return out
 }
@@ -826,42 +840,6 @@ type SensitivityRow struct {
 	// CollisionFraction (Fig 12a, 13a) and OverflowFraction (Fig 13a).
 	CollisionFraction float64
 	OverflowFraction  float64
-}
-
-// Fig12NumPhysicalQueuesJobs declares the Fig 12 sweep grid.
-func Fig12NumPhysicalQueuesJobs(scale Scale) []harness.Job {
-	return sensitivityJobs(scale, "fig12", scale.sweep([]int{8, 16, 32, 64, 128}), func(o *sim.Options, v int) {
-		o.NumQueues = v
-	})
-}
-
-// Fig12NumPhysicalQueues sweeps the number of physical queues per port.
-func Fig12NumPhysicalQueues(scale Scale) []SensitivityRow {
-	return SensitivityFromRecords(harness.MustRun(Fig12NumPhysicalQueuesJobs(scale)))
-}
-
-// Fig13NumVFIDsJobs declares the Fig 13 sweep grid.
-func Fig13NumVFIDsJobs(scale Scale) []harness.Job {
-	return sensitivityJobs(scale, "fig13", scale.sweep([]int{1024, 4096, 16384, 65536}), func(o *sim.Options, v int) {
-		o.NumVFIDs = v
-	})
-}
-
-// Fig13NumVFIDs sweeps the VFID table size.
-func Fig13NumVFIDs(scale Scale) []SensitivityRow {
-	return SensitivityFromRecords(harness.MustRun(Fig13NumVFIDsJobs(scale)))
-}
-
-// Fig14BloomFilterSizeJobs declares the Fig 14 sweep grid.
-func Fig14BloomFilterSizeJobs(scale Scale) []harness.Job {
-	return sensitivityJobs(scale, "fig14", scale.sweep([]int{16, 32, 64, 128}), func(o *sim.Options, v int) {
-		o.BloomBytes = v
-	})
-}
-
-// Fig14BloomFilterSize sweeps the pause-frame bloom filter size in bytes.
-func Fig14BloomFilterSize(scale Scale) []SensitivityRow {
-	return SensitivityFromRecords(harness.MustRun(Fig14BloomFilterSizeJobs(scale)))
 }
 
 // ---------------------------------------------------------------------------
@@ -905,20 +883,27 @@ type Fig15Row struct {
 // Fig15Jobs declares one harness job per scheme, all seeing identical
 // traffic and the identical fail/recover scenario.
 func Fig15Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
+	spec := ScenarioLinkFailRecover(scale)
+	return scale.scenarioGrid(scale.Name+"/fig15",
+		map[string]string{"fig": "fig15", "scale": scale.Name, "scenario": spec.Name},
+		harness.DeriveSeed("fig15", scale.Name, "workload"), spec, schemes)
+}
+
+// scenarioGrid compiles one job per scheme running spec on the scale's Clos
+// under the standard Fig 5a background workload (Google at 60% + 5% incast):
+// every scheme (the paper's six when schemes is nil) sees identical traffic
+// and identical injected events.
+func (s Scale) scenarioGrid(name string, meta map[string]string, seed int64, spec *scenario.Spec, schemes []sim.Scheme) []harness.Job {
 	if schemes == nil {
 		schemes = sim.AllSchemes()
 	}
-	seed := harness.DeriveSeed("fig15", scale.Name, "workload")
-	spec := ScenarioLinkFailRecover(scale)
 	grid := harness.Grid{
 		Base: harness.Job{
-			Name:     scale.Name + "/fig15",
-			Meta:     map[string]string{"fig": "fig15", "scale": scale.Name, "scenario": spec.Name},
-			Topology: scale.clos,
-			Flows: func(topo *topology.Topology) []*packet.Flow {
-				return scale.backgroundTrace(topo, workload.Google(), 0.60, true, seed)
-			},
-			Options: []func(*sim.Options){scale.applyOptions, func(o *sim.Options) {
+			Name:     name,
+			Meta:     meta,
+			Topology: s.clos,
+			Flows:    s.background(workload.Google(), 0.60, true, seed),
+			Options: []func(*sim.Options){s.applyOptions, func(o *sim.Options) {
 				o.Scenario = spec
 			}},
 		},
@@ -948,12 +933,6 @@ func Fig15FromRecords(recs []*harness.Record) []Fig15Row {
 		})
 	}
 	return rows
-}
-
-// Fig15ScenarioRobustness runs the fail/recover comparison for all six
-// schemes, sharding the grid across all cores.
-func Fig15ScenarioRobustness(scale Scale) []Fig15Row {
-	return Fig15FromRecords(harness.MustRun(Fig15Jobs(scale, nil)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1040,9 +1019,7 @@ func Fig16Jobs(scale Scale, hostCounts []int, schemes []sim.Scheme) []harness.Jo
 				cfg := topology.FatTreeForHosts(n, 100*units.Gbps, units.Microsecond)
 				seed := harness.DeriveSeed("fig16", scale.Name, "workload", strconv.Itoa(n))
 				j.Topology = func() *topology.Topology { return topology.NewFatTree(cfg) }
-				j.Flows = func(topo *topology.Topology) []*packet.Flow {
-					return scale.backgroundTrace(topo, workload.Google(), 0.60, false, seed)
-				}
+				j.Flows = scale.background(workload.Google(), 0.60, false, seed)
 			}),
 			harness.SchemeAxis(schemes),
 		},
@@ -1054,16 +1031,12 @@ func Fig16Jobs(scale Scale, hostCounts []int, schemes []sim.Scheme) []harness.Jo
 func Fig16FromRecords(recs []*harness.Record) []Fig16Row {
 	rows := make([]Fig16Row, 0, len(recs))
 	for _, rec := range recs {
-		hosts, err := strconv.Atoi(rec.Meta["hosts"])
-		if err != nil {
-			panic(fmt.Sprintf("experiments: record %q has no host count: %v", rec.Name, err))
-		}
+		hosts := metaInt(rec, "hosts")
 		res := rec.Result
-		blob, err := json.Marshal(res)
+		digest, err := sim.ResultDigest(res)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: record %q: marshal: %v", rec.Name, err))
+			panic(fmt.Sprintf("experiments: record %q: %v", rec.Name, err))
 		}
-		sum := sha256.Sum256(blob)
 		rows = append(rows, Fig16Row{
 			Scheme:       rec.Scheme,
 			Hosts:        hosts,
@@ -1075,7 +1048,7 @@ func Fig16FromRecords(recs []*harness.Record) []Fig16Row {
 			Events:       res.Events,
 			Completed:    res.FlowsCompleted,
 			Offered:      res.FlowsTotal,
-			Digest:       hex.EncodeToString(sum[:]),
+			Digest:       digest,
 		})
 	}
 	return rows
@@ -1088,47 +1061,12 @@ func fig16Switches(hosts int) int {
 	return cfg.Pods*(cfg.EdgePerPod+cfg.AggPerPod) + cfg.NumCore()
 }
 
-// Fig16ScaleSweep runs the fat-tree scale sweep for all six schemes, sharding
-// the grid across all cores.
-func Fig16ScaleSweep(scale Scale) []Fig16Row {
-	return Fig16FromRecords(harness.MustRun(Fig16Jobs(scale, nil, nil)))
-}
-
-// sensitivityJobs declares a BFC resource sweep (Figs 12-14): the same
-// high-load Google workload at every sweep point, one job per parameter
-// value.
-func sensitivityJobs(scale Scale, fig string, values []int, apply func(*sim.Options, int)) []harness.Job {
-	seed := harness.DeriveSeed(fig, scale.Name, "workload")
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     scale.Name + "/" + fig,
-			Scheme:   sim.SchemeBFC,
-			Meta:     map[string]string{"fig": fig, "scale": scale.Name, "scheme": sim.SchemeBFC.String()},
-			Topology: scale.clos,
-			Flows: func(topo *topology.Topology) []*packet.Flow {
-				return scale.backgroundTrace(topo, workload.Google(), 0.60, true, seed)
-			},
-			Options: []func(*sim.Options){scale.applyOptions},
-		},
-		Axes: []harness.Axis{
-			harness.IntAxis("param", values, func(j *harness.Job, v int) {
-				j.Options = append(j.Options, func(o *sim.Options) { apply(o, v) })
-			}),
-		},
-	}
-	return grid.Jobs()
-}
-
 // SensitivityFromRecords assembles resource-sweep rows from harness records.
 func SensitivityFromRecords(recs []*harness.Record) []SensitivityRow {
 	rows := make([]SensitivityRow, 0, len(recs))
 	for _, rec := range recs {
-		v, err := strconv.Atoi(rec.Meta["param"])
-		if err != nil {
-			panic(fmt.Sprintf("experiments: record %q has no sweep parameter: %v", rec.Name, err))
-		}
 		rows = append(rows, SensitivityRow{
-			Parameter:         v,
+			Parameter:         metaInt(rec, "param"),
 			Series:            seriesFromResult(rec.Meta["param"], rec.Result),
 			CollisionFraction: rec.Result.CollisionFraction(),
 			OverflowFraction:  rec.Result.OverflowFraction(),

@@ -68,7 +68,7 @@ func TestFig04WorkloadCDF(t *testing.T) {
 func TestFig05TinyRun(t *testing.T) {
 	// Exercise the headline experiment end to end at tiny scale with two
 	// schemes; BFC should not be worse than DCQCN at the tail.
-	res := Fig05(Tiny(), Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})
+	res := Fig05FromRecords(harness.MustRun(Fig05Jobs(Tiny(), Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
 	if len(res.Series) != 2 {
 		t.Fatalf("got %d series", len(res.Series))
 	}
@@ -91,7 +91,7 @@ func TestFig05TinyRun(t *testing.T) {
 	if !strings.Contains(table, "BFC") || !strings.Contains(table, "DCQCN") {
 		t.Fatal("formatted table missing schemes")
 	}
-	if res.BufferP99["BFC"] < 0 {
+	if res.Raw["BFC"].BufferOccupancy.Percentile(99) < 0 {
 		t.Fatal("missing buffer stats")
 	}
 }
@@ -110,7 +110,7 @@ func TestFig05ParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Fig05FromRecords(Fig05aGoogleIncast, recs)
+		res := Fig05FromRecords(recs)
 		return b, FormatSeries("fig5a", res.Series)
 	}
 	serialRecs, serialRows := run(1)
@@ -120,6 +120,81 @@ func TestFig05ParallelMatchesSerial(t *testing.T) {
 	}
 	if serialRows != parallelRows {
 		t.Fatalf("parallel rows differ from serial rows:\n%s\nvs\n%s", parallelRows, serialRows)
+	}
+}
+
+// TestFig02BufferGrowsWithLinkSpeed is a scoreboard row: without PFC, DCQCN
+// holds less of the buffer under control as links get faster (Fig 2). It runs
+// at reduced scale because the ordering does not hold at tiny — 8 hosts for
+// 150 us offer too little traffic for the 100 Gbps fabric to build a queue —
+// and the sizing run read p99 = 100 KB at 10 Gbps against 1.26 MB at 100 Gbps.
+func TestFig02BufferGrowsWithLinkSpeed(t *testing.T) {
+	rows := Fig02FromRecords(harness.MustRun(Fig02Jobs(Reduced())))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
+	}
+	slow, fast := rows[0], rows[len(rows)-1]
+	if slow.LinkRate != 10*units.Gbps || fast.LinkRate != 100*units.Gbps {
+		t.Fatalf("rows not ordered by link rate: %v ... %v", slow.LinkRate, fast.LinkRate)
+	}
+	if fast.P99 < 4*slow.P99 {
+		t.Fatalf("p99 buffer at %v = %v, want at least 4x the %v at %v", fast.LinkRate, fast.P99, slow.P99, slow.LinkRate)
+	}
+}
+
+// TestFig07TinyOrderings is a scoreboard row for Fig 7: static queue
+// assignment collides where dynamic assignment does not, and SFQ over 32
+// queues has the worse tail even with infinite buffering. The sizing run read
+// collision fractions 0.00075 vs 0 and overall p99 slowdowns 2.36 vs 1.62.
+func TestFig07TinyOrderings(t *testing.T) {
+	res := Fig07FromRecords(harness.MustRun(Fig07Jobs(Tiny())))
+	if len(res.Series) != 3 || len(res.CollisionFraction) != 2 {
+		t.Fatalf("got %d series and %d collision fractions, want 3 and 2", len(res.Series), len(res.CollisionFraction))
+	}
+	if static, dynamic := res.CollisionFraction["BFC-VFID"], res.CollisionFraction["BFC"]; static <= dynamic {
+		t.Fatalf("collision fraction BFC-VFID %.5f should exceed BFC %.5f", static, dynamic)
+	}
+	p99 := map[string]float64{}
+	for _, s := range res.Series {
+		p99[s.Label] = s.Overall
+	}
+	if p99["SFQ+InfBuffer"] < 1.2*p99["BFC"] {
+		t.Fatalf("SFQ+InfBuffer p99 slowdown %.2f should be well above BFC %.2f", p99["SFQ+InfBuffer"], p99["BFC"])
+	}
+}
+
+// TestMigratedFigureResumes checks the reach the harness gives the figures
+// that used to simulate directly: Fig 3 persists one artifact per job, a
+// resumed run executes nothing, and the figure prints the same from the
+// stored records as from the live ones.
+func TestMigratedFigureResumes(t *testing.T) {
+	store, err := harness.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, _ := FigureByKey("fig03")
+	jobs := fig.Jobs(Tiny(), nil)
+	render := func(r *harness.Runner) string {
+		recs, err := r.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		fig.Render(&sb, recs)
+		return sb.String()
+	}
+	first := &harness.Runner{Store: store}
+	live := render(first)
+	if first.Executed != len(jobs) {
+		t.Fatalf("first run executed %d of %d jobs", first.Executed, len(jobs))
+	}
+	resumed := &harness.Runner{Store: store, Resume: true}
+	stored := render(resumed)
+	if resumed.Executed != 0 || resumed.Skipped != len(jobs) {
+		t.Fatalf("resume executed/skipped = %d/%d, want 0/%d", resumed.Executed, resumed.Skipped, len(jobs))
+	}
+	if live != stored {
+		t.Fatalf("figure rendered from stored records differs:\n%s\nvs\n%s", stored, live)
 	}
 }
 
@@ -165,7 +240,7 @@ func TestFig09ExtractSurvivesResume(t *testing.T) {
 func TestFig10TinyRun(t *testing.T) {
 	scale := Tiny()
 	scale.Duration = 300 * units.Microsecond
-	rows := Fig10BufferOptimization(scale)
+	rows := Fig10FromRecords(harness.MustRun(Fig10Jobs(scale)))
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -196,7 +271,8 @@ func TestFig10TinyRun(t *testing.T) {
 }
 
 func TestFig12TinySweep(t *testing.T) {
-	rows := Fig12NumPhysicalQueues(Tiny())
+	fig12, _ := FigureByKey("fig12")
+	rows := SensitivityFromRecords(harness.MustRun(fig12.Jobs(Tiny(), nil)))
 	if len(rows) < 2 {
 		t.Fatalf("sweep produced %d points", len(rows))
 	}

@@ -5,8 +5,8 @@ package experiments
 // per-run flight recorder captures the control-plane events (pauses, queue
 // assignments, drops) while the series sampler captures the data-plane
 // time-series (goodput, buffer occupancy, pause fractions) — and renders both
-// as a table plus exportable traces. It is the observability analogue of
-// Fig 6: instead of scalar pause-time totals, the full trajectory.
+// as a table. It is the observability analogue of Fig 6: instead of scalar
+// pause-time totals, the full trajectory.
 
 import (
 	"fmt"
@@ -16,6 +16,7 @@ import (
 	"bfc/internal/packet"
 	"bfc/internal/sim"
 	"bfc/internal/telemetry"
+	"bfc/internal/topology"
 	"bfc/internal/units"
 	"bfc/internal/workload"
 )
@@ -26,18 +27,14 @@ type Fig17Row struct {
 	// Series is the run's sampled time-series bundle (goodput, utilization,
 	// pause fractions, per-switch occupancy).
 	Series *telemetry.RunSeries
-	// Events is the chronological flight-recorder trace.
-	Events []telemetry.Event
-	// EventsSeen counts events observed (>= len(Events) if the ring wrapped).
+	// EventsSeen counts the events the flight recorder observed.
 	EventsSeen uint64
-	// Trace renders Events as a Chrome trace_event file for this run.
-	Trace telemetry.TraceConfig
 	// PeakBuffer is the maximum shared-buffer occupancy across switches.
 	PeakBuffer units.Bytes
 	// PeakPauseFraction is the worst per-link-class pause fraction sampled in
 	// any tick.
 	PeakPauseFraction float64
-	// PauseEvents counts PFC + BFC pause edges the recorder saw.
+	// PauseEvents counts PFC + BFC pause edges the recorder retained.
 	PauseEvents int
 	// QueueAssignments counts BFC dynamic queue assignments (0 for others).
 	QueueAssignments int
@@ -48,64 +45,104 @@ type Fig17Row struct {
 	P99 float64
 }
 
-// Fig17Dynamics runs the incast workload under each scheme with the flight
-// recorder and series sampler enabled. Schemes defaults to BFC and the two
-// PFC-backstopped baselines. The runs execute directly (not through the
-// harness): each needs its live ring and series, not a persisted record.
-func Fig17Dynamics(scale Scale, schemes []sim.Scheme) []Fig17Row {
+// fig17RingCapacity sizes the flight-recorder ring of a Fig 17 job (the table
+// entry's TraceRing).
+const fig17RingCapacity = 1 << 17
+
+// Fig17Jobs declares one job per scheme on the Fig 5a-shaped incast workload
+// with the series sampler on. Schemes defaults to BFC and the two
+// PFC-backstopped baselines. The sampled series travel in the Result; the
+// flight recorder's ring does not, so each job records into a ring of its
+// own and its Extract hook condenses it, in-worker, into the event counts the
+// figure prints. Extract reads the ring back from the run's options, so a
+// caller that wants the raw events as well (cmd/experiments -trace-dir, a
+// traced service suite) appends a mutator that swaps in a ring it holds; the
+// counts cover the ring's retained window, which is every event unless the
+// ring wrapped.
+func Fig17Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
 	if schemes == nil {
 		schemes = []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN, sim.SchemeHPCC}
 	}
-	topo := scale.clos()
 	seed := harness.DeriveSeed("fig17", scale.Name, "workload")
-	flows := scale.backgroundTrace(topo, workload.Google(), 0.60, true, seed)
-
-	nodeName := func(id packet.NodeID) string { return topo.Node(id).Name }
-	rows := make([]Fig17Row, 0, len(schemes))
-	for _, scheme := range schemes {
-		ring := telemetry.NewRing(1 << 17)
-		res := runScheme(scale, scheme, topo, flows, func(o *sim.Options) {
-			o.Recorder = ring
-			o.SampleSeries = true
-		})
-		row := Fig17Row{
-			Scheme:     scheme.String(),
-			Series:     res.Telemetry,
-			Events:     ring.Events(),
-			EventsSeen: ring.Seen(),
-			Trace: telemetry.TraceConfig{
-				RunName:  fmt.Sprintf("fig17/%s/%s", scale.Name, scheme),
-				NodeName: nodeName,
-			},
-			P99: res.FCT.OverallPercentile(99),
-		}
-		for _, ev := range row.Events {
-			switch ev.Kind {
-			case telemetry.KindPFCPause, telemetry.KindBFCPause:
-				row.PauseEvents++
-			case telemetry.KindQueueAssign:
-				row.QueueAssignments++
-			case telemetry.KindDrop:
-				row.Drops++
-			}
-		}
-		if row.Series != nil {
-			for _, s := range row.Series.Series {
-				switch {
-				case strings.HasPrefix(s.Name, "switch/") && strings.HasSuffix(s.Name, "/buffer_bytes"):
-					if b := units.Bytes(s.Max()); b > row.PeakBuffer {
-						row.PeakBuffer = b
-					}
-				case strings.HasPrefix(s.Name, "links/") && strings.HasSuffix(s.Name, "/pause_fraction"):
-					if m := s.Max(); m > row.PeakPauseFraction {
-						row.PeakPauseFraction = m
+	grid := harness.Grid{
+		Base: harness.Job{
+			Name:     scale.Name + "/fig17",
+			Meta:     map[string]string{"fig": "fig17", "scale": scale.Name},
+			Topology: scale.clos,
+			Flows:    scale.background(workload.Google(), 0.60, true, seed),
+			Options: []func(*sim.Options){scale.applyOptions, pinDefaultSeed, func(o *sim.Options) {
+				o.SampleSeries = true
+				o.Recorder = telemetry.NewRing(fig17RingCapacity)
+			}},
+			Extract: func(_ *topology.Topology, opts *sim.Options, _ []*packet.Flow, _ *sim.Result) map[string]float64 {
+				ring, ok := opts.Recorder.(*telemetry.Ring)
+				if !ok {
+					panic("experiments: fig17 needs a *telemetry.Ring recorder")
+				}
+				var pauses, assigns, drops float64
+				for _, ev := range ring.Events() {
+					switch ev.Kind {
+					case telemetry.KindPFCPause, telemetry.KindBFCPause:
+						pauses++
+					case telemetry.KindQueueAssign:
+						assigns++
+					case telemetry.KindDrop:
+						drops++
 					}
 				}
-			}
+				return map[string]float64{
+					"events_seen":   float64(ring.Seen()),
+					"pause_events":  pauses,
+					"queue_assigns": assigns,
+					"drops":         drops,
+				}
+			},
+		},
+		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
+	}
+	return grid.Jobs()
+}
+
+// Fig17FromRecords assembles the trajectories from harness records.
+func Fig17FromRecords(recs []*harness.Record) []Fig17Row {
+	rows := make([]Fig17Row, 0, len(recs))
+	for _, rec := range recs {
+		if _, ok := rec.Extra["events_seen"]; !ok {
+			panic(fmt.Sprintf("experiments: record %q lacks the flight-recorder counts", rec.Name))
+		}
+		row := Fig17Row{
+			Scheme:           rec.Scheme,
+			Series:           rec.Result.Telemetry,
+			EventsSeen:       uint64(rec.Extra["events_seen"]),
+			PauseEvents:      int(rec.Extra["pause_events"]),
+			QueueAssignments: int(rec.Extra["queue_assigns"]),
+			Drops:            int(rec.Extra["drops"]),
+			P99:              rec.Result.FCT.OverallPercentile(99),
+		}
+		buffers, pauses := fig17Series(row.Series)
+		for _, s := range buffers {
+			row.PeakBuffer = max(row.PeakBuffer, units.Bytes(s.Max()))
+		}
+		for _, s := range pauses {
+			row.PeakPauseFraction = max(row.PeakPauseFraction, s.Max())
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// fig17Series picks out the per-switch buffer-occupancy and per-link-class
+// pause-fraction series of a run.
+func fig17Series(rs *telemetry.RunSeries) (buffers, pauses []*telemetry.Series) {
+	for _, s := range rs.Series {
+		switch {
+		case strings.HasPrefix(s.Name, "switch/") && strings.HasSuffix(s.Name, "/buffer_bytes"):
+			buffers = append(buffers, s)
+		case strings.HasPrefix(s.Name, "links/") && strings.HasSuffix(s.Name, "/pause_fraction"):
+			pauses = append(pauses, s)
+		}
+	}
+	return buffers, pauses
 }
 
 // Fig17Timeline condenses one row's trajectory to n evenly spaced points of
@@ -115,18 +152,10 @@ func Fig17Timeline(row Fig17Row, n int) []Fig17TimelinePoint {
 	if row.Series == nil || n <= 0 {
 		return nil
 	}
-	var buffers, pauses []*telemetry.Series
+	buffers, pauses := fig17Series(row.Series)
 	maxLen := 0
 	for _, s := range row.Series.Series {
-		switch {
-		case strings.HasPrefix(s.Name, "switch/") && strings.HasSuffix(s.Name, "/buffer_bytes"):
-			buffers = append(buffers, s)
-		case strings.HasPrefix(s.Name, "links/") && strings.HasSuffix(s.Name, "/pause_fraction"):
-			pauses = append(pauses, s)
-		}
-		if len(s.Samples) > maxLen {
-			maxLen = len(s.Samples)
-		}
+		maxLen = max(maxLen, len(s.Samples))
 	}
 	if maxLen == 0 {
 		return nil

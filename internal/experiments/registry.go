@@ -4,25 +4,27 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
 	"bfc/internal/harness"
-	"bfc/internal/packet"
 	"bfc/internal/scenario"
 	"bfc/internal/sim"
-	"bfc/internal/topology"
+	"bfc/internal/units"
 	"bfc/internal/workload"
 )
 
-// GridFigure is one registry entry: a named, grid-shaped experiment whose
-// jobs can be compiled from (scale, schemes) alone. The registry exists so
-// that servers — the service tier's bfcd in particular — can turn a wire-form
-// request like "fig05a@reduced, schemes BFC,DCQCN" into harness jobs without
-// importing any cmd package, and so that completed artifacts keep the same
+// Figure is one entry of the figure table: the only place a figure's key,
+// description, job grid and renderer are declared. cmd/experiments lists,
+// runs and prints figures from it; the service tier's bfcd turns a wire-form
+// request like "fig05a@reduced, schemes BFC,DCQCN" into harness jobs through
+// it without importing any cmd package, so completed artifacts keep the same
 // names and content hashes no matter which entry point produced them.
-type GridFigure struct {
-	// Key is the registry name ("fig05a", ..., "fig16").
+type Figure struct {
+	// Key is the registry name ("fig01", "fig05a", ..., "fig17").
 	Key string
 	// Desc is a one-line human description.
 	Desc string
@@ -31,83 +33,270 @@ type GridFigure struct {
 	// reject an explicit scheme selection rather than silently ignoring it.
 	SchemesSelectable bool
 	// Jobs compiles the figure's grid. schemes is ignored (and must be nil)
-	// unless SchemesSelectable; nil selects each figure's default set.
+	// unless SchemesSelectable; nil selects each figure's default set. Jobs
+	// is nil for the figures that are static data (1 and 4).
 	Jobs func(scale Scale, schemes []sim.Scheme) []harness.Job
+	// Render prints the figure from the records of its jobs, in job order
+	// (none for a figure without jobs), and from nothing else: a figure
+	// prints the same from a fresh run, a resumed -out directory or a served
+	// suite.
+	Render func(w io.Writer, recs []*harness.Record)
+	// TraceRing, when positive, says every job records into a flight-recorder
+	// ring of that capacity (see Fig17Jobs), which a caller may swap for its
+	// own to export the run's raw events.
+	TraceRing int
 }
 
-// gridFigures is ordered as the paper presents the figures.
-var gridFigures = []GridFigure{
+// Token is the figure's short name on the cmd/experiments command line
+// ("5a" for fig05a, "17" for fig17).
+func (f Figure) Token() string { return figureToken(f.Key) }
+
+func figureToken(key string) string {
+	key = strings.ToLower(strings.TrimSpace(key))
+	return strings.TrimLeft(strings.TrimPrefix(key, "fig"), "0")
+}
+
+// fixedSchemes adapts the Jobs function of a figure whose scheme set is the
+// paper's to the table's signature.
+func fixedSchemes(jobs func(Scale) []harness.Job) func(Scale, []sim.Scheme) []harness.Job {
+	return func(scale Scale, _ []sim.Scheme) []harness.Job { return jobs(scale) }
+}
+
+// fig05Panel is the entry of one Fig 5 panel.
+func fig05Panel(variant Fig05Variant, desc string) Figure {
+	f := Figure{
+		Key: fig05Panels[variant].key, Desc: desc, SchemesSelectable: true,
+		Jobs: func(scale Scale, schemes []sim.Scheme) []harness.Job {
+			return Fig05Jobs(scale, variant, schemes)
+		},
+	}
+	title := "## Fig " + f.Token() + ": p99 FCT slowdown by flow size"
+	f.Render = func(w io.Writer, recs []*harness.Record) {
+		fmt.Fprint(w, FormatSeries(title, Fig05FromRecords(recs).Series))
+	}
+	return f
+}
+
+// sensitivityFigure is the entry of one BFC resource sweep (Figs 12-14): the
+// same high-load Google workload at every value of one option, which apply
+// sets, one job per value; row prints one sweep point.
+func sensitivityFigure(key, desc, title string, values []int, apply func(*sim.Options, int), row func(io.Writer, SensitivityRow)) Figure {
+	return Figure{
+		Key: key, Desc: desc,
+		Jobs: func(scale Scale, _ []sim.Scheme) []harness.Job {
+			base := scale.singleSchemeJob(key, sim.SchemeBFC)
+			base.Topology = scale.clos
+			base.Flows = scale.background(workload.Google(), 0.60, true, harness.DeriveSeed(key, scale.Name, "workload"))
+			grid := harness.Grid{
+				Base: base,
+				Axes: []harness.Axis{harness.IntAxis("param", scale.sweep(values), func(j *harness.Job, v int) {
+					j.Options = append(j.Options, func(o *sim.Options) { apply(o, v) })
+				})},
+			}
+			return grid.Jobs()
+		},
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, title)
+			for _, r := range SensitivityFromRecords(recs) {
+				row(w, r)
+			}
+		},
+	}
+}
+
+// figures is ordered as the paper presents the figures.
+var figures = []Figure{
 	{
-		Key: "fig05a", Desc: "headline p99 FCT slowdown, Google traffic at 60% + 5% incast",
+		Key: "fig01", Desc: "switch hardware trend table (static data)",
+		Render: func(w io.Writer, _ []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 1: switch hardware trend")
+			for _, r := range Fig01HardwareTrend() {
+				fmt.Fprintf(w, "  %-10s %d  %5.2f Tbps  %5.1f MB  %6.1f us buffer/capacity\n",
+					r.Chip, r.Year, r.CapacityTbps, r.BufferMB, r.BufferOverCapU)
+			}
+		},
+	},
+	{
+		Key: "fig02", Desc: "DCQCN (no PFC) buffer occupancy vs link speed",
+		Jobs: fixedSchemes(Fig02Jobs),
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 2: DCQCN (no PFC) buffer occupancy vs link speed")
+			for _, r := range Fig02FromRecords(recs) {
+				fmt.Fprintf(w, "  %-8v p50=%-10v p90=%-10v p99=%-10v max=%v\n", r.LinkRate, r.P50, r.P90, r.P99, r.Max)
+			}
+		},
+	},
+	{
+		Key: "fig03", Desc: "DCQCN p99 FCT slowdown vs buffer/capacity ratio",
+		Jobs: fixedSchemes(Fig03Jobs),
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 3: DCQCN p99 FCT slowdown vs buffer/capacity ratio")
+			for _, r := range Fig03FromRecords(recs) {
+				fmt.Fprintf(w, "  %5.0f us (%v): overall p99 slowdown %.2f\n", r.BufferPerCapacityUS, r.Buffer, r.Series.Overall)
+			}
+		},
+	},
+	{
+		Key: "fig04", Desc: "byte-weighted flow-size CDFs of the three workloads",
+		Render: func(w io.Writer, _ []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 4: byte-weighted flow size CDFs")
+			for _, r := range Fig04WorkloadCDF() {
+				fmt.Fprintf(w, "  %-10s bytes<=1BDP=%.2f flows<1KB=%.2f\n", r.Workload, r.BytesWithin1BDP, r.FlowsUnder1KB)
+			}
+		},
+	},
+	fig05Panel(Fig05aGoogleIncast, "headline p99 FCT slowdown, Google traffic at 60% + 5% incast"),
+	fig05Panel(Fig05bFBHadoopIncast, "headline p99 FCT slowdown, FB_Hadoop traffic at 60% + 5% incast"),
+	fig05Panel(Fig05cGoogleNoIncast, "headline p99 FCT slowdown, Google traffic at 65%, no incast"),
+	{
+		// Fig 6 is a second rendering of the Fig 5a runs: its jobs are
+		// fig05a's, name for name and hash for hash, so the two share
+		// artifacts and one invocation simulates them once.
+		Key: "fig06", Desc: "buffer occupancy and PFC pause time on the Fig 5a runs",
 		SchemesSelectable: true,
 		Jobs: func(scale Scale, schemes []sim.Scheme) []harness.Job {
 			return Fig05Jobs(scale, Fig05aGoogleIncast, schemes)
 		},
-	},
-	{
-		Key: "fig05b", Desc: "headline p99 FCT slowdown, FB_Hadoop traffic at 60% + 5% incast",
-		SchemesSelectable: true,
-		Jobs: func(scale Scale, schemes []sim.Scheme) []harness.Job {
-			return Fig05Jobs(scale, Fig05bFBHadoopIncast, schemes)
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 6: buffer occupancy and PFC pause time (Fig 5a workload)")
+			for _, rec := range recs {
+				res := rec.Result
+				fmt.Fprintf(w, "  %-14s p99 buffer=%-10v ToR->Spine paused=%.4f Spine->ToR paused=%.4f\n",
+					rec.Scheme, units.Bytes(res.BufferOccupancy.Percentile(99)),
+					res.PauseTimeFraction["ToR->Spine"], res.PauseTimeFraction["Spine->ToR"])
+			}
 		},
 	},
 	{
-		Key: "fig05c", Desc: "headline p99 FCT slowdown, Google traffic at 65%, no incast",
-		SchemesSelectable: true,
-		Jobs: func(scale Scale, schemes []sim.Scheme) []harness.Job {
-			return Fig05Jobs(scale, Fig05cGoogleNoIncast, schemes)
+		Key: "fig07", Desc: "dynamic vs static queue assignment (BFC vs BFC-VFID vs SFQ)",
+		Jobs: fixedSchemes(Fig07Jobs),
+		Render: func(w io.Writer, recs []*harness.Record) {
+			res := Fig07FromRecords(recs)
+			fmt.Fprint(w, FormatSeries("## Fig 7a: dynamic vs static queue assignment", res.Series))
+			for _, label := range slices.Sorted(maps.Keys(res.CollisionFraction)) {
+				fmt.Fprintf(w, "  Fig 7b %-10s collision fraction = %.4f\n", label, res.CollisionFraction[label])
+			}
 		},
 	},
 	{
-		Key: "fig08", Desc: "incast fan-in sweep: utilization and buffer p99 (BFC vs DCQCN+Win)",
-		Jobs: func(scale Scale, _ []sim.Scheme) []harness.Job { return Fig08Jobs(scale) },
-	},
-	{
-		Key: "fig09", Desc: "cross-data-center intra/inter tail latency (BFC vs DCQCN+Win)",
-		Jobs: func(scale Scale, _ []sim.Scheme) []harness.Job { return Fig09Jobs(scale) },
-	},
-	{
-		Key: "fig12", Desc: "BFC sensitivity to number of physical queues",
-		Jobs: func(scale Scale, _ []sim.Scheme) []harness.Job { return Fig12NumPhysicalQueuesJobs(scale) },
-	},
-	{
-		Key: "fig13", Desc: "BFC sensitivity to VFID table size",
-		Jobs: func(scale Scale, _ []sim.Scheme) []harness.Job { return Fig13NumVFIDsJobs(scale) },
-	},
-	{
-		Key: "fig14", Desc: "BFC sensitivity to bloom filter size",
-		Jobs: func(scale Scale, _ []sim.Scheme) []harness.Job { return Fig14BloomFilterSizeJobs(scale) },
-	},
-	{
-		Key: "fig15", Desc: "scheme robustness through a link fail/recover scenario",
-		SchemesSelectable: true,
-		Jobs: func(scale Scale, schemes []sim.Scheme) []harness.Job {
-			return Fig15Jobs(scale, schemes)
+		Key: "fig08", Desc: "incast fan-in sweep: utilization and buffer p99",
+		Jobs: fixedSchemes(Fig08Jobs),
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 8: incast fan-in sweep")
+			for _, r := range Fig08FromRecords(recs) {
+				fmt.Fprintf(w, "  %-10s fanin=%-4d utilization=%.2f p99buffer=%v\n", r.Scheme, r.FanIn, r.Utilization, r.BufferP99)
+			}
 		},
 	},
 	{
-		Key: "fig16", Desc: "scale tier: three-tier fat-tree host-count sweep (streaming stats)",
+		Key: "fig09", Desc: "cross-data-center intra/inter tail latency",
+		Jobs: fixedSchemes(Fig09Jobs),
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 9: cross-data-center tail latency")
+			for _, r := range Fig09FromRecords(recs) {
+				fmt.Fprintf(w, "  %-10s intra-p99=%.2f inter-p99=%.2f\n", r.Scheme, r.IntraP99, r.InterP99)
+			}
+		},
+	},
+	{
+		Key: "fig10", Desc: "physical queue buffering vs concurrent flows (resume throttling)",
+		Jobs: fixedSchemes(Fig10Jobs),
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 10: physical queue size vs concurrent flows")
+			for _, r := range Fig10FromRecords(recs) {
+				fmt.Fprintf(w, "  %-14s flows=%-4d queueP99=%-10v (2-hop BDP=%v)\n", r.Scheme, r.ConcurrentFlows, r.QueueP99, r.TwoHopBDP)
+			}
+		},
+	},
+	{
+		Key: "fig11", Desc: "high-priority queue ablation",
+		Jobs: fixedSchemes(Fig11Jobs),
+		Render: func(w io.Writer, recs []*harness.Record) {
+			res := Fig11FromRecords(recs)
+			fmt.Fprint(w, FormatSeries("## Fig 11: high-priority queue ablation", res.Series))
+			for _, label := range slices.Sorted(maps.Keys(res.OccupiedQueuesP99)) {
+				fmt.Fprintf(w, "  %-18s p99 occupied queues = %.1f\n", label, res.OccupiedQueuesP99[label])
+			}
+		},
+	},
+	sensitivityFigure("fig12", "sensitivity to number of physical queues",
+		"## Fig 12: sensitivity to number of physical queues",
+		[]int{8, 16, 32, 64, 128}, func(o *sim.Options, v int) { o.NumQueues = v },
+		func(w io.Writer, r SensitivityRow) {
+			fmt.Fprintf(w, "  queues=%-4d collisions=%.4f p99slowdown=%.2f\n", r.Parameter, r.CollisionFraction, r.Series.Overall)
+		}),
+	sensitivityFigure("fig13", "sensitivity to VFID table size",
+		"## Fig 13: sensitivity to VFID table size",
+		[]int{1024, 4096, 16384, 65536}, func(o *sim.Options, v int) { o.NumVFIDs = v },
+		func(w io.Writer, r SensitivityRow) {
+			fmt.Fprintf(w, "  vfids=%-6d collisions=%.5f overflows=%.5f p99slowdown=%.2f\n",
+				r.Parameter, r.CollisionFraction, r.OverflowFraction, r.Series.Overall)
+		}),
+	sensitivityFigure("fig14", "sensitivity to bloom filter size",
+		"## Fig 14: sensitivity to bloom filter size",
+		[]int{16, 32, 64, 128}, func(o *sim.Options, v int) { o.BloomBytes = v },
+		func(w io.Writer, r SensitivityRow) {
+			fmt.Fprintf(w, "  bloom=%-4dB p99slowdown=%.2f\n", r.Parameter, r.Series.Overall)
+		}),
+	{
+		Key: "fig15", Desc: "scenario robustness: all schemes through a link fail/recover (see also cmd/scenarios)",
+		SchemesSelectable: true,
+		Jobs:              Fig15Jobs,
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 15: scheme robustness under link fail/recover (p99 slowdown by phase)")
+			for _, r := range Fig15FromRecords(recs) {
+				fmt.Fprintf(w, "  %-14s pre=%-8.2f fail=%-8.2f recovered=%-8.2f reroutes=%-4d stranded=%-5d noroute=%-5d completed=%d/%d\n",
+					r.Scheme, r.PreP99, r.FailP99, r.RecoverP99, r.Reroutes, r.Stranded, r.NoRoute, r.Completed, r.Offered)
+			}
+		},
+	},
+	{
+		Key: "fig16", Desc: "scale tier: three-tier fat-tree host-count sweep with streaming stats (128-1024 hosts at -full)",
 		SchemesSelectable: true,
 		Jobs: func(scale Scale, schemes []sim.Scheme) []harness.Job {
 			return Fig16Jobs(scale, nil, schemes)
 		},
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 16: scale tier — fat-tree host-count sweep (streaming stats)")
+			for _, r := range Fig16FromRecords(recs) {
+				fmt.Fprintf(w, "  %-14s hosts=%-5d switches=%-4d p99slowdown=%-8.2f util=%-6.2f p99buffer=%-10v statsSamples=%-6d completed=%d/%d digest=%s\n",
+					r.Scheme, r.Hosts, r.Switches, r.P99, r.Utilization, r.BufferP99, r.StatsSamples, r.Completed, r.Offered, r.Digest)
+			}
+		},
+	},
+	{
+		Key: "fig17", Desc: "congestion dynamics through an incast: queue occupancy + pause activity time-series, exportable as Perfetto traces (-trace-dir)",
+		SchemesSelectable: true,
+		Jobs:              Fig17Jobs,
+		TraceRing:         fig17RingCapacity,
+		Render: func(w io.Writer, recs []*harness.Record) {
+			fmt.Fprintln(w, "## Fig 17: congestion dynamics through an incast (flight recorder + series sampler)")
+			for _, r := range Fig17FromRecords(recs) {
+				fmt.Fprintf(w, "  %-14s p99slowdown=%-8.2f peakBuffer=%-10v peakPauseFrac=%-7.4f pauseEvents=%-6d assigns=%-6d drops=%-4d events=%d\n",
+					r.Scheme, r.P99, r.PeakBuffer, r.PeakPauseFraction, r.PauseEvents, r.QueueAssignments, r.Drops, r.EventsSeen)
+				for _, p := range Fig17Timeline(r, 8) {
+					fmt.Fprintf(w, "      t=%-12v buffer=%-10v pauseFrac=%.4f\n", p.At, p.Buffer, p.PauseFraction)
+				}
+			}
+		},
 	},
 }
 
-// GridFigures returns the registry entries in presentation order.
-func GridFigures() []GridFigure {
-	return append([]GridFigure{}, gridFigures...)
+// Figures returns the table's entries in presentation order.
+func Figures() []Figure {
+	return append([]Figure{}, figures...)
 }
 
-// GridFigureByKey resolves a registry key (case-insensitively).
-func GridFigureByKey(key string) (GridFigure, bool) {
-	key = strings.ToLower(strings.TrimSpace(key))
-	for _, f := range gridFigures {
-		if f.Key == key {
+// FigureByKey resolves a registry key ("fig05a") or its command-line token
+// ("5a"), case-insensitively.
+func FigureByKey(key string) (Figure, bool) {
+	token := figureToken(key)
+	for _, f := range figures {
+		if f.Token() == token {
 			return f, true
 		}
 	}
-	return GridFigure{}, false
+	return Figure{}, false
 }
 
 // ScaleByName resolves the named experiment scale: "tiny", "reduced" or
@@ -139,70 +328,28 @@ func ScenarioJobs(scale Scale, spec *scenario.Spec, schemes []sim.Scheme) ([]har
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if schemes == nil {
-		schemes = sim.AllSchemes()
-	}
 	blob, err := spec.EncodeJSON()
 	if err != nil {
 		return nil, err
 	}
 	sum := sha256.Sum256(blob)
-	digest := hex.EncodeToString(sum[:])[:16]
-	seed := harness.DeriveSeed("scenario", spec.Name, scale.Name, "workload")
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name: scale.Name + "/scenario/" + spec.Name,
-			Meta: map[string]string{
-				"fig": "scenario", "scale": scale.Name,
-				"scenario": spec.Name, "scenario_digest": digest,
-			},
-			Topology: scale.clos,
-			Flows: func(topo *topology.Topology) []*packet.Flow {
-				return scale.backgroundTrace(topo, workload.Google(), 0.60, true, seed)
-			},
-			Options: []func(*sim.Options){scale.applyOptions, func(o *sim.Options) {
-				o.Scenario = spec
-			}},
+	return scale.scenarioGrid(scale.Name+"/scenario/"+spec.Name,
+		map[string]string{
+			"fig": "scenario", "scale": scale.Name,
+			"scenario": spec.Name, "scenario_digest": hex.EncodeToString(sum[:])[:16],
 		},
-		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
-	}
-	return grid.Jobs(), nil
+		harness.DeriveSeed("scenario", spec.Name, scale.Name, "workload"), spec, schemes), nil
 }
 
-// SeriesFromRecords assembles one slowdown series per record, for rendering
-// any grid's records through FormatSeries. Pure scheme grids label series
-// with the scheme name alone (matching the figure tables); grids with more
-// axes keep the distinguishing name segments.
+// SeriesFromRecords assembles one slowdown series per record of a pure
+// scheme grid (a scenario suite), labelled and ordered by scheme, for
+// rendering through FormatSeries. Figure suites render through their table
+// entry instead.
 func SeriesFromRecords(recs []*harness.Record) []SlowdownSeries {
 	out := make([]SlowdownSeries, 0, len(recs))
 	for _, rec := range recs {
-		out = append(out, seriesFromResult(recordLabel(rec), rec.Result))
+		out = append(out, seriesFromResult(rec.Scheme, rec.Result))
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
-}
-
-// recordLabel derives a compact series label from a record's identity.
-func recordLabel(rec *harness.Record) string {
-	var axes []string
-	for k := range rec.Meta {
-		if k != "fig" && k != "scale" && k != "scheme" && k != "scenario" && k != "scenario_digest" {
-			axes = append(axes, k)
-		}
-	}
-	if len(axes) == 0 {
-		if rec.Scheme != "" {
-			return rec.Scheme
-		}
-		return rec.Name
-	}
-	sort.Strings(axes)
-	parts := make([]string, 0, len(axes)+1)
-	if rec.Scheme != "" {
-		parts = append(parts, rec.Scheme)
-	}
-	for _, k := range axes {
-		parts = append(parts, k+"="+rec.Meta[k])
-	}
-	return strings.Join(parts, " ")
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -10,56 +11,144 @@ import (
 	"bfc/internal/units"
 )
 
-func TestGridFigureRegistryCompiles(t *testing.T) {
+// TestFigureTable checks every entry of the figure table against the
+// contract its consumers rely on: jobs compile with the scale prefix and the
+// fig/scale labels, no two figures share a job name or content hash (fig06,
+// which is a second rendering of fig05a's jobs, is the one deliberate alias),
+// and the figure renders non-empty, byte-identical output from a serial and
+// from an 8-worker run.
+func TestFigureTable(t *testing.T) {
 	scale := Tiny()
-	for _, f := range GridFigures() {
-		var schemes []sim.Scheme
-		if f.SchemesSelectable {
-			schemes = []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN}
+	var union []harness.Job
+	byKey := map[string][]harness.Job{}
+	for _, f := range Figures() {
+		if f.Render == nil {
+			t.Fatalf("figure %s has no renderer", f.Key)
 		}
-		jobs := f.Jobs(scale, schemes)
-		if len(jobs) == 0 {
-			t.Fatalf("figure %s compiled no jobs", f.Key)
+		if got, ok := FigureByKey(f.Token()); !ok || got.Key != f.Key {
+			t.Fatalf("figure %s does not resolve from its token %q", f.Key, f.Token())
 		}
-		if err := harness.ValidateSuite(jobs); err != nil {
-			t.Fatalf("figure %s: %v", f.Key, err)
+		// jobs is the figure's default grid; toRun is what the render check
+		// below simulates — two schemes where the axis is selectable, which
+		// keeps the six-scheme figures (and the race build) affordable.
+		var jobs, toRun []harness.Job
+		if f.Jobs != nil {
+			jobs = f.Jobs(scale, nil)
+			if len(jobs) == 0 {
+				t.Fatalf("figure %s compiled no jobs", f.Key)
+			}
+			toRun = jobs
+			if f.SchemesSelectable {
+				toRun = f.Jobs(scale, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})
+				if len(toRun) == 0 || len(toRun)%2 != 0 {
+					t.Fatalf("figure %s compiled %d jobs for 2 schemes", f.Key, len(toRun))
+				}
+			}
+		}
+		byKey[f.Key] = jobs
+		wantFig := f.Key
+		if f.Key == "fig06" {
+			wantFig = "fig05a"
+		} else {
+			union = append(union, jobs...)
 		}
 		for _, j := range jobs {
 			if !strings.HasPrefix(j.Name, scale.Name+"/") {
 				t.Fatalf("figure %s job %q does not carry the scale prefix", f.Key, j.Name)
 			}
+			if j.Meta["fig"] != wantFig || j.Meta["scale"] != scale.Name {
+				t.Fatalf("figure %s job %q has Meta fig=%q scale=%q", f.Key, j.Name, j.Meta["fig"], j.Meta["scale"])
+			}
 		}
-		if f.SchemesSelectable && len(jobs)%2 != 0 {
-			t.Fatalf("figure %s compiled %d jobs for 2 schemes", f.Key, len(jobs))
+
+		render := func(workers int) string {
+			recs, err := (&harness.Runner{Parallel: workers}).Run(toRun)
+			if err != nil {
+				t.Fatalf("figure %s, parallel=%d: %v", f.Key, workers, err)
+			}
+			var sb strings.Builder
+			f.Render(&sb, recs)
+			return sb.String()
+		}
+		serial, parallel := render(1), render(8)
+		if serial == "" {
+			t.Fatalf("figure %s rendered nothing", f.Key)
+		}
+		if serial != parallel {
+			t.Fatalf("figure %s renders differently from 8 workers:\n%s\nvs serial\n%s", f.Key, parallel, serial)
+		}
+	}
+	if err := harness.ValidateSuite(union); err != nil {
+		t.Fatalf("figures share a job: %v", err)
+	}
+	alias, base := byKey["fig06"], byKey["fig05a"]
+	if len(alias) == 0 || len(alias) != len(base) {
+		t.Fatalf("fig06 compiled %d jobs, fig05a %d", len(alias), len(base))
+	}
+	for i := range alias {
+		if alias[i].Name != base[i].Name || alias[i].Hash() != base[i].Hash() {
+			t.Fatalf("fig06 job %d is %q/%s, want fig05a's %q/%s",
+				i, alias[i].Name, alias[i].Hash(), base[i].Name, base[i].Hash())
 		}
 	}
 }
 
-func TestGridFigureByKey(t *testing.T) {
-	if _, ok := GridFigureByKey("FIG05A"); !ok {
-		t.Fatal("registry lookup must be case-insensitive")
+func TestFigureByKey(t *testing.T) {
+	for _, key := range []string{"fig05a", "FIG05A", " 5a ", "7", "fig07", "17"} {
+		if _, ok := FigureByKey(key); !ok {
+			t.Fatalf("FigureByKey(%q) did not resolve", key)
+		}
 	}
-	if _, ok := GridFigureByKey("fig99"); ok {
-		t.Fatal("unknown key resolved")
+	for _, key := range []string{"fig99", "", "fig", "5"} {
+		if _, ok := FigureByKey(key); ok {
+			t.Fatalf("FigureByKey(%q) resolved", key)
+		}
 	}
 }
 
-// TestRegistryMatchesDirectFigureJobs pins the property the result cache
-// depends on: registry-compiled jobs carry exactly the names and content
-// hashes of the figure functions cmd/experiments calls, so served artifacts
-// and batch artifacts alias.
-func TestRegistryMatchesDirectFigureJobs(t *testing.T) {
-	scale := Tiny()
-	reg, _ := GridFigureByKey("fig05a")
-	direct := Fig05Jobs(scale, Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC})
-	compiled := reg.Jobs(scale, []sim.Scheme{sim.SchemeBFC})
-	if len(direct) != len(compiled) {
-		t.Fatalf("job counts differ: %d vs %d", len(direct), len(compiled))
+// TestJobIdentitiesUnchanged pins the property every result cache depends
+// on: the job names and content hashes the ten keys served before the figure
+// table compile to — at tiny, reduced and full — are the ones captured in
+// testdata/registry_identities.golden on the commit before it, so bfcd
+// stores, -out directories and the fleet's dedup keep aliasing the same
+// artifacts. A figure added later gets new lines; an existing line never
+// changes.
+func TestJobIdentitiesUnchanged(t *testing.T) {
+	golden, err := os.ReadFile("testdata/registry_identities.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range direct {
-		if direct[i].Name != compiled[i].Name || direct[i].Hash() != compiled[i].Hash() {
-			t.Fatalf("job %d identity differs: %q/%s vs %q/%s",
-				i, direct[i].Name, direct[i].Hash(), compiled[i].Name, compiled[i].Hash())
+	want := strings.Split(strings.TrimSpace(string(golden)), "\n")
+	compiled := map[string][]harness.Job{} // "scale key" -> jobs not yet matched
+	for n, line := range want {
+		f := strings.Fields(line)
+		if len(f) != 4 {
+			t.Fatalf("golden line %d malformed: %q", n+1, line)
+		}
+		group := f[0] + " " + f[1]
+		if _, ok := compiled[group]; !ok {
+			scale, err := ScaleByName(f[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fig, ok := FigureByKey(f[1])
+			if !ok {
+				t.Fatalf("golden line %d names unknown figure %q", n+1, f[1])
+			}
+			compiled[group] = fig.Jobs(scale, nil)
+		}
+		jobs := compiled[group]
+		if len(jobs) == 0 {
+			t.Fatalf("%s compiles fewer jobs than the golden lists (line %d)", group, n+1)
+		}
+		if jobs[0].Name != f[2] || jobs[0].Hash() != f[3] {
+			t.Fatalf("%s: job is %q/%s, golden line %d says %q/%s", group, jobs[0].Name, jobs[0].Hash(), n+1, f[2], f[3])
+		}
+		compiled[group] = jobs[1:]
+	}
+	for group, rest := range compiled {
+		if len(rest) != 0 {
+			t.Fatalf("%s compiles %d jobs the golden does not list", group, len(rest))
 		}
 	}
 }

@@ -627,7 +627,7 @@ func (c *Coordinator) launchLocal(ctx context.Context, cs *service.CompiledSuite
 			if err = ctx.Err(); err != nil {
 				break
 			}
-			recs[i], err = executeJob(&cs.Jobs[idx])
+			recs[i], err = cs.Jobs[idx].Execute()
 			if err != nil {
 				break
 			}

@@ -30,12 +30,6 @@
 // and fallback.
 package fleet
 
-import (
-	"fmt"
-
-	"bfc/internal/harness"
-)
-
 // Wire paths of the fleet API, mounted under the service handler's mux.
 const (
 	pathStatus   = "/api/v1/fleet/status"
@@ -54,14 +48,3 @@ const maxFleetBodyBytes = 4 << 20
 // maxHaveHashes bounds one membership query; the coordinator chunks larger
 // suites itself.
 const maxHaveHashes = 1 << 16
-
-// executeJob runs one harness job, converting builder panics into errors so
-// a malformed sweep point cannot take down a worker or coordinator.
-func executeJob(j *harness.Job) (rec *harness.Record, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("fleet: job %q panicked: %v", j.Name, p)
-		}
-	}()
-	return j.Execute()
-}

@@ -14,9 +14,11 @@ import (
 
 	"bfc/internal/experiments"
 	"bfc/internal/harness"
+	"bfc/internal/packet"
 	"bfc/internal/service"
 	"bfc/internal/sim"
 	"bfc/internal/telemetry"
+	"bfc/internal/topology"
 )
 
 // tinySpec is the standard test submission: a two-scheme Fig 5a panel at
@@ -329,6 +331,34 @@ func TestFleetFallsBackToLocalWithoutWorkers(t *testing.T) {
 	}
 	if got, want := marshal(t, recs), marshal(t, directRun(t)); got != want {
 		t.Fatal("local-fallback records differ from a direct serial harness run")
+	}
+}
+
+// TestFleetPanickingJobFailsSuiteNotDaemon drives a job whose builder panics
+// through the coordinator's own execution path (a workerless fleet runs its
+// batches locally): harness.Job.Execute turns the panic into the batch's
+// error, the suite fails with it, and the daemon runs the next suite.
+func TestFleetPanickingJobFailsSuiteNotDaemon(t *testing.T) {
+	svc, _ := newFleetService(t, nil, nil)
+	cs, err := tinySpec().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Jobs[1].Flows = func(*topology.Topology) []*packet.Flow { panic("bad sweep point") }
+	status, err := svc.SubmitCompiled(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, svc, status.ID)
+	if failed.State != service.StateFailed || !strings.Contains(failed.Error, "panicked: bad sweep point") {
+		t.Fatalf("suite ended %+v, want failed with the builder's panic as its error", failed)
+	}
+	next, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitState(t, svc, next.ID); done.State != service.StateDone || done.Done != done.Total {
+		t.Fatalf("suite after the panic ended %+v", done)
 	}
 }
 

@@ -220,7 +220,7 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 			defer func() { <-e.sem }()
 			e.metrics.busy.Inc()
 			defer e.metrics.busy.Dec()
-			rec, err := executeJob(jobs[i])
+			rec, err := jobs[i].Execute()
 			if err == nil {
 				err = e.cfg.Store.Put(rec)
 			}

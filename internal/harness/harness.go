@@ -114,11 +114,19 @@ type Record struct {
 }
 
 // Execute runs the job to completion in the calling goroutine and builds its
-// record. It is the single-job execution primitive under Runner.Run and the
-// service tier's worker pool; unlike Runner it neither consults a store nor
-// recovers panics from misconfigured builders — callers that accept untrusted
-// job specs must wrap it (Runner.runOne and the service pool both do).
-func (j *Job) Execute() (*Record, error) {
+// record. It is the single-job execution primitive under Runner.Run, the
+// service tier's worker pool and the fleet's executors; it consults no store.
+// Workload and experiment builders panic on misconfiguration, and a server
+// compiles jobs from untrusted specs, so Execute is also the one panic fence:
+// a panic anywhere in the job's builders or its run comes back as the job's
+// error, and one bad sweep point cannot take down a multi-hour suite or a
+// daemon.
+func (j *Job) Execute() (rec *Record, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rec, err = nil, fmt.Errorf("harness: job %q panicked: %v", j.Name, p)
+		}
+	}()
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
@@ -135,7 +143,7 @@ func (j *Job) Execute() (*Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: job %q: %w", j.Name, err)
 	}
-	rec := &Record{
+	rec = &Record{
 		Name:   j.Name,
 		Hash:   j.Hash(),
 		Scheme: j.Scheme.String(),

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -199,12 +200,26 @@ func TestRunnerRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
+// TestRunnerConvertsPanicsToErrors: a panicking Topology or Flows builder
+// comes back from Job.Execute — the one panic fence — as the job's error, for
+// a direct caller (the service pool, the fleet's executors) and through
+// Runner.Run alike.
 func TestRunnerConvertsPanicsToErrors(t *testing.T) {
-	jobs := testJobs(t)
-	jobs[2].Flows = func(*topology.Topology) []*packet.Flow { panic("bad sweep point") }
-	_, err := (&Runner{Parallel: 2}).Run(jobs)
-	if err == nil || !strings.Contains(err.Error(), jobs[2].Name) || !strings.Contains(err.Error(), "bad sweep point") {
-		t.Fatalf("panic not converted to a job error: %v", err)
+	for _, builder := range []string{"Topology", "Flows"} {
+		jobs := testJobs(t)
+		bad := &jobs[2]
+		if builder == "Topology" {
+			bad.Topology = func() *topology.Topology { panic("bad sweep point") }
+		} else {
+			bad.Flows = func(*topology.Topology) []*packet.Flow { panic("bad sweep point") }
+		}
+		want := fmt.Sprintf("harness: job %q panicked: bad sweep point", bad.Name)
+		if rec, err := bad.Execute(); rec != nil || err == nil || err.Error() != want {
+			t.Fatalf("%s panic: Execute = %v, %v; want error %q", builder, rec, err, want)
+		}
+		if _, err := (&Runner{Parallel: 2}).Run(jobs); err == nil || err.Error() != want {
+			t.Fatalf("%s panic: Run error = %v; want %q", builder, err, want)
+		}
 	}
 }
 

@@ -145,9 +145,7 @@ func (r *Runner) Run(jobs []Job) ([]*Record, error) {
 
 // runOne satisfies a single job from its stored artifact (resume) or by
 // executing it. Artifacts are looked up per job hash, so resuming a small
-// figure against a large store never reads unrelated records. Workload and
-// experiment builders panic on misconfiguration; recover those into errors
-// so one bad sweep point cannot take down a multi-hour suite.
+// figure against a large store never reads unrelated records.
 func (r *Runner) runOne(j *Job) (rec *Record, elapsed time.Duration, wasCached bool, err error) {
 	hash := j.Hash()
 	if r.Resume && r.Store != nil {
@@ -159,11 +157,6 @@ func (r *Runner) runOne(j *Job) (rec *Record, elapsed time.Duration, wasCached b
 			return c, 0, true, nil
 		}
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("harness: job %q panicked: %v", j.Name, p)
-		}
-	}()
 	start := time.Now()
 	rec, err = j.Execute()
 	if err != nil {
@@ -208,8 +201,8 @@ func ValidateSuite(jobs []Job) error {
 }
 
 // MustRun executes the jobs on a default parallel runner (all cores, no
-// persistence) and panics on failure. It is the one-liner the experiments
-// package uses for its figure entry points.
+// persistence) and panics on failure: the one-liner tests and benchmarks put
+// between a figure's Jobs and its FromRecords.
 func MustRun(jobs []Job) []*Record {
 	recs, err := (&Runner{}).Run(jobs)
 	if err != nil {

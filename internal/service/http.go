@@ -21,7 +21,7 @@ import (
 //	GET    /healthz                    liveness probe
 //	GET    /metrics                    Prometheus text exposition
 //	GET    /api/v1/version             server build information
-//	GET    /api/v1/figures             the compilable grid figures and scales
+//	GET    /api/v1/figures             the figures that have jobs, and the scales
 //	POST   /api/v1/suites              submit a SuiteSpec; 202 + SuiteStatus
 //	GET    /api/v1/suites              list suite statuses
 //	GET    /api/v1/suites/{id}         one suite status
@@ -303,7 +303,7 @@ func writeSSE(w io.Writer, ev Event) {
 
 // FigureIndex is the GET /api/v1/figures document.
 type FigureIndex struct {
-	// Figures lists the compilable grid figures.
+	// Figures lists the figure-table entries that have jobs to run.
 	Figures []FigureInfo `json:"figures"`
 	// Scales lists the accepted scale names.
 	Scales []string `json:"scales"`
@@ -311,7 +311,7 @@ type FigureIndex struct {
 	Schemes []string `json:"schemes"`
 }
 
-// FigureInfo describes one registry entry.
+// FigureInfo describes one figure-table entry.
 type FigureInfo struct {
 	Key               string `json:"key"`
 	Desc              string `json:"desc"`
@@ -320,7 +320,10 @@ type FigureInfo struct {
 
 func figureIndex() FigureIndex {
 	idx := FigureIndex{Scales: []string{"tiny", "reduced", "full"}}
-	for _, f := range experiments.GridFigures() {
+	for _, f := range experiments.Figures() {
+		if f.Jobs == nil {
+			continue // static data: nothing to run or serve
+		}
 		idx.Figures = append(idx.Figures, FigureInfo{
 			Key: f.Key, Desc: f.Desc, SchemesSelectable: f.SchemesSelectable,
 		})

@@ -710,7 +710,7 @@ func (s *Service) runJob(w work) {
 	}
 
 	s.metrics.workersBusy.Inc()
-	rec, err := executeJob(&st.jobs[w.idx])
+	rec, err := st.jobs[w.idx].Execute()
 	s.metrics.workersBusy.Dec()
 	if err == nil {
 		if perr := s.cfg.Store.Put(rec); perr != nil {
@@ -825,17 +825,6 @@ func (st *suite) terminalState() SuiteState {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.state
-}
-
-// executeJob runs one job, converting builder panics into errors so a
-// malformed sweep point cannot take down the daemon.
-func executeJob(j *harness.Job) (rec *harness.Record, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("service: job %q panicked: %v", j.Name, p)
-		}
-	}()
-	return j.Execute()
 }
 
 // applyMemoryPolicy applies the service's streaming-statistics policy; see

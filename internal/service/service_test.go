@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -336,8 +337,40 @@ func TestFailedJobFailsSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := waitState(t, svc, status.ID)
-	if final.State != StateFailed || final.Error == "" {
-		t.Fatalf("suite ended %+v, want failed with an error", final)
+	if final.State != StateFailed || !strings.Contains(final.Error, "panicked: builder misconfigured") {
+		t.Fatalf("suite ended %+v, want failed with the builder's panic as its error", final)
+	}
+	// The panic cost the suite, not the daemon: the same worker goes on to
+	// run the next submission.
+	next, err := svc.Submit(&SuiteSpec{Figure: "fig03", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitState(t, svc, next.ID); done.State != StateDone || done.Executed != done.Total {
+		t.Fatalf("suite after the panic ended %+v", done)
+	}
+}
+
+// TestServesMigratedFigure submits a figure that simulated directly, outside
+// the harness, before the figure table and so could not be served: every job
+// executes once, and a resubmission is answered from the cache alone.
+func TestServesMigratedFigure(t *testing.T) {
+	svc := newTestService(t, t.TempDir(), nil)
+	spec := &SuiteSpec{Figure: "fig11", Scale: "tiny"}
+	first, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitState(t, svc, first.ID)
+	if done.State != StateDone || done.Total == 0 || done.Executed != done.Total || done.Cached != 0 {
+		t.Fatalf("first submission ended %+v", done)
+	}
+	second, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.State != StateDone || second.Cached != second.Total || second.Executed != 0 {
+		t.Fatalf("resubmission was not fully cached: %+v", second)
 	}
 }
 
@@ -509,6 +542,7 @@ func TestSuiteSpecValidation(t *testing.T) {
 		`{}`,                                     // neither figure nor scenario
 		`{"figure":"fig05a","scenario":{}}`,      // both
 		`{"figure":"fig99"}`,                     // unknown figure
+		`{"figure":"fig01"}`,                     // static data: no jobs to serve
 		`{"figure":"fig05a","scale":"huge"}`,     // unknown scale
 		`{"figure":"fig05a","schemes":["NOPE"]}`, // unknown scheme
 		`{"figure":"fig08","schemes":["BFC"]}`,   // fixed-scheme figure

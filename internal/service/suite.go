@@ -27,8 +27,9 @@ const maxSuiteString = 256
 // server compiles to harness jobs. Exactly one of Figure or Scenario selects
 // the grid shape:
 //
-//   - Figure names a registry entry (experiments.GridFigures); the suite is
-//     that figure's job grid at Scale, optionally restricted to Schemes.
+//   - Figure names an entry of the figure table (experiments.Figures) that
+//     has jobs; the suite is that figure's job grid at Scale, optionally
+//     restricted to Schemes.
 //   - Scenario embeds a scenario.Spec wire document; the suite runs it on the
 //     scale's Clos fabric under the standard Fig 5a background workload, one
 //     job per scheme.
@@ -41,7 +42,7 @@ type SuiteSpec struct {
 	// Name optionally labels the suite for humans; it does not affect job
 	// identity.
 	Name string `json:"name,omitempty"`
-	// Figure is a grid-figure registry key ("fig05a" ... "fig16").
+	// Figure is a figure-table key ("fig05a"; GET /api/v1/figures lists them).
 	Figure string `json:"figure,omitempty"`
 	// Scale selects the experiment scale: "tiny", "reduced" (default) or
 	// "full".
@@ -156,8 +157,8 @@ func (s *SuiteSpec) Compile() (*CompiledSuite, error) {
 	cs := &CompiledSuite{Spec: *s, Scale: scale.Name, Trace: s.Trace}
 	switch {
 	case s.Figure != "":
-		fig, ok := experiments.GridFigureByKey(s.Figure)
-		if !ok {
+		fig, ok := experiments.FigureByKey(s.Figure)
+		if !ok || fig.Jobs == nil {
 			return nil, fmt.Errorf("service: unknown figure %q (see GET /api/v1/figures)", s.Figure)
 		}
 		if schemes != nil && !fig.SchemesSelectable {

@@ -148,7 +148,7 @@ type Options struct {
 	Scenario *scenario.Spec
 
 	// Duration is the workload horizon; the run continues for Drain after it
-	// so in-flight flows can finish.
+	// so in-flight flows can finish (a zero Drain selects the 2 ms default).
 	Duration units.Time
 	Drain    units.Time
 
@@ -282,7 +282,9 @@ func (o *Options) BoundStatsMemory(numHosts, threshold int) bool {
 	return true
 }
 
-// Validate reports option errors and fills defaults for zero fields.
+// Validate reports option errors and fills defaults for zero fields. Zero
+// means "use the default", never "none": Drain = 0 runs with the 2 ms default
+// drain, not without one (see experiments.Fig10Jobs, which once assumed so).
 func (o *Options) Validate() error {
 	if o.Topo == nil {
 		return fmt.Errorf("sim: nil topology")
