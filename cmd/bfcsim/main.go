@@ -36,7 +36,7 @@ func main() {
 		buffer     = flag.Int("buffer-mb", 12, "switch shared buffer (MB)")
 		shards     = flag.Int("shards", 0, "shards for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(pods, GOMAXPROCS)); output is byte-identical across shard counts")
 		digest     = flag.Bool("digest", false, "print the SHA-256 result digest (telemetry excluded); identical digests across -shards values certify determinism")
-		execStats  = flag.Bool("exec-stats", false, "collect and print the wall-clock execution profile (per-shard events, barrier wait, window utilization, boundary traffic); observational — digests are unchanged")
+		execStats  = flag.Bool("exec-stats", false, "collect and print the wall-clock execution profile (per-shard events, heap-hw = most event-queue records pending at once across its tiers, barrier wait, window utilization, boundary traffic); observational — digests are unchanged")
 		execTrace  = flag.String("exec-trace", "", "write a wall-clock Chrome trace of the execution machinery to this file (implies -exec-stats); load in Perfetto")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (topology build, workload generation and run) to this file; read with go tool pprof")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the run to this file; pprof -sample_index=alloc_space shows what the run allocated")
@@ -123,6 +123,9 @@ func main() {
 			time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 		for i := range ex.Shards {
 			ss := &ex.Shards[i]
+			// heap-hw is the most index records ever pending at once across
+			// the event queue's three tiers — what the single heap's depth
+			// was before the calendar front, and the same number.
 			fmt.Printf("  shard %d: events=%d heap-hw=%d pool=%d/%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
 				ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled,
 				100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.MaxDrain)

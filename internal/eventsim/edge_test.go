@@ -175,9 +175,14 @@ func (h *refHeap) popMin() *refEvent { return heap.Pop(h).(*refEvent) }
 
 // TestPopOrderMatchesReferenceHeap is the property test required by the
 // engine rewrite: under random interleavings of schedules and cancels, the
-// 4-ary lazy-deletion heap must pop events in exactly the order the
-// container/heap reference does.
+// three-tier lazy-deletion queue must pop events in exactly the order the
+// container/heap reference does. Delays mix the original few-picosecond draws
+// (same-instant collisions, decided by seq) with tierDelays, so records land
+// in cur, ring and far and cross between them; some seeds cancel more than
+// they schedule so that compaction sweeps all three tiers. The reach is
+// asserted at the end, not assumed.
 func TestPopOrderMatchesReferenceHeap(t *testing.T) {
+	var reach tierReach
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
@@ -192,16 +197,26 @@ func TestPopOrderMatchesReferenceHeap(t *testing.T) {
 		var open []pending
 		nextID := 0
 
-		ops := 200 + rng.Intn(300)
+		ops := 400 + rng.Intn(600)
+		cancelHeavy := seed%4 == 3
 		for i := 0; i < ops; i++ {
+			schedule := rng.Intn(3) > 0
+			if cancelHeavy && i > ops/2 {
+				schedule = rng.Intn(4) == 0
+			}
 			switch {
-			case rng.Intn(3) > 0 || len(open) == 0: // schedule
+			case schedule || len(open) == 0:
 				id := nextID
 				nextID++
 				at := s.Now() + units.Time(rng.Intn(50))
+				if rng.Intn(2) == 0 {
+					at = s.Now() + drawTierDelay(rng) + units.Time(rng.Intn(3))
+				}
 				re := &refEvent{at: at, seq: uint64(i), id: id}
 				heap.Push(ref, re)
+				before := tierSizes(s)
 				ev := s.Schedule(at, func() { got = append(got, id) })
+				reach.noteInsert(s, before)
 				open = append(open, pending{ev: ev, ref: re})
 			default: // cancel a random still-pending event
 				live := open[:0]
@@ -220,7 +235,7 @@ func TestPopOrderMatchesReferenceHeap(t *testing.T) {
 				open = append(open[:k], open[k+1:]...)
 			}
 			// Occasionally fire a few events so cancels interleave with pops.
-			for rng.Intn(4) == 0 && s.Step() {
+			for !cancelHeavy && rng.Intn(4) == 0 && s.Step() {
 			}
 		}
 		s.Run()
@@ -243,5 +258,8 @@ func TestPopOrderMatchesReferenceHeap(t *testing.T) {
 				t.Fatalf("seed %d: position %d fired id %d, reference id %d", seed, i, got[i], want[i])
 			}
 		}
+		requireDrained(t, s)
+		reach.collect(s)
 	}
+	reach.requireAll(t)
 }

@@ -1,27 +1,47 @@
 // Package eventsim implements the discrete-event engine that drives every
 // simulation in this repository.
 //
-// The engine is a single-threaded run loop over a specialized 4-ary min-heap.
-// Determinism is a design requirement — two events scheduled for the same
-// picosecond always fire in the same order on every run and platform, so a
-// simulation with a fixed seed produces identical results everywhere,
-// including across the serial and sharded engines.
+// The engine is a single-threaded run loop over a three-tier priority queue:
+// a calendar ring of narrow time buckets in front of two specialized 4-ary
+// min-heaps. Determinism is a design requirement — two events scheduled for
+// the same picosecond always fire in the same order on every run and
+// platform, so a simulation with a fixed seed produces identical results
+// everywhere, including across the serial and sharded engines.
 //
-// The hot path is allocation-free in steady state: heap records are small
+// The hot path is allocation-free in steady state: queue records are small
 // values (no per-event boxing through interfaces), cancellation handles are
 // (slot, generation) values backed by a slot arena with a free-list, and
 // cancellation is lazy — a cancelled event is marked in its slot and skipped
-// when it reaches the top of the heap, with a periodic compaction pass
-// keeping the heap from filling up with dead entries.
+// when it surfaces as the earliest pending record, with a periodic compaction
+// pass keeping the queue from filling up with dead records.
 //
-// # Heap layout
+// # Queue layout
 //
-// The heap is an index heap: it sifts 32-byte records of (firing time, first
-// chain instant, sequence, slot), while the cold freight — the rest of the
-// pedigree, the callback, and its argument — lives behind the slot arena and
-// never moves. Sifts therefore stop memmoving wide entries, and most
-// same-instant ties break on the in-record chain prefix; only events tying on
-// (at, chain[0]) dereference the cold records (see entryLess).
+// The queue holds 32-byte index records of (firing time, first chain instant,
+// sequence, slot), while the cold freight — the rest of the pedigree, the
+// callback, and its argument — lives behind the slot arena and never moves.
+// Most same-instant ties break on the in-record chain prefix; only events
+// tying on (at, chain[0]) dereference the cold records (see entryLess).
+//
+// Time is cut into buckets of 1<<bucketShift picoseconds, and a record lives
+// in one of three tiers by its bucket relative to the current one:
+//
+//   - cur, a 4-ary heap of the records at or before the current bucket — the
+//     only tier events are popped from, and a handful of records deep;
+//   - ring, the next ringSize-1 buckets as unsorted intrusive chains: insert
+//     is a store and a bit set with no comparison, which is where link
+//     serialisation and propagation delays (half of all events are 1-10 us
+//     out, the rest nearer) land;
+//   - far, the same heap code over everything beyond the ring window:
+//     set-up-scheduled flow arrivals, protocol and sampling timers, cross-DC
+//     deliveries.
+//
+// When cur drains, refill activates the earliest non-empty bucket: it pulls
+// the far records the shifted window now covers into the ring and heapifies
+// the bucket's chain into cur. All three tiers order by the one comparator,
+// entryLess, which ends in the sequence number and is therefore a strict
+// total order: the pop sequence is the one a single heap would produce, so
+// the split is invisible to every digest.
 //
 // The pedigree itself is lazy: every event scheduled by one dispatch shares
 // the same ancestor arrays, so they are interned once per dispatch in a
@@ -60,6 +80,7 @@ package eventsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bfc/internal/units"
 )
@@ -136,7 +157,7 @@ type Event struct {
 	gen  uint32
 }
 
-// entry is one heap index record: the hot prefix of the event's ordering key
+// entry is one queue index record: the hot prefix of the event's ordering key
 // plus the slot holding its cold freight. Entries are 32 bytes, so sifts move
 // cache-line-sized values and leave the wide pedigree in place.
 type entry struct {
@@ -144,6 +165,21 @@ type entry struct {
 	chain0 units.Time // own scheduling instant (key prefix cached hot)
 	seq    uint64     // scheduling sequence, the final local tiebreaker
 	slot   int32      // arena slot with the cold record
+}
+
+// parked is an index record at rest in a ring bucket: an entry plus the link
+// to the bucket's next record. It is a type of its own, not a fifth field of
+// entry, because the compiler keeps a struct in registers only up to four
+// fields: with five, every sift copied entries through the stack in 16-byte
+// moves that stall on the narrower stores before them (BenchmarkTimerReset
+// read 24 -> 46 ns). Records live in the park arena and are named by handle,
+// 1 + arena index, so that 0 can end a chain.
+type parked struct {
+	at     units.Time
+	chain0 units.Time
+	seq    uint64
+	slot   int32
+	next   int32 // handle of the bucket's (or the free chain's) next record
 }
 
 // ped is one interned pedigree: the ancestor arrays shared by every event a
@@ -281,14 +317,35 @@ func (f *firing) dispatch() {
 type Scheduler struct {
 	now     units.Time
 	seq     uint64
-	heap    []entry
 	slots   []slot
 	free    []int32
 	peds    []ped
 	pedFree []int32
 	live    int // pending, non-cancelled events
-	stale   int // cancelled entries still occupying heap positions
+	stale   int // cancelled records still occupying queue positions
 	stopped bool
+
+	// The three queue tiers (see "Queue layout" in the package comment). cur
+	// and far are 4-ary heaps under entryLess; ring[b&ringMask] heads the
+	// unsorted chain of bucket b for curB < b < curB+ringSize, and occ has
+	// one bit per non-empty bucket. Chains are intrusive — a slice per bucket
+	// allocated a third more bytes per run in the sizing prototype — and link
+	// through parked.next inside park, an arena of fixed pages that are never
+	// copied (an append-grown one re-copies about five times its final size).
+	// The arena grows to the most records ever parked at once and recycles
+	// them through a free chain; indexed by slot it was sized to the most
+	// events ever pending instead, 528 KB against 96 KB on the bench's Clos
+	// runs, and they ran 4 % slower for the sparser records.
+	cur      []entry
+	far      []entry
+	curB     int64 // current bucket: cur holds every record at or before it
+	ringN    int   // records parked in the ring
+	ring     [ringSize]int32
+	occ      [ringSize / 64]uint64
+	park     []*[parkPage]parked
+	parkN    int32 // park records ever handed out
+	parkFree int32 // head of the free chain of park records
+	tiers    tierCounts
 
 	// parentPed is the interned pedigree of the event currently being
 	// dispatched — the ancestor arrays its children inherit after one
@@ -324,12 +381,54 @@ type Scheduler struct {
 	// Executed counts events that have fired (for diagnostics and tests).
 	Executed uint64
 
-	// heapHW tracks the maximum pending-entry heap depth ever reached
-	// (includes lazily-cancelled entries awaiting discard). Maintained
-	// unconditionally: one compare per insert, observable via
+	// heapHW tracks the maximum number of index records ever pending across
+	// the three tiers (includes lazily-cancelled records awaiting discard).
+	// Maintained unconditionally: one compare per insert, observable via
 	// HeapHighWater for execution profiling.
 	heapHW int
 }
+
+// Calendar geometry. Narrow buckets are the mechanism, not a tunable: of the
+// pops of a loaded Clos run, a quarter fire under 10 ns after they were
+// scheduled, a quarter 10-100 ns and half 1-10 us, so a bucket has to be
+// narrower than most of those delays or cur turns back into the deep heap,
+// and the window has to cover a propagation delay or half the events go
+// through far. CPU seconds of single bfcsim runs (-topology t2 -load 0.6
+// -incast -duration 300us -drain 2ms -seed 7), best / median of five
+// alternating rounds in one (slow) session, BFC and DCQCN:
+//
+//	one heap (parent)   1.61 / 1.76   1.03 / 1.09
+//	2 ns x 1024         1.23 / 1.35   0.75 / 0.80
+//	2 ns x 2048         1.23 / 1.29   0.69 / 0.79   <- these constants
+//	4 ns x 2048         1.29 / 1.37   0.71 / 0.78
+//	8 ns x 512          1.29 / 1.39   0.78 / 0.84
+//	8 ns x 2048         1.30 / 1.44   0.80 / 0.84
+//	8 ns x 8192         1.28 / 1.46   0.80 / 0.86
+//	33 ns x 2048        1.28 / 1.45   0.83 / 0.87
+//	131 ns x 1024       1.49 / 1.59   0.92 / 0.94
+//	1 us x 256          1.51 / 1.72   0.93 / 1.04
+const (
+	bucketShift = 11 // bucket width 1<<11 ps = 2.048 ns
+	ringSize    = 2048
+	ringMask    = ringSize - 1
+	parkShift   = 9 // 512 records = 16 KB per park page
+	parkPage    = 1 << parkShift
+)
+
+// tierCounts counts crossings of the seams between the queue's tiers. The
+// engine never reads them; the property tests and FuzzQueueOrder's corpus
+// check assert on them, so a workload that stops leaving cur fails loudly
+// instead of passing vacuously.
+type tierCounts struct {
+	refillRing, refillFar uint64    // refills whose bucket came from the ring / from far's top
+	migrated              uint64    // far records a shifted window pulled into the ring
+	compacted             [3]uint64 // cancelled records compact swept from cur, ring, far
+}
+
+func bucketOf(at units.Time) int64 { return int64(at) >> bucketShift }
+
+// pending is the number of index records in the queue, cancelled or not.
+func (s *Scheduler) pending() int { return len(s.cur) + s.ringN + len(s.far) }
 
 // New returns an empty scheduler with the clock at time zero.
 func New() *Scheduler {
@@ -497,22 +596,35 @@ func (s *Scheduler) push(at units.Time, tag uint64, fn func(), call func(any), a
 	return s.insert(at, id, s.now)
 }
 
-// insert appends the hot index record for slot id and restores the heap
-// property.
+// insert files the hot index record for slot id under the tier its bucket
+// belongs to. A bucket below the current one is possible — a run call's last
+// peek may already have activated the next event's bucket when the clock
+// stops short of it — and belongs in cur like the current bucket's records:
+// everything in ring and far fires later.
 func (s *Scheduler) insert(at units.Time, id int32, chain0 units.Time) Event {
-	s.heap = append(s.heap, entry{at: at, chain0: chain0, seq: s.seq, slot: id})
-	if len(s.heap) > s.heapHW {
-		s.heapHW = len(s.heap)
-	}
+	e := entry{at: at, chain0: chain0, seq: s.seq, slot: id}
 	s.seq++
-	s.siftUp(len(s.heap) - 1)
+	switch b := bucketOf(at); {
+	case b <= s.curB:
+		s.cur = append(s.cur, e)
+		s.siftUp(s.cur, len(s.cur)-1)
+	case b-s.curB < ringSize:
+		s.parkEntry(e, b)
+	default:
+		s.far = append(s.far, e)
+		s.siftUp(s.far, len(s.far)-1)
+	}
+	if n := s.pending(); n > s.heapHW {
+		s.heapHW = n
+	}
 	s.live++
 	return Event{slot: id, gen: s.slots[id].gen}
 }
 
-// HeapHighWater returns the maximum heap depth reached over the scheduler's
-// lifetime — the peak number of simultaneously pending (live or
-// lazily-cancelled) events.
+// HeapHighWater returns the maximum number of index records pending at once
+// across the three tiers over the scheduler's lifetime — the peak number of
+// simultaneously pending (live or lazily-cancelled) events, the same figure
+// the single heap's depth used to be.
 func (s *Scheduler) HeapHighWater() int { return s.heapHW }
 
 // allocSlot takes a slot from the free-list (or grows the arena) and marks
@@ -608,8 +720,8 @@ func (s *Scheduler) ScheduleCallTagged(at units.Time, tag uint64, fn func(any), 
 
 // Cancel removes a pending event. Cancelling the zero Event, an
 // already-fired or already-cancelled event is a no-op. Deletion is lazy: the
-// slot is marked and the heap entry is discarded when it surfaces, or during
-// compaction once dead entries dominate the heap.
+// slot is marked and the index record is discarded when it surfaces, or
+// during compaction once dead records dominate the queue.
 func (s *Scheduler) Cancel(e Event) {
 	if !s.Pending(e) {
 		return
@@ -617,7 +729,7 @@ func (s *Scheduler) Cancel(e Event) {
 	s.slots[e.slot].state = slotCancelled
 	s.live--
 	s.stale++
-	if s.stale > 64 && s.stale*2 > len(s.heap) {
+	if s.stale > 64 && s.stale*2 > s.pending() {
 		s.compact()
 	}
 }
@@ -692,17 +804,17 @@ func (s *Scheduler) RunBeforeKey(k Key) uint64 {
 		// Discard lazily-cancelled entries at the top regardless of the
 		// threshold — they are dead either way and must not shadow the next
 		// live entry's key.
-		for len(s.heap) > 0 && s.slots[s.heap[0].slot].state == slotCancelled {
-			id := s.heap[0].slot
-			s.popTop()
+		for s.peek() && s.slots[s.cur[0].slot].state == slotCancelled {
+			id := s.cur[0].slot
+			s.cur = s.popTop(s.cur)
 			s.stale--
 			s.freeSlot(id)
 		}
-		if len(s.heap) == 0 || !s.keyBefore(&s.heap[0], k) {
+		if !s.peek() || !s.keyBefore(&s.cur[0], k) {
 			break
 		}
-		id, at := s.heap[0].slot, s.heap[0].at
-		s.popTop()
+		id, at := s.cur[0].slot, s.cur[0].at
+		s.cur = s.popTop(s.cur)
 		f := s.takeFiring(id, at)
 		s.live--
 		s.setCur(&f)
@@ -767,13 +879,13 @@ func (s *Scheduler) Step() bool {
 // slots) on the way, and returns its dispatch copy. It reports false when the
 // queue is empty or only holds later events.
 func (s *Scheduler) popReady(until units.Time, strict bool) (firing, bool) {
-	for len(s.heap) > 0 {
-		at := s.heap[0].at
+	for s.peek() {
+		at := s.cur[0].at
 		if at > until || (strict && at == until) {
 			break
 		}
-		id := s.heap[0].slot
-		s.popTop()
+		id := s.cur[0].slot
+		s.cur = s.popTop(s.cur)
 		if s.slots[id].state == slotCancelled {
 			s.stale--
 			s.freeSlot(id)
@@ -813,31 +925,163 @@ func (s *Scheduler) freeSlot(id int32) {
 	s.free = append(s.free, id)
 }
 
+// Calendar front ---------------------------------------------------------------
+
+// peek makes cur[0] the earliest pending record, refilling cur from the next
+// non-empty bucket if it has drained; false means the queue is empty. Every
+// reader of cur[0] goes through it.
+func (s *Scheduler) peek() bool { return len(s.cur) > 0 || s.refill() }
+
+// parked addresses the park record with handle n.
+func (s *Scheduler) parked(n int32) *parked {
+	return &s.park[(n-1)>>parkShift][(n-1)&(parkPage-1)]
+}
+
+// parkEntry links e into the ring chain of bucket b, curB < b < curB+ringSize,
+// in a recycled park record if there is one.
+func (s *Scheduler) parkEntry(e entry, b int64) {
+	n := s.parkFree
+	if n != 0 {
+		s.parkFree = s.parked(n).next
+	} else {
+		if int(s.parkN)>>parkShift == len(s.park) {
+			s.park = append(s.park, new([parkPage]parked))
+		}
+		s.parkN++
+		n = s.parkN
+	}
+	i := b & ringMask
+	*s.parked(n) = parked{at: e.at, chain0: e.chain0, seq: e.seq, slot: e.slot, next: s.ring[i]}
+	s.ring[i] = n
+	s.occ[i>>6] |= 1 << (i & 63)
+	s.ringN++
+}
+
+// refill, called with cur empty, makes the earliest non-empty bucket — the
+// next occupied ring bucket or the bucket of far's top, whichever is earlier
+// — the current one: far records the shifted window now covers move into the
+// ring (or straight into cur), then the bucket's chain is heapified into
+// cur. It reports false when ring and far are empty too.
+func (s *Scheduler) refill() bool {
+	b := int64(-1)
+	if s.ringN > 0 {
+		// The window is ringSize-1 buckets, so the circular scan from the
+		// index after curB's meets the occupied buckets in time order and,
+		// with at least one bit set, terminates.
+		start := (s.curB + 1) & ringMask
+		w := start >> 6
+		word := s.occ[w] &^ (1<<(start&63) - 1)
+		for word == 0 {
+			w = (w + 1) & (ringSize/64 - 1)
+			word = s.occ[w]
+		}
+		b = s.curB + 1 + (w<<6+int64(bits.TrailingZeros64(word))-start)&ringMask
+	}
+	if len(s.far) > 0 && (b < 0 || bucketOf(s.far[0].at) < b) {
+		b = bucketOf(s.far[0].at)
+		s.tiers.refillFar++
+	} else if b >= 0 {
+		s.tiers.refillRing++
+	} else {
+		return false
+	}
+	s.curB = b
+	for len(s.far) > 0 && bucketOf(s.far[0].at)-b < ringSize {
+		e := s.far[0]
+		s.far = s.popTop(s.far)
+		if fb := bucketOf(e.at); fb == b {
+			s.cur = append(s.cur, e)
+		} else {
+			s.parkEntry(e, fb)
+			s.tiers.migrated++
+		}
+	}
+	i := b & ringMask
+	for n := s.ring[i]; n != 0; s.ringN-- {
+		p := s.parked(n)
+		s.cur = append(s.cur, entry{at: p.at, chain0: p.chain0, seq: p.seq, slot: p.slot})
+		n, p.next, s.parkFree = p.next, s.parkFree, n // on to the next; this one joins the free chain
+	}
+	s.ring[i] = 0
+	s.occ[i>>6] &^= 1 << (i & 63)
+	s.heapify(s.cur)
+	return true
+}
+
+// compact drops the lazily-cancelled records from all three tiers, freeing
+// their slots. Called from Cancel once dead records outnumber live ones, so
+// the amortized cost per cancellation is O(1) sift work plus this occasional
+// sweep — over the two heaps and, through the occupancy bitmap, the occupied
+// ring buckets only.
+func (s *Scheduler) compact() {
+	s.cur = s.compactHeap(s.cur, &s.tiers.compacted[0])
+	s.far = s.compactHeap(s.far, &s.tiers.compacted[2])
+	for w, word := range s.occ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			head := int32(0)
+			for n := s.ring[i]; n != 0; {
+				this, p := n, s.parked(n)
+				n = p.next
+				if s.slots[p.slot].state == slotCancelled {
+					s.freeSlot(p.slot)
+					s.ringN--
+					s.tiers.compacted[1]++
+					p.next, s.parkFree = s.parkFree, this
+				} else {
+					p.next, head = head, this
+				}
+			}
+			if s.ring[i] = head; head == 0 {
+				s.occ[w] &^= 1 << (i & 63)
+			}
+		}
+	}
+	s.stale = 0
+}
+
+// compactHeap filters the cancelled records out of h in place and restores
+// the heap property over what is left.
+func (s *Scheduler) compactHeap(h []entry, dropped *uint64) []entry {
+	keep := h[:0]
+	for _, e := range h {
+		if s.slots[e.slot].state == slotCancelled {
+			s.freeSlot(e.slot)
+			*dropped++
+			continue
+		}
+		keep = append(keep, e)
+	}
+	s.heapify(keep)
+	return keep
+}
+
 // 4-ary heap ------------------------------------------------------------------
 //
-// A 4-ary layout halves the tree depth of a binary heap, trading slightly
-// more comparisons per level for far fewer cache-missing moves — the standard
-// d-ary trade that wins for pop-heavy workloads on value slices.
+// cur and far share one set of primitives over a []entry. A 4-ary layout
+// halves the tree depth of a binary heap, trading slightly more comparisons
+// per level for far fewer cache-missing moves — the standard d-ary trade that
+// wins for pop-heavy workloads on value slices.
 
 // siftUp restores the heap property after appending at index i, moving the
 // hole up instead of swapping.
-func (s *Scheduler) siftUp(i int) {
-	e := s.heap[i]
+func (s *Scheduler) siftUp(h []entry, i int) {
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !s.entryLess(&e, &s.heap[p]) {
+		if !s.entryLess(&e, &h[p]) {
 			break
 		}
-		s.heap[i] = s.heap[p]
+		h[i] = h[p]
 		i = p
 	}
-	s.heap[i] = e
+	h[i] = e
 }
 
 // siftDown restores the heap property from index i downward.
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.heap)
-	e := s.heap[i]
+func (s *Scheduler) siftDown(h []entry, i int) {
+	n := len(h)
+	e := h[i]
 	for {
 		c := 4*i + 1
 		if c >= n {
@@ -846,34 +1090,43 @@ func (s *Scheduler) siftDown(i int) {
 		best := c
 		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if s.entryLess(&s.heap[j], &s.heap[best]) {
+			if s.entryLess(&h[j], &h[best]) {
 				best = j
 			}
 		}
-		if !s.entryLess(&s.heap[best], &e) {
+		if !s.entryLess(&h[best], &e) {
 			break
 		}
-		s.heap[i] = s.heap[best]
+		h[i] = h[best]
 		i = best
 	}
-	s.heap[i] = e
+	h[i] = e
 }
 
-// popTop removes the minimum entry with the bottom-up strategy: walk the
-// hole from the root to a leaf along minimal children, drop the tail element
-// into the hole, and bubble it up. The tail element is near-maximal for a
-// pop-heavy workload, so the classic top-down sift would descend every level
-// anyway while paying an extra comparison per level against it; bottom-up
-// pays only the child-minimum comparisons on the way down and the bubble-up
-// almost always stops immediately.
-func (s *Scheduler) popTop() {
-	n := len(s.heap) - 1
-	if n == 0 {
-		s.heap = s.heap[:0]
+// heapify establishes the heap property over an arbitrarily ordered h.
+func (s *Scheduler) heapify(h []entry) {
+	if len(h) < 2 {
 		return
 	}
-	e := s.heap[n]
-	s.heap = s.heap[:n]
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		s.siftDown(h, i)
+	}
+}
+
+// popTop removes the minimum entry of h and returns the shortened heap, with
+// the bottom-up strategy: walk the hole from the root to a leaf along minimal
+// children, drop the tail element into the hole, and bubble it up. The tail
+// element is near-maximal for a pop-heavy workload, so the classic top-down
+// sift would descend every level anyway while paying an extra comparison per
+// level against it; bottom-up pays only the child-minimum comparisons on the
+// way down and the bubble-up almost always stops immediately.
+func (s *Scheduler) popTop(h []entry) []entry {
+	n := len(h) - 1
+	e := h[n]
+	h = h[:n]
+	if n == 0 {
+		return h
+	}
 	i := 0
 	for {
 		c := 4*i + 1
@@ -883,44 +1136,14 @@ func (s *Scheduler) popTop() {
 		best := c
 		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if s.entryLess(&s.heap[j], &s.heap[best]) {
+			if s.entryLess(&h[j], &h[best]) {
 				best = j
 			}
 		}
-		s.heap[i] = s.heap[best]
+		h[i] = h[best]
 		i = best
 	}
-	for i > 0 {
-		p := (i - 1) / 4
-		if !s.entryLess(&e, &s.heap[p]) {
-			break
-		}
-		s.heap[i] = s.heap[p]
-		i = p
-	}
-	s.heap[i] = e
-}
-
-// compact rebuilds the heap without the lazily-cancelled entries, freeing
-// their slots. Called from Cancel once dead entries outnumber live ones, so
-// the amortized cost per cancellation is O(1) sift work plus this occasional
-// O(n) sweep.
-func (s *Scheduler) compact() {
-	keep := s.heap[:0]
-	for i := range s.heap {
-		e := s.heap[i]
-		if s.slots[e.slot].state == slotCancelled {
-			s.freeSlot(e.slot)
-			continue
-		}
-		keep = append(keep, e)
-	}
-	s.heap = keep
-	s.stale = 0
-	if len(s.heap) == 0 {
-		return
-	}
-	for i := (len(s.heap) - 2) / 4; i >= 0; i-- {
-		s.siftDown(i)
-	}
+	h[i] = e
+	s.siftUp(h, i)
+	return h
 }

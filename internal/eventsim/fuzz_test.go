@@ -1,0 +1,463 @@
+package eventsim
+
+import (
+	"slices"
+	"sort"
+	"testing"
+
+	"bfc/internal/units"
+)
+
+// FuzzQueueOrder drives the scheduler and a slow obvious model of it — one
+// slice kept sorted by (Key.Less, seq), with the engine's lazy-cancellation
+// rules spelled out literally — through the same operation sequence decoded
+// from the fuzz input, and requires them to agree on everything observable:
+// which event every dispatch fires, Len, Pending, the clock after each run
+// call, the count each run call returns, the pending-record count and its
+// high-water mark (so compaction must fire at the same logical points), and,
+// once drained, that no slot or pedigree record leaked through a parked or
+// migrated record.
+//
+// The model never looks at buckets: any disagreement is the three-tier
+// queue's. Keys are derived the way the package comment defines them — a
+// child's chain, tags and kids are its parent's shifted one generation — from
+// CurrentKey, which is public API, plus a child counter of the model's own.
+
+// modelEvent is one pending record of the model, plus what its callback does
+// when it fires (see fire).
+type modelEvent struct {
+	key       Key
+	seq       uint64
+	id        int
+	cancelled bool
+	fired     bool
+	prog      byte
+	depth     int
+}
+
+// queueModel is the reference: pending holds live and lazily-cancelled
+// records in dispatch order.
+type queueModel struct {
+	t       *testing.T
+	s       *Scheduler
+	pending []*modelEvent
+	byID    []*modelEvent // every event ever scheduled, by id
+	handles []Event       // engine handle of event id
+	seq     uint64
+	live    int
+	stale   int
+	hw      int
+	now     units.Time
+
+	dispatched bool   // a dispatch has happened: children count their index
+	childN     uint32 // children the current dispatch has scheduled
+
+	// The run call in progress: the eligibility rule for the next dispatch.
+	byKey   bool // RunBeforeKey: threshold is key; else (until, strict)
+	key     Key
+	until   units.Time
+	strict  bool
+	stopped bool
+	fired   uint64
+
+	in    []byte // undecoded input
+	reach tierReach
+}
+
+func (m *queueModel) next() byte {
+	if len(m.in) == 0 {
+		return 0
+	}
+	b := m.in[0]
+	m.in = m.in[1:]
+	return b
+}
+
+// delay decodes a tier-crossing delay: a tierDelays entry plus a few
+// picoseconds, so instants collide but do not all collide.
+func (m *queueModel) delay(b byte) units.Time {
+	return tierDelays[int(b&15)%len(tierDelays)] + units.Time(b>>4)&3
+}
+
+// childKey is the key the engine must give an event scheduled right now.
+func (m *queueModel) childKey(at units.Time, tag uint64, explicitTag bool) Key {
+	cur := m.s.CurrentKey()
+	k := Key{At: at, Tag: cur.Tag}
+	if explicitTag {
+		k.Tag = tag
+	}
+	k.Chain[0], k.Tags[0], k.Kids[0] = cur.At, cur.Tag, cur.Kid
+	copy(k.Chain[1:], cur.Chain[:])
+	copy(k.Tags[1:], cur.Tags[:])
+	copy(k.Kids[1:], cur.Kids[:])
+	if m.dispatched {
+		k.Kid = m.childN
+		m.childN++
+	}
+	return k
+}
+
+func (m *queueModel) less(a, b *modelEvent) bool {
+	if a.key != b.key {
+		return a.key.Less(b.key)
+	}
+	return a.seq < b.seq
+}
+
+// insert files a new record under k.
+func (m *queueModel) insert(k Key, prog byte, depth int) {
+	e := &modelEvent{key: k, seq: m.seq, id: len(m.byID), prog: prog, depth: depth}
+	m.seq++
+	i := sort.Search(len(m.pending), func(i int) bool { return m.less(e, m.pending[i]) })
+	m.pending = slices.Insert(m.pending, i, e)
+	m.byID = append(m.byID, e)
+	m.live++
+	if len(m.pending) > m.hw {
+		m.hw = len(m.pending)
+	}
+}
+
+// schedule performs one scheduling op on both sides. kind selects the entry
+// point, arg the delay and tag; the new event runs m.fire when dispatched,
+// which acts out prog.
+func (m *queueModel) schedule(kind, arg, prog byte, depth int) {
+	at := m.s.Now() + m.delay(arg)
+	tag := uint64(arg>>6) % 3
+	id := len(m.byID)
+	before := tierSizes(m.s)
+	var h Event
+	switch kind % 4 {
+	case 0:
+		m.insert(m.childKey(at, 0, false), prog, depth)
+		h = m.s.Schedule(at, func() { m.fire(id) })
+	case 1:
+		m.insert(m.childKey(at, tag, true), prog, depth)
+		h = m.s.ScheduleTagged(at, tag, func() { m.fire(id) })
+	case 2:
+		m.insert(m.childKey(at, 0, false), prog, depth)
+		h = m.s.ScheduleCall(at, func(x any) { m.fire(x.(int)) }, id)
+	case 3:
+		// The boundary path: the wire key is taken on the sending side
+		// (consuming a child index) and re-interned on injection.
+		want := m.childKey(at, 0, false)
+		k := m.s.ChildKey(at)
+		if k != want {
+			m.t.Fatalf("ChildKey = %+v, model derives %+v", k, want)
+		}
+		m.insert(k, prog, depth)
+		h = m.s.ScheduleCallInjected(k, func(x any) { m.fire(x.(int)) }, id)
+	}
+	m.handles = append(m.handles, h)
+	m.reach.noteInsert(m.s, before)
+	m.checkCounts("schedule")
+}
+
+// cancel cancels the arg-th newest of all events ever scheduled — pending,
+// fired or already cancelled.
+func (m *queueModel) cancel(arg byte) {
+	if len(m.byID) == 0 {
+		return
+	}
+	id := len(m.byID) - 1 - int(arg)%len(m.byID)
+	e := m.byID[id]
+	pendingBefore := !e.cancelled && !e.fired
+	if got := m.s.Pending(m.handles[id]); got != pendingBefore {
+		m.t.Fatalf("Pending(event %d) = %v, model %v", id, got, pendingBefore)
+	}
+	m.s.Cancel(m.handles[id])
+	if pendingBefore {
+		e.cancelled = true
+		m.live--
+		m.stale++
+		if m.stale > 64 && m.stale*2 > len(m.pending) {
+			m.pending = slices.DeleteFunc(m.pending, func(p *modelEvent) bool { return p.cancelled })
+			m.stale = 0
+		}
+	}
+	if m.s.Pending(m.handles[id]) {
+		m.t.Fatalf("event %d still pending after Cancel", id)
+	}
+	m.checkCounts("cancel")
+}
+
+func (m *queueModel) checkCounts(op string) {
+	m.t.Helper()
+	if m.s.Len() != m.live {
+		m.t.Fatalf("after %s: Len = %d, model %d", op, m.s.Len(), m.live)
+	}
+	if m.s.pending() != len(m.pending) || m.s.stale != m.stale {
+		m.t.Fatalf("after %s: %d records pending (%d stale), model %d (%d stale)",
+			op, m.s.pending(), m.s.stale, len(m.pending), m.stale)
+	}
+	if m.s.HeapHighWater() != m.hw {
+		m.t.Fatalf("after %s: HeapHighWater = %d, model %d", op, m.s.HeapHighWater(), m.hw)
+	}
+}
+
+// eligible reports whether e may be dispatched by the run call in progress.
+func (m *queueModel) eligible(e *modelEvent) bool {
+	if m.byKey {
+		return e.key.Less(m.key)
+	}
+	return e.key.At < m.until || (!m.strict && e.key.At == m.until)
+}
+
+// discardDead drops the cancelled records a run loop discards before looking
+// at the next live one: RunBeforeKey drops any cancelled top, the others only
+// one that is itself within the horizon.
+func (m *queueModel) discardDead() {
+	for len(m.pending) > 0 && m.pending[0].cancelled && (m.byKey || m.eligible(m.pending[0])) {
+		m.pending = m.pending[1:]
+		m.stale--
+	}
+}
+
+// fire is every event's callback: the model checks that id is the event it
+// would dispatch next, then acts out the event's program on both sides.
+func (m *queueModel) fire(id int) {
+	if m.stopped {
+		m.t.Fatalf("event %d dispatched after Stop", id)
+	}
+	m.discardDead()
+	if len(m.pending) == 0 {
+		m.t.Fatalf("engine dispatched event %d, model queue is empty", id)
+	}
+	top := m.pending[0]
+	if top.id != id {
+		m.t.Fatalf("engine dispatched event %d (key %+v), model expects %d (key %+v)", id, m.byID[id].key, top.id, top.key)
+	}
+	if !m.eligible(top) {
+		m.t.Fatalf("engine dispatched event %d at %v beyond the run call's horizon", id, top.key.At)
+	}
+	m.pending = m.pending[1:]
+	top.fired = true
+	m.live--
+	m.fired++
+	m.now = top.key.At
+	m.dispatched, m.childN = true, 0
+	if cur := m.s.CurrentKey(); cur != top.key {
+		m.t.Fatalf("event %d dispatched under key %+v, scheduled under %+v", id, cur, top.key)
+	}
+	if m.s.Now() != m.now {
+		m.t.Fatalf("Now = %v inside event %d, model %v", m.s.Now(), id, m.now)
+	}
+
+	// The callback's program: bits 0-1 count its children (none past the
+	// third generation), whose entry points, delays and own programs derive
+	// from the other six; bit 6 cancels; bits 6 and 7 together stop the run
+	// loop.
+	prog := top.prog
+	if top.depth < 3 {
+		for i := byte(0); i < prog&3; i++ {
+			m.schedule(prog>>2+i, prog>>2+5*i, prog*29+17+i, top.depth+1)
+		}
+	}
+	if prog&0x40 != 0 {
+		m.cancel(prog >> 1 & 7)
+	}
+	if prog&0xC0 == 0xC0 {
+		m.s.Stop()
+		m.stopped = true
+	}
+}
+
+// run performs one run call on the engine under the model's eligibility rule
+// and checks what it leaves behind. The clock ends at advanceTo unless the
+// loop was stopped or advanceTo is maxTime (Run has no horizon to advance to).
+func (m *queueModel) run(name string, call func() uint64, advanceTo units.Time) {
+	m.stopped, m.fired = false, 0
+	got := call()
+	if !m.stopped {
+		// The loop ended because nothing eligible was left.
+		m.discardDead()
+		if len(m.pending) > 0 && m.eligible(m.pending[0]) {
+			m.t.Fatalf("%s returned with event %d (key %+v) still eligible", name, m.pending[0].id, m.pending[0].key)
+		}
+		if m.now < advanceTo && advanceTo != maxTime {
+			m.now = advanceTo
+		}
+	}
+	if got != m.fired {
+		m.t.Fatalf("%s executed %d events, model %d", name, got, m.fired)
+	}
+	if m.s.Now() != m.now {
+		m.t.Fatalf("after %s: Now = %v, model %v", name, m.s.Now(), m.now)
+	}
+	m.checkCounts(name)
+}
+
+// runQueueOps decodes in into operations — opcode and operand, plus a program
+// byte for the scheduling ops — runs them against a fresh scheduler and the
+// model, drains, and returns what the run reached.
+func runQueueOps(t *testing.T, in []byte) tierReach {
+	m := &queueModel{t: t, s: New(), in: in}
+	for len(m.in) > 0 {
+		op, arg := m.next(), m.next()
+		switch op % 12 {
+		case opSchedule, opSchedule + 1, opSchedule + 2, opSchedule + 3:
+			m.schedule(op, arg, m.next(), 0)
+		case opCancel, opCancel + 1:
+			m.cancel(arg)
+		case opStep:
+			m.byKey, m.until, m.strict = false, maxTime, false
+			m.stopped, m.fired = false, 0
+			stepped := m.s.Step()
+			if stepped != (m.fired == 1) {
+				t.Fatalf("Step = %v, model fired %d", stepped, m.fired)
+			}
+			if !stepped {
+				m.discardDead()
+				if len(m.pending) != 0 {
+					t.Fatalf("Step found nothing, model has %d records", len(m.pending))
+				}
+			}
+			m.checkCounts("Step")
+		case opRunUntil, opRunUntil + 1:
+			until := m.s.Now() + m.delay(arg)
+			m.byKey, m.until, m.strict = false, until, false
+			m.run("RunUntil", func() uint64 { return m.s.RunUntil(until) }, until)
+		case opRunBefore:
+			until := m.s.Now() + m.delay(arg)
+			m.byKey, m.until, m.strict = false, until, true
+			m.run("RunBefore", func() uint64 { return m.s.RunBefore(until) }, until)
+		case opRunBeforeKey, opRunBeforeKey + 1:
+			// A bare instant; or the key of a pending record (live or dead),
+			// so strictness is decided below the instant.
+			k := Key{At: m.s.Now() + m.delay(arg)}
+			if op%12 == opRunBeforeKey+1 && len(m.pending) > 0 {
+				k = m.pending[int(arg)%len(m.pending)].key
+			}
+			m.byKey, m.key = true, k
+			m.run("RunBeforeKey", func() uint64 { return m.s.RunBeforeKey(k) }, k.At)
+		}
+	}
+	// Drain; a callback may Stop the loop, so run until nothing is left.
+	m.byKey, m.until, m.strict = false, maxTime, false
+	for m.s.Len() > 0 {
+		m.run("Run", func() uint64 { return m.s.RunUntil(maxTime) }, maxTime)
+	}
+	m.discardDead()
+	m.s.Step() // the engine's turn to discard a cancelled tail
+	m.checkCounts("drain")
+	if len(m.pending) != 0 {
+		t.Fatalf("drained engine, model still holds %d records", len(m.pending))
+	}
+	for id, h := range m.handles {
+		if m.s.Pending(h) {
+			t.Fatalf("event %d still pending after drain", id)
+		}
+	}
+	requireDrained(t, m.s)
+	m.reach.collect(m.s)
+	return m.reach
+}
+
+// Opcodes (mod 12) and operands of the fuzz input, named so the seed corpus
+// reads as a program and cannot drift from the decoder silently.
+const (
+	opSchedule     = 0 // +1 tagged, +2 call, +3 ChildKey and injected; takes a program byte
+	opCancel       = 4
+	opStep         = 6
+	opRunUntil     = 7
+	opRunBefore    = 9
+	opRunBeforeKey = 10 // +1: threshold on a pending record's key
+
+	// Delay operands: indexes into tierDelays (bits 4-5 add 0-3 ps, bits 6-7
+	// choose a tag).
+	dNow     = 0  // same instant
+	dNear    = 1  // same bucket
+	dBucket  = 4  // next bucket: ring
+	dRingEnd = 8  // the window's last bucket
+	dOutside = 9  // first bucket beyond the window: far
+	dBeyond  = 10 // one bucket further
+	dFar     = 11 // five windows out
+
+	progStop = 0xC0 // the callback cancels the newest event and stops the loop
+)
+
+// queueSeeds is the committed seed corpus. Together the seeds reach refill
+// from the ring and from far, far -> ring migration, and compaction with
+// cancelled records in each tier (TestQueueOrderSeedsReachAllTiers), through
+// every entry point the decoder knows.
+func queueSeeds() [][]byte {
+	var compactAll, lateSweep, refills, tree []byte
+	// Compaction in all three tiers at once: idle records in each tier,
+	// cancelled newest first. With 25 per tier the 65th cancel sweeps (the
+	// floor of 64 dead records decides); with 50 per tier the 76th does (dead
+	// records must outnumber live ones across the tiers, not in one of them).
+	idle := func(perTier, cancels int) (seed []byte) {
+		for _, tier := range [][2]byte{{opSchedule, dNear}, {opSchedule + 1, dBucket}, {opSchedule + 2, dFar}} {
+			for i := 0; i < perTier; i++ {
+				seed = append(seed, tier[0], tier[1], 0)
+			}
+		}
+		for i := 0; i < cancels; i++ {
+			seed = append(seed, opCancel, byte(i))
+		}
+		return append(seed, opRunUntil, dFar, opRunUntil, dFar)
+	}
+	compactAll, lateSweep = idle(25, 70), idle(50, 80)
+
+	// Refill from the ring, then from far across an idle gap; the far record
+	// one bucket beyond migrates when the window shifts over it.
+	refills = []byte{
+		opSchedule, dBucket, 0,
+		opSchedule + 3, dRingEnd, 0,
+		opSchedule, dOutside, 0,
+		opSchedule + 2, dBeyond, 0,
+		opSchedule + 1, dFar | 0x40, 0,
+		opStep, 0,
+		opRunBefore, dRingEnd,
+		opRunUntil, dOutside,
+		opStep, 0,
+		opStep, 0,
+		opStep, 0,
+	}
+
+	// Dispatch trees: callbacks that schedule through every entry point,
+	// cancel, and stop the loop half-way through a bucket; thresholds on
+	// pending keys; a resume after Stop.
+	tree = []byte{
+		opSchedule, dNow, 3 | 5<<2, // three children, entry points 1, 2, 3
+		opSchedule + 1, dNear | 0x80, 2 | 0x40, // two children, then cancels
+		opSchedule + 2, dBucket, 1 | 3<<2,
+		opSchedule + 3, dNear, progStop,
+		opSchedule, dNear | 0x10, 3 | 8<<2,
+		opStep, 0,
+		opRunBeforeKey + 1, 2,
+		opRunBeforeKey, dBucket,
+		opRunUntil, dRingEnd,
+		opSchedule, dNow, progStop | 2,
+		opSchedule + 1, dOutside, 3 | 9<<2,
+		opRunBefore, dOutside,
+		opCancel + 1, 3,
+		opRunUntil, dFar,
+		opRunBeforeKey + 1, 0,
+	}
+	return [][]byte{compactAll, lateSweep, refills, tree}
+}
+
+func FuzzQueueOrder(f *testing.F) {
+	for _, seed := range queueSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 4096 {
+			t.Skip("longer than any interesting schedule")
+		}
+		runQueueOps(t, in)
+	})
+}
+
+// TestQueueOrderSeedsReachAllTiers keeps the seed corpus honest: between
+// them, FuzzQueueOrder's seeds must reach every tier, both refill sources,
+// migration and compaction in each tier — so the fuzzer starts from inputs
+// that already cross every seam, and a change to the decoder or the geometry
+// that strands the corpus in cur fails here.
+func TestQueueOrderSeedsReachAllTiers(t *testing.T) {
+	var reach tierReach
+	for _, seed := range queueSeeds() {
+		reach.add(runQueueOps(t, seed))
+	}
+	reach.requireAll(t)
+}

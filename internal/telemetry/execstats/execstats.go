@@ -50,7 +50,7 @@ func (b *BoundaryTotals) Merge(pushes uint64, maxDrain int) {
 type ShardStats struct {
 	Shard         int    `json:"shard"`
 	Events        uint64 `json:"events"`          // events dispatched by this shard's scheduler
-	HeapHighWater int    `json:"heap_high_water"` // max pending-event heap depth
+	HeapHighWater int    `json:"heap_high_water"` // max index records pending at once across the event queue's tiers (cur, ring, far)
 	PoolAllocated uint64 `json:"pool_allocated"`  // distinct packets ever allocated by this shard's pool
 	PoolRecycled  uint64 `json:"pool_recycled"`   // free-list reuses
 	BusyNS        int64  `json:"busy_ns"`         // wall-clock ns spent executing events
