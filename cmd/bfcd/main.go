@@ -20,7 +20,8 @@
 // A coordinator compiles each submitted suite, satisfies jobs already present
 // anywhere in the fleet (the union of worker stores plus its own cache) with
 // zero execution, scatters the rest to workers in bounded batches, and merges
-// the records into a result stream byte-identical to a single-node run.
+// the records into a result stream byte-identical to a single-node run; a
+// batch no worker can take runs on the coordinator's own -parallel pool.
 // Workers execute batches against their own stores and announce themselves to
 // the coordinator; either side surviving the other's restart is normal
 // operation.
@@ -29,7 +30,8 @@
 // suite/job/cache/HTTP planes (plus bfcd_fleet_* in fleet modes), GET
 // /api/v1/version reports build information, and -pprof mounts net/http/pprof
 // under /debug/pprof/. Requests are logged through the shared -log-level /
-// -log-json slog flags. Every locally executed job also collects a wall-clock
+// -log-json slog flags. Every job the daemon's own pool executes — a
+// coordinator's fallback batches included — also collects a wall-clock
 // execution profile (internal/telemetry/execstats): the bfcd_exec_* families
 // aggregate it, "job" SSE events carry a per-job summary, and a coordinator
 // additionally maintains an EWMA per-worker throughput ledger served inside
@@ -63,11 +65,11 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8377", "listen address")
 		storeDir  = flag.String("store", "bfcd-store", "result store directory (shared with cmd/experiments -out)")
-		workers   = flag.Int("parallel", 0, "simulation worker pool size (0 = all cores)")
+		workers   = flag.Int("parallel", 0, "simulation worker pool size, fleet fallback included (0 = all cores)")
 		maxSuites = flag.Int("max-suites", 4, "maximum concurrently running suites")
 		cacheSize = flag.Int("cache", 128, "in-memory LRU capacity (decoded records)")
 		history   = flag.Int("history", 64, "retained terminal suites (older ones are forgotten; their artifacts stay in the store)")
-		streaming = flag.Int("streaming-hosts", 0, "force streaming stats on fabrics with at least this many hosts (0 = default threshold, negative = never)")
+		streaming = flag.Int("streaming-hosts", 0, "force streaming stats on fabrics with at least this many hosts (0 = default threshold, negative = never); a coordinator ships its value to the workers")
 		traceRing = flag.Int("trace-ring", 0, "flight-recorder ring capacity per traced job (0 = default)")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
@@ -128,7 +130,6 @@ func main() {
 			BatchTimeout:      *batchTO,
 			HeartbeatInterval: *heartbeat,
 			MaxAttempts:       *attempts,
-			StreamingHosts:    *streaming,
 			Registry:          registry,
 			Logger:            logger,
 		})
@@ -146,11 +147,10 @@ func main() {
 			parallel = runtime.NumCPU()
 		}
 		exec, err = fleet.NewExecutor(fleet.ExecutorConfig{
-			Store:          store,
-			Parallel:       parallel,
-			StreamingHosts: *streaming,
-			Registry:       registry,
-			Logger:         logger,
+			Store:    store,
+			Parallel: parallel,
+			Registry: registry,
+			Logger:   logger,
 		})
 		if err != nil {
 			logger.Error("starting worker", "err", err)

@@ -43,9 +43,6 @@ func NewClient(base string, timeout time.Duration) *Client {
 	}
 }
 
-// Base returns the peer's base URL.
-func (c *Client) Base() string { return c.base }
-
 // do sends one JSON request and decodes the 200 response into out (when
 // non-nil). HTTP 422 maps to ErrJobFailed and 409 to ErrDrift; other non-200
 // statuses become plain (retryable) errors carrying the body's error text.

@@ -14,7 +14,6 @@ import (
 
 	"bfc/internal/harness"
 	"bfc/internal/service"
-	"bfc/internal/sim"
 	"bfc/internal/telemetry"
 )
 
@@ -49,17 +48,13 @@ type Config struct {
 	// HeartbeatInterval paces worker liveness probes (default 5s).
 	HeartbeatInterval time.Duration
 	// MaxAttempts is the remote attempt budget per batch before the
-	// coordinator falls back to executing it locally (default 3).
+	// coordinator gives it back to the submitting daemon's own pool (default
+	// 3).
 	MaxAttempts int
 	// BackoffBase/BackoffMax shape the retry schedule (defaults 250ms / 5s);
 	// see Backoff.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// StreamingHosts is the coordinator's streaming-statistics threshold
-	// (service.Config.StreamingHosts semantics). It is resolved to an
-	// explicit host count and shipped with every batch so worker-side
-	// recompilation produces identical job hashes.
-	StreamingHosts int
 	// Registry receives the bfcd_fleet_* metric families (a private registry
 	// when nil).
 	Registry *telemetry.Registry
@@ -127,11 +122,11 @@ func (w *workerRef) status() WorkerStatus {
 
 // Coordinator scatters compiled suites across registered workers and merges
 // the records back in deterministic job order. It implements
-// service.Dispatcher.
+// service.Dispatcher, and executes nothing itself: a batch no worker can take
+// goes to the pool its caller passed to Dispatch.
 type Coordinator struct {
-	cfg       Config
-	streaming int // resolved host threshold shipped with batches
-	metrics   *coordMetrics
+	cfg     Config
+	metrics *coordMetrics
 	// ledger holds per-worker throughput estimates for the daemon's lifetime
 	// (across suites), not per dispatch.
 	ledger *Ledger
@@ -170,12 +165,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.BackoffMax = 5 * time.Second
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		streaming: resolveStreaming(cfg.StreamingHosts),
-		metrics:   newCoordMetrics(cfg.Registry),
-		ledger:    NewLedger(0),
-		workers:   map[string]*workerRef{},
-		stop:      make(chan struct{}),
+		cfg:     cfg,
+		metrics: newCoordMetrics(cfg.Registry),
+		ledger:  NewLedger(0),
+		workers: map[string]*workerRef{},
+		stop:    make(chan struct{}),
 	}
 	for _, u := range cfg.Workers {
 		if _, err := c.AddWorker(u); err != nil {
@@ -185,17 +179,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c.wg.Add(1)
 	go c.heartbeatLoop()
 	return c, nil
-}
-
-// resolveStreaming normalizes a service.Config.StreamingHosts value (0 =
-// default, negative = disabled) into the explicit threshold shipped on the
-// wire, so a worker configured differently still reproduces the
-// coordinator's job hashes.
-func resolveStreaming(threshold int) int {
-	if threshold == 0 {
-		return sim.DefaultStreamingHostThreshold
-	}
-	return threshold
 }
 
 // Close stops the heartbeat loop. In-flight Dispatch calls are owned by the
@@ -263,7 +246,7 @@ func (c *Coordinator) liveWorkers() []*workerRef {
 
 // pickWorker selects the least-loaded live worker with in-flight headroom;
 // anyAlive distinguishes "all busy" (wait) from "fleet dead" (fall back to
-// local execution).
+// the local pool).
 func (c *Coordinator) pickWorker() (best *workerRef, anyAlive bool) {
 	bestLoad := 0
 	for _, w := range c.snapshot() {
@@ -282,16 +265,6 @@ func (c *Coordinator) pickWorker() (best *workerRef, anyAlive bool) {
 		}
 	}
 	return best, anyAlive
-}
-
-func (c *Coordinator) updateAliveGauge() {
-	alive := int64(0)
-	for _, w := range c.snapshot() {
-		if w.isAlive() {
-			alive++
-		}
-	}
-	c.metrics.workersAlive.Set(alive)
 }
 
 // heartbeatLoop probes every worker once per interval until Close.
@@ -327,7 +300,7 @@ func (c *Coordinator) heartbeat() {
 		}
 		w.noteSuccess()
 	}
-	c.updateAliveGauge()
+	c.metrics.workersAlive.Set(int64(len(c.liveWorkers())))
 }
 
 // Status reports the coordinator's registry and scatter counters.
@@ -423,23 +396,21 @@ type batchState struct {
 // batchDone is one completed (or failed) batch attempt.
 type batchDone struct {
 	b      *batchState
-	w      *workerRef // nil for local execution
+	w      *workerRef // nil for a batch the local pool ran
 	recs   []*harness.Record
 	cached map[string]bool // hashes the worker served from its store
 	err    error
-	local  bool
 	took   time.Duration
 }
 
 // Dispatch implements service.Dispatcher: it satisfies pending jobs from the
 // fleet-wide manifest where possible, scatters the rest in bounded batches
-// across live workers, and feeds every record to sink. Records reach the
-// sink exactly once per job; the service assembles them in job order, so the
+// across live workers, and feeds every record to sink; a batch it cannot
+// place on a worker it dispatches on local, the submitting daemon's pool,
+// whose workers deliver to the same sink themselves. Records reach the sink
+// exactly once per job; the service assembles them in job order, so the
 // merged suite stream is byte-identical to a serial local run.
-func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, pending []int, sink service.Sink) error {
-	if len(pending) == 0 {
-		return nil
-	}
+func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, pending []int, sink service.Sink, local service.Dispatcher) error {
 	remaining := c.dedup(ctx, cs, pending, sink)
 	if len(remaining) == 0 {
 		return ctx.Err()
@@ -483,7 +454,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, p
 			case anyAlive:
 				parked = append(parked, b) // capacity frees when a result lands
 			default:
-				c.launchLocal(ctx, cs, b, results, "no live workers")
+				c.launchLocal(ctx, cs, b, sink, local, results, "no live workers")
 			}
 		}
 		waiting = parked
@@ -504,7 +475,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, p
 		case b := <-ready:
 			waiting = append(waiting, b)
 		case d := <-results:
-			finished, err := c.handleResult(ctx, cs, d, sink, results)
+			finished, err := c.handleResult(ctx, cs, d, sink, local, results)
 			if err != nil {
 				return err
 			}
@@ -548,7 +519,6 @@ func (c *Coordinator) dedup(ctx context.Context, cs *service.CompiledSuite, pend
 		}
 	}
 	var remaining []int
-	deduped := 0
 	for i, idx := range pending {
 		w := owner[hashes[i]]
 		if w == nil || ctx.Err() != nil {
@@ -558,15 +528,14 @@ func (c *Coordinator) dedup(ctx context.Context, cs *service.CompiledSuite, pend
 		cctx, cancel := context.WithTimeout(ctx, c.cfg.BatchTimeout)
 		rec, err := w.client.Record(cctx, hashes[i])
 		cancel()
-		if err != nil || rec.Hash != hashes[i] {
+		if err != nil || rec.Hash != hashes[i] ||
+			sink(idx, rec, service.Origin{Cached: true, Where: w.url}) != nil {
 			remaining = append(remaining, idx)
 			continue
 		}
-		sink(idx, rec, "fleet:"+w.url)
 		c.metrics.jobsDeduped.Inc()
-		deduped++
 	}
-	if deduped > 0 {
+	if deduped := len(pending) - len(remaining); deduped > 0 {
 		c.log("fleet dedup", "suite", cs.Digest, "deduped", deduped, "remaining", len(remaining))
 	}
 	return remaining
@@ -589,7 +558,7 @@ func (c *Coordinator) launchRemote(ctx context.Context, cs *service.CompiledSuit
 	}
 	b.lastWorker = w.url
 	req := &ExecuteRequest{
-		Batch: b.id, Suite: cs.Spec, StreamingHosts: c.streaming, Hashes: b.hashes,
+		Batch: b.id, Suite: cs.Spec, StreamingHosts: cs.StreamingHosts, Hashes: b.hashes,
 	}
 	go func() {
 		start := time.Now()
@@ -614,33 +583,24 @@ func (c *Coordinator) launchRemote(ctx context.Context, cs *service.CompiledSuit
 	}()
 }
 
-// launchLocal executes one batch on the coordinator itself — the degraded
-// mode that keeps a suite finishing when the fleet cannot.
-func (c *Coordinator) launchLocal(ctx context.Context, cs *service.CompiledSuite, b *batchState, results chan<- *batchDone, why string) {
+// launchLocal gives one batch to the submitting daemon's pool — the degraded
+// mode that keeps a suite finishing when the fleet cannot. The pool's workers
+// run the jobs and deliver to sink; the goroutine here only waits for them.
+func (c *Coordinator) launchLocal(ctx context.Context, cs *service.CompiledSuite, b *batchState, sink service.Sink, local service.Dispatcher, results chan<- *batchDone, why string) {
 	c.metrics.local.Inc()
 	c.log("fleet batch running locally", "batch", b.id, "jobs", len(b.idxs), "reason", why)
 	go func() {
 		start := time.Now()
-		recs := make([]*harness.Record, len(b.idxs))
-		var err error
-		for i, idx := range b.idxs {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			recs[i], err = cs.Jobs[idx].Execute()
-			if err != nil {
-				break
-			}
-		}
-		results <- &batchDone{b: b, recs: recs, err: err, local: true, took: time.Since(start)}
+		err := local.Dispatch(ctx, cs, b.idxs, sink, nil)
+		results <- &batchDone{b: b, err: err, took: time.Since(start)}
 	}()
 }
 
-// handleResult folds one batch outcome into the dispatch: merge records on
-// success, schedule a retry / local fallback on transient failure, abort the
-// suite on deterministic failure. Runs on the Dispatch goroutine, so sink
-// calls are serial.
-func (c *Coordinator) handleResult(ctx context.Context, cs *service.CompiledSuite, d *batchDone, sink service.Sink, results chan<- *batchDone) (finished bool, err error) {
+// handleResult folds one batch outcome into the dispatch: deliver a worker's
+// records on success (a local batch's were delivered by the pool), schedule a
+// retry / local fallback on transient failure, abort the suite on
+// deterministic failure.
+func (c *Coordinator) handleResult(ctx context.Context, cs *service.CompiledSuite, d *batchDone, sink service.Sink, local service.Dispatcher, results chan<- *batchDone) (finished bool, err error) {
 	b := d.b
 	if d.w != nil {
 		d.w.mu.Lock()
@@ -648,20 +608,18 @@ func (c *Coordinator) handleResult(ctx context.Context, cs *service.CompiledSuit
 		d.w.mu.Unlock()
 	}
 	if d.err == nil {
-		for i, idx := range b.idxs {
-			origin := "fleet-local"
-			if d.w != nil {
-				if d.cached[b.hashes[i]] {
-					origin = "fleet:" + d.w.url
+		if d.w != nil {
+			for i, idx := range b.idxs {
+				origin := service.Origin{Cached: d.cached[b.hashes[i]], Where: d.w.url}
+				if err := sink(idx, d.recs[i], origin); err != nil {
+					return false, err
+				}
+				if origin.Cached {
 					c.metrics.jobsDeduped.Inc()
 				} else {
-					origin = "worker:" + d.w.url
 					c.metrics.jobsRemote.Inc()
 				}
 			}
-			sink(idx, d.recs[i], origin)
-		}
-		if d.w != nil {
 			d.w.noteSuccess()
 			d.w.mu.Lock()
 			d.w.batches++
@@ -671,41 +629,37 @@ func (c *Coordinator) handleResult(ctx context.Context, cs *service.CompiledSuit
 			tp := c.ledger.Observe(d.w.url, len(b.idxs), d.took)
 			c.metrics.workerThroughput.With(d.w.url).Set(tp.JobsPerSec)
 		}
-		c.log("fleet batch done", "batch", b.id, "local", d.local,
+		c.log("fleet batch done", "batch", b.id, "local", d.w == nil,
 			"elapsed", d.took.Round(time.Millisecond).String())
 		return true, nil
 	}
 
-	// Failures. Local execution and worker-reported job failures are
-	// deterministic — retrying reproduces them — so they end the suite.
-	if d.local {
+	// Failures. A dispatch that was cancelled fails no job; local execution
+	// and worker-reported job failures are deterministic — retrying
+	// reproduces them — so they end the suite.
+	if ctx.Err() != nil {
+		return false, ctx.Err()
+	}
+	if d.w == nil {
 		return false, fmt.Errorf("fleet: batch %s failed locally: %w", b.id, d.err)
 	}
 	if errors.Is(d.err, ErrJobFailed) {
 		return false, fmt.Errorf("fleet: batch %s: %w", b.id, d.err)
-	}
-	if ctx.Err() != nil {
-		return false, ctx.Err()
 	}
 	hard := errors.Is(d.err, ErrDrift) // wrong code version: stop using this worker
 	if d.w.noteFailure(hard) {
 		c.evictThroughput(d.w.url)
 		c.log("fleet worker died", "worker", d.w.url, "batch", b.id, "error", d.err.Error())
 	}
-	c.updateAliveGauge()
+	c.metrics.workersAlive.Set(int64(len(c.liveWorkers())))
 	if b.attempts >= c.cfg.MaxAttempts {
-		c.launchLocal(ctx, cs, b, results, fmt.Sprintf("%d remote attempts failed", b.attempts))
+		c.launchLocal(ctx, cs, b, sink, local, results, fmt.Sprintf("%d remote attempts failed", b.attempts))
 		return false, nil
 	}
 	delay := Backoff(b.attempts-1, c.cfg.BackoffBase, c.cfg.BackoffMax, Seed(b.id))
 	c.metrics.retried.Inc()
 	c.log("fleet batch retry scheduled", "batch", b.id, "attempt", b.attempts,
 		"delay", delay.Round(time.Millisecond).String(), "error", d.err.Error())
-	time.AfterFunc(delay, func() {
-		select {
-		case b.ready <- b:
-		default: // cannot happen: one slot per batch; guard anyway
-		}
-	})
+	time.AfterFunc(delay, func() { b.ready <- b }) // never blocks: one slot per batch
 	return false, nil
 }

@@ -8,8 +8,9 @@
 // process. Instead the coordinator ships the suite's wire-form spec
 // (service.SuiteSpec) plus the content hashes of the jobs a worker should
 // run; the worker recompiles the spec through the same experiments registry,
-// applies the coordinator's streaming-statistics policy, and matches the
-// requested hashes against its own compilation. Both sides derive per-job
+// applies the streaming-statistics threshold the batch carries (the one the
+// coordinator's service applied: it is configured in one place), and matches
+// the requested hashes against its own compilation. Both sides derive per-job
 // seeds from job names, so a record computed on any worker is byte-identical
 // to one computed locally or on any other worker — which is what makes the
 // content hash a fleet-wide dedup key: before scattering, the coordinator
@@ -23,11 +24,18 @@
 // dead ones, every batch RPC has a timeout and retries with capped
 // exponential backoff (jitter derived deterministically from the batch ID),
 // batches lost to a dying worker are re-scattered to the survivors, and a
-// batch that exhausts its remote attempts falls back to local execution so a
-// fleet whose every worker died degrades to a slow single node instead of a
-// stuck suite. Everything is observable: bfcd_fleet_* Prometheus families
+// batch that exhausts its remote attempts is given back to the submitting
+// daemon's own worker pool, so a fleet whose every worker died degrades to a
+// slow single node — bounded by -parallel and profiled like one — instead of
+// a stuck suite. Everything is observable: bfcd_fleet_* Prometheus families
 // and per-batch structured logs recording every scatter, retry, re-scatter
 // and fallback.
+//
+// Nothing in this package runs a job itself: jobs execute on a service.Pool —
+// the worker-side Executor owns one, the Coordinator is handed the submitting
+// service's with every Dispatch call — and reach a store through a
+// service.Sink: the service's completeJob on a coordinator, Store.Put plus the
+// response slot on a worker.
 package fleet
 
 // Wire paths of the fleet API, mounted under the service handler's mux.

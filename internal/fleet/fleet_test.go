@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -31,14 +33,45 @@ func tinySpec() *service.SuiteSpec {
 // byte-parity reference every fleet path must reproduce.
 func directRun(t *testing.T) []*harness.Record {
 	t.Helper()
+	return directRunSchemes(t, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})
+}
+
+// directRunSchemes is directRun for any scheme set of the tiny Fig 5a panel
+// (nil: the paper's six).
+func directRunSchemes(t *testing.T, schemes []sim.Scheme) []*harness.Record {
+	t.Helper()
 	scale, _ := experiments.ScaleByName("tiny")
-	jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast,
-		[]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})
+	jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast, schemes)
 	recs, err := (&harness.Runner{Parallel: 1}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// metricValue reads one unlabelled integer series from a registry's text
+// exposition; -1 when it is not there.
+func metricValue(reg *telemetry.Registry, name string) int {
+	var buf bytes.Buffer
+	reg.WriteText(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, found := strings.CutPrefix(line, name+" "); found {
+			if v, err := strconv.Atoi(rest); err == nil {
+				return v
+			}
+		}
+	}
+	return -1
+}
+
+// checkOneExecutedCounter asserts that the stats document and /metrics read
+// the same count of executed jobs.
+func checkOneExecutedCounter(t *testing.T, svc *service.Service) {
+	t.Helper()
+	stats, metric := svc.Stats().JobsExecuted, metricValue(svc.Metrics(), "bfcd_jobs_executed_total")
+	if metric < 0 || stats != uint64(metric) {
+		t.Fatalf("Stats.JobsExecuted = %d but bfcd_jobs_executed_total = %d", stats, metric)
+	}
 }
 
 func marshal(t *testing.T, v any) string {
@@ -70,8 +103,9 @@ func newWorker(t *testing.T) (*Executor, *harness.Store, *httptest.Server) {
 }
 
 // newFleetService builds a coordinator-mode service: a service.Service whose
-// uncached jobs are dispatched through a Coordinator.
-func newFleetService(t *testing.T, workers []string, mutate func(*Config)) (*service.Service, *Coordinator) {
+// uncached jobs are dispatched through a Coordinator. mutate adjusts the
+// coordinator's configuration, svcMutate the service's.
+func newFleetService(t *testing.T, workers []string, mutate func(*Config), svcMutate ...func(*service.Config)) (*service.Service, *Coordinator) {
 	t.Helper()
 	store, err := harness.NewStore(t.TempDir())
 	if err != nil {
@@ -92,7 +126,11 @@ func newFleetService(t *testing.T, workers []string, mutate func(*Config)) (*ser
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	svc, err := service.New(service.Config{Store: store, Workers: 2, Fleet: coord})
+	scfg := service.Config{Store: store, Workers: 2, Fleet: coord}
+	for _, m := range svcMutate {
+		m(&scfg)
+	}
+	svc, err := service.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +185,7 @@ func TestFleetScatterMatchesDirectRun(t *testing.T) {
 	if !storeA.Has(recs[0].Hash) && !storeB.Has(recs[0].Hash) {
 		t.Fatal("no worker store holds the first record")
 	}
+	checkOneExecutedCounter(t, svc)
 
 	// Resubmission: every record is now in the coordinator's own cache, so
 	// the suite completes synchronously with zero fleet traffic.
@@ -331,6 +370,119 @@ func TestFleetFallsBackToLocalWithoutWorkers(t *testing.T) {
 	}
 	if got, want := marshal(t, recs), marshal(t, directRun(t)); got != want {
 		t.Fatal("local-fallback records differ from a direct serial harness run")
+	}
+}
+
+// TestFleetLocalFallbackHonoursWorkerBound pins what "degrades to a slow single
+// node" means: a fleet without workers runs its batches on the coordinator
+// daemon's own pool, so they are bounded by its size, visible on its gauges
+// and profiled like any local job. Six one-job batches on a pool of two.
+func TestFleetLocalFallbackHonoursWorkerBound(t *testing.T) {
+	svc, coord := newFleetService(t, nil, nil)
+	status, err := svc.Submit(&service.SuiteSpec{Figure: "fig05a", Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, events, cancel, err := svc.Subscribe(status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+
+	// Sample while the suite runs: goroutines inside Job.Execute (what runs,
+	// whoever started it) and the pool's busy gauge (what is accounted for).
+	stop := make(chan struct{})
+	sampled := make(chan [2]int)
+	go func() {
+		var peak [2]int
+		stacks := make([]byte, 1<<20)
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			default:
+			}
+			n := runtime.Stack(stacks, true)
+			peak[0] = max(peak[0], bytes.Count(stacks[:n], []byte("harness.(*Job).Execute(")))
+			peak[1] = max(peak[1], metricValue(svc.Metrics(), "bfcd_workers_busy"))
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	done := waitState(t, svc, status.ID)
+	close(stop)
+	peak := <-sampled
+	if done.State != service.StateDone || done.Total != 6 || done.Executed != 6 {
+		t.Fatalf("workerless fleet run ended %+v", done)
+	}
+	if peak[0] < 1 || peak[0] > 2 {
+		t.Errorf("peak concurrent executions = %d, want 1..2 (the pool has two workers)", peak[0])
+	}
+	if peak[1] < 1 || peak[1] > 2 {
+		t.Errorf("peak bfcd_workers_busy = %d, want 1..2", peak[1])
+	}
+	if got := coord.metrics.local.Value(); got != 6 {
+		t.Errorf("batches_local = %d, want 6 (one-job batches)", got)
+	}
+	if got := metricValue(svc.Metrics(), "bfcd_exec_runs_total"); got != 6 {
+		t.Errorf("bfcd_exec_runs_total = %d, want 6: fallback jobs pay for a profile, so it must be kept", got)
+	}
+	checkOneExecutedCounter(t, svc)
+	jobEvents := 0
+	for ev := range events {
+		if ev.Type == "job" {
+			jobEvents++
+			if ev.Exec == nil || ev.Exec.Events == 0 {
+				t.Errorf("job event for %s carries no execution profile", ev.Job)
+			}
+		}
+	}
+	if jobEvents == 0 {
+		t.Error("no job event reached the subscription")
+	}
+	recs, err := svc.Results(status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshal(t, recs), marshal(t, directRunSchemes(t, nil)); got != want {
+		t.Fatal("local-fallback records differ from a direct serial harness run")
+	}
+}
+
+// TestFleetShipsTheServiceStreamingThreshold configures the streaming policy
+// in one place only, the service: at a threshold of 4 hosts the 8-host tiny
+// Clos is marked "stats": "streaming", which changes every job hash, and the
+// workers must recompile those same hashes from the threshold the batch
+// carries — not drift, be marked dead, and leave the suite to local fallback.
+func TestFleetShipsTheServiceStreamingThreshold(t *testing.T) {
+	_, _, srvA := newWorker(t)
+	_, _, srvB := newWorker(t)
+	svc, coord := newFleetService(t, []string{srvA.URL, srvB.URL}, nil,
+		func(c *service.Config) { c.StreamingHosts = 4 })
+	status, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitState(t, svc, status.ID); done.State != service.StateDone || done.Executed != 2 {
+		t.Fatalf("suite ended %+v", done)
+	}
+	recs, err := svc.Results(status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Meta["stats"] != "streaming" {
+			t.Fatalf("record %s is not marked streaming: the threshold of 4 was not applied", rec.Name)
+		}
+	}
+	st := coord.Status()
+	if st.JobsRemote != 2 || st.BatchesLocal != 0 {
+		t.Errorf("jobs_remote = %d, batches_local = %d, want 2 and 0", st.JobsRemote, st.BatchesLocal)
+	}
+	for _, w := range st.Workers {
+		if !w.Alive {
+			t.Errorf("worker %s was marked dead (drift)", w.URL)
+		}
 	}
 }
 

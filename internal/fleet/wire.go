@@ -18,9 +18,10 @@ type ExecuteRequest struct {
 	Batch string `json:"batch"`
 	// Suite is the wire form the worker recompiles.
 	Suite service.SuiteSpec `json:"suite"`
-	// StreamingHosts is the coordinator's streaming-statistics threshold
-	// (service.Config.StreamingHosts semantics), re-applied by the worker so
-	// both sides agree on every job's content hash.
+	// StreamingHosts is the explicit streaming-statistics threshold the
+	// coordinator's service applied (service.CompiledSuite.StreamingHosts),
+	// re-applied by the worker so both sides agree on every job's content
+	// hash.
 	StreamingHosts int `json:"streaming_hosts"`
 	// Hashes selects the jobs to run, by JobSpec content hash.
 	Hashes []string `json:"hashes"`

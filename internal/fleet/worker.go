@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"bfc/internal/harness"
@@ -21,12 +20,9 @@ type ExecutorConfig struct {
 	// Store persists completed records; it doubles as the worker's dedup cache
 	// and its contribution to the fleet-wide manifest. Required.
 	Store *harness.Store
-	// Parallel bounds concurrently executing jobs (default 1).
+	// Parallel bounds concurrently executing jobs across all in-flight
+	// batches (default 1).
 	Parallel int
-	// StreamingHosts is the worker's fallback streaming-statistics threshold,
-	// used only when a coordinator predates shipping its own. Same semantics
-	// as service.Config.StreamingHosts.
-	StreamingHosts int
 	// Registry receives the bfcd_fleet_worker_* metric families (a private
 	// registry when nil).
 	Registry *telemetry.Registry
@@ -40,8 +36,8 @@ type ExecutorConfig struct {
 type Executor struct {
 	cfg     ExecutorConfig
 	metrics *workerMetrics
-	// sem bounds concurrent job executions across all in-flight batches.
-	sem chan struct{}
+	// pool executes the jobs of every in-flight batch, Parallel at a time.
+	pool *service.Pool
 }
 
 // NewExecutor builds a worker execution plane.
@@ -49,14 +45,10 @@ func NewExecutor(cfg ExecutorConfig) (*Executor, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("fleet: executor needs a store")
 	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 1
-	}
-	return &Executor{
-		cfg:     cfg,
-		metrics: newWorkerMetrics(cfg.Registry),
-		sem:     make(chan struct{}, cfg.Parallel),
-	}, nil
+	m := newWorkerMetrics(cfg.Registry)
+	// The executor has a busy gauge but shows no queue length.
+	pool := service.NewPool(cfg.Parallel, m.busy, new(telemetry.Gauge))
+	return &Executor{cfg: cfg, metrics: m, pool: pool}, nil
 }
 
 func (e *Executor) log(msg string, args ...any) {
@@ -164,87 +156,60 @@ func (e *Executor) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 // Execute recompiles the shipped suite, verifies the requested hashes against
 // its own compilation, and produces one record per hash — from the store when
-// already computed, by simulation otherwise. Records come back in request
-// order.
+// already computed, by simulation on the executor's pool otherwise. Records
+// come back in request order.
 func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteResponse, error) {
 	cs, err := req.Suite.Compile()
 	if err != nil {
 		return nil, fmt.Errorf("%w: recompiling suite: %v", ErrDrift, err)
 	}
-	threshold := req.StreamingHosts
-	if threshold == 0 {
-		threshold = e.cfg.StreamingHosts
-	}
-	service.ApplyStreamingPolicy(cs.Jobs, threshold)
+	service.ApplyStreamingPolicy(cs.Jobs, req.StreamingHosts)
 	byHash := make(map[string]*harness.Job, len(cs.Jobs))
 	for i := range cs.Jobs {
 		byHash[cs.Jobs[i].Hash()] = &cs.Jobs[i]
 	}
-	jobs := make([]*harness.Job, len(req.Hashes))
+	start := time.Now()
+	// The batch in request order, so a job's index is its response slot.
+	batch := &service.CompiledSuite{Jobs: make([]harness.Job, len(req.Hashes))}
+	resp := &ExecuteResponse{Records: make([]*harness.Record, len(req.Hashes))}
+	var pending []int
 	for i, h := range req.Hashes {
 		j, ok := byHash[h]
 		if !ok {
 			return nil, fmt.Errorf("%w: suite %q compiled no job with hash %s", ErrDrift, cs.Title, h)
 		}
-		jobs[i] = j
-	}
-
-	start := time.Now()
-	resp := &ExecuteResponse{Records: make([]*harness.Record, len(jobs))}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := range jobs {
-		if ctx.Err() != nil {
-			break
-		}
+		batch.Jobs[i] = *j
 		// Store hit: an earlier batch (or a local batch run) already computed
 		// this job; serve the artifact instead of re-simulating.
-		if rec, ok, err := e.cfg.Store.Get(jobs[i].Hash()); err == nil && ok {
+		if rec, ok, err := e.cfg.Store.Get(h); err == nil && ok {
 			resp.Records[i] = rec
-			resp.Cached++
-			resp.CachedHashes = append(resp.CachedHashes, req.Hashes[i])
-			e.metrics.jobsCached.Inc()
-			continue
+			resp.CachedHashes = append(resp.CachedHashes, h)
+		} else {
+			pending = append(pending, i)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case e.sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-e.sem }()
-			e.metrics.busy.Inc()
-			defer e.metrics.busy.Dec()
-			rec, err := jobs[i].Execute()
-			if err == nil {
-				err = e.cfg.Store.Put(rec)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			resp.Records[i] = rec
-			e.metrics.jobsExecuted.Inc()
-		}(i)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrJobFailed, firstErr)
+	resp.Cached = len(resp.CachedHashes)
+	e.metrics.jobsCached.Add(uint64(resp.Cached))
+	// The worker's sink: persist, fill the slot, count. Pool workers call it
+	// concurrently, each for a slot of its own.
+	sink := func(i int, rec *harness.Record, _ service.Origin) error {
+		if err := e.cfg.Store.Put(rec); err != nil {
+			return err
+		}
+		resp.Records[i] = rec
+		e.metrics.jobsExecuted.Inc()
+		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if err := e.pool.Dispatch(ctx, batch, pending, sink, nil); err != nil {
+		// A batch the coordinator gave up on is not a failed job: 422 would
+		// make the coordinator fail its suite.
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("%w: %v", ErrJobFailed, err)
 	}
 	e.metrics.batches.Inc()
-	e.log("fleet batch executed", "batch", req.Batch, "jobs", len(jobs),
+	e.log("fleet batch executed", "batch", req.Batch, "jobs", len(req.Hashes),
 		"cached", resp.Cached, "elapsed", time.Since(start).Round(time.Millisecond).String())
 	return resp, nil
 }

@@ -26,9 +26,10 @@ type serviceMetrics struct {
 	httpRequests    *telemetry.CounterVec // label "code"
 	httpLatency     *telemetry.Histogram
 
-	// bfcd_exec_* aggregate the wall-clock execution profiles of locally
-	// executed jobs (the service enables Options.ExecStats on every job it
-	// runs itself; fleet records arrive over JSON, which the profile never
+	// bfcd_exec_* aggregate the wall-clock execution profiles of the jobs this
+	// daemon's pool executed, a coordinator's local fallback included (the
+	// service enables Options.ExecStats on every job it may run itself; a
+	// remote worker's records arrive over JSON, which the profile never
 	// crosses by design).
 	execRuns          *telemetry.Counter
 	execShardedRuns   *telemetry.Counter
@@ -54,13 +55,13 @@ func newServiceMetrics(reg *telemetry.Registry) *serviceMetrics {
 		cacheHits:       reg.NewCounter("bfcd_cache_hits_total", "Submission-time result-cache hits."),
 		cacheMisses:     reg.NewCounter("bfcd_cache_misses_total", "Submission-time result-cache misses."),
 		activeSuites:    reg.NewGauge("bfcd_active_suites", "Suites currently holding uncached work."),
-		queuedJobs:      reg.NewGauge("bfcd_queued_jobs", "Jobs waiting for a worker."),
+		queuedJobs:      reg.NewGauge("bfcd_queued_jobs", "Jobs waiting for a pool worker; a cancelled suite's jobs count until a worker pops and skips them."),
 		workers:         reg.NewGauge("bfcd_workers", "Simulation worker pool size."),
-		workersBusy:     reg.NewGauge("bfcd_workers_busy", "Workers currently executing a job."),
+		workersBusy:     reg.NewGauge("bfcd_workers_busy", "Pool workers currently executing a job (local suites and fleet fallback alike)."),
 		httpRequests:    reg.NewCounterVec("bfcd_http_requests_total", "HTTP requests served, by status code.", "code"),
 		httpLatency:     reg.NewHistogram("bfcd_http_request_seconds", "HTTP request latency in seconds.", nil),
 
-		execRuns:          reg.NewCounter("bfcd_exec_runs_total", "Locally executed jobs that collected a wall-clock execution profile."),
+		execRuns:          reg.NewCounter("bfcd_exec_runs_total", "Jobs executed on this daemon's pool that collected a wall-clock execution profile."),
 		execShardedRuns:   reg.NewCounter("bfcd_exec_sharded_runs_total", "Profiled jobs that ran on the sharded engine (>1 shard)."),
 		execEvents:        reg.NewCounter("bfcd_exec_events_total", "Simulator events dispatched by profiled jobs."),
 		execWindows:       reg.NewCounter("bfcd_exec_windows_total", "Lookahead windows executed by profiled sharded jobs."),

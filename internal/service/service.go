@@ -1,8 +1,13 @@
 // Package service is the simulation-as-a-service tier: a long-lived Service
 // accepts JSON-declared suites (a figure grid or a scenario, see SuiteSpec),
 // compiles them to harness jobs through the experiments registry, satisfies
-// every already-computed job from a content-addressed result cache, and runs
-// the rest on a bounded worker pool with per-suite progress events.
+// every already-computed job from a content-addressed result cache, and hands
+// the rest to a Dispatcher — its own bounded worker pool (Pool), or a fleet —
+// with per-suite progress events. There is one road from a pending job to a
+// stored record, whatever computed it: SubmitCompiled picks the dispatcher,
+// one runSuite goroutine per uncached suite calls Dispatch, and every record
+// comes back through one sink, completeJob (see Dispatcher, Sink and Pool for
+// who bounds, who persists and who counts).
 //
 // Caching is content-addressed end to end: a job's artifact is keyed by the
 // hash of its wire-form spec (harness.JobSpec), the store is the same JSONL
@@ -22,7 +27,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 
 	"bfc/internal/harness"
@@ -35,8 +39,9 @@ import (
 type Config struct {
 	// Store persists and serves completed records. Required.
 	Store *harness.Store
-	// Workers bounds the simulation worker pool; <= 0 means
-	// runtime.GOMAXPROCS(0) via the default in New.
+	// Workers bounds the simulation worker pool, and with it every job this
+	// process executes for the service, a fleet coordinator's local fallback
+	// included; <= 0 means runtime.GOMAXPROCS(0) via the default in New.
 	Workers int
 	// MaxActiveSuites bounds the number of suites simultaneously holding
 	// uncached work; submissions beyond it fail with ErrBusy. Fully-cached
@@ -76,28 +81,40 @@ type Config struct {
 	Fleet Dispatcher
 }
 
-// Dispatcher executes a suite's uncached jobs somewhere other than the local
-// worker pool — internal/fleet's Coordinator scatters them across registered
+// Dispatcher gets a suite's uncached jobs computed: the Service's own Pool
+// executes them, internal/fleet's Coordinator scatters them across registered
 // workers and re-scatters on worker loss.
 type Dispatcher interface {
-	// Dispatch runs the pending jobs (indexes into cs.Jobs), calling sink
-	// exactly once per index that completed, in any order but never
-	// concurrently. It returns nil once every pending job was delivered, or
-	// the first fatal error; cancelling ctx aborts outstanding work (the
-	// error is then ignored by the service, which has already finished the
-	// suite).
-	Dispatch(ctx context.Context, cs *CompiledSuite, pending []int, sink Sink) error
+	// Dispatch gets the pending jobs (indexes into cs.Jobs) computed and
+	// delivers each record to sink exactly once, in any order, from any
+	// goroutine. It returns nil once every pending job was delivered, or the
+	// first error — a failed job, a failed sink, or ctx's when ctx ended.
+	// After it returns none of its jobs starts any more, though one already
+	// executing still delivers its record. local is the caller's own Pool:
+	// what a dispatcher cannot place elsewhere it runs there, so that work
+	// stays bounded by the pool's size and counted by its gauges. A
+	// dispatcher persists nothing and counts no job — the sink does both.
+	Dispatch(ctx context.Context, cs *CompiledSuite, pending []int, sink Sink, local Dispatcher) error
 }
 
-// Sink receives one completed record from a Dispatcher. origin describes
-// where the record came from: "fleet:<worker>" for a fleet-manifest dedup hit
-// (no execution anywhere), "worker:<worker>" for a remote execution, or
-// "local" for the coordinator's own fallback execution.
-type Sink func(idx int, rec *harness.Record, origin string)
+// Sink receives one completed record from a Dispatcher and owns it from then
+// on: it persists the record, counts it, and folds it into whatever waits for
+// it (Service.completeJob; a fleet worker's is Store.Put plus a response
+// slot). It must be safe for concurrent use — pool workers and a
+// coordinator's Dispatch goroutine deliver through the same function — and
+// must persist before it looks at what waits: a record whose suite has ended
+// is still kept. An error fails the dispatch that delivered the record.
+type Sink func(idx int, rec *harness.Record, origin Origin) error
 
-// FleetCached reports whether a Sink origin string marks a record satisfied
-// from another store without execution.
-func FleetCached(origin string) bool { return strings.HasPrefix(origin, "fleet:") }
+// Origin says where a delivered record came from.
+type Origin struct {
+	// Cached marks a record satisfied from another store — a fleet-manifest
+	// dedup hit or a worker's own store — with no execution anywhere.
+	Cached bool
+	// Where names the executor or store: "local" for this process's pool, a
+	// worker's base URL otherwise.
+	Where string
+}
 
 // SuiteState is a suite's lifecycle state.
 type SuiteState string
@@ -135,26 +152,16 @@ type Service struct {
 	cfg     Config
 	cache   *recordCache
 	metrics *serviceMetrics
+	pool    *Pool
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []work
 	suites map[string]*suite
-	// order lists running suites in submission order (for shutdown);
 	// history lists terminal suites in completion order (for eviction).
-	order   []string
 	history []string
 	nextID  int
 	active  int
-	jobsRun uint64
 	closed  bool
-	wg      sync.WaitGroup
-}
-
-// work is one queued job execution.
-type work struct {
-	st  *suite
-	idx int
+	wg      sync.WaitGroup // the runSuite goroutines
 }
 
 // suite is the server-side state of one submission.
@@ -182,10 +189,10 @@ type suite struct {
 	// so workers and trace fetches read it without locking.
 	traces map[int]*telemetry.Ring
 
-	// fleetCancel, for suites running on the fleet dispatcher, aborts the
-	// dispatch when the suite reaches a terminal state (cancel, failure,
-	// shutdown). Set before the dispatch goroutine starts, never reassigned.
-	fleetCancel context.CancelFunc
+	// cancel ends the suite's dispatch when the suite reaches a terminal
+	// state (done, cancel, failure, shutdown). Set before runSuite starts and
+	// never reassigned; nil for a suite that was fully cached.
+	cancel context.CancelFunc
 }
 
 // Event is one progress notification on a suite's subscription stream.
@@ -207,8 +214,9 @@ type Event struct {
 	State SuiteState `json:"state,omitempty"`
 	Error string     `json:"error,omitempty"`
 	// Exec summarizes the job's wall-clock execution profile (Type "job",
-	// locally executed jobs only — fleet records arrive over JSON, which the
-	// profile never crosses). bfcctl top renders these.
+	// jobs executed on this daemon's pool only — a remote worker's records
+	// arrive over JSON, which the profile never crosses). bfcctl top renders
+	// these.
 	Exec *ExecEventStats `json:"exec,omitempty"`
 }
 
@@ -262,7 +270,7 @@ type SuiteStatus struct {
 // Stats is a service-wide snapshot.
 type Stats struct {
 	// Suites counts submissions since start; ActiveSuites those still
-	// running; QueuedJobs the jobs waiting for a worker.
+	// running; QueuedJobs the jobs waiting for a worker (bfcd_queued_jobs).
 	Suites       int `json:"suites"`
 	ActiveSuites int `json:"active_suites"`
 	QueuedJobs   int `json:"queued_jobs"`
@@ -270,14 +278,15 @@ type Stats struct {
 	Workers int `json:"workers"`
 	// JobsExecuted counts simulations actually run since start, on the local
 	// pool or (for a fleet coordinator) on remote workers — the number the
-	// cache-hit acceptance test pins at zero for a resubmission. Fleet-manifest
-	// dedup hits do not count: nothing executed anywhere.
+	// cache-hit acceptance test pins at zero for a resubmission, and the one
+	// /metrics shows as bfcd_jobs_executed_total. Fleet-manifest dedup hits do
+	// not count: nothing executed anywhere.
 	JobsExecuted uint64 `json:"jobs_executed"`
 	// Cache summarizes the result cache.
 	Cache CacheStats `json:"cache"`
 }
 
-// New starts a Service and its worker pool.
+// New makes a Service and its worker pool.
 func New(cfg Config) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("service: a store is required")
@@ -304,17 +313,13 @@ func New(cfg Config) (*Service, error) {
 		metrics: newServiceMetrics(cfg.Registry),
 	}
 	s.metrics.workers.Set(int64(cfg.Workers))
-	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.pool = NewPool(cfg.Workers, s.metrics.workersBusy, s.metrics.queuedJobs)
 	return s, nil
 }
 
 // Close stops accepting work, cancels every running suite (queued jobs are
-// dropped; in-flight simulations finish and their records are still cached),
-// and waits for the workers to exit.
+// skipped; in-flight simulations finish and their records are still cached),
+// and waits for the dispatches to return and the pool to drain.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -322,18 +327,16 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	s.queue = nil
-	running := make([]*suite, 0, s.active)
-	for _, id := range s.order {
-		st := s.suites[id]
-		running = append(running, st)
+	suites := make([]*suite, 0, len(s.suites))
+	for _, st := range s.suites {
+		suites = append(suites, st)
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	for _, st := range running {
-		s.finishSuite(st, StateCancelled, "service shutting down")
+	for _, st := range suites {
+		s.finishSuite(st, StateCancelled, "service shutting down") // no-op on a terminal suite
 	}
 	s.wg.Wait()
+	s.pool.Wait()
 }
 
 // Submit compiles and starts a suite. Jobs already present in the result
@@ -360,7 +363,7 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 	}
 	// Server-side option policy; it may mark job Meta, so it must run before
 	// hashes are used.
-	s.applyMemoryPolicy(cs.Jobs)
+	cs.StreamingHosts = ApplyStreamingPolicy(cs.Jobs, s.cfg.StreamingHosts)
 	cs.Digest = suiteDigest(cs.Jobs)
 
 	st := &suite{
@@ -422,6 +425,10 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		st.jobs[i].Options = append(st.jobs[i].Options, enableExecStats)
 	}
 
+	// Trace-enabled suites stay local: a remote worker's flight-recorder ring
+	// cannot be attached to this process's trace endpoint.
+	fleet := s.cfg.Fleet != nil && cs.Shippable() && !cs.Trace
+
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -441,28 +448,20 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		s.retireLocked(st.id)
 		s.metrics.suitesCompleted.With(string(StateDone)).Inc()
 	} else {
-		s.order = append(s.order, st.id)
 		s.active++
 		s.metrics.activeSuites.Inc()
-		// Trace-enabled suites stay local: a remote worker's flight-recorder
-		// ring cannot be attached to this process's trace endpoint.
-		if s.cfg.Fleet != nil && cs.Shippable() && !cs.Trace {
-			ctx, cancel := context.WithCancel(context.Background())
-			st.fleetCancel = cancel
-			s.wg.Add(1)
-			go s.runFleetSuite(ctx, st, cs, pending)
-		} else {
-			for _, i := range pending {
-				s.queue = append(s.queue, work{st: st, idx: i})
-			}
-			s.metrics.queuedJobs.Set(int64(len(s.queue)))
-			s.cond.Broadcast()
+		d := Dispatcher(s.pool)
+		if fleet {
+			d = s.cfg.Fleet
 		}
+		ctx, cancel := context.WithCancel(context.Background())
+		st.cancel = cancel
+		s.wg.Add(1)
+		go s.runSuite(ctx, st, cs, d, pending)
 	}
 	s.mu.Unlock()
 	s.log("suite submitted", "suite", st.id, "figure", st.figure, "scale", st.scale,
-		"jobs", len(st.jobs), "cached", st.cached, "traced", st.traces != nil,
-		"fleet", st.fleetCancel != nil)
+		"jobs", len(st.jobs), "cached", st.cached, "traced", st.traces != nil, "fleet", fleet)
 	return s.statusOf(st), nil
 }
 
@@ -470,63 +469,66 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 // the service may execute locally (one shared func, not a per-job closure).
 func enableExecStats(o *sim.Options) { o.ExecStats = true }
 
-// runFleetSuite hands a suite's uncached jobs to the fleet dispatcher and
-// folds every delivered record into the suite exactly like the local worker
-// path does. It runs in its own goroutine (one per fleet suite); the sink is
-// invoked serially by the dispatcher, so no extra ordering is needed.
-func (s *Service) runFleetSuite(ctx context.Context, st *suite, cs *CompiledSuite, pending []int) {
+// runSuite is a running suite's one goroutine: it hands the uncached jobs to
+// the suite's dispatcher and fails the suite on the dispatcher's error. A
+// suite becomes done in completeJob, as its last record arrives; what Dispatch
+// returns once the suite is terminal, finishSuite ignores.
+func (s *Service) runSuite(ctx context.Context, st *suite, cs *CompiledSuite, d Dispatcher, pending []int) {
 	defer s.wg.Done()
-	err := s.cfg.Fleet.Dispatch(ctx, cs, pending, func(idx int, rec *harness.Record, origin string) {
-		s.completeFleetJob(st, idx, rec, origin)
-	})
-	if err != nil && ctx.Err() == nil {
+	sink := func(idx int, rec *harness.Record, origin Origin) error {
+		return s.completeJob(st, idx, rec, origin)
+	}
+	if err := d.Dispatch(ctx, cs, pending, sink, s.pool); err != nil {
 		s.finishSuite(st, StateFailed, err.Error())
 	}
 }
 
-// completeFleetJob is the fleet counterpart of runJob's completion tail: the
-// record is persisted and cached unconditionally (work computed anywhere in
-// the fleet must never be lost, even for a suite that ended meanwhile), then
-// folded into the suite if it is still running.
-func (s *Service) completeFleetJob(st *suite, idx int, rec *harness.Record, origin string) {
+// completeJob is every record's way into the service, wherever it was
+// computed: pool workers and a fleet dispatcher's goroutine call it
+// concurrently. The record is persisted, cached and counted unconditionally
+// (work computed anywhere must never be lost, even for a suite that ended
+// meanwhile), then folded into the suite if it is still running.
+func (s *Service) completeJob(st *suite, idx int, rec *harness.Record, origin Origin) error {
 	if err := s.cfg.Store.Put(rec); err != nil {
-		s.finishSuite(st, StateFailed, err.Error())
-		return
+		return err
 	}
 	s.cache.Add(rec.Hash, rec)
-	deduped := FleetCached(origin)
-	if deduped {
+	// The profile is json:"-": nil on every record that crossed HTTP, set on
+	// the ones this process's pool executed, so no origin test is needed.
+	var exec *execstats.RunStats
+	if rec.Result != nil {
+		exec = rec.Result.Exec
+	}
+	if origin.Cached {
 		s.metrics.jobsCached.Inc()
 	} else {
-		s.mu.Lock()
-		s.jobsRun++
-		s.mu.Unlock()
 		s.metrics.jobsExecuted.Inc()
+		s.metrics.recordExec(exec)
 	}
 
 	st.mu.Lock()
 	if st.state != StateRunning {
 		st.mu.Unlock()
-		return
+		return nil
 	}
 	st.records[idx] = rec
 	st.done++
-	if deduped {
+	if origin.Cached {
 		st.cached++
 	} else {
 		st.executed++
 	}
 	finished := st.done == len(st.jobs)
-	ev := Event{
-		Type: "job", Suite: st.id, Job: st.jobs[idx].Name, Cached: deduped,
-		Done: st.done, Total: len(st.jobs),
-	}
-	st.notifyLocked(ev)
+	st.notifyLocked(Event{
+		Type: "job", Suite: st.id, Job: st.jobs[idx].Name, Cached: origin.Cached,
+		Done: st.done, Total: len(st.jobs), Exec: execEventStats(exec),
+	})
 	st.mu.Unlock()
-	s.log("fleet job complete", "suite", st.id, "job", st.jobs[idx].Name, "origin", origin)
+	s.log("job complete", "suite", st.id, "job", st.jobs[idx].Name, "where", origin.Where)
 	if finished {
 		s.finishSuite(st, StateDone, "")
 	}
+	return nil
 }
 
 // log emits a structured log line when a logger is configured.
@@ -593,7 +595,7 @@ func (s *Service) Results(id string) ([]*harness.Record, error) {
 	return append([]*harness.Record{}, st.records...), nil
 }
 
-// Cancel stops a running suite: queued jobs are dropped, in-flight jobs
+// Cancel stops a running suite: queued jobs are skipped, in-flight jobs
 // finish (their records still land in the cache) but the suite no longer
 // waits for them.
 func (s *Service) Cancel(id string) error {
@@ -602,7 +604,7 @@ func (s *Service) Cancel(id string) error {
 		return err
 	}
 	if !s.finishSuite(st, StateCancelled, "cancelled") {
-		return fmt.Errorf("service: suite %s is already %s", id, st.terminalState())
+		return fmt.Errorf("service: suite %s is already %s", id, s.statusOf(st).State)
 	}
 	return nil
 }
@@ -640,14 +642,10 @@ func (s *Service) Subscribe(id string) (SuiteStatus, <-chan Event, func(), error
 // Stats returns a service-wide snapshot.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	out := Stats{
-		Suites:       s.nextID,
-		ActiveSuites: s.active,
-		QueuedJobs:   len(s.queue),
-		Workers:      s.cfg.Workers,
-		JobsExecuted: s.jobsRun,
-	}
+	out := Stats{Suites: s.nextID, ActiveSuites: s.active, Workers: s.cfg.Workers}
 	s.mu.Unlock()
+	out.QueuedJobs = int(s.metrics.queuedJobs.Value())
+	out.JobsExecuted = s.metrics.jobsExecuted.Value()
 	out.Cache = s.cache.Stats()
 	return out
 }
@@ -679,83 +677,9 @@ func (s *Service) statusOf(st *suite) SuiteStatus {
 	}
 }
 
-// worker executes queued jobs until Close.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		w := s.queue[0]
-		s.queue = s.queue[1:]
-		s.metrics.queuedJobs.Set(int64(len(s.queue)))
-		s.mu.Unlock()
-		s.runJob(w)
-	}
-}
-
-// runJob executes one queued job and folds the outcome into its suite.
-func (s *Service) runJob(w work) {
-	st := w.st
-	st.mu.Lock()
-	running := st.state == StateRunning
-	st.mu.Unlock()
-	if !running {
-		return // suite failed or was cancelled while this job sat queued
-	}
-
-	s.metrics.workersBusy.Inc()
-	rec, err := st.jobs[w.idx].Execute()
-	s.metrics.workersBusy.Dec()
-	if err == nil {
-		if perr := s.cfg.Store.Put(rec); perr != nil {
-			err = perr
-		} else {
-			s.cache.Add(rec.Hash, rec)
-		}
-		s.mu.Lock()
-		s.jobsRun++
-		s.mu.Unlock()
-		s.metrics.jobsExecuted.Inc()
-		s.metrics.recordExec(rec.Result.Exec)
-	}
-
-	if err != nil {
-		s.finishSuite(st, StateFailed, err.Error())
-		return
-	}
-
-	st.mu.Lock()
-	if st.state != StateRunning {
-		// The suite ended while this job simulated; the record is cached for
-		// future submissions but no longer counts toward this suite.
-		st.mu.Unlock()
-		return
-	}
-	st.records[w.idx] = rec
-	st.done++
-	st.executed++
-	finished := st.done == len(st.jobs)
-	ev := Event{
-		Type: "job", Suite: st.id, Job: st.jobs[w.idx].Name,
-		Done: st.done, Total: len(st.jobs),
-		Exec: execEventStats(rec.Result.Exec),
-	}
-	st.notifyLocked(ev)
-	st.mu.Unlock()
-	if finished {
-		s.finishSuite(st, StateDone, "")
-	}
-}
-
-// finishSuite moves a suite to a terminal state (once), emits the end event,
-// closes subscriptions, and releases the active-suite slot. It reports
-// whether this call performed the transition.
+// finishSuite moves a suite to a terminal state (once), ends its dispatch,
+// emits the end event, closes subscriptions, and releases the active-suite
+// slot. It reports whether this call performed the transition.
 func (s *Service) finishSuite(st *suite, state SuiteState, reason string) bool {
 	st.mu.Lock()
 	if st.state != StateRunning {
@@ -766,11 +690,10 @@ func (s *Service) finishSuite(st *suite, state SuiteState, reason string) bool {
 	if state != StateDone {
 		st.err = reason
 	}
-	if st.fleetCancel != nil {
-		// Abort the fleet dispatch: outstanding batches are dropped, workers
-		// finish their in-flight executions into their own stores.
-		st.fleetCancel()
-	}
+	// End the dispatch: pool workers skip the suite's queued jobs as they pop
+	// them, a fleet drops outstanding batches (its workers finish what they
+	// are executing into their own stores).
+	st.cancel()
 	ev := Event{
 		Type: "end", Suite: st.id, Done: st.done, Total: len(st.jobs),
 		State: state, Error: st.err,
@@ -784,24 +707,7 @@ func (s *Service) finishSuite(st *suite, state SuiteState, reason string) bool {
 
 	s.mu.Lock()
 	s.active--
-	// Drop the suite's queued jobs so workers don't churn through them, and
-	// remove it from the running list.
-	kept := s.queue[:0]
-	for _, w := range s.queue {
-		if w.st != st {
-			kept = append(kept, w)
-		}
-	}
-	s.queue = kept
-	order := s.order[:0]
-	for _, id := range s.order {
-		if id != st.id {
-			order = append(order, id)
-		}
-	}
-	s.order = order
 	s.retireLocked(st.id)
-	s.metrics.queuedJobs.Set(int64(len(s.queue)))
 	s.mu.Unlock()
 	s.metrics.activeSuites.Dec()
 	s.metrics.suitesCompleted.With(string(state)).Inc()
@@ -821,38 +727,27 @@ func (st *suite) notifyLocked(ev Event) {
 	}
 }
 
-func (st *suite) terminalState() SuiteState {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.state
-}
-
-// applyMemoryPolicy applies the service's streaming-statistics policy; see
-// ApplyStreamingPolicy.
-func (s *Service) applyMemoryPolicy(jobs []harness.Job) {
-	ApplyStreamingPolicy(jobs, s.cfg.StreamingHosts)
-}
-
 // ApplyStreamingPolicy probes each job's topology size and forces
 // constant-memory streaming statistics on fabrics of at least threshold hosts
 // (the served-run memory bound; 0 means sim.DefaultStreamingHostThreshold,
 // negative disables the policy). The override is recorded in job Meta — it
 // changes the run's statistics encoding, so the content hash must reflect it;
 // small-fabric jobs are untouched and keep aliasing batch artifacts
-// byte-for-byte. It is exported because fleet workers must re-apply the
-// coordinator's threshold when recompiling a shipped suite: policy drift
-// between coordinator and worker would silently change job hashes and break
-// fleet-wide dedup.
-func ApplyStreamingPolicy(jobs []harness.Job, threshold int) {
-	if threshold < 0 {
-		return
-	}
+// byte-for-byte. It returns the explicit threshold it applied (never 0), which
+// SubmitCompiled keeps on the CompiledSuite and a fleet coordinator ships with
+// every batch: workers re-apply it through this same function when they
+// recompile the suite, because policy drift between coordinator and worker
+// would silently change job hashes and break fleet-wide dedup.
+func ApplyStreamingPolicy(jobs []harness.Job, threshold int) int {
 	if threshold == 0 {
 		threshold = sim.DefaultStreamingHostThreshold
 	}
-	for i := range jobs {
-		bindStreamingPolicy(&jobs[i], threshold)
+	if threshold > 0 {
+		for i := range jobs {
+			bindStreamingPolicy(&jobs[i], threshold)
+		}
 	}
+	return threshold
 }
 
 func bindStreamingPolicy(j *harness.Job, threshold int) {

@@ -388,7 +388,7 @@ func TestMemoryPolicyMarksLargeFabricJobs(t *testing.T) {
 		Flows: func(topo *topology.Topology) []*packet.Flow { return nil },
 	}}
 	before := jobs[0].Hash()
-	svc.applyMemoryPolicy(jobs)
+	ApplyStreamingPolicy(jobs, svc.cfg.StreamingHosts)
 	if jobs[0].Meta["stats"] != "streaming" {
 		t.Fatal("large-fabric job was not marked for streaming stats")
 	}
@@ -407,7 +407,7 @@ func TestMemoryPolicyMarksLargeFabricJobs(t *testing.T) {
 		Flows: func(topo *topology.Topology) []*packet.Flow { return nil },
 	}}
 	beforeSmall := small[0].Hash()
-	svc.applyMemoryPolicy(small)
+	ApplyStreamingPolicy(small, svc.cfg.StreamingHosts)
 	if small[0].Hash() != beforeSmall || small[0].Meta["stats"] != "" {
 		t.Fatal("small-fabric job was touched by the memory policy")
 	}
@@ -426,7 +426,7 @@ func TestMemoryPolicyMarksLargeFabricJobs(t *testing.T) {
 		Flows:   func(topo *topology.Topology) []*packet.Flow { return nil },
 		Options: []func(*sim.Options){func(o *sim.Options) { o.StreamingStats = true }},
 	}}
-	svc.applyMemoryPolicy(already)
+	ApplyStreamingPolicy(already, svc.cfg.StreamingHosts)
 	if built {
 		t.Fatal("memory policy built a topology for a job that already streams")
 	}

@@ -111,6 +111,10 @@ func TestTracedSuiteEndToEnd(t *testing.T) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, metrics)
 		}
 	}
+	// One counter, read twice: the stats document shows what /metrics shows.
+	if got := svc.Stats().JobsExecuted; got != 2 {
+		t.Fatalf("Stats.JobsExecuted = %d beside bfcd_jobs_executed_total 2", got)
+	}
 }
 
 // TestTracePendingWhileExecuting pins the 409 half of the trace state machine
