@@ -69,7 +69,6 @@ func main() {
 		maxSuites = flag.Int("max-suites", 4, "maximum concurrently running suites")
 		cacheSize = flag.Int("cache", 128, "in-memory LRU capacity (decoded records)")
 		history   = flag.Int("history", 64, "retained terminal suites (older ones are forgotten; their artifacts stay in the store)")
-		streaming = flag.Int("streaming-hosts", 0, "force streaming stats on fabrics with at least this many hosts (0 = default threshold, negative = never); a coordinator ships its value to the workers")
 		traceRing = flag.Int("trace-ring", 0, "flight-recorder ring capacity per traced job (0 = default)")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
@@ -102,7 +101,6 @@ func main() {
 		MaxActiveSuites: *maxSuites,
 		CacheEntries:    *cacheSize,
 		MaxSuiteHistory: *history,
-		StreamingHosts:  *streaming,
 		TraceRingSize:   *traceRing,
 		Registry:        registry,
 		Logger:          logger,

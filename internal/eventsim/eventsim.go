@@ -690,11 +690,6 @@ func (s *Scheduler) ScheduleCallInjected(k Key, fn func(any), arg any) Event {
 	return s.insert(k.At, id, k.Chain[0])
 }
 
-// ScheduleCallAfter registers fn(arg) to run d after the current time.
-func (s *Scheduler) ScheduleCallAfter(d units.Time, fn func(any), arg any) Event {
-	return s.ScheduleCall(s.now+d, fn, arg)
-}
-
 // ScheduleTagged registers fn to run at absolute time at under an explicit
 // causal-origin tag instead of the inherited one. The simulation uses it to
 // stamp root causes — most importantly flow arrivals, tagged with their flow

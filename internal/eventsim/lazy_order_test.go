@@ -85,10 +85,8 @@ func (d *dagBuilder) spawn(run int) {
 		case 1:
 			// Tagged root-style child: small tag range forces tag collisions.
 			d.sched.ScheduleTagged(at, uint64(d.rng.Intn(3)), cb)
-		case 2:
+		case 2, 3:
 			d.sched.ScheduleCall(at, func(any) { cb() }, nil)
-		case 3:
-			d.sched.ScheduleCallAfter(delay, func(any) { cb() }, nil)
 		case 4:
 			// Boundary-style: materialize the child's wire key exactly as a
 			// cross-shard send would, then inject it back — the re-interning

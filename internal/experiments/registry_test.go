@@ -193,3 +193,59 @@ func TestScenarioJobsDigestKeysContent(t *testing.T) {
 		t.Fatal("invalid spec accepted")
 	}
 }
+
+// streamingHostFloor is the fabric size from which a job must declare
+// streaming statistics: exact mode stores every FCT and occupancy sample, so
+// on a large fabric a long-lived daemon serving the job would grow with flow
+// count and horizon. Every two-tier Clos the paper evaluates (at most 128
+// hosts) stays below it. The number lives here and on no run path.
+const streamingHostFloor = 256
+
+// TestLargeFabricJobsDeclareStreaming holds the figure table to the memory
+// bound the service tier relies on: everything a suite can name — every
+// figure's default grid and a scenario suite, at all three scales — either
+// sets StreamingStats in its own option mutators or runs on a fabric smaller
+// than streamingHostFloor. The statistics mode is part of what a job is, so
+// it is declared where the job's name and hash are, not decided by whoever
+// runs it. The mutators are evaluated without a topology (none of the
+// table's reads one; one that did would panic here), and only a job that
+// leaves streaming off has its fabric built to be counted.
+func TestLargeFabricJobsDeclareStreaming(t *testing.T) {
+	jobs, declared := 0, 0
+	for _, name := range []string{"tiny", "reduced", "full"} {
+		scale, err := ScaleByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite, err := ScenarioJobs(scale, ScenarioLinkFailRecover(scale), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range Figures() {
+			if f.Jobs != nil {
+				suite = append(suite, f.Jobs(scale, nil)...)
+			}
+		}
+		for _, j := range suite {
+			jobs++
+			opts := sim.DefaultOptions(j.Scheme, nil)
+			for _, mutate := range j.Options {
+				if mutate != nil {
+					mutate(&opts)
+				}
+			}
+			if opts.StreamingStats {
+				declared++
+				continue
+			}
+			if hosts := len(j.Topology().Hosts()); hosts >= streamingHostFloor {
+				t.Errorf("%s runs on %d hosts with exact statistics; fabrics of %d hosts and more must set StreamingStats in the figure table",
+					j.Name, hosts, streamingHostFloor)
+			}
+		}
+	}
+	if declared == 0 {
+		t.Fatalf("none of %d jobs declares streaming statistics: Fig 16's should", jobs)
+	}
+	t.Logf("%d jobs, %d declare streaming", jobs, declared)
+}

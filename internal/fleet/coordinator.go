@@ -557,9 +557,7 @@ func (c *Coordinator) launchRemote(ctx context.Context, cs *service.CompiledSuit
 			"jobs", len(b.idxs), "attempt", b.attempts)
 	}
 	b.lastWorker = w.url
-	req := &ExecuteRequest{
-		Batch: b.id, Suite: cs.Spec, StreamingHosts: cs.StreamingHosts, Hashes: b.hashes,
-	}
+	req := &ExecuteRequest{Batch: b.id, Suite: cs.Spec, Hashes: b.hashes}
 	go func() {
 		start := time.Now()
 		cctx, cancel := context.WithTimeout(ctx, c.cfg.BatchTimeout)

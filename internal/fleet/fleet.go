@@ -7,16 +7,16 @@
 // harness.Job carries topology/workload builders that cannot leave the
 // process. Instead the coordinator ships the suite's wire-form spec
 // (service.SuiteSpec) plus the content hashes of the jobs a worker should
-// run; the worker recompiles the spec through the same experiments registry,
-// applies the streaming-statistics threshold the batch carries (the one the
-// coordinator's service applied: it is configured in one place), and matches
-// the requested hashes against its own compilation. Both sides derive per-job
-// seeds from job names, so a record computed on any worker is byte-identical
-// to one computed locally or on any other worker — which is what makes the
-// content hash a fleet-wide dedup key: before scattering, the coordinator
-// asks every live worker which hashes it already has (the union of worker
-// store manifests plus the coordinator's own cache forms the fleet-wide
-// manifest) and satisfies those jobs with zero execution anywhere.
+// run; the worker recompiles the spec through the same experiments registry
+// and matches the requested hashes against its own compilation. Everything
+// that decides a job's outcome is declared in the figure table both sides
+// compile, so no daemon setting can make them disagree on a hash. Both sides
+// derive per-job seeds from job names, so a record computed on any worker is
+// byte-identical to one computed locally or on any other worker — which is
+// what makes the content hash a fleet-wide dedup key: before scattering, the
+// coordinator asks every live worker which hashes it already has (the union
+// of worker store manifests plus the coordinator's own cache forms the
+// fleet-wide manifest) and satisfies those jobs with zero execution anywhere.
 //
 // Robustness is part of the subsystem, not a bolt-on: workers register
 // statically (-workers) or dynamically (POST /api/v1/fleet/register, kept

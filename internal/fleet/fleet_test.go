@@ -104,8 +104,8 @@ func newWorker(t *testing.T) (*Executor, *harness.Store, *httptest.Server) {
 
 // newFleetService builds a coordinator-mode service: a service.Service whose
 // uncached jobs are dispatched through a Coordinator. mutate adjusts the
-// coordinator's configuration, svcMutate the service's.
-func newFleetService(t *testing.T, workers []string, mutate func(*Config), svcMutate ...func(*service.Config)) (*service.Service, *Coordinator) {
+// coordinator's configuration.
+func newFleetService(t *testing.T, workers []string, mutate func(*Config)) (*service.Service, *Coordinator) {
 	t.Helper()
 	store, err := harness.NewStore(t.TempDir())
 	if err != nil {
@@ -126,11 +126,7 @@ func newFleetService(t *testing.T, workers []string, mutate func(*Config), svcMu
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	scfg := service.Config{Store: store, Workers: 2, Fleet: coord}
-	for _, m := range svcMutate {
-		m(&scfg)
-	}
-	svc, err := service.New(scfg)
+	svc, err := service.New(service.Config{Store: store, Workers: 2, Fleet: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +206,6 @@ func TestFleetDedupSkipsExecutionEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	service.ApplyStreamingPolicy(cs.Jobs, 0)
 	for i := range cs.Jobs {
 		rec, err := cs.Jobs[i].Execute()
 		if err != nil {
@@ -449,43 +444,6 @@ func TestFleetLocalFallbackHonoursWorkerBound(t *testing.T) {
 	}
 }
 
-// TestFleetShipsTheServiceStreamingThreshold configures the streaming policy
-// in one place only, the service: at a threshold of 4 hosts the 8-host tiny
-// Clos is marked "stats": "streaming", which changes every job hash, and the
-// workers must recompile those same hashes from the threshold the batch
-// carries — not drift, be marked dead, and leave the suite to local fallback.
-func TestFleetShipsTheServiceStreamingThreshold(t *testing.T) {
-	_, _, srvA := newWorker(t)
-	_, _, srvB := newWorker(t)
-	svc, coord := newFleetService(t, []string{srvA.URL, srvB.URL}, nil,
-		func(c *service.Config) { c.StreamingHosts = 4 })
-	status, err := svc.Submit(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := waitState(t, svc, status.ID); done.State != service.StateDone || done.Executed != 2 {
-		t.Fatalf("suite ended %+v", done)
-	}
-	recs, err := svc.Results(status.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if rec.Meta["stats"] != "streaming" {
-			t.Fatalf("record %s is not marked streaming: the threshold of 4 was not applied", rec.Name)
-		}
-	}
-	st := coord.Status()
-	if st.JobsRemote != 2 || st.BatchesLocal != 0 {
-		t.Errorf("jobs_remote = %d, batches_local = %d, want 2 and 0", st.JobsRemote, st.BatchesLocal)
-	}
-	for _, w := range st.Workers {
-		if !w.Alive {
-			t.Errorf("worker %s was marked dead (drift)", w.URL)
-		}
-	}
-}
-
 // TestFleetPanickingJobFailsSuiteNotDaemon drives a job whose builder panics
 // through the coordinator's own execution path (a workerless fleet runs its
 // batches locally): harness.Job.Execute turns the panic into the batch's
@@ -537,7 +495,6 @@ func TestExecutorHaveAndRecordEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	service.ApplyStreamingPolicy(cs.Jobs, 0)
 	rec, err := cs.Jobs[0].Execute()
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +529,6 @@ func TestCoordinatorFleetManifestUnions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	service.ApplyStreamingPolicy(cs.Jobs, 0)
 	recs := make([]*harness.Record, len(cs.Jobs))
 	for i := range cs.Jobs {
 		if recs[i], err = cs.Jobs[i].Execute(); err != nil {

@@ -6,23 +6,17 @@ import (
 )
 
 // ExecuteRequest asks a worker to run a batch of jobs from a shipped suite.
-// The worker recompiles Suite through its own experiments registry, applies
-// the coordinator's streaming policy, and executes exactly the jobs whose
-// content hashes appear in Hashes (satisfying any it already computed from
-// its own store). Shipping spec+hashes instead of jobs keeps the wire free of
-// closures and makes version drift loud: a worker whose compilation does not
-// produce a requested hash rejects the batch instead of running the wrong
-// simulation.
+// The worker recompiles Suite through its own experiments registry and
+// executes exactly the jobs whose content hashes appear in Hashes (satisfying
+// any it already computed from its own store). Shipping spec+hashes instead
+// of jobs keeps the wire free of closures and makes version drift loud: a
+// worker whose compilation does not produce a requested hash rejects the
+// batch instead of running the wrong simulation.
 type ExecuteRequest struct {
 	// Batch identifies the batch for logs and metrics ("<suite-digest>/b3").
 	Batch string `json:"batch"`
 	// Suite is the wire form the worker recompiles.
 	Suite service.SuiteSpec `json:"suite"`
-	// StreamingHosts is the explicit streaming-statistics threshold the
-	// coordinator's service applied (service.CompiledSuite.StreamingHosts),
-	// re-applied by the worker so both sides agree on every job's content
-	// hash.
-	StreamingHosts int `json:"streaming_hosts"`
 	// Hashes selects the jobs to run, by JobSpec content hash.
 	Hashes []string `json:"hashes"`
 }

@@ -163,7 +163,6 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 	if err != nil {
 		return nil, fmt.Errorf("%w: recompiling suite: %v", ErrDrift, err)
 	}
-	service.ApplyStreamingPolicy(cs.Jobs, req.StreamingHosts)
 	byHash := make(map[string]*harness.Job, len(cs.Jobs))
 	for i := range cs.Jobs {
 		byHash[cs.Jobs[i].Hash()] = &cs.Jobs[i]

@@ -253,17 +253,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	if got.Result.BufferOccupancy.Count() != rec.Result.BufferOccupancy.Count() {
 		t.Fatal("decoded result lost buffer samples")
 	}
-	all, err := store.Load()
+	all, err := store.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 1 || all[rec.Hash] == nil {
-		t.Fatalf("Load returned %d records", len(all))
+	if len(all) != 1 || all[0].Hash != rec.Hash {
+		t.Fatalf("List returned %d entries", len(all))
 	}
 	if _, ok, _ := store.Get("deadbeef00000000"); ok {
 		t.Fatal("Get of a missing hash reported ok")
-	}
-	if err := store.WriteCombined("results.jsonl", []*Record{rec}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -16,7 +16,8 @@ import (
 const manifestName = "MANIFEST.jsonl"
 
 // artifactPattern matches artifact file names ("<16-hex-hash>.jsonl"),
-// distinguishing them from the manifest and from WriteCombined exports.
+// distinguishing them from the manifest, from Put's and the manifest
+// rewrite's temp files, and from anything else kept in a results directory.
 var artifactPattern = regexp.MustCompile(`^[0-9a-f]{16}\.jsonl$`)
 
 // ManifestEntry indexes one completed artifact: the content hash that keys

@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,6 +164,188 @@ func TestStoreListDropsEntriesForMissingArtifacts(t *testing.T) {
 	}
 }
 
+// TestStoreCrashPoints leaves a store directory as a process stopped after
+// each step of Put, and of List's manifest rewrite, would leave it, reopens
+// it, and holds the reopened store to its contract: List returns exactly the
+// complete artifacts, Has and Get agree with it, a second List finds nothing
+// left to repair, and no temp file is ever served as a record. Every row
+// starts from two complete, indexed records (a and b); the stopped operation
+// is a Put of c or a List.
+func TestStoreCrashPoints(t *testing.T) {
+	a := fakeRecord("j/a", nil)
+	b := fakeRecord("j/b", map[string]string{"fig": "fig08"})
+	c := fakeRecord("j/c", map[string]string{"fig": "fig09"})
+	d := fakeRecord("j/d", nil)
+	marshal := func(v any) []byte {
+		blob, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(blob, '\n')
+	}
+	entry := func(rec *Record) []byte {
+		return marshal(ManifestEntry{Hash: rec.Hash, Name: rec.Name, Scheme: rec.Scheme, Meta: rec.Meta})
+	}
+	write := func(t *testing.T, path string, blob []byte, flag int) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flag, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(blob); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// midAppend is Put(c) stopped inside the manifest append: the artifact is
+	// in place, half its index line is written.
+	midAppend := func(t *testing.T, dir string) {
+		write(t, filepath.Join(dir, c.Hash+".jsonl"), marshal(c), 0)
+		line := entry(c)
+		write(t, filepath.Join(dir, manifestName), line[:len(line)/2], os.O_APPEND)
+	}
+	rows := []struct {
+		name string
+		// stop edits the directory into the state the stopped operation left.
+		stop func(t *testing.T, dir string)
+		// next, when set, runs on the reopened store before it is checked.
+		next         func(t *testing.T, store *Store)
+		want, absent []*Record
+	}{
+		{
+			name: "put: artifact temp written",
+			stop: func(t *testing.T, dir string) {
+				write(t, filepath.Join(dir, "."+c.Hash+".tmp1"), marshal(c), 0)
+			},
+			want: []*Record{a, b}, absent: []*Record{c},
+		},
+		{
+			name: "put: artifact renamed, manifest not appended",
+			stop: func(t *testing.T, dir string) {
+				write(t, filepath.Join(dir, c.Hash+".jsonl"), marshal(c), 0)
+			},
+			want: []*Record{a, b, c},
+		},
+		{
+			name: "put: manifest line half-written",
+			stop: midAppend,
+			want: []*Record{a, b, c},
+		},
+		{
+			// The restarted process appends to the damaged manifest before
+			// anything lists it: d's line lands on the tail of c's half line.
+			name: "put: manifest line half-written, then the next put",
+			stop: midAppend,
+			next: func(t *testing.T, store *Store) {
+				if err := store.Put(d); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: []*Record{a, b, c, d},
+		},
+		{
+			name: "list: manifest temp written, not renamed",
+			stop: func(t *testing.T, dir string) {
+				write(t, filepath.Join(dir, c.Hash+".jsonl"), marshal(c), 0) // what List was repairing
+				write(t, filepath.Join(dir, ".manifest.tmp1"), slices.Concat(entry(a), entry(b), entry(c)), 0)
+			},
+			want: []*Record{a, b, c},
+		},
+		{
+			name: "list: manifest temp half-written",
+			stop: func(t *testing.T, dir string) {
+				if err := os.Remove(filepath.Join(dir, b.Hash+".jsonl")); err != nil { // what List was repairing
+					t.Fatal(err)
+				}
+				line := entry(a)
+				write(t, filepath.Join(dir, ".manifest.tmp1"), line[:len(line)/2], 0)
+			},
+			want: []*Record{a}, absent: []*Record{b},
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []*Record{a, b} {
+				if err := store.Put(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			row.stop(t, dir)
+			if store, err = NewStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			if row.next != nil {
+				row.next(t, store)
+			}
+
+			entries := mustList(t, store)
+			if len(entries) != len(row.want) {
+				t.Fatalf("List returned %d entries, want %d: %+v", len(entries), len(row.want), entries)
+			}
+			for i, rec := range row.want { // want is in name order, like List
+				if e := entries[i]; e.Hash != rec.Hash || e.Name != rec.Name || e.Meta["fig"] != rec.Meta["fig"] {
+					t.Fatalf("entry %d is %+v, want %s %s", i, e, rec.Hash, rec.Name)
+				}
+				got, ok, err := store.Get(rec.Hash)
+				if err != nil || !ok || got.Name != rec.Name || !store.Has(rec.Hash) {
+					t.Fatalf("listed record %s: Get = %v, %v, Has = %v", rec.Name, ok, err, store.Has(rec.Hash))
+				}
+			}
+			for _, rec := range row.absent {
+				if _, ok, err := store.Get(rec.Hash); ok || err != nil || store.Has(rec.Hash) {
+					t.Fatalf("incomplete record %s is served: Get = %v, %v, Has = %v", rec.Name, ok, err, store.Has(rec.Hash))
+				}
+			}
+
+			// The first List left a manifest of exactly the complete artifacts,
+			// so the second replaces nothing (a rewrite lands by rename, which
+			// would change the file).
+			mpath := filepath.Join(dir, manifestName)
+			var index []byte
+			for _, rec := range row.want {
+				index = append(index, entry(rec)...)
+			}
+			if blob, err := os.ReadFile(mpath); err != nil || !bytes.Equal(blob, index) {
+				t.Fatalf("manifest after List (%v):\n%swant:\n%s", err, blob, index)
+			}
+			before, err := os.Stat(mpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again := mustList(t, store); !reflect.DeepEqual(again, entries) {
+				t.Fatalf("second List returned %+v, first %+v", again, entries)
+			}
+			after, err := os.Stat(mpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !os.SameFile(before, after) {
+				t.Fatal("second List rewrote the manifest")
+			}
+
+			files, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				if !strings.Contains(f.Name(), ".tmp") {
+					continue
+				}
+				if _, ok, _ := store.Get(f.Name()); ok || store.Has(f.Name()) || artifactPattern.MatchString(f.Name()) {
+					t.Fatalf("temp file %s is served as a record", f.Name())
+				}
+			}
+		})
+	}
+}
+
 func TestMergeManifestsUnionsAndDedupes(t *testing.T) {
 	a := []ManifestEntry{
 		{Hash: "aaaaaaaaaaaaaaaa", Name: "j/c", Scheme: "BFC"},
@@ -272,26 +458,5 @@ func TestStoreHas(t *testing.T) {
 		if store.Has(h) {
 			t.Fatalf("Has accepted malformed hash %q", h)
 		}
-	}
-}
-
-func TestStoreLoadIgnoresManifestAndCombined(t *testing.T) {
-	store, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := fakeRecord("j/only", nil)
-	if err := store.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WriteCombined("results.jsonl", []*Record{rec}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("Load returned %d records, want 1 (manifest/combined files must be skipped)", len(recs))
 	}
 }

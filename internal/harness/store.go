@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -96,45 +94,4 @@ func (s *Store) Get(hash string) (rec *Record, ok bool, err error) {
 		return nil, false, fmt.Errorf("harness: decoding record %s: %w", hash, err)
 	}
 	return rec, true, nil
-}
-
-// Load reads every artifact in the store, keyed by content hash.
-func (s *Store) Load() (map[string]*Record, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("harness: listing store: %w", err)
-	}
-	out := map[string]*Record{}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !artifactPattern.MatchString(name) {
-			continue
-		}
-		hash := strings.TrimSuffix(name, ".jsonl")
-		rec, ok, err := s.Get(hash)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[hash] = rec
-		}
-	}
-	return out, nil
-}
-
-// WriteCombined concatenates the given records into one results.jsonl file
-// (sorted by job name for stable output), a convenient export of a whole run.
-func (s *Store) WriteCombined(name string, recs []*Record) error {
-	sorted := append([]*Record{}, recs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	var sb strings.Builder
-	for _, rec := range sorted {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("harness: encoding record %q: %w", rec.Name, err)
-		}
-		sb.Write(b)
-		sb.WriteByte('\n')
-	}
-	return os.WriteFile(filepath.Join(s.dir, name), []byte(sb.String()), 0o644)
 }

@@ -5,6 +5,7 @@ import (
 
 	"bfc/internal/eventsim"
 	"bfc/internal/packet"
+	"bfc/internal/telemetry"
 	"bfc/internal/topology"
 	"bfc/internal/units"
 )
@@ -22,7 +23,7 @@ func benchClos() *topology.Topology {
 // BenchmarkLinkFlapReroute measures the in-run cost of one fail+recover pair
 // — the incremental ECMP recomputation that runs inside the event loop when a
 // link event fires. This is the scenario engine's hot path: everything else
-// (flow generation, name resolution) happens at Install time.
+// (flow generation, name resolution) happens at Plan time.
 func BenchmarkLinkFlapReroute(b *testing.B) {
 	topo := benchClos()
 	a, _ := topo.NodeByName("tor0")
@@ -39,12 +40,14 @@ func BenchmarkLinkFlapReroute(b *testing.B) {
 	}
 }
 
-// nopNetwork satisfies Network for Install-path benchmarking.
+// nopNetwork satisfies Network for install-path benchmarking.
 type nopNetwork struct{}
 
-func (nopNetwork) SetLinkState(a, b packet.NodeID, up bool) int                        { return 0 }
-func (nopNetwork) SetLinkParams(a, b packet.NodeID, rate units.Rate, delay units.Time) {}
-func (nopNetwork) StartFlow(f *packet.Flow)                                            {}
+func (nopNetwork) SetLinkState(units.Time, telemetry.Recorder, packet.NodeID, packet.NodeID, bool) int {
+	return 0
+}
+func (nopNetwork) SetLinkParams(units.Time, telemetry.Recorder, packet.NodeID, packet.NodeID, units.Rate, units.Time) {
+}
 
 // BenchmarkSpecInstall measures compiling and scheduling a representative
 // 4-event spec (flap + incast + shift) against the paper-scale fabric — the
@@ -74,9 +77,12 @@ func BenchmarkSpecInstall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched := eventsim.New()
-		if _, err := Install(sched, nopNetwork{}, spec, p); err != nil {
+		pl, err := Plan(spec, p)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pl.ScheduleFlows(sched, func(packet.NodeID) bool { return true }, func(*packet.Flow) {})
+		pl.ScheduleEvents(sched, nopNetwork{}, nil)
 	}
 }
 

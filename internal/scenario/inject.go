@@ -15,18 +15,17 @@ import (
 	"bfc/internal/workload"
 )
 
-// Network is the slice of the simulation the injector acts on. The sim
-// runner implements it: link operations mutate the topology's routing tables
-// and the wired links (including the pause-state resets at the affected
-// devices), and StartFlow hands an injected flow to its sending NIC.
+// Network is the slice of the simulation a fired link event acts on. The sim
+// package's device registry implements it for both engines: link operations
+// mutate the topology's routing tables and the wired links (including the
+// pause-state resets at the affected devices), and trace themselves, stamped
+// with the event's instant at, into rec (nil on untraced runs).
 type Network interface {
 	// SetLinkState fails (up=false) or recovers a link, returning the number
 	// of next-hop table entries the route recomputation changed.
-	SetLinkState(a, b packet.NodeID, up bool) int
+	SetLinkState(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, up bool) int
 	// SetLinkParams applies a degradation to both directions of a link.
-	SetLinkParams(a, b packet.NodeID, rate units.Rate, delay units.Time)
-	// StartFlow starts an injected flow at its source NIC.
-	StartFlow(f *packet.Flow)
+	SetLinkParams(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, rate units.Rate, delay units.Time)
 }
 
 // Params carries the run context a spec is compiled against.
@@ -45,10 +44,6 @@ type Params struct {
 	// constant-memory streaming mode with that sketch capacity (mirroring the
 	// run's sim.Options.StreamingStats); zero keeps them exact.
 	StatsSketchSize int
-	// Recorder, when non-nil, receives a flight-recorder event each time a
-	// scenario event fires. Recording is observational only: it never
-	// schedules simulator events or consumes randomness.
-	Recorder telemetry.Recorder
 }
 
 // compiledEvent is one event with names resolved and flows pre-generated.
@@ -59,49 +54,12 @@ type compiledEvent struct {
 	flow []*packet.Flow // injected flows (incast, workload shift)
 }
 
-// Injector owns a compiled scenario scheduled onto a run.
-type Injector struct {
-	sched   *eventsim.Scheduler
-	net     Network
-	topo    *topology.Topology
-	metrics *Metrics
-	rec     telemetry.Recorder
-	// startFlow is the pre-allocated ScheduleCall callback for flow
-	// injection, so the per-flow hot path schedules without closures.
-	startFlow func(any)
-}
-
-// Install validates and compiles spec against the run described by p and
-// schedules its events on sched. It returns the Metrics the scheduled events
-// will update as they fire. Compilation resolves link endpoint names and
-// pre-generates every injected flow, so nothing after Install consumes
-// randomness outside the event engine's deterministic order.
-func Install(sched *eventsim.Scheduler, net Network, spec *Spec, p Params) (*Metrics, error) {
-	pl, err := Plan(spec, p)
-	if err != nil {
-		return nil, err
-	}
-	in := &Injector{
-		sched:   sched,
-		net:     net,
-		topo:    p.Topo,
-		metrics: pl.metrics,
-		rec:     p.Recorder,
-	}
-	in.startFlow = func(x any) {
-		in.metrics.InjectedFlows++
-		in.net.StartFlow(x.(*packet.Flow))
-	}
-	for _, ce := range pl.events {
-		in.schedule(ce)
-	}
-	return in.metrics, nil
-}
-
 // Planned is a compiled scenario that has not been scheduled on any engine.
-// The sharded coordinator uses the split form: every shard schedules the
-// injected flows whose sources it owns (ScheduleFlows), while the coordinator
-// applies the events themselves at lookahead barriers (Apply) — with all
+// Both engines take it in two halves. The injected flows are scheduled by
+// whoever owns their source (ScheduleFlows): the serial runner owns every
+// host, each shard its own. The events themselves fire through one per-event
+// function: the serial runner schedules it on its engine (ScheduleEvents),
+// the sharded coordinator calls it at lookahead barriers (Apply) — with all
 // shards parked, so the shared topology's route recomputation is race-free
 // and observed atomically, exactly as a serial run observes it mid-dispatch.
 type Planned struct {
@@ -112,8 +70,7 @@ type Planned struct {
 
 // Plan validates and compiles spec against p: link endpoint names are
 // resolved and every injected flow is pre-generated, so nothing afterwards
-// consumes randomness. The result can be scheduled serially (Install does
-// this internally) or split across shards.
+// consumes randomness outside the event engine's deterministic order.
 func Plan(spec *Spec, p Params) (*Planned, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -139,8 +96,8 @@ func Plan(spec *Spec, p Params) (*Planned, error) {
 }
 
 // Metrics returns the metrics the planned scenario's events update. The
-// caller owns the merge of per-shard counters (InjectedFlows, stranding) into
-// it on partitioned runs.
+// caller owns the merge of its runners' counters (InjectedFlows, stranding)
+// into it.
 func (pl *Planned) Metrics() *Metrics { return pl.metrics }
 
 // EventTimes returns the distinct fire instants of the compiled events, in
@@ -161,11 +118,13 @@ func (pl *Planned) EventTimes(horizon units.Time) []units.Time {
 }
 
 // ScheduleFlows schedules every pre-generated injected flow whose source
-// owned() claims, under exactly the ordering key a serial install would have
-// produced (same instant, same flow-ID tag, setup-phase pedigree), invoking
-// start as each fires. The caller counts injections itself — per-shard
-// counters merged by the coordinator replace the serial engine's single
-// InjectedFlows increment.
+// owned() claims, invoking start as each fires. Injected flows are causal
+// roots exactly like base-trace flows: tagging the start event with the flow
+// ID orders same-key descendants of a simultaneous burst by flow creation
+// order on every shard (IDs ascend in compile order), and keeps every flow's
+// key distinct from the untagged event closures', so the order the two halves
+// are scheduled in is immaterial. The caller counts injections itself and
+// merges the count into Metrics.InjectedFlows.
 func (pl *Planned) ScheduleFlows(sched *eventsim.Scheduler, owned func(packet.NodeID) bool, start func(*packet.Flow)) {
 	call := func(x any) { start(x.(*packet.Flow)) }
 	for _, ce := range pl.events {
@@ -178,49 +137,66 @@ func (pl *Planned) ScheduleFlows(sched *eventsim.Scheduler, owned func(packet.No
 	}
 }
 
-// Apply fires every compiled event scheduled at instant t, in spec order,
-// reproducing the serial injector's closures: the applied-event counter and
-// the KindScenario trace record first, then the kind-specific network
-// mutation (whose own trace records the Network implementation emits, as the
-// serial runner does). record may be nil for untraced runs. Flow injections
-// only mark the event applied here — the flows themselves were scheduled per
-// shard by ScheduleFlows. Apply returns the number of events fired, which is
-// the number of scheduler events a serial run would have executed for them.
-func (pl *Planned) Apply(t units.Time, net Network, record func(telemetry.Event)) int {
+// ScheduleEvents schedules the compiled events on a serial engine, one
+// closure each, in spec order (which the engine keeps among same-instant
+// events).
+func (pl *Planned) ScheduleEvents(sched *eventsim.Scheduler, net Network, rec telemetry.Recorder) {
+	for _, ce := range pl.events {
+		sched.Schedule(ce.ev.At, func() { pl.fire(ce, net, rec) })
+	}
+}
+
+// Apply fires every compiled event scheduled at instant t, in spec order, and
+// returns their number — the scheduler events a serial run executes for them.
+func (pl *Planned) Apply(t units.Time, net Network, rec telemetry.Recorder) int {
 	fired := 0
 	for _, ce := range pl.events {
-		if ce.ev.At != t {
-			continue
-		}
-		fired++
-		pl.metrics.EventsApplied++
-		if record != nil {
-			record(telemetry.Event{
-				At:    t,
-				Kind:  telemetry.KindScenario,
-				Node:  ce.a,
-				Port:  -1,
-				Queue: -1,
-				Value: int64(ce.idx),
-			})
-		}
-		switch ce.ev.Kind {
-		case LinkDown, LinkUp:
-			pl.metrics.Reroutes += net.SetLinkState(ce.a, ce.b, ce.ev.Kind == LinkUp)
-		case LinkDegrade:
-			rate, del := ce.ev.Degrade.Rate, ce.ev.Degrade.Delay
-			pa, _, _ := pl.topo.LinkBetween(ce.a, ce.b)
-			cur := pl.topo.Node(ce.a).Ports[pa]
-			if rate == 0 {
-				rate = cur.Rate
-			}
-			if del == 0 {
-				del = cur.Delay
-			}
-			net.SetLinkParams(ce.a, ce.b, rate, del)
+		if ce.ev.At == t {
+			pl.fire(ce, net, rec)
+			fired++
 		}
 	}
 	return fired
+}
+
+// fire is one scenario event happening: the applied-event counter and the
+// KindScenario trace record first (rec is nil on untraced runs), then the
+// kind-specific network mutation, whose own trace records the Network
+// implementation emits. For link events the record's Node carries the
+// resolved A endpoint; injections leave it zero and only mark the event
+// applied — their flows were scheduled by ScheduleFlows. The event's spec
+// index rides in Value so traces can be matched back to the spec.
+func (pl *Planned) fire(ce *compiledEvent, net Network, rec telemetry.Recorder) {
+	at := ce.ev.At
+	pl.metrics.EventsApplied++
+	if rec != nil {
+		rec.Record(telemetry.Event{
+			At:    at,
+			Kind:  telemetry.KindScenario,
+			Node:  ce.a,
+			Port:  -1,
+			Queue: -1,
+			Value: int64(ce.idx),
+		})
+	}
+	switch ce.ev.Kind {
+	case LinkDown, LinkUp:
+		pl.metrics.Reroutes += net.SetLinkState(at, rec, ce.a, ce.b, ce.ev.Kind == LinkUp)
+	case LinkDegrade:
+		// Zero fields mean "keep the current value": resolve them at fire
+		// time, so stacked degrades compose instead of a later event silently
+		// reverting an earlier one.
+		rate, del := ce.ev.Degrade.Rate, ce.ev.Degrade.Delay
+		pa, _, _ := pl.topo.LinkBetween(ce.a, ce.b)
+		cur := pl.topo.Node(ce.a).Ports[pa]
+		if rate == 0 {
+			rate = cur.Rate
+		}
+		if del == 0 {
+			del = cur.Delay
+		}
+		net.SetLinkParams(at, rec, ce.a, ce.b, rate, del)
+	}
 }
 
 // compileEvent resolves one event against the topology and pre-generates its
@@ -311,69 +287,6 @@ func compileEvent(spec *Spec, i int, p Params, nextID *packet.FlowID, port *uint
 		}
 	}
 	return ce, nil
-}
-
-// schedule registers the compiled event on the engine. Link events are rare
-// (one closure each); flow injections use the pre-allocated ScheduleCall
-// path, one allocation-free event per flow.
-func (in *Injector) schedule(ce *compiledEvent) {
-	switch ce.ev.Kind {
-	case LinkDown, LinkUp:
-		up := ce.ev.Kind == LinkUp
-		in.sched.Schedule(ce.ev.At, func() {
-			in.metrics.EventsApplied++
-			in.record(ce)
-			in.metrics.Reroutes += in.net.SetLinkState(ce.a, ce.b, up)
-		})
-	case LinkDegrade:
-		in.sched.Schedule(ce.ev.At, func() {
-			in.metrics.EventsApplied++
-			in.record(ce)
-			// Zero fields mean "keep the current value": resolve them at
-			// fire time, so stacked degrades compose instead of a later
-			// event silently reverting an earlier one.
-			rate, del := ce.ev.Degrade.Rate, ce.ev.Degrade.Delay
-			pa, _, _ := in.topo.LinkBetween(ce.a, ce.b)
-			cur := in.topo.Node(ce.a).Ports[pa]
-			if rate == 0 {
-				rate = cur.Rate
-			}
-			if del == 0 {
-				del = cur.Delay
-			}
-			in.net.SetLinkParams(ce.a, ce.b, rate, del)
-		})
-	case Incast, WorkloadShift:
-		in.sched.Schedule(ce.ev.At, func() {
-			in.metrics.EventsApplied++
-			in.record(ce)
-		})
-		for _, f := range ce.flow {
-			// Injected flows are causal roots exactly like base-trace flows:
-			// tagging the start event with the flow ID orders same-key
-			// descendants of a simultaneous burst by flow creation order on
-			// every shard (and matches the serial seq order, since IDs ascend
-			// in compile order).
-			in.sched.ScheduleCallTagged(f.StartTime, uint64(f.ID), in.startFlow, f)
-		}
-	}
-}
-
-// record emits the flight-recorder trace of a fired scenario event. For link
-// events Node carries the resolved A endpoint; injections leave it zero. The
-// event's spec index rides in Value so traces can be matched back to the spec.
-func (in *Injector) record(ce *compiledEvent) {
-	if in.rec == nil {
-		return
-	}
-	in.rec.Record(telemetry.Event{
-		At:    in.sched.Now(),
-		Kind:  telemetry.KindScenario,
-		Node:  ce.a,
-		Port:  -1,
-		Queue: -1,
-		Value: int64(ce.idx),
-	})
 }
 
 // eventRNG derives the deterministic RNG of one event from the spec alone

@@ -7,8 +7,8 @@ import (
 	"bfc/internal/units"
 )
 
-// Metrics is the per-scenario half of a simulation result. The injector
-// updates the counters as events fire; the sim runner feeds flow completions
+// Metrics is the per-scenario half of a simulation result. A Planned
+// scenario updates the counters as its events fire; the sim runner feeds flow completions
 // into the phase windows and folds in the link/switch loss counters at
 // collection time. All fields marshal deterministically (no maps), so
 // results containing Metrics stay byte-stable across runs and worker counts.

@@ -6,11 +6,11 @@
 // shuffles).
 //
 // A scenario is an ordered list of timestamped events (a Spec), declared in
-// Go or as JSON. The sim runner installs a Spec through Install, which
-// compiles it against the run's topology — resolving node names, generating
-// every injected flow up front from seeds derived from (spec name, spec
-// seed, event index) — and schedules one event per action on the existing
-// event engine. Injected traffic is deliberately a pure function of the spec
+// Go or as JSON. The sim engines compile a Spec through Plan against the
+// run's topology — resolving node names, generating every injected flow up
+// front from seeds derived from (spec name, spec seed, event index) — and
+// schedule one event per action and per injected flow on the existing event
+// engine (see Planned). Injected traffic is deliberately a pure function of the spec
 // alone, never of the simulation seed: every scheme in a comparison grid
 // sees byte-identical storms and shifts, and a scenario run is
 // byte-identical across repetitions and worker counts.
@@ -143,7 +143,7 @@ const maxSpecString = 256
 
 // Validate checks spec-internal consistency: event ordering, per-kind
 // parameters, and link up/down pairing. Name resolution against a concrete
-// topology happens at Install time.
+// topology happens at Plan time.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")

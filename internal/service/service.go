@@ -57,11 +57,6 @@ type Config struct {
 	// in the store and LRU; only the per-suite bookkeeping and pinned record
 	// slices are released). Running suites are never evicted. <= 0 means 64.
 	MaxSuiteHistory int
-	// StreamingHosts is the fabric size at which served runs are forced onto
-	// constant-memory streaming statistics (the jobs get a Meta marker so the
-	// override is visible in their content hashes). 0 means
-	// sim.DefaultStreamingHostThreshold; negative disables the policy.
-	StreamingHosts int
 	// TraceRingSize bounds each traced job's flight-recorder ring (events
 	// retained per job for Trace-enabled suites). <= 0 means
 	// telemetry.DefaultRingCapacity.
@@ -361,10 +356,6 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		s.metrics.suitesRejected.Inc()
 		return SuiteStatus{}, fmt.Errorf("service: suite has %d jobs, limit %d", len(cs.Jobs), s.cfg.MaxSuiteJobs)
 	}
-	// Server-side option policy; it may mark job Meta, so it must run before
-	// hashes are used.
-	cs.StreamingHosts = ApplyStreamingPolicy(cs.Jobs, s.cfg.StreamingHosts)
-	cs.Digest = suiteDigest(cs.Jobs)
 
 	st := &suite{
 		title:   cs.Title,
@@ -725,80 +716,4 @@ func (st *suite) notifyLocked(ev Event) {
 		default:
 		}
 	}
-}
-
-// ApplyStreamingPolicy probes each job's topology size and forces
-// constant-memory streaming statistics on fabrics of at least threshold hosts
-// (the served-run memory bound; 0 means sim.DefaultStreamingHostThreshold,
-// negative disables the policy). The override is recorded in job Meta — it
-// changes the run's statistics encoding, so the content hash must reflect it;
-// small-fabric jobs are untouched and keep aliasing batch artifacts
-// byte-for-byte. It returns the explicit threshold it applied (never 0), which
-// SubmitCompiled keeps on the CompiledSuite and a fleet coordinator ships with
-// every batch: workers re-apply it through this same function when they
-// recompile the suite, because policy drift between coordinator and worker
-// would silently change job hashes and break fleet-wide dedup.
-func ApplyStreamingPolicy(jobs []harness.Job, threshold int) int {
-	if threshold == 0 {
-		threshold = sim.DefaultStreamingHostThreshold
-	}
-	if threshold > 0 {
-		for i := range jobs {
-			bindStreamingPolicy(&jobs[i], threshold)
-		}
-	}
-	return threshold
-}
-
-func bindStreamingPolicy(j *harness.Job, threshold int) {
-	if j.Topology == nil {
-		return // ValidateSuite will reject the job with a better error
-	}
-	// Fast path: the option mutators alone reveal whether the figure already
-	// selected streaming mode (fig16 does) — no topology needed. This keeps
-	// the submit path free of expensive fabric builds exactly for the grids
-	// whose fabrics are expensive to build.
-	if streaming, ok := probeStreamingOption(j); ok && streaming {
-		return
-	}
-	topo := j.Topology()
-	opts := sim.DefaultOptions(j.Scheme, topo)
-	for _, mutate := range j.Options {
-		if mutate != nil {
-			mutate(&opts)
-		}
-	}
-	if opts.StreamingStats {
-		return
-	}
-	hosts := len(topo.Hosts())
-	if hosts < threshold {
-		return
-	}
-	if j.Meta == nil {
-		j.Meta = map[string]string{}
-	}
-	j.Meta["stats"] = "streaming"
-	j.Options = append(j.Options, func(o *sim.Options) {
-		o.BoundStatsMemory(hosts, threshold)
-	})
-}
-
-// probeStreamingOption evaluates the job's option mutators against a
-// topology-free default option set. ok is false when a mutator needs the real
-// topology (dereferences Options.Topo and panics), in which case the caller
-// falls back to building it.
-func probeStreamingOption(j *harness.Job) (streaming, ok bool) {
-	defer func() {
-		if recover() != nil {
-			streaming, ok = false, false
-		}
-	}()
-	opts := sim.DefaultOptions(j.Scheme, nil)
-	for _, mutate := range j.Options {
-		if mutate != nil {
-			mutate(&opts)
-		}
-	}
-	return opts.StreamingStats, true
 }

@@ -374,67 +374,6 @@ func TestServesMigratedFigure(t *testing.T) {
 	}
 }
 
-func TestMemoryPolicyMarksLargeFabricJobs(t *testing.T) {
-	svc := newTestService(t, t.TempDir(), func(c *Config) { c.StreamingHosts = 4 })
-	jobs := []harness.Job{{
-		Name:   "test/large",
-		Scheme: sim.SchemeBFC,
-		Meta:   map[string]string{"fig": "test"},
-		Topology: func() *topology.Topology {
-			return topology.NewSingleSwitch(topology.SingleSwitchConfig{
-				NumHosts: 8, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
-			})
-		},
-		Flows: func(topo *topology.Topology) []*packet.Flow { return nil },
-	}}
-	before := jobs[0].Hash()
-	ApplyStreamingPolicy(jobs, svc.cfg.StreamingHosts)
-	if jobs[0].Meta["stats"] != "streaming" {
-		t.Fatal("large-fabric job was not marked for streaming stats")
-	}
-	if jobs[0].Hash() == before {
-		t.Fatal("the streaming override must change the content hash")
-	}
-	// Below the threshold nothing changes.
-	small := []harness.Job{{
-		Name:   "test/small",
-		Scheme: sim.SchemeBFC,
-		Topology: func() *topology.Topology {
-			return topology.NewSingleSwitch(topology.SingleSwitchConfig{
-				NumHosts: 2, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
-			})
-		},
-		Flows: func(topo *topology.Topology) []*packet.Flow { return nil },
-	}}
-	beforeSmall := small[0].Hash()
-	ApplyStreamingPolicy(small, svc.cfg.StreamingHosts)
-	if small[0].Hash() != beforeSmall || small[0].Meta["stats"] != "" {
-		t.Fatal("small-fabric job was touched by the memory policy")
-	}
-	// A job that already selects streaming (fig16-style) is detected from
-	// its options alone — no topology build, no Meta marker.
-	var built bool
-	already := []harness.Job{{
-		Name:   "test/streaming",
-		Scheme: sim.SchemeBFC,
-		Topology: func() *topology.Topology {
-			built = true
-			return topology.NewSingleSwitch(topology.SingleSwitchConfig{
-				NumHosts: 8, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
-			})
-		},
-		Flows:   func(topo *topology.Topology) []*packet.Flow { return nil },
-		Options: []func(*sim.Options){func(o *sim.Options) { o.StreamingStats = true }},
-	}}
-	ApplyStreamingPolicy(already, svc.cfg.StreamingHosts)
-	if built {
-		t.Fatal("memory policy built a topology for a job that already streams")
-	}
-	if already[0].Meta["stats"] != "" {
-		t.Fatal("already-streaming job must not get the Meta marker")
-	}
-}
-
 func TestSuiteHistoryIsBounded(t *testing.T) {
 	dir := t.TempDir()
 	svc := newTestService(t, dir, func(c *Config) { c.MaxSuiteHistory = 3 })

@@ -125,11 +125,6 @@ type CompiledSuite struct {
 	Digest string
 	// Trace carries the spec's flight-recorder request through to execution.
 	Trace bool
-	// StreamingHosts is the explicit streaming-statistics threshold the
-	// accepting service applied to Jobs (see ApplyStreamingPolicy) — filled by
-	// SubmitCompiled, shipped by a fleet coordinator so that workers recompile
-	// the same hashes.
-	StreamingHosts int
 }
 
 // Shippable reports whether a remote worker can recompile this suite from

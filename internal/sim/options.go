@@ -132,9 +132,6 @@ type Options struct {
 	ResumeAll bool
 	// DisablePFC removes the PFC backstop (used by Fig 2).
 	DisablePFC bool
-	// WindowCap overrides the end-to-end window for the +Win and Ideal-FQ
-	// schemes; zero means one maximum-base-RTT bandwidth-delay product.
-	WindowCap units.Bytes
 	// IdealFQQueues is the number of per-port queues for Ideal-FQ (1000 in
 	// the paper). Setting it to a small value with SchemeIdealFQ gives the
 	// Fig 7 SFQ+InfBuffer baseline: static hashing, infinite buffer.
@@ -168,10 +165,6 @@ type Options struct {
 	// field is omitted from the Result JSON when off, keeping golden digests
 	// unchanged.
 	SampleSeries bool
-	// SeriesMaxSamples bounds each sampled series
-	// (telemetry.DefaultSeriesCap when zero); beyond the bound a series
-	// halves its resolution instead of growing.
-	SeriesMaxSamples int
 
 	// Shards selects the sharded (conservative parallel discrete-event)
 	// engine. 0 or 1 runs the classic single-threaded engine; n >= 2 runs n
@@ -248,38 +241,6 @@ func DefaultBufferSampleInterval(topo *topology.Topology) units.Time {
 		return base
 	}
 	return base * units.Time((switches+31)/32)
-}
-
-// DefaultStreamingHostThreshold is the fabric size at which exact statistics
-// stop being a sensible default for a long-lived process: exact mode stores
-// every FCT and occupancy sample, so its footprint grows with flow count and
-// horizon. Batch CLI runs accept that for byte-stable goldens; the service
-// tier (internal/service), which must survive arbitrarily many served runs,
-// forces streaming statistics on any run whose topology reaches this many
-// hosts. Every two-tier topology the paper evaluates stays below it, so
-// served small-fabric records remain byte-identical to batch runs.
-const DefaultStreamingHostThreshold = 256
-
-// BoundStatsMemory enables constant-memory streaming statistics when the
-// fabric has at least threshold hosts (DefaultStreamingHostThreshold when
-// threshold <= 0). Runs that already selected streaming mode, and fabrics
-// below the threshold, are untouched. It reports whether streaming statistics
-// are on after the call.
-func (o *Options) BoundStatsMemory(numHosts, threshold int) bool {
-	if o.StreamingStats {
-		return true
-	}
-	if threshold <= 0 {
-		threshold = DefaultStreamingHostThreshold
-	}
-	if numHosts < threshold {
-		return false
-	}
-	o.StreamingStats = true
-	if o.StatsSketchSize <= 0 {
-		o.StatsSketchSize = stats.DefaultSketchSize
-	}
-	return true
 }
 
 // Validate reports option errors and fills defaults for zero fields. Zero

@@ -63,7 +63,7 @@ func (g *registry) linkPorts(a, b packet.NodeID) (pa, pb int) {
 	return pa, pb
 }
 
-// setLinkState applies a link up/down event: reroute first (so no new packet
+// SetLinkState applies a link up/down event: reroute first (so no new packet
 // is steered at the dead link), then flip both unidirectional links, then
 // reset the pause machinery on both attached devices. rec (nil when untraced)
 // receives the trace event stamped at, after the reroute and before the
@@ -71,7 +71,7 @@ func (g *registry) linkPorts(a, b packet.NodeID) (pa, pb int) {
 // serial trace pins them behind the link event. The serial runner calls it
 // mid-dispatch; the sharded coordinator calls it with every shard parked at a
 // barrier, where the mutation is race-free and observed atomically.
-func (g *registry) setLinkState(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, up bool) int {
+func (g *registry) SetLinkState(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, up bool) int {
 	pa, pb := g.linkPorts(a, b)
 	reroutes := g.topo.SetLinkState(a, b, up)
 	if rec != nil {
@@ -101,9 +101,9 @@ func (g *registry) notifyLinkChange(id packet.NodeID, port int, up bool) {
 	g.nics[id].OnLinkStateChange(up)
 }
 
-// setLinkParams degrades both directions of a link (topology tables and wired
-// links), recording like setLinkState.
-func (g *registry) setLinkParams(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, rate units.Rate, delay units.Time) {
+// SetLinkParams degrades both directions of a link (topology tables and wired
+// links), recording like SetLinkState.
+func (g *registry) SetLinkParams(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, rate units.Rate, delay units.Time) {
 	pa, pb := g.linkPorts(a, b)
 	g.topo.SetLinkParams(a, b, rate, delay)
 	if rec != nil {

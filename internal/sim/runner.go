@@ -277,6 +277,7 @@ func (r *runner) run(flows []*packet.Flow) (*Result, error) {
 	if r.scen != nil {
 		r.scen.StrandedPackets += r.strandedPkts
 		r.scen.StrandedBytes += r.strandedBytes
+		r.scen.InjectedFlows += r.injectedFlows
 	}
 	r.reg.collect(res, horizon, flows, r.scen)
 	if r.sampler != nil {
@@ -297,12 +298,8 @@ func (r *runner) run(flows []*packet.Flow) (*Result, error) {
 func (r *runner) buildDevices() {
 	baseRTT := r.topo.MaxBaseRTT(r.opts.MTU + packet.DataHeaderSize)
 	hostRate := r.topo.HostRate(r.topo.Hosts()[0])
-	windowCap := r.opts.WindowCap
-	if windowCap == 0 {
-		windowCap = units.BDP(hostRate, baseRTT)
-	}
 	r.buildSwitches(r.hopRTT())
-	r.buildNICs(hostRate, baseRTT, windowCap)
+	r.buildNICs(hostRate, baseRTT)
 }
 
 func (r *runner) bfcConfig(hopRTT units.Time) *core.Config {
@@ -363,8 +360,11 @@ func (r *runner) buildSwitches(hopRTT units.Time) {
 	}
 }
 
-func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time, windowCap units.Bytes) {
+func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time) {
 	opts := r.opts
+	// The +Win and Ideal-FQ end-to-end window: one maximum-base-RTT
+	// bandwidth-delay product.
+	windowCap := units.BDP(hostRate, baseRTT)
 	for _, node := range r.topo.Nodes() {
 		if node.Kind != topology.Host || !r.owned(node.ID) {
 			continue
@@ -472,15 +472,17 @@ func scenarioParams(opts *Options, flows []*packet.Flow, horizon units.Time) sce
 	}
 }
 
-// installScenario compiles and schedules the configured scenario spec.
+// installScenario compiles the configured scenario spec and schedules both
+// halves on the serial engine: the injected flows, all of which this runner
+// owns, and the events themselves.
 func (r *runner) installScenario(flows []*packet.Flow, horizon units.Time) error {
-	p := scenarioParams(&r.opts, flows, horizon)
-	p.Recorder = r.rec
-	m, err := scenario.Install(r.sched, r, r.opts.Scenario, p)
+	pl, err := scenario.Plan(r.opts.Scenario, scenarioParams(&r.opts, flows, horizon))
 	if err != nil {
 		return err
 	}
-	r.scen = m
+	r.scen = pl.Metrics()
+	pl.ScheduleFlows(r.sched, r.owned, r.startInjected)
+	pl.ScheduleEvents(r.sched, r.reg, r.rec)
 	return nil
 }
 
@@ -492,28 +494,11 @@ func (r *runner) onStranded(p *packet.Packet) {
 	r.pool.Put(p)
 }
 
-// startInjected is the per-shard landing point for scenario flow injections:
-// it counts the injection locally (the coordinator merges the counters into
-// the scenario metrics) and starts the flow at its source NIC.
+// startInjected is the landing point for scenario flow injections: it counts
+// the injection runner-locally, starts the flow at its source NIC, and keeps
+// the offered-flow accounting consistent with the base trace.
 func (r *runner) startInjected(f *packet.Flow) {
 	r.injectedFlows++
-	r.StartFlow(f)
-}
-
-// SetLinkState implements scenario.Network for the serial engine.
-func (r *runner) SetLinkState(a, b packet.NodeID, up bool) int {
-	return r.reg.setLinkState(r.sched.Now(), r.rec, a, b, up)
-}
-
-// SetLinkParams implements scenario.Network for the serial engine.
-func (r *runner) SetLinkParams(a, b packet.NodeID, rate units.Rate, delay units.Time) {
-	r.reg.setLinkParams(r.sched.Now(), r.rec, a, b, rate, delay)
-}
-
-// StartFlow implements scenario.Network: start an injected flow at its
-// source NIC, keeping the offered-flow accounting consistent with the base
-// trace.
-func (r *runner) StartFlow(f *packet.Flow) {
 	r.reg.nics[f.Src].StartFlow(f)
 	if !f.IsIncast && !f.LongLived {
 		r.flowsTotal++

@@ -232,8 +232,8 @@ func runShardedResult(t testing.TB, opts Options, flows []*packet.Flow, shards i
 
 // TestShardedScenarioGolden pins the sharded scenario path against the
 // recorded scenario goldens: the coordinator applies compiled events at
-// lookahead barriers and per-shard injectors start owned flows, and the
-// result must still match the serial digests byte-for-byte. The Sharding
+// lookahead barriers and each shard starts the injected flows it owns, and
+// the result must still match the serial digests byte-for-byte. The Sharding
 // report guards against the run silently falling back to serial.
 func TestShardedScenarioGolden(t *testing.T) {
 	blob, err := os.ReadFile(goldenScenarioPath)

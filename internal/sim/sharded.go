@@ -46,9 +46,10 @@ import (
 //     flushes the events ordered before the scenario closure's serial key
 //     (its setup-phase pedigree), then — with all shards parked — the
 //     coordinator mutates the shared topology and the affected shards' links
-//     exactly as the serial injector's closure would mid-dispatch. Injected
-//     flows need no coordination: each shard schedules the pre-generated
-//     flows whose sources it owns, under their serial keys.
+//     exactly as the serial engine's closure does mid-dispatch: both call
+//     the same per-event function (scenario.Planned). Injected flows need no
+//     coordination: each shard schedules the pre-generated flows whose
+//     sources it owns, under their serial keys.
 //   - Flight recording shards the same way: each shard buffers its events in
 //     a bounded ring stamped with the emitting dispatch's key, the
 //     coordinator stamps its own (scenario) records with the closure keys,
@@ -158,7 +159,7 @@ func tickKeyAt(t, d units.Time) eventsim.Key {
 }
 
 // setupKeyAt reconstructs the ordering key of a scenario event closure at
-// instant t: the serial injector schedules them during construction (clock at
+// instant t: the serial runner schedules them during construction (clock at
 // zero, outside any dispatch), so the chain is instant 0 followed by the
 // SetupTime sentinels, with tags, kids, kid and tag all zero. The only other
 // events carrying this exact key shape are the sampling ticker's first tick
@@ -231,28 +232,6 @@ func (sr *shardRecorder) events() []keyedEvent {
 		return out
 	}
 	return sr.buf
-}
-
-// barrierNet is the scenario.Network the coordinator applies link events
-// through: the shared registry's link events, stamped with the barrier
-// instant. The trace records the serial runner would emit land in the
-// coordinator's keyed recorder instead.
-type barrierNet struct {
-	reg *registry
-	at  units.Time
-	rec telemetry.Recorder
-}
-
-func (n *barrierNet) SetLinkState(a, b packet.NodeID, up bool) int {
-	return n.reg.setLinkState(n.at, n.rec, a, b, up)
-}
-
-func (n *barrierNet) SetLinkParams(a, b packet.NodeID, rate units.Rate, delay units.Time) {
-	n.reg.setLinkParams(n.at, n.rec, a, b, rate, delay)
-}
-
-func (n *barrierNet) StartFlow(f *packet.Flow) {
-	panic("sim: scenario flow injections are scheduled per shard, not at barriers")
 }
 
 // mergeFCT merges the per-shard completion buffers into serial key order.
@@ -444,13 +423,12 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		doEvents := func() {
 			k := setupKeyAt(b)
 			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
-			net := &barrierNet{reg: reg, at: b}
-			var record func(telemetry.Event)
+			var rec telemetry.Recorder // stays nil, not a nil *shardRecorder, when untraced
 			if coordRec != nil {
 				coordRec.key = k
-				net.rec, record = coordRec, coordRec.Record
+				rec = coordRec
 			}
-			coordExec += uint64(scen.Apply(b, net, record))
+			coordExec += uint64(scen.Apply(b, reg, rec))
 			evIdx++
 		}
 		isTick := b == nextTick

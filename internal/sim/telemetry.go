@@ -77,7 +77,7 @@ type seriesSampler struct {
 // counter. sampleTick invokes sample() from the shared sampling tick.
 func (g *registry) newSeriesSampler(opts *Options, executed func() uint64) *seriesSampler {
 	interval := opts.BufferSampleInterval
-	capacity := opts.SeriesMaxSamples
+	const capacity = telemetry.DefaultSeriesCap
 	s := &seriesSampler{interval: interval, executed: executed}
 
 	// Group links by tier-pair class, in topology order.

@@ -93,16 +93,6 @@ func NewT1() *Topology { return NewClos(T1Config()) }
 // NewT2 builds the paper's T2 topology.
 func NewT2() *Topology { return NewClos(T2Config()) }
 
-// ScaledClos returns a Clos with the same shape as cfg but with hostsPerToR
-// and numToR scaled down; used by the benchmark harness to run every figure
-// at reduced scale while preserving the topology structure.
-func ScaledClos(cfg ClosConfig, numToR, hostsPerToR int) ClosConfig {
-	cfg.NumToR = numToR
-	cfg.HostsPerToR = hostsPerToR
-	cfg.Name = fmt.Sprintf("%s-scaled-%dx%d", cfg.Name, numToR, hostsPerToR)
-	return cfg
-}
-
 // SingleSwitchConfig parameterizes a star topology: n hosts attached to one
 // switch. Used by micro-benchmarks and the Fig 10 buffer-management
 // experiment.

@@ -145,11 +145,6 @@ func BytesInFlight(r Rate, d Time) Bytes {
 // and round-trip time rtt.
 func BDP(r Rate, rtt Time) Bytes { return BytesInFlight(r, rtt) }
 
-// TimeToSend returns how long size bytes take to drain at rate r; an alias of
-// SerializationTime provided for readability at call sites that reason about
-// queue drain times rather than wire serialization.
-func TimeToSend(size Bytes, r Rate) Time { return SerializationTime(size, r) }
-
 // RateFromBytes returns the average rate achieved by transferring size bytes
 // in duration d. Returns 0 when d is 0.
 func RateFromBytes(size Bytes, d Time) Rate {
