@@ -1,7 +1,8 @@
 // Command bfcd is the simulation-as-a-service daemon: it serves the
 // internal/service HTTP API (suite submission, progress streams, results) in
 // front of a content-addressed result store, so repeated submissions of
-// already-computed grids are served from cache without re-simulating.
+// already-computed grids are served from the store without re-simulating: a
+// submission checks the stored artifacts' bytes, a fetch streams them out.
 //
 //	bfcd -addr 127.0.0.1:8377 -store results/
 //
@@ -18,7 +19,7 @@
 //	     -fleet-workers http://127.0.0.1:8381,http://127.0.0.1:8382
 //
 // A coordinator compiles each submitted suite, satisfies jobs already present
-// anywhere in the fleet (the union of worker stores plus its own cache) with
+// anywhere in the fleet (the union of worker stores plus its own store) with
 // zero execution, scatters the rest to workers in bounded batches, and merges
 // the records into a result stream byte-identical to a single-node run; a
 // batch no worker can take runs on the coordinator's own -parallel pool.
@@ -67,7 +68,6 @@ func main() {
 		storeDir  = flag.String("store", "bfcd-store", "result store directory (shared with cmd/experiments -out)")
 		workers   = flag.Int("parallel", 0, "simulation worker pool size, fleet fallback included (0 = all cores)")
 		maxSuites = flag.Int("max-suites", 4, "maximum concurrently running suites")
-		cacheSize = flag.Int("cache", 128, "in-memory LRU capacity (decoded records)")
 		history   = flag.Int("history", 64, "retained terminal suites (older ones are forgotten; their artifacts stay in the store)")
 		traceRing = flag.Int("trace-ring", 0, "flight-recorder ring capacity per traced job (0 = default)")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -99,7 +99,6 @@ func main() {
 		Store:           store,
 		Workers:         *workers,
 		MaxActiveSuites: *maxSuites,
-		CacheEntries:    *cacheSize,
 		MaxSuiteHistory: *history,
 		TraceRingSize:   *traceRing,
 		Registry:        registry,

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bfc"
+	"bfc/internal/sim"
 	"bfc/internal/telemetry"
 	"bfc/internal/telemetry/execstats"
 	"bfc/internal/units"
@@ -49,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := sim.SchemeByName(*schemeName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,27 +159,6 @@ func main() {
 	for _, row := range res.FCT.Rows() {
 		fmt.Printf("%-12s %8d %8.2f %8.2f %8.2f %8.2f\n",
 			row.Bucket.Label, row.Count, row.Mean, row.P50, row.P95, row.P99)
-	}
-}
-
-func parseScheme(name string) (bfc.Scheme, error) {
-	switch strings.ToLower(name) {
-	case "bfc":
-		return bfc.SchemeBFC, nil
-	case "bfc-vfid", "bfc-static":
-		return bfc.SchemeBFCStatic, nil
-	case "dcqcn":
-		return bfc.SchemeDCQCN, nil
-	case "dcqcn+win", "dcqcn-win":
-		return bfc.SchemeDCQCNWin, nil
-	case "dcqcn+win+sfq", "dcqcn-win-sfq":
-		return bfc.SchemeDCQCNWinSFQ, nil
-	case "hpcc":
-		return bfc.SchemeHPCC, nil
-	case "ideal-fq", "idealfq", "ideal":
-		return bfc.SchemeIdealFQ, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", name)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestFleetSurvivesTransportFaults(t *testing.T) {
 			if done.State != service.StateDone || done.Executed+done.Cached != done.Total {
 				t.Fatalf("suite ended %+v", done)
 			}
-			recs, err := svc.Results(status.ID)
+			recs, err := readResults(svc, status.ID)
 			if err != nil {
 				t.Fatal(err)
 			}

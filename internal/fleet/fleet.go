@@ -15,8 +15,8 @@
 // byte-identical to one computed locally or on any other worker — which is
 // what makes the content hash a fleet-wide dedup key: before scattering, the
 // coordinator asks every live worker which hashes it already has (the union
-// of worker store manifests plus the coordinator's own cache forms the
-// fleet-wide manifest) and satisfies those jobs with zero execution anywhere.
+// of the worker stores' listings plus the coordinator's own is the fleet-wide
+// manifest) and satisfies those jobs, fetched as stored bytes, with zero runs.
 //
 // Robustness is part of the subsystem, not a bolt-on: workers register
 // statically (-workers) or dynamically (POST /api/v1/fleet/register, kept

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -81,6 +84,57 @@ func marshal(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(blob)
+}
+
+// readResults decodes a suite's result stream, WriteResults' JSONL, into
+// records in job order.
+func readResults(svc *service.Service, id string) ([]*harness.Record, error) {
+	var body bytes.Buffer
+	if _, err := svc.WriteResults(&body, id); err != nil {
+		return nil, err
+	}
+	var recs []*harness.Record
+	for dec := json.NewDecoder(&body); dec.More(); {
+		rec := &harness.Record{}
+		if err := dec.Decode(rec); err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
+// assertResultsAreTheArtifacts holds a tinySpec suite's result stream to the
+// one thing it may be: the concatenation of the files in the serving daemon's
+// store that the suite's jobs hash to, in job order — and, across the fleet,
+// the same bytes every worker store holds under those names.
+func assertResultsAreTheArtifacts(t *testing.T, svc *service.Service, id string, workers ...*harness.Store) {
+	t.Helper()
+	cs, err := tinySpec().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := range cs.Jobs {
+		name := cs.Jobs[i].Hash() + ".jsonl"
+		artifact, err := os.ReadFile(filepath.Join(svc.Store().Dir(), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, artifact...)
+		for _, w := range workers {
+			if theirs, err := os.ReadFile(filepath.Join(w.Dir(), name)); err == nil && !bytes.Equal(theirs, artifact) {
+				t.Fatalf("job %s: the worker's artifact and the coordinator's differ", cs.Jobs[i].Name)
+			}
+		}
+	}
+	var got bytes.Buffer
+	if _, err := svc.WriteResults(&got, id); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("suite %s: the %d served bytes are not the %d bytes of its artifacts in job order", id, got.Len(), len(want))
+	}
 }
 
 // newWorker spins up a worker-mode daemon: an Executor serving the fleet API
@@ -165,7 +219,7 @@ func TestFleetScatterMatchesDirectRun(t *testing.T) {
 	if done.State != service.StateDone || done.Executed != 2 || done.Cached != 0 {
 		t.Fatalf("fleet run ended %+v", done)
 	}
-	recs, err := svc.Results(status.ID)
+	recs, err := readResults(svc, status.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +236,7 @@ func TestFleetScatterMatchesDirectRun(t *testing.T) {
 		t.Fatal("no worker store holds the first record")
 	}
 	checkOneExecutedCounter(t, svc)
+	assertResultsAreTheArtifacts(t, svc, status.ID, storeA, storeB) // cold
 
 	// Resubmission: every record is now in the coordinator's own cache, so
 	// the suite completes synchronously with zero fleet traffic.
@@ -195,6 +250,70 @@ func TestFleetScatterMatchesDirectRun(t *testing.T) {
 	}
 	if got := svc.Stats().JobsExecuted; got != execBefore {
 		t.Fatalf("resubmission executed %d simulations", got-execBefore)
+	}
+	assertResultsAreTheArtifacts(t, svc, second.ID, storeA, storeB) // warm
+}
+
+// TestWorkerRecordEndpointServesOnlyArtifacts: the record endpoint answers a
+// stored hash with the artifact's bytes as they are on disk, and a {hash}
+// segment that ServeMux unescapes into a path — the store sits at
+// <root>/a/store, the request names <root>/secret.jsonl — with a 404 that
+// carries nothing of the file it pointed at.
+func TestWorkerRecordEndpointServesOnlyArtifacts(t *testing.T) {
+	root := t.TempDir()
+	store, err := harness.NewStore(filepath.Join(root, "a", "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := NewExecutor(ExecutorConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	exec.Routes()(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	job := harness.Job{Name: "secret/job", Scheme: sim.SchemeBFC}
+	rec := &harness.Record{Name: job.Name, Hash: job.Hash(), Scheme: "BFC", Seed: job.Seed()}
+	if err := store.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := os.ReadFile(filepath.Join(store.Dir(), rec.Hash+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, outside := range []string{filepath.Join(root, "secret.jsonl"), filepath.Join(root, "a", "secret.jsonl")} {
+		if err := os.WriteFile(outside, artifact, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(segment string) (int, []byte) {
+		resp, err := http.Get(srv.URL + pathRecord + segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if code, body := get(rec.Hash); code != http.StatusOK || !bytes.Equal(body, artifact) {
+		t.Fatalf("stored hash: %d, %q; want 200 and the artifact's bytes", code, body)
+	}
+	for _, segment := range []string{"..%2F..%2Fsecret", "..%2Fsecret", "%2E%2E%2Fsecret", rec.Hash + "%2F..%2F" + rec.Hash, "secret"} {
+		if code, body := get(segment); code != http.StatusNotFound || bytes.Contains(body, []byte(job.Name)) {
+			t.Fatalf("GET %s%s: %d, %q; want a 404 naming no record", pathRecord, segment, code, body)
+		}
+	}
+	got, err := NewClient(srv.URL, time.Second).Record(context.Background(), rec.Hash)
+	if err != nil || got.Name != rec.Name || got.Hash != rec.Hash {
+		t.Fatalf("client decode of the raw artifact: %+v, %v", got, err)
+	}
+	if got, err := NewClient(srv.URL, time.Second).Record(context.Background(), "../../secret"); err == nil {
+		t.Fatalf("client fetched %+v through a traversing hash", got)
 	}
 }
 
@@ -233,7 +352,7 @@ func TestFleetDedupSkipsExecutionEverywhere(t *testing.T) {
 	if got := coord.metrics.jobsDeduped.Value(); got != 2 {
 		t.Fatalf("jobs_deduped = %d, want 2", got)
 	}
-	recs, err := svc.Results(status.ID)
+	recs, err := readResults(svc, status.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +383,7 @@ func TestFleetSurvivesDeadWorker(t *testing.T) {
 	if done.State != service.StateDone || done.Done != 2 {
 		t.Fatalf("suite with dead worker ended %+v", done)
 	}
-	recs, err := svc.Results(status.ID)
+	recs, err := readResults(svc, status.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +478,7 @@ func TestFleetFallsBackToLocalWithoutWorkers(t *testing.T) {
 	if got := coord.metrics.local.Value(); got != 2 {
 		t.Fatalf("batches_local = %d, want 2 (one-job batches)", got)
 	}
-	recs, err := svc.Results(status.ID)
+	recs, err := readResults(svc, status.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +554,7 @@ func TestFleetLocalFallbackHonoursWorkerBound(t *testing.T) {
 	if jobEvents == 0 {
 		t.Error("no job event reached the subscription")
 	}
-	recs, err := svc.Results(status.ID)
+	recs, err := readResults(svc, status.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

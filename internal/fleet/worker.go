@@ -111,7 +111,7 @@ func (e *Executor) handleHave(w http.ResponseWriter, r *http.Request) {
 
 func (e *Executor) handleRecord(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	rec, ok, err := e.cfg.Store.Get(hash)
+	line, ok, err := e.cfg.Store.Read(hash)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -120,7 +120,8 @@ func (e *Executor) handleRecord(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("fleet: no record for hash %q", hash))
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(line)
 }
 
 func (e *Executor) handleExecute(w http.ResponseWriter, r *http.Request) {

@@ -1,27 +1,16 @@
 package harness
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 )
 
-// manifestName is the store's index file: one JSON line per completed
-// artifact, appended by Put and compacted by List.
-const manifestName = "MANIFEST.jsonl"
-
-// artifactPattern matches artifact file names ("<16-hex-hash>.jsonl"),
-// distinguishing them from the manifest, from Put's and the manifest
-// rewrite's temp files, and from anything else kept in a results directory.
-var artifactPattern = regexp.MustCompile(`^[0-9a-f]{16}\.jsonl$`)
-
-// ManifestEntry indexes one completed artifact: the content hash that keys
-// its file plus the job's wire-form identity, so consumers (the service tier,
+// ManifestEntry names one completed artifact: the content hash that keys its
+// file plus the job's wire-form identity, so consumers (the service tier,
 // -resume, bfcctl) can enumerate completed work without decoding every
 // multi-megabyte record or re-hashing every job spec.
 type ManifestEntry struct {
@@ -30,13 +19,6 @@ type ManifestEntry struct {
 	Scheme string            `json:"scheme"`
 	Meta   map[string]string `json:"meta,omitempty"`
 }
-
-// Spec returns the entry's job wire form.
-func (e ManifestEntry) Spec() JobSpec {
-	return JobSpec{Name: e.Name, Scheme: e.Scheme, Meta: e.Meta}
-}
-
-func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestName) }
 
 // MergeManifests unions manifest entry lists into one view of completed work:
 // entries are deduplicated by hash (the first list containing a hash wins, so
@@ -65,167 +47,67 @@ func MergeManifests(lists ...[]ManifestEntry) []ManifestEntry {
 	return out
 }
 
-// appendManifest appends one entry line to the manifest. Appends are
-// serialized by the store mutex; the record's artifact is already renamed
-// into place, so a crash between the rename and this append merely leaves an
-// unindexed artifact for List to recover.
-func (s *Store) appendManifest(rec *Record) error {
-	line, err := json.Marshal(ManifestEntry{
-		Hash: rec.Hash, Name: rec.Name, Scheme: rec.Scheme, Meta: rec.Meta,
-	})
-	if err != nil {
-		return fmt.Errorf("harness: encoding manifest entry %q: %w", rec.Name, err)
-	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("harness: opening manifest: %w", err)
-	}
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return fmt.Errorf("harness: appending manifest entry %q: %w", rec.Name, err)
-	}
-	return f.Close()
-}
-
-// List enumerates the store's completed artifacts, sorted by job name. It
-// reads the manifest and reconciles it against the artifact files, repairing
-// every divergence a crash can leave behind: a truncated or corrupt trailing
-// line (interrupted append) is dropped, an artifact missing from the manifest
-// (crash between artifact rename and manifest append, or a store written
-// before manifests existed) is recovered by decoding the record, and an entry
-// whose artifact has disappeared is discarded. When any repair was needed the
-// manifest is rewritten atomically, so the next List is pure index reads.
+// List enumerates the store's completed artifacts, sorted by job name. There
+// is no index to fall out of step with the directory: each "<hash>.jsonl" is
+// opened and its identity read off the front of its line (readEntry), so the
+// listing is what the directory holds at that moment. An artifact that does
+// not open, does not start with its identity, carries another hash than its
+// name, or lacks the newline Put writes last (truncated, empty) is left out;
+// Read tells whoever asks for the record what is wrong with it.
 func (s *Store) List() ([]ManifestEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	entries, dirty, err := s.readManifest()
-	if err != nil {
-		return nil, err
-	}
-
-	byHash := make(map[string]int, len(entries))
-	for i, e := range entries {
-		byHash[e.Hash] = i
-	}
-
 	dirEntries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("harness: listing store: %w", err)
 	}
-	onDisk := map[string]bool{}
+	var entries []ManifestEntry
 	for _, de := range dirEntries {
-		name := de.Name()
-		if de.IsDir() || !artifactPattern.MatchString(name) {
+		hash, isArtifact := strings.CutSuffix(de.Name(), ".jsonl")
+		path, ok := s.path(hash)
+		if !isArtifact || !ok || de.IsDir() {
 			continue
 		}
-		hash := strings.TrimSuffix(name, ".jsonl")
-		onDisk[hash] = true
-		if _, ok := byHash[hash]; ok {
-			continue
-		}
-		// Unindexed artifact: recover its identity from the record itself.
-		rec, ok, err := s.Get(hash)
-		if err != nil || !ok {
-			// Unreadable artifacts are left alone (Get would surface the
-			// error to whoever asks for the record); they just stay
-			// unindexed.
-			continue
-		}
-		byHash[hash] = len(entries)
-		entries = append(entries, ManifestEntry{
-			Hash: hash, Name: rec.Name, Scheme: rec.Scheme, Meta: rec.Meta,
-		})
-		dirty = true
-	}
-
-	kept := entries[:0]
-	for _, e := range entries {
-		if onDisk[e.Hash] {
-			kept = append(kept, e)
-		} else {
-			dirty = true
-		}
-	}
-	entries = kept
-
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	if dirty {
-		if err := s.rewriteManifest(entries); err != nil {
-			return nil, err
-		}
-	}
-	return entries, nil
-}
-
-// readManifest parses the manifest, tolerating damage: corrupt or duplicate
-// lines are skipped and reported as dirty so List compacts them away.
-func (s *Store) readManifest() (entries []ManifestEntry, dirty bool, err error) {
-	f, err := os.Open(s.manifestPath())
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("harness: opening manifest: %w", err)
-	}
-	defer f.Close()
-	seen := map[string]int{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e ManifestEntry
-		if json.Unmarshal([]byte(line), &e) != nil || e.Hash == "" || e.Name == "" {
-			dirty = true // interrupted append left a partial or garbled line
-			continue
-		}
-		if i, dup := seen[e.Hash]; dup {
-			entries[i] = e // re-put of the same artifact: last entry wins
-			dirty = true
-			continue
-		}
-		seen[e.Hash] = len(entries)
-		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("harness: reading manifest: %w", err)
-	}
-	return entries, dirty, nil
-}
-
-// rewriteManifest atomically replaces the manifest with the given entries.
-func (s *Store) rewriteManifest(entries []ManifestEntry) error {
-	var sb strings.Builder
-	for _, e := range entries {
-		b, err := json.Marshal(e)
+		f, err := os.Open(path)
 		if err != nil {
-			return fmt.Errorf("harness: encoding manifest entry %q: %w", e.Name, err)
+			continue
 		}
-		sb.Write(b)
-		sb.WriteByte('\n')
+		if e, ok := readEntry(f); ok && e.Hash == hash {
+			entries = append(entries, e)
+		}
+		f.Close()
 	}
-	tmp, err := os.CreateTemp(s.dir, ".manifest.tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: rewriting manifest: %w", err)
+	return MergeManifests(entries), nil // sorts; file names are distinct hashes already
+}
+
+// readEntry reads a record's identity from the front of its JSON line: it
+// walks the object's keys until it holds name, hash, scheme and meta, which
+// Record declares — and Put therefore writes — ahead of the result that is
+// nearly all of the line, so a listing reads a few hundred bytes per artifact.
+// A record without meta, or with its keys in another order, is walked to its
+// end: slower, same entry. Then it looks at the line's last byte.
+func readEntry(r io.ReadSeeker) (e ManifestEntry, ok bool) {
+	dec := json.NewDecoder(r)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return e, false
 	}
-	if _, err := tmp.WriteString(sb.String()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: rewriting manifest: %w", err)
+	wanted := map[string]any{"name": &e.Name, "hash": &e.Hash, "scheme": &e.Scheme, "meta": &e.Meta}
+	for len(wanted) > 0 && dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return e, false
+		}
+		name, _ := key.(string)
+		into, isWanted := wanted[name]
+		if !isWanted {
+			into = new(json.RawMessage) // skipped, but still checked as JSON
+		}
+		if err := dec.Decode(into); err != nil {
+			return e, false
+		}
+		delete(wanted, name)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: rewriting manifest: %w", err)
+	var last [1]byte
+	if _, err := r.Seek(-1, io.SeekEnd); err == nil {
+		r.Read(last[:]) // a failed read leaves last zero: not a newline
 	}
-	if err := os.Rename(tmp.Name(), s.manifestPath()); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: rewriting manifest: %w", err)
-	}
-	return nil
+	return e, last[0] == '\n' && e.Name != ""
 }

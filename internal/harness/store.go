@@ -1,25 +1,22 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"regexp"
 )
 
 // Store persists one JSONL record per completed job under a results
 // directory. Files are keyed by the job's content hash ("<hash>.jsonl", one
 // JSON line each), so a rerun of the same job spec lands on the same
 // artifact, concurrent workers never interleave writes, and Resume can skip
-// completed work with one lookup per job hash. A MANIFEST.jsonl index,
-// maintained alongside the artifacts, lets List enumerate completed work
-// without decoding records (see manifest.go).
+// completed work with one lookup per job hash. The artifact is the only copy
+// of a result: no index is kept beside it (List reads the artifacts).
 type Store struct {
 	dir string
-	// mu serializes manifest writes; artifact files need no locking because
-	// each lands via its own temp-file rename.
-	mu sync.Mutex
 }
 
 // NewStore opens (creating if needed) a results directory.
@@ -36,13 +33,27 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) path(hash string) string {
-	return filepath.Join(s.dir, hash+".jsonl")
+// hashPattern is the form of a job content hash (JobSpec.Hash).
+var hashPattern = regexp.MustCompile(`^[0-9a-f]{16}$`)
+
+// path is the one conversion from a hash to a file name. Hashes arrive from
+// outside the process (URL path segments, fleet queries, records off the
+// wire); ok is false for anything else than a content hash, which therefore
+// cannot name a file outside the store or a temp file inside it.
+func (s *Store) path(hash string) (path string, ok bool) {
+	if !hashPattern.MatchString(hash) {
+		return "", false
+	}
+	return filepath.Join(s.dir, hash+".jsonl"), true
 }
 
 // Put writes the record's artifact atomically (temp file + rename), so an
 // interrupted run never leaves a truncated artifact for Resume to trust.
 func (s *Store) Put(rec *Record) error {
+	path, ok := s.path(rec.Hash)
+	if !ok {
+		return fmt.Errorf("harness: record %q has malformed hash %q", rec.Name, rec.Hash)
+	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("harness: encoding record %q: %w", rec.Name, err)
@@ -61,33 +72,53 @@ func (s *Store) Put(rec *Record) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: writing record %q: %w", rec.Name, err)
 	}
-	if err := os.Rename(tmp.Name(), s.path(rec.Hash)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: writing record %q: %w", rec.Name, err)
 	}
-	return s.appendManifest(rec)
+	return nil
 }
 
-// Has reports whether an artifact exists for the job hash without decoding
+// Has reports whether an artifact exists for the job hash without reading
 // it — the membership probe behind fleet manifest exchange, where a worker
 // answers "which of these hashes do you already have" for thousands of hashes
 // per query.
 func (s *Store) Has(hash string) bool {
-	if !artifactPattern.MatchString(hash + ".jsonl") {
+	path, ok := s.path(hash)
+	if !ok {
 		return false
 	}
-	info, err := os.Stat(s.path(hash))
+	info, err := os.Stat(path)
 	return err == nil && info.Mode().IsRegular()
 }
 
-// Get loads the record for a job hash; ok is false when no artifact exists.
-func (s *Store) Get(hash string) (rec *Record, ok bool, err error) {
-	b, err := os.ReadFile(s.path(hash))
+// Read returns the artifact's bytes for a job hash, as Put wrote them; ok is
+// false when no artifact exists. It is the only way bytes leave the store, so
+// it is where they are checked: anything but one newline-terminated valid
+// JSON line (a truncated, empty or overwritten artifact) is an error.
+func (s *Store) Read(hash string) (line []byte, ok bool, err error) {
+	path, ok := s.path(hash)
+	if !ok {
+		return nil, false, nil
+	}
+	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("harness: reading record %s: %w", hash, err)
+	}
+	if bytes.IndexByte(b, '\n') != len(b)-1 || !json.Valid(b) {
+		return nil, false, fmt.Errorf("harness: artifact %s is not one complete JSON line", hash)
+	}
+	return b, true, nil
+}
+
+// Get loads the record for a job hash; ok is false when no artifact exists.
+func (s *Store) Get(hash string) (rec *Record, ok bool, err error) {
+	b, ok, err := s.Read(hash)
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	rec = &Record{}
 	if err := json.Unmarshal(b, rec); err != nil {

@@ -26,9 +26,10 @@ func BenchmarkSuiteCompile(b *testing.B) {
 }
 
 // BenchmarkServiceSubmitCacheHit measures a fully-cached submission end to
-// end: compile, memory-policy probe, per-job cache resolution and suite
-// registration — the steady-state cost of serving an already-computed grid,
-// with zero simulation runs per op (asserted via the executed-jobs counter).
+// end: compile, one Store.Read per job (the artifact's bytes read, checked as
+// one valid JSON line, and dropped) and suite registration — the steady-state
+// cost of accepting an already-computed grid, with zero simulation runs per op
+// (asserted via the executed-jobs counter) and no record decoded or retained.
 func BenchmarkServiceSubmitCacheHit(b *testing.B) {
 	store, err := harness.NewStore(b.TempDir())
 	if err != nil {

@@ -26,13 +26,13 @@ import (
 //	GET    /api/v1/suites              list suite statuses
 //	GET    /api/v1/suites/{id}         one suite status
 //	DELETE /api/v1/suites/{id}         cancel a running suite
-//	GET    /api/v1/suites/{id}/results completed records as JSONL, job order
+//	GET    /api/v1/suites/{id}/results a done suite's artifacts as JSONL, job order
 //	GET    /api/v1/suites/{id}/events  Server-Sent-Events progress stream
 //	GET    /api/v1/suites/{id}/trace/{job...}  flight-recorder trace of one
 //	       executed job of a trace-enabled suite (Chrome trace_event JSON;
 //	       ?format=jsonl for the raw event stream)
 //	GET    /api/v1/store               the store manifest (completed work)
-//	GET    /api/v1/stats               service + cache counters
+//	GET    /api/v1/stats               service counters
 //
 // Every request is counted in the bfcd_http_* metrics and, when the service
 // has a logger, logged with a per-request ID.
@@ -132,22 +132,22 @@ func NewHandler(svc *Service, extras ...func(*http.ServeMux)) http.Handler {
 	})
 	mux.HandleFunc("GET /api/v1/suites/{id}/results", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		recs, err := svc.Results(id)
-		if err != nil {
+		w.Header().Set("Content-Type", "application/jsonl")
+		n, err := svc.WriteResults(w, id)
+		switch {
+		case err == nil:
+		case n > 0:
+			// Part of the body is out: abort, so the client's read fails
+			// rather than ending on a short suite that looks complete.
+			svc.log("results aborted", "suite", id, "bytes", n, "error", err.Error())
+			panic(http.ErrAbortHandler)
+		case errors.Is(err, ErrStorage):
+			httpError(w, http.StatusInternalServerError, err)
+		default:
 			if _, serr := svc.Status(id); serr != nil {
 				httpError(w, http.StatusNotFound, serr)
 			} else {
 				httpError(w, http.StatusConflict, err)
-			}
-			return
-		}
-		// One record per line, exactly as the store artifacts encode them, so
-		// served bytes diff cleanly against cmd/experiments -out files.
-		w.Header().Set("Content-Type", "application/jsonl")
-		enc := json.NewEncoder(w)
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
-				return // client went away mid-stream
 			}
 		}
 	})

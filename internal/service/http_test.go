@@ -2,8 +2,10 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -110,43 +112,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("no end event (sawJob=%v, scan err %v)", sawJob, sc.Err())
 	}
 
-	// Results come back as JSONL whose lines are byte-identical to the
-	// store's artifacts.
-	res, err := http.Get(ts.URL + "/api/v1/suites/" + status.ID + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("results: %s", res.Status)
-	}
-	var lines []string
-	rs := bufio.NewScanner(res.Body)
-	rs.Buffer(make([]byte, 1<<20), 1<<24)
-	for rs.Scan() {
-		if s := strings.TrimSpace(rs.Text()); s != "" {
-			lines = append(lines, s)
-		}
-	}
-	if err := rs.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("results returned %d records", len(lines))
-	}
-	for _, line := range lines {
-		rec := &harness.Record{}
-		if err := json.Unmarshal([]byte(line), rec); err != nil {
-			t.Fatal(err)
-		}
-		artifact, err := os.ReadFile(filepath.Join(dir, rec.Hash+".jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.TrimSpace(string(artifact)) != line {
-			t.Fatalf("served record %s differs from its store artifact", rec.Name)
-		}
-	}
+	// Cold: results are the store's artifacts, byte for byte, in job order.
+	assertResultsAreTheArtifacts(t, ts.URL, status.ID, dir)
 
 	// Store listing matches.
 	var entries []harness.ManifestEntry
@@ -165,6 +132,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if second.State != StateDone || second.Cached != 2 || second.Executed != 0 {
 		t.Fatalf("resubmission: %+v", second)
 	}
+	// Warm: the same bytes, now read back rather than just written.
+	assertResultsAreTheArtifacts(t, ts.URL, second.ID, dir)
 	// SSE on a finished suite yields an immediate end event.
 	done, err := http.Get(ts.URL + "/api/v1/suites/" + second.ID + "/events")
 	if err != nil {
@@ -192,6 +161,90 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("stats: %+v", stats)
 	}
 	_ = svc
+}
+
+// assertResultsAreTheArtifacts fetches a tinySpec suite's results and holds
+// the body to the one thing it may be: the concatenation of the files under
+// dir that the suite's jobs hash to, in job order.
+func assertResultsAreTheArtifacts(t *testing.T, base, id, dir string) {
+	t.Helper()
+	cs, err := tinySpec().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := range cs.Jobs {
+		artifact, err := os.ReadFile(filepath.Join(dir, cs.Jobs[i].Hash()+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, artifact...)
+	}
+	res, err := http.Get(base + "/api/v1/suites/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if ct := res.Header.Get("Content-Type"); res.StatusCode != http.StatusOK || ct != "application/jsonl" {
+		t.Fatalf("results: %s, content type %q", res.Status, ct)
+	}
+	got, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("suite %s: the %d served bytes are not the %d bytes of its artifacts in job order", id, len(got), len(want))
+	}
+}
+
+// TestHTTPResultsOverDamagedStore: an artifact that went bad after its suite
+// finished costs the fetch, never the reader's trust in a line. Met before the
+// first byte it is a 500; met later, the response is aborted, so the client's
+// read fails on a body that holds whole intact artifacts and nothing else.
+func TestHTTPResultsOverDamagedStore(t *testing.T) {
+	dir := t.TempDir()
+	ts, svc := newTestServer(t, dir)
+	status, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitState(t, svc, status.ID); done.State != StateDone {
+		t.Fatalf("suite ended %+v", done)
+	}
+	cs, err := tinySpec().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{filepath.Join(dir, cs.Jobs[0].Hash()+".jsonl"), filepath.Join(dir, cs.Jobs[1].Hash()+".jsonl")}
+	intact, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func() (*http.Response, []byte, error) {
+		res, err := http.Get(ts.URL + "/api/v1/suites/" + status.ID + "/results")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		return res, body, err
+	}
+
+	if err := os.WriteFile(paths[1], intact[:len(intact)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, body, err := fetch()
+	if res.StatusCode != http.StatusOK || err == nil || !bytes.HasPrefix(intact, body) {
+		t.Fatalf("fault behind the first artifact: %s, read error %v, %d bytes; want an aborted 200 carrying at most the first artifact", res.Status, err, len(body))
+	}
+
+	if err := os.WriteFile(paths[0], nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, body, err = fetch()
+	if res.StatusCode != http.StatusInternalServerError || err != nil || !strings.Contains(string(body), `"error"`) {
+		t.Fatalf("fault at the first artifact: %s, read error %v, body %q; want a 500 with an error document", res.Status, err, body)
+	}
 }
 
 func getJSON(url string, v any) error {

@@ -1,7 +1,7 @@
 // Package service is the simulation-as-a-service tier: a long-lived Service
 // accepts JSON-declared suites (a figure grid or a scenario, see SuiteSpec),
 // compiles them to harness jobs through the experiments registry, satisfies
-// every already-computed job from a content-addressed result cache, and hands
+// every already-computed job from a content-addressed result store, and hands
 // the rest to a Dispatcher — its own bounded worker pool (Pool), or a fleet —
 // with per-suite progress events. There is one road from a pending job to a
 // stored record, whatever computed it: SubmitCompiled picks the dispatcher,
@@ -11,10 +11,11 @@
 //
 // Caching is content-addressed end to end: a job's artifact is keyed by the
 // hash of its wire-form spec (harness.JobSpec), the store is the same JSONL
-// artifact layout cmd/experiments -out writes, and records served from cache
-// are byte-identical to the first computation — resubmitting a completed
-// suite performs zero simulation runs. Determinism carries over from the
-// harness: per-job seeds derive from job names, so served records are
+// artifact layout cmd/experiments -out writes, and that artifact is the only
+// copy of a result the daemon has: a submission checks its bytes (Store.Read)
+// and keeps none, a fetch streams them out (WriteResults) — resubmitting a
+// completed suite performs zero simulation runs. Determinism carries over from
+// the harness: per-job seeds derive from job names, so served records are
 // byte-identical no matter the worker count or which process computed them.
 //
 // cmd/bfcd wraps the Service in an HTTP API (see http.go) and cmd/bfcctl is
@@ -24,6 +25,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"runtime"
 	"sort"
@@ -49,13 +51,10 @@ type Config struct {
 	MaxActiveSuites int
 	// MaxSuiteJobs bounds a single suite's job count. <= 0 means 4096.
 	MaxSuiteJobs int
-	// CacheEntries bounds the in-memory LRU of decoded records. <= 0 means
-	// 128.
-	CacheEntries int
 	// MaxSuiteHistory bounds retained terminal suites: once exceeded, the
 	// oldest done/failed/cancelled suites are forgotten (their records stay
-	// in the store and LRU; only the per-suite bookkeeping and pinned record
-	// slices are released). Running suites are never evicted. <= 0 means 64.
+	// in the store; only the per-suite bookkeeping is released). Running
+	// suites are never evicted. <= 0 means 64.
 	MaxSuiteHistory int
 	// TraceRingSize bounds each traced job's flight-recorder ring (events
 	// retained per job for Trace-enabled suites). <= 0 means
@@ -118,7 +117,7 @@ type SuiteState string
 const (
 	// StateRunning covers everything from submission to the last job.
 	StateRunning SuiteState = "running"
-	// StateDone means every job completed; Results is available.
+	// StateDone means every job completed; WriteResults is available.
 	StateDone SuiteState = "done"
 	// StateFailed means a job failed; the suite stopped at the first error.
 	StateFailed SuiteState = "failed"
@@ -138,14 +137,13 @@ const RetryAfterSeconds = 2
 // ErrClosed is returned for submissions after Close began.
 var ErrClosed = fmt.Errorf("service: shutting down")
 
-// ErrStorage wraps server-side store/cache failures, so the HTTP layer can
-// report them as 500s instead of blaming the client's spec.
+// ErrStorage wraps server-side store failures, so the HTTP layer can report
+// them as 500s instead of blaming the client's spec.
 var ErrStorage = fmt.Errorf("service: storage failure")
 
 // Service is the daemon core. Create with New, stop with Close.
 type Service struct {
 	cfg     Config
-	cache   *recordCache
 	metrics *serviceMetrics
 	pool    *Pool
 
@@ -169,7 +167,7 @@ type suite struct {
 	jobs   []harness.Job
 
 	mu       sync.Mutex
-	records  []*harness.Record
+	finished []bool // per job: its artifact is in the store
 	done     int
 	cached   int
 	executed int
@@ -277,8 +275,6 @@ type Stats struct {
 	// /metrics shows as bfcd_jobs_executed_total. Fleet-manifest dedup hits do
 	// not count: nothing executed anywhere.
 	JobsExecuted uint64 `json:"jobs_executed"`
-	// Cache summarizes the result cache.
-	Cache CacheStats `json:"cache"`
 }
 
 // New makes a Service and its worker pool.
@@ -303,7 +299,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:     cfg,
-		cache:   newRecordCache(cfg.Store, cfg.CacheEntries),
 		suites:  map[string]*suite{},
 		metrics: newServiceMetrics(cfg.Registry),
 	}
@@ -313,7 +308,7 @@ func New(cfg Config) (*Service, error) {
 }
 
 // Close stops accepting work, cancels every running suite (queued jobs are
-// skipped; in-flight simulations finish and their records are still cached),
+// skipped; in-flight simulations finish and their records are still stored),
 // and waits for the dispatches to return and the pool to drain.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -335,7 +330,7 @@ func (s *Service) Close() {
 }
 
 // Submit compiles and starts a suite. Jobs already present in the result
-// cache complete immediately; a suite whose every job is cached returns in
+// store complete immediately; a suite whose every job is cached returns in
 // state done without consuming an active-suite slot.
 func (s *Service) Submit(spec *SuiteSpec) (SuiteStatus, error) {
 	cs, err := spec.Compile()
@@ -358,26 +353,27 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 	}
 
 	st := &suite{
-		title:   cs.Title,
-		figure:  cs.Figure,
-		scale:   cs.Scale,
-		digest:  cs.Digest,
-		jobs:    cs.Jobs,
-		records: make([]*harness.Record, len(cs.Jobs)),
-		state:   StateRunning,
-		subs:    map[int]chan Event{},
+		title:    cs.Title,
+		figure:   cs.Figure,
+		scale:    cs.Scale,
+		digest:   cs.Digest,
+		jobs:     cs.Jobs,
+		finished: make([]bool, len(cs.Jobs)),
+		state:    StateRunning,
+		subs:     map[int]chan Event{},
 	}
 
-	// Resolve the cache before taking an active-suite slot: hits are free.
+	// Resolve the store before taking an active-suite slot: hits are free.
+	// Read checks the bytes, dropped here: a damaged artifact is refused now.
 	var pending []int
 	for i := range st.jobs {
-		rec, ok, err := s.cache.Get(st.jobs[i].Hash())
+		_, ok, err := s.cfg.Store.Read(st.jobs[i].Hash())
 		if err != nil {
 			s.metrics.suitesRejected.Inc()
 			return SuiteStatus{}, fmt.Errorf("%w: %v", ErrStorage, err)
 		}
 		if ok {
-			st.records[i] = rec
+			st.finished[i] = true
 			st.done++
 			st.cached++
 			s.metrics.cacheHits.Inc()
@@ -476,14 +472,13 @@ func (s *Service) runSuite(ctx context.Context, st *suite, cs *CompiledSuite, d 
 
 // completeJob is every record's way into the service, wherever it was
 // computed: pool workers and a fleet dispatcher's goroutine call it
-// concurrently. The record is persisted, cached and counted unconditionally
-// (work computed anywhere must never be lost, even for a suite that ended
-// meanwhile), then folded into the suite if it is still running.
+// concurrently. The record is persisted and counted unconditionally (work
+// computed anywhere must never be lost, even for a suite that ended
+// meanwhile), then its job is marked finished if the suite is still running.
 func (s *Service) completeJob(st *suite, idx int, rec *harness.Record, origin Origin) error {
 	if err := s.cfg.Store.Put(rec); err != nil {
 		return err
 	}
-	s.cache.Add(rec.Hash, rec)
 	// The profile is json:"-": nil on every record that crossed HTTP, set on
 	// the ones this process's pool executed, so no origin test is needed.
 	var exec *execstats.RunStats
@@ -502,7 +497,7 @@ func (s *Service) completeJob(st *suite, idx int, rec *harness.Record, origin Or
 		st.mu.Unlock()
 		return nil
 	}
-	st.records[idx] = rec
+	st.finished[idx] = true
 	st.done++
 	if origin.Cached {
 		st.cached++
@@ -530,9 +525,8 @@ func (s *Service) log(msg string, args ...any) {
 }
 
 // retireLocked (s.mu held) records a suite as terminal and evicts the oldest
-// terminal suites beyond MaxSuiteHistory, releasing their pinned record
-// slices. Evicted suite IDs become unknown to Status/Results; the records
-// themselves remain available through the store and LRU.
+// terminal suites beyond MaxSuiteHistory. Evicted suite IDs become unknown to
+// Status/WriteResults; the records themselves remain in the store.
 func (s *Service) retireLocked(id string) {
 	s.history = append(s.history, id)
 	for len(s.history) > s.cfg.MaxSuiteHistory {
@@ -571,23 +565,38 @@ func (s *Service) ListStatuses() []SuiteStatus {
 	return out
 }
 
-// Results returns the completed suite's records in job order. It fails until
-// the suite is done.
-func (s *Service) Results(id string) ([]*harness.Record, error) {
+// WriteResults streams the completed suite's store artifacts to w in job
+// order — the bytes Put wrote, so the stream diffs cleanly against
+// cmd/experiments -out files. It fails until the suite is done. n counts the
+// bytes written: an artifact gone missing or bad (ErrStorage) ends the stream
+// at a line boundary, with n == 0 before anything reached w.
+func (s *Service) WriteResults(w io.Writer, id string) (n int64, err error) {
 	st, err := s.lookup(id)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.state != StateDone {
-		return nil, fmt.Errorf("service: suite %s is %s, results need state done", id, st.state)
+	if state := s.statusOf(st).State; state != StateDone {
+		return 0, fmt.Errorf("service: suite %s is %s, results need state done", id, state)
 	}
-	return append([]*harness.Record{}, st.records...), nil
+	for i := range st.jobs {
+		line, ok, err := s.cfg.Store.Read(st.jobs[i].Hash())
+		if err == nil && !ok {
+			err = fmt.Errorf("artifact of job %q is gone from the store", st.jobs[i].Name)
+		}
+		if err != nil {
+			return n, fmt.Errorf("%w: %v", ErrStorage, err)
+		}
+		wrote, err := w.Write(line)
+		n += int64(wrote)
+		if err != nil {
+			return n, err // client went away mid-stream
+		}
+	}
+	return n, nil
 }
 
 // Cancel stops a running suite: queued jobs are skipped, in-flight jobs
-// finish (their records still land in the cache) but the suite no longer
+// finish (their records still land in the store) but the suite no longer
 // waits for them.
 func (s *Service) Cancel(id string) error {
 	st, err := s.lookup(id)
@@ -637,7 +646,6 @@ func (s *Service) Stats() Stats {
 	s.mu.Unlock()
 	out.QueuedJobs = int(s.metrics.queuedJobs.Value())
 	out.JobsExecuted = s.metrics.jobsExecuted.Value()
-	out.Cache = s.cache.Stats()
 	return out
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,6 +61,24 @@ func waitState(t *testing.T, svc *Service, id string) SuiteStatus {
 	return SuiteStatus{}
 }
 
+// readResults decodes a suite's result stream, WriteResults' JSONL, into
+// records in job order.
+func readResults(svc *Service, id string) ([]*harness.Record, error) {
+	var body bytes.Buffer
+	if _, err := svc.WriteResults(&body, id); err != nil {
+		return nil, err
+	}
+	var recs []*harness.Record
+	for dec := json.NewDecoder(&body); dec.More(); {
+		rec := &harness.Record{}
+		if err := dec.Decode(rec); err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
+}
+
 func marshalRecords(t *testing.T, recs []*harness.Record) []byte {
 	t.Helper()
 	blob, err := json.Marshal(recs)
@@ -84,7 +103,7 @@ func TestSubmitComputesThenServesFromCache(t *testing.T) {
 	if done.State != StateDone || done.Executed != 2 || done.Cached != 0 {
 		t.Fatalf("first run ended %+v", done)
 	}
-	recs, err := svc.Results(first.ID)
+	recs, err := readResults(svc, first.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +136,7 @@ func TestSubmitComputesThenServesFromCache(t *testing.T) {
 	if second.Digest != first.Digest {
 		t.Fatalf("suite digests differ: %s vs %s", second.Digest, first.Digest)
 	}
-	recs2, err := svc.Results(second.ID)
+	recs2, err := readResults(svc, second.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +145,9 @@ func TestSubmitComputesThenServesFromCache(t *testing.T) {
 	}
 }
 
-// TestFreshServiceServesFromStoreArtifacts proves the cache layering: a new
-// Service instance (empty LRU) over the same store directory serves a
-// previously computed suite without simulating, and the decoded records
-// re-encode byte-identically.
+// TestFreshServiceServesFromStoreArtifacts: a new Service instance over the
+// same store directory serves a previously computed suite without simulating,
+// and the served records re-encode byte-identically.
 func TestFreshServiceServesFromStoreArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	svc1 := newTestService(t, dir, nil)
@@ -138,7 +156,7 @@ func TestFreshServiceServesFromStoreArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, svc1, first.ID)
-	recs1, err := svc1.Results(first.ID)
+	recs1, err := readResults(svc1, first.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +173,12 @@ func TestFreshServiceServesFromStoreArtifacts(t *testing.T) {
 	if svc2.Stats().JobsExecuted != 0 {
 		t.Fatal("store-backed resubmission ran simulations")
 	}
-	recs2, err := svc2.Results(second.ID)
+	recs2, err := readResults(svc2, second.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(marshalRecords(t, recs2)) != string(marshalRecords(t, recs1)) {
 		t.Fatal("records decoded from store artifacts re-encode differently")
-	}
-	stats := svc2.Stats()
-	if stats.Cache.Loads != 2 {
-		t.Fatalf("expected 2 artifact loads, got %+v", stats.Cache)
 	}
 }
 
@@ -221,7 +235,7 @@ func TestCancelStopsQueuedWork(t *testing.T) {
 	if err := svc.Cancel(status.ID); err == nil {
 		t.Fatal("double cancel succeeded")
 	}
-	if _, err := svc.Results(status.ID); err == nil {
+	if _, err := readResults(svc, status.ID); err == nil {
 		t.Fatal("results of a cancelled suite were served")
 	}
 	// The in-flight job's record must still have landed in the store for
@@ -401,7 +415,7 @@ func TestSuiteHistoryIsBounded(t *testing.T) {
 	if _, err := svc.Status(first.ID); err == nil {
 		t.Fatal("oldest suite was not evicted")
 	}
-	if _, err := svc.Results(lastID); err != nil {
+	if _, err := readResults(svc, lastID); err != nil {
 		t.Fatalf("newest suite evicted too eagerly: %v", err)
 	}
 }
@@ -435,42 +449,60 @@ func TestSubmitSurfacesStorageFaults(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionFallsBackToStore(t *testing.T) {
-	store, err := harness.NewStore(t.TempDir())
+// TestDamagedArtifactsAreRefusedNotServed: whatever is wrong with an artifact
+// — cut short, emptied, overwritten — a submission naming it fails with
+// ErrStorage, and a suite that finished before the damage streams no byte of
+// it.
+func TestDamagedArtifactsAreRefusedNotServed(t *testing.T) {
+	cs, err := tinySpec().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newRecordCache(store, 2)
-	recs := make([]*harness.Record, 3)
-	for i := range recs {
-		j := harness.Job{Name: fmt.Sprintf("lru/%d", i), Scheme: sim.SchemeBFC}
-		recs[i] = &harness.Record{Name: j.Name, Hash: j.Hash(), Scheme: "BFC", Seed: j.Seed()}
-		if err := store.Put(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-		cache.Add(recs[i].Hash, recs[i])
+	damage := map[string]func(line []byte) []byte{
+		"truncated":    func(line []byte) []byte { return line[:len(line)/2] },
+		"unterminated": func(line []byte) []byte { return line[:len(line)-1] },
+		"empty":        func([]byte) []byte { return nil },
 	}
-	stats := cache.Stats()
-	if stats.Entries != 2 || stats.Evicted != 1 {
-		t.Fatalf("eviction accounting: %+v", stats)
-	}
-	// recs[0] was evicted; Get must reload it from the store.
-	got, ok, err := cache.Get(recs[0].Hash)
-	if err != nil || !ok {
-		t.Fatalf("evicted record not served from store: %v %v", ok, err)
-	}
-	if got.Name != recs[0].Name {
-		t.Fatalf("wrong record: %s", got.Name)
-	}
-	if s := cache.Stats(); s.Loads != 1 {
-		t.Fatalf("expected one store load, got %+v", s)
-	}
-	// A hot record is an LRU hit.
-	if _, ok, _ := cache.Get(recs[2].Hash); !ok {
-		t.Fatal("hot record missing")
-	}
-	if s := cache.Stats(); s.Hits != 1 {
-		t.Fatalf("expected one LRU hit, got %+v", s)
+	for name, cut := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			svc := newTestService(t, dir, nil)
+			first, err := svc.Submit(tinySpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done := waitState(t, svc, first.ID); done.State != StateDone {
+				t.Fatalf("first run ended %+v", done)
+			}
+			// Damage the second job's artifact: the first is intact and would
+			// be streamed before the fault is met.
+			path := filepath.Join(dir, cs.Jobs[1].Hash()+".jsonl")
+			line, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, cut(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Submit(tinySpec()); !errors.Is(err, ErrStorage) {
+				t.Fatalf("submission over a damaged artifact: %v, want ErrStorage", err)
+			}
+			var body bytes.Buffer
+			n, err := svc.WriteResults(&body, first.ID)
+			if !errors.Is(err, ErrStorage) {
+				t.Fatalf("fetch over a damaged artifact: %v, want ErrStorage", err)
+			}
+			intact, err := os.ReadFile(filepath.Join(dir, cs.Jobs[0].Hash()+".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != int64(body.Len()) || !bytes.Equal(body.Bytes(), intact) {
+				t.Fatalf("fetch wrote %d bytes (reported %d), want exactly the intact first artifact's %d", body.Len(), n, len(intact))
+			}
+			if entries, err := svc.Store().List(); err != nil || len(entries) != 1 || entries[0].Hash != cs.Jobs[0].Hash() {
+				t.Fatalf("store lists %+v (%v), want only the intact artifact", entries, err)
+			}
+		})
 	}
 }
 

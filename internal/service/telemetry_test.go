@@ -32,7 +32,7 @@ func TestTracedSuiteEndToEnd(t *testing.T) {
 	if done.State != StateDone || done.Executed != 2 {
 		t.Fatalf("traced suite ended %+v", done)
 	}
-	recs, err := svc.Results(first.ID)
+	recs, err := readResults(svc, first.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

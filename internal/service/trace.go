@@ -43,7 +43,7 @@ func (s *Service) Trace(id, jobName string) ([]telemetry.Event, telemetry.TraceC
 		return nil, telemetry.TraceConfig{}, fmt.Errorf("%w: job %q was served from the result cache and never executed", ErrNotTraced, jobName)
 	}
 	st.mu.Lock()
-	finished := st.records[idx] != nil
+	finished := st.finished[idx]
 	st.mu.Unlock()
 	if !finished {
 		return nil, telemetry.TraceConfig{}, fmt.Errorf("%w: job %q", ErrTracePending, jobName)
