@@ -18,7 +18,9 @@
 // allocation on an allocation-free baseline fails outright). ns/op
 // comparisons depend on the host CPU; -ns-threshold (default: same as
 // -threshold) can be set looser when the baseline was recorded on different
-// hardware, as in CI against shared runners.
+// hardware, as in CI against shared runners. An ns/op difference under one
+// nanosecond is never a regression, whatever its ratio: sub-nanosecond rows
+// (a disabled-feature check at 0.16 ns) double on timer noise alone.
 package main
 
 import (
@@ -176,9 +178,13 @@ func load(path string) (*File, error) {
 	return f, nil
 }
 
+// nsFloor is the absolute ns/op difference below which the relative ns/op
+// test is skipped.
+const nsFloor = 1.0
+
 // diff returns a description of every gate violation: a benchmark in the
 // baseline that is missing from current (so the gate cannot be silently
-// deleted), an ns/op regression beyond nsThreshold, or an allocs/op
+// deleted), an ns/op regression beyond nsThreshold and nsFloor, or an allocs/op
 // regression beyond allocThreshold — where any allocation on a benchmark
 // whose baseline is allocation-free fails regardless of threshold.
 func diff(base, cur *File, nsThreshold, allocThreshold float64) []string {
@@ -194,7 +200,7 @@ func diff(base, cur *File, nsThreshold, allocThreshold float64) []string {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline but missing from current run (refresh BENCH_baseline.json if it was renamed)", key))
 			continue
 		}
-		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+nsThreshold) {
+		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+nsThreshold) && c.NsPerOp-b.NsPerOp >= nsFloor {
 			failures = append(failures, fmt.Sprintf("%s: ns/op %.2f -> %.2f (+%.1f%%, limit +%.0f%%)",
 				key, b.NsPerOp, c.NsPerOp, 100*(c.NsPerOp/b.NsPerOp-1), nsThreshold*100))
 		}

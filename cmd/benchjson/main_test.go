@@ -69,6 +69,22 @@ func TestDiff(t *testing.T) {
 		t.Fatalf("within-threshold change flagged: %v", fails)
 	}
 
+	// Under a nanosecond of difference no ratio is a regression (the row that
+	// misfired on its own recording box: BenchmarkExecStatsOverhead); the same
+	// ratio on a row tens of nanoseconds wide still is.
+	for _, c := range []struct {
+		base, cur float64
+		fails     int
+	}{{0.16, 0.37, 0}, {58, 80, 1}} {
+		b := parseSample(t)
+		b.Benchmarks[0].NsPerOp = c.base
+		cur = parseSample(t)
+		cur.Benchmarks[0].NsPerOp = c.cur
+		if fails := diff(b, cur, 0.20, 0.20); len(fails) != c.fails {
+			t.Fatalf("ns/op %v -> %v: %d failures, want %d: %v", c.base, c.cur, len(fails), c.fails, fails)
+		}
+	}
+
 	// Any alloc on an allocation-free baseline fails regardless of threshold.
 	cur = parseSample(t)
 	cur.Benchmarks[1].AllocsPerOp = 1

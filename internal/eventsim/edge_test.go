@@ -3,7 +3,9 @@ package eventsim
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"bfc/internal/units"
 )
@@ -147,6 +149,108 @@ func TestSlotReuse(t *testing.T) {
 	}
 	if len(s.slots) > 4 {
 		t.Fatalf("slot table grew to %d for a 1-deep workload", len(s.slots))
+	}
+}
+
+// TestRecordLayouts is a tripwire on the shapes the hot path's speed hangs
+// on. Each was found by measurement, none is visible in a diff that breaks it,
+// and the compiler's register rules are what make them cliffs: a struct of
+// more than four fields, or one returned by value, travels through the stack
+// in narrow stores and 16-byte reloads the store buffer cannot forward.
+func TestRecordLayouts(t *testing.T) {
+	if e := reflect.TypeOf(entry{}); e.NumField() > 4 || e.Size() != 32 {
+		t.Errorf("entry has %d fields in %d bytes, want at most 4 in 32: a fifth field keeps it out of registers in every sift (PR 17: BenchmarkTimerReset 24 -> 46 ns); see parked", e.NumField(), e.Size())
+	}
+	if n := unsafe.Sizeof(parked{}); n != 32 {
+		t.Errorf("parked is %d bytes, want 32: two records per cache line, 512 per 16 KB park page", n)
+	}
+	if n := unsafe.Sizeof(slot{}); n > 48 {
+		t.Errorf("slot is %d bytes, want at most 48: one callback form (call + arg); the arena is the cache miss every pop pays", n)
+	}
+	pop := reflect.TypeOf((*Scheduler).popReady)
+	for i := 0; i < pop.NumOut(); i++ {
+		if k := pop.Out(i).Kind(); k == reflect.Struct || k == reflect.Array {
+			t.Errorf("popReady result %d is a %v: results must ride in registers (PR 22: returning the event as a by-value record took BenchmarkScheduleFire 31 -> 60 ns)", i, pop.Out(i))
+		}
+	}
+}
+
+// TestCallbackObservesEngineState pins what a running callback sees of the
+// engine, i.e. which side of the call each step of fire sits on: the slot is
+// freed before it (the callback's first Schedule gets it back under a new
+// generation, the event's own handle is already stale) and the event is
+// counted after it. The series sampler reads Executed from inside its tick,
+// and a fire that counted first was caught only by the sharded engine
+// diverging from the serial one, seconds later and without a hint.
+func TestCallbackObservesEngineState(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(*Scheduler) uint64
+	}{
+		{"Step", func(s *Scheduler) uint64 {
+			if s.Step() {
+				return 1
+			}
+			return 0
+		}},
+		{"RunUntil", func(s *Scheduler) uint64 { return s.RunUntil(40) }},
+		{"RunBefore", func(s *Scheduler) uint64 { return s.RunBefore(41) }},
+		{"RunBeforeKey", func(s *Scheduler) uint64 { return s.RunBeforeKey(Key{At: 41}) }},
+	}
+	for _, r := range runs {
+		for _, form := range []string{"func()", "func(any)"} {
+			t.Run(r.name+"/"+form, func(t *testing.T) {
+				s := New()
+				var own, reused Event
+				var want Key
+				ran := false
+				body := func() {
+					ran = true
+					if s.Executed != 1 {
+						t.Errorf("Executed = %d inside the second event, want 1: the running event is counted after it returns", s.Executed)
+					}
+					if s.Len() != 1 {
+						t.Errorf("Len = %d inside the callback, want 1 (the later event only)", s.Len())
+					}
+					if s.Now() != 40 {
+						t.Errorf("Now = %v inside the callback, want 40", s.Now())
+					}
+					if s.Pending(own) {
+						t.Error("the running event's own handle is still pending")
+					}
+					if got := s.CurrentKey(); got != want {
+						t.Errorf("CurrentKey = %+v, want %+v", got, want)
+					}
+					reused = s.Schedule(45, func() {})
+					if reused.slot != own.slot || reused.gen != own.gen+1 {
+						t.Errorf("first Schedule of the callback got %+v, want the just-freed slot of %+v under the next generation", reused, own)
+					}
+					s.Cancel(own) // stale: must not reach the slot's new occupant
+					if !s.Pending(reused) || s.Len() != 2 {
+						t.Errorf("stale Cancel touched the reused slot: Pending %v, Len %d", s.Pending(reused), s.Len())
+					}
+				}
+				s.Schedule(10, func() {
+					// The key the fuzz model derives for a first child scheduled now.
+					want = (&queueModel{s: s, dispatched: true}).childKey(40, 7, true)
+					if form == "func()" {
+						own = s.ScheduleTagged(40, 7, body)
+					} else {
+						own = s.ScheduleCallTagged(40, 7, func(any) { body() }, nil)
+					}
+				})
+				s.Schedule(50, func() {})
+				s.Step()
+				if n := r.run(s); n != 1 || !ran {
+					t.Fatalf("executed %d events (callback ran: %v), want 1", n, ran)
+				}
+				if s.Executed != 2 || s.Len() != 2 {
+					t.Errorf("Executed %d, Len %d after the call; want 2, 2", s.Executed, s.Len())
+				}
+				s.Run()
+				requireDrained(t, s)
+			})
+		}
 	}
 }
 

@@ -13,7 +13,9 @@
 // (slot, generation) values backed by a slot arena with a free-list, and
 // cancellation is lazy — a cancelled event is marked in its slot and skipped
 // when it surfaces as the earliest pending record, with a periodic compaction
-// pass keeping the queue from filling up with dead records.
+// pass keeping the queue from filling up with dead records. An event is
+// dispatched from its slot where it lies: nothing per-event is built on the
+// way from the queue to the callback (see fire).
 //
 // # Queue layout
 //
@@ -276,41 +278,22 @@ const (
 // slot is one arena record: cancellation state plus the event's cold freight
 // — its interned pedigree reference, its own child index and tag, the
 // callback, and its argument. Slot records are addressed by index and never
-// move, so heap sifts never touch them.
+// move, so heap sifts never touch them, and fire reads them where they lie.
+// There is one callback form: Schedule and its func() siblings store runFunc
+// with the func() riding in arg (a func value is pointer-shaped, so boxing it
+// allocates nothing).
 type slot struct {
 	gen   uint32
 	state uint8
 	kid   uint32
 	ped   int32
 	tag   uint64
-	fn    func()
 	call  func(any)
 	arg   any
 }
 
-// firing is the dispatch copy of an event popped from the heap, holding the
-// slot's pedigree reference (ownership of one refcount transfers to the
-// firing and then to the scheduler's parentPed). The copy is taken before the
-// slot is freed, because the callback may itself schedule new events and
-// reuse the slot.
-type firing struct {
-	at   units.Time
-	ped  int32
-	kid  uint32
-	tag  uint64
-	fn   func()
-	call func(any)
-	arg  any
-}
-
-// dispatch invokes the firing's callback in whichever form it was scheduled.
-func (f *firing) dispatch() {
-	if f.call != nil {
-		f.call(f.arg)
-	} else {
-		f.fn()
-	}
-}
+// runFunc is the callback of every event scheduled with a plain func().
+func runFunc(a any) { a.(func())() }
 
 // Scheduler is a discrete-event scheduler. The zero value is not usable; use
 // New.
@@ -378,7 +361,10 @@ type Scheduler struct {
 	// way their root causes were created, on any shard of a partitioned run.
 	curTag uint64
 
-	// Executed counts events that have fired (for diagnostics and tests).
+	// Executed counts events whose callbacks have returned. It is read from
+	// inside callbacks (the series sampler's tick reads it), where it must
+	// exclude the running event: fire counts after the call, and the sharded
+	// engine's parity with the serial one depends on it.
 	Executed uint64
 
 	// heapHW tracks the maximum number of index records ever pending across
@@ -552,20 +538,6 @@ func (s *Scheduler) nextKid() uint32 {
 	return k
 }
 
-// setCur installs the dispatching event's pedigree (called before each
-// dispatch) and resets the child counter. The firing's pedigree reference is
-// transferred to parentPed; the previous parent's is dropped.
-func (s *Scheduler) setCur(f *firing) {
-	s.now = f.at
-	s.releasePed(s.parentPed)
-	s.parentPed = f.ped
-	s.curKid = f.kid
-	s.curTag = f.tag
-	s.dropCurPed()
-	s.childN = 0
-	s.dispatching = true
-}
-
 // Schedule registers fn to run at absolute time at. Scheduling in the past
 // (before Now) is a programming error and panics, because it would silently
 // reorder causality. Scheduling exactly at Now is allowed and runs after all
@@ -574,14 +546,14 @@ func (s *Scheduler) Schedule(at units.Time, fn func()) Event {
 	if fn == nil {
 		panic("eventsim: nil event callback")
 	}
-	return s.push(at, s.curTag, fn, nil, nil)
+	return s.push(at, s.curTag, runFunc, fn)
 }
 
 // push validates the firing time, allocates a slot referencing the current
 // dispatch's interned pedigree, and inserts the hot index record into the
 // heap. No pedigree arrays are copied: children of one dispatch share one
 // record and differ only in their child index and tag.
-func (s *Scheduler) push(at units.Time, tag uint64, fn func(), call func(any), arg any) Event {
+func (s *Scheduler) push(at units.Time, tag uint64, call func(any), arg any) Event {
 	if at < s.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", at, s.now))
 	}
@@ -592,7 +564,7 @@ func (s *Scheduler) push(at units.Time, tag uint64, fn func(), call func(any), a
 	c.ped = pid
 	c.kid = s.nextKid()
 	c.tag = tag
-	c.fn, c.call, c.arg = fn, call, arg
+	c.call, c.arg = call, arg
 	return s.insert(at, id, s.now)
 }
 
@@ -658,7 +630,7 @@ func (s *Scheduler) ScheduleCall(at units.Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("eventsim: nil event callback")
 	}
-	return s.push(at, s.curTag, nil, fn, arg)
+	return s.push(at, s.curTag, fn, arg)
 }
 
 // ScheduleCallInjected registers fn(arg) under an explicit ordering key whose
@@ -686,7 +658,7 @@ func (s *Scheduler) ScheduleCallInjected(k Key, fn func(any), arg any) Event {
 	c.ped = pid
 	c.kid = k.Kid
 	c.tag = k.Tag
-	c.fn, c.call, c.arg = nil, fn, arg
+	c.call, c.arg = fn, arg
 	return s.insert(k.At, id, k.Chain[0])
 }
 
@@ -699,7 +671,7 @@ func (s *Scheduler) ScheduleTagged(at units.Time, tag uint64, fn func()) Event {
 	if fn == nil {
 		panic("eventsim: nil event callback")
 	}
-	return s.push(at, tag, fn, nil, nil)
+	return s.push(at, tag, runFunc, fn)
 }
 
 // ScheduleCallTagged is ScheduleCall with an explicit causal-origin tag. Link
@@ -710,7 +682,7 @@ func (s *Scheduler) ScheduleCallTagged(at units.Time, tag uint64, fn func(any), 
 	if fn == nil {
 		panic("eventsim: nil event callback")
 	}
-	return s.push(at, tag, nil, fn, arg)
+	return s.push(at, tag, fn, arg)
 }
 
 // Cancel removes a pending event. Cancelling the zero Event, an
@@ -741,23 +713,11 @@ func (s *Scheduler) Run() {
 // to until (if the queue emptied earlier) or leaves it at the last executed
 // event time. It returns the number of events executed.
 func (s *Scheduler) RunUntil(until units.Time) uint64 {
-	s.stopped = false
-	executed := uint64(0)
-	for !s.stopped {
-		f, ok := s.popReady(until, false)
-		if !ok {
-			break
-		}
-		s.setCur(&f)
-		f.dispatch()
-		executed++
-		s.Executed++
+	n := s.run(until, nil)
+	if until != maxTime {
+		s.advance(until)
 	}
-	if !s.stopped && s.now < until && until != maxTime {
-		s.now = until
-		s.dropCurPed()
-	}
-	return executed
+	return n
 }
 
 // RunBefore executes events with firing time strictly less than until, then
@@ -766,23 +726,9 @@ func (s *Scheduler) RunUntil(until units.Time) uint64 {
 // at exactly until for the next window so that boundary deliveries arriving
 // at the barrier instant can still be ordered by key against them.
 func (s *Scheduler) RunBefore(until units.Time) uint64 {
-	s.stopped = false
-	executed := uint64(0)
-	for !s.stopped {
-		f, ok := s.popReady(until, true)
-		if !ok {
-			break
-		}
-		s.setCur(&f)
-		f.dispatch()
-		executed++
-		s.Executed++
-	}
-	if !s.stopped && s.now < until {
-		s.now = until
-		s.dropCurPed()
-	}
-	return executed
+	n := s.run(until-1, nil) // instants are whole picoseconds
+	s.advance(until)
+	return n
 }
 
 // RunBeforeKey executes events whose ordering key is strictly below k, then
@@ -793,40 +739,39 @@ func (s *Scheduler) RunBefore(until units.Time) uint64 {
 // and leaves the rest — including events firing at T but scheduled later in
 // the chain order — for the next window.
 func (s *Scheduler) RunBeforeKey(k Key) uint64 {
+	n := s.run(k.At, &k)
+	s.advance(k.At)
+	return n
+}
+
+// run is the one dispatch loop: it fires the events popReady yields under
+// (until, k) until there are none or a callback calls Stop, and returns how
+// many it fired.
+func (s *Scheduler) run(until units.Time, k *Key) uint64 {
 	s.stopped = false
 	executed := uint64(0)
 	for !s.stopped {
-		// Discard lazily-cancelled entries at the top regardless of the
-		// threshold — they are dead either way and must not shadow the next
-		// live entry's key.
-		for s.peek() && s.slots[s.cur[0].slot].state == slotCancelled {
-			id := s.cur[0].slot
-			s.cur = s.popTop(s.cur)
-			s.stale--
-			s.freeSlot(id)
-		}
-		if !s.peek() || !s.keyBefore(&s.cur[0], k) {
+		id, at, ok := s.popReady(until, k)
+		if !ok {
 			break
 		}
-		id, at := s.cur[0].slot, s.cur[0].at
-		s.cur = s.popTop(s.cur)
-		f := s.takeFiring(id, at)
-		s.live--
-		s.setCur(&f)
-		f.dispatch()
+		s.fire(id, at)
 		executed++
-		s.Executed++
-	}
-	if !s.stopped && s.now < k.At {
-		s.now = k.At
-		s.dropCurPed()
 	}
 	return executed
 }
 
+// advance moves the clock up to until after a run loop that was not stopped.
+func (s *Scheduler) advance(until units.Time) {
+	if !s.stopped && s.now < until {
+		s.now = until
+		s.dropCurPed()
+	}
+}
+
 // keyBefore reports whether e's ordering key is strictly below k, mirroring
 // entryLess.
-func (s *Scheduler) keyBefore(e *entry, k Key) bool {
+func (s *Scheduler) keyBefore(e *entry, k *Key) bool {
 	if e.at != k.At {
 		return e.at < k.At
 	}
@@ -859,64 +804,84 @@ func (s *Scheduler) keyBefore(e *entry, k Key) bool {
 // Step executes exactly one pending event (skipping cancelled entries) and
 // returns false if the queue is empty.
 func (s *Scheduler) Step() bool {
-	f, ok := s.popReady(maxTime, false)
-	if !ok {
-		return false
+	id, at, ok := s.popReady(maxTime, nil)
+	if ok {
+		s.fire(id, at)
 	}
-	s.setCur(&f)
-	f.dispatch()
-	s.Executed++
-	return true
+	return ok
 }
 
-// popReady removes the earliest live event with firing time <= until (or <
-// until when strict), lazily discarding cancelled entries (and freeing their
-// slots) on the way, and returns its dispatch copy. It reports false when the
-// queue is empty or only holds later events.
-func (s *Scheduler) popReady(until units.Time, strict bool) (firing, bool) {
+// popReady removes the earliest live record that is ready — firing time <=
+// until, or with a threshold key, ordered strictly below k — and returns its
+// slot and firing time. Cancelled records surfacing on the way are discarded
+// and their slots freed: within the horizon only, or under a threshold key
+// wherever they lie (dead either way, they must not shadow the next live
+// record's key). It reports false when the queue is empty or holds only later
+// events.
+func (s *Scheduler) popReady(until units.Time, k *Key) (int32, units.Time, bool) {
 	for s.peek() {
-		at := s.cur[0].at
-		if at > until || (strict && at == until) {
+		e := &s.cur[0]
+		id, at := e.slot, e.at
+		dead := s.slots[id].state == slotCancelled
+		if k == nil {
+			if at > until {
+				break
+			}
+		} else if !dead && !s.keyBefore(e, k) {
 			break
 		}
-		id := s.cur[0].slot
 		s.cur = s.popTop(s.cur)
-		if s.slots[id].state == slotCancelled {
-			s.stale--
-			s.freeSlot(id)
-			continue
+		if !dead {
+			return id, at, true
 		}
-		f := s.takeFiring(id, at)
-		s.live--
-		return f, true
+		s.stale--
+		s.freeSlot(id)
 	}
-	return firing{}, false
+	return 0, 0, false
 }
 
-// takeFiring copies slot id's cold record into a dispatch copy and frees the
-// slot, transferring the slot's pedigree reference to the firing. The copy
-// must happen before the free: the dispatched callback may schedule new
-// events, and allocSlot may hand the same slot right back.
-func (s *Scheduler) takeFiring(id int32, at units.Time) firing {
+// fire dispatches the popped event in slot id, reading the slot where it
+// lies: the event's pedigree reference moves to parentPed (the previous
+// parent's is dropped), its kid and tag become the current ones, the cached
+// children's pedigree and the child counter are reset. The slot is freed
+// before the call — the callback may schedule, and allocSlot may hand the
+// same slot right back — and the event is counted after it (see Executed).
+func (s *Scheduler) fire(id int32, at units.Time) {
 	c := &s.slots[id]
-	f := firing{at: at, ped: c.ped, kid: c.kid, tag: c.tag, fn: c.fn, call: c.call, arg: c.arg}
-	c.ped = noPed
-	s.freeSlot(id)
-	return f
+	s.now = at
+	s.releasePed(s.parentPed)
+	s.parentPed, c.ped = c.ped, noPed
+	s.curKid = c.kid
+	s.curTag = c.tag
+	s.dropCurPed()
+	s.childN = 0
+	s.dispatching = true
+	call, arg := c.call, c.arg
+	s.recycle(id, c)
+	s.live--
+	call(arg)
+	s.Executed++
 }
 
 const maxTime = units.Time(1<<63 - 1)
 
-// freeSlot returns a slot to the free-list, dropping its pedigree reference
-// and its callback references so the arena does not pin fired closures or
-// arguments for the garbage collector. The generation is bumped on the next
-// allocation, so handles pointing at the retired occupancy go stale.
+// freeSlot drops slot id's pedigree reference and returns the slot to the
+// free-list.
 func (s *Scheduler) freeSlot(id int32) {
 	c := &s.slots[id]
 	s.releasePed(c.ped)
 	c.ped = noPed
+	s.recycle(id, c)
+}
+
+// recycle returns slot id (c, its pedigree reference already gone) to the
+// free-list, clearing its callback references so the arena does not pin fired
+// closures or arguments for the garbage collector. The generation is bumped
+// on the next allocation, so handles pointing at the retired occupancy go
+// stale.
+func (s *Scheduler) recycle(id int32, c *slot) {
 	c.state = slotFree
-	c.fn, c.call, c.arg = nil, nil, nil
+	c.call, c.arg = nil, nil
 	s.free = append(s.free, id)
 }
 
@@ -946,7 +911,8 @@ func (s *Scheduler) parkEntry(e entry, b int64) {
 		n = s.parkN
 	}
 	i := b & ringMask
-	*s.parked(n) = parked{at: e.at, chain0: e.chain0, seq: e.seq, slot: e.slot, next: s.ring[i]}
+	p := s.parked(n)
+	p.at, p.chain0, p.seq, p.slot, p.next = e.at, e.chain0, e.seq, e.slot, s.ring[i]
 	s.ring[i] = n
 	s.occ[i>>6] |= 1 << (i & 63)
 	s.ringN++

@@ -14,9 +14,10 @@ import (
 // from the fuzz input, and requires them to agree on everything observable:
 // which event every dispatch fires, Len, Pending, the clock after each run
 // call, the count each run call returns, the pending-record count and its
-// high-water mark (so compaction must fire at the same logical points), and,
-// once drained, that no slot or pedigree record leaked through a parked or
-// migrated record.
+// high-water mark (so compaction must fire at the same logical points),
+// Executed and Len as every dispatched callback sees them — both without the
+// running event — and, once drained, that no slot or pedigree record leaked
+// through a parked or migrated record.
 //
 // The model never looks at buckets: any disagreement is the three-tier
 // queue's. Keys are derived the way the package comment defines them — a
@@ -48,6 +49,7 @@ type queueModel struct {
 	stale   int
 	hw      int
 	now     units.Time
+	done    uint64 // events whose callbacks have returned
 
 	dispatched bool   // a dispatch has happened: children count their index
 	childN     uint32 // children the current dispatch has scheduled
@@ -182,8 +184,8 @@ func (m *queueModel) cancel(arg byte) {
 
 func (m *queueModel) checkCounts(op string) {
 	m.t.Helper()
-	if m.s.Len() != m.live {
-		m.t.Fatalf("after %s: Len = %d, model %d", op, m.s.Len(), m.live)
+	if m.s.Len() != m.live || m.s.Executed != m.done {
+		m.t.Fatalf("after %s: Len = %d, Executed = %d; model %d, %d", op, m.s.Len(), m.s.Executed, m.live, m.done)
 	}
 	if m.s.pending() != len(m.pending) || m.s.stale != m.stale {
 		m.t.Fatalf("after %s: %d records pending (%d stale), model %d (%d stale)",
@@ -241,6 +243,7 @@ func (m *queueModel) fire(id int) {
 	if m.s.Now() != m.now {
 		m.t.Fatalf("Now = %v inside event %d, model %v", m.s.Now(), id, m.now)
 	}
+	m.checkCounts("dispatch") // the running event: out of Len, not yet in Executed
 
 	// The callback's program: bits 0-1 count its children (none past the
 	// third generation), whose entry points, delays and own programs derive
@@ -259,6 +262,7 @@ func (m *queueModel) fire(id int) {
 		m.s.Stop()
 		m.stopped = true
 	}
+	m.done++
 }
 
 // run performs one run call on the engine under the model's eligibility rule

@@ -126,7 +126,7 @@ func requireDrained(t *testing.T, s *Scheduler) {
 		t.Fatalf("%d of %d slots on the free list", len(s.free), len(s.slots))
 	}
 	for i := range s.slots {
-		if c := &s.slots[i]; c.state != slotFree || c.ped != noPed || c.fn != nil || c.call != nil || c.arg != nil {
+		if c := &s.slots[i]; c.state != slotFree || c.ped != noPed || c.call != nil || c.arg != nil {
 			t.Fatalf("slot %d not cleanly freed: %+v", i, *c)
 		}
 	}
