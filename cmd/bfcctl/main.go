@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"os"
 	"strconv"
@@ -43,7 +42,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
 	addr := flag.String("addr", defaultAddr(), "bfcd base URL")
 	retries := flag.Int("retries", 3, "retries per request on transient failures (connection errors, 429/502/503)")
 	logOpts := telemetry.RegisterLogFlags(flag.CommandLine)
@@ -80,12 +78,15 @@ func main() {
 	case "top":
 		err = c.top(rest)
 	default:
-		log.Printf("bfcctl: unknown command %q", cmd)
+		fmt.Fprintf(os.Stderr, "bfcctl: unknown command %q\n", cmd)
 		usage()
 		os.Exit(2)
 	}
 	if err != nil {
-		log.Fatalf("bfcctl: %v", err)
+		// Not through package log: SetupLogging reroutes it into slog at
+		// INFO, where -log-level warn or error would swallow the message.
+		fmt.Fprintf(os.Stderr, "bfcctl: %v\n", err)
+		os.Exit(1)
 	}
 }
 

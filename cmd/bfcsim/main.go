@@ -1,186 +1,273 @@
-// Command bfcsim runs a single simulation: pick a scheme, a topology, a
-// workload and a load level, and it prints the flow-completion-time slowdown
-// table plus the aggregate statistics the paper reports.
+// Command bfcsim runs what its flags declare: a scheme list x a fabric x a
+// workload, optionally under incast or a JSON scenario spec (see
+// internal/scenario and the worked examples under examples/scenarios/). It
+// compiles the flags to one harness job per scheme — the way cmd/experiments
+// compiles the figure table — runs them, and prints per scheme the
+// flow-completion-time slowdown table, the aggregate statistics the paper
+// reports and, under a scenario, the per-phase table and injection metrics.
 //
-// Example:
+// -digest prints only "<sha256> <scheme>" lines. The digest is the
+// determinism contract made visible: the same flags must print identical
+// lines on every run, every -parallel value (jobs side by side), every
+// -shards value (the conservative-PDES engine within one run; scenario
+// events apply at coordinator barriers, so fault storms shard too), and with
+// or without -trace-dir and -exec-stats, which only observe. CI diffs exactly
+// those pairs.
 //
-//	bfcsim -scheme bfc -topology t2 -workload google -load 0.6 -incast -duration 2ms
+// Examples:
+//
+//	bfcsim -schemes bfc -topology t2 -workload google -load 0.6 -incast -duration 2ms
+//	bfcsim -schemes all -scenario examples/scenarios/linkflap.json -topology clos:2x2x8 -duration 400us
+//	bfcsim -schemes BFC,DCQCN -scenario examples/scenarios/incast-storm.json -topology clos:8x2x32 -digest -shards 4
+//	bfcsim -topology fattree:256 -shards 4 -exec-stats -trace-dir traces/
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
-	"bfc"
+	"bfc/internal/harness"
+	"bfc/internal/packet"
+	"bfc/internal/scenario"
 	"bfc/internal/sim"
 	"bfc/internal/telemetry"
-	"bfc/internal/telemetry/execstats"
+	"bfc/internal/topology"
 	"bfc/internal/units"
+	"bfc/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	var (
-		schemeName = flag.String("scheme", "bfc", "scheme: bfc, bfc-vfid, dcqcn, dcqcn+win, dcqcn+win+sfq, hpcc, ideal-fq")
-		topoName   = flag.String("topology", "t2", "topology: t1, t2, star:<hosts>, fattree:<hosts>")
-		wlName     = flag.String("workload", "google", "workload: google, fb_hadoop, websearch")
-		load       = flag.Float64("load", 0.6, "average background load (fraction of host capacity)")
-		incast     = flag.Bool("incast", false, "add 5% 100-to-1 incast traffic")
-		duration   = flag.Duration("duration", 2*time.Millisecond, "workload horizon")
-		drain      = flag.Duration("drain", 2*time.Millisecond, "extra drain time after the horizon")
-		seed       = flag.Int64("seed", 1, "random seed")
-		queues     = flag.Int("queues", 32, "physical queues per egress port")
-		buffer     = flag.Int("buffer-mb", 12, "switch shared buffer (MB)")
-		shards     = flag.Int("shards", 0, "shards for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(pods, GOMAXPROCS)); output is byte-identical across shard counts")
-		digest     = flag.Bool("digest", false, "print the SHA-256 result digest (telemetry excluded); identical digests across -shards values certify determinism")
-		execStats  = flag.Bool("exec-stats", false, "collect and print the wall-clock execution profile (per-shard events, heap-hw = most event-queue records pending at once across its tiers, barrier wait, window utilization, boundary traffic); observational — digests are unchanged")
-		execTrace  = flag.String("exec-trace", "", "write a wall-clock Chrome trace of the execution machinery to this file (implies -exec-stats); load in Perfetto")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (topology build, workload generation and run) to this file; read with go tool pprof")
-		memProfile = flag.String("memprofile", "", "write a heap profile taken after the run to this file; pprof -sample_index=alloc_space shows what the run allocated")
-	)
-	logOpts := telemetry.RegisterLogFlags(flag.CommandLine)
-	flag.Parse()
-	telemetry.SetupLogging(logOpts)
-	stopProfiles, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		log.Fatal(err)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	scheme, err := sim.SchemeByName(*schemeName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	topo, err := parseTopology(*topoName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cdf, err := bfc.WorkloadByName(*wlName)
-	if err != nil {
-		log.Fatal(err)
-	}
+// config is what the simulation flags declare; the run flags (how the jobs
+// execute and what is observed) are harness.RunFlags.
+type config struct {
+	schemes, topology, workload, scenario string
+	load                                  float64
+	incast, digest                        bool
+	duration, drain                       time.Duration
+	seed                                  int64
+	queues, bufferMB                      int
+}
 
-	simDuration := bfc.Time(duration.Nanoseconds()) * bfc.Nanosecond
-	wl := bfc.WorkloadConfig{
-		Hosts:    topo.Hosts(),
-		CDF:      cdf,
-		Load:     *load,
-		HostRate: 100 * bfc.Gbps,
-		Duration: simDuration,
-		Seed:     *seed,
+// run is main with its process edges passed in. An error that ends the
+// command is written to stderr as "bfcsim: <err>" whatever -log-level says,
+// and the exit code is returned: 0 done, 1 failed, 2 bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bfcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var c config
+	fs.StringVar(&c.schemes, "schemes", "bfc", `comma-separated schemes (bfc, bfc-vfid, dcqcn, dcqcn+win, dcqcn+win+sfq, hpcc, ideal-fq) or "all"`)
+	fs.StringVar(&c.topology, "topology", "t2", "topology: t1, t2, star:<hosts>, fattree:<hosts>, clos:<tor>x<spine>x<hosts per tor>")
+	fs.StringVar(&c.workload, "workload", "google", "background flow-size distribution: google, fb_hadoop, websearch")
+	fs.Float64Var(&c.load, "load", 0.6, "average background load as a fraction of host capacity (0 = no background traffic)")
+	fs.BoolVar(&c.incast, "incast", false, "add 5% 100-to-1 incast traffic")
+	fs.DurationVar(&c.duration, "duration", 2*time.Millisecond, "workload horizon")
+	fs.DurationVar(&c.drain, "drain", 2*time.Millisecond, "extra time for in-flight flows to finish")
+	fs.Int64Var(&c.seed, "seed", 1, "simulation and workload seed of every scheme's run")
+	fs.IntVar(&c.queues, "queues", 32, "physical queues per egress port")
+	fs.IntVar(&c.bufferMB, "buffer-mb", 12, "switch shared buffer (MB)")
+	fs.StringVar(&c.scenario, "scenario", "", "JSON scenario spec to run the workload under (link faults, degradations, injected bursts; see examples/scenarios/)")
+	fs.BoolVar(&c.digest, "digest", false, `print only "<sha256> <scheme>" per run (telemetry excluded); each run's execution mode goes to stderr`)
+	rf := harness.RegisterRunFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *incast {
-		wl.Incast = bfc.IncastConfig{
-			Enabled: true, FanIn: 100, AggregateSize: 20 * bfc.MB, LoadFraction: 0.05,
+	if err := simulate(&c, rf, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "bfcsim: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func simulate(c *config, rf *harness.RunFlags, stdout, stderr io.Writer) error {
+	jobs, err := c.jobs()
+	if err != nil {
+		return err
+	}
+	stop, err := rf.Start(stderr)
+	if err != nil {
+		return err
+	}
+	elapsed := map[string]time.Duration{}
+	runner := &harness.Runner{Progress: func(p harness.Progress) { elapsed[p.Job] = p.Elapsed }}
+	recs, err := rf.Run(runner, jobs, telemetry.DefaultRingCapacity, stderr)
+	if err != nil {
+		return err
+	}
+	if err := stop(); err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		// The digest hashes the full marshalled result minus attached
+		// telemetry: nondeterminism anywhere in the run moves it.
+		sum, err := sim.ResultDigest(rec.Result)
+		if err != nil {
+			return err
+		}
+		if c.digest {
+			// Digest lines carry only digest + scheme so they diff cleanly
+			// across -shards values; the execution mode (sharded, serial, or
+			// a forced-serial fallback) goes to stderr instead of silence.
+			fmt.Fprintf(stdout, "%s %s\n", sum, rec.Scheme)
+			fmt.Fprintf(stderr, "# %s execution=%s\n", rec.Scheme, rec.Result.Sharding.Describe())
+			continue
+		}
+		c.printResult(stdout, rec, sum, elapsed[rec.Name])
+	}
+	return nil
+}
+
+// jobs compiles the flags to one job per scheme. Every job builds its own
+// topology and workload from the same seed, so the schemes see identical
+// traffic; -seed is also each run's simulation seed.
+func (c *config) jobs() ([]harness.Job, error) {
+	schemes, err := sim.ParseSchemes(c.schemes)
+	if err != nil {
+		return nil, err
+	}
+	topo, err := parseTopology(c.topology)
+	if err != nil {
+		return nil, err
+	}
+	cdf, err := workload.ByName(c.workload)
+	if err != nil {
+		return nil, err
+	}
+	var spec *scenario.Spec
+	if c.scenario != "" {
+		blob, err := os.ReadFile(c.scenario)
+		if err != nil {
+			return nil, err
+		}
+		if spec, err = scenario.ParseSpec(blob); err != nil {
+			return nil, err
 		}
 	}
-	trace, err := bfc.GenerateWorkload(wl)
-	if err != nil {
-		log.Fatal(err)
+	horizon := units.Time(c.duration.Nanoseconds()) * units.Nanosecond
+	wl := workload.Config{CDF: cdf, Load: c.load, HostRate: linkRate, Duration: horizon, Seed: c.seed}
+	if c.incast {
+		wl.Incast = workload.IncastConfig{Enabled: true, FanIn: 100, AggregateSize: 20 * units.MB, LoadFraction: 0.05}
 	}
-
-	opts := bfc.DefaultOptions(scheme, topo)
-	opts.Duration = simDuration
-	opts.Drain = bfc.Time(drain.Nanoseconds()) * bfc.Nanosecond
-	opts.NumQueues = *queues
-	opts.SwitchBuffer = bfc.Bytes(*buffer) * bfc.MB
-	opts.Seed = *seed
-	opts.Shards = *shards
-	opts.ExecStats = *execStats || *execTrace != ""
-
-	start := time.Now()
-	res, err := bfc.Run(opts, trace.Flows)
-	if err != nil {
-		log.Fatal(err)
+	grid := harness.Grid{
+		Base: harness.Job{
+			Name:     fmt.Sprintf("bfcsim/%s/seed=%d", c.topology, c.seed),
+			Topology: topo,
+			Flows: func(t *topology.Topology) []*packet.Flow {
+				if wl.Load <= 0 {
+					return nil
+				}
+				cfg := wl
+				cfg.Hosts = t.Hosts()
+				trace, err := workload.Generate(cfg)
+				if err != nil {
+					panic(err)
+				}
+				return trace.Flows
+			},
+			Options: []func(*sim.Options){func(o *sim.Options) {
+				o.Duration = horizon
+				o.Drain = units.Time(c.drain.Nanoseconds()) * units.Nanosecond
+				o.NumQueues = c.queues
+				o.SwitchBuffer = units.Bytes(c.bufferMB) * units.MB
+				o.Seed = c.seed
+				o.Scenario = spec
+			}},
+		},
+		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
 	}
-	elapsed := time.Since(start)
-	if err := stopProfiles(); err != nil {
-		log.Fatal(err)
-	}
+	return grid.Jobs(), nil
+}
 
-	fmt.Printf("scheme=%v topology=%s workload=%s load=%.0f%% incast=%v\n",
-		scheme, *topoName, cdf.Name, *load*100, *incast)
-	fmt.Printf("flows: %d offered, %d completed; simulated %v in %v (%d events, %s)\n",
+// Every -topology fabric has 100 Gbps links with 1 us of propagation delay,
+// as in the paper (§4.1).
+const (
+	linkRate  = 100 * units.Gbps
+	linkDelay = units.Microsecond
+)
+
+// parseTopology resolves -topology to a builder of fresh topologies. Sizes
+// are whole decimal tokens: "star:8junk" is an error, not star:8.
+func parseTopology(name string) (func() *topology.Topology, error) {
+	kind, size, sized := strings.Cut(strings.ToLower(name), ":")
+	var dims []int
+	if sized {
+		for _, tok := range strings.Split(size, "x") {
+			n, err := strconv.Atoi(tok)
+			if err != nil {
+				return nil, fmt.Errorf("invalid topology %q: size %q is not a number", name, tok)
+			}
+			dims = append(dims, n)
+		}
+	}
+	switch {
+	case kind == "t1" && dims == nil:
+		return topology.NewT1, nil
+	case kind == "t2" && dims == nil:
+		return topology.NewT2, nil
+	case kind == "star" && len(dims) == 1 && dims[0] >= 2:
+		cfg := topology.SingleSwitchConfig{NumHosts: dims[0], LinkRate: linkRate, LinkDelay: linkDelay}
+		return func() *topology.Topology { return topology.NewSingleSwitch(cfg) }, nil
+	case kind == "fattree" && len(dims) == 1 && dims[0] >= 8:
+		cfg := topology.FatTreeForHosts(dims[0], linkRate, linkDelay)
+		return func() *topology.Topology { return topology.NewFatTree(cfg) }, nil
+	case kind == "clos" && len(dims) == 3:
+		cfg := topology.ClosConfig{
+			Name: name, NumToR: dims[0], NumSpine: dims[1], HostsPerToR: dims[2],
+			LinkRate: linkRate, LinkDelay: linkDelay,
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		return func() *topology.Topology { return topology.NewClos(cfg) }, nil
+	}
+	return nil, fmt.Errorf("invalid topology %q (want t1, t2, star:<hosts >= 2>, fattree:<hosts >= 8> or clos:<tor>x<spine>x<hosts per tor>)", name)
+}
+
+// printResult writes one scheme's block: the run line, the aggregate
+// statistics, the FCT slowdown table and, under a scenario, its phases.
+func (c *config) printResult(w io.Writer, rec *harness.Record, sum string, elapsed time.Duration) {
+	res := rec.Result
+	fmt.Fprintf(w, "scheme=%s topology=%s workload=%s load=%.0f%% incast=%v\n",
+		rec.Scheme, c.topology, c.workload, c.load*100, c.incast)
+	fmt.Fprintf(w, "flows: %d offered, %d completed; simulated %v in %v (%d events, %s)\n",
 		res.FlowsTotal, res.FlowsCompleted, res.Elapsed, elapsed.Round(time.Millisecond), res.Events,
 		res.Sharding.Describe())
-	fmt.Printf("utilization=%.2f drops=%d ecn-marks=%d pfc-pauses=%d bfc-frames=%d\n",
+	fmt.Fprintf(w, "utilization=%.2f drops=%d ecn-marks=%d pfc-pauses=%d bfc-frames=%d\n",
 		res.Utilization, res.Drops, res.ECNMarks, res.PFCPauses, res.BFCFrames)
-	if *digest {
-		d, err := bfc.ResultDigest(res)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The execution mode rides with the digest so a sharded request that
-		// fell back to serial is visible next to the bytes it certifies.
-		fmt.Printf("digest=%s execution=%s\n", d, res.Sharding.Describe())
-	}
-	if ex := res.Exec; ex != nil {
-		fmt.Printf("exec: shards=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
-			len(ex.Shards), ex.Windows, ex.Barriers, 100*ex.Utilization(),
-			time.Duration(ex.BusyNS()).Round(time.Microsecond),
-			time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
-		for i := range ex.Shards {
-			ss := &ex.Shards[i]
-			// heap-hw is the most index records ever pending at once across
-			// the event queue's three tiers — what the single heap's depth
-			// was before the calendar front, and the same number.
-			fmt.Printf("  shard %d: events=%d heap-hw=%d pool=%d/%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
-				ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled,
-				100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.MaxDrain)
-		}
-		if *execTrace != "" {
-			tf, err := os.Create(*execTrace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			name := fmt.Sprintf("bfcsim %v %s", scheme, *topoName)
-			if err := execstats.WriteChromeTrace(tf, name, ex); err != nil {
-				log.Fatal(err)
-			}
-			if err := tf.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("exec trace written to %s (%d window spans)\n", *execTrace, len(ex.Spans))
-		}
-	}
-	fmt.Printf("buffer occupancy: p50=%v p99=%v max=%v\n",
+	fmt.Fprintf(w, "digest=%s\n", sum)
+	fmt.Fprintf(w, "buffer occupancy: p50=%v p99=%v max=%v\n",
 		units.Bytes(res.BufferOccupancy.Percentile(50)),
 		units.Bytes(res.BufferOccupancy.Percentile(99)),
 		res.MaxBufferOccupancy)
 	if res.Assignments > 0 {
-		fmt.Printf("bfc: pauses=%d resumes=%d collisions=%.4f max-active-flows=%d\n",
+		fmt.Fprintf(w, "bfc: pauses=%d resumes=%d collisions=%.4f max-active-flows=%d\n",
 			res.Pauses, res.Resumes, res.CollisionFraction(), res.MaxActiveFlows)
 	}
-	fmt.Println("\nFCT slowdown by flow size (non-incast traffic):")
-	fmt.Printf("%-12s %8s %8s %8s %8s %8s\n", "bucket", "count", "mean", "p50", "p95", "p99")
+	fmt.Fprintln(w, "\nFCT slowdown by flow size (non-incast traffic):")
+	fmt.Fprintf(w, "%-12s %8s %8s %8s %8s %8s\n", "bucket", "count", "mean", "p50", "p95", "p99")
 	for _, row := range res.FCT.Rows() {
-		fmt.Printf("%-12s %8d %8.2f %8.2f %8.2f %8.2f\n",
+		fmt.Fprintf(w, "%-12s %8d %8.2f %8.2f %8.2f %8.2f\n",
 			row.Bucket.Label, row.Count, row.Mean, row.P50, row.P95, row.P99)
 	}
-}
-
-func parseTopology(name string) (*bfc.Topology, error) {
-	switch {
-	case strings.EqualFold(name, "t1"):
-		return bfc.NewT1(), nil
-	case strings.EqualFold(name, "t2"):
-		return bfc.NewT2(), nil
-	case strings.HasPrefix(strings.ToLower(name), "star:"):
-		var hosts int
-		if _, err := fmt.Sscanf(name[5:], "%d", &hosts); err != nil || hosts < 2 {
-			return nil, fmt.Errorf("invalid star topology %q (want star:<hosts>)", name)
+	if m := res.Scenario; m != nil {
+		fmt.Fprintf(w, "\nscenario %q by phase:\n", c.scenario)
+		fmt.Fprintf(w, "%-28s %10s %10s %8s %8s\n", "phase", "start", "end", "flows", "p99slow")
+		for _, ph := range m.Phases {
+			fmt.Fprintf(w, "%-28s %9.1fus %9.1fus %8d %8.2f\n",
+				ph.Name, ph.Start.Microseconds(), ph.End.Microseconds(),
+				ph.Completed, ph.FCT.OverallPercentile(99))
 		}
-		return bfc.NewSingleSwitch(hosts, 100*bfc.Gbps, bfc.Microsecond), nil
-	case strings.HasPrefix(strings.ToLower(name), "fattree:"):
-		var hosts int
-		if _, err := fmt.Sscanf(name[8:], "%d", &hosts); err != nil || hosts < 8 {
-			return nil, fmt.Errorf("invalid fat-tree topology %q (want fattree:<hosts>, hosts >= 8)", name)
-		}
-		return bfc.NewFatTree(hosts, 100*bfc.Gbps, bfc.Microsecond), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
+		fmt.Fprintf(w, "events=%d reroutes=%d injected=%d stranded=%d (%d bytes) noroute=%d\n",
+			m.EventsApplied, m.Reroutes, m.InjectedFlows, m.StrandedPackets, m.StrandedBytes, m.NoRouteDrops)
 	}
+	fmt.Fprintln(w)
 }

@@ -9,8 +9,10 @@
 // without re-executing completed points (-resume). Figs 1 and 4 are static
 // data and run nothing. Fig 17 is the one figure that also needs a flight
 // recorder while it runs: its jobs record into a ring and keep the counts it
-// prints, and -trace-dir swaps in rings the command reads back to export the
-// raw events, which a resumed (not re-simulated) point does not have.
+// prints, and -trace-dir swaps in rings whose raw events are exported, which a
+// resumed (not re-simulated) point does not have. How jobs run and what is
+// observed (-parallel, -shards, -exec-stats, -trace-dir, profiles, logging) is
+// harness.RunFlags, shared with cmd/bfcsim.
 //
 // Examples:
 //
@@ -22,74 +24,99 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"bfc/internal/experiments"
 	"bfc/internal/harness"
 	"bfc/internal/sim"
-	"bfc/internal/telemetry"
 )
 
-func main() {
-	log.SetFlags(0)
-	var (
-		fig      = flag.String("fig", "all", `figures to regenerate, comma-separated: names as -list prints them ("5a"), registry keys ("fig05a"), or "all"`)
-		full     = flag.Bool("full", false, "use paper-scale parameters (slow)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
-		out      = flag.String("out", "", "results directory for per-job JSONL artifacts (empty = keep results in memory)")
-		resume   = flag.Bool("resume", false, "skip jobs whose artifact already exists under -out")
-		schemes  = flag.String("schemes", "all", `restrict the scheme axis ("BFC,DCQCN,..." or "all") of the figures that have one; figures with a paper-fixed scheme set ignore it`)
-		shards   = flag.Int("shards", 0, "shards per run for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(pods, GOMAXPROCS)); output is byte-identical across shard counts")
-		list     = flag.Bool("list", false, "list the available figures/scenarios with descriptions and exit")
-		traceDir = flag.String("trace-dir", "", "directory for the per-scheme flight-recorder exports of a figure that records one (fig 17): <scheme>.trace.json Chrome/Perfetto trace + <scheme>.events.jsonl")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *list {
-		for _, f := range experiments.Figures() {
-			fmt.Printf("  %-4s %s\n", f.Token(), f.Desc)
+// options is what the command's own flags declare; how the jobs run is
+// harness.RunFlags.
+type options struct {
+	fig, schemes, out  string
+	full, resume, list bool
+}
+
+// run is main with its process edges passed in. An error that ends the
+// command is written to stderr as "experiments: <err>" whatever -log-level
+// says, and the exit code is returned: 0 done, 1 failed, 2 bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.fig, "fig", "all", `figures to regenerate, comma-separated: names as -list prints them ("5a"), registry keys ("fig05a"), or "all"`)
+	fs.BoolVar(&o.full, "full", false, "use paper-scale parameters (slow)")
+	fs.StringVar(&o.out, "out", "", "results directory for per-job JSONL artifacts (empty = keep results in memory)")
+	fs.BoolVar(&o.resume, "resume", false, "skip jobs whose artifact already exists under -out")
+	fs.StringVar(&o.schemes, "schemes", "all", `restrict the scheme axis ("BFC,DCQCN,..." or "all") of the figures that have one; figures with a paper-fixed scheme set ignore it`)
+	fs.BoolVar(&o.list, "list", false, "list the available figures with descriptions and exit")
+	rf := harness.RegisterRunFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
 	}
-	figs, err := selectFigures(*fig)
-	if err != nil {
-		log.Fatal(err)
+	if o.list {
+		for _, f := range experiments.Figures() {
+			fmt.Fprintf(stdout, "  %-4s %s\n", f.Token(), f.Desc)
+		}
+		return 0
 	}
+	if err := o.regenerate(rf, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
+func (o *options) regenerate(rf *harness.RunFlags, stdout, stderr io.Writer) error {
+	figs, err := selectFigures(o.fig)
+	if err != nil {
+		return err
+	}
 	scale := experiments.Reduced()
-	if *full {
+	if o.full {
 		scale = experiments.Full()
 	}
-	scale.Shards = *shards
-
 	// nil keeps each figure's default scheme set.
 	var schemeList []sim.Scheme
-	if *schemes != "all" {
-		schemeList, err = sim.ParseSchemes(*schemes)
-		if err != nil {
-			log.Fatal(err)
+	if o.schemes != "all" {
+		if schemeList, err = sim.ParseSchemes(o.schemes); err != nil {
+			return err
 		}
 	}
-
-	runner := &harness.Runner{Parallel: *parallel, Progress: printProgress}
-	if *resume && *out == "" {
-		log.Fatal("experiments: -resume requires -out")
-	}
-	if *out != "" {
-		store, err := harness.NewStore(*out)
-		if err != nil {
-			log.Fatal(err)
+	// Each finished job is reported on stderr, keeping stdout for the rows.
+	runner := &harness.Runner{Progress: func(p harness.Progress) {
+		status := "ran"
+		if p.Cached {
+			status = "cached"
 		}
-		runner.Store = store
-		runner.Resume = *resume
+		fmt.Fprintf(stderr, "[%3d/%3d] %-56s %-6s %.2fs\n", p.Done, p.Total, p.Job, status, p.Elapsed.Seconds())
+	}}
+	if o.resume && o.out == "" {
+		return errors.New("-resume requires -out")
+	}
+	if o.out != "" {
+		if runner.Store, err = harness.NewStore(o.out); err != nil {
+			return err
+		}
+		runner.Resume = o.resume
+	}
+	stop, err := rf.Start(stderr)
+	if err != nil {
+		return err
 	}
 
-	fmt.Printf("# scale: %s (%d ToR x %d hosts, %v horizon)\n\n",
+	fmt.Fprintf(stdout, "# scale: %s (%d ToR x %d hosts, %v horizon)\n\n",
 		scale.Name, scale.NumToR, scale.HostsPerToR, scale.Duration)
 
 	// Two entries can share jobs (Fig 6 is a second rendering of Fig 5a's), so
@@ -110,13 +137,9 @@ func main() {
 				todo = append(todo, j)
 			}
 		}
-		var rings []*telemetry.Ring
-		if f.TraceRing > 0 && *traceDir != "" {
-			rings = harness.AttachRings(todo, f.TraceRing)
-		}
-		ran, err := runner.Run(todo)
+		ran, err := rf.Run(runner, todo, f.TraceRing, stderr)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, rec := range ran {
 			done[rec.Hash] = rec
@@ -125,23 +148,10 @@ func main() {
 		for i, j := range jobs {
 			recs[i] = done[j.Hash()]
 		}
-		f.Render(os.Stdout, recs)
-		if rings != nil {
-			// A point -resume loaded from -out was not simulated and left its
-			// ring empty: it has no trace to export.
-			written, err := harness.WriteTraces(*traceDir, todo, rings)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if written < len(jobs) {
-				fmt.Fprintf(os.Stderr, "experiments: %d of %d points were not re-simulated and have no trace\n", len(jobs)-written, len(jobs))
-			}
-			if written > 0 {
-				fmt.Printf("  traces written to %s (load *.trace.json at https://ui.perfetto.dev)\n", *traceDir)
-			}
-		}
-		fmt.Println()
+		f.Render(stdout, recs)
+		fmt.Fprintln(stdout)
 	}
+	return stop()
 }
 
 // selectFigures resolves the -fig argument against the figure table.
@@ -164,15 +174,4 @@ func selectFigures(arg string) ([]experiments.Figure, error) {
 		figs = append(figs, f)
 	}
 	return figs, nil
-}
-
-// printProgress reports each finished harness job on stderr, keeping stdout
-// clean for the figure rows.
-func printProgress(p harness.Progress) {
-	status := "ran"
-	if p.Cached {
-		status = "cached"
-	}
-	fmt.Fprintf(os.Stderr, "[%3d/%3d] %-56s %-6s %.2fs\n",
-		p.Done, p.Total, p.Job, status, p.Elapsed.Seconds())
 }

@@ -46,10 +46,6 @@ type Scale struct {
 	// SweepPoints trims parameter sweeps (fan-in, queue counts, ...) to at
 	// most this many points (0 = all).
 	SweepPoints int
-	// Shards selects the sharded engine for every run (see sim.Options.Shards:
-	// 0/1 serial, >=2 explicit, negative auto). Results are byte-identical
-	// across shard counts, so this only trades wall-clock for cores.
-	Shards int
 }
 
 // Reduced returns the default benchmark-friendly scale.
@@ -211,7 +207,6 @@ func seriesFromResult(label string, res *sim.Result) SlowdownSeries {
 func (s Scale) applyOptions(o *sim.Options) {
 	o.Duration = s.Duration
 	o.Drain = s.Drain
-	o.Shards = s.Shards
 }
 
 // pinDefaultSeed keeps Figs 2, 3, 7, 10, 11 and 17 on sim's default

@@ -239,7 +239,7 @@ var figures = []Figure{
 			fmt.Fprintf(w, "  bloom=%-4dB p99slowdown=%.2f\n", r.Parameter, r.Series.Overall)
 		}),
 	{
-		Key: "fig15", Desc: "scenario robustness: all schemes through a link fail/recover (see also cmd/scenarios)",
+		Key: "fig15", Desc: "scenario robustness: all schemes through a link fail/recover (see also bfcsim -scenario)",
 		SchemesSelectable: true,
 		Jobs:              Fig15Jobs,
 		Render: func(w io.Writer, recs []*harness.Record) {

@@ -17,7 +17,7 @@ func BenchmarkFlowTableNew(b *testing.B) {
 	b.ReportAllocs()
 	var tbl *Table
 	for i := 0; i < b.N; i++ {
-		tbl = NewDefault()
+		tbl = New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
 	}
 	if tbl.NumVFIDs() != DefaultNumVFIDs {
 		b.Fatal("wrong size")
@@ -38,7 +38,7 @@ func BenchmarkFlowTableChurn(b *testing.B) {
 	const window, lookups = 1024, 8
 	run := func(name string, residents int, cacheEntry bool) {
 		b.Run(name, func(b *testing.B) {
-			tbl := NewDefault()
+			tbl := New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
 			for v := 0; v < window; v++ {
 				for in := 0; in < residents; in++ {
 					tbl.Insert(packet.VFID(v), in, 0)

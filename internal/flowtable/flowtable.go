@@ -152,11 +152,6 @@ func New(numVFIDs, bucketSize, overflowCap int) *Table {
 	}
 }
 
-// NewDefault creates a table with the paper's default sizing.
-func NewDefault() *Table {
-	return New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
-}
-
 // NumVFIDs returns the VFID space size.
 func (t *Table) NumVFIDs() int { return t.numVFIDs }
 

@@ -136,7 +136,7 @@ func TestForEachAndMemory(t *testing.T) {
 
 func TestPaperSizing(t *testing.T) {
 	// §3.8: 16K VFIDs, 4-way buckets => 256 KB of state.
-	tbl := NewDefault()
+	tbl := New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
 	if tbl.MemoryBytes() != 256*1024 {
 		t.Fatalf("default table memory = %d bytes, want 256KB", tbl.MemoryBytes())
 	}

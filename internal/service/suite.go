@@ -35,9 +35,10 @@ const maxSuiteString = 256
 //     job per scheme.
 //
 // The compiled jobs carry exactly the names and content hashes a direct
-// cmd/experiments (or cmd/scenarios figure-15-style) run of the same grid
-// would produce, which is what makes the daemon's result cache shareable
-// with batch artifacts.
+// cmd/experiments run of the same grid would produce, which is what makes the
+// daemon's result cache shareable with batch artifacts. (cmd/bfcsim -scenario
+// reads the same scenario document but names its jobs after its own flags and
+// keeps no store.)
 type SuiteSpec struct {
 	// Name optionally labels the suite for humans; it does not affect job
 	// identity.

@@ -188,26 +188,21 @@ type keyedEvent struct {
 // into the caller's ring reproduces the serial trace. The coordinator uses
 // one with a nil scheduler and stamps the key explicitly.
 type shardRecorder struct {
-	sched  *eventsim.Scheduler
-	key    eventsim.Key
-	filter telemetry.Filter
-	buf    []keyedEvent
-	next   int
+	sched *eventsim.Scheduler
+	key   eventsim.Key
+	buf   []keyedEvent
+	next  int
 }
 
 func newShardRecorder(sched *eventsim.Scheduler, ring *telemetry.Ring) *shardRecorder {
 	return &shardRecorder{
-		sched:  sched,
-		filter: ring.RecordFilter(),
-		buf:    make([]keyedEvent, 0, ring.Cap()),
+		sched: sched,
+		buf:   make([]keyedEvent, 0, ring.Cap()),
 	}
 }
 
 // Record implements telemetry.Recorder.
 func (sr *shardRecorder) Record(ev telemetry.Event) {
-	if !sr.filter.Match(&ev) {
-		return
-	}
 	k := sr.key
 	if sr.sched != nil {
 		k = sr.sched.CurrentKey()

@@ -127,23 +127,3 @@ func TestTelemetryTraceDeterministic(t *testing.T) {
 		t.Fatalf("re-running the same traced configuration changed the trace (%d vs %d bytes)", len(a), len(b))
 	}
 }
-
-// TestTelemetryFilteredRing checks filters compose with the sim wiring: a
-// ring restricted to flow lifecycle events records nothing else.
-func TestTelemetryFilteredRing(t *testing.T) {
-	opts, ring := tracedOptions(SchemeBFC, true)
-	ring.SetFilter(telemetry.Filter{
-		Kinds: telemetry.KindSetOf(telemetry.KindFlowStart, telemetry.KindFlowFinish),
-	})
-	if _, err := Run(opts, goldenFlows(t, opts.Topo)); err != nil {
-		t.Fatal(err)
-	}
-	if ring.Seen() == 0 {
-		t.Fatal("filtered ring saw no events")
-	}
-	for _, ev := range ring.Events() {
-		if ev.Kind != telemetry.KindFlowStart && ev.Kind != telemetry.KindFlowFinish {
-			t.Fatalf("filter leaked kind %v", ev.Kind)
-		}
-	}
-}

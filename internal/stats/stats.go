@@ -407,30 +407,3 @@ func (p *PauseTracker) Keys() []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// Counter is a simple named event counter used for queue-collision and
-// overflow statistics (Fig 7b, 12a, 13a).
-type Counter struct {
-	counts map[string]uint64
-}
-
-// NewCounter creates an empty counter.
-func NewCounter() *Counter { return &Counter{counts: map[string]uint64{}} }
-
-// Inc adds one to the named count.
-func (c *Counter) Inc(name string) { c.counts[name]++ }
-
-// Add adds n to the named count.
-func (c *Counter) Add(name string, n uint64) { c.counts[name] += n }
-
-// Get returns the named count.
-func (c *Counter) Get(name string) uint64 { return c.counts[name] }
-
-// Ratio returns counts[num]/counts[den]; 0 when the denominator is zero.
-func (c *Counter) Ratio(num, den string) float64 {
-	d := c.counts[den]
-	if d == 0 {
-		return 0
-	}
-	return float64(c.counts[num]) / float64(d)
-}

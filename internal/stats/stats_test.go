@@ -234,22 +234,6 @@ func TestPauseTracker(t *testing.T) {
 	assertPanics(t, func() { NewPauseTracker(0) })
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("collisions")
-	c.Add("packets", 99)
-	c.Inc("packets")
-	if c.Get("collisions") != 1 || c.Get("packets") != 100 {
-		t.Fatal("counter values wrong")
-	}
-	if r := c.Ratio("collisions", "packets"); r != 0.01 {
-		t.Fatalf("ratio = %v, want 0.01", r)
-	}
-	if c.Ratio("collisions", "missing") != 0 {
-		t.Fatal("ratio with zero denominator should be 0")
-	}
-}
-
 // Property: Percentile agrees with a direct computation on the sorted slice
 // within interpolation, is monotone in p, and bounded by min/max.
 func TestPercentileProperties(t *testing.T) {

@@ -39,14 +39,3 @@ func BenchmarkRecorderRingBuffer(b *testing.B) {
 		site.maybeRecord(units.Time(i))
 	}
 }
-
-// BenchmarkRecorderFiltered measures Record when a filter rejects the event.
-func BenchmarkRecorderFiltered(b *testing.B) {
-	ring := NewRing(1 << 14)
-	ring.SetFilter(Filter{Kinds: KindSetOf(KindFlowStart)})
-	site := &emitSite{rec: ring}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		site.maybeRecord(units.Time(i))
-	}
-}

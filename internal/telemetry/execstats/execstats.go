@@ -118,15 +118,6 @@ func (r *RunStats) BarrierWaitNS() int64 {
 	return n
 }
 
-// BoundaryPushes sums boundary-queue pushes across shards.
-func (r *RunStats) BoundaryPushes() uint64 {
-	var n uint64
-	for i := range r.Shards {
-		n += r.Shards[i].Boundary.Pushes
-	}
-	return n
-}
-
 // Utilization is the run-wide lookahead-window efficiency: the fraction of
 // shard wall-clock spent executing rather than waiting. 1.0 for serial runs.
 func (r *RunStats) Utilization() float64 {

@@ -10,31 +10,11 @@
 package execstats
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"bfc/internal/telemetry"
 )
-
-// traceEvent mirrors the Chrome trace_event JSON shape (same layout the
-// sim-time exporter uses; duplicated here because that type is unexported
-// and this trace is wall-clock, not sim-time).
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int64          `json:"pid"`
-	TID  int64          `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type traceDoc struct {
-	TraceEvents     []traceEvent   `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	Metadata        map[string]any `json:"metadata,omitempty"`
-}
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
@@ -46,12 +26,12 @@ func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 		return fmt.Errorf("execstats: no run stats to export (enable Options.ExecStats)")
 	}
 	coordPID := int64(len(rs.Shards))
-	events := make([]traceEvent, 0, 2*len(rs.Shards)+4*len(rs.Spans)*len(rs.Shards)+8)
+	events := make([]telemetry.TraceEvent, 0, 2*len(rs.Shards)+4*len(rs.Spans)*len(rs.Shards)+8)
 
 	meta := func(pid int64, name string) {
 		events = append(events,
-			traceEvent{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": name}},
-			traceEvent{Name: "thread_name", Ph: "M", PID: pid, Args: map[string]any{"name": "exec"}},
+			telemetry.TraceEvent{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": name}},
+			telemetry.TraceEvent{Name: "thread_name", Ph: "M", PID: pid, Args: map[string]any{"name": "exec"}},
 		)
 	}
 	for i := range rs.Shards {
@@ -65,7 +45,7 @@ func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 		// Serial (or span-free) run: one slice per shard covering its busy time.
 		for i := range rs.Shards {
 			s := &rs.Shards[i]
-			events = append(events, traceEvent{
+			events = append(events, telemetry.TraceEvent{
 				Name: "run", Cat: "exec", Ph: "X",
 				TS: 0, Dur: usec(s.BusyNS), PID: int64(i),
 				Args: map[string]any{
@@ -83,14 +63,14 @@ func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 			if busy <= 0 {
 				continue
 			}
-			events = append(events, traceEvent{
+			events = append(events, telemetry.TraceEvent{
 				Name: "window", Cat: "exec", Ph: "X",
 				TS: usec(sp.StartNS), Dur: usec(busy), PID: int64(si),
 				Args: map[string]any{"events": sp.Events},
 			})
 			if sp.Drained > 0 {
 				// Flow from this shard's window end into the barrier drain.
-				events = append(events, traceEvent{
+				events = append(events, telemetry.TraceEvent{
 					Name: "boundary", Cat: "exec", Ph: "s", ID: flowID,
 					TS: usec(sp.StartNS + busy), PID: int64(si),
 				})
@@ -98,20 +78,20 @@ func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 		}
 		if sp.DrainNS > 0 || sp.Drained > 0 {
 			drainStart := sp.StartNS + sp.WallNS - sp.DrainNS
-			events = append(events, traceEvent{
+			events = append(events, telemetry.TraceEvent{
 				Name: "barrier drain", Cat: "exec", Ph: "X",
-				TS: usec(drainStart), Dur: usec(max64(sp.DrainNS, 1)), PID: coordPID,
+				TS: usec(drainStart), Dur: usec(max(sp.DrainNS, 1)), PID: coordPID,
 				Args: map[string]any{"drained": sp.Drained},
 			})
 			if sp.Drained > 0 {
-				events = append(events, traceEvent{
+				events = append(events, telemetry.TraceEvent{
 					Name: "boundary", Cat: "exec", Ph: "f", ID: flowID, TS: usec(drainStart), PID: coordPID,
 				})
 			}
 		}
 	}
 
-	doc := traceDoc{
+	doc := telemetry.TraceDoc{
 		TraceEvents:     events,
 		DisplayTimeUnit: "ms",
 		Metadata: map[string]any{
@@ -127,13 +107,5 @@ func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 			"barrier_wait_ns": rs.BarrierWaitNS(),
 		},
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&doc)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return doc.Encode(w)
 }

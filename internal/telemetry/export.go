@@ -56,19 +56,33 @@ func (c *TraceConfig) nodeName(id packet.NodeID) string {
 	return fmt.Sprintf("node%d", id)
 }
 
-// traceEvent is one record of the Chrome trace_event JSON format (the subset
-// Perfetto's JSON importer understands).
-type traceEvent struct {
+// TraceEvent is one record of the Chrome trace_event JSON format (the subset
+// Perfetto's JSON importer understands). It is the only declaration of the
+// record in the tree: the sim-time export below and the wall-clock export in
+// execstats both fill it.
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
+	TS   float64        `json:"ts"` // microseconds
+	Dur  float64        `json:"dur,omitempty"`
 	PID  int64          `json:"pid"`
 	TID  int64          `json:"tid"`
 	ID   string         `json:"id,omitempty"`
 	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
+
+// TraceDoc is a Chrome trace_event document: what Perfetto
+// (ui.perfetto.dev) and chrome://tracing load.
+type TraceDoc struct {
+	TraceEvents     []TraceEvent   `json:"traceEvents"`
+	DisplayTimeUnit string         `json:"displayTimeUnit"`
+	Metadata        map[string]any `json:"metadata,omitempty"`
+}
+
+// Encode writes the document as one line of JSON.
+func (d *TraceDoc) Encode(w io.Writer) error { return json.NewEncoder(w).Encode(d) }
 
 // ts converts picosecond sim time to the trace format's microseconds.
 func traceTS(t units.Time) float64 { return float64(t) / float64(units.Microsecond) }
@@ -89,12 +103,12 @@ type spanKey struct {
 // Unbalanced pause intervals (still open when the trace ends, or opened
 // before the ring's window) are closed/ignored so the output always parses.
 func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
-	var out []traceEvent
+	var out []TraceEvent
 	seenNode := map[packet.NodeID]bool{}
 	noteNode := func(id packet.NodeID) {
 		if !seenNode[id] {
 			seenNode[id] = true
-			out = append(out, traceEvent{
+			out = append(out, TraceEvent{
 				Name: "process_name", Ph: "M", PID: int64(id),
 				Args: map[string]any{"name": cfg.nodeName(id)},
 			})
@@ -115,13 +129,13 @@ func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
 		noteNode(ev.Node)
 		switch ev.Kind {
 		case KindFlowStart:
-			out = append(out, traceEvent{
+			out = append(out, TraceEvent{
 				Name: "flow", Cat: "flow", Ph: "b", TS: traceTS(ev.At),
 				PID: int64(ev.Node), ID: fmt.Sprintf("0x%x", uint64(ev.Flow)),
 				Args: map[string]any{"bytes": ev.Value},
 			})
 		case KindFlowFinish:
-			out = append(out, traceEvent{
+			out = append(out, TraceEvent{
 				Name: "flow", Cat: "flow", Ph: "e", TS: traceTS(ev.At),
 				PID: int64(ev.Node), ID: fmt.Sprintf("0x%x", uint64(ev.Flow)),
 			})
@@ -132,7 +146,7 @@ func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
 					continue // duplicate begin; keep the first
 				}
 				open[key] = true
-				out = append(out, traceEvent{
+				out = append(out, TraceEvent{
 					Name: "PFC pause", Cat: "pfc", Ph: "B", TS: traceTS(ev.At),
 					PID: int64(ev.Node), TID: pfcTID(ev.Port),
 				})
@@ -141,7 +155,7 @@ func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
 					continue // resume whose pause predates the trace window
 				}
 				delete(open, key)
-				out = append(out, traceEvent{
+				out = append(out, TraceEvent{
 					Name: "PFC pause", Cat: "pfc", Ph: "E", TS: traceTS(ev.At),
 					PID: int64(ev.Node), TID: pfcTID(ev.Port),
 				})
@@ -153,7 +167,7 @@ func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
 					continue
 				}
 				open[key] = true
-				out = append(out, traceEvent{
+				out = append(out, TraceEvent{
 					Name: fmt.Sprintf("BFC pause q%d", ev.Queue), Cat: "bfc", Ph: "B",
 					TS: traceTS(ev.At), PID: int64(ev.Node), TID: bfcTID(ev.Port, ev.Queue),
 				})
@@ -162,13 +176,13 @@ func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
 					continue
 				}
 				delete(open, key)
-				out = append(out, traceEvent{
+				out = append(out, TraceEvent{
 					Name: fmt.Sprintf("BFC pause q%d", ev.Queue), Cat: "bfc", Ph: "E",
 					TS: traceTS(ev.At), PID: int64(ev.Node), TID: bfcTID(ev.Port, ev.Queue),
 				})
 			}
 		default:
-			out = append(out, traceEvent{
+			out = append(out, TraceEvent{
 				Name: ev.Kind.String(), Cat: "event", Ph: "i", TS: traceTS(ev.At),
 				PID: int64(ev.Node), TID: int64(ev.Port), S: "p",
 				Args: map[string]any{"queue": ev.Queue, "flow": int64(ev.Flow), "value": ev.Value},
@@ -184,7 +198,7 @@ func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
 		}
 		sortSpanKeys(keys)
 		for _, k := range keys {
-			te := traceEvent{TS: traceTS(last), Ph: "E", PID: int64(k.node)}
+			te := TraceEvent{TS: traceTS(last), Ph: "E", PID: int64(k.node)}
 			if k.kind == KindPFCPause {
 				te.Name, te.Cat, te.TID = "PFC pause", "pfc", pfcTID(k.port)
 			} else {
@@ -194,19 +208,11 @@ func WriteChromeTrace(w io.Writer, cfg TraceConfig, events []Event) error {
 		}
 	}
 
-	doc := struct {
-		TraceEvents     []traceEvent   `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-		Metadata        map[string]any `json:"metadata,omitempty"`
-	}{
-		TraceEvents:     out,
-		DisplayTimeUnit: "ns",
-	}
+	doc := TraceDoc{TraceEvents: out, DisplayTimeUnit: "ns"}
 	if cfg.RunName != "" {
 		doc.Metadata = map[string]any{"run": cfg.RunName}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&doc)
+	return doc.Encode(w)
 }
 
 // sortSpanKeys orders keys by (node, port, queue, kind).

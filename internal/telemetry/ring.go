@@ -9,9 +9,8 @@ type Ring struct {
 	buf []Event
 	// next is the overwrite cursor once the buffer is full (len == cap); it
 	// then always points at the oldest retained event.
-	next   int
-	seen   uint64
-	filter Filter
+	next int
+	seen uint64
 }
 
 // DefaultRingCapacity bounds a trace when the caller does not choose: 64K
@@ -28,18 +27,8 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]Event, 0, capacity)}
 }
 
-// SetFilter installs the keep-predicate applied to every Record call. Must be
-// called before recording starts.
-func (r *Ring) SetFilter(f Filter) {
-	f.compile()
-	r.filter = f
-}
-
 // Record implements Recorder.
 func (r *Ring) Record(ev Event) {
-	if !r.filter.Match(&ev) {
-		return
-	}
 	r.seen++
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, ev)
@@ -61,18 +50,11 @@ func (r *Ring) Len() int { return len(r.buf) }
 // serial-order stream.
 func (r *Ring) Cap() int { return cap(r.buf) }
 
-// RecordFilter returns the compiled keep-predicate installed by SetFilter.
-// The returned value shares the compiled lookup sets (read-only), so it is
-// safe to Match from several goroutines as long as no SetFilter races with
-// them — the sharded engine copies it into its per-shard recorders before the
-// run starts.
-func (r *Ring) RecordFilter() Filter { return r.filter }
-
-// Seen returns the total number of events that matched the filter, including
-// any that have since been overwritten.
+// Seen returns the total number of events recorded, including any that have
+// since been overwritten.
 func (r *Ring) Seen() uint64 { return r.seen }
 
-// Overwritten returns how many matched events were lost to ring wrap.
+// Overwritten returns how many recorded events were lost to ring wrap.
 func (r *Ring) Overwritten() uint64 { return r.seen - uint64(len(r.buf)) }
 
 // Events returns the retained events in chronological order. The returned

@@ -138,70 +138,3 @@ type Event struct {
 type Recorder interface {
 	Record(ev Event)
 }
-
-// KindSet is a bitmask over event kinds. The zero value matches every kind.
-type KindSet uint32
-
-// KindSetOf builds a set from the listed kinds.
-func KindSetOf(kinds ...Kind) KindSet {
-	var s KindSet
-	for _, k := range kinds {
-		s |= 1 << k
-	}
-	return s
-}
-
-// Has reports whether the set contains k (an empty set contains everything).
-func (s KindSet) Has(k Kind) bool {
-	return s == 0 || s&(1<<k) != 0
-}
-
-// Filter selects the events a sink keeps. The zero value accepts everything;
-// each non-zero field restricts one dimension (kind class, node, flow) and
-// the dimensions AND together.
-type Filter struct {
-	// Kinds restricts the event classes kept (zero set = all).
-	Kinds KindSet
-	// Nodes restricts events to the listed topology nodes (nil = all).
-	Nodes []packet.NodeID
-	// Flows restricts events to the listed flows (nil = all). Events that
-	// carry no flow (Flow == 0) always pass this dimension.
-	Flows []packet.FlowID
-
-	nodeSet map[packet.NodeID]struct{}
-	flowSet map[packet.FlowID]struct{}
-}
-
-// compile builds the lookup sets once so Match is O(1) per event.
-func (f *Filter) compile() {
-	if len(f.Nodes) > 0 {
-		f.nodeSet = make(map[packet.NodeID]struct{}, len(f.Nodes))
-		for _, n := range f.Nodes {
-			f.nodeSet[n] = struct{}{}
-		}
-	}
-	if len(f.Flows) > 0 {
-		f.flowSet = make(map[packet.FlowID]struct{}, len(f.Flows))
-		for _, id := range f.Flows {
-			f.flowSet[id] = struct{}{}
-		}
-	}
-}
-
-// Match reports whether the filter keeps the event.
-func (f *Filter) Match(ev *Event) bool {
-	if !f.Kinds.Has(ev.Kind) {
-		return false
-	}
-	if f.nodeSet != nil {
-		if _, ok := f.nodeSet[ev.Node]; !ok {
-			return false
-		}
-	}
-	if f.flowSet != nil && ev.Flow != 0 {
-		if _, ok := f.flowSet[ev.Flow]; !ok {
-			return false
-		}
-	}
-	return true
-}

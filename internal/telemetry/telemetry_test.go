@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bfc/internal/packet"
 	"bfc/internal/units"
 )
 
@@ -44,37 +43,6 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 		if e.At != want[i] {
 			t.Fatalf("event %d: at %v, want %v", i, e.At, want[i])
 		}
-	}
-}
-
-func TestRingFilter(t *testing.T) {
-	r := NewRing(16)
-	r.SetFilter(Filter{
-		Kinds: KindSetOf(KindDrop, KindPFCPause),
-		Nodes: []packet.NodeID{3},
-	})
-	r.Record(Event{Kind: KindDrop, Node: 3})      // kept
-	r.Record(Event{Kind: KindDrop, Node: 4})      // wrong node
-	r.Record(Event{Kind: KindFlowStart, Node: 3}) // wrong kind
-	r.Record(Event{Kind: KindPFCPause, Node: 3})  // kept
-	if r.Len() != 2 {
-		t.Fatalf("kept %d events, want 2", r.Len())
-	}
-}
-
-func TestFilterFlows(t *testing.T) {
-	var f Filter
-	f.Flows = []packet.FlowID{42}
-	f.compile()
-	if !f.Match(&Event{Kind: KindFlowStart, Flow: 42}) {
-		t.Error("flow 42 should match")
-	}
-	if f.Match(&Event{Kind: KindFlowStart, Flow: 43}) {
-		t.Error("flow 43 should not match")
-	}
-	// Events without a flow always pass the flow dimension.
-	if !f.Match(&Event{Kind: KindPFCPause}) {
-		t.Error("flowless event should match")
 	}
 }
 
