@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func simulate(c *config, rf *harness.RunFlags, stdout, stderr io.Writer) error {
+func simulate(c *config, rf *harness.RunFlags, stdout, stderr io.Writer) (err error) {
 	jobs, err := c.jobs()
 	if err != nil {
 		return err
@@ -97,13 +97,16 @@ func simulate(c *config, rf *harness.RunFlags, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// A failed run still flushes its profiles; its error wins over the stop's.
+	defer func() {
+		if stopErr := stop(); err == nil {
+			err = stopErr
+		}
+	}()
 	elapsed := map[string]time.Duration{}
 	runner := &harness.Runner{Progress: func(p harness.Progress) { elapsed[p.Job] = p.Elapsed }}
 	recs, err := rf.Run(runner, jobs, telemetry.DefaultRingCapacity, stderr)
 	if err != nil {
-		return err
-	}
-	if err := stop(); err != nil {
 		return err
 	}
 	for _, rec := range recs {

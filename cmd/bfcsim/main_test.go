@@ -77,6 +77,27 @@ func TestFatalErrorsReachStderr(t *testing.T) {
 	}
 }
 
+// TestFailedRunStillWritesCPUProfile: a job that fails inside the run (a link
+// flap on a fabric without those nodes) must leave a flushed -cpuprofile, not
+// the empty file pprof.StartCPUProfile created, and must not leave the profiler
+// running.
+func TestFailedRunStillWritesCPUProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-topology", "star:4", "-duration", "10us", "-cpuprofile", prof,
+		"-scenario", filepath.Join("..", "..", "examples", "scenarios", "linkflap.json")}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), `unknown node "tor0"`) {
+		t.Fatalf("exit code %d, stderr %q; want the job's error", code, stderr.String())
+	}
+	if blob, err := os.ReadFile(prof); err != nil || len(blob) == 0 {
+		t.Fatalf("profile after a failed run: %d bytes, err %v; want a non-empty file", len(blob), err)
+	}
+	stderr.Reset()
+	if code := run([]string{"-topology", "star:4", "-duration", "10us", "-cpuprofile", prof}, &stdout, &stderr); code != 0 {
+		t.Fatalf("next profiled run: exit code %d, stderr %q", code, stderr.String())
+	}
+}
+
 // TestDigestLinesAreObservationNeutral runs a scenario for two schemes the
 // ways CI does — plain, at another -parallel and -shards, and traced and
 // profiled — and requires the same "<sha256> <scheme>" lines from each, the

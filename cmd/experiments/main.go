@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func (o *options) regenerate(rf *harness.RunFlags, stdout, stderr io.Writer) error {
+func (o *options) regenerate(rf *harness.RunFlags, stdout, stderr io.Writer) (err error) {
 	figs, err := selectFigures(o.fig)
 	if err != nil {
 		return err
@@ -115,6 +115,12 @@ func (o *options) regenerate(rf *harness.RunFlags, stdout, stderr io.Writer) err
 	if err != nil {
 		return err
 	}
+	// A failed run still flushes its profiles; its error wins over the stop's.
+	defer func() {
+		if stopErr := stop(); err == nil {
+			err = stopErr
+		}
+	}()
 
 	fmt.Fprintf(stdout, "# scale: %s (%d ToR x %d hosts, %v horizon)\n\n",
 		scale.Name, scale.NumToR, scale.HostsPerToR, scale.Duration)
@@ -151,7 +157,7 @@ func (o *options) regenerate(rf *harness.RunFlags, stdout, stderr io.Writer) err
 		f.Render(stdout, recs)
 		fmt.Fprintln(stdout)
 	}
-	return stop()
+	return nil
 }
 
 // selectFigures resolves the -fig argument against the figure table.

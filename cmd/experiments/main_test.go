@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"bfc/internal/experiments"
+	"bfc/internal/sim"
 )
 
 // TestFatalErrorsReachStderr pins that an error ending the command is written
@@ -28,6 +33,32 @@ func TestFatalErrorsReachStderr(t *testing.T) {
 				t.Errorf("%v -log-level %s: stderr %q, want one line starting %q", tc.args, level, stderr.String(), tc.want)
 			}
 		}
+	}
+}
+
+// TestFailedRunStillWritesCPUProfile: a run that fails (here -resume over a
+// damaged artifact, so nothing simulates) must leave a flushed -cpuprofile,
+// not the empty file pprof.StartCPUProfile created, and must not leave the
+// profiler running.
+func TestFailedRunStillWritesCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	fig, _ := experiments.FigureByKey("fig05a")
+	job := fig.Jobs(experiments.Reduced(), []sim.Scheme{sim.SchemeBFC})[0]
+	if err := os.WriteFile(filepath.Join(dir, job.Hash()+".jsonl"), []byte("{\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(dir, "cpu.prof")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-fig", "5a", "-schemes", "BFC", "-out", dir, "-resume", "-cpuprofile", prof}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), job.Hash()) {
+		t.Fatalf("exit code %d, stderr %q; want an error naming the artifact", code, stderr.String())
+	}
+	if blob, err := os.ReadFile(prof); err != nil || len(blob) == 0 {
+		t.Fatalf("profile after a failed run: %d bytes, err %v; want a non-empty file", len(blob), err)
+	}
+	stderr.Reset()
+	if code := run([]string{"-fig", "1", "-cpuprofile", prof}, &stdout, &stderr); code != 0 {
+		t.Fatalf("next profiled run: exit code %d, stderr %q", code, stderr.String())
 	}
 }
 

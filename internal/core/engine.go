@@ -126,9 +126,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // Stats returns a copy of the engine statistics.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// TableStats exposes the flow-table statistics (bucket overflows etc.).
-func (e *Engine) TableStats() flowtable.Stats { return e.table.Stats() }
-
 // ActiveFlows returns the number of virtual flows with queued packets.
 func (e *Engine) ActiveFlows() int { return e.table.Active() }
 

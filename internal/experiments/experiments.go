@@ -832,9 +832,12 @@ func Fig11FromRecords(recs []*harness.Record) *Fig11Result {
 type SensitivityRow struct {
 	Parameter int
 	Series    SlowdownSeries
-	// CollisionFraction (Fig 12a, 13a) and OverflowFraction (Fig 13a).
-	CollisionFraction float64
-	OverflowFraction  float64
+	// CollisionFraction is physical-queue assignment collisions (Fig 12a);
+	// VFIDCollisionFraction, per-packet VFID aliasing, and OverflowFraction
+	// are the flow table's (Fig 13a).
+	CollisionFraction     float64
+	VFIDCollisionFraction float64
+	OverflowFraction      float64
 }
 
 // ---------------------------------------------------------------------------
@@ -1061,10 +1064,11 @@ func SensitivityFromRecords(recs []*harness.Record) []SensitivityRow {
 	rows := make([]SensitivityRow, 0, len(recs))
 	for _, rec := range recs {
 		rows = append(rows, SensitivityRow{
-			Parameter:         metaInt(rec, "param"),
-			Series:            seriesFromResult(rec.Meta["param"], rec.Result),
-			CollisionFraction: rec.Result.CollisionFraction(),
-			OverflowFraction:  rec.Result.OverflowFraction(),
+			Parameter:             metaInt(rec, "param"),
+			Series:                seriesFromResult(rec.Meta["param"], rec.Result),
+			CollisionFraction:     rec.Result.CollisionFraction(),
+			VFIDCollisionFraction: rec.Result.VFIDCollisionFraction(),
+			OverflowFraction:      rec.Result.OverflowFraction(),
 		})
 	}
 	return rows

@@ -287,6 +287,29 @@ func TestFig12TinySweep(t *testing.T) {
 	}
 }
 
+// Fig 13a's column is VFID aliasing, not queue collisions: it must be there at
+// the smallest table and fall as the table grows.
+func TestFig13TinySweep(t *testing.T) {
+	fig13, _ := FigureByKey("fig13")
+	rows := SensitivityFromRecords(harness.MustRun(fig13.Jobs(Tiny(), nil)))
+	if len(rows) < 2 {
+		t.Fatalf("sweep produced %d points", len(rows))
+	}
+	if rows[0].VFIDCollisionFraction == 0 {
+		t.Fatalf("no VFID collisions with %d VFIDs: the sweep shows nothing", rows[0].Parameter)
+	}
+	for i := 1; i < len(rows); i++ {
+		prev, r := rows[i-1], rows[i]
+		if prev.Parameter >= r.Parameter {
+			t.Fatal("sweep not ordered")
+		}
+		if r.VFIDCollisionFraction >= prev.VFIDCollisionFraction {
+			t.Fatalf("VFID collisions with %d VFIDs (%.6f) should be below those with %d (%.6f)",
+				r.Parameter, r.VFIDCollisionFraction, prev.Parameter, prev.VFIDCollisionFraction)
+		}
+	}
+}
+
 func TestFig15TinyRun(t *testing.T) {
 	scale := Tiny()
 	rows := Fig15FromRecords(harness.MustRun(Fig15Jobs(scale, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))

@@ -229,8 +229,8 @@ var figures = []Figure{
 		"## Fig 13: sensitivity to VFID table size",
 		[]int{1024, 4096, 16384, 65536}, func(o *sim.Options, v int) { o.NumVFIDs = v },
 		func(w io.Writer, r SensitivityRow) {
-			fmt.Fprintf(w, "  vfids=%-6d collisions=%.5f overflows=%.5f p99slowdown=%.2f\n",
-				r.Parameter, r.CollisionFraction, r.OverflowFraction, r.Series.Overall)
+			fmt.Fprintf(w, "  vfids=%-6d vfid-collisions=%.5f overflows=%.5f p99slowdown=%.2f\n",
+				r.Parameter, r.VFIDCollisionFraction, r.OverflowFraction, r.Series.Overall)
 		}),
 	sensitivityFigure("fig14", "sensitivity to bloom filter size",
 		"## Fig 14: sensitivity to bloom filter size",

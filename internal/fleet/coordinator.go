@@ -361,13 +361,14 @@ func (c *Coordinator) Routes() func(*http.ServeMux) {
 // live worker's, deduplicated by content hash. Unreachable workers are
 // skipped — the manifest is a dedup accelerator, not a source of truth.
 func (c *Coordinator) FleetManifest(ctx context.Context) []harness.ManifestEntry {
-	lists := make([][]harness.ManifestEntry, 0, 1+len(c.workers))
+	live := c.liveWorkers()
+	lists := make([][]harness.ManifestEntry, 0, 1+len(live))
 	if c.cfg.Store != nil {
 		if own, err := c.cfg.Store.List(); err == nil {
 			lists = append(lists, own)
 		}
 	}
-	for _, w := range c.liveWorkers() {
+	for _, w := range live {
 		cctx, cancel := context.WithTimeout(ctx, c.cfg.HeartbeatInterval)
 		entries, err := w.client.Manifest(cctx)
 		cancel()

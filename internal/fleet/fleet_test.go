@@ -717,6 +717,56 @@ func TestRegisterEndpointAddsWorker(t *testing.T) {
 	}
 }
 
+// The fleet manifest is served while workers announce themselves: it once
+// sized its result from the registry map without the lock registration writes
+// it under. Meaningful under -race; the registered URLs are paths of one local
+// worker that answer 404, so every manifest call walks the growing registry.
+func TestFleetManifestDuringRegistration(t *testing.T) {
+	_, _, wsrv := newWorker(t)
+	cstore, err := harness.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(Config{Store: cstore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	mux := http.NewServeMux()
+	coord.Routes()(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	const workers = 16
+	client := NewClient(srv.URL, 10*time.Second)
+	registered := make(chan error, 1)
+	go func() {
+		for i := 0; i < workers; i++ {
+			if err := client.Register(context.Background(), fmt.Sprintf("%s/%d", wsrv.URL, i)); err != nil {
+				registered <- err
+				return
+			}
+		}
+		registered <- nil
+	}()
+	for done := false; !done; {
+		select {
+		case err := <-registered:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		if _, err := client.Manifest(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := coord.Status(); len(st.Workers) != workers {
+		t.Fatalf("registered %d workers, want %d", len(st.Workers), workers)
+	}
+}
+
 // Two suites dispatched concurrently contend for one worker's single
 // in-flight slot. The slot is a coordinator-level resource, so the suite
 // that parks waiting for capacity is woken by a *different* dispatch's

@@ -24,50 +24,81 @@ func BenchmarkFlowTableNew(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowTableChurn measures one flow activation as the engine drives
-// it — Insert, eight Lookups spread over the bucket's entries, Remove — per
-// bucket depth (the churned entry plus depth-1 residents on the same VFID),
-// over 1024 VFIDs so the index is not one hot cache line. The overflow rows
-// repeat depth 1 with one unrelated entry in the overflow cache (every miss in
-// the bucket, Insert's duplicate check included, then consults the map) and
-// the case where the bucket is full and the churned entry itself lives in the
-// cache. It uses only the public API, so it runs unchanged on older layouts;
-// it is the per-packet cost of the table next to the benchmark's
-// switchsim.bfc_pkt_ns rung.
-func BenchmarkFlowTableChurn(b *testing.B) {
+// churnLoop is one flow activation as the engine drives it — Insert, eight
+// Lookups spread over the bucket's entries, Remove — at a bucket depth (the
+// churned entry plus residents on the same VFID), over 1024 VFIDs so the index
+// is not one hot cache line. cacheEntry first puts one unrelated entry in the
+// overflow cache (every miss in the bucket, Insert's duplicate check included,
+// then consults the map); residents == DefaultBucketSize fills the bucket so
+// the churned entry itself lives in the cache. It uses only the public API, so
+// it runs unchanged on older layouts; it is the per-packet cost of the table
+// next to the benchmark's switchsim.bfc_pkt_ns rung.
+func churnLoop(tb testing.TB, residents int, cacheEntry bool) func(n int) {
 	const window, lookups = 1024, 8
-	run := func(name string, residents int, cacheEntry bool) {
-		b.Run(name, func(b *testing.B) {
-			tbl := New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
-			for v := 0; v < window; v++ {
-				for in := 0; in < residents; in++ {
-					tbl.Insert(packet.VFID(v), in, 0)
-				}
+	tbl := New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
+	for v := 0; v < window; v++ {
+		for in := 0; in < residents; in++ {
+			tbl.Insert(packet.VFID(v), in, 0)
+		}
+	}
+	if cacheEntry {
+		for in := 0; in <= DefaultBucketSize; in++ {
+			tbl.Insert(window, in, 0)
+		}
+	}
+	entries := residents + 1
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			v := packet.VFID(i % window)
+			e, res := tbl.Insert(v, residents, 0)
+			if res == InsertFailed {
+				tb.Fatal("insert failed")
 			}
-			if cacheEntry {
-				for in := 0; in <= DefaultBucketSize; in++ {
-					tbl.Insert(window, in, 0)
-				}
+			for j := 0; j < lookups; j++ {
+				benchSink = tbl.Lookup(v, j%entries, 0)
 			}
-			entries := residents + 1
+			tbl.Remove(e)
+		}
+	}
+}
+
+type churnRow struct {
+	name       string
+	residents  int
+	cacheEntry bool
+}
+
+// churnRows are BenchmarkFlowTableChurn's sub-benchmarks: every bucket depth,
+// then the two overflow-cache cases.
+func churnRows() []churnRow {
+	var rows []churnRow
+	for depth := 1; depth <= DefaultBucketSize; depth++ {
+		rows = append(rows, churnRow{fmt.Sprintf("depth=%d", depth), depth - 1, false})
+	}
+	return append(rows,
+		churnRow{"depth=1/cache-nonempty", 0, true},
+		churnRow{"depth=4/entry-in-cache", DefaultBucketSize, false})
+}
+
+func BenchmarkFlowTableChurn(b *testing.B) {
+	for _, r := range churnRows() {
+		b.Run(r.name, func(b *testing.B) {
+			loop := churnLoop(b, r.residents, r.cacheEntry)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := packet.VFID(i % window)
-				e, res := tbl.Insert(v, residents, 0)
-				if res == InsertFailed {
-					b.Fatal("insert failed")
-				}
-				for j := 0; j < lookups; j++ {
-					benchSink = tbl.Lookup(v, j%entries, 0)
-				}
-				tbl.Remove(e)
-			}
+			loop(b.N)
 		})
 	}
-	for depth := 1; depth <= DefaultBucketSize; depth++ {
-		run(fmt.Sprintf("depth=%d", depth), depth-1, false)
+}
+
+// TestChurnSteadyStateAllocFree: two passes over the window allocate nothing
+// on any row once AllocsPerRun's own warm-up call has grown the slab and the
+// overflow map.
+func TestChurnSteadyStateAllocFree(t *testing.T) {
+	for _, r := range churnRows() {
+		loop := churnLoop(t, r.residents, r.cacheEntry)
+		if allocs := testing.AllocsPerRun(1, func() { loop(2048) }); allocs != 0 {
+			t.Errorf("%s: %v allocations in 2048 steady-state activations, want 0", r.name, allocs)
+		}
 	}
-	run("depth=1/cache-nonempty", 0, true)
-	run("depth=4/entry-in-cache", DefaultBucketSize, false)
 }

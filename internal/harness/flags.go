@@ -46,7 +46,8 @@ func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
 
 // Start applies the process-wide flags after parsing: it installs the logger
 // (writing to stderr) as the slog default and begins the profiles. The
-// returned stop ends them; call it once, after the last Run.
+// returned stop ends and flushes them; call it once on every path out, a
+// failed Run included — that run's profile is the one most wanted.
 func (f *RunFlags) Start(stderr io.Writer) (stop func() error, err error) {
 	logger, err := telemetry.NewLogger(stderr, f.Log)
 	if err != nil {

@@ -167,9 +167,6 @@ func (l *Link) Name() string { return l.name }
 // Busy reports whether a packet is currently being serialized onto the link.
 func (l *Link) Busy() bool { return l.busy }
 
-// Down reports whether the link is failed.
-func (l *Link) Down() bool { return l.down }
-
 // SetDown fails (true) or recovers (false) the link. While down, every
 // packet or control frame whose delivery instant falls inside the outage —
 // including those already in flight — is lost; data packets are handed to

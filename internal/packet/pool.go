@@ -81,11 +81,3 @@ func (pl *Pool) Recycled() uint64 {
 	}
 	return pl.recycled
 }
-
-// Idle returns the number of packets currently sitting in the free-list.
-func (pl *Pool) Idle() int {
-	if pl == nil {
-		return 0
-	}
-	return len(pl.free)
-}

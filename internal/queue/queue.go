@@ -162,9 +162,6 @@ func NewDRR(queues []*FIFO, quantum units.Bytes) *DRR {
 	return d
 }
 
-// Queues returns the scheduled queues (in index order).
-func (d *DRR) Queues() []*FIFO { return d.queues }
-
 func (d *DRR) setReady(i int)   { d.ready[i>>6] |= 1 << (uint(i) & 63) }
 func (d *DRR) clearReady(i int) { d.ready[i>>6] &^= 1 << (uint(i) & 63) }
 

@@ -20,23 +20,37 @@ func benchClos() *topology.Topology {
 	})
 }
 
-// BenchmarkLinkFlapReroute measures the in-run cost of one fail+recover pair
-// — the incremental ECMP recomputation that runs inside the event loop when a
-// link event fires. This is the scenario engine's hot path: everything else
-// (flow generation, name resolution) happens at Plan time.
-func BenchmarkLinkFlapReroute(b *testing.B) {
+// linkFlapLoop is the in-run cost of one fail+recover pair — the incremental
+// ECMP recomputation that runs inside the event loop when a link event fires.
+// This is the scenario engine's hot path: everything else (flow generation,
+// name resolution) happens at Plan time. The first failure interns its port
+// sets, untimed; later ones allocate nothing, which
+// TestLinkFlapSteadyStateAllocFree holds the same loop to.
+func linkFlapLoop() func(n int) {
 	topo := benchClos()
 	a, _ := topo.NodeByName("tor0")
 	s, _ := topo.NodeByName("spine0")
-	flap := func() {
-		topo.SetLinkState(a, s, false)
-		topo.SetLinkState(a, s, true)
+	loop := func(n int) {
+		for i := 0; i < n; i++ {
+			topo.SetLinkState(a, s, false)
+			topo.SetLinkState(a, s, true)
+		}
 	}
-	flap() // the first failure interns its port sets; later ones allocate nothing
+	loop(1)
+	return loop
+}
+
+func BenchmarkLinkFlapReroute(b *testing.B) {
+	loop := linkFlapLoop()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		flap()
+	loop(b.N)
+}
+
+func TestLinkFlapSteadyStateAllocFree(t *testing.T) {
+	loop := linkFlapLoop()
+	if allocs := testing.AllocsPerRun(1, func() { loop(4) }); allocs != 0 {
+		t.Fatalf("%v allocations in 4 fail+recover pairs, want 0", allocs)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // mergeFCT, the function runSharded calls — over 8 per-shard key-sorted FCT
 // buffers (16k records each, the order of a full-load 1024-host run). The
 // merge is the only O(flows log flows) step the sharded engine adds over the
-// serial one, so its cost is pinned in BENCH_baseline.json.
+// serial one. On a whole run it is part of bench/'s fattree1024_shards2.
 func BenchmarkShardMerge(b *testing.B) {
 	const S, per = 8, 16384
 	shards := make([][]fctRec, S)

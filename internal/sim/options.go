@@ -290,6 +290,3 @@ func (o *Options) Validate() error {
 	}
 	return nil
 }
-
-// usesBFC reports whether the scheme runs the BFC engine at switches.
-func (s Scheme) usesBFC() bool { return s == SchemeBFC || s == SchemeBFCStatic }

@@ -181,13 +181,14 @@ func (s *Switch) MaxPhysicalQueueBytes() units.Bytes {
 
 // core.PortView implementation -------------------------------------------------
 
-// ActiveQueues implements core.PortView.
+// ActiveQueues implements core.PortView from the port's DRR bitmap: the
+// serviceable queues of the set, less the overflow queue that rides in it
+// after the data queues.
 func (s *Switch) ActiveQueues(egress int) int {
-	n := 0
-	for _, q := range s.ports[egress].data {
-		if !q.Empty() && !q.Paused() {
-			n++
-		}
+	p := s.ports[egress]
+	n := p.drr.ActiveQueues()
+	if !p.overflow.Empty() && !p.overflow.Paused() {
+		n--
 	}
 	return n
 }

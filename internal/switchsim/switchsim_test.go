@@ -211,6 +211,35 @@ func TestPFCPauseAndResumeSignaling(t *testing.T) {
 	}
 }
 
+// Nactive counts serviceable data queues only: the overflow queue shares the
+// port's DRR set (and its bitmap) but must not raise the pause threshold's
+// divisor, and a queue parked by a downstream pause must not either.
+func TestActiveQueuesExcludesOverflowAndPaused(t *testing.T) {
+	bfc := bfcConfig(8, false)
+	bfc.NumVFIDs, bfc.BucketSize, bfc.OverflowCacheSize = 1, 1, 0 // room for one flow
+	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc })
+	hosts := ts.topo.Hosts()
+	first := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], SrcPort: 1}
+	second := &packet.Flow{ID: 2, Src: hosts[2], Dst: hosts[1], SrcPort: 2}
+	ts.sw.ReceivePacket(0, dataPacket(first, 0))
+	if got := ts.sw.ActiveQueues(1); got != 1 {
+		t.Fatalf("one queued flow: ActiveQueues = %d, want 1", got)
+	}
+	ts.sw.ReceivePacket(2, dataPacket(second, 0)) // table full: overflow queue
+	if st := ts.sw.Engine().Stats(); st.TableOverflowPackets != 1 {
+		t.Fatalf("overflow packets = %d, want 1 (the test no longer reaches the overflow queue)", st.TableOverflowPackets)
+	}
+	if got := ts.sw.ActiveQueues(1); got != 1 {
+		t.Fatalf("with the overflow queue occupied: ActiveQueues = %d, want 1", got)
+	}
+	filter := bloom.NewFilter(bfc.Bloom)
+	filter.Add(first.VFIDOf(bfc.NumVFIDs))
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: filter})
+	if got := ts.sw.ActiveQueues(1); got != 0 {
+		t.Fatalf("with the data queue paused: ActiveQueues = %d, want 0", got)
+	}
+}
+
 func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
 	bfc := bfcConfig(8, false)
 	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc })

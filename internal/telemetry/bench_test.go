@@ -7,8 +7,9 @@ import (
 )
 
 // emitSite models the instrumentation pattern every runtime emit site uses: a
-// Recorder-typed field guarded by a nil check. The benchmarks pin the cost of
-// both branches, and the CI benchjson gate keeps them from regressing.
+// Recorder-typed field guarded by a nil check. The benchmarks time both
+// branches, and TestEmitSiteAllocFree holds the same loop to zero allocations
+// with and without a recorder.
 type emitSite struct {
 	rec Recorder
 }
@@ -20,14 +21,18 @@ func (s *emitSite) maybeRecord(at units.Time) {
 	}
 }
 
+func (s *emitSite) loop(n int) {
+	for i := 0; i < n; i++ {
+		s.maybeRecord(units.Time(i))
+	}
+}
+
 // BenchmarkRecorderDisabled measures the cost telemetry adds to a hot path
 // when no recorder is attached: the nil-interface check and nothing else.
 func BenchmarkRecorderDisabled(b *testing.B) {
 	site := &emitSite{}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		site.maybeRecord(units.Time(i))
-	}
+	site.loop(b.N)
 }
 
 // BenchmarkRecorderRingBuffer measures a full Record into the bounded ring —
@@ -35,7 +40,19 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 func BenchmarkRecorderRingBuffer(b *testing.B) {
 	site := &emitSite{rec: NewRing(1 << 14)}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		site.maybeRecord(units.Time(i))
+	b.ResetTimer()
+	site.loop(b.N)
+}
+
+// TestEmitSiteAllocFree runs the ring row long enough to wrap (1<<15 records
+// into 1<<14 slots), so overwriting is covered, not only filling.
+func TestEmitSiteAllocFree(t *testing.T) {
+	for name, site := range map[string]*emitSite{
+		"RecorderDisabled":   {},
+		"RecorderRingBuffer": {rec: NewRing(1 << 14)},
+	} {
+		if allocs := testing.AllocsPerRun(1, func() { site.loop(1 << 15) }); allocs != 0 {
+			t.Errorf("%s: %v allocations in %d records, want 0", name, allocs, 1<<15)
+		}
 	}
 }

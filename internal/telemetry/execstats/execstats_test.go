@@ -211,14 +211,25 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// BenchmarkExecStatsOverhead measures the disabled path — a nil *Collector
-// threaded through the hot loop — which must stay at ~0 ns/op (a nil check
-// the branch predictor eats). The benchjson CI gate tracks it.
-func BenchmarkExecStatsOverhead(b *testing.B) {
+// disabledLoop is the disabled path — a nil *Collector threaded through the
+// hot loop — which must stay at ~0 ns/op (a nil check the branch predictor
+// eats; BenchmarkExecStatsOverhead prints it) and allocate nothing
+// (TestDisabledCollectorAllocFree).
+func disabledLoop(n int) {
 	var c *Collector
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < n; i++ {
 		c.ShardBusy(0, 0)
 		c.Barrier(0, 0)
+	}
+}
+
+func BenchmarkExecStatsOverhead(b *testing.B) {
+	b.ReportAllocs()
+	disabledLoop(b.N)
+}
+
+func TestDisabledCollectorAllocFree(t *testing.T) {
+	if allocs := testing.AllocsPerRun(1, func() { disabledLoop(4096) }); allocs != 0 {
+		t.Fatalf("%v allocations in 4096 calls on a nil collector, want 0", allocs)
 	}
 }

@@ -22,32 +22,28 @@ func BenchmarkFatTreeBuild1024(b *testing.B) {
 	}
 }
 
-// BenchmarkFatTreeReroute1024 measures one fail+recover cycle of an agg-core
-// link on the 1024-host fabric — the incremental reroute path scenario link
-// events take at scale. One untimed cycle interns the port sets the failure
-// produces, so allocs/op reads the steady state (0) whatever b.N is.
-func BenchmarkFatTreeReroute1024(b *testing.B) {
+// rerouteLoop is one fail+recover cycle of an agg-core link on the 1024-host
+// fabric — the incremental reroute path scenario link events take at scale. A
+// reroute allocates only when a node gets a port set it never had, so one
+// untimed cycle interns the sets the failure produces and every later one
+// allocates nothing (TestRerouteSteadyStateAllocFree).
+func rerouteLoop(tb testing.TB) func(n int) {
 	topo := NewFatTree(FatTreeForHosts(1024, 100*units.Gbps, units.Microsecond))
-	agg, ok := topo.NodeByName("pod0-agg0")
-	if !ok {
-		b.Fatal("no pod0-agg0")
-	}
-	core, ok := topo.NodeByName("core0")
-	if !ok {
-		b.Fatal("no core0")
-	}
-	cycle := func() {
-		if topo.SetLinkState(agg, core, false) == 0 {
-			b.Fatal("failure rewrote no routes")
-		}
-		if topo.SetLinkState(agg, core, true) == 0 {
-			b.Fatal("recovery rewrote no routes")
+	agg, core := mustNode(tb, topo, "pod0-agg0"), mustNode(tb, topo, "core0")
+	loop := func(n int) {
+		for i := 0; i < n; i++ {
+			if topo.SetLinkState(agg, core, false) == 0 || topo.SetLinkState(agg, core, true) == 0 {
+				tb.Fatal("cycle rewrote no routes")
+			}
 		}
 	}
-	cycle()
+	loop(1)
+	return loop
+}
+
+func BenchmarkFatTreeReroute1024(b *testing.B) {
+	loop := rerouteLoop(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
+	loop(b.N)
 }

@@ -15,7 +15,7 @@ func dynClos(t *testing.T) *Topology {
 	})
 }
 
-func mustNode(t *testing.T, topo *Topology, name string) packet.NodeID {
+func mustNode(t testing.TB, topo *Topology, name string) packet.NodeID {
 	t.Helper()
 	id, ok := topo.NodeByName(name)
 	if !ok {

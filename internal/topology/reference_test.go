@@ -224,18 +224,11 @@ func TestFlatTablesMatchNestedReference(t *testing.T) {
 	}
 }
 
-// A reroute allocates only when a node gets a port set it never had, so the
-// second and later repeats of a fail+recover cycle allocate nothing.
+// BenchmarkFatTreeReroute1024's own cycle: the second and later repeats of a
+// fail+recover allocate nothing.
 func TestRerouteSteadyStateAllocFree(t *testing.T) {
-	topo := NewFatTree(FatTreeForHosts(64, 100*units.Gbps, units.Microsecond))
-	agg, core := mustNode(t, topo, "pod0-agg0"), mustNode(t, topo, "core0")
-	cycle := func() {
-		if topo.SetLinkState(agg, core, false) == 0 || topo.SetLinkState(agg, core, true) == 0 {
-			t.Fatal("cycle rewrote no routes")
-		}
-	}
-	cycle()
-	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+	loop := rerouteLoop(t)
+	if allocs := testing.AllocsPerRun(1, func() { loop(1) }); allocs != 0 {
 		t.Fatalf("fail+recover cycle allocates %v objects, want 0", allocs)
 	}
 }
