@@ -346,9 +346,9 @@ func (c *client) watch(args []string) error {
 	return c.follow(args[0])
 }
 
-// follow streams the suite's SSE events until the terminal event, then
-// prints the final status line.
-func (c *client) follow(id string) error {
+// events reads the suite's SSE stream, handing each event to fn until fn
+// returns false or the stream ends.
+func (c *client) events(id string, fn func(service.Event) bool) error {
 	resp, err := c.do(http.MethodGet, "/api/v1/suites/"+id+"/events", "", nil)
 	if err != nil {
 		return err
@@ -360,33 +360,46 @@ func (c *client) follow(id string) error {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
 		var ev service.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+		if !ok || json.Unmarshal([]byte(data), &ev) != nil {
 			continue
 		}
+		if !fn(ev) {
+			return nil
+		}
+	}
+	return sc.Err()
+}
+
+// follow streams the suite's progress until the terminal event, then prints
+// the final status line.
+func (c *client) follow(id string) error {
+	ended := false
+	err := c.events(id, func(ev service.Event) bool {
 		switch ev.Type {
 		case "job":
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %s\n", ev.Done, ev.Total, ev.Job)
 		case "end":
-			var status service.SuiteStatus
-			if err := c.getJSON("/api/v1/suites/"+id, &status); err != nil {
-				return err
-			}
-			printStatus(status)
-			if status.State != service.StateDone {
-				return fmt.Errorf("suite %s ended %s: %s", id, status.State, status.Error)
-			}
-			return nil
+			ended = true
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return !ended
+	})
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("event stream for %s ended without a terminal event", id)
+	if !ended {
+		return fmt.Errorf("event stream for %s ended without a terminal event", id)
+	}
+	var status service.SuiteStatus
+	if err := c.getJSON("/api/v1/suites/"+id, &status); err != nil {
+		return err
+	}
+	printStatus(status)
+	if status.State != service.StateDone {
+		return fmt.Errorf("suite %s ended %s: %s", id, status.State, status.Error)
+	}
+	return nil
 }
 
 func (c *client) fetch(args []string) error {
@@ -474,23 +487,12 @@ func (c *client) fleet() error {
 	}
 	switch st.Mode {
 	case "coordinator":
-		alive := 0
-		for _, w := range st.Workers {
-			if w.Alive {
-				alive++
-			}
-		}
 		fmt.Printf("fleet mode=coordinator workers=%d alive=%d scattered=%d retried=%d local=%d remote_jobs=%d deduped_jobs=%d\n",
-			len(st.Workers), alive, st.BatchesScattered, st.BatchesRetried,
+			len(st.Workers), alive(st.Workers), st.BatchesScattered, st.BatchesRetried,
 			st.BatchesLocal, st.JobsRemote, st.JobsDeduped)
 		for _, w := range st.Workers {
-			line := fmt.Sprintf("worker %s alive=%v last_seen_ms=%d batches=%d jobs=%d failures=%d",
-				w.URL, w.Alive, w.LastSeenMS, w.Batches, w.Jobs, w.Failures)
-			if tp := w.Throughput; tp != nil {
-				line += fmt.Sprintf(" jobs_per_sec=%.2f p50_ms=%.1f p90_ms=%.1f p99_ms=%.1f",
-					tp.JobsPerSec, tp.BatchP50MS, tp.BatchP90MS, tp.BatchP99MS)
-			}
-			fmt.Println(line)
+			fmt.Printf("worker %s alive=%v last_seen_ms=%d batches=%d jobs=%d failures=%d%s\n",
+				w.URL, w.Alive, w.LastSeenMS, w.Batches, w.Jobs, w.Failures, throughput(w.Throughput))
 		}
 	case "worker":
 		w := st.Worker
@@ -503,6 +505,27 @@ func (c *client) fleet() error {
 		return fmt.Errorf("server reports no fleet role (mode %q); is it running -mode standalone?", st.Mode)
 	}
 	return nil
+}
+
+// alive counts the live workers of a coordinator's status.
+func alive(workers []fleet.WorkerStatus) int {
+	n := 0
+	for _, w := range workers {
+		if w.Alive {
+			n++
+		}
+	}
+	return n
+}
+
+// throughput is a worker line's ledger suffix, empty before the worker's
+// first batch.
+func throughput(tp *fleet.WorkerThroughput) string {
+	if tp == nil {
+		return ""
+	}
+	return fmt.Sprintf(" jobs_per_sec=%.2f p50_ms=%.1f p90_ms=%.1f p99_ms=%.1f",
+		tp.JobsPerSec, tp.BatchP50MS, tp.BatchP90MS, tp.BatchP99MS)
 }
 
 // runView is the per-suite state bfcctl top accumulates from each suite's SSE
@@ -571,21 +594,11 @@ func (c *client) top(args []string) error {
 		// /api/v1/fleet/status and that is not an error for top.
 		var st fleet.Status
 		if err := c.getJSON("/api/v1/fleet/status", &st); err == nil && st.Mode == "coordinator" {
-			alive := 0
-			for _, w := range st.Workers {
-				if w.Alive {
-					alive++
-				}
-			}
 			fmt.Printf("fleet workers=%d alive=%d scattered=%d local=%d\n",
-				len(st.Workers), alive, st.BatchesScattered, st.BatchesLocal)
+				len(st.Workers), alive(st.Workers), st.BatchesScattered, st.BatchesLocal)
 			for _, w := range st.Workers {
-				line := fmt.Sprintf("  worker %s alive=%v jobs=%d batches=%d", w.URL, w.Alive, w.Jobs, w.Batches)
-				if tp := w.Throughput; tp != nil {
-					line += fmt.Sprintf(" jobs_per_sec=%.2f p50_ms=%.1f p90_ms=%.1f p99_ms=%.1f",
-						tp.JobsPerSec, tp.BatchP50MS, tp.BatchP90MS, tp.BatchP99MS)
-				}
-				fmt.Println(line)
+				fmt.Printf("  worker %s alive=%v jobs=%d batches=%d%s\n",
+					w.URL, w.Alive, w.Jobs, w.Batches, throughput(w.Throughput))
 			}
 		}
 	}
@@ -596,32 +609,14 @@ func (c *client) top(args []string) error {
 // event that carries an execution profile. Errors are silently dropped: top is
 // an observer, and a suite whose stream fails simply shows no exec column.
 func (c *client) followExec(id string, mu *sync.Mutex, runs map[string]*runView) {
-	resp, err := c.do(http.MethodGet, "/api/v1/suites/"+id+"/events", "", nil)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
+	c.events(id, func(ev service.Event) bool {
+		if ev.Type == "job" && ev.Exec != nil {
+			mu.Lock()
+			runs[id] = &runView{job: ev.Job, exec: ev.Exec}
+			mu.Unlock()
 		}
-		var ev service.Event
-		if json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev) != nil {
-			continue
-		}
-		if ev.Type != "job" || ev.Exec == nil {
-			continue
-		}
-		mu.Lock()
-		runs[id] = &runView{job: ev.Job, exec: ev.Exec}
-		mu.Unlock()
-	}
+		return true
+	})
 }
 
 // printStatus renders one status line; the stable key=value form is what the

@@ -69,7 +69,6 @@ func main() {
 		workers   = flag.Int("parallel", 0, "simulation worker pool size, fleet fallback included (0 = all cores)")
 		maxSuites = flag.Int("max-suites", 4, "maximum concurrently running suites")
 		history   = flag.Int("history", 64, "retained terminal suites (older ones are forgotten; their artifacts stay in the store)")
-		traceRing = flag.Int("trace-ring", 0, "flight-recorder ring capacity per traced job (0 = default)")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		mode       = flag.String("mode", "standalone", "daemon role: standalone, coordinator or worker")
@@ -100,7 +99,6 @@ func main() {
 		Workers:         *workers,
 		MaxActiveSuites: *maxSuites,
 		MaxSuiteHistory: *history,
-		TraceRingSize:   *traceRing,
 		Registry:        registry,
 		Logger:          logger,
 	}

@@ -174,24 +174,29 @@ func TestMigratedFigureResumes(t *testing.T) {
 	}
 	fig, _ := FigureByKey("fig03")
 	jobs := fig.Jobs(Tiny(), nil)
-	render := func(r *harness.Runner) string {
+	// render runs the jobs and reports how many were taken from the store.
+	render := func(resume bool) (string, int) {
+		cached := 0
+		r := &harness.Runner{Store: store, Resume: resume, Progress: func(p harness.Progress) {
+			if p.Cached {
+				cached++
+			}
+		}}
 		recs, err := r.Run(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
 		fig.Render(&sb, recs)
-		return sb.String()
+		return sb.String(), cached
 	}
-	first := &harness.Runner{Store: store}
-	live := render(first)
-	if first.Executed != len(jobs) {
-		t.Fatalf("first run executed %d of %d jobs", first.Executed, len(jobs))
+	live, cached := render(false)
+	if cached != 0 {
+		t.Fatalf("first run took %d of %d jobs from an empty store", cached, len(jobs))
 	}
-	resumed := &harness.Runner{Store: store, Resume: true}
-	stored := render(resumed)
-	if resumed.Executed != 0 || resumed.Skipped != len(jobs) {
-		t.Fatalf("resume executed/skipped = %d/%d, want 0/%d", resumed.Executed, resumed.Skipped, len(jobs))
+	stored, cached := render(true)
+	if cached != len(jobs) {
+		t.Fatalf("resume took %d of %d jobs from the store", cached, len(jobs))
 	}
 	if live != stored {
 		t.Fatalf("figure rendered from stored records differs:\n%s\nvs\n%s", stored, live)
@@ -221,13 +226,18 @@ func TestFig09ExtractSurvivesResume(t *testing.T) {
 			t.Fatalf("row %+v has no intra-DC completions", r)
 		}
 	}
-	resumed := &harness.Runner{Store: store, Resume: true}
+	ran := 0
+	resumed := &harness.Runner{Store: store, Resume: true, Progress: func(p harness.Progress) {
+		if !p.Cached {
+			ran++
+		}
+	}}
 	recs2, err := resumed.Run(Fig09Jobs(Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Executed != 0 || resumed.Skipped != 2 {
-		t.Fatalf("resume executed/skipped = %d/%d, want 0/2", resumed.Executed, resumed.Skipped)
+	if ran != 0 || len(recs2) != 2 {
+		t.Fatalf("resume executed %d of %d jobs, want 0 of 2", ran, len(recs2))
 	}
 	rows2 := Fig09FromRecords(recs2)
 	for i := range rows {

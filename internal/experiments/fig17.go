@@ -75,12 +75,8 @@ func Fig17Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
 				o.Recorder = telemetry.NewRing(fig17RingCapacity)
 			}},
 			Extract: func(_ *topology.Topology, opts *sim.Options, _ []*packet.Flow, _ *sim.Result) map[string]float64 {
-				ring, ok := opts.Recorder.(*telemetry.Ring)
-				if !ok {
-					panic("experiments: fig17 needs a *telemetry.Ring recorder")
-				}
 				var pauses, assigns, drops float64
-				for _, ev := range ring.Events() {
+				for _, ev := range opts.Recorder.Events() {
 					switch ev.Kind {
 					case telemetry.KindPFCPause, telemetry.KindBFCPause:
 						pauses++
@@ -91,7 +87,7 @@ func Fig17Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
 					}
 				}
 				return map[string]float64{
-					"events_seen":   float64(ring.Seen()),
+					"events_seen":   float64(opts.Recorder.Seen()),
 					"pause_events":  pauses,
 					"queue_assigns": assigns,
 					"drops":         drops,

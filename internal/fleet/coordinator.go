@@ -123,7 +123,7 @@ func (w *workerRef) status() WorkerStatus {
 // Coordinator scatters compiled suites across registered workers and merges
 // the records back in deterministic job order. It implements
 // service.Dispatcher, and executes nothing itself: a batch no worker can take
-// goes to the pool its caller passed to Dispatch.
+// goes to the harness.Pool its caller passed to Dispatch.
 type Coordinator struct {
 	cfg     Config
 	metrics *coordMetrics
@@ -411,7 +411,7 @@ type batchDone struct {
 // whose workers deliver to the same sink themselves. Records reach the sink
 // exactly once per job; the service assembles them in job order, so the
 // merged suite stream is byte-identical to a serial local run.
-func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, pending []int, sink service.Sink, local service.Dispatcher) error {
+func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, pending []int, sink harness.Sink, local *harness.Pool) error {
 	remaining := c.dedup(ctx, cs, pending, sink)
 	if len(remaining) == 0 {
 		return ctx.Err()
@@ -492,7 +492,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, p
 // its store already holds, then satisfy those jobs by fetching the records —
 // zero simulation anywhere in the fleet. Any failure just leaves the job for
 // execution.
-func (c *Coordinator) dedup(ctx context.Context, cs *service.CompiledSuite, pending []int, sink service.Sink) []int {
+func (c *Coordinator) dedup(ctx context.Context, cs *service.CompiledSuite, pending []int, sink harness.Sink) []int {
 	workers := c.liveWorkers()
 	if len(workers) == 0 {
 		return pending
@@ -530,7 +530,7 @@ func (c *Coordinator) dedup(ctx context.Context, cs *service.CompiledSuite, pend
 		rec, err := w.client.Record(cctx, hashes[i])
 		cancel()
 		if err != nil || rec.Hash != hashes[i] ||
-			sink(idx, rec, service.Origin{Cached: true, Where: w.url}) != nil {
+			sink(idx, rec, harness.Origin{Cached: true, Where: w.url}) != nil {
 			remaining = append(remaining, idx)
 			continue
 		}
@@ -585,12 +585,12 @@ func (c *Coordinator) launchRemote(ctx context.Context, cs *service.CompiledSuit
 // launchLocal gives one batch to the submitting daemon's pool — the degraded
 // mode that keeps a suite finishing when the fleet cannot. The pool's workers
 // run the jobs and deliver to sink; the goroutine here only waits for them.
-func (c *Coordinator) launchLocal(ctx context.Context, cs *service.CompiledSuite, b *batchState, sink service.Sink, local service.Dispatcher, results chan<- *batchDone, why string) {
+func (c *Coordinator) launchLocal(ctx context.Context, cs *service.CompiledSuite, b *batchState, sink harness.Sink, local *harness.Pool, results chan<- *batchDone, why string) {
 	c.metrics.local.Inc()
 	c.log("fleet batch running locally", "batch", b.id, "jobs", len(b.idxs), "reason", why)
 	go func() {
 		start := time.Now()
-		err := local.Dispatch(ctx, cs, b.idxs, sink, nil)
+		err := local.Dispatch(ctx, cs.Jobs, b.idxs, sink)
 		results <- &batchDone{b: b, err: err, took: time.Since(start)}
 	}()
 }
@@ -599,7 +599,7 @@ func (c *Coordinator) launchLocal(ctx context.Context, cs *service.CompiledSuite
 // records on success (a local batch's were delivered by the pool), schedule a
 // retry / local fallback on transient failure, abort the suite on
 // deterministic failure.
-func (c *Coordinator) handleResult(ctx context.Context, cs *service.CompiledSuite, d *batchDone, sink service.Sink, local service.Dispatcher, results chan<- *batchDone) (finished bool, err error) {
+func (c *Coordinator) handleResult(ctx context.Context, cs *service.CompiledSuite, d *batchDone, sink harness.Sink, local *harness.Pool, results chan<- *batchDone) (finished bool, err error) {
 	b := d.b
 	if d.w != nil {
 		d.w.mu.Lock()
@@ -609,7 +609,7 @@ func (c *Coordinator) handleResult(ctx context.Context, cs *service.CompiledSuit
 	if d.err == nil {
 		if d.w != nil {
 			for i, idx := range b.idxs {
-				origin := service.Origin{Cached: d.cached[b.hashes[i]], Where: d.w.url}
+				origin := harness.Origin{Cached: d.cached[b.hashes[i]], Where: d.w.url}
 				if err := sink(idx, d.recs[i], origin); err != nil {
 					return false, err
 				}

@@ -19,7 +19,7 @@
 // manifest) and satisfies those jobs, fetched as stored bytes, with zero runs.
 //
 // Robustness is part of the subsystem, not a bolt-on: workers register
-// statically (-workers) or dynamically (POST /api/v1/fleet/register, kept
+// statically (-fleet-workers) or dynamically (POST /api/v1/fleet/register, kept
 // fresh by Announce), the coordinator heartbeats them and stops scattering to
 // dead ones, every batch RPC has a timeout and retries with capped
 // exponential backoff (jitter derived deterministically from the batch ID),
@@ -31,10 +31,10 @@
 // and per-batch structured logs recording every scatter, retry, re-scatter
 // and fallback.
 //
-// Nothing in this package runs a job itself: jobs execute on a service.Pool —
+// Nothing in this package runs a job itself: jobs execute on a harness.Pool —
 // the worker-side Executor owns one, the Coordinator is handed the submitting
 // service's with every Dispatch call — and reach a store through a
-// service.Sink: the service's completeJob on a coordinator, Store.Put plus the
+// harness.Sink: the service's completeJob on a coordinator, Store.Put plus the
 // response slot on a worker.
 package fleet
 

@@ -25,10 +25,9 @@ type ExecuteRequest struct {
 // request order.
 type ExecuteResponse struct {
 	Records []*harness.Record `json:"records"`
-	// Cached counts the records this worker served from its own store
-	// without executing; CachedHashes names them, so the coordinator can
-	// account store hits as fleet-dedup rather than remote execution.
-	Cached       int      `json:"cached"`
+	// CachedHashes names the records this worker served from its own store
+	// without executing, so the coordinator can account store hits as
+	// fleet-dedup rather than remote execution.
 	CachedHashes []string `json:"cached_hashes,omitempty"`
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bfc/internal/harness"
-	"bfc/internal/service"
 	"bfc/internal/telemetry"
 )
 
@@ -37,7 +36,7 @@ type Executor struct {
 	cfg     ExecutorConfig
 	metrics *workerMetrics
 	// pool executes the jobs of every in-flight batch, Parallel at a time.
-	pool *service.Pool
+	pool *harness.Pool
 }
 
 // NewExecutor builds a worker execution plane.
@@ -47,7 +46,7 @@ func NewExecutor(cfg ExecutorConfig) (*Executor, error) {
 	}
 	m := newWorkerMetrics(cfg.Registry)
 	// The executor has a busy gauge but shows no queue length.
-	pool := service.NewPool(cfg.Parallel, m.busy, new(telemetry.Gauge))
+	pool := harness.NewPool(cfg.Parallel, m.busy, new(telemetry.Gauge))
 	return &Executor{cfg: cfg, metrics: m, pool: pool}, nil
 }
 
@@ -170,7 +169,7 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 	}
 	start := time.Now()
 	// The batch in request order, so a job's index is its response slot.
-	batch := &service.CompiledSuite{Jobs: make([]harness.Job, len(req.Hashes))}
+	batch := make([]harness.Job, len(req.Hashes))
 	resp := &ExecuteResponse{Records: make([]*harness.Record, len(req.Hashes))}
 	var pending []int
 	for i, h := range req.Hashes {
@@ -178,7 +177,7 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 		if !ok {
 			return nil, fmt.Errorf("%w: suite %q compiled no job with hash %s", ErrDrift, cs.Title, h)
 		}
-		batch.Jobs[i] = *j
+		batch[i] = *j
 		// Store hit: an earlier batch (or a local batch run) already computed
 		// this job; serve the artifact instead of re-simulating.
 		if rec, ok, err := e.cfg.Store.Get(h); err == nil && ok {
@@ -188,11 +187,10 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 			pending = append(pending, i)
 		}
 	}
-	resp.Cached = len(resp.CachedHashes)
-	e.metrics.jobsCached.Add(uint64(resp.Cached))
+	e.metrics.jobsCached.Add(uint64(len(resp.CachedHashes)))
 	// The worker's sink: persist, fill the slot, count. Pool workers call it
 	// concurrently, each for a slot of its own.
-	sink := func(i int, rec *harness.Record, _ service.Origin) error {
+	sink := func(i int, rec *harness.Record, _ harness.Origin) error {
 		if err := e.cfg.Store.Put(rec); err != nil {
 			return err
 		}
@@ -200,7 +198,7 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 		e.metrics.jobsExecuted.Inc()
 		return nil
 	}
-	if err := e.pool.Dispatch(ctx, batch, pending, sink, nil); err != nil {
+	if err := e.pool.Dispatch(ctx, batch, pending, sink); err != nil {
 		// A batch the coordinator gave up on is not a failed job: 422 would
 		// make the coordinator fail its suite.
 		if ctx.Err() != nil {
@@ -210,7 +208,7 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 	}
 	e.metrics.batches.Inc()
 	e.log("fleet batch executed", "batch", req.Batch, "jobs", len(req.Hashes),
-		"cached", resp.Cached, "elapsed", time.Since(start).Round(time.Millisecond).String())
+		"cached", len(resp.CachedHashes), "elapsed", time.Since(start).Round(time.Millisecond).String())
 	return resp, nil
 }
 

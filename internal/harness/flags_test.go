@@ -82,12 +82,12 @@ func TestRunFlagsAreHashNeutralAndExport(t *testing.T) {
 	dir2 := filepath.Join(dir, "resumed")
 	rf = parse("-trace-dir", dir2)
 	stderr.Reset()
-	runner := &Runner{Store: st, Resume: true}
-	if _, err := rf.Run(runner, perScheme(), 1<<12, &stderr); err != nil {
+	var c tally
+	if _, err := rf.Run(&Runner{Store: st, Resume: true, Progress: c.progress}, perScheme(), 1<<12, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if runner.Executed != 0 || strings.Count(stderr.String(), "not re-simulated") != 2 {
-		t.Errorf("resumed run executed %d jobs; stderr:\n%s", runner.Executed, stderr.String())
+	if c.ran != 0 || strings.Count(stderr.String(), "not re-simulated") != 2 {
+		t.Errorf("resumed run executed %d jobs; stderr:\n%s", c.ran, stderr.String())
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir2, "*")); len(files) != 0 {
 		t.Errorf("resumed run exported %v", files)

@@ -114,8 +114,8 @@ type Record struct {
 }
 
 // Execute runs the job to completion in the calling goroutine and builds its
-// record. It is the single-job execution primitive under Runner.Run, the
-// service tier's worker pool and the fleet's executors; it consults no store.
+// record. Pool is its one caller — under Runner.Run, the service tier and the
+// fleet's executors alike — and it consults no store.
 // Workload and experiment builders panic on misconfiguration, and a server
 // compiles jobs from untrusted specs, so Execute is also the one panic fence:
 // a panic anywhere in the job's builders or its run comes back as the job's

@@ -47,6 +47,18 @@ func testJobs(t *testing.T) []Job {
 	return grid.Jobs()
 }
 
+// tally counts a run's progress reports: jobs executed and jobs taken from
+// the store.
+type tally struct{ ran, cached int }
+
+func (c *tally) progress(p Progress) {
+	if p.Cached {
+		c.cached++
+	} else {
+		c.ran++
+	}
+}
+
 func marshalRecords(t *testing.T, recs []*Record) []byte {
 	t.Helper()
 	b, err := json.Marshal(recs)
@@ -107,13 +119,13 @@ func TestDeriveSeed(t *testing.T) {
 func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
-		r := &Runner{Parallel: workers}
-		recs, err := r.Run(testJobs(t))
+		var c tally
+		recs, err := (&Runner{Parallel: workers, Progress: c.progress}).Run(testJobs(t))
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", workers, err)
 		}
-		if r.Executed != 4 {
-			t.Fatalf("parallel=%d executed %d jobs, want 4", workers, r.Executed)
+		if c.ran != 4 {
+			t.Fatalf("parallel=%d executed %d jobs, want 4", workers, c.ran)
 		}
 		got := marshalRecords(t, recs)
 		if want == nil {
@@ -131,22 +143,22 @@ func TestRunnerResumeSkipsCompletedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := &Runner{Parallel: 4, Store: store}
-	firstRecs, err := first.Run(testJobs(t))
+	var first tally
+	firstRecs, err := (&Runner{Parallel: 4, Store: store, Progress: first.progress}).Run(testJobs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Executed != 4 || first.Skipped != 0 {
-		t.Fatalf("first run executed/skipped = %d/%d, want 4/0", first.Executed, first.Skipped)
+	if first != (tally{ran: 4}) {
+		t.Fatalf("first run executed/skipped = %d/%d, want 4/0", first.ran, first.cached)
 	}
 
-	second := &Runner{Parallel: 4, Store: store, Resume: true}
-	secondRecs, err := second.Run(testJobs(t))
+	var second tally
+	secondRecs, err := (&Runner{Parallel: 4, Store: store, Resume: true, Progress: second.progress}).Run(testJobs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Executed != 0 || second.Skipped != 4 {
-		t.Fatalf("resumed run executed/skipped = %d/%d, want 0/4", second.Executed, second.Skipped)
+	if second != (tally{cached: 4}) {
+		t.Fatalf("resumed run executed/skipped = %d/%d, want 0/4", second.ran, second.cached)
 	}
 	if string(marshalRecords(t, secondRecs)) != string(marshalRecords(t, firstRecs)) {
 		t.Fatal("resumed records differ from the original run")
@@ -157,12 +169,12 @@ func TestRunnerResumeSkipsCompletedJobs(t *testing.T) {
 	extra := jobs[0]
 	extra.Name = "test/extra"
 	jobs = append(jobs, extra)
-	third := &Runner{Parallel: 4, Store: store, Resume: true}
-	if _, err := third.Run(jobs); err != nil {
+	var third tally
+	if _, err := (&Runner{Parallel: 4, Store: store, Resume: true, Progress: third.progress}).Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if third.Executed != 1 || third.Skipped != 4 {
-		t.Fatalf("partial resume executed/skipped = %d/%d, want 1/4", third.Executed, third.Skipped)
+	if third != (tally{ran: 1, cached: 4}) {
+		t.Fatalf("partial resume executed/skipped = %d/%d, want 1/4", third.ran, third.cached)
 	}
 }
 

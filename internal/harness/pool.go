@@ -1,19 +1,20 @@
-package service
+package harness
 
 import (
 	"context"
 	"sync"
+	"time"
 
-	"bfc/internal/harness"
 	"bfc/internal/telemetry"
 )
 
-// Pool is the one place in the service and fleet tiers where a job executes:
-// a FIFO of jobs and at most size goroutines working through it. It is the
-// Dispatcher a Service uses for every suite it does not hand to a fleet, the
-// executor a fleet Coordinator gives a batch back to when no worker can take
-// it, and the engine under a fleet worker's Executor — so whichever way a job
-// arrives it is bounded by the same number and counted by the same gauges.
+// Pool is the one place in the tree where a job executes: a FIFO of jobs and
+// at most size goroutines working through it. Runner.Run executes on a pool
+// of its own; a service executes every suite it does not hand to a fleet on
+// one, a fleet coordinator gives a batch back to that pool when no worker can
+// take it, and a fleet worker's Executor owns one — so whichever way a job
+// arrives it is bounded by a pool's size, counted by its gauges and timed in
+// the same place.
 //
 // Workers are started as work arrives and exit when the queue is empty: an
 // idle pool holds no goroutine and needs no Close. Wait blocks until the
@@ -28,13 +29,33 @@ type Pool struct {
 	wg      sync.WaitGroup // the same goroutines, for Wait
 }
 
+// Sink receives one executed or fetched record and owns it from then on: it
+// persists the record, counts it, and folds it into whatever waits for it. It
+// must be safe for concurrent use — pool workers (and a fleet coordinator's
+// Dispatch goroutine) deliver through the same function — and must persist
+// before it looks at what waits: a record whose suite has ended is still
+// kept. An error fails the dispatch that delivered the record.
+type Sink func(idx int, rec *Record, origin Origin) error
+
+// Origin says where a delivered record came from.
+type Origin struct {
+	// Cached marks a record satisfied from a store with no execution anywhere.
+	Cached bool
+	// Where names the executor or store: "local" for this process's pool, a
+	// fleet worker's base URL otherwise.
+	Where string
+	// Elapsed is the wall time of Job.Execute alone (zero for a record that
+	// was not executed here). It is reported, never persisted.
+	Elapsed time.Duration
+}
+
 // work is one queued job of a dispatch. ctx ends with the dispatch and fail
 // ends it with a cause; done is buffered to the dispatch's job count, so a
 // worker's send never blocks, even after that Dispatch has returned.
 type work struct {
 	ctx  context.Context
 	fail context.CancelCauseFunc
-	job  *harness.Job
+	job  *Job
 	idx  int
 	sink Sink
 	done chan<- struct{}
@@ -47,21 +68,21 @@ func NewPool(size int, busy, queued *telemetry.Gauge) *Pool {
 	return &Pool{size: max(size, 1), busy: busy, queued: queued}
 }
 
-// Dispatch implements Dispatcher: it queues the pending jobs behind whatever
-// other dispatches queued before, and returns when each has been delivered to
-// sink, with the first execution or sink error, or when ctx ends. From the
-// first error on, and once it has returned, none of its jobs starts any more —
-// a worker that pops one skips it — but a job already executing runs to its
-// end and its record still reaches sink: finished work is never thrown away.
-// local is ignored: the pool is where local work runs.
-func (p *Pool) Dispatch(ctx context.Context, cs *CompiledSuite, pending []int, sink Sink, _ Dispatcher) error {
+// Dispatch queues the pending jobs (indexes into jobs) behind whatever other
+// dispatches queued before, and returns when each has been delivered to sink,
+// with the first execution or sink error, or when ctx ends. From the first
+// error on, and once it has returned, none of its jobs starts any more — a
+// worker that pops one skips it — but a job already executing runs to its end
+// and its record still reaches sink: finished work is never thrown away. Wait
+// is the wait for those.
+func (p *Pool) Dispatch(ctx context.Context, jobs []Job, pending []int, sink Sink) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	done := make(chan struct{}, len(pending))
 	p.mu.Lock()
 	for _, idx := range pending {
 		p.queue = append(p.queue, work{
-			ctx: ctx, fail: cancel, job: &cs.Jobs[idx], idx: idx, sink: sink, done: done,
+			ctx: ctx, fail: cancel, job: &jobs[idx], idx: idx, sink: sink, done: done,
 		})
 	}
 	p.queued.Set(int64(len(p.queue)))
@@ -107,10 +128,12 @@ func (p *Pool) worker() {
 			continue // its dispatch has failed or returned; nobody waits for this job
 		}
 		p.busy.Inc()
+		start := time.Now()
 		rec, err := w.job.Execute()
+		elapsed := time.Since(start)
 		p.busy.Dec()
 		if err == nil {
-			err = w.sink(w.idx, rec, Origin{Where: "local"})
+			err = w.sink(w.idx, rec, Origin{Where: "local", Elapsed: elapsed})
 		}
 		if err != nil {
 			w.fail(err)

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
+	"bfc/internal/telemetry"
 	"bfc/internal/telemetry/execstats"
 )
 
@@ -18,16 +20,13 @@ type Progress struct {
 	// Cached is true when the job was skipped because its artifact already
 	// existed (resume).
 	Cached bool
-	// Elapsed is the wall-clock execution time (zero for cached jobs). It is
-	// reported but never persisted, keeping artifacts byte-stable.
+	// Elapsed is the wall time of the job's Execute (zero for cached jobs):
+	// Origin.Elapsed, taken by the pool. It is reported but never persisted,
+	// keeping artifacts byte-stable.
 	Elapsed time.Duration
-	// Exec is the job's wall-clock execution profile when the run enabled
-	// Options.ExecStats (nil for cached jobs and disabled runs). Like
-	// Elapsed, it is reported but never persisted.
-	Exec *execstats.RunStats
 }
 
-// Runner executes a list of jobs over a bounded worker pool.
+// Runner executes a list of jobs on a bounded Pool.
 type Runner struct {
 	// Parallel bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Parallel int
@@ -39,10 +38,6 @@ type Runner struct {
 	// Progress, when non-nil, is invoked (serialized) after each job.
 	Progress func(Progress)
 
-	// Executed and Skipped count, after Run returns, the jobs that were
-	// actually simulated vs satisfied from the store.
-	Executed, Skipped int
-
 	// Exec aggregates, after Run returns, the execution profiles of the jobs
 	// this runner actually simulated with Options.ExecStats on. Zero-valued
 	// when no executed job carried a profile.
@@ -51,124 +46,67 @@ type Runner struct {
 
 // Run executes the jobs and returns their records in job order (independent
 // of worker count and completion order, so downstream row assembly is
-// deterministic). The first failure aborts dispatch of not-yet-started jobs
-// and is returned after in-flight jobs finish.
+// deterministic). With Resume, stored artifacts are taken first, one lookup
+// per job hash; the rest run on a pool of Parallel workers. The first failure
+// aborts dispatch of not-yet-started jobs and is returned after in-flight
+// jobs finish — their records are still stored and reported.
 func (r *Runner) Run(jobs []Job) ([]*Record, error) {
-	r.Executed, r.Skipped = 0, 0
 	r.Exec = execstats.Summary{}
 	if err := ValidateSuite(jobs); err != nil {
 		return nil, err
 	}
-	workers := r.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-
 	var (
-		mu       sync.Mutex
-		firstErr error
-		done     int
-		next     int
-		records  = make([]*Record, len(jobs))
-		wg       sync.WaitGroup
+		mu      sync.Mutex
+		done    int
+		records = make([]*Record, len(jobs))
+		pending []int
 	)
-
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || next >= len(jobs) {
-			return -1
-		}
-		i := next
-		next++
-		return i
-	}
-	finish := func(i int, rec *Record, elapsed time.Duration, wasCached bool, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
+	report := func(i int, rec *Record, origin Origin) {
 		records[i] = rec
-		var exec *execstats.RunStats
-		if !wasCached && rec.Result != nil {
-			exec = rec.Result.Exec
-		}
-		r.Exec.Add(exec)
-		if wasCached {
-			r.Skipped++
-		} else {
-			r.Executed++
-		}
 		done++
 		if r.Progress != nil {
 			r.Progress(Progress{
 				Done: done, Total: len(jobs),
-				Job: jobs[i].Name, Cached: wasCached, Elapsed: elapsed, Exec: exec,
+				Job: jobs[i].Name, Cached: origin.Cached, Elapsed: origin.Elapsed,
 			})
 		}
 	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				rec, elapsed, wasCached, err := r.runOne(&jobs[i])
-				finish(i, rec, elapsed, wasCached, err)
-				if err != nil {
-					return
-				}
+	for i := range jobs {
+		if r.Resume && r.Store != nil {
+			rec, ok, err := r.Store.Get(jobs[i].Hash())
+			if err != nil {
+				return nil, err
 			}
-		}()
+			if ok {
+				report(i, rec, Origin{Cached: true})
+				continue
+			}
+		}
+		pending = append(pending, i)
 	}
-	wg.Wait()
 
-	if firstErr != nil {
-		return nil, firstErr
+	workers := r.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	pool := NewPool(workers, new(telemetry.Gauge), new(telemetry.Gauge))
+	err := pool.Dispatch(context.TODO(), jobs, pending, func(i int, rec *Record, origin Origin) error {
+		if r.Store != nil {
+			if err := r.Store.Put(rec); err != nil {
+				return err
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		r.Exec.Add(rec.Result.Exec)
+		report(i, rec, origin)
+		return nil
+	})
+	pool.Wait()
+	if err != nil {
+		return nil, err
 	}
 	return records, nil
-}
-
-// runOne satisfies a single job from its stored artifact (resume) or by
-// executing it. Artifacts are looked up per job hash, so resuming a small
-// figure against a large store never reads unrelated records.
-func (r *Runner) runOne(j *Job) (rec *Record, elapsed time.Duration, wasCached bool, err error) {
-	hash := j.Hash()
-	if r.Resume && r.Store != nil {
-		c, ok, err := r.Store.Get(hash)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if ok {
-			return c, 0, true, nil
-		}
-	}
-	start := time.Now()
-	rec, err = j.Execute()
-	if err != nil {
-		return nil, 0, false, err
-	}
-	elapsed = time.Since(start)
-	if r.Store != nil {
-		if err := r.Store.Put(rec); err != nil {
-			return nil, 0, false, err
-		}
-	}
-	return rec, elapsed, false, nil
 }
 
 // ValidateSuite checks specs and rejects duplicate job names and duplicate

@@ -2,12 +2,12 @@
 // accepts JSON-declared suites (a figure grid or a scenario, see SuiteSpec),
 // compiles them to harness jobs through the experiments registry, satisfies
 // every already-computed job from a content-addressed result store, and hands
-// the rest to a Dispatcher — its own bounded worker pool (Pool), or a fleet —
-// with per-suite progress events. There is one road from a pending job to a
-// stored record, whatever computed it: SubmitCompiled picks the dispatcher,
-// one runSuite goroutine per uncached suite calls Dispatch, and every record
-// comes back through one sink, completeJob (see Dispatcher, Sink and Pool for
-// who bounds, who persists and who counts).
+// the rest to its own bounded harness.Pool or to a fleet Dispatcher, with
+// per-suite progress events. There is one road from a pending job to a stored
+// record, whatever computed it: SubmitCompiled picks pool or fleet, one
+// runSuite goroutine per uncached suite calls Dispatch, and every record
+// comes back through one harness.Sink, completeJob (see Dispatcher and
+// harness.Pool for who bounds, who persists and who counts).
 //
 // Caching is content-addressed end to end: a job's artifact is keyed by the
 // hash of its wire-form spec (harness.JobSpec), the store is the same JSONL
@@ -49,17 +49,11 @@ type Config struct {
 	// uncached work; submissions beyond it fail with ErrBusy. Fully-cached
 	// submissions never count against it. <= 0 means 4.
 	MaxActiveSuites int
-	// MaxSuiteJobs bounds a single suite's job count. <= 0 means 4096.
-	MaxSuiteJobs int
 	// MaxSuiteHistory bounds retained terminal suites: once exceeded, the
 	// oldest done/failed/cancelled suites are forgotten (their records stay
 	// in the store; only the per-suite bookkeeping is released). Running
 	// suites are never evicted. <= 0 means 64.
 	MaxSuiteHistory int
-	// TraceRingSize bounds each traced job's flight-recorder ring (events
-	// retained per job for Trace-enabled suites). <= 0 means
-	// telemetry.DefaultRingCapacity.
-	TraceRingSize int
 	// Logger, when non-nil, receives structured request/lifecycle logs from
 	// the service and its HTTP handler.
 	Logger *slog.Logger
@@ -75,40 +69,25 @@ type Config struct {
 	Fleet Dispatcher
 }
 
-// Dispatcher gets a suite's uncached jobs computed: the Service's own Pool
-// executes them, internal/fleet's Coordinator scatters them across registered
-// workers and re-scatters on worker loss.
+// Dispatcher gets a suite's uncached jobs computed somewhere else than the
+// Service's own pool: internal/fleet's Coordinator scatters them across
+// registered workers and re-scatters on worker loss.
 type Dispatcher interface {
 	// Dispatch gets the pending jobs (indexes into cs.Jobs) computed and
 	// delivers each record to sink exactly once, in any order, from any
 	// goroutine. It returns nil once every pending job was delivered, or the
 	// first error — a failed job, a failed sink, or ctx's when ctx ended.
 	// After it returns none of its jobs starts any more, though one already
-	// executing still delivers its record. local is the caller's own Pool:
+	// executing still delivers its record. local is the caller's own pool:
 	// what a dispatcher cannot place elsewhere it runs there, so that work
 	// stays bounded by the pool's size and counted by its gauges. A
 	// dispatcher persists nothing and counts no job — the sink does both.
-	Dispatch(ctx context.Context, cs *CompiledSuite, pending []int, sink Sink, local Dispatcher) error
+	Dispatch(ctx context.Context, cs *CompiledSuite, pending []int, sink harness.Sink, local *harness.Pool) error
 }
 
-// Sink receives one completed record from a Dispatcher and owns it from then
-// on: it persists the record, counts it, and folds it into whatever waits for
-// it (Service.completeJob; a fleet worker's is Store.Put plus a response
-// slot). It must be safe for concurrent use — pool workers and a
-// coordinator's Dispatch goroutine deliver through the same function — and
-// must persist before it looks at what waits: a record whose suite has ended
-// is still kept. An error fails the dispatch that delivered the record.
-type Sink func(idx int, rec *harness.Record, origin Origin) error
-
-// Origin says where a delivered record came from.
-type Origin struct {
-	// Cached marks a record satisfied from another store — a fleet-manifest
-	// dedup hit or a worker's own store — with no execution anywhere.
-	Cached bool
-	// Where names the executor or store: "local" for this process's pool, a
-	// worker's base URL otherwise.
-	Where string
-}
+// maxSuiteJobs bounds a single suite's job count: a submission is untrusted
+// input, and every job costs a store lookup before anything is admitted.
+const maxSuiteJobs = 4096
 
 // SuiteState is a suite's lifecycle state.
 type SuiteState string
@@ -145,7 +124,7 @@ var ErrStorage = fmt.Errorf("service: storage failure")
 type Service struct {
 	cfg     Config
 	metrics *serviceMetrics
-	pool    *Pool
+	pool    *harness.Pool
 
 	mu     sync.Mutex
 	suites map[string]*suite
@@ -288,14 +267,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxActiveSuites <= 0 {
 		cfg.MaxActiveSuites = 4
 	}
-	if cfg.MaxSuiteJobs <= 0 {
-		cfg.MaxSuiteJobs = 4096
-	}
 	if cfg.MaxSuiteHistory <= 0 {
 		cfg.MaxSuiteHistory = 64
-	}
-	if cfg.TraceRingSize <= 0 {
-		cfg.TraceRingSize = telemetry.DefaultRingCapacity
 	}
 	s := &Service{
 		cfg:     cfg,
@@ -303,7 +276,7 @@ func New(cfg Config) (*Service, error) {
 		metrics: newServiceMetrics(cfg.Registry),
 	}
 	s.metrics.workers.Set(int64(cfg.Workers))
-	s.pool = NewPool(cfg.Workers, s.metrics.workersBusy, s.metrics.queuedJobs)
+	s.pool = harness.NewPool(cfg.Workers, s.metrics.workersBusy, s.metrics.queuedJobs)
 	return s, nil
 }
 
@@ -347,9 +320,9 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		s.metrics.suitesRejected.Inc()
 		return SuiteStatus{}, fmt.Errorf("service: suite compiled to no jobs")
 	}
-	if len(cs.Jobs) > s.cfg.MaxSuiteJobs {
+	if len(cs.Jobs) > maxSuiteJobs {
 		s.metrics.suitesRejected.Inc()
-		return SuiteStatus{}, fmt.Errorf("service: suite has %d jobs, limit %d", len(cs.Jobs), s.cfg.MaxSuiteJobs)
+		return SuiteStatus{}, fmt.Errorf("service: suite has %d jobs, limit %d", len(cs.Jobs), maxSuiteJobs)
 	}
 
 	st := &suite{
@@ -396,7 +369,7 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 	if cs.Trace && !allCached {
 		st.traces = make(map[int]*telemetry.Ring, len(pending))
 		for _, i := range pending {
-			ring := telemetry.NewRing(s.cfg.TraceRingSize)
+			ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
 			st.traces[i] = ring
 			st.jobs[i].Options = append(st.jobs[i].Options, func(o *sim.Options) {
 				o.Recorder = ring
@@ -437,14 +410,10 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 	} else {
 		s.active++
 		s.metrics.activeSuites.Inc()
-		d := Dispatcher(s.pool)
-		if fleet {
-			d = s.cfg.Fleet
-		}
 		ctx, cancel := context.WithCancel(context.Background())
 		st.cancel = cancel
 		s.wg.Add(1)
-		go s.runSuite(ctx, st, cs, d, pending)
+		go s.runSuite(ctx, st, cs, fleet, pending)
 	}
 	s.mu.Unlock()
 	s.log("suite submitted", "suite", st.id, "figure", st.figure, "scale", st.scale,
@@ -457,15 +426,21 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 func enableExecStats(o *sim.Options) { o.ExecStats = true }
 
 // runSuite is a running suite's one goroutine: it hands the uncached jobs to
-// the suite's dispatcher and fails the suite on the dispatcher's error. A
-// suite becomes done in completeJob, as its last record arrives; what Dispatch
-// returns once the suite is terminal, finishSuite ignores.
-func (s *Service) runSuite(ctx context.Context, st *suite, cs *CompiledSuite, d Dispatcher, pending []int) {
+// the fleet or the service's pool, and fails the suite on the dispatch's
+// error. A suite becomes done in completeJob, as its last record arrives;
+// what Dispatch returns once the suite is terminal, finishSuite ignores.
+func (s *Service) runSuite(ctx context.Context, st *suite, cs *CompiledSuite, fleet bool, pending []int) {
 	defer s.wg.Done()
-	sink := func(idx int, rec *harness.Record, origin Origin) error {
+	sink := func(idx int, rec *harness.Record, origin harness.Origin) error {
 		return s.completeJob(st, idx, rec, origin)
 	}
-	if err := d.Dispatch(ctx, cs, pending, sink, s.pool); err != nil {
+	var err error
+	if fleet {
+		err = s.cfg.Fleet.Dispatch(ctx, cs, pending, sink, s.pool)
+	} else {
+		err = s.pool.Dispatch(ctx, cs.Jobs, pending, sink)
+	}
+	if err != nil {
 		s.finishSuite(st, StateFailed, err.Error())
 	}
 }
@@ -475,7 +450,7 @@ func (s *Service) runSuite(ctx context.Context, st *suite, cs *CompiledSuite, d 
 // concurrently. The record is persisted and counted unconditionally (work
 // computed anywhere must never be lost, even for a suite that ended
 // meanwhile), then its job is marked finished if the suite is still running.
-func (s *Service) completeJob(st *suite, idx int, rec *harness.Record, origin Origin) error {
+func (s *Service) completeJob(st *suite, idx int, rec *harness.Record, origin harness.Origin) error {
 	if err := s.cfg.Store.Put(rec); err != nil {
 		return err
 	}

@@ -285,6 +285,24 @@ func TestMaxActiveSuitesLimit(t *testing.T) {
 	}
 }
 
+// TestSuiteJobLimit: a suite one job over the limit is refused, the limit
+// named in the error, before the store is read for any of its jobs — job 0's
+// artifact is damaged, and reading it would fail the submission as storage.
+func TestSuiteJobLimit(t *testing.T) {
+	svc := newTestService(t, t.TempDir(), nil)
+	jobs := blockingSuite(maxSuiteJobs+1, nil, nil).Jobs
+	if err := os.WriteFile(filepath.Join(svc.Store().Dir(), jobs[0].Hash()+".jsonl"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := svc.SubmitCompiled(&CompiledSuite{Title: "huge", Jobs: jobs})
+	if err == nil || errors.Is(err, ErrStorage) || !strings.Contains(err.Error(), "4097 jobs, limit 4096") {
+		t.Fatalf("4097-job suite: got %v, want the job limit", err)
+	}
+	if n := svc.Stats().Suites; n != 0 {
+		t.Fatalf("a refused suite was registered (%d suites)", n)
+	}
+}
+
 func TestSubscribeStreamsProgressAndEnd(t *testing.T) {
 	svc := newTestService(t, t.TempDir(), nil)
 	status, err := svc.Submit(tinySpec())

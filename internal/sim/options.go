@@ -157,7 +157,7 @@ type Options struct {
 	// scenario events). Recording is purely observational: it never schedules
 	// events or consumes RNG, so the Result is byte-identical with or without
 	// a recorder. Nil disables recording at zero cost.
-	Recorder telemetry.Recorder
+	Recorder *telemetry.Ring
 	// SampleSeries attaches bounded time series (per-switch occupancy,
 	// per-link-class utilization and pause fractions, active flows, goodput)
 	// to Result.Telemetry, sampled on the existing BufferSampleInterval ticker
@@ -174,10 +174,9 @@ type Options struct {
 	// into whole pods, spreads core switches round-robin, and synchronizes
 	// shards at conservative-lookahead barriers that reproduce the serial
 	// event order exactly. Scenario runs shard too (compiled events apply at
-	// coordinator barriers), as do flight-recorder runs when the Recorder is
-	// a *telemetry.Ring (per-shard keyed rings merged in key order); any
-	// other Recorder implementation forces serial, reported — like every
-	// fallback — in Result.Sharding rather than silently.
+	// coordinator barriers), as do flight-recorder runs (per-shard keyed rings
+	// merged in key order). A request that cannot shard runs serially,
+	// reported in Result.Sharding rather than silently.
 	Shards int
 	// ExecStats enables the wall-clock execution profiler
 	// (internal/telemetry/execstats): per-shard event counts, heap and pool

@@ -220,14 +220,19 @@ func newResult(opts *Options) *Result {
 }
 
 func newRunner(opts Options, reg *registry) *runner {
-	return &runner{
+	r := &runner{
 		opts:  opts,
 		sched: eventsim.New(),
 		topo:  opts.Topo,
 		pool:  packet.NewPool(),
 		reg:   reg,
-		rec:   opts.Recorder,
 	}
+	// Only a ring that exists: a nil *Ring in the interface field would be a
+	// non-nil Recorder, and every emit site's nil check would pass.
+	if opts.Recorder != nil {
+		r.rec = opts.Recorder
+	}
+	return r
 }
 
 // hopRTT returns the one-hop round-trip time used by BFC: twice the

@@ -372,23 +372,3 @@ func TestShardedScenarioTraceParity(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedRecorderFallback pins the one remaining recorder fallback: an
-// arbitrary Recorder implementation observes events mid-run and cannot be
-// sharded, so the run executes serially and says so.
-func TestShardedRecorderFallback(t *testing.T) {
-	topo := smallClos()
-	flows := goldenFlows(t, topo)
-	opts := goldenOpts(SchemeBFC, topo)
-	opts.Recorder = recorderFunc(func(telemetry.Event) {})
-	res, _ := runShardedResult(t, opts, flows, 4)
-	if res.Sharding.Used != 1 || res.Sharding.Fallback == "" {
-		t.Errorf("non-ring recorder at shards=4: Used=%d Fallback=%q, want serial with a reason",
-			res.Sharding.Used, res.Sharding.Fallback)
-	}
-}
-
-// recorderFunc adapts a function to telemetry.Recorder.
-type recorderFunc func(telemetry.Event)
-
-func (f recorderFunc) Record(ev telemetry.Event) { f(ev) }

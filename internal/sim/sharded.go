@@ -114,19 +114,11 @@ func (s ShardInfo) Describe() string {
 // shardPlanFor resolves Options.Shards into a shard plan, or nil when the run
 // must use the serial engine. The returned reason is non-empty exactly when a
 // sharded request (Shards >= 2 or -1) fell back to serial: the topology does
-// not partition (single pod, or no positive lookahead), or the flight
-// recorder is not a *telemetry.Ring (sharding needs the ring's bounded-buffer
-// semantics to merge per-shard traces; arbitrary Recorder implementations
-// would observe mid-run global order that shards cannot provide).
+// not partition (single pod, or no positive lookahead).
 func shardPlanFor(opts *Options) (*topology.ShardPlan, string) {
 	want := opts.Shards
 	if want == 0 || want == 1 {
 		return nil, ""
-	}
-	if opts.Recorder != nil {
-		if _, ok := opts.Recorder.(*telemetry.Ring); !ok {
-			return nil, "recorder is not a *telemetry.Ring"
-		}
 	}
 	if want < 0 {
 		want = runtime.GOMAXPROCS(0)
@@ -250,7 +242,6 @@ func mergeFCT(bufs [][]fctRec) []fctRec {
 func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*Result, error) {
 	S := plan.Shards
 	horizon := opts.Duration + opts.Drain
-	userRing, _ := opts.Recorder.(*telemetry.Ring)
 
 	// ec profiles the execution machinery (nil when Options.ExecStats is off:
 	// every call below is then a single nil check). It is observational only —
@@ -272,8 +263,8 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	for i := range shards {
 		r := newRunner(opts, reg)
 		r.plan, r.shardID = plan, i
-		if userRing != nil {
-			sr := newShardRecorder(r.sched, userRing)
+		if opts.Recorder != nil {
+			sr := newShardRecorder(r.sched, opts.Recorder)
 			r.rec = sr
 			srecs = append(srecs, sr)
 		}
@@ -309,8 +300,8 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		for _, r := range shards {
 			pl.ScheduleFlows(r.sched, r.owned, r.startInjected)
 		}
-		if userRing != nil {
-			coordRec = newShardRecorder(nil, userRing)
+		if opts.Recorder != nil {
+			coordRec = newShardRecorder(nil, opts.Recorder)
 		}
 	}
 
@@ -515,7 +506,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// shard the buffers are emission-ordered (equal keys = one dispatch), so
 	// the stable sort reproduces the serial stream; the ring then retains its
 	// last-capacity window of it, as a serial run's ring would.
-	if userRing != nil {
+	if opts.Recorder != nil {
 		var all []keyedEvent
 		for _, sr := range srecs {
 			all = append(all, sr.events()...)
@@ -525,7 +516,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		sort.SliceStable(all, func(i, j int) bool { return all[i].key.Less(all[j].key) })
 		for i := range all {
-			userRing.Record(all[i].ev)
+			opts.Recorder.Record(all[i].ev)
 		}
 	}
 	return res, nil
