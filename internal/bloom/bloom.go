@@ -13,11 +13,19 @@
 // each physical queue against it; the downstream switch maintains a Counting
 // filter per ingress link and snapshots it into a Filter every pause-frame
 // interval.
+//
+// A snapshot is read-only once returned: Counting hands the same *Filter to
+// every pause frame until one of its bits flips, so one snapshot may be held
+// at once by several ticks' frames, by upstream devices and by devices on
+// other shards. That sharing is race-free because nothing writes a Filter
+// after Snapshot has returned it; Filter.Add is for filters a caller builds
+// itself.
 package bloom
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bfc/internal/packet"
 )
@@ -126,35 +134,11 @@ func (f *Filter) Empty() bool {
 	return true
 }
 
-// Clone returns a deep copy; used when a pause frame is "transmitted" so the
-// receiver's view does not alias the sender's mutable state.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{params: f.params, bits: make([]uint64, len(f.bits))}
-	copy(c.bits, f.bits)
-	return c
-}
-
-// Reset clears all bits.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-}
-
 // SetBits returns the number of set bit positions (diagnostics).
 func (f *Filter) SetBits() int {
 	n := 0
 	for _, w := range f.bits {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -181,9 +165,18 @@ func (f *Filter) String() string {
 // increments the counters for a VFID's positions; Remove decrements them. A
 // bit in the transmitted Filter is set iff its counter is non-zero, so a VFID
 // remains paused as long as any colliding VFID is still paused (§3.6).
+//
+// Counting keeps that bit vector up to date as counters cross 0↔1, and it
+// keeps the last snapshot it issued until one of those crossings happens, so
+// a pause frame costs nothing while the pause set stands still.
 type Counting struct {
 	params Params
 	counts []uint16
+	// bits is the live wire bit vector: bit i is set iff counts[i] > 0.
+	bits []uint64
+	// snap is the last Filter Snapshot returned, or nil once a bit of bits
+	// has flipped since.
+	snap *Filter
 	// members tracks how many VFIDs are currently inserted (diagnostics).
 	members int
 }
@@ -191,7 +184,7 @@ type Counting struct {
 // NewCounting returns an empty counting filter.
 func NewCounting(p Params) *Counting {
 	p.validate()
-	return &Counting{params: p, counts: make([]uint16, p.bits())}
+	return &Counting{params: p, counts: make([]uint16, p.bits()), bits: make([]uint64, (p.bits()+63)/64)}
 }
 
 // Params returns the filter configuration.
@@ -203,8 +196,12 @@ func (c *Counting) Params() Params { return c.params }
 func (c *Counting) Add(v packet.VFID) {
 	var buf [16]int
 	for _, pos := range c.params.positions(v, buf[:0]) {
-		if c.counts[pos] == math.MaxUint16 {
+		switch c.counts[pos] {
+		case math.MaxUint16:
 			panic("bloom: counting filter counter overflow")
+		case 0:
+			c.bits[pos/64] |= 1 << (pos % 64)
+			c.snap = nil
 		}
 		c.counts[pos]++
 	}
@@ -221,6 +218,10 @@ func (c *Counting) Remove(v packet.VFID) {
 			panic("bloom: counting filter counter underflow")
 		}
 		c.counts[pos]--
+		if c.counts[pos] == 0 {
+			c.bits[pos/64] &^= 1 << (pos % 64)
+			c.snap = nil
+		}
 	}
 	c.members--
 }
@@ -240,21 +241,14 @@ func (c *Counting) Contains(v packet.VFID) bool {
 // Members returns the number of VFIDs currently registered.
 func (c *Counting) Members() int { return c.members }
 
-// Snapshot produces the wire Filter representing the current pause set.
+// Snapshot returns the wire Filter representing the current pause set. It
+// returns the same *Filter as the previous call until a bit flips, and then a
+// new one copied from the live bit vector. The result is read-only: it may be
+// held by several pause frames, upstream devices and other shards at once,
+// which is race-free only because nobody writes it after it is returned.
 func (c *Counting) Snapshot() *Filter {
-	f := NewFilter(c.params)
-	for pos, cnt := range c.counts {
-		if cnt > 0 {
-			f.bits[pos/64] |= 1 << (pos % 64)
-		}
+	if c.snap == nil {
+		c.snap = &Filter{params: c.params, bits: append([]uint64(nil), c.bits...)}
 	}
-	return f
-}
-
-// Reset clears all counters.
-func (c *Counting) Reset() {
-	for i := range c.counts {
-		c.counts[i] = 0
-	}
-	c.members = 0
+	return c.snap
 }

@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,25 +27,17 @@ func TestFilterAddContains(t *testing.T) {
 	}
 }
 
-func TestFilterEmptyResetClone(t *testing.T) {
+func TestFilterEmptyAndWireSize(t *testing.T) {
 	f := NewFilter(DefaultParams())
 	if !f.Empty() {
 		t.Fatal("new filter should be empty")
 	}
 	f.Add(7)
-	if f.Empty() || f.SetBits() == 0 {
-		t.Fatal("filter with element should not be empty")
+	if f.Empty() || f.SetBits() != DefaultHashes {
+		t.Fatalf("filter with one element: empty=%v set bits=%d, want %d", f.Empty(), f.SetBits(), DefaultHashes)
 	}
-	c := f.Clone()
-	f.Reset()
-	if !f.Empty() {
-		t.Fatal("reset filter should be empty")
-	}
-	if !c.Contains(7) {
-		t.Fatal("clone should be independent of the original")
-	}
-	if c.WireSize() != DefaultSizeBytes {
-		t.Fatalf("wire size = %d, want %d", c.WireSize(), DefaultSizeBytes)
+	if f.WireSize() != DefaultSizeBytes {
+		t.Fatalf("wire size = %d, want %d", f.WireSize(), DefaultSizeBytes)
 	}
 }
 
@@ -177,13 +170,77 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 			t.Fatalf("snapshot missing %d", v)
 		}
 	}
-	c.Reset()
-	if c.Members() != 0 || c.Contains(3) {
-		t.Fatal("reset should clear the counting filter")
+	for _, v := range vfids {
+		c.Remove(v)
 	}
-	// Snapshot taken before reset is unaffected.
-	if !snap.Contains(3) {
-		t.Fatal("snapshot should be independent of the counting filter")
+	if c.Members() != 0 || c.Contains(3) {
+		t.Fatal("removing every member should empty the counting filter")
+	}
+	// A snapshot taken before the removals is unaffected by them.
+	for _, v := range vfids {
+		if !snap.Contains(v) {
+			t.Fatalf("snapshot lost %d after the counting filter changed", v)
+		}
+	}
+	if !c.Snapshot().Empty() {
+		t.Fatal("snapshot of an empty counting filter should be empty")
+	}
+}
+
+// fullScan is the reference Snapshot: a fresh filter with a bit for every
+// non-zero counter.
+func fullScan(c *Counting) *Filter {
+	f := NewFilter(c.params)
+	for pos, cnt := range c.counts {
+		if cnt > 0 {
+			f.bits[pos/64] |= 1 << (pos % 64)
+		}
+	}
+	return f
+}
+
+// Property: after any Add/Remove sequence Snapshot's bits equal a full scan of
+// the counters, an unchanged Counting returns the same *Filter, and no filter
+// Snapshot has returned ever changes afterwards.
+func TestSnapshotIncrementalProperty(t *testing.T) {
+	prop := func(seed int64, n uint8, sizeIdx uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sizes := []int{1, 16, 128}
+		c := NewCounting(Params{SizeBytes: sizes[int(sizeIdx)%len(sizes)], Hashes: 4})
+		type issued struct {
+			f    *Filter
+			bits []uint64
+		}
+		var seen []issued
+		var present []packet.VFID
+		for i := 0; i < int(n); i++ {
+			if len(present) == 0 || rng.Intn(3) != 0 {
+				v := packet.VFID(rng.Intn(512))
+				c.Add(v)
+				present = append(present, v)
+			} else {
+				j := rng.Intn(len(present))
+				c.Remove(present[j])
+				present = append(present[:j], present[j+1:]...)
+			}
+			snap := c.Snapshot()
+			if !slices.Equal(snap.bits, fullScan(c).bits) || snap.params != c.params {
+				return false
+			}
+			if c.Snapshot() != snap {
+				return false
+			}
+			seen = append(seen, issued{snap, slices.Clone(snap.bits)})
+			for _, s := range seen {
+				if !slices.Equal(s.f.bits, s.bits) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -127,8 +127,6 @@ type Stats struct {
 	// Pauses and Resumes count per-flow pause/resume transitions.
 	Pauses  uint64
 	Resumes uint64
-	// PauseFramesSent counts bloom-filter pause frames emitted by Tick.
-	PauseFramesSent uint64
 	// MaxActiveFlows is the high-water mark of simultaneously active virtual
 	// flows at the switch.
 	MaxActiveFlows int

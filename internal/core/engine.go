@@ -41,7 +41,10 @@ type Placement struct {
 // given ingress port.
 type PauseFrame struct {
 	Ingress int
-	Filter  *bloom.Filter
+	// Filter is the ingress port's bloom.Counting snapshot. It is read-only
+	// and shared: consecutive frames carry the same *Filter until the pause
+	// set changes, and upstream devices (on any shard) keep it as received.
+	Filter *bloom.Filter
 }
 
 // Engine is the per-switch BFC state machine.
@@ -55,6 +58,12 @@ type Engine struct {
 
 	egress  []*egressState
 	ingress []*ingressState
+
+	// pendingResumes counts the items on every toResume list, so a Tick with
+	// none skips the egress × queue walk.
+	pendingResumes int
+	// frames is Tick's result, reused by the next Tick.
+	frames []PauseFrame
 
 	stats Stats
 }
@@ -296,7 +305,7 @@ func (e *Engine) OnDeparture(now units.Time, ingress, egress int, pl Placement, 
 				e.resumeQueueFlows(es, q)
 			} else {
 				entry.PendingResume = true
-				es.toResume[q] = append(es.toResume[q], resumeItem{vfid: vfid, ingress: entry.Ingress, entry: entry})
+				e.queueResume(es, q, resumeItem{vfid: vfid, ingress: entry.Ingress, entry: entry})
 			}
 		}
 	}
@@ -324,7 +333,7 @@ func (e *Engine) retireEntry(es *egressState, egress int, entry *flowtable.Entry
 			if q < 0 {
 				q = 0
 			}
-			es.toResume[q] = append(es.toResume[q], resumeItem{vfid: vfid, ingress: entry.Ingress, entry: nil})
+			e.queueResume(es, q, resumeItem{vfid: vfid, ingress: entry.Ingress, entry: nil})
 		} else {
 			// Already on the toberesumed list: neutralize the stale entry
 			// pointer so the resume only clears the filter.
@@ -338,6 +347,12 @@ func (e *Engine) retireEntry(es *egressState, egress int, entry *flowtable.Entry
 		}
 	}
 	e.table.Remove(entry)
+}
+
+// queueResume appends a resume to queue q's throttled list (§3.5).
+func (e *Engine) queueResume(es *egressState, q int, item resumeItem) {
+	es.toResume[q] = append(es.toResume[q], item)
+	e.pendingResumes++
 }
 
 // resumeQueueFlows resumes every paused flow assigned to the queue (the
@@ -356,36 +371,46 @@ func (e *Engine) resumeQueueFlows(es *egressState, q int) {
 // ResumePerInterval flows per physical queue (§3.5) and returns the bloom
 // filter pause frames to transmit upstream, one per ingress port whose filter
 // is non-empty or newly empty (§3.6). The switch must call Tick every τ.
+//
+// The returned slice belongs to the engine and is valid until the next Tick;
+// the filters it carries are shared snapshots (see PauseFrame.Filter).
 func (e *Engine) Tick(now units.Time) []PauseFrame {
-	// Throttled resumes.
-	if !e.cfg.ResumeAll {
-		for _, es := range e.egress {
-			for q := range es.toResume {
-				for i := 0; i < e.cfg.ResumePerInterval && len(es.toResume[q]) > 0; i++ {
-					item := es.toResume[q][0]
-					es.toResume[q] = es.toResume[q][1:]
-					e.ingress[item.ingress].counting.Remove(item.vfid)
-					e.stats.Resumes++
-					if item.entry != nil {
-						item.entry.Paused = false
-						item.entry.PendingResume = false
-					}
+	// Throttled resumes, each list popped in place so its capacity is reused
+	// by the next append.
+	for _, es := range e.egress {
+		if e.pendingResumes == 0 {
+			break
+		}
+		for q, list := range es.toResume {
+			n := min(e.cfg.ResumePerInterval, len(list))
+			if n == 0 {
+				continue
+			}
+			for _, item := range list[:n] {
+				e.ingress[item.ingress].counting.Remove(item.vfid)
+				e.stats.Resumes++
+				if item.entry != nil {
+					item.entry.Paused = false
+					item.entry.PendingResume = false
 				}
 			}
+			rest := copy(list, list[n:])
+			clear(list[rest:])
+			es.toResume[q] = list[:rest]
+			e.pendingResumes -= n
 		}
 	}
 	// Pause frames.
-	var frames []PauseFrame
+	e.frames = e.frames[:0]
 	for port, is := range e.ingress {
 		empty := is.counting.Members() == 0
 		if empty && is.lastSentEmpty {
 			continue // idempotent empty update: nothing to tell upstream
 		}
-		frames = append(frames, PauseFrame{Ingress: port, Filter: is.counting.Snapshot()})
+		e.frames = append(e.frames, PauseFrame{Ingress: port, Filter: is.counting.Snapshot()})
 		is.lastSentEmpty = empty
-		e.stats.PauseFramesSent++
 	}
-	return frames
+	return e.frames
 }
 
 // FlowPaused reports whether the engine currently has the given flow marked

@@ -233,11 +233,16 @@ func TestPauseAboveThresholdAndFrameGeneration(t *testing.T) {
 	if !frames[0].Filter.Contains(e.VFID(f)) {
 		t.Fatal("pause frame does not contain the paused VFID")
 	}
+	first := frames[0].Filter
 	// Ticks with no change and a non-empty filter keep being sent (periodic
-	// refresh), but an all-empty engine sends nothing.
+	// refresh), but an all-empty engine sends nothing. An unchanged pause set
+	// is sent as the very snapshot the previous frame carried.
 	frames = e.Tick(1)
 	if len(frames) != 1 {
 		t.Fatalf("non-empty filter should be refreshed every tick, got %d frames", len(frames))
+	}
+	if frames[0].Filter != first {
+		t.Fatal("refresh frame of an unchanged pause set should carry the same *Filter")
 	}
 }
 
@@ -478,8 +483,17 @@ func TestEngineAccountingProperty(t *testing.T) {
 		}
 		// After everything drained and ticked, no VFID stays paused: a final
 		// tick emits at most one trailing "now empty" frame per ingress.
-		frames := e.Tick(0)
-		return len(frames) == 0
+		if frames := e.Tick(0); len(frames) != 0 {
+			return false
+		}
+		// No pause state is left behind: every counting filter is empty and
+		// its wire snapshot all zero, and no resume is still pending.
+		for _, is := range e.ingress {
+			if is.counting.Members() != 0 || !is.counting.Snapshot().Empty() {
+				return false
+			}
+		}
+		return e.pendingResumes == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -488,7 +488,9 @@ func (s *Switch) refreshOverflowPause(egress int) {
 }
 
 // bfcTick runs every Tau: advances the engine (throttled resumes) and sends
-// the per-ingress bloom-filter pause frames upstream.
+// the per-ingress bloom-filter pause frames upstream. Tick's slice is the
+// engine's and is done with before the next Tick; the filters are shared,
+// read-only snapshots, so the frames carry the pointers as they are.
 func (s *Switch) bfcTick() {
 	frames := s.engine.Tick(s.sched.Now())
 	for _, fr := range frames {
