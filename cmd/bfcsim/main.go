@@ -1,8 +1,9 @@
 // Command bfcsim runs what its flags declare: a scheme list x a fabric x a
 // workload, optionally under incast or a JSON scenario spec (see
-// internal/scenario and the worked examples under examples/scenarios/). It
-// compiles the flags to one harness job per scheme — the way cmd/experiments
-// compiles the figure table — runs them, and prints per scheme the
+// internal/scenario and the worked examples under examples/scenarios/). The
+// flags fill an experiments.RunSpec — the document a bfcd suite's "run" field
+// carries — which compiles to one harness job per scheme, named and hashed as
+// the daemon would; bfcsim runs them and prints per scheme the
 // flow-completion-time slowdown table, the aggregate statistics the paper
 // reports and, under a scenario, the per-phase table and injection metrics.
 //
@@ -28,31 +29,25 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
+	"bfc/internal/experiments"
 	"bfc/internal/harness"
-	"bfc/internal/packet"
-	"bfc/internal/scenario"
 	"bfc/internal/sim"
 	"bfc/internal/telemetry"
-	"bfc/internal/topology"
 	"bfc/internal/units"
-	"bfc/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// config is what the simulation flags declare; the run flags (how the jobs
-// execute and what is observed) are harness.RunFlags.
+// config is what the simulation flags declare, most of it straight into a
+// RunSpec; the run flags (how the jobs execute and what is observed) are
+// harness.RunFlags.
 type config struct {
-	schemes, topology, workload, scenario string
-	load                                  float64
-	incast, digest                        bool
-	duration, drain                       time.Duration
-	seed                                  int64
-	queues, bufferMB                      int
+	run               experiments.RunSpec
+	schemes, scenario string
+	duration, drain   time.Duration
+	digest            bool
 }
 
 // run is main with its process edges passed in. An error that ends the
@@ -62,18 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bfcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var c config
-	fs.StringVar(&c.schemes, "schemes", "bfc", `comma-separated schemes (bfc, bfc-vfid, dcqcn, dcqcn+win, dcqcn+win+sfq, hpcc, ideal-fq) or "all"`)
-	fs.StringVar(&c.topology, "topology", "t2", "topology: t1, t2, star:<hosts>, fattree:<hosts>, clos:<tor>x<spine>x<hosts per tor>")
-	fs.StringVar(&c.workload, "workload", "google", "background flow-size distribution: google, fb_hadoop, websearch")
-	fs.Float64Var(&c.load, "load", 0.6, "average background load as a fraction of host capacity (0 = no background traffic)")
-	fs.BoolVar(&c.incast, "incast", false, "add 5% 100-to-1 incast traffic")
-	fs.DurationVar(&c.duration, "duration", 2*time.Millisecond, "workload horizon")
-	fs.DurationVar(&c.drain, "drain", 2*time.Millisecond, "extra time for in-flight flows to finish")
-	fs.Int64Var(&c.seed, "seed", 1, "simulation and workload seed of every scheme's run")
-	fs.IntVar(&c.queues, "queues", 32, "physical queues per egress port")
-	fs.IntVar(&c.bufferMB, "buffer-mb", 12, "switch shared buffer (MB)")
-	fs.StringVar(&c.scenario, "scenario", "", "JSON scenario spec to run the workload under (link faults, degradations, injected bursts; see examples/scenarios/)")
-	fs.BoolVar(&c.digest, "digest", false, `print only "<sha256> <scheme>" per run (telemetry excluded); each run's execution mode goes to stderr`)
+	c.bind(fs)
 	rf := harness.RegisterRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -88,8 +72,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// bind declares the simulation flags on fs.
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.schemes, "schemes", "bfc", `comma-separated schemes (bfc, bfc-vfid, dcqcn, dcqcn+win, dcqcn+win+sfq, hpcc, ideal-fq) or "all"`)
+	fs.StringVar(&c.run.Topology, "topology", "t2", "topology: t1, t2, star:<hosts>, fattree:<hosts>, clos:<tor>x<spine>x<hosts per tor>")
+	fs.StringVar(&c.run.Workload, "workload", "google", "background flow-size distribution: google, fb_hadoop, websearch")
+	fs.Float64Var(&c.run.Load, "load", 0.6, "average background load as a fraction of host capacity (0 = no background traffic)")
+	fs.BoolVar(&c.run.Incast, "incast", false, "add 5% 100-to-1 incast traffic")
+	fs.DurationVar(&c.duration, "duration", 2*time.Millisecond, "workload horizon")
+	fs.DurationVar(&c.drain, "drain", 2*time.Millisecond, "extra time for in-flight flows to finish")
+	fs.Int64Var(&c.run.Seed, "seed", 1, "simulation and workload seed of every scheme's run")
+	fs.IntVar(&c.run.Queues, "queues", 32, "physical queues per egress port")
+	fs.IntVar(&c.run.BufferMB, "buffer-mb", 12, "switch shared buffer (MB)")
+	fs.StringVar(&c.scenario, "scenario", "", "JSON scenario spec to run the workload under (link faults, degradations, injected bursts; see examples/scenarios/)")
+	fs.BoolVar(&c.digest, "digest", false, `print only "<sha256> <scheme>" per run (telemetry excluded); each run's execution mode goes to stderr`)
+}
+
+// declare completes the RunSpec from the flags that do not bind onto it as
+// they are — the horizons become microseconds, the -scenario file its bytes —
+// and compiles it for the -schemes list.
+func (c *config) declare() ([]harness.Job, error) {
+	schemes, err := sim.ParseSchemes(c.schemes)
+	if err != nil {
+		return nil, err
+	}
+	spec := c.run
+	spec.DurationUS = float64(c.duration) / float64(time.Microsecond)
+	spec.DrainUS = float64(c.drain) / float64(time.Microsecond)
+	if c.scenario != "" {
+		if spec.Scenario, err = os.ReadFile(c.scenario); err != nil {
+			return nil, err
+		}
+	}
+	return spec.Jobs(schemes)
+}
+
 func simulate(c *config, rf *harness.RunFlags, stdout, stderr io.Writer) (err error) {
-	jobs, err := c.jobs()
+	jobs, err := c.declare()
 	if err != nil {
 		return err
 	}
@@ -129,118 +148,12 @@ func simulate(c *config, rf *harness.RunFlags, stdout, stderr io.Writer) (err er
 	return nil
 }
 
-// jobs compiles the flags to one job per scheme. Every job builds its own
-// topology and workload from the same seed, so the schemes see identical
-// traffic; -seed is also each run's simulation seed.
-func (c *config) jobs() ([]harness.Job, error) {
-	schemes, err := sim.ParseSchemes(c.schemes)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := parseTopology(c.topology)
-	if err != nil {
-		return nil, err
-	}
-	cdf, err := workload.ByName(c.workload)
-	if err != nil {
-		return nil, err
-	}
-	var spec *scenario.Spec
-	if c.scenario != "" {
-		blob, err := os.ReadFile(c.scenario)
-		if err != nil {
-			return nil, err
-		}
-		if spec, err = scenario.ParseSpec(blob); err != nil {
-			return nil, err
-		}
-	}
-	horizon := units.Time(c.duration.Nanoseconds()) * units.Nanosecond
-	wl := workload.Config{CDF: cdf, Load: c.load, HostRate: linkRate, Duration: horizon, Seed: c.seed}
-	if c.incast {
-		wl.Incast = workload.IncastConfig{Enabled: true, FanIn: 100, AggregateSize: 20 * units.MB, LoadFraction: 0.05}
-	}
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     fmt.Sprintf("bfcsim/%s/seed=%d", c.topology, c.seed),
-			Topology: topo,
-			Flows: func(t *topology.Topology) []*packet.Flow {
-				if wl.Load <= 0 {
-					return nil
-				}
-				cfg := wl
-				cfg.Hosts = t.Hosts()
-				trace, err := workload.Generate(cfg)
-				if err != nil {
-					panic(err)
-				}
-				return trace.Flows
-			},
-			Options: []func(*sim.Options){func(o *sim.Options) {
-				o.Duration = horizon
-				o.Drain = units.Time(c.drain.Nanoseconds()) * units.Nanosecond
-				o.NumQueues = c.queues
-				o.SwitchBuffer = units.Bytes(c.bufferMB) * units.MB
-				o.Seed = c.seed
-				o.Scenario = spec
-			}},
-		},
-		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
-	}
-	return grid.Jobs(), nil
-}
-
-// Every -topology fabric has 100 Gbps links with 1 us of propagation delay,
-// as in the paper (§4.1).
-const (
-	linkRate  = 100 * units.Gbps
-	linkDelay = units.Microsecond
-)
-
-// parseTopology resolves -topology to a builder of fresh topologies. Sizes
-// are whole decimal tokens: "star:8junk" is an error, not star:8.
-func parseTopology(name string) (func() *topology.Topology, error) {
-	kind, size, sized := strings.Cut(strings.ToLower(name), ":")
-	var dims []int
-	if sized {
-		for _, tok := range strings.Split(size, "x") {
-			n, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("invalid topology %q: size %q is not a number", name, tok)
-			}
-			dims = append(dims, n)
-		}
-	}
-	switch {
-	case kind == "t1" && dims == nil:
-		return topology.NewT1, nil
-	case kind == "t2" && dims == nil:
-		return topology.NewT2, nil
-	case kind == "star" && len(dims) == 1 && dims[0] >= 2:
-		cfg := topology.SingleSwitchConfig{NumHosts: dims[0], LinkRate: linkRate, LinkDelay: linkDelay}
-		return func() *topology.Topology { return topology.NewSingleSwitch(cfg) }, nil
-	case kind == "fattree" && len(dims) == 1 && dims[0] >= 8:
-		cfg := topology.FatTreeForHosts(dims[0], linkRate, linkDelay)
-		return func() *topology.Topology { return topology.NewFatTree(cfg) }, nil
-	case kind == "clos" && len(dims) == 3:
-		cfg := topology.ClosConfig{
-			Name: name, NumToR: dims[0], NumSpine: dims[1], HostsPerToR: dims[2],
-			LinkRate: linkRate, LinkDelay: linkDelay,
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return func() *topology.Topology { return topology.NewClos(cfg) }, nil
-	}
-	return nil, fmt.Errorf("invalid topology %q (want t1, t2, star:<hosts >= 2>, fattree:<hosts >= 8> or clos:<tor>x<spine>x<hosts per tor>)", name)
-}
-
 // printResult writes one scheme's block: the run line, the aggregate
 // statistics, the FCT slowdown table and, under a scenario, its phases.
 func (c *config) printResult(w io.Writer, rec *harness.Record, sum string, elapsed time.Duration) {
 	res := rec.Result
 	fmt.Fprintf(w, "scheme=%s topology=%s workload=%s load=%.0f%% incast=%v\n",
-		rec.Scheme, c.topology, c.workload, c.load*100, c.incast)
+		rec.Scheme, c.run.Topology, c.run.Workload, c.run.Load*100, c.run.Incast)
 	fmt.Fprintf(w, "flows: %d offered, %d completed; simulated %v in %v (%d events, %s)\n",
 		res.FlowsTotal, res.FlowsCompleted, res.Elapsed, elapsed.Round(time.Millisecond), res.Events,
 		res.Sharding.Describe())

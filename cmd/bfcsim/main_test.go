@@ -3,38 +3,143 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"bfc/internal/experiments"
+	"bfc/internal/harness"
+	"bfc/internal/service"
+	"bfc/internal/sim"
 )
 
-func TestParseTopology(t *testing.T) {
-	accept := map[string]int{ // -topology value -> hosts
-		"t1":          128,
-		"T2":          64,
-		"star:8":      8,
-		"fattree:16":  16,
-		"clos:2x2x4":  8,
-		"CLOS:3x1x2":  6,
-		"fattree:100": 128, // rounded up to whole pods
+// flagJobs compiles a bfcsim command line's simulation flags to the jobs the
+// command would run.
+func flagJobs(t *testing.T, args ...string) []harness.Job {
+	t.Helper()
+	var c config
+	fs := flag.NewFlagSet("bfcsim", flag.ContinueOnError)
+	c.bind(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
-	for name, hosts := range accept {
-		build, err := parseTopology(name)
+	jobs, err := c.declare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// TestFlagsAndServedRunAreOneDeclaration pins the identity contract between
+// bfcsim and bfcd: a command line and the equivalent {"run": …} suite
+// document — its scenario re-indented and its keys reordered, so the bytes
+// differ — compile to the same job names and content hashes, and the same
+// job from either side simulates to the same result digest.
+func TestFlagsAndServedRunAreOneDeclaration(t *testing.T) {
+	linkflap := filepath.Join("..", "..", "examples", "scenarios", "linkflap.json")
+	local := flagJobs(t, "-schemes", "BFC,DCQCN", "-scenario", linkflap, "-topology", "clos:2x2x4",
+		"-duration", "150us", "-drain", "400us", "-seed", "3", "-queues", "16", "-buffer-mb", "6")
+
+	blob, err := os.ReadFile(linkflap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-encoded through a map: new indentation and, past what compacting
+	// undoes, the keys in another order.
+	var tree any
+	if err := json.Unmarshal(blob, &tree); err != nil {
+		t.Fatal(err)
+	}
+	scen, err := json.MarshalIndent(tree, "\t\t", "    ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact, fileCompact bytes.Buffer
+	if json.Compact(&compact, scen) != nil || json.Compact(&fileCompact, blob) != nil || bytes.Equal(compact.Bytes(), fileCompact.Bytes()) {
+		t.Fatal("the re-encoded scenario compacts to the file's bytes; the test would not show canonical hashing")
+	}
+	doc := `{"schemes": ["BFC", "DCQCN"], "run": {
+		"topology": "clos:2x2x4", "workload": "google", "load": 0.6,
+		"duration_us": 150, "drain_us": 400, "seed": 3, "queues": 16, "buffer_mb": 6,
+		"scenario": ` + string(scen) + `}}`
+	suite, err := service.ParseSuiteSpec([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := suite.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := cs.Jobs
+	if len(local) != 2 || len(served) != len(local) {
+		t.Fatalf("%d local jobs, %d served", len(local), len(served))
+	}
+	for i := range local {
+		if local[i].Name != served[i].Name || local[i].Hash() != served[i].Hash() {
+			t.Errorf("job %d: local %s/%s, served %s/%s", i, local[i].Name, local[i].Hash(), served[i].Name, served[i].Hash())
+		}
+	}
+	// The served example is the command line its CI step names.
+	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "service", "run-clos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if suite, err = service.ParseSuiteSpec(example); err != nil {
+		t.Fatal(err)
+	}
+	if cs, err = suite.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	want := flagJobs(t, "-topology", "clos:2x2x4", "-duration", "150us", "-schemes", "BFC,DCQCN")
+	if len(cs.Jobs) != len(want) || cs.Jobs[0].Hash() != want[0].Hash() || cs.Jobs[1].Hash() != want[1].Hash() {
+		t.Errorf("run-clos.json does not compile to bfcsim -topology clos:2x2x4 -duration 150us -schemes BFC,DCQCN")
+	}
+
+	digest := func(j harness.Job) string {
+		sum, err := sim.ResultDigest(harness.MustRun([]harness.Job{j})[0].Result)
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
+			t.Fatal(err)
 		}
-		if got := len(build().Hosts()); got != hosts {
-			t.Errorf("%s: %d hosts, want %d", name, got, hosts)
-		}
+		return sum
 	}
-	for _, name := range []string{
-		"star:1", "fattree:7", "clos:0x2x4", "clos:2x2", "mesh:4", "star:8junk",
-		"", "t1:", "t2:4", "star:", "star", "star:2x2", "clos:2x2x4x1", "clos:2xx4", "fattree:-8", "star: 8",
-	} {
-		if _, err := parseTopology(name); err == nil {
-			t.Errorf("%q: accepted, want an error", name)
+	if a, b := digest(local[0]), digest(served[0]); a != b {
+		t.Errorf("%s: local digest %s, served %s", local[0].Name, a, b)
+	}
+}
+
+// TestEveryRunFlagKeysTheHash changes each flag that fills a RunSpec field,
+// one at a time, and requires every job hash to move: a cache keyed on a name
+// that ignores any of them would serve one run's record for another.
+func TestEveryRunFlagKeysTheHash(t *testing.T) {
+	base := []string{"-schemes", "BFC,DCQCN", "-topology", "clos:2x2x4", "-duration", "150us", "-drain", "400us"}
+	change := [][]string{
+		{"-topology", "clos:2x2x8"},
+		{"-workload", "websearch"},
+		{"-load", "0.5"},
+		{"-incast"},
+		{"-duration", "200us"},
+		{"-drain", "500us"},
+		{"-seed", "4"},
+		{"-queues", "16"},
+		{"-buffer-mb", "6"},
+		{"-scenario", filepath.Join("..", "..", "examples", "scenarios", "linkflap.json")},
+	}
+	if n := reflect.TypeOf(experiments.RunSpec{}).NumField(); n != len(change) {
+		t.Fatalf("RunSpec has %d fields, the test changes %d", n, len(change))
+	}
+	seen := map[string]string{}
+	for _, j := range flagJobs(t, base...) {
+		seen[j.Hash()] = j.Name
+	}
+	for _, flags := range change {
+		for _, j := range flagJobs(t, append(append([]string{}, base...), flags...)...) {
+			if prev, dup := seen[j.Hash()]; dup {
+				t.Errorf("%v: job %s has hash %s, as %s does", flags, j.Name, j.Hash(), prev)
+			}
+			seen[j.Hash()] = j.Name
 		}
 	}
 }

@@ -4,7 +4,8 @@
 // that compiles the topology, workload and schemes the paper describes into
 // harness jobs, and a renderer that prints the figure's rows from the
 // completed records (through the matching FigNNFromRecords). Listing, running,
-// persisting and serving a figure all go through that one entry.
+// persisting and serving a figure all go through that one entry. A single run
+// outside the table — what cmd/bfcsim's flags declare — is a RunSpec (run.go).
 //
 // Every experiment takes a Scale. Reduced() keeps the topology shape, load
 // level and flow-size distribution of the paper but shrinks host counts and

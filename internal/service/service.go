@@ -1,13 +1,13 @@
 // Package service is the simulation-as-a-service tier: a long-lived Service
-// accepts JSON-declared suites (a figure grid or a scenario, see SuiteSpec),
-// compiles them to harness jobs through the experiments registry, satisfies
-// every already-computed job from a content-addressed result store, and hands
-// the rest to its own bounded harness.Pool or to a fleet Dispatcher, with
-// per-suite progress events. There is one road from a pending job to a stored
-// record, whatever computed it: SubmitCompiled picks pool or fleet, one
-// runSuite goroutine per uncached suite calls Dispatch, and every record
-// comes back through one harness.Sink, completeJob (see Dispatcher and
-// harness.Pool for who bounds, who persists and who counts).
+// accepts JSON-declared suites (a figure grid, a scenario or a run, see
+// SuiteSpec), compiles them to harness jobs through package experiments,
+// satisfies every already-computed job from a content-addressed result store,
+// and hands the rest to its own bounded harness.Pool or to a fleet Dispatcher,
+// with per-suite progress events. There is one road from a pending job to a
+// stored record, whatever computed it: SubmitCompiled picks pool or fleet, one
+// runSuite goroutine per uncached suite calls Dispatch, and every record comes
+// back through one harness.Sink, completeJob (see Dispatcher and harness.Pool
+// for who bounds, who persists and who counts).
 //
 // Caching is content-addressed end to end: a job's artifact is keyed by the
 // hash of its wire-form spec (harness.JobSpec), the store is the same JSONL

@@ -562,6 +562,68 @@ func TestSuiteSpecValidation(t *testing.T) {
 	}
 }
 
+// runDoc is a valid run suite with one field of its run replaced by field.
+func runDoc(field string) string {
+	run := map[string]string{
+		"topology": `"clos:2x2x4"`, "workload": `"google"`, "load": `0.6`, "duration_us": `150`,
+		"drain_us": `400`, "seed": `1`, "queues": `32`, "buffer_mb": `12`,
+	}
+	if k, v, ok := strings.Cut(field, "="); ok {
+		run[k] = v
+	}
+	var parts []string
+	for k, v := range run {
+		parts = append(parts, fmt.Sprintf("%q:%s", k, v))
+	}
+	return `{"schemes":["BFC"],"run":{` + strings.Join(parts, ",") + `}}`
+}
+
+// TestRunSuiteRejectsOutsideInput holds the "run" form to the bounds an
+// untrusted submission must meet: each document fails ParseSuiteSpec or
+// Compile with an error, and does so without building its fabric: the whole
+// attempt allocates about 30 times, building even a 64-host star about 500.
+func TestRunSuiteRejectsOutsideInput(t *testing.T) {
+	good := runDoc("")
+	if spec, err := ParseSuiteSpec([]byte(good)); err != nil {
+		t.Fatal(err)
+	} else if cs, err := spec.Compile(); err != nil || len(cs.Jobs) != 1 || cs.Figure != "run" || cs.Scale != "" || !cs.Shippable() {
+		t.Fatalf("valid run suite: %+v, %v", cs, err)
+	}
+	bad := []string{
+		runDoc(`topology="fattree:1000000"`),
+		runDoc(`topology="clos:1000x1x1000"`),
+		runDoc(`duration_us=0`),
+		runDoc(`duration_us=-1`),
+		runDoc(`duration_us=1e12`),
+		runDoc(`drain_us=1e12`),
+		runDoc(`load=-0.1`),
+		runDoc(`load=1.5`),
+		runDoc(`queues=0`),
+		runDoc(`queues=1000000`),
+		runDoc(`buffer_mb=0`),
+		runDoc(`workload="nope"`),
+		runDoc(`fanin=100`), // unknown field inside run
+		runDoc(`scenario={"name":""}`),
+		runDoc(`topology="` + strings.Repeat("x", 300) + `"`),
+		strings.Replace(runDoc(""), `{"schemes"`, `{"figure":"fig05a","schemes"`, 1),
+		strings.Replace(runDoc(""), `{"schemes"`, `{"scale":"tiny","schemes"`, 1),
+	}
+	for _, doc := range bad {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() {
+			var spec *SuiteSpec
+			if spec, err = ParseSuiteSpec([]byte(doc)); err == nil {
+				_, err = spec.Compile()
+			}
+		})
+		if err == nil {
+			t.Errorf("accepted: %.120s", doc)
+		} else if allocs > 200 {
+			t.Errorf("%v: %.0f allocations to refuse; was a fabric built?", err, allocs)
+		}
+	}
+}
+
 func TestScenarioSuiteCompiles(t *testing.T) {
 	blob := `{
 		"name": "flap-suite",

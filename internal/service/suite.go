@@ -24,8 +24,8 @@ const MaxSuiteSpecBytes = 1 << 20
 const maxSuiteString = 256
 
 // SuiteSpec is the wire form of one submission: a JSON-declared grid the
-// server compiles to harness jobs. Exactly one of Figure or Scenario selects
-// the grid shape:
+// server compiles to harness jobs. Exactly one of Figure, Scenario or Run
+// selects the grid shape:
 //
 //   - Figure names an entry of the figure table (experiments.Figures) that
 //     has jobs; the suite is that figure's job grid at Scale, optionally
@@ -33,12 +33,13 @@ const maxSuiteString = 256
 //   - Scenario embeds a scenario.Spec wire document; the suite runs it on the
 //     scale's Clos fabric under the standard Fig 5a background workload, one
 //     job per scheme.
+//   - Run embeds an experiments.RunSpec, what cmd/bfcsim's flags declare; the
+//     suite is its job per scheme. A run carries its own horizon, so it takes
+//     no Scale.
 //
 // The compiled jobs carry exactly the names and content hashes a direct
-// cmd/experiments run of the same grid would produce, which is what makes the
-// daemon's result cache shareable with batch artifacts. (cmd/bfcsim -scenario
-// reads the same scenario document but names its jobs after its own flags and
-// keeps no store.)
+// cmd/experiments or cmd/bfcsim run of the same grid would produce, which is
+// what makes the daemon's result cache shareable with batch artifacts.
 type SuiteSpec struct {
 	// Name optionally labels the suite for humans; it does not affect job
 	// identity.
@@ -50,10 +51,12 @@ type SuiteSpec struct {
 	Scale string `json:"scale,omitempty"`
 	// Schemes optionally restricts the scheme axis (labels as printed by the
 	// figures, e.g. "BFC", "DCQCN+Win"). Only valid for figures whose scheme
-	// set is selectable, and for scenarios.
+	// set is selectable, and for scenarios and runs.
 	Schemes []string `json:"schemes,omitempty"`
 	// Scenario is a scenario.Spec wire document (see examples/scenarios).
 	Scenario json.RawMessage `json:"scenario,omitempty"`
+	// Run is an experiments.RunSpec (see examples/service/run-clos.json).
+	Run *experiments.RunSpec `json:"run,omitempty"`
 	// Trace attaches a flight recorder to every job this suite executes;
 	// completed traces are served by GET /api/v1/suites/{id}/trace/{job}.
 	// Tracing is observational: it changes neither job content hashes nor
@@ -101,10 +104,12 @@ func (s *SuiteSpec) validate() error {
 			return fmt.Errorf("service: scheme name longer than %d bytes", maxSuiteString)
 		}
 	}
-	hasFigure := s.Figure != ""
-	hasScenario := len(s.Scenario) > 0
-	if hasFigure == hasScenario {
-		return fmt.Errorf("service: a suite needs exactly one of figure or scenario")
+	hasFigure, hasScenario, hasRun := s.Figure != "", len(s.Scenario) > 0, s.Run != nil
+	if hasRun && (hasFigure || hasScenario) || !hasRun && hasFigure == hasScenario {
+		return fmt.Errorf("service: a suite needs exactly one of figure, scenario or run")
+	}
+	if hasRun && s.Scale != "" {
+		return fmt.Errorf("service: a run suite declares its own horizon and takes no scale")
 	}
 	return nil
 }
@@ -114,9 +119,9 @@ func (s *SuiteSpec) validate() error {
 type CompiledSuite struct {
 	Spec  SuiteSpec
 	Title string
-	// Figure is the resolved registry key, or "scenario/<name>".
+	// Figure is the resolved registry key, "scenario/<name>" or "run".
 	Figure string
-	// Scale is the resolved scale name.
+	// Scale is the resolved scale name ("" for a run).
 	Scale string
 	// Jobs is the compiled grid, validated by harness.ValidateSuite.
 	Jobs []harness.Job
@@ -133,7 +138,7 @@ type CompiledSuite struct {
 // with hand-assembled jobs) carry closures that cannot cross a process
 // boundary, so the fleet tier runs them on the local pool instead.
 func (cs *CompiledSuite) Shippable() bool {
-	return cs.Spec.Figure != "" || len(cs.Spec.Scenario) > 0
+	return cs.Spec.Figure != "" || len(cs.Spec.Scenario) > 0 || cs.Spec.Run != nil
 }
 
 // Compile resolves the wire form against the figure registry and scales,
@@ -157,6 +162,11 @@ func (s *SuiteSpec) Compile() (*CompiledSuite, error) {
 
 	cs := &CompiledSuite{Spec: *s, Scale: scale.Name, Trace: s.Trace}
 	switch {
+	case s.Run != nil:
+		cs.Figure, cs.Scale = "run", ""
+		if cs.Jobs, err = s.Run.Jobs(schemes); err != nil {
+			return nil, err
+		}
 	case s.Figure != "":
 		fig, ok := experiments.FigureByKey(s.Figure)
 		if !ok || fig.Jobs == nil {
@@ -183,7 +193,7 @@ func (s *SuiteSpec) Compile() (*CompiledSuite, error) {
 	}
 	cs.Title = s.Name
 	if cs.Title == "" {
-		cs.Title = cs.Figure + "@" + cs.Scale
+		cs.Title = strings.TrimSuffix(cs.Figure+"@"+cs.Scale, "@")
 	}
 	cs.Digest = suiteDigest(cs.Jobs)
 	return cs, nil
