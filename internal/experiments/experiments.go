@@ -730,7 +730,7 @@ func Fig09FromRecords(recs []*harness.Record) []CrossDCRow {
 type BufferOptRow struct {
 	Scheme          string
 	ConcurrentFlows int
-	QueueP99        units.Bytes
+	QueueMax        units.Bytes // largest physical-queue depth at any sampling tick
 	TwoHopBDP       units.Bytes
 }
 
@@ -779,7 +779,7 @@ func Fig10FromRecords(recs []*harness.Record) []BufferOptRow {
 		rows = append(rows, BufferOptRow{
 			Scheme:          rec.Meta["resume"],
 			ConcurrentFlows: metaInt(rec, "flows"),
-			QueueP99:        rec.Result.MaxPhysicalQueueBytes,
+			QueueMax:        rec.Result.MaxPhysicalQueueBytes,
 			TwoHopBDP:       2 * units.BDP(100*units.Gbps, hopRTT),
 		})
 	}

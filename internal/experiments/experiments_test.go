@@ -269,7 +269,7 @@ func TestFig10TinyRun(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.ConcurrentFlows == maxFlows {
-			byKey[r.Scheme] = r.QueueP99
+			byKey[r.Scheme] = r.QueueMax
 		}
 	}
 	if byKey["BFC"] == 0 || byKey["BFC-BufferOpt"] == 0 {

@@ -204,7 +204,7 @@ var figures = []Figure{
 		Render: func(w io.Writer, recs []*harness.Record) {
 			fmt.Fprintln(w, "## Fig 10: physical queue size vs concurrent flows")
 			for _, r := range Fig10FromRecords(recs) {
-				fmt.Fprintf(w, "  %-14s flows=%-4d queueP99=%-10v (2-hop BDP=%v)\n", r.Scheme, r.ConcurrentFlows, r.QueueP99, r.TwoHopBDP)
+				fmt.Fprintf(w, "  %-14s flows=%-4d queueMax=%-10v (2-hop BDP=%v)\n", r.Scheme, r.ConcurrentFlows, r.QueueMax, r.TwoHopBDP)
 			}
 		},
 	},

@@ -28,8 +28,8 @@ type FIFO struct {
 
 	// drr and idx wire the queue into its scheduler's serviceability bitmap
 	// (set by NewDRR, nil for standalone queues): the queue reports its
-	// non-empty/unpaused transitions so the scheduler answers HasWork and
-	// ActiveQueues from the bitmap instead of scanning every queue.
+	// non-empty/unpaused transitions so the scheduler finds serviceable queues
+	// and answers ActiveQueues from the bitmap instead of scanning every queue.
 	drr *DRR
 	idx int
 
@@ -128,9 +128,10 @@ type DRR struct {
 
 	// ready is the serviceability bitmap: bit i is set exactly when
 	// queues[i] is non-empty and not paused. The queues maintain it on their
-	// state transitions (see FIFO.drr), so HasWork and ActiveQueues — called
-	// on every dequeue and every BFC pause-threshold computation — read a
-	// couple of words instead of dereferencing every queue.
+	// state transitions (see FIFO.drr), so ActiveQueues — called on every BFC
+	// pause-threshold computation — reads a couple of words instead of
+	// dereferencing every queue, and Dequeue jumps the pointer from set bit to
+	// set bit.
 	ready []uint64
 }
 
@@ -165,21 +166,6 @@ func NewDRR(queues []*FIFO, quantum units.Bytes) *DRR {
 func (d *DRR) setReady(i int)   { d.ready[i>>6] |= 1 << (uint(i) & 63) }
 func (d *DRR) clearReady(i int) { d.ready[i>>6] &^= 1 << (uint(i) & 63) }
 
-// Serviceable reports whether queue i can currently be served.
-func (d *DRR) serviceable(i int) bool {
-	return d.ready[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// HasWork reports whether any queue can be served right now.
-func (d *DRR) HasWork() bool {
-	for _, w := range d.ready {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ActiveQueues returns the number of queues that are non-empty and not
 // paused. BFC uses this as Nactive in its pause-threshold computation.
 func (d *DRR) ActiveQueues() int {
@@ -199,21 +185,20 @@ func (d *DRR) ActiveQueues() int {
 // per call (the egress port serializes packets one at a time), the deficit
 // state persists across calls: a queue keeps being served on subsequent
 // calls until its deficit is exhausted or it empties.
+//
+// The pointer never visits an empty or paused queue: skipTo jumps it to the
+// next set bit of ready, so a call costs the bitmap words it reads plus the
+// deficits it clears, not the number of configured queues.
 func (d *DRR) Dequeue() (*packet.Packet, int) {
-	if !d.HasWork() {
-		return nil, -1
-	}
-	n := len(d.queues)
 	// A serviceable queue gains one quantum per round, so a head packet of
 	// size S becomes sendable within ceil(S/quantum) rounds. Callers use a
 	// quantum of at least the MTU, so 32 rounds is far beyond any real case;
-	// the bound only exists to turn a scheduler bug into a loud failure.
-	for visits := 0; visits < 32*n; visits++ {
-		i := d.next
-		if !d.serviceable(i) {
-			d.deficits[i] = 0 // inactive queues do not accumulate credit
-			d.advance()
-			continue
+	// the bound on serviced visits only exists to turn a scheduler bug into a
+	// loud failure.
+	for visits := 0; visits < 32*len(d.queues); visits++ {
+		i := d.skipTo()
+		if i < 0 {
+			return nil, -1
 		}
 		q := d.queues[i]
 		// Grant the quantum once per visit, when the round-robin pointer
@@ -240,6 +225,53 @@ func (d *DRR) Dequeue() (*packet.Packet, int) {
 	// Unreachable when quantum > 0 and some queue is serviceable, because
 	// deficits grow by quantum per visit; guard against bugs.
 	panic("queue: DRR failed to make progress")
+}
+
+// skipTo moves the round-robin pointer to the first serviceable queue at or
+// after it, wrapping, and returns that queue's index, or -1 when none is
+// serviceable. It leaves the state a one-queue-at-a-time walk would leave:
+// every queue passed over has its deficit zeroed (inactive queues do not
+// accumulate credit) and a moved pointer starts a fresh visit.
+//
+// The deficits are cleared here, when the pointer passes, rather than when a
+// queue stops being serviceable: a queue paused while it holds leftover
+// credit and resumed before the pointer comes back keeps that credit, and
+// zeroing it on the transition would change which packet goes next.
+func (d *DRR) skipTo() int {
+	i := d.next
+	j := d.nextReady(i)
+	if j == i || j < 0 {
+		return j
+	}
+	if j > i {
+		clear(d.deficits[i:j])
+	} else {
+		clear(d.deficits[i:])
+		clear(d.deficits[:j])
+	}
+	d.next, d.credited = j, false
+	return j
+}
+
+// nextReady returns the first index at or after i whose ready bit is set,
+// wrapping past the last queue to the first, or -1 when no bit is set.
+func (d *DRR) nextReady(i int) int {
+	w := i >> 6
+	if b := d.ready[w] >> (uint(i) & 63); b != 0 {
+		return i + bits.TrailingZeros64(b)
+	}
+	// The last step wraps back to word w, whose bits at or above i are known
+	// clear, so it finds the ones below i.
+	for k := 1; k <= len(d.ready); k++ {
+		w++
+		if w == len(d.ready) {
+			w = 0
+		}
+		if b := d.ready[w]; b != 0 {
+			return w<<6 + bits.TrailingZeros64(b)
+		}
+	}
+	return -1
 }
 
 // advance moves the round-robin pointer to the next queue and forgets the

@@ -126,7 +126,7 @@ func TestDRREmptyReturnsNothing(t *testing.T) {
 	if p, i := d.Dequeue(); p != nil || i != -1 {
 		t.Fatal("dequeue from empty scheduler should return nil")
 	}
-	if d.HasWork() || d.ActiveQueues() != 0 {
+	if d.ActiveQueues() != 0 {
 		t.Fatal("empty scheduler should have no work")
 	}
 }
@@ -201,7 +201,7 @@ func TestDRRSkipsPausedQueues(t *testing.T) {
 		}
 	}
 	// Only paused work remains: scheduler reports no work.
-	if d.HasWork() {
+	if d.ActiveQueues() != 0 {
 		t.Fatal("paused-only scheduler should report no work")
 	}
 	if p, _ := d.Dequeue(); p != nil {
@@ -209,7 +209,7 @@ func TestDRRSkipsPausedQueues(t *testing.T) {
 	}
 	// Unpausing makes the work visible again.
 	qa.SetPaused(false)
-	if !d.HasWork() {
+	if d.ActiveQueues() == 0 {
 		t.Fatal("unpaused queue should be serviceable")
 	}
 	if p, idx := d.Dequeue(); p == nil || idx != 0 {
@@ -289,6 +289,114 @@ func TestDRRConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// walkDRR is deficit round robin with a pointer that moves one queue at a
+// time, zeroing the deficit of every queue it cannot serve. It is the slow,
+// obvious model DRR is held to, over its own standalone FIFOs.
+type walkDRR struct {
+	queues   []*FIFO
+	deficits []units.Bytes
+	quantum  units.Bytes
+	next     int
+	credited bool
+}
+
+func (d *walkDRR) serviceable(i int) bool { return !d.queues[i].Empty() && !d.queues[i].Paused() }
+
+func (d *walkDRR) dequeue() (*packet.Packet, int) {
+	n := len(d.queues)
+	hasWork := false
+	for i := range d.queues {
+		hasWork = hasWork || d.serviceable(i)
+	}
+	if !hasWork {
+		return nil, -1
+	}
+	for visits := 0; visits < 32*n; visits++ {
+		i := d.next
+		if !d.serviceable(i) {
+			d.deficits[i] = 0
+			d.advance()
+			continue
+		}
+		q := d.queues[i]
+		if !d.credited {
+			d.deficits[i] += d.quantum
+			d.credited = true
+		}
+		if head := q.Head(); d.deficits[i] >= head.Size {
+			d.deficits[i] -= head.Size
+			p := q.Pop()
+			if q.Empty() {
+				d.deficits[i] = 0
+				d.advance()
+			}
+			return p, i
+		}
+		d.advance()
+	}
+	panic("walk DRR failed to make progress")
+}
+
+func (d *walkDRR) advance() {
+	if d.next++; d.next == len(d.queues) {
+		d.next = 0
+	}
+	d.credited = false
+}
+
+// TestDRRMatchesLinearWalk drives DRR and the walkDRR model through the same
+// random interleavings of Push, Dequeue and SetPaused and asserts, after every
+// step, the same (packet, index) from each dequeue, identical deficits and the
+// same pointer. A few queues per run take traffic, spread across the bitmap's words, so the
+// pointer wraps, crosses word boundaries and skips paused queues that still
+// hold leftover credit.
+func TestDRRMatchesLinearWalk(t *testing.T) {
+	const quantum = 1500
+	for _, n := range []int{1, 2, 33, 63, 64, 65, 129, 1001} {
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed*1009 + int64(n)))
+			fast, slow := make([]*FIFO, n), make([]*FIFO, n)
+			for i := range fast {
+				fast[i], slow[i] = NewFIFO(), NewFIFO()
+			}
+			d := NewDRR(fast, quantum)
+			m := &walkDRR{queues: slow, deficits: make([]units.Bytes, n), quantum: quantum}
+			active := make([]int, 1+rng.Intn(min(n, 6)))
+			for k := range active {
+				active[k] = rng.Intn(n)
+			}
+			active[0] = n - 1 // the last queue, so the pointer wraps from a ready bit
+			for step := 0; step < 3000; step++ {
+				i := active[rng.Intn(len(active))]
+				switch r := rng.Intn(10); {
+				case r < 4:
+					p := pkt(units.Bytes(1 + rng.Intn(2*quantum)))
+					fast[i].Push(p)
+					slow[i].Push(p)
+				case r < 8:
+					gp, gi := d.Dequeue()
+					wp, wi := m.dequeue()
+					if gp != wp || gi != wi {
+						t.Fatalf("n=%d seed=%d step %d: Dequeue = (%p, %d), walk = (%p, %d)", n, seed, step, gp, gi, wp, wi)
+					}
+				default:
+					paused := !fast[i].Paused()
+					fast[i].SetPaused(paused)
+					slow[i].SetPaused(paused)
+				}
+				for q := range d.deficits {
+					if d.deficits[q] != m.deficits[q] {
+						t.Fatalf("n=%d seed=%d step %d: deficit[%d] = %d, walk has %d", n, seed, step, q, d.deficits[q], m.deficits[q])
+					}
+				}
+				if d.next != m.next || d.credited != m.credited {
+					t.Fatalf("n=%d seed=%d step %d: pointer (%d, credited=%v), walk (%d, credited=%v)", n, seed, step, d.next, d.credited, m.next, m.credited)
+				}
+			}
+		}
 	}
 }
 
