@@ -23,6 +23,45 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// BenchmarkStoreRead is the cost of a cache hit on a real tiny-scale Fig 5a
+// record (~17 KB): the artifact is read from disk either way, and "hit"
+// compares it with the bytes the store wrote, where "miss" (the store's memo
+// emptied before each Read) parses it as JSON.
+func BenchmarkStoreRead(b *testing.B) {
+	scale, _ := experiments.ScaleByName("tiny")
+	jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC})
+	rec, err := jobs[0].Execute()
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := harness.NewStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Put(rec); err != nil {
+		b.Fatal(err)
+	}
+	for _, miss := range []bool{false, true} {
+		name := "hit"
+		if miss {
+			name = "miss"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if miss {
+					store.Forget()
+				}
+				line, ok, err := store.Read(rec.Hash)
+				if err != nil || !ok {
+					b.Fatalf("Read = %v, %v", ok, err)
+				}
+				b.SetBytes(int64(len(line)))
+			}
+		})
+	}
+}
+
 // BenchmarkStoreList is the measurement behind keeping no index: List over
 // 256 artifacts of a real tiny-scale Fig 5a record (~17 KB each) opens every
 // file and reads its identity off the front. read-B/artifact is what the

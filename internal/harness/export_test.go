@@ -3,3 +3,11 @@ package harness
 // ReadEntry lets the external benchmark count the bytes List reads per
 // artifact.
 var ReadEntry = readEntry
+
+// Forget empties the store's memo of checked bytes, so the benchmark's next
+// Read parses the artifact again.
+func (s *Store) Forget() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.checked, s.checkedSz = nil, 0
+}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sync"
 )
 
 // Store persists one JSONL record per completed job under a results
@@ -15,9 +16,21 @@ import (
 // artifact, concurrent workers never interleave writes, and Resume can skip
 // completed work with one lookup per job hash. The artifact is the only copy
 // of a result: no index is kept beside it (List reads the artifacts).
+//
+// A Store remembers, per hash, the bytes it last wrote or found valid (see
+// Read), so a cache hit on an unchanged artifact costs a file read and a
+// comparison rather than a parse.
 type Store struct {
 	dir string
+
+	mu        sync.Mutex
+	checked   map[string][]byte // hash -> artifact bytes Put wrote or Read accepted
+	checkedSz int               // sum of len over checked
 }
+
+// checkedCap bounds the bytes a Store remembers as checked. Reaching it
+// clears the memo; a forgotten artifact costs one more validation.
+const checkedCap = 32 << 20
 
 // NewStore opens (creating if needed) a results directory.
 func NewStore(dir string) (*Store, error) {
@@ -76,7 +89,31 @@ func (s *Store) Put(rec *Record) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: writing record %q: %w", rec.Name, err)
 	}
+	s.remember(rec.Hash, b)
 	return nil
+}
+
+// remember records b as the checked bytes of hash's artifact. The Store owns
+// b from here on: callers pass a slice nobody else holds.
+func (s *Store) remember(hash string, b []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.checked[hash]; ok {
+		s.checkedSz -= len(old)
+	}
+	if s.checked == nil || s.checkedSz+len(b) > checkedCap {
+		s.checked, s.checkedSz = map[string][]byte{}, 0
+	}
+	s.checked[hash] = b
+	s.checkedSz += len(b)
+}
+
+// isChecked reports whether b equals the bytes last remembered for hash.
+func (s *Store) isChecked(hash string, b []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, ok := s.checked[hash]
+	return ok && bytes.Equal(old, b)
 }
 
 // Has reports whether an artifact exists for the job hash without reading
@@ -95,7 +132,12 @@ func (s *Store) Has(hash string) bool {
 // Read returns the artifact's bytes for a job hash, as Put wrote them; ok is
 // false when no artifact exists. It is the only way bytes leave the store, so
 // it is where they are checked: anything but one newline-terminated valid
-// JSON line (a truncated, empty or overwritten artifact) is an error.
+// JSON line (a truncated, empty or overwritten artifact) is an error. The
+// file is read on every call; bytes equal to those this Store last wrote or
+// accepted under the hash are known valid and skip the parse, any other bytes
+// are parsed and, if valid, remembered instead. The verdict is therefore the
+// same function of the bytes on disk as a parse on every call. The returned
+// slice is the caller's own.
 func (s *Store) Read(hash string) (line []byte, ok bool, err error) {
 	path, ok := s.path(hash)
 	if !ok {
@@ -108,9 +150,13 @@ func (s *Store) Read(hash string) (line []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("harness: reading record %s: %w", hash, err)
 	}
+	if s.isChecked(hash, b) {
+		return b, true, nil
+	}
 	if bytes.IndexByte(b, '\n') != len(b)-1 || !json.Valid(b) {
 		return nil, false, fmt.Errorf("harness: artifact %s is not one complete JSON line", hash)
 	}
+	s.remember(hash, bytes.Clone(b))
 	return b, true, nil
 }
 

@@ -26,9 +26,10 @@ func BenchmarkSuiteCompile(b *testing.B) {
 }
 
 // BenchmarkServiceSubmitCacheHit measures a fully-cached submission end to
-// end: compile, one Store.Read per job (the artifact's bytes read, checked as
-// one valid JSON line, and dropped) and suite registration — the steady-state
-// cost of accepting an already-computed grid, with zero simulation runs per op
+// end: compile, one Store.Read per job (the artifact's bytes read, found equal
+// to the bytes the store wrote, and dropped; only bytes the store has not seen
+// are parsed as one JSON line) and suite registration — the steady-state cost
+// of accepting an already-computed grid, with zero simulation runs per op
 // (asserted via the executed-jobs counter) and no record decoded or retained.
 func BenchmarkServiceSubmitCacheHit(b *testing.B) {
 	store, err := harness.NewStore(b.TempDir())
@@ -45,17 +46,8 @@ func BenchmarkServiceSubmitCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for {
-		s, err := svc.Status(status.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.State == StateDone {
-			break
-		}
-		if s.State != StateRunning {
-			b.Fatalf("warm-up suite ended %s: %s", s.State, s.Error)
-		}
+	if s := waitState(b, svc, status.ID); s.State != StateDone {
+		b.Fatalf("warm-up suite ended %s: %s", s.State, s.Error)
 	}
 	execBefore := svc.Stats().JobsExecuted
 

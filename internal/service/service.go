@@ -14,7 +14,9 @@
 // artifact layout cmd/experiments -out writes, and that artifact is the only
 // copy of a result the daemon has: a submission checks its bytes (Store.Read)
 // and keeps none, a fetch streams them out (WriteResults) — resubmitting a
-// completed suite performs zero simulation runs. Determinism carries over from
+// completed suite performs zero simulation runs. Both reach the disk every
+// time; the check parses only bytes the store has not already written or
+// accepted, so a warm resubmission costs file reads and byte comparisons. Determinism carries over from
 // the harness: per-job seeds derive from job names, so served records are
 // byte-identical no matter the worker count or which process computed them.
 //
@@ -338,6 +340,7 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 
 	// Resolve the store before taking an active-suite slot: hits are free.
 	// Read checks the bytes, dropped here: a damaged artifact is refused now.
+	// Bytes the store wrote or accepted before are compared, not re-parsed.
 	var pending []int
 	for i := range st.jobs {
 		_, ok, err := s.cfg.Store.Read(st.jobs[i].Hash())

@@ -44,7 +44,7 @@ func newTestService(t *testing.T, dir string, mutate func(*Config)) *Service {
 }
 
 // waitState polls until the suite leaves StateRunning.
-func waitState(t *testing.T, svc *Service, id string) SuiteStatus {
+func waitState(t testing.TB, svc *Service, id string) SuiteStatus {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
