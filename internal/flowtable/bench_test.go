@@ -11,8 +11,8 @@ var benchSink *Entry
 
 // BenchmarkFlowTableNew measures constructing the paper-sized table, which
 // every BFC switch of a run does once before any flow arrives (264 times on
-// the 1024-host fat-tree). B/op is the index the constructor clears and the
-// collector then owns: 4 bytes per VFID (64 KB) plus the overflow map.
+// the 1024-host fat-tree). B/op is what an idle table holds: the struct, the
+// overflow map and the index's first eight cells, whatever the VFID space.
 func BenchmarkFlowTableNew(b *testing.B) {
 	b.ReportAllocs()
 	var tbl *Table

@@ -14,11 +14,12 @@
 // caller must fall back to the per-egress overflow queue.
 //
 // The host-side layout keeps an idle table cheap — a run builds one per
-// switch and most VFIDs never see a flow: the VFID index is one int32 per
-// VFID, a bucket is a chain through its entries, and its capacity is a bound
-// on the chain's length. Entries are allocated one by one, owned by a slab
-// and recycled through a free chain, so an *Entry is stable: from Insert
-// until Remove it is the same object at the same address.
+// switch and most VFIDs never see a flow: the VFID index is an open-addressed
+// hash table from VFID to bucket, sized to the VFIDs that hold entries rather
+// than to the VFID space; a bucket is a chain through its entries, and its
+// capacity is a bound on the chain's length. Entries are allocated one by
+// one, owned by a slab and recycled through a free chain, so an *Entry is
+// stable: from Insert until Remove it is the same object at the same address.
 package flowtable
 
 import (
@@ -109,11 +110,21 @@ type Stats struct {
 type Table struct {
 	numVFIDs   int
 	bucketSize int
-	// heads[v] is the first entry of VFID v's bucket, as 1 + its slab index
-	// (0 = empty bucket); the bucket is the chain through Entry.next, at most
-	// bucketSize long. The index holds no pointers: New clears 4 bytes per
-	// VFID and the collector never scans it.
-	heads []int32
+	// index finds the bucket of every VFID that has one: an open-addressed
+	// table with linear probing, a power of two long and at most half full,
+	// so a lookup ends at the VFID's cell or an empty one within a few steps.
+	// A cell keeps the VFID beside the first entry of its bucket, so each
+	// probe reads one cache line; the bucket is the chain through Entry.next,
+	// at most bucketSize long. A VFID's cell is freed when its bucket empties.
+	// The index starts at minIndex cells and doubles when a VFID would make
+	// it more than half full; like the slab it never shrinks, which would
+	// reallocate on every swing of a switch's flow count. It holds no
+	// pointers, so the collector never scans it.
+	index []cell
+	// shift maps a VFID's hash to its home cell: 32 − log2(len(index)).
+	shift uint8
+	// used counts the occupied cells.
+	used int
 	// slab owns every entry the table ever allocated: bucket, overflow or
 	// free. It grows to the table's high-water occupancy and never shrinks.
 	slab []*Entry
@@ -131,6 +142,16 @@ type Table struct {
 	free int32
 }
 
+// cell is one index slot: a VFID and the first entry of its bucket, as 1 +
+// its slab index. head 0 marks an empty cell.
+type cell struct {
+	vfid packet.VFID
+	head int32
+}
+
+// minIndex is the index length New allocates, in cells (64 bytes).
+const minIndex = 8
+
 // New creates a table with the given VFID space, bucket size and overflow
 // cache capacity.
 func New(numVFIDs, bucketSize, overflowCap int) *Table {
@@ -146,7 +167,8 @@ func New(numVFIDs, bucketSize, overflowCap int) *Table {
 	return &Table{
 		numVFIDs:    numVFIDs,
 		bucketSize:  bucketSize,
-		heads:       make([]int32, numVFIDs),
+		index:       make([]cell, minIndex),
+		shift:       32 - 3, // log2(minIndex)
 		overflow:    make(map[Key]*Entry),
 		overflowCap: overflowCap,
 	}
@@ -172,26 +194,78 @@ func (t *Table) MemoryBytes() units.Bytes {
 // Lookup finds the entry for a VFID arriving on ingress and destined to
 // egress. It returns nil if no such entry exists.
 func (t *Table) Lookup(v packet.VFID, ingress, egress int) *Entry {
-	e, _ := t.find(v, ingress, egress)
+	e, _, _ := t.find(v, ingress, egress)
 	return e
 }
 
-// find is Lookup that also reports the length of v's bucket chain when the
-// entry is not in it.
-func (t *Table) find(v packet.VFID, ingress, egress int) (*Entry, int) {
+// find is Lookup that also reports v's index cell (see cellOf) and, when the
+// entry is not in v's bucket, the bucket's length.
+func (t *Table) find(v packet.VFID, ingress, egress int) (e *Entry, at, depth int) {
 	t.checkVFID(v)
-	depth := 0
-	for i := t.heads[v]; i != 0; depth++ {
+	at = t.cellOf(v)
+	for i := t.index[at].head; i != 0; depth++ {
 		e := t.slab[i-1]
 		if e.Ingress == ingress && e.Egress == egress {
-			return e, depth
+			return e, at, depth
 		}
 		i = e.next
 	}
 	if len(t.overflow) == 0 {
-		return nil, depth
+		return nil, at, depth
 	}
-	return t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}], depth
+	return t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}], at, depth
+}
+
+// home returns the cell v's probe sequence starts at (Fibonacci hashing, so
+// runs of consecutive VFIDs spread over the index).
+func (t *Table) home(v packet.VFID) int {
+	return int(uint32(v) * 0x9e3779b1 >> t.shift)
+}
+
+// cellOf returns the index cell holding v's bucket or, when v has none, the
+// empty cell that ends v's probe sequence, where v's bucket would go.
+func (t *Table) cellOf(v packet.VFID) int {
+	mask := len(t.index) - 1
+	for i := t.home(v); ; i = (i + 1) & mask {
+		if c := &t.index[i]; c.head == 0 || c.vfid == v {
+			return i
+		}
+	}
+}
+
+// claim gives v the empty cell at, or, when one more VFID would leave the
+// index more than half full, doubles the index and gives v its empty cell
+// there. It returns the cell; the caller sets its head.
+func (t *Table) claim(v packet.VFID, at int) int {
+	if 2*(t.used+1) > len(t.index) {
+		old := t.index
+		t.index = make([]cell, 2*len(old))
+		t.shift--
+		for _, c := range old {
+			if c.head != 0 {
+				t.index[t.cellOf(c.vfid)] = c
+			}
+		}
+		at = t.cellOf(v)
+	}
+	t.used++
+	t.index[at].vfid = v
+	return at
+}
+
+// release empties cell at, whose bucket has emptied. A probe stops at the
+// first empty cell, so each later cell of the run moves back into the hole
+// unless its own home lies between the hole and it.
+func (t *Table) release(at int) {
+	mask := len(t.index) - 1
+	for j := (at + 1) & mask; t.index[j].head != 0; j = (j + 1) & mask {
+		if (j-t.home(t.index[j].vfid))&mask >= (j-at)&mask {
+			t.index[at] = t.index[j]
+			at = j
+		}
+	}
+	t.index[at] = cell{}
+	t.used--
 }
 
 // InsertResult describes where a new entry was stored.
@@ -212,13 +286,16 @@ const (
 // with Lookup that no entry exists (inserting a duplicate key panics, since
 // it would silently split one flow's state in two).
 func (t *Table) Insert(v packet.VFID, ingress, egress int) (*Entry, InsertResult) {
-	dup, depth := t.find(v, ingress, egress)
+	dup, at, depth := t.find(v, ingress, egress)
 	if dup != nil {
 		panic(fmt.Sprintf("flowtable: duplicate insert for VFID %d in=%d out=%d", v, ingress, egress))
 	}
 	if depth < t.bucketSize {
 		e := t.newEntry(v, ingress, egress)
-		e.next, t.heads[v] = t.heads[v], e.slot
+		if t.index[at].head == 0 {
+			at = t.claim(v, at)
+		}
+		e.next, t.index[at].head = t.index[at].head, e.slot
 		return e, InsertedBucket
 	}
 	t.stats.BucketFull++
@@ -267,7 +344,8 @@ func (t *Table) Remove(e *Entry) {
 		}
 		delete(t.overflow, k)
 	} else {
-		link := &t.heads[e.VFID]
+		at := t.cellOf(e.VFID)
+		link := &t.index[at].head
 		for *link != 0 && t.slab[*link-1] != e {
 			link = &t.slab[*link-1].next
 		}
@@ -275,23 +353,70 @@ func (t *Table) Remove(e *Entry) {
 			panic("flowtable: removing unknown entry")
 		}
 		*link = e.next
+		if t.index[at].head == 0 {
+			t.release(at)
+		}
 	}
 	t.active--
 	e.next, t.free = t.free, e.slot
 }
 
-// ForEach calls fn for every active entry. Iteration order over bucket slots
-// is deterministic; overflow-cache order is not (it is only used for
-// statistics).
-func (t *Table) ForEach(fn func(*Entry)) {
-	for _, i := range t.heads {
-		for ; i != 0; i = t.slab[i-1].next {
-			fn(t.slab[i-1])
+// Check walks the whole table and reports the first broken invariant: Active
+// must equal the bucket chains' lengths plus the overflow cache's size; a
+// chain must hold at most bucketSize entries, all of its cell's VFID, and
+// that VFID must be found from its home cell; no live entry may be on the
+// free chain; the index must be at most half full. It is for tests.
+func (t *Table) Check() error {
+	if 2*t.used > len(t.index) {
+		return fmt.Errorf("flowtable: index holds %d VFIDs in %d cells, more than half full", t.used, len(t.index))
+	}
+	live := make([]bool, len(t.slab)+1)
+	used, entries := 0, len(t.overflow)
+	for at, c := range t.index {
+		if c.head == 0 {
+			continue
+		}
+		used++
+		if int(c.vfid) >= t.numVFIDs || t.cellOf(c.vfid) != at {
+			return fmt.Errorf("flowtable: VFID %d in cell %d is not found from its home cell", c.vfid, at)
+		}
+		n := 0
+		for i := c.head; i != 0; i = t.slab[i-1].next {
+			if n++; n > t.bucketSize {
+				return fmt.Errorf("flowtable: VFID %d's bucket holds more than %d entries", c.vfid, t.bucketSize)
+			}
+			if e := t.slab[i-1]; e.VFID != c.vfid || e.inOverflow {
+				return fmt.Errorf("flowtable: VFID %d's bucket holds an entry of VFID %d (overflow %v)", c.vfid, e.VFID, e.inOverflow)
+			}
+			live[i] = true
+		}
+		entries += n
+	}
+	if used != t.used {
+		return fmt.Errorf("flowtable: %d occupied cells, counted %d", used, t.used)
+	}
+	if entries != t.active {
+		return fmt.Errorf("flowtable: Active() = %d, but buckets and overflow cache hold %d", t.active, entries)
+	}
+	filed := 0
+	for _, e := range t.slab {
+		if t.overflow[Key{e.VFID, e.Ingress, e.Egress}] == e {
+			if !e.inOverflow {
+				return fmt.Errorf("flowtable: bucket entry %+v is in the overflow cache", *e)
+			}
+			filed++
+			live[e.slot] = true
 		}
 	}
-	for _, e := range t.overflow {
-		fn(e)
+	if filed != len(t.overflow) {
+		return fmt.Errorf("flowtable: overflow cache holds %d entries, %d of them slab entries filed under their key", len(t.overflow), filed)
 	}
+	for i, n := t.free, 0; i != 0; i, n = t.slab[i-1].next, n+1 {
+		if live[i] || n == len(t.slab) {
+			return fmt.Errorf("flowtable: free chain reaches live or cycling entry %d", i)
+		}
+	}
+	return nil
 }
 
 func (t *Table) checkVFID(v packet.VFID) {

@@ -116,15 +116,16 @@ func TestConstructorValidation(t *testing.T) {
 	assertPanics(t, func() { New(16, 4, -1) })
 }
 
-func TestForEachAndMemory(t *testing.T) {
+func TestActiveAndMemory(t *testing.T) {
 	tbl := New(128, 4, 10)
 	tbl.Insert(1, 0, 1)
 	tbl.Insert(2, 0, 1)
 	tbl.Insert(3, 1, 2)
-	seen := 0
-	tbl.ForEach(func(e *Entry) { seen++ })
-	if seen != 3 {
-		t.Fatalf("ForEach visited %d entries, want 3", seen)
+	if tbl.Active() != 3 {
+		t.Fatalf("Active() = %d, want 3", tbl.Active())
+	}
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
 	}
 	if tbl.MemoryBytes() != 128*4*4 {
 		t.Fatalf("MemoryBytes = %d", tbl.MemoryBytes())
@@ -170,8 +171,8 @@ func assertPanics(t *testing.T, f func()) {
 // Property: seeded random Insert/Lookup/Remove sequences, on a table small
 // enough to pass through bucket-full, the overflow cache and InsertFailed,
 // agree with a map model on every result, on Stats and Active, keep every
-// live *Entry where it was, and hand a removed entry's slot to the next
-// insert.
+// live *Entry where it was, hand a removed entry's slot to the next insert,
+// and pass Check.
 func TestTableMatchesReferenceMap(t *testing.T) {
 	const vfids, bucketSize, overflowCap, ports = 8, 2, 3, 3
 	prop := func(seed int64) bool {
@@ -257,14 +258,8 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 					}
 				}
 			}
-			seen := 0
-			tbl.ForEach(func(e *Entry) {
-				if ref[Key{e.VFID, e.Ingress, e.Egress}] == e {
-					seen++
-				}
-			})
-			if seen != len(ref) {
-				t.Logf("seed %d op %d: ForEach visited %d of %d", seed, i, seen, len(ref))
+			if err := tbl.Check(); err != nil {
+				t.Logf("seed %d op %d: %v", seed, i, err)
 				return false
 			}
 		}

@@ -1,16 +1,17 @@
 package topology
 
 import (
+	"runtime"
 	"testing"
 
 	"bfc/internal/units"
 )
 
-// BenchmarkFatTreeBuild1024 measures building the scale tier's largest
-// standard fabric — a 1024-host, 264-switch three-tier fat-tree — including
-// the full ECMP route computation (one reverse BFS per host) and the pristine
-// baseline snapshot. ns/op is the fabric construction latency every
-// large-scale job pays once; B/op tracks the routing-table footprint.
+// BenchmarkFatTreeBuild1024 measures building the scale tier's standard
+// 1024-host fabric — a 264-switch three-tier fat-tree — including the full
+// ECMP route computation (one reverse BFS per leaf switch, 128 of them). ns/op
+// is the fabric construction latency every large-scale job pays once; B/op
+// tracks the routing-table footprint.
 func BenchmarkFatTreeBuild1024(b *testing.B) {
 	cfg := FatTreeForHosts(1024, 100*units.Gbps, units.Microsecond)
 	b.ReportAllocs()
@@ -19,6 +20,30 @@ func BenchmarkFatTreeBuild1024(b *testing.B) {
 		if len(topo.Hosts()) != 1024 {
 			b.Fatalf("hosts = %d", len(topo.Hosts()))
 		}
+	}
+}
+
+// The routing tables grow with nodes × leaf switches, not nodes × hosts: at
+// the largest fabric a run may declare (4096 hosts, 512 leaves) the live
+// table has one column per leaf plus column 0, the baseline shares it until a
+// link changes, and the whole build stays under 24 MB (a column per host
+// would need ≈ 170 MB).
+func TestRouteTablesScaleWithLeaves(t *testing.T) {
+	cfg := FatTreeForHosts(4096, 100*units.Gbps, units.Microsecond)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	topo := NewFatTree(cfg)
+	runtime.ReadMemStats(&after)
+	if leaves := cfg.Pods * cfg.EdgePerPod; len(topo.leaves) != leaves {
+		t.Fatalf("%d leaves, want %d edge switches", len(topo.leaves), leaves)
+	}
+	if want := topo.NumNodes() * (len(topo.leaves) + 1); len(topo.routes) != want || len(topo.dist) != want {
+		t.Fatalf("tables hold %d routes and %d distances, want nodes × (leaves + 1) = %d", len(topo.routes), len(topo.dist), want)
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("4096-host build: %d nodes, %d leaves, %.1f MB allocated", topo.NumNodes(), len(topo.leaves), mb)
+	if mb >= 24 {
+		t.Fatalf("building the 4096-host fat-tree allocated %.1f MB, want < 24", mb)
 	}
 }
 

@@ -119,7 +119,7 @@ func (r *nestedTables) check(t *testing.T, when string) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: next hops %s -> %s = %v, reference %v", when, n.Name, r.t.nodes[h].Name, got, want)
 			}
-			if d := int(r.t.dist[r.t.at(n.ID, h)]); d != r.dist[n.ID][h] {
+			if d := r.t.distTo(n.ID, h); d != r.dist[n.ID][h] {
 				t.Fatalf("%s: dist %s -> %s = %d, reference %d", when, n.Name, r.t.nodes[h].Name, d, r.dist[n.ID][h])
 			}
 		}
@@ -144,6 +144,44 @@ func baselineMetrics(topo *Topology) []int64 {
 
 type link struct{ a, b packet.NodeID }
 
+func linkOf(a, b packet.NodeID) link { return link{min(a, b), max(a, b)} }
+
+type flap struct {
+	l  link
+	up bool
+}
+
+// scriptedFlaps visits each way a link change reaches the leaf-column tables:
+// a host uplink down and up; a leaf-to-spine link; a switch link flapping
+// while a host uplink is down; every uplink of a leaf down, so its hosts are
+// unreachable, with host uplinks flapping inside and outside the island. It
+// ends with every link up.
+func scriptedFlaps(topo *Topology) []flap {
+	hosts := topo.Hosts()
+	h, far := hosts[0], hosts[len(hosts)-1]
+	leaf := topo.Node(h).Ports[0].Peer
+	uplink, farUplink := linkOf(h, leaf), linkOf(far, topo.Node(far).Ports[0].Peer)
+	var spines []link
+	for _, p := range topo.Node(leaf).Ports {
+		if topo.Node(p.Peer).Kind == Switch {
+			spines = append(spines, linkOf(leaf, p.Peer))
+		}
+	}
+	steps := []flap{
+		{uplink, false}, {uplink, true},
+		{spines[0], false}, {spines[0], true},
+		{uplink, false}, {spines[0], false}, {spines[0], true}, {uplink, true},
+	}
+	for _, l := range spines {
+		steps = append(steps, flap{l, false})
+	}
+	steps = append(steps, flap{uplink, false}, flap{farUplink, false}, flap{uplink, true}, flap{farUplink, true})
+	for _, l := range spines {
+		steps = append(steps, flap{l, true})
+	}
+	return steps
+}
+
 func allLinks(topo *Topology) []link {
 	var links []link
 	for _, n := range topo.Nodes() {
@@ -160,16 +198,17 @@ func TestFlatTablesMatchNestedReference(t *testing.T) {
 	crossDC := T2Config()
 	crossDC.NumToR, crossDC.HostsPerToR, crossDC.NumSpine = 2, 4, 2
 	cases := []struct {
-		name  string
-		topo  *Topology
-		flaps int
+		name     string
+		topo     *Topology
+		flaps    int
+		scripted bool
 	}{
-		{"T1", NewT1(), 40},
-		{"T2", NewT2(), 40},
-		{"dumbbell", NewDumbbell(DumbbellConfig{HostsPerSide: 3, EdgeRate: 100 * units.Gbps, BottleneckRate: 40 * units.Gbps, LinkDelay: units.Microsecond}), 40},
-		{"crossdc", NewCrossDC(CrossDCConfig{DC: crossDC, GatewayRate: 100 * units.Gbps, GatewayDelay: 200 * units.Microsecond}).Topology, 60},
-		{"fattree64", NewFatTree(FatTreeForHosts(64, 100*units.Gbps, units.Microsecond)), 60},
-		{"fattree1024", NewFatTree(FatTreeForHosts(1024, 100*units.Gbps, units.Microsecond)), 4},
+		{"T1", NewT1(), 40, false},
+		{"T2", NewT2(), 40, true},
+		{"dumbbell", NewDumbbell(DumbbellConfig{HostsPerSide: 3, EdgeRate: 100 * units.Gbps, BottleneckRate: 40 * units.Gbps, LinkDelay: units.Microsecond}), 40, false},
+		{"crossdc", NewCrossDC(CrossDCConfig{DC: crossDC, GatewayRate: 100 * units.Gbps, GatewayDelay: 200 * units.Microsecond}).Topology, 60, false},
+		{"fattree64", NewFatTree(FatTreeForHosts(64, 100*units.Gbps, units.Microsecond)), 60, true},
+		{"fattree1024", NewFatTree(FatTreeForHosts(1024, 100*units.Gbps, units.Microsecond)), 4, false},
 	}
 	for ci, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -190,12 +229,22 @@ func TestFlatTablesMatchNestedReference(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(100 + ci)))
 			links := allLinks(topo)
+			var steps []flap
+			if c.scripted {
+				steps = scriptedFlaps(topo)
+			}
 			down := map[link]bool{}
-			for i := 0; i < c.flaps; i++ {
-				l := links[rng.Intn(len(links))]
-				up := down[l] // toggle...
-				if rng.Intn(8) == 0 {
-					up = !up // ...or, now and then, ask for the state it has
+			for i := 0; i < len(steps)+c.flaps; i++ {
+				var l link
+				var up bool
+				if i < len(steps) {
+					l, up = steps[i].l, steps[i].up
+				} else {
+					l = links[rng.Intn(len(links))]
+					up = down[l] // toggle...
+					if rng.Intn(8) == 0 {
+						up = !up // ...or, now and then, ask for the state it has
+					}
 				}
 				got, want := ref.setLinkState(l.a, l.b, up)
 				when := fmt.Sprintf("flap %d (%s-%s up=%v)", i, topo.Node(l.a).Name, topo.Node(l.b).Name, up)

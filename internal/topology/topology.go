@@ -9,16 +9,22 @@
 //
 // Topologies additionally support mid-run dynamics for the scenario engine
 // (internal/scenario): SetLinkState fails or recovers a link and incrementally
-// recomputes the ECMP tables of the hosts whose shortest-path DAGs the link
-// touched, and SetLinkParams degrades a link's rate or latency in place.
+// recomputes the ECMP columns whose shortest-path DAGs the link touched, and
+// SetLinkParams degrades a link's rate or latency in place.
 //
-// The routing tables are flat and hold no pointers: one row per node, one
-// column per host plus column 0, never written, for every destination that is
-// not a host; per entry a uint16 index into the node's interned next-hop port
-// sets and an int16 hop count. Interned sets are immutable and append-only,
-// so the slices NextHops hands out stay valid, and two entries of one node
-// hold equal indexes exactly when their port sets are equal — which is how a
-// reroute counts the sets it changed. Index 0 is the empty set: no route.
+// Every host has exactly one uplink, and the switch at its other end is the
+// host's leaf. Nothing routes through a host, so from any node other than host
+// h and its leaf ℓ the next hops toward h are those toward ℓ, one hop short.
+// The routing tables therefore keep one column per leaf, not per host: one
+// row per node, one column per leaf plus column 0, never written, for every
+// destination that is not a host; per entry a uint16 index into the node's
+// interned next-hop port sets and an int16 hop count toward the leaf. A lookup
+// toward h answers from ℓ's column, except at ℓ itself, which answers with its
+// port to h, and while h's uplink is down, when h's entry sends every node to
+// column 0: no route. Interned sets are immutable and append-only, so the
+// slices NextHops hands out stay valid, and two entries of one node hold equal
+// indexes exactly when their port sets are equal — which is how a reroute
+// counts the sets it changed. Index 0 is the empty set: no route.
 package topology
 
 import (
@@ -111,32 +117,58 @@ type Topology struct {
 	nodes []*Node
 	hosts []packet.NodeID
 
-	// hostCol[node] is the node's column in the tables below: 1 + its index
-	// in hosts, or 0 for a switch.
-	hostCol []int32
+	// leaves[c-1] is the leaf of column c in the tables below: a switch at
+	// the other end of some host's uplink, in order of first appearance.
+	leaves []packet.NodeID
+	// dests[node] is how the tables answer for node as a destination.
+	dests []dest
+	// upHosts[c] counts the hosts of column c's leaf whose uplink is up.
+	upHosts []int32
 	// sets[node] holds the node's interned next-hop port sets (see the
 	// package comment); sets[node][0] is the empty set.
 	sets [][][]int
-	// routes[at(node, host)] indexes sets[node]: the egress ports on
-	// equal-cost shortest paths from node toward host.
+	// routes[at(node, c)] indexes sets[node]: the egress ports on equal-cost
+	// shortest paths from node toward column c's leaf. The leaf's own row
+	// holds the empty set.
 	routes []uint16
-	// dist, indexed like routes, is the hop count of those paths, -1 if none.
+	// dist, indexed like routes, is the hop count of those paths: 0 at the
+	// leaf, -1 where there is none.
 	dist []int16
 
-	// baseRoutes and baseDist snapshot the pristine (all links up) tables at
-	// build time. Forwarding uses the live tables; the unloaded-path metrics
+	// baseRoutes and baseDist are the pristine (all links up) tables.
+	// Forwarding uses the live tables; the unloaded-path metrics
 	// (PathOneWay, MinPathRate, HopCount) use the baseline, so ideal-FCT
 	// denominators stay well-defined and constant while scenario link events
-	// reshape the live routes.
+	// reshape the live routes. They share the live tables' arrays until the
+	// first link state change (baseShared), which copies them.
 	baseRoutes []uint16
 	baseDist   []int16
+	baseShared bool
 
-	// Scratch reused by every bfsFrom, so that a reroute allocates only when
+	// Scratch reused by every solve, so that a reroute allocates only when
 	// it produces a port set the node never had.
 	bfsDist  []int32
 	bfsQueue []packet.NodeID
 	bfsPorts []int
 }
+
+// dest is a node as a routing destination (see the package comment).
+type dest struct {
+	// leaf is a host's leaf, and a switch itself.
+	leaf packet.NodeID
+	// col is 1 + the index of a host's leaf in leaves; 0 for a switch.
+	col int32
+	// liveCol is col, or 0 while the host's uplink is down: the column live
+	// lookups read, where column 0 answers no route.
+	liveCol int32
+	// set indexes sets[leaf]: the one port from a host's leaf to the host.
+	set uint16
+	// liveSet is set, or 0 (the empty set) while the host's uplink is down.
+	liveSet uint16
+}
+
+// uplinkPort is a host's only next-hop set: its port 0.
+var uplinkPort = []int{0}
 
 // Nodes returns all nodes, indexed by NodeID.
 func (t *Topology) Nodes() []*Node { return t.nodes }
@@ -184,53 +216,72 @@ func (b *builder) build() *Topology {
 			if len(n.Ports) != 1 {
 				panic(fmt.Sprintf("topology: host %s must have exactly one uplink, has %d", n.Name, len(n.Ports)))
 			}
+			if b.nodes[n.Ports[0].Peer].Kind == Host {
+				panic(fmt.Sprintf("topology: host %s must uplink to a switch", n.Name))
+			}
 		}
 	}
 	t.computeRoutes()
-	t.baseRoutes, t.baseDist = slices.Clone(t.routes), slices.Clone(t.dist)
+	t.baseRoutes, t.baseDist, t.baseShared = t.routes, t.dist, true
 	return t
 }
 
-// computeRoutes runs a reverse BFS from every host, recording for each node
-// the set of egress ports that lie on a shortest path toward that host.
+// computeRoutes finds every host's leaf and runs a reverse BFS from every
+// leaf, recording for each node the set of egress ports that lie on a
+// shortest path toward that leaf.
 func (t *Topology) computeRoutes() {
 	n := len(t.nodes)
-	t.hostCol = make([]int32, n)
-	for col, host := range t.hosts {
-		t.hostCol[host] = int32(col) + 1
-	}
 	t.sets = make([][][]int, n)
 	for i := range t.sets {
 		t.sets[i] = [][]int{nil}
 	}
-	t.routes = make([]uint16, n*(len(t.hosts)+1))
+	t.dests = make([]dest, n)
+	for i := range t.dests {
+		t.dests[i].leaf = packet.NodeID(i)
+	}
+	colOf := make([]int32, n)
+	t.upHosts = []int32{0}
+	for _, host := range t.hosts {
+		up := t.nodes[host].Ports[0]
+		if colOf[up.Peer] == 0 {
+			t.leaves = append(t.leaves, up.Peer)
+			t.upHosts = append(t.upHosts, 0)
+			colOf[up.Peer] = int32(len(t.leaves))
+		}
+		t.bfsPorts = append(t.bfsPorts[:0], up.PeerPort)
+		col, set := colOf[up.Peer], t.intern(up.Peer, t.bfsPorts, 0)
+		t.dests[host] = dest{leaf: up.Peer, col: col, liveCol: col, set: set, liveSet: set}
+		t.upHosts[colOf[up.Peer]]++
+	}
+	t.routes = make([]uint16, n*(len(t.leaves)+1))
 	t.dist = make([]int16, len(t.routes))
 	for i := range t.dist {
 		t.dist[i] = -1
 	}
 	t.bfsDist = make([]int32, n)
 	t.bfsQueue = make([]packet.NodeID, 0, n)
-	for _, host := range t.hosts {
-		t.bfsFrom(host)
+	for c := range t.leaves {
+		t.solve(int32(c + 1))
 	}
 }
 
-// at returns the table index of (node, dst). A dst that is not a host lands
-// in column 0, which reads as no route at distance -1.
-func (t *Topology) at(node, dst packet.NodeID) int {
-	return int(node)*(len(t.hosts)+1) + int(t.hostCol[dst])
+// at returns the table index of (node, column col).
+func (t *Topology) at(node packet.NodeID, col int32) int {
+	return int(node)*(len(t.leaves)+1) + int(col)
 }
 
-// bfsFrom recomputes the shortest-path DAG toward host over the currently-up
-// links and installs it, returning the number of (node, host) next-hop sets
-// that changed. Unreachable nodes get the empty port set and distance -1.
-func (t *Topology) bfsFrom(host packet.NodeID) (changed int) {
+// solve recomputes the shortest-path DAG toward column col's leaf over the
+// currently-up links and installs it, returning the number of rows whose
+// next-hop set changed. Unreachable nodes get the empty port set and distance
+// -1.
+func (t *Topology) solve(col int32) (changed int) {
+	leaf := t.leaves[col-1]
 	dist := t.bfsDist
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[host] = 0
-	queue := append(t.bfsQueue[:0], host)
+	dist[leaf] = 0
+	queue := append(t.bfsQueue[:0], leaf)
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
 		for _, p := range t.nodes[cur].Ports {
@@ -244,9 +295,11 @@ func (t *Topology) bfsFrom(host packet.NodeID) (changed int) {
 	if dist[queue[len(queue)-1]] > math.MaxInt16 {
 		panic("topology: path length overflows the int16 distance table")
 	}
-	// A node's next hops toward host are the neighbors one step closer.
+	// A node's next hops toward the leaf are the neighbors one step closer.
 	for _, node := range t.nodes {
-		if node.ID == host {
+		at := t.at(node.ID, col)
+		t.dist[at] = int16(dist[node.ID])
+		if node.ID == leaf {
 			continue
 		}
 		ports := t.bfsPorts[:0]
@@ -258,14 +311,39 @@ func (t *Topology) bfsFrom(host packet.NodeID) (changed int) {
 			}
 		}
 		t.bfsPorts = ports
-		at := t.at(node.ID, host)
 		if set := t.intern(node.ID, ports, t.routes[at]); set != t.routes[at] {
 			changed++
 			t.routes[at] = set
 		}
-		t.dist[at] = int16(dist[node.ID])
 	}
 	return changed
+}
+
+// route reads the next-hop set index and hop count from node toward dst in
+// the given tables (the live or the baseline ones), ignoring uplink flags;
+// hops is -1 where there is no route.
+func (t *Topology) route(routes []uint16, dist []int16, node, dst packet.NodeID) (set uint16, hops int) {
+	d := &t.dests[dst]
+	switch {
+	case node == dst:
+		return 0, -1
+	case node == d.leaf:
+		return d.set, 1
+	}
+	at := t.at(node, d.col)
+	if dist[at] < 0 {
+		return 0, -1
+	}
+	return routes[at], int(dist[at]) + 1
+}
+
+// distTo returns the live hop count from node toward dst, -1 if none.
+func (t *Topology) distTo(node, dst packet.NodeID) int {
+	if t.dests[dst].liveCol == 0 {
+		return -1
+	}
+	_, hops := t.route(t.routes, t.dist, node, dst)
+	return hops
 }
 
 // intern returns the index of ports among node's interned sets, trying the
@@ -310,10 +388,11 @@ func (t *Topology) NodeByName(name string) (packet.NodeID, bool) {
 }
 
 // SetLinkState marks the a<->b link up or down and incrementally recomputes
-// the ECMP routing tables: only hosts whose shortest-path DAG the link
-// touches are re-solved. It returns the number of (node, host) next-hop sets
-// that changed (the "reroute count" the scenario engine reports), or 0 when
-// the link already had the requested state.
+// the ECMP routing tables: a switch-to-switch link re-solves only the leaf
+// columns whose shortest-path DAG it touches, and a host's uplink only
+// repoints the host's entry (dests) and patches its own row. It returns the number of
+// (node, host) next-hop sets that changed (the "reroute count" the scenario
+// engine reports), or 0 when the link already had the requested state.
 func (t *Topology) SetLinkState(a, b packet.NodeID, up bool) int {
 	pa, pb, ok := t.LinkBetween(a, b)
 	if !ok {
@@ -322,29 +401,41 @@ func (t *Topology) SetLinkState(a, b packet.NodeID, up bool) int {
 	if t.nodes[a].Ports[pa].Up == up {
 		return 0
 	}
+	if t.baseShared {
+		t.baseRoutes, t.baseDist, t.baseShared = slices.Clone(t.routes), slices.Clone(t.dist), false
+	}
 	t.nodes[a].Ports[pa].Up = up
 	t.nodes[b].Ports[pb].Up = up
-	// Whether a host is affected is decided from the pre-change distances:
+	switch {
+	case t.nodes[a].Kind == Host:
+		return t.setUplink(a, up)
+	case t.nodes[b].Kind == Host:
+		return t.setUplink(b, up)
+	}
+	// Whether a column is affected is decided from the pre-change distances:
 	// they tell whether the link lies on (failure) or adds to (recovery) the
-	// host's shortest-path DAG. Each host's distances are its own column,
-	// which nothing rewrites before its own bfsFrom.
+	// leaf's shortest-path DAG. Each column's distances are its own, which
+	// nothing rewrites before its own solve. A row that changed in column c
+	// changed toward each of the leaf's hosts whose uplink is up; toward the
+	// others every node has no route before and after.
 	changed := 0
-	for _, host := range t.hosts {
-		if t.hostAffected(host, a, b, up) {
-			changed += t.bfsFrom(host)
+	for c := range t.leaves {
+		col := int32(c + 1)
+		if t.colAffected(col, a, b, up) {
+			changed += t.solve(col) * int(t.upHosts[col])
 		}
 	}
 	return changed
 }
 
-// hostAffected reports whether changing the a<->b link can alter the routing
-// DAG toward host. An existing shortest-path edge always has endpoint
-// distances differing by exactly 1; removal of any other edge is a no-op. A
-// restored edge changes distances or adds equal-cost ports only when the
-// endpoint distances differ. Unknown (-1) distances are conservatively
+// colAffected reports whether changing the a<->b link can alter the routing
+// DAG toward column col's leaf. An existing shortest-path edge always has
+// endpoint distances differing by exactly 1; removal of any other edge is a
+// no-op. A restored edge changes distances or adds equal-cost ports only when
+// the endpoint distances differ. Unknown (-1) distances are conservatively
 // treated as affected.
-func (t *Topology) hostAffected(host, a, b packet.NodeID, up bool) bool {
-	da, db := t.dist[t.at(a, host)], t.dist[t.at(b, host)]
+func (t *Topology) colAffected(col int32, a, b packet.NodeID, up bool) bool {
+	da, db := t.dist[t.at(a, col)], t.dist[t.at(b, col)]
 	if da == -1 || db == -1 {
 		return true
 	}
@@ -353,6 +444,44 @@ func (t *Topology) hostAffected(host, a, b packet.NodeID, up bool) bool {
 	}
 	diff := da - db
 	return diff == 1 || diff == -1
+}
+
+// setUplink applies the flip of host h's uplink. No shortest path runs
+// through a host, so every column keeps its rows except h's own, which is
+// patched from the leaf's distances instead of re-solved. The (node, host)
+// sets that change are: the leaf's and every other node's route toward h
+// that exists while the uplink is up, and h's own route toward every other
+// up host whose leaf its leaf reaches.
+func (t *Topology) setUplink(h packet.NodeID, up bool) int {
+	d := &t.dests[h]
+	d.liveCol, d.liveSet = 0, 0
+	if up {
+		d.liveCol, d.liveSet = d.col, d.set
+	} else {
+		t.upHosts[d.col]-- // upHosts leaves h out while the sets are counted
+	}
+	changed := 1 // the leaf's port to h
+	for _, n := range t.nodes {
+		if n.ID != h && n.ID != d.leaf && t.routes[t.at(n.ID, d.col)] != 0 {
+			changed++
+		}
+	}
+	leafRow, row := t.at(d.leaf, 0), t.at(h, 0)
+	for c := 1; c <= len(t.leaves); c++ {
+		hops := t.dist[leafRow+c]
+		if hops >= 0 {
+			changed += int(t.upHosts[c])
+		}
+		if up && hops >= 0 {
+			t.routes[row+c], t.dist[row+c] = t.intern(h, uplinkPort, t.routes[row+c]), hops+1
+		} else {
+			t.routes[row+c], t.dist[row+c] = 0, -1
+		}
+	}
+	if up {
+		t.upHosts[d.col]++
+	}
+	return changed
 }
 
 // SetLinkParams updates the rate and propagation delay of the a<->b link in
@@ -386,7 +515,18 @@ func (t *Topology) NextHops(node, dst packet.NodeID) []int {
 // a switch whose only link onward just failed, or a dst that is not a host.
 // The returned slice is shared and must not be modified.
 func (t *Topology) NextHopsOrNil(node, dst packet.NodeID) []int {
-	return t.sets[node][t.routes[t.at(node, dst)]]
+	// Both candidates are read first so that the compiler selects between
+	// them (CMOV) instead of branching: whether node is dst's leaf varies from
+	// packet to packet at a leaf switch.
+	d := &t.dests[dst]
+	hops, toHost := t.sets[node][t.routes[t.at(node, d.liveCol)]], t.sets[d.leaf][d.liveSet]
+	if node == d.leaf {
+		hops = toHost
+	}
+	if node == dst {
+		hops = nil
+	}
+	return hops
 }
 
 // EgressPort picks the egress port for a flow at the given node using ECMP:
@@ -404,7 +544,7 @@ func (t *Topology) EgressPort(node packet.NodeID, f *packet.Flow) int {
 // baseNextHops returns the baseline (all links up) equal-cost ports from
 // node toward dst.
 func (t *Topology) baseNextHops(node, dst packet.NodeID) []int {
-	set := t.baseRoutes[t.at(node, dst)]
+	set, _ := t.route(t.baseRoutes, t.baseDist, node, dst)
 	if set == 0 {
 		panic(fmt.Sprintf("topology: no route from %s to %s", t.nodes[node].Name, t.nodes[dst].Name))
 	}
@@ -417,11 +557,11 @@ func (t *Topology) HopCount(src, dst packet.NodeID) int {
 	if src == dst {
 		return 0
 	}
-	d := t.baseDist[t.at(src, dst)]
+	_, d := t.route(t.baseRoutes, t.baseDist, src, dst)
 	if d < 0 {
 		panic(fmt.Sprintf("topology: no path from %d to %d", src, dst))
 	}
-	return int(d)
+	return d
 }
 
 // PathRTT returns the base (unloaded) round-trip time between two hosts:
