@@ -4,7 +4,7 @@
 // throughput. They are developer tools — CI runs them so they keep compiling
 // and passing; speed is claimed and gated by bench/, and events/run is pinned
 // by the golden digests. The paper's figures are regenerated by
-// cmd/experiments from the figure table in internal/experiments, not from
+// cmd/bfcsim -fig from the figure table in internal/experiments, not from
 // here.
 package bfc_test
 

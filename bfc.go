@@ -16,7 +16,7 @@
 //	fmt.Println(res.FCT.Rows())
 //
 // The experiments that regenerate every figure of the paper live in
-// internal/experiments and are runnable through cmd/experiments and the
+// internal/experiments and are runnable through cmd/bfcsim -fig and the
 // benchmark harness in bench_test.go.
 package bfc
 

@@ -66,7 +66,7 @@ func main() {
 	case "watch":
 		err = c.watch(rest)
 	case "fetch":
-		err = c.fetch(rest)
+		err = c.fetch(rest, os.Stdout)
 	case "trace":
 		err = c.trace(rest)
 	case "cancel":
@@ -402,7 +402,7 @@ func (c *client) follow(id string) error {
 	return nil
 }
 
-func (c *client) fetch(args []string) error {
+func (c *client) fetch(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fetch", flag.ExitOnError)
 	table := fs.Bool("table", false, "render the suite's figure table (for a scenario, FCT slowdown by scheme) instead of raw JSONL")
 	fs.Parse(args)
@@ -419,7 +419,7 @@ func (c *client) fetch(args []string) error {
 		return apiError(resp)
 	}
 	if !*table {
-		_, err := io.Copy(os.Stdout, resp.Body)
+		_, err := io.Copy(w, resp.Body)
 		return err
 	}
 	var recs []*harness.Record
@@ -433,16 +433,20 @@ func (c *client) fetch(args []string) error {
 		}
 		recs = append(recs, rec)
 	}
-	// A figure suite prints as cmd/experiments prints the figure: its records
-	// carry the figure key, and the figure table renders from records alone.
-	if len(recs) > 0 {
-		if fig, ok := experiments.FigureByKey(recs[0].Meta["fig"]); ok {
-			fig.Render(os.Stdout, recs)
-			return nil
-		}
+	// A figure suite prints as bfcsim -fig prints the figure: the suite's
+	// resolved figure key picks the renderer — not the records' meta, which
+	// for Fig 6 names the Fig 5a jobs it shares — and the figure renders
+	// from records alone.
+	var status service.SuiteStatus
+	if err := c.getJSON("/api/v1/suites/"+id, &status); err != nil {
+		return err
+	}
+	if fig, ok := experiments.FigureByKey(status.Figure); ok {
+		fig.Render(w, recs)
+		return nil
 	}
 	series := experiments.SeriesFromRecords(recs)
-	fmt.Print(experiments.FormatSeries("suite "+id+": p99 FCT slowdown by flow size", series))
+	fmt.Fprint(w, experiments.FormatSeries("suite "+id+": p99 FCT slowdown by flow size", series))
 	return nil
 }
 

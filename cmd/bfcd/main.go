@@ -6,10 +6,10 @@
 //
 //	bfcd -addr 127.0.0.1:8377 -store results/
 //
-// The store directory is the same artifact layout cmd/experiments -out
+// The store directory is the same artifact layout bfcsim -out
 // writes: pointing bfcd at an existing results directory serves those records
 // from cache, and artifacts bfcd computes can later be consumed by
-// cmd/experiments -resume.
+// bfcsim -resume.
 //
 // Fleet mode distributes suites across daemons (see README.md "Fleet"):
 //
@@ -65,7 +65,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8377", "listen address")
-		storeDir  = flag.String("store", "bfcd-store", "result store directory (shared with cmd/experiments -out)")
+		storeDir  = flag.String("store", "bfcd-store", "result store directory (shared with bfcsim -out)")
 		workers   = flag.Int("parallel", 0, "simulation worker pool size, fleet fallback included (0 = all cores)")
 		maxSuites = flag.Int("max-suites", 4, "maximum concurrently running suites")
 		history   = flag.Int("history", 64, "retained terminal suites (older ones are forgotten; their artifacts stay in the store)")

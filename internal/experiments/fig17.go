@@ -55,7 +55,7 @@ const fig17RingCapacity = 1 << 17
 // flight recorder's ring does not, so each job records into a ring of its
 // own and its Extract hook condenses it, in-worker, into the event counts the
 // figure prints. Extract reads the ring back from the run's options, so a
-// caller that wants the raw events as well (cmd/experiments -trace-dir, a
+// caller that wants the raw events as well (bfcsim -fig 17 -trace-dir, a
 // traced service suite) appends a mutator that swaps in a ring it holds; the
 // counts cover the ring's retained window, which is every event unless the
 // ring wrapped.

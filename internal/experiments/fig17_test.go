@@ -13,7 +13,7 @@ import (
 
 func TestFig17Dynamics(t *testing.T) {
 	jobs := Fig17Jobs(Tiny(), []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})
-	// Swap in rings the test can read back, the way cmd/experiments
+	// Swap in rings the test can read back, the way bfcsim
 	// -trace-dir does; the jobs' counts then come from these rings.
 	rings := harness.AttachRings(jobs, fig17RingCapacity)
 	rows := Fig17FromRecords(harness.MustRun(jobs))

@@ -18,7 +18,7 @@ import (
 )
 
 // Figure is one entry of the figure table: the only place a figure's key,
-// description, job grid and renderer are declared. cmd/experiments lists,
+// description, job grid and renderer are declared. cmd/bfcsim lists,
 // runs and prints figures from it; the service tier's bfcd turns a wire-form
 // request like "fig05a@reduced, schemes BFC,DCQCN" into harness jobs through
 // it without importing any cmd package, so completed artifacts keep the same
@@ -47,7 +47,7 @@ type Figure struct {
 	TraceRing int
 }
 
-// Token is the figure's short name on the cmd/experiments command line
+// Token is the figure's short name on the bfcsim -fig command line
 // ("5a" for fig05a, "17" for fig17).
 func (f Figure) Token() string { return figureToken(f.Key) }
 

@@ -20,8 +20,8 @@ import (
 // RunFlags are the flags that say how declared jobs are executed and
 // observed: pool size, engine shards, execution profile, flight-recorder
 // export, pprof profiles and logging. None of them enters a job's hash or its
-// result. RegisterRunFlags is their only declaration; cmd/bfcsim and
-// cmd/experiments both register it and hand their compiled jobs to Run.
+// result. RegisterRunFlags is their only declaration; cmd/bfcsim registers
+// it and hands its compiled jobs to Run.
 type RunFlags struct {
 	Parallel   int
 	Shards     int

@@ -11,7 +11,7 @@
 //
 // Caching is content-addressed end to end: a job's artifact is keyed by the
 // hash of its wire-form spec (harness.JobSpec), the store is the same JSONL
-// artifact layout cmd/experiments -out writes, and that artifact is the only
+// artifact layout bfcsim -out writes, and that artifact is the only
 // copy of a result the daemon has: a submission checks its bytes (Store.Read)
 // and keeps none, a fetch streams them out (WriteResults) — resubmitting a
 // completed suite performs zero simulation runs. Both reach the disk every
@@ -545,7 +545,7 @@ func (s *Service) ListStatuses() []SuiteStatus {
 
 // WriteResults streams the completed suite's store artifacts to w in job
 // order — the bytes Put wrote, so the stream diffs cleanly against
-// cmd/experiments -out files. It fails until the suite is done. n counts the
+// bfcsim -out files. It fails until the suite is done. n counts the
 // bytes written: an artifact gone missing or bad (ErrStorage) ends the stream
 // at a line boundary, with n == 0 before anything reached w.
 func (s *Service) WriteResults(w io.Writer, id string) (n int64, err error) {

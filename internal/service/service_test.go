@@ -109,7 +109,7 @@ func TestSubmitComputesThenServesFromCache(t *testing.T) {
 	}
 
 	// The acceptance criterion: served records must be byte-identical to a
-	// direct harness run of the same grid (what cmd/experiments executes).
+	// direct harness run of the same grid (what bfcsim -fig executes).
 	scale, _ := experiments.ScaleByName("tiny")
 	jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast,
 		[]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})

@@ -38,7 +38,7 @@ const maxSuiteString = 256
 //     no Scale.
 //
 // The compiled jobs carry exactly the names and content hashes a direct
-// cmd/experiments or cmd/bfcsim run of the same grid would produce, which is
+// cmd/bfcsim run of the same grid would produce, which is
 // what makes the daemon's result cache shareable with batch artifacts.
 type SuiteSpec struct {
 	// Name optionally labels the suite for humans; it does not affect job
