@@ -178,19 +178,38 @@ func BenchmarkSchedulerKeyOverhead(b *testing.B) {
 	}
 }
 
-// timerResetLoop is the retransmission-timer pattern: a Timer re-armed for
-// every packet, firing rarely.
+// timerResetLoop is the retransmission-timer pattern: a Timer pushed back
+// for every packet, firing rarely — each Reset re-keys the queued record.
 func timerResetLoop() func(n int) {
 	s := New()
 	t := NewTimer(s, func() {})
+	d := units.Time(1e9)
 	return func(n int) {
 		for i := 0; i < n; i++ {
-			t.Reset(1e9)
+			t.Reset(d)
+			d++
 		}
 	}
 }
 
 func BenchmarkTimerReset(b *testing.B) { runLoop(b, timerResetLoop()) }
+
+// timerResetEarlierLoop is the other Reset path: every Reset brings the
+// deadline forward, so it cancels the queued record and schedules a new one,
+// including the compaction sweeps the cancellations trigger.
+func timerResetEarlierLoop() func(n int) {
+	s := New()
+	t := NewTimer(s, func() {})
+	d := units.Time(1 << 50)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			t.Reset(d)
+			d--
+		}
+	}
+}
+
+func BenchmarkTimerResetEarlier(b *testing.B) { runLoop(b, timerResetEarlierLoop()) }
 
 // runLoop times loop(b.N).
 func runLoop(b *testing.B, loop func(n int)) {
@@ -214,6 +233,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		{"ScheduleCall", scheduleCallLoop()},
 		{"ScheduleCancel", scheduleCancelLoop()},
 		{"TimerReset", timerResetLoop()},
+		{"TimerResetEarlier", timerResetEarlierLoop()},
 	}
 	for _, tier := range keyOverheadTiers {
 		rows = append(rows, row{"SchedulerKeyOverhead/" + tier, keyOverheadLoop(tier)})

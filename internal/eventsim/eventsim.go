@@ -13,7 +13,9 @@
 // (slot, generation) values backed by a slot arena with a free-list, and
 // cancellation is lazy — a cancelled event is marked in its slot and skipped
 // when it surfaces as the earliest pending record, with a periodic compaction
-// pass keeping the queue from filling up with dead records. An event is
+// pass keeping the queue from filling up with dead records. A Timer pushed
+// back leaves no dead record: its queued record is re-keyed and filed again
+// when it surfaces (see Timer). An event is
 // dispatched from its slot where it lies: nothing per-event is built on the
 // way from the queue to the callback (see fire).
 //
@@ -268,11 +270,15 @@ func (s *Scheduler) entryLess(a, b *entry) bool {
 
 // Slot lifecycle: free -> pending (Schedule) -> {fired, cancelled} -> free.
 // The generation counter is bumped on allocation so handles from a previous
-// occupancy of the slot cannot cancel the current one.
+// occupancy of the slot cannot cancel the current one. A Timer pushed back
+// while pending takes its slot pending -> moved, and popReady files the
+// record again under the timer's true key (moved -> pending); a moved event
+// is pending to Pending and Cancel.
 const (
 	slotFree uint8 = iota
 	slotPending
 	slotCancelled
+	slotMoved
 )
 
 // slot is one arena record: cancellation state plus the event's cold freight
@@ -430,8 +436,11 @@ func (s *Scheduler) Len() int { return s.live }
 // Pending reports whether the event behind the handle is still scheduled
 // (not yet fired and not cancelled).
 func (s *Scheduler) Pending(e Event) bool {
-	return e.gen != 0 && int(e.slot) < len(s.slots) &&
-		s.slots[e.slot].gen == e.gen && s.slots[e.slot].state == slotPending
+	if e.gen == 0 || int(e.slot) >= len(s.slots) {
+		return false
+	}
+	c := &s.slots[e.slot]
+	return c.gen == e.gen && (c.state == slotPending || c.state == slotMoved)
 }
 
 // CurrentKey returns the full ordering key of the event currently being
@@ -568,15 +577,24 @@ func (s *Scheduler) push(at units.Time, tag uint64, call func(any), arg any) Eve
 	return s.insert(at, id, s.now)
 }
 
-// insert files the hot index record for slot id under the tier its bucket
-// belongs to. A bucket below the current one is possible — a run call's last
-// peek may already have activated the next event's bucket when the clock
-// stops short of it — and belongs in cur like the current bucket's records:
-// everything in ring and far fires later.
+// insert files the hot index record for slot id under the next sequence
+// number and counts the new event.
 func (s *Scheduler) insert(at units.Time, id int32, chain0 units.Time) Event {
-	e := entry{at: at, chain0: chain0, seq: s.seq, slot: id}
+	s.file(entry{at: at, chain0: chain0, seq: s.seq, slot: id})
 	s.seq++
-	switch b := bucketOf(at); {
+	if n := s.pending(); n > s.heapHW {
+		s.heapHW = n
+	}
+	s.live++
+	return Event{slot: id, gen: s.slots[id].gen}
+}
+
+// file puts e into the tier its bucket belongs to. A bucket below the current
+// one is possible — a run call's last peek may already have activated the
+// next event's bucket when the clock stops short of it — and belongs in cur
+// like the current bucket's records: everything in ring and far fires later.
+func (s *Scheduler) file(e entry) {
+	switch b := bucketOf(e.at); {
 	case b <= s.curB:
 		s.cur = append(s.cur, e)
 		s.siftUp(s.cur, len(s.cur)-1)
@@ -586,11 +604,6 @@ func (s *Scheduler) insert(at units.Time, id int32, chain0 units.Time) Event {
 		s.far = append(s.far, e)
 		s.siftUp(s.far, len(s.far)-1)
 	}
-	if n := s.pending(); n > s.heapHW {
-		s.heapHW = n
-	}
-	s.live++
-	return Event{slot: id, gen: s.slots[id].gen}
 }
 
 // HeapHighWater returns the maximum number of index records pending at once
@@ -816,26 +829,33 @@ func (s *Scheduler) Step() bool {
 // slot and firing time. Cancelled records surfacing on the way are discarded
 // and their slots freed: within the horizon only, or under a threshold key
 // wherever they lie (dead either way, they must not shadow the next live
-// record's key). It reports false when the queue is empty or holds only later
-// events.
+// record's key). A moved timer record surfacing the same way is filed again
+// under its true key (see Timer), neither dispatched nor counted; under a
+// threshold key only if its filed key is below it, which keyBefore reads from
+// the slot's pedigree, still the filed one. It reports false when the queue is
+// empty or holds only later events.
 func (s *Scheduler) popReady(until units.Time, k *Key) (int32, units.Time, bool) {
 	for s.peek() {
 		e := &s.cur[0]
 		id, at := e.slot, e.at
-		dead := s.slots[id].state == slotCancelled
+		state := s.slots[id].state
 		if k == nil {
 			if at > until {
 				break
 			}
-		} else if !dead && !s.keyBefore(e, k) {
+		} else if state != slotCancelled && !s.keyBefore(e, k) {
 			break
 		}
 		s.cur = s.popTop(s.cur)
-		if !dead {
+		switch state {
+		case slotPending:
 			return id, at, true
+		case slotMoved:
+			s.refile(id)
+		default:
+			s.stale--
+			s.freeSlot(id)
 		}
-		s.stale--
-		s.freeSlot(id)
 	}
 	return 0, 0, false
 }

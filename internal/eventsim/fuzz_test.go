@@ -17,7 +17,16 @@ import (
 // high-water mark (so compaction must fire at the same logical points),
 // Executed and Len as every dispatched callback sees them — both without the
 // running event — and, once drained, that no slot or pedigree record leaked
-// through a parked or migrated record.
+// through a parked, migrated or moved record.
+//
+// Timers are modelled at the record level too. A Reset to a time past the one
+// the timer's queued record is filed under re-keys that record: it keeps its
+// place, takes the new key along as its true key, and adds no stale record and
+// no new one; when it surfaces as the earliest record under a run call's rule
+// it is filed again under the true key. Any other Reset is a stale record plus
+// an insert. On top of agreeing with the engine, the model checks the contract
+// the lazy path exists under: every dispatch is the earliest live event by
+// true key, the event cancel-and-reschedule would have fired.
 //
 // The model never looks at buckets: any disagreement is the three-tier
 // queue's. Keys are derived the way the package comment defines them — a
@@ -27,13 +36,32 @@ import (
 // modelEvent is one pending record of the model, plus what its callback does
 // when it fires (see fire).
 type modelEvent struct {
-	key       Key
+	key       Key // the key the record is filed under
 	seq       uint64
 	id        int
 	cancelled bool
 	fired     bool
 	prog      byte
 	depth     int
+
+	timer   *modelTimer // the timer whose record this is, or nil
+	moved   bool        // a lazy Reset re-keyed it: it fires under next
+	next    Key
+	nextSeq uint64
+}
+
+// due is the key and sequence e fires under: its true key.
+func (e *modelEvent) due() (Key, uint64) {
+	if e.moved {
+		return e.next, e.nextSeq
+	}
+	return e.key, e.seq
+}
+
+// modelTimer is one Timer and the model's record of what it has queued.
+type modelTimer struct {
+	t  *Timer
+	ev *modelEvent // its queued record, nil when stopped or fired
 }
 
 // queueModel is the reference: pending holds live and lazily-cancelled
@@ -44,6 +72,7 @@ type queueModel struct {
 	pending []*modelEvent
 	byID    []*modelEvent // every event ever scheduled, by id
 	handles []Event       // engine handle of event id
+	timers  [4]*modelTimer
 	seq     uint64
 	live    int
 	stale   int
@@ -155,7 +184,8 @@ func (m *queueModel) schedule(kind, arg, prog byte, depth int) {
 }
 
 // cancel cancels the arg-th newest of all events ever scheduled — pending,
-// fired or already cancelled.
+// fired or already cancelled. A timer's pending record is cancelled the only
+// way a caller can: by stopping the timer.
 func (m *queueModel) cancel(arg byte) {
 	if len(m.byID) == 0 {
 		return
@@ -166,20 +196,110 @@ func (m *queueModel) cancel(arg byte) {
 	if got := m.s.Pending(m.handles[id]); got != pendingBefore {
 		m.t.Fatalf("Pending(event %d) = %v, model %v", id, got, pendingBefore)
 	}
-	m.s.Cancel(m.handles[id])
+	if e.timer != nil && pendingBefore {
+		e.timer.t.Stop()
+		e.timer.ev = nil
+	} else {
+		m.s.Cancel(m.handles[id])
+	}
 	if pendingBefore {
-		e.cancelled = true
-		m.live--
-		m.stale++
-		if m.stale > 64 && m.stale*2 > len(m.pending) {
-			m.pending = slices.DeleteFunc(m.pending, func(p *modelEvent) bool { return p.cancelled })
-			m.stale = 0
-		}
+		m.drop(e)
 	}
 	if m.s.Pending(m.handles[id]) {
 		m.t.Fatalf("event %d still pending after Cancel", id)
 	}
 	m.checkCounts("cancel")
+}
+
+// drop marks e's record cancelled and sweeps the queue once dead records
+// dominate it. Moved records are live and stay where they are filed.
+func (m *queueModel) drop(e *modelEvent) {
+	e.cancelled = true
+	m.live--
+	m.stale++
+	if m.stale > 64 && m.stale*2 > len(m.pending) {
+		m.pending = slices.DeleteFunc(m.pending, func(p *modelEvent) bool { return p.cancelled })
+		m.stale = 0
+		for _, p := range m.pending {
+			if p.moved {
+				m.reach.timers.movedKept++
+			}
+		}
+	}
+}
+
+// timer returns timer i, creating it on first use.
+func (m *queueModel) timer(i int) *modelTimer {
+	if m.timers[i] == nil {
+		mt := &modelTimer{}
+		mt.t = NewTimer(m.s, func() {
+			if mt.ev == nil {
+				m.t.Fatalf("timer %d fired, model has it stopped", i)
+			}
+			m.fire(mt.ev.id)
+		})
+		m.timers[i] = mt
+	}
+	return m.timers[i]
+}
+
+// reset performs Timer.Reset on timer i on both sides: later, to a time past
+// the one its record is filed under (a re-key when it is armed), or else to
+// that time or before it (cancel and schedule). An idle timer is scheduled
+// delay(arg) from now either way.
+func (m *queueModel) reset(i int, later bool, arg, prog byte, depth int) {
+	mt := m.timer(i)
+	now := m.s.Now()
+	at := now + m.delay(arg)
+	e := mt.ev
+	if e != nil {
+		if later {
+			at = e.key.At + 1 + m.delay(arg)
+		} else {
+			at = max(now, e.key.At-m.delay(arg))
+		}
+	}
+	k := m.childKey(at, 0, false)
+	before := tierSizes(m.s)
+	if e != nil && at > e.key.At {
+		e.moved, e.next, e.nextSeq = true, k, m.seq
+		e.prog, e.depth = prog, depth
+		m.seq++
+		mt.t.Reset(at - now)
+		if tierSizes(m.s) != before {
+			m.t.Fatalf("lazy Reset of timer %d changed the tiers: %v -> %v", i, before, tierSizes(m.s))
+		}
+		m.reach.timers.lazy++
+	} else {
+		if e != nil {
+			m.drop(e)
+		}
+		m.insert(k, prog, depth)
+		mt.ev = m.byID[len(m.byID)-1]
+		mt.ev.timer = mt
+		mt.t.Reset(at - now)
+		m.handles = append(m.handles, mt.t.ev)
+		m.reach.noteInsert(m.s, before)
+		m.reach.timers.fallback++
+	}
+	if !mt.t.Pending() || !m.s.Pending(m.handles[mt.ev.id]) {
+		m.t.Fatalf("timer %d not pending after Reset", i)
+	}
+	m.checkCounts("Reset")
+}
+
+// stop performs Timer.Stop on timer i on both sides.
+func (m *queueModel) stop(i int) {
+	mt := m.timer(i)
+	mt.t.Stop()
+	if mt.ev != nil {
+		m.drop(mt.ev)
+		mt.ev = nil
+	}
+	if mt.t.Pending() {
+		m.t.Fatalf("timer %d pending after Stop", i)
+	}
+	m.checkCounts("Stop")
 }
 
 func (m *queueModel) checkCounts(op string) {
@@ -204,13 +324,29 @@ func (m *queueModel) eligible(e *modelEvent) bool {
 	return e.key.At < m.until || (!m.strict && e.key.At == m.until)
 }
 
-// discardDead drops the cancelled records a run loop discards before looking
-// at the next live one: RunBeforeKey drops any cancelled top, the others only
-// one that is itself within the horizon.
-func (m *queueModel) discardDead() {
-	for len(m.pending) > 0 && m.pending[0].cancelled && (m.byKey || m.eligible(m.pending[0])) {
-		m.pending = m.pending[1:]
-		m.stale--
+// surface does what a run loop does before looking at the next live record:
+// it drops cancelled records — RunBeforeKey any cancelled top, the others only
+// one that is itself within the horizon — and files a moved top within the
+// rule again under its true key.
+func (m *queueModel) surface() {
+	for len(m.pending) > 0 {
+		top := m.pending[0]
+		switch {
+		case top.cancelled && (m.byKey || m.eligible(top)):
+			m.pending = m.pending[1:]
+			m.stale--
+		case top.moved && m.eligible(top):
+			m.pending = m.pending[1:]
+			top.key, top.seq = top.due()
+			top.moved = false
+			i := sort.Search(len(m.pending), func(i int) bool { return m.less(top, m.pending[i]) })
+			m.pending = slices.Insert(m.pending, i, top)
+			if m.byKey {
+				m.reach.timers.refiledByKey++
+			}
+		default:
+			return
+		}
 	}
 }
 
@@ -220,7 +356,7 @@ func (m *queueModel) fire(id int) {
 	if m.stopped {
 		m.t.Fatalf("event %d dispatched after Stop", id)
 	}
-	m.discardDead()
+	m.surface()
 	if len(m.pending) == 0 {
 		m.t.Fatalf("engine dispatched event %d, model queue is empty", id)
 	}
@@ -232,7 +368,16 @@ func (m *queueModel) fire(id int) {
 		m.t.Fatalf("engine dispatched event %d at %v beyond the run call's horizon", id, top.key.At)
 	}
 	m.pending = m.pending[1:]
+	key, seq := top.due()
+	for _, e := range m.pending {
+		if k, q := e.due(); !e.cancelled && (k.Less(key) || k == key && q < seq) {
+			m.t.Fatalf("engine dispatched event %d (key %+v); cancel-and-reschedule fires %d (key %+v) first", id, key, e.id, k)
+		}
+	}
 	top.fired = true
+	if top.timer != nil {
+		top.timer.ev = nil
+	}
 	m.live--
 	m.fired++
 	m.now = top.key.At
@@ -248,8 +393,12 @@ func (m *queueModel) fire(id int) {
 	// The callback's program: bits 0-1 count its children (none past the
 	// third generation), whose entry points, delays and own programs derive
 	// from the other six; bit 6 cancels; bits 6 and 7 together stop the run
-	// loop.
+	// loop. A timer's callback with bit 5 set first resets timer bits 2-3,
+	// later unless bit 4 is set, so a Reset consumes a child index.
 	prog := top.prog
+	if top.timer != nil && prog&0x20 != 0 && top.depth < 3 {
+		m.reset(int(prog>>2)&3, prog&0x10 == 0, prog>>1, prog*29+17, top.depth+1)
+	}
 	if top.depth < 3 {
 		for i := byte(0); i < prog&3; i++ {
 			m.schedule(prog>>2+i, prog>>2+5*i, prog*29+17+i, top.depth+1)
@@ -273,7 +422,7 @@ func (m *queueModel) run(name string, call func() uint64, advanceTo units.Time) 
 	got := call()
 	if !m.stopped {
 		// The loop ended because nothing eligible was left.
-		m.discardDead()
+		m.surface()
 		if len(m.pending) > 0 && m.eligible(m.pending[0]) {
 			m.t.Fatalf("%s returned with event %d (key %+v) still eligible", name, m.pending[0].id, m.pending[0].key)
 		}
@@ -297,7 +446,7 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 	m := &queueModel{t: t, s: New(), in: in}
 	for len(m.in) > 0 {
 		op, arg := m.next(), m.next()
-		switch op % 12 {
+		switch op % 16 {
 		case opSchedule, opSchedule + 1, opSchedule + 2, opSchedule + 3:
 			m.schedule(op, arg, m.next(), 0)
 		case opCancel, opCancel + 1:
@@ -310,7 +459,7 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 				t.Fatalf("Step = %v, model fired %d", stepped, m.fired)
 			}
 			if !stepped {
-				m.discardDead()
+				m.surface()
 				if len(m.pending) != 0 {
 					t.Fatalf("Step found nothing, model has %d records", len(m.pending))
 				}
@@ -328,11 +477,17 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 			// A bare instant; or the key of a pending record (live or dead),
 			// so strictness is decided below the instant.
 			k := Key{At: m.s.Now() + m.delay(arg)}
-			if op%12 == opRunBeforeKey+1 && len(m.pending) > 0 {
+			if op%16 == opRunBeforeKey+1 && len(m.pending) > 0 {
 				k = m.pending[int(arg)%len(m.pending)].key
 			}
 			m.byKey, m.key = true, k
 			m.run("RunBeforeKey", func() uint64 { return m.s.RunBeforeKey(k) }, k.At)
+		case opResetLater, opResetLater + 1:
+			m.reset(int(arg>>6), true, arg, m.next(), 0)
+		case opResetEarlier:
+			m.reset(int(arg>>6), false, arg, m.next(), 0)
+		case opStopTimer:
+			m.stop(int(arg >> 6))
 		}
 	}
 	// Drain; a callback may Stop the loop, so run until nothing is left.
@@ -340,7 +495,7 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 	for m.s.Len() > 0 {
 		m.run("Run", func() uint64 { return m.s.RunUntil(maxTime) }, maxTime)
 	}
-	m.discardDead()
+	m.surface()
 	m.s.Step() // the engine's turn to discard a cancelled tail
 	m.checkCounts("drain")
 	if len(m.pending) != 0 {
@@ -351,12 +506,17 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 			t.Fatalf("event %d still pending after drain", id)
 		}
 	}
+	for i, mt := range m.timers {
+		if mt != nil && (mt.ev != nil || mt.t.Pending()) {
+			t.Fatalf("timer %d armed after drain", i)
+		}
+	}
 	requireDrained(t, m.s)
 	m.reach.collect(m.s)
 	return m.reach
 }
 
-// Opcodes (mod 12) and operands of the fuzz input, named so the seed corpus
+// Opcodes (mod 16) and operands of the fuzz input, named so the seed corpus
 // reads as a program and cannot drift from the decoder silently.
 const (
 	opSchedule     = 0 // +1 tagged, +2 call, +3 ChildKey and injected; takes a program byte
@@ -365,9 +525,12 @@ const (
 	opRunUntil     = 7
 	opRunBefore    = 9
 	opRunBeforeKey = 10 // +1: threshold on a pending record's key
+	opResetLater   = 12 // Reset past the filed time; takes a program byte
+	opResetEarlier = 14 // Reset to the filed time or before it; takes a program byte
+	opStopTimer    = 15
 
 	// Delay operands: indexes into tierDelays (bits 4-5 add 0-3 ps, bits 6-7
-	// choose a tag).
+	// choose a tag, or for the timer ops the timer).
 	dNow     = 0  // same instant
 	dNear    = 1  // same bucket
 	dBucket  = 4  // next bucket: ring
@@ -380,11 +543,13 @@ const (
 )
 
 // queueSeeds is the committed seed corpus. Together the seeds reach refill
-// from the ring and from far, far -> ring migration, and compaction with
-// cancelled records in each tier (TestQueueOrderSeedsReachAllTiers), through
-// every entry point the decoder knows.
+// from the ring and from far, far -> ring migration, compaction with
+// cancelled records in each tier, and both Reset paths, with moved records
+// filed again under a RunBeforeKey threshold and kept by compaction
+// (TestQueueOrderSeedsReachAllTiers), through every entry point the decoder
+// knows.
 func queueSeeds() [][]byte {
-	var compactAll, lateSweep, refills, tree []byte
+	var compactAll, lateSweep, refills, tree, timers, timerTree, timerKey, timerSweep []byte
 	// Compaction in all three tiers at once: idle records in each tier,
 	// cancelled newest first. With 25 per tier the 65th cancel sweeps (the
 	// floor of 64 dead records decides); with 50 per tier the 76th does (dead
@@ -438,7 +603,78 @@ func queueSeeds() [][]byte {
 		opRunUntil, dFar,
 		opRunBeforeKey + 1, 0,
 	}
-	return [][]byte{compactAll, lateSweep, refills, tree}
+	// Timers 0-3 (operand bits 6-7). Timer 0 is pushed back during set-up to
+	// the instant of an event scheduled right after: the two tie on the whole
+	// key, and only the sequence the lazy Reset consumed orders them. Timer 1
+	// is pushed from the ring to the window's end and then into far; timer 2
+	// is pushed back and then Reset earlier (the moved record is cancelled);
+	// timer 3 is pushed back and stopped.
+	timers = []byte{
+		opResetLater, dNow, 0,
+		opResetLater, dNow, 0,
+		opSchedule, dNow | 0x10, 0,
+		opResetLater, 1<<6 | dBucket, 0,
+		opResetLater, 1<<6 | dRingEnd, 0,
+		opResetLater, 1<<6 | dFar, 0,
+		opResetLater, 2<<6 | dOutside, 0,
+		opResetLater, 2<<6 | dBucket, 0,
+		opResetEarlier, 2<<6 | dNear, 0,
+		opResetLater, 3<<6 | dNear, 0,
+		opResetLater, 3<<6 | dNear, 0,
+		opStopTimer, 3 << 6,
+		opResetEarlier, 3<<6 | dNow, 0, // idle: scheduled
+		opResetEarlier, 3<<6 | dNow, 0, // the filed instant again: cancel and schedule
+		opStep, 0,
+		opStep, 0,
+		opRunUntil, dFar,
+		opRunUntil, dFar,
+	}
+
+	// Resets inside a dispatch, where they consume a child index: timer 0's
+	// callback pushes timer 1 back and then schedules two children; timer
+	// 2's Resets timer 3 to its filed instant and schedules one.
+	timerTree = []byte{
+		opResetLater, 1<<6 | dFar, 0,
+		opResetLater, 3<<6 | dOutside, 0,
+		opResetLater, dNear, 0x20 | 1<<2 | 2,
+		opResetLater, 2<<6 | dBucket, 0x30 | 3<<2 | 1,
+		opSchedule + 1, dNear | 0x10, 0,
+		opRunUntil, dRingEnd,
+		opResetLater, 1<<6 | dNow, 0x20 | 2<<2 | 3,
+		opRunUntil, dFar,
+	}
+
+	// Thresholds around moved records: a moved record's own filed key stops
+	// the loop in front of it and of the cancelled record filed between its
+	// filed and true keys; a bare
+	// instant between a moved record's filed and true times files it again.
+	timerKey = []byte{
+		opResetLater, 1<<6 | dRingEnd, 0,
+		opResetLater, 1<<6 | dNear, 0,
+		opSchedule, dRingEnd | 0x10, 0,
+		opCancel, 0,
+		opRunBeforeKey + 1, 0,
+		opResetLater, dBucket, 0,
+		opResetLater, dBucket, 0,
+		opSchedule, dBucket | 0x10, 0,
+		opRunBeforeKey, dBucket | 0x30,
+		opRunBeforeKey + 1, 1,
+		opRunUntil, dFar,
+	}
+
+	// A moved record in each tier while compaction sweeps the cancelled
+	// idle records around them.
+	timerSweep = []byte{
+		opResetLater, dNear, 0,
+		opResetLater, 1<<6 | dBucket, 0,
+		opResetLater, 2<<6 | dFar, 0,
+		opResetLater, dNow, 0,
+		opResetLater, 1<<6 | dNow, 0,
+		opResetLater, 2<<6 | dNow, 0,
+	}
+	timerSweep = append(timerSweep, idle(25, 70)...)
+
+	return [][]byte{compactAll, lateSweep, refills, tree, timers, timerTree, timerKey, timerSweep}
 }
 
 func FuzzQueueOrder(f *testing.F) {
@@ -464,4 +700,7 @@ func TestQueueOrderSeedsReachAllTiers(t *testing.T) {
 		reach.add(runQueueOps(t, seed))
 	}
 	reach.requireAll(t)
+	if r := reach.timers; r.lazy == 0 || r.fallback == 0 || r.refiledByKey == 0 || r.movedKept == 0 {
+		t.Errorf("timer paths not all reached: %+v", r)
+	}
 }

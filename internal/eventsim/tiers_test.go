@@ -48,6 +48,14 @@ func drawTierDelay(rng *rand.Rand) units.Time {
 type tierReach struct {
 	inserts [3]uint64 // records first filed under cur, ring, far
 	tierCounts
+	timers timerReach
+}
+
+// timerReach counts, in FuzzQueueOrder's model, the timer paths a run took.
+type timerReach struct {
+	lazy, fallback uint64 // Resets that re-keyed a record / cancelled and scheduled
+	refiledByKey   uint64 // moved records filed again under a RunBeforeKey threshold
+	movedKept      uint64 // moved records a compaction swept past
 }
 
 func tierSizes(s *Scheduler) [3]int { return [3]int{len(s.cur), s.ringN, len(s.far)} }
@@ -68,6 +76,10 @@ func (r *tierReach) add(o tierReach) {
 	r.refillRing += o.refillRing
 	r.refillFar += o.refillFar
 	r.migrated += o.migrated
+	r.timers.lazy += o.timers.lazy
+	r.timers.fallback += o.timers.fallback
+	r.timers.refiledByKey += o.timers.refiledByKey
+	r.timers.movedKept += o.timers.movedKept
 	for i := range r.inserts {
 		r.inserts[i] += o.inserts[i]
 		r.compacted[i] += o.compacted[i]

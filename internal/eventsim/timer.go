@@ -3,15 +3,38 @@ package eventsim
 import "bfc/internal/units"
 
 // Timer is a restartable one-shot timer built on a Scheduler, analogous to
-// time.Timer but in simulated time. It is used for protocol timeouts (DCQCN
-// rate-increase timers, retransmission timers, periodic pause-frame
-// generation). The trampoline closure handed to the scheduler is allocated
-// once at construction, so Reset/Stop cycles are allocation-free.
+// time.Timer but in simulated time. The NIC's retransmission timeout and its
+// pacing wake-up use it; periodic work runs on a Ticker. A Timer is one
+// allocation: its queued event calls timerFire with the Timer itself as the
+// argument, so Reset/Stop cycles allocate nothing. A Timer may be copied into
+// place (f.t = *NewTimer(s, fn)) before it is first armed, never after: the
+// queued event points at it.
+//
+// Pushing a pending timer back is the common case — a retransmission timer
+// re-armed on every packet, firing almost never — and costs a re-key, not a
+// queue operation. Reset to a time strictly later than the one the queued
+// record is filed under consumes exactly what a fresh schedule would (a
+// reference on the dispatch's pedigree, a child index, the inherited tag, a
+// sequence number), keeps them here as the event's true key and marks the
+// slot slotMoved; when the record reaches the front of the queue, popReady
+// files it again under that key. The filed key orders strictly before the
+// true key, so every record that pops ahead of it would have popped ahead of
+// a freshly scheduled one too, and the engine fires events in exactly the
+// order cancel-and-reschedule fires them. Reset to an earlier or equal time
+// cancels and schedules.
 type Timer struct {
-	s    *Scheduler
-	fn   func()
-	fire func()
-	ev   Event
+	s     *Scheduler
+	fn    func()
+	ev    Event
+	filed units.Time // firing time the queued record is filed under
+
+	// The true key of a moved record, valid while its slot is slotMoved; ped
+	// holds a reference of its own until popReady hands it to the slot.
+	at, chain0 units.Time
+	seq        uint64
+	ped        int32
+	kid        uint32
+	tag        uint64
 }
 
 // NewTimer returns a stopped timer that will invoke fn when it fires.
@@ -19,23 +42,55 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 	if fn == nil {
 		panic("eventsim: nil timer callback")
 	}
-	t := &Timer{s: s, fn: fn}
-	t.fire = func() {
-		t.ev = Event{}
-		t.fn()
-	}
-	return t
+	return &Timer{s: s, fn: fn}
 }
 
-// Reset (re)arms the timer to fire d from now, cancelling any pending firing.
+// timerFire is every timer event's callback.
+func timerFire(a any) {
+	t := a.(*Timer)
+	t.ev = Event{}
+	t.fn()
+}
+
+// Reset (re)arms the timer to fire d from now, replacing any pending firing.
 func (t *Timer) Reset(d units.Time) {
+	s := t.s
+	at := s.now + d
+	if at > t.filed && s.Pending(t.ev) {
+		c := &s.slots[t.ev.slot]
+		if c.state == slotMoved {
+			s.releasePed(t.ped)
+		}
+		pid := s.ensureCurPed()
+		s.peds[pid].refs++
+		t.at, t.chain0, t.ped, t.kid, t.tag, t.seq = at, s.now, pid, s.nextKid(), s.curTag, s.seq
+		s.seq++
+		c.state = slotMoved
+		return
+	}
 	t.Stop()
-	t.ev = t.s.ScheduleAfter(d, t.fire)
+	t.ev = s.ScheduleCall(at, timerFire, t)
+	t.filed = at
+}
+
+// refile files the moved record of timer slot id again under its true key.
+// popReady calls it with the record just popped from the front of the queue,
+// whose slot still holds the pedigree it was filed under.
+func (s *Scheduler) refile(id int32) {
+	c := &s.slots[id]
+	t := c.arg.(*Timer)
+	s.releasePed(c.ped)
+	c.state, c.ped, c.kid, c.tag = slotPending, t.ped, t.kid, t.tag
+	t.filed = t.at
+	s.file(entry{at: t.at, chain0: t.chain0, seq: t.seq, slot: id})
 }
 
 // Stop cancels a pending firing. It is safe to call on a stopped timer.
 func (t *Timer) Stop() {
 	if t.ev != (Event{}) {
+		if c := &t.s.slots[t.ev.slot]; c.gen == t.ev.gen && c.state == slotMoved {
+			t.s.releasePed(t.ped)
+		}
 		t.s.Cancel(t.ev)
 		t.ev = Event{}
 	}
@@ -45,8 +100,8 @@ func (t *Timer) Stop() {
 func (t *Timer) Pending() bool { return t.ev != (Event{}) }
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped. It is
-// used for periodic bloom-filter pause frames and statistics sampling. Like
-// Timer, it schedules one pre-allocated closure per tick.
+// used for periodic bloom-filter pause frames and statistics sampling. It
+// schedules one pre-allocated closure per tick.
 //
 // A ticker's tick at instant T carries the scheduling chain (T-period,
 // T-2·period, T-3·period): each tick is scheduled by its predecessor. The

@@ -116,7 +116,7 @@ type senderFlow struct {
 	nextSeq     int // next sequence to (re)send
 	acked       int // cumulative acked sequence (next expected by receiver)
 	nextAllowed units.Time
-	rto         *eventsim.Timer
+	rto         eventsim.Timer
 	completed   bool
 	// vfid caches the flow's BFC virtual flow ID so the pause check in
 	// pickSender does not rehash the 5-tuple on every scheduling decision.
@@ -223,7 +223,7 @@ func (n *NIC) StartFlow(f *packet.Flow) {
 	} else {
 		sf.ctrl = cc.None{}
 	}
-	sf.rto = eventsim.NewTimer(n.sched, func() { n.onRTO(sf) })
+	sf.rto = *eventsim.NewTimer(n.sched, func() { n.onRTO(sf) })
 	n.senders[f.ID] = sf
 	n.sendOrder = append(n.sendOrder, sf)
 	n.stats.FlowsStarted++

@@ -511,18 +511,19 @@ func (r *runner) startInjected(f *packet.Flow) {
 }
 
 func (r *runner) scheduleFlows(flows []*packet.Flow) {
+	start := func(x any) {
+		f := x.(*packet.Flow)
+		r.reg.nics[f.Src].StartFlow(f)
+	}
 	for _, f := range flows {
 		if !r.owned(f.Src) {
 			continue
 		}
-		f := f
 		// Flow arrivals are causal roots: the tag seeds the flow's ID into
 		// every event descending from it, ordering same-key descendants of
 		// simultaneous arrivals (an incast burst) by flow creation order on
 		// every shard.
-		r.sched.ScheduleTagged(f.StartTime, uint64(f.ID), func() {
-			r.reg.nics[f.Src].StartFlow(f)
-		})
+		r.sched.ScheduleCallTagged(f.StartTime, uint64(f.ID), start, f)
 		if !f.IsIncast && !f.LongLived {
 			r.flowsTotal++
 		}

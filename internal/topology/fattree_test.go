@@ -1,8 +1,12 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"bfc/internal/packet"
 	"bfc/internal/units"
 )
 
@@ -194,5 +198,66 @@ func TestFatTreeValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: expected a validation error", i)
 		}
+	}
+}
+
+// TestECMPCoreSpread walks EgressPort hop by hop, the way switches forward a
+// flow, for random host pairs on the 128-host fat-tree (4 pods of 4 edge x 8
+// hosts, 4 agg and 8 cores), numbering source ports the way
+// workload.Generate does. Every inter-pod flow must reach its destination
+// through exactly one core switch. The flow count per core is logged, not
+// asserted: the same FNV-1a hash reduced modulo the port count at the edge
+// and at the aggregation tier fixes the core bit by the agg choice, so only 4
+// of the 8 cores carry traffic (ECMP polarization). A fix that salts the ECMP
+// hash per switch will spread the flows over all 8.
+func TestECMPCoreSpread(t *testing.T) {
+	topo := NewFatTree(FatTreeForHosts(128, 100*units.Gbps, units.Microsecond))
+	hosts := topo.Hosts()
+	pod := func(id packet.NodeID) string {
+		p, _, _ := strings.Cut(topo.Node(id).Name, "-")
+		return p
+	}
+	perCore := map[string]int{}
+	for _, n := range topo.Nodes() {
+		if n.Tier == TierSpine {
+			perCore[n.Name] = 0
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	interPod := 0
+	for i := 0; i < 20000; i++ {
+		src := hosts[rng.Intn(len(hosts))]
+		dst := hosts[rng.Intn(len(hosts))]
+		if src == dst {
+			continue
+		}
+		f := &packet.Flow{ID: packet.FlowID(i), Src: src, Dst: dst, SrcPort: uint16(10000 + i), DstPort: 4791}
+		var cores []string
+		node := src
+		for hops := 0; node != dst; hops++ {
+			if hops > 6 {
+				t.Fatalf("flow %d (%s -> %s) did not arrive within 6 hops", i, topo.Node(src).Name, topo.Node(dst).Name)
+			}
+			node = topo.Node(node).Ports[topo.EgressPort(node, f)].Peer
+			if n := topo.Node(node); n.Tier == TierSpine {
+				cores = append(cores, n.Name)
+			}
+		}
+		if pod(src) == pod(dst) {
+			if len(cores) != 0 {
+				t.Fatalf("intra-pod flow %d crossed cores %v", i, cores)
+			}
+			continue
+		}
+		if len(cores) != 1 {
+			t.Fatalf("inter-pod flow %d (%s -> %s) crossed cores %v, want exactly one", i, topo.Node(src).Name, topo.Node(dst).Name, cores)
+		}
+		perCore[cores[0]]++
+		interPod++
+	}
+	t.Logf("%d inter-pod flows over %d cores:", interPod, len(perCore))
+	for c := 0; c < len(perCore); c++ {
+		name := fmt.Sprintf("core%d", c)
+		t.Logf("  %s %d", name, perCore[name])
 	}
 }
