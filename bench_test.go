@@ -1,7 +1,7 @@
 // bench_test.go holds the three whole-run benchmarks: a fat-tree scale point,
-// the sharded engine against the serial one on 1024 hosts (which fails itself
-// on digest divergence or a speedup under its floor), and raw simulator
-// throughput. They are developer tools — CI runs them so they keep compiling
+// the engine at -shards auto against its one-shard case on 1024 hosts (which
+// fails itself on digest divergence or a speedup under its floor), and raw
+// simulator throughput. They are developer tools — CI runs them so they keep compiling
 // and passing; speed is claimed and gated by bench/, and events/run is pinned
 // by the golden digests. The paper's figures are regenerated by
 // cmd/bfcsim -fig from the figure table in internal/experiments, not from
@@ -59,13 +59,13 @@ func BenchmarkFatTreeScalePoint(b *testing.B) {
 }
 
 // shardedBench holds the one-time setup for BenchmarkShardedThroughput1024:
-// the 1024-host fabric, its workload, and the serial (-shards 1) reference run
-// the speedup is measured against. Cached across the benchmark's invocations
-// so the expensive serial reference executes once per process. Both engines
-// are warmed by one untimed run first: the benchmark often runs at b.N = 1,
-// and the first run of either engine in a process (heap growth, page faults)
-// is markedly slower than every later one, which measures the process, not
-// the engine.
+// the 1024-host fabric, its workload, and the one-shard (-shards 1) reference
+// run the speedup is measured against. Cached across the benchmark's
+// invocations so the expensive reference executes once per process. Both
+// shard counts are warmed by one untimed run first: the benchmark often runs
+// at b.N = 1, and the first run of either in a process (heap growth, page
+// faults) is markedly slower than every later one, which measures the
+// process, not the engine.
 var shardedBench struct {
 	once         sync.Once
 	flows        []*packet.Flow
@@ -130,9 +130,9 @@ func cloneFlowList(flows []*packet.Flow) []*packet.Flow {
 
 // BenchmarkShardedThroughput1024 is the tentpole gate for sharded execution:
 // one BFC run on a 1024-host (32-pod) fat-tree under the conservative-PDES
-// engine at -shards auto, timed against the serial engine on the same flows.
-// It enforces two claims at once — the sharded result digest is byte-identical
-// to the serial one, and the wall-clock speedup meets the tier for the
+// engine at -shards auto, timed against one shard on the same flows. It
+// enforces two claims at once — the sharded result digest is byte-identical
+// to the one-shard one, and the wall-clock speedup meets the tier for the
 // machine's core count (>=4x on 8+ cores, >=2x on 4+, >=1.5x on 2+; on a
 // single core only the coordination overhead is bounded). ns/op is the
 // sharded run's wall-clock.

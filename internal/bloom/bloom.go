@@ -70,21 +70,14 @@ func (p Params) bits() int { return p.SizeBytes * 8 }
 func (p Params) positions(v packet.VFID, out []int) []int {
 	out = out[:0]
 	m := uint64(p.bits())
-	h1 := splitmix64(uint64(v) + 0x9e3779b97f4a7c15)
-	h2 := splitmix64(uint64(v) ^ 0xbf58476d1ce4e5b9)
+	h1 := packet.Mix64(uint64(v) + packet.Gamma)
+	h2 := packet.Mix64(uint64(v) ^ 0xbf58476d1ce4e5b9)
 	// Force h2 odd so the probe sequence covers all positions for power-of-two m.
 	h2 |= 1
 	for i := 0; i < p.Hashes; i++ {
 		out = append(out, int((h1+uint64(i)*h2)%m))
 	}
 	return out
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Filter is the wire-format pause bloom filter: a bit for every position, set

@@ -6,7 +6,7 @@
 // min-heaps. Determinism is a design requirement — two events scheduled for
 // the same picosecond always fire in the same order on every run and
 // platform, so a simulation with a fixed seed produces identical results
-// everywhere, including across the serial and sharded engines.
+// everywhere, and at every shard count of a partitioned run.
 //
 // The hot path is allocation-free in steady state: queue records are small
 // values (no per-event boxing through interfaces), cancellation handles are
@@ -745,12 +745,12 @@ func (s *Scheduler) RunBefore(until units.Time) uint64 {
 }
 
 // RunBeforeKey executes events whose ordering key is strictly below k, then
-// advances the clock to k.At. The sharded coordinator uses it at statistics
-// barriers: the serial engine's sampling tick at instant T carries the key
-// (T, T-period, T-2·period, ...), so the coordinator flushes exactly the
-// events a serial run would have executed before the tick, takes the sample,
-// and leaves the rest — including events firing at T but scheduled later in
-// the chain order — for the next window.
+// advances the clock to k.At. The sim coordinator uses it at statistics and
+// scenario barriers: the sampling tick at instant T has the key (T, T-period,
+// T-2·period, ...) of a ticker started during setup, so the coordinator
+// flushes exactly the events ordered before the tick, takes the sample, and
+// leaves the rest — including events firing at T but scheduled later in the
+// chain order — for the next window.
 func (s *Scheduler) RunBeforeKey(k Key) uint64 {
 	n := s.run(k.At, &k)
 	s.advance(k.At)

@@ -208,7 +208,7 @@ func TestTicker(t *testing.T) {
 	s := New()
 	var ticks []units.Time
 	var tk *Ticker
-	tk = NewTicker(s, 10, func() {
+	tk = NewTickerTagged(s, 10, 0, func() {
 		ticks = append(ticks, s.Now())
 		if len(ticks) == 4 {
 			tk.Stop()
@@ -227,8 +227,8 @@ func TestTicker(t *testing.T) {
 
 func TestTickerPanics(t *testing.T) {
 	s := New()
-	assertPanics(t, func() { NewTicker(s, 0, func() {}) })
-	assertPanics(t, func() { NewTicker(s, 10, nil) })
+	assertPanics(t, func() { NewTickerTagged(s, 0, 0, func() {}) })
+	assertPanics(t, func() { NewTickerTagged(s, 10, 0, nil) })
 	assertPanics(t, func() { NewTimer(s, nil) })
 }
 

@@ -99,14 +99,14 @@ func (t *Timer) Stop() {
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.ev != (Event{}) }
 
-// Ticker repeatedly invokes a callback at a fixed period until stopped. It is
-// used for periodic bloom-filter pause frames and statistics sampling. It
-// schedules one pre-allocated closure per tick.
+// Ticker repeatedly invokes a callback at a fixed period until stopped. The
+// switches use it for periodic bloom-filter pause frames. It schedules one
+// pre-allocated closure per tick.
 //
 // A ticker's tick at instant T carries the scheduling chain (T-period,
-// T-2·period, T-3·period): each tick is scheduled by its predecessor. The
-// sharded coordinator exploits this to reconstruct the serial sampling tick's
-// ordering key at its barriers without running a ticker of its own.
+// T-2·period, T-3·period): each tick is scheduled by its predecessor. The sim
+// coordinator's statistics tick uses the same key at its barriers without
+// running a ticker of its own.
 type Ticker struct {
 	s      *Scheduler
 	period units.Time
@@ -117,18 +117,13 @@ type Ticker struct {
 	stop   bool
 }
 
-// NewTicker creates and starts a ticker with the given period. The first tick
-// fires one period from now.
-func NewTicker(s *Scheduler, period units.Time, fn func()) *Ticker {
-	return NewTickerTagged(s, period, 0, fn)
-}
-
-// NewTickerTagged is NewTicker with an explicit causal-origin tag carried by
+// NewTickerTagged creates and starts a ticker with the given period; the first
+// tick fires one period from now. tag is the causal-origin tag carried by
 // every tick (and inherited by everything the callback schedules). Periodic
-// device work needs it under the sharded engine: every device ticking at the
-// same period produces ticks with identical arithmetic scheduling chains, so
+// device work needs it on a partitioned run: every device ticking at the same
+// period produces ticks with identical arithmetic scheduling chains, so
 // same-instant emissions from different devices can only be ordered across
-// shards by their origin tag — which must therefore encode the device's serial
+// shards by their origin tag — which must therefore encode the device's
 // construction order (its node ID).
 func NewTickerTagged(s *Scheduler, period units.Time, tag uint64, fn func()) *Ticker {
 	if period <= 0 {

@@ -4,11 +4,13 @@ import (
 	"time"
 
 	"bfc/internal/harness"
+	"bfc/internal/packet"
 )
 
 // Backoff returns the pause before retry attempt (0-based): base doubled per
 // attempt, capped at max, scaled by a deterministic jitter factor in
-// [0.5, 1.0) drawn from a splitmix64 mix of seed and attempt. Deterministic
+// [0.5, 1.0) drawn from element attempt of seed's splitmix64 stream (the
+// counter-based construction the streaming sketch draws from). Deterministic
 // jitter keeps the schedule unit-testable and reproducible from logs, yet
 // still decorrelates peers: two requests with different seeds (bfcctl derives
 // them from the request ID, the coordinator from the batch ID) back off on
@@ -28,19 +30,9 @@ func Backoff(attempt int, base, max time.Duration, seed uint64) time.Duration {
 	if d > max {
 		d = max
 	}
-	x := splitmix64(seed, uint64(attempt))
+	x := packet.Mix64(seed + uint64(attempt)*packet.Gamma)
 	frac := 0.5 + float64(x>>11)/float64(1<<53)*0.5 // [0.5, 1.0)
 	return time.Duration(float64(d) * frac)
-}
-
-// splitmix64 is the splitmix64 finalizer over seed + (i+1)*golden-gamma — the
-// same counter-based construction internal/stats uses for its deterministic
-// reservoir sketch.
-func splitmix64(seed, i uint64) uint64 {
-	x := seed + (i+1)*0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // Seed derives a backoff seed from an identifier string (a batch ID, a

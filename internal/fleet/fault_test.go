@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bfc/internal/packet"
 	"bfc/internal/service"
 )
 
@@ -28,9 +29,9 @@ const (
 var faultNames = [numFaults]string{"clean", "request-lost", "response-lost", "503", "truncated", "duplicated"}
 
 // faultTransport is a seeded fault-injecting http.RoundTripper: request n of
-// a run meets the fault splitmix64(seed, n) selects — half the draws select
-// one, each kind equally often — so a seed names a fault schedule the way a
-// batch ID names a Backoff schedule.
+// a run meets the fault that element n of seed's splitmix64 stream selects —
+// half the draws select one, each kind equally often — so a seed names a
+// fault schedule the way a batch ID names a Backoff schedule.
 type faultTransport struct {
 	seed uint64
 	next http.RoundTripper
@@ -39,7 +40,7 @@ type faultTransport struct {
 }
 
 func (f *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	x := splitmix64(f.seed, f.n.Add(1))
+	x := packet.Mix64(f.seed + f.n.Add(1)*packet.Gamma)
 	kind := faultNone
 	if x%2 == 0 {
 		kind = 1 + int((x>>32)%(numFaults-1))

@@ -100,12 +100,15 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 	return recs, nil
 }
 
-// printExec writes one run's execution profile. heap-hw is the most index
+// printExec writes one run's execution profile. The header's events= is the
+// run's event count (Result.Events, the same at every shard count); a shard
+// line's events= counts what that shard's scheduler fired, leaving out the
+// ticks and scenario events the coordinator applies. heap-hw is the most index
 // records ever pending at once across the event queue's three tiers — what a
 // single heap's depth would be, and the same number.
 func printExec(w io.Writer, job string, ex *execstats.RunStats) {
-	fmt.Fprintf(w, "# %s exec: shards=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
-		job, len(ex.Shards), ex.Windows, ex.Barriers, 100*ex.Utilization(),
+	fmt.Fprintf(w, "# %s exec: shards=%d events=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
+		job, len(ex.Shards), ex.TotalEvents, ex.Windows, ex.Barriers, 100*ex.Utilization(),
 		time.Duration(ex.BusyNS()).Round(time.Microsecond),
 		time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 	for i := range ex.Shards {

@@ -100,11 +100,15 @@ func TestBFCBloomFilterPausesOnlyMatchingFlow(t *testing.T) {
 	const vfidSpace = 4096
 	tn := newTestNIC(t, func(c *nic.Config) { c.VFIDSpace = vfidSpace })
 	paused := tn.flowFromHost(1, 3000)
-	// Find a second flow whose VFID does not alias the paused one. The probe
-	// hashes tuples directly: VFIDOf caches its hash on first use, so a
-	// flow's tuple must be final before the flow enters the simulation.
+	// Find a second flow whose VFID does not alias the paused one. Each probe
+	// hashes a fresh copy: VFIDOf caches its hash on first use, so a flow's
+	// tuple must be final before the flow enters the simulation.
 	other := tn.flowFromHost(2, 2000)
-	for port := uint16(1); packet.HashVFID(other.Tuple(), vfidSpace) == packet.HashVFID(paused.Tuple(), vfidSpace); port++ {
+	for port := uint16(1); ; port++ {
+		probe := *other
+		if probe.VFIDOf(vfidSpace) != paused.VFIDOf(vfidSpace) {
+			break
+		}
 		other.SrcPort = port
 	}
 

@@ -94,7 +94,7 @@ type Flow struct {
 	FinishTime units.Time
 
 	// hashVFID and hashQueue cache the raw 64-bit tuple hashes behind
-	// HashVFID and HashQueue — pure functions of the immutable 5-tuple,
+	// VFIDOf and QueueOf — pure functions of the immutable 5-tuple,
 	// recomputed per packet per hop without the cache. Zero means "not yet
 	// computed". They are accessed with atomics because packets referencing
 	// the flow cross shard goroutines in a partitioned run; every writer
@@ -196,40 +196,6 @@ func (p *Packet) IsControl() bool { return p.Kind != Data }
 // 5-tuple, identical at every switch in the network (§3.3).
 type VFID uint32
 
-// FiveTuple returns the canonical 5-tuple of a flow. Protocol is implicit
-// (all simulated traffic is RoCEv2/UDP).
-type FiveTuple struct {
-	Src, Dst         NodeID
-	SrcPort, DstPort uint16
-}
-
-// Tuple returns the flow's 5-tuple.
-func (f *Flow) Tuple() FiveTuple {
-	return FiveTuple{Src: f.Src, Dst: f.Dst, SrcPort: f.SrcPort, DstPort: f.DstPort}
-}
-
-// HashVFID maps a 5-tuple into the VFID space [0, space). All switches use
-// the same function so pause frames are interpreted consistently network
-// wide. The hash is a 64-bit FNV-1a over the tuple fields.
-func HashVFID(t FiveTuple, space int) VFID {
-	if space <= 0 {
-		panic("packet: VFID space must be positive")
-	}
-	h := fnv1a(uint64(uint32(t.Src)), uint64(uint32(t.Dst)), uint64(t.SrcPort), uint64(t.DstPort))
-	return VFID(h % uint64(space))
-}
-
-// HashQueue maps a 5-tuple onto one of n FIFO queues; used by stochastic fair
-// queueing and by the BFC-VFID straw proposal's static assignment. A
-// different seed decorrelates it from HashVFID.
-func HashQueue(t FiveTuple, n int) int {
-	if n <= 0 {
-		panic("packet: queue count must be positive")
-	}
-	h := fnv1a(uint64(uint32(t.Dst)), uint64(t.DstPort), uint64(uint32(t.Src)), uint64(t.SrcPort)^0x9e37)
-	return int(h % uint64(n))
-}
-
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -246,8 +212,26 @@ func fnv1a(vals ...uint64) uint64 {
 	return h
 }
 
-// VFIDOf is HashVFID over the flow's tuple with the raw hash cached on the
-// flow, so per-packet hashing at every hop reduces to a load and a modulo.
+// Gamma is splitmix64's golden-ratio increment, the step between
+// consecutive states of its stream.
+const Gamma uint64 = 0x9e3779b97f4a7c15
+
+// Mix64 is one splitmix64 output: x advanced by Gamma, then the avalanche
+// finaliser. Element i of the counter-based stream seeded by seed is
+// Mix64(seed + i*Gamma). Bloom filter positions, the streaming sketch's
+// reservoir draws and fleet backoff jitter all draw from it.
+func Mix64(x uint64) uint64 {
+	x += Gamma
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// VFIDOf maps the flow's 5-tuple into the VFID space [0, space). All switches
+// use the same function so pause frames are interpreted consistently network
+// wide. The hash is a 64-bit FNV-1a over the tuple fields (protocol is
+// implicit: all simulated traffic is RoCEv2/UDP), cached on the flow, so
+// per-packet hashing at every hop reduces to a load and a modulo.
 func (f *Flow) VFIDOf(space int) VFID {
 	if space <= 0 {
 		panic("packet: VFID space must be positive")
@@ -260,8 +244,10 @@ func (f *Flow) VFIDOf(space int) VFID {
 	return VFID(h % uint64(space))
 }
 
-// QueueOf is HashQueue over the flow's tuple with the raw hash cached on the
-// flow, mirroring VFIDOf.
+// QueueOf maps the flow's 5-tuple onto one of n FIFO queues; stochastic fair
+// queueing and the BFC-VFID straw proposal's static assignment use it. A
+// different field order and salt decorrelate it from VFIDOf; the raw hash is
+// cached the same way.
 func (f *Flow) QueueOf(n int) int {
 	if n <= 0 {
 		panic("packet: queue count must be positive")

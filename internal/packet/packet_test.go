@@ -60,11 +60,17 @@ func TestIsControl(t *testing.T) {
 	}
 }
 
+// tuple returns a fresh flow carrying only a 5-tuple. VFIDOf and QueueOf cache
+// their hash on the flow, so every probe of a new tuple needs a new flow.
+func tuple(src, dst NodeID, sp, dp uint16) *Flow {
+	return &Flow{Src: src, Dst: dst, SrcPort: sp, DstPort: dp}
+}
+
 func TestHashVFIDDeterministicAndInRange(t *testing.T) {
-	f := &Flow{Src: 3, Dst: 17, SrcPort: 1234, DstPort: 4791}
+	f := tuple(3, 17, 1234, 4791)
 	a := f.VFIDOf(16384)
-	b := HashVFID(f.Tuple(), 16384)
-	if a != b {
+	b := tuple(3, 17, 1234, 4791).VFIDOf(16384)
+	if a != b || f.VFIDOf(16384) != a {
 		t.Fatal("VFID hash not deterministic")
 	}
 	if int(a) >= 16384 {
@@ -73,9 +79,9 @@ func TestHashVFIDDeterministicAndInRange(t *testing.T) {
 }
 
 func TestHashVFIDDistinguishesTuples(t *testing.T) {
-	a := HashVFID(FiveTuple{Src: 1, Dst: 2, SrcPort: 10, DstPort: 20}, 1<<30)
-	b := HashVFID(FiveTuple{Src: 2, Dst: 1, SrcPort: 10, DstPort: 20}, 1<<30)
-	c := HashVFID(FiveTuple{Src: 1, Dst: 2, SrcPort: 11, DstPort: 20}, 1<<30)
+	a := tuple(1, 2, 10, 20).VFIDOf(1 << 30)
+	b := tuple(2, 1, 10, 20).VFIDOf(1 << 30)
+	c := tuple(1, 2, 11, 20).VFIDOf(1 << 30)
 	if a == b || a == c {
 		t.Fatal("distinct tuples should almost surely hash differently in a large space")
 	}
@@ -87,7 +93,7 @@ func TestHashPanics(t *testing.T) {
 			t.Fatal("expected panic for non-positive space")
 		}
 	}()
-	HashVFID(FiveTuple{}, 0)
+	tuple(0, 0, 0, 0).VFIDOf(0)
 }
 
 func TestHashQueuePanics(t *testing.T) {
@@ -96,18 +102,22 @@ func TestHashQueuePanics(t *testing.T) {
 			t.Fatal("expected panic for non-positive queue count")
 		}
 	}()
-	HashQueue(FiveTuple{}, 0)
+	tuple(0, 0, 0, 0).QueueOf(0)
 }
 
-// Property: hashes always fall in range and are stable across calls.
+// Property: hashes always fall in range, are stable across calls on one flow
+// (the cached path) and agree with a fresh flow of the same tuple (the
+// computing path).
 func TestHashProperties(t *testing.T) {
 	prop := func(src, dst int32, sp, dp uint16, rawSpace uint16) bool {
 		space := int(rawSpace%65535) + 1
-		tuple := FiveTuple{Src: NodeID(src), Dst: NodeID(dst), SrcPort: sp, DstPort: dp}
-		v1 := HashVFID(tuple, space)
-		v2 := HashVFID(tuple, space)
-		q := HashQueue(tuple, 32)
-		return v1 == v2 && int(v1) < space && q >= 0 && q < 32
+		f := tuple(NodeID(src), NodeID(dst), sp, dp)
+		v1 := f.VFIDOf(space)
+		v2 := f.VFIDOf(space)
+		v3 := tuple(NodeID(src), NodeID(dst), sp, dp).VFIDOf(space)
+		q := f.QueueOf(32)
+		return v1 == v2 && v1 == v3 && int(v1) < space && q >= 0 && q < 32 &&
+			q == tuple(NodeID(src), NodeID(dst), sp, dp).QueueOf(32)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -121,13 +131,22 @@ func TestHashVFIDSpread(t *testing.T) {
 	const n = 64 * 200
 	counts := make([]int, space)
 	for i := 0; i < n; i++ {
-		tpl := FiveTuple{Src: NodeID(i * 7), Dst: NodeID(i*13 + 1), SrcPort: uint16(i), DstPort: 4791}
-		counts[HashVFID(tpl, space)]++
+		counts[tuple(NodeID(i*7), NodeID(i*13+1), uint16(i), 4791).VFIDOf(space)]++
 	}
 	mean := n / space
 	for b, c := range counts {
 		if c > 3*mean || c < mean/3 {
 			t.Fatalf("bucket %d has %d flows, mean %d — hash badly skewed", b, c, mean)
+		}
+	}
+}
+
+// TestMix64KnownAnswers pins Mix64 to splitmix64's reference stream: seeded
+// with 0, its first three outputs are elements 0, 1 and 2 of Mix64(i*Gamma).
+func TestMix64KnownAnswers(t *testing.T) {
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := Mix64(uint64(i) * Gamma); got != want {
+			t.Errorf("Mix64(%d*Gamma) = %#x, want %#x", i, got, want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"bfc/internal/eventsim"
 	"bfc/internal/packet"
-	"bfc/internal/telemetry"
 	"bfc/internal/topology"
 	"bfc/internal/units"
 )
@@ -54,18 +53,11 @@ func TestLinkFlapSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// nopNetwork satisfies Network for install-path benchmarking.
-type nopNetwork struct{}
-
-func (nopNetwork) SetLinkState(units.Time, telemetry.Recorder, packet.NodeID, packet.NodeID, bool) int {
-	return 0
-}
-func (nopNetwork) SetLinkParams(units.Time, telemetry.Recorder, packet.NodeID, packet.NodeID, units.Rate, units.Time) {
-}
-
-// BenchmarkSpecInstall measures compiling and scheduling a representative
+// BenchmarkSpecInstall measures compiling and installing a representative
 // 4-event spec (flap + incast + shift) against the paper-scale fabric — the
-// per-run setup cost a scenario adds before the event loop starts.
+// injected flows scheduled, the event instants listed for the coordinator's
+// barriers: the per-run setup cost a scenario adds before the event loop
+// starts.
 func BenchmarkSpecInstall(b *testing.B) {
 	topo := benchClos()
 	spec := &Spec{
@@ -96,7 +88,7 @@ func BenchmarkSpecInstall(b *testing.B) {
 			b.Fatal(err)
 		}
 		pl.ScheduleFlows(sched, func(packet.NodeID) bool { return true }, func(*packet.Flow) {})
-		pl.ScheduleEvents(sched, nopNetwork{}, nil)
+		pl.EventTimes(p.Horizon)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // Network is the slice of the simulation a fired link event acts on. The sim
-// package's device registry implements it for both engines: link operations
+// package's device registry implements it: link operations
 // mutate the topology's routing tables and the wired links (including the
 // pause-state resets at the affected devices), and trace themselves, stamped
 // with the event's instant at, into rec (nil on untraced runs).
@@ -54,14 +54,12 @@ type compiledEvent struct {
 	flow []*packet.Flow // injected flows (incast, workload shift)
 }
 
-// Planned is a compiled scenario that has not been scheduled on any engine.
-// Both engines take it in two halves. The injected flows are scheduled by
-// whoever owns their source (ScheduleFlows): the serial runner owns every
-// host, each shard its own. The events themselves fire through one per-event
-// function: the serial runner schedules it on its engine (ScheduleEvents),
-// the sharded coordinator calls it at lookahead barriers (Apply) — with all
-// shards parked, so the shared topology's route recomputation is race-free
-// and observed atomically, exactly as a serial run observes it mid-dispatch.
+// Planned is a compiled scenario that has not been scheduled yet. The sim
+// coordinator takes it in two halves. The injected flows are scheduled by the
+// shard that owns their source (ScheduleFlows); the one shard of a one-shard
+// run owns every host. The events themselves fire at the coordinator's
+// barriers (Apply) — with every shard parked, so the shared topology's route
+// recomputation is race-free and observed atomically.
 type Planned struct {
 	topo    *topology.Topology
 	metrics *Metrics
@@ -101,9 +99,8 @@ func Plan(spec *Spec, p Params) (*Planned, error) {
 func (pl *Planned) Metrics() *Metrics { return pl.metrics }
 
 // EventTimes returns the distinct fire instants of the compiled events, in
-// ascending order, truncated to the horizon (inclusive — the serial engine
-// fires events at exactly the horizon). The sharded coordinator adds them to
-// its barrier set.
+// ascending order, truncated to the horizon (inclusive — an event at exactly
+// the horizon still fires). The coordinator adds them to its barrier set.
 func (pl *Planned) EventTimes(horizon units.Time) []units.Time {
 	var times []units.Time
 	for _, ce := range pl.events {
@@ -122,9 +119,8 @@ func (pl *Planned) EventTimes(horizon units.Time) []units.Time {
 // roots exactly like base-trace flows: tagging the start event with the flow
 // ID orders same-key descendants of a simultaneous burst by flow creation
 // order on every shard (IDs ascend in compile order), and keeps every flow's
-// key distinct from the untagged event closures', so the order the two halves
-// are scheduled in is immaterial. The caller counts injections itself and
-// merges the count into Metrics.InjectedFlows.
+// key distinct from the untagged setup key the events apply under. The caller
+// counts injections itself and merges the count into Metrics.InjectedFlows.
 func (pl *Planned) ScheduleFlows(sched *eventsim.Scheduler, owned func(packet.NodeID) bool, start func(*packet.Flow)) {
 	call := func(x any) { start(x.(*packet.Flow)) }
 	for _, ce := range pl.events {
@@ -137,17 +133,8 @@ func (pl *Planned) ScheduleFlows(sched *eventsim.Scheduler, owned func(packet.No
 	}
 }
 
-// ScheduleEvents schedules the compiled events on a serial engine, one
-// closure each, in spec order (which the engine keeps among same-instant
-// events).
-func (pl *Planned) ScheduleEvents(sched *eventsim.Scheduler, net Network, rec telemetry.Recorder) {
-	for _, ce := range pl.events {
-		sched.Schedule(ce.ev.At, func() { pl.fire(ce, net, rec) })
-	}
-}
-
 // Apply fires every compiled event scheduled at instant t, in spec order, and
-// returns their number — the scheduler events a serial run executes for them.
+// returns their number — each counts as one event of the run.
 func (pl *Planned) Apply(t units.Time, net Network, rec telemetry.Recorder) int {
 	fired := 0
 	for _, ce := range pl.events {

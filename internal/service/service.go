@@ -198,11 +198,11 @@ type Event struct {
 type ExecEventStats struct {
 	// Shards is the number of engine shards the job ran on (1 = serial).
 	Shards int `json:"shards"`
-	// Events counts simulator events dispatched; Windows the lookahead
-	// windows (0 for serial runs).
+	// Events counts simulator events dispatched; Windows the coordinator's
+	// windows (one per barrier plus the closing one).
 	Events  uint64 `json:"events"`
 	Windows uint64 `json:"windows"`
-	// Utilization is busy/(busy+barrier-wait) across shards (1 for serial).
+	// Utilization is busy/(busy+barrier-wait) across shards.
 	Utilization float64 `json:"utilization"`
 	// WallMS is the run's wall-clock in milliseconds.
 	WallMS float64 `json:"wall_ms"`

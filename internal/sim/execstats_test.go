@@ -79,7 +79,10 @@ func TestExecStatsDigestParity(t *testing.T) {
 //
 //   - TotalEvents is partition-independent — identical at every shard count
 //     and equal to Result.Events;
-//   - per-shard event counts sum to TotalEvents within each run;
+//   - per-shard event counts plus the coordinator's (ticks, scenario events)
+//     sum to TotalEvents within each run;
+//   - a one-shard run is the same coordinator loop: one shard, no boundary
+//     traffic, and one window per barrier plus the closing window;
 //   - sharded runs report windows, barriers and per-shard activity;
 //   - wall-clock fields are observational, so only monotone/non-zero claims
 //     hold (never equality across runs).
@@ -127,9 +130,13 @@ func TestExecStatsMergeDeterminism(t *testing.T) {
 		}
 
 		if shards == 1 {
-			if len(ex.Shards) != 1 || ex.Windows != 0 || ex.Barriers != 0 {
-				t.Errorf("serial profile has sharded structure: %d shards, %d windows, %d barriers",
-					len(ex.Shards), ex.Windows, ex.Barriers)
+			if len(ex.Shards) != 1 || ex.Shards[0].Boundary.Pushes != 0 {
+				t.Errorf("one-shard profile: %d shards, %d boundary pushes; want 1 shard, 0 pushes",
+					len(ex.Shards), ex.Shards[0].Boundary.Pushes)
+			}
+			if ex.Barriers == 0 || ex.Windows != ex.Barriers+1 {
+				t.Errorf("one-shard profile: %d windows, %d barriers; want windows = barriers + 1 > 1",
+					ex.Windows, ex.Barriers)
 			}
 			continue
 		}

@@ -160,23 +160,24 @@ type Options struct {
 	Recorder *telemetry.Ring
 	// SampleSeries attaches bounded time series (per-switch occupancy,
 	// per-link-class utilization and pause fractions, active flows, goodput)
-	// to Result.Telemetry, sampled on the existing BufferSampleInterval ticker
+	// to Result.Telemetry, sampled on the existing BufferSampleInterval tick
 	// so no extra simulator events are created. Off by default; the Telemetry
 	// field is omitted from the Result JSON when off, keeping golden digests
 	// unchanged.
 	SampleSeries bool
 
-	// Shards selects the sharded (conservative parallel discrete-event)
-	// engine. 0 or 1 runs the classic single-threaded engine; n >= 2 runs n
-	// shards (clamped to the topology's pod count); a negative value picks
-	// min(pods, GOMAXPROCS) automatically. Sharded execution is byte-identical
-	// to serial execution for every scheme — the engine partitions the fabric
-	// into whole pods, spreads core switches round-robin, and synchronizes
-	// shards at conservative-lookahead barriers that reproduce the serial
-	// event order exactly. Scenario runs shard too (compiled events apply at
-	// coordinator barriers), as do flight-recorder runs (per-shard keyed rings
-	// merged in key order). A request that cannot shard runs serially,
-	// reported in Result.Sharding rather than silently.
+	// Shards sets how many shards the engine (a conservative parallel
+	// discrete-event coordinator) runs. 0 or 1 runs one shard — the serial
+	// case, on the caller's goroutine; n >= 2 runs n shards (clamped to the
+	// topology's pod count); a negative value picks min(pods, GOMAXPROCS)
+	// automatically. Results are byte-identical at every shard count for every
+	// scheme — the engine partitions the fabric into whole pods, spreads core
+	// switches round-robin, and synchronizes shards at conservative-lookahead
+	// barriers that reproduce the one-shard event order exactly. Scenario runs
+	// shard too (compiled events apply at coordinator barriers), as do
+	// flight-recorder runs (per-shard keyed rings merged in key order). A
+	// request that cannot shard runs on one shard, reported in Result.Sharding
+	// rather than silently.
 	Shards int
 	// ExecStats enables the wall-clock execution profiler
 	// (internal/telemetry/execstats): per-shard event counts, heap and pool

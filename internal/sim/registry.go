@@ -16,12 +16,11 @@ import (
 
 // registry is the device table of one run. NodeIDs are dense, so the switch
 // or NIC of every node sits in a slice indexed by NodeID (nil where the node
-// is of the other kind). The serial runner holds one; a sharded run hands the
-// same registry to every shard runner, each filling only the slots of the
-// nodes it owns — construction is sequential on the coordinator goroutine,
-// and inside windows shards only read it — so the coordinator samples at
-// barriers and collects at the end straight from it. Its methods need nothing
-// beyond the topology and the two slices.
+// is of the other kind). A run hands the same registry to every shard runner,
+// each filling only the slots of the nodes it owns — construction is
+// sequential on the coordinator goroutine, and inside windows shards only read
+// it — so the coordinator samples at barriers and collects at the end straight
+// from it. Its methods need nothing beyond the topology and the two slices.
 type registry struct {
 	topo     *topology.Topology
 	switches []*switchsim.Switch
@@ -68,9 +67,9 @@ func (g *registry) linkPorts(a, b packet.NodeID) (pa, pb int) {
 // reset the pause machinery on both attached devices. rec (nil when untraced)
 // receives the trace event stamped at, after the reroute and before the
 // devices react — the resets can emit pause records of their own, and the
-// serial trace pins them behind the link event. The serial runner calls it
-// mid-dispatch; the sharded coordinator calls it with every shard parked at a
-// barrier, where the mutation is race-free and observed atomically.
+// trace pins them behind the link event. The coordinator calls it with every
+// shard parked at a barrier, where the mutation is race-free and observed
+// atomically.
 func (g *registry) SetLinkState(at units.Time, rec telemetry.Recorder, a, b packet.NodeID, up bool) int {
 	pa, pb := g.linkPorts(a, b)
 	reroutes := g.topo.SetLinkState(a, b, up)
@@ -131,10 +130,9 @@ func (g *registry) sampleSwitches() []*switchsim.Switch {
 	return sws
 }
 
-// sampleTick takes one statistics sample over sws into res. It is the body of
-// the serial sampling ticker, and is called directly by the sharded
-// coordinator at its tick barriers (where the shards are parked at exactly the
-// state the serial tick would observe).
+// sampleTick takes one statistics sample over sws into res. The coordinator
+// calls it at its tick barriers, with every shard parked after the events
+// ordered before the tick's key.
 func sampleTick(res *Result, sws []*switchsim.Switch, sampler *seriesSampler) {
 	for _, sw := range sws {
 		occ := sw.BufferOccupancy()

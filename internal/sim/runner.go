@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"bfc/internal/bloom"
 	"bfc/internal/cc"
@@ -91,7 +90,7 @@ type Result struct {
 	Telemetry *telemetry.RunSeries `json:"Telemetry,omitempty"`
 
 	// Sharding reports how the run was executed (shards requested and used,
-	// and why a sharded request fell back to serial, if it did). Excluded from
+	// and why a sharded request ran on one shard, if it did). Excluded from
 	// the JSON so serialized results — and their digests — stay byte-identical
 	// across shard counts, which is the engine's core contract.
 	Sharding ShardInfo `json:"-"`
@@ -130,25 +129,20 @@ func (r *Result) OverflowFraction() float64 {
 	return float64(r.TableOverflowPackets) / float64(r.DataPackets)
 }
 
-// Run executes one simulation of the given flows under the options.
+// Run executes one simulation of the given flows under the options. Every run
+// is the coordinator loop of runSharded over a shard plan; a run that does not
+// partition — Shards 0 or 1, or a fabric that cannot split — is its one-shard
+// case.
 func Run(opts Options, flows []*packet.Flow) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	plan, fallback := shardPlanFor(&opts)
-	if plan != nil {
-		res, err := runSharded(opts, plan, flows)
-		if err != nil {
-			return nil, err
-		}
-		res.Sharding = ShardInfo{Requested: opts.Shards, Used: plan.Shards}
-		return res, nil
-	}
-	res, err := newRunner(opts, newRegistry(opts.Topo)).run(flows)
+	res, err := runSharded(opts, plan, flows)
 	if err != nil {
 		return nil, err
 	}
-	res.Sharding = ShardInfo{Requested: opts.Shards, Used: 1, Fallback: fallback}
+	res.Sharding = ShardInfo{Requested: opts.Shards, Used: plan.Shards, Fallback: fallback}
 	return res, nil
 }
 
@@ -162,42 +156,40 @@ type runner struct {
 	// share one and each build only the devices they own.
 	reg *registry
 
-	// plan and shardID restrict the runner to one shard of a partitioned run
-	// (plan nil for the classic serial engine). A shard runner owns only the
-	// devices its shard is assigned, buffers flow completions in fctBuf
-	// instead of recording them (the coordinator merges the per-shard streams
-	// into serial order), and leaves sampling and the Result to the
-	// coordinator: result is nil on a shard runner.
+	// plan and shardID restrict the runner to one shard of the run: it builds
+	// and runs only the devices its shard is assigned. Sampling belongs to the
+	// coordinator.
 	plan    *topology.ShardPlan
 	shardID int
-	fctBuf  []fctRec
+
+	// result and scen are set only on the one shard of a one-shard run, whose
+	// completions already come in key order: it records them straight into
+	// the coordinator's Result and scenario Metrics (scen nil without a
+	// scenario). The shards of a partitioned run leave result nil and buffer
+	// completions in fctBuf, keyed, for the coordinator to merge.
+	result *Result
+	scen   *scenario.Metrics
+	fctBuf []fctRec
 
 	// flowsTotal counts the background flows this runner offered (base trace
 	// at construction, injected scenario flows when their event fires).
 	flowsTotal int
 
-	// scen is the installed scenario's metrics (nil without a scenario).
-	scen *scenario.Metrics
-
 	// strandedPkts/strandedBytes and injectedFlows accumulate scenario
-	// counters runner-locally. A serial run folds them into scen at collect
-	// time; a sharded run's coordinator sums them across shards — shard
-	// windows run in parallel, so shards must never write the shared Metrics.
+	// counters runner-locally; the coordinator sums them across shards after
+	// the run — shard windows run in parallel, so shards must never write the
+	// shared Metrics.
 	strandedPkts  uint64
 	strandedBytes units.Bytes
 	injectedFlows int
 
-	// rec is the flight recorder (nil when disabled); sampler is the series
-	// sampler (nil unless Options.SampleSeries).
-	rec     telemetry.Recorder
-	sampler *seriesSampler
-
-	result *Result
+	// rec is the flight recorder (nil when disabled).
+	rec telemetry.Recorder
 }
 
 // owned reports whether this runner builds and runs the given node.
 func (r *runner) owned(id packet.NodeID) bool {
-	return r.plan == nil || r.plan.Assign[id] == r.shardID
+	return r.plan.Assign[id] == r.shardID
 }
 
 // newResult returns an empty Result with the collectors the options ask for.
@@ -254,47 +246,6 @@ func (r *runner) hopRTT() units.Time {
 		rate = 100 * units.Gbps
 	}
 	return 2 * (delay + units.SerializationTime(r.opts.MTU+packet.DataHeaderSize, rate))
-}
-
-func (r *runner) run(flows []*packet.Flow) (*Result, error) {
-	opts := r.opts
-	r.result = newResult(&opts)
-	var execStart time.Time
-	if opts.ExecStats {
-		execStart = time.Now()
-	}
-	r.buildDevices()
-	r.wireLinks(nil)
-	r.scheduleFlows(flows)
-	r.startSampling()
-
-	horizon := opts.Duration + opts.Drain
-	if opts.Scenario != nil {
-		if err := r.installScenario(flows, horizon); err != nil {
-			return nil, err
-		}
-	}
-	r.sched.RunUntil(horizon)
-
-	res := r.result
-	res.Events = r.sched.Executed
-	res.FlowsTotal = r.flowsTotal
-	if r.scen != nil {
-		r.scen.StrandedPackets += r.strandedPkts
-		r.scen.StrandedBytes += r.strandedBytes
-		r.scen.InjectedFlows += r.injectedFlows
-	}
-	r.reg.collect(res, horizon, flows, r.scen)
-	if r.sampler != nil {
-		res.Telemetry = r.sampler.finish()
-	}
-	if opts.ExecStats {
-		// Observational only: built after the last event fired, from counters
-		// the engine maintains anyway, so the result bytes are untouched.
-		res.Exec = execstats.Serial(time.Since(execStart), r.sched.Executed,
-			r.sched.HeapHighWater(), r.pool.Allocated(), r.pool.Recycled())
-	}
-	return res, nil
 }
 
 // buildDevices constructs the switches and NICs this runner owns, with the
@@ -417,10 +368,10 @@ func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time) {
 
 // wireLinks creates the outgoing unidirectional links of every node this
 // runner owns and attaches them to the devices. Receiving devices come from
-// the registry (which, in a sharded run, spans all shards, so every shard's
-// devices must be built first). A link whose peer another shard owns is marked
-// cross-shard: it delivers through out[that shard], this shard's row of the
-// run's boundary queues (nil in a serial run, which owns every node).
+// the registry (which spans all shards, so every shard's devices must be built
+// first). A link whose peer another shard owns is marked cross-shard: it
+// delivers through out[that shard], this shard's row of the run's boundary
+// queues. A one-shard run owns every node and has none.
 func (r *runner) wireLinks(out []netsim.Boundary) {
 	for _, node := range r.topo.Nodes() {
 		if !r.owned(node.ID) {
@@ -454,8 +405,8 @@ func (r *runner) wireLinks(out []netsim.Boundary) {
 // Scenario integration ---------------------------------------------------------
 
 // scenarioParams builds the compile context a scenario spec resolves against.
-// The serial installer and the sharded coordinator share it, so a spec
-// compiles to the identical flow set (same IDs, ports, RNG draws) either way.
+// It depends on the options and the base trace alone, so a spec compiles to
+// the identical flow set (same IDs, ports, RNG draws) at every shard count.
 func scenarioParams(opts *Options, flows []*packet.Flow, horizon units.Time) scenario.Params {
 	var maxID packet.FlowID
 	for _, f := range flows {
@@ -475,20 +426,6 @@ func scenarioParams(opts *Options, flows []*packet.Flow, horizon units.Time) sce
 		FirstFlowID:     maxID + 1,
 		StatsSketchSize: sketchSize,
 	}
-}
-
-// installScenario compiles the configured scenario spec and schedules both
-// halves on the serial engine: the injected flows, all of which this runner
-// owns, and the events themselves.
-func (r *runner) installScenario(flows []*packet.Flow, horizon units.Time) error {
-	pl, err := scenario.Plan(r.opts.Scenario, scenarioParams(&r.opts, flows, horizon))
-	if err != nil {
-		return err
-	}
-	r.scen = pl.Metrics()
-	pl.ScheduleFlows(r.sched, r.owned, r.startInjected)
-	pl.ScheduleEvents(r.sched, r.reg, r.rec)
-	return nil
 }
 
 // onStranded is the terminal owner of packets lost on failed links: it keeps
@@ -536,15 +473,15 @@ func (r *runner) onFlowComplete(f *packet.Flow) {
 	}
 	rec := fctRec{start: f.StartTime, size: f.Size, fct: f.FCT(),
 		ideal: IdealFCT(r.topo, r.opts.MTU, f), incast: f.IsIncast}
-	if r.plan != nil {
-		// Shard runner: completions are recorded into the run's collectors by
-		// the coordinator, ordered by the triggering delivery event's key, so
-		// the merged record stream is byte-identical to the serial one.
-		rec.key = r.sched.CurrentKey()
-		r.fctBuf = append(r.fctBuf, rec)
+	if r.result != nil {
+		rec.record(r.result, r.scen)
 		return
 	}
-	rec.record(r.result, r.scen)
+	// One shard of several: the coordinator records completions into the
+	// run's collectors ordered by the triggering delivery event's key, so the
+	// merged record stream is byte-identical to the one-shard stream.
+	rec.key = r.sched.CurrentKey()
+	r.fctBuf = append(r.fctBuf, rec)
 }
 
 // IdealFCT is the best possible completion time for a flow on an unloaded
@@ -565,20 +502,4 @@ func minBytes(a, b units.Bytes) units.Bytes {
 		return a
 	}
 	return b
-}
-
-func (r *runner) startSampling() {
-	sws := r.reg.sampleSwitches()
-	// The time-series sampler piggybacks on this one ticker rather than
-	// scheduling its own, so enabling it adds no simulator events and the
-	// run's event stream is unchanged.
-	if r.opts.SampleSeries {
-		r.sampler = r.reg.newSeriesSampler(&r.opts, func() uint64 { return r.sched.Executed })
-	}
-	// Each tick's ordering key is the arithmetic chain (T, T-Δ, T-2Δ, T-3Δ),
-	// which the sharded coordinator reconstructs at its barriers to flush
-	// exactly the events a serial run executes before the sample.
-	eventsim.NewTicker(r.sched, r.opts.BufferSampleInterval, func() {
-		sampleTick(r.result, sws, r.sampler)
-	})
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"bfc/internal/packet"
@@ -152,6 +153,24 @@ func TestShardedParityFatTree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardAutoOnOneCPU pins the reason an auto request (-1) reports on one
+// CPU: the 64-host fat-tree partitions, so the cause of the one-shard run is
+// the CPU count, not the topology.
+func TestShardAutoOnOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	topo := topology.NewFatTree(topology.FatTreeForHosts(64, 100*units.Gbps, units.Microsecond))
+	if pods := topology.NumPods(topo); pods < 2 {
+		t.Fatalf("64-host fat-tree has %d pods; the test needs a fabric that partitions", pods)
+	}
+	opts := DefaultOptions(SchemeBFC, topo)
+	opts.Shards = -1
+	plan, why := shardPlanFor(&opts)
+	info := ShardInfo{Requested: opts.Shards, Used: plan.Shards, Fallback: why}
+	if got, want := info.Describe(), "forced-serial(one CPU: GOMAXPROCS=1)"; plan.Shards != 1 || got != want {
+		t.Errorf("auto on one CPU: %d shards, %q; want 1 shard, %q", plan.Shards, got, want)
 	}
 }
 

@@ -17,52 +17,52 @@ import (
 	"bfc/internal/units"
 )
 
-// Sharded execution
+// One engine
 //
-// The sharded engine partitions one simulation into per-pod shards, each with
-// its own scheduler, packet pool, and devices, and advances them in lockstep
-// windows under conservative parallel discrete-event simulation:
+// Every run is the coordinator loop of runSharded over a shard plan, and a run
+// that does not partition is its one-shard case. A plan of S shards gives each
+// shard its own scheduler, packet pool, and devices, and advances them in
+// lockstep windows under conservative parallel discrete-event simulation:
 //
 //   - The shard planner (topology.PlanShards) assigns whole pods to shards
 //     and spreads core switches round-robin. The conservative lookahead W is
 //     the minimum propagation delay over cross-shard links: a delivery
 //     emitted during a window reaches another shard no earlier than one full
-//     W later, so windows of width <= W never miss a cross-shard event.
+//     W later, so windows of width <= W never miss a cross-shard event. A
+//     one-shard plan has no cross-shard links and no such sync barriers.
 //   - Cross-shard links append their deliveries to boundary queues (one
 //     reusable slice per directed shard pair) instead of scheduling locally.
 //     At each barrier the coordinator drains every queue — in deterministic
 //     shard order — into the receiving shards' schedulers.
 //   - Every event carries its scheduling-chain ordering key (see
 //     eventsim.Key). Boundary deliveries are injected under the key they
-//     would have carried in a serial run, so each shard's heap interleaves
-//     remote and local events exactly as the serial engine would, and the
-//     whole run is byte-identical to the single-threaded engine.
-//   - Statistics barriers reproduce the serial sampling tick: at each tick
-//     instant T the coordinator flushes events ordered before the serial
-//     tick's key (T, T-Δ, T-2Δ, T-3Δ), then samples all switches in topology
-//     order — observing precisely the state the serial ticker would have.
+//     would have carried on one scheduler, so each shard's heap interleaves
+//     remote and local events exactly as one shard's heap would, and the
+//     whole run is byte-identical at every shard count.
+//   - Statistics barriers are the sampling tick: at each tick instant T the
+//     coordinator flushes events ordered before the tick's key (T, T-Δ,
+//     T-2Δ, T-3Δ), then samples all switches in topology order. This is the
+//     one place a run samples; collect, after the horizon, is the one place
+//     it reads its totals.
 //   - Scenario events are compiled once (scenario.Plan) and applied by the
 //     coordinator at dedicated barriers at each event instant: every shard
-//     flushes the events ordered before the scenario closure's serial key
-//     (its setup-phase pedigree), then — with all shards parked — the
-//     coordinator mutates the shared topology and the affected shards' links
-//     exactly as the serial engine's closure does mid-dispatch: both call
-//     the same per-event function (scenario.Planned). Injected flows need no
-//     coordination: each shard schedules the pre-generated flows whose
-//     sources it owns, under their serial keys.
-//   - Flight recording shards the same way: each shard buffers its events in
-//     a bounded ring stamped with the emitting dispatch's key, the
-//     coordinator stamps its own (scenario) records with the closure keys,
-//     and the per-shard streams are merged in key order into the caller's
-//     ring after the run — reproducing the serial trace.
-//   - Flow completions are buffered per shard with the key of the delivery
-//     event that completed them and merged into the shared collectors in key
-//     order, reproducing the serial record stream.
+//     flushes the events ordered before the event's setup-phase key, then —
+//     with all shards parked — the coordinator mutates the shared topology
+//     and the affected shards' links (scenario.Planned.Apply). Injected flows
+//     need no coordination: each shard schedules the pre-generated flows
+//     whose sources it owns, under their keys.
+//   - One shard's own streams are already in key order, so it records flow
+//     completions straight into the Result and traces straight into the
+//     caller's ring. Two or more shards buffer both, stamped with the key of
+//     the emitting dispatch (the coordinator stamps its scenario records with
+//     the event keys), and the coordinator merges the per-shard streams in
+//     key order after the run — reproducing the one-shard streams.
 
-// fctRec is one flow completion. A shard buffers them, stamped with the key
-// of the completing event, until the coordinator merges the per-shard streams
-// in key order; the serial runner records each as it happens (key unused).
-// start carries the flow's start time for scenario phase attribution.
+// fctRec is one flow completion. The shards of a partitioned run buffer them,
+// stamped with the key of the completing event, until the coordinator merges
+// the per-shard streams in key order; a one-shard run records each as it
+// happens (key unused). start carries the flow's start time for scenario
+// phase attribution.
 type fctRec struct {
 	key    eventsim.Key
 	start  units.Time
@@ -87,9 +87,9 @@ func (c *fctRec) record(res *Result, scen *scenario.Metrics) {
 }
 
 // ShardInfo reports how a run was executed: the shard count requested, the
-// count actually used (1 = the serial engine), and — when a sharded request
-// ran serially — the reason for the fallback. It is excluded from the
-// marshalled Result so digests stay comparable across shard counts.
+// count actually used (1 = the one-shard, serial case), and — when a sharded
+// request ran on one shard — the reason. It is excluded from the marshalled
+// Result so digests stay comparable across shard counts.
 type ShardInfo struct {
 	Requested int
 	Used      int
@@ -97,9 +97,9 @@ type ShardInfo struct {
 }
 
 // Describe renders the execution mode for CLI output: "sharded(N)" when the
-// run partitioned, "serial" when serial execution was requested, and
-// "forced-serial(reason)" when a sharded request fell back — so a fallback is
-// visible instead of silent.
+// run partitioned, "serial" when one shard was requested, and
+// "forced-serial(reason)" when a sharded request ran on one shard — so a
+// fallback is visible instead of silent.
 func (s ShardInfo) Describe() string {
 	switch {
 	case s.Used > 1:
@@ -111,33 +111,36 @@ func (s ShardInfo) Describe() string {
 	}
 }
 
-// shardPlanFor resolves Options.Shards into a shard plan, or nil when the run
-// must use the serial engine. The returned reason is non-empty exactly when a
-// sharded request (Shards >= 2 or -1) fell back to serial: the topology does
-// not partition (single pod, or no positive lookahead).
+// shardPlanFor resolves Options.Shards into a shard plan; a run that does not
+// partition gets the one-shard plan. The returned reason is non-empty exactly
+// when a sharded request (Shards >= 2 or -1) runs on one shard: auto on one
+// CPU, a topology that does not partition (single pod), or no positive
+// lookahead.
 func shardPlanFor(opts *Options) (*topology.ShardPlan, string) {
 	want := opts.Shards
-	if want == 0 || want == 1 {
-		return nil, ""
-	}
-	if want < 0 {
-		want = runtime.GOMAXPROCS(0)
+	switch {
+	case want == 0 || want == 1:
+		return topology.PlanShards(opts.Topo, 1), ""
+	case want < 0:
+		if want = runtime.GOMAXPROCS(0); want == 1 {
+			return topology.PlanShards(opts.Topo, 1), "one CPU: GOMAXPROCS=1"
+		}
 	}
 	plan := topology.PlanShards(opts.Topo, want)
 	if plan.Shards < 2 {
-		return nil, "topology does not partition into multiple shards"
+		return plan, "topology does not partition into multiple shards"
 	}
 	if plan.Lookahead <= 0 {
-		return nil, "no positive cross-shard lookahead"
+		return topology.PlanShards(opts.Topo, 1), "no positive cross-shard lookahead"
 	}
 	plan.Validate(opts.Topo)
 	return plan, ""
 }
 
-// tickKeyAt reconstructs the ordering key of the serial sampling tick at
-// instant t with period d: each tick is scheduled by its predecessor, so the
-// chain is arithmetic, with SetupTime sentinels where the chain reaches back
-// into the construction phase.
+// tickKeyAt is the ordering key of the sampling tick at instant t with period
+// d: the key of a ticker started during setup, each tick scheduled by its
+// predecessor, so the chain is arithmetic, with SetupTime sentinels where it
+// reaches back into the construction phase.
 func tickKeyAt(t, d units.Time) eventsim.Key {
 	k := eventsim.Key{At: t}
 	for i := range k.Chain {
@@ -150,14 +153,13 @@ func tickKeyAt(t, d units.Time) eventsim.Key {
 	return k
 }
 
-// setupKeyAt reconstructs the ordering key of a scenario event closure at
-// instant t: the serial runner schedules them during construction (clock at
-// zero, outside any dispatch), so the chain is instant 0 followed by the
-// SetupTime sentinels, with tags, kids, kid and tag all zero. The only other
-// events carrying this exact key shape are the sampling ticker's first tick
-// (whose earlier scheduling sequence wins the tie, see the barrier loop) and
-// scenario closures at the same instant (applied in spec order, their serial
-// sequence order).
+// setupKeyAt is the ordering key of a scenario event at instant t: the key of
+// an event scheduled during construction (clock at zero, outside any
+// dispatch), so the chain is instant 0 followed by the SetupTime sentinels,
+// with tags, kids, kid and tag all zero. The only other events carrying this
+// exact key shape are the first sampling tick (which goes first on the tie,
+// see the barrier loop) and scenario events at the same instant (applied in
+// spec order).
 func setupKeyAt(t units.Time) eventsim.Key {
 	k := eventsim.Key{At: t}
 	for i := 1; i < eventsim.ChainDepth; i++ {
@@ -238,7 +240,7 @@ func mergeFCT(bufs [][]fctRec) []fctRec {
 	return recs
 }
 
-// runSharded executes the simulation partitioned across plan.Shards shards.
+// runSharded executes the simulation on plan.Shards shards, one or more.
 func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*Result, error) {
 	S := plan.Shards
 	horizon := opts.Duration + opts.Drain
@@ -254,16 +256,16 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// Per-shard runners build only the devices their shard owns, into the one
 	// registry they share with the coordinator. Every shard derives device
 	// seeds from (Options.Seed, NodeID) and draws packets from its own pool, so
-	// construction is independent of the partition. Traced runs swap each
-	// shard's recorder for a keyed per-shard ring before any device captures
-	// it.
+	// construction is independent of the partition. Traced partitioned runs
+	// swap each shard's recorder for a keyed per-shard ring before any device
+	// captures it; the one shard of a one-shard run keeps the caller's ring.
 	reg := newRegistry(opts.Topo)
 	shards := make([]*runner, S)
 	var srecs []*shardRecorder
 	for i := range shards {
 		r := newRunner(opts, reg)
 		r.plan, r.shardID = plan, i
-		if opts.Recorder != nil {
+		if S > 1 && opts.Recorder != nil {
 			sr := newShardRecorder(r.sched, opts.Recorder)
 			r.rec = sr
 			srecs = append(srecs, sr)
@@ -276,7 +278,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 
 	// One boundary queue per directed shard pair. All cross-shard links of a
 	// pair share it, so the receiver sees the sender's emissions in the
-	// sender's scheduling order — the same relative order a serial run's
+	// sender's scheduling order — the same relative order one scheduler's
 	// sequence numbers would have imposed.
 	bounds := make([][]netsim.Boundary, S)
 	for i, r := range shards {
@@ -286,10 +288,12 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 
 	// Scenario: compile once, schedule the injected flows per owning shard
-	// under their serial keys, and leave the events themselves to the
-	// coordinator's barriers.
+	// under their keys, and leave the events themselves to the coordinator's
+	// barriers. Their trace records go where the shards' go: the caller's ring
+	// on one shard, a keyed coordinator ring on several.
 	var scen *scenario.Planned
 	var scenM *scenario.Metrics
+	var scenRec telemetry.Recorder // stays nil, not a nil pointer, when untraced
 	var coordRec *shardRecorder
 	if opts.Scenario != nil {
 		pl, err := scenario.Plan(opts.Scenario, scenarioParams(&opts, flows, horizon))
@@ -300,21 +304,29 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		for _, r := range shards {
 			pl.ScheduleFlows(r.sched, r.owned, r.startInjected)
 		}
-		if opts.Recorder != nil {
+		switch {
+		case opts.Recorder == nil:
+		case S == 1:
+			scenRec = opts.Recorder
+		default:
 			coordRec = newShardRecorder(nil, opts.Recorder)
+			scenRec = coordRec
 		}
 	}
 
 	// The coordinator owns the Result: it samples the shared registry at tick
-	// barriers and collects from it at the end, through the same functions the
-	// serial runner uses.
+	// barriers and collects from it at the end. The one shard of a one-shard
+	// run completes flows in key order already and records them straight into
+	// it.
 	res := newResult(&opts)
+	if S == 1 {
+		shards[0].result, shards[0].scen = res, scenM
+	}
 	sws := reg.sampleSwitches()
 
-	// Tick emulation: ticks executed so far feed both Result.Events and the
-	// series sampler's events-per-tick counter, exactly as the serial ticker's
-	// own executed events would have. Scenario closures the coordinator
-	// applies count the same way — they are events in a serial run.
+	// Ticks and scenario events are events of the run that no shard
+	// executes: the coordinator counts them, and they feed both Result.Events
+	// and the series sampler's events-per-tick counter.
 	var ticks, coordExec uint64
 	executedEmu := func() uint64 {
 		var sum uint64
@@ -332,8 +344,12 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// points — consecutive barriers are never more than W apart, so every
 	// boundary delivery is drained before its arrival instant), at every
 	// multiple of the sampling period Δ (tick points), and at every scenario
-	// event instant, up to the horizon.
+	// event instant, up to the horizon. One shard has nothing to drain: its
+	// W is the horizon.
 	W := plan.Lookahead
+	if S == 1 {
+		W = horizon
+	}
 	delta := opts.BufferSampleInterval
 
 	var evTimes []units.Time
@@ -342,22 +358,28 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 	evIdx := 0
 
+	runOne := func(r *runner, f func(r *runner)) {
+		if ec == nil {
+			f(r)
+			return
+		}
+		t0 := time.Now()
+		f(r)
+		ec.ShardBusy(r.shardID, time.Since(t0))
+	}
 	var wg sync.WaitGroup
 	runAll := func(f func(r *runner)) {
+		if S == 1 {
+			runOne(shards[0], f) // on the coordinator's goroutine
+			return
+		}
 		wg.Add(S)
 		for _, r := range shards {
-			r := r
 			go func() {
+				// Each goroutine writes only its own shard's slot of ec; the
+				// wg.Wait below is the happens-before edge for the reader.
 				defer wg.Done()
-				if ec != nil {
-					// Each goroutine writes only its own shard's slot; the
-					// wg.Wait below is the happens-before edge for the reader.
-					t0 := time.Now()
-					f(r)
-					ec.ShardBusy(r.shardID, time.Since(t0))
-					return
-				}
-				f(r)
+				runOne(r, f)
 			}()
 		}
 		wg.Wait()
@@ -409,21 +431,18 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		doEvents := func() {
 			k := setupKeyAt(b)
 			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
-			var rec telemetry.Recorder // stays nil, not a nil *shardRecorder, when untraced
 			if coordRec != nil {
 				coordRec.key = k
-				rec = coordRec
 			}
-			coordExec += uint64(scen.Apply(b, reg, rec))
+			coordExec += uint64(scen.Apply(b, reg, scenRec))
 			evIdx++
 		}
 		isTick := b == nextTick
 		isEvent := evIdx < len(evTimes) && evTimes[evIdx] == b
 		switch {
 		case isEvent && isTick:
-			// Same instant: serial key order decides. The keys are equal only
-			// at the first tick (both setup-scheduled), where the ticker's
-			// earlier scheduling sequence fires it first.
+			// Same instant: key order decides. The keys are equal only at the
+			// first tick (both of setup shape), where the tick goes first.
 			if setupKeyAt(b).Less(tickKeyAt(b, delta)) {
 				doEvents()
 				doTick()
@@ -444,22 +463,24 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 			break
 		}
 	}
-	// Events firing exactly at the horizon run inclusively, as in the serial
-	// engine; anything they emit arrives beyond the horizon on every shard.
+	// Events firing exactly at the horizon run inclusively; anything they
+	// emit arrives beyond the horizon on every shard.
 	ec.BeginWindow()
 	runAll(func(r *runner) { r.sched.RunUntil(horizon) })
 	ec.EndWindow(executedEmu())
 
-	// Merge flow completions in key order. Scenario phase attribution replays
-	// in the same merged order, so the phase collectors fill exactly as the
-	// serial run's would.
-	bufs := make([][]fctRec, S)
-	for i, r := range shards {
-		bufs[i] = r.fctBuf
-	}
-	merged := mergeFCT(bufs)
-	for i := range merged {
-		merged[i].record(res, scenM)
+	// Several shards: merge flow completions in key order. Scenario phase
+	// attribution replays in the same merged order, so the phase collectors
+	// fill exactly as one shard's would.
+	if S > 1 {
+		bufs := make([][]fctRec, S)
+		for i, r := range shards {
+			bufs[i] = r.fctBuf
+		}
+		merged := mergeFCT(bufs)
+		for i := range merged {
+			merged[i].record(res, scenM)
+		}
 	}
 
 	// Counters accumulated shard-locally during parallel windows. Offered-flow
@@ -502,11 +523,11 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		res.Exec = rs
 	}
 
-	// Replay the merged trace into the caller's ring in serial key order. Per
-	// shard the buffers are emission-ordered (equal keys = one dispatch), so
-	// the stable sort reproduces the serial stream; the ring then retains its
-	// last-capacity window of it, as a serial run's ring would.
-	if opts.Recorder != nil {
+	// Several shards: replay the merged trace into the caller's ring in key
+	// order. Per shard the buffers are emission-ordered (equal keys = one
+	// dispatch), so the stable sort reproduces the one-shard stream; the ring
+	// then retains its last-capacity window of it, as one shard's ring would.
+	if len(srecs) > 0 {
 		var all []keyedEvent
 		for _, sr := range srecs {
 			all = append(all, sr.events()...)

@@ -41,13 +41,12 @@ type linkClass struct {
 
 // seriesSampler turns the existing buffer-occupancy tick into the bounded
 // time-series bundle attached to Result.Telemetry. It piggybacks on the one
-// sampling ticker the run already schedules — no additional simulator events
-// are created, so the run's event stream (and its golden digest) is identical
+// sampling tick the run already takes — no additional simulator events are
+// created, so the run's event stream (and its golden digest) is identical
 // with sampling on or off.
 type seriesSampler struct {
-	// executed reads the run's executed-event counter: the scheduler's
-	// counter in a serial run, the coordinator's shard-sum emulation in a
-	// sharded one.
+	// executed reads the run's executed-event counter: the shards' counters
+	// plus the ticks and scenario events the coordinator applied.
 	executed func() uint64
 
 	// Sampling order is fixed at construction (topology order), so the series
@@ -135,8 +134,8 @@ func (g *registry) newSeriesSampler(opts *Options, executed func() uint64) *seri
 	return s
 }
 
-// sample appends one point to every series. Called from the shared sampling
-// ticker; it only reads state.
+// sample appends one point to every series. Called from the sampling tick; it
+// only reads state.
 func (s *seriesSampler) sample() {
 	// Fabric goodput: delta of in-order delivered payload bytes across NICs.
 	var delivered units.Bytes

@@ -1,6 +1,10 @@
 package stats
 
-import "sort"
+import (
+	"sort"
+
+	"bfc/internal/packet"
+)
 
 // DefaultSketchSize is the reservoir capacity streaming distributions use when
 // the caller does not pick one. With capacity K the rank error of a quantile
@@ -45,15 +49,6 @@ func newSketch(capacity int) *quantileSketch {
 	return &quantileSketch{cap: capacity, seed: sketchSeed}
 }
 
-// sketchRand returns a deterministic pseudo-random value for the i-th stream
-// element (splitmix64 finalizer over seed + i*golden-gamma).
-func sketchRand(seed, i uint64) uint64 {
-	x := seed + (i+1)*0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 func (s *quantileSketch) add(v float64) {
 	if s.count == 0 || v < s.min {
 		s.min = v
@@ -69,8 +64,9 @@ func (s *quantileSketch) add(v float64) {
 		s.sorted = false
 		return
 	}
-	// Keep the newcomer with probability cap/(i+1), evicting a uniform victim.
-	if j := sketchRand(s.seed, uint64(i)) % uint64(i+1); j < uint64(s.cap) {
+	// Keep the newcomer with probability cap/(i+1), evicting a uniform victim
+	// drawn from element i of the splitmix64 stream seeded by s.seed.
+	if j := packet.Mix64(s.seed+uint64(i)*packet.Gamma) % uint64(i+1); j < uint64(s.cap) {
 		s.samples[j] = v
 		s.sorted = false
 	}

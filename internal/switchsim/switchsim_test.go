@@ -112,7 +112,7 @@ func TestQueueAssignmentPaths(t *testing.T) {
 		used := map[int]bool{}
 		for id := 1; len(flows) < n; id++ {
 			f := &packet.Flow{ID: packet.FlowID(id), Src: hosts[2], Dst: hosts[1], SrcPort: uint16(id)}
-			if q := packet.HashQueue(f.Tuple(), 8); !used[q] {
+			if q := f.QueueOf(8); !used[q] {
 				used[q] = true
 				flows = append(flows, f)
 			}

@@ -45,8 +45,8 @@ func (b *BoundaryTotals) Merge(pushes uint64, maxDrain int) {
 	}
 }
 
-// ShardStats holds one shard's execution profile. For a serial run there is
-// exactly one entry with no barrier or boundary activity.
+// ShardStats holds one shard's execution profile. A one-shard run has exactly
+// one entry with no boundary activity.
 type ShardStats struct {
 	Shard         int    `json:"shard"`
 	Events        uint64 `json:"events"`          // events dispatched by this shard's scheduler
@@ -63,7 +63,8 @@ type ShardStats struct {
 }
 
 // Utilization is the fraction of this shard's window wall-clock spent
-// executing rather than waiting at barriers. 1.0 for a serial run.
+// executing rather than waiting at barriers. Below 1.0 on one shard too: its
+// wait is the coordinator's work at the barriers (sampling, scenario events).
 func (s *ShardStats) Utilization() float64 {
 	total := s.BusyNS + s.BarrierWaitNS
 	if total <= 0 {
@@ -89,8 +90,8 @@ type WindowSpan struct {
 // ResultDigest — it exists for live observability only.
 type RunStats struct {
 	Shards      []ShardStats `json:"shards"`
-	Windows     uint64       `json:"windows"`      // lookahead windows executed (0 for serial)
-	Barriers    uint64       `json:"barriers"`     // boundary-drain barriers (0 for serial)
+	Windows     uint64       `json:"windows"`      // windows executed: one per barrier plus the closing one
+	Barriers    uint64       `json:"barriers"`     // barriers: lookahead sync, sampling tick, scenario event and horizon instants
 	TotalEvents uint64       `json:"total_events"` // partition-independent: equals Result.Events
 	CoordEvents uint64       `json:"coord_events"` // events the coordinator emulated on the shards' behalf (ticks, scenario closures); shard Events + CoordEvents = TotalEvents
 	WallNS      int64        `json:"wall_ns"`      // total Run wall-clock
@@ -118,29 +119,14 @@ func (r *RunStats) BarrierWaitNS() int64 {
 	return n
 }
 
-// Utilization is the run-wide lookahead-window efficiency: the fraction of
-// shard wall-clock spent executing rather than waiting. 1.0 for serial runs.
+// Utilization is the run-wide window efficiency: the fraction of shard
+// wall-clock spent executing rather than waiting.
 func (r *RunStats) Utilization() float64 {
 	busy, wait := r.BusyNS(), r.BarrierWaitNS()
 	if busy+wait <= 0 {
 		return 1
 	}
 	return float64(busy) / float64(busy+wait)
-}
-
-// Serial builds the one-shard profile of a non-sharded run.
-func Serial(wall time.Duration, events uint64, heapHW int, poolAllocated, poolRecycled uint64) *RunStats {
-	return &RunStats{
-		Shards: []ShardStats{{
-			Events:        events,
-			HeapHighWater: heapHW,
-			PoolAllocated: poolAllocated,
-			PoolRecycled:  poolRecycled,
-			BusyNS:        wall.Nanoseconds(),
-		}},
-		TotalEvents: events,
-		WallNS:      wall.Nanoseconds(),
-	}
 }
 
 // Collector accumulates wall-clock timings while the sharded coordinator

@@ -106,24 +106,6 @@ func TestSpanCap(t *testing.T) {
 	}
 }
 
-// TestSerial checks the one-shard profile of a non-sharded run.
-func TestSerial(t *testing.T) {
-	rs := Serial(5*time.Millisecond, 1234, 77, 40, 3000)
-	if len(rs.Shards) != 1 {
-		t.Fatalf("shards=%d, want 1", len(rs.Shards))
-	}
-	s := rs.Shards[0]
-	if s.Events != 1234 || s.HeapHighWater != 77 || s.PoolAllocated != 40 || s.PoolRecycled != 3000 {
-		t.Fatalf("serial shard = %+v", s)
-	}
-	if rs.TotalEvents != 1234 || rs.Windows != 0 || rs.Barriers != 0 {
-		t.Fatalf("serial run = %+v", rs)
-	}
-	if u := rs.Utilization(); u != 1 {
-		t.Fatalf("serial utilization = %v, want 1 (no barrier wait)", u)
-	}
-}
-
 // TestBoundaryTotalsMerge checks sum vs high-water semantics, and that
 // nothing writes the Spills field bench/ still reads.
 func TestBoundaryTotalsMerge(t *testing.T) {

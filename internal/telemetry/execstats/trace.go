@@ -19,8 +19,7 @@ import (
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
 // WriteChromeTrace renders the run's wall-clock execution profile as a
-// Chrome trace. Serial runs (no window spans) render a single run-length
-// slice so the file always loads.
+// Chrome trace.
 func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 	if rs == nil {
 		return fmt.Errorf("execstats: no run stats to export (enable Options.ExecStats)")
@@ -39,21 +38,6 @@ func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 	}
 	if len(rs.Spans) > 0 {
 		meta(coordPID, "coordinator")
-	}
-
-	if len(rs.Spans) == 0 {
-		// Serial (or span-free) run: one slice per shard covering its busy time.
-		for i := range rs.Shards {
-			s := &rs.Shards[i]
-			events = append(events, telemetry.TraceEvent{
-				Name: "run", Cat: "exec", Ph: "X",
-				TS: 0, Dur: usec(s.BusyNS), PID: int64(i),
-				Args: map[string]any{
-					"events":          s.Events,
-					"heap_high_water": s.HeapHighWater,
-				},
-			})
-		}
 	}
 
 	for wi := range rs.Spans {
