@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"strings"
 
+	"bfc/internal/bloom"
+	"bfc/internal/flowtable"
 	"bfc/internal/scenario"
 	"bfc/internal/stats"
 	"bfc/internal/telemetry"
@@ -149,9 +151,6 @@ type Options struct {
 	Duration units.Time
 	Drain    units.Time
 
-	// BufferSampleInterval controls the buffer-occupancy sampling period.
-	BufferSampleInterval units.Time
-
 	// Recorder, when non-nil, receives the run's flight-recorder events (flow
 	// start/finish, drops, PFC and BFC pause transitions, queue assignments,
 	// scenario events). Recording is purely observational: it never schedules
@@ -160,10 +159,10 @@ type Options struct {
 	Recorder *telemetry.Ring
 	// SampleSeries attaches bounded time series (per-switch occupancy,
 	// per-link-class utilization and pause fractions, active flows, goodput)
-	// to Result.Telemetry, sampled on the existing BufferSampleInterval tick
-	// so no extra simulator events are created. Off by default; the Telemetry
-	// field is omitted from the Result JSON when off, keeping golden digests
-	// unchanged.
+	// to Result.Telemetry, sampled on the run's statistics tick (period
+	// bufferSampleInterval) so no extra simulator events are created. Off by
+	// default; the Telemetry field is omitted from the Result JSON when off,
+	// keeping golden digests unchanged.
 	SampleSeries bool
 
 	// Shards sets how many shards the engine (a conservative parallel
@@ -208,34 +207,30 @@ type Options struct {
 // topology.
 func DefaultOptions(scheme Scheme, topo *topology.Topology) Options {
 	return Options{
-		Scheme:               scheme,
-		Topo:                 topo,
-		MTU:                  1000,
-		SwitchBuffer:         12 * units.MB,
-		NumQueues:            32,
-		NumVFIDs:             16384,
-		BloomBytes:           128,
-		HighPriorityQueue:    true,
-		Duration:             2 * units.Millisecond,
-		Drain:                2 * units.Millisecond,
-		BufferSampleInterval: DefaultBufferSampleInterval(topo),
-		Seed:                 1,
+		Scheme:            scheme,
+		Topo:              topo,
+		MTU:               1000,
+		SwitchBuffer:      12 * units.MB,
+		NumQueues:         32,
+		NumVFIDs:          flowtable.DefaultNumVFIDs,
+		BloomBytes:        bloom.DefaultSizeBytes,
+		HighPriorityQueue: true,
+		Duration:          2 * units.Millisecond,
+		Drain:             2 * units.Millisecond,
+		Seed:              1,
 	}
 }
 
-// DefaultBufferSampleInterval scales the buffer-occupancy sampling period with
-// topology size: every switch contributes one sample per tick, so a fixed
-// 10 us cadence on a fabric with hundreds of switches floods the occupancy
-// distributions (and, in exact mode, memory) with samples. Fabrics of up to 32
-// switches — every two-tier topology the paper evaluates — keep the paper's
-// 10 us period, so existing goldens and experiments are unchanged; larger
-// fabrics stretch the period proportionally, keeping samples-per-tick x ticks
-// roughly constant.
-func DefaultBufferSampleInterval(topo *topology.Topology) units.Time {
+// bufferSampleInterval is the period of the run's statistics tick, which
+// samples buffer occupancy (and, with Options.SampleSeries, the series). It
+// scales with topology size: every switch contributes one sample per tick, so
+// a fixed 10 us cadence on a fabric with hundreds of switches floods the
+// occupancy distributions (and, in exact mode, memory) with samples. Fabrics
+// of up to 32 switches — every two-tier topology the paper evaluates — keep
+// the paper's 10 us period; larger fabrics stretch the period proportionally,
+// keeping samples-per-tick x ticks roughly constant.
+func bufferSampleInterval(topo *topology.Topology) units.Time {
 	const base = 10 * units.Microsecond
-	if topo == nil {
-		return base
-	}
 	switches := topo.NumNodes() - len(topo.Hosts())
 	if switches <= 32 {
 		return base
@@ -273,17 +268,14 @@ func (o *Options) Validate() error {
 	if o.Drain == 0 {
 		o.Drain = 2 * units.Millisecond
 	}
-	if o.BufferSampleInterval <= 0 {
-		o.BufferSampleInterval = DefaultBufferSampleInterval(o.Topo)
-	}
 	if o.StatsSketchSize <= 0 {
 		o.StatsSketchSize = stats.DefaultSketchSize
 	}
 	if o.NumVFIDs <= 0 {
-		o.NumVFIDs = 16384
+		o.NumVFIDs = flowtable.DefaultNumVFIDs
 	}
 	if o.BloomBytes <= 0 {
-		o.BloomBytes = 128
+		o.BloomBytes = bloom.DefaultSizeBytes
 	}
 	if o.IdealFQQueues <= 0 {
 		o.IdealFQQueues = 1000

@@ -2,12 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"bfc/internal/netsim"
 	"bfc/internal/nic"
 	"bfc/internal/packet"
 	"bfc/internal/scenario"
-	"bfc/internal/stats"
 	"bfc/internal/switchsim"
 	"bfc/internal/telemetry"
 	"bfc/internal/topology"
@@ -20,11 +20,13 @@ import (
 // each filling only the slots of the nodes it owns — construction is
 // sequential on the coordinator goroutine, and inside windows shards only read
 // it — so the coordinator samples at barriers and collects at the end straight
-// from it. Its methods need nothing beyond the topology and the two slices.
+// from it. Once every link is wired, the coordinator groups the links into
+// the tier-pair classes that the Result and the series read.
 type registry struct {
 	topo     *topology.Topology
 	switches []*switchsim.Switch
 	nics     []*nic.NIC
+	classes  []linkClass
 }
 
 func newRegistry(topo *topology.Topology) *registry {
@@ -117,6 +119,33 @@ func (g *registry) SetLinkParams(at units.Time, rec telemetry.Recorder, a, b pac
 	}
 }
 
+// linkClass groups the links of one tier pair ("ToR->Spine", ...): the key of
+// Result.PauseTimeFraction and of the links/<key>/ series.
+type linkClass struct {
+	key   string
+	links []*netsim.Link
+}
+
+// buildLinkClasses fills g.classes from the wired links: every link of every
+// node, grouped by tier pair, keys in sorted order and links in topology order.
+// Call it once, after every shard's wireLinks.
+func (g *registry) buildLinkClasses() {
+	idx := map[string]int{}
+	for _, node := range g.topo.Nodes() {
+		for portIdx, port := range node.Ports {
+			key := fmt.Sprintf("%s->%s", node.Tier, g.topo.Node(port.Peer).Tier)
+			i, ok := idx[key]
+			if !ok {
+				i = len(g.classes)
+				idx[key] = i
+				g.classes = append(g.classes, linkClass{key: key})
+			}
+			g.classes[i].links = append(g.classes[i].links, g.outLink(node.ID, portIdx))
+		}
+	}
+	sort.Slice(g.classes, func(i, j int) bool { return g.classes[i].key < g.classes[j].key })
+}
+
 // sampleSwitches returns the switches in topology (NodeID) order: the sample
 // sequence feeds Result distributions that the harness persists, and
 // artifacts must be byte-identical across reruns and worker counts.
@@ -130,23 +159,29 @@ func (g *registry) sampleSwitches() []*switchsim.Switch {
 	return sws
 }
 
-// sampleTick takes one statistics sample over sws into res. The coordinator
-// calls it at its tick barriers, with every shard parked after the events
-// ordered before the tick's key.
-func sampleTick(res *Result, sws []*switchsim.Switch, sampler *seriesSampler) {
-	for _, sw := range sws {
+// sampleTick takes one statistics sample over sws into res and, when series is
+// non-nil, appends one point to every series. The coordinator calls it at its
+// tick barriers, with every shard parked after the events ordered before the
+// tick's key. It walks the switches once, in the order sampleSwitches gave.
+func sampleTick(res *Result, sws []*switchsim.Switch, series *seriesSampler) {
+	for i, sw := range sws {
 		occ := sw.BufferOccupancy()
 		res.BufferOccupancy.Add(float64(occ))
 		if occ > res.MaxBufferOccupancy {
 			res.MaxBufferOccupancy = occ
 		}
 		res.OccupiedQueues.Add(float64(sw.OccupiedDataQueues()))
-		if q := sw.MaxPhysicalQueueBytes(); q > res.MaxPhysicalQueueBytes {
+		q := sw.MaxPhysicalQueueBytes()
+		if q > res.MaxPhysicalQueueBytes {
 			res.MaxPhysicalQueueBytes = q
 		}
+		if series != nil {
+			series.swBuffer[i].Append(float64(occ))
+			series.swMaxQ[i].Append(float64(q))
+		}
 	}
-	if sampler != nil {
-		sampler.sample()
+	if series != nil {
+		series.sampleFabric()
 	}
 }
 
@@ -157,7 +192,8 @@ func sampleTick(res *Result, sws []*switchsim.Switch, sampler *seriesSampler) {
 func (g *registry) collect(res *Result, horizon units.Time, flows []*packet.Flow, scen *scenario.Metrics) {
 	res.Elapsed = horizon
 
-	// Utilization over all hosts, and over receivers only.
+	// Utilization over all hosts, and over receivers only: delivered bytes
+	// against host line rate x hosts x horizon.
 	receiver := make([]bool, len(g.nics))
 	receivers := 0
 	for _, f := range flows {
@@ -178,18 +214,26 @@ func (g *registry) collect(res *Result, horizon units.Time, flows []*packet.Flow
 		}
 	}
 	hostRate := g.topo.HostRate(g.topo.Hosts()[0])
-	capacityAll := stats.NewUtilization(hostRate*units.Rate(len(g.topo.Hosts())), horizon)
-	capacityAll.AddBytes(delivered)
-	res.Utilization = capacityAll.Value()
+	capacityBytes := func(hosts int) float64 {
+		return float64(hostRate*units.Rate(hosts)) / 8 * horizon.Seconds()
+	}
+	res.Utilization = float64(delivered) / capacityBytes(len(g.topo.Hosts()))
 	if receivers > 0 {
-		capRecv := stats.NewUtilization(hostRate*units.Rate(receivers), horizon)
-		capRecv.AddBytes(receiverDelivered)
-		res.ReceiverUtilization = capRecv.Value()
+		res.ReceiverUtilization = float64(receiverDelivered) / capacityBytes(receivers)
 	}
 
-	// Switch counters and pause-time accounting.
-	tracker := stats.NewPauseTracker(horizon)
-	for id, sw := range g.switches {
+	// Pause-time fraction per link class (Fig 6b): paused link-time over
+	// link-time, host uplinks included — the ToR can PFC-pause them too.
+	for _, c := range g.classes {
+		var paused units.Time
+		for _, l := range c.links {
+			paused += l.PausedTime()
+		}
+		res.PauseTimeFraction[c.key] = float64(paused) / (float64(horizon) * float64(len(c.links)))
+	}
+
+	// Switch and BFC-engine counters.
+	for _, sw := range g.switches {
 		if sw == nil {
 			continue
 		}
@@ -201,15 +245,6 @@ func (g *registry) collect(res *Result, horizon units.Time, flows []*packet.Flow
 		res.ECNMarks += st.ECNMarks
 		res.PFCPauses += st.PFCPausesSent
 		res.BFCFrames += st.BFCFramesSent
-		node := g.topo.Node(packet.NodeID(id))
-		for portIdx, port := range node.Ports {
-			peerTier := g.topo.Node(port.Peer).Tier
-			key := fmt.Sprintf("%s->%s", node.Tier, peerTier)
-			tracker.RegisterLink(key)
-			if link := sw.Link(portIdx); link != nil {
-				tracker.AddPaused(key, link.PausedTime())
-			}
-		}
 		if eng := sw.Engine(); eng != nil {
 			es := eng.Stats()
 			res.Assignments += es.Assignments
@@ -225,21 +260,6 @@ func (g *registry) collect(res *Result, horizon units.Time, flows []*packet.Flow
 		} else {
 			res.DataPackets += st.DataPacketsIn
 		}
-	}
-	// Host uplinks can also be PFC-paused (by the ToR); account them too.
-	for id, n := range g.nics {
-		if n == nil {
-			continue
-		}
-		node := g.topo.Node(packet.NodeID(id))
-		key := fmt.Sprintf("%s->%s", node.Tier, g.topo.Node(node.Ports[0].Peer).Tier)
-		tracker.RegisterLink(key)
-		if link := n.Link(); link != nil {
-			tracker.AddPaused(key, link.PausedTime())
-		}
-	}
-	for _, key := range tracker.Keys() {
-		res.PauseTimeFraction[key] = tracker.Fraction(key)
 	}
 	res.Scenario = scen
 }

@@ -295,14 +295,14 @@ func (r *runner) buildSwitches(hopRTT units.Time) {
 		switch opts.Scheme {
 		case SchemeBFC, SchemeBFCStatic:
 			cfg.BFC = r.bfcConfig(hopRTT)
-		case SchemeDCQCN, SchemeDCQCNWin:
-			cfg.NumQueues = 1
+		case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
 			cfg.EnableECN = true
 			cfg.ECNKmin, cfg.ECNKmax, cfg.ECNPmax = 100*units.KB, 400*units.KB, 1.0
-		case SchemeDCQCNWinSFQ:
-			cfg.SFQ = true
-			cfg.EnableECN = true
-			cfg.ECNKmin, cfg.ECNKmax, cfg.ECNPmax = 100*units.KB, 400*units.KB, 1.0
+			if opts.Scheme == SchemeDCQCNWinSFQ {
+				cfg.SFQ = true
+			} else {
+				cfg.NumQueues = 1
+			}
 		case SchemeHPCC:
 			cfg.NumQueues = 1
 			cfg.EnableINT = true
@@ -338,18 +338,14 @@ func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time) {
 		switch opts.Scheme {
 		case SchemeBFC, SchemeBFCStatic:
 			cfg.VFIDSpace = opts.NumVFIDs
-		case SchemeDCQCN:
-			cfg.GenerateCNP = true
-			cfg.CNPInterval = 50 * units.Microsecond
-			cfg.NewController = func(f *packet.Flow) cc.Controller {
-				return dcqcn.New(dcqcn.DefaultParams(hostRate))
-			}
-		case SchemeDCQCNWin, SchemeDCQCNWinSFQ:
-			cfg.GenerateCNP = true
-			cfg.CNPInterval = 50 * units.Microsecond
-			cfg.NewController = func(f *packet.Flow) cc.Controller {
-				p := dcqcn.DefaultParams(hostRate)
+		case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
+			p := dcqcn.DefaultParams(hostRate)
+			if opts.Scheme != SchemeDCQCN {
 				p.Window = windowCap
+			}
+			cfg.GenerateCNP = true
+			cfg.CNPInterval = p.CNPInterval
+			cfg.NewController = func(f *packet.Flow) cc.Controller {
 				return dcqcn.New(p)
 			}
 		case SchemeHPCC:

@@ -33,8 +33,8 @@ func TestFatTreeScaleRun(t *testing.T) {
 	opts.StatsSketchSize = sketchSize
 
 	// 264 switches -> the default cadence must be stretched (9 x 10 us).
-	if opts.BufferSampleInterval <= 10*units.Microsecond {
-		t.Fatalf("sampling cadence not scaled for a large fabric: %v", opts.BufferSampleInterval)
+	if d := bufferSampleInterval(topo); d <= 10*units.Microsecond {
+		t.Fatalf("sampling cadence not scaled for a large fabric: %v", d)
 	}
 
 	tr, err := workload.Generate(workload.Config{

@@ -286,6 +286,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		r.wireLinks(bounds[i])
 		r.scheduleFlows(flows)
 	}
+	reg.buildLinkClasses()
 
 	// Scenario: compile once, schedule the injected flows per owning shard
 	// under their keys, and leave the events themselves to the coordinator's
@@ -335,9 +336,11 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		return sum + ticks + coordExec
 	}
-	var sampler *seriesSampler
+	// The statistics tick fires every delta; each walks sws once (sampleTick).
+	delta := bufferSampleInterval(opts.Topo)
+	var series *seriesSampler
 	if opts.SampleSeries {
-		sampler = reg.newSeriesSampler(&opts, executedEmu)
+		series = reg.newSeriesSampler(sws, delta, executedEmu)
 	}
 
 	// Window loop. Barriers sit at every multiple of the lookahead W (drain
@@ -350,7 +353,6 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	if S == 1 {
 		W = horizon
 	}
-	delta := opts.BufferSampleInterval
 
 	var evTimes []units.Time
 	if scen != nil {
@@ -424,7 +426,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		doTick := func() {
 			k := tickKeyAt(b, delta)
 			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
-			sampleTick(res, sws, sampler)
+			sampleTick(res, sws, series)
 			ticks++
 			nextTick += delta
 		}
@@ -497,8 +499,8 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 
 	reg.collect(res, horizon, flows, scenM)
 	res.Events = executedEmu()
-	if sampler != nil {
-		res.Telemetry = sampler.finish()
+	if series != nil {
+		res.Telemetry = series.finish()
 	}
 
 	// Seal the execution profile: the collector contributes windows, barriers,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"bfc/internal/packet"
@@ -405,5 +406,100 @@ func TestPFCPauseAccounting(t *testing.T) {
 	}
 	if res.FlowsCompleted != 32 {
 		t.Fatalf("completed %d/32", res.FlowsCompleted)
+	}
+}
+
+// TestLinkClassPauseAndUtilization holds Result.PauseTimeFraction and the
+// links/<class>/ series to the fabric's tier pairs, derived here from node
+// tiers: one key per tier pair that has a link, each fraction in [0, 1], a
+// class that cannot be paused present at 0, and exactly one utilization and
+// one pause-fraction series per key. A cross-rack incast under DCQCN on T2
+// makes PFC fire; a run with no flows reports zero utilization.
+func TestLinkClassPauseAndUtilization(t *testing.T) {
+	topo := topology.NewT2()
+	want := map[string]bool{}
+	for _, n := range topo.Nodes() {
+		for _, p := range n.Ports {
+			want[n.Tier.String()+"->"+topo.Node(p.Peer).Tier.String()] = true
+		}
+	}
+	// NICs send no PFC frames, so links into a host are never paused.
+	const neverPaused = "ToR->Host"
+	if !want[neverPaused] {
+		t.Fatalf("T2 has no %s links: %v", neverPaused, want)
+	}
+
+	hosts := topo.Hosts()
+	var flows []*packet.Flow
+	for i := 16; i < len(hosts); i++ { // every host off the victim's rack
+		flows = append(flows, &packet.Flow{
+			ID: packet.FlowID(i), Src: hosts[i], Dst: hosts[0],
+			SrcPort: uint16(1000 + i), DstPort: 4791, Size: 128 * units.KB,
+		})
+	}
+	opts := DefaultOptions(SchemeDCQCN, topo)
+	opts.SwitchBuffer = 2 * units.MB
+	opts.Duration = 200 * units.Microsecond
+	opts.Drain = 2 * units.Millisecond
+	opts.SampleSeries = true
+	res, err := Run(opts, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PFCPauses == 0 {
+		t.Fatal("expected PFC pauses for a 48-to-1 incast into a 2 MB buffer")
+	}
+	if len(res.PauseTimeFraction) != len(want) {
+		t.Errorf("PauseTimeFraction keys = %v, want the tier pairs %v", res.PauseTimeFraction, want)
+	}
+	paused := 0.0
+	for key, frac := range res.PauseTimeFraction {
+		if !want[key] {
+			t.Errorf("PauseTimeFraction has %q, not a tier pair of the fabric", key)
+		}
+		if frac < 0 || frac > 1 {
+			t.Errorf("PauseTimeFraction[%q] = %v, want in [0, 1]", key, frac)
+		}
+		paused += frac
+	}
+	if paused == 0 {
+		t.Error("no link class paused despite PFC pauses")
+	}
+	if frac, ok := res.PauseTimeFraction[neverPaused]; !ok || frac != 0 {
+		t.Errorf("PauseTimeFraction[%q] = %v (present %v), want present at 0", neverPaused, frac, ok)
+	}
+	if u, r := res.Utilization, res.ReceiverUtilization; u <= 0 || u > r || r > 1 {
+		t.Errorf("Utilization %v, ReceiverUtilization %v: want 0 < all hosts <= receivers <= 1", u, r)
+	}
+
+	seen := map[string]int{}
+	for _, s := range res.Telemetry.Series {
+		if strings.HasPrefix(s.Name, "links/") {
+			seen[s.Name]++
+		}
+	}
+	if len(seen) != 2*len(want) {
+		t.Errorf("link series %v, want one utilization and one pause_fraction per key of %v", seen, want)
+	}
+	for key := range want {
+		for _, name := range []string{"links/" + key + "/utilization", "links/" + key + "/pause_fraction"} {
+			if seen[name] != 1 {
+				t.Errorf("series %q appears %d times, want once", name, seen[name])
+			}
+		}
+		// The series and the Result read the same links: a class paused over
+		// the run is paused in some tick, and one never paused in none.
+		if s := res.Telemetry.Find("links/" + key + "/pause_fraction"); s != nil && (s.Max() > 0) != (res.PauseTimeFraction[key] > 0) {
+			t.Errorf("%s: series max %v, run fraction %v", key, s.Max(), res.PauseTimeFraction[key])
+		}
+	}
+
+	idle, err := Run(DefaultOptions(SchemeDCQCN, topology.NewT2()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Utilization != 0 || idle.ReceiverUtilization != 0 {
+		t.Errorf("zero-load run: Utilization %v, ReceiverUtilization %v, want 0",
+			idle.Utilization, idle.ReceiverUtilization)
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"sort"
 
-	"bfc/internal/netsim"
 	"bfc/internal/nic"
 	"bfc/internal/switchsim"
 	"bfc/internal/telemetry"
@@ -32,28 +29,21 @@ func ResultDigest(res *Result) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// linkClass groups the links of one tier pair ("ToR->Spine", ...), the same
-// keying Result.PauseTimeFraction uses.
-type linkClass struct {
-	key   string
-	links []*netsim.Link
-}
-
-// seriesSampler turns the existing buffer-occupancy tick into the bounded
-// time-series bundle attached to Result.Telemetry. It piggybacks on the one
-// sampling tick the run already takes — no additional simulator events are
-// created, so the run's event stream (and its golden digest) is identical
-// with sampling on or off.
+// seriesSampler turns the statistics tick into the bounded time-series
+// bundle attached to Result.Telemetry. It piggybacks on the one sampling tick
+// the run already takes — no additional simulator events are created, so the
+// run's event stream (and its golden digest) is identical with sampling on or
+// off.
 type seriesSampler struct {
 	// executed reads the run's executed-event counter: the shards' counters
 	// plus the ticks and scenario events the coordinator applied.
 	executed func() uint64
 
 	// Sampling order is fixed at construction (topology order), so the series
-	// bundle is byte-stable across reruns and worker counts.
-	switches []*switchsim.Switch
-	nics     []*nic.NIC
-	classes  []linkClass
+	// bundle is byte-stable across reruns and worker counts. swBuffer and
+	// swMaxQ are indexed like the switch slice sampleTick walks.
+	nics    []*nic.NIC
+	classes []linkClass
 
 	goodput    *telemetry.Series
 	active     *telemetry.Series
@@ -71,45 +61,23 @@ type seriesSampler struct {
 	out *telemetry.RunSeries
 }
 
-// newSeriesSampler builds the sampler over the registry's devices; call after
-// wireLinks so every link exists. executed is the run's executed-event
-// counter. sampleTick invokes sample() from the shared sampling tick.
-func (g *registry) newSeriesSampler(opts *Options, executed func() uint64) *seriesSampler {
-	interval := opts.BufferSampleInterval
+// newSeriesSampler builds the sampler over the registry's devices and link
+// classes, one per-switch series pair for each of sws; call after
+// buildLinkClasses. executed is the run's executed-event counter.
+func (g *registry) newSeriesSampler(sws []*switchsim.Switch, interval units.Time, executed func() uint64) *seriesSampler {
 	const capacity = telemetry.DefaultSeriesCap
-	s := &seriesSampler{interval: interval, executed: executed}
-
-	// Group links by tier-pair class, in topology order.
-	classIdx := map[string]int{}
-	for _, node := range g.topo.Nodes() {
-		for portIdx, port := range node.Ports {
-			key := fmt.Sprintf("%s->%s", node.Tier, g.topo.Node(port.Peer).Tier)
-			link := g.outLink(node.ID, portIdx)
-			if link == nil {
-				continue
-			}
-			i, ok := classIdx[key]
-			if !ok {
-				i = len(s.classes)
-				classIdx[key] = i
-				s.classes = append(s.classes, linkClass{key: key})
-			}
-			s.classes[i].links = append(s.classes[i].links, link)
-		}
-	}
-	sort.Slice(s.classes, func(i, j int) bool { return s.classes[i].key < s.classes[j].key })
-
-	for _, node := range g.topo.Nodes() {
-		if sw := g.switches[node.ID]; sw != nil {
-			s.switches = append(s.switches, sw)
-			s.swBuffer = append(s.swBuffer,
-				telemetry.NewSeries("switch/"+node.Name+"/buffer_bytes", 0, interval, capacity))
-			s.swMaxQ = append(s.swMaxQ,
-				telemetry.NewSeries("switch/"+node.Name+"/max_queue_bytes", 0, interval, capacity))
-		}
-		if n := g.nics[node.ID]; n != nil {
+	s := &seriesSampler{interval: interval, executed: executed, classes: g.classes}
+	for _, n := range g.nics {
+		if n != nil {
 			s.nics = append(s.nics, n)
 		}
+	}
+	for _, sw := range sws {
+		name := g.topo.Node(sw.ID()).Name
+		s.swBuffer = append(s.swBuffer,
+			telemetry.NewSeries("switch/"+name+"/buffer_bytes", 0, interval, capacity))
+		s.swMaxQ = append(s.swMaxQ,
+			telemetry.NewSeries("switch/"+name+"/max_queue_bytes", 0, interval, capacity))
 	}
 
 	s.goodput = telemetry.NewSeries("fabric/goodput_gbps", 0, interval, capacity)
@@ -134,9 +102,10 @@ func (g *registry) newSeriesSampler(opts *Options, executed func() uint64) *seri
 	return s
 }
 
-// sample appends one point to every series. Called from the sampling tick; it
-// only reads state.
-func (s *seriesSampler) sample() {
+// sampleFabric appends one point to every fabric and link-class series;
+// sampleTick appends the per-switch points on its switch walk. It only reads
+// state.
+func (s *seriesSampler) sampleFabric() {
 	// Fabric goodput: delta of in-order delivered payload bytes across NICs.
 	var delivered units.Bytes
 	activeFlows := 0
@@ -167,12 +136,6 @@ func (s *seriesSampler) sample() {
 		s.pause[i].Append(float64(paused-s.prevPause[i]) / denom)
 		s.prevBusy[i] = busy
 		s.prevPause[i] = paused
-	}
-
-	// Per-switch occupancy.
-	for i, sw := range s.switches {
-		s.swBuffer[i].Append(float64(sw.BufferOccupancy()))
-		s.swMaxQ[i].Append(float64(sw.MaxPhysicalQueueBytes()))
 	}
 }
 

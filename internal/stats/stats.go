@@ -329,81 +329,3 @@ func (c *FCTCollector) TailSlowdownBySize() map[string]float64 {
 	}
 	return out
 }
-
-// Utilization tracks delivered bytes against available capacity over a
-// measurement interval.
-type Utilization struct {
-	deliveredBytes units.Bytes
-	capacity       units.Rate
-	span           units.Time
-}
-
-// NewUtilization creates a utilization tracker for a resource of the given
-// aggregate capacity observed over span.
-func NewUtilization(capacity units.Rate, span units.Time) *Utilization {
-	if capacity <= 0 || span <= 0 {
-		panic("stats: invalid utilization parameters")
-	}
-	return &Utilization{capacity: capacity, span: span}
-}
-
-// AddBytes records delivered bytes.
-func (u *Utilization) AddBytes(b units.Bytes) { u.deliveredBytes += b }
-
-// Value returns the utilization fraction in [0, ~1].
-func (u *Utilization) Value() float64 {
-	capacityBytes := float64(u.capacity) / 8 * u.span.Seconds()
-	return float64(u.deliveredBytes) / capacityBytes
-}
-
-// DeliveredBytes returns the total recorded bytes.
-func (u *Utilization) DeliveredBytes() units.Bytes { return u.deliveredBytes }
-
-// PauseTracker accumulates, per key (e.g. link tier), the total time spent
-// paused and the observation span, producing the "% of time paused" metric of
-// Fig 6b.
-type PauseTracker struct {
-	span   units.Time
-	paused map[string]units.Time
-	links  map[string]int
-}
-
-// NewPauseTracker creates a tracker for an observation window of length span.
-func NewPauseTracker(span units.Time) *PauseTracker {
-	if span <= 0 {
-		panic("stats: non-positive span")
-	}
-	return &PauseTracker{span: span, paused: map[string]units.Time{}, links: map[string]int{}}
-}
-
-// RegisterLink declares that a link belongs to the given key so that the
-// denominator (link-seconds) is correct even for links that never pause.
-func (p *PauseTracker) RegisterLink(key string) { p.links[key]++ }
-
-// AddPaused accumulates paused time for the key.
-func (p *PauseTracker) AddPaused(key string, d units.Time) {
-	if d < 0 {
-		panic("stats: negative pause duration")
-	}
-	p.paused[key] += d
-}
-
-// Fraction returns the fraction of link-time paused for the key, in [0,1].
-func (p *PauseTracker) Fraction(key string) float64 {
-	links := p.links[key]
-	if links == 0 {
-		return 0
-	}
-	total := float64(p.span) * float64(links)
-	return float64(p.paused[key]) / total
-}
-
-// Keys returns the registered keys in sorted order.
-func (p *PauseTracker) Keys() []string {
-	keys := make([]string, 0, len(p.links))
-	for k := range p.links {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -195,45 +195,6 @@ func TestDefaultSizeBucketsCoverRange(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	u := NewUtilization(100*units.Gbps, units.Millisecond)
-	// 100 Gbps for 1 ms = 12.5 MB at full utilization.
-	u.AddBytes(6_250_000)
-	if v := u.Value(); v < 0.49 || v > 0.51 {
-		t.Fatalf("utilization = %v, want 0.5", v)
-	}
-	if u.DeliveredBytes() != 6_250_000 {
-		t.Fatal("delivered bytes mismatch")
-	}
-	assertPanics(t, func() { NewUtilization(0, units.Second) })
-	assertPanics(t, func() { NewUtilization(units.Gbps, 0) })
-}
-
-func TestPauseTracker(t *testing.T) {
-	p := NewPauseTracker(units.Millisecond)
-	p.RegisterLink("ToR->Spine")
-	p.RegisterLink("ToR->Spine")
-	p.RegisterLink("Spine->ToR")
-	p.AddPaused("ToR->Spine", 100*units.Microsecond)
-	p.AddPaused("ToR->Spine", 100*units.Microsecond)
-	// 200us paused over 2 links * 1ms = 10%.
-	if f := p.Fraction("ToR->Spine"); f < 0.099 || f > 0.101 {
-		t.Fatalf("fraction = %v, want 0.1", f)
-	}
-	if f := p.Fraction("Spine->ToR"); f != 0 {
-		t.Fatalf("unpaused tier fraction = %v, want 0", f)
-	}
-	if f := p.Fraction("unknown"); f != 0 {
-		t.Fatal("unknown key should report 0")
-	}
-	keys := p.Keys()
-	if len(keys) != 2 || keys[0] != "Spine->ToR" {
-		t.Fatalf("keys = %v", keys)
-	}
-	assertPanics(t, func() { p.AddPaused("x", -1) })
-	assertPanics(t, func() { NewPauseTracker(0) })
-}
-
 // Property: Percentile agrees with a direct computation on the sorted slice
 // within interpolation, is monotone in p, and bounded by min/max.
 func TestPercentileProperties(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"bfc/internal/packet"
 	"bfc/internal/queue"
 	"bfc/internal/telemetry"
+	"bfc/internal/topology"
 	"bfc/internal/units"
 )
 
@@ -308,8 +309,8 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 }
 
 // routePort picks the egress port for a packet: data packets route toward the
-// flow destination, control packets back toward the flow source. ECMP hashes
-// the flow 5-tuple so a flow's packets stay on one path. Returns -1 when the
+// flow destination, control packets back toward the flow source, and
+// topology.ECMPPick chooses among the equal-cost ports. Returns -1 when the
 // destination is currently unreachable (mid-scenario link failure).
 func (s *Switch) routePort(p *packet.Packet) int {
 	dst := p.Flow.Dst
@@ -317,14 +318,10 @@ func (s *Switch) routePort(p *packet.Packet) int {
 		dst = p.Flow.Src
 	}
 	ports := s.cfg.Topo.NextHopsOrNil(s.ID(), dst)
-	switch len(ports) {
-	case 0:
+	if len(ports) == 0 {
 		return -1
-	case 1:
-		return ports[0]
 	}
-	h := p.Flow.VFIDOf(1 << 30)
-	return ports[int(h)%len(ports)]
+	return topology.ECMPPick(ports, p.Flow)
 }
 
 // OnLinkStateChange resets the pause machinery of one port after the attached

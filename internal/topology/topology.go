@@ -529,16 +529,21 @@ func (t *Topology) NextHopsOrNil(node, dst packet.NodeID) []int {
 	return hops
 }
 
-// EgressPort picks the egress port for a flow at the given node using ECMP:
-// the flow's 5-tuple hash selects one of the equal-cost ports, so all packets
-// of the flow take the same path.
-func (t *Topology) EgressPort(node packet.NodeID, f *packet.Flow) int {
-	ports := t.NextHops(node, f.Dst)
+// ECMPPick is the fabric's one ECMP decision: the flow's 5-tuple hash selects
+// one of the equal-cost ports, so all packets of the flow take the same path.
+// Switches and EgressPort both pick through it. ports must be non-empty.
+func ECMPPick(ports []int, f *packet.Flow) int {
 	if len(ports) == 1 {
 		return ports[0]
 	}
-	h := f.VFIDOf(1 << 30)
-	return ports[int(h)%len(ports)]
+	return ports[int(f.VFIDOf(1<<30))%len(ports)]
+}
+
+// EgressPort picks the egress port for a flow at the given node toward its
+// destination, as a switch forwarding its data packets does (ECMPPick over
+// NextHops, so it panics where NextHops does).
+func (t *Topology) EgressPort(node packet.NodeID, f *packet.Flow) int {
+	return ECMPPick(t.NextHops(node, f.Dst), f)
 }
 
 // baseNextHops returns the baseline (all links up) equal-cost ports from
