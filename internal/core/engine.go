@@ -54,7 +54,7 @@ type Engine struct {
 	numPorts int
 
 	table *flowtable.Table
-	rng   *rand.Rand
+	rng   *rand.Rand // collision fallback draws; nil until the first (see random)
 
 	egress  []*egressState
 	ingress []*ingressState
@@ -110,7 +110,6 @@ func NewEngine(cfg Config, numPorts int, view PortView) *Engine {
 		view:     view,
 		numPorts: numPorts,
 		table:    flowtable.New(cfg.NumVFIDs, cfg.BucketSize, cfg.OverflowCacheSize),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		egress:   make([]*egressState, numPorts),
 		ingress:  make([]*ingressState, numPorts),
 	}
@@ -236,7 +235,17 @@ func (e *Engine) assignQueue(es *egressState, f *packet.Flow, egress int) int {
 	// Every queue is occupied: fall back to a random queue (§3.3), which is a
 	// collision by definition.
 	e.stats.CollidedAssignments++
-	return e.rng.Intn(e.cfg.QueuesPerPort)
+	return e.random().Intn(e.cfg.QueuesPerPort)
+}
+
+// random returns the engine's source, seeded cfg.Seed and built at the first
+// draw: a source is ~4.9 KB, and only a dynamic assignment with every queue
+// of a port occupied draws.
+func (e *Engine) random() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.cfg.Seed))
+	}
+	return e.rng
 }
 
 // pauseThreshold returns Th for a physical queue at the egress port.

@@ -147,8 +147,8 @@ func TestSlotReuse(t *testing.T) {
 		s.Schedule(units.Time(i), fn)
 		s.Step()
 	}
-	if len(s.slots) > 4 {
-		t.Fatalf("slot table grew to %d for a 1-deep workload", len(s.slots))
+	if s.slotN > 4 {
+		t.Fatalf("slot arena grew to %d records for a 1-deep workload", s.slotN)
 	}
 }
 
@@ -166,6 +166,12 @@ func TestRecordLayouts(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(slot{}); n > 48 {
 		t.Errorf("slot is %d bytes, want at most 48: one callback form (call + arg); the arena is the cache miss every pop pays", n)
+	}
+	if n := unsafe.Sizeof([slotPage]slot{}); n != 48<<10 {
+		t.Errorf("a slot page is %d bytes, want 48 KB: 1024 records of 48 bytes, six runtime pages with no tail left over", n)
+	}
+	if n := unsafe.Sizeof([pedPage]ped{}); n != 52<<10 {
+		t.Errorf("a pedigree page is %d bytes, want 52 KB: 512 records of 104 bytes; TestArenaGrowthBound prices the arenas by their pages", n)
 	}
 	pop := reflect.TypeOf((*Scheduler).popReady)
 	for i := 0; i < pop.NumOut(); i++ {

@@ -55,6 +55,16 @@
 // wire Key is materialized only on demand — at a boundary push (ChildKey) or
 // when an observer records the current dispatch (CurrentKey).
 //
+// # Arenas
+//
+// An engine record, once allocated, never moves and is never copied. Slot,
+// pedigree and park records live in fixed-size pages that are allocated as
+// the arenas grow and kept for the scheduler's lifetime, so an arena costs
+// the bytes of its pages (TestArenaGrowthBound) and a pointer to a record
+// stays valid while the record is in use. Slots and pedigrees are addressed
+// through page tables of fixed size inside the Scheduler (slotAt, pedAt):
+// two dependent loads with no bounds check, the cost of a slice index.
+//
 // # Ordering and the sharded engine
 //
 // Each event carries a compact pedigree, the invariants of which are:
@@ -240,9 +250,9 @@ func (s *Scheduler) entryLess(a, b *entry) bool {
 	if a.chain0 != b.chain0 {
 		return a.chain0 < b.chain0
 	}
-	ca, cb := &s.slots[a.slot], &s.slots[b.slot]
+	ca, cb := s.slotAt(a.slot), s.slotAt(b.slot)
 	if ca.ped != cb.ped {
-		pa, pb := &s.peds[ca.ped], &s.peds[cb.ped]
+		pa, pb := s.pedAt(ca.ped), s.pedAt(cb.ped)
 		for i := 1; i < ChainDepth; i++ {
 			if pa.chain[i] != pb.chain[i] {
 				return pa.chain[i] < pb.chain[i]
@@ -306,9 +316,9 @@ func runFunc(a any) { a.(func())() }
 type Scheduler struct {
 	now     units.Time
 	seq     uint64
-	slots   []slot
+	slotN   int32 // slot records ever handed out (see slots)
 	free    []int32
-	peds    []ped
+	pedN    int32 // pedigree records ever handed out (see peds)
 	pedFree []int32
 	live    int // pending, non-cancelled events
 	stale   int // cancelled records still occupying queue positions
@@ -320,7 +330,8 @@ type Scheduler struct {
 	// one bit per non-empty bucket. Chains are intrusive — a slice per bucket
 	// allocated a third more bytes per run in the sizing prototype — and link
 	// through parked.next inside park, an arena of fixed pages that are never
-	// copied (an append-grown one re-copies about five times its final size).
+	// copied (an append-grown one re-copies about five times its final size;
+	// the slot and pedigree arenas below are paged for the same reason).
 	// The arena grows to the most records ever parked at once and recycles
 	// them through a free chain; indexed by slot it was sized to the most
 	// events ever pending instead, 528 KB against 96 KB on the bench's Clos
@@ -378,6 +389,17 @@ type Scheduler struct {
 	// Maintained unconditionally: one compare per insert, observable via
 	// HeapHighWater for execution profiling.
 	heapHW int
+
+	// The slot and pedigree arenas (see "Arenas" in the package comment). A
+	// page table of fixed size, not a slice of page pointers, which read ~9 %
+	// slower on BenchmarkScheduleFireInFlight; record slices grown by append
+	// re-copied about five times their final size, a quarter of the bytes a
+	// clos_incast_bfc run allocated. Each table holds 1<<22 records, over 200
+	// times the most events any benchmark holds pending on one shard;
+	// allocating past that panics. The tables sit last so the scalar fields
+	// above share cache lines.
+	slots [slotTable]*[slotPage]slot
+	peds  [pedTable]*[pedPage]ped
 }
 
 // Calendar geometry. Narrow buckets are the mechanism, not a tunable: of the
@@ -405,7 +427,27 @@ const (
 	ringMask    = ringSize - 1
 	parkShift   = 9 // 512 records = 16 KB per park page
 	parkPage    = 1 << parkShift
+
+	slotShift = 10 // 1024 records = 48 KB per slot page
+	slotPage  = 1 << slotShift
+	slotTable = 1 << 12 // slot pages: 1<<22 records
+	pedShift  = 9       // 512 records = 52 KB per pedigree page
+	pedPage   = 1 << pedShift
+	pedTable  = 1 << 13 // pedigree pages: 1<<22 records
 )
+
+// slotAt addresses slot record id where it lies. The masks keep both indexes
+// in range, so the access is two dependent loads, page pointer then record,
+// with no bounds check; ids come from allocSlot, which never hands out one
+// past the table.
+func (s *Scheduler) slotAt(id int32) *slot {
+	return &s.slots[uint32(id)>>slotShift&(slotTable-1)][uint32(id)&(slotPage-1)]
+}
+
+// pedAt addresses pedigree record id where it lies, as slotAt does slots.
+func (s *Scheduler) pedAt(id int32) *ped {
+	return &s.peds[uint32(id)>>pedShift&(pedTable-1)][uint32(id)&(pedPage-1)]
+}
 
 // tierCounts counts crossings of the seams between the queue's tiers. The
 // engine never reads them; the property tests and FuzzQueueOrder's corpus
@@ -436,10 +478,10 @@ func (s *Scheduler) Len() int { return s.live }
 // Pending reports whether the event behind the handle is still scheduled
 // (not yet fired and not cancelled).
 func (s *Scheduler) Pending(e Event) bool {
-	if e.gen == 0 || int(e.slot) >= len(s.slots) {
+	if e.gen == 0 || uint32(e.slot) >= uint32(s.slotN) {
 		return false
 	}
-	c := &s.slots[e.slot]
+	c := s.slotAt(e.slot)
 	return c.gen == e.gen && (c.state == slotPending || c.state == slotMoved)
 }
 
@@ -451,7 +493,7 @@ func (s *Scheduler) Pending(e Event) bool {
 func (s *Scheduler) CurrentKey() Key {
 	k := Key{At: s.now, Kid: s.curKid, Tag: s.curTag}
 	if s.parentPed != noPed {
-		p := &s.peds[s.parentPed]
+		p := s.pedAt(s.parentPed)
 		k.Chain, k.Tags, k.Kids = p.chain, p.tags, p.kids
 	} else {
 		for i := range k.Chain {
@@ -468,7 +510,7 @@ func (s *Scheduler) CurrentKey() Key {
 // serial engine would have performed, so it must advance the child counter
 // identically for the shard's later children to keep their serial indexes.
 func (s *Scheduler) ChildKey(at units.Time) Key {
-	p := &s.peds[s.ensureCurPed()]
+	p := s.pedAt(s.ensureCurPed())
 	return Key{At: at, Chain: p.chain, Tags: p.tags, Kids: p.kids, Kid: s.nextKid(), Tag: s.curTag}
 }
 
@@ -481,12 +523,12 @@ func (s *Scheduler) ensureCurPed() int32 {
 		return s.curPed
 	}
 	id := s.allocPed()
-	p := &s.peds[id]
+	p := s.pedAt(id)
 	p.chain[0] = s.now
 	p.tags[0] = s.curTag
 	p.kids[0] = s.curKid
 	if s.parentPed != noPed {
-		pp := &s.peds[s.parentPed]
+		pp := s.pedAt(s.parentPed)
 		copy(p.chain[1:], pp.chain[:ChainDepth-1])
 		copy(p.tags[1:], pp.tags[:ChainDepth-1])
 		copy(p.kids[1:], pp.kids[:ChainDepth-1])
@@ -502,15 +544,24 @@ func (s *Scheduler) ensureCurPed() int32 {
 	return id
 }
 
-// allocPed takes a pedigree record from the free-list or grows the arena.
+// allocPed takes a pedigree record from the free-list, or else the next
+// record of the arena, opening a page when the last one is full. The caller
+// writes every field.
 func (s *Scheduler) allocPed() int32 {
 	if n := len(s.pedFree); n > 0 {
 		id := s.pedFree[n-1]
 		s.pedFree = s.pedFree[:n-1]
 		return id
 	}
-	s.peds = append(s.peds, ped{})
-	return int32(len(s.peds) - 1)
+	id := s.pedN
+	if id&(pedPage-1) == 0 {
+		if id>>pedShift == pedTable {
+			panic(fmt.Sprintf("eventsim: pedigree table full: more than %d pedigree records live at once", pedTable*pedPage))
+		}
+		s.peds[id>>pedShift] = new([pedPage]ped)
+	}
+	s.pedN++
+	return id
 }
 
 // releasePed drops one reference to a pedigree record, recycling it when the
@@ -519,7 +570,7 @@ func (s *Scheduler) releasePed(id int32) {
 	if id == noPed {
 		return
 	}
-	p := &s.peds[id]
+	p := s.pedAt(id)
 	p.refs--
 	if p.refs == 0 {
 		s.pedFree = append(s.pedFree, id)
@@ -567,26 +618,25 @@ func (s *Scheduler) push(at units.Time, tag uint64, call func(any), arg any) Eve
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", at, s.now))
 	}
 	pid := s.ensureCurPed()
-	s.peds[pid].refs++
-	id := s.allocSlot()
-	c := &s.slots[id]
+	s.pedAt(pid).refs++
+	id, c := s.allocSlot()
 	c.ped = pid
 	c.kid = s.nextKid()
 	c.tag = tag
 	c.call, c.arg = call, arg
-	return s.insert(at, id, s.now)
+	s.insert(at, id, s.now)
+	return Event{slot: id, gen: c.gen}
 }
 
 // insert files the hot index record for slot id under the next sequence
 // number and counts the new event.
-func (s *Scheduler) insert(at units.Time, id int32, chain0 units.Time) Event {
+func (s *Scheduler) insert(at units.Time, id int32, chain0 units.Time) {
 	s.file(entry{at: at, chain0: chain0, seq: s.seq, slot: id})
 	s.seq++
 	if n := s.pending(); n > s.heapHW {
 		s.heapHW = n
 	}
 	s.live++
-	return Event{slot: id, gen: s.slots[id].gen}
 }
 
 // file puts e into the tier its bucket belongs to. A bucket below the current
@@ -612,21 +662,28 @@ func (s *Scheduler) file(e entry) {
 // the single heap's depth used to be.
 func (s *Scheduler) HeapHighWater() int { return s.heapHW }
 
-// allocSlot takes a slot from the free-list (or grows the arena) and marks
-// it pending under a fresh generation.
-func (s *Scheduler) allocSlot() int32 {
+// allocSlot takes a slot from the free-list, or else the next record of the
+// arena, opening a page when the last one is full, and marks it pending under
+// a fresh generation. It returns the slot's id and address.
+func (s *Scheduler) allocSlot() (int32, *slot) {
 	var id int32
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		s.slots = append(s.slots, slot{})
-		id = int32(len(s.slots) - 1)
+		id = s.slotN
+		if id&(slotPage-1) == 0 {
+			if id>>slotShift == slotTable {
+				panic(fmt.Sprintf("eventsim: slot table full: more than %d events pending at once", slotTable*slotPage))
+			}
+			s.slots[id>>slotShift] = new([slotPage]slot)
+		}
+		s.slotN++
 	}
-	sl := &s.slots[id]
+	sl := s.slotAt(id)
 	sl.gen++
 	sl.state = slotPending
-	return id
+	return id, sl
 }
 
 // ScheduleAfter registers fn to run d after the current time.
@@ -661,18 +718,18 @@ func (s *Scheduler) ScheduleCallInjected(k Key, fn func(any), arg any) Event {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", k.At, s.now))
 	}
 	pid := s.allocPed()
-	p := &s.peds[pid]
+	p := s.pedAt(pid)
 	p.chain = k.Chain
 	p.tags = k.Tags
 	p.kids = k.Kids
 	p.refs = 1
-	id := s.allocSlot()
-	c := &s.slots[id]
+	id, c := s.allocSlot()
 	c.ped = pid
 	c.kid = k.Kid
 	c.tag = k.Tag
 	c.call, c.arg = fn, arg
-	return s.insert(k.At, id, k.Chain[0])
+	s.insert(k.At, id, k.Chain[0])
+	return Event{slot: id, gen: c.gen}
 }
 
 // ScheduleTagged registers fn to run at absolute time at under an explicit
@@ -706,7 +763,7 @@ func (s *Scheduler) Cancel(e Event) {
 	if !s.Pending(e) {
 		return
 	}
-	s.slots[e.slot].state = slotCancelled
+	s.slotAt(e.slot).state = slotCancelled
 	s.live--
 	s.stale++
 	if s.stale > 64 && s.stale*2 > s.pending() {
@@ -764,11 +821,11 @@ func (s *Scheduler) run(until units.Time, k *Key) uint64 {
 	s.stopped = false
 	executed := uint64(0)
 	for !s.stopped {
-		id, at, ok := s.popReady(until, k)
+		id, c, at, ok := s.popReady(until, k)
 		if !ok {
 			break
 		}
-		s.fire(id, at)
+		s.fire(id, c, at)
 		executed++
 	}
 	return executed
@@ -791,8 +848,8 @@ func (s *Scheduler) keyBefore(e *entry, k *Key) bool {
 	if e.chain0 != k.Chain[0] {
 		return e.chain0 < k.Chain[0]
 	}
-	c := &s.slots[e.slot]
-	p := &s.peds[c.ped]
+	c := s.slotAt(e.slot)
+	p := s.pedAt(c.ped)
 	for i := 1; i < ChainDepth; i++ {
 		if p.chain[i] != k.Chain[i] {
 			return p.chain[i] < k.Chain[i]
@@ -817,28 +874,29 @@ func (s *Scheduler) keyBefore(e *entry, k *Key) bool {
 // Step executes exactly one pending event (skipping cancelled entries) and
 // returns false if the queue is empty.
 func (s *Scheduler) Step() bool {
-	id, at, ok := s.popReady(maxTime, nil)
+	id, c, at, ok := s.popReady(maxTime, nil)
 	if ok {
-		s.fire(id, at)
+		s.fire(id, c, at)
 	}
 	return ok
 }
 
 // popReady removes the earliest live record that is ready — firing time <=
 // until, or with a threshold key, ordered strictly below k — and returns its
-// slot and firing time. Cancelled records surfacing on the way are discarded
-// and their slots freed: within the horizon only, or under a threshold key
-// wherever they lie (dead either way, they must not shadow the next live
-// record's key). A moved timer record surfacing the same way is filed again
-// under its true key (see Timer), neither dispatched nor counted; under a
-// threshold key only if its filed key is below it, which keyBefore reads from
-// the slot's pedigree, still the filed one. It reports false when the queue is
-// empty or holds only later events.
-func (s *Scheduler) popReady(until units.Time, k *Key) (int32, units.Time, bool) {
+// slot's id and address and its firing time. Cancelled records surfacing on
+// the way are discarded and their slots freed: within the horizon only, or
+// under a threshold key wherever they lie (dead either way, they must not
+// shadow the next live record's key). A moved timer record surfacing the
+// same way is filed again under its true key (see Timer), neither dispatched
+// nor counted; under a threshold key only if its filed key is below it, which
+// keyBefore reads from the slot's pedigree, still the filed one. It reports
+// false when the queue is empty or holds only later events.
+func (s *Scheduler) popReady(until units.Time, k *Key) (int32, *slot, units.Time, bool) {
 	for s.peek() {
 		e := &s.cur[0]
 		id, at := e.slot, e.at
-		state := s.slots[id].state
+		c := s.slotAt(id)
+		state := c.state
 		if k == nil {
 			if at > until {
 				break
@@ -849,7 +907,7 @@ func (s *Scheduler) popReady(until units.Time, k *Key) (int32, units.Time, bool)
 		s.cur = s.popTop(s.cur)
 		switch state {
 		case slotPending:
-			return id, at, true
+			return id, c, at, true
 		case slotMoved:
 			s.refile(id)
 		default:
@@ -857,17 +915,16 @@ func (s *Scheduler) popReady(until units.Time, k *Key) (int32, units.Time, bool)
 			s.freeSlot(id)
 		}
 	}
-	return 0, 0, false
+	return 0, nil, 0, false
 }
 
-// fire dispatches the popped event in slot id, reading the slot where it
+// fire dispatches the popped event in slot id, reading the slot c where it
 // lies: the event's pedigree reference moves to parentPed (the previous
 // parent's is dropped), its kid and tag become the current ones, the cached
 // children's pedigree and the child counter are reset. The slot is freed
 // before the call — the callback may schedule, and allocSlot may hand the
 // same slot right back — and the event is counted after it (see Executed).
-func (s *Scheduler) fire(id int32, at units.Time) {
-	c := &s.slots[id]
+func (s *Scheduler) fire(id int32, c *slot, at units.Time) {
 	s.now = at
 	s.releasePed(s.parentPed)
 	s.parentPed, c.ped = c.ped, noPed
@@ -888,7 +945,7 @@ const maxTime = units.Time(1<<63 - 1)
 // freeSlot drops slot id's pedigree reference and returns the slot to the
 // free-list.
 func (s *Scheduler) freeSlot(id int32) {
-	c := &s.slots[id]
+	c := s.slotAt(id)
 	s.releasePed(c.ped)
 	c.ped = noPed
 	s.recycle(id, c)
@@ -1004,7 +1061,7 @@ func (s *Scheduler) compact() {
 			for n := s.ring[i]; n != 0; {
 				this, p := n, s.parked(n)
 				n = p.next
-				if s.slots[p.slot].state == slotCancelled {
+				if s.slotAt(p.slot).state == slotCancelled {
 					s.freeSlot(p.slot)
 					s.ringN--
 					s.tiers.compacted[1]++
@@ -1026,7 +1083,7 @@ func (s *Scheduler) compact() {
 func (s *Scheduler) compactHeap(h []entry, dropped *uint64) []entry {
 	keep := h[:0]
 	for _, e := range h {
-		if s.slots[e.slot].state == slotCancelled {
+		if s.slotAt(e.slot).state == slotCancelled {
 			s.freeSlot(e.slot)
 			*dropped++
 			continue

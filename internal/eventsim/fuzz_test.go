@@ -196,6 +196,9 @@ func (m *queueModel) cancel(arg byte) {
 	if got := m.s.Pending(m.handles[id]); got != pendingBefore {
 		m.t.Fatalf("Pending(event %d) = %v, model %v", id, got, pendingBefore)
 	}
+	if pendingBefore {
+		m.reach.noteSeam(m.handles[id])
+	}
 	if e.timer != nil && pendingBefore {
 		e.timer.t.Stop()
 		e.timer.ev = nil
@@ -259,6 +262,9 @@ func (m *queueModel) reset(i int, later bool, arg, prog byte, depth int) {
 			at = max(now, e.key.At-m.delay(arg))
 		}
 	}
+	if e != nil {
+		m.reach.noteSeam(m.handles[e.id])
+	}
 	k := m.childKey(at, 0, false)
 	before := tierSizes(m.s)
 	if e != nil && at > e.key.At {
@@ -293,6 +299,7 @@ func (m *queueModel) stop(i int) {
 	mt := m.timer(i)
 	mt.t.Stop()
 	if mt.ev != nil {
+		m.reach.noteSeam(m.handles[mt.ev.id])
 		m.drop(mt.ev)
 		mt.ev = nil
 	}
@@ -304,6 +311,7 @@ func (m *queueModel) stop(i int) {
 
 func (m *queueModel) checkCounts(op string) {
 	m.t.Helper()
+	m.reach.peak = max(m.reach.peak, m.live)
 	if m.s.Len() != m.live || m.s.Executed != m.done {
 		m.t.Fatalf("after %s: Len = %d, Executed = %d; model %d, %d", op, m.s.Len(), m.s.Executed, m.live, m.done)
 	}
@@ -674,7 +682,32 @@ func queueSeeds() [][]byte {
 	}
 	timerSweep = append(timerSweep, idle(25, 70)...)
 
-	return [][]byte{compactAll, lateSweep, refills, tree, timers, timerTree, timerKey, timerSweep}
+	// Across the first slot-page seam: a fresh scheduler hands out slots in
+	// order, so idle records through every entry point fill page 0 but its
+	// last slot, timer 0 arms on that slot and timer 1 on the first of page
+	// 1, and more records follow. Both timers are pushed back (re-keyed on
+	// both sides of the seam), timer 0's record is cancelled, timer 1 is Reset
+	// earlier (cancel and schedule), and the records on either side go too.
+	var pageSeam []byte
+	for i := 0; i < slotPage-1; i++ {
+		pageSeam = append(pageSeam, opSchedule+byte(i%4), [...]byte{dNear, dBucket, dRingEnd, dFar}[i/4%4], 0)
+	}
+	pageSeam = append(pageSeam,
+		opResetLater, dBucket, 0,
+		opResetLater, 1<<6|dBucket, 0,
+		opSchedule, dBucket, 0,
+		opSchedule+2, dFar, 0,
+		opResetLater, dNear, 0,
+		opResetLater, 1<<6|dNear, 0,
+		opCancel, 3, // timer 0's record, the last slot of page 0
+		opResetEarlier, 1<<6|dNear, 0, // timer 1's, the first of page 1
+		opCancel, 5, // slot 1022 (the Reset took slot 1027)
+		opCancel, 2, // slot 1025
+		opStep, 0,
+		opRunUntil, dFar,
+	)
+
+	return [][]byte{compactAll, lateSweep, refills, tree, timers, timerTree, timerKey, timerSweep, pageSeam}
 }
 
 func FuzzQueueOrder(f *testing.F) {
@@ -702,5 +735,9 @@ func TestQueueOrderSeedsReachAllTiers(t *testing.T) {
 	reach.requireAll(t)
 	if r := reach.timers; r.lazy == 0 || r.fallback == 0 || r.refiledByKey == 0 || r.movedKept == 0 {
 		t.Errorf("timer paths not all reached: %+v", r)
+	}
+	if reach.peak <= slotPage || reach.seam[0] == 0 || reach.seam[1] == 0 {
+		t.Errorf("slot-page seam not crossed: at most %d events pending (a page holds %d); %d and %d operations on the slots before and after it",
+			reach.peak, slotPage, reach.seam[0], reach.seam[1])
 	}
 }

@@ -49,6 +49,23 @@ type tierReach struct {
 	inserts [3]uint64 // records first filed under cur, ring, far
 	tierCounts
 	timers timerReach
+
+	// The first slot-page seam: the most events pending at once, and the
+	// cancels, Stops and Resets of a pending handle on the last slot of a page
+	// and on the first slot of the next.
+	peak int
+	seam [2]uint64
+}
+
+// noteSeam counts an operation on the pending handle h if its slot borders a
+// slot-page seam.
+func (r *tierReach) noteSeam(h Event) {
+	switch {
+	case h.slot%slotPage == slotPage-1:
+		r.seam[0]++
+	case h.slot >= slotPage && h.slot%slotPage == 0:
+		r.seam[1]++
+	}
 }
 
 // timerReach counts, in FuzzQueueOrder's model, the timer paths a run took.
@@ -80,6 +97,9 @@ func (r *tierReach) add(o tierReach) {
 	r.timers.fallback += o.timers.fallback
 	r.timers.refiledByKey += o.timers.refiledByKey
 	r.timers.movedKept += o.timers.movedKept
+	r.peak = max(r.peak, o.peak)
+	r.seam[0] += o.seam[0]
+	r.seam[1] += o.seam[1]
 	for i := range r.inserts {
 		r.inserts[i] += o.inserts[i]
 		r.compacted[i] += o.compacted[i]
@@ -134,32 +154,32 @@ func requireDrained(t *testing.T, s *Scheduler) {
 	if freeParked != s.parkN {
 		t.Fatalf("%d of %d park records on the free chain", freeParked, s.parkN)
 	}
-	if len(s.free) != len(s.slots) {
-		t.Fatalf("%d of %d slots on the free list", len(s.free), len(s.slots))
+	if len(s.free) != int(s.slotN) {
+		t.Fatalf("%d of %d slots on the free list", len(s.free), s.slotN)
 	}
-	for i := range s.slots {
-		if c := &s.slots[i]; c.state != slotFree || c.ped != noPed || c.call != nil || c.arg != nil {
+	for i := int32(0); i < s.slotN; i++ {
+		if c := s.slotAt(i); c.state != slotFree || c.ped != noPed || c.call != nil || c.arg != nil {
 			t.Fatalf("slot %d not cleanly freed: %+v", i, *c)
 		}
 	}
 	held := 0
-	for id := range s.peds {
+	for id := int32(0); id < s.pedN; id++ {
 		want := int32(0)
-		if int32(id) == s.parentPed {
+		if id == s.parentPed {
 			want++
 		}
-		if int32(id) == s.curPed {
+		if id == s.curPed {
 			want++
 		}
-		if s.peds[id].refs != want {
-			t.Fatalf("pedigree %d has %d references, want %d", id, s.peds[id].refs, want)
+		if got := s.pedAt(id).refs; got != want {
+			t.Fatalf("pedigree %d has %d references, want %d", id, got, want)
 		}
 		if want > 0 {
 			held++
 		}
 	}
-	if len(s.pedFree) != len(s.peds)-held {
-		t.Fatalf("%d of %d pedigree records on the free list, %d held by the scheduler", len(s.pedFree), len(s.peds), held)
+	if len(s.pedFree) != int(s.pedN)-held {
+		t.Fatalf("%d of %d pedigree records on the free list, %d held by the scheduler", len(s.pedFree), s.pedN, held)
 	}
 }
 

@@ -57,12 +57,12 @@ func (t *Timer) Reset(d units.Time) {
 	s := t.s
 	at := s.now + d
 	if at > t.filed && s.Pending(t.ev) {
-		c := &s.slots[t.ev.slot]
+		c := s.slotAt(t.ev.slot)
 		if c.state == slotMoved {
 			s.releasePed(t.ped)
 		}
 		pid := s.ensureCurPed()
-		s.peds[pid].refs++
+		s.pedAt(pid).refs++
 		t.at, t.chain0, t.ped, t.kid, t.tag, t.seq = at, s.now, pid, s.nextKid(), s.curTag, s.seq
 		s.seq++
 		c.state = slotMoved
@@ -77,7 +77,7 @@ func (t *Timer) Reset(d units.Time) {
 // popReady calls it with the record just popped from the front of the queue,
 // whose slot still holds the pedigree it was filed under.
 func (s *Scheduler) refile(id int32) {
-	c := &s.slots[id]
+	c := s.slotAt(id)
 	t := c.arg.(*Timer)
 	s.releasePed(c.ped)
 	c.state, c.ped, c.kid, c.tag = slotPending, t.ped, t.kid, t.tag
@@ -88,7 +88,7 @@ func (s *Scheduler) refile(id int32) {
 // Stop cancels a pending firing. It is safe to call on a stopped timer.
 func (t *Timer) Stop() {
 	if t.ev != (Event{}) {
-		if c := &t.s.slots[t.ev.slot]; c.gen == t.ev.gen && c.state == slotMoved {
+		if c := t.s.slotAt(t.ev.slot); c.gen == t.ev.gen && c.state == slotMoved {
 			t.s.releasePed(t.ped)
 		}
 		t.s.Cancel(t.ev)

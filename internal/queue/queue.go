@@ -64,14 +64,18 @@ func (q *FIFO) Pop() *packet.Packet {
 	q.packets[q.head] = nil
 	q.head++
 	q.bytes -= p.Size
-	// Compact once the dead prefix dominates, keeping amortized O(1) pops
-	// without unbounded growth.
-	if q.head > 64 && q.head*2 >= len(q.packets) {
+	if q.head == len(q.packets) {
+		// Drained: rewind to the front of the backing array, so a queue that
+		// never holds more than a packet or two never grows one.
+		q.packets, q.head = q.packets[:0], 0
+		if q.drr != nil {
+			q.drr.clearReady(q.idx)
+		}
+	} else if q.head > 64 && q.head*2 >= len(q.packets) {
+		// Compact once the dead prefix dominates, keeping amortized O(1) pops
+		// without unbounded growth.
 		q.packets = append(q.packets[:0], q.packets[q.head:]...)
 		q.head = 0
-	}
-	if q.drr != nil && q.head == len(q.packets) {
-		q.drr.clearReady(q.idx)
 	}
 	return p
 }

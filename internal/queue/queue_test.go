@@ -77,6 +77,22 @@ func TestFIFOForEach(t *testing.T) {
 	}
 }
 
+// TestFIFORewindsWhenDrained: a queue that never holds more than one packet
+// reuses the front of its backing array instead of walking it forward.
+func TestFIFORewindsWhenDrained(t *testing.T) {
+	q := NewFIFO()
+	p := pkt(100)
+	for i := 0; i < 10000; i++ {
+		q.Push(p)
+		if q.Pop() != p || !q.Empty() || q.Bytes() != 0 {
+			t.Fatalf("push/pop %d: queue not empty after popping its only packet", i)
+		}
+	}
+	if c := cap(q.packets); c > 2 {
+		t.Fatalf("10000 push/pop pairs at depth 1 grew the backing array to %d", c)
+	}
+}
+
 func TestFIFOCompaction(t *testing.T) {
 	// Push and pop many packets to force internal compaction; FIFO order and
 	// byte accounting must survive.

@@ -52,7 +52,7 @@ const tickTagBase = uint64(1) << 32
 type Switch struct {
 	cfg   Config
 	sched *eventsim.Scheduler
-	rng   *rand.Rand
+	rng   *rand.Rand // ECN marking draws; nil until the first (see random)
 	// rec receives flight-recorder events; nil disables recording and every
 	// emit site guards on that, so the disabled path costs one branch.
 	rec telemetry.Recorder
@@ -88,7 +88,6 @@ func New(cfg Config) *Switch {
 	s := &Switch{
 		cfg:             cfg,
 		sched:           cfg.Scheduler,
-		rng:             rand.New(rand.NewSource(cfg.Seed + int64(cfg.Node.ID))),
 		rec:             cfg.Recorder,
 		links:           make([]*netsim.Link, numPorts),
 		ports:           make([]*egressPort, numPorts),
@@ -352,6 +351,16 @@ func (s *Switch) OnLinkStateChange(port int, up bool) {
 	}
 }
 
+// random returns the switch's ECN marking source, seeded Seed + node ID and
+// built at the first draw: a source is ~4.9 KB, and a switch without ECN
+// (every BFC switch), or whose queues never cross ECNKmin, never draws.
+func (s *Switch) random() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.cfg.Seed + int64(s.cfg.Node.ID)))
+	}
+	return s.rng
+}
+
 func (s *Switch) maybeMarkECN(port *egressPort, p *packet.Packet) {
 	qlen := port.queuedDataBytes
 	switch {
@@ -361,7 +370,7 @@ func (s *Switch) maybeMarkECN(port *egressPort, p *packet.Packet) {
 		p.ECN = true
 	default:
 		prob := s.cfg.ECNPmax * float64(qlen-s.cfg.ECNKmin) / float64(s.cfg.ECNKmax-s.cfg.ECNKmin)
-		if s.rng.Float64() < prob {
+		if s.random().Float64() < prob {
 			p.ECN = true
 		}
 	}
