@@ -10,8 +10,10 @@ import (
 // them back with every percentile/CDF query still answerable.
 
 // sketchJSON is the wire form of a streaming distribution. It captures the
-// complete sketch state, so a decoded distribution answers every query
+// complete reservoir state, so a decoded distribution answers every query
 // identically to the original and keeps accepting samples deterministically.
+// Seed is always sketchSeed; it stays on the wire so stored artifacts keep
+// their bytes, and a document carrying any other seed is refused.
 type sketchJSON struct {
 	Cap     int       `json:"cap"`
 	Seed    uint64    `json:"seed"`
@@ -35,20 +37,17 @@ type streamingJSON struct {
 // streaming Distribution as a {"sketch": ...} object holding the full
 // reservoir state.
 func (d Distribution) MarshalJSON() ([]byte, error) {
-	if s := d.sketch; s != nil {
-		samples := s.samples
-		if samples == nil {
-			samples = []float64{}
-		}
-		return json.Marshal(streamingJSON{Sketch: sketchJSON{
-			Cap: s.cap, Seed: s.seed, Count: s.count,
-			Sum: s.sum, Min: s.min, Max: s.max, Samples: samples,
-		}})
+	samples := d.samples
+	if samples == nil {
+		samples = []float64{}
 	}
-	if d.samples == nil {
-		return []byte("[]"), nil
+	if !d.Streaming() {
+		return json.Marshal(samples)
 	}
-	return json.Marshal(d.samples)
+	return json.Marshal(streamingJSON{Sketch: sketchJSON{
+		Cap: d.cap, Seed: sketchSeed, Count: d.count,
+		Sum: d.sum, Min: d.min, Max: d.max, Samples: samples,
+	}})
 }
 
 // UnmarshalJSON decodes either wire form produced by MarshalJSON, replacing
@@ -67,20 +66,19 @@ func (d *Distribution) UnmarshalJSON(b []byte) error {
 			if s.Cap <= 0 {
 				return fmt.Errorf("stats: streaming distribution with non-positive capacity %d", s.Cap)
 			}
-			// add() maintains len(samples) == min(count, cap) exactly; any
-			// other combination is corrupt and would panic later queries.
-			want := s.Count
-			if want > int64(s.Cap) {
-				want = int64(s.Cap)
+			if s.Seed != sketchSeed {
+				return fmt.Errorf("stats: streaming distribution with seed %#x, want %#x", s.Seed, sketchSeed)
 			}
-			if s.Count < 0 || int64(len(s.Samples)) != want {
+			// Add maintains len(samples) == min(count, cap) exactly; any
+			// other combination is corrupt and would panic later queries.
+			if s.Count < 0 || int64(len(s.Samples)) != min(s.Count, int64(s.Cap)) {
 				return fmt.Errorf("stats: streaming distribution holds %d samples for cap %d, count %d",
 					len(s.Samples), s.Cap, s.Count)
 			}
-			*d = Distribution{sketch: &quantileSketch{
-				cap: s.Cap, seed: s.Seed, count: s.Count,
+			*d = Distribution{
+				cap: s.Cap, count: s.Count,
 				sum: s.Sum, min: s.Min, max: s.Max, samples: s.Samples,
-			}}
+			}
 			return nil
 		}
 		break
@@ -117,6 +115,9 @@ func (c *FCTCollector) UnmarshalJSON(b []byte) error {
 	}
 	if w.Buckets == nil {
 		w.Buckets = DefaultSizeBuckets()
+	}
+	if len(w.Buckets) == 0 {
+		return fmt.Errorf("stats: FCT collector with no size buckets")
 	}
 	if len(w.PerSize) != len(w.Buckets) {
 		return fmt.Errorf("stats: FCT collector has %d per-size distributions for %d buckets",

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -92,4 +93,69 @@ func TestFCTCollectorJSONRejectsMismatchedBuckets(t *testing.T) {
 	if err := json.Unmarshal(raw, &c); err == nil {
 		t.Fatal("expected error for per_size/buckets length mismatch")
 	}
+}
+
+// An FCT collector needs at least one bucket: Record attributes every flow to
+// one. An empty list is refused on the wire and by the constructor, instead of
+// panicking with an index out of range on the first Record.
+func TestFCTCollectorRejectsEmptyBuckets(t *testing.T) {
+	raw := []byte(`{"buckets":[],"per_size":[],"all":[]}`)
+	var c FCTCollector
+	if err := json.Unmarshal(raw, &c); err == nil {
+		t.Fatal("expected error for an empty bucket list")
+	}
+	assertPanics(t, func() { NewFCTCollector([]SizeBucket{}) })
+	assertPanics(t, func() { NewStreamingFCTCollector([]SizeBucket{}, 8) })
+}
+
+// FuzzFCTCollectorJSON feeds arbitrary bytes to the collector's decoder, the
+// wire form a fleet coordinator reads from worker responses and bfcctl from
+// the daemon. Bytes either fail to decode or yield a collector that answers
+// every query, re-encodes to a fixed point and accepts another flow.
+func FuzzFCTCollectorJSON(f *testing.F) {
+	exact := NewFCTCollector(nil)
+	streaming := NewStreamingFCTCollector(nil, 4)
+	for i := 1; i <= 24; i++ {
+		size := units.Bytes(i*i) * units.KB
+		fct := units.Time(10+i%7) * units.Microsecond
+		exact.Record(size, fct, 10*units.Microsecond)
+		streaming.Record(size, fct, 10*units.Microsecond)
+	}
+	for _, c := range []*FCTCollector{exact, streaming} {
+		b, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"buckets":[],"per_size":[],"all":[]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var c FCTCollector
+		if json.Unmarshal(b, &c) != nil {
+			return
+		}
+		first, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatalf("encoding a decoded collector: %v", err)
+		}
+		var again FCTCollector
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("re-decoding %s: %v", first, err)
+		}
+		second, err := json.Marshal(&again)
+		if err != nil {
+			t.Fatalf("re-encoding: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encoding is not a fixed point:\n%s\n%s", first, second)
+		}
+		c.Count()
+		for _, p := range []float64{0, 50, 100} {
+			c.OverallPercentile(p)
+		}
+		c.TailSlowdownBySize()
+		c.Rows()
+		c.StoredSamples()
+		c.Record(2*units.KB, 30*units.Microsecond, 10*units.Microsecond)
+	})
 }

@@ -212,6 +212,9 @@ func TestSketchJSONRejectsCorrupt(t *testing.T) {
 		`{"sketch":{"cap":4,"count":5,"samples":[]}}`,      // non-empty stream, empty reservoir
 		`{"sketch":{"cap":4,"count":3,"samples":[1,2]}}`,   // under-filled reservoir
 		`{"sketch":{"cap":4,"count":-1,"samples":[]}}`,     // negative count
+		// Otherwise valid sketches whose seed is not sketchSeed (0x5DEECE66D).
+		`{"sketch":{"cap":4,"seed":0,"count":2,"sum":3,"min":1,"max":2,"samples":[1,2]}}`,
+		`{"sketch":{"cap":4,"seed":25214903918,"count":2,"sum":3,"min":1,"max":2,"samples":[1,2]}}`,
 	}
 	for _, raw := range cases {
 		var d Distribution

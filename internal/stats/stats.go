@@ -1,7 +1,7 @@
 // Package stats implements the measurement pipeline the paper's evaluation
-// uses: flow-completion-time slowdowns bucketed by flow size, distribution
-// summaries (percentiles and CDFs), buffer-occupancy sampling, link
-// utilization, and pause-time accounting.
+// uses: flow-completion-time slowdowns bucketed by flow size and distribution
+// summaries (percentiles and CDFs) of any sampled scalar, such as buffer
+// occupancy.
 package stats
 
 import (
@@ -9,166 +9,158 @@ import (
 	"math"
 	"sort"
 
+	"bfc/internal/packet"
 	"bfc/internal/units"
 )
 
+// DefaultSketchSize is the reservoir capacity streaming distributions use when
+// the caller does not pick one. With capacity K the rank error of a quantile
+// estimate concentrates around 1/sqrt(K); K = 4096 keeps it well under one
+// percentile point in expectation while bounding the footprint of a
+// distribution at ~32 KB regardless of how many samples a run records.
+const DefaultSketchSize = 4096
+
+// sketchSeed seeds every reservoir. Streaming statistics must be
+// deterministic — the harness digests artifacts byte-for-byte across reruns
+// and worker counts — so the "randomness" of the reservoir is a pure function
+// of (seed, sample index).
+const sketchSeed uint64 = 0x5DEECE66D
+
 // Distribution accumulates scalar samples and answers percentile and CDF
-// queries. The zero value is ready to use and is exact: it keeps every sample,
-// and all queries are computed over the full sample set.
+// queries. It is a reservoir over the sample stream (Vitter's Algorithm R with
+// a counter-based hash in place of a stateful RNG) of capacity cap:
 //
-// NewStreamingDistribution returns a constant-memory variant backed by a
-// deterministic fixed-capacity reservoir sketch: Count, Mean and Max stay
-// exact, Percentile and CDF become approximations whose rank error shrinks as
-// 1/sqrt(capacity) (see DefaultSketchSize). Both variants answer the same API
-// and JSON round-trip losslessly, so they are interchangeable everywhere a
-// Distribution is consumed.
+//   - Count, Mean, Max and the extreme percentiles are exact (tracked outside
+//     the reservoir).
+//   - While count <= cap the reservoir holds every sample, so every query is
+//     exact. Capacity 0 means the reservoir never fills: that is exact mode,
+//     and the zero value, ready to use.
+//   - Past cap, interior percentiles and the CDF are estimates over a uniform
+//     sample of the stream, with rank error ~1/sqrt(cap) (see
+//     DefaultSketchSize).
+//
+// Replacement indices come from a splitmix64-style mix of sketchSeed and the
+// sample's stream position, so the state is a deterministic function of the
+// input sequence and serializes without RNG state.
 type Distribution struct {
-	samples []float64
-	sorted  bool
-	sum     float64
-	// sketch, when non-nil, puts the distribution in streaming mode; samples,
-	// sorted and sum above are then unused.
-	sketch *quantileSketch
+	cap      int
+	count    int64
+	sum      float64
+	min, max float64
+	samples  []float64
+	sorted   bool
 }
 
 // NewStreamingDistribution returns a constant-memory distribution holding at
 // most sketchSize samples (DefaultSketchSize when <= 0).
 func NewStreamingDistribution(sketchSize int) Distribution {
-	return Distribution{sketch: newSketch(sketchSize)}
+	if sketchSize <= 0 {
+		sketchSize = DefaultSketchSize
+	}
+	return Distribution{cap: sketchSize}
 }
 
 // Streaming reports whether the distribution is in constant-memory mode.
-func (d *Distribution) Streaming() bool { return d.sketch != nil }
+func (d *Distribution) Streaming() bool { return d.cap > 0 }
 
 // StoredSamples returns how many samples the distribution currently holds in
-// memory: Count() in exact mode, at most the sketch capacity in streaming
-// mode. It is the quantity the scale tier bounds.
-func (d *Distribution) StoredSamples() int {
-	if d.sketch != nil {
-		return len(d.sketch.samples)
-	}
-	return len(d.samples)
-}
+// memory: Count() in exact mode, at most the capacity in streaming mode. It is
+// the quantity the scale tier bounds.
+func (d *Distribution) StoredSamples() int { return len(d.samples) }
 
 // Add records a sample.
 func (d *Distribution) Add(v float64) {
-	if d.sketch != nil {
-		d.sketch.add(v)
+	if d.count == 0 || v < d.min {
+		d.min = v
+	}
+	if d.count == 0 || v > d.max {
+		d.max = v
+	}
+	i := d.count
+	d.count++
+	d.sum += v
+	if d.cap == 0 || i < int64(d.cap) {
+		d.samples = append(d.samples, v)
+		d.sorted = false
 		return
 	}
-	d.samples = append(d.samples, v)
-	d.sorted = false
-	d.sum += v
+	// Keep the newcomer with probability cap/(i+1), evicting a uniform victim
+	// drawn from element i of the splitmix64 stream seeded by sketchSeed.
+	if j := packet.Mix64(sketchSeed+uint64(i)*packet.Gamma) % uint64(i+1); j < uint64(d.cap) {
+		d.samples[j] = v
+		d.sorted = false
+	}
 }
 
 // Count returns the number of samples.
-func (d *Distribution) Count() int {
-	if d.sketch != nil {
-		return int(d.sketch.count)
-	}
-	return len(d.samples)
-}
+func (d *Distribution) Count() int { return int(d.count) }
 
-// Mean returns the sample mean (0 when empty). Exact in both modes.
+// Mean returns the sample mean (0 when empty).
 func (d *Distribution) Mean() float64 {
-	if d.sketch != nil {
-		return d.sketch.mean()
-	}
-	if len(d.samples) == 0 {
+	if d.count == 0 {
 		return 0
 	}
-	return d.sum / float64(len(d.samples))
+	return d.sum / float64(d.count)
 }
 
-// Max returns the largest sample (0 when empty). Exact in both modes.
+// Max returns the largest sample (0 when empty).
 func (d *Distribution) Max() float64 {
-	if d.sketch != nil {
-		if d.sketch.count == 0 {
-			return 0
-		}
-		return d.sketch.max
-	}
-	if len(d.samples) == 0 {
+	if d.count == 0 {
 		return 0
 	}
-	d.ensureSorted()
-	return d.samples[len(d.samples)-1]
+	return d.max
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using
-// nearest-rank-with-interpolation; 0 when empty. In streaming mode the
-// extremes (p = 0, 100) are exact and interior percentiles are reservoir
-// estimates.
+// nearest-rank-with-interpolation over the reservoir; 0 when empty. The
+// extremes (p = 0, 100) are the tracked minimum and maximum.
 func (d *Distribution) Percentile(p float64) float64 {
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v out of range", p))
 	}
-	if d.sketch != nil {
-		return d.sketch.percentile(p)
-	}
-	if len(d.samples) == 0 {
+	switch {
+	case d.count == 0:
 		return 0
+	case p == 0:
+		return d.min
+	case p == 100:
+		return d.max
 	}
 	d.ensureSorted()
-	return percentileOfSorted(d.samples, p)
-}
-
-// percentileOfSorted interpolates the p-th percentile over a non-empty sorted
-// slice. Shared by the exact and streaming paths so the two modes stay
-// numerically identical (streaming queries are byte-exact while the stream
-// fits in the reservoir).
-func percentileOfSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
+	s := d.samples
+	rank := p / 100 * float64(len(s)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return s[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// cdfOfSorted renders up to maxPoints evenly spaced quantiles of a non-empty
-// sorted slice. Shared by the exact and streaming paths.
-func cdfOfSorted(sorted []float64, maxPoints int) []CDFPoint {
-	if maxPoints < 2 {
-		maxPoints = 2
+// CDF returns (value, cumulative fraction) pairs at up to maxPoints evenly
+// spaced quantiles of the reservoir, suitable for plotting. Past capacity the
+// cumulative fraction at a reservoir rank estimates the stream's, because the
+// reservoir is a uniform sample.
+func (d *Distribution) CDF(maxPoints int) []CDFPoint {
+	if d.count == 0 {
+		return nil
 	}
-	n := len(sorted)
-	points := maxPoints
-	if points > n {
-		points = n
-	}
-	if points <= 1 {
-		// A single sample (or single requested point): the evenly-spaced
-		// index formula below would divide by points-1 == 0.
-		return []CDFPoint{{Value: sorted[n-1], Cum: 1}}
+	d.ensureSorted()
+	s := d.samples
+	n := len(s)
+	points := min(max(maxPoints, 2), n)
+	if points == 1 {
+		// A single sample: the evenly-spaced index formula below would
+		// divide by points-1 == 0.
+		return []CDFPoint{{Value: s[0], Cum: 1}}
 	}
 	out := make([]CDFPoint, 0, points)
 	for i := 0; i < points; i++ {
 		idx := i * (n - 1) / (points - 1)
-		out = append(out, CDFPoint{
-			Value: sorted[idx],
-			Cum:   float64(idx+1) / float64(n),
-		})
+		out = append(out, CDFPoint{Value: s[idx], Cum: float64(idx+1) / float64(n)})
 	}
 	return out
-}
-
-// CDF returns (value, cumulative fraction) pairs at up to maxPoints evenly
-// spaced quantiles, suitable for plotting.
-func (d *Distribution) CDF(maxPoints int) []CDFPoint {
-	if d.sketch != nil {
-		return d.sketch.cdf(maxPoints)
-	}
-	if len(d.samples) == 0 {
-		return nil
-	}
-	d.ensureSorted()
-	return cdfOfSorted(d.samples, maxPoints)
 }
 
 func (d *Distribution) ensureSorted() {
@@ -219,10 +211,14 @@ type FCTCollector struct {
 }
 
 // NewFCTCollector creates a collector over the given buckets (DefaultSizeBuckets
-// when nil).
+// when nil). It panics on an empty non-nil bucket list: Record would have no
+// bucket to attribute a flow to.
 func NewFCTCollector(buckets []SizeBucket) *FCTCollector {
 	if buckets == nil {
 		buckets = DefaultSizeBuckets()
+	}
+	if len(buckets) == 0 {
+		panic("stats: FCT collector with no size buckets")
 	}
 	return &FCTCollector{
 		buckets: buckets,
