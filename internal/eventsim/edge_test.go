@@ -50,41 +50,6 @@ func TestStaleHandleAfterFire(t *testing.T) {
 	}
 }
 
-// TestStopInsideCallback pins the Stop contract: the loop halts after the
-// current callback returns, the clock stays at the stopping event's time
-// (RunUntil must not advance it to the horizon), and a later RunUntil
-// resumes with the remaining events.
-func TestStopInsideCallback(t *testing.T) {
-	s := New()
-	var fired []units.Time
-	for _, at := range []units.Time{10, 20, 30} {
-		at := at
-		s.Schedule(at, func() {
-			fired = append(fired, at)
-			if at == 20 {
-				s.Stop()
-			}
-		})
-	}
-	n := s.RunUntil(100)
-	if n != 2 {
-		t.Fatalf("executed %d before Stop, want 2", n)
-	}
-	if s.Now() != 20 {
-		t.Fatalf("Now = %v after Stop, want 20 (no horizon advance)", s.Now())
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d after Stop, want 1", s.Len())
-	}
-	n = s.RunUntil(100)
-	if n != 1 || s.Now() != 100 {
-		t.Fatalf("resume executed %d, Now=%v; want 1 at 100", n, s.Now())
-	}
-	if len(fired) != 3 {
-		t.Fatalf("fired %v, want all three", fired)
-	}
-}
-
 // TestRunUntilClockAdvance pins the clock semantics of RunUntil: the clock
 // advances to the horizon when the queue empties early or holds only future
 // events, never runs backwards, and Run (no horizon) leaves it at the last
@@ -238,10 +203,12 @@ func TestCallbackObservesEngineState(t *testing.T) {
 				}
 				s.Schedule(10, func() {
 					// The key the fuzz model derives for a first child scheduled now.
-					want = (&queueModel{s: s, dispatched: true}).childKey(40, 7, true)
+					m := &queueModel{s: s, dispatched: true}
 					if form == "func()" {
-						own = s.ScheduleTagged(40, 7, body)
+						want = m.childKey(40, 0, false)
+						own = s.Schedule(40, body)
 					} else {
+						want = m.childKey(40, 7, true)
 						own = s.ScheduleCallTagged(40, 7, func(any) { body() }, nil)
 					}
 				})

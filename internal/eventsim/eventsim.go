@@ -90,9 +90,18 @@
 // key from the sending shard and therefore interleave with the receiver's
 // local events exactly as a serial run of the same engine would have
 // interleaved them; see entryLess for why the comparison is shaped this way.
+// Everything past (at, chain[0]) is compared in one function, pedigreeCmp,
+// for queue records (entryLess), wire keys (Key.Less) and a record against a
+// threshold key (keyBefore) alike.
+//
+// The package also owns the keys of the events the sharded engine's
+// coordinator runs without scheduling them: TickKey, the key of a setup
+// Ticker's tick, for its statistics barriers, and SetupKey, the key of an
+// event scheduled during setup, for its scenario barriers.
 package eventsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 
@@ -132,33 +141,82 @@ type Key struct {
 	Tag   uint64                 // own causal-origin tag (see Scheduler tags)
 }
 
-// Less reports whether k orders strictly before o. The components follow the
-// pedigree recursion (see entryLess): ancestor tags deepest-first, then
-// ancestor child indexes deepest-first, then the events' own child indexes
-// and tags.
+// Less reports whether k orders strictly before o: by firing instant, own
+// scheduling instant, then the rest of the pedigree (see pedigreeCmp).
 func (k Key) Less(o Key) bool {
 	if k.At != o.At {
 		return k.At < o.At
 	}
-	for i := 0; i < ChainDepth; i++ {
-		if k.Chain[i] != o.Chain[i] {
-			return k.Chain[i] < o.Chain[i]
+	if k.Chain[0] != o.Chain[0] {
+		return k.Chain[0] < o.Chain[0]
+	}
+	return pedigreeCmp(&k.Chain, &k.Tags, &k.Kids, k.Kid, k.Tag, &o.Chain, &o.Tags, &o.Kids, o.Kid, o.Tag) < 0
+}
+
+// pedigreeCmp is the one comparison of the event order past its hot (at,
+// chain[0]) prefix, shared by Key.Less, entryLess and keyBefore: ancestor
+// chain from index 1, ancestor tags deepest-first, ancestor kids
+// deepest-first, then the own kid, then the own tag. It returns -1, 0 or +1.
+// Each side is its three arrays plus its own kid and tag, since a wire Key
+// and a slot's interned pedigree hold the same arrays in different records.
+// Siblings of one dispatch share a pedigree record: when both sides pass the
+// same arrays, they are not read.
+func pedigreeCmp(ac *[ChainDepth]units.Time, at *[ChainDepth]uint64, ak *[ChainDepth]uint32, akid uint32, atag uint64,
+	bc *[ChainDepth]units.Time, bt *[ChainDepth]uint64, bk *[ChainDepth]uint32, bkid uint32, btag uint64) int {
+	if ac != bc {
+		for i := 1; i < ChainDepth; i++ {
+			if ac[i] != bc[i] {
+				return cmp.Compare(ac[i], bc[i])
+			}
+		}
+		for i := ChainDepth - 1; i >= 0; i-- {
+			if at[i] != bt[i] {
+				return cmp.Compare(at[i], bt[i])
+			}
+		}
+		for i := ChainDepth - 1; i >= 0; i-- {
+			if ak[i] != bk[i] {
+				return cmp.Compare(ak[i], bk[i])
+			}
 		}
 	}
-	for i := ChainDepth - 1; i >= 0; i-- {
-		if k.Tags[i] != o.Tags[i] {
-			return k.Tags[i] < o.Tags[i]
+	if c := cmp.Compare(akid, bkid); c != 0 {
+		return c
+	}
+	return cmp.Compare(atag, btag)
+}
+
+// SetupKey is the key an untagged event scheduled during setup (clock at
+// zero, outside any dispatch) for instant t carries: chain instant 0 followed
+// by SetupTime sentinels, and tags, kids, kid and tag all zero. It orders
+// before every other event at t but the first tick of a setup Ticker, whose
+// key it equals (see TickKey). The sim coordinator applies scenario events
+// under it.
+func SetupKey(t units.Time) Key {
+	k := Key{At: t}
+	for i := 1; i < ChainDepth; i++ {
+		k.Chain[i] = SetupTime
+	}
+	return k
+}
+
+// TickKey is the key the tick at instant t = n·period of an untagged Ticker
+// started during setup carries, provided its callback schedules nothing: each
+// tick is its predecessor's only child, so the chain is arithmetic — t-period,
+// t-2·period, ... — down to the setup instant 0, with SetupTime sentinels
+// beyond it, and tags, kids, kid and tag are all zero. The first tick's key is
+// SetupKey(period); every later tick orders after SetupKey(t). The sim
+// coordinator samples its statistics under it without running a ticker.
+func TickKey(t, period units.Time) Key {
+	k := Key{At: t}
+	for i := range k.Chain {
+		v := t - units.Time(i+1)*period
+		if v < 0 {
+			v = SetupTime
 		}
+		k.Chain[i] = v
 	}
-	for i := ChainDepth - 1; i >= 0; i-- {
-		if k.Kids[i] != o.Kids[i] {
-			return k.Kids[i] < o.Kids[i]
-		}
-	}
-	if k.Kid != o.Kid {
-		return k.Kid < o.Kid
-	}
-	return k.Tag < o.Tag
+	return k
 }
 
 // Event is a cancellation handle for a scheduled callback, returned by
@@ -251,29 +309,9 @@ func (s *Scheduler) entryLess(a, b *entry) bool {
 		return a.chain0 < b.chain0
 	}
 	ca, cb := s.slotAt(a.slot), s.slotAt(b.slot)
-	if ca.ped != cb.ped {
-		pa, pb := s.pedAt(ca.ped), s.pedAt(cb.ped)
-		for i := 1; i < ChainDepth; i++ {
-			if pa.chain[i] != pb.chain[i] {
-				return pa.chain[i] < pb.chain[i]
-			}
-		}
-		for i := ChainDepth - 1; i >= 0; i-- {
-			if pa.tags[i] != pb.tags[i] {
-				return pa.tags[i] < pb.tags[i]
-			}
-		}
-		for i := ChainDepth - 1; i >= 0; i-- {
-			if pa.kids[i] != pb.kids[i] {
-				return pa.kids[i] < pb.kids[i]
-			}
-		}
-	}
-	if ca.kid != cb.kid {
-		return ca.kid < cb.kid
-	}
-	if ca.tag != cb.tag {
-		return ca.tag < cb.tag
+	pa, pb := s.pedAt(ca.ped), s.pedAt(cb.ped)
+	if c := pedigreeCmp(&pa.chain, &pa.tags, &pa.kids, ca.kid, ca.tag, &pb.chain, &pb.tags, &pb.kids, cb.kid, cb.tag); c != 0 {
+		return c < 0
 	}
 	return a.seq < b.seq
 }
@@ -322,7 +360,6 @@ type Scheduler struct {
 	pedFree []int32
 	live    int // pending, non-cancelled events
 	stale   int // cancelled records still occupying queue positions
-	stopped bool
 
 	// The three queue tiers (see "Queue layout" in the package comment). cur
 	// and far are 4-ary heaps under entryLess; ring[b&ringMask] heads the
@@ -371,7 +408,7 @@ type Scheduler struct {
 	// curTag is the causal-origin tag of the event currently being
 	// dispatched. Tags ride the causal chain: an event scheduled during a
 	// dispatch inherits the dispatching event's tag unless the caller
-	// overrides it (ScheduleTagged and friends). The simulation stamps root
+	// overrides it (ScheduleCallTagged). The simulation stamps root
 	// causes whose creation order is meaningful — flow arrivals carry their
 	// flow ID, which ascends in schedule order — so events whose entire
 	// scheduling chain ties (lockstep symmetric histories) still order the
@@ -686,11 +723,6 @@ func (s *Scheduler) allocSlot() (int32, *slot) {
 	return id, sl
 }
 
-// ScheduleAfter registers fn to run d after the current time.
-func (s *Scheduler) ScheduleAfter(d units.Time, fn func()) Event {
-	return s.Schedule(s.now+d, fn)
-}
-
 // ScheduleCall registers fn(arg) to run at absolute time at. Unlike Schedule
 // it needs no closure: a device stores one func(any) for its hot path and
 // passes the per-event state (typically a *packet.Packet) as arg, keeping
@@ -732,22 +764,14 @@ func (s *Scheduler) ScheduleCallInjected(k Key, fn func(any), arg any) Event {
 	return Event{slot: id, gen: c.gen}
 }
 
-// ScheduleTagged registers fn to run at absolute time at under an explicit
-// causal-origin tag instead of the inherited one. The simulation uses it to
-// stamp root causes — most importantly flow arrivals, tagged with their flow
-// ID — so that every event descending from the root carries the tag through
-// the inheritance in Schedule/ScheduleCall.
-func (s *Scheduler) ScheduleTagged(at units.Time, tag uint64, fn func()) Event {
-	if fn == nil {
-		panic("eventsim: nil event callback")
-	}
-	return s.push(at, tag, runFunc, fn)
-}
-
-// ScheduleCallTagged is ScheduleCall with an explicit causal-origin tag. Link
-// delivery events use it to carry the transported packet's flow ID rather
-// than the tag of the event that happened to start the transmission (a busy
-// egress port serializes queued packets from whichever flow's event freed it).
+// ScheduleCallTagged is ScheduleCall under an explicit causal-origin tag
+// instead of the inherited one. The simulation uses it to stamp root causes —
+// most importantly flow arrivals, tagged with their flow ID — so that every
+// event descending from the root carries the tag through the inheritance in
+// Schedule/ScheduleCall. Link delivery events use it to carry the transported
+// packet's flow ID rather than the tag of the event that happened to start
+// the transmission (a busy egress port serializes queued packets from
+// whichever flow's event freed it).
 func (s *Scheduler) ScheduleCallTagged(at units.Time, tag uint64, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("eventsim: nil event callback")
@@ -771,10 +795,7 @@ func (s *Scheduler) Cancel(e Event) {
 	}
 }
 
-// Stop aborts the run loop after the currently executing event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Scheduler) Run() {
 	s.RunUntil(maxTime)
 }
@@ -803,11 +824,11 @@ func (s *Scheduler) RunBefore(until units.Time) uint64 {
 
 // RunBeforeKey executes events whose ordering key is strictly below k, then
 // advances the clock to k.At. The sim coordinator uses it at statistics and
-// scenario barriers: the sampling tick at instant T has the key (T, T-period,
-// T-2·period, ...) of a ticker started during setup, so the coordinator
-// flushes exactly the events ordered before the tick, takes the sample, and
-// leaves the rest — including events firing at T but scheduled later in the
-// chain order — for the next window.
+// scenario barriers: the sampling tick at instant T carries TickKey(T,
+// period) and a scenario event SetupKey(T), so the coordinator flushes
+// exactly the events ordered before the tick or event, applies it, and leaves
+// the rest — including events firing at T but scheduled later in the chain
+// order — for the next window.
 func (s *Scheduler) RunBeforeKey(k Key) uint64 {
 	n := s.run(k.At, &k)
 	s.advance(k.At)
@@ -815,32 +836,29 @@ func (s *Scheduler) RunBeforeKey(k Key) uint64 {
 }
 
 // run is the one dispatch loop: it fires the events popReady yields under
-// (until, k) until there are none or a callback calls Stop, and returns how
-// many it fired.
+// (until, k) until there are none, and returns how many it fired.
 func (s *Scheduler) run(until units.Time, k *Key) uint64 {
-	s.stopped = false
 	executed := uint64(0)
-	for !s.stopped {
+	for {
 		id, c, at, ok := s.popReady(until, k)
 		if !ok {
-			break
+			return executed
 		}
 		s.fire(id, c, at)
 		executed++
 	}
-	return executed
 }
 
-// advance moves the clock up to until after a run loop that was not stopped.
+// advance moves the clock up to until after a run loop.
 func (s *Scheduler) advance(until units.Time) {
-	if !s.stopped && s.now < until {
+	if s.now < until {
 		s.now = until
 		s.dropCurPed()
 	}
 }
 
-// keyBefore reports whether e's ordering key is strictly below k, mirroring
-// entryLess.
+// keyBefore reports whether e's ordering key is strictly below k: entryLess
+// against a wire key, which has no sequence number.
 func (s *Scheduler) keyBefore(e *entry, k *Key) bool {
 	if e.at != k.At {
 		return e.at < k.At
@@ -850,25 +868,7 @@ func (s *Scheduler) keyBefore(e *entry, k *Key) bool {
 	}
 	c := s.slotAt(e.slot)
 	p := s.pedAt(c.ped)
-	for i := 1; i < ChainDepth; i++ {
-		if p.chain[i] != k.Chain[i] {
-			return p.chain[i] < k.Chain[i]
-		}
-	}
-	for i := ChainDepth - 1; i >= 0; i-- {
-		if p.tags[i] != k.Tags[i] {
-			return p.tags[i] < k.Tags[i]
-		}
-	}
-	for i := ChainDepth - 1; i >= 0; i-- {
-		if p.kids[i] != k.Kids[i] {
-			return p.kids[i] < k.Kids[i]
-		}
-	}
-	if c.kid != k.Kid {
-		return c.kid < k.Kid
-	}
-	return c.tag < k.Tag
+	return pedigreeCmp(&p.chain, &p.tags, &p.kids, c.kid, c.tag, &k.Chain, &k.Tags, &k.Kids, k.Kid, k.Tag) < 0
 }
 
 // Step executes exactly one pending event (skipping cancelled entries) and

@@ -119,26 +119,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.Schedule(units.Time(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("executed %d events after Stop, want 3", count)
-	}
-	if s.Len() != 7 {
-		t.Fatalf("pending = %d, want 7", s.Len())
-	}
-}
-
 func TestStep(t *testing.T) {
 	s := New()
 	count := 0
@@ -162,7 +142,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	var got []units.Time
 	s.Schedule(10, func() {
 		got = append(got, s.Now())
-		s.ScheduleAfter(5, func() { got = append(got, s.Now()) })
+		s.Schedule(s.Now()+5, func() { got = append(got, s.Now()) })
 	})
 	s.Run()
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
@@ -207,20 +187,78 @@ func TestTimerStop(t *testing.T) {
 func TestTicker(t *testing.T) {
 	s := New()
 	var ticks []units.Time
-	var tk *Ticker
-	tk = NewTickerTagged(s, 10, 0, func() {
-		ticks = append(ticks, s.Now())
-		if len(ticks) == 4 {
-			tk.Stop()
-		}
-	})
-	s.RunUntil(1000)
+	NewTickerTagged(s, 10, 0, func() { ticks = append(ticks, s.Now()) })
+	s.RunUntil(45)
 	if len(ticks) != 4 {
 		t.Fatalf("got %d ticks, want 4", len(ticks))
 	}
 	for i, at := range ticks {
 		if at != units.Time(10*(i+1)) {
 			t.Fatalf("tick %d at %v, want %v", i, at, units.Time(10*(i+1)))
+		}
+	}
+}
+
+// TestTickKeyIsATickersKey: a real untagged Ticker started during setup,
+// whose callback schedules nothing, dispatches every tick under TickKey — the
+// key the sim coordinator samples under without running one. The first ticks'
+// chains reach back into setup (instant 0, then SetupTime); past ChainDepth
+// ticks every entry is a real tick instant.
+func TestTickKeyIsATickersKey(t *testing.T) {
+	const period = 7
+	s := New()
+	var ticks []units.Time
+	NewTickerTagged(s, period, 0, func() {
+		ticks = append(ticks, s.Now())
+		if got, want := s.CurrentKey(), TickKey(s.Now(), period); got != want {
+			t.Errorf("tick at %v: CurrentKey = %+v, TickKey = %+v", s.Now(), got, want)
+		}
+	})
+	s.RunUntil((ChainDepth + 2) * period)
+	if len(ticks) != ChainDepth+2 {
+		t.Fatalf("got %d ticks, want %d", len(ticks), ChainDepth+2)
+	}
+	if k := TickKey(period, period); k.Chain[0] != 0 || k.Chain[1] != SetupTime {
+		t.Errorf("first tick's chain %v does not reach back into setup", k.Chain)
+	}
+}
+
+// TestSetupKeyIsASetupEventsKey: an untagged event scheduled during setup
+// dispatches under SetupKey of its instant, whichever entry point scheduled
+// it.
+func TestSetupKeyIsASetupEventsKey(t *testing.T) {
+	s := New()
+	fired := 0
+	check := func() {
+		fired++
+		if got, want := s.CurrentKey(), SetupKey(s.Now()); got != want {
+			t.Errorf("setup event at %v: CurrentKey = %+v, SetupKey = %+v", s.Now(), got, want)
+		}
+	}
+	for _, at := range []units.Time{0, 3, 3, 5 * testWindow} {
+		s.Schedule(at, check)
+		s.ScheduleCall(at, func(any) { check() }, nil)
+	}
+	s.Run()
+	if fired != 8 {
+		t.Fatalf("fired %d setup events, want 8", fired)
+	}
+}
+
+// TestSetupKeyTickKeyTie pins the tie rule the sim coordinator relies on when
+// a scenario event and a sampling tick share an instant b: SetupKey(b) equals
+// TickKey(b, Δ) at the first tick only, and orders strictly first at every
+// later tick.
+func TestSetupKeyTickKeyTie(t *testing.T) {
+	for _, delta := range []units.Time{1, 7, units.Microsecond} {
+		if SetupKey(delta) != TickKey(delta, delta) {
+			t.Errorf("Δ=%v: SetupKey(Δ) = %+v, TickKey(Δ, Δ) = %+v; want equal", delta, SetupKey(delta), TickKey(delta, delta))
+		}
+		for n := units.Time(2); n <= ChainDepth+2; n++ {
+			b := n * delta
+			if setup, tick := SetupKey(b), TickKey(b, delta); !setup.Less(tick) || tick.Less(setup) {
+				t.Errorf("Δ=%v b=%d·Δ: SetupKey does not order strictly before TickKey", delta, n)
+			}
 		}
 	}
 }

@@ -84,12 +84,11 @@ type queueModel struct {
 	childN     uint32 // children the current dispatch has scheduled
 
 	// The run call in progress: the eligibility rule for the next dispatch.
-	byKey   bool // RunBeforeKey: threshold is key; else (until, strict)
-	key     Key
-	until   units.Time
-	strict  bool
-	stopped bool
-	fired   uint64
+	byKey  bool // RunBeforeKey: threshold is key; else (until, strict)
+	key    Key
+	until  units.Time
+	strict bool
+	fired  uint64
 
 	in    []byte // undecoded input
 	reach tierReach
@@ -163,7 +162,7 @@ func (m *queueModel) schedule(kind, arg, prog byte, depth int) {
 		h = m.s.Schedule(at, func() { m.fire(id) })
 	case 1:
 		m.insert(m.childKey(at, tag, true), prog, depth)
-		h = m.s.ScheduleTagged(at, tag, func() { m.fire(id) })
+		h = m.s.ScheduleCallTagged(at, tag, func(x any) { m.fire(x.(int)) }, id)
 	case 2:
 		m.insert(m.childKey(at, 0, false), prog, depth)
 		h = m.s.ScheduleCall(at, func(x any) { m.fire(x.(int)) }, id)
@@ -361,9 +360,6 @@ func (m *queueModel) surface() {
 // fire is every event's callback: the model checks that id is the event it
 // would dispatch next, then acts out the event's program on both sides.
 func (m *queueModel) fire(id int) {
-	if m.stopped {
-		m.t.Fatalf("event %d dispatched after Stop", id)
-	}
 	m.surface()
 	if len(m.pending) == 0 {
 		m.t.Fatalf("engine dispatched event %d, model queue is empty", id)
@@ -400,8 +396,7 @@ func (m *queueModel) fire(id int) {
 
 	// The callback's program: bits 0-1 count its children (none past the
 	// third generation), whose entry points, delays and own programs derive
-	// from the other six; bit 6 cancels; bits 6 and 7 together stop the run
-	// loop. A timer's callback with bit 5 set first resets timer bits 2-3,
+	// from the other six; bit 6 cancels. A timer's callback with bit 5 set first resets timer bits 2-3,
 	// later unless bit 4 is set, so a Reset consumes a child index.
 	prog := top.prog
 	if top.timer != nil && prog&0x20 != 0 && top.depth < 3 {
@@ -415,28 +410,21 @@ func (m *queueModel) fire(id int) {
 	if prog&0x40 != 0 {
 		m.cancel(prog >> 1 & 7)
 	}
-	if prog&0xC0 == 0xC0 {
-		m.s.Stop()
-		m.stopped = true
-	}
 	m.done++
 }
 
 // run performs one run call on the engine under the model's eligibility rule
-// and checks what it leaves behind. The clock ends at advanceTo unless the
-// loop was stopped or advanceTo is maxTime (Run has no horizon to advance to).
+// and checks what it leaves behind: nothing eligible, and the clock at
+// advanceTo unless that is maxTime (Run has no horizon to advance to).
 func (m *queueModel) run(name string, call func() uint64, advanceTo units.Time) {
-	m.stopped, m.fired = false, 0
+	m.fired = 0
 	got := call()
-	if !m.stopped {
-		// The loop ended because nothing eligible was left.
-		m.surface()
-		if len(m.pending) > 0 && m.eligible(m.pending[0]) {
-			m.t.Fatalf("%s returned with event %d (key %+v) still eligible", name, m.pending[0].id, m.pending[0].key)
-		}
-		if m.now < advanceTo && advanceTo != maxTime {
-			m.now = advanceTo
-		}
+	m.surface()
+	if len(m.pending) > 0 && m.eligible(m.pending[0]) {
+		m.t.Fatalf("%s returned with event %d (key %+v) still eligible", name, m.pending[0].id, m.pending[0].key)
+	}
+	if m.now < advanceTo && advanceTo != maxTime {
+		m.now = advanceTo
 	}
 	if got != m.fired {
 		m.t.Fatalf("%s executed %d events, model %d", name, got, m.fired)
@@ -461,7 +449,7 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 			m.cancel(arg)
 		case opStep:
 			m.byKey, m.until, m.strict = false, maxTime, false
-			m.stopped, m.fired = false, 0
+			m.fired = 0
 			stepped := m.s.Step()
 			if stepped != (m.fired == 1) {
 				t.Fatalf("Step = %v, model fired %d", stepped, m.fired)
@@ -498,11 +486,9 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 			m.stop(int(arg >> 6))
 		}
 	}
-	// Drain; a callback may Stop the loop, so run until nothing is left.
+	// Drain.
 	m.byKey, m.until, m.strict = false, maxTime, false
-	for m.s.Len() > 0 {
-		m.run("Run", func() uint64 { return m.s.RunUntil(maxTime) }, maxTime)
-	}
+	m.run("Run", func() uint64 { return m.s.RunUntil(maxTime) }, maxTime)
 	m.surface()
 	m.s.Step() // the engine's turn to discard a cancelled tail
 	m.checkCounts("drain")
@@ -547,7 +533,7 @@ const (
 	dBeyond  = 10 // one bucket further
 	dFar     = 11 // five windows out
 
-	progStop = 0xC0 // the callback cancels the newest event and stops the loop
+	progCancel = 0x40 // the callback cancels the newest event
 )
 
 // queueSeeds is the committed seed corpus. Together the seeds reach refill
@@ -591,20 +577,20 @@ func queueSeeds() [][]byte {
 		opStep, 0,
 	}
 
-	// Dispatch trees: callbacks that schedule through every entry point,
-	// cancel, and stop the loop half-way through a bucket; thresholds on
-	// pending keys; a resume after Stop.
+	// Dispatch trees: callbacks that schedule through every entry point and
+	// cancel; thresholds on pending keys and horizons half-way through a
+	// bucket.
 	tree = []byte{
 		opSchedule, dNow, 3 | 5<<2, // three children, entry points 1, 2, 3
 		opSchedule + 1, dNear | 0x80, 2 | 0x40, // two children, then cancels
 		opSchedule + 2, dBucket, 1 | 3<<2,
-		opSchedule + 3, dNear, progStop,
+		opSchedule + 3, dNear, progCancel,
 		opSchedule, dNear | 0x10, 3 | 8<<2,
 		opStep, 0,
 		opRunBeforeKey + 1, 2,
 		opRunBeforeKey, dBucket,
 		opRunUntil, dRingEnd,
-		opSchedule, dNow, progStop | 2,
+		opSchedule, dNow, progCancel | 2,
 		opSchedule + 1, dOutside, 3 | 9<<2,
 		opRunBefore, dOutside,
 		opCancel + 1, 3,

@@ -84,7 +84,7 @@ func (d *dagBuilder) spawn(run int) {
 			d.handles = append(d.handles, d.sched.Schedule(at, cb))
 		case 1:
 			// Tagged root-style child: small tag range forces tag collisions.
-			d.sched.ScheduleTagged(at, uint64(d.rng.Intn(3)), cb)
+			d.sched.ScheduleCallTagged(at, uint64(d.rng.Intn(3)), func(any) { cb() }, nil)
 		case 2, 3:
 			d.sched.ScheduleCall(at, func(any) { cb() }, nil)
 		case 4:
@@ -143,7 +143,7 @@ func runRandomDAG(t *testing.T, seed int64, budget int, reach *tierReach) []Key 
 		at := units.Time(d.rng.Intn(6))*5 + [...]units.Time{0, testBucket, 5 * testWindow}[d.rng.Intn(3)]
 		cb := func() { d.fire(0) }
 		if d.rng.Intn(2) == 0 {
-			d.sched.ScheduleTagged(at, uint64(d.rng.Intn(3)), cb)
+			d.sched.ScheduleCallTagged(at, uint64(d.rng.Intn(3)), func(any) { cb() }, nil)
 		} else {
 			d.sched.Schedule(at, cb)
 		}

@@ -370,27 +370,21 @@ func TestCompactionAcrossTiers(t *testing.T) {
 	requireDrained(t, s)
 }
 
-// TestStopLeavesHalfDrainedBucket: Stop in the middle of a bucket leaves cur
-// partly drained; events scheduled while stopped land around it, and RunUntil
-// resumes in order.
-func TestStopLeavesHalfDrainedBucket(t *testing.T) {
+// TestHorizonLeavesHalfDrainedBucket: a horizon in the middle of a bucket
+// leaves cur partly drained; events scheduled in between land around it, and
+// RunUntil resumes in order.
+func TestHorizonLeavesHalfDrainedBucket(t *testing.T) {
 	s := New()
 	var got []string
 	rec := recorder(&got)
 	at := 9 * testBucket
 	for _, l := range []string{"a", "b", "c", "d", "e"} {
-		l := l
-		s.Schedule(at, func() {
-			got = append(got, l)
-			if l == "b" {
-				s.Stop()
-			}
-		})
+		s.Schedule(at, rec(l))
 		at += 3
 	}
 	s.Schedule(12*testBucket, rec("later"))
-	if n := s.RunUntil(testWindow); n != 2 || s.Now() != 9*testBucket+3 {
-		t.Fatalf("ran %d events to %v before Stop, want 2 to %v", n, s.Now(), 9*testBucket+3)
+	if n := s.RunUntil(9*testBucket + 3); n != 2 || s.Now() != 9*testBucket+3 {
+		t.Fatalf("ran %d events to %v, want 2 to %v", n, s.Now(), 9*testBucket+3)
 	}
 	if len(s.cur) != 3 || s.ringN != 1 {
 		t.Fatalf("half-drained bucket: cur %d, ring %d; want 3, 1", len(s.cur), s.ringN)

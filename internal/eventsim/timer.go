@@ -99,22 +99,21 @@ func (t *Timer) Stop() {
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.ev != (Event{}) }
 
-// Ticker repeatedly invokes a callback at a fixed period until stopped. The
-// switches use it for periodic bloom-filter pause frames. It schedules one
-// pre-allocated closure per tick.
+// Ticker repeatedly invokes a callback at a fixed period for the rest of the
+// run. The switches use it for periodic bloom-filter pause frames. Every tick
+// is one ScheduleCallTagged of tickerFire with the Ticker as its argument, so
+// ticking allocates nothing.
 //
 // A ticker's tick at instant T carries the scheduling chain (T-period,
-// T-2·period, T-3·period): each tick is scheduled by its predecessor. The sim
-// coordinator's statistics tick uses the same key at its barriers without
-// running a ticker of its own.
+// T-2·period, ...): each tick is scheduled by its predecessor. For an
+// untagged ticker started during setup whose callback schedules nothing,
+// that is TickKey(T, period) — the key the sim coordinator's statistics tick
+// uses at its barriers without running a ticker of its own.
 type Ticker struct {
 	s      *Scheduler
 	period units.Time
 	tag    uint64
 	fn     func()
-	tick   func()
-	ev     Event
-	stop   bool
 }
 
 // NewTickerTagged creates and starts a ticker with the given period; the first
@@ -133,28 +132,18 @@ func NewTickerTagged(s *Scheduler, period units.Time, tag uint64, fn func()) *Ti
 		panic("eventsim: nil ticker callback")
 	}
 	t := &Ticker{s: s, period: period, tag: tag, fn: fn}
-	t.tick = func() {
-		if t.stop {
-			return
-		}
-		t.fn()
-		if !t.stop {
-			t.schedule()
-		}
-	}
 	t.schedule()
 	return t
 }
 
-func (t *Ticker) schedule() {
-	t.ev = t.s.ScheduleTagged(t.s.Now()+t.period, t.tag, t.tick)
+// tickerFire is every tick's callback: the ticker's callback, then the next
+// tick, scheduled after everything the callback scheduled.
+func tickerFire(a any) {
+	t := a.(*Ticker)
+	t.fn()
+	t.schedule()
 }
 
-// Stop halts the ticker; no further ticks fire.
-func (t *Ticker) Stop() {
-	t.stop = true
-	if t.ev != (Event{}) {
-		t.s.Cancel(t.ev)
-		t.ev = Event{}
-	}
+func (t *Ticker) schedule() {
+	t.s.ScheduleCallTagged(t.s.now+t.period, t.tag, tickerFire, t)
 }

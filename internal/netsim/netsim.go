@@ -77,7 +77,9 @@ type Link struct {
 
 	// OnStranded receives every packet lost on the down link. It is the
 	// packet's terminal owner (it must Pool.Put or otherwise consume it).
-	// Nil drops the packet to the garbage collector.
+	// It runs where the delivery does: on the receiving device's scheduler,
+	// which for a cross-shard link is not the sender's. Nil drops the packet
+	// to the garbage collector.
 	OnStranded func(*packet.Packet)
 
 	// Hot-path callbacks, allocated once at construction so Transmit and
@@ -91,14 +93,12 @@ type Link struct {
 	pendingDone func()
 
 	// Statistics.
-	txBytes         units.Bytes
-	ctrlBytes       units.Bytes
-	busyTime        units.Time
-	pausedSince     units.Time
-	pausedTotal     units.Time
-	isPaused        bool
-	strandedPackets uint64
-	strandedBytes   units.Bytes
+	txBytes     units.Bytes
+	ctrlBytes   units.Bytes
+	busyTime    units.Time
+	pausedSince units.Time
+	pausedTotal units.Time
+	isPaused    bool
 }
 
 // NewLink creates a link delivering to peer's port toPort.
@@ -121,7 +121,9 @@ func NewLink(sched *eventsim.Scheduler, name string, rate units.Rate, delay unit
 	l.deliver = func(x any) {
 		p := x.(*packet.Packet)
 		if l.down {
-			l.strand(p)
+			if l.OnStranded != nil {
+				l.OnStranded(p)
+			}
 			return
 		}
 		l.peer.ReceivePacket(l.toPort, p)
@@ -139,15 +141,6 @@ func NewLink(sched *eventsim.Scheduler, name string, rate units.Rate, delay unit
 // pushed onto b instead of being scheduled on the sender's scheduler. Pass
 // nil to restore local delivery.
 func (l *Link) SetBoundary(b *Boundary) { l.boundary = b }
-
-// strand consumes a packet lost on the down link.
-func (l *Link) strand(p *packet.Packet) {
-	l.strandedPackets++
-	l.strandedBytes += p.Size
-	if l.OnStranded != nil {
-		l.OnStranded(p)
-	}
-}
 
 // Rate returns the link rate.
 func (l *Link) Rate() units.Rate { return l.rate }
@@ -190,12 +183,6 @@ func (l *Link) SetDelay(d units.Time) {
 	l.delay = d
 }
 
-// StrandedPackets returns the number of packets lost on this link while down.
-func (l *Link) StrandedPackets() uint64 { return l.strandedPackets }
-
-// StrandedBytes returns the bytes lost on this link while down.
-func (l *Link) StrandedBytes() units.Bytes { return l.strandedBytes }
-
 // Transmit serializes p onto the link. onDone is invoked when serialization
 // completes (the sender may then start the next packet); the packet is
 // delivered to the peer one propagation delay after that. Transmit panics if
@@ -215,8 +202,9 @@ func (l *Link) Transmit(p *packet.Packet, onDone func()) {
 	// The busy-link panic above guarantees at most one serialization is in
 	// flight, so a single pendingDone field (consumed by serDone) suffices.
 	l.pendingDone = onDone
-	l.sched.ScheduleAfter(ser, l.serDone)
-	at := l.sched.Now() + ser + l.delay
+	now := l.sched.Now()
+	l.sched.Schedule(now+ser, l.serDone)
+	at := now + ser + l.delay
 	// The delivery carries the transported packet's flow ID as its causal
 	// tag, not the inherited one: a busy egress port serializes queued
 	// packets from whichever flow's event freed it, and same-key delivery

@@ -368,7 +368,12 @@ func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time) {
 // first). A link whose peer another shard owns is marked cross-shard: it
 // delivers through out[that shard], this shard's row of the run's boundary
 // queues. A one-shard run owns every node and has none.
-func (r *runner) wireLinks(out []netsim.Boundary) {
+//
+// A link's losses belong to the shard that receives them: a delivery — and
+// so the strand of a packet lost on the down link — runs on the receiving
+// device's scheduler, so the stranded packet goes to that shard's runner in
+// shards, which recycles it into its own pool, counts it and traces it.
+func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 	for _, node := range r.topo.Nodes() {
 		if !r.owned(node.ID) {
 			continue
@@ -378,16 +383,17 @@ func (r *runner) wireLinks(out []netsim.Boundary) {
 			peer := r.reg.device(port.Peer)
 			name := fmt.Sprintf("%s:p%d->%s", node.Name, portIdx, r.topo.Node(port.Peer).Name)
 			link := netsim.NewLink(r.sched, name, port.Rate, port.Delay, peer, port.PeerPort)
-			link.OnStranded = r.onStranded
-			if r.rec != nil {
+			recv := shards[r.plan.Assign[port.Peer]]
+			link.OnStranded = recv.onStranded
+			if recv.rec != nil {
 				// When tracing, identify the sending end of the link in the
 				// stranding event. The extra closure exists only on traced
 				// runs; untraced runs keep the shared allocation-free handler.
 				nodeID, p := node.ID, portIdx
 				link.OnStranded = func(pkt *packet.Packet) {
-					r.rec.Record(telemetry.Event{At: r.sched.Now(), Kind: telemetry.KindStranded,
+					recv.rec.Record(telemetry.Event{At: recv.sched.Now(), Kind: telemetry.KindStranded,
 						Node: nodeID, Port: int32(p), Queue: -1, Flow: pkt.Flow.ID, Value: int64(pkt.Size)})
-					r.onStranded(pkt)
+					recv.onStranded(pkt)
 				}
 			}
 			if !r.owned(port.Peer) {

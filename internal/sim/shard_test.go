@@ -228,7 +228,7 @@ func TestShardedTelemetryParity(t *testing.T) {
 	}
 }
 
-// runSharedResult runs like runWithShards but also returns the Result, so
+// runShardedResult runs like runWithShards but also returns the Result, so
 // tests can assert on Sharding alongside the marshalled bytes.
 func runShardedResult(t testing.TB, opts Options, flows []*packet.Flow, shards int) (*Result, []byte) {
 	t.Helper()
@@ -327,67 +327,111 @@ func TestShardedScenarioParityFatTree(t *testing.T) {
 	}
 }
 
+// requireTraceParity runs opts serially and at each shard count, traced
+// into a default-capacity ring, and requires every sharded run to partition
+// and to match the serial run's Result bytes and flight-recorder trace
+// exactly. It returns the serial ring.
+func requireTraceParity(t *testing.T, opts Options, flows []*packet.Flow, shards ...int) *telemetry.Ring {
+	t.Helper()
+	tracedRun := func(shards int) (*Result, []byte, *telemetry.Ring) {
+		ring := telemetry.NewRing(0)
+		o := opts
+		o.Recorder = ring
+		res, blob := runShardedResult(t, o, flows, shards)
+		return res, blob, ring
+	}
+	_, serialBlob, serialRing := tracedRun(0)
+	if serialRing.Seen() == 0 {
+		t.Fatal("serial scenario run recorded no events — trace parity test is vacuous")
+	}
+	serialTrace, err := json.Marshal(serialRing.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range shards {
+		res, blob, ring := tracedRun(s)
+		if res.Sharding.Used < 2 {
+			t.Fatalf("shards=%d: ran serially (fallback %q) — ring recorders must shard",
+				s, res.Sharding.Fallback)
+		}
+		trace, err := json.Marshal(ring.Events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(serialTrace, trace) {
+			t.Errorf("shards=%d: flight-recorder trace diverged from serial (%d vs %d events)",
+				s, serialRing.Len(), ring.Len())
+		}
+		if ring.Seen() != serialRing.Seen() {
+			t.Errorf("shards=%d: ring saw %d events, serial saw %d",
+				s, ring.Seen(), serialRing.Seen())
+		}
+		if !bytes.Equal(serialBlob, blob) {
+			t.Errorf("shards=%d: traced scenario result diverged from serial", s)
+		}
+	}
+	return serialRing
+}
+
 // TestShardedScenarioTraceParity requires the flight-recorder trace of a
 // sharded scenario run — per-shard keyed rings plus the coordinator's barrier
 // records, merged in key order — to be byte-identical to the serial trace.
 func TestShardedScenarioTraceParity(t *testing.T) {
 	topo := topology.NewFatTree(topology.FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
 	flows := fatTreeFlows(t, topo, 60*units.Microsecond)
-	base := DefaultOptions(SchemeBFC, topo)
-	base.Duration = 60 * units.Microsecond
-	base.Drain = 400 * units.Microsecond
-	base.Seed = 11
-	base.Scenario = fatTreeScenario()
+	opts := DefaultOptions(SchemeBFC, topo)
+	opts.Duration = 60 * units.Microsecond
+	opts.Drain = 400 * units.Microsecond
+	opts.Seed = 11
+	opts.Scenario = fatTreeScenario()
+	requireTraceParity(t, opts, flows, 2, 4)
+}
 
-	runOne := func(shards int) (*Result, []byte, *telemetry.Ring) {
-		copies := make([]*packet.Flow, len(flows))
-		for i, f := range flows {
-			c := *f
-			copies[i] = &c
-		}
-		opts := base
-		opts.Shards = shards
-		ring := telemetry.NewRing(0)
-		opts.Recorder = ring
-		res, err := Run(opts, copies)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		trace, err := json.Marshal(ring.Events())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, trace, ring
-	}
-
-	serialRes, serialTrace, serialRing := runOne(0)
-	if serialRing.Seen() == 0 {
-		t.Fatal("serial scenario run recorded no events — trace parity test is vacuous")
-	}
-	serialBlob, err := json.Marshal(serialRes)
-	if err != nil {
-		t.Fatal(err)
+// TestShardedCrossShardStrandParity cuts a link whose two ends sit on
+// different shards: pod 0's second aggregation switch and the core switch
+// it reaches. The link's deliveries, and so the packets it strands, run on
+// the receiving shard; the run must still match the serial Result and trace
+// exactly, and the strands must show in the trace. Under -race it also
+// catches a stranded packet recycled into a pool another shard draws from.
+func TestShardedCrossShardStrandParity(t *testing.T) {
+	topo := topology.NewFatTree(topology.FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
+	link := &scenario.LinkRef{A: "pod0-agg1", B: "core1"}
+	a, okA := topo.NodeByName(link.A)
+	b, okB := topo.NodeByName(link.B)
+	if !okA || !okB {
+		t.Fatalf("no link %s-%s in the 32-host fat-tree", link.A, link.B)
 	}
 	for _, shards := range []int{2, 4} {
-		res, trace, ring := runOne(shards)
-		if res.Sharding.Used < 2 {
-			t.Fatalf("shards=%d: ran serially (fallback %q) — ring recorders must shard",
-				shards, res.Sharding.Fallback)
+		if plan := topology.PlanShards(topo, shards); plan.Assign[a] == plan.Assign[b] {
+			t.Fatalf("shards=%d: %s and %s share shard %d — the cut does not cross shards",
+				shards, link.A, link.B, plan.Assign[a])
 		}
-		if !bytes.Equal(serialTrace, trace) {
-			t.Errorf("shards=%d: flight-recorder trace diverged from serial (%d vs %d events)",
-				shards, serialRing.Len(), ring.Len())
-		}
-		if ring.Seen() != serialRing.Seen() {
-			t.Errorf("shards=%d: ring saw %d events, serial saw %d",
-				shards, ring.Seen(), serialRing.Seen())
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(serialBlob, blob) {
-			t.Errorf("shards=%d: traced scenario result diverged from serial", shards)
-		}
+	}
+	flows := fatTreeFlows(t, topo, 60*units.Microsecond)
+	for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN} {
+		t.Run(sc.String(), func(t *testing.T) {
+			opts := DefaultOptions(sc, topo)
+			opts.Duration = 60 * units.Microsecond
+			opts.Drain = 400 * units.Microsecond
+			opts.Seed = 11
+			opts.Scenario = &scenario.Spec{
+				Name: "cross-shard-flap",
+				Events: []scenario.Event{
+					{At: 20 * units.Microsecond, Kind: scenario.LinkDown, Link: link},
+					{At: 50 * units.Microsecond, Kind: scenario.LinkUp, Link: link},
+				},
+			}
+			ring := requireTraceParity(t, opts, flows, 2, 4)
+			stranded := 0
+			for _, ev := range ring.Events() {
+				if ev.Kind == telemetry.KindStranded {
+					stranded++
+				}
+			}
+			if stranded == 0 {
+				t.Fatalf("the serial trace holds no stranded packet (%d of %d events retained) — the test is vacuous",
+					ring.Len(), ring.Seen())
+			}
+		})
 	}
 }

@@ -40,15 +40,15 @@ import (
 //     remote and local events exactly as one shard's heap would, and the
 //     whole run is byte-identical at every shard count.
 //   - Statistics barriers are the sampling tick: at each tick instant T the
-//     coordinator flushes events ordered before the tick's key (T, T-Δ,
-//     T-2Δ, T-3Δ), then samples all switches in topology order. This is the
-//     one place a run samples; collect, after the horizon, is the one place
-//     it reads its totals.
+//     coordinator flushes events ordered before the tick's key,
+//     eventsim.TickKey(T, Δ), then samples all switches in topology order.
+//     This is the one place a run samples; collect, after the horizon, is
+//     the one place it reads its totals.
 //   - Scenario events are compiled once (scenario.Plan) and applied by the
-//     coordinator at dedicated barriers at each event instant: every shard
-//     flushes the events ordered before the event's setup-phase key, then —
-//     with all shards parked — the coordinator mutates the shared topology
-//     and the affected shards' links (scenario.Planned.Apply). Injected flows
+//     coordinator at dedicated barriers at each event instant T: every shard
+//     flushes the events ordered before eventsim.SetupKey(T), then — with
+//     all shards parked — the coordinator mutates the shared topology and
+//     the affected shards' links (scenario.Planned.Apply). Injected flows
 //     need no coordination: each shard schedules the pre-generated flows
 //     whose sources it owns, under their keys.
 //   - One shard's own streams are already in key order, so it records flow
@@ -135,37 +135,6 @@ func shardPlanFor(opts *Options) (*topology.ShardPlan, string) {
 	}
 	plan.Validate(opts.Topo)
 	return plan, ""
-}
-
-// tickKeyAt is the ordering key of the sampling tick at instant t with period
-// d: the key of a ticker started during setup, each tick scheduled by its
-// predecessor, so the chain is arithmetic, with SetupTime sentinels where it
-// reaches back into the construction phase.
-func tickKeyAt(t, d units.Time) eventsim.Key {
-	k := eventsim.Key{At: t}
-	for i := range k.Chain {
-		v := t - units.Time(i+1)*d
-		if v < 0 {
-			v = eventsim.SetupTime
-		}
-		k.Chain[i] = v
-	}
-	return k
-}
-
-// setupKeyAt is the ordering key of a scenario event at instant t: the key of
-// an event scheduled during construction (clock at zero, outside any
-// dispatch), so the chain is instant 0 followed by the SetupTime sentinels,
-// with tags, kids, kid and tag all zero. The only other events carrying this
-// exact key shape are the first sampling tick (which goes first on the tie,
-// see the barrier loop) and scenario events at the same instant (applied in
-// spec order).
-func setupKeyAt(t units.Time) eventsim.Key {
-	k := eventsim.Key{At: t}
-	for i := 1; i < eventsim.ChainDepth; i++ {
-		k.Chain[i] = eventsim.SetupTime
-	}
-	return k
 }
 
 // keyedEvent is one flight-recorder event stamped with the ordering key of
@@ -283,7 +252,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	bounds := make([][]netsim.Boundary, S)
 	for i, r := range shards {
 		bounds[i] = make([]netsim.Boundary, S) // [i][i] stays unused
-		r.wireLinks(bounds[i])
+		r.wireLinks(shards, bounds[i])
 		r.scheduleFlows(flows)
 	}
 	reg.buildLinkClasses()
@@ -424,14 +393,14 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		drainAll()
 
 		doTick := func() {
-			k := tickKeyAt(b, delta)
+			k := eventsim.TickKey(b, delta)
 			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
 			sampleTick(res, sws, series)
 			ticks++
 			nextTick += delta
 		}
 		doEvents := func() {
-			k := setupKeyAt(b)
+			k := eventsim.SetupKey(b)
 			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
 			if coordRec != nil {
 				coordRec.key = k
@@ -444,8 +413,9 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		switch {
 		case isEvent && isTick:
 			// Same instant: key order decides. The keys are equal only at the
-			// first tick (both of setup shape), where the tick goes first.
-			if setupKeyAt(b).Less(tickKeyAt(b, delta)) {
+			// first tick (both of setup shape), where the tick goes first;
+			// scenario events sharing an instant apply in spec order.
+			if eventsim.SetupKey(b).Less(eventsim.TickKey(b, delta)) {
 				doEvents()
 				doTick()
 			} else {

@@ -73,7 +73,6 @@ type Switch struct {
 	// recent filter received from the device downstream of that port.
 	engine   *core.Engine
 	upstream []*core.UpstreamState
-	ticker   *eventsim.Ticker
 
 	stats Stats
 }
@@ -123,7 +122,7 @@ func New(cfg Config) *Switch {
 		// clear of flow IDs) is what orders same-instant pause frames from
 		// different switches across shard boundaries — matching the serial
 		// engine, where tick order follows switch construction order.
-		s.ticker = eventsim.NewTickerTagged(s.sched, cfg.BFC.Tau, tickTagBase|uint64(cfg.Node.ID), s.bfcTick)
+		eventsim.NewTickerTagged(s.sched, cfg.BFC.Tau, tickTagBase|uint64(cfg.Node.ID), s.bfcTick)
 	}
 	return s
 }
