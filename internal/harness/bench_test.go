@@ -24,9 +24,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // BenchmarkStoreRead is the cost of a cache hit on a real tiny-scale Fig 5a
-// record (~17 KB): the artifact is read from disk either way, and "hit"
-// compares it with the bytes the store wrote, where "miss" (the store's memo
-// emptied before each Read) parses it as JSON.
+// record (~17 KB): the artifact is read from disk either way. "hit" compares
+// it chunk by chunk with the bytes the store wrote and returns those, copying
+// nothing; "miss" (the store's memo emptied before each Read) reads it into
+// one buffer and parses it as JSON.
 func BenchmarkStoreRead(b *testing.B) {
 	scale, _ := experiments.ScaleByName("tiny")
 	jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC})

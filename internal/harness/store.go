@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,8 +19,8 @@ import (
 // of a result: no index is kept beside it (List reads the artifacts).
 //
 // A Store remembers, per hash, the bytes it last wrote or found valid (see
-// Read), so a cache hit on an unchanged artifact costs a file read and a
-// comparison rather than a parse.
+// Read), so a cache hit on an unchanged artifact costs a file read compared
+// in place with those bytes: no parse and no copy.
 type Store struct {
 	dir string
 
@@ -94,7 +95,9 @@ func (s *Store) Put(rec *Record) error {
 }
 
 // remember records b as the checked bytes of hash's artifact. The Store owns
-// b from here on: callers pass a slice nobody else holds.
+// b from here on and shares it read-only: callers pass a slice nobody else
+// holds, and Read hands the same slice to every caller that finds it still on
+// disk, so nobody may write to it, before or after.
 func (s *Store) remember(hash string, b []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -108,12 +111,11 @@ func (s *Store) remember(hash string, b []byte) {
 	s.checkedSz += len(b)
 }
 
-// isChecked reports whether b equals the bytes last remembered for hash.
-func (s *Store) isChecked(hash string, b []byte) bool {
+// memo returns the bytes last remembered for hash (nil if none).
+func (s *Store) memo(hash string) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, ok := s.checked[hash]
-	return ok && bytes.Equal(old, b)
+	return s.checked[hash]
 }
 
 // Has reports whether an artifact exists for the job hash without reading
@@ -133,15 +135,22 @@ func (s *Store) Has(hash string) bool {
 // false when no artifact exists. It is the only way bytes leave the store, so
 // it is where they are checked: anything but one newline-terminated valid
 // JSON line (a truncated, empty or overwritten artifact) is an error. The
-// file is read on every call; bytes equal to those this Store last wrote or
-// accepted under the hash are known valid and skip the parse, any other bytes
-// are parsed and, if valid, remembered instead. The verdict is therefore the
-// same function of the bytes on disk as a parse on every call. The returned
-// slice is the caller's own.
+// file is read on every call. When it holds exactly the bytes this Store last
+// wrote or accepted under the hash, compared chunk by chunk as they are read,
+// Read returns those remembered bytes, copying nothing; any other file is read
+// whole (os.ReadFile), parsed and, if valid, remembered instead. The verdict
+// is therefore the same function of the bytes on disk as a parse on every
+// call.
+//
+// The returned slice is the Store's shared copy (see remember): callers may
+// write it out or decode it, never modify it.
 func (s *Store) Read(hash string) (line []byte, ok bool, err error) {
 	path, ok := s.path(hash)
 	if !ok {
 		return nil, false, nil
+	}
+	if memo := s.memo(hash); memo != nil && holds(path, memo) {
+		return memo, true, nil
 	}
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -150,14 +159,45 @@ func (s *Store) Read(hash string) (line []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("harness: reading record %s: %w", hash, err)
 	}
-	if s.isChecked(hash, b) {
-		return b, true, nil
-	}
 	if bytes.IndexByte(b, '\n') != len(b)-1 || !json.Valid(b) {
 		return nil, false, fmt.Errorf("harness: artifact %s is not one complete JSON line", hash)
 	}
-	s.remember(hash, bytes.Clone(b))
+	s.remember(hash, b)
 	return b, true, nil
+}
+
+// chunkSize is the unit holds compares a file in, so a hit costs the same
+// memory whatever the artifact's size.
+const chunkSize = 32 << 10
+
+// chunks holds the buffers holds reads through, shared by every Store.
+var chunks = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+// holds reports whether the file at path holds exactly want: its size is
+// len(want) and it reads back equal, chunk by chunk, up to its end. Any
+// failure to open or read it is a false, which sends Read to os.ReadFile to
+// report it.
+func holds(path string, want []byte) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	if info, err := f.Stat(); err != nil || info.Size() != int64(len(want)) {
+		return false
+	}
+	chunk := chunks.Get().(*[chunkSize]byte)
+	defer chunks.Put(chunk)
+	for off := 0; ; {
+		n, err := f.Read(chunk[:])
+		if n > len(want)-off || !bytes.Equal(chunk[:n], want[off:off+n]) {
+			return false
+		}
+		off += n
+		if err != nil {
+			return err == io.EOF && off == len(want)
+		}
+	}
 }
 
 // Get loads the record for a job hash; ok is false when no artifact exists.

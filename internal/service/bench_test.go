@@ -26,9 +26,10 @@ func BenchmarkSuiteCompile(b *testing.B) {
 }
 
 // BenchmarkServiceSubmitCacheHit measures a fully-cached submission end to
-// end: compile, one Store.Read per job (the artifact's bytes read, found equal
-// to the bytes the store wrote, and dropped; only bytes the store has not seen
-// are parsed as one JSON line) and suite registration — the steady-state cost
+// end: compile, one Store.Read per job (the artifact read through a pooled
+// chunk and found equal, in place, to the bytes the store wrote, which it
+// returns without a copy; only bytes the store has not seen are read whole and
+// parsed as one JSON line) and suite registration — the steady-state cost
 // of accepting an already-computed grid, with zero simulation runs per op
 // (asserted via the executed-jobs counter) and no record decoded or retained.
 func BenchmarkServiceSubmitCacheHit(b *testing.B) {

@@ -16,9 +16,11 @@
 // and keeps none, a fetch streams them out (WriteResults) — resubmitting a
 // completed suite performs zero simulation runs. Both reach the disk every
 // time; the check parses only bytes the store has not already written or
-// accepted, so a warm resubmission costs file reads and byte comparisons. Determinism carries over from
-// the harness: per-job seeds derive from job names, so served records are
-// byte-identical no matter the worker count or which process computed them.
+// accepted, and a file equal to those is compared in place and served as the
+// store's own bytes, so a warm resubmission or fetch copies no artifact.
+// Determinism carries over from the harness: per-job seeds derive from job
+// names, so served records are byte-identical no matter the worker count or
+// which process computed them.
 //
 // cmd/bfcd wraps the Service in an HTTP API (see http.go) and cmd/bfcctl is
 // the matching client.
@@ -141,11 +143,15 @@ type Service struct {
 // suite is the server-side state of one submission.
 type suite struct {
 	id     string
+	seq    int // the submission's sequence number, which id spells
 	title  string
 	figure string
 	scale  string
 	digest string
 	jobs   []harness.Job
+	// hashes[i] is jobs[i]'s content hash, taken once by SubmitCompiled: the
+	// option mutators it appends (trace rings, exec stats) leave it unchanged.
+	hashes []string
 
 	mu       sync.Mutex
 	finished []bool // per job: its artifact is in the store
@@ -333,6 +339,7 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		scale:    cs.Scale,
 		digest:   cs.Digest,
 		jobs:     cs.Jobs,
+		hashes:   make([]string, len(cs.Jobs)),
 		finished: make([]bool, len(cs.Jobs)),
 		state:    StateRunning,
 		subs:     map[int]chan Event{},
@@ -343,7 +350,8 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 	// Bytes the store wrote or accepted before are compared, not re-parsed.
 	var pending []int
 	for i := range st.jobs {
-		_, ok, err := s.cfg.Store.Read(st.jobs[i].Hash())
+		st.hashes[i] = st.jobs[i].Hash()
+		_, ok, err := s.cfg.Store.Read(st.hashes[i])
 		if err != nil {
 			s.metrics.suitesRejected.Inc()
 			return SuiteStatus{}, fmt.Errorf("%w: %v", ErrStorage, err)
@@ -404,7 +412,8 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		return SuiteStatus{}, ErrBusy
 	}
 	s.nextID++
-	st.id = fmt.Sprintf("s%06d", s.nextID)
+	st.seq = s.nextID
+	st.id = fmt.Sprintf("s%06d", st.seq)
 	s.suites[st.id] = st
 	s.metrics.suitesSubmitted.Inc()
 	if allCached {
@@ -523,22 +532,19 @@ func (s *Service) Status(id string) (SuiteStatus, error) {
 	return s.statusOf(st), nil
 }
 
-// ListStatuses returns every suite in submission order.
+// ListStatuses returns every suite in submission order. That is the order
+// of seq, not of id: "s%06d" stops sorting lexically at a seventh digit.
 func (s *Service) ListStatuses() []SuiteStatus {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.suites))
-	for id := range s.suites {
-		ids = append(ids, id)
+	suites := make([]*suite, 0, len(s.suites))
+	for _, st := range s.suites {
+		suites = append(suites, st)
 	}
 	s.mu.Unlock()
-	// IDs are zero-padded sequence numbers, so lexical order is submission
-	// order.
-	sort.Strings(ids)
-	out := make([]SuiteStatus, 0, len(ids))
-	for _, id := range ids {
-		if st, err := s.lookup(id); err == nil {
-			out = append(out, s.statusOf(st))
-		}
+	sort.Slice(suites, func(a, b int) bool { return suites[a].seq < suites[b].seq })
+	out := make([]SuiteStatus, len(suites))
+	for i, st := range suites {
+		out[i] = s.statusOf(st)
 	}
 	return out
 }
@@ -557,7 +563,7 @@ func (s *Service) WriteResults(w io.Writer, id string) (n int64, err error) {
 		return 0, fmt.Errorf("service: suite %s is %s, results need state done", id, state)
 	}
 	for i := range st.jobs {
-		line, ok, err := s.cfg.Store.Read(st.jobs[i].Hash())
+		line, ok, err := s.cfg.Store.Read(st.hashes[i])
 		if err == nil && !ok {
 			err = fmt.Errorf("artifact of job %q is gone from the store", st.jobs[i].Name)
 		}

@@ -182,6 +182,96 @@ func TestFreshServiceServesFromStoreArtifacts(t *testing.T) {
 	}
 }
 
+// storedSuite puts a record for each of n hand-built jobs into the store
+// under dir and returns a suite of those jobs, so every submission of it is
+// answered from the store without a builder being called. pad lengthens each
+// record's meta, and so its artifact.
+func storedSuite(t *testing.T, dir string, n, pad int) *CompiledSuite {
+	t.Helper()
+	store, err := harness.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]harness.Job, n)
+	for i := range jobs {
+		jobs[i] = harness.Job{
+			Name:   fmt.Sprintf("test/stored/job=%d", i),
+			Scheme: sim.SchemeBFC,
+			Meta:   map[string]string{"job": fmt.Sprint(i), "pad": strings.Repeat("x", pad)},
+		}
+		rec := &harness.Record{Name: jobs[i].Name, Hash: jobs[i].Hash(), Scheme: jobs[i].Scheme.String(), Meta: jobs[i].Meta}
+		if err := store.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &CompiledSuite{Title: "stored", Figure: "test", Jobs: jobs, Digest: suiteDigest(jobs)}
+}
+
+// TestListStatusesKeepsSubmissionOrderPastSixDigits: suite IDs grow a
+// seventh digit after s999999, where their lexical order stops being the
+// order they were submitted in; the list keeps submission order.
+func TestListStatusesKeepsSubmissionOrderPastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	cs := storedSuite(t, dir, 1, 0)
+	svc := newTestService(t, dir, nil)
+	svc.mu.Lock()
+	svc.nextID = 999_997
+	svc.mu.Unlock()
+	var want []string
+	for i := 0; i < 4; i++ {
+		status, err := svc.SubmitCompiled(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, status.ID)
+	}
+	if want[0] != "s999998" || want[3] != "s1000001" {
+		t.Fatalf("submitted %v, want s999998 … s1000001", want)
+	}
+	var got []string
+	for _, status := range svc.ListStatuses() {
+		got = append(got, status.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("ListStatuses order %v, want submission order %v", got, want)
+	}
+}
+
+// TestResultsAreTheArtifactsOnMissAndHit: a fetch writes the artifacts' bytes
+// in job order whether the store parsed them at submission (a fresh Service
+// over an existing store) or serves the bytes it remembered, fetch after
+// fetch, for artifacts longer than the store's compare chunk.
+func TestResultsAreTheArtifactsOnMissAndHit(t *testing.T) {
+	dir := t.TempDir()
+	cs := storedSuite(t, dir, 3, 80<<10)
+	var want []byte
+	for i := range cs.Jobs {
+		artifact, err := os.ReadFile(filepath.Join(dir, cs.Jobs[i].Hash()+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, artifact...)
+	}
+	svc := newTestService(t, dir, nil)
+	status, err := svc.SubmitCompiled(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.State != StateDone || status.Cached != len(cs.Jobs) {
+		t.Fatalf("submission was not served from the store: %+v", status)
+	}
+	for fetch := 1; fetch <= 2; fetch++ {
+		var body bytes.Buffer
+		n, err := svc.WriteResults(&body, status.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(len(want)) || !bytes.Equal(body.Bytes(), want) {
+			t.Fatalf("fetch %d wrote %d bytes (reported %d), not the %d bytes of the artifacts in job order", fetch, body.Len(), n, len(want))
+		}
+	}
+}
+
 // blockingSuite builds a controllable compiled suite: each job's Flows
 // builder signals started and then blocks until released.
 func blockingSuite(n int, started chan<- string, release <-chan struct{}) *CompiledSuite {
