@@ -282,10 +282,10 @@ func (c *client) status(args []string) error {
 	return nil
 }
 
-// serverStatus prints the server's build information and service counters —
-// the no-argument form of "bfcctl status".
+// serverStatus prints the server's build information, model version and
+// service counters — the no-argument form of "bfcctl status".
 func (c *client) serverStatus() error {
-	var info telemetry.BuildInfo
+	var info service.Version
 	if err := c.getJSON("/api/v1/version", &info); err != nil {
 		return err
 	}
@@ -300,7 +300,7 @@ func (c *client) serverStatus() error {
 			fmt.Print("+dirty")
 		}
 	}
-	fmt.Println(")")
+	fmt.Printf(") model %d\n", info.ModelVersion)
 	var stats service.Stats
 	if err := c.getJSON("/api/v1/stats", &stats); err != nil {
 		return err
@@ -476,7 +476,7 @@ func (c *client) store() error {
 		return err
 	}
 	for _, e := range entries {
-		fmt.Printf("%s  %-14s %s\n", e.Hash, e.Scheme, e.Name)
+		fmt.Printf("%s  %-14s model=%d  %s\n", e.Hash, e.Scheme, e.Model, e.Name)
 	}
 	fmt.Fprintf(os.Stderr, "%d completed artifacts\n", len(entries))
 	return nil

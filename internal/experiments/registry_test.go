@@ -108,11 +108,11 @@ func TestFigureByKey(t *testing.T) {
 
 // TestJobIdentitiesUnchanged pins the property every result cache depends
 // on: the job names and content hashes the ten keys served before the figure
-// table compile to — at tiny, reduced and full — are the ones captured in
-// testdata/registry_identities.golden on the commit before it, so bfcd
-// stores, -out directories and the fleet's dedup keep aliasing the same
-// artifacts. A figure added later gets new lines; an existing line never
-// changes.
+// table compile to — at tiny, reduced and full — are the ones recorded in
+// testdata/registry_identities.golden, so bfcd stores, -out directories and
+// the fleet's dedup keep aliasing the same artifacts within one
+// sim.ModelVersion. A figure added later gets new lines; an existing line
+// changes only with a ModelVersion bump, which moves every hash.
 func TestJobIdentitiesUnchanged(t *testing.T) {
 	golden, err := os.ReadFile("testdata/registry_identities.golden")
 	if err != nil {

@@ -275,7 +275,10 @@ func TestWorkerRecordEndpointServesOnlyArtifacts(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	job := harness.Job{Name: "secret/job", Scheme: sim.SchemeBFC}
-	rec := &harness.Record{Name: job.Name, Hash: job.Hash(), Scheme: "BFC", Seed: job.Seed()}
+	rec := &harness.Record{
+		ManifestEntry: harness.ManifestEntry{Hash: job.Hash(), Name: job.Name, Scheme: "BFC", Model: sim.ModelVersion},
+		Seed:          job.Seed(),
+	}
 	if err := store.Put(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -591,14 +594,27 @@ func TestFleetPanickingJobFailsSuiteNotDaemon(t *testing.T) {
 	}
 }
 
+// TestExecutorRejectsVersionDrift: a coordinator on another model asks for
+// hashes this worker's compilation does not produce. The request names
+// tinySpec's BFC job by its model-0 hash (from before job hashes mixed in
+// sim.ModelVersion), and the worker's store even holds an artifact under it:
+// still the worker answers ErrDrift and no record.
 func TestExecutorRejectsVersionDrift(t *testing.T) {
-	exec, _, srv := newWorker(t)
+	exec, store, srv := newWorker(t)
+	const preModel = "14306c0a5611d5bb" // tiny/fig05a/scheme=BFC at model 0
+	old := &harness.Record{
+		ManifestEntry: harness.ManifestEntry{Hash: preModel, Name: "tiny/fig05a/scheme=BFC", Scheme: "BFC"},
+		Result:        &sim.Result{},
+	}
+	if err := store.Put(old); err != nil || !store.Has(preModel) {
+		t.Fatalf("planting the model-0 artifact: %v", err)
+	}
 	req := &ExecuteRequest{
 		Batch: "t/b000", Suite: *tinySpec(),
-		Hashes: []string{"00000000deadbeef"}, // no compilation produces this
+		Hashes: []string{preModel},
 	}
-	if _, err := exec.Execute(context.Background(), req); !errors.Is(err, ErrDrift) {
-		t.Fatalf("direct execute: err = %v, want ErrDrift", err)
+	if resp, err := exec.Execute(context.Background(), req); !errors.Is(err, ErrDrift) || resp != nil {
+		t.Fatalf("direct execute: %+v, err = %v, want no records and ErrDrift", resp, err)
 	}
 	// Over the wire the 409 must map back to ErrDrift, so the coordinator
 	// stops scattering to the drifted worker instead of retrying forever.

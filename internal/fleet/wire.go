@@ -10,14 +10,15 @@ import (
 // executes exactly the jobs whose content hashes appear in Hashes (satisfying
 // any it already computed from its own store). Shipping spec+hashes instead
 // of jobs keeps the wire free of closures and makes version drift loud: a
-// worker whose compilation does not produce a requested hash rejects the
+// worker whose compilation does not produce a requested hash (another
+// registry, or another sim.ModelVersion, which moves every hash) rejects the
 // batch instead of running the wrong simulation.
 type ExecuteRequest struct {
 	// Batch identifies the batch for logs and metrics ("<suite-digest>/b3").
 	Batch string `json:"batch"`
 	// Suite is the wire form the worker recompiles.
 	Suite service.SuiteSpec `json:"suite"`
-	// Hashes selects the jobs to run, by JobSpec content hash.
+	// Hashes selects the jobs to run, by content hash (harness.Job.Hash).
 	Hashes []string `json:"hashes"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bfc/internal/experiments"
@@ -63,6 +64,44 @@ func BenchmarkStoreRead(b *testing.B) {
 	}
 }
 
+// TestListReadsOnlyTheIdentity: a record declares its identity (the
+// embedded ManifestEntry) ahead of its result, so List's readEntry reads a
+// few hundred bytes of a real tiny Fig 5a artifact, not its whole line.
+func TestListReadsOnlyTheIdentity(t *testing.T) {
+	scale, _ := experiments.ScaleByName("tiny")
+	jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC})
+	rec, err := jobs[0].Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := harness.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, rec.Hash+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := &countingReader{ReadSeeker: f}
+	e, ok := harness.ReadEntry(cr)
+	if !ok || !reflect.DeepEqual(e, rec.ManifestEntry) {
+		t.Fatalf("read identity %+v (ok %v), want %+v", e, ok, rec.ManifestEntry)
+	}
+	const limit = 2 << 10
+	if cr.n > limit || info.Size() <= limit {
+		t.Fatalf("readEntry read %d bytes of a %d-byte artifact; want at most %d of one larger than that", cr.n, info.Size(), limit)
+	}
+}
+
 // BenchmarkStoreList is the measurement behind keeping no index: List over
 // 256 artifacts of a real tiny-scale Fig 5a record (~17 KB each) opens every
 // file and reads its identity off the front. read-B/artifact is what the
@@ -84,7 +123,7 @@ func BenchmarkStoreList(b *testing.B) {
 	for i := 0; i < artifacts; i++ {
 		dup := *rec
 		dup.Name = fmt.Sprintf("%s/copy=%d", rec.Name, i)
-		dup.Hash = harness.JobSpec{Name: dup.Name, Scheme: dup.Scheme, Meta: dup.Meta}.Hash()
+		dup.Hash = (&harness.Job{Name: dup.Name, Scheme: sim.SchemeBFC, Meta: dup.Meta}).Hash()
 		if err := store.Put(&dup); err != nil {
 			b.Fatal(err)
 		}

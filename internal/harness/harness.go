@@ -3,8 +3,9 @@
 // topology x sensitivity parameter, and every point is one self-contained
 // sim.Run. The harness turns such a grid into a list of declarative Jobs,
 // shards them over a bounded worker pool, persists each completed job as one
-// JSONL artifact keyed by a content hash of the job spec, and skips
-// already-completed jobs on resume.
+// JSONL artifact keyed by the job's content hash (Job.Hash: the model
+// version, name, scheme and meta), and skips already-completed jobs on
+// resume.
 //
 // Determinism: a Job builds its own topology and workload inside the worker
 // (no shared mutable state, no shared RNG) and its simulation seed is derived
@@ -15,7 +16,10 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"sort"
+	"strconv"
 
 	"bfc/internal/packet"
 	"bfc/internal/sim"
@@ -69,9 +73,35 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// Hash returns the content hash keying this job's persisted artifact; see
-// JobSpec.Hash for the contract.
-func (j *Job) Hash() string { return j.Spec().Hash() }
+// Hash returns the content hash keying this job's persisted artifact: the
+// first 16 hex characters of a sha256 over sim.ModelVersion, the name, the
+// scheme label and the meta pairs in key order, each closed by a 0 byte (a
+// meta key by a 1). It is the one identity of a job's result: artifact file
+// names, -resume, the service's cache, suite digests and the fleet's
+// cross-worker dedupe all key on it, and records cross processes under it.
+// Closures cannot be hashed, so every parameter that changes a job's outcome
+// must be reflected in Name or Meta — Grid does this for every axis value,
+// and the service tier marks every server-side option override (e.g. forced
+// streaming statistics) in Meta — and every change to the model code that
+// moves an outcome must bump sim.ModelVersion.
+func (j *Job) Hash() string {
+	b := make([]byte, 0, 256)
+	b = strconv.AppendInt(b, sim.ModelVersion, 10)
+	b = append(append(b, 0), j.Name...)
+	b = append(append(b, 0), j.Scheme.String()...)
+	b = append(b, 0)
+	keys := make([]string, 0, len(j.Meta))
+	for k := range j.Meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b = append(append(append(b, k...), 1), j.Meta[k]...)
+		b = append(b, 0)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
+}
 
 // Seed returns the job's derived simulation seed.
 func (j *Job) Seed() int64 { return DeriveSeed(j.Name) }
@@ -98,15 +128,11 @@ func DeriveSeed(parts ...string) int64 {
 // store. It deliberately carries no wall-clock information so that reruns and
 // parallel runs produce byte-identical artifacts.
 type Record struct {
-	// Name and Hash identify the job (Hash keys the artifact file).
-	Name string `json:"name"`
-	Hash string `json:"hash"`
-	// Scheme is the human-readable scheme label.
-	Scheme string `json:"scheme"`
+	// ManifestEntry is the job's identity, declared first so that every
+	// artifact opens with it and a listing reads nothing else (readEntry).
+	ManifestEntry
 	// Seed is the derived simulation seed the run used.
 	Seed int64 `json:"seed"`
-	// Meta echoes the job's metadata.
-	Meta map[string]string `json:"meta,omitempty"`
 	// Extra holds the job's Extract output.
 	Extra map[string]float64 `json:"extra,omitempty"`
 	// Result is the full simulation result.
@@ -144,11 +170,11 @@ func (j *Job) Execute() (rec *Record, err error) {
 		return nil, fmt.Errorf("harness: job %q: %w", j.Name, err)
 	}
 	rec = &Record{
-		Name:   j.Name,
-		Hash:   j.Hash(),
-		Scheme: j.Scheme.String(),
+		ManifestEntry: ManifestEntry{
+			Hash: j.Hash(), Name: j.Name, Scheme: j.Scheme.String(),
+			Model: sim.ModelVersion, Meta: j.Meta,
+		},
 		Seed:   opts.Seed,
-		Meta:   j.Meta,
 		Result: res,
 	}
 	if j.Extract != nil {

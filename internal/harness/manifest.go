@@ -9,14 +9,17 @@ import (
 	"strings"
 )
 
-// ManifestEntry names one completed artifact: the content hash that keys its
-// file plus the job's wire-form identity, so consumers (the service tier,
-// -resume, bfcctl) can enumerate completed work without decoding every
-// multi-megabyte record or re-hashing every job spec.
+// ManifestEntry is a job's identity as its artifact declares it: the content
+// hash that keys the file, the name, scheme and meta the hash covers, and the
+// sim.ModelVersion that computed the record (0 for artifacts written before
+// records carried it). Record embeds it, so consumers (the service tier,
+// bfcctl, the fleet manifest) enumerate completed work without decoding
+// every multi-megabyte record.
 type ManifestEntry struct {
 	Hash   string            `json:"hash"`
 	Name   string            `json:"name"`
 	Scheme string            `json:"scheme"`
+	Model  int               `json:"model"`
 	Meta   map[string]string `json:"meta,omitempty"`
 }
 
@@ -79,17 +82,18 @@ func (s *Store) List() ([]ManifestEntry, error) {
 }
 
 // readEntry reads a record's identity from the front of its JSON line: it
-// walks the object's keys until it holds name, hash, scheme and meta, which
+// walks the object's keys until it holds every ManifestEntry field, which
 // Record declares — and Put therefore writes — ahead of the result that is
 // nearly all of the line, so a listing reads a few hundred bytes per artifact.
-// A record without meta, or with its keys in another order, is walked to its
-// end: slower, same entry. Then it looks at the line's last byte.
+// A record without meta or model, or with its keys in another order, is
+// walked to its end: slower, same entry. Then it looks at the line's last
+// byte.
 func readEntry(r io.ReadSeeker) (e ManifestEntry, ok bool) {
 	dec := json.NewDecoder(r)
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
 		return e, false
 	}
-	wanted := map[string]any{"name": &e.Name, "hash": &e.Hash, "scheme": &e.Scheme, "meta": &e.Meta}
+	wanted := map[string]any{"hash": &e.Hash, "name": &e.Name, "scheme": &e.Scheme, "model": &e.Model, "meta": &e.Meta}
 	for len(wanted) > 0 && dec.More() {
 		key, err := dec.Token()
 		if err != nil {

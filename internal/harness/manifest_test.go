@@ -19,11 +19,8 @@ import (
 func fakeRecord(name string, meta map[string]string) *Record {
 	j := Job{Name: name, Scheme: sim.SchemeBFC, Meta: meta}
 	return &Record{
-		Name:   name,
-		Hash:   j.Hash(),
-		Scheme: j.Scheme.String(),
-		Seed:   j.Seed(),
-		Meta:   meta,
+		ManifestEntry: ManifestEntry{Hash: j.Hash(), Name: name, Scheme: j.Scheme.String(), Model: sim.ModelVersion, Meta: meta},
+		Seed:          j.Seed(),
 	}
 }
 
@@ -67,8 +64,8 @@ func TestStoreListTracksPuts(t *testing.T) {
 		if e.Scheme != "BFC" {
 			t.Fatalf("entry %d has scheme %q", i, e.Scheme)
 		}
-		if spec := (JobSpec{Name: e.Name, Scheme: e.Scheme, Meta: e.Meta}); spec.Hash() != e.Hash {
-			t.Fatalf("entry %d: spec hash %s != stored hash %s", i, spec.Hash(), e.Hash)
+		if j := (Job{Name: e.Name, Scheme: sim.SchemeBFC, Meta: e.Meta}); j.Hash() != e.Hash || e.Model != sim.ModelVersion {
+			t.Fatalf("entry %d: job hash %s model %d, stored hash %s model %d", i, j.Hash(), sim.ModelVersion, e.Hash, e.Model)
 		}
 	}
 	// Re-putting an existing record must not create duplicates.
@@ -106,13 +103,10 @@ func TestStoreCrashPoints(t *testing.T) {
 		}
 		return append(blob, '\n')
 	}
-	entry := func(rec *Record) ManifestEntry {
-		return ManifestEntry{Hash: rec.Hash, Name: rec.Name, Scheme: rec.Scheme, Meta: rec.Meta}
-	}
 	index := func(recs ...*Record) []byte {
 		var blob []byte
 		for _, rec := range recs {
-			blob = append(blob, marshal(entry(rec))...)
+			blob = append(blob, marshal(rec.ManifestEntry)...)
 		}
 		return blob
 	}
@@ -299,7 +293,7 @@ func TestStoreCrashPoints(t *testing.T) {
 
 			var want []ManifestEntry
 			for _, rec := range row.want {
-				want = append(want, entry(rec))
+				want = append(want, rec.ManifestEntry)
 			}
 			entries := mustList(t, store)
 			if !reflect.DeepEqual(entries, want) {
@@ -436,7 +430,7 @@ func TestStoreListMatchesGet(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("Get(%s) = %v, %v", hash, ok, err)
 		}
-		want = append(want, ManifestEntry{Hash: rec.Hash, Name: rec.Name, Scheme: rec.Scheme, Meta: rec.Meta})
+		want = append(want, rec.ManifestEntry)
 	}
 	want = MergeManifests(want)
 	if got := mustList(t, store); !reflect.DeepEqual(got, want) {

@@ -13,9 +13,9 @@ import (
 
 // Store persists one JSONL record per completed job under a results
 // directory. Files are keyed by the job's content hash ("<hash>.jsonl", one
-// JSON line each), so a rerun of the same job spec lands on the same
-// artifact, concurrent workers never interleave writes, and Resume can skip
-// completed work with one lookup per job hash. The artifact is the only copy
+// JSON line each), so a rerun of the same job lands on the same artifact,
+// concurrent workers never interleave writes, and Resume can skip completed
+// work with one lookup per job hash. The artifact is the only copy
 // of a result: no index is kept beside it (List reads the artifacts).
 //
 // A Store remembers, per hash, the bytes it last wrote or found valid (see
@@ -47,7 +47,7 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// hashPattern is the form of a job content hash (JobSpec.Hash).
+// hashPattern is the form of a job content hash (Job.Hash).
 var hashPattern = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
 // path is the one conversion from a hash to a file name. Hashes arrive from

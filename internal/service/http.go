@@ -20,7 +20,7 @@ import (
 //
 //	GET    /healthz                    liveness probe
 //	GET    /metrics                    Prometheus text exposition
-//	GET    /api/v1/version             server build information
+//	GET    /api/v1/version             server build information and model version
 //	GET    /api/v1/figures             the figures that have jobs, and the scales
 //	POST   /api/v1/suites              submit a SuiteSpec; 202 + SuiteStatus
 //	GET    /api/v1/suites              list suite statuses
@@ -52,7 +52,7 @@ func NewHandler(svc *Service, extras ...func(*http.ServeMux)) http.Handler {
 	})
 	mux.Handle("GET /metrics", svc.Metrics().Handler())
 	mux.HandleFunc("GET /api/v1/version", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, telemetry.ReadBuildInfo())
+		writeJSON(w, http.StatusOK, Version{telemetry.ReadBuildInfo(), sim.ModelVersion})
 	})
 	mux.HandleFunc("GET /api/v1/figures", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, figureIndex())
@@ -299,6 +299,14 @@ func writeSSE(w io.Writer, ev Event) {
 		return
 	}
 	fmt.Fprintf(w, "data: %s\n\n", blob)
+}
+
+// Version is the GET /api/v1/version document: the binary's build
+// information and the sim.ModelVersion its records are computed and cached
+// under.
+type Version struct {
+	telemetry.BuildInfo
+	ModelVersion int `json:"model_version"`
 }
 
 // FigureIndex is the GET /api/v1/figures document.

@@ -9,8 +9,9 @@
 // back through one harness.Sink, completeJob (see Dispatcher and harness.Pool
 // for who bounds, who persists and who counts).
 //
-// Caching is content-addressed end to end: a job's artifact is keyed by the
-// hash of its wire-form spec (harness.JobSpec), the store is the same JSONL
+// Caching is content-addressed end to end: a job's artifact is keyed by its
+// content hash (harness.Job.Hash, which names sim.ModelVersion, so a record
+// another model computed is never served), the store is the same JSONL
 // artifact layout bfcsim -out writes, and that artifact is the only
 // copy of a result the daemon has: a submission checks its bytes (Store.Read)
 // and keeps none, a fetch streams them out (WriteResults) — resubmitting a
@@ -375,8 +376,9 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 	// Attach a flight recorder to every job this suite will actually run.
 	// The rings are created up front in a read-only map, so the parallel
 	// workers and later trace fetches need no extra synchronization; the
-	// appended mutator leaves the job's content hash untouched (see
-	// harness.JobSpec.Hash), which keeps traced runs cache-compatible.
+	// appended mutator leaves the job's content hash untouched (it covers
+	// the model version, name, scheme and meta only; see harness.Job.Hash),
+	// which keeps traced runs cache-compatible.
 	if cs.Trace && !allCached {
 		st.traces = make(map[int]*telemetry.Ring, len(pending))
 		for _, i := range pending {

@@ -182,6 +182,102 @@ func TestFreshServiceServesFromStoreArtifacts(t *testing.T) {
 	}
 }
 
+// preModelHashes are the content hashes tinySpec's jobs had before job hashes
+// mixed in sim.ModelVersion — model 0 — as testdata/registry_identities.golden
+// of package experiments recorded them then.
+var preModelHashes = map[string]string{
+	"tiny/fig05a/scheme=BFC":   "14306c0a5611d5bb",
+	"tiny/fig05a/scheme=DCQCN": "fdc69cc0cbfe8c13",
+}
+
+// plantPreModelStore fills the store directory dir as a binary from before
+// sim.ModelVersion left it: one artifact per tinySpec job under its model-0
+// hash, in the record layout of that time (no "model" key).
+func plantPreModelStore(t *testing.T, dir string, jobs []harness.Job) {
+	t.Helper()
+	type preModelRecord struct {
+		Name   string            `json:"name"`
+		Hash   string            `json:"hash"`
+		Scheme string            `json:"scheme"`
+		Seed   int64             `json:"seed"`
+		Meta   map[string]string `json:"meta,omitempty"`
+		Result *sim.Result       `json:"result"`
+	}
+	for _, j := range jobs {
+		hash, ok := preModelHashes[j.Name]
+		if !ok || hash == j.Hash() {
+			t.Fatalf("job %q (hash %s) has no distinct model-0 hash", j.Name, j.Hash())
+		}
+		line, err := json.Marshal(&preModelRecord{j.Name, hash, j.Scheme.String(), j.Seed(), j.Meta, &sim.Result{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, hash+".jsonl"), append(line, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPreModelStoreIsAMiss: a store filled before job hashes named their
+// model holds nothing this model serves. Its artifacts list as model 0, a
+// resumed Runner re-executes every job, and a submission counts every job a
+// miss. (The fleet worker's side is TestExecutorRejectsVersionDrift.)
+func TestPreModelStoreIsAMiss(t *testing.T) {
+	cs, err := tinySpec().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	plantPreModelStore(t, dir, cs.Jobs)
+	store, err := harness.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := store.List()
+	if err != nil || len(entries) != len(cs.Jobs) {
+		t.Fatalf("store lists %d entries (%v), want the %d planted", len(entries), err, len(cs.Jobs))
+	}
+	for _, e := range entries {
+		if e.Model != 0 || e.Hash != preModelHashes[e.Name] {
+			t.Fatalf("planted artifact lists as %+v, want model 0 under %s", e, preModelHashes[e.Name])
+		}
+	}
+	cached := 0
+	runner := &harness.Runner{Parallel: 2, Store: store, Resume: true, Progress: func(p harness.Progress) {
+		if p.Cached {
+			cached++
+		}
+	}}
+	recs, err := runner.Run(cs.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached != 0 {
+		t.Fatalf("resume took %d of %d jobs from model-0 artifacts", cached, len(cs.Jobs))
+	}
+	for i, rec := range recs {
+		if rec.Model != sim.ModelVersion || rec.Hash != cs.Jobs[i].Hash() {
+			t.Fatalf("resumed run produced %+v, want model %d under %s", rec.ManifestEntry, sim.ModelVersion, cs.Jobs[i].Hash())
+		}
+	}
+
+	dir = t.TempDir()
+	plantPreModelStore(t, dir, cs.Jobs)
+	svc := newTestService(t, dir, nil)
+	status, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Cached != 0 || svc.metrics.cacheHits.Value() != 0 || svc.metrics.cacheMisses.Value() != uint64(len(cs.Jobs)) {
+		t.Fatalf("submission over model-0 artifacts: %+v, %d hits, %d misses; want every job a miss",
+			status, svc.metrics.cacheHits.Value(), svc.metrics.cacheMisses.Value())
+	}
+	if done := waitState(t, svc, status.ID); done.State != StateDone || done.Executed != len(cs.Jobs) {
+		t.Fatalf("submission over model-0 artifacts ended %+v, want every job executed", done)
+	}
+}
+
 // storedSuite puts a record for each of n hand-built jobs into the store
 // under dir and returns a suite of those jobs, so every submission of it is
 // answered from the store without a builder being called. pad lengthens each
@@ -199,7 +295,9 @@ func storedSuite(t *testing.T, dir string, n, pad int) *CompiledSuite {
 			Scheme: sim.SchemeBFC,
 			Meta:   map[string]string{"job": fmt.Sprint(i), "pad": strings.Repeat("x", pad)},
 		}
-		rec := &harness.Record{Name: jobs[i].Name, Hash: jobs[i].Hash(), Scheme: jobs[i].Scheme.String(), Meta: jobs[i].Meta}
+		rec := &harness.Record{ManifestEntry: harness.ManifestEntry{
+			Hash: jobs[i].Hash(), Name: jobs[i].Name, Scheme: jobs[i].Scheme.String(), Model: sim.ModelVersion, Meta: jobs[i].Meta,
+		}}
 		if err := store.Put(rec); err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"bfc/internal/sim"
 	"bfc/internal/telemetry"
 )
 
@@ -152,11 +153,11 @@ func TestTracePendingWhileExecuting(t *testing.T) {
 func TestHTTPTelemetryEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, t.TempDir())
 
-	var info telemetry.BuildInfo
+	var info Version
 	if err := getJSON(ts.URL+"/api/v1/version", &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Module == "" || info.GoVersion == "" {
+	if info.Module == "" || info.GoVersion == "" || info.ModelVersion != sim.ModelVersion {
 		t.Fatalf("version endpoint returned %+v", info)
 	}
 

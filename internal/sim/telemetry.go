@@ -11,6 +11,15 @@ import (
 	"bfc/internal/units"
 )
 
+// ModelVersion names the simulation model: the code that turns a job's
+// declared parameters into its Result. It is mixed first into every job's
+// content hash (harness.Job.Hash) and written into every artifact, so a
+// result store, -resume and the fleet's dedupe never serve a record another
+// model computed. Bump it in any change that moves the output of a run with
+// unchanged parameters; testdata/model_version.json pairs it with the golden
+// digests, and a test fails when those digests move while it stays.
+const ModelVersion = 1
+
 // ResultDigest returns the SHA-256 hex digest of the marshalled Result with
 // the Telemetry series excluded. Excluding them makes the digest directly
 // comparable between telemetry-enabled and telemetry-disabled runs of the
