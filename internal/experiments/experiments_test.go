@@ -142,12 +142,15 @@ func TestFig02BufferGrowsWithLinkSpeed(t *testing.T) {
 	}
 }
 
-// TestFig07TinyOrderings is a scoreboard row for Fig 7: static queue
+// TestFig07ReducedOrderings is a scoreboard row for Fig 7: static queue
 // assignment collides where dynamic assignment does not, and SFQ over 32
-// queues has the worse tail even with infinite buffering. The sizing run read
-// collision fractions 0.00075 vs 0 and overall p99 slowdowns 2.36 vs 1.62.
-func TestFig07TinyOrderings(t *testing.T) {
-	res := Fig07FromRecords(harness.MustRun(Fig07Jobs(Tiny())))
+// queues has the worse tail even with infinite buffering. It runs at reduced
+// scale because tiny is too small for the second ordering once flows hash the
+// way a switch spreads them: at tiny SFQ+InfBuffer read 1.75 against BFC's
+// 1.67, inside the 1.2x bound. The sizing run at reduced read collision
+// fractions 0.0035 vs 0 and overall p99 slowdowns 10.64 vs 2.57.
+func TestFig07ReducedOrderings(t *testing.T) {
+	res := Fig07FromRecords(harness.MustRun(Fig07Jobs(Reduced())))
 	if len(res.Series) != 3 || len(res.CollisionFraction) != 2 {
 		t.Fatalf("got %d series and %d collision fractions, want 3 and 2", len(res.Series), len(res.CollisionFraction))
 	}
@@ -297,11 +300,14 @@ func TestFig12TinySweep(t *testing.T) {
 	}
 }
 
-// Fig 13a's column is VFID aliasing, not queue collisions: it must be there at
-// the smallest table and fall as the table grows.
-func TestFig13TinySweep(t *testing.T) {
+// TestFig13ReducedSweep: Fig 13a's column is VFID aliasing, not queue
+// collisions. It must be there at the smallest table and fall strictly as the
+// table grows, until it reaches 0, where it stays. It runs at reduced scale:
+// at tiny no table size aliases a flow. The sizing run read 1.4e-4 of packets
+// aliased with 1 024 VFIDs and 0 with 16 384 and 65 536.
+func TestFig13ReducedSweep(t *testing.T) {
 	fig13, _ := FigureByKey("fig13")
-	rows := SensitivityFromRecords(harness.MustRun(fig13.Jobs(Tiny(), nil)))
+	rows := SensitivityFromRecords(harness.MustRun(fig13.Jobs(Reduced(), nil)))
 	if len(rows) < 2 {
 		t.Fatalf("sweep produced %d points", len(rows))
 	}
@@ -313,7 +319,7 @@ func TestFig13TinySweep(t *testing.T) {
 		if prev.Parameter >= r.Parameter {
 			t.Fatal("sweep not ordered")
 		}
-		if r.VFIDCollisionFraction >= prev.VFIDCollisionFraction {
+		if r.VFIDCollisionFraction > 0 && r.VFIDCollisionFraction >= prev.VFIDCollisionFraction {
 			t.Fatalf("VFID collisions with %d VFIDs (%.6f) should be below those with %d (%.6f)",
 				r.Parameter, r.VFIDCollisionFraction, prev.Parameter, prev.VFIDCollisionFraction)
 		}

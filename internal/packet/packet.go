@@ -69,7 +69,8 @@ const (
 
 // Flow is one message transfer between two hosts. It is created by the
 // workload generator and owned by the sending NIC. The 5-tuple must be final
-// before the flow enters the simulation: VFIDOf and QueueOf cache its hashes.
+// before the flow enters the simulation: Hash caches the tuple hash that
+// VFIDOf, QueueOf and topology.ECMPPick all draw from, each with its own salt.
 type Flow struct {
 	ID      FlowID
 	Src     NodeID
@@ -93,14 +94,10 @@ type Flow struct {
 	// byte. Zero means not finished.
 	FinishTime units.Time
 
-	// hashVFID and hashQueue cache the raw 64-bit tuple hashes behind
-	// VFIDOf and QueueOf — pure functions of the immutable 5-tuple,
-	// recomputed per packet per hop without the cache. Zero means "not yet
-	// computed". They are accessed with atomics because packets referencing
-	// the flow cross shard goroutines in a partitioned run; every writer
-	// stores the same value, so racing fills are harmless.
-	hashVFID  uint64
-	hashQueue uint64
+	// hash caches Hash's tuple hash; zero means "not yet computed". It is
+	// atomic because packets referencing the flow cross shard goroutines in
+	// a partitioned run; every writer stores the same value.
+	hash uint64
 }
 
 // NumPackets returns the number of MTU-sized packets the flow needs given the
@@ -196,30 +193,14 @@ func (p *Packet) IsControl() bool { return p.Kind != Data }
 // 5-tuple, identical at every switch in the network (§3.3).
 type VFID uint32
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnv1a(vals ...uint64) uint64 {
-	h := uint64(fnvOffset)
-	for _, v := range vals {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
 // Gamma is splitmix64's golden-ratio increment, the step between
 // consecutive states of its stream.
 const Gamma uint64 = 0x9e3779b97f4a7c15
 
 // Mix64 is one splitmix64 output: x advanced by Gamma, then the avalanche
 // finaliser. Element i of the counter-based stream seeded by seed is
-// Mix64(seed + i*Gamma). Bloom filter positions, the streaming sketch's
-// reservoir draws and fleet backoff jitter all draw from it.
+// Mix64(seed + i*Gamma). Flow hashes, bloom filter positions, the streaming
+// sketch's reservoir draws and fleet backoff jitter all draw from it.
 func Mix64(x uint64) uint64 {
 	x += Gamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -227,35 +208,41 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// Salts make VFIDOf and QueueOf independent draws from the one tuple hash
+// (topology.ECMPPick salts per switch).
+const (
+	saltVFID  uint64 = 0x5846494400000001
+	saltQueue uint64 = 0x5155455500000002
+)
+
+// Hash returns the flow's 5-tuple hash salted for one use: Mix64(h ^ salt),
+// where h is the tuple hash (protocol is implicit: all simulated traffic is
+// RoCEv2/UDP), computed once and cached on the flow, so per-packet hashing
+// at every hop costs a load and one finaliser.
+func (f *Flow) Hash(salt uint64) uint64 {
+	h := atomic.LoadUint64(&f.hash)
+	if h == 0 {
+		h = Mix64(Mix64(uint64(uint32(f.Src))<<32|uint64(uint32(f.Dst))) ^ uint64(f.SrcPort)<<16 ^ uint64(f.DstPort))
+		atomic.StoreUint64(&f.hash, h)
+	}
+	return Mix64(h ^ salt)
+}
+
 // VFIDOf maps the flow's 5-tuple into the VFID space [0, space). All switches
 // use the same function so pause frames are interpreted consistently network
-// wide. The hash is a 64-bit FNV-1a over the tuple fields (protocol is
-// implicit: all simulated traffic is RoCEv2/UDP), cached on the flow, so
-// per-packet hashing at every hop reduces to a load and a modulo.
+// wide.
 func (f *Flow) VFIDOf(space int) VFID {
 	if space <= 0 {
 		panic("packet: VFID space must be positive")
 	}
-	h := atomic.LoadUint64(&f.hashVFID)
-	if h == 0 {
-		h = fnv1a(uint64(uint32(f.Src)), uint64(uint32(f.Dst)), uint64(f.SrcPort), uint64(f.DstPort))
-		atomic.StoreUint64(&f.hashVFID, h)
-	}
-	return VFID(h % uint64(space))
+	return VFID(f.Hash(saltVFID) % uint64(space))
 }
 
 // QueueOf maps the flow's 5-tuple onto one of n FIFO queues; stochastic fair
-// queueing and the BFC-VFID straw proposal's static assignment use it. A
-// different field order and salt decorrelate it from VFIDOf; the raw hash is
-// cached the same way.
+// queueing and the BFC-VFID straw proposal's static assignment use it.
 func (f *Flow) QueueOf(n int) int {
 	if n <= 0 {
 		panic("packet: queue count must be positive")
 	}
-	h := atomic.LoadUint64(&f.hashQueue)
-	if h == 0 {
-		h = fnv1a(uint64(uint32(f.Dst)), uint64(f.DstPort), uint64(uint32(f.Src)), uint64(f.SrcPort)^0x9e37)
-		atomic.StoreUint64(&f.hashQueue, h)
-	}
-	return int(h % uint64(n))
+	return int(f.Hash(saltQueue) % uint64(n))
 }

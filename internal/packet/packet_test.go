@@ -1,6 +1,9 @@
 package packet
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -60,8 +63,8 @@ func TestIsControl(t *testing.T) {
 	}
 }
 
-// tuple returns a fresh flow carrying only a 5-tuple. VFIDOf and QueueOf cache
-// their hash on the flow, so every probe of a new tuple needs a new flow.
+// tuple returns a fresh flow carrying only a 5-tuple. Hash caches the tuple
+// hash on the flow, so every probe of a new tuple needs a new flow.
 func tuple(src, dst NodeID, sp, dp uint16) *Flow {
 	return &Flow{Src: src, Dst: dst, SrcPort: sp, DstPort: dp}
 }
@@ -137,6 +140,59 @@ func TestHashVFIDSpread(t *testing.T) {
 	for b, c := range counts {
 		if c > 3*mean || c < mean/3 {
 			t.Fatalf("bucket %d has %d flows, mean %d — hash badly skewed", b, c, mean)
+		}
+	}
+}
+
+// TestVFIDCollisionAnchor holds VFIDOf to the birthday expectation: m flows
+// hashed into N = 2^14 VFIDs (the flow table's default space, §3.3) occupy
+//
+//	E = N·(1 − (1 − 1/N)^m)
+//
+// distinct VFIDs, and the mean over the relabellings of a row must lie within
+// four standard errors of E, the error taken from the variance of the number
+// of occupied bins. Two labellings: random tuples, and consecutively numbered
+// ones — consecutive senders on consecutive source ports into one receiver
+// per relabelling, as workload.Generate numbers an incast.
+func TestVFIDCollisionAnchor(t *testing.T) {
+	const space, relabellings = 1 << 14, 64
+	labellings := []struct {
+		name string
+		flow func(rng *rand.Rand, r, i int) Flow // flow i of relabelling r
+	}{
+		{"random", func(rng *rand.Rand, _, _ int) Flow {
+			return Flow{Src: NodeID(rng.Intn(1 << 12)), Dst: NodeID(rng.Intn(1 << 12)), SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 4791}
+		}},
+		{"consecutive", func(_ *rand.Rand, r, i int) Flow {
+			return Flow{Src: NodeID(i), Dst: NodeID(1<<20 + r), SrcPort: uint16(40000 + i), DstPort: 4791}
+		}},
+	}
+	for _, l := range labellings {
+		for _, m := range []int{256, 1024, 4096, 16384} {
+			t.Run(fmt.Sprintf("%s/m=%d", l.name, m), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(m)))
+				seen := make([]int, space) // seen[v] == r+1: VFID v is occupied in relabelling r
+				var mean float64
+				for r := 0; r < relabellings; r++ {
+					distinct := 0
+					for i := 0; i < m; i++ {
+						f := l.flow(rng, r, i)
+						if v := f.VFIDOf(space); seen[v] != r+1 {
+							seen[v] = r + 1
+							distinct++
+						}
+					}
+					mean += float64(distinct) / relabellings
+				}
+				n, fm := float64(space), float64(m)
+				want := n * (1 - math.Pow(1-1/n, fm))
+				variance := n*math.Pow(1-1/n, fm) + n*(n-1)*math.Pow(1-2/n, fm) - n*n*math.Pow(1-1/n, 2*fm)
+				band := 4 * math.Sqrt(variance/relabellings)
+				t.Logf("distinct VFIDs: mean=%.1f E=%.1f error=%+.1f band=±%.1f", mean, want, mean-want, band)
+				if math.Abs(mean-want) > band {
+					t.Errorf("mean distinct VFIDs %.1f is %+.1f from E = %.1f, band ±%.1f", mean, mean-want, want, band)
+				}
+			})
 		}
 	}
 }

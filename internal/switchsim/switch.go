@@ -319,7 +319,7 @@ func (s *Switch) routePort(p *packet.Packet) int {
 	if len(ports) == 0 {
 		return -1
 	}
-	return topology.ECMPPick(ports, p.Flow)
+	return topology.ECMPPick(s.ID(), ports, p.Flow)
 }
 
 // OnLinkStateChange resets the pause machinery of one port after the attached

@@ -1,7 +1,7 @@
 package topology
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -201,63 +201,86 @@ func TestFatTreeValidate(t *testing.T) {
 	}
 }
 
-// TestECMPCoreSpread walks EgressPort hop by hop, the way switches forward a
-// flow, for random host pairs on the 128-host fat-tree (4 pods of 4 edge x 8
-// hosts, 4 agg and 8 cores), numbering source ports the way
-// workload.Generate does. Every inter-pod flow must reach its destination
-// through exactly one core switch. The flow count per core is logged, not
-// asserted: the same FNV-1a hash reduced modulo the port count at the edge
-// and at the aggregation tier fixes the core bit by the agg choice, so only 4
-// of the 8 cores carry traffic (ECMP polarization). A fix that salts the ECMP
-// hash per switch will spread the flows over all 8.
-func TestECMPCoreSpread(t *testing.T) {
+// TestECMPBalanceAnchor holds ECMP to the uniform multinomial. It walks
+// EgressPort hop by hop, the way switches forward a flow, on the 128-host
+// fat-tree (4 pods of 4 edge x 8 hosts, 4 agg and 8 cores). Each relabelling
+// draws fresh random host pairs and numbers their source ports consecutively,
+// the way workload.Generate does. Every inter-pod flow must reach its
+// destination through exactly one core switch, every core must carry some,
+// and the per-core counts must fit the uniform multinomial: a relabelling's
+// Pearson statistic X² = Σ (O − n/8)² / (n/8) over its n inter-pod flows is
+// χ² with 7 degrees of freedom, so the mean over the relabellings must lie
+// within four standard errors, 4·√(14/R), of 7. The same hash reduced modulo
+// the port count at every tier fails it: the edge's choice of aggregation
+// switch then fixes that switch's choice of core (ECMP polarisation), and 4
+// of the 8 cores carry nothing.
+func TestECMPBalanceAnchor(t *testing.T) {
+	const relabellings, flowsPer = 200, 400
 	topo := NewFatTree(FatTreeForHosts(128, 100*units.Gbps, units.Microsecond))
 	hosts := topo.Hosts()
 	pod := func(id packet.NodeID) string {
 		p, _, _ := strings.Cut(topo.Node(id).Name, "-")
 		return p
 	}
-	perCore := map[string]int{}
+	var cores []packet.NodeID
 	for _, n := range topo.Nodes() {
 		if n.Tier == TierSpine {
-			perCore[n.Name] = 0
+			cores = append(cores, n.ID)
 		}
 	}
-	rng := rand.New(rand.NewSource(1))
-	interPod := 0
-	for i := 0; i < 20000; i++ {
-		src := hosts[rng.Intn(len(hosts))]
-		dst := hosts[rng.Intn(len(hosts))]
-		if src == dst {
-			continue
-		}
-		f := &packet.Flow{ID: packet.FlowID(i), Src: src, Dst: dst, SrcPort: uint16(10000 + i), DstPort: 4791}
-		var cores []string
-		node := src
-		for hops := 0; node != dst; hops++ {
-			if hops > 6 {
-				t.Fatalf("flow %d (%s -> %s) did not arrive within 6 hops", i, topo.Node(src).Name, topo.Node(dst).Name)
+	total := map[packet.NodeID]int{}
+	var meanX2 float64
+	for r := 0; r < relabellings; r++ {
+		rng := rand.New(rand.NewSource(int64(r)))
+		perCore := map[packet.NodeID]int{}
+		interPod := 0
+		for i := 0; i < flowsPer; i++ {
+			src := hosts[rng.Intn(len(hosts))]
+			dst := hosts[rng.Intn(len(hosts))]
+			if src == dst {
+				continue
 			}
-			node = topo.Node(node).Ports[topo.EgressPort(node, f)].Peer
-			if n := topo.Node(node); n.Tier == TierSpine {
-				cores = append(cores, n.Name)
+			f := &packet.Flow{ID: packet.FlowID(i), Src: src, Dst: dst, SrcPort: uint16(10000 + r*flowsPer + i), DstPort: 4791}
+			var crossed []packet.NodeID
+			node := src
+			for hops := 0; node != dst; hops++ {
+				if hops > 6 {
+					t.Fatalf("flow %v (%s -> %s) did not arrive within 6 hops", f, topo.Node(src).Name, topo.Node(dst).Name)
+				}
+				node = topo.Node(node).Ports[topo.EgressPort(node, f)].Peer
+				if topo.Node(node).Tier == TierSpine {
+					crossed = append(crossed, node)
+				}
 			}
-		}
-		if pod(src) == pod(dst) {
-			if len(cores) != 0 {
-				t.Fatalf("intra-pod flow %d crossed cores %v", i, cores)
+			if pod(src) == pod(dst) {
+				if len(crossed) != 0 {
+					t.Fatalf("intra-pod flow %v crossed cores %v", f, crossed)
+				}
+				continue
 			}
-			continue
+			if len(crossed) != 1 {
+				t.Fatalf("inter-pod flow %v (%s -> %s) crossed cores %v, want exactly one", f, topo.Node(src).Name, topo.Node(dst).Name, crossed)
+			}
+			perCore[crossed[0]]++
+			interPod++
 		}
-		if len(cores) != 1 {
-			t.Fatalf("inter-pod flow %d (%s -> %s) crossed cores %v, want exactly one", i, topo.Node(src).Name, topo.Node(dst).Name, cores)
+		expect := float64(interPod) / float64(len(cores))
+		for _, c := range cores {
+			d := float64(perCore[c]) - expect
+			meanX2 += d * d / expect / relabellings
+			total[c] += perCore[c]
 		}
-		perCore[cores[0]]++
-		interPod++
 	}
-	t.Logf("%d inter-pod flows over %d cores:", interPod, len(perCore))
-	for c := 0; c < len(perCore); c++ {
-		name := fmt.Sprintf("core%d", c)
-		t.Logf("  %s %d", name, perCore[name])
+	dof := float64(len(cores) - 1)
+	band := 4 * math.Sqrt(2*dof/relabellings)
+	t.Logf("mean X² over %d relabellings = %.2f, want %.0f ± %.2f; flows per core:", relabellings, meanX2, dof, band)
+	for _, c := range cores {
+		t.Logf("  %s %d", topo.Node(c).Name, total[c])
+		if total[c] == 0 {
+			t.Errorf("core %s carried none of the inter-pod flows", topo.Node(c).Name)
+		}
+	}
+	if math.Abs(meanX2-dof) > band {
+		t.Errorf("mean X² %.2f is %+.2f from the %.0f of a uniform spread, band ±%.2f", meanX2, meanX2-dof, dof, band)
 	}
 }

@@ -529,21 +529,25 @@ func (t *Topology) NextHopsOrNil(node, dst packet.NodeID) []int {
 	return hops
 }
 
-// ECMPPick is the fabric's one ECMP decision: the flow's 5-tuple hash selects
-// one of the equal-cost ports, so all packets of the flow take the same path.
-// Switches and EgressPort both pick through it. ports must be non-empty.
-func ECMPPick(ports []int, f *packet.Flow) int {
+const ecmpSalt uint64 = 0x45434d5000000003
+
+// ECMPPick is the fabric's one ECMP decision: the flow's 5-tuple hash, salted
+// by the deciding switch node, selects one of the equal-cost ports, so all
+// packets of the flow take the same path and each switch chooses
+// independently of the others (no polarisation across tiers). Switches and
+// EgressPort both pick through it. ports must be non-empty.
+func ECMPPick(node packet.NodeID, ports []int, f *packet.Flow) int {
 	if len(ports) == 1 {
 		return ports[0]
 	}
-	return ports[int(f.VFIDOf(1<<30))%len(ports)]
+	return ports[f.Hash(ecmpSalt+uint64(node)*packet.Gamma)%uint64(len(ports))]
 }
 
 // EgressPort picks the egress port for a flow at the given node toward its
 // destination, as a switch forwarding its data packets does (ECMPPick over
 // NextHops, so it panics where NextHops does).
 func (t *Topology) EgressPort(node packet.NodeID, f *packet.Flow) int {
-	return ECMPPick(t.NextHops(node, f.Dst), f)
+	return ECMPPick(node, t.NextHops(node, f.Dst), f)
 }
 
 // baseNextHops returns the baseline (all links up) equal-cost ports from
