@@ -7,6 +7,11 @@
 // persisting and serving a figure all go through that one entry. A single run
 // outside the table — what cmd/bfcsim's flags declare — is a RunSpec (run.go).
 //
+// Every figure point, scenario suite and run is declared as data, a point
+// (point.go): fabric, traffic, horizon and what the figure varies. One
+// compiler turns a point into harness jobs and labels each with the point's
+// digest, so every parameter keys the job's content hash.
+//
 // Every experiment takes a Scale. Reduced() keeps the topology shape, load
 // level and flow-size distribution of the paper but shrinks host counts and
 // durations so the whole suite runs in minutes on a laptop; Full() uses the
@@ -15,7 +20,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -95,26 +99,11 @@ func Full() Scale {
 	}
 }
 
-// clos builds the scaled T1-shaped fabric.
-func (s Scale) clos() *topology.Topology { return s.closOf("T1", s.NumToR, 100*units.Gbps) }
-
-// closT2 builds the scaled T2-shaped fabric (half the racks of T1).
-func (s Scale) closT2() *topology.Topology { return s.closT2At(100 * units.Gbps) }
-
-// closT2At builds the T2-shaped fabric with every link at the given rate.
-func (s Scale) closT2At(rate units.Rate) *topology.Topology {
-	return s.closOf("T2", max(s.NumToR/2, 1), rate)
-}
-
-func (s Scale) closOf(name string, numToR int, rate units.Rate) *topology.Topology {
-	return topology.NewClos(topology.ClosConfig{
-		Name:        name,
-		NumToR:      numToR,
-		NumSpine:    s.NumSpine,
-		HostsPerToR: s.HostsPerToR,
-		LinkRate:    rate,
-		LinkDelay:   1 * units.Microsecond,
-	})
+// t1 and t2 name the scaled fabrics shaped like the paper's T1 and T2 (half
+// T1's racks).
+func (s Scale) t1() string { return fmt.Sprintf("clos:%dx%dx%d", s.NumToR, s.NumSpine, s.HostsPerToR) }
+func (s Scale) t2() string {
+	return fmt.Sprintf("clos:%dx%dx%d", max(s.NumToR/2, 1), s.NumSpine, s.HostsPerToR)
 }
 
 // sweep trims a sweep to SweepPoints entries, keeping the extremes.
@@ -130,32 +119,26 @@ func (s Scale) sweep(points []int) []int {
 	return append(out, points[len(points)-1])
 }
 
-// background returns the Flows builder for the standard background (+ 5%
-// incast) workload on whatever topology the job builds.
-func (s Scale) background(cdf *workload.CDF, load float64, incast bool, seed int64) func(*topology.Topology) []*packet.Flow {
-	return func(topo *topology.Topology) []*packet.Flow {
-		cfg := workload.Config{
-			Hosts:    topo.Hosts(),
-			CDF:      cdf,
-			Load:     load,
-			HostRate: topo.HostRate(topo.Hosts()[0]),
-			Duration: s.Duration,
-			Seed:     seed,
-		}
-		if incast {
-			cfg.Incast = workload.IncastConfig{
-				Enabled:       true,
-				FanIn:         s.IncastFanIn,
-				AggregateSize: s.IncastAggregate,
-				LoadFraction:  0.05,
-			}
-		}
-		tr, err := workload.Generate(cfg)
-		if err != nil {
-			panic(err)
-		}
-		return tr.Flows
+// traffic declares a point on fabric under the standard background workload
+// (plus the scale's 5% incast when incast is set) over the scale's horizon,
+// every link at the paper's 100 Gbps.
+func (s Scale) traffic(fabric, cdf string, load float64, incast bool, seed int64) point {
+	p := point{Fabric: fabric, Gbps: 100, Traffic: "background", Workload: cdf, Load: load,
+		WorkloadSeed: seed, Duration: s.Duration, Drain: s.Drain}
+	if incast {
+		p.FanIn, p.IncastBytes = s.IncastFanIn, s.IncastAggregate
 	}
+	return p
+}
+
+// labels returns the labels of a job of figure fig at the scale, plus the
+// given key/value pairs.
+func (s Scale) labels(fig string, kv ...string) map[string]string {
+	m := map[string]string{"fig": fig, "scale": s.Name}
+	for i := 0; i+1 < len(kv); i += 2 {
+		m[kv[i]] = kv[i+1]
+	}
+	return m
 }
 
 // SlowdownSeries is one labelled FCT-slowdown-vs-flow-size curve.
@@ -201,41 +184,6 @@ func seriesFromResult(label string, res *sim.Result) SlowdownSeries {
 		Completed: res.FlowsCompleted,
 		Offered:   res.FlowsTotal,
 	}
-}
-
-// applyOptions is the option mutator harness jobs use to adopt the scale's
-// horizon.
-func (s Scale) applyOptions(o *sim.Options) {
-	o.Duration = s.Duration
-	o.Drain = s.Drain
-}
-
-// pinDefaultSeed keeps Figs 2, 3, 7, 10, 11 and 17 on sim's default
-// simulation seed. They predate the harness, which derives each job's seed
-// from its name; a mutator has the final say over the derived seed (see
-// harness.Job.Options), and pinning it keeps the rows these figures have
-// always printed.
-func pinDefaultSeed(o *sim.Options) { o.Seed = 1 }
-
-// singleSchemeJob is the grid base of a figure that runs one scheme at every
-// point: named and labelled for the figure, on the scale's horizon.
-func (s Scale) singleSchemeJob(fig string, scheme sim.Scheme) harness.Job {
-	return harness.Job{
-		Name:    s.Name + "/" + fig,
-		Scheme:  scheme,
-		Meta:    map[string]string{"fig": fig, "scale": s.Name, "scheme": scheme.String()},
-		Options: []func(*sim.Options){s.applyOptions},
-	}
-}
-
-// variant is an axis value for ablation figures whose points are labelled
-// design variants rather than numbers: it selects the scheme and appends the
-// variant's option overrides.
-func variant(label string, scheme sim.Scheme, opts ...func(*sim.Options)) harness.Value {
-	return harness.Value{Label: label, Apply: func(j *harness.Job) {
-		j.Scheme = scheme
-		j.Options = append(j.Options, opts...)
-	}}
 }
 
 // metaInt reads an integer axis label back from a record.
@@ -288,16 +236,14 @@ type BufferCDFRow struct {
 // Google traffic at 75% load plus incast, one job per link speed; higher
 // speeds lose control of the buffer.
 func Fig02Jobs(scale Scale) []harness.Job {
-	base := scale.singleSchemeJob("fig02", sim.SchemeDCQCN)
-	base.Flows = scale.background(workload.Google(), 0.75, true, 2)
-	base.Options = append(base.Options, pinDefaultSeed, func(o *sim.Options) { o.DisablePFC = true })
-	grid := harness.Grid{
-		Base: base,
-		Axes: []harness.Axis{harness.IntAxis("gbps", []int{10, 40, 100}, func(j *harness.Job, gbps int) {
-			j.Topology = func() *topology.Topology { return scale.closT2At(units.Rate(gbps) * units.Gbps) }
-		})},
+	var jobs []harness.Job
+	for _, gbps := range []int{10, 40, 100} {
+		p := scale.traffic(scale.t2(), "google", 0.75, true, 2)
+		p.Gbps, p.SimSeed, p.NoPFC = gbps, &defaultSeed, true
+		v := strconv.Itoa(gbps)
+		jobs = append(jobs, p.job(scale.Name+"/fig02/gbps="+v, sim.SchemeDCQCN, scale.labels("fig02", "scheme", "DCQCN", "gbps", v)))
 	}
-	return grid.Jobs()
+	return jobs
 }
 
 // Fig02FromRecords assembles the buffer-occupancy rows from harness records.
@@ -333,19 +279,15 @@ type BufferRatioRow struct {
 func Fig03Jobs(scale Scale) []harness.Job {
 	// Switch capacity of the scaled ToR: (hosts + spines) * 100 Gbps.
 	capacity := units.Rate(scale.HostsPerToR+scale.NumSpine) * 100 * units.Gbps
-	base := scale.singleSchemeJob("fig03", sim.SchemeDCQCN)
-	base.Topology = scale.closT2
-	base.Flows = scale.background(workload.Google(), 0.75, true, 3)
-	base.Options = append(base.Options, pinDefaultSeed)
-	grid := harness.Grid{
-		Base: base,
-		Axes: []harness.Axis{harness.IntAxis("ratio_us", []int{10, 20, 30}, func(j *harness.Job, ratioUS int) {
-			buffer := units.Bytes(float64(capacity) / 8 * float64(ratioUS) / 1e6)
-			j.Meta["buffer_bytes"] = strconv.FormatInt(int64(buffer), 10)
-			j.Options = append(j.Options, func(o *sim.Options) { o.SwitchBuffer = buffer })
-		})},
+	var jobs []harness.Job
+	for _, ratioUS := range []int{10, 20, 30} {
+		p := scale.traffic(scale.t2(), "google", 0.75, true, 3)
+		p.SimSeed, p.Buffer = &defaultSeed, units.Bytes(float64(capacity)/8*float64(ratioUS)/1e6)
+		v := strconv.Itoa(ratioUS)
+		jobs = append(jobs, p.job(scale.Name+"/fig03/ratio_us="+v, sim.SchemeDCQCN, scale.labels("fig03",
+			"scheme", "DCQCN", "ratio_us", v, "buffer_bytes", strconv.FormatInt(int64(p.Buffer), 10))))
 	}
-	return grid.Jobs()
+	return jobs
 }
 
 // Fig03FromRecords assembles the buffer-ratio rows from harness records.
@@ -424,14 +366,13 @@ type Fig05Result struct {
 // fig05Panels holds each panel's registry key (which also names its jobs and
 // labels their artifacts) and workload.
 var fig05Panels = [...]struct {
-	key    string
-	cdf    func() *workload.CDF
-	load   float64
-	incast bool
+	key, workload string
+	load          float64
+	incast        bool
 }{
-	Fig05aGoogleIncast:   {"fig05a", workload.Google, 0.60, true},
-	Fig05bFBHadoopIncast: {"fig05b", workload.FBHadoop, 0.60, true},
-	Fig05cGoogleNoIncast: {"fig05c", workload.Google, 0.65, false},
+	Fig05aGoogleIncast:   {"fig05a", "google", 0.60, true},
+	Fig05bFBHadoopIncast: {"fig05b", "fb_hadoop", 0.60, true},
+	Fig05cGoogleNoIncast: {"fig05c", "google", 0.65, false},
 }
 
 // Fig05Jobs declares one harness job per scheme for a Fig 5 panel. schemes
@@ -439,22 +380,9 @@ var fig05Panels = [...]struct {
 // the workload seed is derived from the panel key, which is shared across
 // schemes, while each job's simulation seed is derived from its own name.
 func Fig05Jobs(scale Scale, variant Fig05Variant, schemes []sim.Scheme) []harness.Job {
-	if schemes == nil {
-		schemes = sim.AllSchemes()
-	}
 	panel := fig05Panels[variant]
-	seed := harness.DeriveSeed(panel.key, scale.Name, "workload")
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     scale.Name + "/" + panel.key,
-			Meta:     map[string]string{"fig": panel.key, "scale": scale.Name},
-			Topology: scale.clos,
-			Flows:    scale.background(panel.cdf(), panel.load, panel.incast, seed),
-			Options:  []func(*sim.Options){scale.applyOptions},
-		},
-		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
-	}
-	return grid.Jobs()
+	p := scale.traffic(scale.t1(), panel.workload, panel.load, panel.incast, harness.DeriveSeed(panel.key, scale.Name, "workload"))
+	return p.grid(scale.Name+"/"+panel.key, scale.labels(panel.key), schemes)
 }
 
 // Fig05FromRecords assembles a Fig 5 panel from completed harness records.
@@ -482,21 +410,17 @@ type Fig07Result struct {
 // proposal (static queue assignment), and SFQ over 32 queues with infinite
 // buffering.
 func Fig07Jobs(scale Scale) []harness.Job {
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     scale.Name + "/fig07",
-			Meta:     map[string]string{"fig": "fig07", "scale": scale.Name},
-			Topology: scale.clos,
-			Flows:    scale.background(workload.Google(), 0.60, true, 5),
-			Options:  []func(*sim.Options){scale.applyOptions, pinDefaultSeed},
-		},
-		Axes: []harness.Axis{{Name: "variant", Values: []harness.Value{
-			variant("BFC", sim.SchemeBFC),
-			variant("BFC-VFID", sim.SchemeBFCStatic),
-			variant("SFQ+InfBuffer", sim.SchemeIdealFQ, func(o *sim.Options) { o.IdealFQQueues = 32 }),
-		}}},
+	var jobs []harness.Job
+	for _, v := range []struct {
+		label         string
+		scheme        sim.Scheme
+		idealFQQueues int
+	}{{"BFC", sim.SchemeBFC, 0}, {"BFC-VFID", sim.SchemeBFCStatic, 0}, {"SFQ+InfBuffer", sim.SchemeIdealFQ, 32}} {
+		p := scale.traffic(scale.t1(), "google", 0.60, true, 5)
+		p.SimSeed, p.IdealFQQueues = &defaultSeed, v.idealFQQueues
+		jobs = append(jobs, p.job(scale.Name+"/fig07/variant="+v.label, v.scheme, scale.labels("fig07", "variant", v.label)))
 	}
-	return grid.Jobs()
+	return jobs
 }
 
 // Fig07FromRecords assembles Fig 7 from harness records; only the two BFC
@@ -524,79 +448,22 @@ type FanInRow struct {
 	BufferP99   units.Bytes
 }
 
-// fig08Flows generates the Fig 8 workload for one fan-in: four long-lived
-// flows per receiver plus a periodic incast to a fixed victim.
-func (s Scale) fig08Flows(fanIn int) func(*topology.Topology) []*packet.Flow {
-	return func(topo *topology.Topology) []*packet.Flow {
-		hosts := topo.Hosts()
-		// The paper uses one incast every 500 us; scale the interval with the
-		// horizon so several events always occur even at reduced scale.
-		incastInterval := s.Duration / 4
-		if incastInterval > 500*units.Microsecond {
-			incastInterval = 500 * units.Microsecond
-		}
-		rng := rand.New(rand.NewSource(11))
-		var flows []*packet.Flow
-		// Four long-lived flows per receiver; keep the receiver count modest
-		// at reduced scale (a quarter of the hosts).
-		numReceivers := max(len(hosts)/4, 1)
-		id := packet.FlowID(1)
-		for i := 0; i < numReceivers; i++ {
-			dst := hosts[i]
-			ll := workload.LongLivedFlows(rng, hosts, dst, 4, id)
-			id += 4
-			flows = append(flows, ll...)
-		}
-		incast, err := workload.Generate(workload.Config{
-			Hosts:    hosts,
-			CDF:      workload.Google(),
-			Load:     0,
-			HostRate: topo.HostRate(hosts[0]),
-			Duration: s.Duration,
-			Seed:     harness.DeriveSeed("fig08", s.Name, "incast"),
-			Incast: workload.IncastConfig{
-				Enabled:       true,
-				FanIn:         fanIn,
-				AggregateSize: s.IncastAggregate,
-				Interval:      incastInterval,
-			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		for _, f := range incast.Flows {
-			f.ID = id
-			id++
-		}
-		return append(flows, incast.Flows...)
-	}
-}
-
 // Fig08Jobs declares the Fig 8 grid, incast fan-in x scheme: long-lived flows
 // to every receiver plus a periodic 20 MB incast whose fan-in increases;
 // DCQCN's utilization collapses while BFC stays near full utilization.
 func Fig08Jobs(scale Scale) []harness.Job {
-	fanIns := scale.sweep([]int{10, 50, 100, 200, 400, 800})
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     scale.Name + "/fig08",
-			Meta:     map[string]string{"fig": "fig08", "scale": scale.Name},
-			Topology: scale.closT2,
-			Options: []func(*sim.Options){scale.applyOptions, func(o *sim.Options) {
-				// Long-lived flows never finish, so no drain period is
-				// needed; keeping it would dilute the utilization
-				// denominator.
-				o.Drain = 50 * units.Microsecond
-			}},
-		},
-		Axes: []harness.Axis{
-			harness.IntAxis("fanin", fanIns, func(j *harness.Job, fanIn int) {
-				j.Flows = scale.fig08Flows(fanIn)
-			}),
-			harness.SchemeAxis([]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCNWin}),
-		},
+	var jobs []harness.Job
+	for _, fanIn := range scale.sweep([]int{10, 50, 100, 200, 400, 800}) {
+		p := scale.traffic(scale.t2(), "google", 0, false, harness.DeriveSeed("fig08", scale.Name, "incast"))
+		p.Traffic, p.FanIn, p.IncastBytes = "fanin", fanIn, scale.IncastAggregate
+		// Long-lived flows never finish, so no drain period is needed;
+		// keeping it would dilute the utilization denominator.
+		p.Drain = 50 * units.Microsecond
+		v := strconv.Itoa(fanIn)
+		jobs = append(jobs, p.grid(scale.Name+"/fig08/fanin="+v, scale.labels("fig08", "fanin", v),
+			[]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCNWin})...)
 	}
-	return grid.Jobs()
+	return jobs
 }
 
 // Fig08FromRecords assembles the fan-in sweep rows from harness records.
@@ -625,84 +492,36 @@ type CrossDCRow struct {
 
 // Fig09Jobs declares one job per scheme for the cross-DC experiment: two data
 // centers joined by a 100 Gbps link with 200 us one-way delay, FB_Hadoop
-// traffic with 20% inter-DC flows. The
-// intra/inter split needs the completed flow list, so it is computed
-// in-worker by each job's Extract hook and carried in Record.Extra.
+// traffic with 20% inter-DC flows. The intra/inter split needs the completed
+// flow list, so it is computed in-worker by each job's Extract hook
+// (interDCTails) and carried in Record.Extra.
 func Fig09Jobs(scale Scale) []harness.Job {
-	duration := scale.Duration * 10 // 10 Gbps links need a longer horizon
-	seed := harness.DeriveSeed("fig09", scale.Name, "workload")
-	var jobs []harness.Job
-	for _, scheme := range []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCNWin} {
-		// The Topology builder fills in the cross-DC host partition the
-		// Flows and Extract closures need; the harness guarantees it runs
-		// first within each execution.
-		var inter *workload.InterDCConfig
-		jobs = append(jobs, harness.Job{
-			Name:   fmt.Sprintf("%s/fig09/scheme=%s", scale.Name, scheme),
-			Scheme: scheme,
-			Meta:   map[string]string{"fig": "fig09", "scale": scale.Name, "scheme": scheme.String()},
-			Topology: func() *topology.Topology {
-				x := topology.NewCrossDC(topology.CrossDCConfig{
-					DC: topology.ClosConfig{
-						Name:        "crossdc-dc",
-						NumToR:      max(scale.NumToR/2, 1),
-						NumSpine:    max(scale.NumSpine/2, 1),
-						HostsPerToR: max(scale.HostsPerToR/2, 2),
-						LinkRate:    10 * units.Gbps,
-						LinkDelay:   1 * units.Microsecond,
-					},
-					GatewayRate:  100 * units.Gbps,
-					GatewayDelay: 200 * units.Microsecond,
-				})
-				inter = &workload.InterDCConfig{HostsDC1: x.HostsDC1, HostsDC2: x.HostsDC2, Fraction: 0.2}
-				return x.Topology
-			},
-			Flows: func(topo *topology.Topology) []*packet.Flow {
-				tr, err := workload.Generate(workload.Config{
-					Hosts:    topo.Hosts(),
-					CDF:      workload.FBHadoop(),
-					Load:     0.65,
-					HostRate: 10 * units.Gbps,
-					Duration: duration,
-					Seed:     seed,
-					InterDC:  inter,
-				})
-				if err != nil {
-					panic(err)
-				}
-				return tr.Flows
-			},
-			Options: []func(*sim.Options){func(o *sim.Options) {
-				o.Duration = duration
-				o.Drain = 5 * units.Millisecond
-				o.SwitchBuffer = 9 * units.MB
-			}},
-			Extract: func(topo *topology.Topology, opts *sim.Options, flows []*packet.Flow, res *sim.Result) map[string]float64 {
-				// Re-bucket completions into intra vs inter using the flow
-				// list.
-				var intraD, interD stats.Distribution
-				for _, f := range flows {
-					if f.FinishTime == 0 || f.IsIncast || f.LongLived {
-						continue
-					}
-					slow := float64(f.FCT()) / float64(sim.IdealFCT(topo, opts.MTU, f))
-					if slow < 1 {
-						slow = 1
-					}
-					if inter.IsInterDC(f) {
-						interD.Add(slow)
-					} else {
-						intraD.Add(slow)
-					}
-				}
-				return map[string]float64{
-					"intra_p99": intraD.Percentile(99),
-					"inter_p99": interD.Percentile(99),
-				}
-			},
-		})
+	p := point{
+		Fabric: fmt.Sprintf("crossdc:%dx%dx%d", max(scale.NumToR/2, 1), max(scale.NumSpine/2, 1), max(scale.HostsPerToR/2, 2)),
+		Gbps:   10, Traffic: "background", Workload: "fb_hadoop", Load: 0.65,
+		WorkloadSeed: harness.DeriveSeed("fig09", scale.Name, "workload"),
+		Duration:     scale.Duration * 10, // 10 Gbps links need a longer horizon
+		Drain:        5 * units.Millisecond, Buffer: 9 * units.MB,
 	}
-	return jobs
+	return p.grid(scale.Name+"/fig09", scale.labels("fig09"), []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCNWin})
+}
+
+// interDCTails is Fig 9's Extract: the p99 FCT slowdowns of the completed
+// background flows inside one data center and across the two.
+func interDCTails(topo *topology.Topology, opts *sim.Options, flows []*packet.Flow, inter *workload.InterDCConfig) map[string]float64 {
+	var intraD, interD stats.Distribution
+	for _, f := range flows {
+		if f.FinishTime == 0 || f.IsIncast || f.LongLived {
+			continue
+		}
+		slow := max(float64(f.FCT())/float64(sim.IdealFCT(topo, opts.MTU, f)), 1)
+		if inter.IsInterDC(f) {
+			interD.Add(slow)
+		} else {
+			intraD.Add(slow)
+		}
+	}
+	return map[string]float64{"intra_p99": intraD.Percentile(99), "inter_p99": interD.Percentile(99)}
 }
 
 // Fig09FromRecords assembles the cross-DC rows from harness records.
@@ -746,29 +565,17 @@ type BufferOptRow struct {
 // Options.Validate reads as "use the default", so 2 ms is what its rows have
 // always been measured with.
 func Fig10Jobs(scale Scale) []harness.Job {
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     scale.Name + "/fig10",
-			Meta:     map[string]string{"fig": "fig10", "scale": scale.Name},
-			Topology: scale.closT2,
-			Options: []func(*sim.Options){scale.applyOptions, pinDefaultSeed, func(o *sim.Options) {
-				o.Drain = 2 * units.Millisecond
-			}},
-		},
-		Axes: []harness.Axis{
-			harness.IntAxis("flows", scale.sweep([]int{8, 32, 64, 128, 256}), func(j *harness.Job, count int) {
-				j.Flows = func(topo *topology.Topology) []*packet.Flow {
-					hosts := topo.Hosts()
-					return workload.LongLivedFlows(rand.New(rand.NewSource(23)), hosts, hosts[0], count, 1)
-				}
-			}),
-			{Name: "resume", Values: []harness.Value{
-				variant("BFC", sim.SchemeBFC, func(o *sim.Options) { o.ResumeAll = false }),
-				variant("BFC-BufferOpt", sim.SchemeBFC, func(o *sim.Options) { o.ResumeAll = true }),
-			}},
-		},
+	var jobs []harness.Job
+	for _, count := range scale.sweep([]int{8, 32, 64, 128, 256}) {
+		for _, label := range []string{"BFC", "BFC-BufferOpt"} {
+			p := point{Fabric: scale.t2(), Gbps: 100, Traffic: "longlived", Flows: count, WorkloadSeed: 23,
+				SimSeed: &defaultSeed, Duration: scale.Duration, Drain: 2 * units.Millisecond, ResumeAll: label == "BFC-BufferOpt"}
+			v := strconv.Itoa(count)
+			jobs = append(jobs, p.job(scale.Name+"/fig10/flows="+v+"/resume="+label, sim.SchemeBFC,
+				scale.labels("fig10", "flows", v, "resume", label)))
+		}
 	}
-	return grid.Jobs()
+	return jobs
 }
 
 // Fig10FromRecords assembles the queue-depth rows from harness records.
@@ -799,20 +606,13 @@ type Fig11Result struct {
 // Fig11Jobs declares Fig 11 on a high-load Google workload: BFC with and
 // without the high-priority queue.
 func Fig11Jobs(scale Scale) []harness.Job {
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     scale.Name + "/fig11",
-			Meta:     map[string]string{"fig": "fig11", "scale": scale.Name},
-			Topology: scale.clos,
-			Flows:    scale.background(workload.Google(), 0.80, true, 29),
-			Options:  []func(*sim.Options){scale.applyOptions, pinDefaultSeed},
-		},
-		Axes: []harness.Axis{{Name: "variant", Values: []harness.Value{
-			variant("BFC", sim.SchemeBFC, func(o *sim.Options) { o.HighPriorityQueue = true }),
-			variant("BFC-HighPriorityQ", sim.SchemeBFC, func(o *sim.Options) { o.HighPriorityQueue = false }),
-		}}},
+	var jobs []harness.Job
+	for _, label := range []string{"BFC", "BFC-HighPriorityQ"} {
+		p := scale.traffic(scale.t1(), "google", 0.80, true, 29)
+		p.SimSeed, p.NoHighPriorityQueue = &defaultSeed, label == "BFC-HighPriorityQ"
+		jobs = append(jobs, p.job(scale.Name+"/fig11/variant="+label, sim.SchemeBFC, scale.labels("fig11", "variant", label)))
 	}
-	return grid.Jobs()
+	return jobs
 }
 
 // Fig11FromRecords assembles the ablation from harness records.
@@ -883,32 +683,11 @@ type Fig15Row struct {
 // traffic and the identical fail/recover scenario.
 func Fig15Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
 	spec := ScenarioLinkFailRecover(scale)
-	return scale.scenarioGrid(scale.Name+"/fig15",
-		map[string]string{"fig": "fig15", "scale": scale.Name, "scenario": spec.Name},
-		harness.DeriveSeed("fig15", scale.Name, "workload"), spec, schemes)
-}
-
-// scenarioGrid compiles one job per scheme running spec on the scale's Clos
-// under the standard Fig 5a background workload (Google at 60% + 5% incast):
-// every scheme (the paper's six when schemes is nil) sees identical traffic
-// and identical injected events.
-func (s Scale) scenarioGrid(name string, meta map[string]string, seed int64, spec *scenario.Spec, schemes []sim.Scheme) []harness.Job {
-	if schemes == nil {
-		schemes = sim.AllSchemes()
+	p, err := scale.traffic(scale.t1(), "google", 0.60, true, harness.DeriveSeed("fig15", scale.Name, "workload")).withScenario(spec)
+	if err != nil {
+		panic(err)
 	}
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     name,
-			Meta:     meta,
-			Topology: s.clos,
-			Flows:    s.background(workload.Google(), 0.60, true, seed),
-			Options: []func(*sim.Options){s.applyOptions, func(o *sim.Options) {
-				o.Scenario = spec
-			}},
-		},
-		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
-	}
-	return grid.Jobs()
+	return p.grid(scale.Name+"/fig15", scale.labels("fig15", "scenario", spec.Name), schemes)
 }
 
 // Fig15FromRecords assembles the robustness table from harness records.
@@ -1002,28 +781,14 @@ func Fig16Jobs(scale Scale, hostCounts []int, schemes []sim.Scheme) []harness.Jo
 	if hostCounts == nil {
 		hostCounts = Fig16HostCounts(scale)
 	}
-	if schemes == nil {
-		schemes = sim.AllSchemes()
+	var jobs []harness.Job
+	for _, n := range hostCounts {
+		v := strconv.Itoa(n)
+		p := scale.traffic("fattree:"+v, "google", 0.60, false, harness.DeriveSeed("fig16", scale.Name, "workload", v))
+		p.Streaming = true
+		jobs = append(jobs, p.grid(scale.Name+"/fig16/hosts="+v, scale.labels("fig16", "hosts", v), schemes)...)
 	}
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name: scale.Name + "/fig16",
-			Meta: map[string]string{"fig": "fig16", "scale": scale.Name},
-			Options: []func(*sim.Options){scale.applyOptions, func(o *sim.Options) {
-				o.StreamingStats = true
-			}},
-		},
-		Axes: []harness.Axis{
-			harness.IntAxis("hosts", hostCounts, func(j *harness.Job, n int) {
-				cfg := topology.FatTreeForHosts(n, 100*units.Gbps, units.Microsecond)
-				seed := harness.DeriveSeed("fig16", scale.Name, "workload", strconv.Itoa(n))
-				j.Topology = func() *topology.Topology { return topology.NewFatTree(cfg) }
-				j.Flows = scale.background(workload.Google(), 0.60, false, seed)
-			}),
-			harness.SchemeAxis(schemes),
-		},
-	}
-	return grid.Jobs()
+	return jobs
 }
 
 // Fig16FromRecords assembles the scale-sweep rows from harness records.

@@ -15,8 +15,11 @@ func TestScales(t *testing.T) {
 		if s.NumToR <= 0 || s.HostsPerToR <= 0 || s.Duration <= 0 {
 			t.Fatalf("scale %q malformed: %+v", s.Name, s)
 		}
-		topo := s.clos()
-		if len(topo.Hosts()) != s.NumToR*s.HostsPerToR {
+		build, err := ParseTopology(s.t1())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(build().Hosts()) != s.NumToR*s.HostsPerToR {
 			t.Fatalf("scale %q clos host count wrong", s.Name)
 		}
 	}

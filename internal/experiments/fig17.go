@@ -13,12 +13,9 @@ import (
 	"strings"
 
 	"bfc/internal/harness"
-	"bfc/internal/packet"
 	"bfc/internal/sim"
 	"bfc/internal/telemetry"
-	"bfc/internal/topology"
 	"bfc/internal/units"
-	"bfc/internal/workload"
 )
 
 // Fig17Row is one scheme's congestion-dynamics trajectory.
@@ -63,40 +60,30 @@ func Fig17Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
 	if schemes == nil {
 		schemes = []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN, sim.SchemeHPCC}
 	}
-	seed := harness.DeriveSeed("fig17", scale.Name, "workload")
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     scale.Name + "/fig17",
-			Meta:     map[string]string{"fig": "fig17", "scale": scale.Name},
-			Topology: scale.clos,
-			Flows:    scale.background(workload.Google(), 0.60, true, seed),
-			Options: []func(*sim.Options){scale.applyOptions, pinDefaultSeed, func(o *sim.Options) {
-				o.SampleSeries = true
-				o.Recorder = telemetry.NewRing(fig17RingCapacity)
-			}},
-			Extract: func(_ *topology.Topology, opts *sim.Options, _ []*packet.Flow, _ *sim.Result) map[string]float64 {
-				var pauses, assigns, drops float64
-				for _, ev := range opts.Recorder.Events() {
-					switch ev.Kind {
-					case telemetry.KindPFCPause, telemetry.KindBFCPause:
-						pauses++
-					case telemetry.KindQueueAssign:
-						assigns++
-					case telemetry.KindDrop:
-						drops++
-					}
-				}
-				return map[string]float64{
-					"events_seen":   float64(opts.Recorder.Seen()),
-					"pause_events":  pauses,
-					"queue_assigns": assigns,
-					"drops":         drops,
-				}
-			},
-		},
-		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
+	p := scale.traffic(scale.t1(), "google", 0.60, true, harness.DeriveSeed("fig17", scale.Name, "workload"))
+	p.SimSeed, p.Series = &defaultSeed, true
+	return p.grid(scale.Name+"/fig17", scale.labels("fig17"), schemes)
+}
+
+// ringCounts is a Fig 17 job's Extract: the event counts of the run's ring.
+func ringCounts(ring *telemetry.Ring) map[string]float64 {
+	var pauses, assigns, drops float64
+	for _, ev := range ring.Events() {
+		switch ev.Kind {
+		case telemetry.KindPFCPause, telemetry.KindBFCPause:
+			pauses++
+		case telemetry.KindQueueAssign:
+			assigns++
+		case telemetry.KindDrop:
+			drops++
+		}
 	}
-	return grid.Jobs()
+	return map[string]float64{
+		"events_seen":   float64(ring.Seen()),
+		"pause_events":  pauses,
+		"queue_assigns": assigns,
+		"drops":         drops,
+	}
 }
 
 // Fig17FromRecords assembles the trajectories from harness records.

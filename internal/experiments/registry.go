@@ -1,20 +1,18 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bfc/internal/harness"
 	"bfc/internal/scenario"
 	"bfc/internal/sim"
 	"bfc/internal/units"
-	"bfc/internal/workload"
 )
 
 // Figure is one entry of the figure table: the only place a figure's key,
@@ -78,22 +76,20 @@ func fig05Panel(variant Fig05Variant, desc string) Figure {
 }
 
 // sensitivityFigure is the entry of one BFC resource sweep (Figs 12-14): the
-// same high-load Google workload at every value of one option, which apply
-// sets, one job per value; row prints one sweep point.
-func sensitivityFigure(key, desc, title string, values []int, apply func(*sim.Options, int), row func(io.Writer, SensitivityRow)) Figure {
+// same high-load Google workload at every value of one resource, which vary
+// sets on the point, one job per value; row prints one sweep point.
+func sensitivityFigure(key, desc, title string, values []int, vary func(*point, int), row func(io.Writer, SensitivityRow)) Figure {
 	return Figure{
 		Key: key, Desc: desc,
 		Jobs: func(scale Scale, _ []sim.Scheme) []harness.Job {
-			base := scale.singleSchemeJob(key, sim.SchemeBFC)
-			base.Topology = scale.clos
-			base.Flows = scale.background(workload.Google(), 0.60, true, harness.DeriveSeed(key, scale.Name, "workload"))
-			grid := harness.Grid{
-				Base: base,
-				Axes: []harness.Axis{harness.IntAxis("param", scale.sweep(values), func(j *harness.Job, v int) {
-					j.Options = append(j.Options, func(o *sim.Options) { apply(o, v) })
-				})},
+			var jobs []harness.Job
+			for _, v := range scale.sweep(values) {
+				p := scale.traffic(scale.t1(), "google", 0.60, true, harness.DeriveSeed(key, scale.Name, "workload"))
+				vary(&p, v)
+				label := strconv.Itoa(v)
+				jobs = append(jobs, p.job(scale.Name+"/"+key+"/param="+label, sim.SchemeBFC, scale.labels(key, "scheme", "BFC", "param", label)))
 			}
-			return grid.Jobs()
+			return jobs
 		},
 		Render: func(w io.Writer, recs []*harness.Record) {
 			fmt.Fprintln(w, title)
@@ -221,20 +217,20 @@ var figures = []Figure{
 	},
 	sensitivityFigure("fig12", "sensitivity to number of physical queues",
 		"## Fig 12: sensitivity to number of physical queues",
-		[]int{8, 16, 32, 64, 128}, func(o *sim.Options, v int) { o.NumQueues = v },
+		[]int{8, 16, 32, 64, 128}, func(p *point, v int) { p.Queues = v },
 		func(w io.Writer, r SensitivityRow) {
 			fmt.Fprintf(w, "  queues=%-4d collisions=%.4f p99slowdown=%.2f\n", r.Parameter, r.CollisionFraction, r.Series.Overall)
 		}),
 	sensitivityFigure("fig13", "sensitivity to VFID table size",
 		"## Fig 13: sensitivity to VFID table size",
-		[]int{1024, 4096, 16384, 65536}, func(o *sim.Options, v int) { o.NumVFIDs = v },
+		[]int{1024, 4096, 16384, 65536}, func(p *point, v int) { p.VFIDs = v },
 		func(w io.Writer, r SensitivityRow) {
 			fmt.Fprintf(w, "  vfids=%-6d vfid-collisions=%.5f overflows=%.5f p99slowdown=%.2f\n",
 				r.Parameter, r.VFIDCollisionFraction, r.OverflowFraction, r.Series.Overall)
 		}),
 	sensitivityFigure("fig14", "sensitivity to bloom filter size",
 		"## Fig 14: sensitivity to bloom filter size",
-		[]int{16, 32, 64, 128}, func(o *sim.Options, v int) { o.BloomBytes = v },
+		[]int{16, 32, 64, 128}, func(p *point, v int) { p.BloomBytes = v },
 		func(w io.Writer, r SensitivityRow) {
 			fmt.Fprintf(w, "  bloom=%-4dB p99slowdown=%.2f\n", r.Parameter, r.Series.Overall)
 		}),
@@ -318,7 +314,7 @@ func ScaleByName(name string) (Scale, error) {
 // the scale's Clos fabric under the standard Fig 5a background workload
 // (Google at 60% + 5% incast) — the service tier's path for ad-hoc
 // fault-injection suites. Every scheme sees identical traffic and identical
-// injected events. The spec's JSON digest is carried in job Meta, so two
+// injected events. The spec's wire form is part of the point, so two
 // scenarios that share a name but differ in content never alias one cached
 // artifact.
 func ScenarioJobs(scale Scale, spec *scenario.Spec, schemes []sim.Scheme) ([]harness.Job, error) {
@@ -328,17 +324,12 @@ func ScenarioJobs(scale Scale, spec *scenario.Spec, schemes []sim.Scheme) ([]har
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	blob, err := spec.EncodeJSON()
+	p, err := scale.traffic(scale.t1(), "google", 0.60, true,
+		harness.DeriveSeed("scenario", spec.Name, scale.Name, "workload")).withScenario(spec)
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(blob)
-	return scale.scenarioGrid(scale.Name+"/scenario/"+spec.Name,
-		map[string]string{
-			"fig": "scenario", "scale": scale.Name,
-			"scenario": spec.Name, "scenario_digest": hex.EncodeToString(sum[:])[:16],
-		},
-		harness.DeriveSeed("scenario", spec.Name, scale.Name, "workload"), spec, schemes), nil
+	return p.grid(scale.Name+"/scenario/"+spec.Name, scale.labels("scenario", "scenario", spec.Name), schemes), nil
 }
 
 // SeriesFromRecords assembles one slowdown series per record of a pure

@@ -56,12 +56,11 @@ func (r *RunSpec) Jobs(schemes []sim.Scheme) ([]harness.Job, error) {
 	if len(r.Topology) > maxRunName || len(r.Workload) > maxRunName {
 		return nil, fmt.Errorf("experiments: run topology/workload name longer than %d bytes", maxRunName)
 	}
-	topo, err := ParseTopology(r.Topology)
+	_, err := ParseTopology(r.Topology)
 	if err != nil {
 		return nil, err
 	}
-	cdf, err := workload.ByName(r.Workload)
-	if err != nil {
+	if _, err := workload.ByName(r.Workload); err != nil {
 		return nil, err
 	}
 	switch {
@@ -87,28 +86,22 @@ func (r *RunSpec) Jobs(schemes []sim.Scheme) ([]harness.Job, error) {
 		return nil, err
 	}
 	sum := sha256.Sum256(blob)
-	if schemes == nil {
-		schemes = sim.AllSchemes()
+	seed := r.Seed
+	p := point{
+		Fabric: r.Topology, Gbps: 100, Traffic: "background", Workload: r.Workload, Load: r.Load,
+		WorkloadSeed: r.Seed, SimSeed: &seed, Duration: usTime(r.DurationUS), Drain: usTime(r.DrainUS),
+		Buffer: units.Bytes(r.BufferMB) * units.MB, Queues: r.Queues,
 	}
-	paper := Full()
-	paper.Duration = usTime(r.DurationUS)
-	grid := harness.Grid{
-		Base: harness.Job{
-			Name:     "run/" + hex.EncodeToString(sum[:])[:16],
-			Topology: topo,
-			Flows:    paper.background(cdf, r.Load, r.Incast, r.Seed),
-			Options: []func(*sim.Options){func(o *sim.Options) {
-				o.Duration = paper.Duration
-				o.Drain = usTime(r.DrainUS)
-				o.NumQueues = r.Queues
-				o.SwitchBuffer = units.Bytes(r.BufferMB) * units.MB
-				o.Seed = r.Seed
-				o.Scenario = spec
-			}},
-		},
-		Axes: []harness.Axis{harness.SchemeAxis(schemes)},
+	if r.Incast {
+		paper := Full()
+		p.FanIn, p.IncastBytes = paper.IncastFanIn, paper.IncastAggregate
 	}
-	return grid.Jobs(), nil
+	if spec != nil {
+		if p, err = p.withScenario(spec); err != nil {
+			return nil, err
+		}
+	}
+	return p.grid("run/"+hex.EncodeToString(sum[:])[:16], map[string]string{}, schemes), nil
 }
 
 func usTime(us float64) units.Time { return units.Time(math.Round(us * float64(units.Microsecond))) }
@@ -119,7 +112,12 @@ func usTime(us float64) units.Time { return units.Time(math.Round(us * float64(u
 // building none. Sizes are whole decimal tokens ("star:8junk" is an error,
 // not star:8); more than 4096 hosts, or ToR-spine links, is an error too.
 func ParseTopology(name string) (func() *topology.Topology, error) {
-	const rate, delay = 100 * units.Gbps, units.Microsecond
+	return parseTopology(name, 100*units.Gbps)
+}
+
+// parseTopology is ParseTopology with every link at rate.
+func parseTopology(name string, rate units.Rate) (func() *topology.Topology, error) {
+	const delay = units.Microsecond
 	kind, size, sized := strings.Cut(strings.ToLower(name), ":")
 	var dims []int
 	if sized {
@@ -132,10 +130,13 @@ func ParseTopology(name string) (func() *topology.Topology, error) {
 		}
 	}
 	switch {
-	case kind == "t1" && dims == nil:
-		return topology.NewT1, nil
-	case kind == "t2" && dims == nil:
-		return topology.NewT2, nil
+	case (kind == "t1" || kind == "t2") && dims == nil:
+		cfg := topology.T1Config()
+		if kind == "t2" {
+			cfg = topology.T2Config()
+		}
+		cfg.LinkRate = rate
+		return func() *topology.Topology { return topology.NewClos(cfg) }, nil
 	case kind == "star" && len(dims) == 1 && dims[0] >= 2 && dims[0] <= maxRunHosts:
 		cfg := topology.SingleSwitchConfig{NumHosts: dims[0], LinkRate: rate, LinkDelay: delay}
 		return func() *topology.Topology { return topology.NewSingleSwitch(cfg) }, nil

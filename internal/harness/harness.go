@@ -1,11 +1,11 @@
-// Package harness orchestrates grids of independent simulation runs: the
-// paper's evaluation is a cartesian product of scheme x workload x load x
-// topology x sensitivity parameter, and every point is one self-contained
-// sim.Run. The harness turns such a grid into a list of declarative Jobs,
-// shards them over a bounded worker pool, persists each completed job as one
-// JSONL artifact keyed by the job's content hash (Job.Hash: the model
-// version, name, scheme and meta), and skips already-completed jobs on
-// resume.
+// Package harness runs lists of independent simulation jobs: the paper's
+// evaluation is a cartesian product of scheme x workload x load x topology x
+// sensitivity parameter, and every point is one self-contained sim.Run. The
+// harness takes the Jobs a caller declares (internal/experiments compiles
+// every figure point into them), shards them over a bounded worker pool,
+// persists each completed job as one JSONL artifact keyed by the job's
+// content hash (Job.Hash: the model version, name, scheme and meta), and
+// skips already-completed jobs on resume.
 //
 // Determinism: a Job builds its own topology and workload inside the worker
 // (no shared mutable state, no shared RNG) and its simulation seed is derived
@@ -80,10 +80,10 @@ func (j *Job) Validate() error {
 // names, -resume, the service's cache, suite digests and the fleet's
 // cross-worker dedupe all key on it, and records cross processes under it.
 // Closures cannot be hashed, so every parameter that changes a job's outcome
-// must be reflected in Name or Meta — Grid does this for every axis value,
-// and the service tier marks every server-side option override (e.g. forced
-// streaming statistics) in Meta — and every change to the model code that
-// moves an outcome must bump sim.ModelVersion.
+// must be reflected in Name or Meta — internal/experiments labels every job
+// with the digest of the point it was compiled from, which covers every
+// parameter — and every change to the model code that moves an outcome must
+// bump sim.ModelVersion.
 func (j *Job) Hash() string {
 	b := make([]byte, 0, 256)
 	b = strconv.AppendInt(b, sim.ModelVersion, 10)

@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,39 +13,39 @@ import (
 	"bfc/internal/units"
 )
 
-// testJobs builds a small but real suite: a scheme x load grid over a
+// testJobs builds a small but real suite: scheme x queue count over a
 // 4-host single-switch topology, fast enough to run many times per test.
 func testJobs(t *testing.T) []Job {
 	t.Helper()
-	grid := Grid{
-		Base: Job{
-			Name: "test",
-			Topology: func() *topology.Topology {
-				return topology.NewSingleSwitch(topology.SingleSwitchConfig{
-					NumHosts: 4, LinkRate: 100 * units.Gbps, LinkDelay: 1 * units.Microsecond,
-				})
-			},
-			Flows: func(topo *topology.Topology) []*packet.Flow {
-				hosts := topo.Hosts()
-				return []*packet.Flow{
-					{ID: 1, Src: hosts[0], Dst: hosts[1], Size: 30 * units.KB},
-					{ID: 2, Src: hosts[2], Dst: hosts[1], Size: 8 * units.KB, StartTime: 2 * units.Microsecond},
-					{ID: 3, Src: hosts[3], Dst: hosts[0], Size: 2 * units.KB, StartTime: 1 * units.Microsecond},
-				}
-			},
+	topo := func() *topology.Topology {
+		return topology.NewSingleSwitch(topology.SingleSwitchConfig{
+			NumHosts: 4, LinkRate: 100 * units.Gbps, LinkDelay: 1 * units.Microsecond,
+		})
+	}
+	flows := func(topo *topology.Topology) []*packet.Flow {
+		hosts := topo.Hosts()
+		return []*packet.Flow{
+			{ID: 1, Src: hosts[0], Dst: hosts[1], Size: 30 * units.KB},
+			{ID: 2, Src: hosts[2], Dst: hosts[1], Size: 8 * units.KB, StartTime: 2 * units.Microsecond},
+			{ID: 3, Src: hosts[3], Dst: hosts[0], Size: 2 * units.KB, StartTime: 1 * units.Microsecond},
+		}
+	}
+	job := func(scheme sim.Scheme, queues int) Job {
+		q := strconv.Itoa(queues)
+		return Job{
+			Name:     "test/scheme=" + scheme.String() + "/queues=" + q,
+			Scheme:   scheme,
+			Meta:     map[string]string{"scheme": scheme.String(), "queues": q},
+			Topology: topo,
+			Flows:    flows,
 			Options: []func(*sim.Options){func(o *sim.Options) {
 				o.Duration = 20 * units.Microsecond
 				o.Drain = 100 * units.Microsecond
+				o.NumQueues = queues
 			}},
-		},
-		Axes: []Axis{
-			SchemeAxis([]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN}),
-			IntAxis("queues", []int{8, 32}, func(j *Job, v int) {
-				j.Options = append(j.Options, func(o *sim.Options) { o.NumQueues = v })
-			}),
-		},
+		}
 	}
-	return grid.Jobs()
+	return []Job{job(sim.SchemeBFC, 8), job(sim.SchemeBFC, 32), job(sim.SchemeDCQCN, 8), job(sim.SchemeDCQCN, 32)}
 }
 
 // tally counts a run's progress reports: jobs executed and jobs taken from
@@ -66,37 +67,6 @@ func marshalRecords(t *testing.T, recs []*Record) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-func TestGridExpansion(t *testing.T) {
-	jobs := testJobs(t)
-	if len(jobs) != 4 {
-		t.Fatalf("grid expanded to %d jobs, want 4", len(jobs))
-	}
-	names := map[string]bool{}
-	hashes := map[string]bool{}
-	for i := range jobs {
-		j := &jobs[i]
-		names[j.Name] = true
-		hashes[j.Hash()] = true
-		if !strings.HasPrefix(j.Name, "test/scheme=") {
-			t.Fatalf("job name %q missing axis labels", j.Name)
-		}
-		if j.Meta["scheme"] == "" || j.Meta["queues"] == "" {
-			t.Fatalf("job %q meta incomplete: %v", j.Name, j.Meta)
-		}
-	}
-	if len(names) != 4 || len(hashes) != 4 {
-		t.Fatalf("expansion produced duplicate names (%d) or hashes (%d)", len(names), len(hashes))
-	}
-	// First axis slowest: the two leading jobs share the scheme label.
-	if jobs[0].Meta["scheme"] != jobs[1].Meta["scheme"] {
-		t.Fatalf("axis order wrong: %q then %q", jobs[0].Name, jobs[1].Name)
-	}
-	// Axis mutations must not leak between jobs: base stays untouched.
-	if len(jobs[0].Options) == len(jobs[1].Options) && &jobs[0].Options[0] == &jobs[1].Options[0] {
-		t.Fatal("expanded jobs alias the base Options slice")
-	}
 }
 
 func TestDeriveSeed(t *testing.T) {

@@ -836,7 +836,7 @@ func TestScenarioSuiteCompiles(t *testing.T) {
 	if len(cs.Jobs) != 2 || cs.Figure != "scenario/flap" {
 		t.Fatalf("compiled scenario suite: figure=%s jobs=%d", cs.Figure, len(cs.Jobs))
 	}
-	if cs.Jobs[0].Meta["scenario_digest"] == "" {
-		t.Fatal("scenario jobs must carry the spec digest in Meta")
+	if cs.Jobs[0].Meta["point"] == "" {
+		t.Fatal("scenario jobs must carry their point's digest, which covers the spec, in Meta")
 	}
 }

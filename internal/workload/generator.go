@@ -10,15 +10,8 @@ import (
 	"bfc/internal/units"
 )
 
-// ArrivalModel selects the flow inter-arrival process.
-type ArrivalModel uint8
-
-const (
-	// Lognormal inter-arrivals with sigma = 2, as in §4.1 of the paper.
-	Lognormal ArrivalModel = iota
-	// Poisson (exponential inter-arrivals); used by some sensitivity checks.
-	Poisson
-)
+// arrivalSigma is the sigma of the lognormal flow inter-arrival times (§4.1).
+const arrivalSigma = 2
 
 // IncastConfig describes periodic synthetic N-to-1 incast bursts added on top
 // of the background traffic.
@@ -52,11 +45,6 @@ type Config struct {
 	HostRate units.Rate
 	// Duration is the trace length (flows arriving in [0, Duration)).
 	Duration units.Time
-	// Arrival selects the inter-arrival process.
-	Arrival ArrivalModel
-	// LognormalSigma is the sigma of the lognormal inter-arrival distribution
-	// (2 in the paper). Ignored for Poisson.
-	LognormalSigma float64
 	// Incast adds synthetic incast bursts.
 	Incast IncastConfig
 	// Seed makes the trace reproducible.
@@ -124,10 +112,6 @@ func Generate(cfg Config) (*Trace, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	sigma := cfg.LognormalSigma
-	if sigma == 0 {
-		sigma = 2
-	}
 
 	tr := &Trace{}
 	nextFlowID := packet.FlowID(1)
@@ -142,13 +126,15 @@ func Generate(cfg Config) (*Trace, error) {
 		// Aggregate arrival rate (flows/sec) so that background bytes match
 		// the target fraction of aggregate host capacity.
 		lambda := cfg.Load * cfg.aggregateCapacityBps() / 8 / meanSize
-		meanInterArrival := 1 / lambda // seconds between flow arrivals network-wide
+		// Lognormal inter-arrivals with E[X] = 1/lambda seconds network-wide:
+		// mu = ln(mean) - sigma^2/2.
+		mu := math.Log(1/lambda) - arrivalSigma*arrivalSigma/2
 
 		now := 0.0
 		horizon := cfg.Duration.Seconds()
 		port := basePort
 		for {
-			now += sampleInterArrival(rng, cfg.Arrival, meanInterArrival, sigma)
+			now += math.Exp(rng.NormFloat64()*arrivalSigma + mu)
 			if now >= horizon {
 				break
 			}
@@ -249,19 +235,6 @@ func LongLivedFlows(rng *rand.Rand, hosts []packet.NodeID, dst packet.NodeID, co
 		})
 	}
 	return flows
-}
-
-func sampleInterArrival(rng *rand.Rand, model ArrivalModel, mean, sigma float64) float64 {
-	switch model {
-	case Poisson:
-		return rng.ExpFloat64() * mean
-	case Lognormal:
-		// Lognormal with E[X] = mean: mu = ln(mean) - sigma^2/2.
-		mu := math.Log(mean) - sigma*sigma/2
-		return math.Exp(rng.NormFloat64()*sigma + mu)
-	default:
-		panic("workload: unknown arrival model")
-	}
 }
 
 func pickEndpoints(rng *rand.Rand, cfg Config) (src, dst packet.NodeID) {
