@@ -1,15 +1,15 @@
 package experiments
 
 // Figure 17 (companion figure, not in the paper): congestion dynamics through
-// an incast, per scheme. It exercises the telemetry plane end to end — the
-// per-run flight recorder captures the control-plane events (pauses, queue
-// assignments, drops) while the series sampler captures the data-plane
-// time-series (goodput, buffer occupancy, pause fractions) — and renders both
-// as a table. It is the observability analogue of Fig 6: instead of scalar
-// pause-time totals, the full trajectory.
+// an incast, per scheme. The series sampler captures the data-plane time
+// series (goodput, buffer occupancy, pause fractions) and the run's device
+// counters total the control plane (PFC and BFC pauses, queue assignments,
+// drops); the figure renders both as a table. It is the observability
+// analogue of Fig 6: instead of scalar pause-time totals, the full
+// trajectory. The flight recorder only observes: bfcsim -fig 17 -trace-dir
+// exports the same runs' raw events, and no number printed here reads them.
 
 import (
-	"fmt"
 	"strings"
 
 	"bfc/internal/harness"
@@ -24,38 +24,33 @@ type Fig17Row struct {
 	// Series is the run's sampled time-series bundle (goodput, utilization,
 	// pause fractions, per-switch occupancy).
 	Series *telemetry.RunSeries
-	// EventsSeen counts the events the flight recorder observed.
-	EventsSeen uint64
 	// PeakBuffer is the maximum shared-buffer occupancy across switches.
 	PeakBuffer units.Bytes
 	// PeakPauseFraction is the worst per-link-class pause fraction sampled in
 	// any tick.
 	PeakPauseFraction float64
-	// PauseEvents counts PFC + BFC pause edges the recorder retained.
-	PauseEvents int
-	// QueueAssignments counts BFC dynamic queue assignments (0 for others).
-	QueueAssignments int
-	// Drops counts recorded admission drops.
-	Drops int
+	// PFCPauses counts PFC pause frames sent (Result.PFCPauses).
+	PFCPauses uint64
+	// BFCPauses counts BFC per-flow pauses (Result.Pauses; 0 for others).
+	BFCPauses uint64
+	// QueueAssignments counts BFC dynamic queue assignments
+	// (Result.Assignments; 0 for others).
+	QueueAssignments uint64
+	// Drops counts admission drops (Result.Drops).
+	Drops uint64
 	// P99 is the overall p99 FCT slowdown, tying the trajectory back to the
 	// headline metric.
 	P99 float64
 }
 
-// fig17RingCapacity sizes the flight-recorder ring of a Fig 17 job (the table
-// entry's TraceRing).
+// fig17RingCapacity sizes the flight-recorder ring bfcsim -fig 17 -trace-dir
+// exports per job (the table entry's TraceRing).
 const fig17RingCapacity = 1 << 17
 
 // Fig17Jobs declares one job per scheme on the Fig 5a-shaped incast workload
 // with the series sampler on. Schemes defaults to BFC and the two
-// PFC-backstopped baselines. The sampled series travel in the Result; the
-// flight recorder's ring does not, so each job records into a ring of its
-// own and its Extract hook condenses it, in-worker, into the event counts the
-// figure prints. Extract reads the ring back from the run's options, so a
-// caller that wants the raw events as well (bfcsim -fig 17 -trace-dir, a
-// traced service suite) appends a mutator that swaps in a ring it holds; the
-// counts cover the ring's retained window, which is every event unless the
-// ring wrapped.
+// PFC-backstopped baselines. Everything the figure prints travels in the
+// Result: the sampled series and the run's counter totals.
 func Fig17Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
 	if schemes == nil {
 		schemes = []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN, sim.SchemeHPCC}
@@ -65,42 +60,19 @@ func Fig17Jobs(scale Scale, schemes []sim.Scheme) []harness.Job {
 	return p.grid(scale.Name+"/fig17", scale.labels("fig17"), schemes)
 }
 
-// ringCounts is a Fig 17 job's Extract: the event counts of the run's ring.
-func ringCounts(ring *telemetry.Ring) map[string]float64 {
-	var pauses, assigns, drops float64
-	for _, ev := range ring.Events() {
-		switch ev.Kind {
-		case telemetry.KindPFCPause, telemetry.KindBFCPause:
-			pauses++
-		case telemetry.KindQueueAssign:
-			assigns++
-		case telemetry.KindDrop:
-			drops++
-		}
-	}
-	return map[string]float64{
-		"events_seen":   float64(ring.Seen()),
-		"pause_events":  pauses,
-		"queue_assigns": assigns,
-		"drops":         drops,
-	}
-}
-
 // Fig17FromRecords assembles the trajectories from harness records.
 func Fig17FromRecords(recs []*harness.Record) []Fig17Row {
 	rows := make([]Fig17Row, 0, len(recs))
 	for _, rec := range recs {
-		if _, ok := rec.Extra["events_seen"]; !ok {
-			panic(fmt.Sprintf("experiments: record %q lacks the flight-recorder counts", rec.Name))
-		}
+		res := rec.Result
 		row := Fig17Row{
 			Scheme:           rec.Scheme,
-			Series:           rec.Result.Telemetry,
-			EventsSeen:       uint64(rec.Extra["events_seen"]),
-			PauseEvents:      int(rec.Extra["pause_events"]),
-			QueueAssignments: int(rec.Extra["queue_assigns"]),
-			Drops:            int(rec.Extra["drops"]),
-			P99:              rec.Result.FCT.OverallPercentile(99),
+			Series:           res.Telemetry,
+			PFCPauses:        res.PFCPauses,
+			BFCPauses:        res.Pauses,
+			QueueAssignments: res.Assignments,
+			Drops:            res.Drops,
+			P99:              res.FCT.OverallPercentile(99),
 		}
 		buffers, pauses := fig17Series(row.Series)
 		for _, s := range buffers {

@@ -13,7 +13,6 @@ import (
 	"bfc/internal/packet"
 	"bfc/internal/scenario"
 	"bfc/internal/sim"
-	"bfc/internal/telemetry"
 	"bfc/internal/topology"
 	"bfc/internal/units"
 	"bfc/internal/workload"
@@ -63,9 +62,7 @@ type point struct {
 	ResumeAll           bool        `json:"resume_all"`
 	NoHighPriorityQueue bool        `json:"no_high_priority_queue"`
 	Streaming           bool        `json:"streaming"`
-	// Series samples the run's time series and records it into a
-	// flight-recorder ring of fig17RingCapacity, whose event counts the job's
-	// Extract hook keeps in Record.Extra (Fig 17).
+	// Series samples the run's time series into Result.Telemetry (Fig 17).
 	Series bool `json:"series"`
 
 	// Scenario is the injected scenario in scenario.Spec.EncodeJSON form, and
@@ -129,14 +126,9 @@ func (p point) job(name string, scheme sim.Scheme, meta map[string]string) harne
 		Flows:    func(topo *topology.Topology) []*packet.Flow { return p.flows(topo, inter) },
 		Options:  []func(*sim.Options){p.apply},
 	}
-	switch {
-	case strings.HasPrefix(p.Fabric, "crossdc:"):
+	if strings.HasPrefix(p.Fabric, "crossdc:") {
 		j.Extract = func(topo *topology.Topology, opts *sim.Options, flows []*packet.Flow, _ *sim.Result) map[string]float64 {
 			return interDCTails(topo, opts, flows, inter)
-		}
-	case p.Series:
-		j.Extract = func(_ *topology.Topology, opts *sim.Options, _ []*packet.Flow, _ *sim.Result) map[string]float64 {
-			return ringCounts(opts.Recorder)
 		}
 	}
 	return j
@@ -168,10 +160,7 @@ func (p *point) apply(o *sim.Options) {
 	o.HighPriorityQueue = !p.NoHighPriorityQueue
 	o.StreamingStats = p.Streaming
 	o.Scenario = p.scen
-	if p.Series {
-		o.SampleSeries = true
-		o.Recorder = telemetry.NewRing(fig17RingCapacity)
-	}
+	o.SampleSeries = p.Series
 }
 
 // topology builds the point's fabric; a crossdc fabric sets *inter.

@@ -39,9 +39,9 @@ type Figure struct {
 	// prints the same from a fresh run, a resumed -out directory or a served
 	// suite.
 	Render func(w io.Writer, recs []*harness.Record)
-	// TraceRing, when positive, says every job records into a flight-recorder
-	// ring of that capacity (see Fig17Jobs), which a caller may swap for its
-	// own to export the run's raw events.
+	// TraceRing, when positive, sizes the flight-recorder ring bfcsim
+	// -trace-dir attaches to each job it runs of this figure, to export the
+	// run's raw events. It only sizes that export: Render reads no ring.
 	TraceRing int
 }
 
@@ -266,10 +266,10 @@ var figures = []Figure{
 		Jobs:              Fig17Jobs,
 		TraceRing:         fig17RingCapacity,
 		Render: func(w io.Writer, recs []*harness.Record) {
-			fmt.Fprintln(w, "## Fig 17: congestion dynamics through an incast (flight recorder + series sampler)")
+			fmt.Fprintln(w, "## Fig 17: congestion dynamics through an incast (series sampler + run counters)")
 			for _, r := range Fig17FromRecords(recs) {
-				fmt.Fprintf(w, "  %-14s p99slowdown=%-8.2f peakBuffer=%-10v peakPauseFrac=%-7.4f pauseEvents=%-6d assigns=%-6d drops=%-4d events=%d\n",
-					r.Scheme, r.P99, r.PeakBuffer, r.PeakPauseFraction, r.PauseEvents, r.QueueAssignments, r.Drops, r.EventsSeen)
+				fmt.Fprintf(w, "  %-14s p99slowdown=%-8.2f peakBuffer=%-10v peakPauseFrac=%-7.4f pfcPauses=%-6d bfcPauses=%-6d assigns=%-6d drops=%d\n",
+					r.Scheme, r.P99, r.PeakBuffer, r.PeakPauseFraction, r.PFCPauses, r.BFCPauses, r.QueueAssignments, r.Drops)
 				for _, p := range Fig17Timeline(r, 8) {
 					fmt.Fprintf(w, "      t=%-12v buffer=%-10v pauseFrac=%.4f\n", p.At, p.Buffer, p.PauseFraction)
 				}

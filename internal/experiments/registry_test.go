@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"bfc/internal/harness"
 	"bfc/internal/scenario"
 	"bfc/internal/sim"
+	"bfc/internal/telemetry"
 	"bfc/internal/units"
 )
 
@@ -263,4 +267,68 @@ func TestLargeFabricJobsDeclareStreaming(t *testing.T) {
 		t.Fatalf("none of %d jobs declares streaming statistics: Fig 16's should", jobs)
 	}
 	t.Logf("%d jobs, %d declare streaming", jobs, declared)
+}
+
+// TestRecordsIgnoreObservers holds every kind of job to the contract
+// sim.Options.Recorder states: observing a run never changes its record. The
+// first job of every figure, a RunSpec job and a scenario job each run as
+// compiled and again with a flight-recorder ring (small enough to wrap),
+// the execution profiler and two shards attached, the way bfcsim -trace-dir
+// -exec-stats -shards 2 or a traced bfcd suite attach them; the two records
+// must marshal to the same bytes. A figure that read the ring, the profile or
+// the shard count would store different numbers under one job hash.
+func TestRecordsIgnoreObservers(t *testing.T) {
+	scale := Tiny()
+	var jobs []harness.Job
+	for _, f := range Figures() {
+		if f.Jobs == nil {
+			continue
+		}
+		// fig06 renders fig05a's jobs: its first job is already a case.
+		if j := f.Jobs(scale, nil)[0]; !slices.ContainsFunc(jobs, func(k harness.Job) bool { return k.Name == j.Name }) {
+			jobs = append(jobs, j)
+		}
+	}
+	run := RunSpec{Topology: "clos:2x2x4", Workload: "google", Load: 0.6, DurationUS: 150, DrainUS: 500, Seed: 1, Queues: 32, BufferMB: 12}
+	runJobs, err := run.Jobs([]sim.Scheme{sim.SchemeBFC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenJobs, err := ScenarioJobs(scale, ScenarioLinkFailRecover(scale), []sim.Scheme{sim.SchemeBFC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs, runJobs[0], scenJobs[0])
+
+	observed := make([]harness.Job, len(jobs))
+	for i, j := range jobs {
+		j.Options = append(slices.Clone(j.Options), func(o *sim.Options) {
+			o.Recorder = telemetry.NewRing(16)
+			o.ExecStats = true
+			o.Shards = 2
+		})
+		observed[i] = j
+	}
+	plain, watched := harness.MustRun(jobs), harness.MustRun(observed)
+	sharded := 0
+	for i := range jobs {
+		if watched[i].Result.Sharding.Used >= 2 {
+			sharded++
+		}
+		a, err := json.Marshal(plain[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(watched[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: the record changes when the run is observed (%d vs %d bytes)", jobs[i].Name, len(a), len(b))
+		}
+	}
+	if sharded == 0 {
+		t.Fatalf("none of %d observed runs used two shards", len(jobs))
+	}
+	t.Logf("%d jobs, %d ran on two shards when observed", len(jobs), sharded)
 }

@@ -155,7 +155,9 @@ type Options struct {
 	// start/finish, drops, PFC and BFC pause transitions, queue assignments,
 	// scenario events). Recording is purely observational: it never schedules
 	// events or consumes RNG, so the Result is byte-identical with or without
-	// a recorder. Nil disables recording at zero cost.
+	// a recorder, and so is a harness Record built from it: no job's Extract
+	// or figure reads the ring (experiments' TestRecordsIgnoreObservers holds
+	// every figure to that). Nil disables recording at zero cost.
 	Recorder *telemetry.Ring
 	// SampleSeries attaches bounded time series (per-switch occupancy,
 	// per-link-class utilization and pause fractions, active flows, goodput)

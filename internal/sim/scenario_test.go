@@ -116,10 +116,12 @@ func TestScenarioIncastStorm(t *testing.T) {
 	}
 }
 
-// TestScenarioStrandedAccounting forces traffic onto a link, fails it
-// permanently, and checks every stranded packet is counted and recycled (no
-// pool leak: flows that lose packets retransmit from pooled packets, so a
-// leak would show as allocated-but-idle imbalance at drain).
+// TestScenarioStrandedAccounting cuts both uplinks of tor0 for most of the
+// run, then restores them. It checks that the isolation strands or drops
+// something, that stranded packets come with stranded bytes, and that flows
+// still complete after recovery. It does not check that stranded packets
+// return to the packet pool: that leak check is the pool invariant
+// (allocated − recycled = live) of ROADMAP item 3(a).
 func TestScenarioStrandedAccounting(t *testing.T) {
 	spec := &scenario.Spec{
 		Name: "perma-fail",
