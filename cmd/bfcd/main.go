@@ -20,9 +20,11 @@
 //
 // A coordinator compiles each submitted suite, satisfies jobs already present
 // anywhere in the fleet (the union of worker stores plus its own store) with
-// zero execution, scatters the rest to workers in bounded batches, and merges
-// the records into a result stream byte-identical to a single-node run; a
-// batch no worker can take runs on the coordinator's own -parallel pool.
+// zero execution, deals the rest round-robin into batches of at most
+// -fleet-batch jobs, as many batches as a multiple of the live workers so that
+// every worker gets work, scatters them to the workers, and merges the records
+// into a result stream byte-identical to a single-node run; a batch no worker
+// can take runs on the coordinator's own -parallel pool.
 // Workers execute batches against their own stores and announce themselves to
 // the coordinator; either side surviving the other's restart is normal
 // operation.
@@ -75,7 +77,7 @@ func main() {
 		fleetPeers = flag.String("fleet-workers", "", "coordinator: comma-separated worker base URLs")
 		register   = flag.String("register", "", "worker: coordinator base URL to announce to")
 		selfURL    = flag.String("self", "", "worker: advertised base URL (default http://<addr>)")
-		batchJobs  = flag.Int("fleet-batch", 4, "coordinator: jobs per scattered batch")
+		batchJobs  = flag.Int("fleet-batch", 4, "coordinator: most jobs per scattered batch (the batch count is rounded up to a multiple of the live workers)")
 		inflight   = flag.Int("fleet-inflight", 2, "coordinator: concurrent batches per worker")
 		batchTO    = flag.Duration("fleet-timeout", 2*time.Minute, "coordinator: per-batch RPC timeout")
 		heartbeat  = flag.Duration("fleet-heartbeat", 5*time.Second, "fleet: heartbeat / announce interval")

@@ -35,9 +35,11 @@ type Config struct {
 	// Workers statically seeds the registry with worker base URLs; more can
 	// register dynamically via POST /api/v1/fleet/register.
 	Workers []string
-	// BatchJobs is the scatter granularity in jobs (default 4). Smaller
-	// batches spread better and lose less work to a dying worker; larger ones
-	// amortize recompilation.
+	// BatchJobs bounds a scattered batch's size in jobs (default 4). A
+	// dispatch of n jobs starts from ceil(n/BatchJobs) batches and rounds that
+	// up to a multiple of the live workers, so every worker gets work; see
+	// planBatches. Smaller batches lose less work to a dying worker; larger
+	// ones amortize recompilation.
 	BatchJobs int
 	// InflightPerWorker caps concurrently outstanding batches per worker
 	// (default 2): one executing, one queued behind it.
@@ -405,11 +407,11 @@ type batchDone struct {
 }
 
 // Dispatch implements service.Dispatcher: it satisfies pending jobs from the
-// fleet-wide manifest where possible, scatters the rest in bounded batches
-// across live workers, and feeds every record to sink; a batch it cannot
-// place on a worker it dispatches on local, the submitting daemon's pool,
-// whose workers deliver to the same sink themselves. Records reach the sink
-// exactly once per job; the service assembles them in job order, so the
+// fleet-wide manifest where possible, scatters the rest across live workers
+// in the batches planBatches deals, and feeds every record to sink; a batch it
+// cannot place on a worker it dispatches on local, the submitting daemon's
+// pool, whose workers deliver to the same sink themselves. Records reach the
+// sink exactly once per job; the service assembles them in job order, so the
 // merged suite stream is byte-identical to a serial local run.
 func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, pending []int, sink harness.Sink, local *harness.Pool) error {
 	remaining := c.dedup(ctx, cs, pending, sink)
@@ -417,21 +419,19 @@ func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, p
 		return ctx.Err()
 	}
 
-	// Plan bounded batches over the jobs the fleet has not yet computed.
-	var batches []*batchState
-	for start := 0; start < len(remaining); start += c.cfg.BatchJobs {
-		end := min(start+c.cfg.BatchJobs, len(remaining))
-		b := &batchState{
-			id:   fmt.Sprintf("%s/b%03d", cs.Digest, len(batches)),
-			idxs: remaining[start:end],
-		}
-		for _, idx := range b.idxs {
+	// Plan the batches over the jobs the fleet has not yet computed.
+	live := len(c.liveWorkers())
+	plan := planBatches(remaining, c.cfg.BatchJobs, live)
+	batches := make([]*batchState, len(plan))
+	for i, idxs := range plan {
+		b := &batchState{id: fmt.Sprintf("%s/b%03d", cs.Digest, i), idxs: idxs}
+		for _, idx := range idxs {
 			b.hashes = append(b.hashes, cs.Jobs[idx].Hash())
 		}
-		batches = append(batches, b)
+		batches[i] = b
 	}
 	c.log("fleet scatter plan", "suite", cs.Digest, "jobs", len(remaining),
-		"batches", len(batches), "workers", len(c.liveWorkers()))
+		"batches", len(batches), "workers", live)
 
 	// Central scatter loop. Every batch is in exactly one place at a time —
 	// waiting, in flight (remote or local), or parked on a backoff timer — so
@@ -486,6 +486,25 @@ func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, p
 		}
 	}
 	return ctx.Err()
+}
+
+// planBatches splits remaining into batches of at most batchJobs jobs. The
+// batch count starts at ceil(n/batchJobs) and, with live workers, is rounded
+// up to a multiple of live (capped at n), so every worker gets a batch and
+// the batch sizes differ by at most one. Job k goes to batch k mod count:
+// suites compile in sweep order, so dealing rather than cutting contiguous
+// chunks spreads every sweep axis, and its cost, across the batches.
+func planBatches(remaining []int, batchJobs, live int) [][]int {
+	n := len(remaining)
+	nb := (n + batchJobs - 1) / batchJobs
+	if live > 0 {
+		nb = min((nb+live-1)/live*live, n)
+	}
+	batches := make([][]int, nb)
+	for k, idx := range remaining {
+		batches[k%nb] = append(batches[k%nb], idx)
+	}
+	return batches
 }
 
 // dedup is the scatter prologue: ask every live worker which pending hashes

@@ -254,6 +254,38 @@ func TestFleetScatterMatchesDirectRun(t *testing.T) {
 	assertResultsAreTheArtifacts(t, svc, second.ID, storeA, storeB) // warm
 }
 
+// TestDefaultScatterSpreadsAcrossWorkers runs the plan users get — the
+// default BatchJobs, not the one-job batches the other tests pin — and checks
+// that a suite smaller than one batch still goes to both workers: the batch
+// count is rounded up to a multiple of the live workers.
+func TestDefaultScatterSpreadsAcrossWorkers(t *testing.T) {
+	_, _, srvA := newWorker(t)
+	_, _, srvB := newWorker(t)
+	svc, coord := newFleetService(t, []string{srvA.URL, srvB.URL}, func(cfg *Config) {
+		cfg.BatchJobs = 0
+	})
+
+	status, err := svc.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitState(t, svc, status.ID); done.State != service.StateDone || done.Executed != 2 {
+		t.Fatalf("suite ended %+v", done)
+	}
+	st := coord.Status()
+	if st.BatchesScattered != 2 {
+		t.Errorf("batches scattered = %d, want 2", st.BatchesScattered)
+	}
+	if len(st.Workers) != 2 {
+		t.Fatalf("%d workers in status, want 2", len(st.Workers))
+	}
+	for _, w := range st.Workers {
+		if w.Jobs != 1 {
+			t.Errorf("worker %s ran %d jobs, want 1", w.URL, w.Jobs)
+		}
+	}
+}
+
 // TestWorkerRecordEndpointServesOnlyArtifacts: the record endpoint answers a
 // stored hash with the artifact's bytes as they are on disk, and a {hash}
 // segment that ServeMux unescapes into a path — the store sits at

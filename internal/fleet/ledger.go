@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -44,7 +45,6 @@ type workerLedger struct {
 	batches    uint64
 	latMS      []float64 // ring of recent batch latencies, ms
 	next       int
-	full       bool
 }
 
 // NewLedger builds an empty ledger (alpha <= 0 selects DefaultLedgerAlpha).
@@ -85,7 +85,6 @@ func (l *Ledger) Observe(worker string, jobs int, took time.Duration) WorkerThro
 		w.next++
 		if w.next == ledgerLatencyWindow {
 			w.next = 0
-			w.full = true
 		}
 	}
 	return w.snapshot()
@@ -124,17 +123,12 @@ func (w *workerLedger) snapshot() WorkerThroughput {
 	}
 }
 
-// nearestRank is the nearest-rank percentile over a sorted sample.
+// nearestRank is the nearest-rank percentile over a sorted sample: the
+// ceil(p·N/100)-th smallest value.
 func nearestRank(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	rank := int(math.Ceil(p*float64(len(sorted))/100)) - 1 // p·N is exact, so a whole rank stays whole
+	return sorted[max(0, min(rank, len(sorted)-1))]
 }

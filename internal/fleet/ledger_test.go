@@ -52,6 +52,24 @@ func TestLedgerPercentiles(t *testing.T) {
 			tp.BatchP50MS, tp.BatchP90MS, tp.BatchP99MS)
 	}
 
+	// Nearest rank is the ceil(p·N/100)-th value, never a rounded-down rank.
+	for _, c := range []struct {
+		n        int
+		p90, p99 float64
+	}{
+		{6, 6, 6},
+		{16, 15, 16},
+		{60, 54, 60},
+	} {
+		small := NewLedger(0)
+		for i := 1; i <= c.n; i++ {
+			tp = small.Observe("w", 1, time.Duration(i)*time.Millisecond)
+		}
+		if tp.BatchP90MS != c.p90 || tp.BatchP99MS != c.p99 {
+			t.Errorf("N=%d: p90=%v p99=%v, want %v/%v", c.n, tp.BatchP90MS, tp.BatchP99MS, c.p90, c.p99)
+		}
+	}
+
 	// The ring holds ledgerLatencyWindow entries; overflow overwrites the
 	// oldest, so after 128 more batches at a flat 200ms the old spread is gone.
 	for i := 0; i < ledgerLatencyWindow; i++ {
