@@ -64,6 +64,9 @@ func (p Params) validate() {
 // bits returns the number of bit positions.
 func (p Params) bits() int { return p.SizeBytes * 8 }
 
+// words returns the number of 64-bit words that hold the bit positions.
+func (p Params) words() int { return (p.bits() + 63) / 64 }
+
 // positions computes the p.Hashes bit positions for a VFID. The hash family
 // is the standard double-hashing construction g_i(x) = h1(x) + i*h2(x), which
 // gives independent-enough positions for bloom filter purposes.
@@ -90,8 +93,7 @@ type Filter struct {
 // NewFilter returns an empty filter.
 func NewFilter(p Params) *Filter {
 	p.validate()
-	words := (p.bits() + 63) / 64
-	return &Filter{params: p, bits: make([]uint64, words)}
+	return &Filter{params: p, bits: make([]uint64, p.words())}
 }
 
 // Params returns the filter configuration.
@@ -162,8 +164,14 @@ func (f *Filter) String() string {
 // Counting keeps that bit vector up to date as counters cross 0↔1, and it
 // keeps the last snapshot it issued until one of those crossings happens, so
 // a pause frame costs nothing while the pause set stands still.
+//
+// The counters (2 B per bit position, 2 KB at the paper's 128 B filter) are
+// allocated by the first Add: most of a fabric's ingress ports never pause a
+// flow. A Counting may be copied into place (c = *NewCounting(p)) before its
+// first Add.
 type Counting struct {
 	params Params
+	// counts and bits are nil until the first Add.
 	counts []uint16
 	// bits is the live wire bit vector: bit i is set iff counts[i] > 0.
 	bits []uint64
@@ -177,7 +185,7 @@ type Counting struct {
 // NewCounting returns an empty counting filter.
 func NewCounting(p Params) *Counting {
 	p.validate()
-	return &Counting{params: p, counts: make([]uint16, p.bits()), bits: make([]uint64, (p.bits()+63)/64)}
+	return &Counting{params: p}
 }
 
 // Params returns the filter configuration.
@@ -187,6 +195,10 @@ func (c *Counting) Params() Params { return c.params }
 // is the caller's responsibility to avoid (the switch tracks pause state per
 // flow-table entry).
 func (c *Counting) Add(v packet.VFID) {
+	if c.counts == nil {
+		c.counts = make([]uint16, c.params.bits())
+		c.bits = make([]uint64, c.params.words())
+	}
 	var buf [16]int
 	for _, pos := range c.params.positions(v, buf[:0]) {
 		switch c.counts[pos] {
@@ -205,6 +217,9 @@ func (c *Counting) Add(v packet.VFID) {
 // corrupts the filter; the switch only calls Remove for flows it marked
 // paused.
 func (c *Counting) Remove(v packet.VFID) {
+	if c.counts == nil {
+		panic("bloom: counting filter counter underflow")
+	}
 	var buf [16]int
 	for _, pos := range c.params.positions(v, buf[:0]) {
 		if c.counts[pos] == 0 {
@@ -222,6 +237,9 @@ func (c *Counting) Remove(v packet.VFID) {
 // Contains reports whether the VFID currently matches (all counters
 // non-zero).
 func (c *Counting) Contains(v packet.VFID) bool {
+	if c.counts == nil {
+		return false
+	}
 	var buf [16]int
 	for _, pos := range c.params.positions(v, buf[:0]) {
 		if c.counts[pos] == 0 {
@@ -241,7 +259,9 @@ func (c *Counting) Members() int { return c.members }
 // which is race-free only because nobody writes it after it is returned.
 func (c *Counting) Snapshot() *Filter {
 	if c.snap == nil {
-		c.snap = &Filter{params: c.params, bits: append([]uint64(nil), c.bits...)}
+		bits := make([]uint64, c.params.words())
+		copy(bits, c.bits)
+		c.snap = &Filter{params: c.params, bits: bits}
 	}
 	return c.snap
 }

@@ -158,6 +158,23 @@ func TestCountingUnderflowPanics(t *testing.T) {
 	assertPanics(t, func() { c.Remove(3) })
 }
 
+// TestCountingBeforeFirstAdd: a Counting that never paused a flow holds no
+// counters, yet answers and snapshots like an empty one.
+func TestCountingBeforeFirstAdd(t *testing.T) {
+	c := NewCounting(DefaultParams())
+	if c.Contains(3) || c.Members() != 0 {
+		t.Fatal("a fresh counting filter should be empty")
+	}
+	snap := c.Snapshot()
+	if !snap.Empty() || snap.Contains(3) || snap.SetBits() != 0 {
+		t.Fatalf("snapshot of a fresh counting filter = %v, want empty", snap)
+	}
+	c.Add(3)
+	if !c.Contains(3) || !c.Snapshot().Contains(3) {
+		t.Fatal("the first Add should register the VFID")
+	}
+}
+
 func TestSnapshotMatchesCounting(t *testing.T) {
 	c := NewCounting(DefaultParams())
 	vfids := []packet.VFID{3, 77, 1024, 9000}

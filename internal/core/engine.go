@@ -56,8 +56,10 @@ type Engine struct {
 	table *flowtable.Table
 	rng   *rand.Rand // collision fallback draws; nil until the first (see random)
 
-	egress  []*egressState
-	ingress []*ingressState
+	// egress and ingress are indexed by port; every egress port's
+	// per-queue counters and lists are carved from engine-wide arrays.
+	egress  []egressState
+	ingress []ingressState
 
 	// pendingResumes counts the items on every toResume list, so a Tick with
 	// none skips the egress × queue walk.
@@ -90,7 +92,7 @@ type resumeItem struct {
 }
 
 type ingressState struct {
-	counting      *bloom.Counting
+	counting      bloom.Counting
 	lastSentEmpty bool
 }
 
@@ -110,20 +112,23 @@ func NewEngine(cfg Config, numPorts int, view PortView) *Engine {
 		view:     view,
 		numPorts: numPorts,
 		table:    flowtable.New(cfg.NumVFIDs, cfg.BucketSize, cfg.OverflowCacheSize),
-		egress:   make([]*egressState, numPorts),
-		ingress:  make([]*ingressState, numPorts),
+		egress:   make([]egressState, numPorts),
+		ingress:  make([]ingressState, numPorts),
 	}
-	for i := 0; i < numPorts; i++ {
-		e.egress[i] = &egressState{
-			flowsPerQueue:   make([]int, cfg.QueuesPerPort),
-			bytesPerQueue:   make([]units.Bytes, cfg.QueuesPerPort),
-			entriesPerQueue: make([][]*flowtable.Entry, cfg.QueuesPerPort),
-			toResume:        make([][]resumeItem, cfg.QueuesPerPort),
+	q := cfg.QueuesPerPort
+	flows := make([]int, numPorts*q)
+	bytes := make([]units.Bytes, numPorts*q)
+	entries := make([][]*flowtable.Entry, numPorts*q)
+	resumes := make([][]resumeItem, numPorts*q)
+	for i := range e.egress {
+		lo, hi := i*q, (i+1)*q
+		e.egress[i] = egressState{
+			flowsPerQueue:   flows[lo:hi:hi],
+			bytesPerQueue:   bytes[lo:hi:hi],
+			entriesPerQueue: entries[lo:hi:hi],
+			toResume:        resumes[lo:hi:hi],
 		}
-		e.ingress[i] = &ingressState{
-			counting:      bloom.NewCounting(cfg.Bloom),
-			lastSentEmpty: true,
-		}
+		e.ingress[i] = ingressState{counting: *bloom.NewCounting(cfg.Bloom), lastSentEmpty: true}
 	}
 	return e
 }
@@ -156,7 +161,7 @@ func (e *Engine) OnArrival(now units.Time, ingress, egress int, p *packet.Packet
 	}
 	e.stats.DataPackets++
 	vfid := e.VFID(p.Flow)
-	es := e.egress[egress]
+	es := &e.egress[egress]
 
 	entry := e.table.Lookup(vfid, ingress, egress)
 	if entry == nil {
@@ -285,7 +290,7 @@ func (e *Engine) OnDeparture(now units.Time, ingress, egress int, pl Placement, 
 	if entry == nil {
 		panic(fmt.Sprintf("core: departure for unknown flow %v (vfid %d)", p.Flow, vfid))
 	}
-	es := e.egress[egress]
+	es := &e.egress[egress]
 	entry.Packets--
 	entry.Bytes -= p.Size
 	if entry.Packets < 0 || entry.Bytes < 0 {
@@ -386,10 +391,11 @@ func (e *Engine) resumeQueueFlows(es *egressState, q int) {
 func (e *Engine) Tick(now units.Time) []PauseFrame {
 	// Throttled resumes, each list popped in place so its capacity is reused
 	// by the next append.
-	for _, es := range e.egress {
+	for i := range e.egress {
 		if e.pendingResumes == 0 {
 			break
 		}
+		es := &e.egress[i]
 		for q, list := range es.toResume {
 			n := min(e.cfg.ResumePerInterval, len(list))
 			if n == 0 {
@@ -411,7 +417,8 @@ func (e *Engine) Tick(now units.Time) []PauseFrame {
 	}
 	// Pause frames.
 	e.frames = e.frames[:0]
-	for port, is := range e.ingress {
+	for port := range e.ingress {
+		is := &e.ingress[port]
 		empty := is.counting.Members() == 0
 		if empty && is.lastSentEmpty {
 			continue // idempotent empty update: nothing to tell upstream

@@ -156,7 +156,7 @@ func TestLinkBoundaryRedirect(t *testing.T) {
 	var b Boundary
 	l.SetBoundary(&b)
 	l.Transmit(&packet.Packet{Kind: packet.Data, Size: 1000}, nil)
-	l.SendControl(PFCFrame{Pause: true}, 64)
+	l.SendControl(PFCFrame{Pause: true})
 	s.Run() // serialization-done event only; no local delivery
 	if len(dst.packets) != 0 || len(dst.controls) != 0 {
 		t.Fatal("boundary link delivered locally")

@@ -15,8 +15,7 @@ import (
 
 // ControlFrame is a link-level control message delivered to the peer after
 // the link propagation delay. Control frames model PFC and BFC pause frames;
-// they do not occupy data-queue capacity (their ~1% bandwidth overhead is
-// accounted for separately in utilization statistics).
+// they occupy neither data-queue capacity nor link time.
 type ControlFrame interface {
 	isControlFrame()
 }
@@ -53,14 +52,17 @@ type Device interface {
 }
 
 // Link is a unidirectional transmission path from one device port to a peer
-// device port. A bidirectional physical link is modeled as two Links.
+// device port. A bidirectional physical link is modeled as two Links. A Link
+// is set up by Init, in place, so a fabric may keep its links in one slab; it
+// must not be copied afterwards, because its callbacks point at it.
 type Link struct {
 	sched  *eventsim.Scheduler
 	rate   units.Rate
 	delay  units.Time
 	peer   Device
 	toPort int
-	name   string
+	// name identifies the link in the busy-link panic; it may be empty.
+	name string
 
 	// boundary, when non-nil, marks a cross-shard link: deliveries are pushed
 	// onto the queue instead of scheduled locally, and the coordinator drains
@@ -93,23 +95,28 @@ type Link struct {
 	pendingDone func()
 
 	// Statistics.
-	txBytes     units.Bytes
-	ctrlBytes   units.Bytes
 	busyTime    units.Time
 	pausedSince units.Time
 	pausedTotal units.Time
 	isPaused    bool
 }
 
-// NewLink creates a link delivering to peer's port toPort.
+// NewLink returns a link set up by Init.
 func NewLink(sched *eventsim.Scheduler, name string, rate units.Rate, delay units.Time, peer Device, toPort int) *Link {
+	l := new(Link)
+	l.Init(sched, name, rate, delay, peer, toPort)
+	return l
+}
+
+// Init sets l up to deliver to peer's port toPort, replacing whatever l held.
+func (l *Link) Init(sched *eventsim.Scheduler, name string, rate units.Rate, delay units.Time, peer Device, toPort int) {
 	if sched == nil || peer == nil {
 		panic("netsim: nil scheduler or peer")
 	}
 	if rate <= 0 || delay < 0 {
 		panic("netsim: invalid link parameters")
 	}
-	l := &Link{sched: sched, name: name, rate: rate, delay: delay, peer: peer, toPort: toPort}
+	*l = Link{sched: sched, name: name, rate: rate, delay: delay, peer: peer, toPort: toPort}
 	l.serDone = func() {
 		l.busy = false
 		done := l.pendingDone
@@ -134,28 +141,12 @@ func NewLink(sched *eventsim.Scheduler, name string, rate units.Rate, delay unit
 		}
 		l.peer.ReceiveControl(l.toPort, x.(ControlFrame))
 	}
-	return l
 }
 
 // SetBoundary marks the link as crossing a shard boundary: every delivery is
 // pushed onto b instead of being scheduled on the sender's scheduler. Pass
 // nil to restore local delivery.
 func (l *Link) SetBoundary(b *Boundary) { l.boundary = b }
-
-// Rate returns the link rate.
-func (l *Link) Rate() units.Rate { return l.rate }
-
-// Delay returns the propagation delay.
-func (l *Link) Delay() units.Time { return l.delay }
-
-// Peer returns the receiving device.
-func (l *Link) Peer() Device { return l.peer }
-
-// PeerPort returns the port index at the receiving device.
-func (l *Link) PeerPort() int { return l.toPort }
-
-// Name returns the diagnostic name of the link.
-func (l *Link) Name() string { return l.name }
 
 // Busy reports whether a packet is currently being serialized onto the link.
 func (l *Link) Busy() bool { return l.busy }
@@ -190,14 +181,13 @@ func (l *Link) SetDelay(d units.Time) {
 // transmissions.
 func (l *Link) Transmit(p *packet.Packet, onDone func()) {
 	if l.busy {
-		panic(fmt.Sprintf("netsim: transmit on busy link %s", l.name))
+		panic(fmt.Sprintf("netsim: transmit on busy link %q to node %d port %d", l.name, l.peer.ID(), l.toPort))
 	}
 	if p == nil {
 		panic("netsim: transmitting nil packet")
 	}
 	l.busy = true
 	ser := units.SerializationTime(p.Size, l.rate)
-	l.txBytes += p.Size
 	l.busyTime += ser
 	// The busy-link panic above guarantees at most one serialization is in
 	// flight, so a single pendingDone field (consumed by serDone) suffices.
@@ -223,11 +213,9 @@ func (l *Link) Transmit(p *packet.Packet, onDone func()) {
 }
 
 // SendControl delivers a control frame to the peer after the propagation
-// delay. Control frames are not serialized against data traffic (they are
-// tiny and sent at the highest priority); size accounts for their bandwidth
-// in the statistics.
-func (l *Link) SendControl(frame ControlFrame, size units.Bytes) {
-	l.ctrlBytes += size
+// delay. Control frames are not serialized against data traffic: they are
+// tiny and sent at the highest priority.
+func (l *Link) SendControl(frame ControlFrame) {
 	at := l.sched.Now() + l.delay
 	if l.boundary != nil {
 		l.boundary.Push(BoundaryMsg{Key: l.sched.ChildKey(at), Link: l, Ctrl: frame})
@@ -261,21 +249,5 @@ func (l *Link) PausedTime() units.Time {
 	return total
 }
 
-// TxBytes returns the data bytes serialized on the link.
-func (l *Link) TxBytes() units.Bytes { return l.txBytes }
-
-// ControlBytes returns the control-frame bytes attributed to the link.
-func (l *Link) ControlBytes() units.Bytes { return l.ctrlBytes }
-
 // BusyTime returns the cumulative serialization time.
 func (l *Link) BusyTime() units.Time { return l.busyTime }
-
-// Utilization returns the fraction of the elapsed simulation time the link
-// spent serializing data.
-func (l *Link) Utilization() float64 {
-	now := l.sched.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(l.busyTime) / float64(now)
-}

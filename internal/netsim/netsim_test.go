@@ -54,7 +54,7 @@ func TestLinkTransmitTiming(t *testing.T) {
 	if dst.times[0] != 80*units.Nanosecond+units.Microsecond {
 		t.Fatalf("packet arrived at %v, want 1.08us", dst.times[0])
 	}
-	if l.TxBytes() != 1000 || l.BusyTime() != 80*units.Nanosecond {
+	if l.BusyTime() != 80*units.Nanosecond {
 		t.Fatal("link statistics wrong")
 	}
 	if l.Busy() {
@@ -90,8 +90,8 @@ func TestLinkBackToBackTransmissions(t *testing.T) {
 			t.Fatal("packets reordered on a link")
 		}
 	}
-	if u := l.Utilization(); u <= 0 || u > 1 {
-		t.Fatalf("utilization = %v", u)
+	if b := l.BusyTime(); b != 240*units.Nanosecond {
+		t.Fatalf("busy time = %v, want 240ns", b)
 	}
 }
 
@@ -130,10 +130,10 @@ func TestSendControl(t *testing.T) {
 	s := eventsim.New()
 	dst := &fakeDevice{id: 2, sched: s}
 	l := NewLink(s, "l", 100*units.Gbps, 2*units.Microsecond, dst, 5)
-	l.SendControl(PFCFrame{Pause: true}, 64)
+	l.SendControl(PFCFrame{Pause: true})
 	filter := bloom.NewFilter(bloom.DefaultParams())
 	filter.Add(7)
-	l.SendControl(BFCPauseFrame{Filter: filter}, 128)
+	l.SendControl(BFCPauseFrame{Filter: filter})
 	s.Run()
 	if len(dst.controls) != 2 {
 		t.Fatalf("received %d control frames, want 2", len(dst.controls))
@@ -149,9 +149,6 @@ func TestSendControl(t *testing.T) {
 	}
 	if dst.times[0] != 2*units.Microsecond {
 		t.Fatalf("control arrived at %v, want 2us (propagation only)", dst.times[0])
-	}
-	if l.ControlBytes() != 192 {
-		t.Fatalf("control bytes = %d, want 192", l.ControlBytes())
 	}
 }
 

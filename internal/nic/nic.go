@@ -140,7 +140,7 @@ type NIC struct {
 
 	link *netsim.Link
 
-	ctrlQueue *queue.FIFO
+	ctrlQueue queue.FIFO
 
 	senders   map[packet.FlowID]*senderFlow
 	sendOrder []*senderFlow
@@ -150,8 +150,9 @@ type NIC struct {
 
 	transmitting bool
 	pfcPaused    bool
-	upstream     *core.UpstreamState
-	wakeup       *eventsim.Timer
+	// upstream holds the ToR's BFC filter (BFC NICs only, VFIDSpace > 0).
+	upstream core.UpstreamState
+	wakeup   eventsim.Timer
 	// onTxDone is the serialization-complete callback handed to the link,
 	// allocated once so the transmit path creates no per-packet closures.
 	onTxDone func()
@@ -168,14 +169,13 @@ func New(cfg Config) *NIC {
 		cfg:       cfg,
 		sched:     cfg.Scheduler,
 		pool:      cfg.Pool,
-		ctrlQueue: queue.NewFIFO(),
 		senders:   map[packet.FlowID]*senderFlow{},
 		receivers: map[packet.FlowID]*receiverFlow{},
 	}
 	if cfg.VFIDSpace > 0 {
-		n.upstream = core.NewUpstreamState(cfg.VFIDSpace)
+		n.upstream = *core.NewUpstreamState(cfg.VFIDSpace)
 	}
-	n.wakeup = eventsim.NewTimer(cfg.Scheduler, n.tryTransmit)
+	n.wakeup = *eventsim.NewTimer(cfg.Scheduler, n.tryTransmit)
 	n.onTxDone = func() {
 		n.transmitting = false
 		n.tryTransmit()
@@ -215,7 +215,7 @@ func (n *NIC) StartFlow(f *packet.Flow) {
 		flow:       f,
 		numPackets: f.NumPackets(n.cfg.MTU),
 	}
-	if n.upstream != nil {
+	if n.cfg.VFIDSpace > 0 {
 		sf.vfid = f.VFIDOf(n.cfg.VFIDSpace)
 	}
 	if n.cfg.NewController != nil {
@@ -251,7 +251,7 @@ func (n *NIC) ReceiveControl(port int, frame netsim.ControlFrame) {
 			n.tryTransmit()
 		}
 	case netsim.BFCPauseFrame:
-		if n.upstream == nil {
+		if n.cfg.VFIDSpace == 0 {
 			return
 		}
 		n.upstream.Update(f.Filter)
@@ -272,9 +272,7 @@ func (n *NIC) OnLinkStateChange(up bool) {
 	if n.link != nil {
 		n.link.MarkPaused(false)
 	}
-	if n.upstream != nil {
-		n.upstream.Reset()
-	}
+	n.upstream.Reset()
 	if up {
 		n.tryTransmit()
 	}
@@ -320,8 +318,8 @@ func (n *NIC) pickSender(now units.Time) (*senderFlow, units.Time) {
 		if sf.completed || sf.nextSeq >= sf.numPackets {
 			continue
 		}
-		// BFC per-flow pause from the ToR.
-		if n.upstream != nil && n.upstream.VFIDPaused(sf.vfid) {
+		// BFC per-flow pause from the ToR (never set without BFC).
+		if n.upstream.VFIDPaused(sf.vfid) {
 			continue
 		}
 		// Window check.

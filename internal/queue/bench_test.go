@@ -22,18 +22,15 @@ import (
 // end both on an emptied deficit and on a head that does not fit.
 func dequeueLoop(tb testing.TB, queues, active int) func(n int) {
 	const quantum = 1500
-	fifos := make([]*FIFO, queues)
-	for i := range fifos {
-		fifos[i] = NewFIFO()
-	}
+	fifos := make([]FIFO, queues)
 	sizes := [...]units.Bytes{1500, 64, 1000, 2000}
 	for a := 0; a < active; a++ {
-		q := fifos[a*queues/active]
+		q := &fifos[a*queues/active]
 		for k, s := range sizes {
 			q.Push(&packet.Packet{Kind: packet.Data, Size: s + units.Bytes(a+k)})
 		}
 	}
-	d := NewDRR(fifos, quantum)
+	d := newDRR(fifos, quantum)
 	return func(n int) {
 		for i := 0; i < n; i++ {
 			p, idx := d.Dequeue()

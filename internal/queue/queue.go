@@ -27,7 +27,7 @@ type FIFO struct {
 	paused  bool
 
 	// drr and idx wire the queue into its scheduler's serviceability bitmap
-	// (set by NewDRR, nil for standalone queues): the queue reports its
+	// (set by DRR.Init, nil for standalone queues): the queue reports its
 	// non-empty/unpaused transitions so the scheduler finds serviceable queues
 	// and answers ActiveQueues from the bitmap instead of scanning every queue.
 	drr *DRR
@@ -36,9 +36,6 @@ type FIFO struct {
 	// MaxBytes is the high-water mark of queued bytes (diagnostics).
 	MaxBytes units.Bytes
 }
-
-// NewFIFO returns an empty queue.
-func NewFIFO() *FIFO { return &FIFO{} }
 
 // Push appends a packet.
 func (q *FIFO) Push(p *packet.Packet) {
@@ -122,9 +119,11 @@ func (q *FIFO) ForEach(fn func(*packet.Packet)) {
 // DRR schedules packets from a set of FIFO queues using deficit round robin
 // with a configurable quantum. Empty and paused queues are skipped. DRR is
 // work conserving: if any serviceable queue has a packet, Dequeue returns
-// one.
+// one. The zero value is set up by Init, so a device may keep its schedulers
+// by value; a DRR must not be copied once set up, because its queues point
+// back at it.
 type DRR struct {
-	queues   []*FIFO
+	queues   []FIFO
 	deficits []units.Bytes
 	quantum  units.Bytes
 	next     int  // round-robin position
@@ -139,23 +138,28 @@ type DRR struct {
 	ready []uint64
 }
 
-// NewDRR creates a scheduler over the given queues. The quantum should be at
-// least the MTU so every visit can send at least one packet. Each queue may
-// belong to at most one scheduler.
-func NewDRR(queues []*FIFO, quantum units.Bytes) *DRR {
+// ReadyWords is the length of the ready bitmap Init needs for n queues.
+func ReadyWords(n int) int { return (n + 63) / 64 }
+
+// Init sets d up to schedule queues, a contiguous run of FIFOs, with the
+// given quantum. deficits (len(queues) long, zeroed) and ready
+// (ReadyWords(len(queues)) long, zeroed) are the scheduler's working storage:
+// a device carves them, like the queues, out of arrays shared by all its
+// ports. The quantum should be at least the MTU so every visit can send at
+// least one packet. Each queue may belong to at most one scheduler.
+func (d *DRR) Init(queues []FIFO, quantum units.Bytes, deficits []units.Bytes, ready []uint64) {
 	if quantum <= 0 {
 		panic("queue: DRR quantum must be positive")
 	}
 	if len(queues) == 0 {
 		panic("queue: DRR needs at least one queue")
 	}
-	d := &DRR{
-		queues:   queues,
-		deficits: make([]units.Bytes, len(queues)),
-		quantum:  quantum,
-		ready:    make([]uint64, (len(queues)+63)/64),
+	if len(deficits) != len(queues) || len(ready) != ReadyWords(len(queues)) {
+		panic("queue: DRR storage does not match its queues")
 	}
-	for i, q := range queues {
+	*d = DRR{queues: queues, deficits: deficits, quantum: quantum, ready: ready}
+	for i := range queues {
+		q := &queues[i]
 		if q.drr != nil {
 			panic("queue: FIFO already scheduled by another DRR")
 		}
@@ -164,7 +168,6 @@ func NewDRR(queues []*FIFO, quantum units.Bytes) *DRR {
 			d.setReady(i)
 		}
 	}
-	return d
 }
 
 func (d *DRR) setReady(i int)   { d.ready[i>>6] |= 1 << (uint(i) & 63) }
@@ -204,7 +207,7 @@ func (d *DRR) Dequeue() (*packet.Packet, int) {
 		if i < 0 {
 			return nil, -1
 		}
-		q := d.queues[i]
+		q := &d.queues[i]
 		// Grant the quantum once per visit, when the round-robin pointer
 		// arrives at the queue; the queue is then served packet by packet
 		// across subsequent Dequeue calls until its deficit runs out.

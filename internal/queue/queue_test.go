@@ -14,7 +14,7 @@ func pkt(size units.Bytes) *packet.Packet {
 }
 
 func TestFIFOBasics(t *testing.T) {
-	q := NewFIFO()
+	q := &FIFO{}
 	if !q.Empty() || q.Len() != 0 || q.Bytes() != 0 || q.Pop() != nil || q.Head() != nil {
 		t.Fatal("new queue should be empty")
 	}
@@ -40,7 +40,7 @@ func TestFIFOBasics(t *testing.T) {
 }
 
 func TestFIFOPauseFlag(t *testing.T) {
-	q := NewFIFO()
+	q := &FIFO{}
 	if q.Paused() {
 		t.Fatal("new queue should not be paused")
 	}
@@ -55,7 +55,7 @@ func TestFIFOPauseFlag(t *testing.T) {
 }
 
 func TestFIFOPushNilPanics(t *testing.T) {
-	q := NewFIFO()
+	q := &FIFO{}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -65,7 +65,7 @@ func TestFIFOPushNilPanics(t *testing.T) {
 }
 
 func TestFIFOForEach(t *testing.T) {
-	q := NewFIFO()
+	q := &FIFO{}
 	for i := 0; i < 5; i++ {
 		q.Push(pkt(units.Bytes(i + 1)))
 	}
@@ -80,7 +80,7 @@ func TestFIFOForEach(t *testing.T) {
 // TestFIFORewindsWhenDrained: a queue that never holds more than one packet
 // reuses the front of its backing array instead of walking it forward.
 func TestFIFORewindsWhenDrained(t *testing.T) {
-	q := NewFIFO()
+	q := &FIFO{}
 	p := pkt(100)
 	for i := 0; i < 10000; i++ {
 		q.Push(p)
@@ -96,7 +96,7 @@ func TestFIFORewindsWhenDrained(t *testing.T) {
 func TestFIFOCompaction(t *testing.T) {
 	// Push and pop many packets to force internal compaction; FIFO order and
 	// byte accounting must survive.
-	q := NewFIFO()
+	q := &FIFO{}
 	next := 0
 	popped := 0
 	for i := 0; i < 1000; i++ {
@@ -122,9 +122,20 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 }
 
+// newDRR sets up a scheduler over queues with storage of its own.
+func newDRR(queues []FIFO, quantum units.Bytes) *DRR {
+	d := new(DRR)
+	d.Init(queues, quantum, make([]units.Bytes, len(queues)), make([]uint64, ReadyWords(len(queues))))
+	return d
+}
+
 func TestDRRValidation(t *testing.T) {
-	assertPanics(t, func() { NewDRR([]*FIFO{NewFIFO()}, 0) })
-	assertPanics(t, func() { NewDRR(nil, 1000) })
+	assertPanics(t, func() { newDRR(make([]FIFO, 1), 0) })
+	assertPanics(t, func() { newDRR(nil, 1000) })
+	assertPanics(t, func() { new(DRR).Init(make([]FIFO, 2), 1000, make([]units.Bytes, 1), make([]uint64, 1)) })
+	qs := make([]FIFO, 1)
+	newDRR(qs, 1000)
+	assertPanics(t, func() { newDRR(qs, 1000) })
 }
 
 func assertPanics(t *testing.T, f func()) {
@@ -138,7 +149,7 @@ func assertPanics(t *testing.T, f func()) {
 }
 
 func TestDRREmptyReturnsNothing(t *testing.T) {
-	d := NewDRR([]*FIFO{NewFIFO(), NewFIFO()}, 1000)
+	d := newDRR(make([]FIFO, 2), 1000)
 	if p, i := d.Dequeue(); p != nil || i != -1 {
 		t.Fatal("dequeue from empty scheduler should return nil")
 	}
@@ -150,12 +161,13 @@ func TestDRREmptyReturnsNothing(t *testing.T) {
 func TestDRRFairnessEqualSizes(t *testing.T) {
 	// Two queues with equal-size packets should alternate service and get
 	// equal shares.
-	qa, qb := NewFIFO(), NewFIFO()
+	qs := make([]FIFO, 2)
+	qa, qb := &qs[0], &qs[1]
 	for i := 0; i < 100; i++ {
 		qa.Push(pkt(1000))
 		qb.Push(pkt(1000))
 	}
-	d := NewDRR([]*FIFO{qa, qb}, 1000)
+	d := newDRR(qs, 1000)
 	counts := map[int]int{}
 	for i := 0; i < 100; i++ {
 		p, idx := d.Dequeue()
@@ -172,14 +184,15 @@ func TestDRRFairnessEqualSizes(t *testing.T) {
 func TestDRRFairnessByBytes(t *testing.T) {
 	// One queue has 500B packets, the other 1000B packets. Byte-level shares
 	// should be roughly equal (within one quantum per queue).
-	qa, qb := NewFIFO(), NewFIFO()
+	qs := make([]FIFO, 2)
+	qa, qb := &qs[0], &qs[1]
 	for i := 0; i < 400; i++ {
 		qa.Push(pkt(500))
 	}
 	for i := 0; i < 200; i++ {
 		qb.Push(pkt(1000))
 	}
-	d := NewDRR([]*FIFO{qa, qb}, 1000)
+	d := newDRR(qs, 1000)
 	bytes := map[int]units.Bytes{}
 	var total units.Bytes
 	for total < 100000 {
@@ -200,13 +213,14 @@ func TestDRRFairnessByBytes(t *testing.T) {
 }
 
 func TestDRRSkipsPausedQueues(t *testing.T) {
-	qa, qb := NewFIFO(), NewFIFO()
+	qs := make([]FIFO, 2)
+	qa, qb := &qs[0], &qs[1]
 	for i := 0; i < 10; i++ {
 		qa.Push(pkt(1000))
 		qb.Push(pkt(1000))
 	}
 	qa.SetPaused(true)
-	d := NewDRR([]*FIFO{qa, qb}, 1000)
+	d := newDRR(qs, 1000)
 	if d.ActiveQueues() != 1 {
 		t.Fatalf("ActiveQueues = %d, want 1", d.ActiveQueues())
 	}
@@ -235,14 +249,11 @@ func TestDRRSkipsPausedQueues(t *testing.T) {
 
 func TestDRRWorkConserving(t *testing.T) {
 	// With one busy queue and others empty, the busy queue gets full service.
-	queues := make([]*FIFO, 8)
-	for i := range queues {
-		queues[i] = NewFIFO()
-	}
+	queues := make([]FIFO, 8)
 	for i := 0; i < 50; i++ {
 		queues[3].Push(pkt(1000))
 	}
-	d := NewDRR(queues, 1000)
+	d := newDRR(queues, 1000)
 	for i := 0; i < 50; i++ {
 		p, idx := d.Dequeue()
 		if p == nil || idx != 3 {
@@ -254,10 +265,11 @@ func TestDRRWorkConserving(t *testing.T) {
 func TestDRRLargePacketsSmallQuantum(t *testing.T) {
 	// Packets larger than the quantum must still be scheduled (deficit
 	// accumulates across rounds).
-	qa, qb := NewFIFO(), NewFIFO()
+	qs := make([]FIFO, 2)
+	qa, qb := &qs[0], &qs[1]
 	qa.Push(pkt(4000))
 	qb.Push(pkt(1000))
-	d := NewDRR([]*FIFO{qa, qb}, 1000)
+	d := newDRR(qs, 1000)
 	got := 0
 	for {
 		p, _ := d.Dequeue()
@@ -278,15 +290,12 @@ func TestDRRConservationProperty(t *testing.T) {
 	prop := func(seed int64, nq, np uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		numQ := int(nq%8) + 1
-		queues := make([]*FIFO, numQ)
-		for i := range queues {
-			queues[i] = NewFIFO()
-		}
+		queues := make([]FIFO, numQ)
 		total := int(np%200) + 1
 		for i := 0; i < total; i++ {
 			queues[rng.Intn(numQ)].Push(pkt(units.Bytes(rng.Intn(1500) + 1)))
 		}
-		d := NewDRR(queues, 1000)
+		d := newDRR(queues, 1000)
 		got := 0
 		for {
 			p, idx := d.Dequeue()
@@ -374,11 +383,11 @@ func TestDRRMatchesLinearWalk(t *testing.T) {
 	for _, n := range []int{1, 2, 33, 63, 64, 65, 129, 1001} {
 		for seed := int64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewSource(seed*1009 + int64(n)))
-			fast, slow := make([]*FIFO, n), make([]*FIFO, n)
-			for i := range fast {
-				fast[i], slow[i] = NewFIFO(), NewFIFO()
+			fast, slow := make([]FIFO, n), make([]*FIFO, n)
+			for i := range slow {
+				slow[i] = &FIFO{}
 			}
-			d := NewDRR(fast, quantum)
+			d := newDRR(fast, quantum)
 			m := &walkDRR{queues: slow, deficits: make([]units.Bytes, n), quantum: quantum}
 			active := make([]int, 1+rng.Intn(min(n, 6)))
 			for k := range active {
@@ -421,12 +430,13 @@ func TestDRRMatchesLinearWalk(t *testing.T) {
 func TestDRRFairnessProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		qa, qb := NewFIFO(), NewFIFO()
+		qs := make([]FIFO, 2)
+		qa, qb := &qs[0], &qs[1]
 		for i := 0; i < 3000; i++ {
 			qa.Push(pkt(units.Bytes(rng.Intn(1400) + 100)))
 			qb.Push(pkt(units.Bytes(rng.Intn(1400) + 100)))
 		}
-		d := NewDRR([]*FIFO{qa, qb}, 1500)
+		d := newDRR(qs, 1500)
 		bytes := [2]units.Bytes{}
 		var total units.Bytes
 		for total < 1_000_000 {

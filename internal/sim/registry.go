@@ -17,11 +17,12 @@ import (
 // registry is the device table of one run. NodeIDs are dense, so the switch
 // or NIC of every node sits in a slice indexed by NodeID (nil where the node
 // is of the other kind). A run hands the same registry to every shard runner,
-// each filling only the slots of the nodes it owns — construction is
-// sequential on the coordinator goroutine, and inside windows shards only read
-// it — so the coordinator samples at barriers and collects at the end straight
-// from it. Once every link is wired, the coordinator groups the links into
-// the tier-pair classes that the Result and the series read.
+// each filling only the slots of the nodes it owns, on its own goroutine. No
+// shard reads a slot another fills until every build has joined; from the
+// wiring on, shards only read it, so the coordinator samples at barriers and
+// collects at the end straight from it. Once every link is wired, the
+// coordinator groups the links into the tier-pair classes that the Result and
+// the series read.
 type registry struct {
 	topo     *topology.Topology
 	switches []*switchsim.Switch
@@ -130,15 +131,16 @@ type linkClass struct {
 // node, grouped by tier pair, keys in sorted order and links in topology order.
 // Call it once, after every shard's wireLinks.
 func (g *registry) buildLinkClasses() {
-	idx := map[string]int{}
+	type tierPair struct{ from, to topology.Tier }
+	idx := map[tierPair]int{}
 	for _, node := range g.topo.Nodes() {
 		for portIdx, port := range node.Ports {
-			key := fmt.Sprintf("%s->%s", node.Tier, g.topo.Node(port.Peer).Tier)
-			i, ok := idx[key]
+			pair := tierPair{node.Tier, g.topo.Node(port.Peer).Tier}
+			i, ok := idx[pair]
 			if !ok {
 				i = len(g.classes)
-				idx[key] = i
-				g.classes = append(g.classes, linkClass{key: key})
+				idx[pair] = i
+				g.classes = append(g.classes, linkClass{key: fmt.Sprintf("%s->%s", pair.from, pair.to)})
 			}
 			g.classes[i].links = append(g.classes[i].links, g.outLink(node.ID, portIdx))
 		}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"bfc/internal/bloom"
 	"bfc/internal/cc"
 	"bfc/internal/cc/dcqcn"
@@ -183,6 +181,10 @@ type runner struct {
 	strandedBytes units.Bytes
 	injectedFlows int
 
+	// strand is onStranded as one func value, shared by every untraced link
+	// whose deliveries this runner receives.
+	strand func(*packet.Packet)
+
 	// rec is the flight recorder (nil when disabled).
 	rec telemetry.Recorder
 }
@@ -224,15 +226,43 @@ func newRunner(opts Options, reg *registry) *runner {
 	if opts.Recorder != nil {
 		r.rec = opts.Recorder
 	}
+	r.strand = r.onStranded
 	return r
 }
 
-// hopRTT returns the one-hop round-trip time used by BFC: twice the
-// propagation plus MTU serialization of the fastest fabric link.
-func (r *runner) hopRTT() units.Time {
+// fabric holds the parameters every device of a run shares. A run derives
+// them once, from the options and the topology alone, before any shard
+// builds; the shards' parallel builds only read them.
+type fabric struct {
+	// bfc is the BFC engine configuration (nil unless the scheme is BFC).
+	bfc *core.Config
+	// hostRate is the first host's line rate and baseRTT the topology's
+	// largest host-pair base RTT; they size the end-to-end windows.
+	hostRate units.Rate
+	baseRTT  units.Time
+}
+
+func newFabric(opts *Options) *fabric {
+	topo := opts.Topo
+	f := &fabric{
+		hostRate: topo.HostRate(topo.Hosts()[0]),
+		baseRTT:  topo.MaxBaseRTT(opts.MTU + packet.DataHeaderSize),
+	}
+	if opts.Scheme == SchemeBFC || opts.Scheme == SchemeBFCStatic {
+		f.bfc = bfcConfig(opts, hopRTT(topo, opts.MTU))
+	}
+	return f
+}
+
+// hopRTT returns the one-hop round-trip time used by BFC: twice the sum of
+// the largest port propagation delay anywhere in the fabric and the MTU
+// serialization time at the slowest port rate anywhere in the fabric. Both
+// extremes are fabric-wide, so every switch gets the same HRTT even where its
+// own links are faster or shorter; ROADMAP item 13(a) reads it per switch.
+func hopRTT(topo *topology.Topology, mtu units.Bytes) units.Time {
 	var delay units.Time
 	var rate units.Rate
-	for _, n := range r.topo.Nodes() {
+	for _, n := range topo.Nodes() {
 		for _, p := range n.Ports {
 			if p.Delay > delay {
 				delay = p.Delay
@@ -245,21 +275,16 @@ func (r *runner) hopRTT() units.Time {
 	if rate == 0 {
 		rate = 100 * units.Gbps
 	}
-	return 2 * (delay + units.SerializationTime(r.opts.MTU+packet.DataHeaderSize, rate))
+	return 2 * (delay + units.SerializationTime(mtu+packet.DataHeaderSize, rate))
 }
 
-// buildDevices constructs the switches and NICs this runner owns, with the
-// fabric-wide parameters every device shares derived from the options alone —
-// so each shard runner of a partitioned run derives the same ones.
-func (r *runner) buildDevices() {
-	baseRTT := r.topo.MaxBaseRTT(r.opts.MTU + packet.DataHeaderSize)
-	hostRate := r.topo.HostRate(r.topo.Hosts()[0])
-	r.buildSwitches(r.hopRTT())
-	r.buildNICs(hostRate, baseRTT)
+// buildDevices constructs the switches and NICs this runner owns.
+func (r *runner) buildDevices(f *fabric) {
+	r.buildSwitches(f.bfc)
+	r.buildNICs(f.hostRate, f.baseRTT)
 }
 
-func (r *runner) bfcConfig(hopRTT units.Time) *core.Config {
-	opts := r.opts
+func bfcConfig(opts *Options, hopRTT units.Time) *core.Config {
 	cfg := core.DefaultConfig()
 	cfg.NumVFIDs = opts.NumVFIDs
 	cfg.QueuesPerPort = opts.NumQueues
@@ -273,46 +298,47 @@ func (r *runner) bfcConfig(hopRTT units.Time) *core.Config {
 	return &cfg
 }
 
-func (r *runner) buildSwitches(hopRTT units.Time) {
+// buildSwitches and buildNICs fill one configuration per device kind and
+// hand a copy of it, with the node filled in, to every device they build.
+func (r *runner) buildSwitches(bfc *core.Config) {
 	opts := r.opts
-	for _, node := range r.topo.Nodes() {
-		if node.Kind != topology.Switch || !r.owned(node.ID) {
-			continue
-		}
-		cfg := switchsim.Config{
-			Scheduler:        r.sched,
-			Topo:             r.topo,
-			Node:             node,
-			MTU:              opts.MTU,
-			NumQueues:        opts.NumQueues,
-			BufferSize:       opts.SwitchBuffer,
-			EnablePFC:        !opts.DisablePFC,
-			PFCThresholdFrac: 0.11,
-			Seed:             opts.Seed,
-			Pool:             r.pool,
-			Recorder:         r.rec,
-		}
-		switch opts.Scheme {
-		case SchemeBFC, SchemeBFCStatic:
-			cfg.BFC = r.bfcConfig(hopRTT)
-		case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
-			cfg.EnableECN = true
-			cfg.ECNKmin, cfg.ECNKmax, cfg.ECNPmax = 100*units.KB, 400*units.KB, 1.0
-			if opts.Scheme == SchemeDCQCNWinSFQ {
-				cfg.SFQ = true
-			} else {
-				cfg.NumQueues = 1
-			}
-		case SchemeHPCC:
-			cfg.NumQueues = 1
-			cfg.EnableINT = true
-		case SchemeIdealFQ:
+	cfg := switchsim.Config{
+		Scheduler:        r.sched,
+		Topo:             r.topo,
+		MTU:              opts.MTU,
+		NumQueues:        opts.NumQueues,
+		BufferSize:       opts.SwitchBuffer,
+		EnablePFC:        !opts.DisablePFC,
+		PFCThresholdFrac: 0.11,
+		Seed:             opts.Seed,
+		Pool:             r.pool,
+		Recorder:         r.rec,
+	}
+	switch opts.Scheme {
+	case SchemeBFC, SchemeBFCStatic:
+		cfg.BFC = bfc
+	case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
+		cfg.EnableECN = true
+		cfg.ECNKmin, cfg.ECNKmax, cfg.ECNPmax = 100*units.KB, 400*units.KB, 1.0
+		if opts.Scheme == SchemeDCQCNWinSFQ {
 			cfg.SFQ = true
-			cfg.NumQueues = opts.IdealFQQueues
-			cfg.InfiniteBuffer = true
-			cfg.EnablePFC = false
+		} else {
+			cfg.NumQueues = 1
 		}
-		r.reg.switches[node.ID] = switchsim.New(cfg)
+	case SchemeHPCC:
+		cfg.NumQueues = 1
+		cfg.EnableINT = true
+	case SchemeIdealFQ:
+		cfg.SFQ = true
+		cfg.NumQueues = opts.IdealFQQueues
+		cfg.InfiniteBuffer = true
+		cfg.EnablePFC = false
+	}
+	for _, node := range r.topo.Nodes() {
+		if node.Kind == topology.Switch && r.owned(node.ID) {
+			cfg.Node = node
+			r.reg.switches[node.ID] = switchsim.New(cfg)
+		}
 	}
 }
 
@@ -321,74 +347,80 @@ func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time) {
 	// The +Win and Ideal-FQ end-to-end window: one maximum-base-RTT
 	// bandwidth-delay product.
 	windowCap := units.BDP(hostRate, baseRTT)
+	cfg := nic.Config{
+		Scheduler:      r.sched,
+		Topo:           r.topo,
+		MTU:            opts.MTU,
+		RTO:            4 * units.Millisecond,
+		OnFlowComplete: r.onFlowComplete,
+		Pool:           r.pool,
+		Recorder:       r.rec,
+	}
+	switch opts.Scheme {
+	case SchemeBFC, SchemeBFCStatic:
+		cfg.VFIDSpace = opts.NumVFIDs
+	case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
+		p := dcqcn.DefaultParams(hostRate)
+		if opts.Scheme != SchemeDCQCN {
+			p.Window = windowCap
+		}
+		cfg.GenerateCNP = true
+		cfg.CNPInterval = p.CNPInterval
+		cfg.NewController = func(f *packet.Flow) cc.Controller {
+			return dcqcn.New(p)
+		}
+	case SchemeHPCC:
+		cfg.EchoINT = true
+		cfg.NewController = func(f *packet.Flow) cc.Controller {
+			return hpcc.New(hpcc.DefaultParams(hostRate, baseRTT))
+		}
+	case SchemeIdealFQ:
+		cfg.NewController = func(f *packet.Flow) cc.Controller {
+			return cc.FixedWindow{W: windowCap}
+		}
+	}
 	for _, node := range r.topo.Nodes() {
-		if node.Kind != topology.Host || !r.owned(node.ID) {
-			continue
+		if node.Kind == topology.Host && r.owned(node.ID) {
+			cfg.Node = node
+			r.reg.nics[node.ID] = nic.New(cfg)
 		}
-		cfg := nic.Config{
-			Scheduler:      r.sched,
-			Topo:           r.topo,
-			Node:           node,
-			MTU:            opts.MTU,
-			RTO:            4 * units.Millisecond,
-			OnFlowComplete: r.onFlowComplete,
-			Pool:           r.pool,
-			Recorder:       r.rec,
-		}
-		switch opts.Scheme {
-		case SchemeBFC, SchemeBFCStatic:
-			cfg.VFIDSpace = opts.NumVFIDs
-		case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
-			p := dcqcn.DefaultParams(hostRate)
-			if opts.Scheme != SchemeDCQCN {
-				p.Window = windowCap
-			}
-			cfg.GenerateCNP = true
-			cfg.CNPInterval = p.CNPInterval
-			cfg.NewController = func(f *packet.Flow) cc.Controller {
-				return dcqcn.New(p)
-			}
-		case SchemeHPCC:
-			cfg.EchoINT = true
-			cfg.NewController = func(f *packet.Flow) cc.Controller {
-				return hpcc.New(hpcc.DefaultParams(hostRate, baseRTT))
-			}
-		case SchemeIdealFQ:
-			cfg.NewController = func(f *packet.Flow) cc.Controller {
-				return cc.FixedWindow{W: windowCap}
-			}
-		}
-		r.reg.nics[node.ID] = nic.New(cfg)
 	}
 }
 
 // wireLinks creates the outgoing unidirectional links of every node this
-// runner owns and attaches them to the devices. Receiving devices come from
-// the registry (which spans all shards, so every shard's devices must be built
-// first). A link whose peer another shard owns is marked cross-shard: it
-// delivers through out[that shard], this shard's row of the run's boundary
-// queues. A one-shard run owns every node and has none.
+// runner owns, in one slab, and attaches them to the devices. Receiving
+// devices come from the registry (which spans all shards, so every shard's
+// devices must be built first). A link whose peer another shard owns is
+// marked cross-shard: it delivers through out[that shard], this shard's row
+// of the run's boundary queues. A one-shard run owns every node and has none.
 //
 // A link's losses belong to the shard that receives them: a delivery — and
 // so the strand of a packet lost on the down link — runs on the receiving
 // device's scheduler, so the stranded packet goes to that shard's runner in
 // shards, which recycles it into its own pool, counts it and traces it.
 func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
+	n := 0
+	for _, node := range r.topo.Nodes() {
+		if r.owned(node.ID) {
+			n += len(node.Ports)
+		}
+	}
+	links := make([]netsim.Link, n)
 	for _, node := range r.topo.Nodes() {
 		if !r.owned(node.ID) {
 			continue
 		}
 		dev := r.reg.device(node.ID)
 		for portIdx, port := range node.Ports {
-			peer := r.reg.device(port.Peer)
-			name := fmt.Sprintf("%s:p%d->%s", node.Name, portIdx, r.topo.Node(port.Peer).Name)
-			link := netsim.NewLink(r.sched, name, port.Rate, port.Delay, peer, port.PeerPort)
+			link := &links[0]
+			links = links[1:]
+			link.Init(r.sched, "", port.Rate, port.Delay, r.reg.device(port.Peer), port.PeerPort)
 			recv := shards[r.plan.Assign[port.Peer]]
-			link.OnStranded = recv.onStranded
+			link.OnStranded = recv.strand
 			if recv.rec != nil {
 				// When tracing, identify the sending end of the link in the
 				// stranding event. The extra closure exists only on traced
-				// runs; untraced runs keep the shared allocation-free handler.
+				// runs; untraced runs share the receiver's handler.
 				nodeID, p := node.ID, portIdx
 				link.OnStranded = func(pkt *packet.Packet) {
 					recv.rec.Record(telemetry.Event{At: recv.sched.Now(), Kind: telemetry.KindStranded,
@@ -454,7 +486,11 @@ func (r *runner) scheduleFlows(flows []*packet.Flow) {
 		f := x.(*packet.Flow)
 		r.reg.nics[f.Src].StartFlow(f)
 	}
+	completions := 0
 	for _, f := range flows {
+		if r.owned(f.Dst) && !f.LongLived {
+			completions++
+		}
 		if !r.owned(f.Src) {
 			continue
 		}
@@ -466,6 +502,11 @@ func (r *runner) scheduleFlows(flows []*packet.Flow) {
 		if !f.IsIncast && !f.LongLived {
 			r.flowsTotal++
 		}
+	}
+	if r.plan.Shards > 1 {
+		// The completions this shard buffers are those of the base flows it
+		// receives (injected scenario flows grow the buffer past that).
+		r.fctBuf = make([]fctRec, 0, completions)
 	}
 }
 

@@ -209,6 +209,26 @@ func mergeFCT(bufs [][]fctRec) []fctRec {
 	return recs
 }
 
+// eachShard runs f for every shard, each on a goroutine of its own when there
+// are several and on the caller's when there is one, and returns when all are
+// done: the join is the happens-before edge between what the shards wrote and
+// what the coordinator reads next.
+func eachShard(shards []*runner, f func(r *runner)) {
+	if len(shards) == 1 {
+		f(shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(shards))
+	for _, r := range shards {
+		go func() {
+			defer wg.Done()
+			f(r)
+		}()
+	}
+	wg.Wait()
+}
+
 // runSharded executes the simulation on plan.Shards shards, one or more.
 func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*Result, error) {
 	S := plan.Shards
@@ -228,6 +248,10 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// construction is independent of the partition. Traced partitioned runs
 	// swap each shard's recorder for a keyed per-shard ring before any device
 	// captures it; the one shard of a one-shard run keeps the caller's ring.
+	// Each shard builds on its own goroutine, from fabric parameters derived
+	// once; after the join every shard wires its links, which reach into the
+	// devices other shards built, and schedules its flows, again on its own
+	// goroutine.
 	reg := newRegistry(opts.Topo)
 	shards := make([]*runner, S)
 	var srecs []*shardRecorder
@@ -241,20 +265,21 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		shards[i] = r
 	}
-	for _, r := range shards {
-		r.buildDevices()
-	}
+	fab := newFabric(&opts)
+	eachShard(shards, func(r *runner) { r.buildDevices(fab) })
 
 	// One boundary queue per directed shard pair. All cross-shard links of a
 	// pair share it, so the receiver sees the sender's emissions in the
 	// sender's scheduling order — the same relative order one scheduler's
 	// sequence numbers would have imposed.
 	bounds := make([][]netsim.Boundary, S)
-	for i, r := range shards {
+	for i := range bounds {
 		bounds[i] = make([]netsim.Boundary, S) // [i][i] stays unused
-		r.wireLinks(shards, bounds[i])
-		r.scheduleFlows(flows)
 	}
+	eachShard(shards, func(r *runner) {
+		r.wireLinks(shards, bounds[r.shardID])
+		r.scheduleFlows(flows)
+	})
 	reg.buildLinkClasses()
 
 	// Scenario: compile once, schedule the injected flows per owning shard
@@ -338,22 +363,10 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		f(r)
 		ec.ShardBusy(r.shardID, time.Since(t0))
 	}
-	var wg sync.WaitGroup
+	// Each shard goroutine writes only its own shard's slot of ec; the join
+	// is the happens-before edge for the reader.
 	runAll := func(f func(r *runner)) {
-		if S == 1 {
-			runOne(shards[0], f) // on the coordinator's goroutine
-			return
-		}
-		wg.Add(S)
-		for _, r := range shards {
-			go func() {
-				// Each goroutine writes only its own shard's slot of ec; the
-				// wg.Wait below is the happens-before edge for the reader.
-				defer wg.Done()
-				runOne(r, f)
-			}()
-		}
-		wg.Wait()
+		eachShard(shards, func(r *runner) { runOne(r, f) })
 	}
 	drainAll := func() {
 		var t0 time.Time

@@ -23,13 +23,17 @@ type popSource struct {
 	queue    int
 }
 
-// egressPort bundles the queue structures of one output port.
+// egressPort is the state of one port: its run of the switch's FIFO slab,
+// the scheduler over it, its outgoing link, and the per-port scalars of both
+// directions (PFC and shared-buffer accounting are per ingress port, the rest
+// per egress port).
 type egressPort struct {
-	ctrl     *queue.FIFO
-	hiPrio   *queue.FIFO
-	data     []*queue.FIFO
-	overflow *queue.FIFO
-	drr      *queue.DRR
+	// queues is the port's run of the switch's FIFO slab, in the order ctrl,
+	// hiPrio, data queues, overflow. drr schedules queues[2:], the data
+	// queues and then the overflow queue, which is its index NumQueues.
+	queues []queue.FIFO
+	drr    queue.DRR
+	link   *netsim.Link
 
 	transmitting bool
 	// onTxDone is the serialization-complete callback handed to the link,
@@ -40,7 +44,25 @@ type egressPort struct {
 	queuedDataBytes units.Bytes
 	// txDataBytes is the cumulative data bytes transmitted (INT).
 	txDataBytes units.Bytes
+
+	// ingressBytes is the shared buffer held by packets that arrived on this
+	// port; pfcPauseSent marks a PFC pause sent upstream out of it.
+	ingressBytes units.Bytes
+	pfcPauseSent bool
+	// pfcPausedByPeer marks a port whose peer asked us to stop sending data
+	// (classic PFC head-of-line blocking).
+	pfcPausedByPeer bool
+
+	// upstream holds the most recent BFC filter received from the device
+	// downstream of this port (BFC switches only).
+	upstream core.UpstreamState
 }
+
+func (p *egressPort) ctrl() *queue.FIFO        { return &p.queues[0] }
+func (p *egressPort) hiPrio() *queue.FIFO      { return &p.queues[1] }
+func (p *egressPort) data(q int) *queue.FIFO   { return &p.queues[2+q] }
+func (p *egressPort) dataQueues() []queue.FIFO { return p.queues[2 : len(p.queues)-1] }
+func (p *egressPort) overflow() *queue.FIFO    { return &p.queues[len(p.queues)-1] }
 
 // tickTagBase namespaces the causal-origin tags of periodic switch work away
 // from flow IDs, so a tick descendant never numerically interleaves with a
@@ -57,22 +79,14 @@ type Switch struct {
 	// emit site guards on that, so the disabled path costs one branch.
 	rec telemetry.Recorder
 
-	links []*netsim.Link
-	ports []*egressPort
+	ports []egressPort
 
-	// Shared buffer accounting.
-	bufferUsed      units.Bytes
-	perIngressBytes []units.Bytes
-	pfcPauseSent    []bool
+	// bufferUsed is the shared buffer in use.
+	bufferUsed units.Bytes
 
-	// pfcPausedByPeer marks egress ports whose peer asked us to stop sending
-	// data (classic PFC head-of-line blocking).
-	pfcPausedByPeer []bool
-
-	// BFC state: the downstream-side engine plus, per egress port, the most
-	// recent filter received from the device downstream of that port.
-	engine   *core.Engine
-	upstream []*core.UpstreamState
+	// engine is the downstream side of BFC (nil unless BFC is enabled); the
+	// upstream side is each port's upstream filter.
+	engine *core.Engine
 
 	stats Stats
 }
@@ -85,37 +99,35 @@ func New(cfg Config) *Switch {
 	}
 	numPorts := len(cfg.Node.Ports)
 	s := &Switch{
-		cfg:             cfg,
-		sched:           cfg.Scheduler,
-		rec:             cfg.Recorder,
-		links:           make([]*netsim.Link, numPorts),
-		ports:           make([]*egressPort, numPorts),
-		perIngressBytes: make([]units.Bytes, numPorts),
-		pfcPauseSent:    make([]bool, numPorts),
-		pfcPausedByPeer: make([]bool, numPorts),
+		cfg:   cfg,
+		sched: cfg.Scheduler,
+		rec:   cfg.Recorder,
+		ports: make([]egressPort, numPorts),
 	}
-	for i := 0; i < numPorts; i++ {
-		// One allocation holds all of the port's queues.
-		fifos := make([]queue.FIFO, 3+cfg.NumQueues)
-		p := &egressPort{ctrl: &fifos[0], hiPrio: &fifos[1], overflow: &fifos[2]}
-		p.data = make([]*queue.FIFO, cfg.NumQueues)
-		for q := range p.data {
-			p.data[q] = &fifos[3+q]
-		}
-		drrSet := append(append([]*queue.FIFO{}, p.data...), p.overflow)
-		p.drr = queue.NewDRR(drrSet, cfg.MTU+packet.DataHeaderSize)
+	// Every port's queues, DRR deficits and ready bits are runs of three
+	// switch-wide arrays.
+	perPort := 3 + cfg.NumQueues
+	scheduled := perPort - 2
+	words := queue.ReadyWords(scheduled)
+	fifos := make([]queue.FIFO, numPorts*perPort)
+	deficits := make([]units.Bytes, numPorts*scheduled)
+	ready := make([]uint64, numPorts*words)
+	quantum := cfg.MTU + packet.DataHeaderSize
+	for i := range s.ports {
+		p := &s.ports[i]
+		p.queues = fifos[i*perPort : (i+1)*perPort : (i+1)*perPort]
+		p.drr.Init(p.queues[2:], quantum,
+			deficits[i*scheduled:(i+1)*scheduled:(i+1)*scheduled], ready[i*words:(i+1)*words:(i+1)*words])
 		portIdx := i
 		p.onTxDone = func() {
 			p.transmitting = false
 			s.tryTransmit(portIdx)
 		}
-		s.ports[i] = p
 	}
 	if cfg.BFC != nil {
 		s.engine = core.NewEngine(*cfg.BFC, numPorts, s)
-		s.upstream = make([]*core.UpstreamState, numPorts)
-		for i := range s.upstream {
-			s.upstream[i] = core.NewUpstreamState(cfg.BFC.NumVFIDs)
+		for i := range s.ports {
+			s.ports[i].upstream = *core.NewUpstreamState(cfg.BFC.NumVFIDs)
 		}
 		// All switches tick at the same τ, so every tick shares the same
 		// arithmetic scheduling chain; the node-ID tag (in its own namespace,
@@ -132,14 +144,14 @@ func (s *Switch) ID() packet.NodeID { return s.cfg.Node.ID }
 
 // AttachLink implements netsim.Device.
 func (s *Switch) AttachLink(port int, link *netsim.Link) {
-	if port < 0 || port >= len(s.links) {
+	if port < 0 || port >= len(s.ports) {
 		panic(fmt.Sprintf("switchsim: port %d out of range", port))
 	}
-	s.links[port] = link
+	s.ports[port].link = link
 }
 
 // Link returns the outgoing link for a port (for statistics collection).
-func (s *Switch) Link(port int) *netsim.Link { return s.links[port] }
+func (s *Switch) Link(port int) *netsim.Link { return s.ports[port].link }
 
 // Stats returns a copy of the switch counters.
 func (s *Switch) Stats() Stats { return s.stats }
@@ -154,9 +166,10 @@ func (s *Switch) BufferOccupancy() units.Bytes { return s.bufferUsed }
 // across all egress ports (Fig 11a).
 func (s *Switch) OccupiedDataQueues() int {
 	n := 0
-	for _, p := range s.ports {
-		for _, q := range p.data {
-			if !q.Empty() {
+	for i := range s.ports {
+		qs := s.ports[i].dataQueues()
+		for j := range qs {
+			if !qs[j].Empty() {
 				n++
 			}
 		}
@@ -168,10 +181,11 @@ func (s *Switch) OccupiedDataQueues() int {
 // across the switch (Fig 10).
 func (s *Switch) MaxPhysicalQueueBytes() units.Bytes {
 	var max units.Bytes
-	for _, p := range s.ports {
-		for _, q := range p.data {
-			if q.Bytes() > max {
-				max = q.Bytes()
+	for i := range s.ports {
+		qs := s.ports[i].dataQueues()
+		for j := range qs {
+			if b := qs[j].Bytes(); b > max {
+				max = b
 			}
 		}
 	}
@@ -184,9 +198,9 @@ func (s *Switch) MaxPhysicalQueueBytes() units.Bytes {
 // serviceable queues of the set, less the overflow queue that rides in it
 // after the data queues.
 func (s *Switch) ActiveQueues(egress int) int {
-	p := s.ports[egress]
+	p := &s.ports[egress]
 	n := p.drr.ActiveQueues()
-	if !p.overflow.Empty() && !p.overflow.Paused() {
+	if of := p.overflow(); !of.Empty() && !of.Paused() {
 		n--
 	}
 	return n
@@ -194,7 +208,7 @@ func (s *Switch) ActiveQueues(egress int) int {
 
 // QueuePausedByDownstream implements core.PortView.
 func (s *Switch) QueuePausedByDownstream(egress, q int) bool {
-	return s.ports[egress].data[q].Paused()
+	return s.ports[egress].data(q).Paused()
 }
 
 // LinkRate implements core.PortView.
@@ -222,11 +236,11 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 		s.cfg.Pool.Put(p)
 		return
 	}
-	port := s.ports[egress]
+	port := &s.ports[egress]
 
 	if p.IsControl() {
 		// ACK/NACK/CNP travel in the unpausable, undroppable control class.
-		port.ctrl.Push(p)
+		port.ctrl().Push(p)
 		s.tryTransmit(egress)
 		return
 	}
@@ -248,7 +262,7 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 	if s.bufferUsed > s.stats.MaxBufferUsed {
 		s.stats.MaxBufferUsed = s.bufferUsed
 	}
-	s.perIngressBytes[ingress] += p.Size
+	s.ports[ingress].ingressBytes += p.Size
 
 	// ECN marking against the egress port occupancy (RED on the instantaneous
 	// queue, as in the DCQCN ns-3 model).
@@ -280,22 +294,22 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 		}
 		switch {
 		case pl.HighPriority:
-			port.hiPrio.Push(p)
+			port.hiPrio().Push(p)
 		case pl.Overflow:
-			port.overflow.Push(p)
+			port.overflow().Push(p)
 		default:
-			port.data[pl.Queue].Push(p)
+			q := port.data(pl.Queue)
+			q.Push(p)
 			// The queue's pause state depends on its head packet; if this
 			// packet became the head (queue was empty), refresh the state.
-			if port.data[pl.Queue].Len() == 1 {
+			if q.Len() == 1 {
 				s.refreshQueuePause(egress, pl.Queue)
 			}
 		}
 	case s.cfg.SFQ:
-		q := p.Flow.QueueOf(s.cfg.NumQueues)
-		port.data[q].Push(p)
+		port.data(p.Flow.QueueOf(s.cfg.NumQueues)).Push(p)
 	default:
-		port.data[0].Push(p)
+		port.data(0).Push(p)
 	}
 	port.queuedDataBytes += p.Size
 
@@ -330,14 +344,15 @@ func (s *Switch) routePort(p *packet.Packet) int {
 // re-evaluated immediately, so still-congested state re-pauses the peer, and
 // transmission restarts.
 func (s *Switch) OnLinkStateChange(port int, up bool) {
-	s.pfcPausedByPeer[port] = false
-	if l := s.links[port]; l != nil {
-		l.MarkPaused(false)
+	p := &s.ports[port]
+	p.pfcPausedByPeer = false
+	if p.link != nil {
+		p.link.MarkPaused(false)
 	}
-	s.pfcPauseSent[port] = false
-	if s.upstream != nil {
-		s.upstream[port].Reset()
-		for q := range s.ports[port].data {
+	p.pfcPauseSent = false
+	if s.engine != nil {
+		p.upstream.Reset()
+		for q := 0; q < s.cfg.NumQueues; q++ {
 			s.refreshQueuePause(port, q)
 		}
 		s.refreshOverflowPause(port)
@@ -391,35 +406,37 @@ func (s *Switch) pfcThreshold() units.Bytes {
 }
 
 func (s *Switch) checkPFCPause(ingress int) {
-	if s.pfcPauseSent[ingress] || s.links[ingress] == nil {
+	in := &s.ports[ingress]
+	if in.pfcPauseSent || in.link == nil {
 		return
 	}
-	if s.perIngressBytes[ingress] > s.pfcThreshold() {
-		s.pfcPauseSent[ingress] = true
+	if in.ingressBytes > s.pfcThreshold() {
+		in.pfcPauseSent = true
 		s.stats.PFCPausesSent++
 		if s.rec != nil {
 			s.rec.Record(telemetry.Event{At: s.sched.Now(), Kind: telemetry.KindPFCPause,
 				Node: s.ID(), Port: int32(ingress), Queue: -1})
 		}
-		s.links[ingress].SendControl(netsim.PFCFrame{Pause: true}, 64)
+		in.link.SendControl(netsim.PFCFrame{Pause: true})
 	}
 }
 
 func (s *Switch) checkPFCResume(ingress int) {
-	if !s.pfcPauseSent[ingress] || s.links[ingress] == nil {
+	in := &s.ports[ingress]
+	if !in.pfcPauseSent || in.link == nil {
 		return
 	}
 	// Resume with a small hysteresis below the (dynamic) threshold so the
 	// pause/resume pair does not oscillate per packet.
 	th := s.pfcThreshold()
 	hysteresis := 2 * (s.cfg.MTU + packet.DataHeaderSize)
-	if s.perIngressBytes[ingress]+hysteresis < th || s.perIngressBytes[ingress] == 0 {
-		s.pfcPauseSent[ingress] = false
+	if in.ingressBytes+hysteresis < th || in.ingressBytes == 0 {
+		in.pfcPauseSent = false
 		if s.rec != nil {
 			s.rec.Record(telemetry.Event{At: s.sched.Now(), Kind: telemetry.KindPFCResume,
 				Node: s.ID(), Port: int32(ingress), Queue: -1})
 		}
-		s.links[ingress].SendControl(netsim.PFCFrame{Pause: false}, 64)
+		in.link.SendControl(netsim.PFCFrame{Pause: false})
 	}
 }
 
@@ -429,19 +446,20 @@ func (s *Switch) checkPFCResume(ingress int) {
 func (s *Switch) ReceiveControl(port int, frame netsim.ControlFrame) {
 	switch f := frame.(type) {
 	case netsim.PFCFrame:
-		s.pfcPausedByPeer[port] = f.Pause
-		if s.links[port] != nil {
-			s.links[port].MarkPaused(f.Pause)
+		p := &s.ports[port]
+		p.pfcPausedByPeer = f.Pause
+		if p.link != nil {
+			p.link.MarkPaused(f.Pause)
 		}
 		if !f.Pause {
 			s.tryTransmit(port)
 		}
 	case netsim.BFCPauseFrame:
-		if s.upstream == nil {
+		if s.engine == nil {
 			return // BFC frames ignored by non-BFC switches
 		}
-		s.upstream[port].Update(f.Filter)
-		for q := range s.ports[port].data {
+		s.ports[port].upstream.Update(f.Filter)
+		for q := 0; q < s.cfg.NumQueues; q++ {
 			s.refreshQueuePause(port, q)
 		}
 		s.refreshOverflowPause(port)
@@ -455,12 +473,13 @@ func (s *Switch) ReceiveControl(port int, frame netsim.ControlFrame) {
 // the most recent downstream filter: the queue is paused iff its head packet
 // belongs to a paused flow (§3.6).
 func (s *Switch) refreshQueuePause(egress, q int) {
-	if s.upstream == nil {
+	if s.engine == nil {
 		return
 	}
-	fifo := s.ports[egress].data[q]
+	port := &s.ports[egress]
+	fifo := port.data(q)
 	head := fifo.Head()
-	paused := head != nil && s.upstream[egress].PacketPaused(head)
+	paused := head != nil && port.upstream.PacketPaused(head)
 	if s.rec != nil && paused != fifo.Paused() {
 		kind := telemetry.KindBFCResume
 		if paused {
@@ -473,12 +492,13 @@ func (s *Switch) refreshQueuePause(egress, q int) {
 }
 
 func (s *Switch) refreshOverflowPause(egress int) {
-	if s.upstream == nil {
+	if s.engine == nil {
 		return
 	}
-	fifo := s.ports[egress].overflow
+	port := &s.ports[egress]
+	fifo := port.overflow()
 	head := fifo.Head()
-	paused := head != nil && s.upstream[egress].PacketPaused(head)
+	paused := head != nil && port.upstream.PacketPaused(head)
 	if s.rec != nil && paused != fifo.Paused() {
 		kind := telemetry.KindBFCResume
 		if paused {
@@ -499,20 +519,20 @@ func (s *Switch) refreshOverflowPause(egress int) {
 func (s *Switch) bfcTick() {
 	frames := s.engine.Tick(s.sched.Now())
 	for _, fr := range frames {
-		if s.links[fr.Ingress] == nil {
+		link := s.ports[fr.Ingress].link
+		if link == nil {
 			continue
 		}
 		s.stats.BFCFramesSent++
-		s.links[fr.Ingress].SendControl(netsim.BFCPauseFrame{Filter: fr.Filter},
-			units.Bytes(fr.Filter.WireSize())+packet.ControlPacketSize)
+		link.SendControl(netsim.BFCPauseFrame{Filter: fr.Filter})
 	}
 }
 
 // Egress scheduling ------------------------------------------------------------------
 
 func (s *Switch) tryTransmit(portIdx int) {
-	port := s.ports[portIdx]
-	link := s.links[portIdx]
+	port := &s.ports[portIdx]
+	link := port.link
 	if link == nil || port.transmitting || link.Busy() {
 		return
 	}
@@ -530,21 +550,21 @@ func (s *Switch) tryTransmit(portIdx int) {
 // high-priority queue, then deficit round robin over the data queues and the
 // overflow queue, skipping queues whose head is BFC-paused.
 func (s *Switch) selectPacket(portIdx int) (*packet.Packet, popSource) {
-	port := s.ports[portIdx]
-	if !port.ctrl.Empty() {
-		return port.ctrl.Pop(), popSource{ctrl: true}
+	port := &s.ports[portIdx]
+	if ctrl := port.ctrl(); !ctrl.Empty() {
+		return ctrl.Pop(), popSource{ctrl: true}
 	}
-	if s.pfcPausedByPeer[portIdx] {
+	if port.pfcPausedByPeer {
 		return nil, popSource{}
 	}
-	if !port.hiPrio.Empty() {
-		return port.hiPrio.Pop(), popSource{highPrio: true}
+	if hp := port.hiPrio(); !hp.Empty() {
+		return hp.Pop(), popSource{highPrio: true}
 	}
 	p, idx := port.drr.Dequeue()
 	if p == nil {
 		return nil, popSource{}
 	}
-	if idx == len(port.data) {
+	if idx == s.cfg.NumQueues {
 		return p, popSource{overflow: true}
 	}
 	return p, popSource{queue: idx}
@@ -557,13 +577,14 @@ func (s *Switch) onDequeue(portIdx int, p *packet.Packet, src popSource) {
 		return
 	}
 	now := s.sched.Now()
-	port := s.ports[portIdx]
+	port := &s.ports[portIdx]
 	s.stats.DataPacketsOut++
 
 	// Release shared buffer and per-ingress accounting; possibly resume PFC.
 	s.bufferUsed -= p.Size
-	s.perIngressBytes[p.ArrivalPort] -= p.Size
-	if s.bufferUsed < 0 || s.perIngressBytes[p.ArrivalPort] < 0 {
+	in := &s.ports[p.ArrivalPort]
+	in.ingressBytes -= p.Size
+	if s.bufferUsed < 0 || in.ingressBytes < 0 {
 		panic("switchsim: negative buffer accounting")
 	}
 	port.queuedDataBytes -= p.Size
