@@ -40,10 +40,12 @@ type Config struct {
 	// Bloom configures the pause-frame bloom filters (128 B, 4 hashes).
 	Bloom bloom.Params
 
-	// HRTT is the one-hop round-trip time (2 us in the paper's topologies).
+	// HRTT is the one-hop round-trip time (2 us in the paper's topologies)
+	// and Tau the pause-frame period (half of HRTT, §3.6). switchsim.New sets
+	// both per switch, from the switch's own ports; DefaultConfig's values
+	// serve engines built directly.
 	HRTT units.Time
-	// Tau is the pause-frame transmission period (half of HRTT, §3.6).
-	Tau units.Time
+	Tau  units.Time
 
 	// DynamicAssignment selects BFC's dynamic physical-queue assignment. When
 	// false the engine behaves like the straw proposal BFC-VFID (§3.2):
@@ -63,9 +65,10 @@ type Config struct {
 	// the queue drops below the pause threshold.
 	ResumeAll bool
 
-	// Seed drives the random physical-queue choice when every queue at an
-	// egress port is already occupied.
-	Seed int64
+	// Salt salts the flow hash that picks a physical queue when every queue
+	// at an egress port is already occupied (§3.3). switchsim.New sets it per
+	// switch.
+	Salt uint64
 }
 
 // DefaultConfig returns the configuration used by the paper's main
@@ -83,7 +86,6 @@ func DefaultConfig() Config {
 		UseHighPriorityQueue: true,
 		ResumePerInterval:    1,
 		ResumeAll:            false,
-		Seed:                 1,
 	}
 }
 

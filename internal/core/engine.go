@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"bfc/internal/bloom"
 	"bfc/internal/flowtable"
@@ -54,7 +53,6 @@ type Engine struct {
 	numPorts int
 
 	table *flowtable.Table
-	rng   *rand.Rand // collision fallback draws; nil until the first (see random)
 
 	// egress and ingress are indexed by port; every egress port's
 	// per-queue counters and lists are carved from engine-wide arrays.
@@ -237,20 +235,11 @@ func (e *Engine) assignQueue(es *egressState, f *packet.Flow, egress int) int {
 			return q
 		}
 	}
-	// Every queue is occupied: fall back to a random queue (§3.3), which is a
-	// collision by definition.
+	// Every queue is occupied: fall back to a "random" queue (§3.3), which is
+	// a collision by definition. The draw is the flow hash under the switch's
+	// own salt, so switches choose independently of one another, as ECMP does.
 	e.stats.CollidedAssignments++
-	return e.random().Intn(e.cfg.QueuesPerPort)
-}
-
-// random returns the engine's source, seeded cfg.Seed and built at the first
-// draw: a source is ~4.9 KB, and only a dynamic assignment with every queue
-// of a port occupied draws.
-func (e *Engine) random() *rand.Rand {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.cfg.Seed))
-	}
-	return e.rng
+	return int(f.Hash(e.cfg.Salt) % uint64(e.cfg.QueuesPerPort))
 }
 
 // pauseThreshold returns Th for a physical queue at the egress port.

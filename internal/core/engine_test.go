@@ -434,7 +434,7 @@ func TestEngineAccountingProperty(t *testing.T) {
 	prop := func(seed int64, nFlows, nPkts uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := testConfig()
-		cfg.Seed = seed
+		cfg.Salt = uint64(seed)
 		view := newFakeView(100 * units.Gbps)
 		view.active[1] = 1
 		e := NewEngine(cfg, 4, view)

@@ -119,11 +119,11 @@ type Ticker struct {
 // NewTickerTagged creates and starts a ticker with the given period; the first
 // tick fires one period from now. tag is the causal-origin tag carried by
 // every tick (and inherited by everything the callback schedules). Periodic
-// device work needs it on a partitioned run: every device ticking at the same
-// period produces ticks with identical arithmetic scheduling chains, so
-// same-instant emissions from different devices can only be ordered across
-// shards by their origin tag — which must therefore encode the device's
-// construction order (its node ID).
+// device work needs it on a partitioned run: devices ticking at the same
+// period produce ticks with identical arithmetic scheduling chains, so their
+// same-instant emissions can only be ordered across shards by their origin
+// tag — which must therefore encode the device's construction order (its node
+// ID). Devices with different periods differ in their chains already.
 func NewTickerTagged(s *Scheduler, period units.Time, tag uint64, fn func()) *Ticker {
 	if period <= 0 {
 		panic("eventsim: non-positive ticker period")

@@ -39,7 +39,10 @@ const (
 	LinkDown Kind = "link_down"
 	// LinkUp recovers a previously failed link.
 	LinkUp Kind = "link_up"
-	// LinkDegrade changes the rate and/or delay of a link in place.
+	// LinkDegrade changes the rate and/or delay of a link in place. A BFC
+	// switch keeps the HRTT and τ it derived from its ports when it was built
+	// (they are not re-derived); a flow that starts after the event takes its
+	// window from the degraded path.
 	LinkDegrade Kind = "link_degrade"
 	// Incast injects one synchronized N-to-1 incast storm.
 	Incast Kind = "incast"

@@ -201,7 +201,9 @@ type Options struct {
 	// mode (stats.DefaultSketchSize when zero). Ignored in exact mode.
 	StatsSketchSize int
 
-	// Seed drives every random choice in the run.
+	// Seed drives the switches' random ECN marking, each switch's source
+	// seeded Seed + node ID. Hashed choices (ECMP, queues, VFIDs, the BFC
+	// fallback) depend on the flow and the node alone.
 	Seed int64
 }
 

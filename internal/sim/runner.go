@@ -230,77 +230,28 @@ func newRunner(opts Options, reg *registry) *runner {
 	return r
 }
 
-// fabric holds the parameters every device of a run shares. A run derives
-// them once, from the options and the topology alone, before any shard
-// builds; the shards' parallel builds only read them.
-type fabric struct {
-	// bfc is the BFC engine configuration (nil unless the scheme is BFC).
-	bfc *core.Config
-	// hostRate is the first host's line rate and baseRTT the topology's
-	// largest host-pair base RTT; they size the end-to-end windows.
-	hostRate units.Rate
-	baseRTT  units.Time
-}
-
-func newFabric(opts *Options) *fabric {
-	topo := opts.Topo
-	f := &fabric{
-		hostRate: topo.HostRate(topo.Hosts()[0]),
-		baseRTT:  topo.MaxBaseRTT(opts.MTU + packet.DataHeaderSize),
-	}
-	if opts.Scheme == SchemeBFC || opts.Scheme == SchemeBFCStatic {
-		f.bfc = bfcConfig(opts, hopRTT(topo, opts.MTU))
-	}
-	return f
-}
-
-// hopRTT returns the one-hop round-trip time used by BFC: twice the sum of
-// the largest port propagation delay anywhere in the fabric and the MTU
-// serialization time at the slowest port rate anywhere in the fabric. Both
-// extremes are fabric-wide, so every switch gets the same HRTT even where its
-// own links are faster or shorter; ROADMAP item 13(a) reads it per switch.
-func hopRTT(topo *topology.Topology, mtu units.Bytes) units.Time {
-	var delay units.Time
-	var rate units.Rate
-	for _, n := range topo.Nodes() {
-		for _, p := range n.Ports {
-			if p.Delay > delay {
-				delay = p.Delay
-			}
-			if rate == 0 || p.Rate < rate {
-				rate = p.Rate
-			}
-		}
-	}
-	if rate == 0 {
-		rate = 100 * units.Gbps
-	}
-	return 2 * (delay + units.SerializationTime(mtu+packet.DataHeaderSize, rate))
-}
-
 // buildDevices constructs the switches and NICs this runner owns.
-func (r *runner) buildDevices(f *fabric) {
-	r.buildSwitches(f.bfc)
-	r.buildNICs(f.hostRate, f.baseRTT)
+func (r *runner) buildDevices() {
+	r.buildSwitches()
+	r.buildNICs()
 }
 
-func bfcConfig(opts *Options, hopRTT units.Time) *core.Config {
+// bfcConfig is the BFC engine configuration the options ask for. Each switch
+// derives its HRTT, τ and fallback salt from its own node (switchsim.New).
+func bfcConfig(opts *Options) *core.Config {
 	cfg := core.DefaultConfig()
 	cfg.NumVFIDs = opts.NumVFIDs
 	cfg.QueuesPerPort = opts.NumQueues
 	cfg.Bloom = bloom.Params{SizeBytes: opts.BloomBytes, Hashes: bloom.DefaultHashes}
-	cfg.HRTT = hopRTT
-	cfg.Tau = hopRTT / 2
 	cfg.DynamicAssignment = opts.Scheme != SchemeBFCStatic
 	cfg.UseHighPriorityQueue = opts.HighPriorityQueue
 	cfg.ResumeAll = opts.ResumeAll
-	cfg.Seed = opts.Seed
 	return &cfg
 }
 
 // buildSwitches and buildNICs fill one configuration per device kind and
 // hand a copy of it, with the node filled in, to every device they build.
-func (r *runner) buildSwitches(bfc *core.Config) {
+func (r *runner) buildSwitches() {
 	opts := r.opts
 	cfg := switchsim.Config{
 		Scheduler:        r.sched,
@@ -316,7 +267,7 @@ func (r *runner) buildSwitches(bfc *core.Config) {
 	}
 	switch opts.Scheme {
 	case SchemeBFC, SchemeBFCStatic:
-		cfg.BFC = bfc
+		cfg.BFC = bfcConfig(&opts)
 	case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
 		cfg.EnableECN = true
 		cfg.ECNKmin, cfg.ECNKmax, cfg.ECNPmax = 100*units.KB, 400*units.KB, 1.0
@@ -342,14 +293,18 @@ func (r *runner) buildSwitches(bfc *core.Config) {
 	}
 }
 
-func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time) {
+func (r *runner) buildNICs() {
 	opts := r.opts
-	// The +Win and Ideal-FQ end-to-end window: one maximum-base-RTT
-	// bandwidth-delay product.
-	windowCap := units.BDP(hostRate, baseRTT)
+	topo := r.topo
+	// A flow's end-to-end window (+Win, Ideal-FQ) and HPCC's base RTT are
+	// its own path's: one bandwidth-delay product of its source's line rate
+	// and its path's base RTT.
+	pathRTT := func(f *packet.Flow) units.Time {
+		return topo.PathRTT(f.Src, f.Dst, opts.MTU+packet.DataHeaderSize)
+	}
 	cfg := nic.Config{
 		Scheduler:      r.sched,
-		Topo:           r.topo,
+		Topo:           topo,
 		MTU:            opts.MTU,
 		RTO:            4 * units.Millisecond,
 		OnFlowComplete: r.onFlowComplete,
@@ -360,23 +315,25 @@ func (r *runner) buildNICs(hostRate units.Rate, baseRTT units.Time) {
 	case SchemeBFC, SchemeBFCStatic:
 		cfg.VFIDSpace = opts.NumVFIDs
 	case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
-		p := dcqcn.DefaultParams(hostRate)
-		if opts.Scheme != SchemeDCQCN {
-			p.Window = windowCap
-		}
+		windowed := opts.Scheme != SchemeDCQCN
 		cfg.GenerateCNP = true
-		cfg.CNPInterval = p.CNPInterval
+		cfg.CNPInterval = dcqcn.DefaultParams(0).CNPInterval // the same at every rate
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
+			rate := topo.HostRate(f.Src)
+			p := dcqcn.DefaultParams(rate)
+			if windowed {
+				p.Window = units.BDP(rate, pathRTT(f))
+			}
 			return dcqcn.New(p)
 		}
 	case SchemeHPCC:
 		cfg.EchoINT = true
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
-			return hpcc.New(hpcc.DefaultParams(hostRate, baseRTT))
+			return hpcc.New(hpcc.DefaultParams(topo.HostRate(f.Src), pathRTT(f)))
 		}
 	case SchemeIdealFQ:
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
-			return cc.FixedWindow{W: windowCap}
+			return cc.FixedWindow{W: units.BDP(topo.HostRate(f.Src), pathRTT(f))}
 		}
 	}
 	for _, node := range r.topo.Nodes() {

@@ -243,15 +243,15 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 
 	// Per-shard runners build only the devices their shard owns, into the one
-	// registry they share with the coordinator. Every shard derives device
-	// seeds from (Options.Seed, NodeID) and draws packets from its own pool, so
+	// registry they share with the coordinator. Every device derives its seed
+	// and parameters from the options and its own node (a flow its window
+	// from its own path) and draws packets from its shard's pool, so
 	// construction is independent of the partition. Traced partitioned runs
 	// swap each shard's recorder for a keyed per-shard ring before any device
 	// captures it; the one shard of a one-shard run keeps the caller's ring.
-	// Each shard builds on its own goroutine, from fabric parameters derived
-	// once; after the join every shard wires its links, which reach into the
-	// devices other shards built, and schedules its flows, again on its own
-	// goroutine.
+	// Each shard builds on its own goroutine; after the join every shard
+	// wires its links, which reach into the devices other shards built, and
+	// schedules its flows, again on its own goroutine.
 	reg := newRegistry(opts.Topo)
 	shards := make([]*runner, S)
 	var srecs []*shardRecorder
@@ -265,8 +265,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		shards[i] = r
 	}
-	fab := newFabric(&opts)
-	eachShard(shards, func(r *runner) { r.buildDevices(fab) })
+	eachShard(shards, func(r *runner) { r.buildDevices() })
 
 	// One boundary queue per directed shard pair. All cross-shard links of a
 	// pair share it, so the receiver sees the sender's emissions in the

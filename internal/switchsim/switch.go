@@ -125,18 +125,42 @@ func New(cfg Config) *Switch {
 		}
 	}
 	if cfg.BFC != nil {
-		s.engine = core.NewEngine(*cfg.BFC, numPorts, s)
+		bfc := *cfg.BFC
+		bfc.HRTT = hopRTT(cfg.Node.Ports, cfg.MTU)
+		bfc.Tau = bfc.HRTT / 2
+		bfc.Salt = fallbackSalt + uint64(cfg.Node.ID)*packet.Gamma
+		s.engine = core.NewEngine(bfc, numPorts, s)
 		for i := range s.ports {
-			s.ports[i].upstream = *core.NewUpstreamState(cfg.BFC.NumVFIDs)
+			s.ports[i].upstream = *core.NewUpstreamState(bfc.NumVFIDs)
 		}
-		// All switches tick at the same τ, so every tick shares the same
+		// Switches whose ports give them the same τ tick on the same
 		// arithmetic scheduling chain; the node-ID tag (in its own namespace,
-		// clear of flow IDs) is what orders same-instant pause frames from
-		// different switches across shard boundaries — matching the serial
-		// engine, where tick order follows switch construction order.
-		eventsim.NewTickerTagged(s.sched, cfg.BFC.Tau, tickTagBase|uint64(cfg.Node.ID), s.bfcTick)
+		// clear of flow IDs) is what orders their same-instant pause frames
+		// across shard boundaries — matching the serial engine, where tick
+		// order follows switch construction order.
+		eventsim.NewTickerTagged(s.sched, bfc.Tau, tickTagBase|uint64(cfg.Node.ID), s.bfcTick)
 	}
 	return s
+}
+
+// fallbackSalt salts the BFC engine's full-port queue draw; each switch adds
+// its node ID the way topology.ECMPPick does, so no two switches draw alike.
+const fallbackSalt uint64 = 0x46414c4c00000004
+
+// hopRTT is the switch's one-hop round-trip time (§3.4): twice the sum of
+// its longest port delay and one MTU-plus-header serialization at its
+// slowest port rate. It reads the ports as built; a scenario's SetLinkParams
+// does not re-derive it.
+func hopRTT(ports []topology.Port, mtu units.Bytes) units.Time {
+	var delay units.Time
+	var rate units.Rate
+	for _, p := range ports {
+		delay = max(delay, p.Delay)
+		if rate == 0 || p.Rate < rate {
+			rate = p.Rate
+		}
+	}
+	return 2 * (delay + units.SerializationTime(mtu+packet.DataHeaderSize, rate))
 }
 
 // ID implements netsim.Device.

@@ -41,22 +41,22 @@ func NewClos(c ClosConfig) *Topology {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	b := newBuilder(c.Name)
+	b := NewBuilder(c.Name)
 	spines := make([]packet.NodeID, 0, c.NumSpine)
 	for s := 0; s < c.NumSpine; s++ {
-		spines = append(spines, b.addNode(Switch, TierSpine, fmt.Sprintf("spine%d", s)))
+		spines = append(spines, b.AddNode(Switch, TierSpine, fmt.Sprintf("spine%d", s)))
 	}
 	for r := 0; r < c.NumToR; r++ {
-		tor := b.addNode(Switch, TierToR, fmt.Sprintf("tor%d", r))
+		tor := b.AddNode(Switch, TierToR, fmt.Sprintf("tor%d", r))
 		for _, s := range spines {
-			b.addLink(tor, s, c.LinkRate, c.LinkDelay)
+			b.AddLink(tor, s, c.LinkRate, c.LinkDelay)
 		}
 		for h := 0; h < c.HostsPerToR; h++ {
-			host := b.addNode(Host, TierHost, fmt.Sprintf("h%d-%d", r, h))
-			b.addLink(host, tor, c.LinkRate, c.LinkDelay)
+			host := b.AddNode(Host, TierHost, fmt.Sprintf("h%d-%d", r, h))
+			b.AddLink(host, tor, c.LinkRate, c.LinkDelay)
 		}
 	}
-	return b.build()
+	return b.Build()
 }
 
 // The paper's evaluation topologies (§4.1): all links 100 Gbps with 1 us
@@ -110,13 +110,13 @@ func NewSingleSwitch(c SingleSwitchConfig) *Topology {
 	if c.LinkRate <= 0 {
 		panic("topology: link rate must be positive")
 	}
-	b := newBuilder(fmt.Sprintf("star-%d", c.NumHosts))
-	sw := b.addNode(Switch, TierToR, "sw0")
+	b := NewBuilder(fmt.Sprintf("star-%d", c.NumHosts))
+	sw := b.AddNode(Switch, TierToR, "sw0")
 	for h := 0; h < c.NumHosts; h++ {
-		host := b.addNode(Host, TierHost, fmt.Sprintf("h%d", h))
-		b.addLink(host, sw, c.LinkRate, c.LinkDelay)
+		host := b.AddNode(Host, TierHost, fmt.Sprintf("h%d", h))
+		b.AddLink(host, sw, c.LinkRate, c.LinkDelay)
 	}
-	return b.build()
+	return b.Build()
 }
 
 // DumbbellConfig parameterizes a two-switch dumbbell: half the hosts on each
@@ -137,17 +137,17 @@ func NewDumbbell(c DumbbellConfig) *Topology {
 	if c.EdgeRate <= 0 || c.BottleneckRate <= 0 {
 		panic("topology: rates must be positive")
 	}
-	b := newBuilder("dumbbell")
-	left := b.addNode(Switch, TierToR, "left")
-	right := b.addNode(Switch, TierToR, "right")
-	b.addLink(left, right, c.BottleneckRate, c.LinkDelay)
+	b := NewBuilder("dumbbell")
+	left := b.AddNode(Switch, TierToR, "left")
+	right := b.AddNode(Switch, TierToR, "right")
+	b.AddLink(left, right, c.BottleneckRate, c.LinkDelay)
 	for h := 0; h < c.HostsPerSide; h++ {
-		hostL := b.addNode(Host, TierHost, fmt.Sprintf("l%d", h))
-		b.addLink(hostL, left, c.EdgeRate, c.LinkDelay)
-		hostR := b.addNode(Host, TierHost, fmt.Sprintf("r%d", h))
-		b.addLink(hostR, right, c.EdgeRate, c.LinkDelay)
+		hostL := b.AddNode(Host, TierHost, fmt.Sprintf("l%d", h))
+		b.AddLink(hostL, left, c.EdgeRate, c.LinkDelay)
+		hostR := b.AddNode(Host, TierHost, fmt.Sprintf("r%d", h))
+		b.AddLink(hostR, right, c.EdgeRate, c.LinkDelay)
 	}
-	return b.build()
+	return b.Build()
 }
 
 // CrossDCConfig parameterizes the §4.2 cross-data-center topology: two Clos
@@ -186,25 +186,25 @@ func NewCrossDC(c CrossDCConfig) *CrossDC {
 	if dcToGw == 0 {
 		dcToGw = c.DC.LinkRate
 	}
-	b := newBuilder("crossdc")
+	b := NewBuilder("crossdc")
 	out := &CrossDC{}
 
 	buildDC := func(dcIdx int) (hosts []packet.NodeID, gateway packet.NodeID) {
-		gw := b.addNode(Switch, TierGateway, fmt.Sprintf("gw%d", dcIdx))
+		gw := b.AddNode(Switch, TierGateway, fmt.Sprintf("gw%d", dcIdx))
 		spines := make([]packet.NodeID, 0, c.DC.NumSpine)
 		for s := 0; s < c.DC.NumSpine; s++ {
-			spine := b.addNode(Switch, TierSpine, fmt.Sprintf("dc%d-spine%d", dcIdx, s))
-			b.addLink(spine, gw, dcToGw, c.DC.LinkDelay)
+			spine := b.AddNode(Switch, TierSpine, fmt.Sprintf("dc%d-spine%d", dcIdx, s))
+			b.AddLink(spine, gw, dcToGw, c.DC.LinkDelay)
 			spines = append(spines, spine)
 		}
 		for r := 0; r < c.DC.NumToR; r++ {
-			tor := b.addNode(Switch, TierToR, fmt.Sprintf("dc%d-tor%d", dcIdx, r))
+			tor := b.AddNode(Switch, TierToR, fmt.Sprintf("dc%d-tor%d", dcIdx, r))
 			for _, spine := range spines {
-				b.addLink(tor, spine, c.DC.LinkRate, c.DC.LinkDelay)
+				b.AddLink(tor, spine, c.DC.LinkRate, c.DC.LinkDelay)
 			}
 			for h := 0; h < c.DC.HostsPerToR; h++ {
-				host := b.addNode(Host, TierHost, fmt.Sprintf("dc%d-h%d-%d", dcIdx, r, h))
-				b.addLink(host, tor, c.DC.LinkRate, c.DC.LinkDelay)
+				host := b.AddNode(Host, TierHost, fmt.Sprintf("dc%d-h%d-%d", dcIdx, r, h))
+				b.AddLink(host, tor, c.DC.LinkRate, c.DC.LinkDelay)
 				hosts = append(hosts, host)
 			}
 		}
@@ -213,9 +213,9 @@ func NewCrossDC(c CrossDCConfig) *CrossDC {
 
 	h1, g1 := buildDC(0)
 	h2, g2 := buildDC(1)
-	b.addLink(g1, g2, c.GatewayRate, c.GatewayDelay)
+	b.AddLink(g1, g2, c.GatewayRate, c.GatewayDelay)
 	out.HostsDC1, out.HostsDC2 = h1, h2
 	out.Gateways = [2]packet.NodeID{g1, g2}
-	out.Topology = b.build()
+	out.Topology = b.Build()
 	return out
 }

@@ -89,32 +89,32 @@ func NewFatTree(c FatTreeConfig) *Topology {
 	if name == "" {
 		name = fmt.Sprintf("fattree-%d", c.NumHosts())
 	}
-	b := newBuilder(name)
+	b := NewBuilder(name)
 	cores := make([]packet.NodeID, 0, c.NumCore())
 	for s := 0; s < c.NumCore(); s++ {
-		cores = append(cores, b.addNode(Switch, TierSpine, fmt.Sprintf("core%d", s)))
+		cores = append(cores, b.AddNode(Switch, TierSpine, fmt.Sprintf("core%d", s)))
 	}
 	for p := 0; p < c.Pods; p++ {
 		aggs := make([]packet.NodeID, 0, c.AggPerPod)
 		for a := 0; a < c.AggPerPod; a++ {
-			agg := b.addNode(Switch, TierAgg, fmt.Sprintf("pod%d-agg%d", p, a))
+			agg := b.AddNode(Switch, TierAgg, fmt.Sprintf("pod%d-agg%d", p, a))
 			for k := 0; k < c.CorePerAgg; k++ {
-				b.addLink(agg, cores[a*c.CorePerAgg+k], c.LinkRate, c.LinkDelay)
+				b.AddLink(agg, cores[a*c.CorePerAgg+k], c.LinkRate, c.LinkDelay)
 			}
 			aggs = append(aggs, agg)
 		}
 		for e := 0; e < c.EdgePerPod; e++ {
-			edge := b.addNode(Switch, TierToR, fmt.Sprintf("pod%d-edge%d", p, e))
+			edge := b.AddNode(Switch, TierToR, fmt.Sprintf("pod%d-edge%d", p, e))
 			for _, agg := range aggs {
-				b.addLink(edge, agg, c.LinkRate, c.LinkDelay)
+				b.AddLink(edge, agg, c.LinkRate, c.LinkDelay)
 			}
 			for h := 0; h < c.HostsPerEdge; h++ {
-				host := b.addNode(Host, TierHost, fmt.Sprintf("pod%d-h%d-%d", p, e, h))
-				b.addLink(host, edge, c.LinkRate, c.LinkDelay)
+				host := b.AddNode(Host, TierHost, fmt.Sprintf("pod%d-h%d-%d", p, e, h))
+				b.AddLink(host, edge, c.LinkRate, c.LinkDelay)
 			}
 		}
 	}
-	return b.build()
+	return b.Build()
 }
 
 // FatTreeForHosts derives a balanced 2:1/2:1-oversubscribed fat-tree able to

@@ -182,22 +182,25 @@ func (t *Topology) Hosts() []packet.NodeID { return t.hosts }
 // NumNodes returns the total node count.
 func (t *Topology) NumNodes() int { return len(t.nodes) }
 
-// builder accumulates nodes and links before routing is computed.
-type builder struct {
+// Builder accumulates nodes and links before routing is computed. Every
+// built-in fabric is made with one; a fabric of another shape can be too.
+type Builder struct {
 	name  string
 	nodes []*Node
 }
 
-func newBuilder(name string) *builder { return &builder{name: name} }
+// NewBuilder starts an empty topology with the given name.
+func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
-func (b *builder) addNode(kind Kind, tier Tier, name string) packet.NodeID {
+// AddNode adds a node and returns its ID: IDs are dense, in the order added.
+func (b *Builder) AddNode(kind Kind, tier Tier, name string) packet.NodeID {
 	id := packet.NodeID(len(b.nodes))
 	b.nodes = append(b.nodes, &Node{ID: id, Kind: kind, Tier: tier, Name: name})
 	return id
 }
 
-// addLink connects a and b with a bidirectional link.
-func (b *builder) addLink(x, y packet.NodeID, rate units.Rate, delay units.Time) {
+// AddLink connects x and y with a bidirectional link: each gains its next port.
+func (b *Builder) AddLink(x, y packet.NodeID, rate units.Rate, delay units.Time) {
 	if rate <= 0 || delay < 0 {
 		panic("topology: invalid link parameters")
 	}
@@ -207,8 +210,9 @@ func (b *builder) addLink(x, y packet.NodeID, rate units.Rate, delay units.Time)
 	ny.Ports = append(ny.Ports, Port{Peer: x, PeerPort: px, Rate: rate, Delay: delay, Up: true})
 }
 
-// build computes routing tables and returns the immutable topology.
-func (b *builder) build() *Topology {
+// Build computes routing tables and returns the immutable topology. Every
+// host must have exactly one link, to a switch.
+func (b *Builder) Build() *Topology {
 	t := &Topology{Name: b.name, nodes: b.nodes}
 	for _, n := range b.nodes {
 		if n.Kind == Host {
@@ -627,31 +631,6 @@ func (t *Topology) HostRate(host packet.NodeID) units.Rate {
 		panic("topology: HostRate on non-host")
 	}
 	return n.Ports[0].Rate
-}
-
-// MaxBaseRTT returns the largest base RTT between any pair of hosts; useful
-// for sizing end-to-end windows (1 BDP caps in DCQCN+Win and Ideal-FQ).
-func (t *Topology) MaxBaseRTT(mtu units.Bytes) units.Time {
-	var max units.Time
-	// Every pair is scanned up to 32 hosts. Beyond that the scan is the first
-	// host against every other: quadratic cost is avoided at the price of
-	// assuming the first host sees the diameter, which holds for the symmetric
-	// built-in topologies.
-	hosts := t.hosts
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a == b {
-				continue
-			}
-			if rtt := t.PathRTT(a, b, mtu); rtt > max {
-				max = rtt
-			}
-		}
-		if len(hosts) > 32 {
-			break
-		}
-	}
-	return max
 }
 
 // LinkCount returns the number of (bidirectional) links.

@@ -63,9 +63,6 @@ func TestPaperRTT(t *testing.T) {
 	if cross < 8*units.Microsecond || cross > 9*units.Microsecond {
 		t.Fatalf("cross-rack RTT = %v, want ~8us", cross)
 	}
-	if max := topo.MaxBaseRTT(1000); max != cross {
-		t.Fatalf("MaxBaseRTT = %v, want %v", max, cross)
-	}
 	if hops := topo.HopCount(hosts[0], hosts[63]); hops != 4 {
 		t.Fatalf("cross-rack hop count = %d, want 4", hops)
 	}
