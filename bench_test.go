@@ -197,7 +197,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	var totalEvents uint64
 	for i := 0; i < b.N; i++ {
 		jobs := experiments.Fig05Jobs(scale, experiments.Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC})
-		res := experiments.Fig05FromRecords(harness.MustRun(jobs))
+		recs, err := (&harness.Runner{}).Run(jobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := experiments.Fig05FromRecords(recs)
 		totalEvents += res.Raw["BFC"].Events
 	}
 	b.ReportMetric(float64(totalEvents)/float64(b.N), "events/run")

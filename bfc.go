@@ -6,18 +6,20 @@
 //
 // The typical workflow is:
 //
-//	topo := bfc.NewT2()
-//	flows, _ := bfc.GenerateWorkload(bfc.WorkloadConfig{
+//	topo := bfc.NewClos(bfc.ClosConfig{Name: "c", NumToR: 2, NumSpine: 2,
+//	        HostsPerToR: 8, LinkRate: 100 * bfc.Gbps, LinkDelay: bfc.Microsecond})
+//	trace, _ := bfc.GenerateWorkload(bfc.WorkloadConfig{
 //	        Hosts: topo.Hosts(), CDF: bfc.GoogleWorkload(), Load: 0.6,
 //	        HostRate: 100 * bfc.Gbps, Duration: bfc.Millisecond, Seed: 1,
 //	})
 //	opts := bfc.DefaultOptions(bfc.SchemeBFC, topo)
-//	res, _ := bfc.Run(opts, flows.Flows)
+//	res, _ := bfc.Run(opts, trace.Flows)
 //	fmt.Println(res.FCT.Rows())
 //
-// The experiments that regenerate every figure of the paper live in
-// internal/experiments and are runnable through cmd/bfcsim -fig and the
-// benchmark harness in bench_test.go.
+// The package's Examples (go test -run Example .) run this and the paper's
+// main comparisons at example scale. The experiments that regenerate every
+// figure of the paper live in internal/experiments and are runnable through
+// cmd/bfcsim -fig.
 package bfc
 
 import (
@@ -29,42 +31,33 @@ import (
 	"bfc/internal/workload"
 )
 
-// Time, Rate and Bytes re-export the simulator units.
+// Time and Bytes re-export the simulator units.
 type (
 	// Time is a simulated duration or instant in picoseconds.
 	Time = units.Time
-	// Rate is a link or flow rate in bits per second.
-	Rate = units.Rate
 	// Bytes is a byte count.
 	Bytes = units.Bytes
 )
 
 // Common unit constants.
 const (
-	Nanosecond  = units.Nanosecond
 	Microsecond = units.Microsecond
 	Millisecond = units.Millisecond
-	Second      = units.Second
 
-	Mbps = units.Mbps
 	Gbps = units.Gbps
 
-	KB = units.KB
 	MB = units.MB
 )
 
 // Scheme selects the congestion-control architecture of a run.
 type Scheme = sim.Scheme
 
-// The schemes compared in the paper's evaluation.
+// Schemes of the paper's evaluation; AllSchemes lists all six.
 const (
-	SchemeBFC         = sim.SchemeBFC
-	SchemeBFCStatic   = sim.SchemeBFCStatic
-	SchemeDCQCN       = sim.SchemeDCQCN
-	SchemeDCQCNWin    = sim.SchemeDCQCNWin
-	SchemeDCQCNWinSFQ = sim.SchemeDCQCNWinSFQ
-	SchemeHPCC        = sim.SchemeHPCC
-	SchemeIdealFQ     = sim.SchemeIdealFQ
+	SchemeBFC      = sim.SchemeBFC
+	SchemeDCQCN    = sim.SchemeDCQCN
+	SchemeDCQCNWin = sim.SchemeDCQCNWin
+	SchemeHPCC     = sim.SchemeHPCC
 )
 
 // AllSchemes lists the six schemes of Fig 5.
@@ -78,9 +71,6 @@ type (
 
 // Flow is one message transfer between two hosts.
 type Flow = packet.Flow
-
-// NodeID identifies a host or switch in a topology.
-type NodeID = packet.NodeID
 
 // Topology describes a simulated network.
 type Topology = topology.Topology
@@ -101,38 +91,12 @@ func DefaultOptions(scheme Scheme, topo *Topology) Options {
 // measurements.
 func Run(opts Options, flows []*Flow) (*Result, error) { return sim.Run(opts, flows) }
 
-// ResultDigest returns the SHA-256 hex digest of the marshalled Result
-// (telemetry series excluded), the canonical fingerprint for determinism
-// checks across shard counts and telemetry settings.
-func ResultDigest(res *Result) (string, error) { return sim.ResultDigest(res) }
-
 // IdealFCT returns the unloaded-network completion time used to normalize FCT
 // slowdowns.
 func IdealFCT(topo *Topology, mtu Bytes, f *Flow) Time { return sim.IdealFCT(topo, mtu, f) }
 
-// Topology constructors.
-
-// NewT1 builds the paper's 128-host evaluation fabric.
-func NewT1() *Topology { return topology.NewT1() }
-
-// NewT2 builds the paper's 64-host evaluation fabric.
-func NewT2() *Topology { return topology.NewT2() }
-
 // NewClos builds an arbitrary two-tier Clos.
 func NewClos(cfg ClosConfig) *Topology { return topology.NewClos(cfg) }
-
-// NewSingleSwitch builds a star topology of n hosts around one switch.
-func NewSingleSwitch(numHosts int, rate Rate, delay Time) *Topology {
-	return topology.NewSingleSwitch(topology.SingleSwitchConfig{
-		NumHosts: numHosts, LinkRate: rate, LinkDelay: delay,
-	})
-}
-
-// NewFatTree builds the scale tier's standard three-tier fat-tree holding at
-// least the requested number of hosts (rounded up to whole pods).
-func NewFatTree(hosts int, rate Rate, delay Time) *Topology {
-	return topology.NewFatTree(topology.FatTreeForHosts(hosts, rate, delay))
-}
 
 // NewCrossDC builds two Clos data centers joined by a long gateway link.
 func NewCrossDC(cfg topology.CrossDCConfig) *CrossDCTopology { return topology.NewCrossDC(cfg) }
@@ -143,30 +107,23 @@ type CrossDCConfig = topology.CrossDCConfig
 // Workload generation.
 
 // WorkloadConfig parameterizes synthetic trace generation; WorkloadTrace is
-// the result.
+// the result. InterDCConfig marks a share of flows as crossing between the
+// two data centers of a CrossDCTopology.
 type (
 	WorkloadConfig = workload.Config
 	WorkloadTrace  = workload.Trace
 	WorkloadCDF    = workload.CDF
 	IncastConfig   = workload.IncastConfig
+	InterDCConfig  = workload.InterDCConfig
 )
 
 // GenerateWorkload synthesizes a trace of flows.
 func GenerateWorkload(cfg WorkloadConfig) (*WorkloadTrace, error) { return workload.Generate(cfg) }
 
-// GoogleWorkload, FBHadoopWorkload and WebSearchWorkload return the embedded
-// industry flow-size distributions of Fig 4.
-func GoogleWorkload() *WorkloadCDF    { return workload.Google() }
-func FBHadoopWorkload() *WorkloadCDF  { return workload.FBHadoop() }
-func WebSearchWorkload() *WorkloadCDF { return workload.WebSearch() }
+// GoogleWorkload and FBHadoopWorkload return two of the embedded industry
+// flow-size distributions of Fig 4.
+func GoogleWorkload() *WorkloadCDF   { return workload.Google() }
+func FBHadoopWorkload() *WorkloadCDF { return workload.FBHadoop() }
 
-// WorkloadByName resolves "google", "fb_hadoop" or "websearch".
-func WorkloadByName(name string) (*WorkloadCDF, error) { return workload.ByName(name) }
-
-// Statistics types exposed by Result.
-type (
-	// FCTCollector aggregates flow-completion-time slowdowns by flow size.
-	FCTCollector = stats.FCTCollector
-	// Distribution is a sampled scalar distribution (percentiles, CDF).
-	Distribution = stats.Distribution
-)
+// Distribution is a sampled scalar distribution (count, mean, percentiles).
+type Distribution = stats.Distribution

@@ -6,10 +6,14 @@ import (
 	"bfc"
 )
 
-// TestPublicAPIQuickstart exercises the documented public workflow end to
-// end: build a topology, generate a workload, run BFC, inspect results.
+// TestPublicAPIQuickstart runs the documented public workflow on a
+// one-switch fabric (a 1x1 Clos, every flow intra-rack), a shape no Example
+// covers: they run two-rack Clos and cross-DC fabrics.
 func TestPublicAPIQuickstart(t *testing.T) {
-	topo := bfc.NewSingleSwitch(8, 100*bfc.Gbps, bfc.Microsecond)
+	topo := bfc.NewClos(bfc.ClosConfig{
+		Name: "api", NumToR: 1, NumSpine: 1, HostsPerToR: 8,
+		LinkRate: 100 * bfc.Gbps, LinkDelay: bfc.Microsecond,
+	})
 	trace, err := bfc.GenerateWorkload(bfc.WorkloadConfig{
 		Hosts:    topo.Hosts(),
 		CDF:      bfc.GoogleWorkload(),
@@ -37,9 +41,9 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPISchemeComparison(t *testing.T) {
-	topo := bfc.NewT2()
-	if len(topo.Hosts()) != 64 {
-		t.Fatal("T2 should have 64 hosts")
+	topo := smallClos("api")
+	if len(topo.Hosts()) != 16 {
+		t.Fatal("2 racks of 8 should have 16 hosts")
 	}
 	if len(bfc.AllSchemes()) != 6 {
 		t.Fatal("expected the six Fig 5 schemes")
@@ -51,21 +55,9 @@ func TestPublicAPISchemeComparison(t *testing.T) {
 	}
 	// Ideal FCT of a 100 KB same-rack flow at 100 Gbps is ~10 us.
 	hosts := topo.Hosts()
-	f := &bfc.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], Size: 100 * bfc.KB}
+	f := &bfc.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], Size: 100 << 10}
 	ideal := bfc.IdealFCT(topo, 1000, f)
 	if ideal < 8*bfc.Microsecond || ideal > 14*bfc.Microsecond {
 		t.Fatalf("ideal FCT = %v, want ~10us", ideal)
-	}
-}
-
-func TestPublicAPIWorkloadByName(t *testing.T) {
-	for _, name := range []string{"google", "fb_hadoop", "websearch"} {
-		cdf, err := bfc.WorkloadByName(name)
-		if err != nil || cdf == nil {
-			t.Fatalf("WorkloadByName(%q): %v", name, err)
-		}
-	}
-	if _, err := bfc.WorkloadByName("nope"); err == nil {
-		t.Fatal("expected error for unknown workload")
 	}
 }

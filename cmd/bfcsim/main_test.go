@@ -186,7 +186,11 @@ func TestFlagsAndServedRunAreOneDeclaration(t *testing.T) {
 	}
 
 	digest := func(j harness.Job) string {
-		sum, err := sim.ResultDigest(harness.MustRun([]harness.Job{j})[0].Result)
+		recs, err := (&harness.Runner{}).Run([]harness.Job{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := sim.ResultDigest(recs[0].Result)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,7 @@
 // every pause frame until one of its bits flips, so one snapshot may be held
 // at once by several ticks' frames, by upstream devices and by devices on
 // other shards. That sharing is race-free because nothing writes a Filter
-// after Snapshot has returned it; Filter.Add is for filters a caller builds
-// itself.
+// after Snapshot has returned it, and Snapshot is the only way to build one.
 package bloom
 
 import (
@@ -90,39 +89,12 @@ type Filter struct {
 	bits   []uint64
 }
 
-// NewFilter returns an empty filter.
-func NewFilter(p Params) *Filter {
-	p.validate()
-	return &Filter{params: p, bits: make([]uint64, p.words())}
-}
-
-// Params returns the filter configuration.
-func (f *Filter) Params() Params { return f.params }
-
-// Add marks a VFID as paused.
-func (f *Filter) Add(v packet.VFID) {
-	var buf [16]int
-	for _, pos := range f.params.positions(v, buf[:0]) {
-		f.bits[pos/64] |= 1 << (pos % 64)
-	}
-}
-
 // Contains reports whether the VFID matches the filter (i.e. should be
 // treated as paused). False positives are possible; false negatives are not.
 func (f *Filter) Contains(v packet.VFID) bool {
 	var buf [16]int
 	for _, pos := range f.params.positions(v, buf[:0]) {
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Empty reports whether no bits are set (no flows paused).
-func (f *Filter) Empty() bool {
-	for _, w := range f.bits {
-		if w != 0 {
 			return false
 		}
 	}
@@ -136,19 +108,6 @@ func (f *Filter) SetBits() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// WireSize returns the size in bytes of the filter when carried in a pause
-// frame (the bit vector itself; framing overhead is accounted for by the
-// caller).
-func (f *Filter) WireSize() int { return f.params.SizeBytes }
-
-// FalsePositiveRate estimates the current false-positive probability given
-// the number of set bits, using the standard (1 - e^{-kn/m})^k approximation
-// evaluated from the actual fill factor.
-func (f *Filter) FalsePositiveRate() float64 {
-	fill := float64(f.SetBits()) / float64(f.params.bits())
-	return math.Pow(fill, float64(f.params.Hashes))
 }
 
 // String summarizes the filter.
@@ -187,9 +146,6 @@ func NewCounting(p Params) *Counting {
 	p.validate()
 	return &Counting{params: p}
 }
-
-// Params returns the filter configuration.
-func (c *Counting) Params() Params { return c.params }
 
 // Add registers a paused VFID. Calling Add for a VFID that is already paused
 // is the caller's responsibility to avoid (the switch tracks pause state per
@@ -232,21 +188,6 @@ func (c *Counting) Remove(v packet.VFID) {
 		}
 	}
 	c.members--
-}
-
-// Contains reports whether the VFID currently matches (all counters
-// non-zero).
-func (c *Counting) Contains(v packet.VFID) bool {
-	if c.counts == nil {
-		return false
-	}
-	var buf [16]int
-	for _, pos := range c.params.positions(v, buf[:0]) {
-		if c.counts[pos] == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Members returns the number of VFIDs currently registered.

@@ -9,17 +9,37 @@ import (
 	"bfc/internal/packet"
 )
 
-func TestFilterAddContains(t *testing.T) {
-	f := NewFilter(DefaultParams())
-	vfids := []packet.VFID{1, 42, 16383, 9999}
+// snapshotOf returns the wire filter of a Counting holding vfids.
+func snapshotOf(p Params, vfids ...packet.VFID) *Filter {
+	c := NewCounting(p)
 	for _, v := range vfids {
+		c.Add(v)
+	}
+	return c.Snapshot()
+}
+
+// falsePositives returns the share of 100 000 VFIDs at or above 1<<20 (none
+// of them inserted) the filter matches.
+func falsePositives(f *Filter) float64 {
+	const probes = 100_000
+	fp := 0
+	for v := packet.VFID(1 << 20); v < 1<<20+probes; v++ {
 		if f.Contains(v) {
+			fp++
+		}
+	}
+	return float64(fp) / probes
+}
+
+func TestFilterAddContains(t *testing.T) {
+	vfids := []packet.VFID{1, 42, 16383, 9999}
+	empty := snapshotOf(DefaultParams())
+	for _, v := range vfids {
+		if empty.Contains(v) {
 			t.Fatalf("empty filter contains %d", v)
 		}
 	}
-	for _, v := range vfids {
-		f.Add(v)
-	}
+	f := snapshotOf(DefaultParams(), vfids...)
 	for _, v := range vfids {
 		if !f.Contains(v) {
 			t.Fatalf("filter missing added VFID %d (bloom filters never have false negatives)", v)
@@ -28,16 +48,16 @@ func TestFilterAddContains(t *testing.T) {
 }
 
 func TestFilterEmptyAndWireSize(t *testing.T) {
-	f := NewFilter(DefaultParams())
-	if !f.Empty() {
-		t.Fatal("new filter should be empty")
+	if n := snapshotOf(DefaultParams()).SetBits(); n != 0 {
+		t.Fatalf("empty filter has %d set bits", n)
 	}
-	f.Add(7)
-	if f.Empty() || f.SetBits() != DefaultHashes {
-		t.Fatalf("filter with one element: empty=%v set bits=%d, want %d", f.Empty(), f.SetBits(), DefaultHashes)
+	f := snapshotOf(DefaultParams(), 7)
+	if n := f.SetBits(); n != DefaultHashes {
+		t.Fatalf("filter with one element: set bits=%d, want %d", n, DefaultHashes)
 	}
-	if f.WireSize() != DefaultSizeBytes {
-		t.Fatalf("wire size = %d, want %d", f.WireSize(), DefaultSizeBytes)
+	// The pause frame carries the bit vector itself: SizeBytes on the wire.
+	if size := len(f.bits) * 8; size != DefaultSizeBytes {
+		t.Fatalf("wire size = %d, want %d", size, DefaultSizeBytes)
 	}
 }
 
@@ -45,52 +65,39 @@ func TestFilterFalsePositiveRateLow(t *testing.T) {
 	// Paper §3.6: with at most 32 queued flows paused per ingress and a
 	// 128-byte filter with 4 hashes, false positives should be rare. Measure
 	// empirically with 32 inserted VFIDs and 100k probes.
-	f := NewFilter(DefaultParams())
 	rng := rand.New(rand.NewSource(1))
 	inserted := map[packet.VFID]bool{}
+	var vfids []packet.VFID
 	for len(inserted) < 32 {
 		v := packet.VFID(rng.Intn(16384))
 		if !inserted[v] {
 			inserted[v] = true
-			f.Add(v)
+			vfids = append(vfids, v)
 		}
 	}
-	fp := 0
-	probes := 0
-	for v := packet.VFID(20000); v < 120000; v++ {
-		probes++
-		if f.Contains(v) {
-			fp++
-		}
-	}
-	rate := float64(fp) / float64(probes)
-	if rate > 1e-3 {
+	if rate := falsePositives(snapshotOf(DefaultParams(), vfids...)); rate > 1e-3 {
 		t.Fatalf("false positive rate %.5f too high for 32/1024 bits", rate)
-	}
-	if est := f.FalsePositiveRate(); est > 1e-3 {
-		t.Fatalf("estimated false positive rate %.5f too high", est)
 	}
 }
 
 func TestSmallFilterHasMoreFalsePositives(t *testing.T) {
 	// Fig 14 rationale: a 16-byte filter with many paused flows produces more
 	// false positives than a 128-byte one.
-	small := NewFilter(Params{SizeBytes: 16, Hashes: 4})
-	large := NewFilter(Params{SizeBytes: 128, Hashes: 4})
+	var vfids []packet.VFID
 	for v := packet.VFID(0); v < 60; v++ {
-		small.Add(v * 37)
-		large.Add(v * 37)
+		vfids = append(vfids, v*37)
 	}
-	if small.FalsePositiveRate() <= large.FalsePositiveRate() {
-		t.Fatalf("small filter fp=%.4f should exceed large fp=%.4f",
-			small.FalsePositiveRate(), large.FalsePositiveRate())
+	small := falsePositives(snapshotOf(Params{SizeBytes: 16, Hashes: 4}, vfids...))
+	large := falsePositives(snapshotOf(Params{SizeBytes: 128, Hashes: 4}, vfids...))
+	if small <= large {
+		t.Fatalf("small filter fp=%.4f should exceed large fp=%.4f", small, large)
 	}
 }
 
 func TestParamsValidation(t *testing.T) {
-	assertPanics(t, func() { NewFilter(Params{SizeBytes: 0, Hashes: 4}) })
-	assertPanics(t, func() { NewFilter(Params{SizeBytes: 128, Hashes: 0}) })
-	assertPanics(t, func() { NewFilter(Params{SizeBytes: 128, Hashes: 17}) })
+	assertPanics(t, func() { NewCounting(Params{SizeBytes: 0, Hashes: 4}) })
+	assertPanics(t, func() { NewCounting(Params{SizeBytes: 128, Hashes: 0}) })
+	assertPanics(t, func() { NewCounting(Params{SizeBytes: 128, Hashes: 17}) })
 	assertPanics(t, func() { NewCounting(Params{SizeBytes: -1, Hashes: 4}) })
 }
 
@@ -108,24 +115,24 @@ func TestCountingAddRemove(t *testing.T) {
 	c := NewCounting(DefaultParams())
 	c.Add(5)
 	c.Add(9)
-	if !c.Contains(5) || !c.Contains(9) {
+	if !c.Snapshot().Contains(5) || !c.Snapshot().Contains(9) {
 		t.Fatal("counting filter missing added members")
 	}
 	if c.Members() != 2 {
 		t.Fatalf("members = %d, want 2", c.Members())
 	}
 	c.Remove(5)
-	if c.Contains(5) && !c.Contains(9) {
+	if c.Snapshot().Contains(5) && !c.Snapshot().Contains(9) {
 		t.Fatal("filter corrupted after removal")
 	}
-	if !c.Contains(9) {
+	if !c.Snapshot().Contains(9) {
 		t.Fatal("removing one member must not evict another (counting semantics)")
 	}
 	c.Remove(9)
 	if c.Members() != 0 {
 		t.Fatalf("members = %d, want 0", c.Members())
 	}
-	if c.Contains(9) {
+	if c.Snapshot().Contains(9) {
 		t.Fatal("empty counting filter should contain nothing")
 	}
 }
@@ -148,7 +155,7 @@ func TestCountingCollisionSemantics(t *testing.T) {
 	c.Add(1)
 	c.Add(other)
 	c.Remove(1)
-	if !c.Contains(other) {
+	if !c.Snapshot().Contains(other) {
 		t.Fatal("counting filter lost a member after removing a colliding one")
 	}
 }
@@ -162,15 +169,15 @@ func TestCountingUnderflowPanics(t *testing.T) {
 // counters, yet answers and snapshots like an empty one.
 func TestCountingBeforeFirstAdd(t *testing.T) {
 	c := NewCounting(DefaultParams())
-	if c.Contains(3) || c.Members() != 0 {
+	if c.Snapshot().Contains(3) || c.Members() != 0 {
 		t.Fatal("a fresh counting filter should be empty")
 	}
 	snap := c.Snapshot()
-	if !snap.Empty() || snap.Contains(3) || snap.SetBits() != 0 {
+	if snap.Contains(3) || snap.SetBits() != 0 {
 		t.Fatalf("snapshot of a fresh counting filter = %v, want empty", snap)
 	}
 	c.Add(3)
-	if !c.Contains(3) || !c.Snapshot().Contains(3) {
+	if !c.Snapshot().Contains(3) {
 		t.Fatal("the first Add should register the VFID")
 	}
 }
@@ -190,7 +197,7 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 	for _, v := range vfids {
 		c.Remove(v)
 	}
-	if c.Members() != 0 || c.Contains(3) {
+	if c.Members() != 0 || c.Snapshot().Contains(3) {
 		t.Fatal("removing every member should empty the counting filter")
 	}
 	// A snapshot taken before the removals is unaffected by them.
@@ -199,7 +206,7 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 			t.Fatalf("snapshot lost %d after the counting filter changed", v)
 		}
 	}
-	if !c.Snapshot().Empty() {
+	if c.Snapshot().SetBits() != 0 {
 		t.Fatal("snapshot of an empty counting filter should be empty")
 	}
 }
@@ -207,7 +214,7 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 // fullScan is the reference Snapshot: a fresh filter with a bit for every
 // non-zero counter.
 func fullScan(c *Counting) *Filter {
-	f := NewFilter(c.params)
+	f := &Filter{params: c.params, bits: make([]uint64, c.params.words())}
 	for pos, cnt := range c.counts {
 		if cnt > 0 {
 			f.bits[pos/64] |= 1 << (pos % 64)
@@ -261,24 +268,20 @@ func TestSnapshotIncrementalProperty(t *testing.T) {
 	}
 }
 
-// Property: no false negatives — anything added to a Filter is always
-// contained; anything added to a Counting and not removed is contained, and
-// its snapshot agrees.
+// Property: no false negatives — anything added to a Counting and not
+// removed is contained in its snapshot.
 func TestNoFalseNegativesProperty(t *testing.T) {
 	prop := func(raw []uint32, sizeIdx uint8) bool {
 		sizes := []int{16, 32, 64, 128}
 		p := Params{SizeBytes: sizes[int(sizeIdx)%len(sizes)], Hashes: 4}
-		f := NewFilter(p)
 		c := NewCounting(p)
 		for _, r := range raw {
-			v := packet.VFID(r % 65536)
-			f.Add(v)
-			c.Add(v)
+			c.Add(packet.VFID(r % 65536))
 		}
 		snap := c.Snapshot()
 		for _, r := range raw {
 			v := packet.VFID(r % 65536)
-			if !f.Contains(v) || !c.Contains(v) || !snap.Contains(v) {
+			if !snap.Contains(v) {
 				return false
 			}
 		}
@@ -306,7 +309,7 @@ func TestCountingAddRemoveProperty(t *testing.T) {
 				present[v]--
 			}
 			for pv, cnt := range present {
-				if cnt > 0 && !c.Contains(pv) {
+				if cnt > 0 && !c.Snapshot().Contains(pv) {
 					return false
 				}
 			}

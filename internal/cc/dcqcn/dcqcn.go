@@ -123,12 +123,6 @@ func (c *Controller) Rate() units.Rate { return c.rc }
 // Window implements cc.Controller.
 func (c *Controller) Window() units.Bytes { return c.p.Window }
 
-// Alpha returns the current alpha estimate (for tests and tracing).
-func (c *Controller) Alpha() float64 { return c.alpha }
-
-// TargetRate returns the current target rate (for tests and tracing).
-func (c *Controller) TargetRate() units.Rate { return c.rt }
-
 // OnCNP applies the multiplicative decrease (called by the NIC when a CNP
 // arrives for this flow).
 func (c *Controller) OnCNP(now units.Time) {

@@ -68,11 +68,11 @@ func TestCNPReducesRate(t *testing.T) {
 	if c.Rate() != 50*units.Gbps {
 		t.Fatalf("rate after first CNP = %v, want 50Gbps", c.Rate())
 	}
-	if c.TargetRate() != 100*units.Gbps {
+	if c.rt != 100*units.Gbps {
 		t.Fatalf("target rate should remember the pre-decrease rate")
 	}
-	if c.Alpha() <= 0 || c.Alpha() > 1 {
-		t.Fatalf("alpha = %v out of range after a CNP", c.Alpha())
+	if c.alpha <= 0 || c.alpha > 1 {
+		t.Fatalf("alpha = %v out of range after a CNP", c.alpha)
 	}
 	// Repeated CNPs keep reducing but never below the floor.
 	for i := 0; i < 200; i++ {
@@ -109,7 +109,7 @@ func TestFastRecoveryHalvesTowardTarget(t *testing.T) {
 	c := New(params())
 	c.OnCNP(0)
 	r0 := c.Rate()
-	rt := c.TargetRate()
+	rt := c.rt
 	// One timer period elapses -> one fast-recovery step: rc = (rc+rt)/2.
 	c.OnAck(56*units.Microsecond, 1000, false, nil)
 	want := (r0 + rt) / 2
@@ -135,10 +135,10 @@ func TestByteCounterDrivesRecovery(t *testing.T) {
 func TestAlphaDecaysWithoutCNPs(t *testing.T) {
 	c := New(params())
 	c.OnCNP(0)
-	a0 := c.Alpha()
+	a0 := c.alpha
 	c.OnAck(10*55*units.Microsecond, 1000, false, nil)
-	if c.Alpha() >= a0 {
-		t.Fatalf("alpha did not decay: %v >= %v", c.Alpha(), a0)
+	if c.alpha >= a0 {
+		t.Fatalf("alpha did not decay: %v >= %v", c.alpha, a0)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestRateBoundsProperty(t *testing.T) {
 			if c.Rate() < 100*units.Mbps || c.Rate() > 100*units.Gbps {
 				return false
 			}
-			if c.Alpha() < 0 || c.Alpha() > 1 {
+			if c.alpha < 0 || c.alpha > 1 {
 				return false
 			}
 		}

@@ -75,12 +75,10 @@ func (p Params) Validate() error {
 type Controller struct {
 	p Params
 
-	window  units.Bytes // W
-	wc      units.Bytes // reference window W_c
-	stage   int
-	prev    []packet.INTHop
-	lastU   float64
-	updates uint64
+	window units.Bytes // W
+	wc     units.Bytes // reference window W_c
+	stage  int
+	prev   []packet.INTHop
 
 	// lastUpdateBytes implements the "once per RTT" reference update: the
 	// reference window W_c is refreshed when the cumulative acked bytes pass
@@ -109,22 +107,13 @@ func (c *Controller) Rate() units.Rate {
 // OnCNP implements cc.Controller (HPCC ignores CNPs).
 func (c *Controller) OnCNP(units.Time) {}
 
-// LastUtilization returns the most recent max-link utilization estimate (for
-// tests and tracing).
-func (c *Controller) LastUtilization() float64 { return c.lastU }
-
-// Updates returns the number of ACKs processed.
-func (c *Controller) Updates() uint64 { return c.updates }
-
 // OnAck implements cc.Controller: processes the reflected INT stack.
 func (c *Controller) OnAck(now units.Time, ackedBytes units.Bytes, _ bool, intHops []packet.INTHop) {
 	c.ackedBytes += ackedBytes
 	if len(intHops) == 0 {
 		return
 	}
-	c.updates++
 	u := c.measureUtilization(intHops)
-	c.lastU = u
 
 	updateRef := c.ackedBytes >= c.nextUpdateBytes
 

@@ -71,12 +71,13 @@ func TestCongestedLinkShrinksWindow(t *testing.T) {
 	c.OnAck(0, 1000, false, intStack(0, 0, 0))
 	w0 := c.Window()
 	// Heavily congested: queue of 3 BDP and the link fully busy over 10 us.
-	c.OnAck(10*units.Microsecond, 1000, false, intStack(10*units.Microsecond, 3*bdp, 125000))
+	hops := intStack(10*units.Microsecond, 3*bdp, 125000)
+	if u := c.measureUtilization(hops); u <= 1 {
+		t.Fatalf("utilization = %v, want > 1 for a congested link", u)
+	}
+	c.OnAck(10*units.Microsecond, 1000, false, hops)
 	if c.Window() >= w0 {
 		t.Fatalf("window did not shrink under congestion: %v >= %v", c.Window(), w0)
-	}
-	if c.LastUtilization() <= 1 {
-		t.Fatalf("utilization = %v, want > 1 for a congested link", c.LastUtilization())
 	}
 	if c.Window() < params().MinWindow {
 		t.Fatal("window fell below the floor")
@@ -121,9 +122,8 @@ func TestMultiHopUsesMostCongestedLink(t *testing.T) {
 		{QLen: 0, TxBytes: 1000, Rate: 100 * units.Gbps, TS: 10 * units.Microsecond},
 		{QLen: 2 * bdp, TxBytes: 125000, Rate: 100 * units.Gbps, TS: 10 * units.Microsecond},
 	}
-	c.OnAck(10*units.Microsecond, 1000, false, hops1)
-	if c.LastUtilization() < 2 {
-		t.Fatalf("max-link utilization = %v, want >= 2 (driven by the congested hop)", c.LastUtilization())
+	if u := c.measureUtilization(hops1); u < 2 {
+		t.Fatalf("max-link utilization = %v, want >= 2 (driven by the congested hop)", u)
 	}
 }
 
@@ -135,8 +135,8 @@ func TestAckWithoutINTIsIgnored(t *testing.T) {
 	if c.Window() != w0 {
 		t.Fatal("window changed without telemetry")
 	}
-	if c.Updates() != 0 {
-		t.Fatal("update counted without telemetry")
+	if len(c.prev) != 0 {
+		t.Fatal("telemetry recorded from an ACK without INT")
 	}
 }
 

@@ -450,8 +450,6 @@ func removeEntry(s []*flowtable.Entry, e *flowtable.Entry) []*flowtable.Entry {
 type UpstreamState struct {
 	vfidSpace int
 	filter    *bloom.Filter
-	// updates counts received filters (diagnostics).
-	updates uint64
 }
 
 // NewUpstreamState creates the per-link upstream pause state. vfidSpace must
@@ -466,7 +464,6 @@ func NewUpstreamState(vfidSpace int) *UpstreamState {
 // Update installs a newly received filter (replacing the previous one).
 func (u *UpstreamState) Update(f *bloom.Filter) {
 	u.filter = f
-	u.updates++
 }
 
 // PacketPaused reports whether the packet's flow matches the paused set.
@@ -484,11 +481,8 @@ func (u *UpstreamState) VFIDPaused(v packet.VFID) bool {
 	return u.filter != nil && u.filter.Contains(v)
 }
 
-// Updates returns the number of filters received.
-func (u *UpstreamState) Updates() uint64 { return u.updates }
-
-// Reset clears the stored filter without counting an update. Devices call it
-// on a link state change: after a flap the downstream queue state that
-// produced the filter is gone, so starting from "nothing paused" (and letting
-// the next periodic frame re-establish reality) is the correct recovery.
+// Reset clears the stored filter. Devices call it on a link state change:
+// after a flap the downstream queue state that produced the filter is gone,
+// so starting from "nothing paused" (and letting the next periodic frame
+// re-establish reality) is the correct recovery.
 func (u *UpstreamState) Reset() { u.filter = nil }

@@ -509,9 +509,6 @@ func New() *Scheduler {
 // Now returns the current simulation time.
 func (s *Scheduler) Now() units.Time { return s.now }
 
-// Len returns the number of pending (non-cancelled) events in O(1).
-func (s *Scheduler) Len() int { return s.live }
-
 // Pending reports whether the event behind the handle is still scheduled
 // (not yet fired and not cancelled).
 func (s *Scheduler) Pending(e Event) bool {

@@ -156,7 +156,7 @@ func TestTimer(t *testing.T) {
 	tm := NewTimer(s, func() { fired++ })
 	tm.Reset(10)
 	tm.Reset(20) // re-arm replaces the pending firing
-	if !tm.Pending() {
+	if tm.ev == (Event{}) {
 		t.Fatal("timer should be pending")
 	}
 	s.Run()
@@ -167,7 +167,7 @@ func TestTimer(t *testing.T) {
 		t.Fatalf("fired at %v, want 20", s.Now())
 	}
 	tm.Stop() // stop on idle timer is a no-op
-	if tm.Pending() {
+	if tm.ev != (Event{}) {
 		t.Fatal("stopped timer should not be pending")
 	}
 }

@@ -287,7 +287,7 @@ func (m *queueModel) reset(i int, later bool, arg, prog byte, depth int) {
 		m.reach.noteInsert(m.s, before)
 		m.reach.timers.fallback++
 	}
-	if !mt.t.Pending() || !m.s.Pending(m.handles[mt.ev.id]) {
+	if mt.t.ev == (Event{}) || !m.s.Pending(m.handles[mt.ev.id]) {
 		m.t.Fatalf("timer %d not pending after Reset", i)
 	}
 	m.checkCounts("Reset")
@@ -302,7 +302,7 @@ func (m *queueModel) stop(i int) {
 		m.drop(mt.ev)
 		mt.ev = nil
 	}
-	if mt.t.Pending() {
+	if mt.t.ev != (Event{}) {
 		m.t.Fatalf("timer %d pending after Stop", i)
 	}
 	m.checkCounts("Stop")
@@ -311,8 +311,8 @@ func (m *queueModel) stop(i int) {
 func (m *queueModel) checkCounts(op string) {
 	m.t.Helper()
 	m.reach.peak = max(m.reach.peak, m.live)
-	if m.s.Len() != m.live || m.s.Executed != m.done {
-		m.t.Fatalf("after %s: Len = %d, Executed = %d; model %d, %d", op, m.s.Len(), m.s.Executed, m.live, m.done)
+	if m.s.live != m.live || m.s.Executed != m.done {
+		m.t.Fatalf("after %s: live = %d, Executed = %d; model %d, %d", op, m.s.live, m.s.Executed, m.live, m.done)
 	}
 	if m.s.pending() != len(m.pending) || m.s.stale != m.stale {
 		m.t.Fatalf("after %s: %d records pending (%d stale), model %d (%d stale)",
@@ -501,7 +501,7 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 		}
 	}
 	for i, mt := range m.timers {
-		if mt != nil && (mt.ev != nil || mt.t.Pending()) {
+		if mt != nil && (mt.ev != nil || mt.t.ev != (Event{})) {
 			t.Fatalf("timer %d armed after drain", i)
 		}
 	}

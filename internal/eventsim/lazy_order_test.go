@@ -149,8 +149,8 @@ func runRandomDAG(t *testing.T, seed int64, budget int, reach *tierReach) []Key 
 		}
 	}
 	d.sched.RunUntil(1 << 40)
-	if d.sched.Len() != 0 {
-		t.Fatalf("seed %d: %d events still pending after horizon", seed, d.sched.Len())
+	if d.sched.live != 0 {
+		t.Fatalf("seed %d: %d events still pending after horizon", seed, d.sched.live)
 	}
 	if len(d.keys) < roots {
 		t.Fatalf("seed %d: recorded %d keys for %d roots", seed, len(d.keys), roots)

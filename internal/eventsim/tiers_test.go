@@ -141,8 +141,8 @@ func (r *tierReach) requireAll(t *testing.T) {
 // (parentPed, curPed) still hold.
 func requireDrained(t *testing.T, s *Scheduler) {
 	t.Helper()
-	if s.Len() != 0 || s.pending() != 0 || s.stale != 0 {
-		t.Fatalf("not drained: Len %d, pending records %d, stale %d", s.Len(), s.pending(), s.stale)
+	if s.live != 0 || s.pending() != 0 || s.stale != 0 {
+		t.Fatalf("not drained: live %d, pending records %d, stale %d", s.live, s.pending(), s.stale)
 	}
 	if s.occ != [len(s.occ)]uint64{} || s.ring != [ringSize]int32{} {
 		t.Fatal("occupancy bits or chain heads set on an empty ring")
@@ -314,8 +314,8 @@ func TestRunBeforeKeyIntoParkedBucket(t *testing.T) {
 		if n := s.RunBeforeKey(k); n != 0 {
 			t.Fatalf("dead at %v: RunBeforeKey executed %d events, want 0", deadAt, n)
 		}
-		if s.Now() != k.At || s.stale != 0 || s.pending() != 1 || s.Len() != 1 || s.curB != 5 {
-			t.Fatalf("dead at %v: Now %v, stale %d, pending %d, Len %d, curB %d", deadAt, s.Now(), s.stale, s.pending(), s.Len(), s.curB)
+		if s.Now() != k.At || s.stale != 0 || s.pending() != 1 || s.live != 1 || s.curB != 5 {
+			t.Fatalf("dead at %v: Now %v, stale %d, pending %d, live %d, curB %d", deadAt, s.Now(), s.stale, s.pending(), s.live, s.curB)
 		}
 		k.At = 5*testBucket + 25
 		if n := s.RunBeforeKey(k); n != 1 {
@@ -360,8 +360,8 @@ func TestCompactionAcrossTiers(t *testing.T) {
 	if s.tiers.compacted != [3]uint64{22, 22, 21} {
 		t.Fatalf("compacted per tier = %v, want [22 22 21]", s.tiers.compacted)
 	}
-	if s.stale != 4 || s.pending() != 25 || s.Len() != 21 {
-		t.Fatalf("after compaction: stale %d, pending %d, Len %d; want 4, 25, 21", s.stale, s.pending(), s.Len())
+	if s.stale != 4 || s.pending() != 25 || s.live != 21 {
+		t.Fatalf("after compaction: stale %d, pending %d, live %d; want 4, 25, 21", s.stale, s.pending(), s.live)
 	}
 	s.Run()
 	if !slices.Equal(got, want) {

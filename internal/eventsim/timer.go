@@ -96,9 +96,6 @@ func (t *Timer) Stop() {
 	}
 }
 
-// Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.ev != (Event{}) }
-
 // Ticker repeatedly invokes a callback at a fixed period for the rest of the
 // run. The switches use it for periodic bloom-filter pause frames. Every tick
 // is one ScheduleCallTagged of tickerFire with the Ticker as its argument, so

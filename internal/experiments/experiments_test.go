@@ -10,6 +10,16 @@ import (
 	"bfc/internal/units"
 )
 
+// runJobs runs jobs on a default runner (all cores, no persistence).
+func runJobs(t testing.TB, jobs []harness.Job) []*harness.Record {
+	t.Helper()
+	recs, err := (&harness.Runner{}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestScales(t *testing.T) {
 	for _, s := range []Scale{Tiny(), Reduced(), Full()} {
 		if s.NumToR <= 0 || s.HostsPerToR <= 0 || s.Duration <= 0 {
@@ -71,7 +81,7 @@ func TestFig04WorkloadCDF(t *testing.T) {
 func TestFig05TinyRun(t *testing.T) {
 	// Exercise the headline experiment end to end at tiny scale with two
 	// schemes; BFC should not be worse than DCQCN at the tail.
-	res := Fig05FromRecords(harness.MustRun(Fig05Jobs(Tiny(), Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
+	res := Fig05FromRecords(runJobs(t, Fig05Jobs(Tiny(), Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
 	if len(res.Series) != 2 {
 		t.Fatalf("got %d series", len(res.Series))
 	}
@@ -132,7 +142,7 @@ func TestFig05ParallelMatchesSerial(t *testing.T) {
 // 150 us offer too little traffic for the 100 Gbps fabric to build a queue —
 // and the sizing run read p99 = 100 KB at 10 Gbps against 1.26 MB at 100 Gbps.
 func TestFig02BufferGrowsWithLinkSpeed(t *testing.T) {
-	rows := Fig02FromRecords(harness.MustRun(Fig02Jobs(Reduced())))
+	rows := Fig02FromRecords(runJobs(t, Fig02Jobs(Reduced())))
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
@@ -153,7 +163,7 @@ func TestFig02BufferGrowsWithLinkSpeed(t *testing.T) {
 // 1.67, inside the 1.2x bound. The sizing run at reduced read collision
 // fractions 0.0035 vs 0 and overall p99 slowdowns 10.64 vs 2.57.
 func TestFig07ReducedOrderings(t *testing.T) {
-	res := Fig07FromRecords(harness.MustRun(Fig07Jobs(Reduced())))
+	res := Fig07FromRecords(runJobs(t, Fig07Jobs(Reduced())))
 	if len(res.Series) != 3 || len(res.CollisionFraction) != 2 {
 		t.Fatalf("got %d series and %d collision fractions, want 3 and 2", len(res.Series), len(res.CollisionFraction))
 	}
@@ -256,7 +266,7 @@ func TestFig09ExtractSurvivesResume(t *testing.T) {
 func TestFig10TinyRun(t *testing.T) {
 	scale := Tiny()
 	scale.Duration = 300 * units.Microsecond
-	rows := Fig10FromRecords(harness.MustRun(Fig10Jobs(scale)))
+	rows := Fig10FromRecords(runJobs(t, Fig10Jobs(scale)))
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -288,7 +298,7 @@ func TestFig10TinyRun(t *testing.T) {
 
 func TestFig12TinySweep(t *testing.T) {
 	fig12, _ := FigureByKey("fig12")
-	rows := SensitivityFromRecords(harness.MustRun(fig12.Jobs(Tiny(), nil)))
+	rows := SensitivityFromRecords(runJobs(t, fig12.Jobs(Tiny(), nil)))
 	if len(rows) < 2 {
 		t.Fatalf("sweep produced %d points", len(rows))
 	}
@@ -310,7 +320,7 @@ func TestFig12TinySweep(t *testing.T) {
 // aliased with 1 024 VFIDs and 0 with 16 384 and 65 536.
 func TestFig13ReducedSweep(t *testing.T) {
 	fig13, _ := FigureByKey("fig13")
-	rows := SensitivityFromRecords(harness.MustRun(fig13.Jobs(Reduced(), nil)))
+	rows := SensitivityFromRecords(runJobs(t, fig13.Jobs(Reduced(), nil)))
 	if len(rows) < 2 {
 		t.Fatalf("sweep produced %d points", len(rows))
 	}
@@ -331,7 +341,7 @@ func TestFig13ReducedSweep(t *testing.T) {
 
 func TestFig15TinyRun(t *testing.T) {
 	scale := Tiny()
-	rows := Fig15FromRecords(harness.MustRun(Fig15Jobs(scale, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
+	rows := Fig15FromRecords(runJobs(t, Fig15Jobs(scale, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -402,7 +412,7 @@ func TestFig16HostCounts(t *testing.T) {
 func TestFig16TinyRun(t *testing.T) {
 	scale := Tiny()
 	hostCounts := Fig16HostCounts(scale)[:1]
-	rows := Fig16FromRecords(harness.MustRun(Fig16Jobs(scale, hostCounts, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
+	rows := Fig16FromRecords(runJobs(t, Fig16Jobs(scale, hostCounts, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -451,7 +461,7 @@ func TestFig16StreamingBounded(t *testing.T) {
 	// through the harness wire format with queries intact.
 	scale := Tiny()
 	hostCounts := Fig16HostCounts(scale)[:1]
-	recs := harness.MustRun(Fig16Jobs(scale, hostCounts, []sim.Scheme{sim.SchemeBFC}))
+	recs := runJobs(t, Fig16Jobs(scale, hostCounts, []sim.Scheme{sim.SchemeBFC}))
 	res := recs[0].Result
 	if !res.BufferOccupancy.Streaming() {
 		t.Fatal("Fig 16 runs must use streaming statistics")

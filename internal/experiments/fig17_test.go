@@ -25,7 +25,7 @@ func TestFig17Dynamics(t *testing.T) {
 	squeezed.Options = append(squeezed.Options, func(o *sim.Options) { o.SwitchBuffer = 200 * units.KB })
 	jobs = append(jobs, squeezed)
 	rings := harness.AttachRings(jobs, fig17RingCapacity)
-	recs := harness.MustRun(jobs)
+	recs := runJobs(t, jobs)
 	rows := Fig17FromRecords(recs)
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))

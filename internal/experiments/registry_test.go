@@ -290,7 +290,7 @@ func TestRecordsIgnoreObservers(t *testing.T) {
 		}
 	}
 	run := RunSpec{Topology: "clos:2x2x4", Workload: "google", Load: 0.6, DurationUS: 150, DrainUS: 500, Seed: 1, Queues: 32, BufferMB: 12}
-	runJobs, err := run.Jobs([]sim.Scheme{sim.SchemeBFC})
+	runSpecJobs, err := run.Jobs([]sim.Scheme{sim.SchemeBFC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestRecordsIgnoreObservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs = append(jobs, runJobs[0], scenJobs[0])
+	jobs = append(jobs, runSpecJobs[0], scenJobs[0])
 
 	observed := make([]harness.Job, len(jobs))
 	for i, j := range jobs {
@@ -309,7 +309,7 @@ func TestRecordsIgnoreObservers(t *testing.T) {
 		})
 		observed[i] = j
 	}
-	plain, watched := harness.MustRun(jobs), harness.MustRun(observed)
+	plain, watched := runJobs(t, jobs), runJobs(t, observed)
 	sharded := 0
 	for i := range jobs {
 		if watched[i].Result.Sharding.Used >= 2 {

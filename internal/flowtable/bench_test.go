@@ -19,7 +19,7 @@ func BenchmarkFlowTableNew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl = New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
 	}
-	if tbl.NumVFIDs() != DefaultNumVFIDs {
+	if tbl.numVFIDs != DefaultNumVFIDs {
 		b.Fatal("wrong size")
 	}
 }

@@ -174,22 +174,8 @@ func New(numVFIDs, bucketSize, overflowCap int) *Table {
 	}
 }
 
-// NumVFIDs returns the VFID space size.
-func (t *Table) NumVFIDs() int { return t.numVFIDs }
-
 // Active returns the number of entries currently stored.
 func (t *Table) Active() int { return t.active }
-
-// Stats returns a copy of the table statistics.
-func (t *Table) Stats() Stats { return t.stats }
-
-// MemoryBytes estimates the hardware memory footprint of the table. Each
-// bucket slot packs its state (physical queue id, pause bit, packet counter,
-// ingress/egress port ids) into 4 bytes, which reproduces the paper's 256 KB
-// figure for the default 16K VFIDs x 4 slots (§3.8).
-func (t *Table) MemoryBytes() units.Bytes {
-	return units.Bytes(t.numVFIDs * t.bucketSize * 4)
-}
 
 // Lookup finds the entry for a VFID arriving on ingress and destined to
 // egress. It returns nil if no such entry exists.

@@ -69,7 +69,7 @@ func TestBucketOverflowToCache(t *testing.T) {
 	if tbl.Lookup(1, 0, 2) != e {
 		t.Fatal("overflow entry not found by lookup")
 	}
-	st := tbl.Stats()
+	st := tbl.stats
 	if st.BucketFull != 1 {
 		t.Fatalf("BucketFull = %d, want 1", st.BucketFull)
 	}
@@ -89,8 +89,8 @@ func TestCacheFull(t *testing.T) {
 	if res != InsertFailed || e != nil {
 		t.Fatalf("expected InsertFailed, got %v", res)
 	}
-	if tbl.Stats().CacheFull != 1 {
-		t.Fatalf("CacheFull = %d, want 1", tbl.Stats().CacheFull)
+	if tbl.stats.CacheFull != 1 {
+		t.Fatalf("CacheFull = %d, want 1", tbl.stats.CacheFull)
 	}
 	if tbl.Active() != 3 {
 		t.Fatalf("active = %d, want 3", tbl.Active())
@@ -127,19 +127,18 @@ func TestActiveAndMemory(t *testing.T) {
 	if err := tbl.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.MemoryBytes() != 128*4*4 {
-		t.Fatalf("MemoryBytes = %d", tbl.MemoryBytes())
-	}
-	if tbl.NumVFIDs() != 128 {
-		t.Fatalf("NumVFIDs = %d", tbl.NumVFIDs())
+	if tbl.numVFIDs != 128 || tbl.bucketSize != 4 {
+		t.Fatalf("table sized %d x %d, want 128 x 4", tbl.numVFIDs, tbl.bucketSize)
 	}
 }
 
 func TestPaperSizing(t *testing.T) {
-	// §3.8: 16K VFIDs, 4-way buckets => 256 KB of state.
+	// §3.8: 16K VFIDs, 4-way buckets, each slot's state (physical queue id,
+	// pause bit, packet counter, ingress/egress port ids) packed in 4 bytes
+	// => 256 KB of state.
 	tbl := New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
-	if tbl.MemoryBytes() != 256*1024 {
-		t.Fatalf("default table memory = %d bytes, want 256KB", tbl.MemoryBytes())
+	if mem := tbl.numVFIDs * tbl.bucketSize * 4; mem != 256*1024 {
+		t.Fatalf("default table memory = %d bytes, want 256KB", mem)
 	}
 }
 
@@ -150,11 +149,11 @@ func TestMaxOccupancyTracking(t *testing.T) {
 	tbl.Remove(a)
 	tbl.Insert(3, 0, 0)
 	tbl.Remove(b)
-	if tbl.Stats().MaxOccupancy != 2 {
-		t.Fatalf("MaxOccupancy = %d, want 2", tbl.Stats().MaxOccupancy)
+	if tbl.stats.MaxOccupancy != 2 {
+		t.Fatalf("MaxOccupancy = %d, want 2", tbl.stats.MaxOccupancy)
 	}
-	if tbl.Stats().Inserts != 3 {
-		t.Fatalf("Inserts = %d, want 3", tbl.Stats().Inserts)
+	if tbl.stats.Inserts != 3 {
+		t.Fatalf("Inserts = %d, want 3", tbl.stats.Inserts)
 	}
 }
 
@@ -240,8 +239,8 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 					want.MaxOccupancy = len(ref)
 				}
 			}
-			if tbl.Active() != len(ref) || tbl.Stats() != want {
-				t.Logf("seed %d op %d: active %d stats %+v, want %d %+v", seed, i, tbl.Active(), tbl.Stats(), len(ref), want)
+			if tbl.Active() != len(ref) || tbl.stats != want {
+				t.Logf("seed %d op %d: active %d stats %+v, want %d %+v", seed, i, tbl.Active(), tbl.stats, len(ref), want)
 				return false
 			}
 			// Every key: live ones resolve to the pointer Insert returned,

@@ -147,8 +147,8 @@ func FuzzFlowTable(f *testing.F) {
 				model.remove(want)
 				what = fmt.Sprintf("op %d: remove %+v", i, k)
 			}
-			if tbl.Active() != model.active || tbl.Stats() != model.stats {
-				t.Fatalf("%s: active %d stats %+v, model %d %+v", what, tbl.Active(), tbl.Stats(), model.active, model.stats)
+			if tbl.Active() != model.active || tbl.stats != model.stats {
+				t.Fatalf("%s: active %d stats %+v, model %d %+v", what, tbl.Active(), tbl.stats, model.active, model.stats)
 			}
 			if err := tbl.Check(); err != nil {
 				t.Fatalf("%s: %v", what, err)

@@ -137,14 +137,3 @@ func ValidateSuite(jobs []Job) error {
 	}
 	return nil
 }
-
-// MustRun executes the jobs on a default parallel runner (all cores, no
-// persistence) and panics on failure: the one-liner tests and benchmarks put
-// between a figure's Jobs and its FromRecords.
-func MustRun(jobs []Job) []*Record {
-	recs, err := (&Runner{}).Run(jobs)
-	if err != nil {
-		panic(err)
-	}
-	return recs
-}

@@ -131,8 +131,9 @@ func TestSendControl(t *testing.T) {
 	dst := &fakeDevice{id: 2, sched: s}
 	l := NewLink(s, "l", 100*units.Gbps, 2*units.Microsecond, dst, 5)
 	l.SendControl(PFCFrame{Pause: true})
-	filter := bloom.NewFilter(bloom.DefaultParams())
-	filter.Add(7)
+	pauses := bloom.NewCounting(bloom.DefaultParams())
+	pauses.Add(7)
+	filter := pauses.Snapshot()
 	l.SendControl(BFCPauseFrame{Filter: filter})
 	s.Run()
 	if len(dst.controls) != 2 {

@@ -44,7 +44,7 @@ type Config struct {
 	VFIDSpace int
 
 	// Pool recycles packet objects across the simulation (see packet.Pool
-	// for the ownership rules). Nil degrades to plain allocation.
+	// for the ownership rules).
 	Pool *packet.Pool
 
 	// RTO is the Go-Back-N retransmission timeout (covers tail losses where
@@ -71,8 +71,8 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.Scheduler == nil || c.Topo == nil || c.Node == nil {
-		return fmt.Errorf("nic: missing scheduler, topology or node")
+	if c.Scheduler == nil || c.Topo == nil || c.Node == nil || c.Pool == nil {
+		return fmt.Errorf("nic: missing scheduler, topology, node or packet pool")
 	}
 	if c.Node.Kind != topology.Host {
 		return fmt.Errorf("nic: node %q is not a host", c.Node.Name)

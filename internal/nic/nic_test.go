@@ -56,6 +56,7 @@ func newTestNIC(t *testing.T, mutate func(*nic.Config)) *testNIC {
 		Node:           host,
 		MTU:            1000,
 		RTO:            4 * units.Millisecond,
+		Pool:           packet.NewPool(),
 		OnFlowComplete: func(f *packet.Flow) { tn.completed = append(tn.completed, f) },
 	}
 	if mutate != nil {
@@ -71,6 +72,15 @@ func newTestNIC(t *testing.T, mutate func(*nic.Config)) *testNIC {
 func (tn *testNIC) flowFromHost(id packet.FlowID, size units.Bytes) *packet.Flow {
 	hosts := tn.topo.Hosts()
 	return &packet.Flow{ID: id, Src: hosts[0], Dst: hosts[1], Size: size}
+}
+
+func TestNewRejectsNilPool(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nic.New accepted a config without a packet pool")
+		}
+	}()
+	newTestNIC(t, func(c *nic.Config) { c.Pool = nil })
 }
 
 func TestPFCPauseStopsDataAndResumeReleasesIt(t *testing.T) {
@@ -112,8 +122,9 @@ func TestBFCBloomFilterPausesOnlyMatchingFlow(t *testing.T) {
 		other.SrcPort = port
 	}
 
-	filter := bloom.NewFilter(bloom.DefaultParams())
-	filter.Add(paused.VFIDOf(vfidSpace))
+	pauses := bloom.NewCounting(bloom.DefaultParams())
+	pauses.Add(paused.VFIDOf(vfidSpace))
+	filter := pauses.Snapshot()
 	tn.nic.ReceiveControl(0, netsim.BFCPauseFrame{Filter: filter})
 	tn.nic.StartFlow(paused)
 	tn.nic.StartFlow(other)
@@ -131,7 +142,7 @@ func TestBFCBloomFilterPausesOnlyMatchingFlow(t *testing.T) {
 	}
 
 	// An empty filter resumes the paused flow.
-	tn.nic.ReceiveControl(0, netsim.BFCPauseFrame{Filter: bloom.NewFilter(bloom.DefaultParams())})
+	tn.nic.ReceiveControl(0, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bloom.DefaultParams()).Snapshot()})
 	tn.sched.RunUntil(200 * units.Microsecond)
 	if got := len(tn.peer.kind(packet.Data)); got != 5 {
 		t.Fatalf("after resume got %d data packets, want 5", got)

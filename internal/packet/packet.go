@@ -24,8 +24,6 @@ type Priority uint8
 const (
 	// PrioControl carries ACK/NACK/CNP and is never paused.
 	PrioControl Priority = iota
-	// PrioHigh is BFC's high-priority queue for the first packet of a flow.
-	PrioHigh
 	// PrioData is regular data traffic.
 	PrioData
 )

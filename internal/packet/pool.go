@@ -18,9 +18,6 @@ package packet
 //   - exactly one terminal owner calls Put: the receiving NIC after
 //     processing, or the switch when it drops the packet at admission;
 //   - a packet must never be referenced after Put (Put wipes it).
-//
-// A nil *Pool is valid and degrades to plain allocation, so unit tests can
-// build devices without pool plumbing.
 type Pool struct {
 	free []*Packet
 
@@ -31,12 +28,8 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a zeroed packet, reusing a recycled one when available. Get on
-// a nil pool allocates.
+// Get returns a zeroed packet, reusing a recycled one when available.
 func (pl *Pool) Get() *Packet {
-	if pl == nil {
-		return &Packet{}
-	}
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
@@ -52,10 +45,9 @@ func (pl *Pool) Get() *Packet {
 // Put recycles p. The caller must be the packet's terminal owner; the packet
 // contents are wiped (the INT backing array is kept so telemetry stacks do
 // not reallocate). Putting the same packet twice without an intervening Get
-// panics — it means two devices both believed they owned the packet. Put on
-// a nil pool discards the packet to the garbage collector.
+// panics — it means two devices both believed they owned the packet.
 func (pl *Pool) Put(p *Packet) {
-	if pl == nil || p == nil {
+	if p == nil {
 		return
 	}
 	if p.pooled {
@@ -67,17 +59,7 @@ func (pl *Pool) Put(p *Packet) {
 }
 
 // Allocated returns the number of Gets that had to allocate a new packet.
-func (pl *Pool) Allocated() uint64 {
-	if pl == nil {
-		return 0
-	}
-	return pl.allocated
-}
+func (pl *Pool) Allocated() uint64 { return pl.allocated }
 
 // Recycled returns the number of Gets served from the free-list.
-func (pl *Pool) Recycled() uint64 {
-	if pl == nil {
-		return 0
-	}
-	return pl.recycled
-}
+func (pl *Pool) Recycled() uint64 { return pl.recycled }

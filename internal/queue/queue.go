@@ -109,13 +109,6 @@ func (q *FIFO) SetPaused(p bool) {
 	}
 }
 
-// ForEach visits queued packets from head to tail.
-func (q *FIFO) ForEach(fn func(*packet.Packet)) {
-	for i := q.head; i < len(q.packets); i++ {
-		fn(q.packets[i])
-	}
-}
-
 // DRR schedules packets from a set of FIFO queues using deficit round robin
 // with a configurable quantum. Empty and paused queues are skipped. DRR is
 // work conserving: if any serviceable queue has a packet, Dequeue returns

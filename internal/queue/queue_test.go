@@ -64,19 +64,6 @@ func TestFIFOPushNilPanics(t *testing.T) {
 	q.Push(nil)
 }
 
-func TestFIFOForEach(t *testing.T) {
-	q := &FIFO{}
-	for i := 0; i < 5; i++ {
-		q.Push(pkt(units.Bytes(i + 1)))
-	}
-	q.Pop()
-	var sizes []units.Bytes
-	q.ForEach(func(p *packet.Packet) { sizes = append(sizes, p.Size) })
-	if len(sizes) != 4 || sizes[0] != 2 || sizes[3] != 5 {
-		t.Fatalf("ForEach order wrong: %v", sizes)
-	}
-}
-
 // TestFIFORewindsWhenDrained: a queue that never holds more than one packet
 // reuses the front of its backing array instead of walking it forward.
 func TestFIFORewindsWhenDrained(t *testing.T) {

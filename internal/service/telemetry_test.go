@@ -217,9 +217,13 @@ func TestHTTPTelemetryEndpoints(t *testing.T) {
 	if ct := jr.Header.Get("Content-Type"); ct != "application/jsonl" {
 		t.Fatalf("jsonl trace content type %q", ct)
 	}
-	events, err := telemetry.ReadJSONL(jr.Body)
-	if err != nil {
-		t.Fatal(err)
+	var events []telemetry.Event
+	for dec := json.NewDecoder(jr.Body); dec.More(); {
+		var ev telemetry.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
 	}
 	if len(events) == 0 {
 		t.Fatal("jsonl trace is empty")

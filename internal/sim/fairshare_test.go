@@ -38,7 +38,7 @@ func TestFairShareAnchor(t *testing.T) {
 	dst := hosts[0]
 	var senders []packet.NodeID
 	for _, h := range hosts {
-		if topo.HopCount(h, dst) > 2 { // under another ToR
+		if topo.Node(h).Ports[0].Peer != topo.Node(dst).Ports[0].Peer { // under another ToR
 			senders = append(senders, h)
 		}
 	}

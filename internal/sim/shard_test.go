@@ -135,7 +135,7 @@ func TestShardedParityFatTree(t *testing.T) {
 		{hosts: 16, pods: 2, shards: []int{2}},
 	} {
 		topo := topology.NewFatTree(topology.FatTreeForHosts(tc.hosts, 100*units.Gbps, units.Microsecond))
-		if pods := topology.NumPods(topo); pods != tc.pods {
+		if pods := topology.PlanShards(topo, 1).Pods; pods != tc.pods {
 			t.Fatalf("%d hosts: expected %d pods, got %d", tc.hosts, tc.pods, pods)
 		}
 		flows := fatTreeFlows(t, topo, 60*units.Microsecond)
@@ -162,7 +162,7 @@ func TestShardedParityFatTree(t *testing.T) {
 func TestShardAutoOnOneCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo := topology.NewFatTree(topology.FatTreeForHosts(64, 100*units.Gbps, units.Microsecond))
-	if pods := topology.NumPods(topo); pods < 2 {
+	if pods := topology.PlanShards(topo, 1).Pods; pods < 2 {
 		t.Fatalf("64-host fat-tree has %d pods; the test needs a fabric that partitions", pods)
 	}
 	opts := DefaultOptions(SchemeBFC, topo)
@@ -360,7 +360,7 @@ func requireTraceParity(t *testing.T, opts Options, flows []*packet.Flow, shards
 		}
 		if !bytes.Equal(serialTrace, trace) {
 			t.Errorf("shards=%d: flight-recorder trace diverged from serial (%d vs %d events)",
-				s, serialRing.Len(), ring.Len())
+				s, len(serialRing.Events()), len(ring.Events()))
 		}
 		if ring.Seen() != serialRing.Seen() {
 			t.Errorf("shards=%d: ring saw %d events, serial saw %d",
@@ -430,7 +430,7 @@ func TestShardedCrossShardStrandParity(t *testing.T) {
 			}
 			if stranded == 0 {
 				t.Fatalf("the serial trace holds no stranded packet (%d of %d events retained) — the test is vacuous",
-					ring.Len(), ring.Seen())
+					len(ring.Events()), ring.Seen())
 			}
 		})
 	}

@@ -489,7 +489,7 @@ func TestLinkClassPauseAndUtilization(t *testing.T) {
 		}
 		// The series and the Result read the same links: a class paused over
 		// the run is paused in some tick, and one never paused in none.
-		if s := res.Telemetry.Find("links/" + key + "/pause_fraction"); s != nil && (s.Max() > 0) != (res.PauseTimeFraction[key] > 0) {
+		if s := findSeries(res.Telemetry, "links/"+key+"/pause_fraction"); s != nil && (s.Max() > 0) != (res.PauseTimeFraction[key] > 0) {
 			t.Errorf("%s: series max %v, run fraction %v", key, s.Max(), res.PauseTimeFraction[key])
 		}
 	}

@@ -14,6 +14,16 @@ import (
 	"bfc/internal/units"
 )
 
+// findSeries returns the run's series called name, or nil.
+func findSeries(rs *telemetry.RunSeries, name string) *telemetry.Series {
+	for _, s := range rs.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
+}
+
 // tracedOptions returns the golden-run options for scheme with or without
 // telemetry enabled. The returned ring is nil when traced is false.
 func tracedOptions(scheme Scheme, traced bool) (Options, *telemetry.Ring) {
@@ -68,12 +78,12 @@ func TestTelemetryDigestParity(t *testing.T) {
 				t.Fatalf("traced run missing Telemetry series bundle")
 			}
 			for _, name := range []string{"fabric/goodput_gbps", "fabric/active_flows", "fabric/events_per_tick"} {
-				s := traced.Telemetry.Find(name)
+				s := findSeries(traced.Telemetry, name)
 				if s == nil || len(s.Samples) == 0 {
 					t.Errorf("series %q missing or empty", name)
 				}
 			}
-			if g := traced.Telemetry.Find("fabric/goodput_gbps"); g != nil && g.Max() <= 0 {
+			if g := findSeries(traced.Telemetry, "fabric/goodput_gbps"); g != nil && g.Max() <= 0 {
 				t.Errorf("goodput series never positive")
 			}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bfc/internal/units"
@@ -126,14 +127,10 @@ func TestSketchExactBelowCapacity(t *testing.T) {
 			t.Fatalf("p%v = %v, want exact %v while under capacity", p, got, want)
 		}
 	}
-	cdfA, cdfB := sketch.CDF(33), exact.CDF(33)
-	if len(cdfA) != len(cdfB) {
-		t.Fatalf("CDF lengths differ: %d vs %d", len(cdfA), len(cdfB))
-	}
-	for i := range cdfA {
-		if cdfA[i] != cdfB[i] {
-			t.Fatalf("CDF point %d differs: %+v vs %+v", i, cdfA[i], cdfB[i])
-		}
+	sketch.ensureSorted()
+	exact.ensureSorted()
+	if !slices.Equal(sketch.samples, exact.samples) {
+		t.Fatal("the reservoir under capacity differs from the exact samples")
 	}
 }
 
@@ -186,11 +183,10 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 			t.Fatalf("decoded p%v = %v, want %v", p, got.Percentile(p), d.Percentile(p))
 		}
 	}
-	cdfA, cdfB := got.CDF(16), d.CDF(16)
-	for i := range cdfA {
-		if cdfA[i] != cdfB[i] {
-			t.Fatalf("decoded CDF differs at %d: %+v vs %+v", i, cdfA[i], cdfB[i])
-		}
+	got.ensureSorted()
+	d.ensureSorted()
+	if !slices.Equal(got.samples, d.samples) {
+		t.Fatal("decoded reservoir differs")
 	}
 	// Continued adds stay deterministic: original and decoded copies evolve
 	// identically because the replacement index depends only on (seed, count).

@@ -138,42 +138,11 @@ func (d *Distribution) Percentile(p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// CDF returns (value, cumulative fraction) pairs at up to maxPoints evenly
-// spaced quantiles of the reservoir, suitable for plotting. Past capacity the
-// cumulative fraction at a reservoir rank estimates the stream's, because the
-// reservoir is a uniform sample.
-func (d *Distribution) CDF(maxPoints int) []CDFPoint {
-	if d.count == 0 {
-		return nil
-	}
-	d.ensureSorted()
-	s := d.samples
-	n := len(s)
-	points := min(max(maxPoints, 2), n)
-	if points == 1 {
-		// A single sample: the evenly-spaced index formula below would
-		// divide by points-1 == 0.
-		return []CDFPoint{{Value: s[0], Cum: 1}}
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		idx := i * (n - 1) / (points - 1)
-		out = append(out, CDFPoint{Value: s[idx], Cum: float64(idx+1) / float64(n)})
-	}
-	return out
-}
-
 func (d *Distribution) ensureSorted() {
 	if !d.sorted {
 		sort.Float64s(d.samples)
 		d.sorted = true
 	}
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64
-	Cum   float64
 }
 
 // SizeBucket is a flow-size bucket used for the per-size FCT slowdown curves
@@ -238,10 +207,6 @@ func NewStreamingFCTCollector(buckets []SizeBucket, sketchSize int) *FCTCollecto
 	}
 	return c
 }
-
-// Streaming reports whether the collector's distributions are
-// constant-memory sketches.
-func (c *FCTCollector) Streaming() bool { return c.all.Streaming() }
 
 // StoredSamples returns the total number of samples the collector holds in
 // memory across all its distributions; in streaming mode it is bounded by

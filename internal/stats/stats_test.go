@@ -78,69 +78,6 @@ func TestAddAfterPercentile(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	var d Distribution
-	if d.CDF(10) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-	for i := 1; i <= 100; i++ {
-		d.Add(float64(i))
-	}
-	cdf := d.CDF(11)
-	if len(cdf) != 11 {
-		t.Fatalf("CDF points = %d, want 11", len(cdf))
-	}
-	if cdf[0].Value != 1 || cdf[len(cdf)-1].Value != 100 {
-		t.Fatal("CDF endpoints wrong")
-	}
-	if cdf[len(cdf)-1].Cum != 1 {
-		t.Fatal("CDF must end at 1")
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Value < cdf[i-1].Value || cdf[i].Cum < cdf[i-1].Cum {
-			t.Fatal("CDF not monotone")
-		}
-	}
-}
-
-// Regression: CDF on tiny sample counts. A single sample used to divide by
-// zero (points clamps to n == 1, then i*(n-1)/(points-1)).
-func TestCDFSmallCounts(t *testing.T) {
-	var empty Distribution
-	if got := empty.CDF(10); got != nil {
-		t.Fatalf("0-sample CDF = %v, want nil", got)
-	}
-
-	var one Distribution
-	one.Add(42)
-	got := one.CDF(10)
-	if len(got) != 1 || got[0].Value != 42 || got[0].Cum != 1 {
-		t.Fatalf("1-sample CDF = %v, want [{42 1}]", got)
-	}
-	// maxPoints below the 2-point clamp must not panic either.
-	if got := one.CDF(1); len(got) != 1 || got[0].Value != 42 {
-		t.Fatalf("1-sample CDF(1) = %v, want [{42 1}]", got)
-	}
-
-	var two Distribution
-	two.Add(1)
-	two.Add(2)
-	got = two.CDF(10)
-	if len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 || got[1].Cum != 1 {
-		t.Fatalf("2-sample CDF = %v, want [{1 0.5} {2 1}]", got)
-	}
-
-	// Streaming mode shares the small-count paths.
-	sk := NewStreamingDistribution(8)
-	if got := sk.CDF(10); got != nil {
-		t.Fatalf("0-sample streaming CDF = %v, want nil", got)
-	}
-	sk.Add(42)
-	if got := sk.CDF(10); len(got) != 1 || got[0].Value != 42 || got[0].Cum != 1 {
-		t.Fatalf("1-sample streaming CDF = %v, want [{42 1}]", got)
-	}
-}
-
 func TestFCTCollector(t *testing.T) {
 	c := NewFCTCollector(nil)
 	// A 500-byte flow with FCT twice its ideal.

@@ -72,14 +72,13 @@ type Config struct {
 
 	// Pool recycles packet objects across the simulation (see packet.Pool
 	// for the ownership rules); the switch recycles the packets it drops.
-	// Nil degrades to plain allocation.
 	Pool *packet.Pool
 }
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.Scheduler == nil || c.Topo == nil || c.Node == nil {
-		return fmt.Errorf("switchsim: missing scheduler, topology or node")
+	if c.Scheduler == nil || c.Topo == nil || c.Node == nil || c.Pool == nil {
+		return fmt.Errorf("switchsim: missing scheduler, topology, node or packet pool")
 	}
 	if c.Node.Kind != topology.Switch {
 		return fmt.Errorf("switchsim: node %q is not a switch", c.Node.Name)

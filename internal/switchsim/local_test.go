@@ -26,6 +26,7 @@ func newBFCSwitch(topo *topology.Topology, node *topology.Node, numQueues int) *
 		NumQueues:  numQueues,
 		BufferSize: 12 * units.MB,
 		BFC:        bfcConfig(numQueues, false),
+		Pool:       packet.NewPool(),
 	})
 }
 

@@ -376,10 +376,9 @@ func (s *Switch) OnLinkStateChange(port int, up bool) {
 	p.pfcPauseSent = false
 	if s.engine != nil {
 		p.upstream.Reset()
-		for q := 0; q < s.cfg.NumQueues; q++ {
+		for q := 0; q <= s.cfg.NumQueues; q++ {
 			s.refreshQueuePause(port, q)
 		}
-		s.refreshOverflowPause(port)
 	}
 	if up {
 		if s.cfg.EnablePFC {
@@ -483,10 +482,9 @@ func (s *Switch) ReceiveControl(port int, frame netsim.ControlFrame) {
 			return // BFC frames ignored by non-BFC switches
 		}
 		s.ports[port].upstream.Update(f.Filter)
-		for q := 0; q < s.cfg.NumQueues; q++ {
+		for q := 0; q <= s.cfg.NumQueues; q++ {
 			s.refreshQueuePause(port, q)
 		}
-		s.refreshOverflowPause(port)
 		s.tryTransmit(port)
 	default:
 		panic(fmt.Sprintf("switchsim: unknown control frame %T", frame))
@@ -495,7 +493,8 @@ func (s *Switch) ReceiveControl(port int, frame netsim.ControlFrame) {
 
 // refreshQueuePause re-evaluates the pause flag of one physical queue against
 // the most recent downstream filter: the queue is paused iff its head packet
-// belongs to a paused flow (§3.6).
+// belongs to a paused flow (§3.6). Queue NumQueues is the overflow queue,
+// data(NumQueues), and its events report that index.
 func (s *Switch) refreshQueuePause(egress, q int) {
 	if s.engine == nil {
 		return
@@ -511,27 +510,6 @@ func (s *Switch) refreshQueuePause(egress, q int) {
 		}
 		s.rec.Record(telemetry.Event{At: s.sched.Now(), Kind: kind,
 			Node: s.ID(), Port: int32(egress), Queue: int32(q)})
-	}
-	fifo.SetPaused(paused)
-}
-
-func (s *Switch) refreshOverflowPause(egress int) {
-	if s.engine == nil {
-		return
-	}
-	port := &s.ports[egress]
-	fifo := port.overflow()
-	head := fifo.Head()
-	paused := head != nil && port.upstream.PacketPaused(head)
-	if s.rec != nil && paused != fifo.Paused() {
-		kind := telemetry.KindBFCResume
-		if paused {
-			kind = telemetry.KindBFCPause
-		}
-		// The overflow queue reports as queue index NumQueues (one past the
-		// data queues).
-		s.rec.Record(telemetry.Event{At: s.sched.Now(), Kind: kind,
-			Node: s.ID(), Port: int32(egress), Queue: int32(s.cfg.NumQueues)})
 	}
 	fifo.SetPaused(paused)
 }
@@ -620,11 +598,10 @@ func (s *Switch) onDequeue(portIdx int, p *packet.Packet, src popSource) {
 	if s.engine != nil {
 		pl := core.Placement{HighPriority: src.highPrio, Overflow: src.overflow, Queue: src.queue}
 		s.engine.OnDeparture(now, p.ArrivalPort, portIdx, pl, p)
-		if !src.highPrio && !src.overflow {
-			s.refreshQueuePause(portIdx, src.queue)
-		}
 		if src.overflow {
-			s.refreshOverflowPause(portIdx)
+			s.refreshQueuePause(portIdx, s.cfg.NumQueues)
+		} else if !src.highPrio {
+			s.refreshQueuePause(portIdx, src.queue)
 		}
 	}
 

@@ -69,6 +69,7 @@ func newTestSwitch(t *testing.T, mutate func(*switchsim.Config)) *testSwitch {
 		NumQueues:  8,
 		BufferSize: 12 * units.MB,
 		Seed:       1,
+		Pool:       packet.NewPool(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -78,6 +79,15 @@ func newTestSwitch(t *testing.T, mutate func(*switchsim.Config)) *testSwitch {
 		ts.hosts = append(ts.hosts, &fakeHost{id: 1000 + packet.NodeID(len(ts.hosts))})
 	}
 	return ts
+}
+
+func TestNewRejectsNilPool(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("switchsim.New accepted a config without a packet pool")
+		}
+	}()
+	newTestSwitch(t, func(c *switchsim.Config) { c.Pool = nil })
 }
 
 // attach wires the switch's egress on the given port to its fake host.
@@ -232,8 +242,9 @@ func TestActiveQueuesExcludesOverflowAndPaused(t *testing.T) {
 	if got := ts.sw.ActiveQueues(1); got != 1 {
 		t.Fatalf("with the overflow queue occupied: ActiveQueues = %d, want 1", got)
 	}
-	filter := bloom.NewFilter(bfc.Bloom)
-	filter.Add(first.VFIDOf(bfc.NumVFIDs))
+	pauses := bloom.NewCounting(bfc.Bloom)
+	pauses.Add(first.VFIDOf(bfc.NumVFIDs))
+	filter := pauses.Snapshot()
 	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: filter})
 	if got := ts.sw.ActiveQueues(1); got != 0 {
 		t.Fatalf("with the data queue paused: ActiveQueues = %d, want 0", got)
@@ -248,8 +259,9 @@ func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
 	f := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1]}
 
 	// Downstream of egress port 1 declares this flow paused.
-	filter := bloom.NewFilter(bfc.Bloom)
-	filter.Add(f.VFIDOf(bfc.NumVFIDs))
+	pauses := bloom.NewCounting(bfc.Bloom)
+	pauses.Add(f.VFIDOf(bfc.NumVFIDs))
+	filter := pauses.Snapshot()
 	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: filter})
 
 	ts.sw.ReceivePacket(0, dataPacket(f, 0))
@@ -259,7 +271,7 @@ func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
 	}
 
 	// An empty filter resumes the queue head and releases the packet.
-	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewFilter(bfc.Bloom)})
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot()})
 	ts.sched.RunUntil(100 * units.Microsecond)
 	if got := len(ts.hosts[1].pkts); got != 1 {
 		t.Fatalf("after resume egress delivered %d packets, want 1", got)

@@ -1,6 +1,8 @@
 package switchsim_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"bfc/internal/bloom"
@@ -70,12 +72,13 @@ func TestRecorderBFCQueueLifecycle(t *testing.T) {
 	hosts := ts.topo.Hosts()
 	f := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1]}
 
-	filter := bloom.NewFilter(bfc.Bloom)
-	filter.Add(f.VFIDOf(bfc.NumVFIDs))
+	pauses := bloom.NewCounting(bfc.Bloom)
+	pauses.Add(f.VFIDOf(bfc.NumVFIDs))
+	filter := pauses.Snapshot()
 	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: filter})
 	ts.sw.ReceivePacket(0, dataPacket(f, 0))
 	ts.sched.RunUntil(50 * units.Microsecond)
-	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewFilter(bfc.Bloom)})
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot()})
 	ts.sched.RunUntil(100 * units.Microsecond)
 
 	kinds := kindCount(ring)
@@ -100,6 +103,43 @@ func TestRecorderBFCQueueLifecycle(t *testing.T) {
 		}
 	}
 	t.Fatalf("no BFC pause recorded for assigned queue %d: %+v", assignQ, ring.Events())
+}
+
+// TestRecorderOverflowQueuePause pauses and resumes a data queue and the
+// overflow queue the full flow table sent a second flow to. With one VFID
+// both flows match the filter; each refresh walks the data queues, then the
+// overflow queue, which reports queue index NumQueues.
+func TestRecorderOverflowQueuePause(t *testing.T) {
+	ring := telemetry.NewRing(256)
+	bfc := bfcConfig(8, false)
+	bfc.NumVFIDs, bfc.BucketSize, bfc.OverflowCacheSize = 1, 1, 0 // room for one flow
+	ts := newTestSwitch(t, func(c *switchsim.Config) {
+		c.BFC = bfc
+		c.Recorder = ring
+	})
+	hosts := ts.topo.Hosts()
+	first := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], SrcPort: 1}
+	second := &packet.Flow{ID: 2, Src: hosts[2], Dst: hosts[1], SrcPort: 2}
+	ts.sw.ReceivePacket(0, dataPacket(first, 0))
+	ts.sw.ReceivePacket(2, dataPacket(second, 0)) // table full: overflow queue
+	pauses := bloom.NewCounting(bfc.Bloom)
+	pauses.Add(second.VFIDOf(bfc.NumVFIDs))
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: pauses.Snapshot()})
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot()})
+
+	var got []string
+	for _, ev := range ring.Events() {
+		if ev.Kind == telemetry.KindBFCPause || ev.Kind == telemetry.KindBFCResume {
+			got = append(got, fmt.Sprintf("%v port=%d queue=%d", ev.Kind, ev.Port, ev.Queue))
+		}
+	}
+	want := []string{
+		"bfc-pause port=1 queue=0", "bfc-pause port=1 queue=8",
+		"bfc-resume port=1 queue=0", "bfc-resume port=1 queue=8",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pause events %q, want %q", got, want)
+	}
 }
 
 // TestRecorderAdmissionDrop checks buffer-exhaustion drops are traced with

@@ -25,21 +25,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadJSONL decodes a trace written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var events []Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return events, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("telemetry: decoding event %d: %w", len(events), err)
-		}
-		events = append(events, ev)
-	}
-}
-
 // TraceConfig parameterizes the Chrome trace_event export.
 type TraceConfig struct {
 	// RunName labels the trace (shown as metadata).

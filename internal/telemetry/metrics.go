@@ -38,9 +38,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add increments (or, negative n, decrements) the value.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -76,13 +73,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.inf++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // CounterVec is a counter family with one label dimension (e.g. HTTP status

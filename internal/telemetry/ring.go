@@ -41,9 +41,6 @@ func (r *Ring) Record(ev Event) {
 	}
 }
 
-// Len returns the number of events currently held.
-func (r *Ring) Len() int { return len(r.buf) }
-
 // Cap returns the ring's fixed capacity. The sharded engine sizes its
 // per-shard keyed buffers with it: each shard retaining its own last Cap
 // events guarantees the union contains the last Cap events of the merged

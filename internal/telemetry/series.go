@@ -99,18 +99,6 @@ func (s *Series) Max() float64 {
 	return max
 }
 
-// Mean returns the average sample (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.Samples {
-		sum += v
-	}
-	return sum / float64(len(s.Samples))
-}
-
 // RunSeries is the bundle of time series one run produced, attached to
 // sim.Result when sampling is enabled (and omitted from its JSON otherwise,
 // keeping untraced results byte-identical to pre-telemetry ones).
@@ -119,16 +107,6 @@ type RunSeries struct {
 	Interval units.Time `json:"interval"`
 	// Series are the sampled series, in a deterministic construction order.
 	Series []*Series `json:"series"`
-}
-
-// Find returns the named series, or nil.
-func (rs *RunSeries) Find(name string) *Series {
-	for _, s := range rs.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // String summarizes the bundle for logs.

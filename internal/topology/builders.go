@@ -87,9 +87,6 @@ func T2Config() ClosConfig {
 	}
 }
 
-// NewT1 builds the paper's T1 topology.
-func NewT1() *Topology { return NewClos(T1Config()) }
-
 // NewT2 builds the paper's T2 topology.
 func NewT2() *Topology { return NewClos(T2Config()) }
 
@@ -115,37 +112,6 @@ func NewSingleSwitch(c SingleSwitchConfig) *Topology {
 	for h := 0; h < c.NumHosts; h++ {
 		host := b.AddNode(Host, TierHost, fmt.Sprintf("h%d", h))
 		b.AddLink(host, sw, c.LinkRate, c.LinkDelay)
-	}
-	return b.Build()
-}
-
-// DumbbellConfig parameterizes a two-switch dumbbell: half the hosts on each
-// side, a single inter-switch bottleneck link. Useful for unit-level protocol
-// tests where a single, known bottleneck is wanted.
-type DumbbellConfig struct {
-	HostsPerSide   int
-	EdgeRate       units.Rate
-	BottleneckRate units.Rate
-	LinkDelay      units.Time
-}
-
-// NewDumbbell builds the dumbbell topology.
-func NewDumbbell(c DumbbellConfig) *Topology {
-	if c.HostsPerSide < 1 {
-		panic("topology: dumbbell needs at least 1 host per side")
-	}
-	if c.EdgeRate <= 0 || c.BottleneckRate <= 0 {
-		panic("topology: rates must be positive")
-	}
-	b := NewBuilder("dumbbell")
-	left := b.AddNode(Switch, TierToR, "left")
-	right := b.AddNode(Switch, TierToR, "right")
-	b.AddLink(left, right, c.BottleneckRate, c.LinkDelay)
-	for h := 0; h < c.HostsPerSide; h++ {
-		hostL := b.AddNode(Host, TierHost, fmt.Sprintf("l%d", h))
-		b.AddLink(hostL, left, c.EdgeRate, c.LinkDelay)
-		hostR := b.AddNode(Host, TierHost, fmt.Sprintf("r%d", h))
-		b.AddLink(hostR, right, c.EdgeRate, c.LinkDelay)
 	}
 	return b.Build()
 }

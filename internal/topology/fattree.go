@@ -63,17 +63,6 @@ func (c FatTreeConfig) NumHosts() int { return c.Pods * c.EdgePerPod * c.HostsPe
 // NumCore returns the core-layer switch count.
 func (c FatTreeConfig) NumCore() int { return c.AggPerPod * c.CorePerAgg }
 
-// EdgeOversubscription returns the edge-tier downlink:uplink capacity ratio.
-func (c FatTreeConfig) EdgeOversubscription() float64 {
-	return float64(c.HostsPerEdge) / float64(c.AggPerPod)
-}
-
-// CoreOversubscription returns the aggregation-tier downlink:uplink capacity
-// ratio (toward the core).
-func (c FatTreeConfig) CoreOversubscription() float64 {
-	return float64(c.EdgePerPod) / float64(c.CorePerAgg)
-}
-
 // NewFatTree builds the three-tier fat-tree. Edge switches are TierToR,
 // aggregation switches TierAgg and core switches TierSpine, so tier-keyed
 // statistics (pause-time fractions) split the fabric into Host->ToR,

@@ -170,9 +170,12 @@ func TestFatTreeForHosts(t *testing.T) {
 			t.Errorf("FatTreeForHosts(%d) = %d hosts in %d pods, want %d in %d",
 				tc.request, cfg.NumHosts(), cfg.Pods, tc.wantHosts, tc.wantPods)
 		}
-		if cfg.EdgeOversubscription() != tc.wantEdgeOS || cfg.CoreOversubscription() != tc.wantCoreOS {
+		// Downlink:uplink capacity ratios of the edge and aggregation tiers.
+		edgeOS := float64(cfg.HostsPerEdge) / float64(cfg.AggPerPod)
+		coreOS := float64(cfg.EdgePerPod) / float64(cfg.CorePerAgg)
+		if edgeOS != tc.wantEdgeOS || coreOS != tc.wantCoreOS {
 			t.Errorf("FatTreeForHosts(%d) oversubscription = %v:1 edge, %v:1 core, want %v/%v",
-				tc.request, cfg.EdgeOversubscription(), cfg.CoreOversubscription(), tc.wantEdgeOS, tc.wantCoreOS)
+				tc.request, edgeOS, coreOS, tc.wantEdgeOS, tc.wantCoreOS)
 		}
 	}
 	topo := NewFatTree(FatTreeForHosts(128, 100*units.Gbps, units.Microsecond))

@@ -203,9 +203,9 @@ func TestFlatTablesMatchNestedReference(t *testing.T) {
 		flaps    int
 		scripted bool
 	}{
-		{"T1", NewT1(), 40, false},
+		{"T1", NewClos(T1Config()), 40, false},
 		{"T2", NewT2(), 40, true},
-		{"dumbbell", NewDumbbell(DumbbellConfig{HostsPerSide: 3, EdgeRate: 100 * units.Gbps, BottleneckRate: 40 * units.Gbps, LinkDelay: units.Microsecond}), 40, false},
+		{"dumbbell", dumbbell(3, 100*units.Gbps, 40*units.Gbps), 40, false},
 		{"crossdc", NewCrossDC(CrossDCConfig{DC: crossDC, GatewayRate: 100 * units.Gbps, GatewayDelay: 200 * units.Microsecond}).Topology, 60, false},
 		{"fattree64", NewFatTree(FatTreeForHosts(64, 100*units.Gbps, units.Microsecond)), 60, true},
 		{"fattree1024", NewFatTree(FatTreeForHosts(1024, 100*units.Gbps, units.Microsecond)), 4, false},

@@ -12,18 +12,12 @@ import (
 // into its pods.
 func coreTier(t Tier) bool { return t == TierSpine || t == TierGateway }
 
-// NumPods returns the number of pods in the topology: the connected
-// components that remain after removing the core (spine and gateway) switches.
-// A two-tier Clos has one pod per ToR group; a three-tier fat-tree has its
-// ToR+Agg pods; a single-switch topology counts as one pod.
-func NumPods(t *Topology) int {
-	pods, _ := podComponents(t)
-	return pods
-}
-
-// podComponents labels every non-core node with its pod index (components in
+// podComponents returns the number of pods in the topology, the connected
+// components that remain after removing the core (spine and gateway)
+// switches, and labels every non-core node with its pod index (components in
 // ascending lowest-node-ID order, so labeling is deterministic). Core nodes
-// get -1.
+// get -1. A two-tier Clos has one pod per ToR group; a three-tier fat-tree
+// has its ToR+Agg pods; a single-switch topology counts as one pod.
 func podComponents(t *Topology) (int, []int) {
 	n := t.NumNodes()
 	comp := make([]int, n)
@@ -124,10 +118,6 @@ func (p *ShardPlan) boundaryStats(t *Topology) (units.Time, int) {
 	}
 	return min, cross
 }
-
-// Cross reports whether the link from node a to node b crosses a shard
-// boundary under the plan.
-func (p *ShardPlan) Cross(a, b int) bool { return p.Assign[a] != p.Assign[b] }
 
 // Validate checks the plan's structural invariants and panics on violation:
 // every node assigned to exactly one shard in range, and a positive lookahead

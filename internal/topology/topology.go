@@ -564,19 +564,6 @@ func (t *Topology) baseNextHops(node, dst packet.NodeID) []int {
 	return t.sets[node][set]
 }
 
-// HopCount returns the number of links on the baseline shortest path from
-// src to dst.
-func (t *Topology) HopCount(src, dst packet.NodeID) int {
-	if src == dst {
-		return 0
-	}
-	_, d := t.route(t.baseRoutes, t.baseDist, src, dst)
-	if d < 0 {
-		panic(fmt.Sprintf("topology: no path from %d to %d", src, dst))
-	}
-	return d
-}
-
 // PathRTT returns the base (unloaded) round-trip time between two hosts:
 // twice the sum of propagation delays plus one MTU serialization per hop in
 // each direction. This is the "best possible" latency used for FCT slowdown
@@ -631,13 +618,4 @@ func (t *Topology) HostRate(host packet.NodeID) units.Rate {
 		panic("topology: HostRate on non-host")
 	}
 	return n.Ports[0].Rate
-}
-
-// LinkCount returns the number of (bidirectional) links.
-func (t *Topology) LinkCount() int {
-	total := 0
-	for _, n := range t.nodes {
-		total += len(n.Ports)
-	}
-	return total / 2
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestT1Shape(t *testing.T) {
-	topo := NewT1()
+	topo := NewClos(T1Config())
 	// 8 spines + 8 ToRs + 128 hosts
 	if got := topo.NumNodes(); got != 8+8+128 {
 		t.Fatalf("T1 node count = %d, want 144", got)
@@ -123,7 +124,7 @@ func TestSingleSwitchAndDumbbell(t *testing.T) {
 		t.Fatal("star host-to-host hop count should be 2")
 	}
 
-	db := NewDumbbell(DumbbellConfig{HostsPerSide: 2, EdgeRate: 100 * units.Gbps, BottleneckRate: 40 * units.Gbps, LinkDelay: units.Microsecond})
+	db := dumbbell(2, 100*units.Gbps, 40*units.Gbps)
 	if len(db.Hosts()) != 4 {
 		t.Fatal("dumbbell should have 4 hosts")
 	}
@@ -134,6 +135,20 @@ func TestSingleSwitchAndDumbbell(t *testing.T) {
 	if r := db.HostRate(db.Hosts()[0]); r != 100*units.Gbps {
 		t.Fatalf("host rate = %v, want 100Gbps", r)
 	}
+}
+
+// dumbbell builds two switches joined by one bottleneck link, with hosts
+// hosts on each side (l0 r0 l1 r1 ...), every link 1 µs long.
+func dumbbell(hosts int, edge, bottleneck units.Rate) *Topology {
+	b := NewBuilder("dumbbell")
+	left := b.AddNode(Switch, TierToR, "left")
+	right := b.AddNode(Switch, TierToR, "right")
+	b.AddLink(left, right, bottleneck, units.Microsecond)
+	for h := 0; h < hosts; h++ {
+		b.AddLink(b.AddNode(Host, TierHost, fmt.Sprintf("l%d", h)), left, edge, units.Microsecond)
+		b.AddLink(b.AddNode(Host, TierHost, fmt.Sprintf("r%d", h)), right, edge, units.Microsecond)
+	}
+	return b.Build()
 }
 
 func TestCrossDC(t *testing.T) {
@@ -180,7 +195,6 @@ func TestValidation(t *testing.T) {
 	}
 	assertPanics(t, func() { NewClos(bad) })
 	assertPanics(t, func() { NewSingleSwitch(SingleSwitchConfig{NumHosts: 1, LinkRate: units.Gbps}) })
-	assertPanics(t, func() { NewDumbbell(DumbbellConfig{HostsPerSide: 0, EdgeRate: 1, BottleneckRate: 1}) })
 }
 
 func assertPanics(t *testing.T, f func()) {

@@ -11,7 +11,6 @@ package units
 import (
 	"fmt"
 	mathbits "math/bits"
-	"time"
 )
 
 // Time is an absolute simulation time or a duration, in picoseconds.
@@ -44,7 +43,6 @@ type Bytes int64
 const (
 	KB Bytes = 1 << 10
 	MB Bytes = 1 << 20
-	GB Bytes = 1 << 30
 )
 
 // Seconds converts a duration to floating-point seconds (for reporting only;
@@ -53,12 +51,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Microseconds converts a duration to floating-point microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Duration converts a simulation duration to a time.Duration (nanosecond
-// granularity, for logging).
-func (t Time) Duration() time.Duration {
-	return time.Duration(t/Nanosecond) * time.Nanosecond
-}
 
 // String formats the time with an adaptive unit.
 func (t Time) String() string {

@@ -3,7 +3,6 @@ package units
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSerializationTimeExact(t *testing.T) {
@@ -83,9 +82,6 @@ func TestConversions(t *testing.T) {
 	}
 	if got := (Second).Seconds(); got != 1.0 {
 		t.Errorf("Seconds() = %v, want 1", got)
-	}
-	if got := (3 * Microsecond).Duration(); got != 3*time.Microsecond {
-		t.Errorf("Duration() = %v, want 3us", got)
 	}
 }
 

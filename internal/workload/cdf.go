@@ -55,13 +55,6 @@ func NewCDF(name string, points []CDFPoint) *CDF {
 	return &CDF{Name: name, points: cp}
 }
 
-// Points returns a copy of the CDF points.
-func (c *CDF) Points() []CDFPoint {
-	out := make([]CDFPoint, len(c.points))
-	copy(out, c.points)
-	return out
-}
-
 // Sample draws a flow size from the distribution using the supplied RNG.
 func (c *CDF) Sample(rng *rand.Rand) units.Bytes {
 	u := rng.Float64()

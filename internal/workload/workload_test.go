@@ -34,7 +34,7 @@ func assertPanics(t *testing.T, f func()) {
 
 func TestBuiltinCDFsWellFormed(t *testing.T) {
 	for _, c := range []*CDF{Google(), FBHadoop(), WebSearch()} {
-		pts := c.Points()
+		pts := c.points
 		if pts[len(pts)-1].Cum != 1 {
 			t.Fatalf("%s CDF does not end at 1", c.Name)
 		}
@@ -107,7 +107,7 @@ func TestByteWeightedCDF(t *testing.T) {
 		// Byte-weighted CDF is below the flow-count CDF (large flows carry
 		// disproportionate bytes).
 		if c.Name == "Google" {
-			if bw[4].Cum >= c.Points()[4].Cum {
+			if bw[4].Cum >= c.points[4].Cum {
 				t.Fatalf("byte-weighted CDF should lag the flow-count CDF")
 			}
 		}
