@@ -186,7 +186,7 @@ func BenchmarkSchedulerKeyOverhead(b *testing.B) {
 // for every packet, firing rarely — each Reset re-keys the queued record.
 func timerResetLoop() func(n int) {
 	s := New()
-	t := NewTimer(s, func() {})
+	t := NewTimer(s, func(any) {}, nil)
 	d := units.Time(1e9)
 	return func(n int) {
 		for i := 0; i < n; i++ {
@@ -203,7 +203,7 @@ func BenchmarkTimerReset(b *testing.B) { runLoop(b, timerResetLoop()) }
 // including the compaction sweeps the cancellations trigger.
 func timerResetEarlierLoop() func(n int) {
 	s := New()
-	t := NewTimer(s, func() {})
+	t := NewTimer(s, func(any) {}, nil)
 	d := units.Time(1 << 50)
 	return func(n int) {
 		for i := 0; i < n; i++ {

@@ -153,7 +153,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestTimer(t *testing.T) {
 	s := New()
 	fired := 0
-	tm := NewTimer(s, func() { fired++ })
+	tm := NewTimer(s, func(a any) { *a.(*int)++ }, &fired)
 	tm.Reset(10)
 	tm.Reset(20) // re-arm replaces the pending firing
 	if tm.ev == (Event{}) {
@@ -175,7 +175,7 @@ func TestTimer(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	s := New()
 	fired := 0
-	tm := NewTimer(s, func() { fired++ })
+	tm := NewTimer(s, func(any) { fired++ }, nil)
 	tm.Reset(10)
 	tm.Stop()
 	s.Run()
@@ -267,7 +267,7 @@ func TestTickerPanics(t *testing.T) {
 	s := New()
 	assertPanics(t, func() { NewTickerTagged(s, 0, 0, func() {}) })
 	assertPanics(t, func() { NewTickerTagged(s, 10, 0, nil) })
-	assertPanics(t, func() { NewTimer(s, nil) })
+	assertPanics(t, func() { NewTimer(s, nil, nil) })
 }
 
 func assertPanics(t *testing.T, f func()) {

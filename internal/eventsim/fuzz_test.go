@@ -234,12 +234,12 @@ func (m *queueModel) drop(e *modelEvent) {
 func (m *queueModel) timer(i int) *modelTimer {
 	if m.timers[i] == nil {
 		mt := &modelTimer{}
-		mt.t = NewTimer(m.s, func() {
+		mt.t = NewTimer(m.s, func(any) {
 			if mt.ev == nil {
 				m.t.Fatalf("timer %d fired, model has it stopped", i)
 			}
 			m.fire(mt.ev.id)
-		})
+		}, nil)
 		m.timers[i] = mt
 	}
 	return m.timers[i]

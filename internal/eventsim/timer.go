@@ -4,11 +4,13 @@ import "bfc/internal/units"
 
 // Timer is a restartable one-shot timer built on a Scheduler, analogous to
 // time.Timer but in simulated time. The NIC's retransmission timeout and its
-// pacing wake-up use it; periodic work runs on a Ticker. A Timer is one
-// allocation: its queued event calls timerFire with the Timer itself as the
-// argument, so Reset/Stop cycles allocate nothing. A Timer may be copied into
-// place (f.t = *NewTimer(s, fn)) before it is first armed, never after: the
-// queued event points at it.
+// pacing wake-up use it; periodic work runs on a Ticker. A Timer calls
+// fn(arg), the form ScheduleCall takes, so a static function and a pointer
+// argument arm it without a closure. Its queued event calls timerFire with
+// the Timer itself as the argument, so Reset/Stop cycles allocate nothing. A
+// Timer may be copied into place (r.t = *NewTimer(s, fn, r)), for instance
+// into a slab element, before it is first armed, never after: the queued
+// event points at it.
 //
 // Pushing a pending timer back is the common case — a retransmission timer
 // re-armed on every packet, firing almost never — and costs a re-key, not a
@@ -24,7 +26,8 @@ import "bfc/internal/units"
 // cancels and schedules.
 type Timer struct {
 	s     *Scheduler
-	fn    func()
+	fn    func(any)
+	arg   any
 	ev    Event
 	filed units.Time // firing time the queued record is filed under
 
@@ -37,19 +40,19 @@ type Timer struct {
 	tag        uint64
 }
 
-// NewTimer returns a stopped timer that will invoke fn when it fires.
-func NewTimer(s *Scheduler, fn func()) *Timer {
+// NewTimer returns a stopped timer that will invoke fn(arg) when it fires.
+func NewTimer(s *Scheduler, fn func(any), arg any) *Timer {
 	if fn == nil {
 		panic("eventsim: nil timer callback")
 	}
-	return &Timer{s: s, fn: fn}
+	return &Timer{s: s, fn: fn, arg: arg}
 }
 
 // timerFire is every timer event's callback.
 func timerFire(a any) {
 	t := a.(*Timer)
 	t.ev = Event{}
-	t.fn()
+	t.fn(t.arg)
 }
 
 // Reset (re)arms the timer to fire d from now, replacing any pending firing.

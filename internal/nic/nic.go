@@ -3,6 +3,11 @@
 // reaction to PFC and BFC pause frames from the top-of-rack switch) and the
 // receiver (in-order delivery, cumulative ACKs, NACKs, DCQCN CNP generation,
 // HPCC telemetry echo, flow-completion detection).
+//
+// A NIC keeps no per-flow heap object and no table keyed by flow ID: a
+// flow's state is a record in the Slabs the NICs of its shard share, and the
+// retransmission timer inside that record fires a static function with the
+// record as its argument.
 package nic
 
 import (
@@ -67,6 +72,27 @@ type Config struct {
 	// Recorder, when non-nil, receives flow start/finish flight-recorder
 	// events. Recording is observational only.
 	Recorder telemetry.Recorder
+
+	// Slabs holds the per-flow records, shared by the NICs of one shard. Nil
+	// gives the NIC a private slab of one record a side: every flow then
+	// keeps slot 0, and the NIC starts a flow only once the last flow it
+	// sent has completed (two NICs back to back, one flow at a time).
+	Slabs *Slabs
+}
+
+// Slabs holds the per-flow state of the NICs of one shard: a sender record
+// for each flow they source and a receiver record for each flow they sink,
+// at the flow's SendSlot and RecvSlot. Slabs are sized once, before the first
+// flow starts, and never grow, so no record moves while its retransmission
+// timer is armed (the scheduler points at the timer).
+type Slabs struct {
+	senders   []senderFlow
+	receivers []receiverFlow
+}
+
+// NewSlabs returns slabs for the given numbers of sent and received flows.
+func NewSlabs(senders, receivers int) *Slabs {
+	return &Slabs{senders: make([]senderFlow, senders), receivers: make([]receiverFlow, receivers)}
 }
 
 // Validate reports configuration errors.
@@ -108,8 +134,10 @@ type Stats struct {
 	BFCFilterUpdates uint64
 }
 
-// senderFlow is the transmit-side state for one flow.
+// senderFlow is the transmit-side state for one flow. A record whose flow is
+// nil has not been started; a completed one stays in its slot.
 type senderFlow struct {
+	nic         *NIC
 	flow        *packet.Flow
 	ctrl        cc.Controller
 	numPackets  int
@@ -123,7 +151,8 @@ type senderFlow struct {
 	vfid packet.VFID
 }
 
-// receiverFlow is the receive-side state for one flow.
+// receiverFlow is the receive-side state for one flow; the first data packet
+// of the flow claims the record.
 type receiverFlow struct {
 	flow     *packet.Flow
 	expected int
@@ -142,11 +171,11 @@ type NIC struct {
 
 	ctrlQueue queue.FIFO
 
-	senders   map[packet.FlowID]*senderFlow
+	slabs *Slabs
+	// sendOrder holds the started, uncompleted senders in start order;
+	// pickSender round-robins over it from rrNext.
 	sendOrder []*senderFlow
 	rrNext    int
-
-	receivers map[packet.FlowID]*receiverFlow
 
 	transmitting bool
 	pfcPaused    bool
@@ -166,16 +195,18 @@ func New(cfg Config) *NIC {
 		panic(err)
 	}
 	n := &NIC{
-		cfg:       cfg,
-		sched:     cfg.Scheduler,
-		pool:      cfg.Pool,
-		senders:   map[packet.FlowID]*senderFlow{},
-		receivers: map[packet.FlowID]*receiverFlow{},
+		cfg:   cfg,
+		sched: cfg.Scheduler,
+		pool:  cfg.Pool,
+		slabs: cfg.Slabs,
+	}
+	if n.slabs == nil {
+		n.slabs = NewSlabs(1, 1)
 	}
 	if cfg.VFIDSpace > 0 {
 		n.upstream = *core.NewUpstreamState(cfg.VFIDSpace)
 	}
-	n.wakeup = *eventsim.NewTimer(cfg.Scheduler, n.tryTransmit)
+	n.wakeup = *eventsim.NewTimer(cfg.Scheduler, wakeFire, n)
 	n.onTxDone = func() {
 		n.transmitting = false
 		n.tryTransmit()
@@ -201,17 +232,19 @@ func (n *NIC) Link() *netsim.Link { return n.link }
 func (n *NIC) Stats() Stats { return n.stats }
 
 // ActiveSenders returns the number of flows with unsent or unacked data.
-func (n *NIC) ActiveSenders() int { return len(n.senders) }
+func (n *NIC) ActiveSenders() int { return len(n.sendOrder) }
 
 // StartFlow begins transmitting a flow originating at this host.
 func (n *NIC) StartFlow(f *packet.Flow) {
 	if f.Src != n.ID() {
 		panic(fmt.Sprintf("nic: flow %v does not originate at host %d", f, n.ID()))
 	}
-	if _, ok := n.senders[f.ID]; ok {
-		panic(fmt.Sprintf("nic: flow %d already started", f.ID))
+	sf := &n.slabs.senders[f.SendSlot]
+	if sf.flow != nil && !sf.completed {
+		panic(fmt.Sprintf("nic: flow %d starts in sender slot %d, which flow %d holds", f.ID, f.SendSlot, sf.flow.ID))
 	}
-	sf := &senderFlow{
+	*sf = senderFlow{
+		nic:        n,
 		flow:       f,
 		numPackets: f.NumPackets(n.cfg.MTU),
 	}
@@ -223,8 +256,7 @@ func (n *NIC) StartFlow(f *packet.Flow) {
 	} else {
 		sf.ctrl = cc.None{}
 	}
-	sf.rto = *eventsim.NewTimer(n.sched, func() { n.onRTO(sf) })
-	n.senders[f.ID] = sf
+	sf.rto = *eventsim.NewTimer(n.sched, rtoFire, sf)
 	n.sendOrder = append(n.sendOrder, sf)
 	n.stats.FlowsStarted++
 	if n.cfg.Recorder != nil {
@@ -280,6 +312,9 @@ func (n *NIC) OnLinkStateChange(up bool) {
 
 // Transmit path ---------------------------------------------------------------
 
+// wakeFire is the pacing wake-up's callback.
+func wakeFire(a any) { a.(*NIC).tryTransmit() }
+
 // tryTransmit sends the next eligible packet, if any, and otherwise arms a
 // wake-up for the earliest pacing deadline.
 func (n *NIC) tryTransmit() {
@@ -313,8 +348,12 @@ func (n *NIC) pickSender(now units.Time) (*senderFlow, units.Time) {
 	}
 	var earliest units.Time
 	count := len(n.sendOrder)
-	for i := 0; i < count; i++ {
-		sf := n.sendOrder[(n.rrNext+i)%count]
+	next := n.rrNext
+	for range count {
+		sf := n.sendOrder[next]
+		if next++; next == count {
+			next = 0
+		}
 		if sf.completed || sf.nextSeq >= sf.numPackets {
 			continue
 		}
@@ -336,7 +375,7 @@ func (n *NIC) pickSender(now units.Time) (*senderFlow, units.Time) {
 			}
 			continue
 		}
-		n.rrNext = (n.rrNext + i + 1) % count
+		n.rrNext = next
 		return sf, 0
 	}
 	return nil, earliest
@@ -386,6 +425,12 @@ func (n *NIC) transmitPacket(p *packet.Packet) {
 	n.link.Transmit(p, n.onTxDone)
 }
 
+// rtoFire is every retransmission timer's callback.
+func rtoFire(a any) {
+	sf := a.(*senderFlow)
+	sf.nic.onRTO(sf)
+}
+
 // onRTO rewinds the flow to the last acknowledged packet (Go-Back-N) when no
 // feedback arrives for a full timeout.
 func (n *NIC) onRTO(sf *senderFlow) {
@@ -426,10 +471,9 @@ func (n *NIC) receiveData(p *packet.Packet) {
 	if p.Flow.Dst != n.ID() {
 		panic(fmt.Sprintf("nic: data packet for %d arrived at %d", p.Flow.Dst, n.ID()))
 	}
-	rf := n.receivers[p.Flow.ID]
-	if rf == nil {
-		rf = &receiverFlow{flow: p.Flow}
-		n.receivers[p.Flow.ID] = rf
+	rf := &n.slabs.receivers[p.Flow.RecvSlot]
+	if rf.flow != p.Flow {
+		*rf = receiverFlow{flow: p.Flow}
 	}
 
 	// DCQCN: congestion notification back to the sender, rate limited.
@@ -504,10 +548,20 @@ func (n *NIC) sendControl(p *packet.Packet) {
 	n.tryTransmit()
 }
 
+// sender returns the live sender record of the flow p belongs to, or nil
+// once the flow is fully acknowledged.
+func (n *NIC) sender(p *packet.Packet) *senderFlow {
+	sf := &n.slabs.senders[p.Flow.SendSlot]
+	if sf.flow != p.Flow || sf.completed {
+		return nil
+	}
+	return sf
+}
+
 func (n *NIC) receiveAck(p *packet.Packet) {
-	sf := n.senders[p.Flow.ID]
+	sf := n.sender(p)
 	if sf == nil {
-		return // flow already fully acknowledged and cleaned up
+		return // flow already fully acknowledged
 	}
 	now := n.sched.Now()
 	newly := p.Seq - sf.acked
@@ -529,7 +583,7 @@ func (n *NIC) receiveAck(p *packet.Packet) {
 }
 
 func (n *NIC) receiveNack(p *packet.Packet) {
-	sf := n.senders[p.Flow.ID]
+	sf := n.sender(p)
 	if sf == nil {
 		return
 	}
@@ -545,21 +599,21 @@ func (n *NIC) receiveNack(p *packet.Packet) {
 }
 
 func (n *NIC) receiveCNP(p *packet.Packet) {
-	sf := n.senders[p.Flow.ID]
+	sf := n.sender(p)
 	if sf == nil {
 		return
 	}
 	sf.ctrl.OnCNP(n.sched.Now())
 }
 
-// finishSender removes completed-sender state.
+// finishSender retires a fully acknowledged sender: its record stays in the
+// slab, marked completed, and leaves the round-robin.
 func (n *NIC) finishSender(sf *senderFlow) {
 	if sf.completed {
 		return
 	}
 	sf.completed = true
 	sf.rto.Stop()
-	delete(n.senders, sf.flow.ID)
 	for i, cur := range n.sendOrder {
 		if cur == sf {
 			n.sendOrder = append(n.sendOrder[:i], n.sendOrder[i+1:]...)

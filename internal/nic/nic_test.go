@@ -41,6 +41,7 @@ type testNIC struct {
 	nic       *nic.NIC
 	peer      *fakePeer
 	completed []*packet.Flow
+	sent      int32 // sender slots handed out
 }
 
 func newTestNIC(t *testing.T, mutate func(*nic.Config)) *testNIC {
@@ -58,6 +59,7 @@ func newTestNIC(t *testing.T, mutate func(*nic.Config)) *testNIC {
 		RTO:            4 * units.Millisecond,
 		Pool:           packet.NewPool(),
 		OnFlowComplete: func(f *packet.Flow) { tn.completed = append(tn.completed, f) },
+		Slabs:          nic.NewSlabs(4, 4),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -69,9 +71,11 @@ func newTestNIC(t *testing.T, mutate func(*nic.Config)) *testNIC {
 	return tn
 }
 
+// flowFromHost returns a flow this NIC sends, in the next sender slot.
 func (tn *testNIC) flowFromHost(id packet.FlowID, size units.Bytes) *packet.Flow {
 	hosts := tn.topo.Hosts()
-	return &packet.Flow{ID: id, Src: hosts[0], Dst: hosts[1], Size: size}
+	tn.sent++
+	return &packet.Flow{ID: id, Src: hosts[0], Dst: hosts[1], Size: size, SendSlot: tn.sent - 1}
 }
 
 func TestNewRejectsNilPool(t *testing.T) {
@@ -204,5 +208,42 @@ func TestReceiverAcksNacksAndCompletion(t *testing.T) {
 	}
 	if got := len(tn.peer.kind(packet.Ack)); got != 4 {
 		t.Fatalf("got %d acks after duplicate, want 4", got)
+	}
+}
+
+// TestPrivateSlabRunsFlowsInTurn: a NIC built without shared slabs keeps one
+// sender record, so its flows (all in slot 0) take it in turn. A flow may
+// start once the last has been acknowledged, and a late ACK of the last flow
+// does not touch the next one.
+func TestPrivateSlabRunsFlowsInTurn(t *testing.T) {
+	tn := newTestNIC(t, func(c *nic.Config) { c.Slabs = nil })
+	hosts := tn.topo.Hosts()
+	first := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], Size: 2000}
+	second := &packet.Flow{ID: 2, Src: hosts[0], Dst: hosts[1], Size: 3000}
+	ack := func(f *packet.Flow, seq int) {
+		tn.nic.ReceivePacket(0, &packet.Packet{Kind: packet.Ack, Flow: f, Seq: seq, Size: packet.ControlPacketSize})
+	}
+	tn.nic.StartFlow(first)
+	tn.sched.RunUntil(10 * units.Microsecond)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second flow started while the first held the only sender record")
+			}
+		}()
+		tn.nic.StartFlow(second)
+	}()
+	ack(first, 2)
+	if got := tn.nic.ActiveSenders(); got != 0 {
+		t.Fatalf("ActiveSenders = %d after the first flow's last ACK, want 0", got)
+	}
+	tn.nic.StartFlow(second)
+	ack(first, 2) // late duplicate of the first flow's last ACK
+	tn.sched.RunUntil(20 * units.Microsecond)
+	if got := tn.nic.ActiveSenders(); got != 1 {
+		t.Fatalf("ActiveSenders = %d with the second flow unacknowledged, want 1", got)
+	}
+	if sent := len(tn.peer.kind(packet.Data)); sent != 5 {
+		t.Fatalf("sent %d data packets, want 2 + 3", sent)
 	}
 }

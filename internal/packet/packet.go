@@ -69,6 +69,8 @@ const (
 // workload generator and owned by the sending NIC. The 5-tuple must be final
 // before the flow enters the simulation: Hash caches the tuple hash that
 // VFIDOf, QueueOf and topology.ECMPPick all draw from, each with its own salt.
+// The ID names the flow (traces, causal tags) and must be unique in a run; no
+// simulator state is sized or indexed by it.
 type Flow struct {
 	ID      FlowID
 	Src     NodeID
@@ -87,6 +89,13 @@ type Flow struct {
 	// LongLived marks open-ended flows (used in the fan-in and buffer
 	// management experiments); they never complete.
 	LongLived bool
+
+	// SendSlot and RecvSlot index the flow's NIC state: its record in the
+	// sender slab its source's NIC reads and in the receiver slab its
+	// destination's NIC reads (see nic.Slabs). The simulation writes both
+	// before the run starts, numbering base flows first and injected
+	// scenario flows after them, densely within each shard.
+	SendSlot, RecvSlot int32
 
 	// FinishTime is set by the simulation when the receiver gets the last
 	// byte. Zero means not finished.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/rand"
 	"strconv"
 
@@ -123,12 +124,23 @@ func (pl *Planned) EventTimes(horizon units.Time) []units.Time {
 // counts injections itself and merges the count into Metrics.InjectedFlows.
 func (pl *Planned) ScheduleFlows(sched *eventsim.Scheduler, owned func(packet.NodeID) bool, start func(*packet.Flow)) {
 	call := func(x any) { start(x.(*packet.Flow)) }
-	for _, ce := range pl.events {
-		for _, f := range ce.flow {
-			if !owned(f.Src) {
-				continue
-			}
+	for f := range pl.Flows() {
+		if owned(f.Src) {
 			sched.ScheduleCallTagged(f.StartTime, uint64(f.ID), call, f)
+		}
+	}
+}
+
+// Flows yields every pre-generated injected flow in compile order, which is
+// ascending ID order.
+func (pl *Planned) Flows() iter.Seq[*packet.Flow] {
+	return func(yield func(*packet.Flow) bool) {
+		for _, ce := range pl.events {
+			for _, f := range ce.flow {
+				if !yield(f) {
+					return
+				}
+			}
 		}
 	}
 }

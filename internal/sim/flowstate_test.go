@@ -1,0 +1,186 @@
+package sim
+
+import (
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"bfc/internal/packet"
+	"bfc/internal/scenario"
+	"bfc/internal/topology"
+	"bfc/internal/units"
+	"bfc/internal/workload"
+)
+
+// k4FatTree is the 16-host fat-tree the flow-state tests run on; it splits
+// into two shards.
+func k4FatTree() *topology.Topology {
+	return topology.NewFatTree(topology.FatTreeConfig{
+		Pods: 4, EdgePerPod: 2, AggPerPod: 2, HostsPerEdge: 2, CorePerAgg: 2,
+		LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
+	})
+}
+
+// TestRepeatedFlowIDsFail: a flow ID names one flow, so a run given two flows
+// with one ID is refused — whether they leave one host or two.
+func TestRepeatedFlowIDsFail(t *testing.T) {
+	cfg := topology.T2Config()
+	cfg.NumToR, cfg.NumSpine, cfg.HostsPerToR = 2, 2, 8
+	topo := topology.NewClos(cfg)
+	h := topo.Hosts()
+	for _, tc := range []struct {
+		name       string
+		srcA, srcB packet.NodeID
+	}{
+		{"two sources", h[1], h[2]},
+		{"one source", h[1], h[1]},
+	} {
+		flows := []*packet.Flow{
+			{ID: 5, Src: tc.srcA, Dst: h[0], SrcPort: 1000, DstPort: 4791, Size: 20 * units.KB},
+			{ID: 6, Src: h[3], Dst: h[4], SrcPort: 1001, DstPort: 4791, Size: 20 * units.KB},
+			{ID: 5, Src: tc.srcB, Dst: h[0], SrcPort: 1002, DstPort: 4791, Size: 20 * units.KB},
+		}
+		opts := DefaultOptions(SchemeBFC, topo)
+		opts.Duration = 50 * units.Microsecond
+		opts.Drain = 200 * units.Microsecond
+		res, err := Run(opts, flows)
+		if err == nil {
+			t.Errorf("%s: two flows with ID 5 ran (completed %d/%d)", tc.name, res.FlowsCompleted, res.FlowsTotal)
+		} else if !strings.Contains(err.Error(), "flow ID 5") {
+			t.Errorf("%s: error %q does not name flow ID 5", tc.name, err)
+		}
+	}
+}
+
+// TestRenumberedFlowIDs pins that a flow ID only names its flow: renumbering
+// every ID by a strictly increasing map (which keeps the order the causal
+// tags compare in) leaves every FCT and the whole result unchanged, at one
+// shard and at two, with scenario flows injected after the base trace.
+func TestRenumberedFlowIDs(t *testing.T) {
+	topo := k4FatTree()
+	tr, err := workload.Generate(workload.Config{
+		Hosts: topo.Hosts(), CDF: workload.Google(), Load: 0.6, HostRate: 100 * units.Gbps,
+		Duration: 100 * units.Microsecond, Seed: 5,
+		Incast: workload.IncastConfig{Enabled: true, FanIn: 8, AggregateSize: units.MB, LoadFraction: 0.2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &scenario.Spec{Name: "renumber", Seed: 2, Events: []scenario.Event{
+		{At: 30 * units.Microsecond, Kind: scenario.Incast,
+			Incast: &scenario.IncastSpec{FanIn: 6, AggregateSize: 600 * units.KB}},
+	}}
+	run := func(sc Scheme, shards int, id func(packet.FlowID) packet.FlowID) ([]units.Time, string) {
+		flows := make([]*packet.Flow, len(tr.Flows))
+		for i, f := range tr.Flows {
+			c := *f
+			c.ID = id(f.ID)
+			flows[i] = &c
+		}
+		opts := DefaultOptions(sc, topo)
+		opts.Duration = 100 * units.Microsecond
+		opts.Drain = units.Millisecond
+		opts.Seed = 5
+		opts.Shards = shards
+		opts.Scenario = spec
+		res, err := Run(opts, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sharding.Used != shards {
+			t.Fatalf("asked for %d shards, ran on %d (%s)", shards, res.Sharding.Used, res.Sharding.Fallback)
+		}
+		if res.Scenario.InjectedFlows == 0 {
+			t.Fatal("the scenario injected no flows")
+		}
+		digest, err := ResultDigest(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fcts := make([]units.Time, len(flows))
+		for i, f := range flows {
+			fcts[i] = f.FCT()
+		}
+		return fcts, digest
+	}
+	same := func(id packet.FlowID) packet.FlowID { return id }
+	spread := func(id packet.FlowID) packet.FlowID { return id<<32 + 7 }
+	for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN} {
+		for _, shards := range []int{1, 2} {
+			want, wantDigest := run(sc, shards, same)
+			got, gotDigest := run(sc, shards, spread)
+			if i := slices.IndexFunc(want, func(fct units.Time) bool { return fct == 0 }); i >= 0 {
+				t.Errorf("%s shards=%d: %v did not finish", sc, shards, tr.Flows[i])
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s shards=%d: %v: FCT %v, %v after renumbering", sc, shards, tr.Flows[i], want[i], got[i])
+					break
+				}
+			}
+			if gotDigest != wantDigest {
+				t.Errorf("%s shards=%d: result digest %.12s, %.12s after renumbering", sc, shards, wantDigest, gotDigest)
+			}
+		}
+	}
+}
+
+// TestFlowAllocs holds per-flow NIC state to the shard's slabs: once they
+// exist, starting, running and completing a flow allocates no object of its
+// own. Two BFC runs of one fabric, one with n flows and one with 4n (the
+// same spacing, so as many in flight at a time), differ only by what the
+// extra 3n flows allocate; the event arena's pages and the completion
+// buffers' growth stay well under a tenth of an object per flow. A sender
+// record, its timer closure and a receiver record per flow, or a map entry
+// keyed by flow ID, exceed the budget many times over.
+func TestFlowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const n, perFlow = 250, 0.1
+	topo := k4FatTree()
+	hosts := topo.Hosts()
+	flowsOf := func(count int) []*packet.Flow {
+		flows := make([]*packet.Flow, count)
+		for i := range flows {
+			flows[i] = &packet.Flow{
+				ID: packet.FlowID(i + 1), Src: hosts[i%len(hosts)], Dst: hosts[(i*7+3)%len(hosts)],
+				SrcPort: uint16(1000 + i), DstPort: 4791,
+				Size: 8 * units.KB, StartTime: units.Time(i) * units.Microsecond,
+			}
+			if flows[i].Src == flows[i].Dst {
+				flows[i].Dst = hosts[(i+1)%len(hosts)]
+			}
+		}
+		return flows
+	}
+	mallocs := func(shards, count int) uint64 {
+		opts := DefaultOptions(SchemeBFC, topo)
+		opts.Duration = 4 * n * units.Microsecond
+		opts.Drain = 200 * units.Microsecond
+		opts.Shards = shards
+		flows := flowsOf(count)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(opts, flows)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FlowsCompleted != count {
+			t.Fatalf("shards=%d: completed %d of %d flows", shards, res.FlowsCompleted, count)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for _, shards := range []int{1, 2} {
+		small, large := mallocs(shards, n), mallocs(shards, 4*n)
+		extra := float64(large) - float64(small)
+		t.Logf("shards=%d: %d objects for %d flows, %d for %d: %.3f per extra flow (budget %v)",
+			shards, small, n, large, 4*n, extra/(3*n), perFlow)
+		if extra > perFlow*3*n {
+			t.Errorf("shards=%d: %d more flows allocated %.0f more objects, budget %.0f", shards, 3*n, extra, perFlow*3*n)
+		}
+	}
+}

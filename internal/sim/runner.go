@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+
 	"bfc/internal/bloom"
 	"bfc/internal/cc"
 	"bfc/internal/cc/dcqcn"
@@ -135,6 +138,9 @@ func Run(opts Options, flows []*packet.Flow) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkFlowIDs(flows); err != nil {
+		return nil, err
+	}
 	plan, fallback := shardPlanFor(&opts)
 	res, err := runSharded(opts, plan, flows)
 	if err != nil {
@@ -142,6 +148,22 @@ func Run(opts Options, flows []*packet.Flow) (*Result, error) {
 	}
 	res.Sharding = ShardInfo{Requested: opts.Shards, Used: plan.Shards, Fallback: fallback}
 	return res, nil
+}
+
+// checkFlowIDs fails on a flow ID that appears twice: IDs tag every event a
+// flow causes and name it in traces, so two flows must never share one.
+func checkFlowIDs(flows []*packet.Flow) error {
+	ids := make([]packet.FlowID, len(flows))
+	for i, f := range flows {
+		ids[i] = f.ID
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("sim: flow ID %d appears more than once", ids[i])
+		}
+	}
+	return nil
 }
 
 type runner struct {
@@ -159,6 +181,10 @@ type runner struct {
 	// coordinator.
 	plan    *topology.ShardPlan
 	shardID int
+
+	// sends and recvs are the numbers of flows the shard's NICs source and
+	// sink (assignSlots): the sizes of the slabs they share.
+	sends, recvs int
 
 	// result and scen are set only on the one shard of a one-shard run, whose
 	// completions already come in key order: it records them straight into
@@ -310,6 +336,7 @@ func (r *runner) buildNICs() {
 		OnFlowComplete: r.onFlowComplete,
 		Pool:           r.pool,
 		Recorder:       r.rec,
+		Slabs:          nic.NewSlabs(r.sends, r.recvs),
 	}
 	switch opts.Scheme {
 	case SchemeBFC, SchemeBFCStatic:

@@ -229,6 +229,30 @@ func eachShard(shards []*runner, f func(r *runner)) {
 	wg.Wait()
 }
 
+// assignSlots numbers every flow's NIC records, base flows first and then the
+// scenario's injected flows (scen may be nil): a flow's SendSlot is dense
+// among the flows its source's shard sends, its RecvSlot among those its
+// destination's shard receives. It returns each shard's two counts, the
+// sizes of its NIC slabs, so no shard holds a table the size of the run.
+func assignSlots(plan *topology.ShardPlan, flows []*packet.Flow, scen *scenario.Planned) (sends, recvs []int) {
+	sends, recvs = make([]int, plan.Shards), make([]int, plan.Shards)
+	assign := func(f *packet.Flow) {
+		src, dst := plan.Assign[f.Src], plan.Assign[f.Dst]
+		f.SendSlot, f.RecvSlot = int32(sends[src]), int32(recvs[dst])
+		sends[src]++
+		recvs[dst]++
+	}
+	for _, f := range flows {
+		assign(f)
+	}
+	if scen != nil {
+		for f := range scen.Flows() {
+			assign(f)
+		}
+	}
+	return sends, recvs
+}
+
 // runSharded executes the simulation on plan.Shards shards, one or more.
 func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*Result, error) {
 	S := plan.Shards
@@ -242,13 +266,29 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		ec = execstats.NewCollector(S)
 	}
 
+	// Scenario: compile first, so the injected flows exist when every flow
+	// gets its slots, and leave the events themselves to the coordinator's
+	// barriers.
+	var scen *scenario.Planned
+	var scenM *scenario.Metrics
+	if opts.Scenario != nil {
+		pl, err := scenario.Plan(opts.Scenario, scenarioParams(&opts, flows, horizon))
+		if err != nil {
+			return nil, err
+		}
+		scen, scenM = pl, pl.Metrics()
+	}
+	sends, recvs := assignSlots(plan, flows, scen)
+
 	// Per-shard runners build only the devices their shard owns, into the one
 	// registry they share with the coordinator. Every device derives its seed
 	// and parameters from the options and its own node (a flow its window
 	// from its own path) and draws packets from its shard's pool, so
-	// construction is independent of the partition. Traced partitioned runs
-	// swap each shard's recorder for a keyed per-shard ring before any device
-	// captures it; the one shard of a one-shard run keeps the caller's ring.
+	// construction is independent of the partition. A shard's NICs share
+	// slabs sized to the flows the shard sources and sinks. Traced
+	// partitioned runs swap each shard's recorder for a keyed per-shard ring
+	// before any device captures it; the one shard of a one-shard run keeps
+	// the caller's ring.
 	// Each shard builds on its own goroutine; after the join every shard
 	// wires its links, which reach into the devices other shards built, and
 	// schedules its flows, again on its own goroutine.
@@ -258,6 +298,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	for i := range shards {
 		r := newRunner(opts, reg)
 		r.plan, r.shardID = plan, i
+		r.sends, r.recvs = sends[i], recvs[i]
 		if S > 1 && opts.Recorder != nil {
 			sr := newShardRecorder(r.sched, opts.Recorder)
 			r.rec = sr
@@ -281,22 +322,14 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	})
 	reg.buildLinkClasses()
 
-	// Scenario: compile once, schedule the injected flows per owning shard
-	// under their keys, and leave the events themselves to the coordinator's
-	// barriers. Their trace records go where the shards' go: the caller's ring
-	// on one shard, a keyed coordinator ring on several.
-	var scen *scenario.Planned
-	var scenM *scenario.Metrics
+	// Scenario flows are scheduled per owning shard under their keys, after
+	// the base flows. The events' trace records go where the shards' go: the
+	// caller's ring on one shard, a keyed coordinator ring on several.
 	var scenRec telemetry.Recorder // stays nil, not a nil pointer, when untraced
 	var coordRec *shardRecorder
-	if opts.Scenario != nil {
-		pl, err := scenario.Plan(opts.Scenario, scenarioParams(&opts, flows, horizon))
-		if err != nil {
-			return nil, err
-		}
-		scen, scenM = pl, pl.Metrics()
+	if scen != nil {
 		for _, r := range shards {
-			pl.ScheduleFlows(r.sched, r.owned, r.startInjected)
+			scen.ScheduleFlows(r.sched, r.owned, r.startInjected)
 		}
 		switch {
 		case opts.Recorder == nil:
