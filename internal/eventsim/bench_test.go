@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"testing"
 
 	"bfc/internal/units"
@@ -215,6 +216,36 @@ func timerResetEarlierLoop() func(n int) {
 
 func BenchmarkTimerResetEarlier(b *testing.B) { runLoop(b, timerResetEarlierLoop()) }
 
+// bucketBurstLoop is the worst case for cur: size records at one instant,
+// each scheduling a child 1 ps later, in the same bucket and after every
+// record of the run, so that all size children go to side and fire after
+// the run has drained. One iteration is one burst of 2·size events.
+func bucketBurstLoop(size int) func(n int) {
+	s := New()
+	child := func(any) {}
+	parent := func(any) { s.ScheduleCall(s.Now()+1, child, nil) }
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			at := (s.Now()>>bucketShift + 1) << bucketShift
+			for j := 0; j < size; j++ {
+				s.ScheduleCall(at, parent, nil)
+			}
+			s.Run()
+		}
+	}
+}
+
+var bucketBurstSizes = []int{64, 4096}
+
+// BenchmarkBucketBurst guards cur against a quadratic path: a record filed
+// into the draining bucket by a search of the run read about 100 times slower
+// at size 4096 than a heap.
+func BenchmarkBucketBurst(b *testing.B) {
+	for _, size := range bucketBurstSizes {
+		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) { runLoop(b, bucketBurstLoop(size)) })
+	}
+}
+
 // runLoop times loop(b.N).
 func runLoop(b *testing.B, loop func(n int)) {
 	b.ReportAllocs()
@@ -239,6 +270,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		{"TimerReset", timerResetLoop()},
 		{"TimerResetEarlier", timerResetEarlierLoop()},
 	}
+	// A burst is 2·size events, so 4096 iterations are 64 bursts of 64
+	// records (past the sort cutoff): 8192 events, about the other rows'
+	// work.
+	burst := bucketBurstLoop(64)
+	rows = append(rows, row{"BucketBurst/n=64", func(n int) { burst(n / 64) }})
 	for _, tier := range keyOverheadTiers {
 		rows = append(rows, row{"SchedulerKeyOverhead/" + tier, keyOverheadLoop(tier)})
 	}

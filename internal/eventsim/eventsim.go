@@ -2,11 +2,12 @@
 // simulation in this repository.
 //
 // The engine is a single-threaded run loop over a three-tier priority queue:
-// a calendar ring of narrow time buckets in front of two specialized 4-ary
-// min-heaps. Determinism is a design requirement — two events scheduled for
-// the same picosecond always fire in the same order on every run and
-// platform, so a simulation with a fixed seed produces identical results
-// everywhere, and at every shard count of a partitioned run.
+// the current time bucket as a sorted run, a calendar ring of narrow buckets
+// behind it, and a 4-ary min-heap beyond the ring. Determinism is a design
+// requirement — two events scheduled for the same picosecond always fire in
+// the same order on every run and platform, so a simulation with a fixed seed
+// produces identical results everywhere, and at every shard count of a
+// partitioned run.
 //
 // The hot path is allocation-free in steady state: queue records are small
 // values (no per-event boxing through interfaces), cancellation handles are
@@ -30,22 +31,26 @@
 // Time is cut into buckets of 1<<bucketShift picoseconds, and a record lives
 // in one of three tiers by its bucket relative to the current one:
 //
-//   - cur, a 4-ary heap of the records at or before the current bucket — the
-//     only tier events are popped from, and a handful of records deep;
+//   - cur, the records at or before the current bucket — the only tier
+//     events are popped from, and a handful of records deep: a run sorted
+//     latest-first, popped from its end in O(1), beside a small 4-ary heap
+//     for the records filed into the bucket while it drains that order after
+//     the run's last (a record that orders before it is appended to the
+//     run); a pop takes the earlier of the run's last and the heap's top;
 //   - ring, the next ringSize-1 buckets as unsorted intrusive chains: insert
 //     is a store and a bit set with no comparison, which is where link
 //     serialisation and propagation delays (half of all events are 1-10 us
 //     out, the rest nearer) land;
-//   - far, the same heap code over everything beyond the ring window:
+//   - far, a 4-ary heap over everything beyond the ring window:
 //     set-up-scheduled flow arrivals, protocol and sampling timers, cross-DC
 //     deliveries.
 //
 // When cur drains, refill activates the earliest non-empty bucket: it pulls
-// the far records the shifted window now covers into the ring and heapifies
-// the bucket's chain into cur. All three tiers order by the one comparator,
-// entryLess, which ends in the sequence number and is therefore a strict
-// total order: the pop sequence is the one a single heap would produce, so
-// the split is invisible to every digest.
+// the far records the shifted window now covers into the ring and sorts the
+// bucket's chain into cur's run, once. All three tiers order by the one
+// comparator, entryLess, which ends in the sequence number and is therefore a
+// strict total order: the pop sequence is the one a single heap would
+// produce, so the split is invisible to every digest.
 //
 // The pedigree itself is lazy: every event scheduled by one dispatch shares
 // the same ancestor arrays, so they are interned once per dispatch in a
@@ -104,6 +109,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"bfc/internal/units"
 )
@@ -362,20 +368,22 @@ type Scheduler struct {
 	stale   int // cancelled records still occupying queue positions
 
 	// The three queue tiers (see "Queue layout" in the package comment). cur
-	// and far are 4-ary heaps under entryLess; ring[b&ringMask] heads the
-	// unsorted chain of bucket b for curB < b < curB+ringSize, and occ has
-	// one bit per non-empty bucket. Chains are intrusive — a slice per bucket
-	// allocated a third more bytes per run in the sizing prototype — and link
-	// through parked.next inside park, an arena of fixed pages that are never
-	// copied (an append-grown one re-copies about five times its final size;
-	// the slot and pedigree arenas below are paged for the same reason).
-	// The arena grows to the most records ever parked at once and recycles
-	// them through a free chain; indexed by slot it was sized to the most
-	// events ever pending instead, 528 KB against 96 KB on the bench's Clos
-	// runs, and they ran 4 % slower for the sparser records.
+	// is a run sorted latest-first under entryLess, its earliest record last,
+	// side the 4-ary heap beside it, and far a 4-ary heap; ring[b&ringMask]
+	// heads the unsorted chain of bucket b for curB < b < curB+ringSize, and
+	// occ has one bit per non-empty bucket. Chains are intrusive — a slice per
+	// bucket allocated a third more bytes per run in the sizing prototype —
+	// and link through parked.next inside park, an arena of fixed pages that
+	// are never copied (an append-grown one re-copies about five times its
+	// final size; the slot and pedigree arenas below are paged for the same
+	// reason). The arena grows to the most records ever parked at once and
+	// recycles them through a free chain; indexed by slot it was sized to the
+	// most events ever pending instead, 528 KB against 96 KB on the bench's
+	// Clos runs, and they ran 4 % slower for the sparser records.
 	cur      []entry
+	side     []entry
 	far      []entry
-	curB     int64 // current bucket: cur holds every record at or before it
+	curB     int64 // current bucket: cur and side hold every record at or before it
 	ringN    int   // records parked in the ring
 	ring     [ringSize]int32
 	occ      [ringSize / 64]uint64
@@ -442,7 +450,7 @@ type Scheduler struct {
 // Calendar geometry. Narrow buckets are the mechanism, not a tunable: of the
 // pops of a loaded Clos run, a quarter fire under 10 ns after they were
 // scheduled, a quarter 10-100 ns and half 1-10 us, so a bucket has to be
-// narrower than most of those delays or cur turns back into the deep heap,
+// narrower than most of those delays or cur turns back into one deep queue,
 // and the window has to cover a propagation delay or half the events go
 // through far. CPU seconds of single bfcsim runs (-topology t2 -load 0.6
 // -incast -duration 300us -drain 2ms -seed 7), best / median of five
@@ -493,13 +501,15 @@ func (s *Scheduler) pedAt(id int32) *ped {
 type tierCounts struct {
 	refillRing, refillFar uint64    // refills whose bucket came from the ring / from far's top
 	migrated              uint64    // far records a shifted window pulled into the ring
-	compacted             [3]uint64 // cancelled records compact swept from cur, ring, far
+	compacted             [3]uint64 // cancelled records compact swept from cur (run and side), ring, far
+	sorted                int       // the most records refill sorted into the run at once
+	sidePops              uint64    // pops that took side's top over a non-empty run's last
 }
 
 func bucketOf(at units.Time) int64 { return int64(at) >> bucketShift }
 
 // pending is the number of index records in the queue, cancelled or not.
-func (s *Scheduler) pending() int { return len(s.cur) + s.ringN + len(s.far) }
+func (s *Scheduler) pending() int { return len(s.cur) + len(s.side) + s.ringN + len(s.far) }
 
 // New returns an empty scheduler with the clock at time zero.
 func New() *Scheduler {
@@ -677,11 +687,19 @@ func (s *Scheduler) insert(at units.Time, id int32, chain0 units.Time) {
 // one is possible — a run call's last peek may already have activated the
 // next event's bucket when the clock stops short of it — and belongs in cur
 // like the current bucket's records: everything in ring and far fires later.
+// In cur, a record that orders before the run's last extends the run; any
+// other goes into side, since placing it in the run would cost a search and a
+// move of everything after it. On the bfcsim run fence side takes no record
+// on BFC (2.64 M events) and 328 on DCQCN (2.32 M).
 func (s *Scheduler) file(e entry) {
 	switch b := bucketOf(e.at); {
 	case b <= s.curB:
-		s.cur = append(s.cur, e)
-		s.siftUp(s.cur, len(s.cur)-1)
+		if n := len(s.cur); n == 0 || s.entryLess(&e, &s.cur[n-1]) {
+			s.cur = append(s.cur, e)
+		} else {
+			s.side = append(s.side, e)
+			s.siftUp(s.side, len(s.side)-1)
+		}
 	case b-s.curB < ringSize:
 		s.parkEntry(e, b)
 	default:
@@ -890,7 +908,15 @@ func (s *Scheduler) Step() bool {
 // false when the queue is empty or holds only later events.
 func (s *Scheduler) popReady(until units.Time, k *Key) (int32, *slot, units.Time, bool) {
 	for s.peek() {
-		e := &s.cur[0]
+		// cur's earliest record: the run's last, unless side's top orders
+		// before it. Side is empty on almost every pop.
+		fromSide := len(s.side) > 0 && s.sideFirst()
+		var e *entry
+		if fromSide {
+			e = &s.side[0]
+		} else {
+			e = &s.cur[len(s.cur)-1]
+		}
 		id, at := e.slot, e.at
 		c := s.slotAt(id)
 		state := c.state
@@ -901,7 +927,11 @@ func (s *Scheduler) popReady(until units.Time, k *Key) (int32, *slot, units.Time
 		} else if state != slotCancelled && !s.keyBefore(e, k) {
 			break
 		}
-		s.cur = s.popTop(s.cur)
+		if fromSide {
+			s.popSide()
+		} else {
+			s.cur = s.cur[:len(s.cur)-1]
+		}
 		switch state {
 		case slotPending:
 			return id, c, at, true
@@ -961,10 +991,28 @@ func (s *Scheduler) recycle(id int32, c *slot) {
 
 // Calendar front ---------------------------------------------------------------
 
-// peek makes cur[0] the earliest pending record, refilling cur from the next
-// non-empty bucket if it has drained; false means the queue is empty. Every
-// reader of cur[0] goes through it.
-func (s *Scheduler) peek() bool { return len(s.cur) > 0 || s.refill() }
+// peek makes the earlier of the run's last and side's top the earliest
+// pending record, refilling cur from the next non-empty bucket if cur and
+// side have drained; false means the queue is empty. popReady goes through it
+// before every pop.
+func (s *Scheduler) peek() bool { return len(s.cur) > 0 || len(s.side) > 0 || s.refill() }
+
+// sideFirst reports, with side non-empty, whether side's top is cur's
+// earliest record: the run is empty or the top orders before the run's last.
+func (s *Scheduler) sideFirst() bool {
+	n := len(s.cur)
+	return n == 0 || s.entryLess(&s.side[0], &s.cur[n-1])
+}
+
+// popSide removes side's top, cur's earliest record; the tier counter notes
+// a pop that ordered before a run's last (the only way side can be drawn
+// from with the run non-empty).
+func (s *Scheduler) popSide() {
+	if len(s.cur) > 0 {
+		s.tiers.sidePops++
+	}
+	s.side = s.popTop(s.side)
+}
 
 // parked addresses the park record with handle n.
 func (s *Scheduler) parked(n int32) *parked {
@@ -992,11 +1040,12 @@ func (s *Scheduler) parkEntry(e entry, b int64) {
 	s.ringN++
 }
 
-// refill, called with cur empty, makes the earliest non-empty bucket — the
-// next occupied ring bucket or the bucket of far's top, whichever is earlier
-// — the current one: far records the shifted window now covers move into the
-// ring (or straight into cur), then the bucket's chain is heapified into
-// cur. It reports false when ring and far are empty too.
+// refill, called with cur and side empty, makes the earliest non-empty
+// bucket — the next occupied ring bucket or the bucket of far's top,
+// whichever is earlier — the current one: far records the shifted window now
+// covers move into the ring (or straight into cur), then the bucket's chain
+// joins them and sortRun sorts cur. It reports false when ring and far are
+// empty too.
 func (s *Scheduler) refill() bool {
 	b := int64(-1)
 	if s.ringN > 0 {
@@ -1039,18 +1088,58 @@ func (s *Scheduler) refill() bool {
 	}
 	s.ring[i] = 0
 	s.occ[i>>6] &^= 1 << (i & 63)
-	s.heapify(s.cur)
+	s.sortRun()
 	return true
+}
+
+// sortCutoff is the bucket size past which sortRun leaves insertion sort,
+// which calls entryLess directly, for slices.SortFunc. The bfcsim run fence
+// (-topology t2 -load 0.6 -incast, seed 7) sorts 4.7 records per refill on
+// BFC (2.64 M over 561 k refills) and 3.4 on DCQCN; fewer than 1 refill in
+// 200 passes the cutoff, but the largest hold 68 and 477 records, and an
+// incast burst at one instant thousands, which must not cost a quadratic
+// sort.
+const sortCutoff = 16
+
+// sortRun sorts cur latest-first under entryLess, so that the earliest record
+// is last.
+func (s *Scheduler) sortRun() {
+	r := s.cur
+	s.tiers.sorted = max(s.tiers.sorted, len(r))
+	if len(r) > sortCutoff {
+		slices.SortFunc(r, func(a, b entry) int {
+			switch {
+			case a.seq == b.seq:
+				return 0
+			case s.entryLess(&b, &a):
+				return -1
+			}
+			return 1
+		})
+		return
+	}
+	for i := 1; i < len(r); i++ {
+		e := r[i]
+		j := i
+		for ; j > 0 && s.entryLess(&r[j-1], &e); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = e
+	}
 }
 
 // compact drops the lazily-cancelled records from all three tiers, freeing
 // their slots. Called from Cancel once dead records outnumber live ones, so
 // the amortized cost per cancellation is O(1) sift work plus this occasional
-// sweep — over the two heaps and, through the occupancy bitmap, the occupied
-// ring buckets only.
+// sweep — over cur's run and side, far and, through the occupancy bitmap, the
+// occupied ring buckets only. The sweep keeps the run's order; the heaps are
+// heapified again.
 func (s *Scheduler) compact() {
-	s.cur = s.compactHeap(s.cur, &s.tiers.compacted[0])
-	s.far = s.compactHeap(s.far, &s.tiers.compacted[2])
+	s.cur = s.sweep(s.cur, &s.tiers.compacted[0])
+	s.side = s.sweep(s.side, &s.tiers.compacted[0])
+	s.heapify(s.side)
+	s.far = s.sweep(s.far, &s.tiers.compacted[2])
+	s.heapify(s.far)
 	for w, word := range s.occ {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 + bits.TrailingZeros64(word)
@@ -1075,9 +1164,9 @@ func (s *Scheduler) compact() {
 	s.stale = 0
 }
 
-// compactHeap filters the cancelled records out of h in place and restores
-// the heap property over what is left.
-func (s *Scheduler) compactHeap(h []entry, dropped *uint64) []entry {
+// sweep filters the cancelled records out of h in place, keeping the order
+// of the rest, and counts them into dropped.
+func (s *Scheduler) sweep(h []entry, dropped *uint64) []entry {
 	keep := h[:0]
 	for _, e := range h {
 		if s.slotAt(e.slot).state == slotCancelled {
@@ -1087,13 +1176,12 @@ func (s *Scheduler) compactHeap(h []entry, dropped *uint64) []entry {
 		}
 		keep = append(keep, e)
 	}
-	s.heapify(keep)
 	return keep
 }
 
 // 4-ary heap ------------------------------------------------------------------
 //
-// cur and far share one set of primitives over a []entry. A 4-ary layout
+// side and far share one set of primitives over a []entry. A 4-ary layout
 // halves the tree depth of a binary heap, trading slightly more comparisons
 // per level for far fewer cache-missing moves — the standard d-ary trade that
 // wins for pop-heavy workloads on value slices.

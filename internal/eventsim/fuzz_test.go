@@ -29,7 +29,8 @@ import (
 // true key, the event cancel-and-reschedule would have fired.
 //
 // The model never looks at buckets: any disagreement is the three-tier
-// queue's. Keys are derived the way the package comment defines them — a
+// queue's. The one look inside the engine is checkCur after every operation:
+// cur's run must be sorted latest-first and its side a heap. Keys are derived the way the package comment defines them — a
 // child's chain, tags and kids are its parent's shifted one generation — from
 // CurrentKey, which is public API, plus a child counter of the model's own.
 
@@ -310,6 +311,7 @@ func (m *queueModel) stop(i int) {
 
 func (m *queueModel) checkCounts(op string) {
 	m.t.Helper()
+	checkCur(m.t, m.s)
 	m.reach.peak = max(m.reach.peak, m.live)
 	if m.s.live != m.live || m.s.Executed != m.done {
 		m.t.Fatalf("after %s: live = %d, Executed = %d; model %d, %d", op, m.s.live, m.s.Executed, m.live, m.done)
@@ -538,10 +540,11 @@ const (
 
 // queueSeeds is the committed seed corpus. Together the seeds reach refill
 // from the ring and from far, far -> ring migration, compaction with
-// cancelled records in each tier, and both Reset paths, with moved records
-// filed again under a RunBeforeKey threshold and kept by compaction
-// (TestQueueOrderSeedsReachAllTiers), through every entry point the decoder
-// knows.
+// cancelled records in each tier, a bucket sorted past sortCutoff, a pop
+// from cur's side heap over a non-empty run, and both Reset paths, with
+// moved records filed again under a RunBeforeKey threshold and kept by
+// compaction (TestQueueOrderSeedsReachAllTiers), through every entry point
+// the decoder knows.
 func queueSeeds() [][]byte {
 	var compactAll, lateSweep, refills, tree, timers, timerTree, timerKey, timerSweep []byte
 	// Compaction in all three tiers at once: idle records in each tier,
@@ -710,7 +713,8 @@ func FuzzQueueOrder(f *testing.F) {
 
 // TestQueueOrderSeedsReachAllTiers keeps the seed corpus honest: between
 // them, FuzzQueueOrder's seeds must reach every tier, both refill sources,
-// migration and compaction in each tier — so the fuzzer starts from inputs
+// migration and compaction in each tier, both sorts and both parts of cur —
+// so the fuzzer starts from inputs
 // that already cross every seam, and a change to the decoder or the geometry
 // that strands the corpus in cur fails here.
 func TestQueueOrderSeedsReachAllTiers(t *testing.T) {
@@ -719,6 +723,10 @@ func TestQueueOrderSeedsReachAllTiers(t *testing.T) {
 		reach.add(runQueueOps(t, seed))
 	}
 	reach.requireAll(t)
+	if reach.sorted <= sortCutoff || reach.sidePops == 0 {
+		t.Errorf("cur's paths not all reached: largest bucket sorted %d (insertion sort up to %d), %d pops from side over a non-empty run",
+			reach.sorted, sortCutoff, reach.sidePops)
+	}
 	if r := reach.timers; r.lazy == 0 || r.fallback == 0 || r.refiledByKey == 0 || r.movedKept == 0 {
 		t.Errorf("timer paths not all reached: %+v", r)
 	}

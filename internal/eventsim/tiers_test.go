@@ -75,7 +75,24 @@ type timerReach struct {
 	movedKept      uint64 // moved records a compaction swept past
 }
 
-func tierSizes(s *Scheduler) [3]int { return [3]int{len(s.cur), s.ringN, len(s.far)} }
+// tierSizes counts the records in each tier, cur's run and side together.
+func tierSizes(s *Scheduler) [3]int { return [3]int{len(s.cur) + len(s.side), s.ringN, len(s.far)} }
+
+// checkCur fails unless cur's run is sorted latest-first and side is a heap,
+// both under entryLess.
+func checkCur(t *testing.T, s *Scheduler) {
+	t.Helper()
+	for i := 1; i < len(s.cur); i++ {
+		if !s.entryLess(&s.cur[i], &s.cur[i-1]) {
+			t.Fatalf("run out of order at %d of %d: %+v before %+v", i, len(s.cur), s.cur[i-1], s.cur[i])
+		}
+	}
+	for i := 1; i < len(s.side); i++ {
+		if p := (i - 1) / 4; s.entryLess(&s.side[i], &s.side[p]) {
+			t.Fatalf("side is no heap: %d of %d (%+v) orders before its parent %+v", i, len(s.side), s.side[i], s.side[p])
+		}
+	}
+}
 
 // noteInsert records which tier grew since before was snapshotted.
 func (r *tierReach) noteInsert(s *Scheduler, before [3]int) {
@@ -93,6 +110,8 @@ func (r *tierReach) add(o tierReach) {
 	r.refillRing += o.refillRing
 	r.refillFar += o.refillFar
 	r.migrated += o.migrated
+	r.sorted = max(r.sorted, o.sorted)
+	r.sidePops += o.sidePops
 	r.timers.lazy += o.timers.lazy
 	r.timers.fallback += o.timers.fallback
 	r.timers.refiledByKey += o.timers.refiledByKey
@@ -207,14 +226,16 @@ func TestScheduleBelowCurrentBucket(t *testing.T) {
 	if n := s.RunUntil(2 * testBucket); n != 0 || s.Now() != 2*testBucket {
 		t.Fatalf("RunUntil ran %d events, Now %v", n, s.Now())
 	}
-	if s.curB != 5 || len(s.cur) != 1 {
-		t.Fatalf("peek should have activated bucket 5: curB %d, %d records in cur", s.curB, len(s.cur))
+	if s.curB != 5 || tierSizes(s)[0] != 1 {
+		t.Fatalf("peek should have activated bucket 5: curB %d, %d records in cur", s.curB, tierSizes(s)[0])
 	}
 	s.Schedule(3*testBucket, rec("z")) // bucket 3 < curB
 	s.Schedule(s.Now(), rec("y"))      // bucket 2 < curB
 	s.Schedule(5*testBucket+1, rec("x2"))
-	if len(s.cur) != 4 || s.ringN != 0 {
-		t.Fatalf("records at or below the current bucket must go to cur: cur %d, ring %d", len(s.cur), s.ringN)
+	// y and z order before the run's last and extend it; x2 orders after x
+	// and goes to side.
+	if len(s.cur) != 3 || len(s.side) != 1 || s.ringN != 0 {
+		t.Fatalf("records at or below the current bucket must go to cur: run %d, side %d, ring %d; want 3, 1, 0", len(s.cur), len(s.side), s.ringN)
 	}
 	s.Schedule(6*testBucket, rec("w"))
 	if s.ringN != 1 {
@@ -307,8 +328,8 @@ func TestRunBeforeKeyIntoParkedBucket(t *testing.T) {
 		dead := s.Schedule(deadAt, rec("dead"))
 		s.Schedule(5*testBucket+20, rec("live"))
 		s.Cancel(dead)
-		if s.ringN != 2 || len(s.cur) != 0 {
-			t.Fatalf("setup: both records should be parked: ring %d, cur %d", s.ringN, len(s.cur))
+		if s.ringN != 2 || tierSizes(s)[0] != 0 {
+			t.Fatalf("setup: both records should be parked: ring %d, cur %d", s.ringN, tierSizes(s)[0])
 		}
 		k := Key{At: 5*testBucket + 15}
 		if n := s.RunBeforeKey(k); n != 0 {
@@ -386,8 +407,8 @@ func TestHorizonLeavesHalfDrainedBucket(t *testing.T) {
 	if n := s.RunUntil(9*testBucket + 3); n != 2 || s.Now() != 9*testBucket+3 {
 		t.Fatalf("ran %d events to %v, want 2 to %v", n, s.Now(), 9*testBucket+3)
 	}
-	if len(s.cur) != 3 || s.ringN != 1 {
-		t.Fatalf("half-drained bucket: cur %d, ring %d; want 3, 1", len(s.cur), s.ringN)
+	if tierSizes(s)[0] != 3 || s.ringN != 1 {
+		t.Fatalf("half-drained bucket: cur %d, ring %d; want 3, 1", tierSizes(s)[0], s.ringN)
 	}
 	s.Schedule(s.Now(), rec("now"))          // ahead of c in the same bucket
 	s.Schedule(9*testBucket+7, rec("c2"))    // between c and d

@@ -91,20 +91,6 @@ type Key struct {
 	Egress  int
 }
 
-// Stats counts table-level events for the Fig 13 sensitivity experiment.
-type Stats struct {
-	// Inserts is the number of successful entry creations (bucket or cache).
-	Inserts uint64
-	// BucketFull counts inserts that could not use the direct-mapped bucket
-	// and had to try the overflow cache.
-	BucketFull uint64
-	// CacheFull counts inserts that could not be stored at all (caller must
-	// use the overflow queue).
-	CacheFull uint64
-	// MaxOccupancy is the high-water mark of simultaneously active entries.
-	MaxOccupancy int
-}
-
 // Table is the VFID-indexed flow state table. It is not safe for concurrent
 // use; the simulator is single threaded per run.
 type Table struct {
@@ -133,7 +119,6 @@ type Table struct {
 	overflowCap int
 
 	active int
-	stats  Stats
 
 	// free heads the chain of removed entries, most recent first. Flow
 	// activations are the dominant allocation in steady state (one entry per
@@ -284,19 +269,17 @@ func (t *Table) Insert(v packet.VFID, ingress, egress int) (*Entry, InsertResult
 		e.next, t.index[at].head = t.index[at].head, e.slot
 		return e, InsertedBucket
 	}
-	t.stats.BucketFull++
 	if len(t.overflow) < t.overflowCap {
 		e := t.newEntry(v, ingress, egress)
 		e.inOverflow = true
 		t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}] = e
 		return e, InsertedOverflowCache
 	}
-	t.stats.CacheFull++
 	return nil, InsertFailed
 }
 
 // newEntry takes an entry off the free chain, or grows the slab by one, and
-// counts the insert.
+// counts it active.
 func (t *Table) newEntry(v packet.VFID, ingress, egress int) *Entry {
 	var e *Entry
 	if t.free != 0 {
@@ -309,10 +292,6 @@ func (t *Table) newEntry(v packet.VFID, ingress, egress int) *Entry {
 	}
 	*e = Entry{VFID: v, Ingress: ingress, Egress: egress, Queue: -1, slot: e.slot}
 	t.active++
-	t.stats.Inserts++
-	if t.active > t.stats.MaxOccupancy {
-		t.stats.MaxOccupancy = t.active
-	}
 	return e
 }
 

@@ -56,22 +56,49 @@ func TestDuplicateInsertPanics(t *testing.T) {
 	assertPanics(t, func() { tbl.Insert(7, 1, 2) })
 }
 
+// insertCounts tallies what a test observes of a table: the inserts that
+// created an entry, those that found the bucket full, those that found the
+// overflow cache full too, all from Insert's results, and the high-water of
+// Active.
+type insertCounts struct {
+	inserts, bucketFull, cacheFull uint64
+	maxActive                      int
+}
+
+// note tallies one Insert result and the table's Active after it.
+func (c *insertCounts) note(res InsertResult, active int) {
+	switch res {
+	case InsertedBucket:
+		c.inserts++
+	case InsertedOverflowCache:
+		c.inserts++
+		c.bucketFull++
+	case InsertFailed:
+		c.bucketFull++
+		c.cacheFull++
+	}
+	c.maxActive = max(c.maxActive, active)
+}
+
 func TestBucketOverflowToCache(t *testing.T) {
 	tbl := New(8, 2, 3)
+	var c insertCounts
 	// Fill bucket for VFID 1 (bucket size 2).
-	tbl.Insert(1, 0, 0)
-	tbl.Insert(1, 0, 1)
+	for out := 0; out < 2; out++ {
+		_, res := tbl.Insert(1, 0, out)
+		c.note(res, tbl.Active())
+	}
 	// Third entry for same VFID goes to the overflow cache.
 	e, res := tbl.Insert(1, 0, 2)
+	c.note(res, tbl.Active())
 	if res != InsertedOverflowCache || e == nil {
 		t.Fatalf("expected overflow cache insert, got %v", res)
 	}
 	if tbl.Lookup(1, 0, 2) != e {
 		t.Fatal("overflow entry not found by lookup")
 	}
-	st := tbl.stats
-	if st.BucketFull != 1 {
-		t.Fatalf("BucketFull = %d, want 1", st.BucketFull)
+	if c.bucketFull != 1 {
+		t.Fatalf("%d inserts found the bucket full, want 1", c.bucketFull)
 	}
 	// Removing an overflow entry works and frees cache space.
 	tbl.Remove(e)
@@ -82,15 +109,18 @@ func TestBucketOverflowToCache(t *testing.T) {
 
 func TestCacheFull(t *testing.T) {
 	tbl := New(4, 1, 2)
-	tbl.Insert(0, 0, 0) // bucket
-	tbl.Insert(0, 0, 1) // cache 1
-	tbl.Insert(0, 0, 2) // cache 2
+	var c insertCounts
+	for out := 0; out < 3; out++ { // bucket, cache 1, cache 2
+		_, res := tbl.Insert(0, 0, out)
+		c.note(res, tbl.Active())
+	}
 	e, res := tbl.Insert(0, 0, 3)
+	c.note(res, tbl.Active())
 	if res != InsertFailed || e != nil {
 		t.Fatalf("expected InsertFailed, got %v", res)
 	}
-	if tbl.stats.CacheFull != 1 {
-		t.Fatalf("CacheFull = %d, want 1", tbl.stats.CacheFull)
+	if c.cacheFull != 1 {
+		t.Fatalf("%d inserts found the cache full, want 1", c.cacheFull)
 	}
 	if tbl.Active() != 3 {
 		t.Fatalf("active = %d, want 3", tbl.Active())
@@ -144,16 +174,22 @@ func TestPaperSizing(t *testing.T) {
 
 func TestMaxOccupancyTracking(t *testing.T) {
 	tbl := New(64, 4, 10)
-	a, _ := tbl.Insert(1, 0, 0)
-	b, _ := tbl.Insert(2, 0, 0)
-	tbl.Remove(a)
-	tbl.Insert(3, 0, 0)
-	tbl.Remove(b)
-	if tbl.stats.MaxOccupancy != 2 {
-		t.Fatalf("MaxOccupancy = %d, want 2", tbl.stats.MaxOccupancy)
+	var c insertCounts
+	insert := func(v packet.VFID) *Entry {
+		e, res := tbl.Insert(v, 0, 0)
+		c.note(res, tbl.Active())
+		return e
 	}
-	if tbl.stats.Inserts != 3 {
-		t.Fatalf("Inserts = %d, want 3", tbl.stats.Inserts)
+	a := insert(1)
+	b := insert(2)
+	tbl.Remove(a)
+	insert(3)
+	tbl.Remove(b)
+	if c.maxActive != 2 {
+		t.Fatalf("Active peaked at %d, want 2", c.maxActive)
+	}
+	if c.inserts != 3 {
+		t.Fatalf("%d inserts created an entry, want 3", c.inserts)
 	}
 }
 
@@ -169,7 +205,8 @@ func assertPanics(t *testing.T, f func()) {
 
 // Property: seeded random Insert/Lookup/Remove sequences, on a table small
 // enough to pass through bucket-full, the overflow cache and InsertFailed,
-// agree with a map model on every result, on Stats and Active, keep every
+// agree with a map model on every result, on the tallies of those results
+// and on Active and its high-water, keep every
 // live *Entry where it was, hand a removed entry's slot to the next insert,
 // and pass Check.
 func TestTableMatchesReferenceMap(t *testing.T) {
@@ -178,7 +215,7 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := New(vfids, bucketSize, overflowCap)
 		ref := map[Key]*Entry{}
-		var want Stats
+		var got, want insertCounts
 		bucketLen := map[packet.VFID]int{}
 		overflowed := 0
 		var lastRemoved *Entry
@@ -202,14 +239,15 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 			default:
 				wantRes := InsertedBucket
 				if bucketLen[k.VFID] == bucketSize {
-					want.BucketFull++
+					want.bucketFull++
 					wantRes = InsertedOverflowCache
 					if overflowed == overflowCap {
-						want.CacheFull++
+						want.cacheFull++
 						wantRes = InsertFailed
 					}
 				}
 				e, res := tbl.Insert(k.VFID, k.Ingress, k.Egress)
+				got.note(res, tbl.Active())
 				results[res]++
 				if res != wantRes || (e == nil) != (res == InsertFailed) {
 					t.Logf("seed %d op %d: insert %+v = %v, want %v", seed, i, k, res, wantRes)
@@ -229,18 +267,16 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 					return false
 				}
 				ref[k] = e
-				want.Inserts++
+				want.inserts++
 				if res == InsertedBucket {
 					bucketLen[k.VFID]++
 				} else {
 					overflowed++
 				}
-				if len(ref) > want.MaxOccupancy {
-					want.MaxOccupancy = len(ref)
-				}
+				want.maxActive = max(want.maxActive, len(ref))
 			}
-			if tbl.Active() != len(ref) || tbl.stats != want {
-				t.Logf("seed %d op %d: active %d stats %+v, want %d %+v", seed, i, tbl.Active(), tbl.stats, len(ref), want)
+			if tbl.Active() != len(ref) || got != want {
+				t.Logf("seed %d op %d: active %d counts %+v, want %d %+v", seed, i, tbl.Active(), got, len(ref), want)
 				return false
 			}
 			// Every key: live ones resolve to the pointer Insert returned,

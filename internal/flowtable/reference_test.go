@@ -18,7 +18,7 @@ type denseTable struct {
 	overflow    map[Key]*Entry
 	overflowCap int
 	active      int
-	stats       Stats
+	counts      insertCounts
 	free        int32
 }
 
@@ -44,14 +44,14 @@ func (t *denseTable) insert(v packet.VFID, ingress, egress int) (*Entry, InsertR
 		e.next, t.heads[v] = t.heads[v], e.slot
 		return e, InsertedBucket
 	}
-	t.stats.BucketFull++
+	t.counts.bucketFull++
 	if len(t.overflow) < t.overflowCap {
 		e := t.newEntry(v, ingress, egress)
 		e.inOverflow = true
 		t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}] = e
 		return e, InsertedOverflowCache
 	}
-	t.stats.CacheFull++
+	t.counts.cacheFull++
 	return nil, InsertFailed
 }
 
@@ -67,8 +67,8 @@ func (t *denseTable) newEntry(v packet.VFID, ingress, egress int) *Entry {
 	}
 	*e = Entry{VFID: v, Ingress: ingress, Egress: egress, Queue: -1, slot: e.slot}
 	t.active++
-	t.stats.Inserts++
-	t.stats.MaxOccupancy = max(t.stats.MaxOccupancy, t.active)
+	t.counts.inserts++
+	t.counts.maxActive = max(t.counts.maxActive, t.active)
 	return e
 }
 
@@ -94,7 +94,8 @@ func (t *denseTable) remove(e *Entry) {
 // buckets empty and the index frees cells — and requires the same
 // InsertResult, the same entry (every field, slab slot and chain link
 // included, and a removed entry recycled exactly when the model recycles its
-// twin), the same Active and Stats, the same answer to every lookup, and a
+// twin), the same Active, the same tallies of Insert's results and of
+// Active's high-water against the model's own counters, the same answer to every lookup, and a
 // clean Check after every call.
 func FuzzFlowTable(f *testing.F) {
 	const maxOps = 512
@@ -111,6 +112,7 @@ func FuzzFlowTable(f *testing.F) {
 		data = data[:min(len(data), 3+2*maxOps)]
 		numVFIDs, bucketSize, overflowCap := 1+int(data[0]%32), 1+int(data[1]%4), int(data[2]%4)
 		tbl, model := New(numVFIDs, bucketSize, overflowCap), newDenseTable(numVFIDs, bucketSize, overflowCap)
+		var counts insertCounts        // the table's Insert results and Active high-water
 		twin := map[*Entry]*Entry{}    // table entry -> the model's entry for the same slot
 		modelSeen := map[*Entry]bool{} // model entries that have a twin
 		same := func(got, want *Entry) bool {
@@ -128,6 +130,7 @@ func FuzzFlowTable(f *testing.F) {
 			switch {
 			case op&1 == 0 && want == nil:
 				e, res := tbl.Insert(k.VFID, k.Ingress, k.Egress)
+				counts.note(res, tbl.Active())
 				m, mres := model.insert(k.VFID, k.Ingress, k.Egress)
 				what = fmt.Sprintf("op %d: insert %+v = %v", i, k, res)
 				if res != mres || (e == nil) != (m == nil) {
@@ -147,8 +150,8 @@ func FuzzFlowTable(f *testing.F) {
 				model.remove(want)
 				what = fmt.Sprintf("op %d: remove %+v", i, k)
 			}
-			if tbl.Active() != model.active || tbl.stats != model.stats {
-				t.Fatalf("%s: active %d stats %+v, model %d %+v", what, tbl.Active(), tbl.stats, model.active, model.stats)
+			if tbl.Active() != model.active || counts != model.counts {
+				t.Fatalf("%s: active %d counts %+v, model %d %+v", what, tbl.Active(), counts, model.active, model.counts)
 			}
 			if err := tbl.Check(); err != nil {
 				t.Fatalf("%s: %v", what, err)
