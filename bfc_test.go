@@ -11,7 +11,7 @@ import (
 // covers: they run two-rack Clos and cross-DC fabrics.
 func TestPublicAPIQuickstart(t *testing.T) {
 	topo := bfc.NewClos(bfc.ClosConfig{
-		Name: "api", NumToR: 1, NumSpine: 1, HostsPerToR: 8,
+		NumToR: 1, NumSpine: 1, HostsPerToR: 8,
 		LinkRate: 100 * bfc.Gbps, LinkDelay: bfc.Microsecond,
 	})
 	trace, err := bfc.GenerateWorkload(bfc.WorkloadConfig{
@@ -41,7 +41,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPISchemeComparison(t *testing.T) {
-	topo := smallClos("api")
+	topo := smallClos()
 	if len(topo.Hosts()) != 16 {
 		t.Fatal("2 racks of 8 should have 16 hosts")
 	}

@@ -9,9 +9,8 @@ import (
 
 // smallClos is the examples' fabric: 2 racks of 8 hosts, 2 spines, 100 Gbps
 // links.
-func smallClos(name string) *bfc.Topology {
+func smallClos() *bfc.Topology {
 	return bfc.NewClos(bfc.ClosConfig{
-		Name:        name,
 		NumToR:      2,
 		NumSpine:    2,
 		HostsPerToR: 8,
@@ -23,7 +22,7 @@ func smallClos(name string) *bfc.Topology {
 // Run BFC on a small leaf-spine fabric under the Google workload and print
 // the tail-latency table: the minimal end-to-end use of the package.
 func Example_quickstart() {
-	topo := smallClos("quickstart")
+	topo := smallClos()
 
 	// Synthesize 60% load from the Google all-apps flow-size distribution.
 	trace, err := bfc.GenerateWorkload(bfc.WorkloadConfig{
@@ -73,7 +72,7 @@ func Example_quickstart() {
 // unrelated flows close to 1x during the incast, because only the incast
 // flows are paused hop by hop; under end-to-end control they queue behind it.
 func Example_incast() {
-	topo := smallClos("incast-example")
+	topo := smallClos()
 	duration := 400 * bfc.Microsecond
 
 	// 50% background load of small RPCs plus a 15-to-1 incast of 4 MB every
@@ -127,7 +126,6 @@ func Example_incast() {
 func Example_crossDC() {
 	x := bfc.NewCrossDC(bfc.CrossDCConfig{
 		DC: bfc.ClosConfig{
-			Name:        "metro-dc",
 			NumToR:      2,
 			NumSpine:    2,
 			HostsPerToR: 4,
@@ -186,7 +184,7 @@ func Example_crossDC() {
 // DCQCN variants and HPCC are several times worse at the tail, most of all
 // for sub-10KB flows.
 func Example_schemes() {
-	topo := smallClos("schemes-example")
+	topo := smallClos()
 	duration := 400 * bfc.Microsecond
 
 	buckets := []string{"<1KB", "3-10KB", "30-100KB", ">1MB"}

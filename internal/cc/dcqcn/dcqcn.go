@@ -99,7 +99,6 @@ type Controller struct {
 	byteStage      int
 	bytesSinceInc  units.Bytes
 	lastTimerFire  units.Time
-	lastCNP        units.Time
 	haveCNP        bool
 	lastAlphaDecay units.Time
 }
@@ -134,7 +133,6 @@ func (c *Controller) OnCNP(now units.Time) {
 	}
 	c.alpha = (1-c.p.G)*c.alpha + c.p.G
 	c.haveCNP = true
-	c.lastCNP = now
 	c.lastAlphaDecay = now
 	// Reset the increase machinery.
 	c.timerStage = 0

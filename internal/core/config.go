@@ -122,8 +122,6 @@ type Stats struct {
 	// TableOverflowPackets counts packets handled via the per-egress overflow
 	// queue because neither the bucket nor the overflow cache had room.
 	TableOverflowPackets uint64
-	// HighPriorityPackets counts packets placed in the high-priority queue.
-	HighPriorityPackets uint64
 	// DataPackets counts all data packets processed by OnArrival.
 	DataPackets uint64
 	// Pauses and Resumes count per-flow pause/resume transitions.

@@ -187,8 +187,6 @@ func (e *Engine) OnArrival(now units.Time, ingress, egress int, p *packet.Packet
 	if e.cfg.UseHighPriorityQueue && p.First && !entry.Paused && entry.Packets == 0 {
 		entry.Packets++
 		entry.Bytes += p.Size
-		entry.HighPrioPackets++
-		e.stats.HighPriorityPackets++
 		return Placement{HighPriority: true}
 	}
 
@@ -285,9 +283,7 @@ func (e *Engine) OnDeparture(now units.Time, ingress, egress int, pl Placement, 
 	if entry.Packets < 0 || entry.Bytes < 0 {
 		panic("core: negative per-flow packet accounting")
 	}
-	if pl.HighPriority {
-		entry.HighPrioPackets--
-	} else {
+	if !pl.HighPriority {
 		es.bytesPerQueue[pl.Queue] -= p.Size
 		if es.bytesPerQueue[pl.Queue] < 0 {
 			panic("core: negative physical-queue byte accounting")

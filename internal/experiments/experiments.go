@@ -148,8 +148,6 @@ type SlowdownSeries struct {
 	P99BySize map[string]float64
 	// Overall is the p99 slowdown over all flows.
 	Overall float64
-	// Completed and Offered count flows.
-	Completed, Offered int
 }
 
 // FormatSeries renders a set of slowdown curves as an aligned text table.
@@ -181,8 +179,6 @@ func seriesFromResult(label string, res *sim.Result) SlowdownSeries {
 		Label:     label,
 		P99BySize: res.FCT.TailSlowdownBySize(),
 		Overall:   res.FCT.OverallPercentile(99),
-		Completed: res.FlowsCompleted,
-		Offered:   res.FlowsTotal,
 	}
 }
 
@@ -314,16 +310,14 @@ type WorkloadCDFRow struct {
 	BytesWithin1BDP float64
 	// FlowsUnder1KB is the fraction of flows below 1 KB.
 	FlowsUnder1KB float64
-	Points        []workload.CDFPoint
 }
 
 // Fig04WorkloadCDF reproduces Fig 4 from the embedded distributions.
 func Fig04WorkloadCDF() []WorkloadCDFRow {
 	var rows []WorkloadCDFRow
 	for _, cdf := range []*workload.CDF{workload.Google(), workload.FBHadoop(), workload.WebSearch()} {
-		bw := cdf.ByteWeightedCDF()
 		within := 0.0
-		for _, p := range bw {
+		for _, p := range cdf.ByteWeightedCDF() {
 			if p.Size <= 100*units.KB {
 				within = p.Cum
 			}
@@ -332,7 +326,6 @@ func Fig04WorkloadCDF() []WorkloadCDFRow {
 			Workload:        cdf.Name,
 			BytesWithin1BDP: within,
 			FlowsUnder1KB:   cdf.FractionBelow(1 * units.KB),
-			Points:          bw,
 		})
 	}
 	return rows
@@ -735,8 +728,6 @@ type Fig16Row struct {
 	// distribution hold in memory — bounded by the sketch capacity, not the
 	// flow count.
 	StatsSamples int
-	// Events is the number of simulator events executed.
-	Events uint64
 	// Completed / Offered count background flows.
 	Completed, Offered int
 	// Digest is the SHA-256 of the JSON-marshalled Result; identical digests
@@ -809,7 +800,6 @@ func Fig16FromRecords(recs []*harness.Record) []Fig16Row {
 			Utilization:  res.Utilization,
 			BufferP99:    units.Bytes(res.BufferOccupancy.Percentile(99)),
 			StatsSamples: res.FCT.StoredSamples() + res.BufferOccupancy.StoredSamples(),
-			Events:       res.Events,
 			Completed:    res.FlowsCompleted,
 			Offered:      res.FlowsTotal,
 			Digest:       digest,

@@ -94,7 +94,7 @@ func TestFig05TinyRun(t *testing.T) {
 			dcqcn = s
 		}
 	}
-	if bfc.Completed == 0 || dcqcn.Completed == 0 {
+	if res.Raw["BFC"].FlowsCompleted == 0 || res.Raw["DCQCN"].FlowsCompleted == 0 {
 		t.Fatal("schemes completed no flows")
 	}
 	if bfc.Overall > dcqcn.Overall*1.5 {

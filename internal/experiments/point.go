@@ -174,7 +174,7 @@ func (p *point) topology(inter **workload.InterDCConfig) *topology.Topology {
 		}
 		return build()
 	}
-	dc := topology.ClosConfig{Name: "crossdc-dc", LinkRate: rate, LinkDelay: units.Microsecond}
+	dc := topology.ClosConfig{LinkRate: rate, LinkDelay: units.Microsecond}
 	if _, err := fmt.Sscanf(dims, "%dx%dx%d", &dc.NumToR, &dc.NumSpine, &dc.HostsPerToR); err != nil {
 		panic(fmt.Sprintf("experiments: fabric %q: %v", p.Fabric, err))
 	}

@@ -145,7 +145,7 @@ func parseTopology(name string, rate units.Rate) (func() *topology.Topology, err
 		return func() *topology.Topology { return topology.NewFatTree(cfg) }, nil
 	case kind == "clos" && len(dims) == 3:
 		cfg := topology.ClosConfig{
-			Name: name, NumToR: dims[0], NumSpine: dims[1], HostsPerToR: dims[2],
+			NumToR: dims[0], NumSpine: dims[1], HostsPerToR: dims[2],
 			LinkRate: rate, LinkDelay: delay,
 		}
 		if err := cfg.Validate(); err != nil {

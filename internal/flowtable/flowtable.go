@@ -56,11 +56,6 @@ type Entry struct {
 	Packets int
 	Bytes   units.Bytes
 
-	// HighPrioPackets counts packets of this flow currently sitting in the
-	// egress high-priority queue (they are not in the assigned physical
-	// queue).
-	HighPrioPackets int
-
 	// PendingResume marks a paused flow that has been placed on the
 	// "toberesumed" list but whose bloom-filter entry has not yet been
 	// cleared (§3.5: at most a bounded number of flows are resumed per

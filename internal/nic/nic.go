@@ -120,18 +120,16 @@ func (c *Config) Validate() error {
 
 // Stats are per-NIC counters.
 type Stats struct {
-	DataPacketsSent  uint64
-	Retransmissions  uint64
-	AcksSent         uint64
-	NacksSent        uint64
-	CNPsSent         uint64
-	DeliveredBytes   units.Bytes // in-order payload bytes accepted by the receiver
-	DuplicatePackets uint64
-	FlowsStarted     uint64
-	FlowsCompleted   uint64
-	RTOFirings       uint64
-	PausedByPFC      uint64
-	BFCFilterUpdates uint64
+	// DataPacketsSent counts data packets put on the wire, retransmissions
+	// included; the benchmark's NIC microdriver reads it.
+	DataPacketsSent uint64
+	// DeliveredBytes counts in-order payload bytes accepted by the receiver;
+	// the run's utilisation and goodput read it.
+	DeliveredBytes units.Bytes
+	// FlowsStarted and FlowsCompleted count flows begun at the sender and
+	// finished at the receiver. Nothing reads them yet: they are the
+	// conservation term of the per-run invariant check (ROADMAP item 3(a)).
+	FlowsStarted, FlowsCompleted uint64
 }
 
 // senderFlow is the transmit-side state for one flow. A record whose flow is
@@ -273,9 +271,6 @@ func (n *NIC) ReceiveControl(port int, frame netsim.ControlFrame) {
 	switch f := frame.(type) {
 	case netsim.PFCFrame:
 		n.pfcPaused = f.Pause
-		if f.Pause {
-			n.stats.PausedByPFC++
-		}
 		if n.link != nil {
 			n.link.MarkPaused(f.Pause)
 		}
@@ -287,7 +282,6 @@ func (n *NIC) ReceiveControl(port int, frame netsim.ControlFrame) {
 			return
 		}
 		n.upstream.Update(f.Filter)
-		n.stats.BFCFilterUpdates++
 		n.tryTransmit()
 	default:
 		panic(fmt.Sprintf("nic: unknown control frame %T", frame))
@@ -399,13 +393,7 @@ func (n *NIC) sendDataPacket(now units.Time, sf *senderFlow) {
 	p.Payload = payload
 	p.Size = payload + packet.DataHeaderSize
 	p.First = seq == 0
-	p.Last = seq == sf.numPackets-1
-	p.SendTime = now
 	p.Priority = packet.PrioData
-	if seq < sf.acked {
-		p.Retransmit = true
-		n.stats.Retransmissions++
-	}
 	sf.nextSeq++
 	n.stats.DataPacketsSent++
 
@@ -437,10 +425,7 @@ func (n *NIC) onRTO(sf *senderFlow) {
 	if sf.completed || sf.acked >= sf.numPackets {
 		return
 	}
-	if sf.nextSeq > sf.acked {
-		n.stats.RTOFirings++
-		sf.nextSeq = sf.acked
-	}
+	sf.nextSeq = min(sf.nextSeq, sf.acked)
 	sf.rto.Reset(n.cfg.RTO)
 	n.tryTransmit()
 }
@@ -481,7 +466,6 @@ func (n *NIC) receiveData(p *packet.Packet) {
 		if !rf.haveCNP || now-rf.lastCNP >= n.cfg.CNPInterval {
 			rf.haveCNP = true
 			rf.lastCNP = now
-			n.stats.CNPsSent++
 			cnp := n.pool.Get()
 			cnp.Kind = packet.CNP
 			cnp.Flow = p.Flow
@@ -511,7 +495,6 @@ func (n *NIC) receiveData(p *packet.Packet) {
 		n.sendAck(p, rf)
 	case p.Seq > rf.expected:
 		// Out of order: Go-Back-N receivers drop and NACK the expected seq.
-		n.stats.NacksSent++
 		nack := n.pool.Get()
 		nack.Kind = packet.Nack
 		nack.Flow = p.Flow
@@ -521,7 +504,6 @@ func (n *NIC) receiveData(p *packet.Packet) {
 		n.sendControl(nack)
 	default:
 		// Duplicate of an already-delivered packet: re-ACK.
-		n.stats.DuplicatePackets++
 		n.sendAck(p, rf)
 	}
 }
@@ -539,7 +521,6 @@ func (n *NIC) sendAck(dataPkt *packet.Packet, rf *receiverFlow) {
 		// this handler returns. The ack's own INT backing array is reused.
 		ack.INT = append(ack.INT[:0], dataPkt.INT...)
 	}
-	n.stats.AcksSent++
 	n.sendControl(ack)
 }
 

@@ -95,9 +95,6 @@ func TestPFCPauseStopsDataAndResumeReleasesIt(t *testing.T) {
 	if got := len(tn.peer.kind(packet.Data)); got != 0 {
 		t.Fatalf("PFC-paused NIC transmitted %d data packets", got)
 	}
-	if tn.nic.Stats().PausedByPFC != 1 {
-		t.Fatalf("PausedByPFC = %d, want 1", tn.nic.Stats().PausedByPFC)
-	}
 
 	tn.nic.ReceiveControl(0, netsim.PFCFrame{Pause: false})
 	tn.sched.RunUntil(200 * units.Microsecond)
@@ -133,9 +130,6 @@ func TestBFCBloomFilterPausesOnlyMatchingFlow(t *testing.T) {
 	tn.nic.StartFlow(paused)
 	tn.nic.StartFlow(other)
 	tn.sched.RunUntil(100 * units.Microsecond)
-	if tn.nic.Stats().BFCFilterUpdates != 1 {
-		t.Fatalf("BFCFilterUpdates = %d, want 1", tn.nic.Stats().BFCFilterUpdates)
-	}
 	for _, p := range tn.peer.kind(packet.Data) {
 		if p.Flow.ID == paused.ID {
 			t.Fatal("paused flow transmitted while its VFID was in the filter")
@@ -200,8 +194,8 @@ func TestReceiverAcksNacksAndCompletion(t *testing.T) {
 		})
 	})
 	tn.sched.RunUntil(200 * units.Microsecond)
-	if tn.nic.Stats().DuplicatePackets != 1 {
-		t.Fatalf("DuplicatePackets = %d, want 1", tn.nic.Stats().DuplicatePackets)
+	if tn.nic.Stats().DeliveredBytes != 3000 {
+		t.Fatalf("DeliveredBytes after duplicate = %v, want 3000", tn.nic.Stats().DeliveredBytes)
 	}
 	if len(tn.completed) != 1 {
 		t.Fatal("duplicate delivery re-fired the completion callback")

@@ -164,28 +164,21 @@ type Packet struct {
 	// BFC switch places such packets in the per-egress high-priority queue
 	// (§3.7).
 	First bool
-	// Last marks the final data packet of a flow.
-	Last bool
-	// Retransmit marks Go-Back-N retransmissions (excluded from goodput).
-	Retransmit bool
-
-	// SendTime is when the packet first left the sending NIC (retransmissions
-	// keep the original flow start for slowdown accounting but refresh this).
-	SendTime units.Time
 
 	// INT is the HPCC telemetry stack; nil unless HPCC is enabled. On an Ack
 	// it is the reflected stack from the data packet being acknowledged.
 	INT []INTHop
 
-	// Priority is the scheduling class assigned at the sender.
+	// Priority is written by the sending NIC and read by nothing: the
+	// scheduler classes packets by Kind and First. It stays until the
+	// benchmark's NIC microdriver stops writing it.
 	Priority Priority
 
-	// ArrivalPort and EnqueueTime are simulator-transient bookkeeping fields,
-	// valid only while the packet is queued at a single device and rewritten
-	// at every hop. They let a switch recover, at dequeue time, which ingress
-	// the packet used and how long it queued, without a second lookup.
+	// ArrivalPort is simulator-transient bookkeeping, valid only while the
+	// packet is queued at a single device and rewritten at every hop. It lets
+	// a switch recover, at dequeue time, which ingress the packet used
+	// without a second lookup.
 	ArrivalPort int
-	EnqueueTime units.Time
 
 	// pooled marks packets sitting in a Pool free-list; Pool.Put uses it to
 	// detect double-recycling (two devices believing they own the packet).

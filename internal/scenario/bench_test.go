@@ -14,7 +14,7 @@ import (
 // built-in shape.
 func benchClos() *topology.Topology {
 	return topology.NewClos(topology.ClosConfig{
-		Name: "bench", NumToR: 8, NumSpine: 8, HostsPerToR: 16,
+		NumToR: 8, NumSpine: 8, HostsPerToR: 16,
 		LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
 	})
 }

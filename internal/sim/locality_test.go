@@ -16,7 +16,7 @@ import (
 // node keeps its ID and its ports.
 func withIdleBranch(t *testing.T, topo *topology.Topology) *topology.Topology {
 	t.Helper()
-	b := topology.NewBuilder(topo.Name + "+branch")
+	b := &topology.Builder{}
 	spine := packet.NodeID(-1)
 	for _, n := range topo.Nodes() {
 		b.AddNode(n.Kind, n.Tier, n.Name)

@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -135,7 +136,7 @@ func TestShardedParityFatTree(t *testing.T) {
 		{hosts: 16, pods: 2, shards: []int{2}},
 	} {
 		topo := topology.NewFatTree(topology.FatTreeForHosts(tc.hosts, 100*units.Gbps, units.Microsecond))
-		if pods := topology.PlanShards(topo, 1).Pods; pods != tc.pods {
+		if pods := podCount(topo); pods != tc.pods {
 			t.Fatalf("%d hosts: expected %d pods, got %d", tc.hosts, tc.pods, pods)
 		}
 		flows := fatTreeFlows(t, topo, 60*units.Microsecond)
@@ -162,7 +163,7 @@ func TestShardedParityFatTree(t *testing.T) {
 func TestShardAutoOnOneCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo := topology.NewFatTree(topology.FatTreeForHosts(64, 100*units.Gbps, units.Microsecond))
-	if pods := topology.PlanShards(topo, 1).Pods; pods < 2 {
+	if pods := podCount(topo); pods < 2 {
 		t.Fatalf("64-host fat-tree has %d pods; the test needs a fabric that partitions", pods)
 	}
 	opts := DefaultOptions(SchemeBFC, topo)
@@ -435,3 +436,6 @@ func TestShardedCrossShardStrandParity(t *testing.T) {
 		})
 	}
 }
+
+// podCount is the topology's pod count: a shard plan clamps its request to it.
+func podCount(topo *topology.Topology) int { return topology.PlanShards(topo, math.MaxInt).Shards }

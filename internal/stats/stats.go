@@ -103,14 +103,6 @@ func (d *Distribution) Mean() float64 {
 	return d.sum / float64(d.count)
 }
 
-// Max returns the largest sample (0 when empty).
-func (d *Distribution) Max() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	return d.max
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) using
 // nearest-rank-with-interpolation over the reservoir; 0 when empty. The
 // extremes (p = 0, 100) are the tracked minimum and maximum.
@@ -257,7 +249,6 @@ type BucketRow struct {
 	P50    float64
 	P95    float64
 	P99    float64
-	Max    float64
 }
 
 // Rows returns one row per non-empty bucket, in size order.
@@ -275,7 +266,6 @@ func (c *FCTCollector) Rows() []BucketRow {
 			P50:    d.Percentile(50),
 			P95:    d.Percentile(95),
 			P99:    d.Percentile(99),
-			Max:    d.Max(),
 		})
 	}
 	return rows

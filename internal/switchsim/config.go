@@ -116,6 +116,8 @@ func (c *Config) Validate() error {
 // Stats are the per-switch counters the evaluation reports.
 type Stats struct {
 	// DataPacketsIn / DataPacketsOut count data packets received / forwarded.
+	// Nothing reads DataPacketsOut yet: it is the conservation term of the
+	// per-run invariant check (ROADMAP item 3(a)).
 	DataPacketsIn  uint64
 	DataPacketsOut uint64
 	// Drops counts data packets dropped at admission (shared buffer full).

@@ -48,7 +48,7 @@ func TestHopRTTIsLocal(t *testing.T) {
 			continue
 		}
 		want := t2HRTT
-		if slices.Contains(x.Gateways[:], node.ID) {
+		if node.Tier == topology.TierGateway {
 			want = gatewayHRTT
 		}
 		cfg := newBFCSwitch(x.Topology, node, 8).Engine().Config()

@@ -246,7 +246,6 @@ func (s *Switch) LinkRate(egress int) units.Rate {
 func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 	now := s.sched.Now()
 	p.ArrivalPort = ingress
-	p.EnqueueTime = now
 	egress := s.routePort(p)
 	if egress < 0 {
 		// Transiently unroutable (a scenario just failed this packet's only

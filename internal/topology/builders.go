@@ -10,7 +10,6 @@ import (
 // ClosConfig parameterizes a two-tier leaf-spine (folded Clos) topology like
 // the paper's T1 and T2.
 type ClosConfig struct {
-	Name        string
 	NumToR      int
 	NumSpine    int
 	HostsPerToR int
@@ -41,7 +40,7 @@ func NewClos(c ClosConfig) *Topology {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	b := NewBuilder(c.Name)
+	b := &Builder{}
 	spines := make([]packet.NodeID, 0, c.NumSpine)
 	for s := 0; s < c.NumSpine; s++ {
 		spines = append(spines, b.AddNode(Switch, TierSpine, fmt.Sprintf("spine%d", s)))
@@ -66,7 +65,6 @@ func NewClos(c ClosConfig) *Topology {
 // spines.
 func T1Config() ClosConfig {
 	return ClosConfig{
-		Name:        "T1",
 		NumToR:      8,
 		NumSpine:    8,
 		HostsPerToR: 16,
@@ -78,7 +76,6 @@ func T1Config() ClosConfig {
 // T2Config returns the small topology: 64 hosts, 4 ToRs x 16 hosts, 8 spines.
 func T2Config() ClosConfig {
 	return ClosConfig{
-		Name:        "T2",
 		NumToR:      4,
 		NumSpine:    8,
 		HostsPerToR: 16,
@@ -107,7 +104,7 @@ func NewSingleSwitch(c SingleSwitchConfig) *Topology {
 	if c.LinkRate <= 0 {
 		panic("topology: link rate must be positive")
 	}
-	b := NewBuilder(fmt.Sprintf("star-%d", c.NumHosts))
+	b := &Builder{}
 	sw := b.AddNode(Switch, TierToR, "sw0")
 	for h := 0; h < c.NumHosts; h++ {
 		host := b.AddNode(Host, TierHost, fmt.Sprintf("h%d", h))
@@ -136,8 +133,6 @@ type CrossDC struct {
 	*Topology
 	// HostsDC1 and HostsDC2 are the hosts in each data center.
 	HostsDC1, HostsDC2 []packet.NodeID
-	// Gateways are the two gateway switch node IDs.
-	Gateways [2]packet.NodeID
 }
 
 // NewCrossDC builds two copies of the DC config joined by gateway switches.
@@ -152,7 +147,7 @@ func NewCrossDC(c CrossDCConfig) *CrossDC {
 	if dcToGw == 0 {
 		dcToGw = c.DC.LinkRate
 	}
-	b := NewBuilder("crossdc")
+	b := &Builder{}
 	out := &CrossDC{}
 
 	buildDC := func(dcIdx int) (hosts []packet.NodeID, gateway packet.NodeID) {
@@ -181,7 +176,6 @@ func NewCrossDC(c CrossDCConfig) *CrossDC {
 	h2, g2 := buildDC(1)
 	b.AddLink(g1, g2, c.GatewayRate, c.GatewayDelay)
 	out.HostsDC1, out.HostsDC2 = h1, h2
-	out.Gateways = [2]packet.NodeID{g1, g2}
 	out.Topology = b.Build()
 	return out
 }

@@ -10,7 +10,7 @@ import (
 func dynClos(t *testing.T) *Topology {
 	t.Helper()
 	return NewClos(ClosConfig{
-		Name: "dyn", NumToR: 3, NumSpine: 3, HostsPerToR: 4,
+		NumToR: 3, NumSpine: 3, HostsPerToR: 4,
 		LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
 	})
 }

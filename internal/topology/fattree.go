@@ -25,7 +25,6 @@ import (
 // tiers); the paper-style 2:1 oversubscribed fabrics set HostsPerEdge =
 // 2*AggPerPod and CorePerAgg = EdgePerPod/2.
 type FatTreeConfig struct {
-	Name         string
 	Pods         int
 	EdgePerPod   int
 	AggPerPod    int
@@ -74,11 +73,7 @@ func NewFatTree(c FatTreeConfig) *Topology {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	name := c.Name
-	if name == "" {
-		name = fmt.Sprintf("fattree-%d", c.NumHosts())
-	}
-	b := NewBuilder(name)
+	b := &Builder{}
 	cores := make([]packet.NodeID, 0, c.NumCore())
 	for s := 0; s < c.NumCore(); s++ {
 		cores = append(cores, b.AddNode(Switch, TierSpine, fmt.Sprintf("core%d", s)))
@@ -131,6 +126,5 @@ func FatTreeForHosts(hosts int, rate units.Rate, delay units.Time) FatTreeConfig
 	if cfg.Pods < 2 {
 		cfg.Pods = 2
 	}
-	cfg.Name = fmt.Sprintf("fattree-%d", cfg.NumHosts())
 	return cfg
 }

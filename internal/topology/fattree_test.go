@@ -13,7 +13,7 @@ import (
 func testFatTree(t *testing.T) *Topology {
 	t.Helper()
 	return NewFatTree(FatTreeConfig{
-		Name: "ft-test", Pods: 4, EdgePerPod: 2, AggPerPod: 2,
+		Pods: 4, EdgePerPod: 2, AggPerPod: 2,
 		HostsPerEdge: 4, CorePerAgg: 2,
 		LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
 	})

@@ -60,8 +60,6 @@ type ShardPlan struct {
 	// Shards is the effective shard count (requested count clamped to the
 	// number of pods; never below 1).
 	Shards int
-	// Pods is the number of pods detected in the topology.
-	Pods int
 	// Assign maps every node ID to its shard index.
 	Assign []int
 	// Lookahead is the minimum delay over all cross-shard links, 0 when the
@@ -69,8 +67,6 @@ type ShardPlan struct {
 	// delivery emitted during a window arrives no earlier than the next
 	// barrier, which is what makes barrier-synchronized execution exact.
 	Lookahead units.Time
-	// CrossLinks counts directed cross-shard links (diagnostics).
-	CrossLinks int
 }
 
 // PlanShards partitions t into at most shards shards. The request is clamped
@@ -86,7 +82,7 @@ func PlanShards(t *Topology, shards int) *ShardPlan {
 	if shards < 1 {
 		shards = 1
 	}
-	p := &ShardPlan{Shards: shards, Pods: pods, Assign: make([]int, t.NumNodes())}
+	p := &ShardPlan{Shards: shards, Assign: make([]int, t.NumNodes())}
 	core := 0
 	for i, c := range comp {
 		if c >= 0 {
@@ -96,27 +92,21 @@ func PlanShards(t *Topology, shards int) *ShardPlan {
 		p.Assign[i] = core % shards
 		core++
 	}
-	p.Lookahead, p.CrossLinks = p.boundaryStats(t)
+	p.Lookahead = p.minCrossDelay(t)
 	return p
 }
 
-// boundaryStats scans all links and returns the minimum cross-shard delay and
-// the number of directed cross-shard links.
-func (p *ShardPlan) boundaryStats(t *Topology) (units.Time, int) {
+// minCrossDelay scans all links and returns the minimum cross-shard delay.
+func (p *ShardPlan) minCrossDelay(t *Topology) units.Time {
 	var min units.Time
-	cross := 0
 	for _, n := range t.Nodes() {
 		for _, port := range n.Ports {
-			if p.Assign[n.ID] == p.Assign[port.Peer] {
-				continue
-			}
-			cross++
-			if min == 0 || port.Delay < min {
+			if p.Assign[n.ID] != p.Assign[port.Peer] && (min == 0 || port.Delay < min) {
 				min = port.Delay
 			}
 		}
 	}
-	return min, cross
+	return min
 }
 
 // Validate checks the plan's structural invariants and panics on violation:

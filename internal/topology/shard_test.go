@@ -50,8 +50,8 @@ func TestPlanShardsStructure(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 3, 4} {
 		p := PlanShards(topo, shards)
-		if p.Shards != shards || p.Pods != pods {
-			t.Fatalf("PlanShards(%d): Shards=%d Pods=%d", shards, p.Shards, p.Pods)
+		if p.Shards != shards {
+			t.Fatalf("PlanShards(%d): Shards=%d", shards, p.Shards)
 		}
 		p.Validate(topo)
 		// Every node assigned exactly once, in range.
@@ -107,11 +107,11 @@ func TestPlanShardsClamping(t *testing.T) {
 func TestPlanShardsSingleShardDegenerate(t *testing.T) {
 	star := NewSingleSwitch(SingleSwitchConfig{NumHosts: 8, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})
 	p := PlanShards(star, 4) // one pod: cannot split
-	if p.Shards != 1 || p.Pods != 1 {
-		t.Fatalf("star plan: Shards=%d Pods=%d, want 1/1", p.Shards, p.Pods)
+	if p.Shards != 1 {
+		t.Fatalf("star plan: Shards=%d, want 1", p.Shards)
 	}
-	if p.Lookahead != 0 || p.CrossLinks != 0 {
-		t.Fatalf("star plan: Lookahead=%v CrossLinks=%d, want 0/0", p.Lookahead, p.CrossLinks)
+	if _, cross := crossStats(star, p); p.Lookahead != 0 || cross != 0 {
+		t.Fatalf("star plan: Lookahead=%v cross links=%d, want 0/0", p.Lookahead, cross)
 	}
 	p.Validate(star)
 }
@@ -124,15 +124,12 @@ func TestPlanShardsLookahead(t *testing.T) {
 		if p.Lookahead != wantMin {
 			t.Fatalf("PlanShards(%d): Lookahead=%v, recomputed min boundary delay %v", shards, p.Lookahead, wantMin)
 		}
-		if p.CrossLinks != wantCross {
-			t.Fatalf("PlanShards(%d): CrossLinks=%d, recomputed %d", shards, p.CrossLinks, wantCross)
-		}
 		// Uniform fabric: the minimum is the common link delay, and at least
 		// one directed link must cross once the topology is split.
 		if p.Lookahead != units.Microsecond {
 			t.Fatalf("PlanShards(%d): Lookahead=%v, want 1us", shards, p.Lookahead)
 		}
-		if p.CrossLinks == 0 {
+		if wantCross == 0 {
 			t.Fatalf("PlanShards(%d): no cross links in a split plan", shards)
 		}
 	}
@@ -167,8 +164,8 @@ func TestPlanShardsCrossSymmetry(t *testing.T) {
 	topo := NewT2()
 	p := PlanShards(topo, 4)
 	// Directed cross-link count must be even: links cross in pairs.
-	if p.CrossLinks%2 != 0 {
-		t.Fatalf("CrossLinks=%d, want even", p.CrossLinks)
+	if _, cross := crossStats(topo, p); cross%2 != 0 {
+		t.Fatalf("%d cross links, want even", cross)
 	}
 }
 

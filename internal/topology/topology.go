@@ -113,7 +113,6 @@ type Node struct {
 // scratch buffers the Topology owns. (The sharded engine calls it from the
 // coordinator, with every shard parked at a barrier.)
 type Topology struct {
-	Name  string
 	nodes []*Node
 	hosts []packet.NodeID
 
@@ -182,15 +181,12 @@ func (t *Topology) Hosts() []packet.NodeID { return t.hosts }
 // NumNodes returns the total node count.
 func (t *Topology) NumNodes() int { return len(t.nodes) }
 
-// Builder accumulates nodes and links before routing is computed. Every
-// built-in fabric is made with one; a fabric of another shape can be too.
+// Builder accumulates nodes and links before routing is computed; its zero
+// value is an empty topology. Every built-in fabric is made with one; a fabric
+// of another shape can be too.
 type Builder struct {
-	name  string
 	nodes []*Node
 }
-
-// NewBuilder starts an empty topology with the given name.
-func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
 // AddNode adds a node and returns its ID: IDs are dense, in the order added.
 func (b *Builder) AddNode(kind Kind, tier Tier, name string) packet.NodeID {
@@ -213,7 +209,7 @@ func (b *Builder) AddLink(x, y packet.NodeID, rate units.Rate, delay units.Time)
 // Build computes routing tables and returns the immutable topology. Every
 // host must have exactly one link, to a switch.
 func (b *Builder) Build() *Topology {
-	t := &Topology{Name: b.name, nodes: b.nodes}
+	t := &Topology{nodes: b.nodes}
 	for _, n := range b.nodes {
 		if n.Kind == Host {
 			t.hosts = append(t.hosts, n.ID)

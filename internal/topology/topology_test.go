@@ -140,7 +140,7 @@ func TestSingleSwitchAndDumbbell(t *testing.T) {
 // dumbbell builds two switches joined by one bottleneck link, with hosts
 // hosts on each side (l0 r0 l1 r1 ...), every link 1 µs long.
 func dumbbell(hosts int, edge, bottleneck units.Rate) *Topology {
-	b := NewBuilder("dumbbell")
+	b := &Builder{}
 	left := b.AddNode(Switch, TierToR, "left")
 	right := b.AddNode(Switch, TierToR, "right")
 	b.AddLink(left, right, bottleneck, units.Microsecond)
@@ -176,7 +176,10 @@ func TestCrossDC(t *testing.T) {
 		t.Fatalf("intra-DC RTT = %v, want < 10us", intra)
 	}
 	// Inter-DC paths traverse both gateways.
-	gw := x.Gateways[0]
+	gw, ok := x.NodeByName("gw0")
+	if !ok {
+		t.Fatal("gateway gw0 not found")
+	}
 	if topoTier := x.Node(gw).Tier; topoTier != TierGateway {
 		t.Fatalf("gateway tier = %v", topoTier)
 	}
@@ -213,7 +216,6 @@ func assertPanics(t *testing.T, f func()) {
 func TestRoutingProperties(t *testing.T) {
 	prop := func(nTor, nSpine, nHosts uint8, srcIdx, dstIdx uint16) bool {
 		cfg := ClosConfig{
-			Name:        "prop",
 			NumToR:      int(nTor%3) + 1,
 			NumSpine:    int(nSpine%3) + 1,
 			HostsPerToR: int(nHosts%3) + 1,

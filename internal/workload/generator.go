@@ -98,9 +98,8 @@ func (c *Config) Validate() error {
 // information used by the statistics pipeline.
 type Trace struct {
 	Flows []*packet.Flow
-	// BackgroundBytes and IncastBytes split the offered load.
+	// BackgroundBytes is the offered load's non-incast share.
 	BackgroundBytes units.Bytes
-	IncastBytes     units.Bytes
 	// OfferedLoad is the realized background load fraction (for verification
 	// against the configured target).
 	OfferedLoad float64
@@ -190,7 +189,6 @@ func Generate(cfg Config) (*Trace, error) {
 				nextFlowID++
 				port++
 				tr.Flows = append(tr.Flows, f)
-				tr.IncastBytes += perSender
 			}
 		}
 	}

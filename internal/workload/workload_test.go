@@ -261,11 +261,12 @@ func TestGenerateIncast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incastFlows := 0
+	incastFlows, incastBytes := 0, units.Bytes(0)
 	perEvent := map[units.Time][]*packet.Flow{}
 	for _, f := range tr.Flows {
 		if f.IsIncast {
 			incastFlows++
+			incastBytes += f.Size
 			perEvent[f.StartTime] = append(perEvent[f.StartTime], f)
 		}
 	}
@@ -297,7 +298,7 @@ func TestGenerateIncast(t *testing.T) {
 	// Incast bytes should be roughly 5% of capacity: allow wide tolerance
 	// because events are whole 20MB quanta.
 	capacityBytes := float64(cfg.HostRate) / 8 * float64(len(cfg.Hosts)) * cfg.Duration.Seconds()
-	frac := float64(tr.IncastBytes) / capacityBytes
+	frac := float64(incastBytes) / capacityBytes
 	if frac < 0.02 || frac > 0.09 {
 		t.Fatalf("incast load fraction = %.3f, want ~0.05", frac)
 	}

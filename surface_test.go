@@ -1,6 +1,7 @@
 package bfc_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -10,8 +11,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,26 +31,28 @@ var surfaceKeep = map[string]string{
 	"internal/topology.Topology.EgressPort": "routes the flow-level reference model like the simulator (ROADMAP item 6)",
 }
 
+// fieldKeep lists the fields that stay without a reader outside tests, each
+// with the reason it stays, named as TestEveryFieldIsRead reports them.
+var fieldKeep = map[string]string{
+	"internal/nic.Stats.FlowsStarted":         "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
+	"internal/nic.Stats.FlowsCompleted":       "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
+	"internal/switchsim.Stats.DataPacketsOut": "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
+	"internal/packet.Packet.Priority":         "bench/micro.go writes it; it goes with the benchmark change of ROADMAP item 17",
+	"internal/eventsim.Scheduler.live":        "the arena and edge tests read it: pending events net of cancellations",
+	"internal/eventsim.tierCounts.refillRing": "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
+	"internal/eventsim.tierCounts.refillFar":  "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
+	"internal/eventsim.tierCounts.migrated":   "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
+	"internal/eventsim.tierCounts.sidePops":   "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
+	"bench.yardstick.sink":                    "keeps the yardstick's loads from being optimised away; bench/ changes only with the benchmark",
+}
+
 // TestEveryExportHasACaller type-checks the module and the benchmark module
 // and fails on an exported top-level name or method that no non-test code
 // uses. The Examples in example_test.go count as callers: they are the root
 // package's documented use. A method counts as used when its type implements
 // an interface of the tree, error, or one of stdInterfaces, that declares it.
 func TestEveryExportHasACaller(t *testing.T) {
-	c := newSurfaceChecker()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		_, err = c.check(path)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := checkedTree(t)
 	var unused []string
 	for _, key := range c.unused(t) {
 		if _, ok := surfaceKeep[key]; !ok {
@@ -65,6 +70,74 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// TestEveryFieldIsRead fails on a struct field of the tree that no non-test
+// code reads. A selector reads its field unless it is the operand of an
+// assignment or of ++/--; a composite-literal key only writes. The fields of
+// a struct compared with == or != or used as a map key are read, and so are
+// embedded fields and the exported fields of a JSON wire form: a struct with
+// a json tag, or a type passed to one of encoding/json's encoders.
+func TestEveryFieldIsRead(t *testing.T) {
+	c := checkedTree(t)
+	var unread []string
+	for _, key := range c.unreadFields() {
+		if _, ok := fieldKeep[key]; !ok {
+			unread = append(unread, key)
+		}
+	}
+	for key := range fieldKeep {
+		if v, ok := c.fields[key]; !ok || c.read[v] {
+			t.Errorf("fieldKeep lists %s, which is gone or has a reader: drop the entry", key)
+		}
+	}
+	if len(unread) > 0 {
+		t.Errorf("%d fields are written but never read outside tests; delete them or give each a reason in fieldKeep:\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
+	}
+}
+
+// TestFieldCheckerFlagsWriteOnlyShapes runs the field check on
+// testdata/writeonly, which holds one field of each shape: only assigned, only
+// incremented, only set by a composite-literal key, read through == on its
+// struct, and read by a selector. Exactly the first three are unread.
+func TestFieldCheckerFlagsWriteOnlyShapes(t *testing.T) {
+	c := newSurfaceChecker()
+	if _, err := c.check("testdata/writeonly"); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(c.unreadFields(), " ")
+	if want := "testdata/writeonly.T.Assigned testdata/writeonly.T.Incremented testdata/writeonly.T.Keyed"; got != want {
+		t.Errorf("unread fields = %q, want %q", got, want)
+	}
+}
+
+var (
+	treeOnce sync.Once
+	tree     *surfaceChecker
+	treeErr  error
+)
+
+// checkedTree type-checks the module and bench/ once per test process, for
+// both surface tests.
+func checkedTree(t *testing.T) *surfaceChecker {
+	treeOnce.Do(func() {
+		tree = newSurfaceChecker()
+		treeErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			_, err = tree.check(path)
+			return err
+		})
+	})
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
+}
+
 type surfaceChecker struct {
 	fset   *token.FileSet
 	std    types.Importer
@@ -72,6 +145,9 @@ type surfaceChecker struct {
 	decls  map[string]types.Object   // exported names declared in the tree
 	used   map[types.Object]bool
 	ifaces []*types.Interface
+	fields map[string]*types.Var // fields declared in the tree, "pkg.Type.Field"
+	read   map[*types.Var]bool
+	wired  map[types.Type]bool // JSON wire forms already marked read
 }
 
 func newSurfaceChecker() *surfaceChecker {
@@ -79,6 +155,7 @@ func newSurfaceChecker() *surfaceChecker {
 	return &surfaceChecker{
 		fset: fset, std: importer.ForCompiler(fset, "source", nil),
 		pkgs: map[string]*types.Package{}, decls: map[string]types.Object{}, used: map[types.Object]bool{},
+		fields: map[string]*types.Var{}, read: map[*types.Var]bool{}, wired: map[types.Type]bool{},
 	}
 }
 
@@ -150,7 +227,10 @@ func (c *surfaceChecker) check(dir string) (*types.Package, error) {
 }
 
 func (c *surfaceChecker) typeCheck(path string, files []*ast.File) (*types.Package, error) {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: c}
 	pkg, err := conf.Check(path, c.fset, files, info)
 	if err != nil {
@@ -162,7 +242,160 @@ func (c *surfaceChecker) typeCheck(path string, files []*ast.File) (*types.Packa
 		}
 		c.used[obj] = true
 	}
+	if !strings.HasSuffix(path, "_test") {
+		c.declareFields(strings.TrimPrefix(strings.TrimPrefix(path, "bfc"), "/"), files, info)
+	}
+	for _, f := range files {
+		c.markReads(f, info)
+	}
 	return pkg, nil
+}
+
+// declareFields records the named fields of the structs files declare (an
+// embedded field counts as read, so it is not recorded). A field of a named
+// type is "pkg.Type.Field", of a struct nested in its declaration
+// "pkg.Type.Outer.Field", and of any other struct "pkg.file:line.Field". A
+// struct with a json tag is a wire form.
+func (c *surfaceChecker) declareFields(rel string, files []*ast.File, info *types.Info) {
+	var name func(prefix string, e ast.Expr)
+	name = func(prefix string, e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.StarExpr:
+			name(prefix, e.X)
+		case *ast.ArrayType:
+			name(prefix, e.Elt)
+		case *ast.MapType:
+			name(prefix, e.Value)
+		case *ast.StructType:
+			for _, f := range e.Fields.List {
+				for _, id := range f.Names {
+					if v, ok := info.Defs[id].(*types.Var); ok && id.Name != "_" {
+						c.fields[prefix+"."+id.Name] = v
+					}
+					name(prefix+"."+id.Name, f.Type)
+				}
+			}
+			if st, ok := info.TypeOf(e).(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+						c.wire(st)
+						break
+					}
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				name(rel+"."+n.Name.Name, n.Type)
+				return false
+			case *ast.StructType:
+				p := c.fset.Position(n.Pos())
+				name(fmt.Sprintf("%s.%s:%d", rel, filepath.Base(p.Filename), p.Line), n)
+				return false
+			}
+			return true
+		})
+	}
+}
+
+// jsonEncoders are encoding/json's functions and methods that read the fields
+// of the value they are given.
+var jsonEncoders = map[string]bool{"Marshal": true, "MarshalIndent": true, "Encode": true}
+
+// markReads records the fields f reads.
+func (c *surfaceChecker) markReads(f *ast.File, info *types.Info) {
+	writes := map[*ast.SelectorExpr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						writes[sel] = true
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+				writes[sel] = true
+			}
+		case *ast.SelectorExpr:
+			if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !writes[n] {
+				c.read[s.Obj().(*types.Var).Origin()] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				c.compared(info.TypeOf(n.X))
+			}
+		case *ast.MapType:
+			c.compared(info.TypeOf(n.Key))
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" && jsonEncoders[fn.Name()] {
+				for _, arg := range n.Args {
+					c.wire(info.TypeOf(arg))
+				}
+			}
+		}
+		return true
+	})
+}
+
+// compared marks read every field a comparison of t's values reads.
+func (c *surfaceChecker) compared(t types.Type) {
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		c.compared(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			c.read[u.Field(i).Origin()] = true
+			c.compared(u.Field(i).Type())
+		}
+	}
+}
+
+// wire marks read the exported fields encoding/json reads when it encodes a
+// value of type t.
+func (c *surfaceChecker) wire(t types.Type) {
+	if t == nil || c.wired[t] {
+		return
+	}
+	c.wired[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		c.wire(u.Elem())
+	case *types.Slice:
+		c.wire(u.Elem())
+	case *types.Array:
+		c.wire(u.Elem())
+	case *types.Map:
+		c.wire(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if f := u.Field(i); f.Exported() || f.Embedded() {
+				c.read[f.Origin()] = true
+				c.wire(f.Type())
+			}
+		}
+	}
+}
+
+// unreadFields returns the declared fields nothing outside tests reads, sorted.
+func (c *surfaceChecker) unreadFields() []string {
+	var out []string
+	for key, v := range c.fields {
+		if !c.read[v] {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // declare records pkg's exported top-level names and the exported methods of
