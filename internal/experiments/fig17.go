@@ -2,11 +2,11 @@ package experiments
 
 // Figure 17 (companion figure, not in the paper): congestion dynamics through
 // an incast, per scheme. The series sampler captures the data-plane time
-// series (goodput, buffer occupancy, pause fractions) and the run's device
-// counters total the control plane (PFC and BFC pauses, queue assignments,
-// drops); the figure renders both as a table. It is the observability
-// analogue of Fig 6: instead of scalar pause-time totals, the full
-// trajectory. The flight recorder only observes: bfcsim -fig 17 -trace-dir
+// series (per-switch buffer occupancy, per-link-class pause fractions) and
+// the run's device counters total the control plane (PFC and BFC pauses,
+// queue assignments, drops); the figure renders both as a table. It is the
+// observability analogue of Fig 6: instead of scalar pause-time totals, the
+// full trajectory. The flight recorder only observes: bfcsim -fig 17 -trace-dir
 // exports the same runs' raw events, and no number printed here reads them.
 
 import (
@@ -21,10 +21,12 @@ import (
 // Fig17Row is one scheme's congestion-dynamics trajectory.
 type Fig17Row struct {
 	Scheme string
-	// Series is the run's sampled time-series bundle (goodput, utilization,
-	// pause fractions, per-switch occupancy).
+	// Series is the run's sampled time-series bundle: per-switch occupancy,
+	// per-link-class pause fractions and events per tick. An older record's
+	// bundle may carry more series; the figure reads only the first two kinds.
 	Series *telemetry.RunSeries
-	// PeakBuffer is the maximum shared-buffer occupancy across switches.
+	// PeakBuffer is the maximum shared-buffer occupancy across switches and
+	// ticks (Result.MaxBufferOccupancy, the maximum of the buffer series).
 	PeakBuffer units.Bytes
 	// PeakPauseFraction is the worst per-link-class pause fraction sampled in
 	// any tick.
@@ -68,16 +70,14 @@ func Fig17FromRecords(recs []*harness.Record) []Fig17Row {
 		row := Fig17Row{
 			Scheme:           rec.Scheme,
 			Series:           res.Telemetry,
+			PeakBuffer:       res.MaxBufferOccupancy,
 			PFCPauses:        res.PFCPauses,
 			BFCPauses:        res.Pauses,
 			QueueAssignments: res.Assignments,
 			Drops:            res.Drops,
 			P99:              res.FCT.OverallPercentile(99),
 		}
-		buffers, pauses := fig17Series(row.Series)
-		for _, s := range buffers {
-			row.PeakBuffer = max(row.PeakBuffer, units.Bytes(s.Max()))
-		}
+		_, pauses := fig17Series(row.Series)
 		for _, s := range pauses {
 			row.PeakPauseFraction = max(row.PeakPauseFraction, s.Max())
 		}

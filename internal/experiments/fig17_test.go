@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bfc/internal/harness"
@@ -42,6 +44,10 @@ func TestFig17Dynamics(t *testing.T) {
 		}
 		if r.Series == nil || len(r.Series.Series) == 0 {
 			t.Fatalf("%s: no sampled series", r.Scheme)
+		}
+		if kinds := seriesKinds(r.Series); len(kinds) != 3 || kinds["fabric/events_per_tick"] != 1 ||
+			kinds["links/*/pause_fraction"] == 0 || kinds["switch/*/buffer_bytes"] == 0 {
+			t.Errorf("%s: series kinds %v, want events_per_tick once and the pause_fraction and buffer_bytes series", r.Scheme, kinds)
 		}
 		if r.PeakBuffer <= 0 {
 			t.Errorf("%s: peak buffer occupancy not observed", r.Scheme)
@@ -92,5 +98,96 @@ func TestFig17Dynamics(t *testing.T) {
 		if len(doc.TraceEvents) == 0 {
 			t.Fatalf("%s: empty trace", r.Scheme)
 		}
+	}
+}
+
+// seriesKinds counts a bundle's series by name, the middle element of a
+// three-part name replaced by "*".
+func seriesKinds(rs *telemetry.RunSeries) map[string]int {
+	kinds := map[string]int{}
+	for _, s := range rs.Series {
+		parts := strings.Split(s.Name, "/")
+		if len(parts) == 3 {
+			parts[1] = "*"
+		}
+		kinds[strings.Join(parts, "/")]++
+	}
+	return kinds
+}
+
+// TestFig17RendersOlderBundles: a record written when the sampler kept seven
+// kinds of series (goodput, active flows, per-class utilization and per-switch
+// max queue besides the three kept ones) and every series carried a start time must
+// render the same Fig 17 rows and timeline as one that carries only the kept
+// series. The extra series hold values above any occupancy or pause fraction,
+// so a renderer that read one would print a different row.
+func TestFig17RendersOlderBundles(t *testing.T) {
+	recs := runJobs(t, Fig17Jobs(Tiny(), []sim.Scheme{sim.SchemeDCQCN}))
+	blob, err := json.Marshal(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(blob []byte) *harness.Record {
+		var rec harness.Record
+		if err := json.Unmarshal(blob, &rec); err != nil {
+			t.Fatal(err)
+		}
+		return &rec
+	}
+	kept := decode(blob)
+
+	// The older bundle, in the order the older sampler built it.
+	rs := kept.Result.Telemetry
+	n := len(rs.Series[0].Samples)
+	series := func(name string, samples []float64) map[string]any {
+		return map[string]any{"name": name, "start": 0, "interval": rs.Interval, "samples": samples}
+	}
+	filled := func(v float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	var events map[string]any
+	var util, pause, switches []map[string]any
+	for _, s := range rs.Series {
+		switch {
+		case s.Name == "fabric/events_per_tick":
+			events = series(s.Name, s.Samples)
+		case strings.HasSuffix(s.Name, "/pause_fraction"):
+			util = append(util, series(strings.TrimSuffix(s.Name, "pause_fraction")+"utilization", filled(1.5)))
+			pause = append(pause, series(s.Name, s.Samples))
+		default:
+			switches = append(switches, series(s.Name, s.Samples),
+				series(strings.TrimSuffix(s.Name, "buffer_bytes")+"max_queue_bytes", filled(1e12)))
+		}
+	}
+	old := []map[string]any{series("fabric/goodput_gbps", filled(1e12)), series("fabric/active_flows", filled(1e12)), events}
+	old = append(append(append(old, util...), pause...), switches...)
+
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["result"].(map[string]any)["Telemetry"] = map[string]any{"interval": rs.Interval, "series": old}
+	oldBlob, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := decode(oldBlob)
+	if got := len(older.Result.Telemetry.Series); got != len(old) {
+		t.Fatalf("older bundle holds %d series, want %d", got, len(old))
+	}
+
+	a, b := Fig17FromRecords([]*harness.Record{kept})[0], Fig17FromRecords([]*harness.Record{older})[0]
+	if !reflect.DeepEqual(Fig17Timeline(a, 8), Fig17Timeline(b, 8)) {
+		t.Errorf("timelines differ:\n%+v\n%+v", Fig17Timeline(a, 8), Fig17Timeline(b, 8))
+	}
+	a.Series, b.Series = nil, nil
+	if a != b {
+		t.Errorf("rows differ:\n%+v\n%+v", a, b)
 	}
 }

@@ -95,7 +95,6 @@ type Link struct {
 	pendingDone func()
 
 	// Statistics.
-	busyTime    units.Time
 	pausedSince units.Time
 	pausedTotal units.Time
 	isPaused    bool
@@ -188,7 +187,6 @@ func (l *Link) Transmit(p *packet.Packet, onDone func()) {
 	}
 	l.busy = true
 	ser := units.SerializationTime(p.Size, l.rate)
-	l.busyTime += ser
 	// The busy-link panic above guarantees at most one serialization is in
 	// flight, so a single pendingDone field (consumed by serDone) suffices.
 	l.pendingDone = onDone
@@ -248,6 +246,3 @@ func (l *Link) PausedTime() units.Time {
 	}
 	return total
 }
-
-// BusyTime returns the cumulative serialization time.
-func (l *Link) BusyTime() units.Time { return l.busyTime }

@@ -124,7 +124,7 @@ type Stats struct {
 	// included; the benchmark's NIC microdriver reads it.
 	DataPacketsSent uint64
 	// DeliveredBytes counts in-order payload bytes accepted by the receiver;
-	// the run's utilisation and goodput read it.
+	// the run's utilisation reads it.
 	DeliveredBytes units.Bytes
 	// FlowsStarted and FlowsCompleted count flows begun at the sender and
 	// finished at the receiver. Nothing reads them yet: they are the
@@ -228,9 +228,6 @@ func (n *NIC) Link() *netsim.Link { return n.link }
 
 // Stats returns a copy of the NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
-
-// ActiveSenders returns the number of flows with unsent or unacked data.
-func (n *NIC) ActiveSenders() int { return len(n.sendOrder) }
 
 // StartFlow begins transmitting a flow originating at this host.
 func (n *NIC) StartFlow(f *packet.Flow) {

@@ -228,14 +228,14 @@ func TestPrivateSlabRunsFlowsInTurn(t *testing.T) {
 		tn.nic.StartFlow(second)
 	}()
 	ack(first, 2)
-	if got := tn.nic.ActiveSenders(); got != 0 {
-		t.Fatalf("ActiveSenders = %d after the first flow's last ACK, want 0", got)
+	if got := nic.SendOrderLen(tn.nic); got != 0 {
+		t.Fatalf("%d flows in the send order after the first flow's last ACK, want 0", got)
 	}
 	tn.nic.StartFlow(second)
 	ack(first, 2) // late duplicate of the first flow's last ACK
 	tn.sched.RunUntil(20 * units.Microsecond)
-	if got := tn.nic.ActiveSenders(); got != 1 {
-		t.Fatalf("ActiveSenders = %d with the second flow unacknowledged, want 1", got)
+	if got := nic.SendOrderLen(tn.nic); got != 1 {
+		t.Fatalf("%d flows in the send order with the second flow unacknowledged, want 1", got)
 	}
 	if sent := len(tn.peer.kind(packet.Data)); sent != 5 {
 		t.Fatalf("sent %d data packets, want 2 + 3", sent)

@@ -32,9 +32,6 @@ type FIFO struct {
 	// and answers ActiveQueues from the bitmap instead of scanning every queue.
 	drr *DRR
 	idx int
-
-	// MaxBytes is the high-water mark of queued bytes (diagnostics).
-	MaxBytes units.Bytes
 }
 
 // Push appends a packet.
@@ -44,9 +41,6 @@ func (q *FIFO) Push(p *packet.Packet) {
 	}
 	q.packets = append(q.packets, p)
 	q.bytes += p.Size
-	if q.bytes > q.MaxBytes {
-		q.MaxBytes = q.bytes
-	}
 	if q.drr != nil && !q.paused && q.Len() == 1 {
 		q.drr.setReady(q.idx)
 	}

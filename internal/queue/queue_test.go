@@ -25,9 +25,6 @@ func TestFIFOBasics(t *testing.T) {
 	if q.Len() != 3 || q.Bytes() != 600 {
 		t.Fatalf("len=%d bytes=%d", q.Len(), q.Bytes())
 	}
-	if q.MaxBytes != 600 {
-		t.Fatalf("MaxBytes = %d, want 600", q.MaxBytes)
-	}
 	if q.Head() != a {
 		t.Fatal("head should be first pushed")
 	}

@@ -159,9 +159,9 @@ type Options struct {
 	// or figure reads the ring (experiments' TestRecordsIgnoreObservers holds
 	// every figure to that). Nil disables recording at zero cost.
 	Recorder *telemetry.Ring
-	// SampleSeries attaches bounded time series (per-switch occupancy,
-	// per-link-class utilization and pause fractions, active flows, goodput)
-	// to Result.Telemetry, sampled on the run's statistics tick (period
+	// SampleSeries attaches time series (per-switch buffer occupancy,
+	// per-link-class pause fractions, executed events per tick) to
+	// Result.Telemetry, one sample per statistics tick (period
 	// bufferSampleInterval) so no extra simulator events are created. Off by
 	// default; the Telemetry field is omitted from the Result JSON when off,
 	// keeping golden digests unchanged.

@@ -179,7 +179,6 @@ func sampleTick(res *Result, sws []*switchsim.Switch, series *seriesSampler) {
 		}
 		if series != nil {
 			series.swBuffer[i].Append(float64(occ))
-			series.swMaxQ[i].Append(float64(q))
 		}
 	}
 	if series != nil {

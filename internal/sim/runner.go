@@ -83,9 +83,9 @@ type Result struct {
 	// nil otherwise.
 	Scenario *scenario.Metrics `json:"Scenario,omitempty"`
 
-	// Telemetry carries the bounded time-series bundle when
-	// Options.SampleSeries was set; nil (and absent from the JSON) otherwise,
-	// so untraced results stay byte-identical to pre-telemetry ones. Digest
+	// Telemetry carries the time-series bundle when Options.SampleSeries
+	// was set; nil (and absent from the JSON) otherwise, so untraced
+	// results stay byte-identical to pre-telemetry ones. Digest
 	// comparisons across the on/off boundary use ResultDigest, which excludes
 	// this field.
 	Telemetry *telemetry.RunSeries `json:"Telemetry,omitempty"`

@@ -131,6 +131,4 @@ type Stats struct {
 	PFCPausesSent uint64
 	// BFCFramesSent counts bloom-filter pause frames sent upstream.
 	BFCFramesSent uint64
-	// MaxBufferUsed is the high-water mark of the shared buffer.
-	MaxBufferUsed units.Bytes
 }

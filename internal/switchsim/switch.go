@@ -282,9 +282,6 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 		return
 	}
 	s.bufferUsed += p.Size
-	if s.bufferUsed > s.stats.MaxBufferUsed {
-		s.stats.MaxBufferUsed = s.bufferUsed
-	}
 	s.ports[ingress].ingressBytes += p.Size
 
 	// ECN marking against the egress port occupancy (RED on the instantaneous

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
@@ -151,43 +150,5 @@ func TestChromeTraceBalancedAndParseable(t *testing.T) {
 		if n != 0 {
 			t.Errorf("unbalanced B/E on pid=%d tid=%d: %+d", tr.pid, tr.tid, n)
 		}
-	}
-}
-
-func TestSeriesBounded(t *testing.T) {
-	s := NewSeries("x", 0, units.Microsecond, 8)
-	for i := 0; i < 1000; i++ {
-		s.Append(1.0)
-	}
-	if len(s.Samples) > 8 {
-		t.Fatalf("series grew to %d samples", len(s.Samples))
-	}
-	if s.Interval <= units.Microsecond {
-		t.Fatalf("interval %v did not stretch", s.Interval)
-	}
-	for _, v := range s.Samples {
-		if math.Abs(v-1.0) > 1e-9 {
-			t.Fatalf("decimation changed a constant series: %v", s.Samples)
-		}
-	}
-	// Time coverage: the last stored sample may lag the newest tick by up to
-	// two stretched intervals (one full window plus a partial pending one).
-	last := s.At(len(s.Samples) - 1)
-	if last+2*s.Interval < 1000*units.Microsecond {
-		t.Fatalf("series covers only up to %v at interval %v", last, s.Interval)
-	}
-}
-
-func TestSeriesDeterministic(t *testing.T) {
-	build := func() *Series {
-		s := NewSeries("x", 0, units.Microsecond, 16)
-		for i := 0; i < 333; i++ {
-			s.Append(float64(i % 17))
-		}
-		return s
-	}
-	a, b := build(), build()
-	if !reflect.DeepEqual(a.Samples, b.Samples) || a.Interval != b.Interval {
-		t.Fatal("two identical sample streams produced different series")
 	}
 }

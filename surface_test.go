@@ -43,6 +43,7 @@ var fieldKeep = map[string]string{
 	"internal/eventsim.tierCounts.refillFar":  "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"internal/eventsim.tierCounts.migrated":   "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"internal/eventsim.tierCounts.sidePops":   "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
+	"internal/eventsim.tierCounts.sorted":     "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"bench.yardstick.sink":                    "keeps the yardstick's loads from being optimised away; bench/ changes only with the benchmark",
 }
 
@@ -72,7 +73,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 // TestEveryFieldIsRead fails on a struct field of the tree that no non-test
 // code reads. A selector reads its field unless it is the operand of an
-// assignment or of ++/--; a composite-literal key only writes. The fields of
+// assignment or of ++/--, or the field a high-water update compares (see
+// markReads); a composite-literal key only writes. The fields of
 // a struct compared with == or != or used as a map key are read, and so are
 // embedded fields and the exported fields of a JSON wire form: a struct with
 // a json tag, or a type passed to one of encoding/json's encoders.
@@ -97,15 +99,17 @@ func TestEveryFieldIsRead(t *testing.T) {
 
 // TestFieldCheckerFlagsWriteOnlyShapes runs the field check on
 // testdata/writeonly, which holds one field of each shape: only assigned, only
-// incremented, only set by a composite-literal key, read through == on its
-// struct, and read by a selector. Exactly the first three are unread.
+// incremented, only set by a composite-literal key, only raised by an if
+// high-water update, only raised by max, read by a guard whose if does more
+// than set it, read through == on its struct, and read by a selector. Exactly
+// the first five are unread.
 func TestFieldCheckerFlagsWriteOnlyShapes(t *testing.T) {
 	c := newSurfaceChecker()
 	if _, err := c.check("testdata/writeonly"); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Join(c.unreadFields(), " ")
-	if want := "testdata/writeonly.T.Assigned testdata/writeonly.T.Incremented testdata/writeonly.T.Keyed"; got != want {
+	if want := "testdata/writeonly.T.Assigned testdata/writeonly.T.HighWater testdata/writeonly.T.Incremented testdata/writeonly.T.Keyed testdata/writeonly.T.Peak"; got != want {
 		t.Errorf("unread fields = %q, want %q", got, want)
 	}
 }
@@ -305,11 +309,17 @@ func (c *surfaceChecker) declareFields(rel string, files []*ast.File, info *type
 // of the value they are given.
 var jsonEncoders = map[string]bool{"Marshal": true, "MarshalIndent": true, "Encode": true}
 
-// markReads records the fields f reads.
+// markReads records the fields f reads. A high-water update reads its field
+// only to write it again, so neither `if v > x.f { x.f = v }` (that one
+// assignment, no else) nor `x.f = max(x.f, v)` (or min) counts as a read.
 func (c *surfaceChecker) markReads(f *ast.File, info *types.Info) {
 	writes := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			if sel := highWaterIf(n); sel != nil {
+				writes[sel] = true
+			}
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
 				for _, lhs := range n.Lhs {
@@ -317,6 +327,9 @@ func (c *surfaceChecker) markReads(f *ast.File, info *types.Info) {
 						writes[sel] = true
 					}
 				}
+			}
+			if sel := highWaterCall(n, info); sel != nil {
+				writes[sel] = true
 			}
 		case *ast.IncDecStmt:
 			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
@@ -345,6 +358,58 @@ func (c *surfaceChecker) markReads(f *ast.File, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// highWaterIf returns the selector x.f that `if v > x.f { x.f = v }` compares
+// (any ordering operator, either side), or nil for any other if statement.
+func highWaterIf(n *ast.IfStmt) *ast.SelectorExpr {
+	if n.Init != nil || n.Else != nil || len(n.Body.List) != 1 {
+		return nil
+	}
+	as, ok := n.Body.List[0].(*ast.AssignStmt)
+	cond, isBin := ast.Unparen(n.Cond).(*ast.BinaryExpr)
+	if !ok || !isBin || as.Tok != token.ASSIGN || len(as.Lhs) != 1 {
+		return nil
+	}
+	switch cond.Op {
+	case token.GTR, token.GEQ, token.LSS, token.LEQ:
+	default:
+		return nil
+	}
+	lhs, rhs := types.ExprString(as.Lhs[0]), types.ExprString(as.Rhs[0])
+	for _, side := range [][2]ast.Expr{{cond.X, cond.Y}, {cond.Y, cond.X}} {
+		sel, ok := ast.Unparen(side[0]).(*ast.SelectorExpr)
+		if ok && types.ExprString(sel) == lhs && types.ExprString(side[1]) == rhs {
+			return sel
+		}
+	}
+	return nil
+}
+
+// highWaterCall returns the selector x.f that `x.f = max(x.f, v)` (or min)
+// passes back to the builtin, or nil for any other assignment.
+func highWaterCall(n *ast.AssignStmt, info *types.Info) *ast.SelectorExpr {
+	if n.Tok != token.ASSIGN || len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+		return nil
+	}
+	call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if b, ok := info.Uses[fn].(*types.Builtin); !ok || (b.Name() != "max" && b.Name() != "min") {
+		return nil
+	}
+	lhs := types.ExprString(n.Lhs[0])
+	for _, arg := range call.Args {
+		if sel, ok := ast.Unparen(arg).(*ast.SelectorExpr); ok && types.ExprString(sel) == lhs {
+			return sel
+		}
+	}
+	return nil
 }
 
 // compared marks read every field a comparison of t's values reads.
