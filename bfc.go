@@ -4,20 +4,11 @@
 // (Goyal et al.) and the baselines it is evaluated against (DCQCN, DCQCN+Win,
 // DCQCN+Win+SFQ, HPCC, Ideal-FQ).
 //
-// The typical workflow is:
-//
-//	topo := bfc.NewClos(bfc.ClosConfig{Name: "c", NumToR: 2, NumSpine: 2,
-//	        HostsPerToR: 8, LinkRate: 100 * bfc.Gbps, LinkDelay: bfc.Microsecond})
-//	trace, _ := bfc.GenerateWorkload(bfc.WorkloadConfig{
-//	        Hosts: topo.Hosts(), CDF: bfc.GoogleWorkload(), Load: 0.6,
-//	        HostRate: 100 * bfc.Gbps, Duration: bfc.Millisecond, Seed: 1,
-//	})
-//	opts := bfc.DefaultOptions(bfc.SchemeBFC, topo)
-//	res, _ := bfc.Run(opts, trace.Flows)
-//	fmt.Println(res.FCT.Rows())
-//
-// The package's Examples (go test -run Example .) run this and the paper's
-// main comparisons at example scale. The experiments that regenerate every
+// Example_quickstart (example_test.go) is the typical workflow: build a
+// fabric, generate a workload, run BFC and print its tail-latency table. The
+// compiler checks it and go test checks its output; it and the other
+// Examples (go test -run Example .) run the paper's main comparisons at
+// example scale. The experiments that regenerate every
 // figure of the paper live in internal/experiments and are runnable through
 // cmd/bfcsim -fig.
 package bfc
@@ -31,13 +22,8 @@ import (
 	"bfc/internal/workload"
 )
 
-// Time and Bytes re-export the simulator units.
-type (
-	// Time is a simulated duration or instant in picoseconds.
-	Time = units.Time
-	// Bytes is a byte count.
-	Bytes = units.Bytes
-)
+// Time is a simulated duration or instant in picoseconds.
+type Time = units.Time
 
 // Common unit constants.
 const (
@@ -93,7 +79,7 @@ func Run(opts Options, flows []*Flow) (*Result, error) { return sim.Run(opts, fl
 
 // IdealFCT returns the unloaded-network completion time used to normalize FCT
 // slowdowns.
-func IdealFCT(topo *Topology, mtu Bytes, f *Flow) Time { return sim.IdealFCT(topo, mtu, f) }
+func IdealFCT(topo *Topology, f *Flow) Time { return sim.IdealFCT(topo, f) }
 
 // NewClos builds an arbitrary two-tier Clos.
 func NewClos(cfg ClosConfig) *Topology { return topology.NewClos(cfg) }

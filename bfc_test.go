@@ -56,7 +56,7 @@ func TestPublicAPISchemeComparison(t *testing.T) {
 	// Ideal FCT of a 100 KB same-rack flow at 100 Gbps is ~10 us.
 	hosts := topo.Hosts()
 	f := &bfc.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], Size: 100 << 10}
-	ideal := bfc.IdealFCT(topo, 1000, f)
+	ideal := bfc.IdealFCT(topo, f)
 	if ideal < 8*bfc.Microsecond || ideal > 14*bfc.Microsecond {
 		t.Fatalf("ideal FCT = %v, want ~10us", ideal)
 	}

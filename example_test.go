@@ -164,7 +164,7 @@ func Example_crossDC() {
 			if f.FinishTime == 0 {
 				continue
 			}
-			slow := max(1, float64(f.FCT())/float64(bfc.IdealFCT(x.Topology, opts.MTU, f)))
+			slow := max(1, float64(f.FCT())/float64(bfc.IdealFCT(x.Topology, f)))
 			if inter.IsInterDC(f) {
 				interDC.Add(slow)
 			} else {

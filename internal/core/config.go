@@ -34,7 +34,8 @@ type Config struct {
 	OverflowCacheSize int
 
 	// QueuesPerPort is the number of physical data queues per egress port
-	// (32 in the paper; swept 8–128 in Fig 12).
+	// (32 in the paper; swept 8–128 in Fig 12). switchsim.New sets it to the
+	// switch's NumQueues.
 	QueuesPerPort int
 
 	// Bloom configures the pause-frame bloom filters (128 B, 4 hashes).
@@ -56,13 +57,9 @@ type Config struct {
 	// first packet of each flow (§3.7).
 	UseHighPriorityQueue bool
 
-	// ResumePerInterval is the maximum number of flows resumed per physical
-	// queue per pause-frame interval (1 in the paper, i.e. two per HRTT).
-	ResumePerInterval int
-
-	// ResumeAll disables the resume throttling (the BFC-BufferOpt ablation of
-	// Fig 10): every paused flow of a physical queue is resumed as soon as
-	// the queue drops below the pause threshold.
+	// ResumeAll disables the resume throttling of resumePerInterval (the
+	// BFC-BufferOpt ablation of Fig 10): every paused flow of a physical
+	// queue is resumed as soon as the queue drops below the pause threshold.
 	ResumeAll bool
 
 	// Salt salts the flow hash that picks a physical queue when every queue
@@ -70,6 +67,10 @@ type Config struct {
 	// switch.
 	Salt uint64
 }
+
+// resumePerInterval is the number of flows resumed per physical queue per
+// pause-frame interval τ (§3.5): one, i.e. two per HRTT.
+const resumePerInterval = 1
 
 // DefaultConfig returns the configuration used by the paper's main
 // experiments (§4.1).
@@ -84,7 +85,6 @@ func DefaultConfig() Config {
 		Tau:                  1 * units.Microsecond,
 		DynamicAssignment:    true,
 		UseHighPriorityQueue: true,
-		ResumePerInterval:    1,
 		ResumeAll:            false,
 	}
 }
@@ -102,9 +102,6 @@ func (c Config) Validate() error {
 	}
 	if c.HRTT <= 0 || c.Tau <= 0 {
 		return fmt.Errorf("core: HRTT and Tau must be positive")
-	}
-	if c.ResumePerInterval <= 0 && !c.ResumeAll {
-		return fmt.Errorf("core: ResumePerInterval must be positive")
 	}
 	return nil
 }

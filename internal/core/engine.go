@@ -34,6 +34,10 @@ type Placement struct {
 	// Queue is the physical data queue index; valid only when neither
 	// HighPriority nor Overflow is set.
 	Queue int
+	// Assigned reports that this arrival assigned Queue to a newly active
+	// flow, and Collided that the assignment collided (see
+	// Stats.CollidedAssignments). OnDeparture ignores both.
+	Assigned, Collided bool
 }
 
 // PauseFrame is a bloom-filter pause frame to be sent upstream out of the
@@ -191,13 +195,15 @@ func (e *Engine) OnArrival(now units.Time, ingress, egress int, p *packet.Packet
 	}
 
 	// Assign a physical queue if the flow does not have one yet.
+	pl := Placement{Queue: entry.Queue}
 	if entry.Queue < 0 {
-		q := e.assignQueue(es, p.Flow, egress)
-		entry.Queue = q
-		es.flowsPerQueue[q]++
-		es.entriesPerQueue[q] = append(es.entriesPerQueue[q], entry)
+		pl.Queue, pl.Collided = e.assignQueue(es, p.Flow)
+		pl.Assigned = true
+		entry.Queue = pl.Queue
+		es.flowsPerQueue[pl.Queue]++
+		es.entriesPerQueue[pl.Queue] = append(es.entriesPerQueue[pl.Queue], entry)
 	}
-	q := entry.Queue
+	q := pl.Queue
 	entry.Packets++
 	entry.Bytes += p.Size
 	es.bytesPerQueue[q] += p.Size
@@ -213,31 +219,34 @@ func (e *Engine) OnArrival(now units.Time, ingress, egress int, p *packet.Packet
 			e.stats.Pauses++
 		}
 	}
-	return Placement{Queue: q}
+	return pl
 }
 
-// assignQueue picks the physical queue for a newly active flow.
-func (e *Engine) assignQueue(es *egressState, f *packet.Flow, egress int) int {
+// assignQueue picks the physical queue for a newly active flow and reports
+// whether another active flow already holds it.
+func (e *Engine) assignQueue(es *egressState, f *packet.Flow) (q int, collided bool) {
 	e.stats.Assignments++
-	if !e.cfg.DynamicAssignment {
+	if e.cfg.DynamicAssignment {
+		// Dynamic assignment: prefer an empty physical queue.
+		for q, n := range es.flowsPerQueue {
+			if n == 0 && es.bytesPerQueue[q] == 0 {
+				return q, false
+			}
+		}
+		// Every queue is occupied: fall back to a "random" queue (§3.3),
+		// which is a collision by definition. The draw is the flow hash under
+		// the switch's own salt, so switches choose independently of one
+		// another, as ECMP does.
+		q, collided = int(f.Hash(e.cfg.Salt)%uint64(e.cfg.QueuesPerPort)), true
+	} else {
 		// Straw proposal (BFC-VFID): static hash, collisions and all.
-		q := f.QueueOf(e.cfg.QueuesPerPort)
-		if es.flowsPerQueue[q] > 0 {
-			e.stats.CollidedAssignments++
-		}
-		return q
+		q = f.QueueOf(e.cfg.QueuesPerPort)
+		collided = es.flowsPerQueue[q] > 0
 	}
-	// Dynamic assignment: prefer an empty physical queue.
-	for q, n := range es.flowsPerQueue {
-		if n == 0 && es.bytesPerQueue[q] == 0 {
-			return q
-		}
+	if collided {
+		e.stats.CollidedAssignments++
 	}
-	// Every queue is occupied: fall back to a "random" queue (§3.3), which is
-	// a collision by definition. The draw is the flow hash under the switch's
-	// own salt, so switches choose independently of one another, as ECMP does.
-	e.stats.CollidedAssignments++
-	return int(f.Hash(e.cfg.Salt) % uint64(e.cfg.QueuesPerPort))
+	return q, collided
 }
 
 // pauseThreshold returns Th for a physical queue at the egress port.
@@ -367,7 +376,7 @@ func (e *Engine) resumeQueueFlows(es *egressState, q int) {
 }
 
 // Tick advances the engine by one pause-frame interval τ: it resumes up to
-// ResumePerInterval flows per physical queue (§3.5) and returns the bloom
+// resumePerInterval flows per physical queue (§3.5) and returns the bloom
 // filter pause frames to transmit upstream, one per ingress port whose filter
 // is non-empty or newly empty (§3.6). The switch must call Tick every τ.
 //
@@ -382,7 +391,7 @@ func (e *Engine) Tick(now units.Time) []PauseFrame {
 		}
 		es := &e.egress[i]
 		for q, list := range es.toResume {
-			n := min(e.cfg.ResumePerInterval, len(list))
+			n := min(resumePerInterval, len(list))
 			if n == 0 {
 				continue
 			}

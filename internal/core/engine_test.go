@@ -73,11 +73,6 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for zero HRTT")
 	}
-	bad = DefaultConfig()
-	bad.ResumePerInterval = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected error for zero resume budget")
-	}
 	assertPanics(t, func() { NewEngine(bad, 4, newFakeView(units.Gbps)) })
 	assertPanics(t, func() { NewEngine(DefaultConfig(), 0, newFakeView(units.Gbps)) })
 	assertPanics(t, func() { NewEngine(DefaultConfig(), 4, nil) })
@@ -151,7 +146,7 @@ func TestDynamicAssignmentAvoidsCollisions(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		f := mkFlow(i+1, int32(i), 99)
 		pl := e.OnArrival(0, 0, 1, dataPkt(f, 0, 1000, false))
-		if pl.HighPriority || pl.Overflow {
+		if pl.HighPriority || pl.Overflow || !pl.Assigned || pl.Collided {
 			t.Fatalf("unexpected placement %+v", pl)
 		}
 		if queues[pl.Queue] {
@@ -164,8 +159,8 @@ func TestDynamicAssignmentAvoidsCollisions(t *testing.T) {
 	}
 	// A ninth flow must collide (all queues occupied).
 	pl := e.OnArrival(0, 0, 1, dataPkt(mkFlow(9, 50, 99), 0, 1000, false))
-	if pl.Queue < 0 || pl.Queue >= 8 {
-		t.Fatalf("ninth flow queue = %d", pl.Queue)
+	if pl.Queue < 0 || pl.Queue >= 8 || !pl.Assigned || !pl.Collided {
+		t.Fatalf("ninth flow placement = %+v, want a collided assignment", pl)
 	}
 	if e.Stats().CollidedAssignments != 1 {
 		t.Fatalf("collisions = %d, want 1", e.Stats().CollidedAssignments)
@@ -177,13 +172,25 @@ func TestStaticAssignmentCollides(t *testing.T) {
 	cfg.DynamicAssignment = false
 	cfg.UseHighPriorityQueue = false
 	e, _ := newTestEngine(t, cfg)
-	// With 64 flows over 8 static queues, collisions are guaranteed.
+	// With 64 flows over 8 static queues, collisions are guaranteed. Each
+	// placement reports its own assignment, so they sum to the counters.
+	var assigned, collided uint64
 	for i := 0; i < 64; i++ {
 		f := mkFlow(i+1, int32(i), 99)
-		e.OnArrival(0, 0, 1, dataPkt(f, 0, 1000, false))
+		pl := e.OnArrival(0, 0, 1, dataPkt(f, 0, 1000, false))
+		if pl.Assigned {
+			assigned++
+		}
+		if pl.Collided {
+			collided++
+		}
 	}
 	if e.Stats().CollidedAssignments == 0 {
 		t.Fatal("static hashing should produce collisions with 64 flows on 8 queues")
+	}
+	if st := e.Stats(); assigned != st.Assignments || collided != st.CollidedAssignments {
+		t.Fatalf("placements report %d assignments, %d collided; stats count %d, %d",
+			assigned, collided, st.Assignments, st.CollidedAssignments)
 	}
 }
 
@@ -191,10 +198,13 @@ func TestPacketsOfAFlowStayInOneQueue(t *testing.T) {
 	e, _ := newTestEngine(t, testConfig())
 	f := mkFlow(1, 1, 2)
 	first := e.OnArrival(0, 0, 1, dataPkt(f, 0, 1000, false))
+	if !first.Assigned {
+		t.Fatalf("first packet placed %+v, want an assignment", first)
+	}
 	for seq := 1; seq < 20; seq++ {
 		pl := e.OnArrival(0, 0, 1, dataPkt(f, seq, 1000, false))
-		if pl.Queue != first.Queue {
-			t.Fatalf("packet %d assigned to queue %d, flow lives in %d", seq, pl.Queue, first.Queue)
+		if pl.Queue != first.Queue || pl.Assigned {
+			t.Fatalf("packet %d placed %+v, flow lives in %d", seq, pl, first.Queue)
 		}
 	}
 }

@@ -507,7 +507,7 @@ func interDCTails(topo *topology.Topology, opts *sim.Options, flows []*packet.Fl
 		if f.FinishTime == 0 || f.IsIncast || f.LongLived {
 			continue
 		}
-		slow := max(float64(f.FCT())/float64(sim.IdealFCT(topo, opts.MTU, f)), 1)
+		slow := max(float64(f.FCT())/float64(sim.IdealFCT(topo, f)), 1)
 		if inter.IsInterDC(f) {
 			interD.Add(slow)
 		} else {
@@ -554,9 +554,9 @@ type BufferOptRow struct {
 // into the measured queue.
 //
 // The drain is sim's default 2 ms at every scale, not the scale's: the figure
-// used to set Drain = 0 meaning "long-lived flows need no drain", which
-// Options.Validate reads as "use the default", so 2 ms is what its rows have
-// always been measured with.
+// used to set Drain = 0 meaning "long-lived flows need no drain", which the
+// point compiler reads as "keep sim's default", so 2 ms is what its rows
+// have always been measured with.
 func Fig10Jobs(scale Scale) []harness.Job {
 	var jobs []harness.Job
 	for _, count := range scale.sweep([]int{8, 32, 64, 128, 256}) {

@@ -124,7 +124,7 @@ func Fig17Timeline(row Fig17Row, n int) []Fig17TimelinePoint {
 		p := Fig17TimelinePoint{}
 		for _, s := range buffers {
 			if idx < len(s.Samples) {
-				p.At = s.At(idx)
+				p.At = row.Series.At(idx)
 				if b := units.Bytes(s.Samples[idx]); b > p.Buffer {
 					p.Buffer = b
 				}

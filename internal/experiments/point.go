@@ -50,7 +50,7 @@ type point struct {
 	SimSeed *int64 `json:"sim_seed"`
 
 	Duration units.Time `json:"duration"`
-	Drain    units.Time `json:"drain"` // 0 selects sim's default
+	Drain    units.Time `json:"drain"` // 0 keeps sim's default
 
 	// What the figures vary.
 	Buffer              units.Bytes `json:"buffer"`
@@ -134,9 +134,14 @@ func (p point) job(name string, scheme sim.Scheme, meta map[string]string) harne
 	return j
 }
 
-// apply is the job's one option mutator.
+// apply is the job's one option mutator. It is where "a zero resource keeps
+// sim's default" lives: sim.Options.Validate rejects a zero, so a field the
+// point leaves zero is not written.
 func (p *point) apply(o *sim.Options) {
-	o.Duration, o.Drain = p.Duration, p.Drain
+	o.Duration = p.Duration
+	if p.Drain > 0 {
+		o.Drain = p.Drain
+	}
 	if p.SimSeed != nil {
 		o.Seed = *p.SimSeed
 	}

@@ -23,7 +23,7 @@ import (
 // a bfcd suite's "run" field carries one; Jobs is the only code that turns
 // either into harness jobs, so a run names and hashes its jobs the same
 // wherever it is compiled. Seed is the workload seed and the simulation seed
-// of every scheme's run; DrainUS 0 selects sim's default drain.
+// of every scheme's run; DrainUS 0 keeps sim's default drain.
 type RunSpec struct {
 	Topology   string          `json:"topology"` // see ParseTopology
 	Workload   string          `json:"workload"` // google, fb_hadoop, websearch

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"testing"
+
+	"bfc/internal/sim"
+	"bfc/internal/units"
 )
 
 func TestParseTopology(t *testing.T) {
@@ -39,6 +42,32 @@ func TestParseTopology(t *testing.T) {
 	} {
 		if _, err := ParseTopology(name); err == nil {
 			t.Errorf("%q: accepted, want an error", name)
+		}
+	}
+}
+
+// A run's drain_us 0 keeps sim's default drain: sim.Options.Validate rejects
+// a zero Drain, so the point compiler must leave the default in place, and a
+// positive drain_us replaces it.
+func TestRunDrainZeroKeepsDefault(t *testing.T) {
+	for drainUS, want := range map[float64]units.Time{0: 2 * units.Millisecond, 400: 400 * units.Microsecond} {
+		spec := RunSpec{Topology: "clos:2x2x4", Workload: "google", Load: 0.5,
+			DurationUS: 150, DrainUS: drainUS, Seed: 1, Queues: 32, BufferMB: 12}
+		jobs, err := spec.Jobs([]sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			opts := sim.DefaultOptions(j.Scheme, j.Topology())
+			for _, mutate := range j.Options {
+				mutate(&opts)
+			}
+			if opts.Drain != want {
+				t.Errorf("drain_us %v: %s runs with drain %v, want %v", drainUS, j.Name, opts.Drain, want)
+			}
+			if err := opts.Validate(); err != nil {
+				t.Errorf("drain_us %v: %s: %v", drainUS, j.Name, err)
+			}
 		}
 	}
 }

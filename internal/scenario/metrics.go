@@ -64,9 +64,9 @@ func newMetrics(spec *Spec, horizon units.Time, sketchSize int) *Metrics {
 	m := &Metrics{Spec: spec.Name}
 	newCollector := func() *stats.FCTCollector {
 		if sketchSize > 0 {
-			return stats.NewStreamingFCTCollector(nil, sketchSize)
+			return stats.NewStreamingFCTCollector(sketchSize)
 		}
-		return stats.NewFCTCollector(nil)
+		return stats.NewFCTCollector()
 	}
 	add := func(name string, start units.Time) {
 		if n := len(m.Phases); n > 0 {

@@ -42,10 +42,10 @@ func TestIdealFCTAnchor(t *testing.T) {
 				opts.Duration = 100 * units.Microsecond
 				opts.Drain = 400 * units.Microsecond
 				opts.Shards = fab.shards
-				mtu := units.SerializationTime(opts.MTU+packet.DataHeaderSize, rate)
+				mtu := units.SerializationTime(MTU+packet.DataHeaderSize, rate)
 				t.Run(fmt.Sprintf("%s/%s/%dB", fab.name, scheme, size), func(t *testing.T) {
 					flow := &packet.Flow{ID: 1, Src: src, Dst: dst, SrcPort: 1000, DstPort: 4791, Size: size}
-					ideal := IdealFCT(fab.topo, opts.MTU, flow)
+					ideal := IdealFCT(fab.topo, flow)
 					res, err := Run(opts, []*packet.Flow{flow})
 					if err != nil {
 						t.Fatal(err)
@@ -57,7 +57,7 @@ func TestIdealFCTAnchor(t *testing.T) {
 					diff := fct - ideal
 					t.Logf("fct=%v ideal=%v error=%dps (%.2f MTU serialisations)", fct, ideal, int64(diff), float64(diff)/float64(mtu))
 					if scheme == SchemeHPCC {
-						eta := hpcc.DefaultParams(rate, fab.topo.PathRTT(src, dst, opts.MTU)).Eta
+						eta := hpcc.DefaultParams(rate, fab.topo.PathRTT(src, dst, MTU)).Eta
 						if fct < ideal || float64(fct) > float64(ideal)/eta {
 							t.Errorf("FCT %v outside [ideal %v, ideal/η %v]", fct, ideal, units.Time(float64(ideal)/eta))
 						}

@@ -62,7 +62,7 @@ func TestFairShareAnchor(t *testing.T) {
 				if res.FlowsCompleted != n {
 					t.Fatalf("%d of %d flows completed", res.FlowsCompleted, n)
 				}
-				c := float64(topo.MinPathRate(flows[0].Src, dst)) * float64(opts.MTU) / float64(opts.MTU+packet.DataHeaderSize)
+				c := float64(topo.MinPathRate(flows[0].Src, dst)) * float64(MTU) / float64(MTU+packet.DataHeaderSize)
 				share := c / float64(n)
 				var sum, sumSq, worst float64
 				for _, f := range flows {

@@ -110,15 +110,20 @@ func ParseSchemes(arg string) ([]Scheme, error) {
 	return out, nil
 }
 
-// Options configures one simulation run.
+// MTU is the maximum data payload per packet (1000 B, §4.1). Every run uses
+// it; it is not an option.
+const MTU units.Bytes = 1000
+
+// Options configures one simulation run. DefaultOptions is the one place that
+// sets a default: start from it and override what the run varies. Validate
+// fills nothing in, so a zero resource is an error, not a request for the
+// default.
 type Options struct {
 	// Scheme selects the congestion-control architecture.
 	Scheme Scheme
 	// Topo is the network topology.
 	Topo *topology.Topology
 
-	// MTU is the maximum data payload per packet (1000 B, §4.1).
-	MTU units.Bytes
 	// SwitchBuffer is the shared buffer per switch (12 MB, §4.1).
 	SwitchBuffer units.Bytes
 	// NumQueues is the number of physical queues per port (32; Fig 12 sweeps
@@ -147,7 +152,7 @@ type Options struct {
 	Scenario *scenario.Spec
 
 	// Duration is the workload horizon; the run continues for Drain after it
-	// so in-flight flows can finish (a zero Drain selects the 2 ms default).
+	// so in-flight flows can finish.
 	Duration units.Time
 	Drain    units.Time
 
@@ -198,7 +203,7 @@ type Options struct {
 	// default — exact mode keeps every golden digest byte-identical.
 	StreamingStats bool
 	// StatsSketchSize is the per-distribution sketch capacity in streaming
-	// mode (stats.DefaultSketchSize when zero). Ignored in exact mode.
+	// mode. Ignored in exact mode.
 	StatsSketchSize int
 
 	// Seed drives the switches' random ECN marking, each switch's source
@@ -208,19 +213,20 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's configuration for a given scheme and
-// topology.
+// topology. It is the only code that writes a default.
 func DefaultOptions(scheme Scheme, topo *topology.Topology) Options {
 	return Options{
 		Scheme:            scheme,
 		Topo:              topo,
-		MTU:               1000,
 		SwitchBuffer:      12 * units.MB,
 		NumQueues:         32,
 		NumVFIDs:          flowtable.DefaultNumVFIDs,
 		BloomBytes:        bloom.DefaultSizeBytes,
 		HighPriorityQueue: true,
+		IdealFQQueues:     1000,
 		Duration:          2 * units.Millisecond,
 		Drain:             2 * units.Millisecond,
+		StatsSketchSize:   stats.DefaultSketchSize,
 		Seed:              1,
 	}
 }
@@ -242,47 +248,34 @@ func bufferSampleInterval(topo *topology.Topology) units.Time {
 	return base * units.Time((switches+31)/32)
 }
 
-// Validate reports option errors and fills defaults for zero fields. Zero
-// means "use the default", never "none": Drain = 0 runs with the 2 ms default
-// drain, not without one (see experiments.Fig10Jobs, which once assumed so).
+// Validate reports option errors. It only checks: it assigns no field, and a
+// zero Drain, NumVFIDs, BloomBytes, IdealFQQueues or StatsSketchSize is
+// rejected like any other non-positive resource.
 func (o *Options) Validate() error {
 	if o.Topo == nil {
 		return fmt.Errorf("sim: nil topology")
 	}
-	if o.MTU <= 0 {
-		return fmt.Errorf("sim: MTU must be positive")
-	}
-	if o.NumQueues <= 0 {
-		return fmt.Errorf("sim: NumQueues must be positive")
-	}
-	if o.Duration <= 0 {
-		return fmt.Errorf("sim: Duration must be positive")
-	}
 	if o.SwitchBuffer <= 0 && o.Scheme != SchemeIdealFQ {
 		return fmt.Errorf("sim: SwitchBuffer must be positive")
 	}
-	if o.Drain < 0 {
-		return fmt.Errorf("sim: negative drain")
-	}
-	if o.Scenario != nil {
-		if err := o.Scenario.Validate(); err != nil {
-			return err
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"NumQueues", int64(o.NumQueues)},
+		{"NumVFIDs", int64(o.NumVFIDs)},
+		{"BloomBytes", int64(o.BloomBytes)},
+		{"IdealFQQueues", int64(o.IdealFQQueues)},
+		{"StatsSketchSize", int64(o.StatsSketchSize)},
+		{"Duration", int64(o.Duration)},
+		{"Drain", int64(o.Drain)},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("sim: %s must be positive", f.name)
 		}
 	}
-	if o.Drain == 0 {
-		o.Drain = 2 * units.Millisecond
-	}
-	if o.StatsSketchSize <= 0 {
-		o.StatsSketchSize = stats.DefaultSketchSize
-	}
-	if o.NumVFIDs <= 0 {
-		o.NumVFIDs = flowtable.DefaultNumVFIDs
-	}
-	if o.BloomBytes <= 0 {
-		o.BloomBytes = bloom.DefaultSizeBytes
-	}
-	if o.IdealFQQueues <= 0 {
-		o.IdealFQQueues = 1000
+	if o.Scenario != nil {
+		return o.Scenario.Validate()
 	}
 	return nil
 }

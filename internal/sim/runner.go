@@ -224,15 +224,15 @@ func (r *runner) owned(id packet.NodeID) bool {
 func newResult(opts *Options) *Result {
 	res := &Result{
 		Scheme:            opts.Scheme,
-		FCT:               stats.NewFCTCollector(nil),
-		FCTIncast:         stats.NewFCTCollector(nil),
+		FCT:               stats.NewFCTCollector(),
+		FCTIncast:         stats.NewFCTCollector(),
 		PauseTimeFraction: map[string]float64{},
 	}
 	if opts.StreamingStats {
 		// Constant-memory mode: every distribution the run grows without
 		// bound in exact mode becomes a fixed-capacity sketch.
-		res.FCT = stats.NewStreamingFCTCollector(nil, opts.StatsSketchSize)
-		res.FCTIncast = stats.NewStreamingFCTCollector(nil, opts.StatsSketchSize)
+		res.FCT = stats.NewStreamingFCTCollector(opts.StatsSketchSize)
+		res.FCTIncast = stats.NewStreamingFCTCollector(opts.StatsSketchSize)
 		res.BufferOccupancy = stats.NewStreamingDistribution(opts.StatsSketchSize)
 		res.OccupiedQueues = stats.NewStreamingDistribution(opts.StatsSketchSize)
 	}
@@ -263,11 +263,10 @@ func (r *runner) buildDevices() {
 }
 
 // bfcConfig is the BFC engine configuration the options ask for. Each switch
-// derives its HRTT, τ and fallback salt from its own node (switchsim.New).
+// derives its queue count, HRTT, τ and fallback salt itself (switchsim.New).
 func bfcConfig(opts *Options) *core.Config {
 	cfg := core.DefaultConfig()
 	cfg.NumVFIDs = opts.NumVFIDs
-	cfg.QueuesPerPort = opts.NumQueues
 	cfg.Bloom = bloom.Params{SizeBytes: opts.BloomBytes, Hashes: bloom.DefaultHashes}
 	cfg.DynamicAssignment = opts.Scheme != SchemeBFCStatic
 	cfg.UseHighPriorityQueue = opts.HighPriorityQueue
@@ -282,7 +281,7 @@ func (r *runner) buildSwitches() {
 	cfg := switchsim.Config{
 		Scheduler:        r.sched,
 		Topo:             r.topo,
-		MTU:              opts.MTU,
+		MTU:              MTU,
 		NumQueues:        opts.NumQueues,
 		BufferSize:       opts.SwitchBuffer,
 		EnablePFC:        !opts.DisablePFC,
@@ -326,12 +325,12 @@ func (r *runner) buildNICs() {
 	// its own path's: one bandwidth-delay product of its source's line rate
 	// and its path's base RTT.
 	pathRTT := func(f *packet.Flow) units.Time {
-		return topo.PathRTT(f.Src, f.Dst, opts.MTU+packet.DataHeaderSize)
+		return topo.PathRTT(f.Src, f.Dst, MTU+packet.DataHeaderSize)
 	}
 	cfg := nic.Config{
 		Scheduler:      r.sched,
 		Topo:           topo,
-		MTU:            opts.MTU,
+		MTU:            MTU,
 		RTO:            4 * units.Millisecond,
 		OnFlowComplete: r.onFlowComplete,
 		Pool:           r.pool,
@@ -499,7 +498,7 @@ func (r *runner) onFlowComplete(f *packet.Flow) {
 		return
 	}
 	rec := fctRec{start: f.StartTime, size: f.Size, fct: f.FCT(),
-		ideal: IdealFCT(r.topo, r.opts.MTU, f), incast: f.IsIncast}
+		ideal: IdealFCT(r.topo, f), incast: f.IsIncast}
 	if r.result != nil {
 		rec.record(r.result, r.scen)
 		return
@@ -516,17 +515,10 @@ func (r *runner) onFlowComplete(f *packet.Flow) {
 // stream the remaining bytes (with per-packet headers) at the slowest link on
 // the path. It is the denominator of every FCT-slowdown the evaluation
 // reports.
-func IdealFCT(topo *topology.Topology, mtu units.Bytes, f *packet.Flow) units.Time {
+func IdealFCT(topo *topology.Topology, f *packet.Flow) units.Time {
 	rate := topo.MinPathRate(f.Src, f.Dst)
-	firstPkt := minBytes(f.Size, mtu) + packet.DataHeaderSize
-	wireBytes := f.Size + units.Bytes(f.NumPackets(mtu))*packet.DataHeaderSize
+	firstPkt := min(f.Size, MTU) + packet.DataHeaderSize
+	wireBytes := f.Size + units.Bytes(f.NumPackets(MTU))*packet.DataHeaderSize
 	oneWay := topo.PathOneWay(f.Src, f.Dst, firstPkt)
 	return oneWay + units.SerializationTime(wireBytes, rate) - units.SerializationTime(firstPkt, rate)
-}
-
-func minBytes(a, b units.Bytes) units.Bytes {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -335,7 +335,7 @@ func TestShardedScenarioParityFatTree(t *testing.T) {
 func requireTraceParity(t *testing.T, opts Options, flows []*packet.Flow, shards ...int) *telemetry.Ring {
 	t.Helper()
 	tracedRun := func(shards int) (*Result, []byte, *telemetry.Ring) {
-		ring := telemetry.NewRing(0)
+		ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
 		o := opts
 		o.Recorder = ring
 		res, blob := runShardedResult(t, o, flows, shards)

@@ -153,15 +153,11 @@ type keyedEvent struct {
 type shardRecorder struct {
 	sched *eventsim.Scheduler
 	key   eventsim.Key
-	buf   []keyedEvent
-	next  int
+	ring  *telemetry.Bounded[keyedEvent]
 }
 
 func newShardRecorder(sched *eventsim.Scheduler, ring *telemetry.Ring) *shardRecorder {
-	return &shardRecorder{
-		sched: sched,
-		buf:   make([]keyedEvent, 0, ring.Cap()),
-	}
+	return &shardRecorder{sched: sched, ring: telemetry.NewBounded[keyedEvent](ring.Cap())}
 }
 
 // Record implements telemetry.Recorder.
@@ -170,26 +166,7 @@ func (sr *shardRecorder) Record(ev telemetry.Event) {
 	if sr.sched != nil {
 		k = sr.sched.CurrentKey()
 	}
-	if len(sr.buf) < cap(sr.buf) {
-		sr.buf = append(sr.buf, keyedEvent{key: k, ev: ev})
-		return
-	}
-	sr.buf[sr.next] = keyedEvent{key: k, ev: ev}
-	sr.next++
-	if sr.next == len(sr.buf) {
-		sr.next = 0
-	}
-}
-
-// events returns the retained keyed events in emission order.
-func (sr *shardRecorder) events() []keyedEvent {
-	if len(sr.buf) == cap(sr.buf) && sr.next > 0 {
-		out := make([]keyedEvent, 0, len(sr.buf))
-		out = append(out, sr.buf[sr.next:]...)
-		out = append(out, sr.buf[:sr.next]...)
-		return out
-	}
-	return sr.buf
+	sr.ring.Record(keyedEvent{key: k, ev: ev})
 }
 
 // mergeFCT merges the per-shard completion buffers into serial key order.
@@ -547,10 +524,10 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	if len(srecs) > 0 {
 		var all []keyedEvent
 		for _, sr := range srecs {
-			all = append(all, sr.events()...)
+			all = append(all, sr.ring.Events()...)
 		}
 		if coordRec != nil {
-			all = append(all, coordRec.events()...)
+			all = append(all, coordRec.ring.Events()...)
 		}
 		sort.SliceStable(all, func(i, j int) bool { return all[i].key.Less(all[j].key) })
 		for i := range all {

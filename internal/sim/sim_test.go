@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,25 +52,42 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
+// Validate only checks: the defaults come from DefaultOptions alone, so it
+// leaves them as they are for every scheme and rejects a zero or negative
+// resource instead of filling one in.
 func TestOptionsValidation(t *testing.T) {
 	topo := starTopo(2)
-	good := DefaultOptions(SchemeBFC, topo)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("default options invalid: %v", err)
+	for _, s := range append(AllSchemes(), SchemeBFCStatic) {
+		good := DefaultOptions(s, topo)
+		if err := good.Validate(); err != nil {
+			t.Fatalf("%v: default options invalid: %v", s, err)
+		}
+		if !reflect.DeepEqual(good, DefaultOptions(s, topo)) {
+			t.Errorf("%v: Validate changed the default options:\n%+v", s, good)
+		}
 	}
-	cases := []func(*Options){
-		func(o *Options) { o.Topo = nil },
-		func(o *Options) { o.MTU = 0 },
-		func(o *Options) { o.NumQueues = 0 },
-		func(o *Options) { o.Duration = 0 },
-		func(o *Options) { o.SwitchBuffer = 0 },
-		func(o *Options) { o.Drain = -1 },
+	cases := map[string]func(*Options){
+		"nil topology":      func(o *Options) { o.Topo = nil },
+		"NumQueues":         func(o *Options) { o.NumQueues = 0 },
+		"Duration":          func(o *Options) { o.Duration = 0 },
+		"SwitchBuffer":      func(o *Options) { o.SwitchBuffer = 0 },
+		"negative Drain":    func(o *Options) { o.Drain = -1 },
+		"Drain":             func(o *Options) { o.Drain = 0 },
+		"NumVFIDs":          func(o *Options) { o.NumVFIDs = 0 },
+		"negative NumVFIDs": func(o *Options) { o.NumVFIDs = -1 },
+		"BloomBytes":        func(o *Options) { o.BloomBytes = 0 },
+		"IdealFQQueues":     func(o *Options) { o.IdealFQQueues = 0 },
+		"StatsSketchSize":   func(o *Options) { o.StatsSketchSize = 0 },
 	}
-	for i, mutate := range cases {
+	for name, mutate := range cases {
 		o := DefaultOptions(SchemeBFC, topo)
 		mutate(&o)
+		want := o
 		if err := o.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
+			t.Errorf("%s: expected validation error", name)
+		}
+		if !reflect.DeepEqual(o, want) {
+			t.Errorf("%s: Validate assigned a field", name)
 		}
 	}
 }

@@ -68,13 +68,13 @@ type seriesSampler struct {
 // run's executed-event counter.
 func (g *registry) newSeriesSampler(sws []*switchsim.Switch, interval units.Time, executed func() uint64) *seriesSampler {
 	s := &seriesSampler{interval: interval, executed: executed, classes: g.classes}
-	s.events = telemetry.NewSeries("fabric/events_per_tick", interval)
+	s.events = &telemetry.Series{Name: "fabric/events_per_tick"}
 	for _, c := range s.classes {
-		s.pause = append(s.pause, telemetry.NewSeries("links/"+c.key+"/pause_fraction", interval))
+		s.pause = append(s.pause, &telemetry.Series{Name: "links/" + c.key + "/pause_fraction"})
 	}
 	for _, sw := range sws {
 		name := g.topo.Node(sw.ID()).Name
-		s.swBuffer = append(s.swBuffer, telemetry.NewSeries("switch/"+name+"/buffer_bytes", interval))
+		s.swBuffer = append(s.swBuffer, &telemetry.Series{Name: "switch/" + name + "/buffer_bytes"})
 	}
 	s.prevPause = make([]units.Time, len(s.classes))
 

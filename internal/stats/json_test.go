@@ -51,7 +51,7 @@ func TestDistributionJSONEmpty(t *testing.T) {
 }
 
 func TestFCTCollectorJSONRoundTrip(t *testing.T) {
-	c := NewFCTCollector(nil)
+	c := NewFCTCollector()
 	c.Record(512, 20*units.Microsecond, 10*units.Microsecond)
 	c.Record(2*units.KB, 30*units.Microsecond, 10*units.Microsecond)
 	c.Record(2*units.MB, 50*units.Microsecond, 10*units.Microsecond)
@@ -96,16 +96,15 @@ func TestFCTCollectorJSONRejectsMismatchedBuckets(t *testing.T) {
 }
 
 // An FCT collector needs at least one bucket: Record attributes every flow to
-// one. An empty list is refused on the wire and by the constructor, instead of
-// panicking with an index out of range on the first Record.
+// one. The constructors always use DefaultSizeBuckets; an empty list on the
+// wire is refused instead of panicking with an index out of range on the
+// first Record.
 func TestFCTCollectorRejectsEmptyBuckets(t *testing.T) {
 	raw := []byte(`{"buckets":[],"per_size":[],"all":[]}`)
 	var c FCTCollector
 	if err := json.Unmarshal(raw, &c); err == nil {
 		t.Fatal("expected error for an empty bucket list")
 	}
-	assertPanics(t, func() { NewFCTCollector([]SizeBucket{}) })
-	assertPanics(t, func() { NewStreamingFCTCollector([]SizeBucket{}, 8) })
 }
 
 // FuzzFCTCollectorJSON feeds arbitrary bytes to the collector's decoder, the
@@ -113,8 +112,8 @@ func TestFCTCollectorRejectsEmptyBuckets(t *testing.T) {
 // the daemon. Bytes either fail to decode or yield a collector that answers
 // every query, re-encodes to a fixed point and accepts another flow.
 func FuzzFCTCollectorJSON(f *testing.F) {
-	exact := NewFCTCollector(nil)
-	streaming := NewStreamingFCTCollector(nil, 4)
+	exact := NewFCTCollector()
+	streaming := NewStreamingFCTCollector(4)
 	for i := 1; i <= 24; i++ {
 		size := units.Bytes(i*i) * units.KB
 		fct := units.Time(10+i%7) * units.Microsecond

@@ -223,7 +223,7 @@ func TestSketchJSONRejectsCorrupt(t *testing.T) {
 // preserved (the wire form the harness store persists).
 func TestStreamingFCTCollectorJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	c := NewStreamingFCTCollector(nil, 64)
+	c := NewStreamingFCTCollector(64)
 	for i := 0; i < 3000; i++ {
 		size := units.Bytes(100 + rng.Intn(2_000_000))
 		fct := units.Time(10+rng.Intn(100)) * units.Microsecond

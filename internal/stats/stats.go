@@ -13,11 +13,12 @@ import (
 	"bfc/internal/units"
 )
 
-// DefaultSketchSize is the reservoir capacity streaming distributions use when
-// the caller does not pick one. With capacity K the rank error of a quantile
-// estimate concentrates around 1/sqrt(K); K = 4096 keeps it well under one
-// percentile point in expectation while bounding the footprint of a
-// distribution at ~32 KB regardless of how many samples a run records.
+// DefaultSketchSize is the reservoir capacity of a streaming run's
+// distributions (sim.DefaultOptions' StatsSketchSize). With capacity K the
+// rank error of a quantile estimate concentrates around 1/sqrt(K); K = 4096
+// keeps it well under one percentile point in expectation while bounding the
+// footprint of a distribution at ~32 KB regardless of how many samples a run
+// records.
 const DefaultSketchSize = 4096
 
 // sketchSeed seeds every reservoir. Streaming statistics must be
@@ -52,11 +53,8 @@ type Distribution struct {
 }
 
 // NewStreamingDistribution returns a constant-memory distribution holding at
-// most sketchSize samples (DefaultSketchSize when <= 0).
+// most sketchSize samples; sketchSize must be positive.
 func NewStreamingDistribution(sketchSize int) Distribution {
-	if sketchSize <= 0 {
-		sketchSize = DefaultSketchSize
-	}
 	return Distribution{cap: sketchSize}
 }
 
@@ -171,16 +169,9 @@ type FCTCollector struct {
 	all     Distribution
 }
 
-// NewFCTCollector creates a collector over the given buckets (DefaultSizeBuckets
-// when nil). It panics on an empty non-nil bucket list: Record would have no
-// bucket to attribute a flow to.
-func NewFCTCollector(buckets []SizeBucket) *FCTCollector {
-	if buckets == nil {
-		buckets = DefaultSizeBuckets()
-	}
-	if len(buckets) == 0 {
-		panic("stats: FCT collector with no size buckets")
-	}
+// NewFCTCollector creates a collector over DefaultSizeBuckets.
+func NewFCTCollector() *FCTCollector {
+	buckets := DefaultSizeBuckets()
 	return &FCTCollector{
 		buckets: buckets,
 		perSize: make([]Distribution, len(buckets)),
@@ -189,10 +180,10 @@ func NewFCTCollector(buckets []SizeBucket) *FCTCollector {
 
 // NewStreamingFCTCollector creates a collector whose per-bucket and overall
 // distributions are constant-memory sketches of at most sketchSize samples
-// each (DefaultSketchSize when <= 0), so the collector's footprint is
-// independent of the number of completed flows.
-func NewStreamingFCTCollector(buckets []SizeBucket, sketchSize int) *FCTCollector {
-	c := NewFCTCollector(buckets)
+// each, so the collector's footprint is independent of the number of
+// completed flows.
+func NewStreamingFCTCollector(sketchSize int) *FCTCollector {
+	c := NewFCTCollector()
 	c.all = NewStreamingDistribution(sketchSize)
 	for i := range c.perSize {
 		c.perSize[i] = NewStreamingDistribution(sketchSize)

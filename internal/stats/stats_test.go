@@ -76,7 +76,7 @@ func TestAddAfterPercentile(t *testing.T) {
 }
 
 func TestFCTCollector(t *testing.T) {
-	c := NewFCTCollector(nil)
+	c := NewFCTCollector()
 	// A 500-byte flow with FCT twice its ideal.
 	c.Record(500, 20*units.Microsecond, 10*units.Microsecond)
 	// A 50KB flow at 5x slowdown.
@@ -106,7 +106,7 @@ func TestFCTCollector(t *testing.T) {
 }
 
 func TestFCTSlowdownClamped(t *testing.T) {
-	c := NewFCTCollector(nil)
+	c := NewFCTCollector()
 	// FCT slightly below ideal (possible due to the store-and-forward
 	// approximation in the ideal) clamps to 1.
 	c.Record(1000, 9*units.Microsecond, 10*units.Microsecond)

@@ -59,7 +59,9 @@ type Config struct {
 	SFQ bool
 
 	// BFC enables the BFC engine with the given configuration. Nil disables
-	// BFC (the switch then uses SFQ or a single FIFO).
+	// BFC (the switch then uses SFQ or a single FIFO). New derives the
+	// engine's QueuesPerPort, HRTT, τ and salt from the switch itself, and
+	// core.NewEngine validates the result.
 	BFC *core.Config
 
 	// Seed drives ECN marking randomness.
@@ -99,15 +101,6 @@ func (c *Config) Validate() error {
 		if c.ECNKmin <= 0 || c.ECNKmax <= c.ECNKmin || c.ECNPmax <= 0 || c.ECNPmax > 1 {
 			return fmt.Errorf("switchsim: invalid ECN thresholds kmin=%v kmax=%v pmax=%v",
 				c.ECNKmin, c.ECNKmax, c.ECNPmax)
-		}
-	}
-	if c.BFC != nil {
-		if err := c.BFC.Validate(); err != nil {
-			return err
-		}
-		if c.BFC.QueuesPerPort != c.NumQueues {
-			return fmt.Errorf("switchsim: BFC QueuesPerPort (%d) must match NumQueues (%d)",
-				c.BFC.QueuesPerPort, c.NumQueues)
 		}
 	}
 	return nil

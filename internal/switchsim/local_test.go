@@ -12,8 +12,9 @@ import (
 )
 
 // Every BFC switch derives its own parameters from its own node: the hop RTT
-// and τ from its ports, the full-port fallback draw from its node ID. These
-// anchors fail wherever a value is derived once for the whole fabric.
+// and τ from its ports, the engine's queue count from its NumQueues, the
+// full-port fallback draw from its node ID. These anchors fail wherever a
+// value is derived once for the whole fabric.
 
 // newBFCSwitch builds a BFC switch for one node of topo, with numQueues data
 // queues and no high-priority queue.
@@ -25,7 +26,7 @@ func newBFCSwitch(topo *topology.Topology, node *topology.Node, numQueues int) *
 		MTU:        1000,
 		NumQueues:  numQueues,
 		BufferSize: 12 * units.MB,
-		BFC:        bfcConfig(numQueues, false),
+		BFC:        bfcConfig(false),
 		Pool:       packet.NewPool(),
 	})
 }
@@ -54,6 +55,10 @@ func TestHopRTTIsLocal(t *testing.T) {
 		cfg := newBFCSwitch(x.Topology, node, 8).Engine().Config()
 		if cfg.HRTT != want || cfg.Tau != want/2 {
 			t.Errorf("%s: HRTT %v, τ %v; want %v, %v", node.Name, cfg.HRTT, cfg.Tau, want, want/2)
+		}
+		// bfcConfig asks for DefaultConfig's 32 queues; the switch has 8.
+		if cfg.QueuesPerPort != 8 {
+			t.Errorf("%s: engine QueuesPerPort %d, want the switch's 8", node.Name, cfg.QueuesPerPort)
 		}
 		checked++
 	}

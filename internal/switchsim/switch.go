@@ -126,6 +126,7 @@ func New(cfg Config) *Switch {
 	}
 	if cfg.BFC != nil {
 		bfc := *cfg.BFC
+		bfc.QueuesPerPort = cfg.NumQueues
 		bfc.HRTT = hopRTT(cfg.Node.Ports, cfg.MTU)
 		bfc.Tau = bfc.HRTT / 2
 		bfc.Salt = fallbackSalt + uint64(cfg.Node.ID)*packet.Gamma
@@ -293,24 +294,15 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 	// Placement.
 	switch {
 	case s.engine != nil:
-		var prevAssignments, prevCollided uint64
-		if s.rec != nil {
-			es := s.engine.Stats()
-			prevAssignments, prevCollided = es.Assignments, es.CollidedAssignments
-		}
 		pl := s.engine.OnArrival(now, ingress, egress, p)
-		if s.rec != nil {
-			// A stats delta means the engine assigned a queue to a newly
-			// active flow on this arrival.
-			if es := s.engine.Stats(); es.Assignments > prevAssignments {
-				collided := int64(0)
-				if es.CollidedAssignments > prevCollided {
-					collided = 1
-				}
-				s.rec.Record(telemetry.Event{At: now, Kind: telemetry.KindQueueAssign,
-					Node: s.ID(), Port: int32(egress), Queue: int32(pl.Queue),
-					Flow: p.Flow.ID, Value: collided})
+		if s.rec != nil && pl.Assigned {
+			collided := int64(0)
+			if pl.Collided {
+				collided = 1
 			}
+			s.rec.Record(telemetry.Event{At: now, Kind: telemetry.KindQueueAssign,
+				Node: s.ID(), Port: int32(egress), Queue: int32(pl.Queue),
+				Flow: p.Flow.ID, Value: collided})
 		}
 		switch {
 		case pl.HighPriority:

@@ -105,10 +105,9 @@ func dataPacket(f *packet.Flow, seq int) *packet.Packet {
 	}
 }
 
-// bfcConfig returns an engine config matching the test switch's queue count.
-func bfcConfig(numQueues int, hiPrio bool) *core.Config {
+// bfcConfig returns an engine config; the switch sets its queue count.
+func bfcConfig(hiPrio bool) *core.Config {
 	cfg := core.DefaultConfig()
-	cfg.QueuesPerPort = numQueues
 	cfg.UseHighPriorityQueue = hiPrio
 	return &cfg
 }
@@ -154,7 +153,7 @@ func TestQueueAssignmentPaths(t *testing.T) {
 	})
 
 	t.Run("BFC dynamic assignment avoids collisions", func(t *testing.T) {
-		ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfcConfig(8, false) })
+		ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfcConfig(false) })
 		// Second packets keep the flows active so assignments stay visible.
 		for _, f := range flowsTo(ts.topo, 3) {
 			ts.sw.ReceivePacket(2, dataPacket(f, 0))
@@ -170,7 +169,7 @@ func TestQueueAssignmentPaths(t *testing.T) {
 	})
 
 	t.Run("BFC high-priority queue takes first packets", func(t *testing.T) {
-		ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfcConfig(8, true) })
+		ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfcConfig(true) })
 		f := flowsTo(ts.topo, 1)[0]
 		ts.sw.ReceivePacket(2, dataPacket(f, 0))
 		// The first packet of a fresh flow bypasses the data queues (§3.7).
@@ -225,7 +224,7 @@ func TestPFCPauseAndResumeSignaling(t *testing.T) {
 // port's DRR set (and its bitmap) but must not raise the pause threshold's
 // divisor, and a queue parked by a downstream pause must not either.
 func TestActiveQueuesExcludesOverflowAndPaused(t *testing.T) {
-	bfc := bfcConfig(8, false)
+	bfc := bfcConfig(false)
 	bfc.NumVFIDs, bfc.BucketSize, bfc.OverflowCacheSize = 1, 1, 0 // room for one flow
 	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc })
 	hosts := ts.topo.Hosts()
@@ -252,7 +251,7 @@ func TestActiveQueuesExcludesOverflowAndPaused(t *testing.T) {
 }
 
 func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
-	bfc := bfcConfig(8, false)
+	bfc := bfcConfig(false)
 	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc })
 	ts.attach(1) // egress toward host 1
 	hosts := ts.topo.Hosts()

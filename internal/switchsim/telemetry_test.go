@@ -63,7 +63,7 @@ func TestRecorderPFCPauseResume(t *testing.T) {
 // downstream bloom-filter pause, and the resume that releases it.
 func TestRecorderBFCQueueLifecycle(t *testing.T) {
 	ring := telemetry.NewRing(256)
-	bfc := bfcConfig(8, false)
+	bfc := bfcConfig(false)
 	ts := newTestSwitch(t, func(c *switchsim.Config) {
 		c.BFC = bfc
 		c.Recorder = ring
@@ -111,7 +111,7 @@ func TestRecorderBFCQueueLifecycle(t *testing.T) {
 // overflow queue, which reports queue index NumQueues.
 func TestRecorderOverflowQueuePause(t *testing.T) {
 	ring := telemetry.NewRing(256)
-	bfc := bfcConfig(8, false)
+	bfc := bfcConfig(false)
 	bfc.NumVFIDs, bfc.BucketSize, bfc.OverflowCacheSize = 1, 1, 0 // room for one flow
 	ts := newTestSwitch(t, func(c *switchsim.Config) {
 		c.BFC = bfc

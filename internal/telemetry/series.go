@@ -2,27 +2,17 @@ package telemetry
 
 import "bfc/internal/units"
 
-// Series is one uniformly spaced time series: one sample per tick, starting
-// at sim time 0.
+// Series is one uniformly spaced time series: one sample per tick of its
+// bundle's Interval, starting at sim time 0.
 type Series struct {
 	// Name identifies the series ("switch/tor0/buffer_bytes", ...).
 	Name string `json:"name"`
-	// Interval is the spacing between samples.
-	Interval units.Time `json:"interval"`
 	// Samples are the values, oldest first.
 	Samples []float64 `json:"samples"`
 }
 
-// NewSeries creates an empty series sampled every interval.
-func NewSeries(name string, interval units.Time) *Series {
-	return &Series{Name: name, Interval: interval}
-}
-
 // Append adds the next tick's sample.
 func (s *Series) Append(v float64) { s.Samples = append(s.Samples, v) }
-
-// At returns the sim time of sample i.
-func (s *Series) At(i int) units.Time { return units.Time(i) * s.Interval }
 
 // Max returns the largest sample (0 for an empty series).
 func (s *Series) Max() float64 {
@@ -44,3 +34,6 @@ type RunSeries struct {
 	// Series are the sampled series, in a deterministic construction order.
 	Series []*Series `json:"series"`
 }
+
+// At returns the sim time of every series' sample i.
+func (rs *RunSeries) At(i int) units.Time { return units.Time(i) * rs.Interval }
