@@ -201,8 +201,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := experiments.Fig05FromRecords(recs)
-		totalEvents += res.Raw["BFC"].Events
+		totalEvents += recs[0].Result.Events
 	}
 	b.ReportMetric(float64(totalEvents)/float64(b.N), "events/run")
 }

@@ -347,15 +347,6 @@ const (
 	Fig05cGoogleNoIncast
 )
 
-// Fig05Result bundles the per-scheme curves plus the auxiliary measurements
-// Fig 6 reports for the same runs.
-type Fig05Result struct {
-	Series []SlowdownSeries
-	// Raw keeps the full results keyed by scheme label: Fig 6 reads its
-	// buffer occupancy and pause-time fractions from them.
-	Raw map[string]*sim.Result
-}
-
 // fig05Panels holds each panel's registry key (which also names its jobs and
 // labels their artifacts) and workload.
 var fig05Panels = [...]struct {
@@ -378,12 +369,12 @@ func Fig05Jobs(scale Scale, variant Fig05Variant, schemes []sim.Scheme) []harnes
 	return p.grid(scale.Name+"/"+panel.key, scale.labels(panel.key), schemes)
 }
 
-// Fig05FromRecords assembles a Fig 5 panel from completed harness records.
-func Fig05FromRecords(recs []*harness.Record) *Fig05Result {
-	out := &Fig05Result{Raw: map[string]*sim.Result{}}
+// Fig05FromRecords assembles a Fig 5 panel, one curve per scheme, from
+// completed harness records.
+func Fig05FromRecords(recs []*harness.Record) []SlowdownSeries {
+	out := make([]SlowdownSeries, 0, len(recs))
 	for _, rec := range recs {
-		out.Series = append(out.Series, seriesFromResult(rec.Scheme, rec.Result))
-		out.Raw[rec.Scheme] = rec.Result
+		out = append(out, seriesFromResult(rec.Scheme, rec.Result))
 	}
 	return out
 }
@@ -501,7 +492,7 @@ func Fig09Jobs(scale Scale) []harness.Job {
 
 // interDCTails is Fig 9's Extract: the p99 FCT slowdowns of the completed
 // background flows inside one data center and across the two.
-func interDCTails(topo *topology.Topology, opts *sim.Options, flows []*packet.Flow, inter *workload.InterDCConfig) map[string]float64 {
+func interDCTails(topo *topology.Topology, flows []*packet.Flow, inter *workload.InterDCConfig) map[string]float64 {
 	var intraD, interD stats.Distribution
 	for _, f := range flows {
 		if f.FinishTime == 0 || f.IsIncast || f.LongLived {

@@ -81,12 +81,17 @@ func TestFig04WorkloadCDF(t *testing.T) {
 func TestFig05TinyRun(t *testing.T) {
 	// Exercise the headline experiment end to end at tiny scale with two
 	// schemes; BFC should not be worse than DCQCN at the tail.
-	res := Fig05FromRecords(runJobs(t, Fig05Jobs(Tiny(), Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN})))
-	if len(res.Series) != 2 {
-		t.Fatalf("got %d series", len(res.Series))
+	recs := runJobs(t, Fig05Jobs(Tiny(), Fig05aGoogleIncast, []sim.Scheme{sim.SchemeBFC, sim.SchemeDCQCN}))
+	series := Fig05FromRecords(recs)
+	if len(series) != 2 {
+		t.Fatalf("got %d series", len(series))
+	}
+	results := map[string]*sim.Result{}
+	for _, rec := range recs {
+		results[rec.Scheme] = rec.Result
 	}
 	var bfc, dcqcn SlowdownSeries
-	for _, s := range res.Series {
+	for _, s := range series {
 		switch s.Label {
 		case "BFC":
 			bfc = s
@@ -94,17 +99,17 @@ func TestFig05TinyRun(t *testing.T) {
 			dcqcn = s
 		}
 	}
-	if res.Raw["BFC"].FlowsCompleted == 0 || res.Raw["DCQCN"].FlowsCompleted == 0 {
+	if results["BFC"].FlowsCompleted == 0 || results["DCQCN"].FlowsCompleted == 0 {
 		t.Fatal("schemes completed no flows")
 	}
 	if bfc.Overall > dcqcn.Overall*1.5 {
 		t.Fatalf("BFC tail slowdown %.2f should not be far above DCQCN %.2f", bfc.Overall, dcqcn.Overall)
 	}
-	table := FormatSeries("fig5a", res.Series)
+	table := FormatSeries("fig5a", series)
 	if !strings.Contains(table, "BFC") || !strings.Contains(table, "DCQCN") {
 		t.Fatal("formatted table missing schemes")
 	}
-	if res.Raw["BFC"].BufferOccupancy.Percentile(99) < 0 {
+	if results["BFC"].BufferOccupancy.Percentile(99) < 0 {
 		t.Fatal("missing buffer stats")
 	}
 }
@@ -123,8 +128,7 @@ func TestFig05ParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Fig05FromRecords(recs)
-		return b, FormatSeries("fig5a", res.Series)
+		return b, FormatSeries("fig5a", Fig05FromRecords(recs))
 	}
 	serialRecs, serialRows := run(1)
 	parallelRecs, parallelRows := run(8)

@@ -127,8 +127,8 @@ func (p point) job(name string, scheme sim.Scheme, meta map[string]string) harne
 		Options:  []func(*sim.Options){p.apply},
 	}
 	if strings.HasPrefix(p.Fabric, "crossdc:") {
-		j.Extract = func(topo *topology.Topology, opts *sim.Options, flows []*packet.Flow, _ *sim.Result) map[string]float64 {
-			return interDCTails(topo, opts, flows, inter)
+		j.Extract = func(topo *topology.Topology, flows []*packet.Flow) map[string]float64 {
+			return interDCTails(topo, flows, inter)
 		}
 	}
 	return j

@@ -70,7 +70,7 @@ func fig05Panel(variant Fig05Variant, desc string) Figure {
 	}
 	title := "## Fig " + f.Token() + ": p99 FCT slowdown by flow size"
 	f.Render = func(w io.Writer, recs []*harness.Record) {
-		fmt.Fprint(w, FormatSeries(title, Fig05FromRecords(recs).Series))
+		fmt.Fprint(w, FormatSeries(title, Fig05FromRecords(recs)))
 	}
 	return f
 }

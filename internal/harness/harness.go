@@ -57,9 +57,10 @@ type Job struct {
 	Options []func(*sim.Options)
 
 	// Extract optionally computes figure-specific scalar metrics from the
-	// completed run (e.g. Fig 9's intra- vs inter-DC tail slowdowns, which
-	// need the flow list). The returned map is persisted as Record.Extra.
-	Extract func(topo *topology.Topology, opts *sim.Options, flows []*packet.Flow, res *sim.Result) map[string]float64
+	// run's topology and its flows once the run is over (e.g. Fig 9's intra-
+	// vs inter-DC tail slowdowns, which need the flow list). The returned map
+	// is persisted as Record.Extra.
+	Extract func(topo *topology.Topology, flows []*packet.Flow) map[string]float64
 }
 
 // Validate reports spec errors.
@@ -178,7 +179,7 @@ func (j *Job) Execute() (rec *Record, err error) {
 		Result: res,
 	}
 	if j.Extract != nil {
-		rec.Extra = j.Extract(topo, &opts, flows, res)
+		rec.Extra = j.Extract(topo, flows)
 	}
 	return rec, nil
 }

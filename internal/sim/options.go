@@ -158,11 +158,14 @@ type Options struct {
 
 	// Recorder, when non-nil, receives the run's flight-recorder events (flow
 	// start/finish, drops, PFC and BFC pause transitions, queue assignments,
-	// scenario events). Recording is purely observational: it never schedules
-	// events or consumes RNG, so the Result is byte-identical with or without
-	// a recorder, and so is a harness Record built from it: no job's Extract
-	// or figure reads the ring (experiments' TestRecordsIgnoreObservers holds
-	// every figure to that). Nil disables recording at zero cost.
+	// scenario events). The coordinator feeds it at the end of every barrier
+	// step, every shard's events merged in key order, so the ring's events,
+	// Seen and Overwritten are the same at every shard count. Recording is
+	// purely observational: it never schedules events or consumes RNG, so
+	// the Result is byte-identical with or without a recorder, and so is a
+	// harness Record built from it: no job's Extract or figure reads the ring
+	// (experiments' TestRecordsIgnoreObservers holds every figure to that).
+	// Nil disables recording at zero cost.
 	Recorder *telemetry.Ring
 	// SampleSeries attaches time series (per-switch buffer occupancy,
 	// per-link-class pause fractions, executed events per tick) to
@@ -180,10 +183,11 @@ type Options struct {
 	// scheme — the engine partitions the fabric into whole pods, spreads core
 	// switches round-robin, and synchronizes shards at conservative-lookahead
 	// barriers that reproduce the one-shard event order exactly. Scenario runs
-	// shard too (compiled events apply at coordinator barriers), as do
-	// flight-recorder runs (per-shard keyed rings merged in key order). A
-	// request that cannot shard runs on one shard, reported in Result.Sharding
-	// rather than silently.
+	// shard too (compiled events apply at coordinator barriers), and at every
+	// shard count the flow completions and flight-recorder events each shard
+	// buffers merge in key order at every barrier. A request that cannot
+	// shard runs on one shard, reported in Result.Sharding rather than
+	// silently.
 	Shards int
 	// ExecStats enables the wall-clock execution profiler
 	// (internal/telemetry/execstats): per-shard event counts, heap and pool

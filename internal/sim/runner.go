@@ -186,14 +186,9 @@ type runner struct {
 	// sink (assignSlots): the sizes of the slabs they share.
 	sends, recvs int
 
-	// result and scen are set only on the one shard of a one-shard run, whose
-	// completions already come in key order: it records them straight into
-	// the coordinator's Result and scenario Metrics (scen nil without a
-	// scenario). The shards of a partitioned run leave result nil and buffer
-	// completions in fctBuf, keyed, for the coordinator to merge.
-	result *Result
-	scen   *scenario.Metrics
-	fctBuf []fctRec
+	// fcts buffers the shard's flow completions of the current barrier step,
+	// keyed, for the coordinator's merge.
+	fcts []keyed[fctRec]
 
 	// flowsTotal counts the background flows this runner offered (base trace
 	// at construction, injected scenario flows when their event fires).
@@ -211,7 +206,9 @@ type runner struct {
 	// whose deliveries this runner receives.
 	strand func(*packet.Packet)
 
-	// rec is the flight recorder (nil when disabled).
+	// rec is the shard's keyed flight recorder (nil when untraced: a nil
+	// *shardRecorder in the interface field would be a non-nil Recorder, and
+	// every emit site's nil check would pass).
 	rec telemetry.Recorder
 }
 
@@ -246,11 +243,6 @@ func newRunner(opts Options, reg *registry) *runner {
 		topo:  opts.Topo,
 		pool:  packet.NewPool(),
 		reg:   reg,
-	}
-	// Only a ring that exists: a nil *Ring in the interface field would be a
-	// non-nil Recorder, and every emit site's nil check would pass.
-	if opts.Recorder != nil {
-		r.rec = opts.Recorder
 	}
 	r.strand = r.onStranded
 	return r
@@ -469,11 +461,7 @@ func (r *runner) scheduleFlows(flows []*packet.Flow) {
 		f := x.(*packet.Flow)
 		r.reg.nics[f.Src].StartFlow(f)
 	}
-	completions := 0
 	for _, f := range flows {
-		if r.owned(f.Dst) && !f.LongLived {
-			completions++
-		}
 		if !r.owned(f.Src) {
 			continue
 		}
@@ -486,28 +474,17 @@ func (r *runner) scheduleFlows(flows []*packet.Flow) {
 			r.flowsTotal++
 		}
 	}
-	if r.plan.Shards > 1 {
-		// The completions this shard buffers are those of the base flows it
-		// receives (injected scenario flows grow the buffer past that).
-		r.fctBuf = make([]fctRec, 0, completions)
-	}
 }
 
 func (r *runner) onFlowComplete(f *packet.Flow) {
 	if f.LongLived {
 		return
 	}
-	rec := fctRec{start: f.StartTime, size: f.Size, fct: f.FCT(),
-		ideal: IdealFCT(r.topo, f), incast: f.IsIncast}
-	if r.result != nil {
-		rec.record(r.result, r.scen)
-		return
-	}
-	// One shard of several: the coordinator records completions into the
-	// run's collectors ordered by the triggering delivery event's key, so the
-	// merged record stream is byte-identical to the one-shard stream.
-	rec.key = r.sched.CurrentKey()
-	r.fctBuf = append(r.fctBuf, rec)
+	// The coordinator records completions into the run's collectors ordered
+	// by the triggering delivery event's key, so the merged stream is the
+	// same at every shard count.
+	r.fcts = append(r.fcts, keyed[fctRec]{key: r.sched.CurrentKey(), v: fctRec{start: f.StartTime,
+		size: f.Size, fct: f.FCT(), ideal: IdealFCT(r.topo, f), incast: f.IsIncast}})
 }
 
 // IdealFCT is the best possible completion time for a flow on an unloaded

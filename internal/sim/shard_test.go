@@ -329,54 +329,66 @@ func TestShardedScenarioParityFatTree(t *testing.T) {
 }
 
 // requireTraceParity runs opts serially and at each shard count, traced
-// into a default-capacity ring, and requires every sharded run to partition
-// and to match the serial run's Result bytes and flight-recorder trace
-// exactly. It returns the serial ring.
+// into a default-capacity ring and into a 256-event ring that wraps, and
+// requires every sharded run to partition and to match the serial run's
+// Result bytes, its retained events and its Seen and Overwritten counts
+// exactly. It returns the serial default-capacity ring.
 func requireTraceParity(t *testing.T, opts Options, flows []*packet.Flow, shards ...int) *telemetry.Ring {
 	t.Helper()
-	tracedRun := func(shards int) (*Result, []byte, *telemetry.Ring) {
-		ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
+	tracedRun := func(shards, capacity int) (*Result, []byte, *telemetry.Ring) {
+		ring := telemetry.NewRing(capacity)
 		o := opts
 		o.Recorder = ring
 		res, blob := runShardedResult(t, o, flows, shards)
 		return res, blob, ring
 	}
-	_, serialBlob, serialRing := tracedRun(0)
-	if serialRing.Seen() == 0 {
-		t.Fatal("serial scenario run recorded no events — trace parity test is vacuous")
-	}
-	serialTrace, err := json.Marshal(serialRing.Events())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shards {
-		res, blob, ring := tracedRun(s)
-		if res.Sharding.Used < 2 {
-			t.Fatalf("shards=%d: ran serially (fallback %q) — ring recorders must shard",
-				s, res.Sharding.Fallback)
+	var whole *telemetry.Ring
+	for _, capacity := range []int{telemetry.DefaultRingCapacity, 256} {
+		_, serialBlob, serialRing := tracedRun(0, capacity)
+		if serialRing.Seen() == 0 {
+			t.Fatal("serial run recorded no events — trace parity test is vacuous")
 		}
-		trace, err := json.Marshal(ring.Events())
+		if capacity == 256 && serialRing.Overwritten() == 0 {
+			t.Fatalf("a %d-event ring did not wrap (%d events seen) — the wrap check is vacuous", capacity, serialRing.Seen())
+		}
+		serialTrace, err := json.Marshal(serialRing.Events())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(serialTrace, trace) {
-			t.Errorf("shards=%d: flight-recorder trace diverged from serial (%d vs %d events)",
-				s, len(serialRing.Events()), len(ring.Events()))
+		for _, s := range shards {
+			res, blob, ring := tracedRun(s, capacity)
+			if res.Sharding.Used < 2 {
+				t.Fatalf("shards=%d: ran serially (fallback %q) — ring recorders must shard",
+					s, res.Sharding.Fallback)
+			}
+			trace, err := json.Marshal(ring.Events())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serialTrace, trace) {
+				t.Errorf("shards=%d ring=%d: flight-recorder trace diverged from serial (%d vs %d events)",
+					s, capacity, len(serialRing.Events()), len(ring.Events()))
+			}
+			if ring.Seen() != serialRing.Seen() || ring.Overwritten() != serialRing.Overwritten() {
+				t.Errorf("shards=%d ring=%d: ring saw %d events and overwrote %d, serial saw %d and overwrote %d",
+					s, capacity, ring.Seen(), ring.Overwritten(), serialRing.Seen(), serialRing.Overwritten())
+			}
+			if !bytes.Equal(serialBlob, blob) {
+				t.Errorf("shards=%d ring=%d: traced result diverged from serial", s, capacity)
+			}
 		}
-		if ring.Seen() != serialRing.Seen() {
-			t.Errorf("shards=%d: ring saw %d events, serial saw %d",
-				s, ring.Seen(), serialRing.Seen())
-		}
-		if !bytes.Equal(serialBlob, blob) {
-			t.Errorf("shards=%d: traced scenario result diverged from serial", s)
+		if whole == nil {
+			whole = serialRing
 		}
 	}
-	return serialRing
+	return whole
 }
 
 // TestShardedScenarioTraceParity requires the flight-recorder trace of a
-// sharded scenario run — per-shard keyed rings plus the coordinator's barrier
-// records, merged in key order — to be byte-identical to the serial trace.
+// sharded scenario run — per-shard keyed buffers plus the coordinator's
+// barrier records, merged in key order at every barrier step — to be
+// byte-identical to the serial trace, in a ring that holds it all and in one
+// that wraps.
 func TestShardedScenarioTraceParity(t *testing.T) {
 	topo := topology.NewFatTree(topology.FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
 	flows := fatTreeFlows(t, topo, 60*units.Microsecond)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,20 +50,69 @@ import (
 //     the affected shards' links (scenario.Planned.Apply). Injected flows
 //     need no coordination: each shard schedules the pre-generated flows
 //     whose sources it owns, under their keys.
-//   - One shard's own streams are already in key order, so it records flow
-//     completions straight into the Result and traces straight into the
-//     caller's ring. Two or more shards buffer both, stamped with the key of
-//     the emitting dispatch (the coordinator stamps its scenario records with
-//     the event keys), and the coordinator merges the per-shard streams in
-//     key order after the run — reproducing the one-shard streams.
+//   - A run has two output streams, flow completions and flight-recorder
+//     events, and they take one path at every shard count. Each shard
+//     buffers its records during a barrier step (the window plus any tick or
+//     scenario events at its barrier; the final RunUntil(horizon) is a step
+//     too), each stamped with the key of the emitting dispatch; the
+//     coordinator stamps its scenario records with the event keys. After each
+//     step the coordinator merges the buffers in key order into the Result,
+//     the scenario Metrics and the caller's ring, and empties them. Every
+//     shard's stream is key-monotonic, so merging step by step gives the
+//     order one merge at the end of the run would, while the buffers only
+//     ever hold one step's records and the ring sees every event.
 
-// fctRec is one flow completion. The shards of a partitioned run buffer them,
-// stamped with the key of the completing event, until the coordinator merges
-// the per-shard streams in key order; a one-shard run records each as it
-// happens (key unused). start carries the flow's start time for scenario
-// phase attribution.
+// keyed is one record of a run's stream stamped with the ordering key of the
+// dispatch (or barrier-applied scenario closure) that emitted it.
+type keyed[T any] struct {
+	key eventsim.Key
+	v   T
+}
+
+// stream is one of a run's two output streams, flow completions or
+// flight-recorder events: the buffers its sources fill during a barrier step,
+// in merge order (each shard's, then the coordinator's scenario records), and
+// where the merged records go.
+type stream[T any] struct {
+	srcs []*[]keyed[T]
+	pos  []int
+	emit func(*T)
+}
+
+// add makes buf the stream's next source.
+func (s *stream[T]) add(buf *[]keyed[T]) {
+	s.srcs = append(s.srcs, buf)
+	s.pos = append(s.pos, 0)
+}
+
+// merge is the coordinator's one merge, for both streams. Every source is
+// key-ordered, so merge hands the step's records to emit in a stable order by
+// key, sources in order (the coordinator's scenario records, the last source,
+// go last on ties), by taking the least head each time; then it empties the
+// sources.
+func (s *stream[T]) merge() {
+	for {
+		var head *keyed[T]
+		best := 0
+		for i, src := range s.srcs {
+			if p := s.pos[i]; p < len(*src) && (head == nil || (*src)[p].key.Less(head.key)) {
+				head, best = &(*src)[p], i
+			}
+		}
+		if head == nil {
+			break
+		}
+		s.emit(&head.v)
+		s.pos[best]++
+	}
+	for i, src := range s.srcs {
+		*src, s.pos[i] = (*src)[:0], 0
+	}
+}
+
+// fctRec is one flow completion. start carries the flow's start time for
+// scenario phase attribution.
 type fctRec struct {
-	key    eventsim.Key
 	start  units.Time
 	size   units.Bytes
 	fct    units.Time
@@ -137,27 +185,14 @@ func shardPlanFor(opts *Options) (*topology.ShardPlan, string) {
 	return plan, ""
 }
 
-// keyedEvent is one flight-recorder event stamped with the ordering key of
-// the dispatch (or barrier-applied scenario closure) that emitted it.
-type keyedEvent struct {
-	key eventsim.Key
-	ev  telemetry.Event
-}
-
-// shardRecorder is the per-shard flight recorder of a partitioned run: a
-// bounded ring of keyed events sized like the caller's ring. Each shard
-// retaining its own last C events guarantees the shards' union contains the
-// last C events of the merged serial-order stream, so replaying the merge
-// into the caller's ring reproduces the serial trace. The coordinator uses
-// one with a nil scheduler and stamps the key explicitly.
+// shardRecorder is a shard's flight recorder: it buffers the events the
+// shard emits during a barrier step, stamped with the key of the current
+// dispatch, for the coordinator's merge. The coordinator uses one with a nil
+// scheduler and stamps the key explicitly.
 type shardRecorder struct {
 	sched *eventsim.Scheduler
 	key   eventsim.Key
-	ring  *telemetry.Bounded[keyedEvent]
-}
-
-func newShardRecorder(sched *eventsim.Scheduler, ring *telemetry.Ring) *shardRecorder {
-	return &shardRecorder{sched: sched, ring: telemetry.NewBounded[keyedEvent](ring.Cap())}
+	evs   []keyed[telemetry.Event]
 }
 
 // Record implements telemetry.Recorder.
@@ -166,24 +201,7 @@ func (sr *shardRecorder) Record(ev telemetry.Event) {
 	if sr.sched != nil {
 		k = sr.sched.CurrentKey()
 	}
-	sr.ring.Record(keyedEvent{key: k, ev: ev})
-}
-
-// mergeFCT merges the per-shard completion buffers into serial key order.
-// Each shard's buffer is already key-sorted (heaps pop in key order), and the
-// stable sort keeps lower shard indexes first on exact ties — the same order
-// the drains imposed.
-func mergeFCT(bufs [][]fctRec) []fctRec {
-	n := 0
-	for _, b := range bufs {
-		n += len(b)
-	}
-	recs := make([]fctRec, 0, n)
-	for _, b := range bufs {
-		recs = append(recs, b...)
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].key.Less(recs[j].key) })
-	return recs
+	sr.evs = append(sr.evs, keyed[telemetry.Event]{key: k, v: ev})
 }
 
 // eachShard runs f for every shard, each on a goroutine of its own when there
@@ -257,29 +275,34 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 	sends, recvs := assignSlots(plan, flows, scen)
 
+	// The coordinator owns the Result: it samples the shared registry at tick
+	// barriers, merges the two streams into it and the caller's ring after
+	// every barrier step, and collects from it at the end.
+	res := newResult(&opts)
+	fcts := stream[fctRec]{emit: func(c *fctRec) { c.record(res, scenM) }}
+	trace := stream[telemetry.Event]{emit: func(ev *telemetry.Event) { opts.Recorder.Record(*ev) }}
+
 	// Per-shard runners build only the devices their shard owns, into the one
 	// registry they share with the coordinator. Every device derives its seed
 	// and parameters from the options and its own node (a flow its window
 	// from its own path) and draws packets from its shard's pool, so
 	// construction is independent of the partition. A shard's NICs share
-	// slabs sized to the flows the shard sources and sinks. Traced
-	// partitioned runs swap each shard's recorder for a keyed per-shard ring
-	// before any device captures it; the one shard of a one-shard run keeps
-	// the caller's ring.
+	// slabs sized to the flows the shard sources and sinks. A traced run
+	// gives each shard a keyed recorder before any device captures it.
 	// Each shard builds on its own goroutine; after the join every shard
 	// wires its links, which reach into the devices other shards built, and
 	// schedules its flows, again on its own goroutine.
 	reg := newRegistry(opts.Topo)
 	shards := make([]*runner, S)
-	var srecs []*shardRecorder
 	for i := range shards {
 		r := newRunner(opts, reg)
 		r.plan, r.shardID = plan, i
 		r.sends, r.recvs = sends[i], recvs[i]
-		if S > 1 && opts.Recorder != nil {
-			sr := newShardRecorder(r.sched, opts.Recorder)
+		fcts.add(&r.fcts)
+		if opts.Recorder != nil {
+			sr := &shardRecorder{sched: r.sched}
 			r.rec = sr
-			srecs = append(srecs, sr)
+			trace.add(&sr.evs)
 		}
 		shards[i] = r
 	}
@@ -300,32 +323,21 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	reg.buildLinkClasses()
 
 	// Scenario flows are scheduled per owning shard under their keys, after
-	// the base flows. The events' trace records go where the shards' go: the
-	// caller's ring on one shard, a keyed coordinator ring on several.
+	// the base flows. The events' trace records go to the coordinator's
+	// keyed recorder.
 	var scenRec telemetry.Recorder // stays nil, not a nil pointer, when untraced
 	var coordRec *shardRecorder
 	if scen != nil {
 		for _, r := range shards {
 			scen.ScheduleFlows(r.sched, r.owned, r.startInjected)
 		}
-		switch {
-		case opts.Recorder == nil:
-		case S == 1:
-			scenRec = opts.Recorder
-		default:
-			coordRec = newShardRecorder(nil, opts.Recorder)
+		if opts.Recorder != nil {
+			coordRec = &shardRecorder{}
 			scenRec = coordRec
+			trace.add(&coordRec.evs)
 		}
 	}
 
-	// The coordinator owns the Result: it samples the shared registry at tick
-	// barriers and collects from it at the end. The one shard of a one-shard
-	// run completes flows in key order already and records them straight into
-	// it.
-	res := newResult(&opts)
-	if S == 1 {
-		shards[0].result, shards[0].scen = res, scenM
-	}
 	sws := reg.sampleSwitches()
 
 	// Ticks and scenario events are events of the run that no shard
@@ -449,6 +461,8 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		case isTick:
 			doTick()
 		}
+		fcts.merge()
+		trace.merge()
 		ec.EndWindow(executedEmu())
 		if b == nextSync {
 			nextSync += W
@@ -461,21 +475,9 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// emit arrives beyond the horizon on every shard.
 	ec.BeginWindow()
 	runAll(func(r *runner) { r.sched.RunUntil(horizon) })
+	fcts.merge()
+	trace.merge()
 	ec.EndWindow(executedEmu())
-
-	// Several shards: merge flow completions in key order. Scenario phase
-	// attribution replays in the same merged order, so the phase collectors
-	// fill exactly as one shard's would.
-	if S > 1 {
-		bufs := make([][]fctRec, S)
-		for i, r := range shards {
-			bufs[i] = r.fctBuf
-		}
-		merged := mergeFCT(bufs)
-		for i := range merged {
-			merged[i].record(res, scenM)
-		}
-	}
 
 	// Counters accumulated shard-locally during parallel windows. Offered-flow
 	// counts merge after the run because injected scenario flows join a shard's
@@ -517,22 +519,5 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		res.Exec = rs
 	}
 
-	// Several shards: replay the merged trace into the caller's ring in key
-	// order. Per shard the buffers are emission-ordered (equal keys = one
-	// dispatch), so the stable sort reproduces the one-shard stream; the ring
-	// then retains its last-capacity window of it, as one shard's ring would.
-	if len(srecs) > 0 {
-		var all []keyedEvent
-		for _, sr := range srecs {
-			all = append(all, sr.ring.Events()...)
-		}
-		if coordRec != nil {
-			all = append(all, coordRec.ring.Events()...)
-		}
-		sort.SliceStable(all, func(i, j int) bool { return all[i].key.Less(all[j].key) })
-		for i := range all {
-			opts.Recorder.Record(all[i].ev)
-		}
-	}
 	return res, nil
 }

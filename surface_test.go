@@ -100,16 +100,17 @@ func TestEveryFieldIsRead(t *testing.T) {
 // TestFieldCheckerFlagsWriteOnlyShapes runs the field check on
 // testdata/writeonly, which holds one field of each shape: only assigned, only
 // incremented, only set by a composite-literal key, only raised by an if
-// high-water update, only raised by max, read by a guard whose if does more
-// than set it, read through == on its struct, and read by a selector. Exactly
-// the first five are unread.
+// high-water update, only raised by max, only stored into by element, only
+// appended to itself, read by a guard whose if does more than set it, read
+// through == on its struct, and read by a selector. Exactly the first seven
+// are unread.
 func TestFieldCheckerFlagsWriteOnlyShapes(t *testing.T) {
 	c := newSurfaceChecker()
 	if _, err := c.check("testdata/writeonly"); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Join(c.unreadFields(), " ")
-	if want := "testdata/writeonly.T.Assigned testdata/writeonly.T.HighWater testdata/writeonly.T.Incremented testdata/writeonly.T.Keyed testdata/writeonly.T.Peak"; got != want {
+	if want := "testdata/writeonly.T.Appended testdata/writeonly.T.Assigned testdata/writeonly.T.HighWater testdata/writeonly.T.Incremented testdata/writeonly.T.Indexed testdata/writeonly.T.Keyed testdata/writeonly.T.Peak"; got != want {
 		t.Errorf("unread fields = %q, want %q", got, want)
 	}
 }
@@ -309,9 +310,11 @@ func (c *surfaceChecker) declareFields(rel string, files []*ast.File, info *type
 // of the value they are given.
 var jsonEncoders = map[string]bool{"Marshal": true, "MarshalIndent": true, "Encode": true}
 
-// markReads records the fields f reads. A high-water update reads its field
-// only to write it again, so neither `if v > x.f { x.f = v }` (that one
-// assignment, no else) nor `x.f = max(x.f, v)` (or min) counts as a read.
+// markReads records the fields f reads. A store into an element (`x.f[k] =
+// v`, `x.f[i]++`) and a self-append (`x.f = append(x.f, v)`) only write x.f,
+// and a high-water update reads its field only to write it again, so neither
+// `if v > x.f { x.f = v }` (that one assignment, no else) nor `x.f = max(x.f,
+// v)` (or min) counts as a read.
 func (c *surfaceChecker) markReads(f *ast.File, info *types.Info) {
 	writes := map[*ast.SelectorExpr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -323,16 +326,16 @@ func (c *surfaceChecker) markReads(f *ast.File, info *types.Info) {
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
 				for _, lhs := range n.Lhs {
-					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+					if sel := stored(lhs); sel != nil {
 						writes[sel] = true
 					}
 				}
 			}
-			if sel := highWaterCall(n, info); sel != nil {
+			if sel := selfUpdate(n, info); sel != nil {
 				writes[sel] = true
 			}
 		case *ast.IncDecStmt:
-			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+			if sel := stored(n.X); sel != nil {
 				writes[sel] = true
 			}
 		case *ast.SelectorExpr:
@@ -358,6 +361,21 @@ func (c *surfaceChecker) markReads(f *ast.File, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// stored returns the selector x.f that a store to e writes: e itself, or an
+// element of it (x.f[k], x.f[i][j]); nil for any other expression.
+func stored(e ast.Expr) *ast.SelectorExpr {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			return x
+		case *ast.IndexExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // highWaterIf returns the selector x.f that `if v > x.f { x.f = v }` compares
@@ -386,9 +404,10 @@ func highWaterIf(n *ast.IfStmt) *ast.SelectorExpr {
 	return nil
 }
 
-// highWaterCall returns the selector x.f that `x.f = max(x.f, v)` (or min)
-// passes back to the builtin, or nil for any other assignment.
-func highWaterCall(n *ast.AssignStmt, info *types.Info) *ast.SelectorExpr {
+// selfUpdate returns the selector x.f that `x.f = max(x.f, v)` (or min) or
+// `x.f = append(x.f, v)` passes back to the builtin, or nil for any other
+// assignment.
+func selfUpdate(n *ast.AssignStmt, info *types.Info) *ast.SelectorExpr {
 	if n.Tok != token.ASSIGN || len(n.Lhs) != 1 || len(n.Rhs) != 1 {
 		return nil
 	}
@@ -400,7 +419,7 @@ func highWaterCall(n *ast.AssignStmt, info *types.Info) *ast.SelectorExpr {
 	if !ok {
 		return nil
 	}
-	if b, ok := info.Uses[fn].(*types.Builtin); !ok || (b.Name() != "max" && b.Name() != "min") {
+	if b, ok := info.Uses[fn].(*types.Builtin); !ok || (b.Name() != "max" && b.Name() != "min" && b.Name() != "append") {
 		return nil
 	}
 	lhs := types.ExprString(n.Lhs[0])

@@ -2,8 +2,9 @@
 // surface_test.go must tell apart.
 package writeonly
 
-// T's first five fields are written and never read: a high-water update reads
-// its field only to write it again. Done is read by a guard that does more
+// T's first seven fields are written and never read: a high-water update
+// reads its field only to write it again, and a store into an element or a
+// self-append only writes the field. Done is read by a guard that does more
 // than set it.
 type T struct {
 	Assigned    int
@@ -11,6 +12,8 @@ type T struct {
 	Keyed       int
 	HighWater   int
 	Peak        int
+	Indexed     []int
+	Appended    []int
 	Done        bool
 	Read        int
 }
@@ -26,6 +29,9 @@ func Use(t *T, v int) (int, bool) {
 		t.HighWater = v
 	}
 	t.Peak = max(t.Peak, v)
+	t.Indexed[0] = v
+	t.Indexed[1]++
+	t.Appended = append(t.Appended, v)
 	if !t.Done {
 		t.Done = true
 		v++
