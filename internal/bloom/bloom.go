@@ -36,10 +36,15 @@ const DefaultHashes = 4
 // DefaultSizeBytes is the paper's pause-frame bloom filter size (128 bytes).
 const DefaultSizeBytes = 128
 
+// MaxSizeBytes is the largest filter a Filter holds: the largest size in the
+// paper's sensitivity study (Fig 14), kept inline so that a snapshot is one
+// allocation.
+const MaxSizeBytes = 128
+
 // Params configures a pause-frame bloom filter.
 type Params struct {
 	// SizeBytes is the size of the bit vector in bytes (16–128 in the paper's
-	// sensitivity study, Fig 14).
+	// sensitivity study, Fig 14), at most MaxSizeBytes.
 	SizeBytes int
 	// Hashes is the number of hash positions per element.
 	Hashes int
@@ -52,8 +57,8 @@ func DefaultParams() Params {
 }
 
 func (p Params) validate() {
-	if p.SizeBytes <= 0 {
-		panic("bloom: SizeBytes must be positive")
+	if p.SizeBytes <= 0 || p.SizeBytes > MaxSizeBytes {
+		panic("bloom: SizeBytes must be in [1,128]")
 	}
 	if p.Hashes <= 0 || p.Hashes > 16 {
 		panic("bloom: Hashes must be in [1,16]")
@@ -83,10 +88,11 @@ func (p Params) positions(v packet.VFID, out []int) []int {
 }
 
 // Filter is the wire-format pause bloom filter: a bit for every position, set
-// if some paused VFID hashes there.
+// if some paused VFID hashes there. The words are held inline (those past
+// params.words() stay zero), so a Filter is a single object.
 type Filter struct {
 	params Params
-	bits   []uint64
+	bits   [MaxSizeBytes / 8]uint64
 }
 
 // Contains reports whether the VFID matches the filter (i.e. should be
@@ -104,7 +110,7 @@ func (f *Filter) Contains(v packet.VFID) bool {
 // SetBits returns the number of set bit positions (diagnostics).
 func (f *Filter) SetBits() int {
 	n := 0
-	for _, w := range f.bits {
+	for _, w := range f.bits[:] {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -195,14 +201,14 @@ func (c *Counting) Members() int { return c.members }
 
 // Snapshot returns the wire Filter representing the current pause set. It
 // returns the same *Filter as the previous call until a bit flips, and then a
-// new one copied from the live bit vector. The result is read-only: it may be
-// held by several pause frames, upstream devices and other shards at once,
-// which is race-free only because nobody writes it after it is returned.
+// new one copied from the live bit vector, at the cost of one allocation. The
+// result is read-only: it may be held by several pause frames, upstream
+// devices and other shards at once, which is race-free only because nobody
+// writes it after it is returned.
 func (c *Counting) Snapshot() *Filter {
 	if c.snap == nil {
-		bits := make([]uint64, c.params.words())
-		copy(bits, c.bits)
-		c.snap = &Filter{params: c.params, bits: bits}
+		c.snap = &Filter{params: c.params}
+		copy(c.snap.bits[:], c.bits)
 	}
 	return c.snap
 }

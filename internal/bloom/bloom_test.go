@@ -2,7 +2,6 @@ package bloom
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,7 +55,7 @@ func TestFilterEmptyAndWireSize(t *testing.T) {
 		t.Fatalf("filter with one element: set bits=%d, want %d", n, DefaultHashes)
 	}
 	// The pause frame carries the bit vector itself: SizeBytes on the wire.
-	if size := len(f.bits) * 8; size != DefaultSizeBytes {
+	if size := f.params.words() * 8; size != DefaultSizeBytes {
 		t.Fatalf("wire size = %d, want %d", size, DefaultSizeBytes)
 	}
 }
@@ -99,6 +98,30 @@ func TestParamsValidation(t *testing.T) {
 	assertPanics(t, func() { NewCounting(Params{SizeBytes: 128, Hashes: 0}) })
 	assertPanics(t, func() { NewCounting(Params{SizeBytes: 128, Hashes: 17}) })
 	assertPanics(t, func() { NewCounting(Params{SizeBytes: -1, Hashes: 4}) })
+	assertPanics(t, func() { NewCounting(Params{SizeBytes: MaxSizeBytes + 1, Hashes: 4}) })
+}
+
+// TestSnapshotIsOneAllocation: after a bit flips, Snapshot costs exactly one
+// object, at every size Fig 14 sweeps; with no flip it costs none.
+func TestSnapshotIsOneAllocation(t *testing.T) {
+	for _, size := range []int{16, 32, 64, MaxSizeBytes} {
+		c := NewCounting(Params{SizeBytes: size, Hashes: DefaultHashes})
+		c.Add(1)
+		v := packet.VFID(0)
+		flipped := testing.AllocsPerRun(100, func() {
+			v++
+			c.Add(v)
+			c.Snapshot()
+			c.Remove(v)
+			c.Snapshot()
+		})
+		if flipped != 2 {
+			t.Errorf("%d B: an Add and a Remove that each flip bits cost %v snapshot objects, want 2", size, flipped)
+		}
+		if same := testing.AllocsPerRun(100, func() { c.Snapshot() }); same != 0 {
+			t.Errorf("%d B: an unchanged filter's snapshot cost %v objects, want 0", size, same)
+		}
+	}
 }
 
 func assertPanics(t *testing.T, f func()) {
@@ -214,7 +237,7 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 // fullScan is the reference Snapshot: a fresh filter with a bit for every
 // non-zero counter.
 func fullScan(c *Counting) *Filter {
-	f := &Filter{params: c.params, bits: make([]uint64, c.params.words())}
+	f := &Filter{params: c.params}
 	for pos, cnt := range c.counts {
 		if cnt > 0 {
 			f.bits[pos/64] |= 1 << (pos % 64)
@@ -233,7 +256,7 @@ func TestSnapshotIncrementalProperty(t *testing.T) {
 		c := NewCounting(Params{SizeBytes: sizes[int(sizeIdx)%len(sizes)], Hashes: 4})
 		type issued struct {
 			f    *Filter
-			bits []uint64
+			bits [MaxSizeBytes / 8]uint64
 		}
 		var seen []issued
 		var present []packet.VFID
@@ -248,15 +271,15 @@ func TestSnapshotIncrementalProperty(t *testing.T) {
 				present = append(present[:j], present[j+1:]...)
 			}
 			snap := c.Snapshot()
-			if !slices.Equal(snap.bits, fullScan(c).bits) || snap.params != c.params {
+			if snap.bits != fullScan(c).bits || snap.params != c.params {
 				return false
 			}
 			if c.Snapshot() != snap {
 				return false
 			}
-			seen = append(seen, issued{snap, slices.Clone(snap.bits)})
+			seen = append(seen, issued{snap, snap.bits})
 			for _, s := range seen {
-				if !slices.Equal(s.f.bits, s.bits) {
+				if s.f.bits != s.bits {
 					return false
 				}
 			}

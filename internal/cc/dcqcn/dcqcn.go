@@ -105,10 +105,18 @@ type Controller struct {
 
 // New creates a controller with the flow starting at line rate.
 func New(p Params) *Controller {
+	c := new(Controller)
+	c.Init(p)
+	return c
+}
+
+// Init sets c up as New does, in place, so a simulation may keep its
+// controllers in a slab instead of one heap object per flow.
+func (c *Controller) Init(p Params) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Controller{
+	*c = Controller{
 		p:     p,
 		rc:    p.LineRate,
 		rt:    p.LineRate,

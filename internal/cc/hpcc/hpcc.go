@@ -70,6 +70,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// inlineHops is the longest path, in switches, whose INT history a controller
+// holds inline: every topology the simulator builds fits (a cross-DC path
+// crosses six). A longer stack moves the history to the heap.
+const inlineHops = 8
+
 // Controller is the per-flow HPCC sender state machine. It implements
 // cc.Controller.
 type Controller struct {
@@ -78,7 +83,10 @@ type Controller struct {
 	window units.Bytes // W
 	wc     units.Bytes // reference window W_c
 	stage  int
-	prev   []packet.INTHop
+	// prev is the INT stack of the last ACK. It starts on prevHops, which
+	// holds a path of up to inlineHops switches without an allocation.
+	prev     []packet.INTHop
+	prevHops [inlineHops]packet.INTHop
 
 	// lastUpdateBytes implements the "once per RTT" reference update: the
 	// reference window W_c is refreshed when the cumulative acked bytes pass
@@ -87,13 +95,16 @@ type Controller struct {
 	nextUpdateBytes units.Bytes
 }
 
-// New creates a controller with the window starting at one BDP.
-func New(p Params) *Controller {
+// Init sets c up with the window starting at one BDP. A simulation keeps its
+// controllers in a slab and sets each up in place; a controller must not be
+// copied afterwards, because its INT history points into itself.
+func (c *Controller) Init(p Params) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	bdp := units.BDP(p.LineRate, p.BaseRTT)
-	return &Controller{p: p, window: bdp, wc: bdp}
+	*c = Controller{p: p, window: bdp, wc: bdp}
+	c.prev = c.prevHops[:0]
 }
 
 // Window implements cc.Controller.

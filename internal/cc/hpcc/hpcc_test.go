@@ -10,6 +10,13 @@ import (
 
 func params() Params { return DefaultParams(100*units.Gbps, 8*units.Microsecond) }
 
+// newController returns a controller set up by Init.
+func newController(p Params) *Controller {
+	c := new(Controller)
+	c.Init(p)
+	return c
+}
+
 // bdp for the default params: 100 Gbps * 8 us = 100000 bytes.
 const bdp = units.Bytes(100000)
 
@@ -35,7 +42,7 @@ func TestValidation(t *testing.T) {
 	}
 	bad := params()
 	bad.Eta = 0
-	assertPanics(t, func() { New(bad) })
+	assertPanics(t, func() { newController(bad) })
 }
 
 func assertPanics(t *testing.T, f func()) {
@@ -49,7 +56,7 @@ func assertPanics(t *testing.T, f func()) {
 }
 
 func TestInitialWindowIsOneBDP(t *testing.T) {
-	c := New(params())
+	c := newController(params())
 	if c.Window() != bdp {
 		t.Fatalf("initial window = %v, want %v", c.Window(), bdp)
 	}
@@ -66,7 +73,7 @@ func intStack(ts units.Time, qlen units.Bytes, txBytes units.Bytes) []packet.INT
 }
 
 func TestCongestedLinkShrinksWindow(t *testing.T) {
-	c := New(params())
+	c := newController(params())
 	// First ACK establishes the telemetry baseline.
 	c.OnAck(0, 1000, false, intStack(0, 0, 0))
 	w0 := c.Window()
@@ -86,7 +93,7 @@ func TestCongestedLinkShrinksWindow(t *testing.T) {
 
 func TestIdleLinkGrowsWindowToCap(t *testing.T) {
 	p := params()
-	c := New(p)
+	c := newController(p)
 	// Shrink first.
 	c.OnAck(0, 1000, false, intStack(0, 0, 0))
 	c.OnAck(10*units.Microsecond, 1000, false, intStack(10*units.Microsecond, 5*bdp, 125000))
@@ -111,7 +118,7 @@ func TestIdleLinkGrowsWindowToCap(t *testing.T) {
 }
 
 func TestMultiHopUsesMostCongestedLink(t *testing.T) {
-	c := New(params())
+	c := newController(params())
 	hops0 := []packet.INTHop{
 		{QLen: 0, TxBytes: 0, Rate: 100 * units.Gbps, TS: 0},
 		{QLen: 0, TxBytes: 0, Rate: 100 * units.Gbps, TS: 0},
@@ -128,7 +135,7 @@ func TestMultiHopUsesMostCongestedLink(t *testing.T) {
 }
 
 func TestAckWithoutINTIsIgnored(t *testing.T) {
-	c := New(params())
+	c := newController(params())
 	w0 := c.Window()
 	c.OnAck(0, 1000, false, nil)
 	c.OnCNP(0)
@@ -144,7 +151,7 @@ func TestAckWithoutINTIsIgnored(t *testing.T) {
 // telemetry sequences.
 func TestWindowBoundsProperty(t *testing.T) {
 	prop := func(qlens []uint32, dts []uint8) bool {
-		c := New(params())
+		c := newController(params())
 		now := units.Time(0)
 		var tx units.Bytes
 		for i, q := range qlens {

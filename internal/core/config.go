@@ -100,6 +100,9 @@ func (c Config) Validate() error {
 	if c.Bloom.SizeBytes <= 0 || c.Bloom.Hashes <= 0 {
 		return fmt.Errorf("core: invalid bloom parameters %+v", c.Bloom)
 	}
+	if c.Bloom.SizeBytes > bloom.MaxSizeBytes {
+		return fmt.Errorf("core: bloom filter of %d B exceeds the %d B a pause frame holds", c.Bloom.SizeBytes, bloom.MaxSizeBytes)
+	}
 	if c.HRTT <= 0 || c.Tau <= 0 {
 		return fmt.Errorf("core: HRTT and Tau must be positive")
 	}

@@ -69,6 +69,11 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("expected error for zero VFIDs")
 	}
 	bad = DefaultConfig()
+	bad.Bloom.SizeBytes = bloom.MaxSizeBytes + 1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("expected error for a bloom filter larger than a pause frame holds")
+	}
+	bad = DefaultConfig()
 	bad.HRTT = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for zero HRTT")

@@ -105,7 +105,10 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 // line's events= counts what that shard's scheduler fired, leaving out the
 // ticks and scenario events the coordinator applies. heap-hw is the most index
 // records ever pending at once across the event queue's three tiers — what a
-// single heap's depth would be, and the same number.
+// single heap's depth would be, and the same number. pool= is the packets the
+// shard's pool carved / reused, free= those in its free-list at the end: a
+// run whose flows all completed has as many free, summed over shards, as
+// carved.
 func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 	fmt.Fprintf(w, "# %s exec: shards=%d events=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
 		job, len(ex.Shards), ex.TotalEvents, ex.Windows, ex.Barriers, 100*ex.Utilization(),
@@ -113,8 +116,8 @@ func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 		time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 	for i := range ex.Shards {
 		ss := &ex.Shards[i]
-		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
-			ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled,
+		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d free=%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
+			ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled, ss.PoolFree,
 			100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.MaxDrain)
 	}
 }

@@ -142,8 +142,10 @@ type INTHop struct {
 // Packet is the unit of transfer between devices. A Packet is created once at
 // the sender and handed from device to device (the simulator never copies
 // payload bytes; Size is bookkeeping).
+//
+// The flag bytes share one word and the queue link takes one more, so a
+// Packet stays within Go's 80-byte size class (TestPacketSize).
 type Packet struct {
-	Kind Kind
 	Flow *Flow
 
 	// Seq is the zero-based index of this data packet within its flow. For
@@ -153,6 +155,22 @@ type Packet struct {
 	Size units.Bytes
 	// Payload is the application bytes carried (Size minus headers).
 	Payload units.Bytes
+
+	// INT is the HPCC telemetry stack; nil unless HPCC is enabled. On an Ack
+	// it is the reflected stack from the data packet being acknowledged.
+	INT []INTHop
+
+	// ArrivalPort is simulator-transient bookkeeping, valid only while the
+	// packet is queued at a single device and rewritten at every hop. It lets
+	// a switch recover, at dequeue time, which ingress the packet used
+	// without a second lookup.
+	ArrivalPort int
+
+	// next links the packet to the one behind it in the queue that holds it
+	// (see Enqueue); nil at the tail and whenever the packet is unqueued.
+	next *Packet
+
+	Kind Kind
 
 	// ECN is the congestion-experienced codepoint, set by switches when ECN
 	// marking is enabled; echoed by the receiver into CNPs (DCQCN) or ACKs.
@@ -165,24 +183,38 @@ type Packet struct {
 	// (§3.7).
 	First bool
 
-	// INT is the HPCC telemetry stack; nil unless HPCC is enabled. On an Ack
-	// it is the reflected stack from the data packet being acknowledged.
-	INT []INTHop
-
 	// Priority is written by the sending NIC and read by nothing: the
 	// scheduler classes packets by Kind and First. It stays until the
 	// benchmark's NIC microdriver stops writing it.
 	Priority Priority
 
-	// ArrivalPort is simulator-transient bookkeeping, valid only while the
-	// packet is queued at a single device and rewritten at every hop. It lets
-	// a switch recover, at dequeue time, which ingress the packet used
-	// without a second lookup.
-	ArrivalPort int
-
 	// pooled marks packets sitting in a Pool free-list; Pool.Put uses it to
 	// detect double-recycling (two devices believing they own the packet).
 	pooled bool
+	// queued marks packets held by a queue; Enqueue and Pool.Put use it to
+	// detect a packet in two queues, or recycled while still queued.
+	queued bool
+}
+
+// Enqueue links p behind tail, the last packet of the queue p joins (nil
+// when that queue is empty), and marks p queued. A packet is in at most one
+// queue at a time: Enqueue panics if p is already in one.
+func (p *Packet) Enqueue(tail *Packet) {
+	if p.queued {
+		panic("packet: enqueued while already in a queue")
+	}
+	p.queued = true
+	if tail != nil {
+		tail.next = p
+	}
+}
+
+// Dequeue unlinks p, the head of its queue, and returns the packet behind it
+// (nil when p was the last).
+func (p *Packet) Dequeue() *Packet {
+	next := p.next
+	p.next, p.queued = nil, false
+	return next
 }
 
 // IsControl reports whether the packet travels in the unpausable control

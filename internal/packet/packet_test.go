@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bfc/internal/units"
 )
@@ -204,5 +205,64 @@ func TestMix64KnownAnswers(t *testing.T) {
 		if got := Mix64(uint64(i) * Gamma); got != want {
 			t.Errorf("Mix64(%d*Gamma) = %#x, want %#x", i, got, want)
 		}
+	}
+}
+
+// TestPacketSize: the flag bytes share one word, so a Packet with its queue
+// link fits Go's 80-byte size class.
+func TestPacketSize(t *testing.T) {
+	if s := unsafe.Sizeof(Packet{}); s > 80 {
+		t.Fatalf("Packet is %d bytes, want at most 80", s)
+	}
+}
+
+// TestPoolPutPanicsOnQueuedOrPutPacket: Put refuses a packet a queue still
+// holds and one already recycled.
+func TestPoolPutPanicsOnQueuedOrPutPacket(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	pl := NewPool()
+	p := pl.Get()
+	p.Enqueue(nil)
+	mustPanic("Put of a queued packet", func() { pl.Put(p) })
+	mustPanic("Enqueue of a queued packet", func() { p.Enqueue(nil) })
+	p.Dequeue()
+	pl.Put(p)
+	mustPanic("second Put", func() { pl.Put(p) })
+}
+
+// TestPoolCountsPagesAndFreeList: Gets carve pagePackets packets per page
+// before the first reuse, Recycled counts free-list hits, and allocated minus
+// Free is the number of packets out.
+func TestPoolCountsPagesAndFreeList(t *testing.T) {
+	var pl *Pool
+	out := make([]*Packet, pagePackets+1)
+	allocs := testing.AllocsPerRun(1, func() {
+		pl = NewPool()
+		for i := range out {
+			out[i] = pl.Get()
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("a pool and %d Gets made %v objects, want 3: the pool and 2 pages", len(out), allocs)
+	}
+	for _, p := range out[:10] {
+		pl.Put(p)
+	}
+	if got := pl.Allocated() - uint64(pl.Free()); got != uint64(len(out)-10) {
+		t.Errorf("allocated - free = %d, want %d packets out", got, len(out)-10)
+	}
+	for range 4 {
+		pl.Get()
+	}
+	if pl.Recycled() != 4 || pl.Free() != 6 || pl.Allocated() != uint64(len(out)) {
+		t.Errorf("recycled %d free %d allocated %d, want 4, 6 and %d", pl.Recycled(), pl.Free(), pl.Allocated(), len(out))
 	}
 }

@@ -18,13 +18,15 @@ import (
 )
 
 // FIFO is a first-in first-out packet queue with byte accounting and a pause
-// flag. The zero value is an empty queue, so a device may carve its queues
-// out of one []FIFO; a FIFO must not be copied once in use.
+// flag. It links its packets in place (packet.Enqueue), so pushing and
+// popping never allocate, and a packet is in at most one FIFO at a time. The
+// zero value is an empty queue, so a device may carve its queues out of one
+// []FIFO; a FIFO must not be copied once in use.
 type FIFO struct {
-	packets []*packet.Packet
-	head    int
-	bytes   units.Bytes
-	paused  bool
+	head, tail *packet.Packet
+	n          int
+	bytes      units.Bytes
+	paused     bool
 
 	// drr and idx wire the queue into its scheduler's serviceability bitmap
 	// (set by DRR.Init, nil for standalone queues): the queue reports its
@@ -34,59 +36,52 @@ type FIFO struct {
 	idx int
 }
 
-// Push appends a packet.
+// Push appends a packet. It panics if p is nil or already in a queue.
 func (q *FIFO) Push(p *packet.Packet) {
 	if p == nil {
 		panic("queue: pushing nil packet")
 	}
-	q.packets = append(q.packets, p)
-	q.bytes += p.Size
-	if q.drr != nil && !q.paused && q.Len() == 1 {
-		q.drr.setReady(q.idx)
+	p.Enqueue(q.tail)
+	if q.n == 0 {
+		q.head = p
+		if q.drr != nil && !q.paused {
+			q.drr.setReady(q.idx)
+		}
 	}
+	q.tail = p
+	q.n++
+	q.bytes += p.Size
 }
 
 // Pop removes and returns the packet at the head, or nil if empty.
 func (q *FIFO) Pop() *packet.Packet {
-	if q.Len() == 0 {
+	p := q.head
+	if p == nil {
 		return nil
 	}
-	p := q.packets[q.head]
-	q.packets[q.head] = nil
-	q.head++
+	q.head = p.Dequeue()
+	q.n--
 	q.bytes -= p.Size
-	if q.head == len(q.packets) {
-		// Drained: rewind to the front of the backing array, so a queue that
-		// never holds more than a packet or two never grows one.
-		q.packets, q.head = q.packets[:0], 0
+	if q.head == nil {
+		q.tail = nil
 		if q.drr != nil {
 			q.drr.clearReady(q.idx)
 		}
-	} else if q.head > 64 && q.head*2 >= len(q.packets) {
-		// Compact once the dead prefix dominates, keeping amortized O(1) pops
-		// without unbounded growth.
-		q.packets = append(q.packets[:0], q.packets[q.head:]...)
-		q.head = 0
 	}
 	return p
 }
 
 // Head returns the packet at the head without removing it, or nil.
-func (q *FIFO) Head() *packet.Packet {
-	if q.Len() == 0 {
-		return nil
-	}
-	return q.packets[q.head]
-}
+func (q *FIFO) Head() *packet.Packet { return q.head }
 
 // Len returns the number of queued packets.
-func (q *FIFO) Len() int { return len(q.packets) - q.head }
+func (q *FIFO) Len() int { return q.n }
 
 // Bytes returns the total queued bytes.
 func (q *FIFO) Bytes() units.Bytes { return q.bytes }
 
 // Empty reports whether the queue has no packets.
-func (q *FIFO) Empty() bool { return q.Len() == 0 }
+func (q *FIFO) Empty() bool { return q.head == nil }
 
 // Paused reports the pause flag.
 func (q *FIFO) Paused() bool { return q.paused }

@@ -61,25 +61,55 @@ func TestFIFOPushNilPanics(t *testing.T) {
 	q.Push(nil)
 }
 
-// TestFIFORewindsWhenDrained: a queue that never holds more than one packet
-// reuses the front of its backing array instead of walking it forward.
-func TestFIFORewindsWhenDrained(t *testing.T) {
+// TestFIFOPushPopAllocFree: the FIFO links its packets in place, so pushing
+// 10k packets and popping them all back allocates nothing.
+func TestFIFOPushPopAllocFree(t *testing.T) {
+	pkts := make([]packet.Packet, 10000)
 	q := &FIFO{}
-	p := pkt(100)
-	for i := 0; i < 10000; i++ {
-		q.Push(p)
-		if q.Pop() != p || !q.Empty() || q.Bytes() != 0 {
-			t.Fatalf("push/pop %d: queue not empty after popping its only packet", i)
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := range pkts {
+			q.Push(&pkts[i])
 		}
+		for i := range pkts {
+			if q.Pop() != &pkts[i] {
+				t.Fatalf("pop %d out of order", i)
+			}
+		}
+	})
+	if allocs != 0 || !q.Empty() || q.Len() != 0 {
+		t.Fatalf("10000 pushes and pops: %v allocations, empty=%v len=%d", allocs, q.Empty(), q.Len())
 	}
-	if c := cap(q.packets); c > 2 {
-		t.Fatalf("10000 push/pop pairs at depth 1 grew the backing array to %d", c)
+}
+
+// TestFIFOPushQueuedPanics: a packet is in at most one queue at a time, so
+// pushing one that a queue holds — this one or another — panics, and once
+// popped it may be pushed again.
+func TestFIFOPushQueuedPanics(t *testing.T) {
+	a, b := &FIFO{}, &FIFO{}
+	p := pkt(100)
+	a.Push(p)
+	for name, q := range map[string]*FIFO{"same queue": a, "another queue": b} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: pushing a queued packet did not panic", name)
+				}
+			}()
+			q.Push(p)
+		}()
+	}
+	if a.Len() != 1 || !b.Empty() {
+		t.Fatalf("after the refused pushes: len %d and %d, want 1 and 0", a.Len(), b.Len())
+	}
+	b.Push(a.Pop())
+	if b.Pop() != p || !a.Empty() || !b.Empty() {
+		t.Fatal("a popped packet did not move to the other queue")
 	}
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	// Push and pop many packets to force internal compaction; FIFO order and
-	// byte accounting must survive.
+	// Interleave pushes and pops so the queue never drains until the end;
+	// FIFO order and byte accounting must survive.
 	q := &FIFO{}
 	next := 0
 	popped := 0
@@ -356,6 +386,14 @@ func (d *walkDRR) advance() {
 	d.credited = false
 }
 
+// tag returns the step that pushed p, or -1 for no packet.
+func tag(p *packet.Packet) int {
+	if p == nil {
+		return -1
+	}
+	return p.Seq
+}
+
 // TestDRRMatchesLinearWalk drives DRR and the walkDRR model through the same
 // random interleavings of Push, Dequeue and SetPaused and asserts, after every
 // step, the same (packet, index) from each dequeue, identical deficits and the
@@ -382,14 +420,18 @@ func TestDRRMatchesLinearWalk(t *testing.T) {
 				i := active[rng.Intn(len(active))]
 				switch r := rng.Intn(10); {
 				case r < 4:
-					p := pkt(units.Bytes(1 + rng.Intn(2*quantum)))
-					fast[i].Push(p)
-					slow[i].Push(p)
+					// A packet is in one queue at a time, so each model gets
+					// its own copy, tagged with the step that pushed it.
+					size := units.Bytes(1 + rng.Intn(2*quantum))
+					gp, wp := pkt(size), pkt(size)
+					gp.Seq, wp.Seq = step, step
+					fast[i].Push(gp)
+					slow[i].Push(wp)
 				case r < 8:
 					gp, gi := d.Dequeue()
 					wp, wi := m.dequeue()
-					if gp != wp || gi != wi {
-						t.Fatalf("n=%d seed=%d step %d: Dequeue = (%p, %d), walk = (%p, %d)", n, seed, step, gp, gi, wp, wi)
+					if tag(gp) != tag(wp) || gi != wi {
+						t.Fatalf("n=%d seed=%d step %d: Dequeue = (pushed at %d, %d), walk = (pushed at %d, %d)", n, seed, step, tag(gp), gi, tag(wp), wi)
 					}
 				default:
 					paused := !fast[i].Paused()

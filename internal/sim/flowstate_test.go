@@ -126,41 +126,45 @@ func TestRenumberedFlowIDs(t *testing.T) {
 	}
 }
 
-// TestFlowAllocs holds per-flow NIC state to the shard's slabs: once they
-// exist, starting, running and completing a flow allocates no object of its
-// own. Two BFC runs of one fabric, one with n flows and one with 4n (the
-// same spacing, so as many in flight at a time), differ only by what the
-// extra 3n flows allocate; the event arena's pages and the completion
-// buffers' growth stay well under a tenth of an object per flow. A sender
-// record, its timer closure and a receiver record per flow, or a map entry
-// keyed by flow ID, exceed the budget many times over.
+// spreadFlows returns count 8 KB flows over the fabric's hosts, one starting
+// every microsecond.
+func spreadFlows(topo *topology.Topology, count int) []*packet.Flow {
+	hosts := topo.Hosts()
+	flows := make([]*packet.Flow, count)
+	for i := range flows {
+		flows[i] = &packet.Flow{
+			ID: packet.FlowID(i + 1), Src: hosts[i%len(hosts)], Dst: hosts[(i*7+3)%len(hosts)],
+			SrcPort: uint16(1000 + i), DstPort: 4791,
+			Size: 8 * units.KB, StartTime: units.Time(i) * units.Microsecond,
+		}
+		if flows[i].Src == flows[i].Dst {
+			flows[i].Dst = hosts[(i+1)%len(hosts)]
+		}
+	}
+	return flows
+}
+
+// TestFlowAllocs holds per-flow state to the shard's slabs: once they exist,
+// starting, running and completing a flow allocates no object of its own,
+// under every scheme. Two runs of one fabric, one with n flows and one with
+// 4n (the same spacing, so as many in flight at a time), differ only by what
+// the extra 3n flows allocate; the event arena's pages, the packet pool's
+// pages and the completion buffers' growth stay well under a tenth of an
+// object per flow. A sender record, its timer closure and a receiver record
+// per flow, a congestion controller per flow, or a map entry keyed by flow
+// ID, exceed the budget many times over.
 func TestFlowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const n, perFlow = 250, 0.1
 	topo := k4FatTree()
-	hosts := topo.Hosts()
-	flowsOf := func(count int) []*packet.Flow {
-		flows := make([]*packet.Flow, count)
-		for i := range flows {
-			flows[i] = &packet.Flow{
-				ID: packet.FlowID(i + 1), Src: hosts[i%len(hosts)], Dst: hosts[(i*7+3)%len(hosts)],
-				SrcPort: uint16(1000 + i), DstPort: 4791,
-				Size: 8 * units.KB, StartTime: units.Time(i) * units.Microsecond,
-			}
-			if flows[i].Src == flows[i].Dst {
-				flows[i].Dst = hosts[(i+1)%len(hosts)]
-			}
-		}
-		return flows
-	}
-	mallocs := func(shards, count int) uint64 {
-		opts := DefaultOptions(SchemeBFC, topo)
+	mallocs := func(scheme Scheme, shards, count int) uint64 {
+		opts := DefaultOptions(scheme, topo)
 		opts.Duration = 4 * n * units.Microsecond
 		opts.Drain = 200 * units.Microsecond
 		opts.Shards = shards
-		flows := flowsOf(count)
+		flows := spreadFlows(topo, count)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -170,17 +174,53 @@ func TestFlowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.FlowsCompleted != count {
-			t.Fatalf("shards=%d: completed %d of %d flows", shards, res.FlowsCompleted, count)
+			t.Fatalf("%s shards=%d: completed %d of %d flows", scheme, shards, res.FlowsCompleted, count)
 		}
 		return after.Mallocs - before.Mallocs
 	}
-	for _, shards := range []int{1, 2} {
-		small, large := mallocs(shards, n), mallocs(shards, 4*n)
-		extra := float64(large) - float64(small)
-		t.Logf("shards=%d: %d objects for %d flows, %d for %d: %.3f per extra flow (budget %v)",
-			shards, small, n, large, 4*n, extra/(3*n), perFlow)
-		if extra > perFlow*3*n {
-			t.Errorf("shards=%d: %d more flows allocated %.0f more objects, budget %.0f", shards, 3*n, extra, perFlow*3*n)
+	for _, scheme := range []Scheme{SchemeBFC, SchemeDCQCN, SchemeDCQCNWin, SchemeHPCC, SchemeIdealFQ} {
+		for _, shards := range []int{1, 2} {
+			small, large := mallocs(scheme, shards, n), mallocs(scheme, shards, 4*n)
+			extra := float64(large) - float64(small)
+			t.Logf("%s shards=%d: %d objects for %d flows, %d for %d: %.3f per extra flow (budget %v)",
+				scheme, shards, small, n, large, 4*n, extra/(3*n), perFlow)
+			if extra > perFlow*3*n {
+				t.Errorf("%s shards=%d: %d more flows allocated %.0f more objects, budget %.0f", scheme, shards, 3*n, extra, perFlow*3*n)
+			}
+		}
+	}
+}
+
+// TestPoolReturnsEveryPacket is the pool term of the run invariants: a run
+// whose flows all complete hands every packet back, so summed over the
+// shards' pools (a packet may end in another shard's free-list) the packets
+// carved equal the packets free.
+func TestPoolReturnsEveryPacket(t *testing.T) {
+	topo := k4FatTree()
+	for _, scheme := range []Scheme{SchemeBFC, SchemeDCQCN} {
+		for _, shards := range []int{1, 2} {
+			opts := DefaultOptions(scheme, topo)
+			opts.Duration = 200 * units.Microsecond
+			opts.Drain = 200 * units.Microsecond
+			opts.Shards = shards
+			opts.ExecStats = true
+			flows := spreadFlows(topo, 200)
+			res, err := Run(opts, flows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FlowsCompleted != len(flows) || res.Sharding.Used != shards {
+				t.Fatalf("%s shards=%d: completed %d of %d flows on %d shards", scheme, shards, res.FlowsCompleted, len(flows), res.Sharding.Used)
+			}
+			var allocated, free uint64
+			for _, ss := range res.Exec.Shards {
+				allocated += ss.PoolAllocated
+				free += uint64(ss.PoolFree)
+			}
+			if allocated == 0 || allocated != free {
+				t.Errorf("%s shards=%d: %d packets carved, %d free at the end: %d never returned",
+					scheme, shards, allocated, free, int64(allocated)-int64(free))
+			}
 		}
 	}
 }

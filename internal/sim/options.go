@@ -254,7 +254,8 @@ func bufferSampleInterval(topo *topology.Topology) units.Time {
 
 // Validate reports option errors. It only checks: it assigns no field, and a
 // zero Drain, NumVFIDs, BloomBytes, IdealFQQueues or StatsSketchSize is
-// rejected like any other non-positive resource.
+// rejected like any other non-positive resource, and so is a bloom filter
+// larger than a pause frame holds.
 func (o *Options) Validate() error {
 	if o.Topo == nil {
 		return fmt.Errorf("sim: nil topology")
@@ -277,6 +278,9 @@ func (o *Options) Validate() error {
 		if f.v <= 0 {
 			return fmt.Errorf("sim: %s must be positive", f.name)
 		}
+	}
+	if o.BloomBytes > bloom.MaxSizeBytes {
+		return fmt.Errorf("sim: BloomBytes must be at most %d", bloom.MaxSizeBytes)
 	}
 	if o.Scenario != nil {
 		return o.Scenario.Validate()

@@ -329,6 +329,8 @@ func (r *runner) buildNICs() {
 		Recorder:       r.rec,
 		Slabs:          nic.NewSlabs(r.sends, r.recvs),
 	}
+	// Each flow's controller is the record at its SendSlot in a slab sized,
+	// like the NIC's sender slab, to the flows this shard sources.
 	switch opts.Scheme {
 	case SchemeBFC, SchemeBFCStatic:
 		cfg.VFIDSpace = opts.NumVFIDs
@@ -336,22 +338,31 @@ func (r *runner) buildNICs() {
 		windowed := opts.Scheme != SchemeDCQCN
 		cfg.GenerateCNP = true
 		cfg.CNPInterval = dcqcn.DefaultParams(0).CNPInterval // the same at every rate
+		ctrls := make([]dcqcn.Controller, r.sends)
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
 			rate := topo.HostRate(f.Src)
 			p := dcqcn.DefaultParams(rate)
 			if windowed {
 				p.Window = units.BDP(rate, pathRTT(f))
 			}
-			return dcqcn.New(p)
+			c := &ctrls[f.SendSlot]
+			c.Init(p)
+			return c
 		}
 	case SchemeHPCC:
 		cfg.EchoINT = true
+		ctrls := make([]hpcc.Controller, r.sends)
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
-			return hpcc.New(hpcc.DefaultParams(topo.HostRate(f.Src), pathRTT(f)))
+			c := &ctrls[f.SendSlot]
+			c.Init(hpcc.DefaultParams(topo.HostRate(f.Src), pathRTT(f)))
+			return c
 		}
 	case SchemeIdealFQ:
+		ctrls := make([]cc.FixedWindow, r.sends)
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
-			return cc.FixedWindow{W: units.BDP(topo.HostRate(f.Src), pathRTT(f))}
+			c := &ctrls[f.SendSlot]
+			*c = cc.FixedWindow{W: units.BDP(topo.HostRate(f.Src), pathRTT(f))}
+			return c
 		}
 	}
 	for _, node := range r.topo.Nodes() {

@@ -509,6 +509,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 			ss.HeapHighWater = r.sched.HeapHighWater()
 			ss.PoolAllocated = r.pool.Allocated()
 			ss.PoolRecycled = r.pool.Recycled()
+			ss.PoolFree = r.pool.Free()
 			for to := range bounds[i] {
 				st := bounds[i][to].Stats()
 				ss.Boundary.Merge(st.Pushes, st.MaxDrain)

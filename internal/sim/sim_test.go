@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bfc/internal/bloom"
 	"bfc/internal/packet"
 	"bfc/internal/topology"
 	"bfc/internal/units"
@@ -76,6 +77,7 @@ func TestOptionsValidation(t *testing.T) {
 		"NumVFIDs":          func(o *Options) { o.NumVFIDs = 0 },
 		"negative NumVFIDs": func(o *Options) { o.NumVFIDs = -1 },
 		"BloomBytes":        func(o *Options) { o.BloomBytes = 0 },
+		"BloomBytes > 128":  func(o *Options) { o.BloomBytes = bloom.MaxSizeBytes + 1 },
 		"IdealFQQueues":     func(o *Options) { o.IdealFQQueues = 0 },
 		"StatsSketchSize":   func(o *Options) { o.StatsSketchSize = 0 },
 	}

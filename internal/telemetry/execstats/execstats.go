@@ -53,6 +53,7 @@ type ShardStats struct {
 	HeapHighWater int    `json:"heap_high_water"` // max index records pending at once across the event queue's tiers (cur, ring, far)
 	PoolAllocated uint64 `json:"pool_allocated"`  // distinct packets ever allocated by this shard's pool
 	PoolRecycled  uint64 `json:"pool_recycled"`   // free-list reuses
+	PoolFree      int    `json:"pool_free"`       // packets in this shard's free-list at the end of the run
 	BusyNS        int64  `json:"busy_ns"`         // wall-clock ns spent executing events
 	BarrierWaitNS int64  `json:"barrier_wait_ns"` // wall-clock ns parked while other shards finished a window
 

@@ -113,6 +113,7 @@ func Generate(cfg Config) (*Trace, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	tr := &Trace{}
+	var pages flowPages
 	nextFlowID := packet.FlowID(1)
 	basePort := cfg.BasePort
 	if basePort == 0 {
@@ -139,7 +140,7 @@ func Generate(cfg Config) (*Trace, error) {
 			}
 			size := cfg.CDF.Sample(rng)
 			src, dst := pickEndpoints(rng, cfg)
-			f := &packet.Flow{
+			f := pages.add(packet.Flow{
 				ID:        nextFlowID,
 				Src:       src,
 				Dst:       dst,
@@ -147,7 +148,7 @@ func Generate(cfg Config) (*Trace, error) {
 				DstPort:   4791,
 				Size:      size,
 				StartTime: units.Time(now * float64(units.Second)),
-			}
+			})
 			nextFlowID++
 			port++
 			if port == 0 {
@@ -176,7 +177,7 @@ func Generate(cfg Config) (*Trace, error) {
 			victim := cfg.Hosts[victimIdx]
 			senders := sampleSenders(rng, cfg.Hosts, victimIdx, cfg.Incast.FanIn)
 			for _, s := range senders {
-				f := &packet.Flow{
+				f := pages.add(packet.Flow{
 					ID:        nextFlowID,
 					Src:       s,
 					Dst:       victim,
@@ -185,7 +186,7 @@ func Generate(cfg Config) (*Trace, error) {
 					Size:      perSender,
 					StartTime: at,
 					IsIncast:  true,
-				}
+				})
 				nextFlowID++
 				port++
 				tr.Flows = append(tr.Flows, f)
@@ -218,21 +219,49 @@ func LongLivedFlows(rng *rand.Rand, hosts []packet.NodeID, dst packet.NodeID, co
 		}
 	}
 	rng.Shuffle(len(senders), func(i, j int) { senders[i], senders[j] = senders[j], senders[i] })
-	flows := make([]*packet.Flow, 0, count)
-	for i := 0; i < count; i++ {
-		s := senders[i%len(senders)]
-		flows = append(flows, &packet.Flow{
+	flows := make([]packet.Flow, count)
+	for i := range flows {
+		flows[i] = packet.Flow{
 			ID:        firstID + packet.FlowID(i),
-			Src:       s,
+			Src:       senders[i%len(senders)],
 			Dst:       dst,
 			SrcPort:   uint16(20000 + i),
 			DstPort:   4791,
 			Size:      1 << 40, // effectively unbounded
 			StartTime: 0,
 			LongLived: true,
-		})
+		}
 	}
-	return flows
+	return pointers(flows)
+}
+
+// flowPage is the number of flows one page of a flowPages holds (72 B each).
+const flowPage = 256
+
+// flowPages carves flows from pages, so a generated trace costs one heap
+// object per page of flows instead of one per flow. The flows of a page live
+// as long as any of them is referenced.
+type flowPages []packet.Flow
+
+// add returns a page-backed copy of f.
+func (pg *flowPages) add(f packet.Flow) *packet.Flow {
+	if len(*pg) == 0 {
+		*pg = make([]packet.Flow, flowPage)
+	}
+	p := &(*pg)[0]
+	*p = f
+	*pg = (*pg)[1:]
+	return p
+}
+
+// pointers returns a pointer to every flow of fs, which backs them all: a
+// pattern whose flow count is known up front allocates its flows at once.
+func pointers(fs []packet.Flow) []*packet.Flow {
+	out := make([]*packet.Flow, len(fs))
+	for i := range fs {
+		out[i] = &fs[i]
+	}
+	return out
 }
 
 func pickEndpoints(rng *rand.Rand, cfg Config) (src, dst packet.NodeID) {

@@ -34,10 +34,10 @@ func Permutation(rng *rand.Rand, hosts []packet.NodeID, size units.Bytes, start 
 		j := rng.Intn(i)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	flows := make([]*packet.Flow, 0, len(hosts))
+	flows := make([]packet.Flow, len(hosts))
 	port := basePort
 	for i, h := range hosts {
-		flows = append(flows, &packet.Flow{
+		flows[i] = packet.Flow{
 			ID:        firstID + packet.FlowID(i),
 			Src:       h,
 			Dst:       hosts[perm[i]],
@@ -45,10 +45,10 @@ func Permutation(rng *rand.Rand, hosts []packet.NodeID, size units.Bytes, start 
 			DstPort:   4791,
 			Size:      size,
 			StartTime: start,
-		})
+		}
 		port++
 	}
-	return flows
+	return pointers(flows)
 }
 
 // AllToAll returns the flows of a full shuffle phase: every host sends size
@@ -62,7 +62,7 @@ func AllToAll(hosts []packet.NodeID, size units.Bytes, start units.Time, firstID
 	if size <= 0 {
 		panic("workload: all-to-all flow size must be positive")
 	}
-	flows := make([]*packet.Flow, 0, len(hosts)*(len(hosts)-1))
+	flows := make([]packet.Flow, 0, len(hosts)*(len(hosts)-1))
 	id := firstID
 	port := basePort
 	for _, src := range hosts {
@@ -70,7 +70,7 @@ func AllToAll(hosts []packet.NodeID, size units.Bytes, start units.Time, firstID
 			if src == dst {
 				continue
 			}
-			flows = append(flows, &packet.Flow{
+			flows = append(flows, packet.Flow{
 				ID:        id,
 				Src:       src,
 				Dst:       dst,
@@ -86,7 +86,7 @@ func AllToAll(hosts []packet.NodeID, size units.Bytes, start units.Time, firstID
 			}
 		}
 	}
-	return flows
+	return pointers(flows)
 }
 
 // IncastBurst returns one synchronized N-to-1 incast event: fanIn senders
@@ -106,10 +106,10 @@ func IncastBurst(rng *rand.Rand, hosts []packet.NodeID, victimIdx, fanIn int, ag
 	}
 	victim := hosts[victimIdx]
 	senders := sampleSenders(rng, hosts, victimIdx, fanIn)
-	flows := make([]*packet.Flow, 0, fanIn)
+	flows := make([]packet.Flow, len(senders))
 	port := basePort
 	for i, s := range senders {
-		flows = append(flows, &packet.Flow{
+		flows[i] = packet.Flow{
 			ID:        firstID + packet.FlowID(i),
 			Src:       s,
 			Dst:       victim,
@@ -118,8 +118,8 @@ func IncastBurst(rng *rand.Rand, hosts []packet.NodeID, victimIdx, fanIn int, ag
 			Size:      perSender,
 			StartTime: start,
 			IsIncast:  true,
-		})
+		}
 		port++
 	}
-	return flows
+	return pointers(flows)
 }
