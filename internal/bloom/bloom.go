@@ -14,11 +14,15 @@
 // filter per ingress link and snapshots it into a Filter every pause-frame
 // interval.
 //
-// A snapshot is read-only once returned: Counting hands the same *Filter to
-// every pause frame until one of its bits flips, so one snapshot may be held
-// at once by several ticks' frames, by upstream devices and by devices on
-// other shards. That sharing is race-free because nothing writes a Filter
-// after Snapshot has returned it, and Snapshot is the only way to build one.
+// A Filter has exactly one owner at a time, and ownership changes hands, so
+// no Filter is ever shared. Snapshot fills a record from a Pool and hands it
+// to the caller, which puts it in a pause frame; the frame in flight owns it
+// until the receiving device installs it with Swap, which returns the record
+// it displaces; the receiver puts that one back in its own Pool (and so does
+// whoever finds a frame lost). A record may end in another shard's Pool than
+// the one it came from; the barrier that carries the frame across orders the
+// two shards' accesses. An empty pause set travels as a nil *Filter, which
+// contains nothing.
 package bloom
 
 import (
@@ -37,8 +41,8 @@ const DefaultHashes = 4
 const DefaultSizeBytes = 128
 
 // MaxSizeBytes is the largest filter a Filter holds: the largest size in the
-// paper's sensitivity study (Fig 14), kept inline so that a snapshot is one
-// allocation.
+// paper's sensitivity study (Fig 14), kept inline so that a Filter is one
+// object and a Pool can carve them from pages.
 const MaxSizeBytes = 128
 
 // Params configures a pause-frame bloom filter.
@@ -89,15 +93,24 @@ func (p Params) positions(v packet.VFID, out []int) []int {
 
 // Filter is the wire-format pause bloom filter: a bit for every position, set
 // if some paused VFID hashes there. The words are held inline (those past
-// params.words() stay zero), so a Filter is a single object.
+// params.words() stay zero), so a Filter is a single object. The nil *Filter
+// is the empty pause set.
 type Filter struct {
 	params Params
 	bits   [MaxSizeBytes / 8]uint64
+	// pooled marks a record in a Pool's free list, installed one that a Swap
+	// slot holds; a record that is neither belongs to a frame or to whoever
+	// is filling it.
+	pooled, installed bool
 }
 
 // Contains reports whether the VFID matches the filter (i.e. should be
 // treated as paused). False positives are possible; false negatives are not.
+// The nil Filter contains nothing.
 func (f *Filter) Contains(v packet.VFID) bool {
+	if f == nil {
+		return false
+	}
 	var buf [16]int
 	for _, pos := range f.params.positions(v, buf[:0]) {
 		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
@@ -110,6 +123,9 @@ func (f *Filter) Contains(v packet.VFID) bool {
 // SetBits returns the number of set bit positions (diagnostics).
 func (f *Filter) SetBits() int {
 	n := 0
+	if f == nil {
+		return 0
+	}
 	for _, w := range f.bits[:] {
 		n += bits.OnesCount64(w)
 	}
@@ -126,9 +142,8 @@ func (f *Filter) String() string {
 // bit in the transmitted Filter is set iff its counter is non-zero, so a VFID
 // remains paused as long as any colliding VFID is still paused (§3.6).
 //
-// Counting keeps that bit vector up to date as counters cross 0↔1, and it
-// keeps the last snapshot it issued until one of those crossings happens, so
-// a pause frame costs nothing while the pause set stands still.
+// Counting keeps that bit vector up to date as counters cross 0↔1, so a
+// snapshot is a copy of it.
 //
 // The counters (2 B per bit position, 2 KB at the paper's 128 B filter) are
 // allocated by the first Add: most of a fabric's ingress ports never pause a
@@ -140,9 +155,6 @@ type Counting struct {
 	counts []uint16
 	// bits is the live wire bit vector: bit i is set iff counts[i] > 0.
 	bits []uint64
-	// snap is the last Filter Snapshot returned, or nil once a bit of bits
-	// has flipped since.
-	snap *Filter
 	// members tracks how many VFIDs are currently inserted (diagnostics).
 	members int
 }
@@ -168,7 +180,6 @@ func (c *Counting) Add(v packet.VFID) {
 			panic("bloom: counting filter counter overflow")
 		case 0:
 			c.bits[pos/64] |= 1 << (pos % 64)
-			c.snap = nil
 		}
 		c.counts[pos]++
 	}
@@ -190,7 +201,6 @@ func (c *Counting) Remove(v packet.VFID) {
 		c.counts[pos]--
 		if c.counts[pos] == 0 {
 			c.bits[pos/64] &^= 1 << (pos % 64)
-			c.snap = nil
 		}
 	}
 	c.members--
@@ -199,16 +209,102 @@ func (c *Counting) Remove(v packet.VFID) {
 // Members returns the number of VFIDs currently registered.
 func (c *Counting) Members() int { return c.members }
 
-// Snapshot returns the wire Filter representing the current pause set. It
-// returns the same *Filter as the previous call until a bit flips, and then a
-// new one copied from the live bit vector, at the cost of one allocation. The
-// result is read-only: it may be held by several pause frames, upstream
-// devices and other shards at once, which is race-free only because nobody
-// writes it after it is returned.
-func (c *Counting) Snapshot() *Filter {
-	if c.snap == nil {
-		c.snap = &Filter{params: c.params}
-		copy(c.snap.bits[:], c.bits)
+// Snapshot returns the wire Filter representing the current pause set: nil
+// when no VFID is paused, and otherwise a record from pool (a new one when
+// pool is nil) holding a copy of the live bit vector. The caller owns the
+// record: it hands it on in a pause frame or puts it back.
+func (c *Counting) Snapshot(pool *Pool) *Filter {
+	if c.members == 0 {
+		return nil
 	}
-	return c.snap
+	f := pool.Get()
+	f.params = c.params
+	n := copy(f.bits[:], c.bits)
+	clear(f.bits[n:])
+	return f
 }
+
+// Swap installs f — a received Filter, or nil for the empty pause set — in
+// the slot and returns the record it displaces, whose owner the caller
+// becomes. An installed record stays out of every Pool until a later Swap
+// displaces it; installing a record that is pooled or installed already
+// panics, since two owners would then share it.
+func Swap(slot **Filter, f *Filter) *Filter {
+	if f != nil {
+		if f.pooled || f.installed {
+			panic("bloom: installing a filter owned elsewhere (pooled or installed)")
+		}
+		f.installed = true
+	}
+	old := *slot
+	if old != nil {
+		old.installed = false
+	}
+	*slot = f
+	return old
+}
+
+// Pool is a free list of Filter records owned by one simulation shard, like
+// packet.Pool for packets: a miss carves the next record from a page of
+// pageFilters, and records go back with Put once their last owner is done
+// with them. A nil *Pool is valid: Get allocates a record and Put leaves it
+// to the garbage collector, for devices built without one.
+type Pool struct {
+	free []*Filter
+	// page holds the records not yet handed out of the last page carved.
+	page []Filter
+	// carved counts the records carved from pages.
+	carved uint64
+}
+
+// pageFilters is the number of records one page holds (152 B each).
+const pageFilters = 32
+
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{} }
+
+// Get returns a record for the caller to fill, reusing a recycled one when
+// available. Its contents are unspecified.
+func (pl *Pool) Get() *Filter {
+	if pl == nil {
+		return new(Filter)
+	}
+	if n := len(pl.free); n > 0 {
+		f := pl.free[n-1]
+		pl.free = pl.free[:n-1]
+		f.pooled = false
+		return f
+	}
+	if len(pl.page) == 0 {
+		pl.page = make([]Filter, pageFilters)
+	}
+	f := &pl.page[0]
+	pl.page = pl.page[1:]
+	pl.carved++
+	return f
+}
+
+// Put recycles f, which the caller must own: its frame was lost or ignored,
+// or a Swap displaced it. Putting nil does nothing. Putting a record twice
+// without an intervening Get panics, and so does putting an installed one:
+// either means two owners believed they held it.
+func (pl *Pool) Put(f *Filter) {
+	if f == nil {
+		return
+	}
+	if f.pooled || f.installed {
+		panic("bloom: Put of a filter still owned elsewhere (pooled or installed)")
+	}
+	if pl != nil {
+		f.pooled = true
+		pl.free = append(pl.free, f)
+	}
+}
+
+// Carved returns the number of distinct records this pool has carved.
+func (pl *Pool) Carved() uint64 { return pl.carved }
+
+// Free returns the number of records waiting in the free list. Summed over
+// the pools of a run, carved minus free is the number of records that frames
+// and upstream states hold.
+func (pl *Pool) Free() int { return len(pl.free) }

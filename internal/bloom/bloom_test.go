@@ -14,7 +14,7 @@ func snapshotOf(p Params, vfids ...packet.VFID) *Filter {
 	for _, v := range vfids {
 		c.Add(v)
 	}
-	return c.Snapshot()
+	return c.Snapshot(nil)
 }
 
 // falsePositives returns the share of 100 000 VFIDs at or above 1<<20 (none
@@ -101,26 +101,95 @@ func TestParamsValidation(t *testing.T) {
 	assertPanics(t, func() { NewCounting(Params{SizeBytes: MaxSizeBytes + 1, Hashes: 4}) })
 }
 
-// TestSnapshotIsOneAllocation: after a bit flips, Snapshot costs exactly one
-// object, at every size Fig 14 sweeps; with no flip it costs none.
+// TestSnapshotIsOneAllocation: without a pool a snapshot costs exactly one
+// object, at every size Fig 14 sweeps; from a pool with a record to spare it
+// costs none, and an empty pause set is nil and costs nothing either way.
 func TestSnapshotIsOneAllocation(t *testing.T) {
 	for _, size := range []int{16, 32, 64, MaxSizeBytes} {
 		c := NewCounting(Params{SizeBytes: size, Hashes: DefaultHashes})
+		if n := testing.AllocsPerRun(100, func() {
+			if c.Snapshot(nil) != nil {
+				t.Fatal("snapshot of an empty pause set is not nil")
+			}
+		}); n != 0 {
+			t.Errorf("%d B: an empty snapshot cost %v objects, want 0", size, n)
+		}
 		c.Add(1)
-		v := packet.VFID(0)
-		flipped := testing.AllocsPerRun(100, func() {
+		if n := testing.AllocsPerRun(100, func() { c.Snapshot(nil) }); n != 1 {
+			t.Errorf("%d B: a snapshot without a pool cost %v objects, want 1", size, n)
+		}
+		pool := NewPool()
+		pool.Put(pool.Get())
+		v := packet.VFID(1)
+		if n := testing.AllocsPerRun(100, func() {
 			v++
 			c.Add(v)
-			c.Snapshot()
+			pool.Put(c.Snapshot(pool))
 			c.Remove(v)
-			c.Snapshot()
-		})
-		if flipped != 2 {
-			t.Errorf("%d B: an Add and a Remove that each flip bits cost %v snapshot objects, want 2", size, flipped)
+			pool.Put(c.Snapshot(pool))
+		}); n != 0 {
+			t.Errorf("%d B: snapshots from a pool cost %v objects, want 0", size, n)
 		}
-		if same := testing.AllocsPerRun(100, func() { c.Snapshot() }); same != 0 {
-			t.Errorf("%d B: an unchanged filter's snapshot cost %v objects, want 0", size, same)
+		if pool.Carved() != 1 {
+			t.Errorf("%d B: the pool carved %d records for one at a time, want 1", size, pool.Carved())
 		}
+	}
+}
+
+// TestPoolCountsPagesAndFreeList: Gets carve pageFilters records per page
+// before the first reuse, and carved minus Free is the number of records out.
+func TestPoolCountsPagesAndFreeList(t *testing.T) {
+	var pl *Pool
+	out := make([]*Filter, pageFilters+1)
+	allocs := testing.AllocsPerRun(1, func() {
+		pl = NewPool()
+		for i := range out {
+			out[i] = pl.Get()
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("a pool and %d Gets made %v objects, want 3: the pool and 2 pages", len(out), allocs)
+	}
+	for _, f := range out[:10] {
+		pl.Put(f)
+	}
+	if got := pl.Carved() - uint64(pl.Free()); got != uint64(len(out)-10) {
+		t.Errorf("carved - free = %d, want %d records out", got, len(out)-10)
+	}
+	for range 4 {
+		pl.Get()
+	}
+	if pl.Free() != 6 || pl.Carved() != uint64(len(out)) {
+		t.Errorf("free %d carved %d, want 6 and %d", pl.Free(), pl.Carved(), len(out))
+	}
+}
+
+// TestOwnershipPanics: a record has one owner at a time. Putting it twice,
+// putting the installed one, or installing a pooled or installed one panics;
+// the record a Swap displaces may be put back. The nil pool allocates and
+// drops, and checks the same.
+func TestOwnershipPanics(t *testing.T) {
+	for _, pl := range []*Pool{NewPool(), nil} {
+		a, b := pl.Get(), pl.Get()
+		var slot *Filter
+		if Swap(&slot, a) != nil || slot != a {
+			t.Fatal("installing in an empty slot displaced a filter")
+		}
+		assertPanics(t, func() { pl.Put(a) })
+		assertPanics(t, func() { Swap(&slot, a) })
+		if Swap(&slot, b) != a {
+			t.Fatal("Swap did not return the displaced filter")
+		}
+		pl.Put(a)
+		if pl != nil {
+			assertPanics(t, func() { pl.Put(a) })
+			assertPanics(t, func() { Swap(&slot, a) })
+		}
+		if Swap(&slot, nil) != b || slot != nil {
+			t.Fatal("installing nil did not empty the slot")
+		}
+		pl.Put(b)
+		pl.Put(nil)
 	}
 }
 
@@ -138,24 +207,24 @@ func TestCountingAddRemove(t *testing.T) {
 	c := NewCounting(DefaultParams())
 	c.Add(5)
 	c.Add(9)
-	if !c.Snapshot().Contains(5) || !c.Snapshot().Contains(9) {
+	if !c.Snapshot(nil).Contains(5) || !c.Snapshot(nil).Contains(9) {
 		t.Fatal("counting filter missing added members")
 	}
 	if c.Members() != 2 {
 		t.Fatalf("members = %d, want 2", c.Members())
 	}
 	c.Remove(5)
-	if c.Snapshot().Contains(5) && !c.Snapshot().Contains(9) {
+	if c.Snapshot(nil).Contains(5) && !c.Snapshot(nil).Contains(9) {
 		t.Fatal("filter corrupted after removal")
 	}
-	if !c.Snapshot().Contains(9) {
+	if !c.Snapshot(nil).Contains(9) {
 		t.Fatal("removing one member must not evict another (counting semantics)")
 	}
 	c.Remove(9)
 	if c.Members() != 0 {
 		t.Fatalf("members = %d, want 0", c.Members())
 	}
-	if c.Snapshot().Contains(9) {
+	if c.Snapshot(nil).Contains(9) {
 		t.Fatal("empty counting filter should contain nothing")
 	}
 }
@@ -178,7 +247,7 @@ func TestCountingCollisionSemantics(t *testing.T) {
 	c.Add(1)
 	c.Add(other)
 	c.Remove(1)
-	if !c.Snapshot().Contains(other) {
+	if !c.Snapshot(nil).Contains(other) {
 		t.Fatal("counting filter lost a member after removing a colliding one")
 	}
 }
@@ -189,18 +258,18 @@ func TestCountingUnderflowPanics(t *testing.T) {
 }
 
 // TestCountingBeforeFirstAdd: a Counting that never paused a flow holds no
-// counters, yet answers and snapshots like an empty one.
+// counters, yet answers and snapshots like an empty one: its snapshot is the
+// nil Filter, which contains nothing.
 func TestCountingBeforeFirstAdd(t *testing.T) {
 	c := NewCounting(DefaultParams())
-	if c.Snapshot().Contains(3) || c.Members() != 0 {
+	if c.Snapshot(nil).Contains(3) || c.Members() != 0 {
 		t.Fatal("a fresh counting filter should be empty")
 	}
-	snap := c.Snapshot()
-	if snap.Contains(3) || snap.SetBits() != 0 {
-		t.Fatalf("snapshot of a fresh counting filter = %v, want empty", snap)
+	if snap := c.Snapshot(nil); snap != nil || snap.SetBits() != 0 {
+		t.Fatalf("snapshot of a fresh counting filter = %v, want nil", snap)
 	}
 	c.Add(3)
-	if !c.Snapshot().Contains(3) {
+	if !c.Snapshot(nil).Contains(3) {
 		t.Fatal("the first Add should register the VFID")
 	}
 }
@@ -211,7 +280,7 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 	for _, v := range vfids {
 		c.Add(v)
 	}
-	snap := c.Snapshot()
+	snap := c.Snapshot(nil)
 	for _, v := range vfids {
 		if !snap.Contains(v) {
 			t.Fatalf("snapshot missing %d", v)
@@ -220,7 +289,7 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 	for _, v := range vfids {
 		c.Remove(v)
 	}
-	if c.Members() != 0 || c.Snapshot().Contains(3) {
+	if c.Members() != 0 || c.Snapshot(nil).Contains(3) {
 		t.Fatal("removing every member should empty the counting filter")
 	}
 	// A snapshot taken before the removals is unaffected by them.
@@ -229,7 +298,7 @@ func TestSnapshotMatchesCounting(t *testing.T) {
 			t.Fatalf("snapshot lost %d after the counting filter changed", v)
 		}
 	}
-	if c.Snapshot().SetBits() != 0 {
+	if c.Snapshot(nil).SetBits() != 0 {
 		t.Fatal("snapshot of an empty counting filter should be empty")
 	}
 }
@@ -247,18 +316,21 @@ func fullScan(c *Counting) *Filter {
 }
 
 // Property: after any Add/Remove sequence Snapshot's bits equal a full scan of
-// the counters, an unchanged Counting returns the same *Filter, and no filter
-// Snapshot has returned ever changes afterwards.
+// the counters (nil exactly when nothing is paused), every snapshot is a
+// record of its own, and no filter Snapshot has returned ever changes while
+// its owner holds it — not when the Counting changes, and not when other
+// records go through the same pool, whose stale bits never show.
 func TestSnapshotIncrementalProperty(t *testing.T) {
 	prop := func(seed int64, n uint8, sizeIdx uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sizes := []int{1, 16, 128}
 		c := NewCounting(Params{SizeBytes: sizes[int(sizeIdx)%len(sizes)], Hashes: 4})
+		pool := NewPool()
 		type issued struct {
 			f    *Filter
 			bits [MaxSizeBytes / 8]uint64
 		}
-		var seen []issued
+		var held []issued
 		var present []packet.VFID
 		for i := 0; i < int(n); i++ {
 			if len(present) == 0 || rng.Intn(3) != 0 {
@@ -270,16 +342,31 @@ func TestSnapshotIncrementalProperty(t *testing.T) {
 				c.Remove(present[j])
 				present = append(present[:j], present[j+1:]...)
 			}
-			snap := c.Snapshot()
+			snap := c.Snapshot(pool)
+			if (snap == nil) != (len(present) == 0) {
+				return false
+			}
+			if snap == nil {
+				continue
+			}
 			if snap.bits != fullScan(c).bits || snap.params != c.params {
 				return false
 			}
-			if c.Snapshot() != snap {
-				return false
+			for _, h := range held {
+				if h.f == snap {
+					return false
+				}
 			}
-			seen = append(seen, issued{snap, snap.bits})
-			for _, s := range seen {
-				if s.f.bits != s.bits {
+			held = append(held, issued{snap, snap.bits})
+			// Give a random held record back, as a receiver does with the
+			// filter a newer one displaces.
+			if rng.Intn(2) == 0 {
+				j := rng.Intn(len(held))
+				pool.Put(held[j].f)
+				held = append(held[:j], held[j+1:]...)
+			}
+			for _, h := range held {
+				if h.f.bits != h.bits {
 					return false
 				}
 			}
@@ -301,7 +388,7 @@ func TestNoFalseNegativesProperty(t *testing.T) {
 		for _, r := range raw {
 			c.Add(packet.VFID(r % 65536))
 		}
-		snap := c.Snapshot()
+		snap := c.Snapshot(nil)
 		for _, r := range raw {
 			v := packet.VFID(r % 65536)
 			if !snap.Contains(v) {
@@ -332,7 +419,7 @@ func TestCountingAddRemoveProperty(t *testing.T) {
 				present[v]--
 			}
 			for pv, cnt := range present {
-				if cnt > 0 && !c.Snapshot().Contains(pv) {
+				if cnt > 0 && !c.Snapshot(nil).Contains(pv) {
 					return false
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"bfc/internal/bloom"
 	"bfc/internal/units"
 )
 
@@ -11,8 +12,9 @@ var framesSink []PauseFrame
 // tickLoop is the per-τ control path of a switch whose pause set stands still:
 // an 8-port engine with one paused flow on each of ingresses 0–5 (so six
 // frames every tick, two ports silent), ticked n times with nothing arriving
-// or departing in between. Its cost is the resume-count check plus one frame
-// per paused ingress.
+// or departing in between. Each frame's filter goes back to the pool right
+// away, as a receiver puts back the filter a newer frame displaces. Its cost
+// is the resume-count check plus one frame, a 128 B copy, per paused ingress.
 func tickLoop(tb testing.TB) func(n int) {
 	const ports, paused = 8, 6
 	view := newFakeView(100 * units.Gbps)
@@ -24,17 +26,24 @@ func tickLoop(tb testing.TB) func(n int) {
 			e.OnArrival(0, in, ports-1, dataPkt(f, seq, 1000, seq == 0))
 		}
 	}
-	// The first tick takes the snapshots and grows the frame slice; every
-	// later one re-sends them.
+	// The first tick carves the records and grows the frame slice; every
+	// later one reuses them.
+	pool := bloom.NewPool()
 	now := units.Time(0)
-	e.Tick(now)
+	putBack := func(frames []PauseFrame) {
+		for _, fr := range frames {
+			pool.Put(fr.Filter)
+		}
+	}
+	putBack(e.Tick(now, pool))
 	return func(n int) {
 		for i := 0; i < n; i++ {
 			now += e.cfg.Tau
-			framesSink = e.Tick(now)
+			framesSink = e.Tick(now, pool)
 			if len(framesSink) != paused {
 				tb.Fatalf("tick sent %d frames, want %d", len(framesSink), paused)
 			}
+			putBack(framesSink)
 		}
 	}
 }
@@ -47,7 +56,7 @@ func BenchmarkTick(b *testing.B) {
 }
 
 // TestTickSteadyStateAllocFree: ticking an unchanged pause set allocates
-// nothing.
+// nothing once each frame's filter goes back to the pool.
 func TestTickSteadyStateAllocFree(t *testing.T) {
 	loop := tickLoop(t)
 	if allocs := testing.AllocsPerRun(1, func() { loop(1024) }); allocs != 0 {

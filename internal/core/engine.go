@@ -44,9 +44,10 @@ type Placement struct {
 // given ingress port.
 type PauseFrame struct {
 	Ingress int
-	// Filter is the ingress port's bloom.Counting snapshot. It is read-only
-	// and shared: consecutive frames carry the same *Filter until the pause
-	// set changes, and upstream devices (on any shard) keep it as received.
+	// Filter is the ingress port's bloom.Counting snapshot, nil when nothing
+	// is paused there. Each frame carries a record of its own, which belongs
+	// to the frame: the device that receives it installs it in its
+	// UpstreamState, and whoever finds the frame lost puts it back.
 	Filter *bloom.Filter
 }
 
@@ -381,8 +382,9 @@ func (e *Engine) resumeQueueFlows(es *egressState, q int) {
 // is non-empty or newly empty (§3.6). The switch must call Tick every τ.
 //
 // The returned slice belongs to the engine and is valid until the next Tick;
-// the filters it carries are shared snapshots (see PauseFrame.Filter).
-func (e *Engine) Tick(now units.Time) []PauseFrame {
+// the filters it carries are records from filters, each the caller's to send
+// or put back (see PauseFrame.Filter).
+func (e *Engine) Tick(now units.Time, filters *bloom.Pool) []PauseFrame {
 	// Throttled resumes, each list popped in place so its capacity is reused
 	// by the next append.
 	for i := range e.egress {
@@ -417,7 +419,7 @@ func (e *Engine) Tick(now units.Time) []PauseFrame {
 		if empty && is.lastSentEmpty {
 			continue // idempotent empty update: nothing to tell upstream
 		}
-		e.frames = append(e.frames, PauseFrame{Ingress: port, Filter: is.counting.Snapshot()})
+		e.frames = append(e.frames, PauseFrame{Ingress: port, Filter: is.counting.Snapshot(filters)})
 		is.lastSentEmpty = empty
 	}
 	return e.frames
@@ -447,11 +449,12 @@ func removeEntry(s []*flowtable.Entry, e *flowtable.Entry) []*flowtable.Entry {
 }
 
 // UpstreamState implements the upstream half of BFC pause signalling: it
-// stores the most recent bloom filter received from the downstream device on
+// holds the most recent bloom filter received from the downstream device on
 // one link and answers, per packet, whether that packet's flow is currently
 // paused. The owning device re-checks the head of each physical queue against
 // the filter after every packet it sends and whenever a new filter arrives
-// (§3.6).
+// (§3.6). The installed filter belongs to the state until Update or Reset
+// displaces it and hands it back to the device.
 type UpstreamState struct {
 	vfidSpace int
 	filter    *bloom.Filter
@@ -466,10 +469,15 @@ func NewUpstreamState(vfidSpace int) *UpstreamState {
 	return &UpstreamState{vfidSpace: vfidSpace}
 }
 
-// Update installs a newly received filter (replacing the previous one).
-func (u *UpstreamState) Update(f *bloom.Filter) {
-	u.filter = f
+// Update installs a newly received filter (nil: nothing paused) in place of
+// the previous one and returns the filter it displaced, which the caller
+// owns from then on and puts back in its pool.
+func (u *UpstreamState) Update(f *bloom.Filter) *bloom.Filter {
+	return bloom.Swap(&u.filter, f)
 }
+
+// Holds reports whether a filter is installed.
+func (u *UpstreamState) Holds() bool { return u.filter != nil }
 
 // PacketPaused reports whether the packet's flow matches the paused set.
 func (u *UpstreamState) PacketPaused(p *packet.Packet) bool {
@@ -483,11 +491,11 @@ func (u *UpstreamState) PacketPaused(p *packet.Packet) bool {
 // Senders that cache their flows' VFIDs use this to skip rehashing the
 // 5-tuple on every scheduling decision.
 func (u *UpstreamState) VFIDPaused(v packet.VFID) bool {
-	return u.filter != nil && u.filter.Contains(v)
+	return u.filter.Contains(v)
 }
 
-// Reset clears the stored filter. Devices call it on a link state change:
-// after a flap the downstream queue state that produced the filter is gone,
-// so starting from "nothing paused" (and letting the next periodic frame
-// re-establish reality) is the correct recovery.
-func (u *UpstreamState) Reset() { u.filter = nil }
+// Reset clears the stored filter and returns it, as Update does. Devices call
+// it on a link state change: after a flap the downstream queue state that
+// produced the filter is gone, so starting from "nothing paused" (and letting
+// the next periodic frame re-establish reality) is the correct recovery.
+func (u *UpstreamState) Reset() *bloom.Filter { return u.Update(nil) }

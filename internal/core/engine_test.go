@@ -238,7 +238,8 @@ func TestPauseAboveThresholdAndFrameGeneration(t *testing.T) {
 		t.Fatalf("pauses = %d, want 1", e.Stats().Pauses)
 	}
 	// The next Tick must emit a pause frame for ingress 0 containing the VFID.
-	frames := e.Tick(0)
+	pool := bloom.NewPool()
+	frames := e.Tick(0, pool)
 	if len(frames) != 1 || frames[0].Ingress != 0 {
 		t.Fatalf("frames = %+v, want one frame for ingress 0", frames)
 	}
@@ -247,14 +248,22 @@ func TestPauseAboveThresholdAndFrameGeneration(t *testing.T) {
 	}
 	first := frames[0].Filter
 	// Ticks with no change and a non-empty filter keep being sent (periodic
-	// refresh), but an all-empty engine sends nothing. An unchanged pause set
-	// is sent as the very snapshot the previous frame carried.
-	frames = e.Tick(1)
+	// refresh), but an all-empty engine sends nothing. Each frame owns a
+	// record of its own, so the refresh of an unchanged pause set carries an
+	// equal copy in another record while the first frame still holds its own;
+	// once that one is given back, the next frame reuses it.
+	frames = e.Tick(1, pool)
 	if len(frames) != 1 {
 		t.Fatalf("non-empty filter should be refreshed every tick, got %d frames", len(frames))
 	}
-	if frames[0].Filter != first {
-		t.Fatal("refresh frame of an unchanged pause set should carry the same *Filter")
+	second := frames[0].Filter
+	if second == first || second.String() != first.String() || !second.Contains(e.VFID(f)) {
+		t.Fatalf("refresh frame carries %p %v, want a record other than %p holding %v", second, second, first, first)
+	}
+	pool.Put(first)
+	if frames = e.Tick(2, pool); frames[0].Filter != first || pool.Carved() != 2 {
+		t.Fatalf("after one record came back the next frame carries %p from %d carved, want %p from 2",
+			frames[0].Filter, pool.Carved(), first)
 	}
 }
 
@@ -262,7 +271,7 @@ func TestNoFramesWhenNothingPaused(t *testing.T) {
 	e, _ := newTestEngine(t, testConfig())
 	f := mkFlow(1, 1, 2)
 	e.OnArrival(0, 0, 1, dataPkt(f, 0, 1000, false))
-	if frames := e.Tick(0); len(frames) != 0 {
+	if frames := e.Tick(0, nil); len(frames) != 0 {
 		t.Fatalf("expected no pause frames, got %d", len(frames))
 	}
 }
@@ -305,7 +314,7 @@ func TestResumeThrottling(t *testing.T) {
 		t.Fatalf("resumes before tick = %d, want 0", got)
 	}
 	before := e.Stats().Resumes
-	e.Tick(0)
+	e.Tick(0, nil)
 	if e.Stats().Resumes != before+1 {
 		t.Fatalf("resumes after one tick = %d, want %d", e.Stats().Resumes, before+1)
 	}
@@ -419,20 +428,34 @@ func TestUpstreamState(t *testing.T) {
 	}
 	pauses := bloom.NewCounting(bloom.DefaultParams())
 	pauses.Add(f.VFIDOf(16384))
-	filter := pauses.Snapshot()
-	u.Update(filter)
-	if !u.PacketPaused(p) {
+	filter := pauses.Snapshot(nil)
+	if old := u.Update(filter); old != nil {
+		t.Fatalf("the first filter displaced %v", old)
+	}
+	if !u.PacketPaused(p) || !u.Holds() {
 		t.Fatal("packet of a paused flow should match")
 	}
 	other := dataPkt(mkFlow(2, 7, 8), 0, 1000, false)
 	if u.PacketPaused(other) {
 		t.Fatal("unrelated flow should not match (with overwhelming probability)")
 	}
-	// An empty filter resumes everything.
-	u.Update(bloom.NewCounting(bloom.DefaultParams()).Snapshot())
-	if u.PacketPaused(p) {
+	// An empty pause set, which travels as nil, resumes everything and hands
+	// the installed filter back.
+	if old := u.Update(bloom.NewCounting(bloom.DefaultParams()).Snapshot(nil)); old != filter {
+		t.Fatalf("an empty update displaced %p, want the installed %p", old, filter)
+	}
+	if u.PacketPaused(p) || u.Holds() {
 		t.Fatal("empty filter should pause nothing")
 	}
+	// Reset hands back what is installed, and the installed record is the
+	// state's until then: putting it back earlier panics.
+	pool := bloom.NewPool()
+	u.Update(filter)
+	assertPanics(t, func() { pool.Put(filter) })
+	if old := u.Reset(); old != filter || u.Holds() {
+		t.Fatalf("Reset displaced %p, want %p", old, filter)
+	}
+	pool.Put(filter)
 	assertPanics(t, func() { NewUpstreamState(0) })
 }
 
@@ -473,7 +496,7 @@ func TestEngineAccountingProperty(t *testing.T) {
 				}
 			}
 			if rng.Intn(2) == 0 {
-				e.Tick(0)
+				e.Tick(0, nil)
 			}
 		}
 		for _, q := range pending {
@@ -481,7 +504,7 @@ func TestEngineAccountingProperty(t *testing.T) {
 		}
 		// Drain resume lists.
 		for i := 0; i < 200; i++ {
-			e.Tick(0)
+			e.Tick(0, nil)
 		}
 		if e.ActiveFlows() != 0 {
 			return false
@@ -493,13 +516,14 @@ func TestEngineAccountingProperty(t *testing.T) {
 		}
 		// After everything drained and ticked, no VFID stays paused: a final
 		// tick emits at most one trailing "now empty" frame per ingress.
-		if frames := e.Tick(0); len(frames) != 0 {
+		if frames := e.Tick(0, nil); len(frames) != 0 {
 			return false
 		}
 		// No pause state is left behind: every counting filter is empty and
-		// its wire snapshot all zero, and no resume is still pending.
+		// its wire snapshot the nil (empty) filter, and no resume is still
+		// pending.
 		for _, is := range e.ingress {
-			if is.counting.Members() != 0 || is.counting.Snapshot().SetBits() != 0 {
+			if is.counting.Members() != 0 || is.counting.Snapshot(nil) != nil {
 				return false
 			}
 		}

@@ -108,7 +108,9 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 // single heap's depth would be, and the same number. pool= is the packets the
 // shard's pool carved / reused, free= those in its free-list at the end: a
 // run whose flows all completed has as many free, summed over shards, as
-// carved.
+// carved. filters= is the BFC pause filters its filter pool carved / free /
+// installed upstream / in frames on its links, the last three summing over
+// the shards to the first.
 func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 	fmt.Fprintf(w, "# %s exec: shards=%d events=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
 		job, len(ex.Shards), ex.TotalEvents, ex.Windows, ex.Barriers, 100*ex.Utilization(),
@@ -116,8 +118,9 @@ func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 		time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 	for i := range ex.Shards {
 		ss := &ex.Shards[i]
-		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d free=%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
+		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d free=%d filters=%d/%d/%d/%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
 			ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled, ss.PoolFree,
+			ss.FiltersCarved, ss.FiltersFree, ss.FiltersHeld, ss.FiltersInFlight,
 			100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.MaxDrain)
 	}
 }

@@ -29,7 +29,8 @@ type PFCFrame struct {
 func (PFCFrame) isControlFrame() {}
 
 // BFCPauseFrame carries the downstream switch's bloom filter of paused VFIDs
-// for the link it is received on (§3.6 of the paper).
+// for the link it is received on (§3.6 of the paper). The frame owns the
+// filter while it travels (see bloom.Pool); nil means nothing is paused.
 type BFCPauseFrame struct {
 	Filter *bloom.Filter
 }
@@ -83,6 +84,15 @@ type Link struct {
 	// which for a cross-shard link is not the sender's. Nil drops the packet
 	// to the garbage collector.
 	OnStranded func(*packet.Packet)
+	// Filters takes back the filter of a BFC pause frame lost on the down
+	// link. Like OnStranded it belongs to the receiving side, where the loss
+	// is found. Nil leaves lost filters to the garbage collector.
+	Filters *bloom.Pool
+	// filtersSent counts the BFC pause frames with a filter that the link
+	// took, filtersLanded those it delivered or lost. The sending side writes
+	// the first and the receiving side the second, so on a cross-shard link
+	// each shard writes only its own.
+	filtersSent, filtersLanded uint64
 
 	// Hot-path callbacks, allocated once at construction so Transmit and
 	// SendControl do not create closures per send: serDone fires when
@@ -135,8 +145,17 @@ func (l *Link) Init(sched *eventsim.Scheduler, name string, rate units.Rate, del
 		l.peer.ReceivePacket(l.toPort, p)
 	}
 	l.deliverCtrl = func(x any) {
+		f, bfc := x.(BFCPauseFrame)
+		if bfc && f.Filter != nil {
+			l.filtersLanded++
+		}
 		if l.down {
-			return // control frames on a cut link are simply lost
+			// Control frames on a cut link are simply lost; a lost filter
+			// goes back to the pool.
+			if bfc {
+				l.Filters.Put(f.Filter)
+			}
+			return
 		}
 		l.peer.ReceiveControl(l.toPort, x.(ControlFrame))
 	}
@@ -214,6 +233,9 @@ func (l *Link) Transmit(p *packet.Packet, onDone func()) {
 // delay. Control frames are not serialized against data traffic: they are
 // tiny and sent at the highest priority.
 func (l *Link) SendControl(frame ControlFrame) {
+	if f, ok := frame.(BFCPauseFrame); ok && f.Filter != nil {
+		l.filtersSent++
+	}
 	at := l.sched.Now() + l.delay
 	if l.boundary != nil {
 		l.boundary.Push(BoundaryMsg{Key: l.sched.ChildKey(at), Link: l, Ctrl: frame})
@@ -223,6 +245,10 @@ func (l *Link) SendControl(frame ControlFrame) {
 	// the pre-allocated deliverCtrl keeps this path closure-free too.
 	l.sched.ScheduleCall(at, l.deliverCtrl, frame)
 }
+
+// FiltersInFlight returns the number of BFC pause filters the link has taken
+// and not yet delivered or lost. Read it only while neither side runs.
+func (l *Link) FiltersInFlight() int { return int(l.filtersSent - l.filtersLanded) }
 
 // MarkPaused records the beginning or end of a PFC pause affecting this link
 // (called by the sending device when it receives pause/resume from the peer).

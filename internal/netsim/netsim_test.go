@@ -127,7 +127,7 @@ func TestSendControl(t *testing.T) {
 	l.SendControl(PFCFrame{Pause: true})
 	pauses := bloom.NewCounting(bloom.DefaultParams())
 	pauses.Add(7)
-	filter := pauses.Snapshot()
+	filter := pauses.Snapshot(nil)
 	l.SendControl(BFCPauseFrame{Filter: filter})
 	s.Run()
 	if len(dst.controls) != 2 {
@@ -144,6 +144,29 @@ func TestSendControl(t *testing.T) {
 	}
 	if dst.times[0] != 2*units.Microsecond {
 		t.Fatalf("control arrived at %v, want 2us (propagation only)", dst.times[0])
+	}
+}
+
+// TestLostFilterGoesBack: a BFC frame counts as in flight from SendControl to
+// its delivery, and a frame lost on the down link puts its filter back in the
+// link's pool instead of delivering it.
+func TestLostFilterGoesBack(t *testing.T) {
+	s := eventsim.New()
+	dst := &fakeDevice{id: 2, sched: s}
+	l := NewLink(s, "l", 100*units.Gbps, 2*units.Microsecond, dst, 0)
+	l.Filters = bloom.NewPool()
+	pauses := bloom.NewCounting(bloom.DefaultParams())
+	pauses.Add(7)
+	l.SendControl(BFCPauseFrame{Filter: pauses.Snapshot(nil)})
+	l.SendControl(BFCPauseFrame{}) // nothing paused: no filter travels
+	if l.FiltersInFlight() != 1 {
+		t.Fatalf("%d filters in flight, want 1", l.FiltersInFlight())
+	}
+	l.SetDown(true)
+	s.Run()
+	if len(dst.controls) != 0 || l.FiltersInFlight() != 0 || l.Filters.Free() != 1 {
+		t.Fatalf("down link delivered %d frames, %d filters in flight, %d back in the pool; want 0, 0, 1",
+			len(dst.controls), l.FiltersInFlight(), l.Filters.Free())
 	}
 }
 

@@ -13,6 +13,7 @@ package nic
 import (
 	"fmt"
 
+	"bfc/internal/bloom"
 	"bfc/internal/cc"
 	"bfc/internal/core"
 	"bfc/internal/eventsim"
@@ -51,6 +52,10 @@ type Config struct {
 	// Pool recycles packet objects across the simulation (see packet.Pool
 	// for the ownership rules).
 	Pool *packet.Pool
+
+	// Filters takes back the BFC pause filters the NIC's upstream state
+	// displaces (see bloom.Pool). Nil leaves them to the garbage collector.
+	Filters *bloom.Pool
 
 	// RTO is the Go-Back-N retransmission timeout (covers tail losses where
 	// no NACK can be generated).
@@ -229,6 +234,15 @@ func (n *NIC) Link() *netsim.Link { return n.link }
 // Stats returns a copy of the NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
+// HeldFilters returns 1 while a BFC filter is installed in the NIC's upstream
+// state and 0 otherwise.
+func (n *NIC) HeldFilters() int {
+	if n.upstream.Holds() {
+		return 1
+	}
+	return 0
+}
+
 // StartFlow begins transmitting a flow originating at this host.
 func (n *NIC) StartFlow(f *packet.Flow) {
 	if f.Src != n.ID() {
@@ -276,9 +290,10 @@ func (n *NIC) ReceiveControl(port int, frame netsim.ControlFrame) {
 		}
 	case netsim.BFCPauseFrame:
 		if n.cfg.VFIDSpace == 0 {
+			n.cfg.Filters.Put(f.Filter)
 			return
 		}
-		n.upstream.Update(f.Filter)
+		n.cfg.Filters.Put(n.upstream.Update(f.Filter))
 		n.tryTransmit()
 	default:
 		panic(fmt.Sprintf("nic: unknown control frame %T", frame))
@@ -295,7 +310,7 @@ func (n *NIC) OnLinkStateChange(up bool) {
 	if n.link != nil {
 		n.link.MarkPaused(false)
 	}
-	n.upstream.Reset()
+	n.cfg.Filters.Put(n.upstream.Reset())
 	if up {
 		n.tryTransmit()
 	}

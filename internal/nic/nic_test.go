@@ -125,7 +125,7 @@ func TestBFCBloomFilterPausesOnlyMatchingFlow(t *testing.T) {
 
 	pauses := bloom.NewCounting(bloom.DefaultParams())
 	pauses.Add(paused.VFIDOf(vfidSpace))
-	filter := pauses.Snapshot()
+	filter := pauses.Snapshot(nil)
 	tn.nic.ReceiveControl(0, netsim.BFCPauseFrame{Filter: filter})
 	tn.nic.StartFlow(paused)
 	tn.nic.StartFlow(other)
@@ -140,7 +140,7 @@ func TestBFCBloomFilterPausesOnlyMatchingFlow(t *testing.T) {
 	}
 
 	// An empty filter resumes the paused flow.
-	tn.nic.ReceiveControl(0, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bloom.DefaultParams()).Snapshot()})
+	tn.nic.ReceiveControl(0, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bloom.DefaultParams()).Snapshot(nil)})
 	tn.sched.RunUntil(200 * units.Microsecond)
 	if got := len(tn.peer.kind(packet.Data)); got != 5 {
 		t.Fatalf("after resume got %d data packets, want 5", got)

@@ -171,6 +171,11 @@ type runner struct {
 	sched *eventsim.Scheduler
 	topo  *topology.Topology
 	pool  *packet.Pool
+	// filters recycles the BFC pause filters of the shard's devices, as pool
+	// does packets; a filter lost on a link goes back to the receiver's.
+	filters *bloom.Pool
+	// links is the slab of the links whose sending end the shard owns.
+	links []netsim.Link
 
 	// reg holds the run's devices; the shard runners of a partitioned run
 	// share one and each build only the devices they own.
@@ -238,11 +243,12 @@ func newResult(opts *Options) *Result {
 
 func newRunner(opts Options, reg *registry) *runner {
 	r := &runner{
-		opts:  opts,
-		sched: eventsim.New(),
-		topo:  opts.Topo,
-		pool:  packet.NewPool(),
-		reg:   reg,
+		opts:    opts,
+		sched:   eventsim.New(),
+		topo:    opts.Topo,
+		pool:    packet.NewPool(),
+		filters: bloom.NewPool(),
+		reg:     reg,
 	}
 	r.strand = r.onStranded
 	return r
@@ -280,6 +286,7 @@ func (r *runner) buildSwitches() {
 		PFCThresholdFrac: 0.11,
 		Seed:             opts.Seed,
 		Pool:             r.pool,
+		Filters:          r.filters,
 		Recorder:         r.rec,
 	}
 	switch opts.Scheme {
@@ -326,6 +333,7 @@ func (r *runner) buildNICs() {
 		RTO:            4 * units.Millisecond,
 		OnFlowComplete: r.onFlowComplete,
 		Pool:           r.pool,
+		Filters:        r.filters,
 		Recorder:       r.rec,
 		Slabs:          nic.NewSlabs(r.sends, r.recvs),
 	}
@@ -383,7 +391,8 @@ func (r *runner) buildNICs() {
 // A link's losses belong to the shard that receives them: a delivery — and
 // so the strand of a packet lost on the down link — runs on the receiving
 // device's scheduler, so the stranded packet goes to that shard's runner in
-// shards, which recycles it into its own pool, counts it and traces it.
+// shards, which recycles it into its own pool, counts it and traces it. The
+// filter of a lost pause frame goes back to that shard's filter pool.
 func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 	n := 0
 	for _, node := range r.topo.Nodes() {
@@ -392,6 +401,7 @@ func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 		}
 	}
 	links := make([]netsim.Link, n)
+	r.links = links
 	for _, node := range r.topo.Nodes() {
 		if !r.owned(node.ID) {
 			continue
@@ -403,6 +413,7 @@ func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 			link.Init(r.sched, "", port.Rate, port.Delay, r.reg.device(port.Peer), port.PeerPort)
 			recv := shards[r.plan.Assign[port.Peer]]
 			link.OnStranded = recv.strand
+			link.Filters = recv.filters
 			if recv.rec != nil {
 				// When tracing, identify the sending end of the link in the
 				// stranding event. The extra closure exists only on traced
@@ -420,6 +431,27 @@ func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 			dev.AttachLink(portIdx, link)
 		}
 	}
+}
+
+// filterCounts returns the BFC filters installed in the upstream states of
+// the shard's devices and those in frames on the links it sends on. With the
+// shard's free list they account for every filter its pool carved, summed
+// over the shards of a run (a filter may end on another shard).
+func (r *runner) filterCounts() (held, inFlight int) {
+	for _, node := range r.topo.Nodes() {
+		if !r.owned(node.ID) {
+			continue
+		}
+		if sw := r.reg.switches[node.ID]; sw != nil {
+			held += sw.HeldFilters()
+		} else {
+			held += r.reg.nics[node.ID].HeldFilters()
+		}
+	}
+	for i := range r.links {
+		inFlight += r.links[i].FiltersInFlight()
+	}
+	return held, inFlight
 }
 
 // Scenario integration ---------------------------------------------------------

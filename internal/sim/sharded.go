@@ -510,6 +510,9 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 			ss.PoolAllocated = r.pool.Allocated()
 			ss.PoolRecycled = r.pool.Recycled()
 			ss.PoolFree = r.pool.Free()
+			ss.FiltersCarved = r.filters.Carved()
+			ss.FiltersFree = r.filters.Free()
+			ss.FiltersHeld, ss.FiltersInFlight = r.filterCounts()
 			for to := range bounds[i] {
 				st := bounds[i][to].Stats()
 				ss.Boundary.Merge(st.Pushes, st.MaxDrain)

@@ -12,6 +12,7 @@ package switchsim
 import (
 	"fmt"
 
+	"bfc/internal/bloom"
 	"bfc/internal/core"
 	"bfc/internal/eventsim"
 	"bfc/internal/packet"
@@ -75,6 +76,12 @@ type Config struct {
 	// Pool recycles packet objects across the simulation (see packet.Pool
 	// for the ownership rules); the switch recycles the packets it drops.
 	Pool *packet.Pool
+
+	// Filters recycles the BFC pause filters (see bloom.Pool): the switch
+	// takes its frames' filters from it and puts back those its upstream
+	// states displace. Nil allocates each filter and leaves it to the
+	// garbage collector.
+	Filters *bloom.Pool
 }
 
 // Validate reports configuration errors.

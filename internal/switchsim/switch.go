@@ -184,6 +184,18 @@ func (s *Switch) Stats() Stats { return s.stats }
 // Engine returns the BFC engine (nil unless BFC is enabled).
 func (s *Switch) Engine() *core.Engine { return s.engine }
 
+// HeldFilters returns the number of BFC filters installed in the switch's
+// upstream states: records that are in no pool and no frame.
+func (s *Switch) HeldFilters() int {
+	n := 0
+	for i := range s.ports {
+		if s.ports[i].upstream.Holds() {
+			n++
+		}
+	}
+	return n
+}
+
 // BufferOccupancy returns the shared buffer bytes currently in use.
 func (s *Switch) BufferOccupancy() units.Bytes { return s.bufferUsed }
 
@@ -363,7 +375,7 @@ func (s *Switch) OnLinkStateChange(port int, up bool) {
 	}
 	p.pfcPauseSent = false
 	if s.engine != nil {
-		p.upstream.Reset()
+		s.cfg.Filters.Put(p.upstream.Reset())
 		for q := 0; q <= s.cfg.NumQueues; q++ {
 			s.refreshQueuePause(port, q)
 		}
@@ -467,9 +479,10 @@ func (s *Switch) ReceiveControl(port int, frame netsim.ControlFrame) {
 		}
 	case netsim.BFCPauseFrame:
 		if s.engine == nil {
-			return // BFC frames ignored by non-BFC switches
+			s.cfg.Filters.Put(f.Filter) // BFC frames ignored by non-BFC switches
+			return
 		}
-		s.ports[port].upstream.Update(f.Filter)
+		s.cfg.Filters.Put(s.ports[port].upstream.Update(f.Filter))
 		for q := 0; q <= s.cfg.NumQueues; q++ {
 			s.refreshQueuePause(port, q)
 		}
@@ -504,13 +517,15 @@ func (s *Switch) refreshQueuePause(egress, q int) {
 
 // bfcTick runs every Tau: advances the engine (throttled resumes) and sends
 // the per-ingress bloom-filter pause frames upstream. Tick's slice is the
-// engine's and is done with before the next Tick; the filters are shared,
-// read-only snapshots, so the frames carry the pointers as they are.
+// engine's and is done with before the next Tick; each frame's filter is a
+// record of the switch's pool that the frame takes over, or goes back to the
+// pool when the port has no link.
 func (s *Switch) bfcTick() {
-	frames := s.engine.Tick(s.sched.Now())
+	frames := s.engine.Tick(s.sched.Now(), s.cfg.Filters)
 	for _, fr := range frames {
 		link := s.ports[fr.Ingress].link
 		if link == nil {
+			s.cfg.Filters.Put(fr.Filter)
 			continue
 		}
 		s.stats.BFCFramesSent++

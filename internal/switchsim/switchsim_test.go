@@ -243,7 +243,7 @@ func TestActiveQueuesExcludesOverflowAndPaused(t *testing.T) {
 	}
 	pauses := bloom.NewCounting(bfc.Bloom)
 	pauses.Add(first.VFIDOf(bfc.NumVFIDs))
-	filter := pauses.Snapshot()
+	filter := pauses.Snapshot(nil)
 	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: filter})
 	if got := ts.sw.ActiveQueues(1); got != 0 {
 		t.Fatalf("with the data queue paused: ActiveQueues = %d, want 0", got)
@@ -252,7 +252,8 @@ func TestActiveQueuesExcludesOverflowAndPaused(t *testing.T) {
 
 func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
 	bfc := bfcConfig(false)
-	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc })
+	filters := bloom.NewPool()
+	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc; c.Filters = filters })
 	ts.attach(1) // egress toward host 1
 	hosts := ts.topo.Hosts()
 	f := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1]}
@@ -260,7 +261,7 @@ func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
 	// Downstream of egress port 1 declares this flow paused.
 	pauses := bloom.NewCounting(bfc.Bloom)
 	pauses.Add(f.VFIDOf(bfc.NumVFIDs))
-	filter := pauses.Snapshot()
+	filter := pauses.Snapshot(nil)
 	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: filter})
 
 	ts.sw.ReceivePacket(0, dataPacket(f, 0))
@@ -269,10 +270,19 @@ func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
 		t.Fatalf("paused queue transmitted %d packets", got)
 	}
 
-	// An empty filter resumes the queue head and releases the packet.
-	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot()})
+	if ts.sw.HeldFilters() != 1 {
+		t.Fatalf("the switch holds %d filters, want the one it installed", ts.sw.HeldFilters())
+	}
+
+	// An empty filter resumes the queue head and releases the packet, and the
+	// switch puts the filter it displaced back in its pool.
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot(nil)})
 	ts.sched.RunUntil(100 * units.Microsecond)
 	if got := len(ts.hosts[1].pkts); got != 1 {
 		t.Fatalf("after resume egress delivered %d packets, want 1", got)
+	}
+	if ts.sw.HeldFilters() != 0 || filters.Free() != 1 {
+		t.Fatalf("after the empty frame the switch holds %d filters and its pool %d, want 0 and 1",
+			ts.sw.HeldFilters(), filters.Free())
 	}
 }

@@ -74,11 +74,11 @@ func TestRecorderBFCQueueLifecycle(t *testing.T) {
 
 	pauses := bloom.NewCounting(bfc.Bloom)
 	pauses.Add(f.VFIDOf(bfc.NumVFIDs))
-	filter := pauses.Snapshot()
+	filter := pauses.Snapshot(nil)
 	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: filter})
 	ts.sw.ReceivePacket(0, dataPacket(f, 0))
 	ts.sched.RunUntil(50 * units.Microsecond)
-	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot()})
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot(nil)})
 	ts.sched.RunUntil(100 * units.Microsecond)
 
 	kinds := kindCount(ring)
@@ -124,8 +124,8 @@ func TestRecorderOverflowQueuePause(t *testing.T) {
 	ts.sw.ReceivePacket(2, dataPacket(second, 0)) // table full: overflow queue
 	pauses := bloom.NewCounting(bfc.Bloom)
 	pauses.Add(second.VFIDOf(bfc.NumVFIDs))
-	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: pauses.Snapshot()})
-	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot()})
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: pauses.Snapshot(nil)})
+	ts.sw.ReceiveControl(1, netsim.BFCPauseFrame{Filter: bloom.NewCounting(bfc.Bloom).Snapshot(nil)})
 
 	var got []string
 	for _, ev := range ring.Events() {

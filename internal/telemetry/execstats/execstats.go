@@ -57,6 +57,15 @@ type ShardStats struct {
 	BusyNS        int64  `json:"busy_ns"`         // wall-clock ns spent executing events
 	BarrierWaitNS int64  `json:"barrier_wait_ns"` // wall-clock ns parked while other shards finished a window
 
+	// The BFC pause filters: carved by this shard's filter pool, in its free
+	// list, installed in its devices' upstream states and in frames on the
+	// links it sends on, at the end of the run. Summed over a run's shards,
+	// carved = free + held + in flight.
+	FiltersCarved   uint64 `json:"filters_carved"`
+	FiltersFree     int    `json:"filters_free"`
+	FiltersHeld     int    `json:"filters_held"`
+	FiltersInFlight int    `json:"filters_in_flight"`
+
 	// Boundary sums this shard's *outbound* queues (messages it produced for
 	// other shards), so per-shard values sum to the run-wide totals exactly
 	// once.
