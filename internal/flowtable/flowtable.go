@@ -17,9 +17,10 @@
 // switch and most VFIDs never see a flow: the VFID index is an open-addressed
 // hash table from VFID to bucket, sized to the VFIDs that hold entries rather
 // than to the VFID space; a bucket is a chain through its entries, and its
-// capacity is a bound on the chain's length. Entries are allocated one by
-// one, owned by a slab and recycled through a free chain, so an *Entry is
-// stable: from Insert until Remove it is the same object at the same address.
+// capacity is a bound on the chain's length. Entries are carved from pages of
+// pageEntries, owned by a slab and recycled through a free chain, so an
+// *Entry is stable: from Insert until Remove it is the same object at the
+// same address.
 package flowtable
 
 import (
@@ -106,9 +107,11 @@ type Table struct {
 	shift uint8
 	// used counts the occupied cells.
 	used int
-	// slab owns every entry the table ever allocated: bucket, overflow or
-	// free. It grows to the table's high-water occupancy and never shrinks.
+	// slab owns every entry the table ever carved: bucket, overflow or free.
+	// It grows to the table's high-water occupancy and never shrinks.
 	slab []*Entry
+	// page holds the entries not yet carved from the last page.
+	page []Entry
 
 	overflow    map[Key]*Entry
 	overflowCap int
@@ -131,6 +134,9 @@ type cell struct {
 
 // minIndex is the index length New allocates, in cells (64 bytes).
 const minIndex = 8
+
+// pageEntries is the number of entries one page holds (88 B each).
+const pageEntries = 8
 
 // New creates a table with the given VFID space, bucket size and overflow
 // cache capacity.
@@ -273,15 +279,19 @@ func (t *Table) Insert(v packet.VFID, ingress, egress int) (*Entry, InsertResult
 	return nil, InsertFailed
 }
 
-// newEntry takes an entry off the free chain, or grows the slab by one, and
-// counts it active.
+// newEntry takes an entry off the free chain, or grows the slab by one entry
+// carved from the current page, and counts it active.
 func (t *Table) newEntry(v packet.VFID, ingress, egress int) *Entry {
 	var e *Entry
 	if t.free != 0 {
 		e = t.slab[t.free-1]
 		t.free = e.next
 	} else {
-		e = new(Entry)
+		if len(t.page) == 0 {
+			t.page = make([]Entry, pageEntries)
+		}
+		e = &t.page[0]
+		t.page = t.page[1:]
 		t.slab = append(t.slab, e)
 		e.slot = int32(len(t.slab))
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bfc/internal/packet"
 )
@@ -305,6 +306,39 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEntriesComeFromPages: a table carves its entries pageEntries at a time:
+// the slab's first pageEntries entries lie side by side, the next Insert
+// carves a new page and takes its first entry, and an entry keeps its slab
+// slot and address through Remove and reuse.
+func TestEntriesComeFromPages(t *testing.T) {
+	tbl := New(DefaultNumVFIDs, DefaultBucketSize, 0)
+	size := unsafe.Sizeof(Entry{})
+	addr := func(e *Entry) uintptr { return uintptr(unsafe.Pointer(e)) }
+	for v := range packet.VFID(pageEntries) {
+		tbl.Insert(v, 0, 1)
+	}
+	for i := 1; i < pageEntries; i++ {
+		if addr(tbl.slab[i])-addr(tbl.slab[i-1]) != size {
+			t.Fatalf("entries %d and %d of the first page are not side by side", i-1, i)
+		}
+	}
+	if len(tbl.page) != 0 {
+		t.Fatalf("%d entries left in the page after carving %d, want 0", len(tbl.page), pageEntries)
+	}
+	last, _ := tbl.Insert(pageEntries, 0, 1)
+	if len(tbl.page) != pageEntries-1 || addr(&tbl.page[0])-addr(last) != size {
+		t.Fatalf("the entry after a full page is not the first of a new page (%d left in the page)", len(tbl.page))
+	}
+	first := tbl.slab[0]
+	tbl.Remove(first)
+	if e, _ := tbl.Insert(0, 2, 3); e != first || len(tbl.slab) != pageEntries+1 {
+		t.Fatalf("reinsert got entry %p with %d in the slab, want the freed %p with %d", e, len(tbl.slab), first, pageEntries+1)
+	}
+	if err := tbl.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -375,19 +375,30 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 	evIdx := 0
 
-	runOne := func(r *runner, f func(r *runner)) {
+	// The shards' work at each barrier step is one of three closures, built
+	// once: run below the barrier instant until, or below the ordering key
+	// key, or up to the horizon. The coordinator sets until and key between
+	// steps, and step to the closure the next runAll runs; the eachShard join
+	// is the happens-before edge both ways, so no step allocates.
+	var until units.Time
+	var key eventsim.Key
+	runBefore := func(r *runner) { r.sched.RunBefore(until) }
+	runBeforeKey := func(r *runner) { r.sched.RunBeforeKey(key) }
+	var step func(r *runner)
+	// Each shard goroutine writes only its own shard's slot of ec; the join
+	// is the happens-before edge for the reader.
+	timed := func(r *runner) {
 		if ec == nil {
-			f(r)
+			step(r)
 			return
 		}
 		t0 := time.Now()
-		f(r)
+		step(r)
 		ec.ShardBusy(r.shardID, time.Since(t0))
 	}
-	// Each shard goroutine writes only its own shard's slot of ec; the join
-	// is the happens-before edge for the reader.
 	runAll := func(f func(r *runner)) {
-		eachShard(shards, func(r *runner) { runOne(r, f) })
+		step = f
+		eachShard(shards, timed)
 	}
 	drainAll := func() {
 		var t0 time.Time
@@ -421,23 +432,24 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		ec.BeginWindow()
 		// Window: every shard runs strictly below the barrier, in parallel;
 		// deliveries crossing shards pile up in the boundary queues.
-		runAll(func(r *runner) { r.sched.RunBefore(b) })
+		until = b
+		runAll(runBefore)
 		// Barrier: the join above is the happens-before edge that lets the
 		// coordinator drain the queues without atomics.
 		drainAll()
 
 		doTick := func() {
-			k := eventsim.TickKey(b, delta)
-			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
+			key = eventsim.TickKey(b, delta)
+			runAll(runBeforeKey)
 			sampleTick(res, sws, series)
 			ticks++
 			nextTick += delta
 		}
 		doEvents := func() {
-			k := eventsim.SetupKey(b)
-			runAll(func(r *runner) { r.sched.RunBeforeKey(k) })
+			key = eventsim.SetupKey(b)
+			runAll(runBeforeKey)
 			if coordRec != nil {
-				coordRec.key = k
+				coordRec.key = key
 			}
 			coordExec += uint64(scen.Apply(b, reg, scenRec))
 			evIdx++
