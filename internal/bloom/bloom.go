@@ -122,10 +122,10 @@ func (f *Filter) Contains(v packet.VFID) bool {
 
 // SetBits returns the number of set bit positions (diagnostics).
 func (f *Filter) SetBits() int {
-	n := 0
 	if f == nil {
 		return 0
 	}
+	n := 0
 	for _, w := range f.bits[:] {
 		n += bits.OnesCount64(w)
 	}

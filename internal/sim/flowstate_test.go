@@ -231,44 +231,47 @@ func TestPoolReturnsEveryPacket(t *testing.T) {
 // installed it, or a frame on a link. A receiver that dropped the filter a new
 // frame displaced, or a lost frame whose filter nobody put back, leaves one
 // in none of them. Each run ends in the middle of its incast, so all three
-// places hold filters; the fat-tree run fails a link whose ends sit on two
-// shards, so frames are lost on it and filters change shards both ways.
+// places hold filters. The flap cuts a spine-ToR link whose ends sit on two
+// shards while pause frames cross it, so frames are lost on it and filters
+// change shards both ways.
 func TestPoolReturnsEveryFilter(t *testing.T) {
-	t2 := topology.NewT2()
+	topo := topology.NewT2()
 	tr, err := workload.Generate(workload.Config{
-		Hosts: t2.Hosts(), CDF: workload.Google(), Load: 0.6, HostRate: t2.HostRate(t2.Hosts()[0]),
+		Hosts: topo.Hosts(), CDF: workload.Google(), Load: 0.6, HostRate: topo.HostRate(topo.Hosts()[0]),
 		Duration: 60 * units.Microsecond, Seed: 7,
 		Incast: workload.IncastConfig{Enabled: true, FanIn: 30, AggregateSize: 4 * units.MB, LoadFraction: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := topology.NewFatTree(topology.FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
-	link := &scenario.LinkRef{A: "pod0-agg1", B: "core1"}
+	link := &scenario.LinkRef{A: "spine2", B: "tor3"}
+	a, okA := topo.NodeByName(link.A)
+	b, okB := topo.NodeByName(link.B)
+	if plan := topology.PlanShards(topo, 2); !okA || !okB || plan.Assign[a] == plan.Assign[b] {
+		t.Fatalf("%s-%s is not a link across the two shards of T2", link.A, link.B)
+	}
 	flap := &scenario.Spec{Name: "cross-shard-flap", Events: []scenario.Event{
 		{At: 20 * units.Microsecond, Kind: scenario.LinkDown, Link: link},
 		{At: 50 * units.Microsecond, Kind: scenario.LinkUp, Link: link},
 	}}
 	cases := []struct {
 		name   string
-		topo   *topology.Topology
-		flows  []*packet.Flow
 		shards int
 		spec   *scenario.Spec
 	}{
-		{"t2-incast", t2, tr.Flows, 1, nil},
-		{"t2-incast", t2, tr.Flows, 2, nil},
-		{"fat-tree-cross-shard-flap", ft, fatTreeFlows(t, ft, 60*units.Microsecond), 2, flap},
+		{"t2-incast", 1, nil},
+		{"t2-incast", 2, nil},
+		{"t2-incast-cross-shard-flap", 2, flap},
 	}
 	var held, inFlight int
 	for _, c := range cases {
-		opts := DefaultOptions(SchemeBFC, c.topo)
+		opts := DefaultOptions(SchemeBFC, topo)
 		opts.Duration = 60 * units.Microsecond
 		opts.Drain = 20 * units.Microsecond
 		opts.Shards = c.shards
 		opts.Scenario = c.spec
 		opts.ExecStats = true
-		res, err := Run(opts, c.flows)
+		res, err := Run(opts, tr.Flows)
 		if err != nil {
 			t.Fatal(err)
 		}
