@@ -59,35 +59,49 @@ type Engine struct {
 
 	table *flowtable.Table
 
-	// egress and ingress are indexed by port; every egress port's
-	// per-queue counters and lists are carved from engine-wide arrays.
+	// egress and ingress are indexed by port; every egress port's queue
+	// records are a run of one engine-wide array.
 	egress  []egressState
 	ingress []ingressState
 
 	// pendingResumes counts the items on every toResume list, so a Tick with
-	// none skips the egress × queue walk.
+	// none skips the egress walk.
 	pendingResumes int
+	// resumed is Tick's count of the resumes each physical queue of the port
+	// at hand has had this interval (QueuesPerPort long).
+	resumed []uint8
 	// frames is Tick's result, reused by the next Tick.
 	frames []PauseFrame
 
 	stats Stats
 }
 
+// egressState is one egress port's share of the engine: 16 B per physical
+// queue and one resume list for the port. Which table entries a queue holds
+// is not kept; the ResumeAll ablation and Check find them with
+// flowtable.(*Table).Each.
 type egressState struct {
-	// flowsPerQueue counts active flows assigned to each physical queue.
-	flowsPerQueue []int
-	// bytesPerQueue is the engine's view of bytes sitting in each physical
-	// data queue (excludes high-priority and overflow traffic).
-	bytesPerQueue []units.Bytes
-	// entriesPerQueue lists the active table entries assigned to each queue
-	// (needed by the ResumeAll ablation and by diagnostics).
-	entriesPerQueue [][]*flowtable.Entry
-	// toResume is the per-queue FIFO of pending resumes (§3.5).
-	toResume [][]resumeItem
+	// queues is the port's run of the engine's queue records.
+	queues []queueState
+	// toResume is the port's list of pending resumes (§3.5) in the order they
+	// were queued, each naming its physical queue. Tick resumes each queue's
+	// earliest resumePerInterval items and keeps the rest in order, which is
+	// what one list per queue would do.
+	toResume []resumeItem
+}
+
+// queueState is the engine's view of one physical data queue.
+type queueState struct {
+	// bytes sits in the queue (high-priority and overflow traffic excluded).
+	bytes units.Bytes
+	// flows counts the active flows assigned to the queue.
+	flows int32
 }
 
 type resumeItem struct {
-	vfid    packet.VFID
+	vfid  packet.VFID
+	queue int32
+	// ingress is the port whose counting filter holds the paused VFID.
 	ingress int
 	// entry is the table entry if it still exists when the resume fires; nil
 	// once the flow's last packet has left the switch.
@@ -119,18 +133,10 @@ func NewEngine(cfg Config, numPorts int, view PortView) *Engine {
 		ingress:  make([]ingressState, numPorts),
 	}
 	q := cfg.QueuesPerPort
-	flows := make([]int, numPorts*q)
-	bytes := make([]units.Bytes, numPorts*q)
-	entries := make([][]*flowtable.Entry, numPorts*q)
-	resumes := make([][]resumeItem, numPorts*q)
+	queues := make([]queueState, numPorts*q)
+	e.resumed = make([]uint8, q)
 	for i := range e.egress {
-		lo, hi := i*q, (i+1)*q
-		e.egress[i] = egressState{
-			flowsPerQueue:   flows[lo:hi:hi],
-			bytesPerQueue:   bytes[lo:hi:hi],
-			entriesPerQueue: entries[lo:hi:hi],
-			toResume:        resumes[lo:hi:hi],
-		}
+		e.egress[i].queues = queues[i*q : (i+1)*q : (i+1)*q]
 		e.ingress[i] = ingressState{counting: *bloom.NewCounting(cfg.Bloom), lastSentEmpty: true}
 	}
 	return e
@@ -145,13 +151,54 @@ func (e *Engine) Stats() Stats { return e.stats }
 // ActiveFlows returns the number of virtual flows with queued packets.
 func (e *Engine) ActiveFlows() int { return e.table.Active() }
 
+// PausedVFIDs returns the number of VFIDs registered in the ingress counting
+// filters, summed over the ports: the flows this switch holds paused upstream.
+func (e *Engine) PausedVFIDs() int {
+	n := 0
+	for i := range e.ingress {
+		n += e.ingress[i].counting.Members()
+	}
+	return n
+}
+
+// Check is the engine's part of the switch term of the run invariants: the
+// flow table passes flowtable.(*Table).Check, each physical queue's flow
+// count equals the table entries assigned to it, and pendingResumes equals
+// the items on the resume lists. It returns the first imbalance.
+func (e *Engine) Check() error {
+	if err := e.table.Check(); err != nil {
+		return err
+	}
+	q := e.cfg.QueuesPerPort
+	assigned := make([]int32, len(e.egress)*q)
+	for ent := range e.table.Each {
+		if ent.Queue >= 0 {
+			assigned[ent.Egress*q+ent.Queue]++
+		}
+	}
+	pending := 0
+	for port := range e.egress {
+		es := &e.egress[port]
+		for i, qs := range es.queues {
+			if n := assigned[port*q+i]; qs.flows != n {
+				return fmt.Errorf("core: egress %d queue %d counts %d flows, the table assigns it %d", port, i, qs.flows, n)
+			}
+		}
+		pending += len(es.toResume)
+	}
+	if pending != e.pendingResumes {
+		return fmt.Errorf("core: %d resumes pending, the lists hold %d", e.pendingResumes, pending)
+	}
+	return nil
+}
+
 // VFID computes the network-wide virtual flow ID for a flow (§3.3).
 func (e *Engine) VFID(f *packet.Flow) packet.VFID { return f.VFIDOf(e.cfg.NumVFIDs) }
 
-// QueueBytes returns the engine's byte accounting for one physical queue
-// (used by tests and the Fig 10 experiment).
+// QueueBytes returns the engine's byte accounting for one physical queue,
+// which Switch.Audit holds to the queue's FIFO.
 func (e *Engine) QueueBytes(egress, queue int) units.Bytes {
-	return e.egress[egress].bytesPerQueue[queue]
+	return e.egress[egress].queues[queue].bytes
 }
 
 // OnArrival processes a data packet arriving on ingress and destined to
@@ -201,20 +248,20 @@ func (e *Engine) OnArrival(now units.Time, ingress, egress int, p *packet.Packet
 		pl.Queue, pl.Collided = e.assignQueue(es, p.Flow)
 		pl.Assigned = true
 		entry.Queue = pl.Queue
-		es.flowsPerQueue[pl.Queue]++
-		es.entriesPerQueue[pl.Queue] = append(es.entriesPerQueue[pl.Queue], entry)
+		es.queues[pl.Queue].flows++
 	}
 	q := pl.Queue
+	qs := &es.queues[q]
 	entry.Packets++
 	entry.Bytes += p.Size
-	es.bytesPerQueue[q] += p.Size
+	qs.bytes += p.Size
 
 	// Pause decision (§3.4): pause the flow when its physical queue holds
 	// more than Th = (HRTT + τ) · µ / Nactive bytes — the buffering needed to
 	// ride out one pause/resume feedback delay at the queue's expected drain
 	// rate.
 	if !entry.Paused {
-		if es.bytesPerQueue[q] > e.pauseThreshold(egress, q) {
+		if qs.bytes > e.pauseThreshold(egress, q) {
 			entry.Paused = true
 			e.ingress[ingress].counting.Add(vfid)
 			e.stats.Pauses++
@@ -229,8 +276,8 @@ func (e *Engine) assignQueue(es *egressState, f *packet.Flow) (q int, collided b
 	e.stats.Assignments++
 	if e.cfg.DynamicAssignment {
 		// Dynamic assignment: prefer an empty physical queue.
-		for q, n := range es.flowsPerQueue {
-			if n == 0 && es.bytesPerQueue[q] == 0 {
+		for q, qs := range es.queues {
+			if qs.flows == 0 && qs.bytes == 0 {
 				return q, false
 			}
 		}
@@ -242,7 +289,7 @@ func (e *Engine) assignQueue(es *egressState, f *packet.Flow) (q int, collided b
 	} else {
 		// Straw proposal (BFC-VFID): static hash, collisions and all.
 		q = f.QueueOf(e.cfg.QueuesPerPort)
-		collided = es.flowsPerQueue[q] > 0
+		collided = es.queues[q].flows > 0
 	}
 	if collided {
 		e.stats.CollidedAssignments++
@@ -294,8 +341,9 @@ func (e *Engine) OnDeparture(now units.Time, ingress, egress int, pl Placement, 
 		panic("core: negative per-flow packet accounting")
 	}
 	if !pl.HighPriority {
-		es.bytesPerQueue[pl.Queue] -= p.Size
-		if es.bytesPerQueue[pl.Queue] < 0 {
+		qs := &es.queues[pl.Queue]
+		qs.bytes -= p.Size
+		if qs.bytes < 0 {
 			panic("core: negative physical-queue byte accounting")
 		}
 	}
@@ -309,12 +357,12 @@ func (e *Engine) OnDeparture(now units.Time, ingress, egress int, pl Placement, 
 	// dequeued.
 	if entry.Paused && !entry.PendingResume && entry.Queue >= 0 {
 		q := entry.Queue
-		if es.bytesPerQueue[q] <= e.pauseThreshold(egress, q) {
+		if es.queues[q].bytes <= e.pauseThreshold(egress, q) {
 			if e.cfg.ResumeAll {
-				e.resumeQueueFlows(es, q)
+				e.resumeQueueFlows(egress, q)
 			} else {
 				entry.PendingResume = true
-				e.queueResume(es, q, resumeItem{vfid: vfid, ingress: entry.Ingress, entry: entry})
+				e.queueResume(es, resumeItem{vfid: vfid, queue: int32(q), ingress: entry.Ingress, entry: entry})
 			}
 		}
 	}
@@ -323,12 +371,11 @@ func (e *Engine) OnDeparture(now units.Time, ingress, egress int, pl Placement, 
 // retireEntry reclaims the state of a flow whose last packet has left.
 func (e *Engine) retireEntry(es *egressState, egress int, entry *flowtable.Entry, vfid packet.VFID) {
 	if entry.Queue >= 0 {
-		q := entry.Queue
-		es.flowsPerQueue[q]--
-		if es.flowsPerQueue[q] < 0 {
+		qs := &es.queues[entry.Queue]
+		qs.flows--
+		if qs.flows < 0 {
 			panic("core: negative queue flow count")
 		}
-		es.entriesPerQueue[q] = removeEntry(es.entriesPerQueue[q], entry)
 	}
 	if entry.Paused {
 		if e.cfg.ResumeAll {
@@ -338,19 +385,15 @@ func (e *Engine) retireEntry(es *egressState, egress int, entry *flowtable.Entry
 			// The flow is gone from this switch but its VFID is still marked
 			// paused upstream; schedule the resume through the normal
 			// throttled path so upstream buffering stays bounded (§3.5).
-			q := entry.Queue
-			if q < 0 {
-				q = 0
-			}
-			e.queueResume(es, q, resumeItem{vfid: vfid, ingress: entry.Ingress, entry: nil})
+			q := max(entry.Queue, 0)
+			e.queueResume(es, resumeItem{vfid: vfid, queue: int32(q), ingress: entry.Ingress})
 		} else {
-			// Already on the toberesumed list: neutralize the stale entry
-			// pointer so the resume only clears the filter.
-			for qi := range es.toResume {
-				for i := range es.toResume[qi] {
-					if es.toResume[qi][i].entry == entry {
-						es.toResume[qi][i].entry = nil
-					}
+			// Already on the port's toberesumed list, once: neutralize the
+			// stale entry pointer so the resume only clears the filter.
+			for i := range es.toResume {
+				if es.toResume[i].entry == entry {
+					es.toResume[i].entry = nil
+					break
 				}
 			}
 		}
@@ -358,17 +401,17 @@ func (e *Engine) retireEntry(es *egressState, egress int, entry *flowtable.Entry
 	e.table.Remove(entry)
 }
 
-// queueResume appends a resume to queue q's throttled list (§3.5).
-func (e *Engine) queueResume(es *egressState, q int, item resumeItem) {
-	es.toResume[q] = append(es.toResume[q], item)
+// queueResume appends a resume to the port's throttled list (§3.5).
+func (e *Engine) queueResume(es *egressState, item resumeItem) {
+	es.toResume = append(es.toResume, item)
 	e.pendingResumes++
 }
 
-// resumeQueueFlows resumes every paused flow assigned to the queue (the
-// ResumeAll ablation).
-func (e *Engine) resumeQueueFlows(es *egressState, q int) {
-	for _, ent := range es.entriesPerQueue[q] {
-		if ent.Paused && !ent.PendingResume {
+// resumeQueueFlows resumes every paused flow assigned to the egress port's
+// physical queue q (the ResumeAll ablation).
+func (e *Engine) resumeQueueFlows(egress, q int) {
+	for ent := range e.table.Each {
+		if ent.Egress == egress && ent.Queue == q && ent.Paused && !ent.PendingResume {
 			e.ingress[ent.Ingress].counting.Remove(ent.VFID)
 			ent.Paused = false
 			e.stats.Resumes++
@@ -377,39 +420,44 @@ func (e *Engine) resumeQueueFlows(es *egressState, q int) {
 }
 
 // Tick advances the engine by one pause-frame interval τ: it resumes up to
-// resumePerInterval flows per physical queue (§3.5) and returns the bloom
-// filter pause frames to transmit upstream, one per ingress port whose filter
-// is non-empty or newly empty (§3.6). The switch must call Tick every τ.
+// resumePerInterval flows per physical queue, the earliest queued (§3.5),
+// and returns the bloom filter pause frames to transmit upstream, one per
+// ingress port whose filter is non-empty or newly empty (§3.6). The switch
+// must call Tick every τ.
 //
 // The returned slice belongs to the engine and is valid until the next Tick;
 // the filters it carries are records from filters, each the caller's to send
 // or put back (see PauseFrame.Filter).
 func (e *Engine) Tick(now units.Time, filters *bloom.Pool) []PauseFrame {
-	// Throttled resumes, each list popped in place so its capacity is reused
-	// by the next append.
+	// Throttled resumes: each port's list is compacted in place, keeping
+	// the items of queues that had their resumePerInterval, in order, so its
+	// capacity is reused by the next append.
 	for i := range e.egress {
 		if e.pendingResumes == 0 {
 			break
 		}
 		es := &e.egress[i]
-		for q, list := range es.toResume {
-			n := min(resumePerInterval, len(list))
-			if n == 0 {
+		if len(es.toResume) == 0 {
+			continue
+		}
+		clear(e.resumed)
+		kept := es.toResume[:0]
+		for _, item := range es.toResume {
+			if e.resumed[item.queue] == resumePerInterval {
+				kept = append(kept, item)
 				continue
 			}
-			for _, item := range list[:n] {
-				e.ingress[item.ingress].counting.Remove(item.vfid)
-				e.stats.Resumes++
-				if item.entry != nil {
-					item.entry.Paused = false
-					item.entry.PendingResume = false
-				}
+			e.resumed[item.queue]++
+			e.ingress[item.ingress].counting.Remove(item.vfid)
+			e.stats.Resumes++
+			if item.entry != nil {
+				item.entry.Paused = false
+				item.entry.PendingResume = false
 			}
-			rest := copy(list, list[n:])
-			clear(list[rest:])
-			es.toResume[q] = list[:rest]
-			e.pendingResumes -= n
 		}
+		e.pendingResumes -= len(es.toResume) - len(kept)
+		clear(es.toResume[len(kept):])
+		es.toResume = kept
 	}
 	// Pause frames.
 	e.frames = e.frames[:0]
@@ -436,16 +484,6 @@ func (e *Engine) checkPorts(ingress, egress int) {
 	if ingress < 0 || ingress >= e.numPorts || egress < 0 || egress >= e.numPorts {
 		panic(fmt.Sprintf("core: port out of range (in=%d out=%d of %d)", ingress, egress, e.numPorts))
 	}
-}
-
-func removeEntry(s []*flowtable.Entry, e *flowtable.Entry) []*flowtable.Entry {
-	for i, cur := range s {
-		if cur == e {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }
 
 // UpstreamState implements the upstream half of BFC pause signalling: it

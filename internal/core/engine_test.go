@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bfc/internal/bloom"
 	"bfc/internal/packet"
@@ -321,6 +323,41 @@ func TestResumeThrottling(t *testing.T) {
 	_ = occupiers
 }
 
+// TestTickResumesEachQueuesEarliest: a port keeps one resume list in the
+// order resumes were queued, and a Tick resumes each physical queue's
+// earliest resumePerInterval (one) items and keeps the rest in order — what
+// one list per queue would do.
+func TestTickResumesEachQueuesEarliest(t *testing.T) {
+	e, _ := newTestEngine(t, testConfig())
+	es := &e.egress[1]
+	for i, q := range []int32{0, 0, 1, 0, 1, 2} {
+		v := packet.VFID(100 + i)
+		e.ingress[0].counting.Add(v)
+		e.queueResume(es, resumeItem{vfid: v, queue: q, ingress: 0})
+	}
+	for tick, left := range [][]packet.VFID{{101, 103, 104}, {103}, {}} {
+		e.Tick(0, nil)
+		var got []packet.VFID
+		for _, item := range es.toResume {
+			got = append(got, item.vfid)
+		}
+		if !slices.Equal(got, left) || e.pendingResumes != len(left) || e.ingress[0].counting.Members() != len(left) {
+			t.Fatalf("after tick %d: list %v (%d pending, %d paused), want %v", tick+1, got, e.pendingResumes, e.ingress[0].counting.Members(), left)
+		}
+		if err := e.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestQueueStateSize: the engine keeps 16 B per physical queue; which table
+// entries a queue holds is found by walking the table, not stored.
+func TestQueueStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(queueState{}); n != 16 {
+		t.Fatalf("queueState is %d bytes, want 16: its bytes and an int32 flow count", n)
+	}
+}
+
 func TestResumeAllAblation(t *testing.T) {
 	cfg := testConfig()
 	cfg.ResumeAll = true
@@ -497,6 +534,10 @@ func TestEngineAccountingProperty(t *testing.T) {
 			}
 			if rng.Intn(2) == 0 {
 				e.Tick(0, nil)
+			}
+			if err := e.Check(); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		for _, q := range pending {

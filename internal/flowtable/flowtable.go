@@ -300,6 +300,28 @@ func (t *Table) newEntry(v packet.VFID, ingress, egress int) *Entry {
 	return e
 }
 
+// Each yields every live entry, for use as a range-over-func iterator: the
+// bucket entries in index order, then the overflow cache's in slab order, so
+// a walk visits them in the same order on every run. The caller may change an
+// entry's fields, but must not insert or remove during the walk.
+func (t *Table) Each(yield func(*Entry) bool) {
+	for _, c := range t.index {
+		for i := c.head; i != 0; i = t.slab[i-1].next {
+			if !yield(t.slab[i-1]) {
+				return
+			}
+		}
+	}
+	if len(t.overflow) == 0 {
+		return
+	}
+	for _, e := range t.slab {
+		if e.inOverflow && t.overflow[Key{e.VFID, e.Ingress, e.Egress}] == e && !yield(e) {
+			return
+		}
+	}
+}
+
 // Remove deletes an entry once the last packet of the flow has left the
 // switch. Removing an entry that is not in the table panics.
 func (t *Table) Remove(e *Entry) {
@@ -335,7 +357,8 @@ func (t *Table) Remove(e *Entry) {
 // must equal the bucket chains' lengths plus the overflow cache's size; a
 // chain must hold at most bucketSize entries, all of its cell's VFID, and
 // that VFID must be found from its home cell; no live entry may be on the
-// free chain; the index must be at most half full. It is for tests.
+// free chain; the index must be at most half full. Tests call it after every
+// step, and a BFC switch's end-of-run check once (core.Engine.Check).
 func (t *Table) Check() error {
 	if 2*t.used > len(t.index) {
 		return fmt.Errorf("flowtable: index holds %d VFIDs in %d cells, more than half full", t.used, len(t.index))

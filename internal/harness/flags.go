@@ -110,7 +110,10 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 // run whose flows all completed has as many free, summed over shards, as
 // carved. filters= is the BFC pause filters its filter pool carved / free /
 // installed upstream / in frames on its links, the last three summing over
-// the shards to the first.
+// the shards to the first. queued= is the data packets / bytes its switches
+// hold, entries= their BFC flow-table entries and paused= the VFIDs they hold
+// paused upstream, all 0 when every flow completed; a switch whose books do
+// not balance ends the line with its fault.
 func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 	fmt.Fprintf(w, "# %s exec: shards=%d events=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
 		job, len(ex.Shards), ex.TotalEvents, ex.Windows, ex.Barriers, 100*ex.Utilization(),
@@ -118,10 +121,15 @@ func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 		time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 	for i := range ex.Shards {
 		ss := &ex.Shards[i]
-		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d free=%d filters=%d/%d/%d/%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
+		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d free=%d filters=%d/%d/%d/%d queued=%d/%dB entries=%d paused=%d util=%.1f%% boundary: pushes=%d max-drain=%d",
 			ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled, ss.PoolFree,
 			ss.FiltersCarved, ss.FiltersFree, ss.FiltersHeld, ss.FiltersInFlight,
+			ss.QueuedPackets, ss.QueuedBytes, ss.FlowEntries, ss.PausedVFIDs,
 			100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.MaxDrain)
+		if ss.SwitchFault != "" {
+			fmt.Fprintf(w, " fault=%q", ss.SwitchFault)
+		}
+		fmt.Fprintln(w)
 	}
 }
 

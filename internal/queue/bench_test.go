@@ -37,7 +37,7 @@ func dequeueLoop(tb testing.TB, queues, active int) func(n int) {
 			if p == nil {
 				tb.Fatalf("dequeue %d of %d: nothing served from %d backlogged queues", i, n, active)
 			}
-			fifos[idx].Push(p)
+			d.Push(idx, p)
 		}
 	}
 }

@@ -8,6 +8,11 @@
 // deficit round robin among physical queues). Queues can be individually
 // paused; paused queues are skipped by the scheduler without affecting other
 // queues.
+//
+// The scheduler owns readiness: a DRR keeps its own bitmap of which of its
+// queues are non-empty and unpaused, and its queues hold no pointer back to
+// it. So a scheduled queue is pushed to and paused only through its DRR
+// (DRR.Push, DRR.SetPaused) and popped only by DRR.Dequeue; a FIFO is 32 B.
 package queue
 
 import (
@@ -21,32 +26,22 @@ import (
 // flag. It links its packets in place (packet.Enqueue), so pushing and
 // popping never allocate, and a packet is in at most one FIFO at a time. The
 // zero value is an empty queue, so a device may carve its queues out of one
-// []FIFO; a FIFO must not be copied once in use.
+// []FIFO; a FIFO must not be copied once in use. A queue a DRR schedules is
+// pushed to and paused only through that DRR (see the package doc).
 type FIFO struct {
 	head, tail *packet.Packet
-	n          int
 	bytes      units.Bytes
+	n          int32
 	paused     bool
-
-	// drr and idx wire the queue into its scheduler's serviceability bitmap
-	// (set by DRR.Init, nil for standalone queues): the queue reports its
-	// non-empty/unpaused transitions so the scheduler finds serviceable queues
-	// and answers ActiveQueues from the bitmap instead of scanning every queue.
-	drr *DRR
-	idx int
 }
 
-// Push appends a packet. It panics if p is nil or already in a queue.
+// Push appends a packet. It panics if p is nil or already in a queue; a nil p
+// faults in packet.Enqueue, since a check of its own would push DRR.Push over
+// the inliner's budget.
 func (q *FIFO) Push(p *packet.Packet) {
-	if p == nil {
-		panic("queue: pushing nil packet")
-	}
 	p.Enqueue(q.tail)
-	if q.n == 0 {
+	if q.head == nil {
 		q.head = p
-		if q.drr != nil && !q.paused {
-			q.drr.setReady(q.idx)
-		}
 	}
 	q.tail = p
 	q.n++
@@ -64,9 +59,6 @@ func (q *FIFO) Pop() *packet.Packet {
 	q.bytes -= p.Size
 	if q.head == nil {
 		q.tail = nil
-		if q.drr != nil {
-			q.drr.clearReady(q.idx)
-		}
 	}
 	return p
 }
@@ -75,7 +67,7 @@ func (q *FIFO) Pop() *packet.Packet {
 func (q *FIFO) Head() *packet.Packet { return q.head }
 
 // Len returns the number of queued packets.
-func (q *FIFO) Len() int { return q.n }
+func (q *FIFO) Len() int { return int(q.n) }
 
 // Bytes returns the total queued bytes.
 func (q *FIFO) Bytes() units.Bytes { return q.bytes }
@@ -83,27 +75,14 @@ func (q *FIFO) Bytes() units.Bytes { return q.bytes }
 // Empty reports whether the queue has no packets.
 func (q *FIFO) Empty() bool { return q.head == nil }
 
-// Paused reports the pause flag.
+// Paused reports the pause flag, which only the queue's DRR sets.
 func (q *FIFO) Paused() bool { return q.paused }
-
-// SetPaused sets the pause flag. A paused queue is skipped by the scheduler.
-func (q *FIFO) SetPaused(p bool) {
-	q.paused = p
-	if q.drr != nil && !q.Empty() {
-		if p {
-			q.drr.clearReady(q.idx)
-		} else {
-			q.drr.setReady(q.idx)
-		}
-	}
-}
 
 // DRR schedules packets from a set of FIFO queues using deficit round robin
 // with a configurable quantum. Empty and paused queues are skipped. DRR is
 // work conserving: if any serviceable queue has a packet, Dequeue returns
 // one. The zero value is set up by Init, so a device may keep its schedulers
-// by value; a DRR must not be copied once set up, because its queues point
-// back at it.
+// by value.
 type DRR struct {
 	queues   []FIFO
 	deficits []units.Bytes
@@ -112,11 +91,10 @@ type DRR struct {
 	credited bool // whether the current visit to queues[next] already received its quantum
 
 	// ready is the serviceability bitmap: bit i is set exactly when
-	// queues[i] is non-empty and not paused. The queues maintain it on their
-	// state transitions (see FIFO.drr), so ActiveQueues — called on every BFC
-	// pause-threshold computation — reads a couple of words instead of
-	// dereferencing every queue, and Dequeue jumps the pointer from set bit to
-	// set bit.
+	// queues[i] is non-empty and not paused. Push, SetPaused and Dequeue
+	// keep it, so ActiveQueues — called on every BFC pause-threshold
+	// computation — reads a couple of words instead of dereferencing every
+	// queue, and Dequeue jumps the pointer from set bit to set bit.
 	ready []uint64
 }
 
@@ -128,7 +106,8 @@ func ReadyWords(n int) int { return (n + 63) / 64 }
 // (ReadyWords(len(queues)) long, zeroed) are the scheduler's working storage:
 // a device carves them, like the queues, out of arrays shared by all its
 // ports. The quantum should be at least the MTU so every visit can send at
-// least one packet. Each queue may belong to at most one scheduler.
+// least one packet. Queues may hold packets already; from Init on they are
+// pushed to and paused only through d.
 func (d *DRR) Init(queues []FIFO, quantum units.Bytes, deficits []units.Bytes, ready []uint64) {
 	if quantum <= 0 {
 		panic("queue: DRR quantum must be positive")
@@ -141,14 +120,35 @@ func (d *DRR) Init(queues []FIFO, quantum units.Bytes, deficits []units.Bytes, r
 	}
 	*d = DRR{queues: queues, deficits: deficits, quantum: quantum, ready: ready}
 	for i := range queues {
-		q := &queues[i]
-		if q.drr != nil {
-			panic("queue: FIFO already scheduled by another DRR")
-		}
-		q.drr, q.idx = d, i
-		if !q.Empty() && !q.Paused() {
+		if q := &queues[i]; !q.Empty() && !q.Paused() {
 			d.setReady(i)
 		}
+	}
+}
+
+// Push appends p to queue i, which becomes ready if it was empty and is not
+// paused. It reads the head before the push and sets the bit by hand, not
+// through setReady, to stay inlinable on the switch's packet path.
+func (d *DRR) Push(i int, p *packet.Packet) {
+	q := &d.queues[i]
+	if q.head == nil && !q.paused {
+		d.ready[i>>6] |= 1 << (uint(i) & 63)
+	}
+	q.Push(p)
+}
+
+// SetPaused sets queue i's pause flag. A paused queue is skipped by the
+// scheduler and does not count in ActiveQueues.
+func (d *DRR) SetPaused(i int, paused bool) {
+	q := &d.queues[i]
+	q.paused = paused
+	if q.head == nil {
+		return
+	}
+	if paused {
+		d.clearReady(i)
+	} else {
+		d.setReady(i)
 	}
 }
 
@@ -202,6 +202,7 @@ func (d *DRR) Dequeue() (*packet.Packet, int) {
 			d.deficits[i] -= head.Size
 			p := q.Pop()
 			if q.Empty() {
+				d.clearReady(i)
 				d.deficits[i] = 0
 				d.advance()
 			}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bfc/internal/packet"
 	"bfc/internal/units"
@@ -36,18 +37,30 @@ func TestFIFOBasics(t *testing.T) {
 	}
 }
 
+// TestFIFOPauseFlag: a queue's pause flag is set and cleared through its
+// scheduler, on an empty queue as on a full one.
 func TestFIFOPauseFlag(t *testing.T) {
-	q := &FIFO{}
+	qs := make([]FIFO, 1)
+	q := &qs[0]
 	if q.Paused() {
 		t.Fatal("new queue should not be paused")
 	}
-	q.SetPaused(true)
+	d := newDRR(qs, 1000)
+	d.SetPaused(0, true)
 	if !q.Paused() {
 		t.Fatal("pause flag not set")
 	}
-	q.SetPaused(false)
+	d.SetPaused(0, false)
 	if q.Paused() {
 		t.Fatal("pause flag not cleared")
+	}
+}
+
+// TestFIFOSize: a FIFO holds no pointer back to its scheduler, so a switch's
+// 35 queues per port (ctrl, high priority, 32 data, overflow) cost 32 B each.
+func TestFIFOSize(t *testing.T) {
+	if n := unsafe.Sizeof(FIFO{}); n != 32 {
+		t.Fatalf("FIFO is %d bytes, want 32: head, tail, bytes, an int32 count and the pause flag", n)
 	}
 }
 
@@ -147,9 +160,6 @@ func TestDRRValidation(t *testing.T) {
 	assertPanics(t, func() { newDRR(make([]FIFO, 1), 0) })
 	assertPanics(t, func() { newDRR(nil, 1000) })
 	assertPanics(t, func() { new(DRR).Init(make([]FIFO, 2), 1000, make([]units.Bytes, 1), make([]uint64, 1)) })
-	qs := make([]FIFO, 1)
-	newDRR(qs, 1000)
-	assertPanics(t, func() { newDRR(qs, 1000) })
 }
 
 func assertPanics(t *testing.T, f func()) {
@@ -233,8 +243,8 @@ func TestDRRSkipsPausedQueues(t *testing.T) {
 		qa.Push(pkt(1000))
 		qb.Push(pkt(1000))
 	}
-	qa.SetPaused(true)
 	d := newDRR(qs, 1000)
+	d.SetPaused(0, true)
 	if d.ActiveQueues() != 1 {
 		t.Fatalf("ActiveQueues = %d, want 1", d.ActiveQueues())
 	}
@@ -252,7 +262,7 @@ func TestDRRSkipsPausedQueues(t *testing.T) {
 		t.Fatal("dequeue should return nil when only paused queues remain")
 	}
 	// Unpausing makes the work visible again.
-	qa.SetPaused(false)
+	d.SetPaused(0, false)
 	if d.ActiveQueues() == 0 {
 		t.Fatal("unpaused queue should be serviceable")
 	}
@@ -333,16 +343,18 @@ func TestDRRConservationProperty(t *testing.T) {
 
 // walkDRR is deficit round robin with a pointer that moves one queue at a
 // time, zeroing the deficit of every queue it cannot serve. It is the slow,
-// obvious model DRR is held to, over its own standalone FIFOs.
+// obvious model DRR is held to, over its own standalone FIFOs and pause
+// flags: it reads a queue's state where DRR reads its ready bitmap.
 type walkDRR struct {
 	queues   []*FIFO
+	paused   []bool
 	deficits []units.Bytes
 	quantum  units.Bytes
 	next     int
 	credited bool
 }
 
-func (d *walkDRR) serviceable(i int) bool { return !d.queues[i].Empty() && !d.queues[i].Paused() }
+func (d *walkDRR) serviceable(i int) bool { return !d.queues[i].Empty() && !d.paused[i] }
 
 func (d *walkDRR) dequeue() (*packet.Packet, int) {
 	n := len(d.queues)
@@ -396,8 +408,8 @@ func tag(p *packet.Packet) int {
 
 // TestDRRMatchesLinearWalk drives DRR and the walkDRR model through the same
 // random interleavings of Push, Dequeue and SetPaused and asserts, after every
-// step, the same (packet, index) from each dequeue, identical deficits and the
-// same pointer. A few queues per run take traffic, spread across the bitmap's words, so the
+// step, the same (packet, index) from each dequeue, identical deficits, the
+// same pointer, and a ready bit on exactly the queues the model can serve. A few queues per run take traffic, spread across the bitmap's words, so the
 // pointer wraps, crosses word boundaries and skips paused queues that still
 // hold leftover credit.
 func TestDRRMatchesLinearWalk(t *testing.T) {
@@ -410,7 +422,7 @@ func TestDRRMatchesLinearWalk(t *testing.T) {
 				slow[i] = &FIFO{}
 			}
 			d := newDRR(fast, quantum)
-			m := &walkDRR{queues: slow, deficits: make([]units.Bytes, n), quantum: quantum}
+			m := &walkDRR{queues: slow, paused: make([]bool, n), deficits: make([]units.Bytes, n), quantum: quantum}
 			active := make([]int, 1+rng.Intn(min(n, 6)))
 			for k := range active {
 				active[k] = rng.Intn(n)
@@ -425,7 +437,7 @@ func TestDRRMatchesLinearWalk(t *testing.T) {
 					size := units.Bytes(1 + rng.Intn(2*quantum))
 					gp, wp := pkt(size), pkt(size)
 					gp.Seq, wp.Seq = step, step
-					fast[i].Push(gp)
+					d.Push(i, gp)
 					slow[i].Push(wp)
 				case r < 8:
 					gp, gi := d.Dequeue()
@@ -435,8 +447,8 @@ func TestDRRMatchesLinearWalk(t *testing.T) {
 					}
 				default:
 					paused := !fast[i].Paused()
-					fast[i].SetPaused(paused)
-					slow[i].SetPaused(paused)
+					d.SetPaused(i, paused)
+					m.paused[i] = paused
 				}
 				for q := range d.deficits {
 					if d.deficits[q] != m.deficits[q] {
@@ -445,6 +457,23 @@ func TestDRRMatchesLinearWalk(t *testing.T) {
 				}
 				if d.next != m.next || d.credited != m.credited {
 					t.Fatalf("n=%d seed=%d step %d: pointer (%d, credited=%v), walk (%d, credited=%v)", n, seed, step, d.next, d.credited, m.next, m.credited)
+				}
+				// Only the active queues ever hold packets, so they are the
+				// only ones whose bit may be set.
+				serviceable := 0
+				for _, q := range active {
+					ready := d.ready[q>>6]&(1<<(uint(q)&63)) != 0
+					if ready != m.serviceable(q) {
+						t.Fatalf("n=%d seed=%d step %d: ready bit of queue %d is %v, walk says serviceable=%v", n, seed, step, q, ready, m.serviceable(q))
+					}
+				}
+				for q := range n {
+					if m.serviceable(q) {
+						serviceable++
+					}
+				}
+				if d.ActiveQueues() != serviceable {
+					t.Fatalf("n=%d seed=%d step %d: ActiveQueues = %d, walk has %d serviceable", n, seed, step, d.ActiveQueues(), serviceable)
 				}
 			}
 		}

@@ -235,25 +235,7 @@ func TestPoolReturnsEveryPacket(t *testing.T) {
 // shards while pause frames cross it, so frames are lost on it and filters
 // change shards both ways.
 func TestPoolReturnsEveryFilter(t *testing.T) {
-	topo := topology.NewT2()
-	tr, err := workload.Generate(workload.Config{
-		Hosts: topo.Hosts(), CDF: workload.Google(), Load: 0.6, HostRate: topo.HostRate(topo.Hosts()[0]),
-		Duration: 60 * units.Microsecond, Seed: 7,
-		Incast: workload.IncastConfig{Enabled: true, FanIn: 30, AggregateSize: 4 * units.MB, LoadFraction: 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := &scenario.LinkRef{A: "spine2", B: "tor3"}
-	a, okA := topo.NodeByName(link.A)
-	b, okB := topo.NodeByName(link.B)
-	if plan := topology.PlanShards(topo, 2); !okA || !okB || plan.Assign[a] == plan.Assign[b] {
-		t.Fatalf("%s-%s is not a link across the two shards of T2", link.A, link.B)
-	}
-	flap := &scenario.Spec{Name: "cross-shard-flap", Events: []scenario.Event{
-		{At: 20 * units.Microsecond, Kind: scenario.LinkDown, Link: link},
-		{At: 50 * units.Microsecond, Kind: scenario.LinkUp, Link: link},
-	}}
+	topo, flows, flap := t2IncastFlap(t)
 	cases := []struct {
 		name   string
 		shards int
@@ -265,19 +247,7 @@ func TestPoolReturnsEveryFilter(t *testing.T) {
 	}
 	var held, inFlight int
 	for _, c := range cases {
-		opts := DefaultOptions(SchemeBFC, topo)
-		opts.Duration = 60 * units.Microsecond
-		opts.Drain = 20 * units.Microsecond
-		opts.Shards = c.shards
-		opts.Scenario = c.spec
-		opts.ExecStats = true
-		res, err := Run(opts, tr.Flows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Sharding.Used != c.shards {
-			t.Fatalf("%s shards=%d: ran on %d shards", c.name, c.shards, res.Sharding.Used)
-		}
+		res := runT2Incast(t, topo, flows, c.shards, c.spec)
 		var carved uint64
 		var free, h, f int
 		for _, ss := range res.Exec.Shards {
@@ -295,5 +265,128 @@ func TestPoolReturnsEveryFilter(t *testing.T) {
 	}
 	if held == 0 || inFlight == 0 {
 		t.Errorf("no run ended with a filter installed (%d) or in flight (%d): the test no longer checks those terms", held, inFlight)
+	}
+}
+
+// t2IncastFlap returns the inputs of TestPoolReturnsEveryFilter: T2 with 60 µs
+// of Google traffic at load 0.6 plus incast (seed 7), and a flap of the
+// spine2-tor3 link, whose ends sit on the two shards of T2, down at 20 µs and
+// up at 50 µs. Pause frames cross that link while it is down, so some are
+// lost and their filters change shards.
+func t2IncastFlap(t *testing.T) (*topology.Topology, []*packet.Flow, *scenario.Spec) {
+	t.Helper()
+	topo := topology.NewT2()
+	tr, err := workload.Generate(workload.Config{
+		Hosts: topo.Hosts(), CDF: workload.Google(), Load: 0.6, HostRate: topo.HostRate(topo.Hosts()[0]),
+		Duration: 60 * units.Microsecond, Seed: 7,
+		Incast: workload.IncastConfig{Enabled: true, FanIn: 30, AggregateSize: 4 * units.MB, LoadFraction: 0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := &scenario.LinkRef{A: "spine2", B: "tor3"}
+	a, okA := topo.NodeByName(link.A)
+	b, okB := topo.NodeByName(link.B)
+	if plan := topology.PlanShards(topo, 2); !okA || !okB || plan.Assign[a] == plan.Assign[b] {
+		t.Fatalf("%s-%s is not a link across the two shards of T2", link.A, link.B)
+	}
+	return topo, tr.Flows, &scenario.Spec{Name: "cross-shard-flap", Events: []scenario.Event{
+		{At: 20 * units.Microsecond, Kind: scenario.LinkDown, Link: link},
+		{At: 50 * units.Microsecond, Kind: scenario.LinkUp, Link: link},
+	}}
+}
+
+// runT2Incast runs BFC over t2IncastFlap's inputs for 60 µs plus 20 µs of
+// drain, which ends the run in the middle of its incast, with spec (nil: no
+// flap) and the execution profile on.
+func runT2Incast(t *testing.T, topo *topology.Topology, flows []*packet.Flow, shards int, spec *scenario.Spec) *Result {
+	t.Helper()
+	opts := DefaultOptions(SchemeBFC, topo)
+	opts.Duration = 60 * units.Microsecond
+	opts.Drain = 20 * units.Microsecond
+	opts.Shards = shards
+	opts.Scenario = spec
+	opts.ExecStats = true
+	res, err := Run(opts, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sharding.Used != shards {
+		t.Fatalf("shards=%d: ran on %d shards", shards, res.Sharding.Used)
+	}
+	return res
+}
+
+// TestSwitchesBalanceTheirBooks is the switch and flow-table term of the run
+// invariants, read at the end of a run through the execution profile: every
+// switch's books balance (switchsim.(*Switch).Audit: data packets in − out −
+// dropped are those queued, the shared buffer in use is their bytes, each BFC
+// queue's bytes match its FIFO, its flow count the table entries assigned to
+// it, and the flow table passes its own Check). A run whose flows all
+// complete ends with nothing queued, no flow-table entry and no VFID paused,
+// summed over the shards; the T2 incast, drained, pauses and resumes flows.
+// The cross-shard flap of TestPoolReturnsEveryFilter ends mid-incast, so
+// there switches still hold packets: the test counts them, and only requires
+// the books to balance.
+func TestSwitchesBalanceTheirBooks(t *testing.T) {
+	sum := func(res *Result) (queued int, bytes int64, entries, paused int, fault string) {
+		for _, ss := range res.Exec.Shards {
+			queued, bytes = queued+ss.QueuedPackets, bytes+ss.QueuedBytes
+			entries, paused = entries+ss.FlowEntries, paused+ss.PausedVFIDs
+			if fault == "" {
+				fault = ss.SwitchFault
+			}
+		}
+		return
+	}
+	k4 := k4FatTree()
+	topoT2, incast, flap := t2IncastFlap(t)
+	var pauses uint64
+	for _, scheme := range []Scheme{SchemeBFC, SchemeDCQCN} {
+		for _, shards := range []int{1, 2} {
+			for _, c := range []struct {
+				name  string
+				topo  *topology.Topology
+				flows []*packet.Flow
+				drain units.Time
+			}{
+				{"k4-spread", k4, spreadFlows(k4, 200), 200 * units.Microsecond},
+				{"t2-incast-drained", topoT2, incast, 2 * units.Millisecond},
+			} {
+				opts := DefaultOptions(scheme, c.topo)
+				opts.Duration = 200 * units.Microsecond
+				opts.Drain = c.drain
+				opts.Shards = shards
+				opts.ExecStats = true
+				res, err := Run(opts, c.flows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.FlowsCompleted != len(c.flows) || res.Sharding.Used != shards {
+					t.Fatalf("%s %s shards=%d: completed %d of %d flows on %d shards", c.name, scheme, shards, res.FlowsCompleted, len(c.flows), res.Sharding.Used)
+				}
+				queued, bytes, entries, paused, fault := sum(res)
+				if fault != "" {
+					t.Errorf("%s %s shards=%d: %s", c.name, scheme, shards, fault)
+				}
+				if queued != 0 || bytes != 0 || entries != 0 || paused != 0 {
+					t.Errorf("%s %s shards=%d: every flow completed, but switches hold %d packets (%d B), %d flow-table entries and %d paused VFIDs",
+						c.name, scheme, shards, queued, bytes, entries, paused)
+				}
+				pauses += res.Pauses
+			}
+		}
+	}
+	if pauses == 0 {
+		t.Error("no drained run paused a flow: the paused-VFID term checks nothing")
+	}
+	res := runT2Incast(t, topoT2, incast, 2, flap)
+	queued, bytes, entries, paused, fault := sum(res)
+	t.Logf("t2-incast-cross-shard-flap shards=2: switches hold %d packets (%d B), %d flow-table entries, %d paused VFIDs", queued, bytes, entries, paused)
+	if fault != "" {
+		t.Errorf("t2-incast-cross-shard-flap shards=2: %s", fault)
+	}
+	if queued == 0 || entries == 0 || paused == 0 {
+		t.Errorf("the flap run ended with %d packets queued, %d entries and %d VFIDs paused: it no longer checks a loaded switch", queued, entries, paused)
 	}
 }

@@ -172,11 +172,9 @@ func sampleTick(res *Result, sws []*switchsim.Switch, series *seriesSampler) {
 		if occ > res.MaxBufferOccupancy {
 			res.MaxBufferOccupancy = occ
 		}
-		res.OccupiedQueues.Add(float64(sw.OccupiedDataQueues()))
-		q := sw.MaxPhysicalQueueBytes()
-		if q > res.MaxPhysicalQueueBytes {
-			res.MaxPhysicalQueueBytes = q
-		}
+		occupied, largest := sw.DataQueues()
+		res.OccupiedQueues.Add(float64(occupied))
+		res.MaxPhysicalQueueBytes = max(res.MaxPhysicalQueueBytes, largest)
 		if series != nil {
 			series.swBuffer[i].Append(float64(occ))
 		}

@@ -433,25 +433,33 @@ func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 	}
 }
 
-// filterCounts returns the BFC filters installed in the upstream states of
-// the shard's devices and those in frames on the links it sends on. With the
-// shard's free list they account for every filter its pool carved, summed
-// over the shards of a run (a filter may end on another shard).
-func (r *runner) filterCounts() (held, inFlight int) {
+// deviceCounts adds to ss what the shard's devices hold. The BFC filters
+// installed in their upstream states and in frames on the links the shard
+// sends on, with its free list, account for every filter its pool carved,
+// summed over the shards of a run (a filter may end on another shard). The
+// switches' audits (switchsim.Audit) sum into the switch term, which keeps
+// the first imbalance one of them reports.
+func (r *runner) deviceCounts(ss *execstats.ShardStats) {
 	for _, node := range r.topo.Nodes() {
 		if !r.owned(node.ID) {
 			continue
 		}
-		if sw := r.reg.switches[node.ID]; sw != nil {
-			held += sw.HeldFilters()
-		} else {
-			held += r.reg.nics[node.ID].HeldFilters()
+		sw := r.reg.switches[node.ID]
+		if sw == nil {
+			ss.FiltersHeld += r.reg.nics[node.ID].HeldFilters()
+			continue
 		}
+		ss.FiltersHeld += sw.HeldFilters()
+		a, err := sw.Audit()
+		if err != nil && ss.SwitchFault == "" {
+			ss.SwitchFault = err.Error()
+		}
+		ss.QueuedPackets, ss.QueuedBytes = ss.QueuedPackets+a.QueuedPackets, ss.QueuedBytes+int64(a.QueuedBytes)
+		ss.FlowEntries, ss.PausedVFIDs = ss.FlowEntries+a.FlowEntries, ss.PausedVFIDs+a.PausedVFIDs
 	}
 	for i := range r.links {
-		inFlight += r.links[i].FiltersInFlight()
+		ss.FiltersInFlight += r.links[i].FiltersInFlight()
 	}
-	return held, inFlight
 }
 
 // Scenario integration ---------------------------------------------------------

@@ -449,5 +449,33 @@ func TestShardedCrossShardStrandParity(t *testing.T) {
 	}
 }
 
+// TestShardedLostPauseFrameParity byte-compares, at one shard and at two, a
+// run that loses pause frames on a link between the shards:
+// t2IncastFlap's spine2-tor3 flap. The frames in flight on the cut link are
+// lost (five BFC frames, four of them carrying a filter, counted by a probe
+// in netsim's control delivery), so their filters go back to the pool of the
+// shard that finds them lost, and
+// the upstream state on the far shard keeps its old filter until the next
+// frame after the link comes back. The 32-host fat-tree flaps above lose no
+// frame at any down instant tried.
+func TestShardedLostPauseFrameParity(t *testing.T) {
+	topo, flows, flap := t2IncastFlap(t)
+	for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN} {
+		opts := DefaultOptions(sc, topo)
+		opts.Duration = 60 * units.Microsecond
+		opts.Drain = 20 * units.Microsecond
+		opts.Seed = 7
+		opts.Scenario = flap
+		_, serialBlob := runShardedResult(t, opts, flows, 1)
+		sharded, shardedBlob := runShardedResult(t, opts, flows, 2)
+		if sharded.Sharding.Used != 2 {
+			t.Fatalf("%s: ran on %d shards (fallback %q), want 2", sc, sharded.Sharding.Used, sharded.Sharding.Fallback)
+		}
+		if !bytes.Equal(serialBlob, shardedBlob) {
+			t.Errorf("%s: the run with a lost-frame flap differs at two shards (%d vs %d bytes)", sc, len(shardedBlob), len(serialBlob))
+		}
+	}
+}
+
 // podCount is the topology's pod count: a shard plan clamps its request to it.
 func podCount(topo *topology.Topology) int { return topology.PlanShards(topo, math.MaxInt).Shards }

@@ -524,7 +524,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 			ss.PoolFree = r.pool.Free()
 			ss.FiltersCarved = r.filters.Carved()
 			ss.FiltersFree = r.filters.Free()
-			ss.FiltersHeld, ss.FiltersInFlight = r.filterCounts()
+			r.deviceCounts(ss)
 			for to := range bounds[i] {
 				st := bounds[i][to].Stats()
 				ss.Boundary.Merge(st.Pushes, st.MaxDrain)

@@ -115,15 +115,15 @@ func (c *Config) Validate() error {
 
 // Stats are the per-switch counters the evaluation reports.
 type Stats struct {
-	// DataPacketsIn / DataPacketsOut count data packets received / forwarded.
-	// Nothing reads DataPacketsOut yet: it is the conservation term of the
-	// per-run invariant check (ROADMAP item 3(a)).
+	// DataPacketsIn / DataPacketsOut count data packets received / forwarded;
+	// Switch.Audit holds them to the packets queued.
 	DataPacketsIn  uint64
 	DataPacketsOut uint64
 	// Drops counts data packets dropped at admission (shared buffer full).
 	Drops uint64
-	// NoRouteDrops counts packets dropped because their destination was
-	// transiently unreachable after a scenario link failure.
+	// NoRouteDrops counts packets, data or control, dropped because their
+	// destination was transiently unreachable after a scenario link failure;
+	// DataPacketsIn does not count them.
 	NoRouteDrops uint64
 	// ECNMarks counts packets marked congestion-experienced.
 	ECNMarks uint64

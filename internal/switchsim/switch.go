@@ -14,14 +14,13 @@ import (
 	"bfc/internal/units"
 )
 
-// popSource identifies which class a dequeued packet came from, so the
-// departure processing can reconstruct the BFC placement.
-type popSource struct {
-	ctrl     bool
-	highPrio bool
-	overflow bool
-	queue    int
-}
+// The queue a dequeued packet came from, so the departure processing can
+// reconstruct the BFC placement: an index of the port's DRR (a data queue, or
+// NumQueues for overflow) or one of the two classes served ahead of it.
+const (
+	fromCtrl   = -2
+	fromHiPrio = -1
+)
 
 // egressPort is the state of one port: its run of the switch's FIFO slab,
 // the scheduler over it, its outgoing link, and the per-port scalars of both
@@ -30,7 +29,8 @@ type popSource struct {
 type egressPort struct {
 	// queues is the port's run of the switch's FIFO slab, in the order ctrl,
 	// hiPrio, data queues, overflow. drr schedules queues[2:], the data
-	// queues and then the overflow queue, which is its index NumQueues.
+	// queues and then the overflow queue, which is its index NumQueues; it
+	// owns their readiness, so they are pushed to and paused only through it.
 	queues []queue.FIFO
 	drr    queue.DRR
 	link   *netsim.Link
@@ -196,37 +196,71 @@ func (s *Switch) HeldFilters() int {
 	return n
 }
 
+// Audit is what a switch holds: the data packets in its high-priority, data
+// and overflow queues and their bytes, and under BFC its flow-table entries
+// and the VFIDs paused in its ingress filters.
+type Audit struct {
+	QueuedPackets, FlowEntries, PausedVFIDs int
+	QueuedBytes                             units.Bytes
+}
+
+// Audit counts what the switch holds and checks that its books balance:
+// the data packets queued are those that arrived and neither left nor were
+// dropped (DataPacketsIn − DataPacketsOut − Drops; a packet with no route is
+// dropped before DataPacketsIn counts it), the shared buffer in use is their
+// bytes, and under BFC each physical queue's bytes in the engine equal its
+// FIFO's and the engine passes core.Engine.Check. It returns the first
+// imbalance as the error.
+func (s *Switch) Audit() (Audit, error) {
+	var a Audit
+	for i := range s.ports {
+		qs := s.ports[i].queues[1:] // every queue but ctrl holds data
+		for j := range qs {
+			a.QueuedPackets += qs[j].Len()
+			a.QueuedBytes += qs[j].Bytes()
+		}
+	}
+	st := &s.stats
+	if in := st.DataPacketsIn - st.DataPacketsOut - st.Drops; in != uint64(a.QueuedPackets) {
+		return a, fmt.Errorf("switch %d: %d data packets in, %d out, %d dropped, but %d queued", s.ID(), st.DataPacketsIn, st.DataPacketsOut, st.Drops, a.QueuedPackets)
+	}
+	if s.bufferUsed != a.QueuedBytes {
+		return a, fmt.Errorf("switch %d: %d B of shared buffer in use, %d B queued", s.ID(), s.bufferUsed, a.QueuedBytes)
+	}
+	if s.engine == nil {
+		return a, nil
+	}
+	a.FlowEntries, a.PausedVFIDs = s.engine.ActiveFlows(), s.engine.PausedVFIDs()
+	for i := range s.ports {
+		for q := range s.cfg.NumQueues {
+			if eb, fb := s.engine.QueueBytes(i, q), s.ports[i].data(q).Bytes(); eb != fb {
+				return a, fmt.Errorf("switch %d: egress %d queue %d holds %d B, the BFC engine counts %d B", s.ID(), i, q, fb, eb)
+			}
+		}
+	}
+	if err := s.engine.Check(); err != nil {
+		return a, fmt.Errorf("switch %d: %w", s.ID(), err)
+	}
+	return a, nil
+}
+
 // BufferOccupancy returns the shared buffer bytes currently in use.
 func (s *Switch) BufferOccupancy() units.Bytes { return s.bufferUsed }
 
-// OccupiedDataQueues returns the number of non-empty physical data queues
-// across all egress ports (Fig 11a).
-func (s *Switch) OccupiedDataQueues() int {
-	n := 0
+// DataQueues returns, in one walk over every egress port, the number of
+// non-empty physical data queues (Fig 11a) and the bytes of the largest
+// (Fig 10).
+func (s *Switch) DataQueues() (occupied int, largest units.Bytes) {
 	for i := range s.ports {
 		qs := s.ports[i].dataQueues()
 		for j := range qs {
 			if !qs[j].Empty() {
-				n++
+				occupied++
+				largest = max(largest, qs[j].Bytes())
 			}
 		}
 	}
-	return n
-}
-
-// MaxPhysicalQueueBytes returns the largest per-physical-queue byte count
-// across the switch (Fig 10).
-func (s *Switch) MaxPhysicalQueueBytes() units.Bytes {
-	var max units.Bytes
-	for i := range s.ports {
-		qs := s.ports[i].dataQueues()
-		for j := range qs {
-			if b := qs[j].Bytes(); b > max {
-				max = b
-			}
-		}
-	}
-	return max
+	return occupied, largest
 }
 
 // core.PortView implementation -------------------------------------------------
@@ -320,20 +354,19 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 		case pl.HighPriority:
 			port.hiPrio().Push(p)
 		case pl.Overflow:
-			port.overflow().Push(p)
+			port.drr.Push(s.cfg.NumQueues, p)
 		default:
-			q := port.data(pl.Queue)
-			q.Push(p)
+			port.drr.Push(pl.Queue, p)
 			// The queue's pause state depends on its head packet; if this
 			// packet became the head (queue was empty), refresh the state.
-			if q.Len() == 1 {
+			if port.data(pl.Queue).Len() == 1 {
 				s.refreshQueuePause(egress, pl.Queue)
 			}
 		}
 	case s.cfg.SFQ:
-		port.data(p.Flow.QueueOf(s.cfg.NumQueues)).Push(p)
+		port.drr.Push(p.Flow.QueueOf(s.cfg.NumQueues), p)
 	default:
-		port.data(0).Push(p)
+		port.drr.Push(0, p)
 	}
 	port.queuedDataBytes += p.Size
 
@@ -512,7 +545,7 @@ func (s *Switch) refreshQueuePause(egress, q int) {
 		s.rec.Record(telemetry.Event{At: s.sched.Now(), Kind: kind,
 			Node: s.ID(), Port: int32(egress), Queue: int32(q)})
 	}
-	fifo.SetPaused(paused)
+	port.drr.SetPaused(q, paused)
 }
 
 // bfcTick runs every Tau: advances the engine (throttled resumes) and sends
@@ -554,31 +587,24 @@ func (s *Switch) tryTransmit(portIdx int) {
 // first (never paused), then — unless the peer PFC-paused us — the BFC
 // high-priority queue, then deficit round robin over the data queues and the
 // overflow queue, skipping queues whose head is BFC-paused.
-func (s *Switch) selectPacket(portIdx int) (*packet.Packet, popSource) {
+func (s *Switch) selectPacket(portIdx int) (*packet.Packet, int) {
 	port := &s.ports[portIdx]
 	if ctrl := port.ctrl(); !ctrl.Empty() {
-		return ctrl.Pop(), popSource{ctrl: true}
+		return ctrl.Pop(), fromCtrl
 	}
 	if port.pfcPausedByPeer {
-		return nil, popSource{}
+		return nil, 0
 	}
 	if hp := port.hiPrio(); !hp.Empty() {
-		return hp.Pop(), popSource{highPrio: true}
+		return hp.Pop(), fromHiPrio
 	}
-	p, idx := port.drr.Dequeue()
-	if p == nil {
-		return nil, popSource{}
-	}
-	if idx == s.cfg.NumQueues {
-		return p, popSource{overflow: true}
-	}
-	return p, popSource{queue: idx}
+	return port.drr.Dequeue()
 }
 
 // onDequeue performs the departure-side bookkeeping for a packet about to be
 // transmitted.
-func (s *Switch) onDequeue(portIdx int, p *packet.Packet, src popSource) {
-	if src.ctrl {
+func (s *Switch) onDequeue(portIdx int, p *packet.Packet, src int) {
+	if src == fromCtrl {
 		return
 	}
 	now := s.sched.Now()
@@ -599,12 +625,10 @@ func (s *Switch) onDequeue(portIdx int, p *packet.Packet, src popSource) {
 
 	// BFC departure processing and head re-evaluation.
 	if s.engine != nil {
-		pl := core.Placement{HighPriority: src.highPrio, Overflow: src.overflow, Queue: src.queue}
+		pl := core.Placement{HighPriority: src == fromHiPrio, Overflow: src == s.cfg.NumQueues, Queue: src}
 		s.engine.OnDeparture(now, p.ArrivalPort, portIdx, pl, p)
-		if src.overflow {
-			s.refreshQueuePause(portIdx, s.cfg.NumQueues)
-		} else if !src.highPrio {
-			s.refreshQueuePause(portIdx, src.queue)
+		if src >= 0 {
+			s.refreshQueuePause(portIdx, src)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package switchsim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"bfc/internal/bloom"
@@ -90,6 +91,47 @@ func TestNewRejectsNilPool(t *testing.T) {
 	newTestSwitch(t, func(c *switchsim.Config) { c.Pool = nil })
 }
 
+// TestNewFootprint bounds the bytes switchsim.New allocates for a 16-port BFC
+// switch at the paper's 32 data queues per port, measured as a
+// runtime.MemStats.TotalAlloc delta. A port's 32 data queues cost 56 B each
+// (a 32-B FIFO, an 8-B DRR deficit and the engine's 16-B queue record) and
+// its ctrl, high-priority and overflow queues 32 to 40 B; with the port's own
+// state and the engine's ingress filters that is about 2.4 KB per port,
+// 38.5 KB in all on go1.24. The bound allows 2.75 KB per port. With 128 B per
+// data queue (a 56-B FIFO that pointed back at its scheduler and four engine
+// slices per queue) the same switch took 80.8 KB.
+func TestNewFootprint(t *testing.T) {
+	const ports, bound = 16, 16 * 2816
+	topo := topology.NewSingleSwitch(topology.SingleSwitchConfig{
+		NumHosts: ports, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
+	})
+	var node *topology.Node
+	for _, n := range topo.Nodes() {
+		if n.Kind == topology.Switch {
+			node = n
+		}
+	}
+	sched := eventsim.New()
+	cfg := switchsim.Config{
+		Scheduler: sched, Topo: topo, Node: node, MTU: 1000, NumQueues: 32,
+		BufferSize: 12 * units.MB, Seed: 1, Pool: packet.NewPool(), BFC: bfcConfig(true),
+	}
+	// The first switch's tick grows the scheduler's arenas, which are not
+	// the switch's.
+	switchsim.New(cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sw := switchsim.New(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sw)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-port BFC switch at 32 queues per port allocated %d B (bound %d B)", ports, got, bound)
+	if got > bound {
+		t.Errorf("switchsim.New allocated %d B for a %d-port BFC switch at 32 queues per port, want at most %d B (%d B per port)",
+			got, ports, bound, bound/ports)
+	}
+}
+
 // attach wires the switch's egress on the given port to its fake host.
 func (ts *testSwitch) attach(port int) {
 	link := netsim.NewLink(ts.sched, "sw->fake", 100*units.Gbps, 1*units.Microsecond, ts.hosts[port], 0)
@@ -134,7 +176,7 @@ func TestQueueAssignmentPaths(t *testing.T) {
 		for _, f := range flowsTo(ts.topo, 2) {
 			ts.sw.ReceivePacket(2, dataPacket(f, 0))
 		}
-		if got := ts.sw.OccupiedDataQueues(); got != 1 {
+		if got, _ := ts.sw.DataQueues(); got != 1 {
 			t.Fatalf("single-FIFO switch occupies %d queues, want 1", got)
 		}
 	})
@@ -144,7 +186,7 @@ func TestQueueAssignmentPaths(t *testing.T) {
 		for _, f := range flowsTo(ts.topo, 3) {
 			ts.sw.ReceivePacket(2, dataPacket(f, 0))
 		}
-		if got := ts.sw.OccupiedDataQueues(); got != 3 {
+		if got, _ := ts.sw.DataQueues(); got != 3 {
 			t.Fatalf("SFQ spread 3 flows over %d queues, want 3", got)
 		}
 		if occ := ts.sw.BufferOccupancy(); occ != 3*(1000+packet.DataHeaderSize) {
@@ -159,7 +201,7 @@ func TestQueueAssignmentPaths(t *testing.T) {
 			ts.sw.ReceivePacket(2, dataPacket(f, 0))
 			ts.sw.ReceivePacket(2, dataPacket(f, 1))
 		}
-		if got := ts.sw.OccupiedDataQueues(); got != 3 {
+		if got, _ := ts.sw.DataQueues(); got != 3 {
 			t.Fatalf("BFC spread 3 active flows over %d queues, want 3", got)
 		}
 		st := ts.sw.Engine().Stats()
@@ -173,7 +215,7 @@ func TestQueueAssignmentPaths(t *testing.T) {
 		f := flowsTo(ts.topo, 1)[0]
 		ts.sw.ReceivePacket(2, dataPacket(f, 0))
 		// The first packet of a fresh flow bypasses the data queues (§3.7).
-		if got := ts.sw.OccupiedDataQueues(); got != 0 {
+		if got, _ := ts.sw.DataQueues(); got != 0 {
 			t.Fatalf("first packet landed in %d data queues, want the high-priority queue", got)
 		}
 		if occ := ts.sw.BufferOccupancy(); occ != 1000+packet.DataHeaderSize {

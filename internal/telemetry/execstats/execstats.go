@@ -66,6 +66,17 @@ type ShardStats struct {
 	FiltersHeld     int    `json:"filters_held"`
 	FiltersInFlight int    `json:"filters_in_flight"`
 
+	// What this shard's switches hold at the end of the run (switchsim.Audit,
+	// summed): data packets queued and their bytes, BFC flow-table entries
+	// and VFIDs paused in their ingress filters. A run whose flows all
+	// completed ends with all four 0. SwitchFault is the first switch whose
+	// books did not balance, "" when every one did.
+	QueuedPackets int    `json:"queued_packets"`
+	QueuedBytes   int64  `json:"queued_bytes"`
+	FlowEntries   int    `json:"flow_entries"`
+	PausedVFIDs   int    `json:"paused_vfids"`
+	SwitchFault   string `json:"switch_fault,omitempty"`
+
 	// Boundary sums this shard's *outbound* queues (messages it produced for
 	// other shards), so per-shard values sum to the run-wide totals exactly
 	// once.

@@ -22,12 +22,9 @@ import (
 // tests, each with the reason it stays. A name is "pkg.Name" or
 // "pkg.Type.Method", pkg relative to the module ("" is the root package).
 var surfaceKeep = map[string]string{
-	"internal/core.Engine.ActiveFlows":      "compared against the slow reference BFC (ROADMAP item 4)",
-	"internal/core.Engine.QueueBytes":       "compared against the slow reference BFC (ROADMAP item 4)",
 	"internal/core.Engine.PauseThreshold":   "compared against the slow reference BFC (ROADMAP item 4)",
 	"internal/core.Engine.FlowPaused":       "compared against the slow reference BFC (ROADMAP item 4)",
 	"internal/core.Engine.Config":           "TestHopRTTIsLocal reads the HRTT and tau a switch derived",
-	"internal/flowtable.Table.Check":        "the flow-table term of the per-run invariant check (ROADMAP item 3(a))",
 	"internal/topology.Topology.EgressPort": "routes the flow-level reference model like the simulator (ROADMAP item 6)",
 }
 
@@ -36,7 +33,6 @@ var surfaceKeep = map[string]string{
 var fieldKeep = map[string]string{
 	"internal/nic.Stats.FlowsStarted":         "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
 	"internal/nic.Stats.FlowsCompleted":       "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
-	"internal/switchsim.Stats.DataPacketsOut": "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
 	"internal/packet.Packet.Priority":         "bench/micro.go writes it; it goes with the benchmark change of ROADMAP item 17",
 	"internal/eventsim.Scheduler.live":        "the arena and edge tests read it: pending events net of cancellations",
 	"internal/eventsim.tierCounts.refillRing": "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
