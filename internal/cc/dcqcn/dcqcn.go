@@ -16,69 +16,53 @@ import (
 	"bfc/internal/units"
 )
 
-// Params are the DCQCN knobs. Defaults follow the published parameter set
-// scaled to 100 Gbps links.
+// The published parameter set (Zhu et al. '15) scaled to 100 Gbps links. The
+// evaluation runs DCQCN and DCQCN+Win at these values only, so they are
+// constants rather than per-flow settings.
+const (
+	// minRate is the floor for the sending rate.
+	minRate = 100 * units.Mbps
+	// g is the EWMA gain for alpha.
+	g = 1.0 / 256.0
+	// alphaResumeInterval is the alpha-decay timer period.
+	alphaResumeInterval = 55 * units.Microsecond
+	// rateIncreaseTimer drives time-based rate recovery.
+	rateIncreaseTimer = 55 * units.Microsecond
+	// byteCounter drives byte-based rate recovery.
+	byteCounter = 10 * units.MB
+	// fastRecoveryStages precede additive increase.
+	fastRecoveryStages = 5
+	// rateAI is the additive increase step.
+	rateAI = 100 * units.Mbps
+	// rateHAI is the hyper additive increase step.
+	rateHAI = units.Gbps
+)
+
+// CNPInterval is the receiver-side minimum gap between CNPs per flow; the
+// NIC's receiver reads it, so receiver and sender agree.
+const CNPInterval = 50 * units.Microsecond
+
+// Params are what a DCQCN flow varies: its line rate and, for DCQCN+Win, its
+// window.
 type Params struct {
 	// LineRate is the host link rate; flows start at this rate and are never
 	// paced above it.
 	LineRate units.Rate
-	// MinRate is the floor for the sending rate.
-	MinRate units.Rate
-	// G is the EWMA gain for alpha (1/256).
-	G float64
-	// AlphaResumeInterval is the alpha-decay timer period (55 us).
-	AlphaResumeInterval units.Time
-	// RateIncreaseTimer drives time-based rate recovery (55 us).
-	RateIncreaseTimer units.Time
-	// ByteCounter drives byte-based rate recovery (10 MB).
-	ByteCounter units.Bytes
-	// FastRecoveryStages before additive increase (5).
-	FastRecoveryStages int
-	// RateAI is the additive increase step.
-	RateAI units.Rate
-	// RateHAI is the hyper additive increase step.
-	RateHAI units.Rate
-	// CNPInterval is the receiver-side minimum gap between CNPs per flow
-	// (50 us); exposed here so the NIC receiver and sender agree.
-	CNPInterval units.Time
 	// Window is an optional cap on bytes in flight (0 for plain DCQCN; one
 	// base-RTT BDP for DCQCN+Win).
 	Window units.Bytes
 }
 
-// DefaultParams returns the parameter set used in the evaluation for a given
-// line rate.
+// DefaultParams returns the parameters of a plain DCQCN flow at a given line
+// rate.
 func DefaultParams(lineRate units.Rate) Params {
-	return Params{
-		LineRate:            lineRate,
-		MinRate:             100 * units.Mbps,
-		G:                   1.0 / 256.0,
-		AlphaResumeInterval: 55 * units.Microsecond,
-		RateIncreaseTimer:   55 * units.Microsecond,
-		ByteCounter:         10 * units.MB,
-		FastRecoveryStages:  5,
-		RateAI:              100 * units.Mbps,
-		RateHAI:             units.Gbps,
-		CNPInterval:         50 * units.Microsecond,
-	}
+	return Params{LineRate: lineRate}
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors: a line rate below the rate floor.
 func (p Params) Validate() error {
-	if p.LineRate <= 0 || p.MinRate <= 0 || p.MinRate > p.LineRate {
-		return fmt.Errorf("dcqcn: invalid rates line=%v min=%v", p.LineRate, p.MinRate)
-	}
-	if p.G <= 0 || p.G > 1 {
-		return fmt.Errorf("dcqcn: invalid g %v", p.G)
-	}
-	if p.AlphaResumeInterval <= 0 || p.RateIncreaseTimer <= 0 || p.ByteCounter <= 0 {
-		return fmt.Errorf("dcqcn: non-positive timer/byte-counter")
-	}
-	if p.FastRecoveryStages <= 0 {
-		return fmt.Errorf("dcqcn: FastRecoveryStages must be positive")
-	}
-	if p.RateAI <= 0 || p.RateHAI <= 0 {
-		return fmt.Errorf("dcqcn: increase steps must be positive")
+	if p.LineRate < minRate {
+		return fmt.Errorf("dcqcn: line rate %v below the %v floor", p.LineRate, minRate)
 	}
 	return nil
 }
@@ -136,10 +120,10 @@ func (c *Controller) OnCNP(now units.Time) {
 	c.advanceAlpha(now)
 	c.rt = c.rc
 	c.rc = units.Rate(float64(c.rc) * (1 - c.alpha/2))
-	if c.rc < c.p.MinRate {
-		c.rc = c.p.MinRate
+	if c.rc < minRate {
+		c.rc = minRate
 	}
-	c.alpha = (1-c.p.G)*c.alpha + c.p.G
+	c.alpha = (1-g)*c.alpha + g
 	c.haveCNP = true
 	c.lastAlphaDecay = now
 	// Reset the increase machinery.
@@ -159,8 +143,8 @@ func (c *Controller) OnAck(now units.Time, ackedBytes units.Bytes, ecnEcho bool,
 // byte-counter rate increase. The NIC calls this for every data packet sent.
 func (c *Controller) OnBytesSent(now units.Time, b units.Bytes) {
 	c.bytesSinceInc += b
-	for c.bytesSinceInc >= c.p.ByteCounter {
-		c.bytesSinceInc -= c.p.ByteCounter
+	for c.bytesSinceInc >= byteCounter {
+		c.bytesSinceInc -= byteCounter
 		c.byteStage++
 		c.increase()
 	}
@@ -172,8 +156,8 @@ func (c *Controller) OnBytesSent(now units.Time, b units.Bytes) {
 // harmless (increases are capped at the line rate).
 func (c *Controller) advance(now units.Time) {
 	c.advanceAlpha(now)
-	for now-c.lastTimerFire >= c.p.RateIncreaseTimer {
-		c.lastTimerFire += c.p.RateIncreaseTimer
+	for now-c.lastTimerFire >= rateIncreaseTimer {
+		c.lastTimerFire += rateIncreaseTimer
 		c.timerStage++
 		c.increase()
 	}
@@ -187,9 +171,9 @@ func (c *Controller) advanceAlpha(now units.Time) {
 		c.lastAlphaDecay = now
 		return
 	}
-	for now-c.lastAlphaDecay >= c.p.AlphaResumeInterval {
-		c.lastAlphaDecay += c.p.AlphaResumeInterval
-		c.alpha = (1 - c.p.G) * c.alpha
+	for now-c.lastAlphaDecay >= alphaResumeInterval {
+		c.lastAlphaDecay += alphaResumeInterval
+		c.alpha = (1 - g) * c.alpha
 	}
 }
 
@@ -204,14 +188,14 @@ func (c *Controller) increase() {
 		maxStage = c.byteStage
 	}
 	switch {
-	case maxStage < c.p.FastRecoveryStages:
+	case maxStage < fastRecoveryStages:
 		// Fast recovery: move halfway back to the target rate.
-	case minStage >= c.p.FastRecoveryStages:
+	case minStage >= fastRecoveryStages:
 		// Hyper increase.
-		c.rt += c.p.RateHAI
+		c.rt += rateHAI
 	default:
 		// Additive increase.
-		c.rt += c.p.RateAI
+		c.rt += rateAI
 	}
 	if c.rt > c.p.LineRate {
 		c.rt = c.p.LineRate
@@ -220,7 +204,7 @@ func (c *Controller) increase() {
 	if c.rc > c.p.LineRate {
 		c.rc = c.p.LineRate
 	}
-	if c.rc < c.p.MinRate {
-		c.rc = c.p.MinRate
+	if c.rc < minRate {
+		c.rc = minRate
 	}
 }

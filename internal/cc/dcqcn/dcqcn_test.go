@@ -3,6 +3,7 @@ package dcqcn
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bfc/internal/units"
 )
@@ -13,16 +14,12 @@ func TestValidation(t *testing.T) {
 	if err := params().Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
 	}
+	if err := (Params{LineRate: minRate, Window: units.KB}).Validate(); err != nil {
+		t.Fatalf("line rate at the floor invalid: %v", err)
+	}
 	cases := []func(*Params){
 		func(p *Params) { p.LineRate = 0 },
-		func(p *Params) { p.MinRate = 0 },
-		func(p *Params) { p.MinRate = p.LineRate * 2 },
-		func(p *Params) { p.G = 0 },
-		func(p *Params) { p.G = 2 },
-		func(p *Params) { p.AlphaResumeInterval = 0 },
-		func(p *Params) { p.ByteCounter = 0 },
-		func(p *Params) { p.FastRecoveryStages = 0 },
-		func(p *Params) { p.RateAI = 0 },
+		func(p *Params) { p.LineRate = minRate - 1 },
 	}
 	for i, mutate := range cases {
 		p := params()
@@ -34,6 +31,18 @@ func TestValidation(t *testing.T) {
 	bad := params()
 	bad.LineRate = 0
 	assertPanics(t, func() { New(bad) })
+}
+
+// TestControllerSize: a simulation keeps one controller per DCQCN flow, so
+// the record holds only what a flow varies (its line rate and window) and
+// its state; the published parameters are package constants.
+func TestControllerSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned on 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Controller{}); n != 88 {
+		t.Fatalf("Controller is %d bytes, want 88: line rate, window, rc, rt, alpha, two stages, bytes since increase, two instants and haveCNP", n)
+	}
 }
 
 func assertPanics(t *testing.T, f func()) {

@@ -16,56 +16,30 @@ import (
 	"bfc/internal/units"
 )
 
-// Params are the HPCC knobs; the defaults follow the paper's evaluation
-// (η = 0.95, maxStage = 5).
+// The parameter set of the HPCC paper's evaluation (Li et al. '19). Every
+// flow runs at these values, so they are constants rather than per-flow
+// settings.
+const (
+	// eta is the target link utilization.
+	eta = 0.95
+	// maxStage is the number of per-ACK additive sub-steps per RTT.
+	maxStage = 5
+	// minWindow floors the window at one MTU so flows always make progress.
+	minWindow units.Bytes = 1024
+)
+
+// Params are what an HPCC flow varies: its line rate and its path's base RTT.
 type Params struct {
 	// LineRate is the host link rate (window ceiling is LineRate * BaseRTT).
 	LineRate units.Rate
 	// BaseRTT is the unloaded end-to-end RTT T used to normalize telemetry.
 	BaseRTT units.Time
-	// Eta is the target link utilization (0.95).
-	Eta float64
-	// MaxStage is the number of per-ACK additive sub-steps per RTT (5).
-	MaxStage int
-	// WAI is the additive increase in bytes per adjustment; the HPCC paper
-	// sizes it so that N flows converge; a small fraction of the BDP works
-	// well.
-	WAI units.Bytes
-	// MinWindow floors the window at one MTU so flows always make progress.
-	MinWindow units.Bytes
-}
-
-// DefaultParams returns the parameter set from the paper for a given line
-// rate and base RTT.
-func DefaultParams(lineRate units.Rate, baseRTT units.Time) Params {
-	bdp := units.BDP(lineRate, baseRTT)
-	wai := bdp / 200
-	if wai < 1 {
-		wai = 1
-	}
-	return Params{
-		LineRate:  lineRate,
-		BaseRTT:   baseRTT,
-		Eta:       0.95,
-		MaxStage:  5,
-		WAI:       wai,
-		MinWindow: 1024,
-	}
 }
 
 // Validate reports parameter errors.
 func (p Params) Validate() error {
 	if p.LineRate <= 0 || p.BaseRTT <= 0 {
 		return fmt.Errorf("hpcc: line rate and base RTT must be positive")
-	}
-	if p.Eta <= 0 || p.Eta > 1 {
-		return fmt.Errorf("hpcc: eta %v out of range", p.Eta)
-	}
-	if p.MaxStage <= 0 {
-		return fmt.Errorf("hpcc: maxStage must be positive")
-	}
-	if p.WAI <= 0 || p.MinWindow <= 0 {
-		return fmt.Errorf("hpcc: WAI and MinWindow must be positive")
 	}
 	return nil
 }
@@ -79,6 +53,10 @@ const inlineHops = 8
 // cc.Controller.
 type Controller struct {
 	p Params
+	// wai is the additive increase in bytes per adjustment. The HPCC paper
+	// sizes it so that N flows converge; the code takes BDP/200, at least
+	// 1 B.
+	wai units.Bytes
 
 	window units.Bytes // W
 	wc     units.Bytes // reference window W_c
@@ -103,7 +81,7 @@ func (c *Controller) Init(p Params) {
 		panic(err)
 	}
 	bdp := units.BDP(p.LineRate, p.BaseRTT)
-	*c = Controller{p: p, window: bdp, wc: bdp}
+	*c = Controller{p: p, wai: max(bdp/200, 1), window: bdp, wc: bdp}
 	c.prev = c.prevHops[:0]
 }
 
@@ -128,9 +106,9 @@ func (c *Controller) OnAck(now units.Time, ackedBytes units.Bytes, _ bool, intHo
 
 	updateRef := c.ackedBytes >= c.nextUpdateBytes
 
-	if u >= c.p.Eta || c.stage >= c.p.MaxStage {
+	if u >= eta || c.stage >= maxStage {
 		// Multiplicative adjustment toward eta plus additive probe.
-		newW := units.Bytes(float64(c.wc)/(u/c.p.Eta)) + c.p.WAI
+		newW := units.Bytes(float64(c.wc)/(u/eta)) + c.wai
 		c.setWindow(newW)
 		if updateRef {
 			c.wc = c.window
@@ -139,7 +117,7 @@ func (c *Controller) OnAck(now units.Time, ackedBytes units.Bytes, _ bool, intHo
 		}
 	} else {
 		// Additive-only sub-step.
-		c.setWindow(c.wc + c.p.WAI*units.Bytes(c.stage+1))
+		c.setWindow(c.wc + c.wai*units.Bytes(c.stage+1))
 		if updateRef {
 			c.wc = c.window
 			c.stage++
@@ -154,8 +132,8 @@ func (c *Controller) setWindow(w units.Bytes) {
 	if w > maxW {
 		w = maxW
 	}
-	if w < c.p.MinWindow {
-		w = c.p.MinWindow
+	if w < minWindow {
+		w = minWindow
 	}
 	c.window = w
 }

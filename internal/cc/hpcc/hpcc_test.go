@@ -8,7 +8,7 @@ import (
 	"bfc/internal/units"
 )
 
-func params() Params { return DefaultParams(100*units.Gbps, 8*units.Microsecond) }
+func params() Params { return Params{LineRate: 100 * units.Gbps, BaseRTT: 8 * units.Microsecond} }
 
 // newController returns a controller set up by Init.
 func newController(p Params) *Controller {
@@ -27,11 +27,6 @@ func TestValidation(t *testing.T) {
 	cases := []func(*Params){
 		func(p *Params) { p.LineRate = 0 },
 		func(p *Params) { p.BaseRTT = 0 },
-		func(p *Params) { p.Eta = 0 },
-		func(p *Params) { p.Eta = 1.5 },
-		func(p *Params) { p.MaxStage = 0 },
-		func(p *Params) { p.WAI = 0 },
-		func(p *Params) { p.MinWindow = 0 },
 	}
 	for i, mutate := range cases {
 		p := params()
@@ -41,7 +36,7 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	bad := params()
-	bad.Eta = 0
+	bad.BaseRTT = -1
 	assertPanics(t, func() { newController(bad) })
 }
 
@@ -55,10 +50,22 @@ func assertPanics(t *testing.T, f func()) {
 	f()
 }
 
+// TestAdditiveIncreaseFloor: a path whose BDP is under 200 B still probes
+// by 1 B per adjustment.
+func TestAdditiveIncreaseFloor(t *testing.T) {
+	c := newController(Params{LineRate: units.Gbps, BaseRTT: units.Nanosecond})
+	if c.wai != 1 {
+		t.Fatalf("additive increase on a %v BDP = %v, want 1", units.BDP(units.Gbps, units.Nanosecond), c.wai)
+	}
+}
+
 func TestInitialWindowIsOneBDP(t *testing.T) {
 	c := newController(params())
 	if c.Window() != bdp {
 		t.Fatalf("initial window = %v, want %v", c.Window(), bdp)
+	}
+	if c.wai != bdp/200 {
+		t.Fatalf("additive increase = %v, want BDP/200 = %v", c.wai, bdp/200)
 	}
 	// Pacing rate W/T equals the line rate initially.
 	if r := c.Rate(); r < 99*units.Gbps || r > 101*units.Gbps {
@@ -86,7 +93,7 @@ func TestCongestedLinkShrinksWindow(t *testing.T) {
 	if c.Window() >= w0 {
 		t.Fatalf("window did not shrink under congestion: %v >= %v", c.Window(), w0)
 	}
-	if c.Window() < params().MinWindow {
+	if c.Window() < minWindow {
 		t.Fatal("window fell below the floor")
 	}
 }
@@ -162,7 +169,7 @@ func TestWindowBoundsProperty(t *testing.T) {
 			now += dt
 			tx += units.Bytes(q % 200000)
 			c.OnAck(now, 1000, false, intStack(now, units.Bytes(q%500000), tx))
-			if c.Window() < params().MinWindow || c.Window() > bdp {
+			if c.Window() < minWindow || c.Window() > bdp {
 				return false
 			}
 			if c.Rate() <= 0 {

@@ -74,8 +74,6 @@ func BenchmarkSpecInstall(b *testing.B) {
 	}
 	p := Params{
 		Topo:        topo,
-		Hosts:       topo.Hosts(),
-		HostRate:    topo.HostRate(topo.Hosts()[0]),
 		Horizon:     time500us,
 		FirstFlowID: 1,
 	}

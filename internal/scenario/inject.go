@@ -31,12 +31,10 @@ type Network interface {
 
 // Params carries the run context a spec is compiled against.
 type Params struct {
-	// Topo is the run's (job-local) topology; link names resolve against it.
+	// Topo is the run's (job-local) topology; link names resolve against
+	// it, its hosts are the injection endpoints, and the first host's line
+	// rate converts load fractions into arrival rates for random shifts.
 	Topo *topology.Topology
-	// Hosts are the injection endpoints (normally Topo.Hosts()).
-	Hosts []packet.NodeID
-	// HostRate converts load fractions into arrival rates for random shifts.
-	HostRate units.Rate
 	// Horizon is Duration+Drain; it closes the last metrics phase.
 	Horizon units.Time
 	// FirstFlowID is the first free flow ID (above the base trace's).
@@ -74,7 +72,7 @@ func Plan(spec *Spec, p Params) (*Planned, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if len(p.Hosts) < 2 {
+	if len(p.Topo.Hosts()) < 2 {
 		return nil, fmt.Errorf("scenario: need at least 2 hosts")
 	}
 	pl := &Planned{
@@ -203,6 +201,7 @@ func (pl *Planned) fire(ce *compiledEvent, net Network, rec telemetry.Recorder) 
 func compileEvent(spec *Spec, i int, p Params, nextID *packet.FlowID, port *uint16) (*compiledEvent, error) {
 	e := &spec.Events[i]
 	ce := &compiledEvent{ev: e}
+	hosts := p.Topo.Hosts()
 	switch e.Kind {
 	case LinkDown, LinkUp, LinkDegrade:
 		a, ok := p.Topo.NodeByName(e.Link.A)
@@ -231,7 +230,7 @@ func compileEvent(spec *Spec, i int, p Params, nextID *packet.FlowID, port *uint
 			if !ok {
 				return nil, fmt.Errorf("scenario: event %d: unknown victim %q", i, e.Incast.Victim)
 			}
-			for hi, h := range p.Hosts {
+			for hi, h := range hosts {
 				if h == id {
 					victimIdx = hi
 					break
@@ -241,9 +240,9 @@ func compileEvent(spec *Spec, i int, p Params, nextID *packet.FlowID, port *uint
 				return nil, fmt.Errorf("scenario: event %d: victim %q is not a host", i, e.Incast.Victim)
 			}
 		} else {
-			victimIdx = rng.Intn(len(p.Hosts))
+			victimIdx = rng.Intn(len(hosts))
 		}
-		ce.flow = workload.IncastBurst(rng, p.Hosts, victimIdx, e.Incast.FanIn,
+		ce.flow = workload.IncastBurst(rng, hosts, victimIdx, e.Incast.FanIn,
 			e.Incast.AggregateSize, e.At, *nextID, *port)
 	case WorkloadShift:
 		rng := eventRNG(spec, i)
@@ -254,10 +253,10 @@ func compileEvent(spec *Spec, i int, p Params, nextID *packet.FlowID, port *uint
 				return nil, fmt.Errorf("scenario: event %d: %w", i, err)
 			}
 			tr, err := workload.Generate(workload.Config{
-				Hosts:    p.Hosts,
+				Hosts:    hosts,
 				CDF:      cdf,
 				Load:     e.Shift.Load,
-				HostRate: p.HostRate,
+				HostRate: p.Topo.HostRate(hosts[0]),
 				Duration: e.Shift.Duration,
 				Seed:     rng.Int63(),
 				BasePort: *port,
@@ -270,9 +269,9 @@ func compileEvent(spec *Spec, i int, p Params, nextID *packet.FlowID, port *uint
 			}
 			ce.flow = tr.Flows
 		case PatternPermutation:
-			ce.flow = workload.Permutation(rng, p.Hosts, e.Shift.FlowSize, e.At, *nextID, *port)
+			ce.flow = workload.Permutation(rng, hosts, e.Shift.FlowSize, e.At, *nextID, *port)
 		case PatternAllToAll:
-			ce.flow = workload.AllToAll(p.Hosts, e.Shift.FlowSize, e.At, *nextID, *port)
+			ce.flow = workload.AllToAll(hosts, e.Shift.FlowSize, e.At, *nextID, *port)
 		}
 	}
 	// Re-number injected flows into the scenario's ID space and advance the

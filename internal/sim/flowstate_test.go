@@ -194,8 +194,25 @@ func TestFlowAllocs(t *testing.T) {
 // TestPoolReturnsEveryPacket is the pool term of the run invariants: a run
 // whose flows all complete hands every packet back, so summed over the
 // shards' pools (a packet may end in another shard's free-list) the packets
-// carved equal the packets free.
+// carved equal the packets free. The k = 4 fat-tree's spread flows pause
+// nothing; the T2 incast, drained, pauses and resumes flows under BFC, so
+// packets wait in paused queues before they come back.
 func TestPoolReturnsEveryPacket(t *testing.T) {
+	check := func(name string, scheme Scheme, shards int, res *Result, flows int) {
+		t.Helper()
+		if res.FlowsCompleted != flows || res.Sharding.Used != shards {
+			t.Fatalf("%s %s shards=%d: completed %d of %d flows on %d shards", name, scheme, shards, res.FlowsCompleted, flows, res.Sharding.Used)
+		}
+		var allocated, free uint64
+		for _, ss := range res.Exec.Shards {
+			allocated += ss.PoolAllocated
+			free += uint64(ss.PoolFree)
+		}
+		if allocated == 0 || allocated != free {
+			t.Errorf("%s %s shards=%d: %d packets carved, %d free at the end: %d never returned",
+				name, scheme, shards, allocated, free, int64(allocated)-int64(free))
+		}
+	}
 	topo := k4FatTree()
 	for _, scheme := range []Scheme{SchemeBFC, SchemeDCQCN} {
 		for _, shards := range []int{1, 2} {
@@ -209,19 +226,17 @@ func TestPoolReturnsEveryPacket(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.FlowsCompleted != len(flows) || res.Sharding.Used != shards {
-				t.Fatalf("%s shards=%d: completed %d of %d flows on %d shards", scheme, shards, res.FlowsCompleted, len(flows), res.Sharding.Used)
-			}
-			var allocated, free uint64
-			for _, ss := range res.Exec.Shards {
-				allocated += ss.PoolAllocated
-				free += uint64(ss.PoolFree)
-			}
-			if allocated == 0 || allocated != free {
-				t.Errorf("%s shards=%d: %d packets carved, %d free at the end: %d never returned",
-					scheme, shards, allocated, free, int64(allocated)-int64(free))
-			}
+			check("k4-spread", scheme, shards, res, len(flows))
 		}
+	}
+	topoT2, incast, _ := t2IncastFlap(t)
+	for _, shards := range []int{1, 2} {
+		res := runT2Incast(t, topoT2, incast, shards, nil, 2*units.Millisecond)
+		t.Logf("t2-incast-drained shards=%d: %d pauses, %d resumes", shards, res.Pauses, res.Resumes)
+		if res.Pauses == 0 {
+			t.Errorf("t2-incast-drained shards=%d paused no flow: the pool term checks no paused queue", shards)
+		}
+		check("t2-incast-drained", SchemeBFC, shards, res, len(incast))
 	}
 }
 
@@ -247,7 +262,7 @@ func TestPoolReturnsEveryFilter(t *testing.T) {
 	}
 	var held, inFlight int
 	for _, c := range cases {
-		res := runT2Incast(t, topo, flows, c.shards, c.spec)
+		res := runT2Incast(t, topo, flows, c.shards, c.spec, 20*units.Microsecond)
 		var carved uint64
 		var free, h, f int
 		for _, ss := range res.Exec.Shards {
@@ -296,14 +311,14 @@ func t2IncastFlap(t *testing.T) (*topology.Topology, []*packet.Flow, *scenario.S
 	}}
 }
 
-// runT2Incast runs BFC over t2IncastFlap's inputs for 60 µs plus 20 µs of
-// drain, which ends the run in the middle of its incast, with spec (nil: no
-// flap) and the execution profile on.
-func runT2Incast(t *testing.T, topo *topology.Topology, flows []*packet.Flow, shards int, spec *scenario.Spec) *Result {
+// runT2Incast runs BFC over t2IncastFlap's inputs for 60 µs plus drain, with
+// spec (nil: no flap) and the execution profile on. A drain of 20 µs ends the
+// run in the middle of its incast; one of 2 ms completes every flow.
+func runT2Incast(t *testing.T, topo *topology.Topology, flows []*packet.Flow, shards int, spec *scenario.Spec, drain units.Time) *Result {
 	t.Helper()
 	opts := DefaultOptions(SchemeBFC, topo)
 	opts.Duration = 60 * units.Microsecond
-	opts.Drain = 20 * units.Microsecond
+	opts.Drain = drain
 	opts.Shards = shards
 	opts.Scenario = spec
 	opts.ExecStats = true
@@ -380,7 +395,7 @@ func TestSwitchesBalanceTheirBooks(t *testing.T) {
 	if pauses == 0 {
 		t.Error("no drained run paused a flow: the paused-VFID term checks nothing")
 	}
-	res := runT2Incast(t, topoT2, incast, 2, flap)
+	res := runT2Incast(t, topoT2, incast, 2, flap, 20*units.Microsecond)
 	queued, bytes, entries, paused, fault := sum(res)
 	t.Logf("t2-incast-cross-shard-flap shards=2: switches hold %d packets (%d B), %d flow-table entries, %d paused VFIDs", queued, bytes, entries, paused)
 	if fault != "" {

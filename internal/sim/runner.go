@@ -345,11 +345,11 @@ func (r *runner) buildNICs() {
 	case SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ:
 		windowed := opts.Scheme != SchemeDCQCN
 		cfg.GenerateCNP = true
-		cfg.CNPInterval = dcqcn.DefaultParams(0).CNPInterval // the same at every rate
+		cfg.CNPInterval = dcqcn.CNPInterval
 		ctrls := make([]dcqcn.Controller, r.sends)
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
 			rate := topo.HostRate(f.Src)
-			p := dcqcn.DefaultParams(rate)
+			p := dcqcn.Params{LineRate: rate}
 			if windowed {
 				p.Window = units.BDP(rate, pathRTT(f))
 			}
@@ -362,7 +362,7 @@ func (r *runner) buildNICs() {
 		ctrls := make([]hpcc.Controller, r.sends)
 		cfg.NewController = func(f *packet.Flow) cc.Controller {
 			c := &ctrls[f.SendSlot]
-			c.Init(hpcc.DefaultParams(topo.HostRate(f.Src), pathRTT(f)))
+			c.Init(hpcc.Params{LineRate: topo.HostRate(f.Src), BaseRTT: pathRTT(f)})
 			return c
 		}
 	case SchemeIdealFQ:
@@ -480,8 +480,6 @@ func scenarioParams(opts *Options, flows []*packet.Flow, horizon units.Time) sce
 	}
 	return scenario.Params{
 		Topo:            opts.Topo,
-		Hosts:           opts.Topo.Hosts(),
-		HostRate:        opts.Topo.HostRate(opts.Topo.Hosts()[0]),
 		Horizon:         horizon,
 		FirstFlowID:     maxID + 1,
 		StatsSketchSize: sketchSize,
