@@ -84,11 +84,9 @@ func IdealFCT(topo *Topology, f *Flow) Time { return sim.IdealFCT(topo, f) }
 // NewClos builds an arbitrary two-tier Clos.
 func NewClos(cfg ClosConfig) *Topology { return topology.NewClos(cfg) }
 
-// NewCrossDC builds two Clos data centers joined by a long gateway link.
-func NewCrossDC(cfg topology.CrossDCConfig) *CrossDCTopology { return topology.NewCrossDC(cfg) }
-
-// CrossDCConfig parameterizes NewCrossDC.
-type CrossDCConfig = topology.CrossDCConfig
+// NewCrossDC builds two copies of a Clos data center joined by the §4.2
+// gateway link (100 Gbps, 200 us).
+func NewCrossDC(dc ClosConfig) *CrossDCTopology { return topology.NewCrossDC(dc) }
 
 // Workload generation.
 

@@ -124,18 +124,14 @@ func Example_incast() {
 // (where the buffering keeps the long link busy) and intra-DC tail latency is
 // unaffected; DCQCN+Win waits for end-to-end feedback over the 400 us RTT.
 func Example_crossDC() {
-	x := bfc.NewCrossDC(bfc.CrossDCConfig{
-		DC: bfc.ClosConfig{
-			NumToR:      2,
-			NumSpine:    2,
-			HostsPerToR: 4,
-			LinkRate:    10 * bfc.Gbps,
-			LinkDelay:   bfc.Microsecond,
-		},
-		GatewayRate:  100 * bfc.Gbps,
-		GatewayDelay: 200 * bfc.Microsecond,
+	x := bfc.NewCrossDC(bfc.ClosConfig{
+		NumToR:      2,
+		NumSpine:    2,
+		HostsPerToR: 4,
+		LinkRate:    10 * bfc.Gbps,
+		LinkDelay:   bfc.Microsecond,
 	})
-	inter := &bfc.InterDCConfig{HostsDC1: x.HostsDC1, HostsDC2: x.HostsDC2, Fraction: 0.2}
+	inter := &bfc.InterDCConfig{HostsDC1: x.HostsDC1, HostsDC2: x.HostsDC2}
 	duration := 4 * bfc.Millisecond
 
 	fmt.Printf("%-10s %13s %13s\n", "scheme", "intra-DC p99", "inter-DC p99")

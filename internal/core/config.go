@@ -27,11 +27,9 @@ import (
 // DefaultConfig and override what the experiment needs.
 type Config struct {
 	// NumVFIDs is the size of the virtual flow ID space (16K in the paper).
+	// The flow table's geometry, 4-entry buckets and a 100-entry overflow
+	// cache, is flowtable's.
 	NumVFIDs int
-	// BucketSize is the VFID hash-table bucket size (4 in the paper).
-	BucketSize int
-	// OverflowCacheSize is the associative overflow cache capacity (100).
-	OverflowCacheSize int
 
 	// QueuesPerPort is the number of physical data queues per egress port
 	// (32 in the paper; swept 8–128 in Fig 12). switchsim.New sets it to the
@@ -77,8 +75,6 @@ const resumePerInterval = 1
 func DefaultConfig() Config {
 	return Config{
 		NumVFIDs:             flowtable.DefaultNumVFIDs,
-		BucketSize:           flowtable.DefaultBucketSize,
-		OverflowCacheSize:    flowtable.DefaultOverflowCap,
 		QueuesPerPort:        32,
 		Bloom:                bloom.DefaultParams(),
 		HRTT:                 2 * units.Microsecond,
@@ -91,8 +87,8 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.NumVFIDs <= 0 || c.BucketSize <= 0 || c.OverflowCacheSize < 0 {
-		return fmt.Errorf("core: invalid flow-table sizing %+v", c)
+	if c.NumVFIDs <= 0 {
+		return fmt.Errorf("core: NumVFIDs must be positive")
 	}
 	if c.QueuesPerPort <= 0 {
 		return fmt.Errorf("core: QueuesPerPort must be positive")

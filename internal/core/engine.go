@@ -128,7 +128,7 @@ func NewEngine(cfg Config, numPorts int, view PortView) *Engine {
 		cfg:      cfg,
 		view:     view,
 		numPorts: numPorts,
-		table:    flowtable.New(cfg.NumVFIDs, cfg.BucketSize, cfg.OverflowCacheSize),
+		table:    flowtable.New(cfg.NumVFIDs),
 		egress:   make([]egressState, numPorts),
 		ingress:  make([]ingressState, numPorts),
 	}

@@ -424,23 +424,35 @@ func TestVFIDCollisionDetection(t *testing.T) {
 func TestTableOverflowFallsBackToOverflowQueue(t *testing.T) {
 	cfg := testConfig()
 	cfg.NumVFIDs = 1
-	cfg.BucketSize = 1
-	cfg.OverflowCacheSize = 1
 	cfg.UseHighPriorityQueue = false
-	e, _ := newTestEngine(t, cfg)
-	// Three distinct (ingress, egress) pairs with the same VFID: bucket holds
-	// one, cache holds one, the third has nowhere to go.
-	e.OnArrival(0, 0, 1, dataPkt(mkFlow(1, 1, 2), 0, 1000, false))
-	e.OnArrival(0, 1, 2, dataPkt(mkFlow(2, 3, 4), 0, 1000, false))
-	pl := e.OnArrival(0, 2, 3, dataPkt(mkFlow(3, 5, 6), 0, 1000, false))
+	e := NewEngine(cfg, 12, newFakeView(100*units.Gbps))
+	// Distinct (ingress, egress) pairs with the same VFID: the §3.8 bucket
+	// holds 4, the overflow cache 100, and the 105th has nowhere to go.
+	const held = 4 + 100
+	var pairs [][2]int
+	for in := range 12 {
+		for out := range 12 {
+			if in != out {
+				pairs = append(pairs, [2]int{in, out})
+			}
+		}
+	}
+	for i, p := range pairs[:held] {
+		if pl := e.OnArrival(0, p[0], p[1], dataPkt(mkFlow(i+1, int32(p[0]), int32(p[1])), 0, 1000, false)); pl.Overflow {
+			t.Fatalf("flow %d of %d went to the overflow queue", i+1, held)
+		}
+	}
+	last := pairs[held]
+	pkt := dataPkt(mkFlow(held+1, int32(last[0]), int32(last[1])), 0, 1000, false)
+	pl := e.OnArrival(0, last[0], last[1], pkt)
 	if !pl.Overflow {
 		t.Fatalf("placement = %+v, want overflow", pl)
 	}
-	if e.Stats().TableOverflowPackets != 1 {
-		t.Fatal("overflow packet not counted")
+	if e.Stats().TableOverflowPackets != 1 || e.ActiveFlows() != held {
+		t.Fatalf("overflow packets %d, active flows %d; want 1 and %d", e.Stats().TableOverflowPackets, e.ActiveFlows(), held)
 	}
 	// Departures of overflow packets are a no-op.
-	e.OnDeparture(0, 2, 3, pl, dataPkt(mkFlow(3, 5, 6), 0, 1000, false))
+	e.OnDeparture(0, last[0], last[1], pl, pkt)
 }
 
 func TestDepartureForUnknownFlowPanics(t *testing.T) {

@@ -183,8 +183,8 @@ func (p *point) topology(inter **workload.InterDCConfig) *topology.Topology {
 	if _, err := fmt.Sscanf(dims, "%dx%dx%d", &dc.NumToR, &dc.NumSpine, &dc.HostsPerToR); err != nil {
 		panic(fmt.Sprintf("experiments: fabric %q: %v", p.Fabric, err))
 	}
-	x := topology.NewCrossDC(topology.CrossDCConfig{DC: dc, GatewayRate: 100 * units.Gbps, GatewayDelay: 200 * units.Microsecond})
-	*inter = &workload.InterDCConfig{HostsDC1: x.HostsDC1, HostsDC2: x.HostsDC2, Fraction: 0.2}
+	x := topology.NewCrossDC(dc)
+	*inter = &workload.InterDCConfig{HostsDC1: x.HostsDC1, HostsDC2: x.HostsDC2}
 	return x.Topology
 }
 

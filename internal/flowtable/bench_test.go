@@ -17,7 +17,7 @@ func BenchmarkFlowTableNew(b *testing.B) {
 	b.ReportAllocs()
 	var tbl *Table
 	for i := 0; i < b.N; i++ {
-		tbl = New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
+		tbl = New(DefaultNumVFIDs)
 	}
 	if tbl.numVFIDs != DefaultNumVFIDs {
 		b.Fatal("wrong size")
@@ -29,20 +29,20 @@ func BenchmarkFlowTableNew(b *testing.B) {
 // churned entry plus residents on the same VFID), over 1024 VFIDs so the index
 // is not one hot cache line. cacheEntry first puts one unrelated entry in the
 // overflow cache (every miss in the bucket, Insert's duplicate check included,
-// then consults the map); residents == DefaultBucketSize fills the bucket so
+// then consults the map); residents == defaultBucketSize fills the bucket so
 // the churned entry itself lives in the cache. It uses only the public API, so
 // it runs unchanged on older layouts; it is the per-packet cost of the table
 // next to the benchmark's switchsim.bfc_pkt_ns rung.
 func churnLoop(tb testing.TB, residents int, cacheEntry bool) func(n int) {
 	const window, lookups = 1024, 8
-	tbl := New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
+	tbl := New(DefaultNumVFIDs)
 	for v := 0; v < window; v++ {
 		for in := 0; in < residents; in++ {
 			tbl.Insert(packet.VFID(v), in, 0)
 		}
 	}
 	if cacheEntry {
-		for in := 0; in <= DefaultBucketSize; in++ {
+		for in := 0; in <= defaultBucketSize; in++ {
 			tbl.Insert(window, in, 0)
 		}
 	}
@@ -72,12 +72,12 @@ type churnRow struct {
 // then the two overflow-cache cases.
 func churnRows() []churnRow {
 	var rows []churnRow
-	for depth := 1; depth <= DefaultBucketSize; depth++ {
+	for depth := 1; depth <= defaultBucketSize; depth++ {
 		rows = append(rows, churnRow{fmt.Sprintf("depth=%d", depth), depth - 1, false})
 	}
 	return append(rows,
 		churnRow{"depth=1/cache-nonempty", 0, true},
-		churnRow{"depth=4/entry-in-cache", DefaultBucketSize, false})
+		churnRow{"depth=4/entry-in-cache", defaultBucketSize, false})
 }
 
 func BenchmarkFlowTableChurn(b *testing.B) {

@@ -30,11 +30,14 @@ import (
 	"bfc/internal/units"
 )
 
-// Default sizing from the paper's evaluation (§4.1, §3.8).
+// DefaultNumVFIDs is the VFID space of the paper's evaluation (§4.1).
+const DefaultNumVFIDs = 16384
+
+// The §3.8 table geometry every switch uses: 4-entry buckets and a 100-entry
+// overflow cache.
 const (
-	DefaultNumVFIDs    = 16384
-	DefaultBucketSize  = 4
-	DefaultOverflowCap = 100
+	defaultBucketSize  = 4
+	defaultOverflowCap = 100
 )
 
 // Entry is the state kept for one active virtual flow at one switch.
@@ -138,9 +141,13 @@ const minIndex = 8
 // pageEntries is the number of entries one page holds (88 B each).
 const pageEntries = 8
 
-// New creates a table with the given VFID space, bucket size and overflow
-// cache capacity.
-func New(numVFIDs, bucketSize, overflowCap int) *Table {
+// New creates a table over the given VFID space with the §3.8 geometry.
+func New(numVFIDs int) *Table { return newTable(numVFIDs, defaultBucketSize, defaultOverflowCap) }
+
+// newTable creates a table with the given VFID space, bucket size and
+// overflow cache capacity; the tests use it to reach a full bucket and a full
+// cache in a few operations.
+func newTable(numVFIDs, bucketSize, overflowCap int) *Table {
 	if numVFIDs <= 0 {
 		panic("flowtable: numVFIDs must be positive")
 	}

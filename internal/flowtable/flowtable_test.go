@@ -10,7 +10,7 @@ import (
 )
 
 func TestInsertLookupRemove(t *testing.T) {
-	tbl := New(64, 4, 10)
+	tbl := newTable(64, 4, 10)
 	if tbl.Active() != 0 {
 		t.Fatal("new table should be empty")
 	}
@@ -37,7 +37,7 @@ func TestInsertLookupRemove(t *testing.T) {
 }
 
 func TestSameVFIDDifferentPorts(t *testing.T) {
-	tbl := New(64, 4, 10)
+	tbl := newTable(64, 4, 10)
 	a, _ := tbl.Insert(7, 1, 2)
 	b, _ := tbl.Insert(7, 3, 4)
 	if a == b {
@@ -52,7 +52,7 @@ func TestSameVFIDDifferentPorts(t *testing.T) {
 }
 
 func TestDuplicateInsertPanics(t *testing.T) {
-	tbl := New(64, 4, 10)
+	tbl := newTable(64, 4, 10)
 	tbl.Insert(7, 1, 2)
 	assertPanics(t, func() { tbl.Insert(7, 1, 2) })
 }
@@ -82,7 +82,7 @@ func (c *insertCounts) note(res InsertResult, active int) {
 }
 
 func TestBucketOverflowToCache(t *testing.T) {
-	tbl := New(8, 2, 3)
+	tbl := newTable(8, 2, 3)
 	var c insertCounts
 	// Fill bucket for VFID 1 (bucket size 2).
 	for out := 0; out < 2; out++ {
@@ -109,7 +109,7 @@ func TestBucketOverflowToCache(t *testing.T) {
 }
 
 func TestCacheFull(t *testing.T) {
-	tbl := New(4, 1, 2)
+	tbl := newTable(4, 1, 2)
 	var c insertCounts
 	for out := 0; out < 3; out++ { // bucket, cache 1, cache 2
 		_, res := tbl.Insert(0, 0, out)
@@ -129,26 +129,26 @@ func TestCacheFull(t *testing.T) {
 }
 
 func TestRemoveUnknownPanics(t *testing.T) {
-	tbl := New(8, 2, 2)
+	tbl := newTable(8, 2, 2)
 	assertPanics(t, func() { tbl.Remove(nil) })
 	assertPanics(t, func() { tbl.Remove(&Entry{VFID: 1}) })
 	assertPanics(t, func() { tbl.Remove(&Entry{VFID: 1, inOverflow: true}) })
 }
 
 func TestVFIDOutOfRangePanics(t *testing.T) {
-	tbl := New(8, 2, 2)
+	tbl := newTable(8, 2, 2)
 	assertPanics(t, func() { tbl.Lookup(8, 0, 0) })
 	assertPanics(t, func() { tbl.Insert(100, 0, 0) })
 }
 
 func TestConstructorValidation(t *testing.T) {
-	assertPanics(t, func() { New(0, 4, 100) })
-	assertPanics(t, func() { New(16, 0, 100) })
-	assertPanics(t, func() { New(16, 4, -1) })
+	assertPanics(t, func() { newTable(0, 4, 100) })
+	assertPanics(t, func() { newTable(16, 0, 100) })
+	assertPanics(t, func() { newTable(16, 4, -1) })
 }
 
 func TestActiveAndMemory(t *testing.T) {
-	tbl := New(128, 4, 10)
+	tbl := New(128)
 	tbl.Insert(1, 0, 1)
 	tbl.Insert(2, 0, 1)
 	tbl.Insert(3, 1, 2)
@@ -166,15 +166,18 @@ func TestActiveAndMemory(t *testing.T) {
 func TestPaperSizing(t *testing.T) {
 	// §3.8: 16K VFIDs, 4-way buckets, each slot's state (physical queue id,
 	// pause bit, packet counter, ingress/egress port ids) packed in 4 bytes
-	// => 256 KB of state.
-	tbl := New(DefaultNumVFIDs, DefaultBucketSize, DefaultOverflowCap)
+	// => 256 KB of state, beside a 100-entry overflow cache.
+	tbl := New(DefaultNumVFIDs)
 	if mem := tbl.numVFIDs * tbl.bucketSize * 4; mem != 256*1024 {
 		t.Fatalf("default table memory = %d bytes, want 256KB", mem)
+	}
+	if tbl.overflowCap != 100 {
+		t.Fatalf("overflow cache holds %d entries, want 100", tbl.overflowCap)
 	}
 }
 
 func TestMaxOccupancyTracking(t *testing.T) {
-	tbl := New(64, 4, 10)
+	tbl := newTable(64, 4, 10)
 	var c insertCounts
 	insert := func(v packet.VFID) *Entry {
 		e, res := tbl.Insert(v, 0, 0)
@@ -214,7 +217,7 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 	const vfids, bucketSize, overflowCap, ports = 8, 2, 3, 3
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := New(vfids, bucketSize, overflowCap)
+		tbl := newTable(vfids, bucketSize, overflowCap)
 		ref := map[Key]*Entry{}
 		var got, want insertCounts
 		bucketLen := map[packet.VFID]int{}
@@ -315,7 +318,7 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 // carves a new page and takes its first entry, and an entry keeps its slab
 // slot and address through Remove and reuse.
 func TestEntriesComeFromPages(t *testing.T) {
-	tbl := New(DefaultNumVFIDs, DefaultBucketSize, 0)
+	tbl := newTable(DefaultNumVFIDs, defaultBucketSize, 0)
 	size := unsafe.Sizeof(Entry{})
 	addr := func(e *Entry) uintptr { return uintptr(unsafe.Pointer(e)) }
 	for v := range packet.VFID(pageEntries) {

@@ -111,7 +111,7 @@ func FuzzFlowTable(f *testing.F) {
 		}
 		data = data[:min(len(data), 3+2*maxOps)]
 		numVFIDs, bucketSize, overflowCap := 1+int(data[0]%32), 1+int(data[1]%4), int(data[2]%4)
-		tbl, model := New(numVFIDs, bucketSize, overflowCap), newDenseTable(numVFIDs, bucketSize, overflowCap)
+		tbl, model := newTable(numVFIDs, bucketSize, overflowCap), newDenseTable(numVFIDs, bucketSize, overflowCap)
 		var counts insertCounts        // the table's Insert results and Active high-water
 		twin := map[*Entry]*Entry{}    // table entry -> the model's entry for the same slot
 		modelSeen := map[*Entry]bool{} // model entries that have a twin

@@ -39,10 +39,10 @@ type Params struct {
 	Horizon units.Time
 	// FirstFlowID is the first free flow ID (above the base trace's).
 	FirstFlowID packet.FlowID
-	// StatsSketchSize, when positive, puts the per-phase FCT collectors in
-	// constant-memory streaming mode with that sketch capacity (mirroring the
-	// run's sim.Options.StreamingStats); zero keeps them exact.
-	StatsSketchSize int
+	// Streaming puts the per-phase FCT collectors in constant-memory
+	// streaming mode (mirroring the run's sim.Options.StreamingStats); false
+	// keeps them exact.
+	Streaming bool
 }
 
 // compiledEvent is one event with names resolved and flows pre-generated.
@@ -77,7 +77,7 @@ func Plan(spec *Spec, p Params) (*Planned, error) {
 	}
 	pl := &Planned{
 		topo:    p.Topo,
-		metrics: newMetrics(spec, p.Horizon, p.StatsSketchSize),
+		metrics: newMetrics(spec, p.Horizon, p.Streaming),
 	}
 	nextID := p.FirstFlowID
 	var port uint16 = 50000

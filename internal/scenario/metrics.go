@@ -57,14 +57,14 @@ type Phase struct {
 }
 
 // newMetrics builds the phase windows for a spec over the given horizon.
-// Events sharing a timestamp share one window. A positive sketchSize makes
-// the phase FCT collectors constant-memory sketches, so a streaming-stats run
-// keeps its footprint bound through a scenario too.
-func newMetrics(spec *Spec, horizon units.Time, sketchSize int) *Metrics {
+// Events sharing a timestamp share one window. Streaming makes the phase FCT
+// collectors constant-memory sketches, so a streaming-stats run keeps its
+// footprint bound through a scenario too.
+func newMetrics(spec *Spec, horizon units.Time, streaming bool) *Metrics {
 	m := &Metrics{Spec: spec.Name}
 	newCollector := func() *stats.FCTCollector {
-		if sketchSize > 0 {
-			return stats.NewStreamingFCTCollector(sketchSize)
+		if streaming {
+			return stats.NewStreamingFCTCollector()
 		}
 		return stats.NewFCTCollector()
 	}

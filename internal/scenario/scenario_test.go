@@ -113,7 +113,7 @@ func TestMetricsPhases(t *testing.T) {
 			{At: 30 * units.Microsecond, Kind: Incast, Incast: &IncastSpec{FanIn: 2, AggregateSize: units.KB}},
 		},
 	}
-	m := newMetrics(spec, 100*units.Microsecond, 0)
+	m := newMetrics(spec, 100*units.Microsecond, false)
 	if len(m.Phases) != 3 {
 		t.Fatalf("got %d phases, want 3", len(m.Phases))
 	}

@@ -405,3 +405,40 @@ func TestSwitchesBalanceTheirBooks(t *testing.T) {
 		t.Errorf("the flap run ended with %d packets queued, %d entries and %d VFIDs paused: it no longer checks a loaded switch", queued, entries, paused)
 	}
 }
+
+// TestBufferAndLosslessTerms is the buffer and lossless term of the run
+// invariants on the drained T2 incast, whose 30-way fan-in fills a small
+// shared buffer: with PFC on, a 200 KB switch pauses its upstreams, drops
+// nothing and every flow completes; with PFC off, a 100 KB switch drops. In
+// both, no switch holds more than its buffer. At 100 KB PFC on is not
+// lossless: it pauses at a fraction of the free buffer and reserves no
+// headroom for what is in flight behind the pause.
+func TestBufferAndLosslessTerms(t *testing.T) {
+	topo, incast, _ := t2IncastFlap(t)
+	run := func(scheme Scheme, buffer units.Bytes, pfc bool) *Result {
+		opts := DefaultOptions(scheme, topo)
+		opts.Duration = 200 * units.Microsecond
+		opts.Drain = 2 * units.Millisecond
+		opts.SwitchBuffer = buffer
+		opts.DisablePFC = !pfc
+		res, err := Run(opts, incast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%v buffer=%v pfc=%v: %d PFC pauses, %d drops, peak %d B, %d of %d flows completed",
+			scheme, buffer, pfc, res.PFCPauses, res.Drops, res.MaxBufferOccupancy, res.FlowsCompleted, len(incast))
+		if res.MaxBufferOccupancy > buffer {
+			t.Errorf("%v buffer=%v pfc=%v: a switch held %d B", scheme, buffer, pfc, res.MaxBufferOccupancy)
+		}
+		return res
+	}
+	for _, scheme := range []Scheme{SchemeBFC, SchemeBFCStatic, SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ, SchemeHPCC} {
+		if res := run(scheme, 200*units.KB, true); res.PFCPauses == 0 || res.Drops != 0 || res.FlowsCompleted != len(incast) {
+			t.Errorf("%v with PFC at 200 KB: %d PFC pauses, %d drops, %d of %d flows completed; want some pauses, no drop and every flow",
+				scheme, res.PFCPauses, res.Drops, res.FlowsCompleted, len(incast))
+		}
+		if res := run(scheme, 100*units.KB, false); res.Drops == 0 {
+			t.Errorf("%v without PFC at 100 KB dropped nothing: the buffer bound is not reached", scheme)
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"bfc/internal/bloom"
 	"bfc/internal/flowtable"
 	"bfc/internal/scenario"
-	"bfc/internal/stats"
 	"bfc/internal/telemetry"
 	"bfc/internal/topology"
 	"bfc/internal/units"
@@ -203,12 +202,9 @@ type Options struct {
 	// fixed-capacity deterministic sketches (see stats.NewStreamingDistribution),
 	// so the run's statistics footprint is independent of flow count and
 	// sample count. Exact and percentile queries: Count/Mean/Max stay exact,
-	// interior percentiles carry a ~1/sqrt(StatsSketchSize) rank error. Off by
-	// default — exact mode keeps every golden digest byte-identical.
+	// interior percentiles carry a ~1/sqrt(4096) rank error. Off by default —
+	// exact mode keeps every golden digest byte-identical.
 	StreamingStats bool
-	// StatsSketchSize is the per-distribution sketch capacity in streaming
-	// mode. Ignored in exact mode.
-	StatsSketchSize int
 
 	// Seed drives the switches' random ECN marking, each switch's source
 	// seeded Seed + node ID. Hashed choices (ECMP, queues, VFIDs, the BFC
@@ -230,7 +226,6 @@ func DefaultOptions(scheme Scheme, topo *topology.Topology) Options {
 		IdealFQQueues:     1000,
 		Duration:          2 * units.Millisecond,
 		Drain:             2 * units.Millisecond,
-		StatsSketchSize:   stats.DefaultSketchSize,
 		Seed:              1,
 	}
 }
@@ -253,9 +248,9 @@ func bufferSampleInterval(topo *topology.Topology) units.Time {
 }
 
 // Validate reports option errors. It only checks: it assigns no field, and a
-// zero Drain, NumVFIDs, BloomBytes, IdealFQQueues or StatsSketchSize is
-// rejected like any other non-positive resource, and so is a bloom filter
-// larger than a pause frame holds.
+// zero Drain, NumVFIDs, BloomBytes or IdealFQQueues is rejected like any
+// other non-positive resource, and so is a bloom filter larger than a pause
+// frame holds.
 func (o *Options) Validate() error {
 	if o.Topo == nil {
 		return fmt.Errorf("sim: nil topology")
@@ -271,7 +266,6 @@ func (o *Options) Validate() error {
 		{"NumVFIDs", int64(o.NumVFIDs)},
 		{"BloomBytes", int64(o.BloomBytes)},
 		{"IdealFQQueues", int64(o.IdealFQQueues)},
-		{"StatsSketchSize", int64(o.StatsSketchSize)},
 		{"Duration", int64(o.Duration)},
 		{"Drain", int64(o.Drain)},
 	} {

@@ -233,10 +233,10 @@ func newResult(opts *Options) *Result {
 	if opts.StreamingStats {
 		// Constant-memory mode: every distribution the run grows without
 		// bound in exact mode becomes a fixed-capacity sketch.
-		res.FCT = stats.NewStreamingFCTCollector(opts.StatsSketchSize)
-		res.FCTIncast = stats.NewStreamingFCTCollector(opts.StatsSketchSize)
-		res.BufferOccupancy = stats.NewStreamingDistribution(opts.StatsSketchSize)
-		res.OccupiedQueues = stats.NewStreamingDistribution(opts.StatsSketchSize)
+		res.FCT = stats.NewStreamingFCTCollector()
+		res.FCTIncast = stats.NewStreamingFCTCollector()
+		res.BufferOccupancy = stats.NewStreamingDistribution()
+		res.OccupiedQueues = stats.NewStreamingDistribution()
 	}
 	return res
 }
@@ -474,15 +474,11 @@ func scenarioParams(opts *Options, flows []*packet.Flow, horizon units.Time) sce
 			maxID = f.ID
 		}
 	}
-	sketchSize := 0
-	if opts.StreamingStats {
-		sketchSize = opts.StatsSketchSize
-	}
 	return scenario.Params{
-		Topo:            opts.Topo,
-		Horizon:         horizon,
-		FirstFlowID:     maxID + 1,
-		StatsSketchSize: sketchSize,
+		Topo:        opts.Topo,
+		Horizon:     horizon,
+		FirstFlowID: maxID + 1,
+		Streaming:   opts.StreamingStats,
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"bfc/internal/stats"
@@ -10,9 +12,9 @@ import (
 )
 
 // TestFatTreeScaleRun is the scale-tier acceptance test: a 1024-host
-// three-tier fat-tree run completes with streaming statistics enabled, the
-// stats footprint stays bounded by the sketch capacity (independent of flow
-// and sample count), and the scaled sampling cadence kicks in.
+// three-tier fat-tree run completes with streaming statistics enabled, every
+// distribution is a sketch (whose footprint stats bounds independently of
+// flow and sample count), and the scaled sampling cadence kicks in.
 func TestFatTreeScaleRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-host fat-tree run skipped in -short mode")
@@ -23,14 +25,12 @@ func TestFatTreeScaleRun(t *testing.T) {
 		t.Fatalf("fat-tree has %d hosts, want 1024", got)
 	}
 
-	const sketchSize = 512
 	opts := DefaultOptions(SchemeBFC, topo)
 	opts.Duration = 20 * units.Microsecond
 	// Long enough for the scaled sampling cadence (90 us on 264 switches) to
 	// tick at least once within the horizon.
 	opts.Drain = 170 * units.Microsecond
 	opts.StreamingStats = true
-	opts.StatsSketchSize = sketchSize
 
 	// 264 switches -> the default cadence must be stretched (9 x 10 us).
 	if d := bufferSampleInterval(topo); d <= 10*units.Microsecond {
@@ -59,19 +59,13 @@ func TestFatTreeScaleRun(t *testing.T) {
 	if res.FlowsCompleted == 0 {
 		t.Fatal("no flows completed on the fat-tree")
 	}
-	if !res.BufferOccupancy.Streaming() {
-		t.Fatal("buffer occupancy distribution is not in streaming mode")
+	if !res.BufferOccupancy.Streaming() || !res.OccupiedQueues.Streaming() {
+		t.Fatal("an occupancy distribution is not in streaming mode")
 	}
-	if got := res.BufferOccupancy.StoredSamples(); got > sketchSize {
-		t.Fatalf("buffer occupancy holds %d samples, cap %d", got, sketchSize)
-	}
-	if got := res.OccupiedQueues.StoredSamples(); got > sketchSize {
-		t.Fatalf("occupied queues holds %d samples, cap %d", got, sketchSize)
-	}
-	// The FCT collector's footprint is bounded by (buckets+1) x sketch.
-	buckets := len(stats.DefaultSizeBuckets())
-	if got := res.FCT.StoredSamples(); got > (buckets+1)*sketchSize {
-		t.Fatalf("FCT collector holds %d samples, cap %d", got, (buckets+1)*sketchSize)
+	for name, c := range map[string]*stats.FCTCollector{"FCT": res.FCT, "FCTIncast": res.FCTIncast} {
+		if !streamingCollector(t, c) {
+			t.Fatalf("the %s collector is not in streaming mode", name)
+		}
 	}
 	// Queries still answer sensibly.
 	if p99 := res.FCT.OverallPercentile(99); p99 < 1 {
@@ -80,6 +74,17 @@ func TestFatTreeScaleRun(t *testing.T) {
 	if res.BufferOccupancy.Count() == 0 {
 		t.Fatal("no buffer samples collected")
 	}
+}
+
+// streamingCollector reports whether c's distributions are sketches: its wire
+// form holds "sketch" objects, an exact collector's only sample arrays.
+func streamingCollector(t *testing.T, c *stats.FCTCollector) bool {
+	t.Helper()
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Contains(b, []byte(`"sketch"`))
 }
 
 // A streaming-stats run through a scenario must keep its per-phase FCT
@@ -92,7 +97,6 @@ func TestScenarioStreamingPhases(t *testing.T) {
 	opts.Duration = 150 * units.Microsecond
 	opts.Drain = 800 * units.Microsecond
 	opts.StreamingStats = true
-	opts.StatsSketchSize = 8
 	opts.Scenario = goldenScenarios()["link-flap"]
 	res, err := Run(opts, flows)
 	if err != nil {
@@ -101,17 +105,9 @@ func TestScenarioStreamingPhases(t *testing.T) {
 	if res.Scenario == nil || len(res.Scenario.Phases) == 0 {
 		t.Fatal("no scenario phases recorded")
 	}
-	// An exact collector stores every flow at least once, so the cap only
-	// bites if some phase completes more flows than it.
-	limit := (len(stats.DefaultSizeBuckets()) + 1) * opts.StatsSketchSize
-	most := 0
 	for _, ph := range res.Scenario.Phases {
-		most = max(most, ph.FCT.Count())
-		if got := ph.FCT.StoredSamples(); got > limit {
-			t.Fatalf("phase %q holds %d samples, cap %d", ph.Name, got, limit)
+		if !streamingCollector(t, ph.FCT) {
+			t.Fatalf("phase %q keeps an exact collector", ph.Name)
 		}
-	}
-	if most <= limit {
-		t.Fatalf("busiest phase completed %d flows, not above the cap %d: the bound cannot tell streaming from exact", most, limit)
 	}
 }

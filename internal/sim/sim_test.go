@@ -79,7 +79,6 @@ func TestOptionsValidation(t *testing.T) {
 		"BloomBytes":        func(o *Options) { o.BloomBytes = 0 },
 		"BloomBytes > 128":  func(o *Options) { o.BloomBytes = bloom.MaxSizeBytes + 1 },
 		"IdealFQQueues":     func(o *Options) { o.IdealFQQueues = 0 },
-		"StatsSketchSize":   func(o *Options) { o.StatsSketchSize = 0 },
 	}
 	for name, mutate := range cases {
 		o := DefaultOptions(SchemeBFC, topo)

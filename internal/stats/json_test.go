@@ -113,20 +113,28 @@ func TestFCTCollectorRejectsEmptyBuckets(t *testing.T) {
 // every query, re-encodes to a fixed point and accepts another flow.
 func FuzzFCTCollectorJSON(f *testing.F) {
 	exact := NewFCTCollector()
-	streaming := NewStreamingFCTCollector(4)
 	for i := 1; i <= 24; i++ {
-		size := units.Bytes(i*i) * units.KB
-		fct := units.Time(10+i%7) * units.Microsecond
-		exact.Record(size, fct, 10*units.Microsecond)
-		streaming.Record(size, fct, 10*units.Microsecond)
+		exact.Record(units.Bytes(i*i)*units.KB, units.Time(10+i%7)*units.Microsecond, 10*units.Microsecond)
 	}
-	for _, c := range []*FCTCollector{exact, streaming} {
-		b, err := json.Marshal(c)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+	b, err := json.Marshal(exact)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(b)
+	// The same 24 flows in sketches of capacity 4, so the overall sketch and
+	// three per-size ones are saturated: a stored sketch states its capacity,
+	// which the decoder keeps. Without "buckets" the collector takes
+	// DefaultSizeBuckets.
+	f.Add([]byte(`{"per_size":[
+		{"sketch":{"cap":4,"seed":25214903917,"count":1,"sum":1.1,"min":1.1,"max":1.1,"samples":[1.1]}},
+		{"sketch":{"cap":4,"seed":25214903917,"count":0,"sum":0,"min":0,"max":0,"samples":[]}},
+		{"sketch":{"cap":4,"seed":25214903917,"count":2,"sum":2.5,"min":1.2,"max":1.3,"samples":[1.2,1.3]}},
+		{"sketch":{"cap":4,"seed":25214903917,"count":2,"sum":2.9,"min":1.4,"max":1.5,"samples":[1.4,1.5]}},
+		{"sketch":{"cap":4,"seed":25214903917,"count":5,"sum":6.2,"min":1,"max":1.6,"samples":[1.6,1,1.1,1.3]}},
+		{"sketch":{"cap":4,"seed":25214903917,"count":7,"sum":9.1,"min":1,"max":1.6,"samples":[1.4,1.2,1.3,1.1]}},
+		{"sketch":{"cap":4,"seed":25214903917,"count":7,"sum":9.1,"min":1,"max":1.6,"samples":[1.4,1.2,1.3,1.1]}},
+		{"sketch":{"cap":4,"seed":25214903917,"count":0,"sum":0,"min":0,"max":0,"samples":[]}}],
+		"all":{"sketch":{"cap":4,"seed":25214903917,"count":24,"sum":30.900000000000002,"min":1,"max":1.6,"samples":[1.6,1.6,1,1.5]}}}`))
 	f.Add([]byte(`{"buckets":[],"per_size":[],"all":[]}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var c FCTCollector

@@ -22,8 +22,8 @@ func sketchAccuracyBound(capacity int) float64 {
 }
 
 // fillBoth feeds the same values to an exact distribution and a sketch.
-func fillBoth(capacity int, values []float64) (exact, sketch Distribution) {
-	sketch = NewStreamingDistribution(capacity)
+func fillBoth(values []float64) (exact, sketch Distribution) {
+	sketch = NewStreamingDistribution()
 	for _, v := range values {
 		exact.Add(v)
 		sketch.Add(v)
@@ -33,10 +33,10 @@ func fillBoth(capacity int, values []float64) (exact, sketch Distribution) {
 
 // assertSketchClose checks every headline percentile of the sketch against
 // the exact distribution under the documented rank-error bound.
-func assertSketchClose(t *testing.T, name string, capacity int, values []float64) {
+func assertSketchClose(t *testing.T, name string, values []float64) {
 	t.Helper()
-	exact, sketch := fillBoth(capacity, values)
-	delta := sketchAccuracyBound(capacity)
+	exact, sketch := fillBoth(values)
+	delta := sketchAccuracyBound(sketchSize)
 	for _, p := range []float64{1, 5, 25, 50, 75, 90, 95, 99} {
 		got := sketch.Percentile(p)
 		lo := exact.Percentile(math.Max(0, p-delta))
@@ -56,8 +56,8 @@ func assertSketchClose(t *testing.T, name string, capacity int, values []float64
 	if math.Abs(sketch.Mean()-exact.Mean()) > 1e-9*math.Abs(exact.Mean())+1e-12 {
 		t.Errorf("%s: mean %v, want %v", name, sketch.Mean(), exact.Mean())
 	}
-	if sketch.StoredSamples() > capacity {
-		t.Errorf("%s: sketch holds %d samples, cap %d", name, sketch.StoredSamples(), capacity)
+	if sketch.StoredSamples() > sketchSize {
+		t.Errorf("%s: sketch holds %d samples, cap %d", name, sketch.StoredSamples(), sketchSize)
 	}
 }
 
@@ -66,7 +66,7 @@ func assertSketchClose(t *testing.T, name string, capacity int, values []float64
 // naive sampling), constant, and heavy-tailed (Pareto-like), at several
 // stream lengths relative to the capacity.
 func TestSketchAccuracy(t *testing.T) {
-	const capacity = 4096
+	const capacity = sketchSize
 	rng := rand.New(rand.NewSource(99))
 	shapes := map[string]func(n int) []float64{
 		"uniform": func(n int) []float64 {
@@ -108,7 +108,7 @@ func TestSketchAccuracy(t *testing.T) {
 	}
 	for name, gen := range shapes {
 		for _, n := range []int{100, capacity, 4 * capacity, 16 * capacity} {
-			assertSketchClose(t, name, capacity, gen(n))
+			assertSketchClose(t, name, gen(n))
 		}
 	}
 }
@@ -120,7 +120,7 @@ func TestSketchExactBelowCapacity(t *testing.T) {
 	for i := range values {
 		values[i] = rng.NormFloat64()
 	}
-	exact, sketch := fillBoth(4096, values)
+	exact, sketch := fillBoth(values)
 	for _, p := range []float64{0, 10, 50, 90, 99, 100} {
 		if got, want := sketch.Percentile(p), exact.Percentile(p); got != want {
 			t.Fatalf("p%v = %v, want exact %v while under capacity", p, got, want)
@@ -142,8 +142,8 @@ func TestSketchDeterministic(t *testing.T) {
 	for i := range values {
 		values[i] = rng.ExpFloat64()
 	}
-	a := NewStreamingDistribution(256)
-	b := NewStreamingDistribution(256)
+	a := NewStreamingDistribution()
+	b := NewStreamingDistribution()
 	for _, v := range values {
 		a.Add(v)
 		b.Add(v)
@@ -159,7 +159,7 @@ func TestSketchDeterministic(t *testing.T) {
 // and keeps accepting samples exactly like the original.
 func TestSketchJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	d := NewStreamingDistribution(128)
+	d := NewStreamingDistribution()
 	for i := 0; i < 5000; i++ {
 		d.Add(rng.Float64() * 100)
 	}
@@ -219,12 +219,30 @@ func TestSketchJSONRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// A streaming FCTCollector fed more flows than its sketches hold keeps at most
+// (buckets + 1) × sketchSize samples, whatever its flow count; an exact one
+// keeps two per flow.
+func TestStreamingFCTCollectorIsBounded(t *testing.T) {
+	c := NewStreamingFCTCollector()
+	buckets := DefaultSizeBuckets()
+	limit := (len(buckets) + 1) * sketchSize
+	for i := range limit + len(buckets) {
+		c.Record(buckets[i%len(buckets)].Lo+1, 20*units.Microsecond, 10*units.Microsecond)
+	}
+	if c.Count() <= limit {
+		t.Fatalf("fed %d flows, not above the bound %d", c.Count(), limit)
+	}
+	if got := c.StoredSamples(); got > limit {
+		t.Fatalf("collector holds %d samples for %d flows, bound %d", got, c.Count(), limit)
+	}
+}
+
 // A streaming FCTCollector round-trips through JSON with query results
 // preserved (the wire form the harness store persists).
 func TestStreamingFCTCollectorJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	c := NewStreamingFCTCollector(64)
-	for i := 0; i < 3000; i++ {
+	c := NewStreamingFCTCollector()
+	for i := 0; i < 2*sketchSize; i++ {
 		size := units.Bytes(100 + rng.Intn(2_000_000))
 		fct := units.Time(10+rng.Intn(100)) * units.Microsecond
 		c.Record(size, fct, 10*units.Microsecond)

@@ -13,13 +13,13 @@ import (
 	"bfc/internal/units"
 )
 
-// DefaultSketchSize is the reservoir capacity of a streaming run's
-// distributions (sim.DefaultOptions' StatsSketchSize). With capacity K the
-// rank error of a quantile estimate concentrates around 1/sqrt(K); K = 4096
-// keeps it well under one percentile point in expectation while bounding the
-// footprint of a distribution at ~32 KB regardless of how many samples a run
-// records.
-const DefaultSketchSize = 4096
+// sketchSize is the reservoir capacity of every streaming distribution. With
+// capacity K the rank error of a quantile estimate concentrates around
+// 1/sqrt(K); K = 4096 keeps it well under one percentile point in expectation
+// while bounding the footprint of a distribution at ~32 KB regardless of how
+// many samples a run records. A decoded sketch keeps the capacity its wire
+// form states.
+const sketchSize = 4096
 
 // sketchSeed seeds every reservoir. Streaming statistics must be
 // deterministic — the harness digests artifacts byte-for-byte across reruns
@@ -38,7 +38,7 @@ const sketchSeed uint64 = 0x5DEECE66D
 //     and the zero value, ready to use.
 //   - Past cap, interior percentiles and the CDF are estimates over a uniform
 //     sample of the stream, with rank error ~1/sqrt(cap) (see
-//     DefaultSketchSize).
+//     sketchSize).
 //
 // Replacement indices come from a splitmix64-style mix of sketchSeed and the
 // sample's stream position, so the state is a deterministic function of the
@@ -53,8 +53,8 @@ type Distribution struct {
 }
 
 // NewStreamingDistribution returns a constant-memory distribution holding at
-// most sketchSize samples; sketchSize must be positive.
-func NewStreamingDistribution(sketchSize int) Distribution {
+// most sketchSize samples.
+func NewStreamingDistribution() Distribution {
 	return Distribution{cap: sketchSize}
 }
 
@@ -182,11 +182,11 @@ func NewFCTCollector() *FCTCollector {
 // distributions are constant-memory sketches of at most sketchSize samples
 // each, so the collector's footprint is independent of the number of
 // completed flows.
-func NewStreamingFCTCollector(sketchSize int) *FCTCollector {
+func NewStreamingFCTCollector() *FCTCollector {
 	c := NewFCTCollector()
-	c.all = NewStreamingDistribution(sketchSize)
+	c.all = NewStreamingDistribution()
 	for i := range c.perSize {
-		c.perSize[i] = NewStreamingDistribution(sketchSize)
+		c.perSize[i] = NewStreamingDistribution()
 	}
 	return c
 }

@@ -40,9 +40,7 @@ func TestHopRTTIsLocal(t *testing.T) {
 		t2HRTT      = 2_167_680 * units.Picosecond
 		gatewayHRTT = 400_167_680 * units.Picosecond
 	)
-	x := topology.NewCrossDC(topology.CrossDCConfig{
-		DC: topology.T2Config(), GatewayRate: 100 * units.Gbps, GatewayDelay: 200 * units.Microsecond,
-	})
+	x := topology.NewCrossDC(topology.T2Config())
 	checked := 0
 	for _, node := range x.Nodes() {
 		if node.Kind != topology.Switch {

@@ -52,9 +52,15 @@ type testSwitch struct {
 
 func newTestSwitch(t *testing.T, mutate func(*switchsim.Config)) *testSwitch {
 	t.Helper()
+	return newStarSwitch(t, 4, mutate)
+}
+
+// newStarSwitch is newTestSwitch on a star of the given number of hosts.
+func newStarSwitch(t *testing.T, hosts int, mutate func(*switchsim.Config)) *testSwitch {
+	t.Helper()
 	ts := &testSwitch{sched: eventsim.New()}
 	ts.topo = topology.NewSingleSwitch(topology.SingleSwitchConfig{
-		NumHosts: 4, LinkRate: 100 * units.Gbps, LinkDelay: 1 * units.Microsecond,
+		NumHosts: hosts, LinkRate: 100 * units.Gbps, LinkDelay: 1 * units.Microsecond,
 	})
 	var node *topology.Node
 	for _, n := range ts.topo.Nodes() {
@@ -136,6 +142,32 @@ func TestNewFootprint(t *testing.T) {
 func (ts *testSwitch) attach(port int) {
 	link := netsim.NewLink(ts.sched, "sw->fake", 100*units.Gbps, 1*units.Microsecond, ts.hosts[port], 0)
 	ts.sw.AttachLink(port, link)
+}
+
+// tableRoom is how many flows a BFC switch's flow table holds on one VFID:
+// its §3.8 bucket of 4 and overflow cache of 100.
+const tableRoom = 4 + 100
+
+// fillTable queues one packet of each of n flows on distinct (ingress,
+// egress) pairs whose egress is not avoid. With one VFID they take n of the
+// flow table's tableRoom entries.
+func (ts *testSwitch) fillTable(n, avoid int) {
+	hosts := ts.topo.Hosts()
+	id := packet.FlowID(100)
+	for in := range hosts {
+		for out := range hosts {
+			if n == 0 {
+				return
+			}
+			if in != out && out != avoid {
+				f := &packet.Flow{ID: id, Src: hosts[in], Dst: hosts[out], SrcPort: uint16(id)}
+				ts.sw.ReceivePacket(in, dataPacket(f, 0))
+				id++
+				n--
+			}
+		}
+	}
+	panic("fillTable: the star has too few port pairs")
 }
 
 // dataPacket builds a data packet for a host-to-host flow through the switch.
@@ -267,8 +299,9 @@ func TestPFCPauseAndResumeSignaling(t *testing.T) {
 // divisor, and a queue parked by a downstream pause must not either.
 func TestActiveQueuesExcludesOverflowAndPaused(t *testing.T) {
 	bfc := bfcConfig(false)
-	bfc.NumVFIDs, bfc.BucketSize, bfc.OverflowCacheSize = 1, 1, 0 // room for one flow
-	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc })
+	bfc.NumVFIDs = 1
+	ts := newStarSwitch(t, 12, func(c *switchsim.Config) { c.BFC = bfc })
+	ts.fillTable(tableRoom-1, 1) // room for one more flow
 	hosts := ts.topo.Hosts()
 	first := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], SrcPort: 1}
 	second := &packet.Flow{ID: 2, Src: hosts[2], Dst: hosts[1], SrcPort: 2}

@@ -112,11 +112,12 @@ func TestRecorderBFCQueueLifecycle(t *testing.T) {
 func TestRecorderOverflowQueuePause(t *testing.T) {
 	ring := telemetry.NewRing(256)
 	bfc := bfcConfig(false)
-	bfc.NumVFIDs, bfc.BucketSize, bfc.OverflowCacheSize = 1, 1, 0 // room for one flow
-	ts := newTestSwitch(t, func(c *switchsim.Config) {
+	bfc.NumVFIDs = 1
+	ts := newStarSwitch(t, 12, func(c *switchsim.Config) {
 		c.BFC = bfc
 		c.Recorder = ring
 	})
+	ts.fillTable(tableRoom-1, 1) // room for one more flow
 	hosts := ts.topo.Hosts()
 	first := &packet.Flow{ID: 1, Src: hosts[0], Dst: hosts[1], SrcPort: 1}
 	second := &packet.Flow{ID: 2, Src: hosts[2], Dst: hosts[1], SrcPort: 2}

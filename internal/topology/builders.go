@@ -113,19 +113,12 @@ func NewSingleSwitch(c SingleSwitchConfig) *Topology {
 	return b.Build()
 }
 
-// CrossDCConfig parameterizes the §4.2 cross-data-center topology: two Clos
-// data centers, each with a gateway switch; the gateways are connected by a
-// long high-capacity link.
-type CrossDCConfig struct {
-	DC ClosConfig
-	// GatewayRate and GatewayDelay describe the inter-DC link (the paper uses
-	// 100 Gbps with 200 us one-way delay).
-	GatewayRate  units.Rate
-	GatewayDelay units.Time
-	// DCToGatewayRate is the rate of the links from each spine to its DC's
-	// gateway (defaults to the DC link rate when zero).
-	DCToGatewayRate units.Rate
-}
+// The §4.2 inter-DC link joining the two gateways: 100 Gbps with 200 us
+// one-way delay.
+const (
+	gatewayRate  = 100 * units.Gbps
+	gatewayDelay = 200 * units.Microsecond
+)
 
 // CrossDC holds the built topology plus the host partition, so workloads can
 // distinguish intra- from inter-DC flows.
@@ -135,37 +128,32 @@ type CrossDC struct {
 	HostsDC1, HostsDC2 []packet.NodeID
 }
 
-// NewCrossDC builds two copies of the DC config joined by gateway switches.
-func NewCrossDC(c CrossDCConfig) *CrossDC {
-	if err := c.DC.Validate(); err != nil {
+// NewCrossDC builds the §4.2 cross-data-center topology: two copies of dc,
+// each with a gateway switch linked to its spines at the DC link rate, and
+// the gateways joined by the long inter-DC link.
+func NewCrossDC(dc ClosConfig) *CrossDC {
+	if err := dc.Validate(); err != nil {
 		panic(err)
-	}
-	if c.GatewayRate <= 0 || c.GatewayDelay < 0 {
-		panic("topology: invalid gateway link")
-	}
-	dcToGw := c.DCToGatewayRate
-	if dcToGw == 0 {
-		dcToGw = c.DC.LinkRate
 	}
 	b := &Builder{}
 	out := &CrossDC{}
 
 	buildDC := func(dcIdx int) (hosts []packet.NodeID, gateway packet.NodeID) {
 		gw := b.AddNode(Switch, TierGateway, fmt.Sprintf("gw%d", dcIdx))
-		spines := make([]packet.NodeID, 0, c.DC.NumSpine)
-		for s := 0; s < c.DC.NumSpine; s++ {
+		spines := make([]packet.NodeID, 0, dc.NumSpine)
+		for s := 0; s < dc.NumSpine; s++ {
 			spine := b.AddNode(Switch, TierSpine, fmt.Sprintf("dc%d-spine%d", dcIdx, s))
-			b.AddLink(spine, gw, dcToGw, c.DC.LinkDelay)
+			b.AddLink(spine, gw, dc.LinkRate, dc.LinkDelay)
 			spines = append(spines, spine)
 		}
-		for r := 0; r < c.DC.NumToR; r++ {
+		for r := 0; r < dc.NumToR; r++ {
 			tor := b.AddNode(Switch, TierToR, fmt.Sprintf("dc%d-tor%d", dcIdx, r))
 			for _, spine := range spines {
-				b.AddLink(tor, spine, c.DC.LinkRate, c.DC.LinkDelay)
+				b.AddLink(tor, spine, dc.LinkRate, dc.LinkDelay)
 			}
-			for h := 0; h < c.DC.HostsPerToR; h++ {
+			for h := 0; h < dc.HostsPerToR; h++ {
 				host := b.AddNode(Host, TierHost, fmt.Sprintf("dc%d-h%d-%d", dcIdx, r, h))
-				b.AddLink(host, tor, c.DC.LinkRate, c.DC.LinkDelay)
+				b.AddLink(host, tor, dc.LinkRate, dc.LinkDelay)
 				hosts = append(hosts, host)
 			}
 		}
@@ -174,7 +162,7 @@ func NewCrossDC(c CrossDCConfig) *CrossDC {
 
 	h1, g1 := buildDC(0)
 	h2, g2 := buildDC(1)
-	b.AddLink(g1, g2, c.GatewayRate, c.GatewayDelay)
+	b.AddLink(g1, g2, gatewayRate, gatewayDelay)
 	out.HostsDC1, out.HostsDC2 = h1, h2
 	out.Topology = b.Build()
 	return out

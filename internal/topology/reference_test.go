@@ -206,7 +206,7 @@ func TestFlatTablesMatchNestedReference(t *testing.T) {
 		{"T1", NewClos(T1Config()), 40, false},
 		{"T2", NewT2(), 40, true},
 		{"dumbbell", dumbbell(3, 100*units.Gbps, 40*units.Gbps), 40, false},
-		{"crossdc", NewCrossDC(CrossDCConfig{DC: crossDC, GatewayRate: 100 * units.Gbps, GatewayDelay: 200 * units.Microsecond}).Topology, 60, false},
+		{"crossdc", NewCrossDC(crossDC).Topology, 60, false},
 		{"fattree64", NewFatTree(FatTreeForHosts(64, 100*units.Gbps, units.Microsecond)), 60, true},
 		{"fattree1024", NewFatTree(FatTreeForHosts(1024, 100*units.Gbps, units.Microsecond)), 4, false},
 	}

@@ -154,11 +154,7 @@ func dumbbell(hosts int, edge, bottleneck units.Rate) *Topology {
 func TestCrossDC(t *testing.T) {
 	dc := T2Config()
 	dc.NumToR, dc.HostsPerToR, dc.NumSpine = 2, 4, 2 // small for test speed
-	x := NewCrossDC(CrossDCConfig{
-		DC:           dc,
-		GatewayRate:  100 * units.Gbps,
-		GatewayDelay: 200 * units.Microsecond,
-	})
+	x := NewCrossDC(dc)
 	if len(x.HostsDC1) != 8 || len(x.HostsDC2) != 8 {
 		t.Fatalf("cross-DC host partition %d/%d, want 8/8", len(x.HostsDC1), len(x.HostsDC2))
 	}

@@ -53,18 +53,20 @@ type Config struct {
 	// their 5-tuples (and hence VFIDs and ECMP choices) differ.
 	BasePort uint16
 	// InterDC, when non-nil, restricts src/dst sampling: a flow is inter-DC
-	// with probability InterDCFraction, drawing endpoints from the two host
+	// with probability interDCFraction, drawing endpoints from the two host
 	// sets; otherwise both endpoints come from the same set.
 	InterDC *InterDCConfig
 }
 
-// InterDCConfig describes cross-data-center traffic mixing (Fig 9).
+// InterDCConfig describes cross-data-center traffic mixing (Fig 9): the
+// hosts of each data center.
 type InterDCConfig struct {
 	HostsDC1, HostsDC2 []packet.NodeID
-	// Fraction is the fraction of flows whose endpoints are in different DCs
-	// (20 % in the paper).
-	Fraction float64
 }
+
+// interDCFraction is the fraction of flows whose endpoints are in different
+// DCs (20 % in §4.2).
+const interDCFraction = 0.2
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
@@ -267,7 +269,7 @@ func pointers(fs []packet.Flow) []*packet.Flow {
 func pickEndpoints(rng *rand.Rand, cfg Config) (src, dst packet.NodeID) {
 	if cfg.InterDC != nil {
 		d := cfg.InterDC
-		if rng.Float64() < d.Fraction {
+		if rng.Float64() < interDCFraction {
 			// Inter-DC flow: one endpoint in each DC, direction random.
 			a := d.HostsDC1[rng.Intn(len(d.HostsDC1))]
 			b := d.HostsDC2[rng.Intn(len(d.HostsDC2))]

@@ -364,7 +364,7 @@ func TestInterDCGeneration(t *testing.T) {
 		dc2[i] = packet.NodeID(500 + i)
 	}
 	all := append(append([]packet.NodeID{}, dc1...), dc2...)
-	inter := &InterDCConfig{HostsDC1: dc1, HostsDC2: dc2, Fraction: 0.2}
+	inter := &InterDCConfig{HostsDC1: dc1, HostsDC2: dc2}
 	cfg := Config{
 		Hosts:    all,
 		CDF:      FBHadoop(),
