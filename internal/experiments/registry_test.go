@@ -272,11 +272,11 @@ func TestLargeFabricJobsDeclareStreaming(t *testing.T) {
 // TestRecordsIgnoreObservers holds every kind of job to the contract
 // sim.Options.Recorder states: observing a run never changes its record. The
 // first job of every figure, a RunSpec job and a scenario job each run as
-// compiled and again with a flight-recorder ring (small enough to wrap),
-// the execution profiler and two shards attached, the way bfcsim -trace-dir
-// -exec-stats -shards 2 or a traced bfcd suite attach them; the two records
-// must marshal to the same bytes. A figure that read the ring, the profile or
-// the shard count would store different numbers under one job hash.
+// compiled and again with a flight-recorder ring (small enough to wrap)
+// and two shards attached, the way bfcsim -trace-dir -shards 2 or a traced
+// bfcd suite attach them; the two records must marshal to the same bytes. A
+// figure that read the ring, the profile (every run carries one) or the
+// shard count would store different numbers under one job hash.
 func TestRecordsIgnoreObservers(t *testing.T) {
 	scale := Tiny()
 	var jobs []harness.Job
@@ -304,7 +304,6 @@ func TestRecordsIgnoreObservers(t *testing.T) {
 	for i, j := range jobs {
 		j.Options = append(slices.Clone(j.Options), func(o *sim.Options) {
 			o.Recorder = telemetry.NewRing(16)
-			o.ExecStats = true
 			o.Shards = 2
 		})
 		observed[i] = j

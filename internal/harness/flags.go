@@ -37,8 +37,8 @@ func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
 	f := &RunFlags{Log: telemetry.RegisterLogFlags(fs)}
 	fs.IntVar(&f.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker pool size (jobs run side by side)")
 	fs.IntVar(&f.Shards, "shards", 0, "shards per run for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(pods, GOMAXPROCS)); results are byte-identical across shard counts")
-	fs.BoolVar(&f.ExecStats, "exec-stats", false, "collect each run's wall-clock execution profile and print it on stderr (per-shard events, heap-hw = most event-queue records pending at once, barrier wait, window utilization, boundary traffic); observational, digests are unchanged")
-	fs.StringVar(&f.TraceDir, "trace-dir", "", "directory for per-scheme exports of runs that record: <scheme>.trace.json (sim-time Chrome/Perfetto trace), <scheme>.events.jsonl and, with -exec-stats, <scheme>.exec.json (wall-clock trace of the execution machinery)")
+	fs.BoolVar(&f.ExecStats, "exec-stats", false, "print each simulated run's execution profile on stderr (per-shard events, heap-hw = most event-queue records pending at once, barrier wait, window utilization, boundary traffic, the books the run checked); observational, digests are unchanged")
+	fs.StringVar(&f.TraceDir, "trace-dir", "", "directory for per-scheme exports of runs that record: <scheme>.trace.json (sim-time Chrome/Perfetto trace), <scheme>.events.jsonl and <scheme>.exec.json (wall-clock trace of the execution machinery)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole command to this file; read with go tool pprof")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile taken after the last run to this file; pprof -sample_index=alloc_space shows what the runs allocated")
 	return f
@@ -70,10 +70,7 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 		rings = AttachRings(jobs, ringCap)
 	}
 	for i := range jobs {
-		jobs[i].Options = append(jobs[i].Options, func(o *sim.Options) {
-			o.Shards = f.Shards
-			o.ExecStats = f.ExecStats
-		})
+		jobs[i].Options = append(jobs[i].Options, func(o *sim.Options) { o.Shards = f.Shards })
 	}
 	r.Parallel = f.Parallel
 	recs, err := r.Run(jobs)
@@ -81,11 +78,11 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 		return nil, err
 	}
 	for _, rec := range recs {
-		if ex := rec.Result.Exec; ex != nil {
+		if ex := rec.Result.Exec; f.ExecStats && ex != nil {
 			printExec(stderr, rec.Name, ex)
 		}
 	}
-	if sum := r.Exec; sum.Runs > 1 {
+	if sum := r.Exec; f.ExecStats && sum.Runs > 1 {
 		fmt.Fprintf(stderr, "# exec: runs=%d sharded=%d events=%d windows=%d barriers=%d utilization=%.1f%% (worst %.1f%%) busy=%v barrier-wait=%v\n",
 			sum.Runs, sum.ShardedRuns, sum.Events, sum.Windows, sum.Barriers,
 			100*sum.Utilization(), 100*sum.UtilizationMin,
@@ -106,14 +103,10 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 // ticks and scenario events the coordinator applies. heap-hw is the most index
 // records ever pending at once across the event queue's three tiers — what a
 // single heap's depth would be, and the same number. pool= is the packets the
-// shard's pool carved / reused, free= those in its free-list at the end: a
-// run whose flows all completed has as many free, summed over shards, as
-// carved. filters= is the BFC pause filters its filter pool carved / free /
-// installed upstream / in frames on its links, the last three summing over
-// the shards to the first. queued= is the data packets / bytes its switches
-// hold, entries= their BFC flow-table entries and paused= the VFIDs they hold
-// paused upstream, all 0 when every flow completed; a switch whose books do
-// not balance ends the line with its fault.
+// shard's pool carved / reused, free= those in its free-list at the end.
+// filters= (carved/free/installed/in flight), queued= (packets/bytes),
+// entries=, paused=, peak= and flows= (started/completed) are the shard's
+// part of the books the run checked before it returned (sim's books).
 func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 	fmt.Fprintf(w, "# %s exec: shards=%d events=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
 		job, len(ex.Shards), ex.TotalEvents, ex.Windows, ex.Barriers, 100*ex.Utilization(),
@@ -121,15 +114,12 @@ func printExec(w io.Writer, job string, ex *execstats.RunStats) {
 		time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 	for i := range ex.Shards {
 		ss := &ex.Shards[i]
-		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d free=%d filters=%d/%d/%d/%d queued=%d/%dB entries=%d paused=%d util=%.1f%% boundary: pushes=%d max-drain=%d",
+		fmt.Fprintf(w, "#   shard %d: events=%d heap-hw=%d pool=%d/%d free=%d filters=%d/%d/%d/%d queued=%d/%dB entries=%d paused=%d peak=%dB flows=%d/%d util=%.1f%% boundary: pushes=%d max-drain=%d\n",
 			ss.Shard, ss.Events, ss.HeapHighWater, ss.PoolAllocated, ss.PoolRecycled, ss.PoolFree,
 			ss.FiltersCarved, ss.FiltersFree, ss.FiltersHeld, ss.FiltersInFlight,
-			ss.QueuedPackets, ss.QueuedBytes, ss.FlowEntries, ss.PausedVFIDs,
+			ss.QueuedPackets, ss.QueuedBytes, ss.FlowEntries, ss.PausedVFIDs, ss.BufferPeak,
+			ss.FlowsStarted, ss.FlowsCompleted,
 			100*ss.Utilization(), ss.Boundary.Pushes, ss.Boundary.MaxDrain)
-		if ss.SwitchFault != "" {
-			fmt.Fprintf(w, " fault=%q", ss.SwitchFault)
-		}
-		fmt.Fprintln(w)
 	}
 }
 

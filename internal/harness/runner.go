@@ -39,8 +39,8 @@ type Runner struct {
 	Progress func(Progress)
 
 	// Exec aggregates, after Run returns, the execution profiles of the jobs
-	// this runner actually simulated with Options.ExecStats on. Zero-valued
-	// when no executed job carried a profile.
+	// this runner actually simulated. Zero-valued when every record came from
+	// the store, which keeps no profile.
 	Exec execstats.Summary
 }
 

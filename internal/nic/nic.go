@@ -132,8 +132,7 @@ type Stats struct {
 	// the run's utilisation reads it.
 	DeliveredBytes units.Bytes
 	// FlowsStarted and FlowsCompleted count flows begun at the sender and
-	// finished at the receiver. Nothing reads them yet: they are the
-	// conservation term of the per-run invariant check (ROADMAP item 3(a)).
+	// finished at the receiver: the flow term of a run's books.
 	FlowsStarted, FlowsCompleted uint64
 }
 

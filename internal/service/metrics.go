@@ -27,10 +27,9 @@ type serviceMetrics struct {
 	httpLatency     *telemetry.Histogram
 
 	// bfcd_exec_* aggregate the wall-clock execution profiles of the jobs this
-	// daemon's pool executed, a coordinator's local fallback included (the
-	// service enables Options.ExecStats on every job it may run itself; a
-	// remote worker's records arrive over JSON, which the profile never
-	// crosses by design).
+	// daemon's pool executed, a coordinator's local fallback included (every
+	// run carries its profile; a remote worker's records arrive over JSON,
+	// which the profile never crosses by design).
 	execRuns          *telemetry.Counter
 	execShardedRuns   *telemetry.Counter
 	execEvents        *telemetry.Counter

@@ -390,14 +390,6 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		}
 	}
 
-	// Profile every job this daemon may execute itself. Like the trace rings
-	// above, the appended mutator leaves the content hash untouched and the
-	// profiler is observational, so profiled records stay byte-identical and
-	// cache-compatible; the profiles feed bfcd_exec_* and the SSE exec fields.
-	for _, i := range pending {
-		st.jobs[i].Options = append(st.jobs[i].Options, enableExecStats)
-	}
-
 	// Trace-enabled suites stay local: a remote worker's flight-recorder ring
 	// cannot be attached to this process's trace endpoint.
 	fleet := s.cfg.Fleet != nil && cs.Shippable() && !cs.Trace
@@ -434,10 +426,6 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		"jobs", len(st.jobs), "cached", st.cached, "traced", st.traces != nil, "fleet", fleet)
 	return s.statusOf(st), nil
 }
-
-// enableExecStats is the hash-neutral option mutator appended to every job
-// the service may execute locally (one shared func, not a per-job closure).
-func enableExecStats(o *sim.Options) { o.ExecStats = true }
 
 // runSuite is a running suite's one goroutine: it hands the uncached jobs to
 // the fleet or the service's pool, and fails the suite on the dispatch's

@@ -1,10 +1,11 @@
 package sim
 
-// Execution-profiler integration tests. The profiler's contract has two
-// halves: it must never perturb the simulation (digest parity, stats on vs
-// off), and what it reports must be internally consistent — the
-// partition-independent counters identical across shard counts, the
-// partition-dependent ones summing correctly within each run.
+// Execution-profiler integration tests. Every run carries its profile, and
+// the profile's contract has two halves: it must never reach the record (the
+// marshalled result and ResultDigest are the same without it), and what it
+// reports must be internally consistent — the partition-independent counters
+// identical across shard counts, the partition-dependent ones summing
+// correctly within each run.
 
 import (
 	"bytes"
@@ -26,41 +27,39 @@ func runExec(t testing.TB, opts Options, flows []*packet.Flow, shards int) *Resu
 		copies[i] = &c
 	}
 	opts.Shards = shards
-	opts.ExecStats = true
 	res, err := Run(opts, copies)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
 	if res.Exec == nil {
-		t.Fatalf("shards=%d: Options.ExecStats was on but Result.Exec is nil", shards)
+		t.Fatalf("shards=%d: Result.Exec is nil", shards)
 	}
 	return res
 }
 
-// TestExecStatsDigestParity is the digest-neutrality proof: the same run with
-// the profiler on and off must produce byte-identical marshalled results and
-// identical ResultDigests, because Exec is excluded from both.
+// TestExecStatsDigestParity is the digest-neutrality proof: a run's
+// marshalled result and its ResultDigest are byte-identical with its profile
+// dropped, because Exec is excluded from both.
 func TestExecStatsDigestParity(t *testing.T) {
 	topo := smallClos()
 	flows := goldenFlows(t, topo)
 	for _, shards := range []int{0, 4} {
-		opts := goldenOpts(SchemeBFC, topo)
-		off := runWithShards(t, opts, flows, shards)
-
-		res := runExec(t, opts, flows, shards)
+		res := runExec(t, goldenOpts(SchemeBFC, topo), flows, shards)
+		bare := *res
+		bare.Exec = nil
 		on, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
+		off, err := json.Marshal(&bare)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
 		if !bytes.Equal(off, on) {
-			t.Errorf("shards=%d: marshalled result differs with exec stats on (%d vs %d bytes)",
+			t.Errorf("shards=%d: marshalled result differs with the profile attached (%d vs %d bytes)",
 				shards, len(off), len(on))
 		}
-		var offRes Result
-		if err := json.Unmarshal(off, &offRes); err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		dOff, err := ResultDigest(&offRes)
+		dOff, err := ResultDigest(&bare)
 		if err != nil {
 			t.Fatalf("digest: %v", err)
 		}
@@ -69,7 +68,7 @@ func TestExecStatsDigestParity(t *testing.T) {
 			t.Fatalf("digest: %v", err)
 		}
 		if dOff != dOn {
-			t.Errorf("shards=%d: ResultDigest differs with exec stats on: %s vs %s", shards, dOff, dOn)
+			t.Errorf("shards=%d: ResultDigest differs with the profile attached: %s vs %s", shards, dOff, dOn)
 		}
 	}
 }
@@ -165,24 +164,5 @@ func TestExecStatsMergeDeterminism(t *testing.T) {
 		if pushes == 0 {
 			t.Errorf("shards=%d: no boundary pushes recorded on a multi-pod fabric", shards)
 		}
-	}
-}
-
-// TestExecStatsDisabled pins the off switch: no profile without the option.
-func TestExecStatsDisabled(t *testing.T) {
-	topo := smallClos()
-	flows := goldenFlows(t, topo)
-	opts := goldenOpts(SchemeBFC, topo)
-	copies := make([]*packet.Flow, len(flows))
-	for i, f := range flows {
-		c := *f
-		copies[i] = &c
-	}
-	res, err := Run(opts, copies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exec != nil {
-		t.Fatalf("Options.ExecStats off but Result.Exec = %+v", res.Exec)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"bfc/internal/packet"
 	"bfc/internal/scenario"
+	"bfc/internal/telemetry/execstats"
 	"bfc/internal/topology"
 	"bfc/internal/units"
 	"bfc/internal/workload"
@@ -220,7 +221,6 @@ func TestPoolReturnsEveryPacket(t *testing.T) {
 			opts.Duration = 200 * units.Microsecond
 			opts.Drain = 200 * units.Microsecond
 			opts.Shards = shards
-			opts.ExecStats = true
 			flows := spreadFlows(topo, 200)
 			res, err := Run(opts, flows)
 			if err != nil {
@@ -240,15 +240,15 @@ func TestPoolReturnsEveryPacket(t *testing.T) {
 	}
 }
 
-// TestPoolReturnsEveryFilter is the filter term of the run invariants: every
-// BFC pause filter the shards' pools carved is, at the end of a run, in one of
-// three places, summed over the shards — a free list, an upstream state that
-// installed it, or a frame on a link. A receiver that dropped the filter a new
-// frame displaced, or a lost frame whose filter nobody put back, leaves one
-// in none of them. Each run ends in the middle of its incast, so all three
-// places hold filters. The flap cuts a spine-ToR link whose ends sit on two
-// shards while pause frames cross it, so frames are lost on it and filters
-// change shards both ways.
+// TestPoolReturnsEveryFilter drives the filter term of the run's books
+// (books.balance: every BFC pause filter the shards' pools carved is free,
+// installed in an upstream state or in a frame on a link, summed over the
+// shards) through runs that leave filters in all three places. A receiver
+// that dropped the filter a new frame displaced, or a lost frame whose
+// filter nobody put back, fails Run itself. Each run ends in the middle of
+// its incast. The flap cuts a spine-ToR link whose ends sit on two shards
+// while pause frames cross it, so frames are lost on it and filters change
+// shards both ways.
 func TestPoolReturnsEveryFilter(t *testing.T) {
 	topo, flows, flap := t2IncastFlap(t)
 	cases := []struct {
@@ -273,13 +273,12 @@ func TestPoolReturnsEveryFilter(t *testing.T) {
 		}
 		held, inFlight = held+h, inFlight+f
 		t.Logf("%s shards=%d: %d filters carved, %d free, %d installed, %d in flight", c.name, c.shards, carved, free, h, f)
-		if carved == 0 || carved != uint64(free+h+f) {
-			t.Errorf("%s shards=%d: %d filters carved, but %d free + %d installed + %d in flight = %d: %d unaccounted for",
-				c.name, c.shards, carved, free, h, f, free+h+f, int64(carved)-int64(free+h+f))
+		if carved == 0 {
+			t.Errorf("%s shards=%d carved no pause filter: the filter term checks nothing", c.name, c.shards)
 		}
 	}
 	if held == 0 || inFlight == 0 {
-		t.Errorf("no run ended with a filter installed (%d) or in flight (%d): the test no longer checks those terms", held, inFlight)
+		t.Errorf("no run ended with a filter installed (%d) or in flight (%d): the run's check no longer covers those terms", held, inFlight)
 	}
 }
 
@@ -312,8 +311,8 @@ func t2IncastFlap(t *testing.T) (*topology.Topology, []*packet.Flow, *scenario.S
 }
 
 // runT2Incast runs BFC over t2IncastFlap's inputs for 60 µs plus drain, with
-// spec (nil: no flap) and the execution profile on. A drain of 20 µs ends the
-// run in the middle of its incast; one of 2 ms completes every flow.
+// spec (nil: no flap). A drain of 20 µs ends the run in the middle of its
+// incast; one of 2 ms completes every flow.
 func runT2Incast(t *testing.T, topo *topology.Topology, flows []*packet.Flow, shards int, spec *scenario.Spec, drain units.Time) *Result {
 	t.Helper()
 	opts := DefaultOptions(SchemeBFC, topo)
@@ -321,7 +320,6 @@ func runT2Incast(t *testing.T, topo *topology.Topology, flows []*packet.Flow, sh
 	opts.Drain = drain
 	opts.Shards = shards
 	opts.Scenario = spec
-	opts.ExecStats = true
 	res, err := Run(opts, flows)
 	if err != nil {
 		t.Fatal(err)
@@ -332,25 +330,18 @@ func runT2Incast(t *testing.T, topo *topology.Topology, flows []*packet.Flow, sh
 	return res
 }
 
-// TestSwitchesBalanceTheirBooks is the switch and flow-table term of the run
-// invariants, read at the end of a run through the execution profile: every
-// switch's books balance (switchsim.(*Switch).Audit: data packets in − out −
-// dropped are those queued, the shared buffer in use is their bytes, each BFC
-// queue's bytes match its FIFO, its flow count the table entries assigned to
-// it, and the flow table passes its own Check). A run whose flows all
-// complete ends with nothing queued, no flow-table entry and no VFID paused,
-// summed over the shards; the T2 incast, drained, pauses and resumes flows.
-// The cross-shard flap of TestPoolReturnsEveryFilter ends mid-incast, so
-// there switches still hold packets: the test counts them, and only requires
-// the books to balance.
+// TestSwitchesBalanceTheirBooks drives the switch and flow-table term of the
+// run's books (switchsim.(*Switch).Audit, which Run checks on every switch)
+// and wants a run whose flows all complete to end with nothing queued, no
+// flow-table entry and no VFID paused, summed over the shards; the T2
+// incast, drained, pauses and resumes flows. The cross-shard flap of
+// TestPoolReturnsEveryFilter ends mid-incast, so there switches still hold
+// packets, entries and paused VFIDs whose books Run checked.
 func TestSwitchesBalanceTheirBooks(t *testing.T) {
-	sum := func(res *Result) (queued int, bytes int64, entries, paused int, fault string) {
+	sum := func(res *Result) (queued int, bytes int64, entries, paused int) {
 		for _, ss := range res.Exec.Shards {
 			queued, bytes = queued+ss.QueuedPackets, bytes+ss.QueuedBytes
 			entries, paused = entries+ss.FlowEntries, paused+ss.PausedVFIDs
-			if fault == "" {
-				fault = ss.SwitchFault
-			}
 		}
 		return
 	}
@@ -372,7 +363,6 @@ func TestSwitchesBalanceTheirBooks(t *testing.T) {
 				opts.Duration = 200 * units.Microsecond
 				opts.Drain = c.drain
 				opts.Shards = shards
-				opts.ExecStats = true
 				res, err := Run(opts, c.flows)
 				if err != nil {
 					t.Fatal(err)
@@ -380,11 +370,7 @@ func TestSwitchesBalanceTheirBooks(t *testing.T) {
 				if res.FlowsCompleted != len(c.flows) || res.Sharding.Used != shards {
 					t.Fatalf("%s %s shards=%d: completed %d of %d flows on %d shards", c.name, scheme, shards, res.FlowsCompleted, len(c.flows), res.Sharding.Used)
 				}
-				queued, bytes, entries, paused, fault := sum(res)
-				if fault != "" {
-					t.Errorf("%s %s shards=%d: %s", c.name, scheme, shards, fault)
-				}
-				if queued != 0 || bytes != 0 || entries != 0 || paused != 0 {
+				if queued, bytes, entries, paused := sum(res); queued != 0 || bytes != 0 || entries != 0 || paused != 0 {
 					t.Errorf("%s %s shards=%d: every flow completed, but switches hold %d packets (%d B), %d flow-table entries and %d paused VFIDs",
 						c.name, scheme, shards, queued, bytes, entries, paused)
 				}
@@ -396,23 +382,22 @@ func TestSwitchesBalanceTheirBooks(t *testing.T) {
 		t.Error("no drained run paused a flow: the paused-VFID term checks nothing")
 	}
 	res := runT2Incast(t, topoT2, incast, 2, flap, 20*units.Microsecond)
-	queued, bytes, entries, paused, fault := sum(res)
+	queued, bytes, entries, paused := sum(res)
 	t.Logf("t2-incast-cross-shard-flap shards=2: switches hold %d packets (%d B), %d flow-table entries, %d paused VFIDs", queued, bytes, entries, paused)
-	if fault != "" {
-		t.Errorf("t2-incast-cross-shard-flap shards=2: %s", fault)
-	}
 	if queued == 0 || entries == 0 || paused == 0 {
 		t.Errorf("the flap run ended with %d packets queued, %d entries and %d VFIDs paused: it no longer checks a loaded switch", queued, entries, paused)
 	}
 }
 
-// TestBufferAndLosslessTerms is the buffer and lossless term of the run
-// invariants on the drained T2 incast, whose 30-way fan-in fills a small
-// shared buffer: with PFC on, a 200 KB switch pauses its upstreams, drops
-// nothing and every flow completes; with PFC off, a 100 KB switch drops. In
-// both, no switch holds more than its buffer. At 100 KB PFC on is not
-// lossless: it pauses at a fraction of the free buffer and reserves no
-// headroom for what is in flight behind the pause.
+// TestBufferAndLosslessTerms drives the buffer term of the run's books and
+// holds the lossless one, on the drained T2 incast, whose 30-way fan-in fills
+// a small shared buffer: with PFC on, a 200 KB switch pauses its upstreams,
+// drops nothing and every flow completes; with PFC off, a 100 KB switch
+// drops. In both, Run checks that no switch ever held more than its buffer
+// (each switch's own high-water mark, not the sampled
+// Result.MaxBufferOccupancy). At 100 KB PFC on is not lossless: it pauses at
+// a fraction of the free buffer and reserves no headroom for what is in
+// flight behind the pause.
 func TestBufferAndLosslessTerms(t *testing.T) {
 	topo, incast, _ := t2IncastFlap(t)
 	run := func(scheme Scheme, buffer units.Bytes, pfc bool) *Result {
@@ -423,13 +408,14 @@ func TestBufferAndLosslessTerms(t *testing.T) {
 		opts.DisablePFC = !pfc
 		res, err := Run(opts, incast)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v buffer=%v pfc=%v: %v", scheme, buffer, pfc, err)
 		}
-		t.Logf("%v buffer=%v pfc=%v: %d PFC pauses, %d drops, peak %d B, %d of %d flows completed",
-			scheme, buffer, pfc, res.PFCPauses, res.Drops, res.MaxBufferOccupancy, res.FlowsCompleted, len(incast))
-		if res.MaxBufferOccupancy > buffer {
-			t.Errorf("%v buffer=%v pfc=%v: a switch held %d B", scheme, buffer, pfc, res.MaxBufferOccupancy)
+		var peak int64
+		for _, ss := range res.Exec.Shards {
+			peak = max(peak, ss.BufferPeak)
 		}
+		t.Logf("%v buffer=%v pfc=%v: %d PFC pauses, %d drops, peak %d B (sampled %d B), %d of %d flows completed",
+			scheme, buffer, pfc, res.PFCPauses, res.Drops, peak, res.MaxBufferOccupancy, res.FlowsCompleted, len(incast))
 		return res
 	}
 	for _, scheme := range []Scheme{SchemeBFC, SchemeBFCStatic, SchemeDCQCN, SchemeDCQCNWin, SchemeDCQCNWinSFQ, SchemeHPCC} {
@@ -440,5 +426,46 @@ func TestBufferAndLosslessTerms(t *testing.T) {
 		if res := run(scheme, 100*units.KB, false); res.Drops == 0 {
 			t.Errorf("%v without PFC at 100 KB dropped nothing: the buffer bound is not reached", scheme)
 		}
+	}
+}
+
+// TestBooksNameTheTermThatDoesNotBalance feeds books.balance per-shard sums
+// that balance, then unbalances one term at a time and wants the error that
+// names it.
+func TestBooksNameTheTermThatDoesNotBalance(t *testing.T) {
+	want := books{started: 10, completed: 7, buffer: 100 * units.KB}
+	balanced := func() []execstats.ShardStats {
+		return []execstats.ShardStats{
+			{FiltersCarved: 5, FiltersFree: 2, FiltersHeld: 1, FlowsStarted: 6, FlowsCompleted: 3, BufferPeak: 90_000},
+			{FiltersCarved: 1, FiltersHeld: 1, FiltersInFlight: 2, FlowsStarted: 4, FlowsCompleted: 4, BufferPeak: 100_000},
+		}
+	}
+	if err := want.balance(balanced()); err != nil {
+		t.Fatalf("balanced books: %v", err)
+	}
+	for _, c := range []struct {
+		term   string
+		skew   func(ss []execstats.ShardStats)
+		needle string
+	}{
+		{"a filter nobody put back", func(ss []execstats.ShardStats) { ss[1].FiltersInFlight-- }, "pause filters"},
+		{"a filter put back twice", func(ss []execstats.ShardStats) { ss[0].FiltersFree++ }, "pause filters"},
+		{"a flow never started", func(ss []execstats.ShardStats) { ss[0].FlowsStarted-- }, "started"},
+		{"a completion never recorded", func(ss []execstats.ShardStats) { ss[1].FlowsCompleted++ }, "completed"},
+		{"a buffer overrun", func(ss []execstats.ShardStats) { ss[1].BufferPeak = int64(want.buffer) + 1 }, "shared buffer"},
+	} {
+		ss := balanced()
+		c.skew(ss)
+		err := want.balance(ss)
+		if err == nil || !strings.Contains(err.Error(), c.needle) {
+			t.Errorf("%s: balance = %v, want an error naming %q", c.term, err, c.needle)
+		}
+	}
+	unbounded := want
+	unbounded.buffer = 0
+	ss := balanced()
+	ss[0].BufferPeak = 1 << 40
+	if err := unbounded.balance(ss); err != nil {
+		t.Errorf("an unbounded buffer has no peak to exceed: %v", err)
 	}
 }

@@ -188,13 +188,8 @@ type Options struct {
 	// shard runs on one shard, reported in Result.Sharding rather than
 	// silently.
 	Shards int
-	// ExecStats enables the wall-clock execution profiler
-	// (internal/telemetry/execstats): per-shard event counts, heap and pool
-	// high-water marks, barrier-wait timings, lookahead-window utilization,
-	// and boundary-queue traffic, merged into Result.Exec at run end. Purely
-	// observational — it never schedules events or consumes RNG, Result.Exec
-	// is excluded from both the marshalled result and ResultDigest, and the
-	// disabled path costs a nil check (BenchmarkExecStatsOverhead).
+	// ExecStats is ignored: every run sets Result.Exec. It stays only because
+	// the benchmark module writes it (ROADMAP item 17).
 	ExecStats bool
 
 	// StreamingStats selects constant-memory streaming statistics: the FCT

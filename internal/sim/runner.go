@@ -96,11 +96,11 @@ type Result struct {
 	// across shard counts, which is the engine's core contract.
 	Sharding ShardInfo `json:"-"`
 
-	// Exec carries the wall-clock execution profile when Options.ExecStats
-	// was set; nil otherwise. Excluded from the JSON (and therefore from
-	// ResultDigest and persisted artifacts, which deliberately carry no
-	// wall-clock information) — it exists for live observability: service
-	// metrics, the harness aggregate, and the wall-clock Chrome trace.
+	// Exec carries the run's execution profile, which every Run sets: the
+	// wall-clock profile and the per-shard counts its books were checked
+	// against. Excluded from the JSON (and therefore from ResultDigest and
+	// persisted artifacts, which deliberately carry no wall-clock
+	// information): a record served from a store has none.
 	Exec *execstats.RunStats `json:"-"`
 }
 
@@ -206,6 +206,7 @@ type runner struct {
 	strandedPkts  uint64
 	strandedBytes units.Bytes
 	injectedFlows int
+	longLivedDone int // long-lived flows completed, which the Result does not record
 
 	// strand is onStranded as one func value, shared by every untraced link
 	// whose deliveries this runner receives.
@@ -433,33 +434,35 @@ func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 	}
 }
 
-// deviceCounts adds to ss what the shard's devices hold. The BFC filters
-// installed in their upstream states and in frames on the links the shard
-// sends on, with its free list, account for every filter its pool carved,
-// summed over the shards of a run (a filter may end on another shard). The
-// switches' audits (switchsim.Audit) sum into the switch term, which keeps
-// the first imbalance one of them reports.
-func (r *runner) deviceCounts(ss *execstats.ShardStats) {
+// deviceCounts adds to ss what the shard's devices hold and its NICs began
+// and finished, and returns the first of its switches' audits to fail;
+// books.balance states what the sums must come to.
+func (r *runner) deviceCounts(ss *execstats.ShardStats) error {
 	for _, node := range r.topo.Nodes() {
 		if !r.owned(node.ID) {
 			continue
 		}
 		sw := r.reg.switches[node.ID]
 		if sw == nil {
-			ss.FiltersHeld += r.reg.nics[node.ID].HeldFilters()
+			n := r.reg.nics[node.ID]
+			st := n.Stats()
+			ss.FiltersHeld += n.HeldFilters()
+			ss.FlowsStarted, ss.FlowsCompleted = ss.FlowsStarted+st.FlowsStarted, ss.FlowsCompleted+st.FlowsCompleted
 			continue
 		}
 		ss.FiltersHeld += sw.HeldFilters()
 		a, err := sw.Audit()
-		if err != nil && ss.SwitchFault == "" {
-			ss.SwitchFault = err.Error()
+		if err != nil {
+			return err
 		}
 		ss.QueuedPackets, ss.QueuedBytes = ss.QueuedPackets+a.QueuedPackets, ss.QueuedBytes+int64(a.QueuedBytes)
 		ss.FlowEntries, ss.PausedVFIDs = ss.FlowEntries+a.FlowEntries, ss.PausedVFIDs+a.PausedVFIDs
+		ss.BufferPeak = max(ss.BufferPeak, int64(a.BufferPeak))
 	}
 	for i := range r.links {
 		ss.FiltersInFlight += r.links[i].FiltersInFlight()
 	}
+	return nil
 }
 
 // Scenario integration ---------------------------------------------------------
@@ -523,6 +526,7 @@ func (r *runner) scheduleFlows(flows []*packet.Flow) {
 
 func (r *runner) onFlowComplete(f *packet.Flow) {
 	if f.LongLived {
+		r.longLivedDone++
 		return
 	}
 	// The coordinator records completions into the run's collectors ordered

@@ -253,13 +253,9 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	S := plan.Shards
 	horizon := opts.Duration + opts.Drain
 
-	// ec profiles the execution machinery (nil when Options.ExecStats is off:
-	// every call below is then a single nil check). It is observational only —
-	// it reads wall clocks and engine counters, never the simulation state.
-	var ec *execstats.Collector
-	if opts.ExecStats {
-		ec = execstats.NewCollector(S)
-	}
+	// ec profiles the execution machinery. It is observational only — it
+	// reads wall clocks and engine counters, never the simulation state.
+	ec := execstats.NewCollector(S)
 
 	// Scenario: compile first, so the injected flows exist when every flow
 	// gets its slots, and leave the events themselves to the coordinator's
@@ -388,10 +384,6 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// Each shard goroutine writes only its own shard's slot of ec; the join
 	// is the happens-before edge for the reader.
 	timed := func(r *runner) {
-		if ec == nil {
-			step(r)
-			return
-		}
 		t0 := time.Now()
 		step(r)
 		ec.ShardBusy(r.shardID, time.Since(t0))
@@ -401,10 +393,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		eachShard(shards, timed)
 	}
 	drainAll := func() {
-		var t0 time.Time
-		if ec != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		drained := 0
 		for to := 0; to < S; to++ {
 			for from := 0; from < S; from++ {
@@ -413,9 +402,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 				}
 			}
 		}
-		if ec != nil {
-			ec.Barrier(time.Since(t0), drained)
-		}
+		ec.Barrier(time.Since(t0), drained)
 	}
 	nextSync, nextTick := W, delta
 	for {
@@ -511,29 +498,83 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 
 	// Seal the execution profile: the collector contributes windows, barriers,
 	// and busy/wait timings; scheduler, pool, and boundary finals come from
-	// the engines themselves. Boundary totals sum each shard's *outbound*
-	// queues, so per-shard counters add up to run totals exactly once.
-	if ec != nil {
-		rs := ec.Finish()
-		for i, r := range shards {
-			ss := &rs.Shards[i]
-			ss.Events = r.sched.Executed
-			ss.HeapHighWater = r.sched.HeapHighWater()
-			ss.PoolAllocated = r.pool.Allocated()
-			ss.PoolRecycled = r.pool.Recycled()
-			ss.PoolFree = r.pool.Free()
-			ss.FiltersCarved = r.filters.Carved()
-			ss.FiltersFree = r.filters.Free()
-			r.deviceCounts(ss)
-			for to := range bounds[i] {
-				st := bounds[i][to].Stats()
-				ss.Boundary.Merge(st.Pushes, st.MaxDrain)
-			}
-		}
-		rs.TotalEvents = res.Events
-		rs.CoordEvents = ticks + coordExec
-		res.Exec = rs
+	// the engines themselves, and what the devices hold from the devices.
+	// Boundary totals sum each shard's *outbound* queues, so per-shard
+	// counters add up to run totals exactly once. Then the run checks its
+	// books against the profile.
+	want := books{completed: uint64(res.FlowsCompleted + res.FCTIncast.Count())}
+	if opts.Scheme != SchemeIdealFQ {
+		want.buffer = opts.SwitchBuffer
 	}
-
+	rs := ec.Finish()
+	for i, r := range shards {
+		ss := &rs.Shards[i]
+		ss.Events = r.sched.Executed
+		ss.HeapHighWater = r.sched.HeapHighWater()
+		ss.PoolAllocated = r.pool.Allocated()
+		ss.PoolRecycled = r.pool.Recycled()
+		ss.PoolFree = r.pool.Free()
+		ss.FiltersCarved = r.filters.Carved()
+		ss.FiltersFree = r.filters.Free()
+		if err := r.deviceCounts(ss); err != nil {
+			return nil, err
+		}
+		for to := range bounds[i] {
+			st := bounds[i][to].Stats()
+			ss.Boundary.Merge(st.Pushes, st.MaxDrain)
+		}
+		want.started += uint64(r.injectedFlows)
+		want.completed += uint64(r.longLivedDone)
+	}
+	rs.TotalEvents = res.Events
+	rs.CoordEvents = ticks + coordExec
+	res.Exec = rs
+	for _, f := range flows {
+		if f.StartTime <= horizon {
+			want.started++
+		}
+	}
+	if err := want.balance(rs.Shards); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// books is what a run's devices must account for at its end beyond each
+// switch's own Audit: the flows its NICs began (the base flows starting by
+// the horizon and the scenario flows injected) and finished (the completions
+// merged into the Result, and the long-lived ones it does not record), and
+// the shared buffer no switch may exceed (0: unbounded).
+type books struct {
+	started, completed uint64
+	buffer             units.Bytes
+}
+
+// balance checks the run's books against its shards' profiles, summed over
+// the shards (a filter or a flow may end on another shard than its maker's).
+// With each switch's Audit, which deviceCounts returns, these are the terms
+// every run checks at its end: pause filters carved = free + installed + in
+// flight; flows started and completed as b says; no switch's buffer peak
+// above b.buffer. The error names the first term that does not balance.
+func (b books) balance(shards []execstats.ShardStats) error {
+	var carved, started, completed uint64
+	var placed int
+	var peak int64
+	for _, ss := range shards {
+		carved += ss.FiltersCarved
+		placed += ss.FiltersFree + ss.FiltersHeld + ss.FiltersInFlight
+		started, completed = started+ss.FlowsStarted, completed+ss.FlowsCompleted
+		peak = max(peak, ss.BufferPeak)
+	}
+	switch {
+	case carved != uint64(placed):
+		return fmt.Errorf("sim: %d pause filters carved, but %d are free, installed or in flight", carved, placed)
+	case started != b.started:
+		return fmt.Errorf("sim: the NICs started %d flows, the run offered %d", started, b.started)
+	case completed != b.completed:
+		return fmt.Errorf("sim: the NICs completed %d flows, the run recorded %d", completed, b.completed)
+	case b.buffer > 0 && peak > int64(b.buffer):
+		return fmt.Errorf("sim: a switch held %d B of its %d B shared buffer", peak, b.buffer)
+	}
+	return nil
 }

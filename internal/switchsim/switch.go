@@ -81,8 +81,8 @@ type Switch struct {
 
 	ports []egressPort
 
-	// bufferUsed is the shared buffer in use.
-	bufferUsed units.Bytes
+	// bufferUsed is the shared buffer in use, bufferPeak the most it has held.
+	bufferUsed, bufferPeak units.Bytes
 
 	// engine is the downstream side of BFC (nil unless BFC is enabled); the
 	// upstream side is each port's upstream filter.
@@ -198,10 +198,11 @@ func (s *Switch) HeldFilters() int {
 
 // Audit is what a switch holds: the data packets in its high-priority, data
 // and overflow queues and their bytes, and under BFC its flow-table entries
-// and the VFIDs paused in its ingress filters.
+// and the VFIDs paused in its ingress filters. BufferPeak is the most shared
+// buffer it ever held at once.
 type Audit struct {
 	QueuedPackets, FlowEntries, PausedVFIDs int
-	QueuedBytes                             units.Bytes
+	QueuedBytes, BufferPeak                 units.Bytes
 }
 
 // Audit counts what the switch holds and checks that its books balance:
@@ -212,7 +213,7 @@ type Audit struct {
 // FIFO's and the engine passes core.Engine.Check. It returns the first
 // imbalance as the error.
 func (s *Switch) Audit() (Audit, error) {
-	var a Audit
+	a := Audit{BufferPeak: s.bufferPeak}
 	for i := range s.ports {
 		qs := s.ports[i].queues[1:] // every queue but ctrl holds data
 		for j := range qs {
@@ -329,6 +330,7 @@ func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 		return
 	}
 	s.bufferUsed += p.Size
+	s.bufferPeak = max(s.bufferPeak, s.bufferUsed)
 	s.ports[ingress].ingressBytes += p.Size
 
 	// ECN marking against the egress port occupancy (RED on the instantaneous

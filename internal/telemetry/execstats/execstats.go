@@ -5,12 +5,12 @@
 // heap grew, how long shards parked at lookahead barriers, and how much
 // traffic crossed the boundary queues between shards.
 //
-// The profiler follows the telemetry.Recorder idiom: a nil *Collector is a
-// valid collector whose every method is a single nil check, so the disabled
-// path costs ~0 ns (BenchmarkExecStatsOverhead holds that bar). When enabled
-// it is strictly observational: it never schedules events, never consumes
-// RNG, and Result.Exec is excluded from ResultDigest, so golden digests are
-// byte-identical with stats on or off.
+// Every run carries its profile (Result.Exec): the coordinator builds one
+// Collector per run, and the run checks its books against the per-shard
+// counts the profile reports (sim's seal). The profile is strictly
+// observational: it never schedules events, never consumes RNG, and
+// Result.Exec is excluded from ResultDigest, so printing or exporting it
+// leaves golden digests byte-identical.
 //
 // Counters split into two families. Partition-independent counters
 // (TotalEvents) are byte-identical across -shards values. Partition-dependent
@@ -25,6 +25,9 @@ import "time"
 // trace. Aggregate counters keep accumulating past the cap; only the
 // per-window detail is dropped (counted in RunStats.TruncatedSpans).
 const DefaultMaxSpans = 1 << 14
+
+// spanPage is how many windows' per-shard busy times one allocation holds.
+const spanPage = 256
 
 // BoundaryTotals aggregates cross-shard boundary-queue traffic for one
 // producing shard (over its outbound queues).
@@ -59,8 +62,7 @@ type ShardStats struct {
 
 	// The BFC pause filters: carved by this shard's filter pool, in its free
 	// list, installed in its devices' upstream states and in frames on the
-	// links it sends on, at the end of the run. Summed over a run's shards,
-	// carved = free + held + in flight.
+	// links it sends on, at the end of the run.
 	FiltersCarved   uint64 `json:"filters_carved"`
 	FiltersFree     int    `json:"filters_free"`
 	FiltersHeld     int    `json:"filters_held"`
@@ -69,13 +71,17 @@ type ShardStats struct {
 	// What this shard's switches hold at the end of the run (switchsim.Audit,
 	// summed): data packets queued and their bytes, BFC flow-table entries
 	// and VFIDs paused in their ingress filters. A run whose flows all
-	// completed ends with all four 0. SwitchFault is the first switch whose
-	// books did not balance, "" when every one did.
-	QueuedPackets int    `json:"queued_packets"`
-	QueuedBytes   int64  `json:"queued_bytes"`
-	FlowEntries   int    `json:"flow_entries"`
-	PausedVFIDs   int    `json:"paused_vfids"`
-	SwitchFault   string `json:"switch_fault,omitempty"`
+	// completed ends with all four 0. BufferPeak is the most shared buffer
+	// one of its switches ever held at once.
+	QueuedPackets int   `json:"queued_packets"`
+	QueuedBytes   int64 `json:"queued_bytes"`
+	FlowEntries   int   `json:"flow_entries"`
+	PausedVFIDs   int   `json:"paused_vfids"`
+	BufferPeak    int64 `json:"buffer_peak"`
+
+	// The flows this shard's NICs began sending and finished receiving.
+	FlowsStarted   uint64 `json:"flows_started"`
+	FlowsCompleted uint64 `json:"flows_completed"`
 
 	// Boundary sums this shard's *outbound* queues (messages it produced for
 	// other shards), so per-shard values sum to the run-wide totals exactly
@@ -108,7 +114,7 @@ type WindowSpan struct {
 
 // RunStats is the merged execution profile of one Run call. It rides on
 // Result.Exec with `json:"-"`, so it never reaches marshalled artifacts or
-// ResultDigest — it exists for live observability only.
+// ResultDigest.
 type RunStats struct {
 	Shards      []ShardStats `json:"shards"`
 	Windows     uint64       `json:"windows"`      // windows executed: one per barrier plus the closing one
@@ -155,8 +161,6 @@ func (r *RunStats) Utilization() float64 {
 // own slice slot (ShardBusy), and the coordinator reads those slots only
 // after the WaitGroup join that ends the window — the join is the
 // happens-before edge, exactly the argument the boundary queues already make.
-//
-// A nil *Collector is valid and free: every method early-returns.
 type Collector struct {
 	start  time.Time
 	shards []shardAcc
@@ -166,7 +170,7 @@ type Collector struct {
 	drainNS  int64
 
 	spans     []WindowSpan
-	maxSpans  int
+	busyPage  []int64 // the rest of the page the spans' BusyNS are carved from
 	truncated uint64
 
 	// in-progress window
@@ -175,7 +179,6 @@ type Collector struct {
 	wEvents0 uint64
 	wDrainNS int64
 	wDrained int
-	inWindow bool
 }
 
 type shardAcc struct {
@@ -186,44 +189,32 @@ type shardAcc struct {
 // NewCollector starts a collector for a run with the given shard count.
 func NewCollector(shards int) *Collector {
 	return &Collector{
-		start:    time.Now(),
-		shards:   make([]shardAcc, shards),
-		wBusy0:   make([]int64, shards),
-		maxSpans: DefaultMaxSpans,
+		start:  time.Now(),
+		shards: make([]shardAcc, shards),
+		wBusy0: make([]int64, shards),
 	}
 }
 
 // BeginWindow marks the start of one lookahead window (one coordinator loop
 // iteration). Called from the coordinator only.
 func (c *Collector) BeginWindow() {
-	if c == nil {
-		return
-	}
 	c.wStart = time.Now()
 	for i := range c.shards {
 		c.wBusy0[i] = c.shards[i].busyNS
 	}
-	c.wDrainNS = 0
-	c.wDrained = 0
-	c.inWindow = true
+	c.wDrainNS, c.wDrained = 0, 0
 }
 
 // ShardBusy credits wall-clock execution time to one shard. Called from the
 // shard's own goroutine; slots are disjoint, and the coordinator reads them
 // only after the window's WaitGroup join.
 func (c *Collector) ShardBusy(shard int, d time.Duration) {
-	if c == nil {
-		return
-	}
 	c.shards[shard].busyNS += d.Nanoseconds()
 }
 
 // Barrier records one boundary-drain barrier: how long the coordinator spent
 // draining and how many messages moved.
 func (c *Collector) Barrier(drain time.Duration, drained int) {
-	if c == nil {
-		return
-	}
 	c.barriers++
 	ns := drain.Nanoseconds()
 	c.drainNS += ns
@@ -234,15 +225,11 @@ func (c *Collector) Barrier(drain time.Duration, drained int) {
 // EndWindow closes the current window. events is the cumulative executed
 // count at window end (the delta from the previous window is stored). Each
 // shard's barrier wait for the window is the window wall minus the busy time
-// it accrued inside it.
+// it accrued inside it. A kept span's per-shard BusyNS is carved from a page
+// of spanPage spans' worth, so a run allocates per page, not per window.
 func (c *Collector) EndWindow(events uint64) {
-	if c == nil || !c.inWindow {
-		return
-	}
-	c.inWindow = false
 	wall := time.Since(c.wStart).Nanoseconds()
 	c.windows++
-
 	span := WindowSpan{
 		StartNS: c.wStart.Sub(c.start).Nanoseconds(),
 		WallNS:  wall,
@@ -251,24 +238,21 @@ func (c *Collector) EndWindow(events uint64) {
 		Drained: c.wDrained,
 	}
 	c.wEvents0 = events
-
-	keepSpan := len(c.spans) < c.maxSpans
-	if keepSpan {
-		span.BusyNS = make([]int64, len(c.shards))
+	if n := len(c.shards); len(c.spans) < DefaultMaxSpans {
+		if len(c.busyPage) < n {
+			c.busyPage = make([]int64, spanPage*n)
+		}
+		span.BusyNS, c.busyPage = c.busyPage[:n:n], c.busyPage[n:]
+		c.spans = append(c.spans, span) // shares BusyNS, filled below
 	} else {
 		c.truncated++
 	}
 	for i := range c.shards {
 		busy := c.shards[i].busyNS - c.wBusy0[i]
-		if wait := wall - busy; wait > 0 {
-			c.shards[i].waitNS += wait
-		}
-		if keepSpan {
+		c.shards[i].waitNS += max(wall-busy, 0)
+		if span.BusyNS != nil {
 			span.BusyNS[i] = busy
 		}
-	}
-	if keepSpan {
-		c.spans = append(c.spans, span)
 	}
 }
 
@@ -276,9 +260,6 @@ func (c *Collector) EndWindow(events uint64) {
 // spans, and per-shard busy/wait are filled; the caller fills per-shard
 // scheduler/pool/boundary finals and TotalEvents.
 func (c *Collector) Finish() *RunStats {
-	if c == nil {
-		return nil
-	}
 	rs := &RunStats{
 		Shards:         make([]ShardStats, len(c.shards)),
 		Windows:        c.windows,
@@ -288,10 +269,8 @@ func (c *Collector) Finish() *RunStats {
 		Spans:          c.spans,
 		TruncatedSpans: c.truncated,
 	}
-	for i := range c.shards {
-		rs.Shards[i].Shard = i
-		rs.Shards[i].BusyNS = c.shards[i].busyNS
-		rs.Shards[i].BarrierWaitNS = c.shards[i].waitNS
+	for i, acc := range c.shards {
+		rs.Shards[i] = ShardStats{Shard: i, BusyNS: acc.busyNS, BarrierWaitNS: acc.waitNS}
 	}
 	return rs
 }

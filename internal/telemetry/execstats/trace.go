@@ -22,7 +22,7 @@ func usec(ns int64) float64 { return float64(ns) / 1e3 }
 // Chrome trace.
 func WriteChromeTrace(w io.Writer, runName string, rs *RunStats) error {
 	if rs == nil {
-		return fmt.Errorf("execstats: no run stats to export (enable Options.ExecStats)")
+		return fmt.Errorf("execstats: no run stats to export")
 	}
 	coordPID := int64(len(rs.Shards))
 	events := make([]telemetry.TraceEvent, 0, 2*len(rs.Shards)+4*len(rs.Spans)*len(rs.Shards)+8)

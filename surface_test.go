@@ -31,9 +31,8 @@ var surfaceKeep = map[string]string{
 // fieldKeep lists the fields that stay without a reader outside tests, each
 // with the reason it stays, named as TestEveryFieldIsRead reports them.
 var fieldKeep = map[string]string{
-	"internal/nic.Stats.FlowsStarted":         "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
-	"internal/nic.Stats.FlowsCompleted":       "the conservation term of the per-run invariant check (ROADMAP item 3(a))",
 	"internal/packet.Packet.Priority":         "bench/micro.go writes it; it goes with the benchmark change of ROADMAP item 17",
+	"internal/sim.Options.ExecStats":          "ignored, every run carries its profile; bench/simwork.go writes it, and it goes with the benchmark change of ROADMAP item 17",
 	"internal/eventsim.Scheduler.live":        "the arena and edge tests read it: pending events net of cancellations",
 	"internal/eventsim.tierCounts.refillRing": "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"internal/eventsim.tierCounts.refillFar":  "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
