@@ -469,3 +469,28 @@ func TestBooksNameTheTermThatDoesNotBalance(t *testing.T) {
 		t.Errorf("an unbounded buffer has no peak to exceed: %v", err)
 	}
 }
+
+// TestLongLivedAndLateFlowsBalanceTheBooks: a long-lived flow that completes
+// is counted by its receiver's NIC but recorded nowhere in the Result, so the
+// run's books count it apart, and a flow that would start after the horizon
+// never starts, so the books do not owe it. Run must return a result.
+func TestLongLivedAndLateFlowsBalanceTheBooks(t *testing.T) {
+	topo := k4FatTree()
+	flows := spreadFlows(topo, 3)
+	flows[0].LongLived = true
+	flows[2].StartTime = 10 * units.Millisecond
+	opts := DefaultOptions(SchemeBFC, topo)
+	opts.Duration, opts.Drain = 100*units.Microsecond, 200*units.Microsecond
+	res, err := Run(opts, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started, completed uint64
+	for _, ss := range res.Exec.Shards {
+		started, completed = started+ss.FlowsStarted, completed+ss.FlowsCompleted
+	}
+	if started != 2 || completed != 2 || res.FlowsCompleted != 1 {
+		t.Errorf("NICs started %d and completed %d flows, the Result recorded %d; want 2, 2 and 1 (the long-lived flow apart)",
+			started, completed, res.FlowsCompleted)
+	}
+}

@@ -503,6 +503,11 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// counters add up to run totals exactly once. Then the run checks its
 	// books against the profile.
 	want := books{completed: uint64(res.FlowsCompleted + res.FCTIncast.Count())}
+	for _, f := range flows {
+		if f.StartTime <= horizon {
+			want.started++
+		}
+	}
 	if opts.Scheme != SchemeIdealFQ {
 		want.buffer = opts.SwitchBuffer
 	}
@@ -529,11 +534,6 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	rs.TotalEvents = res.Events
 	rs.CoordEvents = ticks + coordExec
 	res.Exec = rs
-	for _, f := range flows {
-		if f.StartTime <= horizon {
-			want.started++
-		}
-	}
 	if err := want.balance(rs.Shards); err != nil {
 		return nil, err
 	}
