@@ -73,8 +73,8 @@ type Entry struct {
 	LastFlow packet.FlowID
 
 	// inOverflow marks entries living in the overflow cache rather than a
-	// bucket slot.
-	inOverflow bool
+	// bucket slot, freed those on the free chain.
+	inOverflow, freed bool
 
 	// slot is 1 + the entry's index in Table.slab, fixed for its lifetime.
 	// next chains the entry to the following one of its bucket, or of the
@@ -357,20 +357,20 @@ func (t *Table) Remove(e *Entry) {
 		}
 	}
 	t.active--
-	e.next, t.free = t.free, e.slot
+	e.next, t.free, e.freed = t.free, e.slot, true
 }
 
 // Check walks the whole table and reports the first broken invariant: Active
 // must equal the bucket chains' lengths plus the overflow cache's size; a
 // chain must hold at most bucketSize entries, all of its cell's VFID, and
-// that VFID must be found from its home cell; no live entry may be on the
-// free chain; the index must be at most half full. Tests call it after every
+// that VFID must be found from its home cell; every entry the slab carved
+// must be live or on the free chain, and not both; the index must be at most
+// half full. It allocates nothing. Tests call it after every
 // step, and a BFC switch's end-of-run check once (core.Engine.Check).
 func (t *Table) Check() error {
 	if 2*t.used > len(t.index) {
 		return fmt.Errorf("flowtable: index holds %d VFIDs in %d cells, more than half full", t.used, len(t.index))
 	}
-	live := make([]bool, len(t.slab)+1)
 	used, entries := 0, len(t.overflow)
 	for at, c := range t.index {
 		if c.head == 0 {
@@ -385,10 +385,9 @@ func (t *Table) Check() error {
 			if n++; n > t.bucketSize {
 				return fmt.Errorf("flowtable: VFID %d's bucket holds more than %d entries", c.vfid, t.bucketSize)
 			}
-			if e := t.slab[i-1]; e.VFID != c.vfid || e.inOverflow {
-				return fmt.Errorf("flowtable: VFID %d's bucket holds an entry of VFID %d (overflow %v)", c.vfid, e.VFID, e.inOverflow)
+			if e := t.slab[i-1]; e.VFID != c.vfid || e.inOverflow || e.freed {
+				return fmt.Errorf("flowtable: VFID %d's bucket holds an entry of VFID %d (overflow %v, freed %v)", c.vfid, e.VFID, e.inOverflow, e.freed)
 			}
-			live[i] = true
 		}
 		entries += n
 	}
@@ -401,20 +400,23 @@ func (t *Table) Check() error {
 	filed := 0
 	for _, e := range t.slab {
 		if t.overflow[Key{e.VFID, e.Ingress, e.Egress}] == e {
-			if !e.inOverflow {
-				return fmt.Errorf("flowtable: bucket entry %+v is in the overflow cache", *e)
+			if !e.inOverflow || e.freed {
+				return fmt.Errorf("flowtable: bucket or free entry %+v is in the overflow cache", *e)
 			}
 			filed++
-			live[e.slot] = true
 		}
 	}
 	if filed != len(t.overflow) {
 		return fmt.Errorf("flowtable: overflow cache holds %d entries, %d of them slab entries filed under their key", len(t.overflow), filed)
 	}
-	for i, n := t.free, 0; i != 0; i, n = t.slab[i-1].next, n+1 {
-		if live[i] || n == len(t.slab) {
+	free := 0
+	for i := t.free; i != 0; i = t.slab[i-1].next {
+		if free++; free > len(t.slab) || !t.slab[i-1].freed {
 			return fmt.Errorf("flowtable: free chain reaches live or cycling entry %d", i)
 		}
+	}
+	if t.active+free != len(t.slab) {
+		return fmt.Errorf("flowtable: %d entries carved, %d live and %d on the free chain", len(t.slab), t.active, free)
 	}
 	return nil
 }

@@ -112,3 +112,17 @@ func TestLinkSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkInitAllocatesOneObject: setting up a link in a slab allocates its
+// one delivery callback and nothing else; the serialization-complete event
+// takes the link as its argument instead of a callback of its own.
+func TestLinkInitAllocatesOneObject(t *testing.T) {
+	s := eventsim.New()
+	dst := &fakeDevice{id: 2, sched: s}
+	links := make([]Link, 1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		links[0].Init(s, "", 100*units.Gbps, units.Microsecond, dst, 0)
+	}); allocs != 1 {
+		t.Fatalf("Init allocated %v objects, want 1", allocs)
+	}
+}

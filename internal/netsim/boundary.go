@@ -8,8 +8,8 @@ import (
 // BoundaryMsg is one delivery crossing a shard boundary: either a data packet
 // or a control frame, stamped with the full ordering key it would have
 // carried had it been scheduled locally. The link pointer carries the
-// receiver identity (peer device, ingress port) and the pre-allocated
-// delivery closures.
+// receiver identity (peer device, ingress port) and the link's one delivery
+// callback, which takes either.
 type BoundaryMsg struct {
 	Key  eventsim.Key
 	Link *Link
@@ -52,11 +52,12 @@ func (b *Boundary) Stats() BoundaryStats { return b.stats }
 func (b *Boundary) DrainInto(sched *eventsim.Scheduler) int {
 	n := len(b.msgs)
 	for i := range b.msgs {
-		if m := &b.msgs[i]; m.Pkt != nil {
-			sched.ScheduleCallInjected(m.Key, m.Link.deliver, m.Pkt)
-		} else {
-			sched.ScheduleCallInjected(m.Key, m.Link.deliverCtrl, m.Ctrl)
+		m := &b.msgs[i]
+		var arg any = m.Ctrl
+		if m.Pkt != nil {
+			arg = m.Pkt
 		}
+		sched.ScheduleCallInjected(m.Key, m.Link.deliver, arg)
 	}
 	clear(b.msgs) // the kept backing array must not pin pooled packets or frames
 	b.msgs = b.msgs[:0]

@@ -127,7 +127,8 @@ func TestBoundarySteadyStateAllocFree(t *testing.T) {
 }
 
 func TestBoundaryControlFrames(t *testing.T) {
-	// Control frames ride the same queue and drain through deliverCtrl.
+	// Control frames ride the same queue and drain through the link's one
+	// delivery callback, as packets do.
 	s := eventsim.New()
 	dst := &fakeDevice{id: 1, sched: s}
 	l := NewLink(s, "x->y", 100*units.Gbps, units.Microsecond, dst, 2)

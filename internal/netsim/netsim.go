@@ -55,7 +55,8 @@ type Device interface {
 // Link is a unidirectional transmission path from one device port to a peer
 // device port. A bidirectional physical link is modeled as two Links. A Link
 // is set up by Init, in place, so a fabric may keep its links in one slab; it
-// must not be copied afterwards, because its callbacks point at it.
+// must not be copied afterwards, because its delivery callback and its queued
+// events point at it.
 type Link struct {
 	sched  *eventsim.Scheduler
 	rate   units.Rate
@@ -94,14 +95,13 @@ type Link struct {
 	// each shard writes only its own.
 	filtersSent, filtersLanded uint64
 
-	// Hot-path callbacks, allocated once at construction so Transmit and
-	// SendControl do not create closures per send: serDone fires when
-	// serialization ends (and invokes the sender's pendingDone), deliver
-	// hands a packet to the peer after the propagation delay, deliverCtrl
-	// does the same for a control frame.
-	serDone     func()
+	// deliver is the link's one callback and its one allocation, made at
+	// Init so that Transmit, SendControl and a boundary drain schedule a
+	// delivery, of a packet or of a control frame, without a closure per
+	// send. The serialization-complete event needs none: it calls the
+	// static serDone with the link as its argument, and serDone invokes the
+	// sender's pendingDone.
 	deliver     func(any)
-	deliverCtrl func(any)
 	pendingDone func()
 
 	// Statistics.
@@ -126,25 +126,19 @@ func (l *Link) Init(sched *eventsim.Scheduler, name string, rate units.Rate, del
 		panic("netsim: invalid link parameters")
 	}
 	*l = Link{sched: sched, name: name, rate: rate, delay: delay, peer: peer, toPort: toPort}
-	l.serDone = func() {
-		l.busy = false
-		done := l.pendingDone
-		l.pendingDone = nil
-		if done != nil {
-			done()
-		}
-	}
+	// deliver hands a data packet or a control frame to the peer, or, on a
+	// down link, to OnStranded or Filters.
 	l.deliver = func(x any) {
-		p := x.(*packet.Packet)
-		if l.down {
-			if l.OnStranded != nil {
-				l.OnStranded(p)
+		if p, ok := x.(*packet.Packet); ok {
+			if l.down {
+				if l.OnStranded != nil {
+					l.OnStranded(p)
+				}
+				return
 			}
+			l.peer.ReceivePacket(l.toPort, p)
 			return
 		}
-		l.peer.ReceivePacket(l.toPort, p)
-	}
-	l.deliverCtrl = func(x any) {
 		f, bfc := x.(BFCPauseFrame)
 		if bfc && f.Filter != nil {
 			l.filtersLanded++
@@ -158,6 +152,18 @@ func (l *Link) Init(sched *eventsim.Scheduler, name string, rate units.Rate, del
 			return
 		}
 		l.peer.ReceiveControl(l.toPort, x.(ControlFrame))
+	}
+}
+
+// serDone is every serialization-complete event's callback; its argument is
+// the link.
+func serDone(a any) {
+	l := a.(*Link)
+	l.busy = false
+	done := l.pendingDone
+	l.pendingDone = nil
+	if done != nil {
+		done()
 	}
 }
 
@@ -210,7 +216,7 @@ func (l *Link) Transmit(p *packet.Packet, onDone func()) {
 	// flight, so a single pendingDone field (consumed by serDone) suffices.
 	l.pendingDone = onDone
 	now := l.sched.Now()
-	l.sched.Schedule(now+ser, l.serDone)
+	l.sched.ScheduleCall(now+ser, serDone, l)
 	at := now + ser + l.delay
 	// The delivery carries the transported packet's flow ID as its causal
 	// tag, not the inherited one: a busy egress port serializes queued
@@ -241,9 +247,8 @@ func (l *Link) SendControl(frame ControlFrame) {
 		l.boundary.Push(BoundaryMsg{Key: l.sched.ChildKey(at), Link: l, Ctrl: frame})
 		return
 	}
-	// frame is already an interface value, so the any conversion is free;
-	// the pre-allocated deliverCtrl keeps this path closure-free too.
-	l.sched.ScheduleCall(at, l.deliverCtrl, frame)
+	// frame is already an interface value, so the any conversion is free.
+	l.sched.ScheduleCall(at, l.deliver, frame)
 }
 
 // FiltersInFlight returns the number of BFC pause filters the link has taken

@@ -83,21 +83,43 @@ type Config struct {
 	// keeps slot 0, and the NIC starts a flow only once the last flow it
 	// sent has completed (two NICs back to back, one flow at a time).
 	Slabs *Slabs
+	// Flows is the number of flows the NIC sends in the run: New carves its
+	// list of started senders from Slabs for that many, so starting a flow
+	// grows no slice. A NIC that starts more grows its list as a slice does.
+	Flows int
 }
 
 // Slabs holds the per-flow state of the NICs of one shard: a sender record
 // for each flow they source and a receiver record for each flow they sink,
-// at the flow's SendSlot and RecvSlot. Slabs are sized once, before the first
+// at the flow's SendSlot and RecvSlot, and the NICs' send orders, carved from
+// one array with room for every sender. Slabs are sized once, before the first
 // flow starts, and never grow, so no record moves while its retransmission
 // timer is armed (the scheduler points at the timer).
 type Slabs struct {
 	senders   []senderFlow
 	receivers []receiverFlow
+	// order holds the send-order room not yet carved.
+	order []int32
 }
 
 // NewSlabs returns slabs for the given numbers of sent and received flows.
 func NewSlabs(senders, receivers int) *Slabs {
-	return &Slabs{senders: make([]senderFlow, senders), receivers: make([]receiverFlow, receivers)}
+	return &Slabs{
+		senders:   make([]senderFlow, senders),
+		receivers: make([]receiverFlow, receivers),
+		order:     make([]int32, senders),
+	}
+}
+
+// carveOrder returns an empty send order with room for k senders, carved from
+// the slabs' array, or nil when less than that is left.
+func (s *Slabs) carveOrder(k int) []int32 {
+	if k > len(s.order) {
+		return nil
+	}
+	o := s.order[:0:k]
+	s.order = s.order[k:]
+	return o
 }
 
 // Validate reports configuration errors.
@@ -174,9 +196,10 @@ type NIC struct {
 	ctrlQueue queue.FIFO
 
 	slabs *Slabs
-	// sendOrder holds the started, uncompleted senders in start order;
-	// pickSender round-robins over it from rrNext.
-	sendOrder []*senderFlow
+	// sendOrder holds the SendSlots of the started, uncompleted senders in
+	// start order; pickSender round-robins over it from rrNext. Its room is
+	// carved from slabs (Config.Flows).
+	sendOrder []int32
 	rrNext    int
 
 	transmitting bool
@@ -202,9 +225,11 @@ func New(cfg Config) *NIC {
 		pool:  cfg.Pool,
 		slabs: cfg.Slabs,
 	}
+	flows := cfg.Flows
 	if n.slabs == nil {
-		n.slabs = NewSlabs(1, 1)
+		n.slabs, flows = NewSlabs(1, 1), 1
 	}
+	n.sendOrder = n.slabs.carveOrder(flows)
 	if cfg.VFIDSpace > 0 {
 		n.upstream = *core.NewUpstreamState(cfg.VFIDSpace)
 	}
@@ -265,7 +290,7 @@ func (n *NIC) StartFlow(f *packet.Flow) {
 		sf.ctrl = cc.None{}
 	}
 	sf.rto = *eventsim.NewTimer(n.sched, rtoFire, sf)
-	n.sendOrder = append(n.sendOrder, sf)
+	n.sendOrder = append(n.sendOrder, f.SendSlot)
 	n.stats.FlowsStarted++
 	if n.cfg.Recorder != nil {
 		n.cfg.Recorder.Record(telemetry.Event{At: n.sched.Now(), Kind: telemetry.KindFlowStart,
@@ -354,8 +379,9 @@ func (n *NIC) pickSender(now units.Time) (*senderFlow, units.Time) {
 	var earliest units.Time
 	count := len(n.sendOrder)
 	next := n.rrNext
+	senders := n.slabs.senders
 	for range count {
-		sf := n.sendOrder[next]
+		sf := &senders[n.sendOrder[next]]
 		if next++; next == count {
 			next = 0
 		}
@@ -606,8 +632,8 @@ func (n *NIC) finishSender(sf *senderFlow) {
 	}
 	sf.completed = true
 	sf.rto.Stop()
-	for i, cur := range n.sendOrder {
-		if cur == sf {
+	for i, slot := range n.sendOrder {
+		if slot == sf.flow.SendSlot {
 			n.sendOrder = append(n.sendOrder[:i], n.sendOrder[i+1:]...)
 			break
 		}

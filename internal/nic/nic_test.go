@@ -241,3 +241,29 @@ func TestPrivateSlabRunsFlowsInTurn(t *testing.T) {
 		t.Fatalf("sent %d data packets, want 2 + 3", sent)
 	}
 }
+
+// TestStartFlowGrowsNoSlice: a NIC built with the number of flows it sends
+// carves its send order from its slabs, so starting a flow grows no slice.
+// The first flow takes the link and the others queue behind it.
+func TestStartFlowGrowsNoSlice(t *testing.T) {
+	const flows = 63
+	tn := newTestNIC(t, func(c *nic.Config) { c.Slabs, c.Flows = nic.NewSlabs(flows, 1), flows })
+	fs := make([]*packet.Flow, flows)
+	for i := range fs {
+		fs[i] = tn.flowFromHost(packet.FlowID(i+1), 1<<20)
+	}
+	tn.nic.StartFlow(fs[0])
+	next := 1
+	// AllocsPerRun starts 31 flows to warm up and 31 it counts.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for range 31 {
+			tn.nic.StartFlow(fs[next])
+			next++
+		}
+	}); allocs != 0 {
+		t.Fatalf("starting 31 flows allocated %v objects, want 0", allocs)
+	}
+	if got := nic.SendOrderLen(tn.nic); got != flows {
+		t.Fatalf("%d flows in the send order, want %d", got, flows)
+	}
+}

@@ -15,14 +15,15 @@ import (
 // schedulers and BFC engine state are a handful of switch-wide arrays (about
 // 17 objects); a switch port costs its transmit callback and a host port its
 // NIC (5 objects), which the per-port budget covers at this fabric's five
-// switch ports per host; a link costs its three callbacks. Per-port heap objects (the queues, scheduler, bloom counters and
-// upstream filter of each port, about 20 objects per switch port) exceed the
-// budget several times over.
+// switch ports per host; a link costs its one delivery callback. Per-port
+// heap objects (the queues, scheduler, bloom counters and upstream filter of
+// each port, about 20 objects per switch port) exceed the budget several
+// times over, and so do three callbacks per link.
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const perSwitch, perPort, perLink, fixed = 20, 2, 3, 300
+	const perSwitch, perPort, perLink, fixed = 20, 2, 1, 300
 	topo := topology.NewFatTree(topology.FatTreeConfig{
 		Pods: 8, EdgePerPod: 4, AggPerPod: 4, HostsPerEdge: 4, CorePerAgg: 4,
 		LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,

@@ -188,8 +188,10 @@ type runner struct {
 	shardID int
 
 	// sends and recvs are the numbers of flows the shard's NICs source and
-	// sink (assignSlots): the sizes of the slabs they share.
+	// sink (assignSlots): the sizes of the slabs they share. sentBy is the
+	// run's count of the flows each host sends, indexed by node.
 	sends, recvs int
+	sentBy       []int
 
 	// fcts buffers the shard's flow completions of the current barrier step,
 	// keyed, for the coordinator's merge.
@@ -376,7 +378,7 @@ func (r *runner) buildNICs() {
 	}
 	for _, node := range r.topo.Nodes() {
 		if node.Kind == topology.Host && r.owned(node.ID) {
-			cfg.Node = node
+			cfg.Node, cfg.Flows = node, r.sentBy[node.ID]
 			r.reg.nics[node.ID] = nic.New(cfg)
 		}
 	}

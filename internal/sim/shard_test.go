@@ -479,3 +479,23 @@ func TestShardedLostPauseFrameParity(t *testing.T) {
 
 // podCount is the topology's pod count: a shard plan clamps its request to it.
 func podCount(topo *topology.Topology) int { return topology.PlanShards(topo, math.MaxInt).Shards }
+
+// TestShardStepAllocFree: a barrier step of a two-shard run allocates
+// nothing. The shard set builds its WaitGroup and one goroutine body per
+// shard once per run, and a go statement on a built func value makes no
+// closure.
+func TestShardStepAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	set := newShardSet([]*runner{{}, {}})
+	step := func(r *runner) { r.flowsTotal++ }
+	if allocs := testing.AllocsPerRun(100, func() { set.each(step) }); allocs != 0 {
+		t.Fatalf("a two-shard step allocated %v objects, want 0", allocs)
+	}
+	for i, r := range set.shards {
+		if r.flowsTotal != 101 {
+			t.Fatalf("shard %d ran %d steps, want 101", i, r.flowsTotal)
+		}
+	}
+}

@@ -204,38 +204,66 @@ func (sr *shardRecorder) Record(ev telemetry.Event) {
 	sr.evs = append(sr.evs, keyed[telemetry.Event]{key: k, v: ev})
 }
 
-// eachShard runs f for every shard, each on a goroutine of its own when there
-// are several and on the caller's when there is one, and returns when all are
-// done: the join is the happens-before edge between what the shards wrote and
-// what the coordinator reads next.
-func eachShard(shards []*runner, f func(r *runner)) {
-	if len(shards) == 1 {
-		f(shards[0])
+// shardSet runs one function on every shard of a run, each shard on a
+// goroutine of its own when there are several and on the caller's when there
+// is one, and returns when all are done: the join is the happens-before edge
+// between what the shards wrote and what the coordinator reads next. It is
+// built once per run, with one WaitGroup and one goroutine body per shard, so
+// a barrier step allocates nothing: a go statement on a built func value
+// makes no closure.
+type shardSet struct {
+	shards []*runner
+	// f is the function of the step in progress; the go statements and the
+	// join order the coordinator's writes of it before the bodies' reads.
+	f      func(r *runner)
+	wg     sync.WaitGroup
+	bodies []func()
+}
+
+func newShardSet(shards []*runner) *shardSet {
+	s := &shardSet{shards: shards}
+	if len(shards) > 1 {
+		s.bodies = make([]func(), len(shards))
+		for i, r := range shards {
+			s.bodies[i] = func() {
+				defer s.wg.Done()
+				s.f(r)
+			}
+		}
+	}
+	return s
+}
+
+// each runs f for every shard.
+func (s *shardSet) each(f func(r *runner)) {
+	if len(s.shards) == 1 {
+		f(s.shards[0])
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for _, r := range shards {
-		go func() {
-			defer wg.Done()
-			f(r)
-		}()
+	s.f = f
+	s.wg.Add(len(s.bodies))
+	for _, body := range s.bodies {
+		go body()
 	}
-	wg.Wait()
+	s.wg.Wait()
 }
 
 // assignSlots numbers every flow's NIC records, base flows first and then the
 // scenario's injected flows (scen may be nil): a flow's SendSlot is dense
 // among the flows its source's shard sends, its RecvSlot among those its
 // destination's shard receives. It returns each shard's two counts, the
-// sizes of its NIC slabs, so no shard holds a table the size of the run.
-func assignSlots(plan *topology.ShardPlan, flows []*packet.Flow, scen *scenario.Planned) (sends, recvs []int) {
+// sizes of its NIC slabs (so no shard holds a table the size of the run), and
+// the count of flows each host sends, indexed by node: the room its NIC's
+// send order needs.
+func assignSlots(plan *topology.ShardPlan, flows []*packet.Flow, scen *scenario.Planned) (sends, recvs, sentBy []int) {
 	sends, recvs = make([]int, plan.Shards), make([]int, plan.Shards)
+	sentBy = make([]int, len(plan.Assign))
 	assign := func(f *packet.Flow) {
 		src, dst := plan.Assign[f.Src], plan.Assign[f.Dst]
 		f.SendSlot, f.RecvSlot = int32(sends[src]), int32(recvs[dst])
 		sends[src]++
 		recvs[dst]++
+		sentBy[f.Src]++
 	}
 	for _, f := range flows {
 		assign(f)
@@ -245,7 +273,7 @@ func assignSlots(plan *topology.ShardPlan, flows []*packet.Flow, scen *scenario.
 			assign(f)
 		}
 	}
-	return sends, recvs
+	return sends, recvs, sentBy
 }
 
 // runSharded executes the simulation on plan.Shards shards, one or more.
@@ -269,7 +297,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		scen, scenM = pl, pl.Metrics()
 	}
-	sends, recvs := assignSlots(plan, flows, scen)
+	sends, recvs, sentBy := assignSlots(plan, flows, scen)
 
 	// The coordinator owns the Result: it samples the shared registry at tick
 	// barriers, merges the two streams into it and the caller's ring after
@@ -293,7 +321,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	for i := range shards {
 		r := newRunner(opts, reg)
 		r.plan, r.shardID = plan, i
-		r.sends, r.recvs = sends[i], recvs[i]
+		r.sends, r.recvs, r.sentBy = sends[i], recvs[i], sentBy
 		fcts.add(&r.fcts)
 		if opts.Recorder != nil {
 			sr := &shardRecorder{sched: r.sched}
@@ -302,7 +330,8 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		}
 		shards[i] = r
 	}
-	eachShard(shards, func(r *runner) { r.buildDevices() })
+	set := newShardSet(shards)
+	set.each(func(r *runner) { r.buildDevices() })
 
 	// One boundary queue per directed shard pair. All cross-shard links of a
 	// pair share it, so the receiver sees the sender's emissions in the
@@ -312,7 +341,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	for i := range bounds {
 		bounds[i] = make([]netsim.Boundary, S) // [i][i] stays unused
 	}
-	eachShard(shards, func(r *runner) {
+	set.each(func(r *runner) {
 		r.wireLinks(shards, bounds[r.shardID])
 		r.scheduleFlows(flows)
 	})
@@ -374,7 +403,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// The shards' work at each barrier step is one of three closures, built
 	// once: run below the barrier instant until, or below the ordering key
 	// key, or up to the horizon. The coordinator sets until and key between
-	// steps, and step to the closure the next runAll runs; the eachShard join
+	// steps, and step to the closure the next runAll runs; the shardSet join
 	// is the happens-before edge both ways, so no step allocates.
 	var until units.Time
 	var key eventsim.Key
@@ -390,7 +419,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 	runAll := func(f func(r *runner)) {
 		step = f
-		eachShard(shards, timed)
+		set.each(timed)
 	}
 	drainAll := func() {
 		t0 := time.Now()

@@ -361,3 +361,29 @@ func TestBFCPauseFrameParksQueueUntilResume(t *testing.T) {
 			ts.sw.HeldFilters(), filters.Free())
 	}
 }
+
+// TestAuditAllocFree: the end-of-run audit of a BFC switch allocates nothing,
+// so a run's seal costs no object per switch. The switch holds flows in its
+// table's bucket, its overflow cache and its free chain when it is audited.
+func TestAuditAllocFree(t *testing.T) {
+	bfc := bfcConfig(false)
+	bfc.NumVFIDs = 1 // one bucket of 4: the other flows take the overflow cache
+	ts := newTestSwitch(t, func(c *switchsim.Config) { c.BFC = bfc })
+	ts.attach(3)
+	ts.fillTable(12, -1)
+	ts.sched.RunUntil(50 * units.Microsecond) // the flows toward host 3 leave
+	a, err := ts.sw.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.FlowEntries == 0 || a.FlowEntries == 12 {
+		t.Fatalf("the audited switch holds %d of 12 flows, want some drained and some queued", a.FlowEntries)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ts.sw.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Audit allocated %v objects, want 0", allocs)
+	}
+}

@@ -320,12 +320,11 @@ func TestNonHostDestination(t *testing.T) {
 // The set index is 16 bits wide; running out of it is reported, not wrapped.
 func TestInternSetIndexOverflowPanics(t *testing.T) {
 	topo := NewSingleSwitch(SingleSwitchConfig{NumHosts: 2, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})
-	sw := mustNode(t, topo, "sw0")
-	for len(topo.sets[sw]) <= 1<<16-1 {
-		topo.sets[sw] = append(topo.sets[sw], []int{len(topo.sets[sw])})
+	for len(topo.sets) <= 1<<16-1 {
+		topo.sets = append(topo.sets, []int{len(topo.sets)})
 	}
-	want := "topology: sw0 has more than 65535 distinct next-hop sets"
-	if got := panicMessage(func() { topo.intern(sw, []int{-1}, 0) }); got != want {
+	want := "topology: more than 65535 distinct next-hop sets"
+	if got := panicMessage(func() { topo.intern([]int{-1}, 0, 0) }); got != want {
 		t.Fatalf("panic %q, want %q", got, want)
 	}
 }

@@ -17,14 +17,17 @@
 // h and its leaf ℓ the next hops toward h are those toward ℓ, one hop short.
 // The routing tables therefore keep one column per leaf, not per host: one
 // row per node, one column per leaf plus column 0, never written, for every
-// destination that is not a host; per entry a uint16 index into the node's
-// interned next-hop port sets and an int16 hop count toward the leaf. A lookup
-// toward h answers from ℓ's column, except at ℓ itself, which answers with its
-// port to h, and while h's uplink is down, when h's entry sends every node to
-// column 0: no route. Interned sets are immutable and append-only, so the
-// slices NextHops hands out stay valid, and two entries of one node hold equal
-// indexes exactly when their port sets are equal — which is how a reroute
-// counts the sets it changed. Index 0 is the empty set: no route.
+// destination that is not a host; per entry a uint16 index into the
+// topology's interned next-hop port sets and an int16 hop count toward the
+// leaf. A lookup toward h answers from ℓ's column, except at ℓ itself, which
+// answers with its port to h, and while h's uplink is down, when h's entry
+// sends every node to column 0: no route. A set is a list of port indexes, so
+// nodes with the same ports toward a leaf (every host's {0}, every edge
+// switch's uplinks) share one; a fabric has few. Interned sets are immutable
+// and append-only, so the slices NextHops hands out stay valid, and two
+// entries hold equal indexes exactly when their port sets are equal — which
+// is how a reroute counts the sets it changed. Index 0 is the empty set: no
+// route.
 package topology
 
 import (
@@ -123,10 +126,10 @@ type Topology struct {
 	dests []dest
 	// upHosts[c] counts the hosts of column c's leaf whose uplink is up.
 	upHosts []int32
-	// sets[node] holds the node's interned next-hop port sets (see the
-	// package comment); sets[node][0] is the empty set.
-	sets [][][]int
-	// routes[at(node, c)] indexes sets[node]: the egress ports on equal-cost
+	// sets holds the interned next-hop port sets of every node (see the
+	// package comment); sets[0] is the empty set.
+	sets [][]int
+	// routes[at(node, c)] indexes sets: the egress ports on equal-cost
 	// shortest paths from node toward column c's leaf. The leaf's own row
 	// holds the empty set.
 	routes []uint16
@@ -145,7 +148,7 @@ type Topology struct {
 	baseShared bool
 
 	// Scratch reused by every solve, so that a reroute allocates only when
-	// it produces a port set the node never had.
+	// it produces a port set the topology never had.
 	bfsDist  []int32
 	bfsQueue []packet.NodeID
 	bfsPorts []int
@@ -160,7 +163,7 @@ type dest struct {
 	// liveCol is col, or 0 while the host's uplink is down: the column live
 	// lookups read, where column 0 answers no route.
 	liveCol int32
-	// set indexes sets[leaf]: the one port from a host's leaf to the host.
+	// set indexes sets: the one port from a host's leaf to the host.
 	set uint16
 	// liveSet is set, or 0 (the empty set) while the host's uplink is down.
 	liveSet uint16
@@ -231,10 +234,7 @@ func (b *Builder) Build() *Topology {
 // shortest path toward that leaf.
 func (t *Topology) computeRoutes() {
 	n := len(t.nodes)
-	t.sets = make([][][]int, n)
-	for i := range t.sets {
-		t.sets[i] = [][]int{nil}
-	}
+	t.sets = [][]int{nil}
 	t.dests = make([]dest, n)
 	for i := range t.dests {
 		t.dests[i].leaf = packet.NodeID(i)
@@ -249,7 +249,7 @@ func (t *Topology) computeRoutes() {
 			colOf[up.Peer] = int32(len(t.leaves))
 		}
 		t.bfsPorts = append(t.bfsPorts[:0], up.PeerPort)
-		col, set := colOf[up.Peer], t.intern(up.Peer, t.bfsPorts, 0)
+		col, set := colOf[up.Peer], t.intern(t.bfsPorts, 0, 0)
 		t.dests[host] = dest{leaf: up.Peer, col: col, liveCol: col, set: set, liveSet: set}
 		t.upHosts[colOf[up.Peer]]++
 	}
@@ -311,7 +311,9 @@ func (t *Topology) solve(col int32) (changed int) {
 			}
 		}
 		t.bfsPorts = ports
-		if set := t.intern(node.ID, ports, t.routes[at]); set != t.routes[at] {
+		// A node's ports toward one leaf are most often its ports toward
+		// the leaf of the column before (column 0 holds the empty set).
+		if set := t.intern(ports, t.routes[at], t.routes[at-1]); set != t.routes[at] {
 			changed++
 			t.routes[at] = set
 		}
@@ -346,23 +348,26 @@ func (t *Topology) distTo(node, dst packet.NodeID) int {
 	return hops
 }
 
-// intern returns the index of ports among node's interned sets, trying the
-// currently installed set first and adding a copy when the set is new.
-func (t *Topology) intern(node packet.NodeID, ports []int, installed uint16) uint16 {
-	sets := t.sets[node]
-	if slices.Equal(sets[installed], ports) {
+// intern returns the index of ports among the interned sets, trying the
+// currently installed set and then guess before the whole table, and adding
+// a copy when the set is new.
+func (t *Topology) intern(ports []int, installed, guess uint16) uint16 {
+	if slices.Equal(t.sets[installed], ports) {
 		return installed
 	}
-	for i, set := range sets {
+	if slices.Equal(t.sets[guess], ports) {
+		return guess
+	}
+	for i, set := range t.sets {
 		if slices.Equal(set, ports) {
 			return uint16(i)
 		}
 	}
-	if len(sets) > math.MaxUint16 {
-		panic(fmt.Sprintf("topology: %s has more than %d distinct next-hop sets", t.nodes[node].Name, math.MaxUint16))
+	if len(t.sets) > math.MaxUint16 {
+		panic(fmt.Sprintf("topology: more than %d distinct next-hop sets", math.MaxUint16))
 	}
-	t.sets[node] = append(sets, slices.Clone(ports))
-	return uint16(len(sets))
+	t.sets = append(t.sets, slices.Clone(ports))
+	return uint16(len(t.sets) - 1)
 }
 
 // Link dynamics ---------------------------------------------------------------
@@ -473,7 +478,7 @@ func (t *Topology) setUplink(h packet.NodeID, up bool) int {
 			changed += int(t.upHosts[c])
 		}
 		if up && hops >= 0 {
-			t.routes[row+c], t.dist[row+c] = t.intern(h, uplinkPort, t.routes[row+c]), hops+1
+			t.routes[row+c], t.dist[row+c] = t.intern(uplinkPort, t.routes[row+c], t.routes[row+c-1]), hops+1
 		} else {
 			t.routes[row+c], t.dist[row+c] = 0, -1
 		}
@@ -519,7 +524,7 @@ func (t *Topology) NextHopsOrNil(node, dst packet.NodeID) []int {
 	// them (CMOV) instead of branching: whether node is dst's leaf varies from
 	// packet to packet at a leaf switch.
 	d := &t.dests[dst]
-	hops, toHost := t.sets[node][t.routes[t.at(node, d.liveCol)]], t.sets[d.leaf][d.liveSet]
+	hops, toHost := t.sets[t.routes[t.at(node, d.liveCol)]], t.sets[d.liveSet]
 	if node == d.leaf {
 		hops = toHost
 	}
@@ -557,7 +562,7 @@ func (t *Topology) baseNextHops(node, dst packet.NodeID) []int {
 	if set == 0 {
 		panic(fmt.Sprintf("topology: no route from %s to %s", t.nodes[node].Name, t.nodes[dst].Name))
 	}
-	return t.sets[node][set]
+	return t.sets[set]
 }
 
 // PathRTT returns the base (unloaded) round-trip time between two hosts:
