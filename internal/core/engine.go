@@ -6,6 +6,7 @@ import (
 	"bfc/internal/bloom"
 	"bfc/internal/flowtable"
 	"bfc/internal/packet"
+	"bfc/internal/slab"
 	"bfc/internal/units"
 )
 
@@ -57,7 +58,7 @@ type Engine struct {
 	view     PortView
 	numPorts int
 
-	table *flowtable.Table
+	table flowtable.Table
 
 	// egress and ingress are indexed by port; every egress port's queue
 	// records are a run of one engine-wide array.
@@ -116,8 +117,35 @@ type ingressState struct {
 	lastSentEmpty bool
 }
 
-// NewEngine creates an engine for a switch with numPorts ports.
-func NewEngine(cfg Config, numPorts int, view PortView) *Engine {
+// Slabs holds the per-port state of the engines of one shard: egress and
+// ingress records per port, a queue record per physical queue, the resume
+// scratch of each engine and each flow table's first index, each carved from
+// one array. Slabs are sized once, before the first engine is set up, so
+// setting up a shard's engines allocates per array, not per engine.
+type Slabs struct {
+	egress  []egressState
+	ingress []ingressState
+	queues  []queueState
+	resumed []uint8
+	index   []flowtable.Index
+}
+
+// NewSlabs returns slabs for the given number of engines and their ports in
+// total, every port with queuesPerPort physical queues.
+func NewSlabs(engines, ports, queuesPerPort int) *Slabs {
+	return &Slabs{
+		egress:  make([]egressState, ports),
+		ingress: make([]ingressState, ports),
+		queues:  make([]queueState, ports*queuesPerPort),
+		resumed: make([]uint8, engines*queuesPerPort),
+		index:   make([]flowtable.Index, engines),
+	}
+}
+
+// Init sets e up in place for a switch with numPorts ports, carving its state
+// from slabs. It replaces whatever e held; e must not be copied afterwards,
+// since a copy would share its carved state.
+func (e *Engine) Init(cfg Config, numPorts int, view PortView, slabs *Slabs) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -127,22 +155,21 @@ func NewEngine(cfg Config, numPorts int, view PortView) *Engine {
 	if view == nil {
 		panic("core: nil PortView")
 	}
-	e := &Engine{
+	q := cfg.QueuesPerPort
+	*e = Engine{
 		cfg:      cfg,
 		view:     view,
 		numPorts: numPorts,
-		table:    flowtable.New(cfg.NumVFIDs),
-		egress:   make([]egressState, numPorts),
-		ingress:  make([]ingressState, numPorts),
+		egress:   slab.Carve(&slabs.egress, numPorts),
+		ingress:  slab.Carve(&slabs.ingress, numPorts),
+		resumed:  slab.Carve(&slabs.resumed, q),
 	}
-	q := cfg.QueuesPerPort
-	queues := make([]queueState, numPorts*q)
-	e.resumed = make([]uint8, q)
+	e.table.Init(cfg.NumVFIDs, &slab.Carve(&slabs.index, 1)[0])
+	queues := slab.Carve(&slabs.queues, numPorts*q)
 	for i := range e.egress {
 		e.egress[i].queues = queues[i*q : (i+1)*q : (i+1)*q]
 		e.ingress[i] = ingressState{counting: *bloom.NewCounting(cfg.Bloom), lastSentEmpty: true}
 	}
-	return e
 }
 
 // Config returns the engine configuration.

@@ -187,7 +187,8 @@ func TestTimerStop(t *testing.T) {
 func TestTicker(t *testing.T) {
 	s := New()
 	var ticks []units.Time
-	NewTickerTagged(s, 10, 0, func() { ticks = append(ticks, s.Now()) })
+	var tk Ticker
+	tk.Start(s, 10, 0, func(any) { ticks = append(ticks, s.Now()) }, nil)
 	s.RunUntil(45)
 	if len(ticks) != 4 {
 		t.Fatalf("got %d ticks, want 4", len(ticks))
@@ -208,12 +209,13 @@ func TestTickKeyIsATickersKey(t *testing.T) {
 	const period = 7
 	s := New()
 	var ticks []units.Time
-	NewTickerTagged(s, period, 0, func() {
+	var tk Ticker
+	tk.Start(s, period, 0, func(any) {
 		ticks = append(ticks, s.Now())
 		if got, want := s.CurrentKey(), TickKey(s.Now(), period); got != want {
 			t.Errorf("tick at %v: CurrentKey = %+v, TickKey = %+v", s.Now(), got, want)
 		}
-	})
+	}, nil)
 	s.RunUntil((ChainDepth + 2) * period)
 	if len(ticks) != ChainDepth+2 {
 		t.Fatalf("got %d ticks, want %d", len(ticks), ChainDepth+2)
@@ -265,8 +267,9 @@ func TestSetupKeyTickKeyTie(t *testing.T) {
 
 func TestTickerPanics(t *testing.T) {
 	s := New()
-	assertPanics(t, func() { NewTickerTagged(s, 0, 0, func() {}) })
-	assertPanics(t, func() { NewTickerTagged(s, 10, 0, nil) })
+	var tk Ticker
+	assertPanics(t, func() { tk.Start(s, 0, 0, func(any) {}, nil) })
+	assertPanics(t, func() { tk.Start(s, 10, 0, nil, nil) })
 	assertPanics(t, func() { NewTimer(s, nil, nil) })
 }
 

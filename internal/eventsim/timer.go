@@ -100,9 +100,12 @@ func (t *Timer) Stop() {
 }
 
 // Ticker repeatedly invokes a callback at a fixed period for the rest of the
-// run. The switches use it for periodic bloom-filter pause frames. Every tick
-// is one ScheduleCallTagged of tickerFire with the Ticker as its argument, so
-// ticking allocates nothing.
+// run. The switches use it for periodic bloom-filter pause frames. Like a
+// Timer it calls fn(arg), so a static function and a pointer argument start
+// it without a closure, and every tick is one ScheduleCallTagged of
+// tickerFire with the Ticker as its argument, so ticking allocates nothing.
+// Start sets a Ticker up in place, for instance in a slab element, and the
+// queued tick points at it, so it must not be copied afterwards.
 //
 // A ticker's tick at instant T carries the scheduling chain (T-period,
 // T-2·period, ...): each tick is scheduled by its predecessor. For an
@@ -113,34 +116,34 @@ type Ticker struct {
 	s      *Scheduler
 	period units.Time
 	tag    uint64
-	fn     func()
+	fn     func(any)
+	arg    any
 }
 
-// NewTickerTagged creates and starts a ticker with the given period; the first
-// tick fires one period from now. tag is the causal-origin tag carried by
-// every tick (and inherited by everything the callback schedules). Periodic
-// device work needs it on a partitioned run: devices ticking at the same
-// period produce ticks with identical arithmetic scheduling chains, so their
-// same-instant emissions can only be ordered across shards by their origin
-// tag — which must therefore encode the device's construction order (its node
-// ID). Devices with different periods differ in their chains already.
-func NewTickerTagged(s *Scheduler, period units.Time, tag uint64, fn func()) *Ticker {
+// Start starts t with the given period; the first tick fires one period from
+// now. tag is the causal-origin tag carried by every tick (and inherited by
+// everything the callback schedules). Periodic device work needs it on a
+// partitioned run: devices ticking at the same period produce ticks with
+// identical arithmetic scheduling chains, so their same-instant emissions can
+// only be ordered across shards by their origin tag — which must therefore
+// encode the device's construction order (its node ID). Devices with
+// different periods differ in their chains already.
+func (t *Ticker) Start(s *Scheduler, period units.Time, tag uint64, fn func(any), arg any) {
 	if period <= 0 {
 		panic("eventsim: non-positive ticker period")
 	}
 	if fn == nil {
 		panic("eventsim: nil ticker callback")
 	}
-	t := &Ticker{s: s, period: period, tag: tag, fn: fn}
+	*t = Ticker{s: s, period: period, tag: tag, fn: fn, arg: arg}
 	t.schedule()
-	return t
 }
 
 // tickerFire is every tick's callback: the ticker's callback, then the next
 // tick, scheduled after everything the callback scheduled.
 func tickerFire(a any) {
 	t := a.(*Ticker)
-	t.fn()
+	t.fn(t.arg)
 	t.schedule()
 }
 

@@ -116,6 +116,7 @@ type Table struct {
 	// page holds the entries not yet carved from the last page.
 	page []Entry
 
+	// overflow is the overflow cache, nil until the first entry spills in.
 	overflow    map[Key]*Entry
 	overflowCap int
 
@@ -135,19 +136,36 @@ type cell struct {
 	head int32
 }
 
-// minIndex is the index length New allocates, in cells (64 bytes).
+// minIndex is the length, in cells (64 bytes), of the index a table starts
+// with.
 const minIndex = 8
+
+// Index is the index a table starts with. A caller that sets up many tables
+// carves theirs from one []Index (see Init); a table that outgrows it
+// allocates the next, as the index doubles, on its own.
+type Index [minIndex]cell
 
 // pageEntries is the number of entries one page holds (88 B each).
 const pageEntries = 8
 
-// New creates a table over the given VFID space with the §3.8 geometry.
-func New(numVFIDs int) *Table { return newTable(numVFIDs, defaultBucketSize, defaultOverflowCap) }
+// Init sets t up in place over the given VFID space with the §3.8 geometry and
+// index as its first index, which t keeps; it replaces whatever t held.
+func (t *Table) Init(numVFIDs int, index *Index) {
+	t.init(numVFIDs, defaultBucketSize, defaultOverflowCap, index)
+}
 
 // newTable creates a table with the given VFID space, bucket size and
 // overflow cache capacity; the tests use it to reach a full bucket and a full
 // cache in a few operations.
 func newTable(numVFIDs, bucketSize, overflowCap int) *Table {
+	t := new(Table)
+	t.init(numVFIDs, bucketSize, overflowCap, new(Index))
+	return t
+}
+
+// init sets t up; the overflow cache's map is made at the first entry that
+// spills into it, which few tables ever have.
+func (t *Table) init(numVFIDs, bucketSize, overflowCap int, index *Index) {
 	if numVFIDs <= 0 {
 		panic("flowtable: numVFIDs must be positive")
 	}
@@ -157,12 +175,11 @@ func newTable(numVFIDs, bucketSize, overflowCap int) *Table {
 	if overflowCap < 0 {
 		panic("flowtable: overflowCap must be non-negative")
 	}
-	return &Table{
+	*t = Table{
 		numVFIDs:    numVFIDs,
 		bucketSize:  bucketSize,
-		index:       make([]cell, minIndex),
+		index:       index[:],
 		shift:       32 - 3, // log2(minIndex)
-		overflow:    make(map[Key]*Entry),
 		overflowCap: overflowCap,
 	}
 }
@@ -278,6 +295,9 @@ func (t *Table) Insert(v packet.VFID, ingress, egress int) (*Entry, InsertResult
 		return e, InsertedBucket
 	}
 	if len(t.overflow) < t.overflowCap {
+		if t.overflow == nil {
+			t.overflow = make(map[Key]*Entry)
+		}
 		e := t.newEntry(v, ingress, egress)
 		e.inOverflow = true
 		t.overflow[Key{VFID: v, Ingress: ingress, Egress: egress}] = e

@@ -32,19 +32,19 @@ func (d *benchSink) ReceivePacket(in int, p *packet.Packet) {
 
 // benchLink is a 100 Gbps link into a benchSink; send takes a packet from the
 // pool, fills it in as 1000 bytes of data and transmits it.
-func benchLink() (sched *eventsim.Scheduler, sink *benchSink, send func(done func())) {
+func benchLink() (sched *eventsim.Scheduler, sink *benchSink, send func(from Sender)) {
 	sched = eventsim.New()
 	pool := packet.NewPool()
 	sink = &benchSink{pool: pool}
 	l := NewLink(sched, "bench", 100*units.Gbps, units.Microsecond, sink, 0)
 	flow := &packet.Flow{ID: 1, Src: 0, Dst: 1, Size: 1000}
-	send = func(done func()) {
+	send = func(from Sender) {
 		p := pool.Get()
 		p.Kind = packet.Data
 		p.Flow = flow
 		p.Size = 1000 + packet.DataHeaderSize
 		p.Payload = 1000
-		l.Transmit(p, done)
+		l.Transmit(p, from)
 	}
 	return sched, sink, send
 }
@@ -77,7 +77,7 @@ func linkBackToBackLoop(tb testing.TB) func(n int) {
 	next = func() {
 		if left > 0 {
 			left--
-			send(next)
+			send(doneFunc(next))
 		}
 	}
 	return func(n int) {

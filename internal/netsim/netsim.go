@@ -52,11 +52,20 @@ type Device interface {
 	ReceiveControl(port int, frame ControlFrame)
 }
 
+// Sender is the device port a link serializes for. The link calls TxDone
+// when a packet's serialization completes, and the sender may then start the
+// next. A switch port and a NIC implement it, so handing a link its sender
+// takes no closure.
+type Sender interface {
+	TxDone()
+}
+
 // Link is a unidirectional transmission path from one device port to a peer
 // device port. A bidirectional physical link is modeled as two Links. A Link
-// is set up by Init, in place, so a fabric may keep its links in one slab; it
-// must not be copied afterwards, because its delivery callback and its queued
-// events point at it.
+// is set up by Init, in place, so a fabric keeps its links in one slab per
+// shard; it must not be copied afterwards, because its delivery callback and
+// its queued events point at it. A link allocates one object, that delivery
+// callback; a serialization-complete event needs none (see serDone).
 type Link struct {
 	sched  *eventsim.Scheduler
 	rate   units.Rate
@@ -99,10 +108,10 @@ type Link struct {
 	// Init so that Transmit, SendControl and a boundary drain schedule a
 	// delivery, of a packet or of a control frame, without a closure per
 	// send. The serialization-complete event needs none: it calls the
-	// static serDone with the link as its argument, and serDone invokes the
-	// sender's pendingDone.
-	deliver     func(any)
-	pendingDone func()
+	// static serDone with the link as its argument, and serDone calls the
+	// TxDone of the sender the serialization is for.
+	deliver func(any)
+	sender  Sender
 
 	// Statistics.
 	pausedSince units.Time
@@ -160,10 +169,10 @@ func (l *Link) Init(sched *eventsim.Scheduler, name string, rate units.Rate, del
 func serDone(a any) {
 	l := a.(*Link)
 	l.busy = false
-	done := l.pendingDone
-	l.pendingDone = nil
-	if done != nil {
-		done()
+	from := l.sender
+	l.sender = nil
+	if from != nil {
+		from.TxDone()
 	}
 }
 
@@ -198,12 +207,12 @@ func (l *Link) SetDelay(d units.Time) {
 	l.delay = d
 }
 
-// Transmit serializes p onto the link. onDone is invoked when serialization
-// completes (the sender may then start the next packet); the packet is
-// delivered to the peer one propagation delay after that. Transmit panics if
-// the link is already busy — the sending device must serialize its own
-// transmissions.
-func (l *Link) Transmit(p *packet.Packet, onDone func()) {
+// Transmit serializes p onto the link. from's TxDone is called when
+// serialization completes (the sender may then start the next packet; nil
+// calls nothing); the packet is delivered to the peer one propagation delay
+// after that. Transmit panics if the link is already busy — the sending
+// device must serialize its own transmissions.
+func (l *Link) Transmit(p *packet.Packet, from Sender) {
 	if l.busy {
 		panic(fmt.Sprintf("netsim: transmit on busy link %q to node %d port %d", l.name, l.peer.ID(), l.toPort))
 	}
@@ -213,8 +222,8 @@ func (l *Link) Transmit(p *packet.Packet, onDone func()) {
 	l.busy = true
 	ser := units.SerializationTime(p.Size, l.rate)
 	// The busy-link panic above guarantees at most one serialization is in
-	// flight, so a single pendingDone field (consumed by serDone) suffices.
-	l.pendingDone = onDone
+	// flight, so a single sender field (consumed by serDone) suffices.
+	l.sender = from
 	now := l.sched.Now()
 	l.sched.ScheduleCall(now+ser, serDone, l)
 	at := now + ser + l.delay

@@ -33,6 +33,11 @@ func (d *fakeDevice) ReceiveControl(port int, f ControlFrame) {
 	d.times = append(d.times, d.sched.Now())
 }
 
+// doneFunc is a Sender that calls itself.
+type doneFunc func()
+
+func (f doneFunc) TxDone() { f() }
+
 func TestLinkTransmitTiming(t *testing.T) {
 	s := eventsim.New()
 	dst := &fakeDevice{id: 2, sched: s}
@@ -40,7 +45,7 @@ func TestLinkTransmitTiming(t *testing.T) {
 	l := NewLink(s, "a->b", 100*units.Gbps, units.Microsecond, dst, 3)
 	p := &packet.Packet{Kind: packet.Data, Size: 1000}
 	var doneAt units.Time
-	l.Transmit(p, func() { doneAt = s.Now() })
+	l.Transmit(p, doneFunc(func() { doneAt = s.Now() }))
 	if !l.Busy() {
 		t.Fatal("link should be busy during serialization")
 	}
@@ -70,7 +75,7 @@ func TestLinkBackToBackTransmissions(t *testing.T) {
 			return
 		}
 		sent++
-		l.Transmit(&packet.Packet{Kind: packet.Data, Size: 1000, Seq: sent}, send)
+		l.Transmit(&packet.Packet{Kind: packet.Data, Size: 1000, Seq: sent}, doneFunc(send))
 	}
 	send()
 	s.Run()

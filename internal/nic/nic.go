@@ -20,6 +20,7 @@ import (
 	"bfc/internal/netsim"
 	"bfc/internal/packet"
 	"bfc/internal/queue"
+	"bfc/internal/slab"
 	"bfc/internal/telemetry"
 	"bfc/internal/topology"
 	"bfc/internal/units"
@@ -78,8 +79,8 @@ type Config struct {
 	// events. Recording is observational only.
 	Recorder telemetry.Recorder
 
-	// Slabs holds the per-flow records, shared by the NICs of one shard. Nil
-	// gives the NIC a private slab of one record a side: every flow then
+	// Slabs holds the NICs of one shard and their per-flow records. Nil
+	// gives the NIC slabs of its own with one record a side: every flow then
 	// keeps slot 0, and the NIC starts a flow only once the last flow it
 	// sent has completed (two NICs back to back, one flow at a time).
 	Slabs *Slabs
@@ -89,37 +90,30 @@ type Config struct {
 	Flows int
 }
 
-// Slabs holds the per-flow state of the NICs of one shard: a sender record
-// for each flow they source and a receiver record for each flow they sink,
-// at the flow's SendSlot and RecvSlot, and the NICs' send orders, carved from
-// one array with room for every sender. Slabs are sized once, before the first
-// flow starts, and never grow, so no record moves while its retransmission
-// timer is armed (the scheduler points at the timer).
+// Slabs holds the NICs of one shard and their per-flow state: the NICs, a
+// sender record for each flow they source and a receiver record for each
+// flow they sink, at the flow's SendSlot and RecvSlot, and the NICs' send
+// orders, carved from one array with room for every sender. Slabs are sized
+// once, before the first NIC is built, and never grow, so no record moves
+// while its retransmission timer is armed (the scheduler points at the
+// timer), and building a shard's NICs allocates per array, not per NIC.
 type Slabs struct {
+	nics      []NIC
 	senders   []senderFlow
 	receivers []receiverFlow
 	// order holds the send-order room not yet carved.
 	order []int32
 }
 
-// NewSlabs returns slabs for the given numbers of sent and received flows.
-func NewSlabs(senders, receivers int) *Slabs {
+// NewSlabs returns slabs for the given numbers of NICs and of the flows they
+// send and receive.
+func NewSlabs(nics, senders, receivers int) *Slabs {
 	return &Slabs{
+		nics:      make([]NIC, nics),
 		senders:   make([]senderFlow, senders),
 		receivers: make([]receiverFlow, receivers),
 		order:     make([]int32, senders),
 	}
-}
-
-// carveOrder returns an empty send order with room for k senders, carved from
-// the slabs' array, or nil when less than that is left.
-func (s *Slabs) carveOrder(k int) []int32 {
-	if k > len(s.order) {
-		return nil
-	}
-	o := s.order[:0:k]
-	s.order = s.order[k:]
-	return o
 }
 
 // Validate reports configuration errors.
@@ -207,37 +201,32 @@ type NIC struct {
 	// upstream holds the ToR's BFC filter (BFC NICs only, VFIDSpace > 0).
 	upstream core.UpstreamState
 	wakeup   eventsim.Timer
-	// onTxDone is the serialization-complete callback handed to the link,
-	// allocated once so the transmit path creates no per-packet closures.
-	onTxDone func()
 
 	stats Stats
 }
 
-// New creates a NIC.
+// New builds a NIC from cfg.Slabs, or from slabs of its own when that is nil.
+// Its list of started senders is carved for cfg.Flows of them.
 func New(cfg Config) *NIC {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &NIC{
-		cfg:   cfg,
-		sched: cfg.Scheduler,
-		pool:  cfg.Pool,
-		slabs: cfg.Slabs,
+	sl, flows := cfg.Slabs, cfg.Flows
+	if sl == nil {
+		sl, flows = NewSlabs(1, 1, 1), 1
 	}
-	flows := cfg.Flows
-	if n.slabs == nil {
-		n.slabs, flows = NewSlabs(1, 1), 1
+	n := &slab.Carve(&sl.nics, 1)[0]
+	*n = NIC{
+		cfg:       cfg,
+		sched:     cfg.Scheduler,
+		pool:      cfg.Pool,
+		slabs:     sl,
+		sendOrder: slab.Carve(&sl.order, flows)[:0],
 	}
-	n.sendOrder = n.slabs.carveOrder(flows)
 	if cfg.VFIDSpace > 0 {
 		n.upstream = *core.NewUpstreamState(cfg.VFIDSpace)
 	}
 	n.wakeup = *eventsim.NewTimer(cfg.Scheduler, wakeFire, n)
-	n.onTxDone = func() {
-		n.transmitting = false
-		n.tryTransmit()
-	}
 	return n
 }
 
@@ -447,7 +436,14 @@ func (n *NIC) sendDataPacket(now units.Time, sf *senderFlow) {
 
 func (n *NIC) transmitPacket(p *packet.Packet) {
 	n.transmitting = true
-	n.link.Transmit(p, n.onTxDone)
+	n.link.Transmit(p, n)
+}
+
+// TxDone implements netsim.Sender: the uplink finished serializing, so the
+// NIC may send its next packet.
+func (n *NIC) TxDone() {
+	n.transmitting = false
+	n.tryTransmit()
 }
 
 // rtoFire is every retransmission timer's callback.

@@ -59,7 +59,7 @@ func newTestNIC(t *testing.T, mutate func(*nic.Config)) *testNIC {
 		RTO:            4 * units.Millisecond,
 		Pool:           packet.NewPool(),
 		OnFlowComplete: func(f *packet.Flow) { tn.completed = append(tn.completed, f) },
-		Slabs:          nic.NewSlabs(4, 4),
+		Slabs:          nic.NewSlabs(1, 4, 4),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -247,7 +247,7 @@ func TestPrivateSlabRunsFlowsInTurn(t *testing.T) {
 // The first flow takes the link and the others queue behind it.
 func TestStartFlowGrowsNoSlice(t *testing.T) {
 	const flows = 63
-	tn := newTestNIC(t, func(c *nic.Config) { c.Slabs, c.Flows = nic.NewSlabs(flows, 1), flows })
+	tn := newTestNIC(t, func(c *nic.Config) { c.Slabs, c.Flows = nic.NewSlabs(1, flows, 1), flows })
 	fs := make([]*packet.Flow, flows)
 	for i := range fs {
 		fs[i] = tn.flowFromHost(packet.FlowID(i+1), 1<<20)

@@ -152,7 +152,7 @@ func (g *registry) buildLinkClasses() {
 // sequence feeds Result distributions that the harness persists, and
 // artifacts must be byte-identical across reruns and worker counts.
 func (g *registry) sampleSwitches() []*switchsim.Switch {
-	var sws []*switchsim.Switch
+	sws := make([]*switchsim.Switch, 0, len(g.switches)-len(g.topo.Hosts()))
 	for _, sw := range g.switches {
 		if sw != nil {
 			sws = append(sws, sw)

@@ -257,10 +257,21 @@ func newRunner(opts Options, reg *registry) *runner {
 	return r
 }
 
-// buildDevices constructs the switches and NICs this runner owns.
+// buildDevices constructs the switches and NICs this runner owns, each kind
+// carved from slabs sized for the shard.
 func (r *runner) buildDevices() {
-	r.buildSwitches()
-	r.buildNICs()
+	switches, ports, hosts := 0, 0, 0
+	for _, node := range r.topo.Nodes() {
+		switch {
+		case !r.owned(node.ID):
+		case node.Kind == topology.Switch:
+			switches, ports = switches+1, ports+len(node.Ports)
+		default:
+			hosts++
+		}
+	}
+	r.buildSwitches(switches, ports)
+	r.buildNICs(hosts)
 }
 
 // bfcConfig is the BFC engine configuration the options ask for. Each switch
@@ -277,7 +288,7 @@ func bfcConfig(opts *Options) *core.Config {
 
 // buildSwitches and buildNICs fill one configuration per device kind and
 // hand a copy of it, with the node filled in, to every device they build.
-func (r *runner) buildSwitches() {
+func (r *runner) buildSwitches(switches, ports int) {
 	opts := r.opts
 	cfg := switchsim.Config{
 		Scheduler:        r.sched,
@@ -312,6 +323,7 @@ func (r *runner) buildSwitches() {
 		cfg.InfiniteBuffer = true
 		cfg.EnablePFC = false
 	}
+	cfg.Slabs = switchsim.NewSlabs(&cfg, switches, ports)
 	for _, node := range r.topo.Nodes() {
 		if node.Kind == topology.Switch && r.owned(node.ID) {
 			cfg.Node = node
@@ -320,7 +332,7 @@ func (r *runner) buildSwitches() {
 	}
 }
 
-func (r *runner) buildNICs() {
+func (r *runner) buildNICs(hosts int) {
 	opts := r.opts
 	topo := r.topo
 	// A flow's end-to-end window (+Win, Ideal-FQ) and HPCC's base RTT are
@@ -338,7 +350,7 @@ func (r *runner) buildNICs() {
 		Pool:           r.pool,
 		Filters:        r.filters,
 		Recorder:       r.rec,
-		Slabs:          nic.NewSlabs(r.sends, r.recvs),
+		Slabs:          nic.NewSlabs(hosts, r.sends, r.recvs),
 	}
 	// Each flow's controller is the record at its SendSlot in a slab sized,
 	// like the NIC's sender slab, to the flows this shard sources.

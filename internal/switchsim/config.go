@@ -62,7 +62,7 @@ type Config struct {
 	// BFC enables the BFC engine with the given configuration. Nil disables
 	// BFC (the switch then uses SFQ or a single FIFO). New derives the
 	// engine's QueuesPerPort, HRTT, τ and salt from the switch itself, and
-	// core.NewEngine validates the result.
+	// core.(*Engine).Init validates the result.
 	BFC *core.Config
 
 	// Seed drives ECN marking randomness.
@@ -82,6 +82,10 @@ type Config struct {
 	// states displace. Nil allocates each filter and leaves it to the
 	// garbage collector.
 	Filters *bloom.Pool
+
+	// Slabs holds the state of the switches of one shard (NewSlabs), which
+	// New carves this switch from. Nil gives the switch slabs of its own.
+	Slabs *Slabs
 }
 
 // Validate reports configuration errors.

@@ -9,6 +9,7 @@ import (
 	"bfc/internal/netsim"
 	"bfc/internal/packet"
 	"bfc/internal/queue"
+	"bfc/internal/slab"
 	"bfc/internal/telemetry"
 	"bfc/internal/topology"
 	"bfc/internal/units"
@@ -35,10 +36,11 @@ type egressPort struct {
 	drr    queue.DRR
 	link   *netsim.Link
 
+	// sw and index name the port: it is the netsim.Sender its link calls
+	// back when a serialization completes (TxDone).
+	sw           *Switch
+	index        int
 	transmitting bool
-	// onTxDone is the serialization-complete callback handed to the link,
-	// allocated once per port so transmission creates no per-packet closures.
-	onTxDone func()
 	// queuedDataBytes counts bytes across hiPrio + data + overflow (not ctrl),
 	// used for ECN marking and INT queue-length reporting.
 	queuedDataBytes units.Bytes
@@ -63,6 +65,13 @@ func (p *egressPort) hiPrio() *queue.FIFO      { return &p.queues[1] }
 func (p *egressPort) data(q int) *queue.FIFO   { return &p.queues[2+q] }
 func (p *egressPort) dataQueues() []queue.FIFO { return p.queues[2 : len(p.queues)-1] }
 func (p *egressPort) overflow() *queue.FIFO    { return &p.queues[len(p.queues)-1] }
+
+// TxDone implements netsim.Sender: the port's link finished serializing, so
+// the port may send its next packet.
+func (p *egressPort) TxDone() {
+	p.transmitting = false
+	p.sw.tryTransmit(p.index)
+}
 
 // tickTagBase namespaces the causal-origin tags of periodic switch work away
 // from flow IDs, so a tick descendant never numerically interleaves with a
@@ -91,38 +100,89 @@ type Switch struct {
 	stats Stats
 }
 
-// New creates a switch. Links must be attached (AttachLink) for every port
-// before traffic arrives; the sim package does this while wiring the network.
+// Slabs holds the state of the switches of one shard, each kind in one
+// array: the switches, their ports, the ports' FIFOs, DRR deficits and ready
+// words, and under BFC the engines, their tickers and their per-port state.
+// Slabs are sized once, before the first switch is built, so building a
+// shard's switches allocates per array, not per switch or port.
+type Slabs struct {
+	switches []Switch
+	ports    []egressPort
+	fifos    []queue.FIFO
+	deficits []units.Bytes
+	ready    []uint64
+	bfc      []bfcState
+	engines  *core.Slabs
+}
+
+// bfcState is what BFC adds to a switch: its engine and the ticker that
+// runs the engine every τ.
+type bfcState struct {
+	engine core.Engine
+	ticker eventsim.Ticker
+}
+
+// portShape returns how many FIFOs a port with numQueues data queues has
+// (ctrl, hiPrio, the data queues and overflow), how many of them its DRR
+// schedules (all but the first two) and how many words their ready bits take.
+func portShape(numQueues int) (fifos, scheduled, words int) {
+	fifos = 3 + numQueues
+	scheduled = fifos - 2
+	return fifos, scheduled, queue.ReadyWords(scheduled)
+}
+
+// NewSlabs returns slabs for the given number of switches and their ports in
+// total, each built with cfg's queue count and, if cfg enables it, BFC.
+func NewSlabs(cfg *Config, switches, ports int) *Slabs {
+	perPort, scheduled, words := portShape(cfg.NumQueues)
+	sl := &Slabs{
+		switches: make([]Switch, switches),
+		ports:    make([]egressPort, ports),
+		fifos:    make([]queue.FIFO, ports*perPort),
+		deficits: make([]units.Bytes, ports*scheduled),
+		ready:    make([]uint64, ports*words),
+	}
+	if cfg.BFC != nil {
+		sl.bfc = make([]bfcState, switches)
+		sl.engines = core.NewSlabs(switches, ports, cfg.NumQueues)
+	}
+	return sl
+}
+
+// New builds a switch from cfg.Slabs, or from slabs of its own when that is
+// nil. Links must be attached (AttachLink) for every port before traffic
+// arrives; the sim package does this while wiring the network. A BFC switch
+// starts its engine's ticker here, so switches tick in the order they are
+// built.
 func New(cfg Config) *Switch {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	numPorts := len(cfg.Node.Ports)
-	s := &Switch{
+	sl := cfg.Slabs
+	if sl == nil {
+		sl = NewSlabs(&cfg, 1, numPorts)
+	}
+	s := &slab.Carve(&sl.switches, 1)[0]
+	*s = Switch{
 		cfg:   cfg,
 		sched: cfg.Scheduler,
 		rec:   cfg.Recorder,
-		ports: make([]egressPort, numPorts),
+		ports: slab.Carve(&sl.ports, numPorts),
 	}
 	// Every port's queues, DRR deficits and ready bits are runs of three
-	// switch-wide arrays.
-	perPort := 3 + cfg.NumQueues
-	scheduled := perPort - 2
-	words := queue.ReadyWords(scheduled)
-	fifos := make([]queue.FIFO, numPorts*perPort)
-	deficits := make([]units.Bytes, numPorts*scheduled)
-	ready := make([]uint64, numPorts*words)
+	// shard-wide arrays.
+	perPort, scheduled, words := portShape(cfg.NumQueues)
+	fifos := slab.Carve(&sl.fifos, numPorts*perPort)
+	deficits := slab.Carve(&sl.deficits, numPorts*scheduled)
+	ready := slab.Carve(&sl.ready, numPorts*words)
 	quantum := cfg.MTU + packet.DataHeaderSize
 	for i := range s.ports {
 		p := &s.ports[i]
+		p.sw, p.index = s, i
 		p.queues = fifos[i*perPort : (i+1)*perPort : (i+1)*perPort]
 		p.drr.Init(p.queues[2:], quantum,
 			deficits[i*scheduled:(i+1)*scheduled:(i+1)*scheduled], ready[i*words:(i+1)*words:(i+1)*words])
-		portIdx := i
-		p.onTxDone = func() {
-			p.transmitting = false
-			s.tryTransmit(portIdx)
-		}
 	}
 	if cfg.BFC != nil {
 		bfc := *cfg.BFC
@@ -130,7 +190,9 @@ func New(cfg Config) *Switch {
 		bfc.HRTT = hopRTT(cfg.Node.Ports, cfg.MTU)
 		bfc.Tau = bfc.HRTT / 2
 		bfc.Salt = fallbackSalt + uint64(cfg.Node.ID)*packet.Gamma
-		s.engine = core.NewEngine(bfc, numPorts, s)
+		b := &slab.Carve(&sl.bfc, 1)[0]
+		b.engine.Init(bfc, numPorts, s, sl.engines)
+		s.engine = &b.engine
 		for i := range s.ports {
 			s.ports[i].upstream = *core.NewUpstreamState(bfc.NumVFIDs)
 		}
@@ -139,7 +201,7 @@ func New(cfg Config) *Switch {
 		// clear of flow IDs) is what orders their same-instant pause frames
 		// across shard boundaries — matching the serial engine, where tick
 		// order follows switch construction order.
-		eventsim.NewTickerTagged(s.sched, bfc.Tau, tickTagBase|uint64(cfg.Node.ID), s.bfcTick)
+		b.ticker.Start(s.sched, bfc.Tau, tickTagBase|uint64(cfg.Node.ID), bfcTick, s)
 	}
 	return s
 }
@@ -550,12 +612,15 @@ func (s *Switch) refreshQueuePause(egress, q int) {
 	port.drr.SetPaused(q, paused)
 }
 
-// bfcTick runs every Tau: advances the engine (throttled resumes) and sends
-// the per-ingress bloom-filter pause frames upstream. Tick's slice is the
+// bfcTick is the BFC ticker's callback; its argument is the switch.
+func bfcTick(a any) { a.(*Switch).tick() }
+
+// tick runs every Tau: advances the engine (throttled resumes) and sends the
+// per-ingress bloom-filter pause frames upstream. Tick's slice is the
 // engine's and is done with before the next Tick; each frame's filter is a
 // record of the switch's pool that the frame takes over, or goes back to the
 // pool when the port has no link.
-func (s *Switch) bfcTick() {
+func (s *Switch) tick() {
 	frames := s.engine.Tick(s.sched.Now(), s.cfg.Filters)
 	for _, fr := range frames {
 		link := s.ports[fr.Ingress].link
@@ -582,7 +647,7 @@ func (s *Switch) tryTransmit(portIdx int) {
 	}
 	s.onDequeue(portIdx, p, src)
 	port.transmitting = true
-	link.Transmit(p, port.onTxDone)
+	link.Transmit(p, port)
 }
 
 // selectPacket applies the strict-priority + DRR scheduling policy: control

@@ -23,6 +23,31 @@ func BenchmarkFatTreeBuild1024(b *testing.B) {
 	}
 }
 
+// TestBuildAllocatesPerTopology: building a fabric allocates a fixed number
+// of objects, whatever its size. The builder keeps nodes by value in one
+// slice and names in one buffer, carves every node's ports from one array
+// after the last link, and sizes its lists, the host, leaf and set tables up
+// front, so k = 4, 8 and 16 fat-trees and the 1024- and 4096-host scale-tier
+// fabrics all stay under one bound. The builder that kept one *Node, one
+// fmt.Sprintf name and one append-grown port list per node allocated 190,
+// 925, 5 404, 4 923 and 19 353 objects for them.
+func TestBuildAllocatesPerTopology(t *testing.T) {
+	const bound = 32
+	kary := func(k int) FatTreeConfig {
+		return FatTreeConfig{Pods: k, EdgePerPod: k / 2, AggPerPod: k / 2, HostsPerEdge: k / 2, CorePerAgg: k / 2,
+			LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond}
+	}
+	for _, cfg := range []FatTreeConfig{
+		kary(4), kary(8), kary(16),
+		FatTreeForHosts(1024, 100*units.Gbps, units.Microsecond),
+		FatTreeForHosts(4096, 100*units.Gbps, units.Microsecond),
+	} {
+		if allocs := testing.AllocsPerRun(2, func() { NewFatTree(cfg) }); allocs > bound {
+			t.Errorf("a %d-pod, %d-host fat-tree allocated %v objects, want at most %d", cfg.Pods, cfg.NumHosts(), allocs, bound)
+		}
+	}
+}
+
 // The routing tables grow with nodes × leaf switches, not nodes × hosts: at
 // the largest fabric a run may declare (4096 hosts, 512 leaves) the live
 // table has one column per leaf plus column 0, the baseline shares it until a

@@ -41,17 +41,18 @@ func NewClos(c ClosConfig) *Topology {
 		panic(err)
 	}
 	b := &Builder{}
+	b.grow(c.NumSpine+c.NumToR*(1+c.HostsPerToR), c.NumToR*(c.NumSpine+c.HostsPerToR))
 	spines := make([]packet.NodeID, 0, c.NumSpine)
 	for s := 0; s < c.NumSpine; s++ {
-		spines = append(spines, b.AddNode(Switch, TierSpine, fmt.Sprintf("spine%d", s)))
+		spines = append(spines, b.node(Switch, TierSpine, "spine%d", s))
 	}
 	for r := 0; r < c.NumToR; r++ {
-		tor := b.AddNode(Switch, TierToR, fmt.Sprintf("tor%d", r))
+		tor := b.node(Switch, TierToR, "tor%d", r)
 		for _, s := range spines {
 			b.AddLink(tor, s, c.LinkRate, c.LinkDelay)
 		}
 		for h := 0; h < c.HostsPerToR; h++ {
-			host := b.AddNode(Host, TierHost, fmt.Sprintf("h%d-%d", r, h))
+			host := b.node(Host, TierHost, "h%d-%d", r, h)
 			b.AddLink(host, tor, c.LinkRate, c.LinkDelay)
 		}
 	}
@@ -105,9 +106,10 @@ func NewSingleSwitch(c SingleSwitchConfig) *Topology {
 		panic("topology: link rate must be positive")
 	}
 	b := &Builder{}
+	b.grow(1+c.NumHosts, c.NumHosts)
 	sw := b.AddNode(Switch, TierToR, "sw0")
 	for h := 0; h < c.NumHosts; h++ {
-		host := b.AddNode(Host, TierHost, fmt.Sprintf("h%d", h))
+		host := b.node(Host, TierHost, "h%d", h)
 		b.AddLink(host, sw, c.LinkRate, c.LinkDelay)
 	}
 	return b.Build()
@@ -136,23 +138,24 @@ func NewCrossDC(dc ClosConfig) *CrossDC {
 		panic(err)
 	}
 	b := &Builder{}
+	b.grow(2*(1+dc.NumSpine+dc.NumToR*(1+dc.HostsPerToR)), 2*(dc.NumSpine+dc.NumToR*(dc.NumSpine+dc.HostsPerToR))+1)
 	out := &CrossDC{}
 
 	buildDC := func(dcIdx int) (hosts []packet.NodeID, gateway packet.NodeID) {
-		gw := b.AddNode(Switch, TierGateway, fmt.Sprintf("gw%d", dcIdx))
+		gw := b.node(Switch, TierGateway, "gw%d", dcIdx)
 		spines := make([]packet.NodeID, 0, dc.NumSpine)
 		for s := 0; s < dc.NumSpine; s++ {
-			spine := b.AddNode(Switch, TierSpine, fmt.Sprintf("dc%d-spine%d", dcIdx, s))
+			spine := b.node(Switch, TierSpine, "dc%d-spine%d", dcIdx, s)
 			b.AddLink(spine, gw, dc.LinkRate, dc.LinkDelay)
 			spines = append(spines, spine)
 		}
 		for r := 0; r < dc.NumToR; r++ {
-			tor := b.AddNode(Switch, TierToR, fmt.Sprintf("dc%d-tor%d", dcIdx, r))
+			tor := b.node(Switch, TierToR, "dc%d-tor%d", dcIdx, r)
 			for _, spine := range spines {
 				b.AddLink(tor, spine, dc.LinkRate, dc.LinkDelay)
 			}
 			for h := 0; h < dc.HostsPerToR; h++ {
-				host := b.AddNode(Host, TierHost, fmt.Sprintf("dc%d-h%d-%d", dcIdx, r, h))
+				host := b.node(Host, TierHost, "dc%d-h%d-%d", dcIdx, r, h)
 				b.AddLink(host, tor, dc.LinkRate, dc.LinkDelay)
 				hosts = append(hosts, host)
 			}

@@ -74,26 +74,30 @@ func NewFatTree(c FatTreeConfig) *Topology {
 		panic(err)
 	}
 	b := &Builder{}
+	hosts := c.EdgePerPod * c.HostsPerEdge
+	b.grow(c.NumCore()+c.Pods*(c.AggPerPod+c.EdgePerPod+hosts),
+		c.Pods*(c.AggPerPod*c.CorePerAgg+c.EdgePerPod*c.AggPerPod+hosts))
 	cores := make([]packet.NodeID, 0, c.NumCore())
 	for s := 0; s < c.NumCore(); s++ {
-		cores = append(cores, b.AddNode(Switch, TierSpine, fmt.Sprintf("core%d", s)))
+		cores = append(cores, b.node(Switch, TierSpine, "core%d", s))
 	}
+	aggs := make([]packet.NodeID, 0, c.AggPerPod)
 	for p := 0; p < c.Pods; p++ {
-		aggs := make([]packet.NodeID, 0, c.AggPerPod)
+		aggs = aggs[:0]
 		for a := 0; a < c.AggPerPod; a++ {
-			agg := b.AddNode(Switch, TierAgg, fmt.Sprintf("pod%d-agg%d", p, a))
+			agg := b.node(Switch, TierAgg, "pod%d-agg%d", p, a)
 			for k := 0; k < c.CorePerAgg; k++ {
 				b.AddLink(agg, cores[a*c.CorePerAgg+k], c.LinkRate, c.LinkDelay)
 			}
 			aggs = append(aggs, agg)
 		}
 		for e := 0; e < c.EdgePerPod; e++ {
-			edge := b.AddNode(Switch, TierToR, fmt.Sprintf("pod%d-edge%d", p, e))
+			edge := b.node(Switch, TierToR, "pod%d-edge%d", p, e)
 			for _, agg := range aggs {
 				b.AddLink(edge, agg, c.LinkRate, c.LinkDelay)
 			}
 			for h := 0; h < c.HostsPerEdge; h++ {
-				host := b.AddNode(Host, TierHost, fmt.Sprintf("pod%d-h%d-%d", p, e, h))
+				host := b.node(Host, TierHost, "pod%d-h%d-%d", p, e, h)
 				b.AddLink(host, edge, c.LinkRate, c.LinkDelay)
 			}
 		}

@@ -25,7 +25,7 @@ func podComponents(t *Topology) (int, []int) {
 		comp[i] = -1
 	}
 	pods := 0
-	var queue []int
+	queue := make([]int, 0, n)
 	for start := 0; start < n; start++ {
 		node := t.Node(packet.NodeID(start))
 		if coreTier(node.Tier) || comp[start] != -1 {
@@ -33,9 +33,8 @@ func podComponents(t *Topology) (int, []int) {
 		}
 		comp[start] = pods
 		queue = append(queue[:0], start)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			for _, p := range t.Node(packet.NodeID(cur)).Ports {
 				peer := int(p.Peer)
 				if comp[peer] != -1 || coreTier(t.Node(p.Peer).Tier) {

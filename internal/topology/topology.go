@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"bfc/internal/packet"
 	"bfc/internal/units"
@@ -127,8 +128,11 @@ type Topology struct {
 	// upHosts[c] counts the hosts of column c's leaf whose uplink is up.
 	upHosts []int32
 	// sets holds the interned next-hop port sets of every node (see the
-	// package comment); sets[0] is the empty set.
-	sets [][]int
+	// package comment); sets[0] is the empty set. Each set is a run of
+	// setPorts, which holds their ports back to back and only grows: a set
+	// whose run a regrowth left behind keeps the old array.
+	sets     [][]int
+	setPorts []int
 	// routes[at(node, c)] indexes sets: the egress ports on equal-cost
 	// shortest paths from node toward column c's leaf. The leaf's own row
 	// holds the empty set.
@@ -186,16 +190,64 @@ func (t *Topology) NumNodes() int { return len(t.nodes) }
 
 // Builder accumulates nodes and links before routing is computed; its zero
 // value is an empty topology. Every built-in fabric is made with one; a fabric
-// of another shape can be too.
+// of another shape can be too. It keeps the nodes by value in one slice, their
+// names back to back in one buffer and the links in a list, so Build carves
+// every node's ports from one array and every name from one string: building
+// a fabric allocates per topology, not per node or link.
 type Builder struct {
-	nodes []*Node
+	nodes []Node
+	// names holds the node names back to back; node i's ends at nameEnd[i].
+	names   []byte
+	nameEnd []int
+	links   []linkSpec
+}
+
+// linkSpec is one AddLink call: the next port of x joined to the next port of
+// y.
+type linkSpec struct {
+	x, y  packet.NodeID
+	rate  units.Rate
+	delay units.Time
 }
 
 // AddNode adds a node and returns its ID: IDs are dense, in the order added.
 func (b *Builder) AddNode(kind Kind, tier Tier, name string) packet.NodeID {
+	b.names = append(b.names, name...)
+	return b.add(kind, tier)
+}
+
+// node adds a node named by format, in which each %d is the next of args in
+// decimal, as fmt would print it: the built-in fabrics write their names
+// straight into the name buffer.
+func (b *Builder) node(kind Kind, tier Tier, format string, args ...int) packet.NodeID {
+	for i := 0; i < len(format); i++ {
+		if format[i] == '%' && i+1 < len(format) && format[i+1] == 'd' {
+			b.names = strconv.AppendInt(b.names, int64(args[0]), 10)
+			args = args[1:]
+			i++
+			continue
+		}
+		b.names = append(b.names, format[i])
+	}
+	return b.add(kind, tier)
+}
+
+// add appends a node whose name ends the name buffer.
+func (b *Builder) add(kind Kind, tier Tier) packet.NodeID {
 	id := packet.NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, &Node{ID: id, Kind: kind, Tier: tier, Name: name})
+	b.nodes = append(b.nodes, Node{ID: id, Kind: kind, Tier: tier})
+	b.nameEnd = append(b.nameEnd, len(b.names))
 	return id
+}
+
+// grow makes room for nodes more nodes, named in about 12 bytes each, and
+// links more links, so that a fabric whose size is known up front builds
+// without regrowing its lists.
+func (b *Builder) grow(nodes, links int) {
+	b.nodes = slices.Grow(b.nodes, nodes)
+	b.nameEnd = slices.Grow(b.nameEnd, nodes)
+	b.names = slices.Grow(b.names, 12*nodes)
+	b.links = slices.Grow(b.links, links)
 }
 
 // AddLink connects x and y with a bidirectional link: each gains its next port.
@@ -203,27 +255,61 @@ func (b *Builder) AddLink(x, y packet.NodeID, rate units.Rate, delay units.Time)
 	if rate <= 0 || delay < 0 {
 		panic("topology: invalid link parameters")
 	}
-	nx, ny := b.nodes[x], b.nodes[y]
-	px, py := len(nx.Ports), len(ny.Ports)
-	nx.Ports = append(nx.Ports, Port{Peer: y, PeerPort: py, Rate: rate, Delay: delay, Up: true})
-	ny.Ports = append(ny.Ports, Port{Peer: x, PeerPort: px, Rate: rate, Delay: delay, Up: true})
+	b.links = append(b.links, linkSpec{x: x, y: y, rate: rate, delay: delay})
 }
 
-// Build computes routing tables and returns the immutable topology. Every
-// host must have exactly one link, to a switch.
+// Build computes routing tables and returns the immutable topology, which
+// takes the builder's nodes over and leaves the builder empty. Every host
+// must have exactly one link, to a switch.
 func (b *Builder) Build() *Topology {
-	t := &Topology{nodes: b.nodes}
-	for _, n := range b.nodes {
+	nodes, links := b.nodes, b.links
+	names := string(b.names)
+	degree := make([]int32, len(nodes))
+	for _, l := range links {
+		degree[l.x]++
+		degree[l.y]++
+	}
+	// Each node's ports are a run of one array, filled in link order, so a
+	// port's index is the number of links its node had before it.
+	ports := make([]Port, 2*len(links))
+	ptrs := make([]*Node, len(nodes))
+	hosts, maxDegree, start := 0, 0, 0
+	for i := range nodes {
+		n := &nodes[i]
+		d := int(degree[i])
+		n.Name, start = names[start:b.nameEnd[i]], b.nameEnd[i]
+		n.Ports, ports = ports[:0:d], ports[d:]
+		ptrs[i] = n
+		maxDegree = max(maxDegree, d)
+		if n.Kind == Host {
+			hosts++
+		}
+	}
+	for _, l := range links {
+		nx, ny := &nodes[l.x], &nodes[l.y]
+		px, py := len(nx.Ports), len(ny.Ports)
+		nx.Ports = append(nx.Ports, Port{Peer: l.y, PeerPort: py, Rate: l.rate, Delay: l.delay, Up: true})
+		ny.Ports = append(ny.Ports, Port{Peer: l.x, PeerPort: px, Rate: l.rate, Delay: l.delay, Up: true})
+	}
+	*b = Builder{}
+	t := &Topology{nodes: ptrs, hosts: make([]packet.NodeID, 0, hosts)}
+	for _, n := range ptrs {
 		if n.Kind == Host {
 			t.hosts = append(t.hosts, n.ID)
 			if len(n.Ports) != 1 {
 				panic(fmt.Sprintf("topology: host %s must have exactly one uplink, has %d", n.Name, len(n.Ports)))
 			}
-			if b.nodes[n.Ports[0].Peer].Kind == Host {
+			if ptrs[n.Ports[0].Peer].Kind == Host {
 				panic(fmt.Sprintf("topology: host %s must uplink to a switch", n.Name))
 			}
 		}
 	}
+	t.bfsPorts = make([]int, 0, maxDegree)
+	// A fabric has few sets: mostly single ports (a node's port toward the
+	// leaves behind it) and uplink groups, so room for twice the widest
+	// node's ports holds every built-in fabric's without regrowing.
+	t.sets = make([][]int, 1, 2*maxDegree+8)
+	t.setPorts = make([]int, 0, 2*maxDegree+8)
 	t.computeRoutes()
 	t.baseRoutes, t.baseDist, t.baseShared = t.routes, t.dist, true
 	return t
@@ -234,26 +320,30 @@ func (b *Builder) Build() *Topology {
 // shortest path toward that leaf.
 func (t *Topology) computeRoutes() {
 	n := len(t.nodes)
-	t.sets = [][]int{nil}
 	t.dests = make([]dest, n)
 	for i := range t.dests {
 		t.dests[i].leaf = packet.NodeID(i)
 	}
 	colOf := make([]int32, n)
-	t.upHosts = []int32{0}
+	leaves := 0
+	for _, host := range t.hosts {
+		if leaf := t.nodes[host].Ports[0].Peer; colOf[leaf] == 0 {
+			leaves++
+			colOf[leaf] = int32(leaves)
+		}
+	}
+	t.leaves = make([]packet.NodeID, leaves)
+	t.upHosts = make([]int32, leaves+1)
 	for _, host := range t.hosts {
 		up := t.nodes[host].Ports[0]
-		if colOf[up.Peer] == 0 {
-			t.leaves = append(t.leaves, up.Peer)
-			t.upHosts = append(t.upHosts, 0)
-			colOf[up.Peer] = int32(len(t.leaves))
-		}
+		col := colOf[up.Peer]
+		t.leaves[col-1] = up.Peer
 		t.bfsPorts = append(t.bfsPorts[:0], up.PeerPort)
-		col, set := colOf[up.Peer], t.intern(t.bfsPorts, 0, 0)
+		set := t.intern(t.bfsPorts, 0, 0)
 		t.dests[host] = dest{leaf: up.Peer, col: col, liveCol: col, set: set, liveSet: set}
-		t.upHosts[colOf[up.Peer]]++
+		t.upHosts[col]++
 	}
-	t.routes = make([]uint16, n*(len(t.leaves)+1))
+	t.routes = make([]uint16, n*(leaves+1))
 	t.dist = make([]int16, len(t.routes))
 	for i := range t.dist {
 		t.dist[i] = -1
@@ -366,7 +456,9 @@ func (t *Topology) intern(ports []int, installed, guess uint16) uint16 {
 	if len(t.sets) > math.MaxUint16 {
 		panic(fmt.Sprintf("topology: more than %d distinct next-hop sets", math.MaxUint16))
 	}
-	t.sets = append(t.sets, slices.Clone(ports))
+	at := len(t.setPorts)
+	t.setPorts = append(t.setPorts, ports...)
+	t.sets = append(t.sets, t.setPorts[at:len(t.setPorts):len(t.setPorts)])
 	return uint16(len(t.sets) - 1)
 }
 
