@@ -71,7 +71,9 @@ type Engine struct {
 	// resumed is Tick's count of the resumes each physical queue of the port
 	// at hand has had this interval (QueuesPerPort long).
 	resumed []uint8
-	// frames is Tick's result, reused by the next Tick.
+	// frames is Tick's result, reused by the next Tick. Tick sends at most
+	// one frame per ingress port, so the room carved for it at Init, one
+	// per port, is all it ever needs.
 	frames []PauseFrame
 
 	stats Stats
@@ -87,9 +89,14 @@ type egressState struct {
 	// toResume is the port's list of pending resumes (§3.5) in the order they
 	// were queued, each naming its physical queue. Tick resumes each queue's
 	// earliest resumePerInterval items and keeps the rest in order, which is
-	// what one list per queue would do.
+	// what one list per queue would do. Its first resumeRoom items have room
+	// carved at Init; a longer list grows into an array of its own, which it
+	// keeps.
 	toResume []resumeItem
 }
+
+// resumeRoom is the room for pending resumes carved for each egress port.
+const resumeRoom = 4
 
 // queueState is the engine's view of one physical data queue.
 type queueState struct {
@@ -118,16 +125,21 @@ type ingressState struct {
 }
 
 // Slabs holds the per-port state of the engines of one shard: egress and
-// ingress records per port, a queue record per physical queue, the resume
-// scratch of each engine and each flow table's first index, each carved from
-// one array. Slabs are sized once, before the first engine is set up, so
-// setting up a shard's engines allocates per array, not per engine.
+// ingress records per port, a queue record per physical queue, each port's
+// first room for pending resumes and for a pause frame, the resume scratch
+// of each engine and each flow table's first index, each carved from one
+// array, and the one Store the flow tables carve their entries from. Slabs
+// are sized once, before the first engine is set up, so setting up a shard's
+// engines allocates per array, not per engine, and their first Tick nothing.
 type Slabs struct {
 	egress  []egressState
 	ingress []ingressState
 	queues  []queueState
+	resumes []resumeItem
+	frames  []PauseFrame
 	resumed []uint8
 	index   []flowtable.Index
+	entries flowtable.Store
 }
 
 // NewSlabs returns slabs for the given number of engines and their ports in
@@ -137,6 +149,8 @@ func NewSlabs(engines, ports, queuesPerPort int) *Slabs {
 		egress:  make([]egressState, ports),
 		ingress: make([]ingressState, ports),
 		queues:  make([]queueState, ports*queuesPerPort),
+		resumes: make([]resumeItem, ports*resumeRoom),
+		frames:  make([]PauseFrame, ports),
 		resumed: make([]uint8, engines*queuesPerPort),
 		index:   make([]flowtable.Index, engines),
 	}
@@ -163,11 +177,16 @@ func (e *Engine) Init(cfg Config, numPorts int, view PortView, slabs *Slabs) {
 		egress:   slab.Carve(&slabs.egress, numPorts),
 		ingress:  slab.Carve(&slabs.ingress, numPorts),
 		resumed:  slab.Carve(&slabs.resumed, q),
+		frames:   slab.Carve(&slabs.frames, numPorts)[:0],
 	}
-	e.table.Init(cfg.NumVFIDs, &slab.Carve(&slabs.index, 1)[0])
+	e.table.Init(cfg.NumVFIDs, &slab.Carve(&slabs.index, 1)[0], &slabs.entries)
 	queues := slab.Carve(&slabs.queues, numPorts*q)
+	resumes := slab.Carve(&slabs.resumes, numPorts*resumeRoom)
 	for i := range e.egress {
-		e.egress[i].queues = queues[i*q : (i+1)*q : (i+1)*q]
+		e.egress[i] = egressState{
+			queues:   queues[i*q : (i+1)*q : (i+1)*q],
+			toResume: resumes[i*resumeRoom : i*resumeRoom : (i+1)*resumeRoom],
+		}
 		e.ingress[i] = ingressState{counting: *bloom.NewCounting(cfg.Bloom), lastSentEmpty: true}
 	}
 }

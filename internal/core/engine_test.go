@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -602,5 +603,62 @@ func TestPauseThresholdProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFirstTickAllocFree: an engine set up from slabs has room for a pause
+// frame per ingress and for each port's first pending resumes. So with a flow
+// paused on every ingress and a resume queued on every egress port, the
+// departures that queue the resumes and the first Tick, which resumes them
+// and sends a frame from every ingress, allocate nothing. The counting
+// filters' counters, made at their first Add, and the pool's filter records
+// are set up before.
+func TestFirstTickAllocFree(t *testing.T) {
+	const ports = 8
+	e := NewEngine(testConfig(), ports, newFakeView(100*units.Gbps))
+	type arrival struct {
+		pl Placement
+		p  *packet.Packet
+	}
+	var leaving [ports][]arrival
+	for in := 0; in < ports; in++ {
+		out := (in + 1) % ports
+		// Two flows per ingress: the first stays paused, so the ingress has
+		// a frame to send; the second leaves, which queues its resume.
+		for k := range 2 {
+			f := mkFlow(2*in+k+1, int32(in), 99)
+			for seq := 0; !e.FlowPaused(f, in, out); seq++ {
+				p := dataPkt(f, seq, 1000, seq == 0)
+				pl := e.OnArrival(0, in, out, p)
+				if k == 1 {
+					leaving[in] = append(leaving[in], arrival{pl, p})
+				}
+			}
+		}
+	}
+	pool := bloom.NewPool()
+	var records [ports]*bloom.Filter
+	for i := range records {
+		records[i] = pool.Get()
+	}
+	for _, f := range records {
+		pool.Put(f)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for in := range leaving {
+		for _, a := range leaving[in] {
+			e.OnDeparture(0, in, (in+1)%ports, a.pl, a.p)
+		}
+	}
+	pending := e.pendingResumes
+	frames := e.Tick(e.cfg.Tau, pool)
+	runtime.ReadMemStats(&after)
+	if pending != ports || len(frames) != ports || e.pendingResumes != 0 {
+		t.Fatalf("%d resumes queued, %d frames sent, %d resumes left; want %d, %d and 0", pending, len(frames), e.pendingResumes, ports, ports)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Fatalf("queueing a resume on every port and the first Tick allocated %d objects, want 0", allocs)
 	}
 }

@@ -17,14 +17,17 @@
 // switch and most VFIDs never see a flow: the VFID index is an open-addressed
 // hash table from VFID to bucket, sized to the VFIDs that hold entries rather
 // than to the VFID space; a bucket is a chain through its entries, and its
-// capacity is a bound on the chain's length. Entries are carved from pages of
-// pageEntries, owned by a slab and recycled through a free chain, so an
-// *Entry is stable: from Insert until Remove it is the same object at the
-// same address.
+// capacity is a bound on the chain's length. The tables of one shard carve
+// their entries from one Store, pages of pageEntries numbered by one slab,
+// so a shard's tables cost a heap object per page, not per table; each table
+// recycles its own entries through a free chain. An *Entry is stable: from
+// Insert until Remove it is the same object at the same address.
 package flowtable
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"bfc/internal/packet"
 	"bfc/internal/units"
@@ -76,9 +79,10 @@ type Entry struct {
 	// bucket slot, freed those on the free chain.
 	inOverflow, freed bool
 
-	// slot is 1 + the entry's index in Table.slab, fixed for its lifetime.
-	// next chains the entry to the following one of its bucket, or of the
-	// free list once removed, in the same encoding; 0 ends a chain.
+	// slot is 1 + the entry's index in its Store's slab, fixed for its
+	// lifetime. next chains the entry to the following one of its bucket, or
+	// of its table's free chain once removed, in the same encoding; 0 ends a
+	// chain.
 	slot, next int32
 }
 
@@ -110,11 +114,12 @@ type Table struct {
 	shift uint8
 	// used counts the occupied cells.
 	used int
-	// slab owns every entry the table ever carved: bucket, overflow or free.
-	// It grows to the table's high-water occupancy and never shrinks.
-	slab []*Entry
-	// page holds the entries not yet carved from the last page.
-	page []Entry
+	// store is where the table carves its entries, shared with the other
+	// tables of its shard. carved counts the entries this table took from
+	// it, bucket, overflow or free: its high-water occupancy, since a table
+	// takes a new entry only when its free chain is empty.
+	store  *Store
+	carved int
 
 	// overflow is the overflow cache, nil until the first entry spills in.
 	overflow    map[Key]*Entry
@@ -122,11 +127,25 @@ type Table struct {
 
 	active int
 
-	// free heads the chain of removed entries, most recent first. Flow
-	// activations are the dominant allocation in steady state (one entry per
-	// active flow per switch), and the engine drops every pointer to an entry
-	// before calling Remove, so reuse is invisible to callers.
+	// free heads the chain of the table's removed entries, most recent
+	// first. Flow activations are the dominant allocation in steady state
+	// (one entry per active flow per switch), and the engine drops every
+	// pointer to an entry before calling Remove, so reuse is invisible to
+	// callers. The chain is the table's own, not the store's: a table reuses
+	// only entries it carved, so its entries lie in the slab in the order it
+	// first carved them, whatever the other tables do (see Each).
 	free int32
+}
+
+// Store holds the entries of the tables of one shard: the pages they are
+// carved from and the slab that numbers them. The zero value is ready to use;
+// the first entry carved makes the first page.
+type Store struct {
+	// slab holds every entry carved, in carving order; an entry's slot is 1 +
+	// its index. It never shrinks.
+	slab []*Entry
+	// page holds the entries not yet carved from the last page.
+	page []Entry
 }
 
 // cell is one index slot: a VFID and the first entry of its bucket, as 1 +
@@ -145,27 +164,29 @@ const minIndex = 8
 // allocates the next, as the index doubles, on its own.
 type Index [minIndex]cell
 
-// pageEntries is the number of entries one page holds (88 B each).
-const pageEntries = 8
+// pageEntries is the number of entries one page of a Store holds (88 B
+// each).
+const pageEntries = 128
 
-// Init sets t up in place over the given VFID space with the §3.8 geometry and
-// index as its first index, which t keeps; it replaces whatever t held.
-func (t *Table) Init(numVFIDs int, index *Index) {
-	t.init(numVFIDs, defaultBucketSize, defaultOverflowCap, index)
+// Init sets t up in place over the given VFID space with the §3.8 geometry,
+// index as its first index, which t keeps, and store as where it carves its
+// entries; it replaces whatever t held.
+func (t *Table) Init(numVFIDs int, index *Index, store *Store) {
+	t.init(numVFIDs, defaultBucketSize, defaultOverflowCap, index, store)
 }
 
 // newTable creates a table with the given VFID space, bucket size and
-// overflow cache capacity; the tests use it to reach a full bucket and a full
-// cache in a few operations.
+// overflow cache capacity and a store of its own; the tests use it to reach
+// a full bucket and a full cache in a few operations.
 func newTable(numVFIDs, bucketSize, overflowCap int) *Table {
 	t := new(Table)
-	t.init(numVFIDs, bucketSize, overflowCap, new(Index))
+	t.init(numVFIDs, bucketSize, overflowCap, new(Index), new(Store))
 	return t
 }
 
 // init sets t up; the overflow cache's map is made at the first entry that
 // spills into it, which few tables ever have.
-func (t *Table) init(numVFIDs, bucketSize, overflowCap int, index *Index) {
+func (t *Table) init(numVFIDs, bucketSize, overflowCap int, index *Index, store *Store) {
 	if numVFIDs <= 0 {
 		panic("flowtable: numVFIDs must be positive")
 	}
@@ -180,6 +201,7 @@ func (t *Table) init(numVFIDs, bucketSize, overflowCap int, index *Index) {
 		bucketSize:  bucketSize,
 		index:       index[:],
 		shift:       32 - 3, // log2(minIndex)
+		store:       store,
 		overflowCap: overflowCap,
 	}
 }
@@ -200,7 +222,7 @@ func (t *Table) find(v packet.VFID, ingress, egress int) (e *Entry, at, depth in
 	t.checkVFID(v)
 	at = t.cellOf(v)
 	for i := t.index[at].head; i != 0; depth++ {
-		e := t.slab[i-1]
+		e := t.store.slab[i-1]
 		if e.Ingress == ingress && e.Egress == egress {
 			return e, at, depth
 		}
@@ -306,35 +328,44 @@ func (t *Table) Insert(v packet.VFID, ingress, egress int) (*Entry, InsertResult
 	return nil, InsertFailed
 }
 
-// newEntry takes an entry off the free chain, or grows the slab by one entry
-// carved from the current page, and counts it active.
+// newEntry takes an entry off the free chain, or carves one from the store,
+// and counts it active.
 func (t *Table) newEntry(v packet.VFID, ingress, egress int) *Entry {
 	var e *Entry
 	if t.free != 0 {
-		e = t.slab[t.free-1]
+		e = t.store.slab[t.free-1]
 		t.free = e.next
 	} else {
-		if len(t.page) == 0 {
-			t.page = make([]Entry, pageEntries)
-		}
-		e = &t.page[0]
-		t.page = t.page[1:]
-		t.slab = append(t.slab, e)
-		e.slot = int32(len(t.slab))
+		e = t.store.carve()
+		t.carved++
 	}
 	*e = Entry{VFID: v, Ingress: ingress, Egress: egress, Queue: -1, slot: e.slot}
 	t.active++
 	return e
 }
 
+// carve grows the slab by one entry from the current page, making the next
+// page when it is used up.
+func (st *Store) carve() *Entry {
+	if len(st.page) == 0 {
+		st.page = make([]Entry, pageEntries)
+	}
+	e := &st.page[0]
+	st.page = st.page[1:]
+	st.slab = append(st.slab, e)
+	e.slot = int32(len(st.slab))
+	return e
+}
+
 // Each yields every live entry, for use as a range-over-func iterator: the
-// bucket entries in index order, then the overflow cache's in slab order, so
-// a walk visits them in the same order on every run. The caller may change an
-// entry's fields, but must not insert or remove during the walk.
+// bucket entries in index order, then the overflow cache's in slot order,
+// which is the order the table first carved them, so a walk visits them in
+// the same order on every run and at every shard count. The caller may
+// change an entry's fields, but must not insert or remove during the walk.
 func (t *Table) Each(yield func(*Entry) bool) {
 	for _, c := range t.index {
-		for i := c.head; i != 0; i = t.slab[i-1].next {
-			if !yield(t.slab[i-1]) {
+		for i := c.head; i != 0; i = t.store.slab[i-1].next {
+			if !yield(t.store.slab[i-1]) {
 				return
 			}
 		}
@@ -342,8 +373,14 @@ func (t *Table) Each(yield func(*Entry) bool) {
 	if len(t.overflow) == 0 {
 		return
 	}
-	for _, e := range t.slab {
-		if e.inOverflow && t.overflow[Key{e.VFID, e.Ingress, e.Egress}] == e && !yield(e) {
+	var room [defaultOverflowCap]*Entry
+	spilled := room[:0]
+	for _, e := range t.overflow {
+		spilled = append(spilled, e)
+	}
+	slices.SortFunc(spilled, func(a, b *Entry) int { return cmp.Compare(a.slot, b.slot) })
+	for _, e := range spilled {
+		if !yield(e) {
 			return
 		}
 	}
@@ -365,8 +402,8 @@ func (t *Table) Remove(e *Entry) {
 	} else {
 		at := t.cellOf(e.VFID)
 		link := &t.index[at].head
-		for *link != 0 && t.slab[*link-1] != e {
-			link = &t.slab[*link-1].next
+		for *link != 0 && t.store.slab[*link-1] != e {
+			link = &t.store.slab[*link-1].next
 		}
 		if *link == 0 {
 			panic("flowtable: removing unknown entry")
@@ -383,7 +420,8 @@ func (t *Table) Remove(e *Entry) {
 // Check walks the whole table and reports the first broken invariant: Active
 // must equal the bucket chains' lengths plus the overflow cache's size; a
 // chain must hold at most bucketSize entries, all of its cell's VFID, and
-// that VFID must be found from its home cell; every entry the slab carved
+// that VFID must be found from its home cell; the overflow cache must hold
+// store entries filed under their own keys; every entry the table carved
 // must be live or on the free chain, and not both; the index must be at most
 // half full. It allocates nothing. Tests call it after every
 // step, and a BFC switch's end-of-run check once (core.Engine.Check).
@@ -401,11 +439,11 @@ func (t *Table) Check() error {
 			return fmt.Errorf("flowtable: VFID %d in cell %d is not found from its home cell", c.vfid, at)
 		}
 		n := 0
-		for i := c.head; i != 0; i = t.slab[i-1].next {
+		for i := c.head; i != 0; i = t.store.slab[i-1].next {
 			if n++; n > t.bucketSize {
 				return fmt.Errorf("flowtable: VFID %d's bucket holds more than %d entries", c.vfid, t.bucketSize)
 			}
-			if e := t.slab[i-1]; e.VFID != c.vfid || e.inOverflow || e.freed {
+			if e := t.store.slab[i-1]; e.VFID != c.vfid || e.inOverflow || e.freed {
 				return fmt.Errorf("flowtable: VFID %d's bucket holds an entry of VFID %d (overflow %v, freed %v)", c.vfid, e.VFID, e.inOverflow, e.freed)
 			}
 		}
@@ -417,26 +455,22 @@ func (t *Table) Check() error {
 	if entries != t.active {
 		return fmt.Errorf("flowtable: Active() = %d, but buckets and overflow cache hold %d", t.active, entries)
 	}
-	filed := 0
-	for _, e := range t.slab {
-		if t.overflow[Key{e.VFID, e.Ingress, e.Egress}] == e {
-			if !e.inOverflow || e.freed {
-				return fmt.Errorf("flowtable: bucket or free entry %+v is in the overflow cache", *e)
-			}
-			filed++
+	for k, e := range t.overflow {
+		if e == nil || e.slot < 1 || int(e.slot) > len(t.store.slab) || t.store.slab[e.slot-1] != e || k != (Key{e.VFID, e.Ingress, e.Egress}) {
+			return fmt.Errorf("flowtable: overflow cache files %+v under %+v, not a store entry under its key", e, k)
+		}
+		if !e.inOverflow || e.freed {
+			return fmt.Errorf("flowtable: bucket or free entry %+v is in the overflow cache", *e)
 		}
 	}
-	if filed != len(t.overflow) {
-		return fmt.Errorf("flowtable: overflow cache holds %d entries, %d of them slab entries filed under their key", len(t.overflow), filed)
-	}
 	free := 0
-	for i := t.free; i != 0; i = t.slab[i-1].next {
-		if free++; free > len(t.slab) || !t.slab[i-1].freed {
+	for i := t.free; i != 0; i = t.store.slab[i-1].next {
+		if free++; free > t.carved || !t.store.slab[i-1].freed {
 			return fmt.Errorf("flowtable: free chain reaches live or cycling entry %d", i)
 		}
 	}
-	if t.active+free != len(t.slab) {
-		return fmt.Errorf("flowtable: %d entries carved, %d live and %d on the free chain", len(t.slab), t.active, free)
+	if t.active+free != t.carved {
+		return fmt.Errorf("flowtable: %d entries carved, %d live and %d on the free chain", t.carved, t.active, free)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package flowtable
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -313,10 +315,10 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 	}
 }
 
-// TestEntriesComeFromPages: a table carves its entries pageEntries at a time:
-// the slab's first pageEntries entries lie side by side, the next Insert
-// carves a new page and takes its first entry, and an entry keeps its slab
-// slot and address through Remove and reuse.
+// TestEntriesComeFromPages: a table carves its entries from its store's
+// pages, pageEntries at a time: the slab's first pageEntries entries lie side
+// by side, the next Insert carves a new page and takes its first entry, and
+// an entry keeps its slab slot and address through Remove and reuse.
 func TestEntriesComeFromPages(t *testing.T) {
 	tbl := newTable(DefaultNumVFIDs, defaultBucketSize, 0)
 	size := unsafe.Sizeof(Entry{})
@@ -325,23 +327,102 @@ func TestEntriesComeFromPages(t *testing.T) {
 		tbl.Insert(v, 0, 1)
 	}
 	for i := 1; i < pageEntries; i++ {
-		if addr(tbl.slab[i])-addr(tbl.slab[i-1]) != size {
+		if addr(tbl.store.slab[i])-addr(tbl.store.slab[i-1]) != size {
 			t.Fatalf("entries %d and %d of the first page are not side by side", i-1, i)
 		}
 	}
-	if len(tbl.page) != 0 {
-		t.Fatalf("%d entries left in the page after carving %d, want 0", len(tbl.page), pageEntries)
+	if len(tbl.store.page) != 0 {
+		t.Fatalf("%d entries left in the page after carving %d, want 0", len(tbl.store.page), pageEntries)
 	}
 	last, _ := tbl.Insert(pageEntries, 0, 1)
-	if len(tbl.page) != pageEntries-1 || addr(&tbl.page[0])-addr(last) != size {
-		t.Fatalf("the entry after a full page is not the first of a new page (%d left in the page)", len(tbl.page))
+	if len(tbl.store.page) != pageEntries-1 || addr(&tbl.store.page[0])-addr(last) != size {
+		t.Fatalf("the entry after a full page is not the first of a new page (%d left in the page)", len(tbl.store.page))
 	}
-	first := tbl.slab[0]
+	first := tbl.store.slab[0]
 	tbl.Remove(first)
-	if e, _ := tbl.Insert(0, 2, 3); e != first || len(tbl.slab) != pageEntries+1 {
-		t.Fatalf("reinsert got entry %p with %d in the slab, want the freed %p with %d", e, len(tbl.slab), first, pageEntries+1)
+	if e, _ := tbl.Insert(0, 2, 3); e != first || len(tbl.store.slab) != pageEntries+1 {
+		t.Fatalf("reinsert got entry %p with %d in the slab, want the freed %p with %d", e, len(tbl.store.slab), first, pageEntries+1)
 	}
 	if err := tbl.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTablesShareOneStore: 64 tables of one shard carving from one Store,
+// each churning four entries at a time, allocate the store's two pages and
+// its slab's growth, not a page and a slab per table.
+func TestTablesShareOneStore(t *testing.T) {
+	const tables, live = 64, 4
+	allocs := testing.AllocsPerRun(1, func() {
+		store, tbls, index := new(Store), make([]Table, tables), make([]Index, tables)
+		for i := range tbls {
+			tbls[i].Init(DefaultNumVFIDs, &index[i], store)
+		}
+		for round := range 8 {
+			for i := range tbls {
+				var held [live]*Entry
+				for j := range held {
+					held[j], _ = tbls[i].Insert(packet.VFID(round*live+j), 0, 1)
+				}
+				for _, e := range held {
+					tbls[i].Remove(e)
+				}
+			}
+		}
+	})
+	pages, growths := tables*live/pageEntries, bits.Len(tables*live)
+	t.Logf("%d tables churning %d entries each: %v objects", tables, live, allocs)
+	if want := 3 + pages + growths; allocs > float64(want) {
+		t.Fatalf("%d tables churning %d entries each allocated %v objects, want at most %d: the store, tables and indexes, %d pages and %d slab growths",
+			tables, live, allocs, want, pages, growths)
+	}
+}
+
+// TestSharedStoreKeepsEachOrder: tables sharing a store walk their entries,
+// bucket and overflow alike, in the order that tables with stores of their
+// own do under the same operations, whatever the other tables do in between:
+// a table recycles only the entries it carved, so its entries lie in the
+// shared slab in its own carving order.
+func TestSharedStoreKeepsEachOrder(t *testing.T) {
+	const tables, vfids = 16, 8
+	var store Store
+	shared, own := make([]Table, tables), make([]Table, tables)
+	index := make([]Index, 2*tables)
+	for i := range shared {
+		// Buckets of one entry and a four-entry cache, so entries spill.
+		shared[i].init(vfids, 1, 4, &index[i], &store)
+		own[i].init(vfids, 1, 4, &index[tables+i], new(Store))
+	}
+	keys := func(tbl *Table) []Key {
+		var ks []Key
+		for e := range tbl.Each {
+			ks = append(ks, Key{e.VFID, e.Ingress, e.Egress})
+		}
+		return ks
+	}
+	rng := rand.New(rand.NewSource(1))
+	spilled := 0
+	for step := range 20_000 {
+		i := rng.Intn(tables)
+		v, in := packet.VFID(rng.Intn(vfids)), rng.Intn(3)
+		if e := shared[i].Lookup(v, in, 0); e != nil {
+			shared[i].Remove(e)
+			own[i].Remove(own[i].Lookup(v, in, 0))
+		} else {
+			_, res := shared[i].Insert(v, in, 0)
+			own[i].Insert(v, in, 0)
+			if res == InsertedOverflowCache {
+				spilled++
+			}
+		}
+		if err := shared[i].Check(); err != nil {
+			t.Fatalf("step %d, table %d: %v", step, i, err)
+		}
+		if got, want := keys(&shared[i]), keys(&own[i]); !slices.Equal(got, want) {
+			t.Fatalf("step %d, table %d: Each visits %v, with a store of its own %v", step, i, got, want)
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("no entry spilled into an overflow cache")
 	}
 }

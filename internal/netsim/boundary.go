@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"unsafe"
+
 	"bfc/internal/eventsim"
 	"bfc/internal/packet"
 )
@@ -8,8 +10,9 @@ import (
 // BoundaryMsg is one delivery crossing a shard boundary: either a data packet
 // or a control frame, stamped with the full ordering key it would have
 // carried had it been scheduled locally. The link pointer carries the
-// receiver identity (peer device, ingress port) and the link's one delivery
-// callback, which takes either.
+// receiver identity (peer device, ingress port): the drain writes it into the
+// packet's Wire, or into a record from the link's Frames beside the frame,
+// and schedules the delivery callback a local link would.
 type BoundaryMsg struct {
 	Key  eventsim.Key
 	Link *Link
@@ -53,11 +56,12 @@ func (b *Boundary) DrainInto(sched *eventsim.Scheduler) int {
 	n := len(b.msgs)
 	for i := range b.msgs {
 		m := &b.msgs[i]
-		var arg any = m.Ctrl
 		if m.Pkt != nil {
-			arg = m.Pkt
+			m.Pkt.Wire = unsafe.Pointer(m.Link)
+			sched.ScheduleCallInjected(m.Key, landPacket, m.Pkt)
+			continue
 		}
-		sched.ScheduleCallInjected(m.Key, m.Link.deliver, arg)
+		sched.ScheduleCallInjected(m.Key, landFrame, m.Link.Frames.get(m.Link, m.Ctrl))
 	}
 	clear(b.msgs) // the kept backing array must not pin pooled packets or frames
 	b.msgs = b.msgs[:0]

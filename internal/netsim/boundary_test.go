@@ -127,8 +127,8 @@ func TestBoundarySteadyStateAllocFree(t *testing.T) {
 }
 
 func TestBoundaryControlFrames(t *testing.T) {
-	// Control frames ride the same queue and drain through the link's one
-	// delivery callback, as packets do.
+	// Control frames ride the same queue as packets, and the drain schedules
+	// the delivery callback a local link would.
 	s := eventsim.New()
 	dst := &fakeDevice{id: 1, sched: s}
 	l := NewLink(s, "x->y", 100*units.Gbps, units.Microsecond, dst, 2)

@@ -2,10 +2,19 @@
 // (switches and NICs): the Device interface, unidirectional Links with
 // serialization and propagation delay, and link-level control frames (PFC
 // pause/resume and BFC bloom-filter pause frames).
+//
+// A link allocates nothing, at set-up or per send. Its events call
+// package-level functions with an argument that names the link: a
+// serialization-complete event the link itself, a packet's delivery the
+// packet, which carries its link while in flight (packet.Packet.Wire), and a
+// control frame's delivery a record of link and frame drawn from the
+// receiving shard's Frames. A cross-shard delivery waits in a Boundary queue
+// and is scheduled the same way when the queue drains.
 package netsim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"bfc/internal/bloom"
 	"bfc/internal/eventsim"
@@ -63,9 +72,9 @@ type Sender interface {
 // Link is a unidirectional transmission path from one device port to a peer
 // device port. A bidirectional physical link is modeled as two Links. A Link
 // is set up by Init, in place, so a fabric keeps its links in one slab per
-// shard; it must not be copied afterwards, because its delivery callback and
-// its queued events point at it. A link allocates one object, that delivery
-// callback; a serialization-complete event needs none (see serDone).
+// shard; it must not be copied afterwards, because its queued events and the
+// packets and frames it carries point at it. It allocates nothing of its own:
+// its events call serDone, landPacket and landFrame.
 type Link struct {
 	sched  *eventsim.Scheduler
 	rate   units.Rate
@@ -98,20 +107,23 @@ type Link struct {
 	// link. Like OnStranded it belongs to the receiving side, where the loss
 	// is found. Nil leaves lost filters to the garbage collector.
 	Filters *bloom.Pool
+	// Frames holds the records control frames travel in. It belongs to the
+	// receiving side too: a local link takes a record at SendControl, a
+	// cross-shard one when the coordinator drains its boundary queue, and
+	// the delivery puts it back, so only the receiving shard, or the
+	// coordinator between windows, touches it. Init leaves it nil, and the
+	// link's first control frame then panics; NewLink gives the link one of
+	// its own.
+	Frames *Frames
 	// filtersSent counts the BFC pause frames with a filter that the link
 	// took, filtersLanded those it delivered or lost. The sending side writes
 	// the first and the receiving side the second, so on a cross-shard link
 	// each shard writes only its own.
 	filtersSent, filtersLanded uint64
 
-	// deliver is the link's one callback and its one allocation, made at
-	// Init so that Transmit, SendControl and a boundary drain schedule a
-	// delivery, of a packet or of a control frame, without a closure per
-	// send. The serialization-complete event needs none: it calls the
-	// static serDone with the link as its argument, and serDone calls the
-	// TxDone of the sender the serialization is for.
-	deliver func(any)
-	sender  Sender
+	// sender is the port the serialization in progress is for; serDone
+	// calls its TxDone.
+	sender Sender
 
 	// Statistics.
 	pausedSince units.Time
@@ -119,10 +131,11 @@ type Link struct {
 	isPaused    bool
 }
 
-// NewLink returns a link set up by Init.
+// NewLink returns a link set up by Init, with a Frames of its own.
 func NewLink(sched *eventsim.Scheduler, name string, rate units.Rate, delay units.Time, peer Device, toPort int) *Link {
 	l := new(Link)
 	l.Init(sched, name, rate, delay, peer, toPort)
+	l.Frames = new(Frames)
 	return l
 }
 
@@ -135,33 +148,6 @@ func (l *Link) Init(sched *eventsim.Scheduler, name string, rate units.Rate, del
 		panic("netsim: invalid link parameters")
 	}
 	*l = Link{sched: sched, name: name, rate: rate, delay: delay, peer: peer, toPort: toPort}
-	// deliver hands a data packet or a control frame to the peer, or, on a
-	// down link, to OnStranded or Filters.
-	l.deliver = func(x any) {
-		if p, ok := x.(*packet.Packet); ok {
-			if l.down {
-				if l.OnStranded != nil {
-					l.OnStranded(p)
-				}
-				return
-			}
-			l.peer.ReceivePacket(l.toPort, p)
-			return
-		}
-		f, bfc := x.(BFCPauseFrame)
-		if bfc && f.Filter != nil {
-			l.filtersLanded++
-		}
-		if l.down {
-			// Control frames on a cut link are simply lost; a lost filter
-			// goes back to the pool.
-			if bfc {
-				l.Filters.Put(f.Filter)
-			}
-			return
-		}
-		l.peer.ReceiveControl(l.toPort, x.(ControlFrame))
-	}
 }
 
 // serDone is every serialization-complete event's callback; its argument is
@@ -174,6 +160,87 @@ func serDone(a any) {
 	if from != nil {
 		from.TxDone()
 	}
+}
+
+// landPacket is every packet delivery's callback; its argument is the packet,
+// which names its link in Wire. It hands the packet to the peer or, on a
+// down link, to OnStranded.
+func landPacket(a any) {
+	p := a.(*packet.Packet)
+	l := (*Link)(p.Wire)
+	p.Wire = nil
+	if l.down {
+		if l.OnStranded != nil {
+			l.OnStranded(p)
+		}
+		return
+	}
+	l.peer.ReceivePacket(l.toPort, p)
+}
+
+// landFrame is every control frame delivery's callback; its argument is the
+// frame's record, which goes back to the link's Frames before the frame is
+// handed to the peer or, on a down link, lost.
+func landFrame(a any) {
+	m := a.(*frameMsg)
+	l, frame := m.link, m.frame
+	l.Frames.put(m)
+	f, bfc := frame.(BFCPauseFrame)
+	if bfc && f.Filter != nil {
+		l.filtersLanded++
+	}
+	if l.down {
+		// Control frames on a cut link are simply lost; a lost filter goes
+		// back to the pool.
+		if bfc {
+			l.Filters.Put(f.Filter)
+		}
+		return
+	}
+	l.peer.ReceiveControl(l.toPort, frame)
+}
+
+// frameMsg is a control frame in flight and the link carrying it.
+type frameMsg struct {
+	link  *Link
+	frame ControlFrame
+}
+
+// Frames is a free list of the records control frames travel in, owned by
+// the side that receives them (see Link.Frames): a run keeps one per shard.
+// A miss carves the next record from a page of framePage, so the records in
+// flight cost one heap object per page, and a steady state none. The zero
+// value is ready to use.
+type Frames struct {
+	free []*frameMsg
+	page []frameMsg
+}
+
+// framePage is the number of records one page holds (24 B each).
+const framePage = 128
+
+// get returns a record holding frame on its way over l.
+func (fs *Frames) get(l *Link, frame ControlFrame) *frameMsg {
+	var m *frameMsg
+	if n := len(fs.free); n > 0 {
+		m = fs.free[n-1]
+		fs.free = fs.free[:n-1]
+	} else {
+		if len(fs.page) == 0 {
+			fs.page = make([]frameMsg, framePage)
+		}
+		m = &fs.page[0]
+		fs.page = fs.page[1:]
+	}
+	*m = frameMsg{link: l, frame: frame}
+	return m
+}
+
+// put takes back a record whose frame has landed; the record drops its
+// references so that a free one pins neither a link nor a filter.
+func (fs *Frames) put(m *frameMsg) {
+	*m = frameMsg{}
+	fs.free = append(fs.free, m)
 }
 
 // SetBoundary marks the link as crossing a shard boundary: every delivery is
@@ -241,7 +308,8 @@ func (l *Link) Transmit(p *packet.Packet, from Sender) {
 		l.boundary.Push(BoundaryMsg{Key: k, Link: l, Pkt: p})
 		return
 	}
-	l.sched.ScheduleCallTagged(at, tag, l.deliver, p)
+	p.Wire = unsafe.Pointer(l)
+	l.sched.ScheduleCallTagged(at, tag, landPacket, p)
 }
 
 // SendControl delivers a control frame to the peer after the propagation
@@ -256,8 +324,7 @@ func (l *Link) SendControl(frame ControlFrame) {
 		l.boundary.Push(BoundaryMsg{Key: l.sched.ChildKey(at), Link: l, Ctrl: frame})
 		return
 	}
-	// frame is already an interface value, so the any conversion is free.
-	l.sched.ScheduleCall(at, l.deliver, frame)
+	l.sched.ScheduleCall(at, landFrame, l.Frames.get(l, frame))
 }
 
 // FiltersInFlight returns the number of BFC pause filters the link has taken

@@ -175,6 +175,59 @@ func TestLostFilterGoesBack(t *testing.T) {
 	}
 }
 
+// TestLossOnTheStaticPath: a packet and a BFC pause frame in flight when the
+// link goes down, on a local link and on a cross-shard one, find their link at
+// the delivery instant — the packet in its Wire, the frame in its record — and
+// are lost there: the packet to OnStranded, the filter back to Filters. The
+// frame's record goes back to the link's Frames, and no packet holds a link
+// once it has landed.
+func TestLossOnTheStaticPath(t *testing.T) {
+	for _, cross := range []bool{false, true} {
+		s := eventsim.New()
+		dst := &fakeDevice{id: 2, sched: s}
+		l := NewLink(s, "l", 100*units.Gbps, units.Microsecond, dst, 0)
+		l.Filters = bloom.NewPool()
+		var b Boundary
+		if cross {
+			l.SetBoundary(&b)
+		}
+		var stranded []*packet.Packet
+		l.OnStranded = func(p *packet.Packet) { stranded = append(stranded, p) }
+		p := &packet.Packet{Kind: packet.Data, Size: 1000}
+		l.Transmit(p, nil)
+		pauses := bloom.NewCounting(bloom.DefaultParams())
+		pauses.Add(7)
+		l.SendControl(BFCPauseFrame{Filter: pauses.Snapshot(nil)})
+		if cross {
+			if p.Wire != nil || len(l.Frames.free) != 0 || len(l.Frames.page) != 0 {
+				t.Fatalf("cross=%v: the link gave its packet or frame a ride before the drain", cross)
+			}
+			b.DrainInto(s)
+		}
+		if (*Link)(p.Wire) != l {
+			t.Fatalf("cross=%v: the packet in flight does not carry its link", cross)
+		}
+		if l.FiltersInFlight() != 1 {
+			t.Fatalf("cross=%v: %d filters in flight, want 1", cross, l.FiltersInFlight())
+		}
+		l.SetDown(true)
+		s.Run()
+		if len(dst.packets) != 0 || len(dst.controls) != 0 {
+			t.Fatalf("cross=%v: down link delivered %d packets and %d frames", cross, len(dst.packets), len(dst.controls))
+		}
+		if len(stranded) != 1 || stranded[0] != p || p.Wire != nil {
+			t.Fatalf("cross=%v: stranded %d packets (the sent one: %v), holding a link: %v",
+				cross, len(stranded), len(stranded) == 1 && stranded[0] == p, p.Wire != nil)
+		}
+		if l.FiltersInFlight() != 0 || l.Filters.Free() != 1 {
+			t.Fatalf("cross=%v: %d filters in flight, %d back in the pool; want 0, 1", cross, l.FiltersInFlight(), l.Filters.Free())
+		}
+		if len(l.Frames.free) != 1 || l.Frames.free[0].link != nil {
+			t.Fatalf("cross=%v: %d frame records back on the free list, want 1 holding nothing", cross, len(l.Frames.free))
+		}
+	}
+}
+
 func TestMarkPausedAccounting(t *testing.T) {
 	s := eventsim.New()
 	dst := &fakeDevice{id: 2, sched: s}

@@ -7,6 +7,7 @@ package packet
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"bfc/internal/units"
 )
@@ -143,8 +144,9 @@ type INTHop struct {
 // the sender and handed from device to device (the simulator never copies
 // payload bytes; Size is bookkeeping).
 //
-// The flag bytes share one word and the queue link takes one more, so a
-// Packet stays within Go's 80-byte size class (TestPacketSize).
+// The flag bytes and the arrival port share one word, and the queue link and
+// the in-flight link take one each, so a Packet stays within Go's 80-byte
+// size class (TestPacketSize).
 type Packet struct {
 	Flow *Flow
 
@@ -160,15 +162,23 @@ type Packet struct {
 	// it is the reflected stack from the data packet being acknowledged.
 	INT []INTHop
 
-	// ArrivalPort is simulator-transient bookkeeping, valid only while the
-	// packet is queued at a single device and rewritten at every hop. It lets
-	// a switch recover, at dequeue time, which ingress the packet used
-	// without a second lookup.
-	ArrivalPort int
-
 	// next links the packet to the one behind it in the queue that holds it
 	// (see Enqueue); nil at the tail and whenever the packet is unqueued.
 	next *Packet
+
+	// Wire is, like ArrivalPort, simulator-transient: the netsim.Link
+	// carrying the packet, set while the packet is in flight and nil from
+	// its landing on. Every link's delivery event calls one package-level
+	// function, which finds the link here. packet cannot name netsim's type,
+	// and an interface, two words, would not fit the size class; only netsim
+	// reads or writes Wire, and always as a *netsim.Link.
+	Wire unsafe.Pointer
+
+	// ArrivalPort is simulator-transient bookkeeping, valid only while the
+	// packet is queued at a single device and rewritten at every hop. It lets
+	// a switch recover, at dequeue time, which ingress the packet used
+	// without a second lookup. Two bytes hold any switch's port count.
+	ArrivalPort uint16
 
 	Kind Kind
 
@@ -188,22 +198,32 @@ type Packet struct {
 	// benchmark's NIC microdriver stops writing it.
 	Priority Priority
 
-	// pooled marks packets sitting in a Pool free-list; Pool.Put uses it to
-	// detect double-recycling (two devices believing they own the packet).
-	pooled bool
-	// queued marks packets held by a queue; Enqueue and Pool.Put use it to
-	// detect a packet in two queues, or recycled while still queued.
-	queued bool
+	// held marks a packet that a queue or a Pool free-list holds (see
+	// heldBy); Enqueue and Pool.Put use it to detect a packet in two queues,
+	// one recycled while still queued, and double-recycling (two devices
+	// believing they own the packet).
+	held heldBy
 }
+
+// heldBy is what holds a packet besides its owner: nothing, a queue or a
+// Pool's free-list.
+type heldBy uint8
+
+const (
+	heldByNone heldBy = iota
+	heldByQueue
+	heldByPool
+)
 
 // Enqueue links p behind tail, the last packet of the queue p joins (nil
 // when that queue is empty), and marks p queued. A packet is in at most one
-// queue at a time: Enqueue panics if p is already in one.
+// queue at a time, and never in one while recycled: Enqueue panics if p is
+// already in a queue or a Pool's free-list.
 func (p *Packet) Enqueue(tail *Packet) {
-	if p.queued {
-		panic("packet: enqueued while already in a queue")
+	if p.held != heldByNone {
+		panic("packet: enqueued while already in a queue or recycled")
 	}
-	p.queued = true
+	p.held = heldByQueue
 	if tail != nil {
 		tail.next = p
 	}
@@ -213,7 +233,7 @@ func (p *Packet) Enqueue(tail *Packet) {
 // (nil when p was the last).
 func (p *Packet) Dequeue() *Packet {
 	next := p.next
-	p.next, p.queued = nil, false
+	p.next, p.held = nil, heldByNone
 	return next
 }
 

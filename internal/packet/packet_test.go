@@ -208,8 +208,9 @@ func TestMix64KnownAnswers(t *testing.T) {
 	}
 }
 
-// TestPacketSize: the flag bytes share one word, so a Packet with its queue
-// link fits Go's 80-byte size class.
+// TestPacketSize: the flag bytes and the arrival port share one word, so a
+// Packet with its queue link and its in-flight link fits Go's 80-byte size
+// class.
 func TestPacketSize(t *testing.T) {
 	if s := unsafe.Sizeof(Packet{}); s > 80 {
 		t.Fatalf("Packet is %d bytes, want at most 80", s)
@@ -236,6 +237,19 @@ func TestPoolPutPanicsOnQueuedOrPutPacket(t *testing.T) {
 	p.Dequeue()
 	pl.Put(p)
 	mustPanic("second Put", func() { pl.Put(p) })
+}
+
+// TestPutDropsTheWire: Put wipes the in-flight link with the rest, so a
+// recycled packet pins no link and starts its next trip without one.
+func TestPutDropsTheWire(t *testing.T) {
+	pl := NewPool()
+	p := pl.Get()
+	var link int
+	p.Wire = unsafe.Pointer(&link)
+	pl.Put(p)
+	if p.Wire != nil {
+		t.Fatal("a recycled packet holds a link")
+	}
 }
 
 // TestPoolCountsPagesAndFreeList: Gets carve pagePackets packets per page

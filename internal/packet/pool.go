@@ -51,7 +51,7 @@ func (pl *Pool) Get() *Packet {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
-		p.pooled = false
+		p.held = heldByNone
 		return p
 	}
 	if len(pl.page) == 0 {
@@ -66,19 +66,19 @@ func (pl *Pool) Get() *Packet {
 }
 
 // Put recycles p. The caller must be the packet's terminal owner; the packet
-// contents are wiped (the INT backing array is kept so telemetry stacks do
-// not reallocate). Putting the same packet twice without an intervening Get
-// panics — it means two devices both believed they owned the packet — and so
-// does putting a packet that a queue still holds.
+// contents are wiped, the in-flight Wire with them (the INT backing array is
+// kept so telemetry stacks do not reallocate). Putting the same packet twice
+// without an intervening Get panics — it means two devices both believed they
+// owned the packet — and so does putting a packet that a queue still holds.
 func (pl *Pool) Put(p *Packet) {
 	if p == nil {
 		return
 	}
-	if p.pooled || p.queued {
+	if p.held != heldByNone {
 		panic("packet: Put of a packet still owned elsewhere (recycled or queued)")
 	}
 	intBuf := p.INT[:0]
-	*p = Packet{INT: intBuf, pooled: true}
+	*p = Packet{INT: intBuf, held: heldByPool}
 	pl.free = append(pl.free, p)
 	pl.puts++
 }

@@ -13,19 +13,20 @@ import (
 // topology's shard plan, the devices, the links and the run's own
 // bookkeeping. Each shard carves its switches (ports, queues, schedulers, BFC
 // engines and tickers) and its NICs from a handful of shard-wide arrays, a
-// port or a NIC is its link's netsim.Sender, and a link costs its one
-// delivery callback. So a switch, a port and a NIC cost no object of their
-// own: a k = 8 fat-tree (80 switches, 128 hosts, 768 unidirectional links)
-// allocates what a k = 4 one (20 switches, 16 hosts, 96 links) does plus one
-// object per extra link, within spread. One object more per switch would add
-// 60, per port or NIC hundreds; building each switch from its own arrays
-// (about 20 objects a switch) and handing each port and NIC a closure of its
-// own, as the builder before did, exceeds the budget several times over.
+// port or a NIC is its link's netsim.Sender, and a link's events call
+// package-level functions. So a switch, a port, a NIC and a link cost no
+// object of their own: a k = 8 fat-tree (80 switches, 128 hosts, 768
+// unidirectional links) allocates what a k = 4 one (20 switches, 16 hosts, 96
+// links) does, within spread. One object more per switch would add 60, per
+// port, NIC or link hundreds; a delivery callback per link, as the links
+// before made, or building each switch from its own arrays (about 20 objects
+// a switch) and handing each port and NIC a closure of its own, exceeds the
+// budget several times over.
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const perLink, fixed, spread = 1, 300, 32
+	const perLink, fixed, spread = 0, 300, 32
 	build := func(k, shards int) (objects, links int) {
 		t.Helper()
 		topo := topology.NewFatTree(topology.FatTreeConfig{

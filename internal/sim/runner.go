@@ -174,6 +174,8 @@ type runner struct {
 	// filters recycles the BFC pause filters of the shard's devices, as pool
 	// does packets; a filter lost on a link goes back to the receiver's.
 	filters *bloom.Pool
+	// frames holds the records of the control frames the shard receives.
+	frames netsim.Frames
 	// links is the slab of the links whose sending end the shard owns.
 	links []netsim.Link
 
@@ -407,7 +409,8 @@ func (r *runner) buildNICs(hosts int) {
 // so the strand of a packet lost on the down link — runs on the receiving
 // device's scheduler, so the stranded packet goes to that shard's runner in
 // shards, which recycles it into its own pool, counts it and traces it. The
-// filter of a lost pause frame goes back to that shard's filter pool.
+// filter of a lost pause frame goes back to that shard's filter pool, and
+// every control frame the shard receives travels in a record of its frames.
 func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 	n := 0
 	for _, node := range r.topo.Nodes() {
@@ -429,6 +432,7 @@ func (r *runner) wireLinks(shards []*runner, out []netsim.Boundary) {
 			recv := shards[r.plan.Assign[port.Peer]]
 			link.OnStranded = recv.strand
 			link.Filters = recv.filters
+			link.Frames = &recv.frames
 			if recv.rec != nil {
 				// When tracing, identify the sending end of the link in the
 				// stranding event. The extra closure exists only on traced

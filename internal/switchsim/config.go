@@ -11,6 +11,7 @@ package switchsim
 
 import (
 	"fmt"
+	"math"
 
 	"bfc/internal/bloom"
 	"bfc/internal/core"
@@ -95,6 +96,11 @@ func (c *Config) Validate() error {
 	}
 	if c.Node.Kind != topology.Switch {
 		return fmt.Errorf("switchsim: node %q is not a switch", c.Node.Name)
+	}
+	if len(c.Node.Ports) > math.MaxUint16+1 {
+		// A packet keeps its arrival port in two bytes (Packet.ArrivalPort).
+		return fmt.Errorf("switchsim: switch %q has %d ports, at most %d fit a packet's arrival port",
+			c.Node.Name, len(c.Node.Ports), math.MaxUint16+1)
 	}
 	if c.MTU <= 0 {
 		return fmt.Errorf("switchsim: MTU must be positive")

@@ -355,7 +355,7 @@ func (s *Switch) LinkRate(egress int) units.Rate {
 // ReceivePacket implements netsim.Device.
 func (s *Switch) ReceivePacket(ingress int, p *packet.Packet) {
 	now := s.sched.Now()
-	p.ArrivalPort = ingress
+	p.ArrivalPort = uint16(ingress)
 	egress := s.routePort(p)
 	if egress < 0 {
 		// Transiently unroutable (a scenario just failed this packet's only
@@ -680,20 +680,21 @@ func (s *Switch) onDequeue(portIdx int, p *packet.Packet, src int) {
 
 	// Release shared buffer and per-ingress accounting; possibly resume PFC.
 	s.bufferUsed -= p.Size
-	in := &s.ports[p.ArrivalPort]
+	ingress := int(p.ArrivalPort)
+	in := &s.ports[ingress]
 	in.ingressBytes -= p.Size
 	if s.bufferUsed < 0 || in.ingressBytes < 0 {
 		panic("switchsim: negative buffer accounting")
 	}
 	port.queuedDataBytes -= p.Size
 	if s.cfg.EnablePFC {
-		s.checkPFCResume(p.ArrivalPort)
+		s.checkPFCResume(ingress)
 	}
 
 	// BFC departure processing and head re-evaluation.
 	if s.engine != nil {
 		pl := core.Placement{HighPriority: src == fromHiPrio, Overflow: src == s.cfg.NumQueues, Queue: src}
-		s.engine.OnDeparture(now, p.ArrivalPort, portIdx, pl, p)
+		s.engine.OnDeparture(now, ingress, portIdx, pl, p)
 		if src >= 0 {
 			s.refreshQueuePause(portIdx, src)
 		}

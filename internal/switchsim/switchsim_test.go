@@ -1,7 +1,9 @@
 package switchsim_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bfc/internal/bloom"
@@ -97,13 +99,27 @@ func TestNewRejectsNilPool(t *testing.T) {
 	newTestSwitch(t, func(c *switchsim.Config) { c.Pool = nil })
 }
 
+// TestNewRejectsMorePortsThanAPacketNames: a packet keeps its arrival port in
+// two bytes, so a switch of more than 65 536 ports is refused.
+func TestNewRejectsMorePortsThanAPacketNames(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "arrival port") {
+			t.Fatalf("switchsim.New of a switch of 65 537 ports: recovered %v, want the arrival port's limit", r)
+		}
+	}()
+	newTestSwitch(t, func(c *switchsim.Config) {
+		c.Node = &topology.Node{Kind: topology.Switch, Name: "wide", Ports: make([]topology.Port, 1<<16+1)}
+	})
+}
+
 // TestNewFootprint bounds the bytes switchsim.New allocates for a 16-port BFC
 // switch at the paper's 32 data queues per port, measured as a
 // runtime.MemStats.TotalAlloc delta. A port's 32 data queues cost 56 B each
 // (a 32-B FIFO, an 8-B DRR deficit and the engine's 16-B queue record) and
 // its ctrl, high-priority and overflow queues 32 to 40 B; with the port's own
-// state and the engine's ingress filters that is about 2.4 KB per port,
-// 38.5 KB in all on go1.24. The bound allows 2.75 KB per port. With 128 B per
+// state, the engine's ingress filters and the room carved for four pending
+// resumes and a pause frame that is about 2.5 KB per port, 40.6 KB in all on
+// go1.24. The bound allows 2.75 KB per port. With 128 B per
 // data queue (a 56-B FIFO that pointed back at its scheduler and four engine
 // slices per queue) the same switch took 80.8 KB.
 func TestNewFootprint(t *testing.T) {
