@@ -340,3 +340,24 @@ func TestPopOrderMatchesReferenceHeap(t *testing.T) {
 	}
 	reach.requireAll(t)
 }
+
+// TestReserveSizesFar: arrivals filed past the ring's window before the first
+// event go into far, and a scheduler that reserved room for them files them
+// all without growing it.
+func TestReserveSizesFar(t *testing.T) {
+	const arrivals = 1000
+	s := New()
+	s.Reserve(arrivals)
+	room := cap(s.far)
+	nop := func(any) {}
+	for i := range arrivals {
+		s.ScheduleCallTagged(units.Time(ringSize+i)<<bucketShift, uint64(i), nop, nil)
+	}
+	if len(s.far) != arrivals || cap(s.far) != room || room < arrivals {
+		t.Fatalf("far holds %d of %d arrivals with capacity %d, reserved %d", len(s.far), arrivals, cap(s.far), room)
+	}
+	s.Run()
+	if s.Executed != arrivals {
+		t.Fatalf("executed %d of %d arrivals", s.Executed, arrivals)
+	}
+}

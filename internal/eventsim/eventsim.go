@@ -722,6 +722,11 @@ func (s *Scheduler) file(e entry) {
 	}
 }
 
+// Reserve makes room for n events about to be scheduled past the ring's
+// window — a run's flow arrivals, filed before the first event fires — so
+// that filing them grows no slice.
+func (s *Scheduler) Reserve(n int) { s.far = slices.Grow(s.far, n) }
+
 // HeapHighWater returns the maximum number of index records pending at once
 // across the three tiers over the scheduler's lifetime — the peak number of
 // simultaneously pending (live or lazily-cancelled) events, the same figure

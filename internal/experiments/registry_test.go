@@ -83,7 +83,7 @@ func TestFigureTable(t *testing.T) {
 			t.Fatalf("figure %s renders differently from 8 workers:\n%s\nvs serial\n%s", f.Key, parallel, serial)
 		}
 	}
-	if err := harness.ValidateSuite(union); err != nil {
+	if _, err := harness.ValidateSuite(union); err != nil {
 		t.Fatalf("figures share a job: %v", err)
 	}
 	alias, base := byKey["fig06"], byKey["fig05a"]

@@ -426,7 +426,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, cs *service.CompiledSuite, p
 	for i, idxs := range plan {
 		b := &batchState{id: fmt.Sprintf("%s/b%03d", cs.Digest, i), idxs: idxs}
 		for _, idx := range idxs {
-			b.hashes = append(b.hashes, cs.Jobs[idx].Hash())
+			b.hashes = append(b.hashes, cs.Hashes[idx])
 		}
 		batches[i] = b
 	}
@@ -518,7 +518,7 @@ func (c *Coordinator) dedup(ctx context.Context, cs *service.CompiledSuite, pend
 	}
 	hashes := make([]string, len(pending))
 	for i, idx := range pending {
-		hashes[i] = cs.Jobs[idx].Hash()
+		hashes[i] = cs.Hashes[idx]
 	}
 	owner := map[string]*workerRef{}
 	for _, w := range workers {

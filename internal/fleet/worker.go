@@ -165,7 +165,7 @@ func (e *Executor) Execute(ctx context.Context, req *ExecuteRequest) (*ExecuteRe
 	}
 	byHash := make(map[string]*harness.Job, len(cs.Jobs))
 	for i := range cs.Jobs {
-		byHash[cs.Jobs[i].Hash()] = &cs.Jobs[i]
+		byHash[cs.Hashes[i]] = &cs.Jobs[i]
 	}
 	start := time.Now()
 	// The batch in request order, so a job's index is its response slot.

@@ -20,13 +20,16 @@
 // capacity is a bound on the chain's length. The tables of one shard carve
 // their entries from one Store, pages of pageEntries numbered by one slab,
 // so a shard's tables cost a heap object per page, not per table; each table
-// recycles its own entries through a free chain. An *Entry is stable: from
-// Insert until Remove it is the same object at the same address.
+// recycles its own entries through a free chain. The indexes tables grow into
+// come from the Store too, carved from pages of cells, and an outgrown index
+// goes back to it for the next table that grows to its length. An *Entry is
+// stable: from Insert until Remove it is the same object at the same address.
 package flowtable
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"bfc/internal/packet"
@@ -107,8 +110,10 @@ type Table struct {
 	// at most bucketSize long. A VFID's cell is freed when its bucket empties.
 	// The index starts at minIndex cells and doubles when a VFID would make
 	// it more than half full; like the slab it never shrinks, which would
-	// reallocate on every swing of a switch's flow count. It holds no
-	// pointers, so the collector never scans it.
+	// reallocate on every swing of a switch's flow count. A doubled index
+	// comes from the store, which keeps the outgrown one for the next table
+	// that grows to its length. It holds no pointers, so the collector never
+	// scans it.
 	index []cell
 	// shift maps a VFID's hash to its home cell: 32 − log2(len(index)).
 	shift uint8
@@ -138,14 +143,20 @@ type Table struct {
 }
 
 // Store holds the entries of the tables of one shard: the pages they are
-// carved from and the slab that numbers them. The zero value is ready to use;
-// the first entry carved makes the first page.
+// carved from and the slab that numbers them. It also holds the indexes the
+// tables grow into. The zero value is ready to use; the first entry carved
+// makes the first page.
 type Store struct {
 	// slab holds every entry carved, in carving order; an entry's slot is 1 +
 	// its index. It never shrinks.
 	slab []*Entry
 	// page holds the entries not yet carved from the last page.
 	page []Entry
+	// cells holds the index cells not yet carved from the last page of them,
+	// and spare the indexes tables grew out of, by log2 of their length, for
+	// the next table that grows to that length.
+	cells []cell
+	spare [32][][]cell
 }
 
 // cell is one index slot: a VFID and the first entry of its bucket, as 1 +
@@ -160,13 +171,17 @@ type cell struct {
 const minIndex = 8
 
 // Index is the index a table starts with. A caller that sets up many tables
-// carves theirs from one []Index (see Init); a table that outgrows it
-// allocates the next, as the index doubles, on its own.
+// carves theirs from one []Index (see Init); a table that outgrows it takes
+// the next, as the index doubles, from its Store.
 type Index [minIndex]cell
 
 // pageEntries is the number of entries one page of a Store holds (88 B
 // each).
 const pageEntries = 128
+
+// indexPage is the number of cells one page of a Store's index cells holds
+// (8 KB); a longer index is a page of its own.
+const indexPage = 1024
 
 // Init sets t up in place over the given VFID space with the §3.8 geometry,
 // index as its first index, which t keeps, and store as where it carves its
@@ -257,12 +272,15 @@ func (t *Table) cellOf(v packet.VFID) int {
 func (t *Table) claim(v packet.VFID, at int) int {
 	if 2*(t.used+1) > len(t.index) {
 		old := t.index
-		t.index = make([]cell, 2*len(old))
+		t.index = t.store.index(2 * len(old))
 		t.shift--
 		for _, c := range old {
 			if c.head != 0 {
 				t.index[t.cellOf(c.vfid)] = c
 			}
+		}
+		if len(old) > minIndex {
+			t.store.release(old)
 		}
 		at = t.cellOf(v)
 	}
@@ -355,6 +373,31 @@ func (st *Store) carve() *Entry {
 	st.slab = append(st.slab, e)
 	e.slot = int32(len(st.slab))
 	return e
+}
+
+// index returns an empty index of n cells, n a power of two: a spare one of
+// that length, or else one carved from the page of cells.
+func (st *Store) index(n int) []cell {
+	k := bits.TrailingZeros(uint(n))
+	if m := len(st.spare[k]); m > 0 {
+		idx := st.spare[k][m-1]
+		st.spare[k] = st.spare[k][:m-1]
+		clear(idx)
+		return idx
+	}
+	if len(st.cells) < n {
+		st.cells = make([]cell, max(n, indexPage))
+	}
+	idx := st.cells[:n:n]
+	st.cells = st.cells[n:]
+	return idx
+}
+
+// release keeps an index a table grew out of, and no longer reads, as a
+// spare.
+func (st *Store) release(idx []cell) {
+	k := bits.TrailingZeros(uint(len(idx)))
+	st.spare[k] = append(st.spare[k], idx)
 }
 
 // Each yields every live entry, for use as a range-over-func iterator: the

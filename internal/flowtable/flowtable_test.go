@@ -378,6 +378,55 @@ func TestTablesShareOneStore(t *testing.T) {
 	}
 }
 
+// TestIndexesComeFromTheStore: a table that outgrows its index takes the
+// doubled one from its store, carved from a page of cells, and hands the old
+// one back; the next table to grow to that length takes it, emptied. 64
+// tables growing to 32 cells each allocate the store's pages of cells, not
+// two indexes per table.
+func TestIndexesComeFromTheStore(t *testing.T) {
+	var store Store
+	var a, b Table
+	a.Init(DefaultNumVFIDs, new(Index), &store)
+	b.Init(DefaultNumVFIDs, new(Index), &store)
+	for v := range packet.VFID(9) { // 9 VFIDs: 8 cells, then 16, then 32
+		a.Insert(v, 0, 1)
+	}
+	if len(a.index) != 32 || len(store.spare[4]) != 1 {
+		t.Fatalf("9 VFIDs left a %d-cell index and %d spare 16-cell ones, want 32 and 1", len(a.index), len(store.spare[4]))
+	}
+	outgrown := &store.spare[4][0][0]
+	for v := range packet.VFID(5) { // 5 VFIDs: 8 cells, then 16
+		b.Insert(100+v, 0, 1)
+	}
+	if len(b.index) != 16 || &b.index[0] != outgrown {
+		t.Fatal("the second table to grow to 16 cells did not take the index the first grew out of")
+	}
+	for _, tbl := range []*Table{&a, &b} {
+		if err := tbl.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const tables = 64
+	allocs := testing.AllocsPerRun(1, func() {
+		store, tbls, index := new(Store), make([]Table, tables), make([]Index, tables)
+		for i := range tbls {
+			tbls[i].Init(DefaultNumVFIDs, &index[i], store)
+			for v := range packet.VFID(9) {
+				tbls[i].Insert(v, 0, 1)
+			}
+		}
+	})
+	// The first table carves a 16-cell index, every table a 32-cell one; the
+	// others take the 16 the one before grew out of. What the tables allocate
+	// is the store's pages, of entries and of cells, and the slab's growth:
+	// 21 objects, where an index made per doubling took 145.
+	t.Logf("%d tables growing to 32 cells: %v objects", tables, allocs)
+	if allocs >= tables {
+		t.Fatalf("%d tables growing to 32 cells allocated %v objects, want fewer than one per table", tables, allocs)
+	}
+}
+
 // TestSharedStoreKeepsEachOrder: tables sharing a store walk their entries,
 // bucket and overflow alike, in the order that tables with stores of their
 // own do under the same operations, whatever the other tables do in between:

@@ -52,7 +52,8 @@ type Runner struct {
 // jobs finish — their records are still stored and reported.
 func (r *Runner) Run(jobs []Job) ([]*Record, error) {
 	r.Exec = execstats.Summary{}
-	if err := ValidateSuite(jobs); err != nil {
+	hashes, err := ValidateSuite(jobs)
+	if err != nil {
 		return nil, err
 	}
 	var (
@@ -73,7 +74,7 @@ func (r *Runner) Run(jobs []Job) ([]*Record, error) {
 	}
 	for i := range jobs {
 		if r.Resume && r.Store != nil {
-			rec, ok, err := r.Store.Get(jobs[i].Hash())
+			rec, ok, err := r.Store.Get(hashes[i])
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +91,7 @@ func (r *Runner) Run(jobs []Job) ([]*Record, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	pool := NewPool(workers, new(telemetry.Gauge), new(telemetry.Gauge))
-	err := pool.Dispatch(context.TODO(), jobs, pending, func(i int, rec *Record, origin Origin) error {
+	err = pool.Dispatch(context.TODO(), jobs, pending, func(i int, rec *Record, origin Origin) error {
 		if r.Store != nil {
 			if err := r.Store.Put(rec); err != nil {
 				return err
@@ -114,16 +115,19 @@ func (r *Runner) Run(jobs []Job) ([]*Record, error) {
 // artifact; duplicate names are rejected separately because the simulation
 // seed derives from the name alone — two jobs with the same name but
 // different Meta have distinct hashes yet would silently share RNG state.
-func ValidateSuite(jobs []Job) error {
+// It returns each job's content hash, in job order, so a caller need not
+// take them again.
+func ValidateSuite(jobs []Job) ([]string, error) {
+	hashes := make([]string, len(jobs))
 	seenHash := make(map[string]string, len(jobs))
 	seenName := make(map[string]bool, len(jobs))
 	for i := range jobs {
 		j := &jobs[i]
 		if err := j.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 		if seenName[j.Name] {
-			return fmt.Errorf("harness: duplicate job name %q (job names key the derived simulation seed)", j.Name)
+			return nil, fmt.Errorf("harness: duplicate job name %q (job names key the derived simulation seed)", j.Name)
 		}
 		seenName[j.Name] = true
 		// Hash() truncates sha256 to 64 bits, so two differently-named jobs
@@ -131,9 +135,10 @@ func ValidateSuite(jobs []Job) error {
 		// name check above does not subsume this one.
 		h := j.Hash()
 		if prev, dup := seenHash[h]; dup {
-			return fmt.Errorf("harness: jobs %q and %q have the same content hash %s", prev, j.Name, h)
+			return nil, fmt.Errorf("harness: jobs %q and %q have the same content hash %s", prev, j.Name, h)
 		}
 		seenHash[h] = j.Name
+		hashes[i] = h
 	}
-	return nil
+	return hashes, nil
 }

@@ -150,8 +150,8 @@ type suite struct {
 	scale  string
 	digest string
 	jobs   []harness.Job
-	// hashes[i] is jobs[i]'s content hash, taken once by SubmitCompiled: the
-	// option mutators it appends (trace rings, exec stats) leave it unchanged.
+	// hashes[i] is jobs[i]'s content hash, taken once at compile: the option
+	// mutators SubmitCompiled appends (trace rings) leave it unchanged.
 	hashes []string
 
 	mu       sync.Mutex
@@ -333,6 +333,10 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		s.metrics.suitesRejected.Inc()
 		return SuiteStatus{}, fmt.Errorf("service: suite has %d jobs, limit %d", len(cs.Jobs), maxSuiteJobs)
 	}
+	if len(cs.Hashes) != len(cs.Jobs) {
+		s.metrics.suitesRejected.Inc()
+		return SuiteStatus{}, fmt.Errorf("service: suite carries %d job hashes for %d jobs; Compile takes them", len(cs.Hashes), len(cs.Jobs))
+	}
 
 	st := &suite{
 		title:    cs.Title,
@@ -340,7 +344,7 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 		scale:    cs.Scale,
 		digest:   cs.Digest,
 		jobs:     cs.Jobs,
-		hashes:   make([]string, len(cs.Jobs)),
+		hashes:   cs.Hashes,
 		finished: make([]bool, len(cs.Jobs)),
 		state:    StateRunning,
 		subs:     map[int]chan Event{},
@@ -351,7 +355,6 @@ func (s *Service) SubmitCompiled(cs *CompiledSuite) (SuiteStatus, error) {
 	// Bytes the store wrote or accepted before are compared, not re-parsed.
 	var pending []int
 	for i := range st.jobs {
-		st.hashes[i] = st.jobs[i].Hash()
 		_, ok, err := s.cfg.Store.Read(st.hashes[i])
 		if err != nil {
 			s.metrics.suitesRejected.Inc()

@@ -288,21 +288,33 @@ func storedSuite(t *testing.T, dir string, n, pad int) *CompiledSuite {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]harness.Job, n)
+	jobs, hashes := make([]harness.Job, n), make([]string, n)
 	for i := range jobs {
 		jobs[i] = harness.Job{
 			Name:   fmt.Sprintf("test/stored/job=%d", i),
 			Scheme: sim.SchemeBFC,
 			Meta:   map[string]string{"job": fmt.Sprint(i), "pad": strings.Repeat("x", pad)},
 		}
+		hashes[i] = jobs[i].Hash()
 		rec := &harness.Record{ManifestEntry: harness.ManifestEntry{
-			Hash: jobs[i].Hash(), Name: jobs[i].Name, Scheme: jobs[i].Scheme.String(), Model: sim.ModelVersion, Meta: jobs[i].Meta,
+			Hash: hashes[i], Name: jobs[i].Name, Scheme: jobs[i].Scheme.String(), Model: sim.ModelVersion, Meta: jobs[i].Meta,
 		}}
 		if err := store.Put(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &CompiledSuite{Title: "stored", Figure: "test", Jobs: jobs, Digest: suiteDigest(jobs)}
+	// The jobs have no builders, which validation refuses: they are only
+	// ever served from the store.
+	return &CompiledSuite{Title: "stored", Figure: "test", Jobs: jobs, Hashes: hashes, Digest: suiteDigest(hashes)}
+}
+
+// sealed is a hand-assembled suite as Compile leaves one: validated, with
+// its job hashes and digest.
+func sealed(cs *CompiledSuite) *CompiledSuite {
+	if err := cs.seal(); err != nil {
+		panic(err)
+	}
+	return cs
 }
 
 // TestListStatusesKeepsSubmissionOrderPastSixDigits: suite IDs grow a
@@ -397,7 +409,7 @@ func blockingSuite(n int, started chan<- string, release <-chan struct{}) *Compi
 			}},
 		})
 	}
-	return &CompiledSuite{Title: "block", Figure: "test", Scale: "tiny", Jobs: jobs, Digest: suiteDigest(jobs)}
+	return sealed(&CompiledSuite{Title: "block", Figure: "test", Scale: "tiny", Jobs: jobs})
 }
 
 func TestCancelStopsQueuedWork(t *testing.T) {
@@ -470,6 +482,17 @@ func TestMaxActiveSuitesLimit(t *testing.T) {
 	}
 	if final := waitState(t, svc, status.ID); final.State != StateDone {
 		t.Fatalf("follow-up suite ended %s: %s", final.State, final.Error)
+	}
+}
+
+// A suite carries the job hashes Compile took; one assembled without them is
+// refused, not looked up under missing keys.
+func TestSubmitRefusesUnhashedSuite(t *testing.T) {
+	svc := newTestService(t, t.TempDir(), nil)
+	cs := blockingSuite(2, nil, nil)
+	cs.Hashes = nil
+	if _, err := svc.SubmitCompiled(cs); err == nil || !strings.Contains(err.Error(), "0 job hashes for 2 jobs") {
+		t.Fatalf("a suite without job hashes: got %v, want it refused", err)
 	}
 }
 
@@ -550,9 +573,9 @@ func TestFailedJobFailsSuite(t *testing.T) {
 			panic("builder misconfigured")
 		},
 	}}
-	status, err := svc.SubmitCompiled(&CompiledSuite{
-		Title: "panic", Figure: "test", Scale: "tiny", Jobs: jobs, Digest: suiteDigest(jobs),
-	})
+	status, err := svc.SubmitCompiled(sealed(&CompiledSuite{
+		Title: "panic", Figure: "test", Scale: "tiny", Jobs: jobs,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

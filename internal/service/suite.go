@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"bfc/internal/experiments"
@@ -125,6 +125,9 @@ type CompiledSuite struct {
 	Scale string
 	// Jobs is the compiled grid, validated by harness.ValidateSuite.
 	Jobs []harness.Job
+	// Hashes holds each job's content hash, in job order, taken once at
+	// compile: the digest, the store lookups and the fleet read them.
+	Hashes []string
 	// Digest content-addresses the whole suite: a sha256 over the sorted job
 	// hashes. Two submissions with the same digest ask for exactly the same
 	// simulation work.
@@ -188,26 +191,30 @@ func (s *SuiteSpec) Compile() (*CompiledSuite, error) {
 			return nil, err
 		}
 	}
-	if err := harness.ValidateSuite(cs.Jobs); err != nil {
+	if err := cs.seal(); err != nil {
 		return nil, err
 	}
 	cs.Title = s.Name
 	if cs.Title == "" {
 		cs.Title = strings.TrimSuffix(cs.Figure+"@"+cs.Scale, "@")
 	}
-	cs.Digest = suiteDigest(cs.Jobs)
 	return cs, nil
 }
 
-// suiteDigest hashes the sorted job content hashes.
-func suiteDigest(jobs []harness.Job) string {
-	hashes := make([]string, 0, len(jobs))
-	for i := range jobs {
-		hashes = append(hashes, jobs[i].Hash())
+// seal validates the suite's jobs, taking their content hashes once, and
+// digests the suite.
+func (cs *CompiledSuite) seal() (err error) {
+	if cs.Hashes, err = harness.ValidateSuite(cs.Jobs); err != nil {
+		return err
 	}
-	sort.Strings(hashes)
+	cs.Digest = suiteDigest(cs.Hashes)
+	return nil
+}
+
+// suiteDigest hashes the sorted job content hashes.
+func suiteDigest(hashes []string) string {
 	h := sha256.New()
-	for _, hash := range hashes {
+	for _, hash := range slices.Sorted(slices.Values(hashes)) {
 		h.Write([]byte(hash))
 		h.Write([]byte{0})
 	}

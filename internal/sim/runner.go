@@ -522,7 +522,11 @@ func (r *runner) startInjected(f *packet.Flow) {
 	}
 }
 
+// scheduleFlows files the arrivals of the base flows the shard sources. It
+// first reserves room for all r.sends arrivals the shard files before its
+// first event: these and the scenario's injected flows it sources.
 func (r *runner) scheduleFlows(flows []*packet.Flow) {
+	r.sched.Reserve(r.sends)
 	start := func(x any) {
 		f := x.(*packet.Flow)
 		r.reg.nics[f.Src].StartFlow(f)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"time"
@@ -276,6 +277,37 @@ func assignSlots(plan *topology.ShardPlan, flows []*packet.Flow, scen *scenario.
 	return sends, recvs, sentBy
 }
 
+// reserveFCTs sizes the run's FCT collectors for the flows it offers, base
+// and injected: each one but a long-lived flow completes into one of them at
+// most once.
+func reserveFCTs(res *Result, flows []*packet.Flow, scen *scenario.Planned) {
+	offered := func(yield func(*packet.Flow) bool) {
+		for _, f := range flows {
+			if !yield(f) {
+				return
+			}
+		}
+		if scen != nil {
+			for f := range scen.Flows() {
+				if !yield(f) {
+					return
+				}
+			}
+		}
+	}
+	sizes := func(incast bool) iter.Seq[units.Bytes] {
+		return func(yield func(units.Bytes) bool) {
+			for f := range offered {
+				if !f.LongLived && f.IsIncast == incast && !yield(f.Size) {
+					return
+				}
+			}
+		}
+	}
+	res.FCT.Reserve(sizes(false))
+	res.FCTIncast.Reserve(sizes(true))
+}
+
 // runSharded executes the simulation on plan.Shards shards, one or more.
 func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*Result, error) {
 	S := plan.Shards
@@ -303,6 +335,7 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// barriers, merges the two streams into it and the caller's ring after
 	// every barrier step, and collects from it at the end.
 	res := newResult(&opts)
+	reserveFCTs(res, flows, scen)
 	fcts := stream[fctRec]{emit: func(c *fctRec) { c.record(res, scenM) }}
 	trace := stream[telemetry.Event]{emit: func(ev *telemetry.Event) { opts.Recorder.Record(*ev) }}
 
@@ -378,6 +411,11 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 	// The statistics tick fires every delta; each walks sws once (sampleTick).
 	delta := bufferSampleInterval(opts.Topo)
+	// Ticks fall at every multiple of delta up to the horizon, and each adds
+	// one sample per switch to both tick distributions.
+	ticked := int(horizon/delta) * len(sws)
+	res.BufferOccupancy.Reserve(ticked)
+	res.OccupiedQueues.Reserve(ticked)
 	var series *seriesSampler
 	if opts.SampleSeries {
 		series = reg.newSeriesSampler(sws, delta, executedEmu)

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 
 	"bfc/internal/switchsim"
 	"bfc/internal/telemetry"
@@ -24,17 +26,32 @@ const ModelVersion = 3
 // comparable between telemetry-enabled and telemetry-disabled runs of the
 // same configuration — the determinism contract telemetry must honor — while
 // still covering every statistic the figures report. For runs without
-// telemetry it is identical to hashing the full marshalled Result.
+// telemetry it is identical to hashing the full marshalled Result. The
+// encoding streams into the hash: no copy of it is made.
 func ResultDigest(res *Result) (string, error) {
 	saved := res.Telemetry
 	res.Telemetry = nil
-	blob, err := json.Marshal(res)
+	h := sha256.New()
+	err := json.NewEncoder(untilNewline{h}).Encode(res)
 	res.Telemetry = saved
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])), nil
+}
+
+// untilNewline writes to w what a json.Encoder writes but the newline it
+// ends a value with, so the bytes are json.Marshal's. A compact encoding
+// holds no other newline byte (a string escapes it), so the one a write ends
+// with is the terminator however the encoder splits its writes.
+type untilNewline struct{ w io.Writer }
+
+func (u untilNewline) Write(b []byte) (int, error) {
+	if _, err := u.w.Write(bytes.TrimSuffix(b, []byte{'\n'})); err != nil {
+		return 0, err
+	}
+	return len(b), nil
 }
 
 // seriesSampler turns the statistics tick into the time-series bundle

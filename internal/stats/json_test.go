@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"testing"
@@ -164,5 +165,98 @@ func FuzzFCTCollectorJSON(f *testing.F) {
 		c.Rows()
 		c.StoredSamples()
 		c.Record(2*units.KB, 30*units.Microsecond, 10*units.Microsecond)
+	})
+}
+
+// plainJSON returns the values d's wire form holds as types encoding/json
+// encodes by itself: the sample array, or the sketch object.
+func plainJSON(d *Distribution) any {
+	samples := d.samples
+	if samples == nil {
+		samples = []float64{}
+	}
+	if !d.Streaming() {
+		return samples
+	}
+	return streamingJSON{Sketch: sketchJSON{
+		Cap: d.cap, Seed: sketchSeed, Count: d.count,
+		Sum: d.sum, Min: d.min, Max: d.max, Samples: samples,
+	}}
+}
+
+// plainCollectorJSON is plainJSON for a collector.
+func plainCollectorJSON(c *FCTCollector) any {
+	w := struct {
+		Buckets []SizeBucket `json:"buckets"`
+		PerSize []any        `json:"per_size"`
+		All     any          `json:"all"`
+	}{Buckets: c.buckets, All: plainJSON(&c.all)}
+	if c.perSize != nil {
+		w.PerSize = make([]any, len(c.perSize))
+		for i := range c.perSize {
+			w.PerSize[i] = plainJSON(&c.perSize[i])
+		}
+	}
+	return w
+}
+
+// sameAsEncodingJSON fails t unless got and err, an encoding of the values
+// plain holds, are encoding/json's bytes for them, or both encodings fail.
+func sameAsEncodingJSON(t *testing.T, what string, got []byte, err error, plain any) {
+	t.Helper()
+	want, wantErr := json.Marshal(plain)
+	switch {
+	case (err != nil) != (wantErr != nil):
+		t.Fatalf("%s: error %v, encoding/json's %v", what, err, wantErr)
+	case err == nil && !bytes.Equal(got, want):
+		t.Fatalf("%s:\n got %s\nwant %s", what, got, want)
+	}
+}
+
+// floatBits packs values as the fuzz input FuzzDistributionJSON reads.
+func floatBits(vs ...float64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzDistributionJSON holds the one-pass encoding of distributions and FCT
+// collectors to encoding/json's bytes for the same values, over arbitrary
+// float64 bit patterns: each 8 bytes of raw are one sample. capacity 0 is
+// exact mode, any other a reservoir of that capacity, so a few samples reach
+// the sketch's replacement path.
+func FuzzDistributionJSON(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{}, uint8(4))
+	edges := floatBits(0, math.Copysign(0, -1), 5e-324, -2.2250738585072014e-308, 1e-7, 9.99e-7,
+		1e-6, 1.5, 123456789, 1e20, 1e21, -1e21, 1.7976931348623157e308)
+	f.Add(edges, uint8(0))
+	f.Add(edges, uint8(3))
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(floatBits(1, v, 2), uint8(0))
+		f.Add(floatBits(1, v, 2), uint8(8))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, capacity uint8) {
+		d := Distribution{cap: int(capacity)}
+		c := NewFCTCollector()
+		c.all.cap = int(capacity)
+		for i := range c.perSize {
+			c.perSize[i].cap = int(capacity)
+		}
+		for i := 0; i+8 <= len(raw); i += 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+			d.Add(v)
+			c.all.Add(v)
+			c.perSize[(i/8)%len(c.perSize)].Add(v)
+		}
+		got, err := d.MarshalJSON()
+		sameAsEncodingJSON(t, "distribution", got, err, plainJSON(&d))
+		got, err = c.MarshalJSON()
+		sameAsEncodingJSON(t, "collector", got, err, plainCollectorJSON(c))
+		var zero FCTCollector
+		got, err = zero.MarshalJSON()
+		sameAsEncodingJSON(t, "zero collector", got, err, plainCollectorJSON(&zero))
 	})
 }

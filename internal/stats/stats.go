@@ -6,7 +6,9 @@ package stats
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"bfc/internal/packet"
@@ -88,6 +90,15 @@ func (d *Distribution) Add(v float64) {
 		d.samples[j] = v
 		d.sorted = false
 	}
+}
+
+// Reserve makes room for n more samples, as many of them as the reservoir
+// keeps, so that adding them grows no slice.
+func (d *Distribution) Reserve(n int) {
+	if d.cap > 0 {
+		n = min(n, d.cap-len(d.samples))
+	}
+	d.samples = slices.Grow(d.samples, n)
 }
 
 // Count returns the number of samples.
@@ -214,15 +225,34 @@ func (c *FCTCollector) Record(size units.Bytes, fct, ideal units.Time) {
 		slowdown = 1
 	}
 	c.all.Add(slowdown)
+	c.perSize[c.bucket(size)].Add(slowdown)
+}
+
+// bucket returns the index of the bucket a flow of the given size belongs to;
+// a size larger than the last bucket's Hi is attributed to the last bucket.
+func (c *FCTCollector) bucket(size units.Bytes) int {
 	for i, b := range c.buckets {
 		if size > b.Lo && size <= b.Hi || (i == 0 && size <= b.Hi) {
-			c.perSize[i].Add(slowdown)
-			return
+			return i
 		}
 	}
-	// Out of range (larger than the last bucket's Hi) — attribute to the last
-	// bucket.
-	c.perSize[len(c.perSize)-1].Add(slowdown)
+	return len(c.buckets) - 1
+}
+
+// Reserve makes room for one sample of a flow of each size that sizes yields —
+// the flows a run offers, known before the first one completes — so that
+// recording them grows no slice.
+func (c *FCTCollector) Reserve(sizes iter.Seq[units.Bytes]) {
+	counts := make([]int, len(c.perSize))
+	total := 0
+	for size := range sizes {
+		counts[c.bucket(size)]++
+		total++
+	}
+	for i, n := range counts {
+		c.perSize[i].Reserve(n)
+	}
+	c.all.Reserve(total)
 }
 
 // Count returns the number of recorded flows.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -157,5 +158,37 @@ func TestPercentileProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A collector reserved for the flows a run offers records their completions
+// without growing a slice, each distribution sized to its own count; a
+// sketch is reserved no further than its capacity.
+func TestReserveSizesEveryDistribution(t *testing.T) {
+	sizes := []units.Bytes{500, 2 * units.KB, 2 * units.KB, 50 * units.KB, 10 * units.MB}
+	c := NewFCTCollector()
+	// AllocsPerRun records the flows twice: once to warm up, once measured.
+	c.Reserve(slices.Values(slices.Concat(sizes, sizes)))
+	if allocs := testing.AllocsPerRun(1, func() {
+		for _, size := range sizes {
+			c.Record(size, 20*units.Microsecond, 10*units.Microsecond)
+		}
+	}); allocs != 0 {
+		t.Fatalf("recording the reserved flows allocated %v times", allocs)
+	}
+	if got := cap(c.all.samples); got != c.Count() {
+		t.Fatalf("overall distribution reserved %d samples for %d flows", got, c.Count())
+	}
+	for i := range c.perSize {
+		if d := &c.perSize[i]; cap(d.samples) != d.Count() {
+			t.Fatalf("bucket %s reserved %d samples for %d flows", c.buckets[i].Label, cap(d.samples), d.Count())
+		}
+	}
+
+	s := Distribution{cap: 4}
+	s.Add(1)
+	s.Reserve(100)
+	if got := cap(s.samples); got != 4 {
+		t.Fatalf("a sketch of capacity 4 reserved room for %d samples", got)
 	}
 }
