@@ -54,15 +54,15 @@ func Example_quickstart() {
 	}
 	// Output:
 	// generated 3200 flows (offered load 0.51)
-	// completed 3200/3200 flows, utilization 0.10, 1068 BFC pauses, 4140 pause frames
+	// completed 3200/3200 flows, utilization 0.10, 1108 BFC pauses, 4084 pause frames
 	// bucket          count      p50      p99
-	// <1KB             2656     1.02     1.13
-	// 1-3KB             230     1.04     1.32
-	// 3-10KB            157     1.16     1.93
-	// 10-30KB            56     1.43     2.73
-	// 30-100KB           42     1.75     4.60
-	// 100-300KB          35     1.91     5.03
-	// 300KB-1MB          18     2.40     4.70
+	// <1KB             2656     1.02     1.12
+	// 1-3KB             230     1.04     1.29
+	// 3-10KB            157     1.16     1.95
+	// 10-30KB            56     1.41     2.72
+	// 30-100KB           42     1.76     4.61
+	// 100-300KB          35     1.91     5.04
+	// 300KB-1MB          18     2.39     4.70
 	// >1MB                6     2.32     3.52
 }
 
@@ -112,10 +112,10 @@ func Example_incast() {
 	}
 	// Output:
 	// scheme      p99 <1KB  p99 overall  util  PFC drops
-	// DCQCN         115.83       107.97  0.08    4     0
-	// DCQCN+Win      42.51        42.16  0.09    0     0
-	// HPCC            5.31         5.48  0.09    0     0
-	// BFC             1.12         3.31  0.09    0     0
+	// DCQCN         115.83       107.95  0.08    4     0
+	// DCQCN+Win      42.54        42.13  0.09    0     0
+	// HPCC            5.47         5.48  0.09    0     0
+	// BFC             1.12         3.36  0.09    0     0
 }
 
 // The §4.2 metro-area scenario at example scale: two small data centers
@@ -171,8 +171,8 @@ func Example_crossDC() {
 	}
 	// Output:
 	// scheme      intra-DC p99  inter-DC p99
-	// DCQCN+Win          21.27          3.27
-	// BFC                 5.55          2.54
+	// DCQCN+Win          21.45          3.27
+	// BFC                 5.51          2.54
 }
 
 // A small-scale rendition of the paper's headline figure, Fig 5: all six
@@ -222,10 +222,10 @@ func Example_schemes() {
 	}
 	// Output:
 	// scheme            <1KB   3-10KB 30-100KB     >1MB overall p99
-	// BFC               1.12     3.07    11.29     1.89        2.57
-	// Ideal-FQ          1.38     3.53    11.10     1.93        3.06
+	// BFC               1.12     3.00    11.26     1.90        2.58
+	// Ideal-FQ          1.41     3.50    11.10     1.93        3.06
 	// DCQCN            26.57    18.45    11.55     5.52       23.88
 	// DCQCN+Win        23.94    20.16    12.51     2.41       23.34
-	// HPCC              6.55     4.35     6.03     4.39        6.56
-	// DCQCN+Win+SFQ    10.39     2.81    12.70     2.88        9.71
+	// HPCC              6.93     4.26     5.85     4.53        6.93
+	// DCQCN+Win+SFQ    10.39     2.81    12.70     2.87        9.64
 }

@@ -73,9 +73,7 @@ func scheduleFireInFlightLoop() func(n int) {
 		s.ScheduleCall(units.Time(i)*delays[3]/inFlight, deliver, nil)
 	}
 	// Reach the steady state before timing: once every set-up arrival has
-	// fired, each pending event holds a pedigree its own parent's dispatch
-	// interned, and the arenas stop growing. Stopping sooner leaves the
-	// pedigree count climbing toward a page boundary the timed loop may cross.
+	// fired, the queue holds its working shape and the arenas stop growing.
 	for s.Now() < horizon {
 		s.Step()
 	}
@@ -124,64 +122,27 @@ func scheduleCancelLoop() func(n int) {
 
 func BenchmarkScheduleCancel(b *testing.B) { runLoop(b, scheduleCancelLoop()) }
 
-// keySink defeats dead-code elimination of materialized keys in
-// keyOverheadLoop.
-var keySink Key
-
-// keyOverheadLoop isolates the determinism machinery's cost at its three
-// tiers, each measuring one schedule-from-dispatch plus fire so the causal
-// chain actually builds:
-//
-//   - compact: the default path after the index-heap split — a child shares
-//     its dispatch's interned pedigree record (slot + child index) and no
-//     wire Key is ever built. The pre-split layout carried the expanded key
-//     in every heap entry, so the compact-vs-eager-key gap is the per-event
-//     tax that layout paid unconditionally.
-//   - eager-key: compact plus a full wire-Key materialization (CurrentKey)
-//     per dispatch — what run-level observers like the flight recorder and
-//     FCT merge pay per recorded event.
-//   - injected: the boundary replay path — ChildKey builds the wire key on
-//     the sending side and ScheduleCallInjected re-interns it on the
-//     receiving side, the per-delivery cost of a cross-shard hop.
-//
-// All three must stay allocation-free in steady state: pedigree and slot
-// records recycle through free-lists.
-func keyOverheadLoop(tier string) func(n int) {
+// injectedLoop is the boundary path: a chain of dispatches, each taking the
+// key of its successor on the sending side (ChildKey) and filing it under
+// that key on the receiving side (ScheduleCallInjected) — one shard here —
+// the per-delivery cost of a cross-shard hop.
+func injectedLoop() func(n int) {
 	s := New()
-	eager, left := tier == "eager-key", 0
-	var chain func()
-	chain = func() {
-		if eager {
-			keySink = s.CurrentKey()
-		}
-		if left--; left > 0 {
-			s.Schedule(s.Now()+1, chain)
-		}
-	}
+	left := 0
 	var replay func(any)
 	replay = func(any) {
 		if left--; left > 0 {
-			s.ScheduleCallInjected(s.ChildKey(s.Now()+1), replay, nil)
+			s.ScheduleCallInjected(s.ChildKey(s.Now()+1, 1), 1, replay, nil)
 		}
 	}
 	return func(n int) {
 		left = n
-		if tier == "injected" {
-			s.ScheduleCall(s.Now(), replay, nil)
-		} else {
-			s.Schedule(s.Now(), chain)
-		}
+		s.ScheduleCallTo(s.Now(), 1, replay, nil)
 		s.Run()
 	}
 }
 
-var keyOverheadTiers = []string{"compact", "eager-key", "injected"}
-
-func BenchmarkSchedulerKeyOverhead(b *testing.B) {
-	for _, tier := range keyOverheadTiers {
-		b.Run(tier, func(b *testing.B) { runLoop(b, keyOverheadLoop(tier)) })
-	}
-}
+func BenchmarkScheduleInjected(b *testing.B) { runLoop(b, injectedLoop()) }
 
 // timerResetLoop is the retransmission-timer pattern: a Timer pushed back
 // for every packet, firing rarely — each Reset re-keys the queued record.
@@ -269,15 +230,13 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		{"ScheduleCancel", scheduleCancelLoop()},
 		{"TimerReset", timerResetLoop()},
 		{"TimerResetEarlier", timerResetEarlierLoop()},
+		{"ScheduleInjected", injectedLoop()},
 	}
 	// A burst is 2·size events, so 4096 iterations are 64 bursts of 64
 	// records (past the sort cutoff): 8192 events, about the other rows'
 	// work.
 	burst := bucketBurstLoop(64)
 	rows = append(rows, row{"BucketBurst/n=64", func(n int) { burst(n / 64) }})
-	for _, tier := range keyOverheadTiers {
-		rows = append(rows, row{"SchedulerKeyOverhead/" + tier, keyOverheadLoop(tier)})
-	}
 	for _, r := range rows {
 		if allocs := testing.AllocsPerRun(1, func() { r.loop(4096) }); allocs != 0 {
 			t.Errorf("%s: %v allocations in 4096 steady-state iterations, want 0", r.name, allocs)

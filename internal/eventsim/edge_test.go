@@ -129,14 +129,14 @@ func TestRecordLayouts(t *testing.T) {
 	if n := unsafe.Sizeof(parked{}); n != 32 {
 		t.Errorf("parked is %d bytes, want 32: two records per cache line, 512 per 16 KB park page", n)
 	}
-	if n := unsafe.Sizeof(slot{}); n > 48 {
-		t.Errorf("slot is %d bytes, want at most 48: one callback form (call + arg); the arena is the cache miss every pop pays", n)
+	if n := unsafe.Sizeof(Key{}); n > 24 {
+		t.Errorf("Key is %d bytes, want at most 24: instant, generation and owner, sequence number; every boundary delivery and merged record carries one", n)
 	}
-	if n := unsafe.Sizeof([slotPage]slot{}); n != 48<<10 {
-		t.Errorf("a slot page is %d bytes, want 48 KB: 1024 records of 48 bytes, six runtime pages with no tail left over", n)
+	if n := unsafe.Sizeof(slot{}); n > 40 {
+		t.Errorf("slot is %d bytes, want at most 40: one callback form (call + arg), a target and the free chain's link; the arena is the cache miss every pop pays", n)
 	}
-	if n := unsafe.Sizeof([pedPage]ped{}); n != 52<<10 {
-		t.Errorf("a pedigree page is %d bytes, want 52 KB: 512 records of 104 bytes; TestArenaGrowthBound prices the arenas by their pages", n)
+	if n := unsafe.Sizeof([slotPage]slot{}); n != 40<<10 {
+		t.Errorf("a slot page is %d bytes, want 40 KB: 1024 records of 40 bytes, five runtime pages with no tail left over; TestArenaGrowthBound prices the arena by its pages", n)
 	}
 	pop := reflect.TypeOf((*Scheduler).popReady)
 	for i := 0; i < pop.NumOut(); i++ {
@@ -166,7 +166,6 @@ func TestCallbackObservesEngineState(t *testing.T) {
 		}},
 		{"RunUntil", func(s *Scheduler) uint64 { return s.RunUntil(40) }},
 		{"RunBefore", func(s *Scheduler) uint64 { return s.RunBefore(41) }},
-		{"RunBeforeKey", func(s *Scheduler) uint64 { return s.RunBeforeKey(Key{At: 41}) }},
 	}
 	for _, r := range runs {
 		for _, form := range []string{"func()", "func(any)"} {
@@ -201,17 +200,18 @@ func TestCallbackObservesEngineState(t *testing.T) {
 						t.Errorf("stale Cancel touched the reused slot: Pending %v, live %d", s.Pending(reused), s.live)
 					}
 				}
-				s.Schedule(10, func() {
-					// The key the fuzz model derives for a first child scheduled now.
-					m := &queueModel{s: s, dispatched: true}
+				s.ScheduleCallTo(10, 7, func(any) {
+					// The key the fuzz model derives for a child scheduled
+					// now: owner 7's second, after this event's own.
+					m := &queueModel{s: s, now: s.Now(), key: s.CurrentKey(), owner: 7, seqs: map[int32]uint64{7: 1}}
 					if form == "func()" {
-						want = m.childKey(40, 0, false)
+						want = m.childKey(40, 7)
 						own = s.Schedule(40, body)
 					} else {
-						want = m.childKey(40, 7, true)
-						own = s.ScheduleCallTagged(40, 7, func(any) { body() }, nil)
+						want = m.childKey(40, 3)
+						own = s.ScheduleCallTo(40, 3, func(any) { body() }, nil)
 					}
-				})
+				}, nil)
 				s.Schedule(50, func() {})
 				s.Step()
 				if n := r.run(s); n != 1 || !ran {
@@ -251,7 +251,8 @@ func (h *refHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; 
 func (h *refHeap) popMin() *refEvent { return heap.Pop(h).(*refEvent) }
 
 // TestPopOrderMatchesReferenceHeap is the property test required by the
-// engine rewrite: under random interleavings of schedules and cancels, the
+// engine rewrite: under random interleavings of schedules and cancels, all
+// from outside any dispatch and so all the Coordinator's, the
 // three-tier lazy-deletion queue must pop events in exactly the order the
 // container/heap reference does. Delays mix the original few-picosecond draws
 // (same-instant collisions, decided by seq) with tierDelays, so records land
@@ -351,7 +352,7 @@ func TestReserveSizesFar(t *testing.T) {
 	room := cap(s.far)
 	nop := func(any) {}
 	for i := range arrivals {
-		s.ScheduleCallTagged(units.Time(ringSize+i)<<bucketShift, uint64(i), nop, nil)
+		s.ScheduleCallTo(units.Time(ringSize+i)<<bucketShift, int32(i%7), nop, nil)
 	}
 	if len(s.far) != arrivals || cap(s.far) != room || room < arrivals {
 		t.Fatalf("far holds %d of %d arrivals with capacity %d, reserved %d", len(s.far), arrivals, cap(s.far), room)

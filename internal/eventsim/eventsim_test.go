@@ -1,7 +1,9 @@
 package eventsim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -200,68 +202,105 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-// TestTickKeyIsATickersKey: a real untagged Ticker started during setup,
-// whose callback schedules nothing, dispatches every tick under TickKey — the
-// key the sim coordinator samples under without running one. The first ticks'
-// chains reach back into setup (instant 0, then SetupTime); past ChainDepth
-// ticks every entry is a real tick instant.
-func TestTickKeyIsATickersKey(t *testing.T) {
+// ownerOf and genOf read a key's owner and generation.
+func ownerOf(k Key) int32 { return int32(uint32(k.ord)) - 1 }
+func genOf(k Key) uint64  { return k.gen() }
+
+// TestTickersOrderByOwner: tickers of one period started during set-up, in
+// any order, tick at each instant in the order of their targets, each tick
+// its target's own schedule — the order every partition of a fabric
+// computes alike, whichever devices a shard builds.
+func TestTickersOrderByOwner(t *testing.T) {
 	const period = 7
 	s := New()
-	var ticks []units.Time
-	var tk Ticker
-	tk.Start(s, period, 0, func(any) {
-		ticks = append(ticks, s.Now())
-		if got, want := s.CurrentKey(), TickKey(s.Now(), period); got != want {
-			t.Errorf("tick at %v: CurrentKey = %+v, TickKey = %+v", s.Now(), got, want)
-		}
-	}, nil)
-	s.RunUntil((ChainDepth + 2) * period)
-	if len(ticks) != ChainDepth+2 {
-		t.Fatalf("got %d ticks, want %d", len(ticks), ChainDepth+2)
-	}
-	if k := TickKey(period, period); k.Chain[0] != 0 || k.Chain[1] != SetupTime {
-		t.Errorf("first tick's chain %v does not reach back into setup", k.Chain)
-	}
-}
-
-// TestSetupKeyIsASetupEventsKey: an untagged event scheduled during setup
-// dispatches under SetupKey of its instant, whichever entry point scheduled
-// it.
-func TestSetupKeyIsASetupEventsKey(t *testing.T) {
-	s := New()
-	fired := 0
-	check := func() {
-		fired++
-		if got, want := s.CurrentKey(), SetupKey(s.Now()); got != want {
-			t.Errorf("setup event at %v: CurrentKey = %+v, SetupKey = %+v", s.Now(), got, want)
-		}
-	}
-	for _, at := range []units.Time{0, 3, 3, 5 * testWindow} {
-		s.Schedule(at, check)
-		s.ScheduleCall(at, func(any) { check() }, nil)
-	}
-	s.Run()
-	if fired != 8 {
-		t.Fatalf("fired %d setup events, want 8", fired)
-	}
-}
-
-// TestSetupKeyTickKeyTie pins the tie rule the sim coordinator relies on when
-// a scenario event and a sampling tick share an instant b: SetupKey(b) equals
-// TickKey(b, Δ) at the first tick only, and orders strictly first at every
-// later tick.
-func TestSetupKeyTickKeyTie(t *testing.T) {
-	for _, delta := range []units.Time{1, 7, units.Microsecond} {
-		if SetupKey(delta) != TickKey(delta, delta) {
-			t.Errorf("Δ=%v: SetupKey(Δ) = %+v, TickKey(Δ, Δ) = %+v; want equal", delta, SetupKey(delta), TickKey(delta, delta))
-		}
-		for n := units.Time(2); n <= ChainDepth+2; n++ {
-			b := n * delta
-			if setup, tick := SetupKey(b), TickKey(b, delta); !setup.Less(tick) || tick.Less(setup) {
-				t.Errorf("Δ=%v b=%d·Δ: SetupKey does not order strictly before TickKey", delta, n)
+	var got []int32
+	var tks [3]Ticker
+	for i, target := range []int32{9, 2, 5} {
+		tks[i].Start(s, period, target, func(any) {
+			k := s.CurrentKey()
+			if ownerOf(k) != target || genOf(k) != 0 {
+				t.Errorf("tick of %d at %v keyed %+v: owner %d, generation %d", target, s.Now(), k, ownerOf(k), genOf(k))
 			}
+			got = append(got, target)
+		}, nil)
+	}
+	s.RunUntil(3 * period)
+	if want := []int32{2, 5, 9, 2, 5, 9, 2, 5, 9}; !slices.Equal(got, want) {
+		t.Fatalf("ticks ran for %v, want %v", got, want)
+	}
+}
+
+// TestZeroDelayChildAfterPending: a zero-delay child of a lower owner's event
+// fires after the higher owners' events already pending at that instant —
+// the generation keeps Schedule's contract — and a child of the child after
+// every child.
+func TestZeroDelayChildAfterPending(t *testing.T) {
+	s := New()
+	var got []string
+	s.ScheduleCallTo(10, 5, func(any) { got = append(got, "b") }, nil)
+	s.ScheduleCallTo(10, 2, func(any) {
+		got = append(got, "a")
+		s.Schedule(10, func() {
+			got = append(got, "a'")
+			s.Schedule(10, func() { got = append(got, "a''") })
+		})
+	}, nil)
+	s.ScheduleCallTo(10, 8, func(any) { s.Schedule(10, func() { got = append(got, "c'") }) }, nil)
+	s.Run()
+	requireOrder(t, got, "a", "b", "a'", "c'", "a''")
+}
+
+// TestActNamesTheOwner: an action opened at the current instant runs under
+// the key it was given, and what it schedules counts on its owner: a
+// zero-delay child follows the action's generation, a later one is
+// generation 0. The next dispatch closes the action.
+func TestActNamesTheOwner(t *testing.T) {
+	s := New()
+	s.RunUntil(20)
+	k := Key{At: 20, Seq: 4}
+	s.Act(k, 6)
+	if s.CurrentKey() != k {
+		t.Fatalf("CurrentKey = %+v inside the action, want %+v", s.CurrentKey(), k)
+	}
+	now := s.ChildKey(20, 3)
+	later := s.ChildKey(30, 3)
+	if ownerOf(now) != 6 || genOf(now) != 1 || now.Seq != 0 || ownerOf(later) != 6 || genOf(later) != 0 || later.Seq != 1 {
+		t.Fatalf("action's children keyed %+v and %+v, want owner 6 at generations 1 and 0, sequence 0 and 1", now, later)
+	}
+	var owner int32
+	s.Schedule(25, func() { owner = ownerOf(s.ChildKey(40, 1)) })
+	s.Run()
+	if owner != 6 {
+		t.Fatalf("the action's event ran for %d, want 6", owner)
+	}
+	assertPanics(t, func() { s.Act(Key{At: s.Now() + 1}, 6) })
+}
+
+// TestOrderIgnoresSchedulingInterleaving: two schedulers given the same
+// owners' events, each owner's in the same order but the owners interleaved
+// differently — as two partitions of a fabric set up their devices — fire
+// them in one order.
+func TestOrderIgnoresSchedulingInterleaving(t *testing.T) {
+	run := func(owners []int32) []string {
+		s := New()
+		var got []string
+		n := map[int32]int{}
+		for _, o := range owners {
+			label := fmt.Sprintf("%d.%d", o, n[o])
+			n[o]++
+			at := units.Time(10 * (n[o] % 2))
+			s.ScheduleCallTo(at, o, func(any) {
+				got = append(got, label)
+				s.ScheduleCallTo(s.Now()+1, o+1, func(any) { got = append(got, label+"+") }, nil)
+			}, nil)
 		}
+		s.Run()
+		return got
+	}
+	a := run([]int32{1, 1, 4, 4, 2, 2, 1})
+	b := run([]int32{4, 2, 1, 2, 1, 4, 1})
+	if !slices.Equal(a, b) {
+		t.Fatalf("fired %v under one interleaving, %v under another", a, b)
 	}
 }
 

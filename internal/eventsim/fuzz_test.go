@@ -9,14 +9,14 @@ import (
 )
 
 // FuzzQueueOrder drives the scheduler and a slow obvious model of it — one
-// slice kept sorted by (Key.Less, seq), with the engine's lazy-cancellation
+// slice kept sorted by Key.Less, with the engine's lazy-cancellation
 // rules spelled out literally — through the same operation sequence decoded
 // from the fuzz input, and requires them to agree on everything observable:
 // which event every dispatch fires, Len, Pending, the clock after each run
 // call, the count each run call returns, the pending-record count and its
 // high-water mark (so compaction must fire at the same logical points),
 // Executed and Len as every dispatched callback sees them — both without the
-// running event — and, once drained, that no slot or pedigree record leaked
+// running event — and, once drained, that no slot or park record leaked
 // through a parked, migrated or moved record.
 //
 // Timers are modelled at the record level too. A Reset to a time past the one
@@ -30,33 +30,36 @@ import (
 //
 // The model never looks at buckets: any disagreement is the three-tier
 // queue's. The one look inside the engine is checkCur after every operation:
-// cur's run must be sorted latest-first and its side a heap. Keys are derived the way the package comment defines them — a
-// child's chain, tags and kids are its parent's shifted one generation — from
-// CurrentKey, which is public API, plus a child counter of the model's own.
+// cur's run must be sorted latest-first and its side a heap. Keys are derived
+// the way the package comment defines them — the current owner, or outside a
+// dispatch the target; the parent's generation plus one at the current
+// instant, else 0; the owner's own count — from the model's own record of the
+// current key and owner and of every owner's count. Every key is unique, so
+// the model's order is strict, and a tie fails the test.
 
 // modelEvent is one pending record of the model, plus what its callback does
 // when it fires (see fire).
 type modelEvent struct {
-	key       Key // the key the record is filed under
-	seq       uint64
+	key       Key   // the key the record is filed under
+	target    int32 // the owner it runs for
 	id        int
 	cancelled bool
 	fired     bool
 	prog      byte
 	depth     int
 
-	timer   *modelTimer // the timer whose record this is, or nil
-	moved   bool        // a lazy Reset re-keyed it: it fires under next
-	next    Key
-	nextSeq uint64
+	timer      *modelTimer // the timer whose record this is, or nil
+	moved      bool        // a lazy Reset re-keyed it: it fires under next, for nextTarget
+	next       Key
+	nextTarget int32
 }
 
-// due is the key and sequence e fires under: its true key.
-func (e *modelEvent) due() (Key, uint64) {
+// due is the key e fires under: its true key.
+func (e *modelEvent) due() Key {
 	if e.moved {
-		return e.next, e.nextSeq
+		return e.next
 	}
-	return e.key, e.seq
+	return e.key
 }
 
 // modelTimer is one Timer and the model's record of what it has queued.
@@ -74,19 +77,18 @@ type queueModel struct {
 	byID    []*modelEvent // every event ever scheduled, by id
 	handles []Event       // engine handle of event id
 	timers  [4]*modelTimer
-	seq     uint64
 	live    int
 	stale   int
 	hw      int
 	now     units.Time
 	done    uint64 // events whose callbacks have returned
 
-	dispatched bool   // a dispatch has happened: children count their index
-	childN     uint32 // children the current dispatch has scheduled
+	// The current key and owner (see Scheduler.key), and every owner's count.
+	key   Key
+	owner int32
+	seqs  map[int32]uint64
 
 	// The run call in progress: the eligibility rule for the next dispatch.
-	byKey  bool // RunBeforeKey: threshold is key; else (until, strict)
-	key    Key
 	until  units.Time
 	strict bool
 	fired  uint64
@@ -110,36 +112,46 @@ func (m *queueModel) delay(b byte) units.Time {
 	return tierDelays[int(b&15)%len(tierDelays)] + units.Time(b>>4)&3
 }
 
-// childKey is the key the engine must give an event scheduled right now.
-func (m *queueModel) childKey(at units.Time, tag uint64, explicitTag bool) Key {
-	cur := m.s.CurrentKey()
-	k := Key{At: at, Tag: cur.Tag}
-	if explicitTag {
-		k.Tag = tag
+// childKey is the key the engine must give an event scheduled right now for
+// target.
+func (m *queueModel) childKey(at units.Time, target int32) Key {
+	owner := m.owner
+	if owner == Coordinator {
+		owner = target
 	}
-	k.Chain[0], k.Tags[0], k.Kids[0] = cur.At, cur.Tag, cur.Kid
-	copy(k.Chain[1:], cur.Chain[:])
-	copy(k.Tags[1:], cur.Tags[:])
-	copy(k.Kids[1:], cur.Kids[:])
-	if m.dispatched {
-		k.Kid = m.childN
-		m.childN++
+	gen := uint64(0)
+	if at == m.now {
+		gen = m.key.ord>>32 + 1
 	}
+	k := Key{At: at, ord: gen<<32 | uint64(uint32(owner+1)), Seq: m.seqs[owner]}
+	m.seqs[owner]++
 	return k
 }
 
-func (m *queueModel) less(a, b *modelEvent) bool {
-	if a.key != b.key {
-		return a.key.Less(b.key)
-	}
-	return a.seq < b.seq
+// settle leaves the model outside any dispatch at instant t: the Coordinator
+// at generation 0.
+func (m *queueModel) settle(t units.Time) {
+	m.now, m.key, m.owner = t, Key{At: t}, Coordinator
 }
 
-// insert files a new record under k.
-func (m *queueModel) insert(k Key, prog byte, depth int) {
-	e := &modelEvent{key: k, seq: m.seq, id: len(m.byID), prog: prog, depth: depth}
-	m.seq++
-	i := sort.Search(len(m.pending), func(i int) bool { return m.less(e, m.pending[i]) })
+// filed reports whether k is the key of a record in the queue or of a moved
+// record's true key: keys are unique.
+func (m *queueModel) filed(k Key) bool {
+	for _, e := range m.pending {
+		if e.key == k || e.moved && e.next == k {
+			return true
+		}
+	}
+	return false
+}
+
+// insert files a new record for target under k.
+func (m *queueModel) insert(k Key, target int32, prog byte, depth int) {
+	if m.filed(k) {
+		m.t.Fatalf("two records keyed %+v", k)
+	}
+	e := &modelEvent{key: k, target: target, id: len(m.byID), prog: prog, depth: depth}
+	i := sort.Search(len(m.pending), func(i int) bool { return e.key.Less(m.pending[i].key) })
 	m.pending = slices.Insert(m.pending, i, e)
 	m.byID = append(m.byID, e)
 	m.live++
@@ -149,34 +161,34 @@ func (m *queueModel) insert(k Key, prog byte, depth int) {
 }
 
 // schedule performs one scheduling op on both sides. kind selects the entry
-// point, arg the delay and tag; the new event runs m.fire when dispatched,
-// which acts out prog.
+// point, arg the delay and target; the new event runs m.fire when
+// dispatched, which acts out prog.
 func (m *queueModel) schedule(kind, arg, prog byte, depth int) {
 	at := m.s.Now() + m.delay(arg)
-	tag := uint64(arg>>6) % 3
+	target := int32(arg>>6) % 3
 	id := len(m.byID)
 	before := tierSizes(m.s)
 	var h Event
 	switch kind % 4 {
 	case 0:
-		m.insert(m.childKey(at, 0, false), prog, depth)
+		m.insert(m.childKey(at, m.owner), m.owner, prog, depth)
 		h = m.s.Schedule(at, func() { m.fire(id) })
 	case 1:
-		m.insert(m.childKey(at, tag, true), prog, depth)
-		h = m.s.ScheduleCallTagged(at, tag, func(x any) { m.fire(x.(int)) }, id)
+		m.insert(m.childKey(at, target), target, prog, depth)
+		h = m.s.ScheduleCallTo(at, target, func(x any) { m.fire(x.(int)) }, id)
 	case 2:
-		m.insert(m.childKey(at, 0, false), prog, depth)
+		m.insert(m.childKey(at, m.owner), m.owner, prog, depth)
 		h = m.s.ScheduleCall(at, func(x any) { m.fire(x.(int)) }, id)
 	case 3:
-		// The boundary path: the wire key is taken on the sending side
-		// (consuming a child index) and re-interned on injection.
-		want := m.childKey(at, 0, false)
-		k := m.s.ChildKey(at)
+		// The boundary path: the key is taken on the sending side
+		// (consuming the owner's count) and filed as it is on injection.
+		want := m.childKey(at, target)
+		k := m.s.ChildKey(at, target)
 		if k != want {
 			m.t.Fatalf("ChildKey = %+v, model derives %+v", k, want)
 		}
-		m.insert(k, prog, depth)
-		h = m.s.ScheduleCallInjected(k, func(x any) { m.fire(x.(int)) }, id)
+		m.insert(k, target, prog, depth)
+		h = m.s.ScheduleCallInjected(k, target, func(x any) { m.fire(x.(int)) }, id)
 	}
 	m.handles = append(m.handles, h)
 	m.reach.noteInsert(m.s, before)
@@ -265,12 +277,11 @@ func (m *queueModel) reset(i int, later bool, arg, prog byte, depth int) {
 	if e != nil {
 		m.reach.noteSeam(m.handles[e.id])
 	}
-	k := m.childKey(at, 0, false)
+	k := m.childKey(at, m.owner)
 	before := tierSizes(m.s)
 	if e != nil && at > e.key.At {
-		e.moved, e.next, e.nextSeq = true, k, m.seq
+		e.moved, e.next, e.nextTarget = true, k, m.owner
 		e.prog, e.depth = prog, depth
-		m.seq++
 		mt.t.Reset(at - now)
 		if tierSizes(m.s) != before {
 			m.t.Fatalf("lazy Reset of timer %d changed the tiers: %v -> %v", i, before, tierSizes(m.s))
@@ -280,7 +291,7 @@ func (m *queueModel) reset(i int, later bool, arg, prog byte, depth int) {
 		if e != nil {
 			m.drop(e)
 		}
-		m.insert(k, prog, depth)
+		m.insert(k, m.owner, prog, depth)
 		mt.ev = m.byID[len(m.byID)-1]
 		mt.ev.timer = mt
 		mt.t.Reset(at - now)
@@ -327,32 +338,25 @@ func (m *queueModel) checkCounts(op string) {
 
 // eligible reports whether e may be dispatched by the run call in progress.
 func (m *queueModel) eligible(e *modelEvent) bool {
-	if m.byKey {
-		return e.key.Less(m.key)
-	}
 	return e.key.At < m.until || (!m.strict && e.key.At == m.until)
 }
 
 // surface does what a run loop does before looking at the next live record:
-// it drops cancelled records — RunBeforeKey any cancelled top, the others only
-// one that is itself within the horizon — and files a moved top within the
-// rule again under its true key.
+// it drops a cancelled top within the horizon, and files a moved top within
+// it again under its true key.
 func (m *queueModel) surface() {
 	for len(m.pending) > 0 {
 		top := m.pending[0]
 		switch {
-		case top.cancelled && (m.byKey || m.eligible(top)):
+		case top.cancelled && m.eligible(top):
 			m.pending = m.pending[1:]
 			m.stale--
 		case top.moved && m.eligible(top):
 			m.pending = m.pending[1:]
-			top.key, top.seq = top.due()
+			top.key, top.target = top.next, top.nextTarget
 			top.moved = false
-			i := sort.Search(len(m.pending), func(i int) bool { return m.less(top, m.pending[i]) })
+			i := sort.Search(len(m.pending), func(i int) bool { return top.key.Less(m.pending[i].key) })
 			m.pending = slices.Insert(m.pending, i, top)
-			if m.byKey {
-				m.reach.timers.refiledByKey++
-			}
 		default:
 			return
 		}
@@ -374,9 +378,9 @@ func (m *queueModel) fire(id int) {
 		m.t.Fatalf("engine dispatched event %d at %v beyond the run call's horizon", id, top.key.At)
 	}
 	m.pending = m.pending[1:]
-	key, seq := top.due()
+	key := top.due()
 	for _, e := range m.pending {
-		if k, q := e.due(); !e.cancelled && (k.Less(key) || k == key && q < seq) {
+		if k := e.due(); !e.cancelled && k.Less(key) {
 			m.t.Fatalf("engine dispatched event %d (key %+v); cancel-and-reschedule fires %d (key %+v) first", id, key, e.id, k)
 		}
 	}
@@ -386,8 +390,7 @@ func (m *queueModel) fire(id int) {
 	}
 	m.live--
 	m.fired++
-	m.now = top.key.At
-	m.dispatched, m.childN = true, 0
+	m.now, m.key, m.owner = top.key.At, top.key, top.target
 	if cur := m.s.CurrentKey(); cur != top.key {
 		m.t.Fatalf("event %d dispatched under key %+v, scheduled under %+v", id, cur, top.key)
 	}
@@ -398,8 +401,9 @@ func (m *queueModel) fire(id int) {
 
 	// The callback's program: bits 0-1 count its children (none past the
 	// third generation), whose entry points, delays and own programs derive
-	// from the other six; bit 6 cancels. A timer's callback with bit 5 set first resets timer bits 2-3,
-	// later unless bit 4 is set, so a Reset consumes a child index.
+	// from the other six; bit 6 cancels. A timer's callback with bit 5 set
+	// first resets timer bits 2-3, later unless bit 4 is set, so a Reset
+	// consumes one of the owner's sequence numbers.
 	prog := top.prog
 	if top.timer != nil && prog&0x20 != 0 && top.depth < 3 {
 		m.reset(int(prog>>2)&3, prog&0x10 == 0, prog>>1, prog*29+17, top.depth+1)
@@ -426,7 +430,7 @@ func (m *queueModel) run(name string, call func() uint64, advanceTo units.Time) 
 		m.t.Fatalf("%s returned with event %d (key %+v) still eligible", name, m.pending[0].id, m.pending[0].key)
 	}
 	if m.now < advanceTo && advanceTo != maxTime {
-		m.now = advanceTo
+		m.settle(advanceTo)
 	}
 	if got != m.fired {
 		m.t.Fatalf("%s executed %d events, model %d", name, got, m.fired)
@@ -441,7 +445,8 @@ func (m *queueModel) run(name string, call func() uint64, advanceTo units.Time) 
 // byte for the scheduling ops — runs them against a fresh scheduler and the
 // model, drains, and returns what the run reached.
 func runQueueOps(t *testing.T, in []byte) tierReach {
-	m := &queueModel{t: t, s: New(), in: in}
+	m := &queueModel{t: t, s: New(), in: in, seqs: map[int32]uint64{}}
+	m.settle(0)
 	for len(m.in) > 0 {
 		op, arg := m.next(), m.next()
 		switch op % 16 {
@@ -450,7 +455,7 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 		case opCancel, opCancel + 1:
 			m.cancel(arg)
 		case opStep:
-			m.byKey, m.until, m.strict = false, maxTime, false
+			m.until, m.strict = maxTime, false
 			m.fired = 0
 			stepped := m.s.Step()
 			if stepped != (m.fired == 1) {
@@ -465,21 +470,19 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 			m.checkCounts("Step")
 		case opRunUntil, opRunUntil + 1:
 			until := m.s.Now() + m.delay(arg)
-			m.byKey, m.until, m.strict = false, until, false
+			m.until, m.strict = until, false
 			m.run("RunUntil", func() uint64 { return m.s.RunUntil(until) }, until)
 		case opRunBefore:
 			until := m.s.Now() + m.delay(arg)
-			m.byKey, m.until, m.strict = false, until, true
+			m.until, m.strict = until, true
 			m.run("RunBefore", func() uint64 { return m.s.RunBefore(until) }, until)
-		case opRunBeforeKey, opRunBeforeKey + 1:
-			// A bare instant; or the key of a pending record (live or dead),
-			// so strictness is decided below the instant.
-			k := Key{At: m.s.Now() + m.delay(arg)}
-			if op%16 == opRunBeforeKey+1 && len(m.pending) > 0 {
-				k = m.pending[int(arg)%len(m.pending)].key
-			}
-			m.byKey, m.key = true, k
-			m.run("RunBeforeKey", func() uint64 { return m.s.RunBeforeKey(k) }, k.At)
+		case opAct, opAct + 1:
+			// An action for owner Coordinator..2 under one of the
+			// Coordinator's keys at Now: what follows counts on that owner.
+			k, owner := Key{At: m.s.Now(), Seq: uint64(arg & 63)}, int32(arg>>6)-1
+			m.s.Act(k, owner)
+			m.key, m.owner = k, owner
+			m.checkCounts("Act")
 		case opResetLater, opResetLater + 1:
 			m.reset(int(arg>>6), true, arg, m.next(), 0)
 		case opResetEarlier:
@@ -489,7 +492,7 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 		}
 	}
 	// Drain.
-	m.byKey, m.until, m.strict = false, maxTime, false
+	m.until, m.strict = maxTime, false
 	m.run("Run", func() uint64 { return m.s.RunUntil(maxTime) }, maxTime)
 	m.surface()
 	m.s.Step() // the engine's turn to discard a cancelled tail
@@ -515,18 +518,18 @@ func runQueueOps(t *testing.T, in []byte) tierReach {
 // Opcodes (mod 16) and operands of the fuzz input, named so the seed corpus
 // reads as a program and cannot drift from the decoder silently.
 const (
-	opSchedule     = 0 // +1 tagged, +2 call, +3 ChildKey and injected; takes a program byte
+	opSchedule     = 0 // +1 ScheduleCallTo, +2 call, +3 ChildKey and injected; takes a program byte
 	opCancel       = 4
 	opStep         = 6
 	opRunUntil     = 7
 	opRunBefore    = 9
-	opRunBeforeKey = 10 // +1: threshold on a pending record's key
+	opAct          = 10 // operand bits 6-7: the owner, Coordinator + 0-3
 	opResetLater   = 12 // Reset past the filed time; takes a program byte
 	opResetEarlier = 14 // Reset to the filed time or before it; takes a program byte
 	opStopTimer    = 15
 
 	// Delay operands: indexes into tierDelays (bits 4-5 add 0-3 ps, bits 6-7
-	// choose a tag, or for the timer ops the timer).
+	// choose a target, or for the timer ops the timer).
 	dNow     = 0  // same instant
 	dNear    = 1  // same bucket
 	dBucket  = 4  // next bucket: ring
@@ -542,11 +545,10 @@ const (
 // from the ring and from far, far -> ring migration, compaction with
 // cancelled records in each tier, a bucket sorted past sortCutoff, a pop
 // from cur's side heap over a non-empty run, and both Reset paths, with
-// moved records filed again under a RunBeforeKey threshold and kept by
-// compaction (TestQueueOrderSeedsReachAllTiers), through every entry point
-// the decoder knows.
+// moved records kept by compaction (TestQueueOrderSeedsReachAllTiers),
+// through every entry point the decoder knows.
 func queueSeeds() [][]byte {
-	var compactAll, lateSweep, refills, tree, timers, timerTree, timerKey, timerSweep []byte
+	var compactAll, lateSweep, refills, tree, timers, timerTree, acts, timerSweep []byte
 	// Compaction in all three tiers at once: idle records in each tier,
 	// cancelled newest first. With 25 per tier the 65th cancel sweeps (the
 	// floor of 64 dead records decides); with 50 per tier the 76th does (dead
@@ -581,8 +583,8 @@ func queueSeeds() [][]byte {
 	}
 
 	// Dispatch trees: callbacks that schedule through every entry point and
-	// cancel; thresholds on pending keys and horizons half-way through a
-	// bucket.
+	// cancel; actions for owners between run calls and horizons half-way
+	// through a bucket.
 	tree = []byte{
 		opSchedule, dNow, 3 | 5<<2, // three children, entry points 1, 2, 3
 		opSchedule + 1, dNear | 0x80, 2 | 0x40, // two children, then cancels
@@ -590,19 +592,21 @@ func queueSeeds() [][]byte {
 		opSchedule + 3, dNear, progCancel,
 		opSchedule, dNear | 0x10, 3 | 8<<2,
 		opStep, 0,
-		opRunBeforeKey + 1, 2,
-		opRunBeforeKey, dBucket,
+		opAct + 1, 2<<6 | 5,
+		opSchedule, dNow, 2,
 		opRunUntil, dRingEnd,
 		opSchedule, dNow, progCancel | 2,
 		opSchedule + 1, dOutside, 3 | 9<<2,
 		opRunBefore, dOutside,
 		opCancel + 1, 3,
 		opRunUntil, dFar,
-		opRunBeforeKey + 1, 0,
+		opAct, 3 << 6,
+		opSchedule + 1, dNow | 0x40, 1,
 	}
 	// Timers 0-3 (operand bits 6-7). Timer 0 is pushed back during set-up to
-	// the instant of an event scheduled right after: the two tie on the whole
-	// key, and only the sequence the lazy Reset consumed orders them. Timer 1
+	// the instant of an event scheduled right after: the two tie on instant,
+	// generation and owner, and only the sequence number the lazy Reset
+	// consumed orders them. Timer 1
 	// is pushed from the ring to the window's end and then into far; timer 2
 	// is pushed back and then Reset earlier (the moved record is cancelled);
 	// timer 3 is pushed back and stopped.
@@ -627,7 +631,7 @@ func queueSeeds() [][]byte {
 		opRunUntil, dFar,
 	}
 
-	// Resets inside a dispatch, where they consume a child index: timer 0's
+	// Resets inside a dispatch, where they count on the owner: timer 0's
 	// callback pushes timer 1 back and then schedules two children; timer
 	// 2's Resets timer 3 to its filed instant and schedules one.
 	timerTree = []byte{
@@ -641,21 +645,23 @@ func queueSeeds() [][]byte {
 		opRunUntil, dFar,
 	}
 
-	// Thresholds around moved records: a moved record's own filed key stops
-	// the loop in front of it and of the cancelled record filed between its
-	// filed and true keys; a bare
-	// instant between a moved record's filed and true times files it again.
-	timerKey = []byte{
-		opResetLater, 1<<6 | dRingEnd, 0,
-		opResetLater, 1<<6 | dNear, 0,
-		opSchedule, dRingEnd | 0x10, 0,
-		opCancel, 0,
-		opRunBeforeKey + 1, 0,
+	// Actions at one instant: three owners act in turn between run calls,
+	// each scheduling at Now (generation 1, after every record pending at
+	// Now) and later, and pushing a timer back, so the keys of the records
+	// at one instant differ only in owner and sequence number.
+	acts = []byte{
+		opSchedule + 1, dNear | 0x40, 0,
+		opSchedule + 1, dNear | 0x80, 0,
+		opRunBefore, dNear,
+		opAct, 2<<6 | 1,
+		opSchedule, dNow, 0,
 		opResetLater, dBucket, 0,
+		opAct, 1<<6 | 2,
+		opSchedule + 2, dNow, 1 | 1<<2,
 		opResetLater, dBucket, 0,
-		opSchedule, dBucket | 0x10, 0,
-		opRunBeforeKey, dBucket | 0x30,
-		opRunBeforeKey + 1, 1,
+		opAct, 3<<6 | 3,
+		opSchedule + 3, dNow | 0x40, 0,
+		opSchedule + 1, dBucket, 0,
 		opRunUntil, dFar,
 	}
 
@@ -696,7 +702,7 @@ func queueSeeds() [][]byte {
 		opRunUntil, dFar,
 	)
 
-	return [][]byte{compactAll, lateSweep, refills, tree, timers, timerTree, timerKey, timerSweep, pageSeam}
+	return [][]byte{compactAll, lateSweep, refills, tree, timers, timerTree, acts, timerSweep, pageSeam}
 }
 
 func FuzzQueueOrder(f *testing.F) {
@@ -727,7 +733,7 @@ func TestQueueOrderSeedsReachAllTiers(t *testing.T) {
 		t.Errorf("cur's paths not all reached: largest bucket sorted %d (insertion sort up to %d), %d pops from side over a non-empty run",
 			reach.sorted, sortCutoff, reach.sidePops)
 	}
-	if r := reach.timers; r.lazy == 0 || r.fallback == 0 || r.refiledByKey == 0 || r.movedKept == 0 {
+	if r := reach.timers; r.lazy == 0 || r.fallback == 0 || r.movedKept == 0 {
 		t.Errorf("timer paths not all reached: %+v", r)
 	}
 	if reach.peak <= slotPage || reach.seam[0] == 0 || reach.seam[1] == 0 {

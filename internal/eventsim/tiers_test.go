@@ -71,7 +71,6 @@ func (r *tierReach) noteSeam(h Event) {
 // timerReach counts, in FuzzQueueOrder's model, the timer paths a run took.
 type timerReach struct {
 	lazy, fallback uint64 // Resets that re-keyed a record / cancelled and scheduled
-	refiledByKey   uint64 // moved records filed again under a RunBeforeKey threshold
 	movedKept      uint64 // moved records a compaction swept past
 }
 
@@ -83,12 +82,12 @@ func tierSizes(s *Scheduler) [3]int { return [3]int{len(s.cur) + len(s.side), s.
 func checkCur(t *testing.T, s *Scheduler) {
 	t.Helper()
 	for i := 1; i < len(s.cur); i++ {
-		if !s.entryLess(&s.cur[i], &s.cur[i-1]) {
+		if !entryLess(&s.cur[i], &s.cur[i-1]) {
 			t.Fatalf("run out of order at %d of %d: %+v before %+v", i, len(s.cur), s.cur[i-1], s.cur[i])
 		}
 	}
 	for i := 1; i < len(s.side); i++ {
-		if p := (i - 1) / 4; s.entryLess(&s.side[i], &s.side[p]) {
+		if p := (i - 1) / 4; entryLess(&s.side[i], &s.side[p]) {
 			t.Fatalf("side is no heap: %d of %d (%+v) orders before its parent %+v", i, len(s.side), s.side[i], s.side[p])
 		}
 	}
@@ -114,7 +113,6 @@ func (r *tierReach) add(o tierReach) {
 	r.sidePops += o.sidePops
 	r.timers.lazy += o.timers.lazy
 	r.timers.fallback += o.timers.fallback
-	r.timers.refiledByKey += o.timers.refiledByKey
 	r.timers.movedKept += o.timers.movedKept
 	r.peak = max(r.peak, o.peak)
 	r.seam[0] += o.seam[0]
@@ -155,9 +153,8 @@ func (r *tierReach) requireAll(t *testing.T) {
 }
 
 // requireDrained fails unless s holds no pending record and has leaked
-// nothing: every park record on the free chain, every slot free, every
-// pedigree record recycled except the ones the scheduler's own caches
-// (parentPed, curPed) still hold.
+// nothing: every park record and every slot on its free chain, every slot
+// cleanly freed.
 func requireDrained(t *testing.T, s *Scheduler) {
 	t.Helper()
 	if s.live != 0 || s.pending() != 0 || s.stale != 0 {
@@ -173,32 +170,17 @@ func requireDrained(t *testing.T, s *Scheduler) {
 	if freeParked != s.parkN {
 		t.Fatalf("%d of %d park records on the free chain", freeParked, s.parkN)
 	}
-	if len(s.free) != int(s.slotN) {
-		t.Fatalf("%d of %d slots on the free list", len(s.free), s.slotN)
+	freeSlots := int32(0)
+	for n := s.slotFree; n != 0 && freeSlots <= s.slotN; n = s.slotAt(n - 1).next {
+		freeSlots++
+	}
+	if freeSlots != s.slotN {
+		t.Fatalf("%d of %d slots on the free chain", freeSlots, s.slotN)
 	}
 	for i := int32(0); i < s.slotN; i++ {
-		if c := s.slotAt(i); c.state != slotFree || c.ped != noPed || c.call != nil || c.arg != nil {
+		if c := s.slotAt(i); c.state != slotFree || c.call != nil || c.arg != nil {
 			t.Fatalf("slot %d not cleanly freed: %+v", i, *c)
 		}
-	}
-	held := 0
-	for id := int32(0); id < s.pedN; id++ {
-		want := int32(0)
-		if id == s.parentPed {
-			want++
-		}
-		if id == s.curPed {
-			want++
-		}
-		if got := s.pedAt(id).refs; got != want {
-			t.Fatalf("pedigree %d has %d references, want %d", id, got, want)
-		}
-		if want > 0 {
-			held++
-		}
-	}
-	if len(s.pedFree) != int(s.pedN)-held {
-		t.Fatalf("%d of %d pedigree records on the free list, %d held by the scheduler", len(s.pedFree), s.pedN, held)
 	}
 }
 
@@ -316,11 +298,11 @@ func TestFarRecordOnWindowEdge(t *testing.T) {
 	requireDrained(t, s)
 }
 
-// TestRunBeforeKeyIntoParkedBucket: the threshold falls inside a bucket that
-// is still parked in the ring, and the earliest record there is cancelled.
-// RunBeforeKey must activate the bucket to look, discard the dead record
-// whichever side of the threshold it is on, and stop at the live one.
-func TestRunBeforeKeyIntoParkedBucket(t *testing.T) {
+// TestRunBeforeIntoParkedBucket: the horizon falls inside a bucket that is
+// still parked in the ring, and the earliest record there is cancelled.
+// RunBefore must activate the bucket to look, discard the dead record if it
+// lies before the horizon, keep it if it lies after, and stop at the live one.
+func TestRunBeforeIntoParkedBucket(t *testing.T) {
 	for _, deadAt := range []units.Time{5*testBucket + 10, 5*testBucket + 18} {
 		s := New()
 		var got []string
@@ -331,16 +313,19 @@ func TestRunBeforeKeyIntoParkedBucket(t *testing.T) {
 		if s.ringN != 2 || tierSizes(s)[0] != 0 {
 			t.Fatalf("setup: both records should be parked: ring %d, cur %d", s.ringN, tierSizes(s)[0])
 		}
-		k := Key{At: 5*testBucket + 15}
-		if n := s.RunBeforeKey(k); n != 0 {
-			t.Fatalf("dead at %v: RunBeforeKey executed %d events, want 0", deadAt, n)
+		until := 5*testBucket + 15
+		if n := s.RunBefore(until); n != 0 {
+			t.Fatalf("dead at %v: RunBefore executed %d events, want 0", deadAt, n)
 		}
-		if s.Now() != k.At || s.stale != 0 || s.pending() != 1 || s.live != 1 || s.curB != 5 {
+		stale := 0
+		if deadAt > until {
+			stale = 1
+		}
+		if s.Now() != until || s.stale != stale || s.pending() != 1+stale || s.live != 1 || s.curB != 5 {
 			t.Fatalf("dead at %v: Now %v, stale %d, pending %d, live %d, curB %d", deadAt, s.Now(), s.stale, s.pending(), s.live, s.curB)
 		}
-		k.At = 5*testBucket + 25
-		if n := s.RunBeforeKey(k); n != 1 {
-			t.Fatalf("dead at %v: second RunBeforeKey executed %d events, want 1", deadAt, n)
+		if n := s.RunBefore(5*testBucket + 25); n != 1 {
+			t.Fatalf("dead at %v: second RunBefore executed %d events, want 1", deadAt, n)
 		}
 		requireOrder(t, got, "live")
 		requireDrained(t, s)

@@ -8,11 +8,11 @@ import (
 )
 
 // BoundaryMsg is one delivery crossing a shard boundary: either a data packet
-// or a control frame, stamped with the full ordering key it would have
-// carried had it been scheduled locally. The link pointer carries the
-// receiver identity (peer device, ingress port): the drain writes it into the
-// packet's Wire, or into a record from the link's Frames beside the frame,
-// and schedules the delivery callback a local link would.
+// or a control frame, stamped with the ordering key it would have carried had
+// it been scheduled locally. The link pointer carries the receiver identity
+// (peer device, ingress port): the drain writes it into the packet's Wire, or
+// into a record from the link's Frames beside the frame, and schedules the
+// delivery callback a local link would, for the same target.
 type BoundaryMsg struct {
 	Key  eventsim.Key
 	Link *Link
@@ -49,19 +49,19 @@ func (b *Boundary) Push(m BoundaryMsg) {
 func (b *Boundary) Stats() BoundaryStats { return b.stats }
 
 // DrainInto schedules every queued delivery onto the receiving shard's
-// scheduler in FIFO order, each under its original ordering key — so the
-// receiver's heap interleaves boundary deliveries with local events exactly
-// as the serial engine would — empties the queue and returns the count.
+// scheduler, each under its original ordering key — so the receiver's queue
+// interleaves boundary deliveries with local events exactly as one shard's
+// would — empties the queue and returns the count.
 func (b *Boundary) DrainInto(sched *eventsim.Scheduler) int {
 	n := len(b.msgs)
 	for i := range b.msgs {
 		m := &b.msgs[i]
 		if m.Pkt != nil {
 			m.Pkt.Wire = unsafe.Pointer(m.Link)
-			sched.ScheduleCallInjected(m.Key, landPacket, m.Pkt)
+			sched.ScheduleCallInjected(m.Key, m.Link.target, landPacket, m.Pkt)
 			continue
 		}
-		sched.ScheduleCallInjected(m.Key, landFrame, m.Link.Frames.get(m.Link, m.Ctrl))
+		sched.ScheduleCallInjected(m.Key, m.Link.target, landFrame, m.Link.Frames.get(m.Link, m.Ctrl))
 	}
 	clear(b.msgs) // the kept backing array must not pin pooled packets or frames
 	b.msgs = b.msgs[:0]

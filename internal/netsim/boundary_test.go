@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"bfc/internal/eventsim"
 	"bfc/internal/packet"
@@ -22,9 +23,10 @@ func (d *seqLog) AttachLink(int, *Link)                 {}
 func (d *seqLog) ReceivePacket(_ int, p *packet.Packet) { d.got = append(d.got, p.Seq) }
 func (d *seqLog) ReceiveControl(_ int, f ControlFrame)  { d.got = append(d.got, int(f.(seqFrame))) }
 
-// pushSeq pushes message number seq: every third one a control frame.
+// pushSeq pushes message number seq at instant at, keyed as the sender's
+// seq-th schedule: every third one a control frame.
 func pushSeq(b *Boundary, l *Link, at units.Time, seq int) {
-	m := BoundaryMsg{Key: eventsim.Key{At: at}, Link: l}
+	m := BoundaryMsg{Key: eventsim.Key{At: at, Seq: uint64(seq)}, Link: l}
 	if seq%3 == 0 {
 		m.Ctrl = seqFrame(seq)
 	} else {
@@ -36,8 +38,8 @@ func pushSeq(b *Boundary, l *Link, at units.Time, seq int) {
 func TestBoundaryFIFOAcrossCycles(t *testing.T) {
 	// One FIFO across many windows of varying size, data packets and control
 	// frames interleaved, starting from the zero value: within a cycle every
-	// message carries the same key, so only injection order — the order
-	// DrainInto schedules in — decides the delivery order.
+	// message fires at one instant, keyed by the sender's count, so the
+	// receiver delivers them in the order they were pushed.
 	s := eventsim.New()
 	dst := &seqLog{}
 	l := NewLink(s, "x->y", 100*units.Gbps, units.Microsecond, dst, 0)
@@ -113,7 +115,7 @@ func TestBoundarySteadyStateAllocFree(t *testing.T) {
 	cycle := func() {
 		at++
 		for i := range msgs {
-			msgs[i].Key.At = at
+			msgs[i].Key = eventsim.Key{At: at, Seq: uint64(i)}
 			b.Push(msgs[i])
 		}
 		b.DrainInto(s)
@@ -176,5 +178,14 @@ func TestLinkBoundaryRedirect(t *testing.T) {
 	}
 	if dst.times[1] != 80*units.Nanosecond+units.Microsecond {
 		t.Fatalf("packet arrived at %v, want 1.08us", dst.times[1])
+	}
+}
+
+// TestRecordLayouts pins the size of a boundary delivery: a Key (instant,
+// generation and owner, sequence number), the link, and the packet or the
+// control frame. Every cross-shard hop copies one into the queue and out.
+func TestRecordLayouts(t *testing.T) {
+	if n := unsafe.Sizeof(BoundaryMsg{}); n > 56 {
+		t.Errorf("BoundaryMsg is %d bytes, want at most 56", n)
 	}
 }

@@ -81,6 +81,8 @@ type Link struct {
 	delay  units.Time
 	peer   Device
 	toPort int
+	// target is the peer's node ID, the owner every delivery runs for.
+	target int32
 	// name identifies the link in the busy-link panic; it may be empty.
 	name string
 
@@ -147,7 +149,7 @@ func (l *Link) Init(sched *eventsim.Scheduler, name string, rate units.Rate, del
 	if rate <= 0 || delay < 0 {
 		panic("netsim: invalid link parameters")
 	}
-	*l = Link{sched: sched, name: name, rate: rate, delay: delay, peer: peer, toPort: toPort}
+	*l = Link{sched: sched, name: name, rate: rate, delay: delay, peer: peer, toPort: toPort, target: int32(peer.ID())}
 }
 
 // serDone is every serialization-complete event's callback; its argument is
@@ -294,22 +296,12 @@ func (l *Link) Transmit(p *packet.Packet, from Sender) {
 	now := l.sched.Now()
 	l.sched.ScheduleCall(now+ser, serDone, l)
 	at := now + ser + l.delay
-	// The delivery carries the transported packet's flow ID as its causal
-	// tag, not the inherited one: a busy egress port serializes queued
-	// packets from whichever flow's event freed it, and same-key delivery
-	// ties must order by the flows' creation order.
-	var tag uint64
-	if p.Flow != nil {
-		tag = uint64(p.Flow.ID)
-	}
 	if l.boundary != nil {
-		k := l.sched.ChildKey(at)
-		k.Tag = tag
-		l.boundary.Push(BoundaryMsg{Key: k, Link: l, Pkt: p})
+		l.boundary.Push(BoundaryMsg{Key: l.sched.ChildKey(at, l.target), Link: l, Pkt: p})
 		return
 	}
 	p.Wire = unsafe.Pointer(l)
-	l.sched.ScheduleCallTagged(at, tag, landPacket, p)
+	l.sched.ScheduleCallTo(at, l.target, landPacket, p)
 }
 
 // SendControl delivers a control frame to the peer after the propagation
@@ -321,10 +313,10 @@ func (l *Link) SendControl(frame ControlFrame) {
 	}
 	at := l.sched.Now() + l.delay
 	if l.boundary != nil {
-		l.boundary.Push(BoundaryMsg{Key: l.sched.ChildKey(at), Link: l, Ctrl: frame})
+		l.boundary.Push(BoundaryMsg{Key: l.sched.ChildKey(at, l.target), Link: l, Ctrl: frame})
 		return
 	}
-	l.sched.ScheduleCall(at, landFrame, l.Frames.get(l, frame))
+	l.sched.ScheduleCallTo(at, l.target, landFrame, l.Frames.get(l, frame))
 }
 
 // FiltersInFlight returns the number of BFC pause filters the link has taken

@@ -114,17 +114,16 @@ func (pl *Planned) EventTimes(horizon units.Time) []units.Time {
 }
 
 // ScheduleFlows schedules every pre-generated injected flow whose source
-// owned() claims, invoking start as each fires. Injected flows are causal
-// roots exactly like base-trace flows: tagging the start event with the flow
-// ID orders same-key descendants of a simultaneous burst by flow creation
-// order on every shard (IDs ascend in compile order), and keeps every flow's
-// key distinct from the untagged setup key the events apply under. The caller
-// counts injections itself and merges the count into Metrics.InjectedFlows.
+// owned() claims, invoking start as each fires. Like a base-trace flow's,
+// each arrival is its source NIC's own schedule, made in flow order (IDs
+// ascend in compile order), so its key is the same on every shard. The
+// caller counts injections itself and merges the count into
+// Metrics.InjectedFlows.
 func (pl *Planned) ScheduleFlows(sched *eventsim.Scheduler, owned func(packet.NodeID) bool, start func(*packet.Flow)) {
 	call := func(x any) { start(x.(*packet.Flow)) }
 	for f := range pl.Flows() {
 		if owned(f.Src) {
-			sched.ScheduleCallTagged(f.StartTime, uint64(f.ID), call, f)
+			sched.ScheduleCallTo(f.StartTime, int32(f.Src), call, f)
 		}
 	}
 }

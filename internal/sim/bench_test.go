@@ -29,8 +29,7 @@ func BenchmarkShardMerge(b *testing.B) {
 			// Interleaved instants across shards, each shard's buffer sorted —
 			// every record's shard differs from the one before it.
 			at := units.Time(i*S + s)
-			k := eventsim.Key{At: at, Tag: uint64(s)}
-			k.Chain[0] = at - 1
+			k := eventsim.Key{At: at, Seq: uint64(s)}
 			recs[i] = keyed[fctRec]{key: k, v: fctRec{size: 1000, fct: units.Time(i + 1), ideal: 1}}
 		}
 		bufs[s] = recs

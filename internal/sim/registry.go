@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bfc/internal/eventsim"
 	"bfc/internal/netsim"
 	"bfc/internal/nic"
 	"bfc/internal/packet"
@@ -23,11 +24,20 @@ import (
 // collects at the end straight from it. Once every link is wired, the
 // coordinator groups the links into the tier-pair classes that the Result and
 // the series read.
+//
+// The registry also applies the coordinator's actions to devices: each takes
+// the Coordinator's next key (act) and runs on the scheduler of the device's
+// shard as that device's own action (eventsim.Scheduler.Act), so what a
+// device schedules and records there is keyed alike at every shard count.
 type registry struct {
 	topo     *topology.Topology
 	switches []*switchsim.Switch
 	nics     []*nic.NIC
 	classes  []linkClass
+	// sched is the scheduler of each node's shard, filled with the devices.
+	sched []*eventsim.Scheduler
+	// acts counts the Coordinator's actions.
+	acts uint64
 }
 
 func newRegistry(topo *topology.Topology) *registry {
@@ -35,6 +45,7 @@ func newRegistry(topo *topology.Topology) *registry {
 		topo:     topo,
 		switches: make([]*switchsim.Switch, topo.NumNodes()),
 		nics:     make([]*nic.NIC, topo.NumNodes()),
+		sched:    make([]*eventsim.Scheduler, topo.NumNodes()),
 	}
 }
 
@@ -90,12 +101,21 @@ func (g *registry) SetLinkState(at units.Time, rec telemetry.Recorder, a, b pack
 	if l := g.outLink(b, pb); l != nil {
 		l.SetDown(!up)
 	}
-	g.notifyLinkChange(a, pa, up)
-	g.notifyLinkChange(b, pb, up)
+	g.notifyLinkChange(at, a, pa, up)
+	g.notifyLinkChange(at, b, pb, up)
 	return reroutes
 }
 
-func (g *registry) notifyLinkChange(id packet.NodeID, port int, up bool) {
+// act returns the Coordinator's next key, at instant at.
+func (g *registry) act(at units.Time) eventsim.Key {
+	g.acts++
+	return eventsim.Key{At: at, Seq: g.acts}
+}
+
+// notifyLinkChange resets a device's pause machinery at instant at, as the
+// device's own action under the Coordinator's next key.
+func (g *registry) notifyLinkChange(at units.Time, id packet.NodeID, port int, up bool) {
+	g.sched[id].Act(g.act(at), int32(id))
 	if sw := g.switches[id]; sw != nil {
 		sw.OnLinkStateChange(port, up)
 		return

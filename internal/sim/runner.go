@@ -330,6 +330,7 @@ func (r *runner) buildSwitches(switches, ports int) {
 		if node.Kind == topology.Switch && r.owned(node.ID) {
 			cfg.Node = node
 			r.reg.switches[node.ID] = switchsim.New(cfg)
+			r.reg.sched[node.ID] = r.sched
 		}
 	}
 }
@@ -394,6 +395,7 @@ func (r *runner) buildNICs(hosts int) {
 		if node.Kind == topology.Host && r.owned(node.ID) {
 			cfg.Node, cfg.Flows = node, r.sentBy[node.ID]
 			r.reg.nics[node.ID] = nic.New(cfg)
+			r.reg.sched[node.ID] = r.sched
 		}
 	}
 }
@@ -535,11 +537,8 @@ func (r *runner) scheduleFlows(flows []*packet.Flow) {
 		if !r.owned(f.Src) {
 			continue
 		}
-		// Flow arrivals are causal roots: the tag seeds the flow's ID into
-		// every event descending from it, ordering same-key descendants of
-		// simultaneous arrivals (an incast burst) by flow creation order on
-		// every shard.
-		r.sched.ScheduleCallTagged(f.StartTime, uint64(f.ID), start, f)
+		// Each arrival is its source NIC's own schedule, in flow order.
+		r.sched.ScheduleCallTo(f.StartTime, int32(f.Src), start, f)
 		if !f.IsIncast && !f.LongLived {
 			r.flowsTotal++
 		}

@@ -34,29 +34,34 @@ import (
 //     reusable slice per directed shard pair) instead of scheduling locally.
 //     At each barrier the coordinator drains every queue — in deterministic
 //     shard order — into the receiving shards' schedulers.
-//   - Every event carries its scheduling-chain ordering key (see
-//     eventsim.Key). Boundary deliveries are injected under the key they
-//     would have carried on one scheduler, so each shard's heap interleaves
-//     remote and local events exactly as one shard's heap would, and the
+//   - Every event carries its ordering key (eventsim.Key): its instant, its
+//     generation, the device that scheduled it and that device's count, all
+//     computed alike on every partition. Boundary deliveries are injected
+//     under the key the sender gave them, so each shard's queue interleaves
+//     remote and local events exactly as one shard's queue would, and the
 //     whole run is byte-identical at every shard count.
 //   - Statistics barriers are the sampling tick: at each tick instant T the
-//     coordinator flushes events ordered before the tick's key,
-//     eventsim.TickKey(T, Δ), then samples all switches in topology order.
-//     This is the one place a run samples; collect, after the horizon, is
-//     the one place it reads its totals.
+//     coordinator samples all switches in topology order after the window
+//     ran everything below T. The tick is the Coordinator's, the lowest
+//     owner, so it orders before every event at T and needs no further
+//     shard step. This is the one place a run samples; collect, after the
+//     horizon, is the one place it reads its totals.
 //   - Scenario events are compiled once (scenario.Plan) and applied by the
-//     coordinator at dedicated barriers at each event instant T: every shard
-//     flushes the events ordered before eventsim.SetupKey(T), then — with
-//     all shards parked — the coordinator mutates the shared topology and
-//     the affected shards' links (scenario.Planned.Apply). Injected flows
-//     need no coordination: each shard schedules the pre-generated flows
-//     whose sources it owns, under their keys.
+//     coordinator at barriers at each event instant T, after the tick of T
+//     if there is one: with all shards parked, the coordinator mutates the
+//     shared topology and the affected shards' links
+//     (scenario.Planned.Apply), and resets each affected device as that
+//     device's own action under the Coordinator's next key (registry.act).
+//     Injected flows need no coordination: each shard schedules the
+//     pre-generated flows whose sources it owns, each as its source NIC's
+//     own schedule.
 //   - A run has two output streams, flow completions and flight-recorder
 //     events, and they take one path at every shard count. Each shard
-//     buffers its records during a barrier step (the window plus any tick or
-//     scenario events at its barrier; the final RunUntil(horizon) is a step
-//     too), each stamped with the key of the emitting dispatch; the
-//     coordinator stamps its scenario records with the event keys. After each
+//     buffers its records during a barrier step (the window plus the
+//     scenario actions at its barrier; the final RunUntil(horizon) is a step
+//     too), each stamped with the key of the emitting dispatch or action;
+//     the coordinator stamps its scenario records with the key it took for
+//     the barrier's events, before any device action's. After each
 //     step the coordinator merges the buffers in key order into the Result,
 //     the scenario Metrics and the caller's ring, and empties them. Every
 //     shard's stream is key-monotonic, so merging step by step gives the
@@ -438,15 +443,13 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	}
 	evIdx := 0
 
-	// The shards' work at each barrier step is one of three closures, built
-	// once: run below the barrier instant until, or below the ordering key
-	// key, or up to the horizon. The coordinator sets until and key between
-	// steps, and step to the closure the next runAll runs; the shardSet join
-	// is the happens-before edge both ways, so no step allocates.
+	// The shards' work at each barrier step is one of two closures, built
+	// once: run below the barrier instant until, or up to the horizon. The
+	// coordinator sets until between steps, and step to the closure the next
+	// runAll runs; the shardSet join is the happens-before edge both ways, so
+	// no step allocates.
 	var until units.Time
-	var key eventsim.Key
 	runBefore := func(r *runner) { r.sched.RunBefore(until) }
-	runBeforeKey := func(r *runner) { r.sched.RunBeforeKey(key) }
 	var step func(r *runner)
 	// Each shard goroutine writes only its own shard's slot of ec; the join
 	// is the happens-before edge for the reader.
@@ -492,40 +495,22 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		// coordinator drain the queues without atomics.
 		drainAll()
 
-		doTick := func() {
-			key = eventsim.TickKey(b, delta)
-			runAll(runBeforeKey)
+		// The coordinator's actions at b are the Coordinator's, the lowest
+		// owner, so they order before every event at b, and the window has
+		// run everything before them: the tick samples first, then the
+		// scenario events apply, in spec order.
+		if b == nextTick {
 			sampleTick(res, sws, series)
 			ticks++
 			nextTick += delta
 		}
-		doEvents := func() {
-			key = eventsim.SetupKey(b)
-			runAll(runBeforeKey)
+		if evIdx < len(evTimes) && evTimes[evIdx] == b {
+			k := reg.act(b)
 			if coordRec != nil {
-				coordRec.key = key
+				coordRec.key = k
 			}
 			coordExec += uint64(scen.Apply(b, reg, scenRec))
 			evIdx++
-		}
-		isTick := b == nextTick
-		isEvent := evIdx < len(evTimes) && evTimes[evIdx] == b
-		switch {
-		case isEvent && isTick:
-			// Same instant: key order decides. The keys are equal only at the
-			// first tick (both of setup shape), where the tick goes first;
-			// scenario events sharing an instant apply in spec order.
-			if eventsim.SetupKey(b).Less(eventsim.TickKey(b, delta)) {
-				doEvents()
-				doTick()
-			} else {
-				doTick()
-				doEvents()
-			}
-		case isEvent:
-			doEvents()
-		case isTick:
-			doTick()
 		}
 		fcts.merge()
 		trace.merge()

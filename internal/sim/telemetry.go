@@ -19,7 +19,7 @@ import (
 // model computed. Bump it in any change that moves the output of a run with
 // unchanged parameters; testdata/model_version.json pairs it with the golden
 // digests, and a test fails when those digests move while it stays.
-const ModelVersion = 3
+const ModelVersion = 4
 
 // ResultDigest returns the SHA-256 hex digest of the marshalled Result with
 // the Telemetry series excluded. Excluding them makes the digest directly

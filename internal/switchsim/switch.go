@@ -73,11 +73,6 @@ func (p *egressPort) TxDone() {
 	p.sw.tryTransmit(p.index)
 }
 
-// tickTagBase namespaces the causal-origin tags of periodic switch work away
-// from flow IDs, so a tick descendant never numerically interleaves with a
-// data event's tag on the (vanishingly rare) full-chain tie between them.
-const tickTagBase = uint64(1) << 32
-
 // Switch is the simulated shared-buffer switch. It implements netsim.Device
 // and core.PortView.
 type Switch struct {
@@ -196,12 +191,8 @@ func New(cfg Config) *Switch {
 		for i := range s.ports {
 			s.ports[i].upstream = *core.NewUpstreamState(bfc.NumVFIDs)
 		}
-		// Switches whose ports give them the same τ tick on the same
-		// arithmetic scheduling chain; the node-ID tag (in its own namespace,
-		// clear of flow IDs) is what orders their same-instant pause frames
-		// across shard boundaries — matching the serial engine, where tick
-		// order follows switch construction order.
-		b.ticker.Start(s.sched, bfc.Tau, tickTagBase|uint64(cfg.Node.ID), bfcTick, s)
+		// The ticks run for the switch, its own schedules from set-up on.
+		b.ticker.Start(s.sched, bfc.Tau, int32(cfg.Node.ID), bfcTick, s)
 	}
 	return s
 }
