@@ -92,10 +92,11 @@ func (s *stream[T]) add(buf *[]keyed[T]) {
 }
 
 // merge is the coordinator's one merge, for both streams. Every source is
-// key-ordered, so merge hands the step's records to emit in a stable order by
-// key, sources in order (the coordinator's scenario records, the last source,
-// go last on ties), by taking the least head each time; then it empties the
-// sources.
+// key-ordered, so merge hands the step's records to emit in key order by
+// taking the least head each time; then it empties the sources. Records of
+// different sources never tie: each carries the key of the dispatch or
+// action that emitted it, and one dispatch's records all come from one
+// source, in emission order.
 func (s *stream[T]) merge() {
 	for {
 		var head *keyed[T]
