@@ -38,10 +38,13 @@
 // Every event also has a target, the owner it runs for: a link delivery
 // targets the receiving device, every other event the owner that scheduled
 // it, and dispatching an event makes its target the current owner. Outside a
-// dispatch — set-up, and a coordinator's barrier — the caller names the
-// owner: ScheduleCallTo with no dispatch running makes the target the owner
-// (a source NIC's flow arrivals, a switch's ticker), and Act opens an action
-// for a named owner under a key the coordinator hands out.
+// dispatch — set-up, and a coordinator's barrier — the Coordinator is the
+// current owner, and the caller names the owner: an event scheduled while
+// the Coordinator is current is its target's own (ScheduleCallTo: a source
+// NIC's flow arrivals, a switch's ticker), and Act opens an action for a
+// named owner under a key the coordinator hands out. The simulator targets
+// no event at the Coordinator, so a Coordinator-owned event is one scheduled
+// outside any dispatch for the Coordinator itself.
 //
 // The order is independent of the partition by construction. Devices share
 // no simulated state except through links, whose delay is at least the
@@ -399,7 +402,7 @@ func (s *Scheduler) ChildKey(at units.Time, target int32) Key {
 	s.cover(target)
 	owner := s.owner
 	if owner == Coordinator {
-		owner = target // outside a dispatch the caller names the owner
+		owner = target // the caller names the owner (see "Event order")
 	}
 	gen := uint64(0)
 	if at == s.now {
@@ -443,8 +446,9 @@ func (s *Scheduler) ScheduleCall(at units.Time, fn func(any), arg any) Event {
 
 // ScheduleCallTo is ScheduleCall for an event that runs for target rather
 // than for the current owner: a link delivery names the receiving device.
-// Outside a dispatch it names the owner too — set-up schedules a source
-// NIC's flow arrivals under the NIC.
+// While the Coordinator is the current owner (outside any dispatch) it names
+// the owner too — set-up schedules a source NIC's flow arrivals under the
+// NIC.
 func (s *Scheduler) ScheduleCallTo(at units.Time, target int32, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("eventsim: nil event callback")

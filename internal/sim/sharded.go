@@ -372,10 +372,9 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	set := newShardSet(shards)
 	set.each(func(r *runner) { r.buildDevices() })
 
-	// One boundary queue per directed shard pair. All cross-shard links of a
-	// pair share it, so the receiver sees the sender's emissions in the
-	// sender's scheduling order — the same relative order one scheduler's
-	// sequence numbers would have imposed.
+	// One boundary queue per directed shard pair, shared by all the pair's
+	// cross-shard links. The order a drain injects deliveries in does not
+	// matter: each carries its own unique key.
 	bounds := make([][]netsim.Boundary, S)
 	for i := range bounds {
 		bounds[i] = make([]netsim.Boundary, S) // [i][i] stays unused
