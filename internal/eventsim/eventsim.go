@@ -32,7 +32,8 @@
 //   - seq counts what that owner has scheduled, boundary sends included, so
 //     (owner, seq) names one event of the whole run;
 //   - gen is 0 for an event scheduled before its instant and its parent's
-//     gen+1 for one scheduled at the current instant, so an event scheduled
+//     gen+1 for one scheduled at the current instant (outside a dispatch
+//     the parent is the Coordinator at generation 0), so an event scheduled
 //     at Now fires after everything already pending at Now, whoever owns it.
 //
 // Every event also has a target, the owner it runs for: a link delivery

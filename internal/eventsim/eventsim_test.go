@@ -202,9 +202,8 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-// ownerOf and genOf read a key's owner and generation.
+// ownerOf reads a key's owner.
 func ownerOf(k Key) int32 { return int32(uint32(k.ord)) - 1 }
-func genOf(k Key) uint64  { return k.gen() }
 
 // TestTickersOrderByOwner: tickers of one period started during set-up, in
 // any order, tick at each instant in the order of their targets, each tick
@@ -218,8 +217,8 @@ func TestTickersOrderByOwner(t *testing.T) {
 	for i, target := range []int32{9, 2, 5} {
 		tks[i].Start(s, period, target, func(any) {
 			k := s.CurrentKey()
-			if ownerOf(k) != target || genOf(k) != 0 {
-				t.Errorf("tick of %d at %v keyed %+v: owner %d, generation %d", target, s.Now(), k, ownerOf(k), genOf(k))
+			if ownerOf(k) != target || k.gen() != 0 {
+				t.Errorf("tick of %d at %v keyed %+v: owner %d, generation %d", target, s.Now(), k, ownerOf(k), k.gen())
 			}
 			got = append(got, target)
 		}, nil)
@@ -264,7 +263,7 @@ func TestActNamesTheOwner(t *testing.T) {
 	}
 	now := s.ChildKey(20, 3)
 	later := s.ChildKey(30, 3)
-	if ownerOf(now) != 6 || genOf(now) != 1 || now.Seq != 0 || ownerOf(later) != 6 || genOf(later) != 0 || later.Seq != 1 {
+	if ownerOf(now) != 6 || now.gen() != 1 || now.Seq != 0 || ownerOf(later) != 6 || later.gen() != 0 || later.Seq != 1 {
 		t.Fatalf("action's children keyed %+v and %+v, want owner 6 at generations 1 and 0, sequence 0 and 1", now, later)
 	}
 	var owner int32
