@@ -142,7 +142,7 @@ func BenchmarkShardedThroughput1024(b *testing.B) {
 		b.Fatal(shardedBench.err)
 	}
 	opts := shardedBench.opts
-	opts.Shards = -1 // auto: min(pods, GOMAXPROCS)
+	opts.Shards = -1 // auto: min(hosts, GOMAXPROCS)
 	var lastDigest string
 	var totalEvents uint64
 	b.ResetTimer()

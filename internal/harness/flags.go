@@ -36,7 +36,7 @@ type RunFlags struct {
 func RegisterRunFlags(fs *flag.FlagSet) *RunFlags {
 	f := &RunFlags{Log: telemetry.RegisterLogFlags(fs)}
 	fs.IntVar(&f.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker pool size (jobs run side by side)")
-	fs.IntVar(&f.Shards, "shards", 0, "shards per run for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(pods, GOMAXPROCS)); results are byte-identical across shard counts")
+	fs.IntVar(&f.Shards, "shards", 0, "shards per run for the conservative-PDES engine (0/1 = serial, >=2 = explicit, -1 = auto: min(hosts, GOMAXPROCS)); results are byte-identical across shard counts")
 	fs.BoolVar(&f.ExecStats, "exec-stats", false, "print each simulated run's execution profile on stderr (per-shard events, heap-hw = most event-queue records pending at once, barrier wait, window utilization, boundary traffic, the books the run checked); observational, digests are unchanged")
 	fs.StringVar(&f.TraceDir, "trace-dir", "", "directory for per-scheme exports of runs that record: <scheme>.trace.json (sim-time Chrome/Perfetto trace), <scheme>.events.jsonl and <scheme>.exec.json (wall-clock trace of the execution machinery)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole command to this file; read with go tool pprof")

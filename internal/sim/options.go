@@ -177,11 +177,12 @@ type Options struct {
 	// Shards sets how many shards the engine (a conservative parallel
 	// discrete-event coordinator) runs. 0 or 1 runs one shard — the serial
 	// case, on the caller's goroutine; n >= 2 runs n shards (clamped to the
-	// topology's pod count); a negative value picks min(pods, GOMAXPROCS)
+	// topology's host count); a negative value picks min(hosts, GOMAXPROCS)
 	// automatically. Results are byte-identical at every shard count for every
-	// scheme — the engine partitions the fabric into whole pods, spreads core
-	// switches round-robin, and synchronizes shards at conservative-lookahead
-	// barriers that reproduce the one-shard event order exactly. Scenario runs
+	// scheme — the engine cuts each tier of the fabric into contiguous runs of
+	// nodes (topology.PlanShards) and synchronizes shards at
+	// conservative-lookahead barriers that reproduce the one-shard event order
+	// exactly, so the partition decides only the speed. Scenario runs
 	// shard too (compiled events apply at coordinator barriers), and at every
 	// shard count the flow completions and flight-recorder events each shard
 	// buffers merge in key order at every barrier. A request that cannot

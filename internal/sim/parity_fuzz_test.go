@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -12,17 +13,22 @@ import (
 )
 
 // FuzzRunParity draws a small fat-tree, a base workload, a valid scenario, a
-// scheme, a seed and a shard count of 2 or 4 from the input, and requires the
-// sharded run's marshalled Result to equal the serial one's byte for byte.
-// Every run checks its books at its end, so a fault in the accounting fails
-// here too. The shard planner assigns whole pods, so 4 shards on a 2- or
-// 3-pod tree clamp to the pod count; every input still partitions.
+// scheme, a seed and a node-to-shard assignment from the input, and requires
+// the sharded run's marshalled Result to equal the serial one's byte for
+// byte. The assignment is not the planner's: any node may go to any of 2 to 8
+// shards, so hosts sit apart from their ToR, shards outnumber pods and some
+// shards hold nothing. Node i goes to shard assign[i mod len(assign)] mod S,
+// or to i mod S when assign is empty; a plan that cuts no link has no
+// positive lookahead and is skipped. Every run checks its books at its end,
+// so a fault in the accounting fails here too.
 func FuzzRunParity(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), []byte{})
-	f.Add(uint64(7), uint8(1), uint8(2), uint8(1), []byte{0, 10, 3, 0, 2, 30, 1, 5, 1, 70, 3, 0})
-	f.Add(uint64(11), uint8(2), uint8(4), uint8(3), []byte{3, 5, 7, 2, 4, 25, 9, 1, 4, 40, 2, 2})
-	f.Add(uint64(3), uint8(0x13), uint8(5), uint8(2), []byte{2, 0, 0, 9, 2, 0, 1, 9})
-	f.Fuzz(func(t *testing.T, seed uint64, shape, scheme, shards uint8, evs []byte) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), []byte{}, []byte{})
+	f.Add(uint64(7), uint8(1), uint8(2), uint8(1), []byte{0, 1, 1, 0, 2}, []byte{0, 10, 3, 0, 2, 30, 1, 5, 1, 70, 3, 0})
+	f.Add(uint64(11), uint8(2), uint8(4), uint8(5), []byte{6, 6, 1, 3, 6, 0, 4}, []byte{3, 5, 7, 2, 4, 25, 9, 1, 4, 40, 2, 2})
+	f.Add(uint64(3), uint8(0x13), uint8(5), uint8(6), []byte{7, 0, 3, 3, 5, 1, 1, 0, 2, 7, 4}, []byte{2, 0, 0, 9, 2, 0, 1, 9})
+	f.Add(uint64(5), uint8(0x22), uint8(3), uint8(3), []byte{0, 0, 0, 0, 0, 1}, []byte{})
+	f.Add(uint64(0), uint8(0x22), uint8(3), uint8(3), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, shape, scheme, shards uint8, assign, evs []byte) {
 		// A scenario changes its topology's links and routes for good, so
 		// each run builds its own.
 		build := func() Options {
@@ -65,15 +71,38 @@ func FuzzRunParity(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		n := 2 + 2*int(shards&1)
 		serial := runWithShards(t, opts, tr.Flows, 1)
-		res, sharded := runShardedResult(t, build(), tr.Flows, n)
-		if res.Sharding.Used < 2 {
-			t.Fatalf("shards=%d: ran on one shard (%q)", n, res.Sharding.Fallback)
+		opts = build()
+		plan := &topology.ShardPlan{Shards: 2 + int(shards)%7, Assign: make([]int, topo.NumNodes())}
+		for i := range plan.Assign {
+			b := i
+			if len(assign) > 0 {
+				b = int(assign[i%len(assign)])
+			}
+			plan.Assign[i] = b % plan.Shards
+		}
+		for _, n := range topo.Nodes() {
+			for _, p := range n.Ports {
+				if plan.Assign[n.ID] != plan.Assign[p.Peer] && (plan.Lookahead == 0 || p.Delay < plan.Lookahead) {
+					plan.Lookahead = p.Delay
+				}
+			}
+		}
+		if plan.Lookahead == 0 {
+			t.Skip("the assignment cuts no link")
+		}
+		plan.Validate(opts.Topo)
+		res, err := runSharded(opts, plan, cloneFlows(tr.Flows))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", plan.Shards, err)
+		}
+		sharded, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !bytes.Equal(serial, sharded) {
-			t.Errorf("%s on %d nodes, shards=%d: sharded result differs from serial (digest %s vs %s)",
-				opts.Scheme, topo.NumNodes(), n, digestOf(serial), digestOf(sharded))
+			t.Errorf("%s on %d nodes, assignment %v: sharded result differs from serial (digest %s vs %s)",
+				opts.Scheme, topo.NumNodes(), plan.Assign, digestOf(serial), digestOf(sharded))
 		}
 	})
 }

@@ -5,15 +5,14 @@ package sim
 // shard count, the marshalled Result must match the single-threaded engine
 // exactly. The golden sweep pins that contract against the recorded digests
 // (which predate sharding and may not be regenerated); the fat-tree tests
-// exercise real multi-shard partitions, including shard counts above the pod
-// count and the auto (-1) setting.
+// exercise real multi-shard partitions, including shard counts that split
+// pods and racks and the auto (-1) setting.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -30,13 +29,8 @@ import (
 // shard count and returns the marshalled Result.
 func runWithShards(t testing.TB, opts Options, flows []*packet.Flow, shards int) []byte {
 	t.Helper()
-	copies := make([]*packet.Flow, len(flows))
-	for i, f := range flows {
-		c := *f
-		copies[i] = &c
-	}
 	opts.Shards = shards
-	res, err := Run(opts, copies)
+	res, err := Run(opts, cloneFlows(flows))
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
@@ -45,6 +39,16 @@ func runWithShards(t testing.TB, opts Options, flows []*packet.Flow, shards int)
 		t.Fatalf("shards=%d: marshal: %v", shards, err)
 	}
 	return blob
+}
+
+// cloneFlows copies every flow, so a run cannot change the caller's.
+func cloneFlows(flows []*packet.Flow) []*packet.Flow {
+	copies := make([]*packet.Flow, len(flows))
+	for i, f := range flows {
+		c := *f
+		copies[i] = &c
+	}
+	return copies
 }
 
 func goldenOpts(scheme Scheme, topo *topology.Topology) Options {
@@ -56,9 +60,10 @@ func goldenOpts(scheme Scheme, topo *topology.Topology) Options {
 }
 
 // TestGoldenShardSweep runs the golden configuration at several shard counts
-// (including counts above the pod count, which clamp) and requires the exact
-// digests recorded in testdata/golden.json — the same file the serial golden
-// test pins. Any divergence between the engines shows up as a digest mismatch.
+// (including counts above the ToR count, which split racks) and requires the
+// exact digests recorded in testdata/golden.json — the same file the serial
+// golden test pins. Any divergence between the engines shows up as a digest
+// mismatch.
 func TestGoldenShardSweep(t *testing.T) {
 	blob, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -121,24 +126,21 @@ func fatTreeFlows(t testing.TB, topo *topology.Topology, duration units.Time) []
 }
 
 // TestShardedParityFatTree compares serial and sharded runs byte-for-byte on a
-// four-pod fat-tree, where shards 2..4 genuinely partition the fabric, shard
-// count 8 clamps to the pod count, and -1 resolves to min(pods, GOMAXPROCS) —
-// and on the smallest (two-pod, two-core) fat-tree at shards = pods, the one
-// partition where every shard holds a pod and a core switch, so every directed
-// shard pair owns a live boundary queue and every shard fills registry slots
-// next to another shard's (the case `go test -race` is pointed at).
+// four-pod fat-tree at 2 to 4 shards, at 8 (more shards than pods, so racks
+// split) and at -1, which resolves to min(hosts, GOMAXPROCS) — and on the
+// smallest (two-pod, two-core) fat-tree at two shards, where every shard
+// holds a pod and a core switch, so every directed shard pair owns a live
+// boundary queue and every shard fills registry slots next to another
+// shard's (the case `go test -race` is pointed at).
 func TestShardedParityFatTree(t *testing.T) {
 	for _, tc := range []struct {
-		hosts, pods int
-		shards      []int
+		hosts  int
+		shards []int
 	}{
-		{hosts: 32, pods: 4, shards: []int{2, 3, 4, 8, -1}},
-		{hosts: 16, pods: 2, shards: []int{2}},
+		{hosts: 32, shards: []int{2, 3, 4, 8, -1}},
+		{hosts: 16, shards: []int{2}},
 	} {
 		topo := topology.NewFatTree(topology.FatTreeForHosts(tc.hosts, 100*units.Gbps, units.Microsecond))
-		if pods := podCount(topo); pods != tc.pods {
-			t.Fatalf("%d hosts: expected %d pods, got %d", tc.hosts, tc.pods, pods)
-		}
 		flows := fatTreeFlows(t, topo, 60*units.Microsecond)
 		for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN, SchemeHPCC} {
 			opts := DefaultOptions(sc, topo)
@@ -157,15 +159,64 @@ func TestShardedParityFatTree(t *testing.T) {
 	}
 }
 
+// TestShardedParityCrossDC runs Fig 9's fabric, two data centers joined at
+// their gateways by the 200 us link, with its 20 % inter-DC flows, and
+// requires the Result at 2 and 4 shards to equal the serial one byte for
+// byte. Two shards cut only the gateway link (a 200 us lookahead); four also
+// cut each data center's racks from its spines. Switches on the gateway link
+// size their windows from a 400 us hop RTT and every other switch from a
+// 2 us one, so both kinds run side by side in one sharded run.
+func TestShardedParityCrossDC(t *testing.T) {
+	x := topology.NewCrossDC(topology.ClosConfig{NumToR: 2, NumSpine: 2, HostsPerToR: 4, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})
+	dcs := &workload.InterDCConfig{HostsDC1: x.HostsDC1, HostsDC2: x.HostsDC2}
+	tr, err := workload.Generate(workload.Config{
+		Hosts:    x.Hosts(),
+		CDF:      workload.FBHadoop(),
+		Load:     0.65,
+		HostRate: x.HostRate(x.Hosts()[0]),
+		Duration: 100 * units.Microsecond,
+		Seed:     9,
+		InterDC:  dcs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter := 0
+	for _, f := range tr.Flows {
+		if dcs.IsInterDC(f) {
+			inter++
+		}
+	}
+	if inter == 0 {
+		t.Fatalf("none of %d flows crosses data centers", len(tr.Flows))
+	}
+	for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN} {
+		opts := DefaultOptions(sc, x.Topology)
+		opts.Duration = 100 * units.Microsecond
+		opts.Drain = 3 * units.Millisecond
+		opts.Seed = 9
+		serialRes, serial := runShardedResult(t, opts, tr.Flows, 1)
+		if serialRes.FlowsCompleted != len(tr.Flows) {
+			t.Fatalf("%s: %d of %d flows completed (%d inter-DC)", sc, serialRes.FlowsCompleted, len(tr.Flows), inter)
+		}
+		for _, shards := range []int{2, 4} {
+			res, sharded := runShardedResult(t, opts, tr.Flows, shards)
+			if res.Sharding.Used != shards {
+				t.Fatalf("%s: asked for %d shards, ran on %d (%s)", sc, shards, res.Sharding.Used, res.Sharding.Fallback)
+			}
+			if !bytes.Equal(serial, sharded) {
+				t.Errorf("%s shards=%d: sharded result differs from serial (digest %s vs %s)", sc, shards, digestOf(serial), digestOf(sharded))
+			}
+		}
+	}
+}
+
 // TestShardAutoOnOneCPU pins the reason an auto request (-1) reports on one
 // CPU: the 64-host fat-tree partitions, so the cause of the one-shard run is
 // the CPU count, not the topology.
 func TestShardAutoOnOneCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo := topology.NewFatTree(topology.FatTreeForHosts(64, 100*units.Gbps, units.Microsecond))
-	if pods := podCount(topo); pods < 2 {
-		t.Fatalf("64-host fat-tree has %d pods; the test needs a fabric that partitions", pods)
-	}
 	opts := DefaultOptions(SchemeBFC, topo)
 	opts.Shards = -1
 	plan, why := shardPlanFor(&opts)
@@ -233,13 +284,8 @@ func TestShardedTelemetryParity(t *testing.T) {
 // tests can assert on Sharding alongside the marshalled bytes.
 func runShardedResult(t testing.TB, opts Options, flows []*packet.Flow, shards int) (*Result, []byte) {
 	t.Helper()
-	copies := make([]*packet.Flow, len(flows))
-	for i, f := range flows {
-		c := *f
-		copies[i] = &c
-	}
 	opts.Shards = shards
-	res, err := Run(opts, copies)
+	res, err := Run(opts, cloneFlows(flows))
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
@@ -476,9 +522,6 @@ func TestShardedLostPauseFrameParity(t *testing.T) {
 		}
 	}
 }
-
-// podCount is the topology's pod count: a shard plan clamps its request to it.
-func podCount(topo *topology.Topology) int { return topology.PlanShards(topo, math.MaxInt).Shards }
 
 // TestShardStepAllocFree: a barrier step of a two-shard run allocates
 // nothing. The shard set builds its WaitGroup and one goroutine body per

@@ -24,8 +24,11 @@ import (
 // shard its own scheduler, packet pool, and devices, and advances them in
 // lockstep windows under conservative parallel discrete-event simulation:
 //
-//   - The shard planner (topology.PlanShards) assigns whole pods to shards
-//     and spreads core switches round-robin. The conservative lookahead W is
+//   - The shard planner (topology.PlanShards) cuts each tier's nodes, in
+//     node-ID order, into one contiguous run per shard. Any partition with a
+//     positive lookahead gives the same bytes (see the keys below); the plan
+//     decides only the speed, through how much crosses shards and how wide
+//     a window may be. The conservative lookahead W is
 //     the minimum propagation delay over cross-shard links: a delivery
 //     emitted during a window reaches another shard no earlier than one full
 //     W later, so windows of width <= W never miss a cross-shard event. A
@@ -169,7 +172,7 @@ func (s ShardInfo) Describe() string {
 // shardPlanFor resolves Options.Shards into a shard plan; a run that does not
 // partition gets the one-shard plan. The returned reason is non-empty exactly
 // when a sharded request (Shards >= 2 or -1) runs on one shard: auto on one
-// CPU, a topology that does not partition (single pod), or no positive
+// CPU, a topology that does not partition (a single host), or no positive
 // lookahead.
 func shardPlanFor(opts *Options) (*topology.ShardPlan, string) {
 	want := opts.Shards

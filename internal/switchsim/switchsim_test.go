@@ -2,6 +2,8 @@ package switchsim_test
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -121,8 +123,13 @@ func TestNewRejectsMorePortsThanAPacketNames(t *testing.T) {
 // resumes and a pause frame that is about 2.5 KB per port, 40.6 KB in all on
 // go1.24. The bound allows 2.75 KB per port. With 128 B per
 // data queue (a 56-B FIFO that pointed back at its scheduler and four engine
-// slices per queue) the same switch took 80.8 KB.
+// slices per queue) the same switch took 80.8 KB. TotalAlloc counts the whole
+// process, so the test measures in a fresh child of the test binary, where no
+// earlier test's state can allocate inside the window.
 func TestNewFootprint(t *testing.T) {
+	if !inFreshChild(t) {
+		return
+	}
 	const ports, bound = 16, 16 * 2816
 	topo := topology.NewSingleSwitch(topology.SingleSwitchConfig{
 		NumHosts: ports, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
@@ -152,6 +159,29 @@ func TestNewFootprint(t *testing.T) {
 		t.Errorf("switchsim.New allocated %d B for a %d-port BFC switch at 32 queues per port, want at most %d B (%d B per port)",
 			got, ports, bound, bound/ports)
 	}
+}
+
+// childEnv marks a fresh child of the test binary that runs one test alone.
+const childEnv = "BFC_TEST_CHILD"
+
+// inFreshChild reports whether this process is a fresh child of the test
+// binary running t alone. Otherwise it runs t in one, waits for it, fails t
+// with the child's output if the child failed, and reports false. A
+// measurement of the whole process's allocations (runtime.MemStats.TotalAlloc,
+// testing.AllocsPerRun) made in the child sees nothing of what earlier tests
+// left running or allocating.
+func inFreshChild(t *testing.T) bool {
+	if os.Getenv(childEnv) == t.Name() {
+		return true
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^"+t.Name()+"$", "-test.v")
+	cmd.Env = append(os.Environ(), childEnv+"="+t.Name())
+	out, err := cmd.CombinedOutput()
+	t.Logf("fresh child:\n%s", out)
+	if err != nil {
+		t.Fatalf("%s in a fresh child: %v", t.Name(), err)
+	}
+	return false
 }
 
 // attach wires the switch's egress on the given port to its fake host.

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"os"
+	"os/exec"
 	"testing"
 
 	"bfc/internal/units"
@@ -46,7 +48,12 @@ func BenchmarkRecorderRingBuffer(b *testing.B) {
 
 // TestEmitSiteAllocFree runs the ring row long enough to wrap (1<<15 records
 // into 1<<14 slots), so overwriting is covered, not only filling.
+// testing.AllocsPerRun counts the whole process, so the test measures in a
+// fresh child of the test binary, where no earlier test's state can allocate.
 func TestEmitSiteAllocFree(t *testing.T) {
+	if !inFreshChild(t) {
+		return
+	}
 	for name, site := range map[string]*emitSite{
 		"RecorderDisabled":   {},
 		"RecorderRingBuffer": {rec: NewRing(1 << 14)},
@@ -55,4 +62,27 @@ func TestEmitSiteAllocFree(t *testing.T) {
 			t.Errorf("%s: %v allocations in %d records, want 0", name, allocs, 1<<15)
 		}
 	}
+}
+
+// childEnv marks a fresh child of the test binary that runs one test alone.
+const childEnv = "BFC_TEST_CHILD"
+
+// inFreshChild reports whether this process is a fresh child of the test
+// binary running t alone. Otherwise it runs t in one, waits for it, fails t
+// with the child's output if the child failed, and reports false. A
+// measurement of the whole process's allocations (runtime.MemStats.TotalAlloc,
+// testing.AllocsPerRun) made in the child sees nothing of what earlier tests
+// left running or allocating.
+func inFreshChild(t *testing.T) bool {
+	if os.Getenv(childEnv) == t.Name() {
+		return true
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^"+t.Name()+"$", "-test.v")
+	cmd.Env = append(os.Environ(), childEnv+"="+t.Name())
+	out, err := cmd.CombinedOutput()
+	t.Logf("fresh child:\n%s", out)
+	if err != nil {
+		t.Fatalf("%s in a fresh child: %v", t.Name(), err)
+	}
+	return false
 }

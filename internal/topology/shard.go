@@ -3,61 +3,19 @@ package topology
 import (
 	"fmt"
 
-	"bfc/internal/packet"
 	"bfc/internal/units"
 )
 
-// coreTier reports whether a node belongs to the inter-pod core (top-tier
-// spines and cross-DC gateways). Removing the core disconnects the fabric
-// into its pods.
-func coreTier(t Tier) bool { return t == TierSpine || t == TierGateway }
-
-// podComponents returns the number of pods in the topology, the connected
-// components that remain after removing the core (spine and gateway)
-// switches, and labels every non-core node with its pod index (components in
-// ascending lowest-node-ID order, so labeling is deterministic). Core nodes
-// get -1. A two-tier Clos has one pod per ToR group; a three-tier fat-tree
-// has its ToR+Agg pods; a single-switch topology counts as one pod.
-func podComponents(t *Topology) (int, []int) {
-	n := t.NumNodes()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	pods := 0
-	queue := make([]int, 0, n)
-	for start := 0; start < n; start++ {
-		node := t.Node(packet.NodeID(start))
-		if coreTier(node.Tier) || comp[start] != -1 {
-			continue
-		}
-		comp[start] = pods
-		queue = append(queue[:0], start)
-		for head := 0; head < len(queue); head++ {
-			cur := queue[head]
-			for _, p := range t.Node(packet.NodeID(cur)).Ports {
-				peer := int(p.Peer)
-				if comp[peer] != -1 || coreTier(t.Node(p.Peer).Tier) {
-					continue
-				}
-				comp[peer] = pods
-				queue = append(queue, peer)
-			}
-		}
-		pods++
-	}
-	return pods, comp
-}
-
 // ShardPlan is a deterministic partition of a topology's nodes into shards
-// for the conservative-PDES engine. Whole pods are the unit of placement:
-// every node of a pod lands on one shard, and core switches are spread
-// round-robin. The plan also carries the conservative lookahead — the
-// smallest propagation delay of any cross-shard link — which bounds how far a
+// for the conservative-PDES engine, with the conservative lookahead: the
+// smallest propagation delay of any cross-shard link, which bounds how far a
 // shard may run ahead of the others without missing a boundary delivery.
+// Every event's ordering key is computed alike on every partition, so any
+// assignment with a positive lookahead gives the serial run's bytes; the plan
+// decides only how fast a run goes.
 type ShardPlan struct {
-	// Shards is the effective shard count (requested count clamped to the
-	// number of pods; never below 1).
+	// Shards is the effective shard count: the request clamped to
+	// [1, hosts].
 	Shards int
 	// Assign maps every node ID to its shard index.
 	Assign []int
@@ -68,28 +26,23 @@ type ShardPlan struct {
 	Lookahead units.Time
 }
 
-// PlanShards partitions t into at most shards shards. The request is clamped
-// to [1, pods]: a pod is never split, because intra-pod links (host-ToR) are
-// typically the shortest in the fabric and would collapse the lookahead.
-// Pod i goes to shard i mod S and core switch j (in node-ID order) to shard
-// j mod S, so the plan is a pure function of the topology and the count.
+// PlanShards partitions t into S shards, the request clamped to [1, hosts].
+// It cuts the nodes of each tier, in node-ID order, into S contiguous runs: the i-th
+// of a tier's count nodes goes to shard i*S/count. The builders number every
+// tier rack by rack, so whenever S divides the ToR count no rack is split.
+// Every shard holds at least one host. The plan is a pure function of the
+// topology and the count.
 func PlanShards(t *Topology, shards int) *ShardPlan {
-	pods, comp := podComponents(t)
-	if shards > pods {
-		shards = pods
-	}
-	if shards < 1 {
-		shards = 1
+	shards = max(1, min(shards, len(t.Hosts())))
+	count := map[Tier]int{}
+	for _, n := range t.Nodes() {
+		count[n.Tier]++
 	}
 	p := &ShardPlan{Shards: shards, Assign: make([]int, t.NumNodes())}
-	core := 0
-	for i, c := range comp {
-		if c >= 0 {
-			p.Assign[i] = c % shards
-			continue
-		}
-		p.Assign[i] = core % shards
-		core++
+	seen := map[Tier]int{}
+	for i, n := range t.Nodes() {
+		p.Assign[i] = seen[n.Tier] * shards / count[n.Tier]
+		seen[n.Tier]++
 	}
 	p.Lookahead = p.minCrossDelay(t)
 	return p

@@ -6,25 +6,6 @@ import (
 	"bfc/internal/units"
 )
 
-func TestNumPods(t *testing.T) {
-	cases := []struct {
-		name string
-		topo *Topology
-		want int
-	}{
-		{"T1", NewClos(T1Config()), 8},
-		{"T2", NewT2(), 4},
-		{"fattree-32", NewFatTree(FatTreeForHosts(32, 100*units.Gbps, units.Microsecond)), 4},
-		{"fattree-256", NewFatTree(FatTreeForHosts(256, 100*units.Gbps, units.Microsecond)), 8},
-		{"star", NewSingleSwitch(SingleSwitchConfig{NumHosts: 4, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond}), 1},
-	}
-	for _, tc := range cases {
-		if got, _ := podComponents(tc.topo); got != tc.want {
-			t.Errorf("%s: %d pods, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
 // crossStats recomputes the plan's boundary statistics from scratch: the
 // number of directed cross-shard links and the minimum delay among them.
 func crossStats(topo *Topology, p *ShardPlan) (minDelay units.Time, cross int) {
@@ -42,78 +23,96 @@ func crossStats(topo *Topology, p *ShardPlan) (minDelay units.Time, cross int) {
 	return minDelay, cross
 }
 
+// TestPlanShardsStructure checks the tier-run rule on every fabric shape: the
+// i-th of a tier's count nodes (in node-ID order) sits on shard i*S/count, no
+// shard is left without a host, and a count that divides the ToRs splits no
+// rack.
 func TestPlanShardsStructure(t *testing.T) {
-	topo := NewFatTree(FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
-	pods, comp := podComponents(topo)
-	if pods != 4 {
-		t.Fatalf("fattree-32 pods = %d, want 4", pods)
-	}
-	for _, shards := range []int{1, 2, 3, 4} {
-		p := PlanShards(topo, shards)
-		if p.Shards != shards {
-			t.Fatalf("PlanShards(%d): Shards=%d", shards, p.Shards)
+	for _, tc := range []struct {
+		name string
+		topo *Topology
+	}{
+		{"fattree-32", NewFatTree(FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))},
+		{"T2", NewT2()},
+		{"clos-8x2x4", NewClos(ClosConfig{NumToR: 8, NumSpine: 2, HostsPerToR: 4, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})},
+		{"crossdc-T2", NewCrossDC(T2Config()).Topology},
+		{"star-8", NewSingleSwitch(SingleSwitchConfig{NumHosts: 8, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})},
+	} {
+		topo := tc.topo
+		count := map[Tier]int{}
+		for _, n := range topo.Nodes() {
+			count[n.Tier]++
 		}
-		p.Validate(topo)
-		// Every node assigned exactly once, in range.
-		if len(p.Assign) != topo.NumNodes() {
-			t.Fatalf("PlanShards(%d): %d assignments for %d nodes", shards, len(p.Assign), topo.NumNodes())
-		}
-		for id, s := range p.Assign {
-			if s < 0 || s >= p.Shards {
-				t.Fatalf("PlanShards(%d): node %d on shard %d", shards, id, s)
+		tors := count[TierToR]
+		for shards := 1; shards <= 8; shards++ {
+			p := PlanShards(topo, shards)
+			if p.Shards != shards {
+				t.Fatalf("%s PlanShards(%d): Shards=%d", tc.name, shards, p.Shards)
 			}
-		}
-		// A pod is never split: all nodes of one component share a shard, and
-		// pod i lands on shard i mod S.
-		for id, c := range comp {
-			if c < 0 {
-				continue
+			p.Validate(topo)
+			seen := map[Tier]int{}
+			for _, n := range topo.Nodes() {
+				if got, want := p.Assign[n.ID], seen[n.Tier]*shards/count[n.Tier]; got != want {
+					t.Fatalf("%s PlanShards(%d): %s (%s #%d of %d) on shard %d, want %d",
+						tc.name, shards, n.Name, n.Tier, seen[n.Tier], count[n.Tier], got, want)
+				}
+				seen[n.Tier]++
 			}
-			if got, want := p.Assign[id], c%shards; got != want {
-				t.Fatalf("PlanShards(%d): pod %d node %d on shard %d, want %d", shards, c, id, got, want)
+			hosts := make([]int, shards)
+			for _, h := range topo.Hosts() {
+				hosts[p.Assign[h]]++
+				if tor := topo.Node(h).Ports[0].Peer; tors%shards == 0 && p.Assign[tor] != p.Assign[h] {
+					t.Fatalf("%s PlanShards(%d): host %s apart from its ToR %s though %d divides %d ToRs",
+						tc.name, shards, topo.Node(h).Name, topo.Node(tor).Name, shards, tors)
+				}
 			}
-		}
-		// Core switches are round-robined in node-ID order.
-		core := 0
-		for id, c := range comp {
-			if c >= 0 {
-				continue
+			for s, n := range hosts {
+				if n == 0 {
+					t.Fatalf("%s PlanShards(%d): shard %d holds no host", tc.name, shards, s)
+				}
 			}
-			if got, want := p.Assign[id], core%shards; got != want {
-				t.Fatalf("PlanShards(%d): core #%d (node %d) on shard %d, want %d", shards, core, id, got, want)
-			}
-			core++
 		}
 	}
 }
 
 func TestPlanShardsClamping(t *testing.T) {
-	topo := NewFatTree(FatTreeForHosts(32, 100*units.Gbps, units.Microsecond)) // 4 pods
+	star := NewSingleSwitch(SingleSwitchConfig{NumHosts: 8, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})
 	for _, tc := range []struct{ request, want int }{
-		{8, 4},  // more shards than pods: clamp down
-		{4, 4},  // exact fit
+		{16, 8}, // more shards than hosts: clamp down
+		{8, 8},  // one host a shard
+		{3, 3},  // below the host count
 		{1, 1},  // explicit serial
 		{0, 1},  // zero: clamp up
 		{-5, 1}, // negative: clamp up
 	} {
-		p := PlanShards(topo, tc.request)
+		p := PlanShards(star, tc.request)
 		if p.Shards != tc.want {
 			t.Errorf("PlanShards(%d).Shards = %d, want %d", tc.request, p.Shards, tc.want)
 		}
-		p.Validate(topo)
+		p.Validate(star)
 	}
 }
 
+// TestPlanShardsSingleShardDegenerate: a star splits, its hosts spread over
+// the shards and its switch on shard 0, with the link delay as lookahead;
+// only a fabric of one host stays on one shard.
 func TestPlanShardsSingleShardDegenerate(t *testing.T) {
 	star := NewSingleSwitch(SingleSwitchConfig{NumHosts: 8, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})
-	p := PlanShards(star, 4) // one pod: cannot split
-	if p.Shards != 1 {
-		t.Fatalf("star plan: Shards=%d, want 1", p.Shards)
+	p := PlanShards(star, 4)
+	if sw, _ := star.NodeByName("sw0"); p.Shards != 4 || p.Assign[sw] != 0 {
+		t.Fatalf("star plan: Shards=%d, switch on shard %d; want 4 shards, switch on 0", p.Shards, p.Assign[sw])
 	}
-	if _, cross := crossStats(star, p); p.Lookahead != 0 || cross != 0 {
-		t.Fatalf("star plan: Lookahead=%v cross links=%d, want 0/0", p.Lookahead, cross)
+	if _, cross := crossStats(star, p); p.Lookahead != units.Microsecond || cross != 2*6 {
+		t.Fatalf("star plan: Lookahead=%v cross links=%d, want 1us/12", p.Lookahead, cross)
 	}
 	p.Validate(star)
+
+	one := NewClos(ClosConfig{NumToR: 1, NumSpine: 1, HostsPerToR: 1, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond})
+	p = PlanShards(one, 4)
+	if _, cross := crossStats(one, p); p.Shards != 1 || p.Lookahead != 0 || cross != 0 {
+		t.Fatalf("one-host plan: Shards=%d Lookahead=%v cross links=%d, want 1/0/0", p.Shards, p.Lookahead, cross)
+	}
+	p.Validate(one)
 }
 
 func TestPlanShardsLookahead(t *testing.T) {
@@ -133,13 +132,20 @@ func TestPlanShardsLookahead(t *testing.T) {
 			t.Fatalf("PlanShards(%d): no cross links in a split plan", shards)
 		}
 	}
+	// Two data centers split at their gateways: the 200 us inter-DC link is
+	// the one link that crosses, in both directions.
+	x := NewCrossDC(T2Config())
+	p := PlanShards(x.Topology, 2)
+	if _, cross := crossStats(x.Topology, p); p.Lookahead != gatewayDelay || cross != 2 {
+		t.Fatalf("cross-DC PlanShards(2): Lookahead=%v over %d directed cross links, want %v over 2", p.Lookahead, cross, gatewayDelay)
+	}
 }
 
 func TestPlanShardsLookaheadTracksMinCrossDelay(t *testing.T) {
 	topo := NewFatTree(FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
-	// pod0 lands on shard 0 and core1 on shard 1 under any multi-shard plan,
-	// so pod0-agg1 <-> core1 is always a boundary link. Shorten it and the
-	// lookahead must shrink with it.
+	// At two shards pod0-agg1 sits on shard 0 and core1 on shard 1, so
+	// pod0-agg1 <-> core1 is a boundary link. Shorten it and the lookahead
+	// must shrink with it.
 	agg, ok := topo.NodeByName("pod0-agg1")
 	if !ok {
 		t.Fatal("pod0-agg1 not found")
