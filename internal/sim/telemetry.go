@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"io"
 
+	"bfc/internal/stats"
 	"bfc/internal/switchsim"
 	"bfc/internal/telemetry"
 	"bfc/internal/units"
@@ -27,31 +25,57 @@ const ModelVersion = 4
 // same configuration — the determinism contract telemetry must honor — while
 // still covering every statistic the figures report. For runs without
 // telemetry it is identical to hashing the full marshalled Result. The
-// encoding streams into the hash: no copy of it is made.
+// encoding streams into the hash through one fixed buffer (writeDigestJSON),
+// so what the digest allocates does not grow with the run's samples.
 func ResultDigest(res *Result) (string, error) {
-	saved := res.Telemetry
-	res.Telemetry = nil
 	h := sha256.New()
-	err := json.NewEncoder(untilNewline{h}).Encode(res)
-	res.Telemetry = saved
-	if err != nil {
+	w := stats.NewJSONWriter(h)
+	res.writeDigestJSON(&w)
+	if err := w.Flush(); err != nil {
 		return "", err
 	}
 	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0])), nil
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], h.Sum(sum[:0]))
+	return string(digest[:]), nil
 }
 
-// untilNewline writes to w what a json.Encoder writes but the newline it
-// ends a value with, so the bytes are json.Marshal's. A compact encoding
-// holds no other newline byte (a string escapes it), so the one a write ends
-// with is the terminator however the encoder splits its writes.
-type untilNewline struct{ w io.Writer }
-
-func (u untilNewline) Write(b []byte) (int, error) {
-	if _, err := u.w.Write(bytes.TrimSuffix(b, []byte{'\n'})); err != nil {
-		return 0, err
+// writeDigestJSON writes json.Marshal's bytes for res without its Telemetry:
+// Result's fields in declaration order, under their names, Scenario omitted
+// when nil, Sharding and Exec never. The map and Scenario go through
+// encoding/json, which escapes the '>' of a link class ("ToR->Spine") as
+// \u003e. TestResultDigestIsEncodingJSONs holds the bytes to encoding/json's.
+func (res *Result) writeDigestJSON(w *stats.JSONWriter) {
+	w.Int(`{"Scheme":`, int64(res.Scheme))
+	w.FCTCollector(`,"FCT":`, res.FCT)
+	w.FCTCollector(`,"FCTIncast":`, res.FCTIncast)
+	w.Int(`,"FlowsTotal":`, int64(res.FlowsTotal))
+	w.Int(`,"FlowsCompleted":`, int64(res.FlowsCompleted))
+	w.Distribution(`,"BufferOccupancy":`, &res.BufferOccupancy)
+	w.Int(`,"MaxBufferOccupancy":`, int64(res.MaxBufferOccupancy))
+	w.Int(`,"MaxPhysicalQueueBytes":`, int64(res.MaxPhysicalQueueBytes))
+	w.Distribution(`,"OccupiedQueues":`, &res.OccupiedQueues)
+	w.Float(`,"Utilization":`, res.Utilization)
+	w.Float(`,"ReceiverUtilization":`, res.ReceiverUtilization)
+	w.Marshal(`,"PauseTimeFraction":`, res.PauseTimeFraction)
+	w.Uint(`,"Drops":`, res.Drops)
+	w.Uint(`,"ECNMarks":`, res.ECNMarks)
+	w.Uint(`,"PFCPauses":`, res.PFCPauses)
+	w.Uint(`,"BFCFrames":`, res.BFCFrames)
+	w.Uint(`,"Assignments":`, res.Assignments)
+	w.Uint(`,"CollidedAssignments":`, res.CollidedAssignments)
+	w.Uint(`,"VFIDCollisions":`, res.VFIDCollisions)
+	w.Uint(`,"TableOverflowPackets":`, res.TableOverflowPackets)
+	w.Uint(`,"DataPackets":`, res.DataPackets)
+	w.Uint(`,"Pauses":`, res.Pauses)
+	w.Uint(`,"Resumes":`, res.Resumes)
+	w.Int(`,"MaxActiveFlows":`, int64(res.MaxActiveFlows))
+	w.Uint(`,"Events":`, res.Events)
+	w.Int(`,"Elapsed":`, int64(res.Elapsed))
+	if res.Scenario != nil {
+		w.Marshal(`,"Scenario":`, res.Scenario)
 	}
-	return len(b), nil
+	w.Raw("}")
 }
 
 // seriesSampler turns the statistics tick into the time-series bundle

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 )
@@ -39,7 +40,9 @@ type streamingJSON struct {
 // streaming Distribution as a {"sketch": ...} object holding the full
 // reservoir state. The bytes are encoding/json's for the same values.
 func (d Distribution) MarshalJSON() ([]byte, error) {
-	return d.appendJSON(make([]byte, 0, d.jsonBound()))
+	w := JSONWriter{buf: make([]byte, 0, d.jsonBound())}
+	w.Distribution("", &d)
+	return w.bytes()
 }
 
 // maxFloatJSON bounds the bytes one float64 takes in an array, its comma
@@ -48,68 +51,170 @@ func (d Distribution) MarshalJSON() ([]byte, error) {
 const maxFloatJSON = 25
 
 // jsonBound bounds the length of d's wire form, so one allocation holds it:
-// 256 bytes cover a sketch's keys and scalars.
+// 256 bytes cover a sketch's keys and scalars, or a collector's keys around
+// the distribution.
 func (d *Distribution) jsonBound() int { return 256 + maxFloatJSON*len(d.samples) }
 
-// appendJSON appends d's wire form (see MarshalJSON) to b in one pass.
-func (d *Distribution) appendJSON(b []byte) ([]byte, error) {
-	if !d.Streaming() {
-		return appendFloats(b, d.samples)
-	}
-	b = append(b, `{"sketch":{"cap":`...)
-	b = strconv.AppendInt(b, int64(d.cap), 10)
-	b = append(b, `,"seed":`...)
-	b = strconv.AppendUint(b, sketchSeed, 10)
-	b = append(b, `,"count":`...)
-	b = strconv.AppendInt(b, d.count, 10)
-	var err error
-	for _, f := range [...]struct {
-		key string
-		v   float64
-	}{{`,"sum":`, d.sum}, {`,"min":`, d.min}, {`,"max":`, d.max}} {
-		if b, err = appendFloat(append(b, f.key...), f.v); err != nil {
-			return nil, err
-		}
-	}
-	if b, err = appendFloats(append(b, `,"samples":`...), d.samples); err != nil {
-		return nil, err
-	}
-	return append(b, "}}"...), nil
+// jsonChunk is the buffer of a JSONWriter with a sink: it amortizes the
+// sink's calls and is small against any run's statistics.
+const jsonChunk = 4 << 10
+
+// JSONWriter writes JSON text through one buffer. With a sink
+// (NewJSONWriter) the buffer is a fixed jsonChunk bytes, handed to the sink
+// whenever the next piece might not fit, so writing statistics of any size
+// allocates nothing beyond it. Without one (MarshalJSON) the buffer, sized
+// by jsonBound, holds the whole text. Each method writes prefix, raw JSON
+// text such as a key and its separator, and then its value. The first
+// error, a value JSON cannot hold or the sink's, sticks: Flush returns it.
+type JSONWriter struct {
+	sink io.Writer
+	buf  []byte
+	err  error
 }
 
-// appendFloats appends vs as a JSON array; nil is the empty array.
-func appendFloats(b []byte, vs []float64) ([]byte, error) {
-	b = append(b, '[')
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = appendFloat(b, v); err != nil {
-			return nil, err
-		}
-	}
-	return append(b, ']'), nil
+// NewJSONWriter returns a writer that streams to sink.
+func NewJSONWriter(sink io.Writer) JSONWriter {
+	return JSONWriter{sink: sink, buf: make([]byte, 0, jsonChunk)}
 }
 
-// appendFloat appends v as encoding/json writes a float64: the shortest form
-// that reads back as v, in 'f' notation unless 0 < |v| < 1e-6 or |v| >= 1e21,
+// Flush hands the sink what the buffer holds and returns the first error.
+func (w *JSONWriter) Flush() error {
+	w.flush()
+	return w.err
+}
+
+// bytes returns the text a writer without a sink holds.
+func (w *JSONWriter) bytes() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.buf, nil
+}
+
+func (w *JSONWriter) flush() {
+	if w.sink == nil {
+		return
+	}
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.sink.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+}
+
+// room makes n bytes free, flushing if fewer are.
+func (w *JSONWriter) room(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.flush()
+	}
+}
+
+// Raw writes text as it is: keys, separators, brackets. The buffer grows
+// only for text longer than itself.
+func (w *JSONWriter) Raw(text string) {
+	w.room(len(text))
+	w.buf = append(w.buf, text...)
+}
+
+// Int writes prefix and v.
+func (w *JSONWriter) Int(prefix string, v int64) {
+	w.Raw(prefix)
+	w.room(20)
+	w.buf = strconv.AppendInt(w.buf, v, 10)
+}
+
+// Uint writes prefix and v.
+func (w *JSONWriter) Uint(prefix string, v uint64) {
+	w.Raw(prefix)
+	w.room(20)
+	w.buf = strconv.AppendUint(w.buf, v, 10)
+}
+
+// Float writes prefix and v as encoding/json writes a float64.
+func (w *JSONWriter) Float(prefix string, v float64) {
+	w.Raw(prefix)
+	w.room(maxFloatJSON)
+	w.float(v)
+}
+
+// Marshal writes prefix and json.Marshal's encoding of v.
+func (w *JSONWriter) Marshal(prefix string, v any) {
+	w.Raw(prefix)
+	b, err := json.Marshal(v)
+	switch {
+	case err != nil:
+		w.fail(err)
+	case w.sink != nil && len(b) > cap(w.buf):
+		w.flush()
+		if w.err == nil {
+			_, w.err = w.sink.Write(b)
+		}
+	default:
+		w.room(len(b))
+		w.buf = append(w.buf, b...)
+	}
+}
+
+// fail records err unless an earlier error stands.
+func (w *JSONWriter) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// float appends v as encoding/json writes a float64: the shortest form that
+// reads back as v, in 'f' notation unless 0 < |v| < 1e-6 or |v| >= 1e21,
 // which take 'e' notation with a one-digit negative exponent's zero dropped
-// (1e-07 is written 1e-7). NaN and ±Inf have no JSON form.
-func appendFloat(b []byte, v float64) ([]byte, error) {
+// (1e-07 is written 1e-7). NaN and ±Inf have no JSON form. The caller makes
+// room for maxFloatJSON bytes.
+func (w *JSONWriter) float(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil, fmt.Errorf("stats: unsupported value %v: JSON has no NaN or infinity", v)
+		w.fail(fmt.Errorf("stats: unsupported value %v: JSON has no NaN or infinity", v))
+		return
 	}
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
+	b := strconv.AppendFloat(w.buf, v, format, -1, 64)
 	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
-	return b, nil
+	w.buf = b
+}
+
+// floats writes prefix and vs as a JSON array; nil is the empty array.
+func (w *JSONWriter) floats(prefix string, vs []float64) {
+	w.Raw(prefix)
+	w.Raw("[")
+	for i, v := range vs {
+		if w.err != nil {
+			return
+		}
+		w.room(maxFloatJSON)
+		if i > 0 {
+			w.buf = append(w.buf, ',')
+		}
+		w.float(v)
+	}
+	w.Raw("]")
+}
+
+// Distribution writes prefix and d's wire form (see MarshalJSON).
+func (w *JSONWriter) Distribution(prefix string, d *Distribution) {
+	if !d.Streaming() {
+		w.floats(prefix, d.samples)
+		return
+	}
+	w.Raw(prefix)
+	w.Int(`{"sketch":{"cap":`, int64(d.cap))
+	w.Uint(`,"seed":`, sketchSeed)
+	w.Int(`,"count":`, d.count)
+	w.Float(`,"sum":`, d.sum)
+	w.Float(`,"min":`, d.min)
+	w.Float(`,"max":`, d.max)
+	w.floats(`,"samples":`, d.samples)
+	w.Raw("}}")
 }
 
 // UnmarshalJSON decodes either wire form produced by MarshalJSON, replacing
@@ -168,34 +273,47 @@ type fctCollectorJSON struct {
 // distributions in one buffer sized for them all. The bucket list, a few
 // labelled bounds, is the one part encoding/json writes.
 func (c *FCTCollector) MarshalJSON() ([]byte, error) {
-	buckets, err := json.Marshal(c.buckets)
-	if err != nil {
-		return nil, err
-	}
-	size := len(buckets) + c.all.jsonBound()
+	w := JSONWriter{buf: make([]byte, 0, c.jsonBound())}
+	w.FCTCollector("", c)
+	return w.bytes()
+}
+
+// jsonBound bounds the length of c's wire form. A bucket takes at most 65
+// bytes besides its label, whose bytes encoding/json escapes to at most six
+// each.
+func (c *FCTCollector) jsonBound() int {
+	n := c.all.jsonBound()
 	for i := range c.perSize {
-		size += c.perSize[i].jsonBound()
+		n += c.perSize[i].jsonBound()
 	}
-	b := append(make([]byte, 0, size), `{"buckets":`...)
-	b = append(append(b, buckets...), `,"per_size":`...)
+	for _, b := range c.buckets {
+		n += 65 + 6*len(b.Label)
+	}
+	return n
+}
+
+// FCTCollector writes prefix and c's wire form (see MarshalJSON); a nil c is
+// null.
+func (w *JSONWriter) FCTCollector(prefix string, c *FCTCollector) {
+	w.Raw(prefix)
+	if c == nil {
+		w.Raw("null")
+		return
+	}
+	w.Marshal(`{"buckets":`, &c.buckets)
 	if c.perSize == nil {
-		b = append(b, "null"...)
+		w.Raw(`,"per_size":null`)
 	} else {
-		b = append(b, '[')
+		w.Raw(`,"per_size":[`)
+		sep := ""
 		for i := range c.perSize {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, err = c.perSize[i].appendJSON(b); err != nil {
-				return nil, err
-			}
+			w.Distribution(sep, &c.perSize[i])
+			sep = ","
 		}
-		b = append(b, ']')
+		w.Raw("]")
 	}
-	if b, err = c.all.appendJSON(append(b, `,"all":`...)); err != nil {
-		return nil, err
-	}
-	return append(b, '}'), nil
+	w.Distribution(`,"all":`, &c.all)
+	w.Raw("}")
 }
 
 // UnmarshalJSON decodes a collector produced by MarshalJSON.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"bfc/internal/units"
@@ -137,6 +138,16 @@ func FuzzFCTCollectorJSON(f *testing.F) {
 		{"sketch":{"cap":4,"seed":25214903917,"count":0,"sum":0,"min":0,"max":0,"samples":[]}}],
 		"all":{"sketch":{"cap":4,"seed":25214903917,"count":24,"sum":30.900000000000002,"min":1,"max":1.6,"samples":[1.6,1.6,1,1.5]}}}`))
 	f.Add([]byte(`{"buckets":[],"per_size":[],"all":[]}`))
+	// More samples than one of a streaming writer's buffers holds, so its
+	// flushes land inside the sample arrays.
+	large := NewFCTCollector()
+	for i := 1; i <= 600; i++ {
+		large.Record(units.Bytes(i*i*37%(2<<20)+1), units.Time(10+i%13)*units.Microsecond, 10*units.Microsecond)
+	}
+	if b, err = json.Marshal(large); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var c FCTCollector
 		if json.Unmarshal(b, &c) != nil {
@@ -157,6 +168,8 @@ func FuzzFCTCollectorJSON(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("encoding is not a fixed point:\n%s\n%s", first, second)
 		}
+		got, err := streamed(func(w *JSONWriter) { w.FCTCollector("", &c) })
+		sameBytes(t, "streamed collector", got, err, first, nil)
 		c.Count()
 		for _, p := range []float64{0, 50, 100} {
 			c.OverallPercentile(p)
@@ -200,6 +213,27 @@ func plainCollectorJSON(c *FCTCollector) any {
 	return w
 }
 
+// streamed returns the bytes write has a JSONWriter stream into a buffer.
+func streamed(write func(*JSONWriter)) ([]byte, error) {
+	var b bytes.Buffer
+	w := NewJSONWriter(&b)
+	write(&w)
+	err := w.Flush()
+	return b.Bytes(), err
+}
+
+// sameBytes fails t unless got and want are the same bytes, or both
+// encodings failed.
+func sameBytes(t *testing.T, what string, got []byte, err error, want []byte, wantErr error) {
+	t.Helper()
+	switch {
+	case (err != nil) != (wantErr != nil):
+		t.Fatalf("%s: error %v, want %v", what, err, wantErr)
+	case err == nil && !bytes.Equal(got, want):
+		t.Fatalf("%s:\n got %s\nwant %s", what, got, want)
+	}
+}
+
 // sameAsEncodingJSON fails t unless got and err, an encoding of the values
 // plain holds, are encoding/json's bytes for them, or both encodings fail.
 func sameAsEncodingJSON(t *testing.T, what string, got []byte, err error, plain any) {
@@ -226,7 +260,10 @@ func floatBits(vs ...float64) []byte {
 // collectors to encoding/json's bytes for the same values, over arbitrary
 // float64 bit patterns: each 8 bytes of raw are one sample. capacity 0 is
 // exact mode, any other a reservoir of that capacity, so a few samples reach
-// the sketch's replacement path.
+// the sketch's replacement path. A JSONWriter streaming the same values,
+// after capacity bytes of white space that move its flushes, must write
+// MarshalJSON's bytes; the seeds of 600 and 1 200 samples fill several of
+// its buffers.
 func FuzzDistributionJSON(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{}, uint8(4))
@@ -238,6 +275,12 @@ func FuzzDistributionJSON(f *testing.F) {
 		f.Add(floatBits(1, v, 2), uint8(0))
 		f.Add(floatBits(1, v, 2), uint8(8))
 	}
+	var many []float64
+	for i := range 600 {
+		many = append(many, float64(i*i)*1.0000001e-9, -float64(i)/7)
+	}
+	f.Add(floatBits(many[:600]...), uint8(0))
+	f.Add(floatBits(many...), uint8(255))
 	f.Fuzz(func(t *testing.T, raw []byte, capacity uint8) {
 		d := Distribution{cap: int(capacity)}
 		c := NewFCTCollector()
@@ -251,10 +294,15 @@ func FuzzDistributionJSON(f *testing.F) {
 			c.all.Add(v)
 			c.perSize[(i/8)%len(c.perSize)].Add(v)
 		}
+		pad := strings.Repeat(" ", int(capacity))
 		got, err := d.MarshalJSON()
 		sameAsEncodingJSON(t, "distribution", got, err, plainJSON(&d))
+		s, serr := streamed(func(w *JSONWriter) { w.Distribution(pad, &d) })
+		sameBytes(t, "streamed distribution", s, serr, append([]byte(pad), got...), err)
 		got, err = c.MarshalJSON()
 		sameAsEncodingJSON(t, "collector", got, err, plainCollectorJSON(c))
+		s, serr = streamed(func(w *JSONWriter) { w.FCTCollector(pad, c) })
+		sameBytes(t, "streamed collector", s, serr, append([]byte(pad), got...), err)
 		var zero FCTCollector
 		got, err = zero.MarshalJSON()
 		sameAsEncodingJSON(t, "zero collector", got, err, plainCollectorJSON(&zero))

@@ -2,8 +2,10 @@ package switchsim_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"bfc/internal/eventsim"
 	"bfc/internal/netsim"
 	"bfc/internal/packet"
+	"bfc/internal/queue"
 	"bfc/internal/switchsim"
 	"bfc/internal/topology"
 	"bfc/internal/units"
@@ -114,23 +117,25 @@ func TestNewRejectsMorePortsThanAPacketNames(t *testing.T) {
 	})
 }
 
-// TestNewFootprint bounds the bytes switchsim.New allocates for a 16-port BFC
-// switch at the paper's 32 data queues per port, measured as a
-// runtime.MemStats.TotalAlloc delta. A port's 32 data queues cost 56 B each
-// (a 32-B FIFO, an 8-B DRR deficit and the engine's 16-B queue record) and
-// its ctrl, high-priority and overflow queues 32 to 40 B; with the port's own
-// state, the engine's ingress filters and the room carved for four pending
-// resumes and a pause frame that is about 2.5 KB per port, 40.6 KB in all on
-// go1.24. The bound allows 2.75 KB per port. With 128 B per
-// data queue (a 56-B FIFO that pointed back at its scheduler and four engine
-// slices per queue) the same switch took 80.8 KB. TotalAlloc counts the whole
-// process, so the test measures in a fresh child of the test binary, where no
-// earlier test's state can allocate inside the window.
+// TestNewFootprint holds what a 16-port BFC switch at the paper's 32 data
+// queues per port allocates to the slabs it is built from.
+// switchsim.NewSlabs must carve exactly the records slabRecords names, slab
+// by slab: a record's size times the count the port shape gives. A port's 32
+// data queues cost 56 B each (a 32-B FIFO, an 8-B DRR deficit and the
+// engine's 16-B queue record) and with its ctrl, high-priority and overflow
+// queues, its own state, the engine's egress and ingress records and the
+// room carved for four pending resumes and a pause frame, a port carves
+// 2 344 B. With 128 B per data queue (a 56-B FIFO that pointed back at its
+// scheduler and four engine slices per queue) the same switch took 80.8 KB.
+// switchsim.New on slabs made for it must allocate nothing more, measured as
+// a runtime.MemStats.TotalAlloc delta. TotalAlloc counts the whole process,
+// so the test measures in a fresh child of the test binary, where no earlier
+// test's state can allocate inside the window.
 func TestNewFootprint(t *testing.T) {
 	if !inFreshChild(t) {
 		return
 	}
-	const ports, bound = 16, 16 * 2816
+	const ports, queues = 16, 32
 	topo := topology.NewSingleSwitch(topology.SingleSwitchConfig{
 		NumHosts: ports, LinkRate: 100 * units.Gbps, LinkDelay: units.Microsecond,
 	})
@@ -142,22 +147,92 @@ func TestNewFootprint(t *testing.T) {
 	}
 	sched := eventsim.New()
 	cfg := switchsim.Config{
-		Scheduler: sched, Topo: topo, Node: node, MTU: 1000, NumQueues: 32,
+		Scheduler: sched, Topo: topo, Node: node, MTU: 1000, NumQueues: queues,
 		BufferSize: 12 * units.MB, Seed: 1, Pool: packet.NewPool(), BFC: bfcConfig(true),
 	}
+	want := slabRecords(1, ports, queues)
+	carved := 0
+	eachSlab(reflect.ValueOf(switchsim.NewSlabs(&cfg, 1, ports)), "", func(name string, v reflect.Value) {
+		r, ok := want[name]
+		switch {
+		case !ok:
+			t.Errorf("NewSlabs carves %s (%d records of %d B), which slabRecords does not name", name, v.Cap(), v.Type().Elem().Size())
+		case int(v.Type().Elem().Size()) != r.size || v.Cap() != r.count:
+			t.Errorf("NewSlabs carves %s as %d records of %d B, want %d of %d B", name, v.Cap(), v.Type().Elem().Size(), r.count, r.size)
+		}
+		delete(want, name)
+		carved += v.Cap() * int(v.Type().Elem().Size())
+	})
+	for name := range want {
+		t.Errorf("NewSlabs no longer carves %s: drop it from slabRecords", name)
+	}
 	// The first switch's tick grows the scheduler's arenas, which are not
-	// the switch's.
+	// the switch's, and a collection or the arenas' next page can fall in
+	// one window: the least of three counts neither.
 	switchsim.New(cfg)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sw := switchsim.New(cfg)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(sw)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("a %d-port BFC switch at 32 queues per port allocated %d B (bound %d B)", ports, got, bound)
-	if got > bound {
-		t.Errorf("switchsim.New allocated %d B for a %d-port BFC switch at 32 queues per port, want at most %d B (%d B per port)",
-			got, ports, bound, bound/ports)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		cfg.Slabs = switchsim.NewSlabs(&cfg, 1, ports)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sw := switchsim.New(cfg)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(sw)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a %d-port BFC switch at %d queues per port carves %d B from its slabs and allocates %d B more",
+		ports, queues, carved, least)
+	if least != 0 {
+		t.Errorf("switchsim.New allocated %d B beside the slabs made for its switch, want 0", least)
+	}
+}
+
+// slabRecord is one slab's record size and count.
+type slabRecord struct{ size, count int }
+
+// slabRecords names what switchsim.NewSlabs carves for s BFC switches with p
+// ports in all at q data queues a port: each slab of switchsim.Slabs and of
+// the core.Slabs it points to, by field path, with its record size in bytes
+// on a 64-bit machine and its record count. A port has 3+q FIFOs, the DRR
+// schedules 1+q of them, their ready bits take one word up to q = 63, and the
+// engine carves four resumes a port.
+func slabRecords(s, p, q int) map[string]slabRecord {
+	return map[string]slabRecord{
+		"switches":              {296, s},
+		"ports":                 {200, p},
+		"fifos":                 {32, p * (3 + q)},
+		"deficits":              {8, p * (1 + q)},
+		"ready":                 {8, p * queue.ReadyWords(1+q)},
+		"bfc":                   {408, s},
+		"engines.egress":        {48, p},
+		"engines.ingress":       {80, p},
+		"engines.queues":        {16, p * q},
+		"engines.resumes":       {24, p * 4},
+		"engines.frames":        {16, p},
+		"engines.resumed":       {1, s * q},
+		"engines.index":         {64, s},
+		"engines.entries.slab":  {8, 0},
+		"engines.entries.page":  {88, 0},
+		"engines.entries.cells": {8, 0},
+	}
+}
+
+// eachSlab calls visit with every slice v holds, through pointers and struct
+// fields, named by its field path below name.
+func eachSlab(v reflect.Value, name string, visit func(string, reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		eachSlab(v.Elem(), name, visit)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			field := v.Type().Field(i).Name
+			if name != "" {
+				field = name + "." + field
+			}
+			eachSlab(v.Field(i), field, visit)
+		}
+	case reflect.Slice:
+		visit(name, v)
 	}
 }
 

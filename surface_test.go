@@ -506,7 +506,7 @@ func (c *surfaceChecker) declare(rel string, pkg *types.Package) {
 // stdInterfaces are the standard interfaces a tree type satisfies for code
 // outside the tree to call.
 var stdInterfaces = []struct{ pkg, name string }{
-	{"fmt", "Stringer"}, {"io", "Writer"}, {"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"fmt", "Stringer"}, {"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
 	{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"},
 	{"net/http", "ResponseWriter"}, {"net/http", "Flusher"},
 }
