@@ -28,11 +28,11 @@ func holdChain(t *testing.T, s *Scheduler, n int) {
 			s.ScheduleCall(s.Now()+1, step, nil)
 		}
 	}
-	held := s.live
+	held := live(s)
 	s.ScheduleCall(s.Now(), step, nil)
 	s.RunUntil(s.Now() + units.Microsecond - 1)
-	if s.live != held+n {
-		t.Fatalf("%d events pending after the chain, want %d", s.live, held+n)
+	if live(s) != held+n {
+		t.Fatalf("%d events pending after the chain, want %d", live(s), held+n)
 	}
 }
 

@@ -23,8 +23,8 @@ func TestCancelThenRescheduleSameTime(t *testing.T) {
 	s.Cancel(e)
 	s.Schedule(10, func() { got = append(got, "b") })
 	s.Cancel(e) // stale: must not touch the replacement, wherever it landed
-	if s.live != 2 {
-		t.Fatalf("live = %d, want 2", s.live)
+	if live(s) != 2 {
+		t.Fatalf("live = %d, want 2", live(s))
 	}
 	s.Run()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -89,8 +89,8 @@ func TestCompaction(t *testing.T) {
 	for _, e := range cancelled {
 		s.Cancel(e)
 	}
-	if s.live != 500 {
-		t.Fatalf("live = %d, want 500", s.live)
+	if live(s) != 500 {
+		t.Fatalf("live = %d, want 500", live(s))
 	}
 	s.Run()
 	if len(fired) != 500 {
@@ -179,8 +179,8 @@ func TestCallbackObservesEngineState(t *testing.T) {
 					if s.Executed != 1 {
 						t.Errorf("Executed = %d inside the second event, want 1: the running event is counted after it returns", s.Executed)
 					}
-					if s.live != 1 {
-						t.Errorf("live = %d inside the callback, want 1 (the later event only)", s.live)
+					if live(s) != 1 {
+						t.Errorf("live = %d inside the callback, want 1 (the later event only)", live(s))
 					}
 					if s.Now() != 40 {
 						t.Errorf("Now = %v inside the callback, want 40", s.Now())
@@ -196,8 +196,8 @@ func TestCallbackObservesEngineState(t *testing.T) {
 						t.Errorf("first Schedule of the callback got %+v, want the just-freed slot of %+v under the next generation", reused, own)
 					}
 					s.Cancel(own) // stale: must not reach the slot's new occupant
-					if !s.Pending(reused) || s.live != 2 {
-						t.Errorf("stale Cancel touched the reused slot: Pending %v, live %d", s.Pending(reused), s.live)
+					if !s.Pending(reused) || live(s) != 2 {
+						t.Errorf("stale Cancel touched the reused slot: Pending %v, live %d", s.Pending(reused), live(s))
 					}
 				}
 				s.ScheduleCallTo(10, 7, func(any) {
@@ -217,8 +217,8 @@ func TestCallbackObservesEngineState(t *testing.T) {
 				if n := r.run(s); n != 1 || !ran {
 					t.Fatalf("executed %d events (callback ran: %v), want 1", n, ran)
 				}
-				if s.Executed != 2 || s.live != 2 {
-					t.Errorf("Executed %d, live %d after the call; want 2, 2", s.Executed, s.live)
+				if s.Executed != 2 || live(s) != 2 {
+					t.Errorf("Executed %d, live %d after the call; want 2, 2", s.Executed, live(s))
 				}
 				s.Run()
 				requireDrained(t, s)

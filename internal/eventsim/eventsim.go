@@ -70,11 +70,11 @@
 // in one of three tiers by its bucket relative to the current one:
 //
 //   - cur, the records at or before the current bucket — the only tier
-//     events are popped from, and a handful of records deep: a run sorted
-//     latest-first, popped from its end in O(1), beside a small 4-ary heap
-//     for the records filed into the bucket while it drains that order after
-//     the run's last (a record that orders before it is appended to the
-//     run); a pop takes the earlier of the run's last and the heap's top;
+//     events are popped from, and a handful of records deep: one run sorted
+//     latest-first, popped from its end in O(1). A record filed into the
+//     bucket while it drains goes to its ordered place in the run, found by
+//     scanning back from the end; almost every one orders before the run's
+//     last and is appended after one comparison;
 //   - ring, the next ringSize-1 buckets as unsorted intrusive chains: insert
 //     is a store and a bit set with no comparison, which is where link
 //     serialisation and propagation delays (half of all events are 1-10 us
@@ -228,14 +228,13 @@ type Scheduler struct {
 
 	slotN    int32 // slot records ever handed out (see slots)
 	slotFree int32 // handle, 1 + id, of the first free slot; 0 if none
-	live     int   // pending, non-cancelled events
 	stale    int   // cancelled records still occupying queue positions
 
 	// The three queue tiers (see "Queue layout" in the package comment). cur
 	// is a run sorted latest-first under entryLess, its earliest record last,
-	// side the 4-ary heap beside it, and far a 4-ary heap; ring[b&ringMask]
-	// heads the unsorted chain of bucket b for curB < b < curB+ringSize, and
-	// occ has one bit per non-empty bucket. Chains are intrusive — a slice per
+	// and far a 4-ary heap; ring[b&ringMask] heads the unsorted chain of
+	// bucket b for curB < b < curB+ringSize, and occ has one bit per
+	// non-empty bucket. Chains are intrusive — a slice per
 	// bucket allocated a third more bytes per run in the sizing prototype —
 	// and link through parked.next inside park, an arena of fixed pages that
 	// are never copied (an append-grown one re-copies about five times its
@@ -245,9 +244,8 @@ type Scheduler struct {
 	// ever pending instead, 528 KB against 96 KB on the bench's Clos runs, and
 	// they ran 4 % slower for the sparser records.
 	cur      []entry
-	side     []entry
 	far      []entry
-	curB     int64 // current bucket: cur and side hold every record at or before it
+	curB     int64 // current bucket: cur holds every record at or before it
 	ringN    int   // records parked in the ring
 	ring     [ringSize]int32
 	occ      [ringSize / 64]uint64
@@ -339,15 +337,15 @@ func (s *Scheduler) slotAt(id int32) *slot {
 type tierCounts struct {
 	refillRing, refillFar uint64    // refills whose bucket came from the ring / from far's top
 	migrated              uint64    // far records a shifted window pulled into the ring
-	compacted             [3]uint64 // cancelled records compact swept from cur (run and side), ring, far
+	compacted             [3]uint64 // cancelled records compact swept from cur, ring, far
 	sorted                int       // the most records refill sorted into the run at once
-	sidePops              uint64    // pops that took side's top over a non-empty run's last
+	runInserts            uint64    // records file inserted ahead of the run's last
 }
 
 func bucketOf(at units.Time) int64 { return int64(at) >> bucketShift }
 
 // pending is the number of index records in the queue, cancelled or not.
-func (s *Scheduler) pending() int { return len(s.cur) + len(s.side) + s.ringN + len(s.far) }
+func (s *Scheduler) pending() int { return len(s.cur) + s.ringN + len(s.far) }
 
 // New returns an empty scheduler with the clock at time zero, outside any
 // dispatch.
@@ -482,7 +480,6 @@ func (s *Scheduler) push(k Key, target int32, call func(any), arg any) Event {
 	if n := s.pending(); n > s.heapHW {
 		s.heapHW = n
 	}
-	s.live++
 	return Event{slot: id, gen: c.gen}
 }
 
@@ -490,18 +487,16 @@ func (s *Scheduler) push(k Key, target int32, call func(any), arg any) Event {
 // one is possible — a run call's last peek may already have activated the
 // next event's bucket when the clock stops short of it — and belongs in cur
 // like the current bucket's records: everything in ring and far fires later.
-// In cur, a record that orders before the run's last extends the run; any
-// other goes into side, since placing it in the run would cost a search and a
-// move of everything after it. On the bfcsim run fence side takes no record
-// on BFC (2.64 M events) and 328 on DCQCN (2.32 M).
+// In cur, e goes to its place in the run, found from the end: a record that
+// orders before the run's last costs one comparison and an append. Any other
+// is rare — none on BFC's run fence (2.64 M events), a few hundred on
+// DCQCN's (2.32 M), each moving at most a few dozen records.
 func (s *Scheduler) file(e entry) {
 	switch b := bucketOf(e.At); {
 	case b <= s.curB:
-		if n := len(s.cur); n == 0 || entryLess(&e, &s.cur[n-1]) {
-			s.cur = append(s.cur, e)
-		} else {
-			s.side = append(s.side, e)
-			s.siftUp(s.side, len(s.side)-1)
+		s.cur = append(s.cur, e)
+		if n := len(s.cur) - 1; settle(s.cur, n) < n {
+			s.tiers.runInserts++
 		}
 	case b-s.curB < ringSize:
 		s.parkEntry(e, b)
@@ -557,7 +552,6 @@ func (s *Scheduler) Cancel(e Event) {
 		return
 	}
 	s.slotAt(e.slot).state = slotCancelled
-	s.live--
 	s.stale++
 	if s.stale > 64 && s.stale*2 > s.pending() {
 		s.compact()
@@ -634,15 +628,8 @@ func (s *Scheduler) Step() bool {
 // empty or holds only later events.
 func (s *Scheduler) popReady(until units.Time) (int32, *slot, bool) {
 	for s.peek() {
-		// cur's earliest record: the run's last, unless side's top orders
-		// before it. Side is empty on almost every pop.
-		fromSide := len(s.side) > 0 && s.sideFirst()
-		var e *entry
-		if fromSide {
-			e = &s.side[0]
-		} else {
-			e = &s.cur[len(s.cur)-1]
-		}
+		n := len(s.cur) - 1
+		e := &s.cur[n]
 		if e.At > until {
 			break
 		}
@@ -652,11 +639,7 @@ func (s *Scheduler) popReady(until units.Time) (int32, *slot, bool) {
 		if state == slotPending {
 			s.key = e.Key
 		}
-		if fromSide {
-			s.popSide()
-		} else {
-			s.cur = s.cur[:len(s.cur)-1]
-		}
+		s.cur = s.cur[:n]
 		switch state {
 		case slotPending:
 			return id, c, true
@@ -680,7 +663,6 @@ func (s *Scheduler) fire(id int32, c *slot) {
 	s.owner = c.target
 	call, arg := c.call, c.arg
 	s.recycle(id, c)
-	s.live--
 	call(arg)
 	s.Executed++
 }
@@ -699,28 +681,10 @@ func (s *Scheduler) recycle(id int32, c *slot) {
 
 // Calendar front ---------------------------------------------------------------
 
-// peek makes the earlier of the run's last and side's top the earliest
-// pending record, refilling cur from the next non-empty bucket if cur and
-// side have drained; false means the queue is empty. popReady goes through it
-// before every pop.
-func (s *Scheduler) peek() bool { return len(s.cur) > 0 || len(s.side) > 0 || s.refill() }
-
-// sideFirst reports, with side non-empty, whether side's top is cur's
-// earliest record: the run is empty or the top orders before the run's last.
-func (s *Scheduler) sideFirst() bool {
-	n := len(s.cur)
-	return n == 0 || entryLess(&s.side[0], &s.cur[n-1])
-}
-
-// popSide removes side's top, cur's earliest record; the tier counter notes
-// a pop that ordered before a run's last (the only way side can be drawn
-// from with the run non-empty).
-func (s *Scheduler) popSide() {
-	if len(s.cur) > 0 {
-		s.tiers.sidePops++
-	}
-	s.side = s.popTop(s.side)
-}
+// peek makes the run's last the earliest pending record, refilling cur from
+// the next non-empty bucket if it has drained; false means the queue is
+// empty. popReady goes through it before every pop.
+func (s *Scheduler) peek() bool { return len(s.cur) > 0 || s.refill() }
 
 // parked addresses the park record with handle n.
 func (s *Scheduler) parked(n int32) *parked {
@@ -748,7 +712,7 @@ func (s *Scheduler) parkEntry(e entry, b int64) {
 	s.ringN++
 }
 
-// refill, called with cur and side empty, makes the earliest non-empty
+// refill, called with cur empty, makes the earliest non-empty
 // bucket — the next occupied ring bucket or the bucket of far's top,
 // whichever is earlier — the current one: far records the shifted window now
 // covers move into the ring (or straight into cur), then the bucket's chain
@@ -827,25 +791,30 @@ func (s *Scheduler) sortRun() {
 		return
 	}
 	for i := 1; i < len(r); i++ {
-		e := r[i]
-		j := i
-		for ; j > 0 && entryLess(&r[j-1], &e); j-- {
-			r[j] = r[j-1]
-		}
-		r[j] = e
+		settle(r, i)
 	}
+}
+
+// settle moves r[i] back to its place in r[:i+1], a run sorted latest-first
+// but for r[i], and returns that place. A record that orders before r[i-1]
+// stays where it is after one comparison.
+func settle(r []entry, i int) int {
+	e := r[i]
+	for ; i > 0 && entryLess(&r[i-1], &e); i-- {
+		r[i] = r[i-1]
+	}
+	r[i] = e
+	return i
 }
 
 // compact drops the lazily-cancelled records from all three tiers, freeing
 // their slots. Called from Cancel once dead records outnumber live ones, so
 // the amortized cost per cancellation is O(1) sift work plus this occasional
-// sweep — over cur's run and side, far and, through the occupancy bitmap, the
-// occupied ring buckets only. The sweep keeps the run's order; the heaps are
+// sweep — over cur's run, far and, through the occupancy bitmap, the
+// occupied ring buckets only. The sweep keeps the run's order; far is
 // heapified again.
 func (s *Scheduler) compact() {
 	s.cur = s.sweep(s.cur, &s.tiers.compacted[0])
-	s.side = s.sweep(s.side, &s.tiers.compacted[0])
-	s.heapify(s.side)
 	s.far = s.sweep(s.far, &s.tiers.compacted[2])
 	s.heapify(s.far)
 	for w, word := range s.occ {
@@ -889,10 +858,10 @@ func (s *Scheduler) sweep(h []entry, dropped *uint64) []entry {
 
 // 4-ary heap ------------------------------------------------------------------
 //
-// side and far share one set of primitives over a []entry. A 4-ary layout
-// halves the tree depth of a binary heap, trading slightly more comparisons
-// per level for far fewer cache-missing moves — the standard d-ary trade that
-// wins for pop-heavy workloads on value slices.
+// far's primitives over a []entry. A 4-ary layout halves the tree depth of a
+// binary heap, trading slightly more comparisons per level for far fewer
+// cache-missing moves — the standard d-ary trade that wins for pop-heavy
+// workloads on value slices.
 
 // siftUp restores the heap property after appending at index i, moving the
 // hole up instead of swapping.

@@ -30,7 +30,7 @@ import (
 //
 // The model never looks at buckets: any disagreement is the three-tier
 // queue's. The one look inside the engine is checkCur after every operation:
-// cur's run must be sorted latest-first and its side a heap. Keys are derived
+// cur's run must be sorted latest-first. Keys are derived
 // the way the package comment defines them — the current owner, or outside a
 // dispatch the target; the parent's generation plus one at the current
 // instant, else 0; the owner's own count — from the model's own record of the
@@ -324,8 +324,8 @@ func (m *queueModel) checkCounts(op string) {
 	m.t.Helper()
 	checkCur(m.t, m.s)
 	m.reach.peak = max(m.reach.peak, m.live)
-	if m.s.live != m.live || m.s.Executed != m.done {
-		m.t.Fatalf("after %s: live = %d, Executed = %d; model %d, %d", op, m.s.live, m.s.Executed, m.live, m.done)
+	if live(m.s) != m.live || m.s.Executed != m.done {
+		m.t.Fatalf("after %s: live = %d, Executed = %d; model %d, %d", op, live(m.s), m.s.Executed, m.live, m.done)
 	}
 	if m.s.pending() != len(m.pending) || m.s.stale != m.stale {
 		m.t.Fatalf("after %s: %d records pending (%d stale), model %d (%d stale)",
@@ -543,8 +543,8 @@ const (
 
 // queueSeeds is the committed seed corpus. Together the seeds reach refill
 // from the ring and from far, far -> ring migration, compaction with
-// cancelled records in each tier, a bucket sorted past sortCutoff, a pop
-// from cur's side heap over a non-empty run, and both Reset paths, with
+// cancelled records in each tier, a bucket sorted past sortCutoff, a record
+// inserted ahead of cur's last, and both Reset paths, with
 // moved records kept by compaction (TestQueueOrderSeedsReachAllTiers),
 // through every entry point the decoder knows.
 func queueSeeds() [][]byte {
@@ -719,7 +719,7 @@ func FuzzQueueOrder(f *testing.F) {
 
 // TestQueueOrderSeedsReachAllTiers keeps the seed corpus honest: between
 // them, FuzzQueueOrder's seeds must reach every tier, both refill sources,
-// migration and compaction in each tier, both sorts and both parts of cur —
+// migration and compaction in each tier, both sorts and both ways into cur —
 // so the fuzzer starts from inputs
 // that already cross every seam, and a change to the decoder or the geometry
 // that strands the corpus in cur fails here.
@@ -729,9 +729,9 @@ func TestQueueOrderSeedsReachAllTiers(t *testing.T) {
 		reach.add(runQueueOps(t, seed))
 	}
 	reach.requireAll(t)
-	if reach.sorted <= sortCutoff || reach.sidePops == 0 {
-		t.Errorf("cur's paths not all reached: largest bucket sorted %d (insertion sort up to %d), %d pops from side over a non-empty run",
-			reach.sorted, sortCutoff, reach.sidePops)
+	if reach.sorted <= sortCutoff || reach.runInserts == 0 {
+		t.Errorf("cur's paths not all reached: largest bucket sorted %d (insertion sort up to %d), %d records inserted ahead of the run's last",
+			reach.sorted, sortCutoff, reach.runInserts)
 	}
 	if r := reach.timers; r.lazy == 0 || r.fallback == 0 || r.movedKept == 0 {
 		t.Errorf("timer paths not all reached: %+v", r)

@@ -111,8 +111,8 @@ func runRandomDAG(t *testing.T, seed int64, budget int, reach *tierReach) []Key 
 		d.sched.ScheduleCallTo(at, int32(d.rng.Intn(4)), func(any) { d.fire() }, nil)
 	}
 	d.sched.RunUntil(1 << 40)
-	if d.sched.live != 0 {
-		t.Fatalf("seed %d: %d events still pending after horizon", seed, d.sched.live)
+	if live(d.sched) != 0 {
+		t.Fatalf("seed %d: %d events still pending after horizon", seed, live(d.sched))
 	}
 	if len(d.keys) < roots {
 		t.Fatalf("seed %d: recorded %d keys for %d roots", seed, len(d.keys), roots)

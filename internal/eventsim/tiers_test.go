@@ -74,21 +74,18 @@ type timerReach struct {
 	movedKept      uint64 // moved records a compaction swept past
 }
 
-// tierSizes counts the records in each tier, cur's run and side together.
-func tierSizes(s *Scheduler) [3]int { return [3]int{len(s.cur) + len(s.side), s.ringN, len(s.far)} }
+// tierSizes counts the records in each tier.
+func tierSizes(s *Scheduler) [3]int { return [3]int{len(s.cur), s.ringN, len(s.far)} }
 
-// checkCur fails unless cur's run is sorted latest-first and side is a heap,
-// both under entryLess.
+// live is the number of pending events, cancelled ones left out.
+func live(s *Scheduler) int { return s.pending() - s.stale }
+
+// checkCur fails unless cur's run is sorted latest-first under entryLess.
 func checkCur(t *testing.T, s *Scheduler) {
 	t.Helper()
 	for i := 1; i < len(s.cur); i++ {
 		if !entryLess(&s.cur[i], &s.cur[i-1]) {
 			t.Fatalf("run out of order at %d of %d: %+v before %+v", i, len(s.cur), s.cur[i-1], s.cur[i])
-		}
-	}
-	for i := 1; i < len(s.side); i++ {
-		if p := (i - 1) / 4; entryLess(&s.side[i], &s.side[p]) {
-			t.Fatalf("side is no heap: %d of %d (%+v) orders before its parent %+v", i, len(s.side), s.side[i], s.side[p])
 		}
 	}
 }
@@ -110,7 +107,7 @@ func (r *tierReach) add(o tierReach) {
 	r.refillFar += o.refillFar
 	r.migrated += o.migrated
 	r.sorted = max(r.sorted, o.sorted)
-	r.sidePops += o.sidePops
+	r.runInserts += o.runInserts
 	r.timers.lazy += o.timers.lazy
 	r.timers.fallback += o.timers.fallback
 	r.timers.movedKept += o.timers.movedKept
@@ -157,8 +154,8 @@ func (r *tierReach) requireAll(t *testing.T) {
 // cleanly freed.
 func requireDrained(t *testing.T, s *Scheduler) {
 	t.Helper()
-	if s.live != 0 || s.pending() != 0 || s.stale != 0 {
-		t.Fatalf("not drained: live %d, pending records %d, stale %d", s.live, s.pending(), s.stale)
+	if s.pending() != 0 || s.stale != 0 {
+		t.Fatalf("not drained: pending records %d, stale %d", s.pending(), s.stale)
 	}
 	if s.occ != [len(s.occ)]uint64{} || s.ring != [ringSize]int32{} {
 		t.Fatal("occupancy bits or chain heads set on an empty ring")
@@ -215,10 +212,11 @@ func TestScheduleBelowCurrentBucket(t *testing.T) {
 	s.Schedule(s.Now(), rec("y"))      // bucket 2 < curB
 	s.Schedule(5*testBucket+1, rec("x2"))
 	// y and z order before the run's last and extend it; x2 orders after x
-	// and goes to side.
-	if len(s.cur) != 3 || len(s.side) != 1 || s.ringN != 0 {
-		t.Fatalf("records at or below the current bucket must go to cur: run %d, side %d, ring %d; want 3, 1, 0", len(s.cur), len(s.side), s.ringN)
+	// and is inserted ahead of it.
+	if len(s.cur) != 4 || s.ringN != 0 || s.tiers.runInserts != 1 {
+		t.Fatalf("records at or below the current bucket must go to cur: run %d, ring %d, inserts %d; want 4, 0, 1", len(s.cur), s.ringN, s.tiers.runInserts)
 	}
+	checkCur(t, s)
 	s.Schedule(6*testBucket, rec("w"))
 	if s.ringN != 1 {
 		t.Fatalf("record above the current bucket should be parked: ring %d", s.ringN)
@@ -321,8 +319,8 @@ func TestRunBeforeIntoParkedBucket(t *testing.T) {
 		if deadAt > until {
 			stale = 1
 		}
-		if s.Now() != until || s.stale != stale || s.pending() != 1+stale || s.live != 1 || s.curB != 5 {
-			t.Fatalf("dead at %v: Now %v, stale %d, pending %d, live %d, curB %d", deadAt, s.Now(), s.stale, s.pending(), s.live, s.curB)
+		if s.Now() != until || s.stale != stale || s.pending() != 1+stale || s.curB != 5 {
+			t.Fatalf("dead at %v: Now %v, stale %d, pending %d, curB %d", deadAt, s.Now(), s.stale, s.pending(), s.curB)
 		}
 		if n := s.RunBefore(5*testBucket + 25); n != 1 {
 			t.Fatalf("dead at %v: second RunBefore executed %d events, want 1", deadAt, n)
@@ -366,8 +364,8 @@ func TestCompactionAcrossTiers(t *testing.T) {
 	if s.tiers.compacted != [3]uint64{22, 22, 21} {
 		t.Fatalf("compacted per tier = %v, want [22 22 21]", s.tiers.compacted)
 	}
-	if s.stale != 4 || s.pending() != 25 || s.live != 21 {
-		t.Fatalf("after compaction: stale %d, pending %d, live %d; want 4, 25, 21", s.stale, s.pending(), s.live)
+	if s.stale != 4 || s.pending() != 25 {
+		t.Fatalf("after compaction: stale %d, pending %d; want 4, 25", s.stale, s.pending())
 	}
 	s.Run()
 	if !slices.Equal(got, want) {

@@ -100,16 +100,18 @@ func (f *RunFlags) Run(r *Runner, jobs []Job, ringCap int, stderr io.Writer) ([]
 // printExec writes one run's execution profile. The header's events= is the
 // run's event count (Result.Events, the same at every shard count); a shard
 // line's events= counts what that shard's scheduler fired, leaving out the
-// ticks and scenario events the coordinator applies. heap-hw is the most index
-// records ever pending at once across the event queue's three tiers — what a
-// single heap's depth would be, and the same number. pool= is the packets the
+// ticks and scenario events the coordinator applies, which the header's
+// coord= counts, so the shard lines' events= and coord= add up to events=.
+// heap-hw is the most index records ever pending at once across the event
+// queue's three tiers — what a single heap's depth would be, and the same
+// number. pool= is the packets the
 // shard's pool carved / reused, free= those in its free-list at the end.
 // filters= (carved/free/installed/in flight), queued= (packets/bytes),
 // entries=, paused=, peak= and flows= (started/completed) are the shard's
 // part of the books the run checked before it returned (sim's books).
 func printExec(w io.Writer, job string, ex *execstats.RunStats) {
-	fmt.Fprintf(w, "# %s exec: shards=%d events=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
-		job, len(ex.Shards), ex.TotalEvents, ex.Windows, ex.Barriers, 100*ex.Utilization(),
+	fmt.Fprintf(w, "# %s exec: shards=%d events=%d coord=%d windows=%d barriers=%d utilization=%.1f%% busy=%v barrier-wait=%v\n",
+		job, len(ex.Shards), ex.TotalEvents, ex.CoordEvents, ex.Windows, ex.Barriers, 100*ex.Utilization(),
 		time.Duration(ex.BusyNS()).Round(time.Microsecond),
 		time.Duration(ex.BarrierWaitNS()).Round(time.Microsecond))
 	for i := range ex.Shards {

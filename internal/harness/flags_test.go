@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -71,6 +72,14 @@ func TestRunFlagsAreHashNeutralAndExport(t *testing.T) {
 	if !strings.Contains(stderr.String(), "# test/scheme=BFC/queues=8 exec: shards=") ||
 		!strings.Contains(stderr.String(), "# exec: runs=2 ") {
 		t.Errorf("stderr lacks the execution profiles:\n%s", stderr.String())
+	}
+	// The header names the coordinator's events beside the run's.
+	for _, rec := range recs {
+		ex := rec.Result.Exec
+		want := fmt.Sprintf("# %s exec: shards=2 events=%d coord=%d ", rec.Name, ex.TotalEvents, ex.CoordEvents)
+		if ex.CoordEvents == 0 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
 	}
 	for _, name := range []string{"BFC.trace.json", "BFC.events.jsonl", "BFC.exec.json", "DCQCN.trace.json", "DCQCN.events.jsonl", "DCQCN.exec.json"} {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {

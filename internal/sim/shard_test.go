@@ -523,6 +523,44 @@ func TestShardedLostPauseFrameParity(t *testing.T) {
 	}
 }
 
+// TestShardedShrinkingDegradeParity byte-compares, at one, two and four
+// shards, a run whose scenario shortens a boundary link (pod0-agg1-core1,
+// which crosses at two and at four shards) from 1 us to 100 ns, below the
+// lookahead the plan takes from the delays at the start of the run. The
+// barriers must come closer together from the start, or a delivery sent on
+// the shortened link lands before the barrier that would drain it. A
+// degrade changes its topology for good, so each run builds its own.
+func TestShardedShrinkingDegradeParity(t *testing.T) {
+	fatTree := func() *topology.Topology {
+		return topology.NewFatTree(topology.FatTreeForHosts(32, 100*units.Gbps, units.Microsecond))
+	}
+	flows := fatTreeFlows(t, fatTree(), 60*units.Microsecond)
+	link := &scenario.LinkRef{A: "pod0-agg1", B: "core1"}
+	for _, sc := range []Scheme{SchemeBFC, SchemeDCQCN} {
+		opts := func() Options {
+			opts := DefaultOptions(sc, fatTree())
+			opts.Duration = 60 * units.Microsecond
+			opts.Drain = 100 * units.Microsecond
+			opts.Seed = 7
+			opts.Scenario = &scenario.Spec{Name: "shrink", Events: []scenario.Event{{
+				At: 20 * units.Microsecond, Kind: scenario.LinkDegrade, Link: link,
+				Degrade: &scenario.DegradeSpec{Delay: 100 * units.Nanosecond},
+			}}}
+			return opts
+		}
+		_, serialBlob := runShardedResult(t, opts(), flows, 1)
+		for _, shards := range []int{2, 4} {
+			res, blob := runShardedResult(t, opts(), flows, shards)
+			if res.Sharding.Used != shards {
+				t.Fatalf("%s: ran on %d shards (fallback %q), want %d", sc, res.Sharding.Used, res.Sharding.Fallback, shards)
+			}
+			if !bytes.Equal(serialBlob, blob) {
+				t.Errorf("%s shards=%d: digest %s, serial %s", sc, shards, digestOf(blob), digestOf(serialBlob))
+			}
+		}
+	}
+}
+
 // TestShardStepAllocFree: a barrier step of a two-shard run allocates
 // nothing. The shard set builds its WaitGroup and one goroutine body per
 // shard once per run, and a go statement on a built func value makes no

@@ -29,9 +29,10 @@ import (
 //     positive lookahead gives the same bytes (see the keys below); the plan
 //     decides only the speed, through how much crosses shards and how wide
 //     a window may be. The conservative lookahead W is
-//     the minimum propagation delay over cross-shard links: a delivery
-//     emitted during a window reaches another shard no earlier than one full
-//     W later, so windows of width <= W never miss a cross-shard event. A
+//     the minimum propagation delay over cross-shard links, including any a
+//     scenario's degrade gives one later (lookahead): a delivery emitted
+//     during a window reaches another shard no earlier than one full W
+//     later, so windows of width <= W never miss a cross-shard event. A
 //     one-shard plan has no cross-shard links and no such sync barriers.
 //   - Cross-shard links append their deliveries to boundary queues (one
 //     reusable slice per directed shard pair) instead of scheduling locally.
@@ -435,9 +436,9 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 	// multiple of the sampling period Δ (tick points), and at every scenario
 	// event instant, up to the horizon. One shard has nothing to drain: its
 	// W is the horizon.
-	W := plan.Lookahead
-	if S == 1 {
-		W = horizon
+	W := horizon
+	if S > 1 {
+		W = lookahead(plan, opts.Topo, opts.Scenario)
 	}
 
 	var evTimes []units.Time
@@ -593,6 +594,29 @@ func runSharded(opts Options, plan *topology.ShardPlan, flows []*packet.Flow) (*
 		return nil, err
 	}
 	return res, nil
+}
+
+// lookahead is the barrier spacing of a run on plan's shards. The plan takes
+// its lookahead from the link delays at the start of the run, and a
+// scenario's link_degrade may shorten a boundary link below it, so W is the
+// least of the plan's lookahead and every delay a degrade in spec gives a
+// link whose ends sit on different shards.
+func lookahead(plan *topology.ShardPlan, topo *topology.Topology, spec *scenario.Spec) units.Time {
+	w := plan.Lookahead
+	if spec == nil {
+		return w
+	}
+	for _, e := range spec.Events {
+		if e.Kind != scenario.LinkDegrade || e.Degrade.Delay == 0 || e.Degrade.Delay >= w {
+			continue
+		}
+		a, _ := topo.NodeByName(e.Link.A)
+		b, _ := topo.NodeByName(e.Link.B)
+		if plan.Assign[a] != plan.Assign[b] {
+			w = e.Degrade.Delay
+		}
+	}
+	return w
 }
 
 // books is what a run's devices must account for at its end beyond each

@@ -32,12 +32,12 @@ const spanPage = 256
 // BoundaryTotals aggregates cross-shard boundary-queue traffic for one
 // producing shard (over its outbound queues).
 type BoundaryTotals struct {
-	Pushes   uint64 `json:"pushes"`    // messages pushed into outbound queues
-	MaxDrain int    `json:"max_drain"` // largest single drain batch, i.e. the occupancy high-water
+	Pushes   uint64 // messages pushed into outbound queues
+	MaxDrain int    // largest single drain batch, i.e. the occupancy high-water
 	// Spills is always 0: nothing writes it since the queue became a slice.
 	// bench/simwork.go (frozen) still reads it; the next [benchmark] issue
 	// removes the field together with the netsim.boundary_spills* rows.
-	Spills uint64 `json:"spills"`
+	Spills uint64
 }
 
 // Merge folds one queue's counters into the totals.
@@ -51,42 +51,42 @@ func (b *BoundaryTotals) Merge(pushes uint64, maxDrain int) {
 // ShardStats holds one shard's execution profile. A one-shard run has exactly
 // one entry with no boundary activity.
 type ShardStats struct {
-	Shard         int    `json:"shard"`
-	Events        uint64 `json:"events"`          // events dispatched by this shard's scheduler
-	HeapHighWater int    `json:"heap_high_water"` // max index records pending at once across the event queue's tiers (cur, ring, far)
-	PoolAllocated uint64 `json:"pool_allocated"`  // distinct packets ever allocated by this shard's pool
-	PoolRecycled  uint64 `json:"pool_recycled"`   // free-list reuses
-	PoolFree      int    `json:"pool_free"`       // packets in this shard's free-list at the end of the run
-	BusyNS        int64  `json:"busy_ns"`         // wall-clock ns spent executing events
-	BarrierWaitNS int64  `json:"barrier_wait_ns"` // wall-clock ns parked while other shards finished a window
+	Shard         int
+	Events        uint64 // events dispatched by this shard's scheduler
+	HeapHighWater int    // max index records pending at once across the event queue's tiers (cur, ring, far)
+	PoolAllocated uint64 // distinct packets ever allocated by this shard's pool
+	PoolRecycled  uint64 // free-list reuses
+	PoolFree      int    // packets in this shard's free-list at the end of the run
+	BusyNS        int64  // wall-clock ns spent executing events
+	BarrierWaitNS int64  // wall-clock ns parked while other shards finished a window
 
 	// The BFC pause filters: carved by this shard's filter pool, in its free
 	// list, installed in its devices' upstream states and in frames on the
 	// links it sends on, at the end of the run.
-	FiltersCarved   uint64 `json:"filters_carved"`
-	FiltersFree     int    `json:"filters_free"`
-	FiltersHeld     int    `json:"filters_held"`
-	FiltersInFlight int    `json:"filters_in_flight"`
+	FiltersCarved   uint64
+	FiltersFree     int
+	FiltersHeld     int
+	FiltersInFlight int
 
 	// What this shard's switches hold at the end of the run (switchsim.Audit,
 	// summed): data packets queued and their bytes, BFC flow-table entries
 	// and VFIDs paused in their ingress filters. A run whose flows all
 	// completed ends with all four 0. BufferPeak is the most shared buffer
 	// one of its switches ever held at once.
-	QueuedPackets int   `json:"queued_packets"`
-	QueuedBytes   int64 `json:"queued_bytes"`
-	FlowEntries   int   `json:"flow_entries"`
-	PausedVFIDs   int   `json:"paused_vfids"`
-	BufferPeak    int64 `json:"buffer_peak"`
+	QueuedPackets int
+	QueuedBytes   int64
+	FlowEntries   int
+	PausedVFIDs   int
+	BufferPeak    int64
 
 	// The flows this shard's NICs began sending and finished receiving.
-	FlowsStarted   uint64 `json:"flows_started"`
-	FlowsCompleted uint64 `json:"flows_completed"`
+	FlowsStarted   uint64
+	FlowsCompleted uint64
 
 	// Boundary sums this shard's *outbound* queues (messages it produced for
 	// other shards), so per-shard values sum to the run-wide totals exactly
 	// once.
-	Boundary BoundaryTotals `json:"boundary"`
+	Boundary BoundaryTotals
 }
 
 // Utilization is the fraction of this shard's window wall-clock spent
@@ -104,28 +104,29 @@ func (s *ShardStats) Utilization() float64 {
 // started (wall offset from run start), how long it lasted, what each shard
 // did inside it, and the barrier drain that closed it.
 type WindowSpan struct {
-	StartNS int64   `json:"start_ns"` // wall offset from run start
-	WallNS  int64   `json:"wall_ns"`  // full window duration (execute + drain)
-	Events  uint64  `json:"events"`   // events executed during this window (all shards)
-	BusyNS  []int64 `json:"busy_ns"`  // per-shard execution ns inside this window
-	DrainNS int64   `json:"drain_ns"` // coordinator time draining boundary queues
-	Drained int     `json:"drained"`  // boundary messages delivered at this window's barrier
+	StartNS int64   // wall offset from run start
+	WallNS  int64   // full window duration (execute + drain)
+	Events  uint64  // events executed during this window (all shards)
+	BusyNS  []int64 // per-shard execution ns inside this window
+	DrainNS int64   // coordinator time draining boundary queues
+	Drained int     // boundary messages delivered at this window's barrier
 }
 
 // RunStats is the merged execution profile of one Run call. It rides on
 // Result.Exec with `json:"-"`, so it never reaches marshalled artifacts or
-// ResultDigest.
+// ResultDigest; nothing encodes it, and this package's types carry no json
+// tags.
 type RunStats struct {
-	Shards      []ShardStats `json:"shards"`
-	Windows     uint64       `json:"windows"`      // windows executed: one per barrier plus the closing one
-	Barriers    uint64       `json:"barriers"`     // barriers: lookahead sync, sampling tick, scenario event and horizon instants
-	TotalEvents uint64       `json:"total_events"` // partition-independent: equals Result.Events
-	CoordEvents uint64       `json:"coord_events"` // events the coordinator emulated on the shards' behalf (ticks, scenario closures); shard Events + CoordEvents = TotalEvents
-	WallNS      int64        `json:"wall_ns"`      // total Run wall-clock
-	DrainNS     int64        `json:"drain_ns"`     // cumulative coordinator drain time
+	Shards      []ShardStats
+	Windows     uint64 // windows executed: one per barrier plus the closing one
+	Barriers    uint64 // barriers: lookahead sync, sampling tick, scenario event and horizon instants
+	TotalEvents uint64 // partition-independent: equals Result.Events
+	CoordEvents uint64 // events the coordinator emulated on the shards' behalf (ticks, scenario closures); shard Events + CoordEvents = TotalEvents
+	WallNS      int64  // total Run wall-clock
+	DrainNS     int64  // cumulative coordinator drain time
 
-	Spans          []WindowSpan `json:"spans,omitempty"`
-	TruncatedSpans uint64       `json:"truncated_spans,omitempty"` // windows past DefaultMaxSpans (aggregates still counted)
+	Spans          []WindowSpan
+	TruncatedSpans uint64 // windows past DefaultMaxSpans (aggregates still counted)
 }
 
 // BusyNS sums execution time across shards.
@@ -278,15 +279,14 @@ func (c *Collector) Finish() *RunStats {
 // Summary aggregates execution profiles across many runs (harness suites,
 // service job streams).
 type Summary struct {
-	Runs           uint64  `json:"runs"`
-	ShardedRuns    uint64  `json:"sharded_runs"`
-	Events         uint64  `json:"events"`
-	Windows        uint64  `json:"windows"`
-	Barriers       uint64  `json:"barriers"`
-	BusyNS         int64   `json:"busy_ns"`
-	BarrierWaitNS  int64   `json:"barrier_wait_ns"`
-	WallNS         int64   `json:"wall_ns"`
-	UtilizationMin float64 `json:"utilization_min"` // worst per-run utilization seen (1 when no runs)
+	Runs           uint64
+	ShardedRuns    uint64
+	Events         uint64
+	Windows        uint64
+	Barriers       uint64
+	BusyNS         int64
+	BarrierWaitNS  int64
+	UtilizationMin float64 // worst per-run utilization seen (1 when no runs)
 }
 
 // Add folds one run's profile into the summary. Nil-safe on rs.
@@ -306,7 +306,6 @@ func (s *Summary) Add(rs *RunStats) {
 	s.Barriers += rs.Barriers
 	s.BusyNS += rs.BusyNS()
 	s.BarrierWaitNS += rs.BarrierWaitNS()
-	s.WallNS += rs.WallNS
 }
 
 // Utilization is the aggregate busy/(busy+wait) across all added runs.

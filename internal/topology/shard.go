@@ -19,10 +19,11 @@ type ShardPlan struct {
 	Shards int
 	// Assign maps every node ID to its shard index.
 	Assign []int
-	// Lookahead is the minimum delay over all cross-shard links, 0 when the
-	// plan has a single shard. A positive lookahead guarantees that a
-	// delivery emitted during a window arrives no earlier than the next
-	// barrier, which is what makes barrier-synchronized execution exact.
+	// Lookahead is the minimum delay over all cross-shard links, as the
+	// topology has them when the plan is made, 0 when the plan has a single
+	// shard. A positive lookahead guarantees that a delivery emitted during
+	// a window arrives no earlier than the next barrier, which is what makes
+	// barrier-synchronized execution exact.
 	Lookahead units.Time
 }
 
@@ -48,13 +49,15 @@ func PlanShards(t *Topology, shards int) *ShardPlan {
 	return p
 }
 
-// minCrossDelay scans all links and returns the minimum cross-shard delay.
+// minCrossDelay scans all links and returns the minimum cross-shard delay, 0
+// when no link crosses (a zero-delay link that crosses also gives 0).
 func (p *ShardPlan) minCrossDelay(t *Topology) units.Time {
 	var min units.Time
+	found := false
 	for _, n := range t.Nodes() {
 		for _, port := range n.Ports {
-			if p.Assign[n.ID] != p.Assign[port.Peer] && (min == 0 || port.Delay < min) {
-				min = port.Delay
+			if p.Assign[n.ID] != p.Assign[port.Peer] && (!found || port.Delay < min) {
+				min, found = port.Delay, true
 			}
 		}
 	}

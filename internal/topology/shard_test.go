@@ -14,10 +14,10 @@ func crossStats(topo *Topology, p *ShardPlan) (minDelay units.Time, cross int) {
 			if p.Assign[n.ID] == p.Assign[port.Peer] {
 				continue
 			}
-			cross++
-			if minDelay == 0 || port.Delay < minDelay {
+			if cross == 0 || port.Delay < minDelay {
 				minDelay = port.Delay
 			}
+			cross++
 		}
 	}
 	return minDelay, cross
@@ -163,6 +163,26 @@ func TestPlanShardsLookaheadTracksMinCrossDelay(t *testing.T) {
 	}
 	if p.Lookahead != short {
 		t.Fatalf("Lookahead=%v after shortening one boundary link, want %v", p.Lookahead, short)
+	}
+
+	// A zero-delay boundary link gives no positive lookahead, also when it is
+	// scanned before a positive one: s0-s1 is s0's first port, h0-s1 crosses
+	// too, at 1 us.
+	var b Builder
+	s0 := b.AddNode(Switch, TierToR, "s0")
+	s1 := b.AddNode(Switch, TierToR, "s1")
+	h0 := b.AddNode(Host, TierHost, "h0")
+	h1 := b.AddNode(Host, TierHost, "h1")
+	b.AddLink(s0, s1, 100*units.Gbps, 0)
+	b.AddLink(h0, s1, 100*units.Gbps, units.Microsecond)
+	b.AddLink(h1, s0, 100*units.Gbps, units.Microsecond)
+	zero := b.Build()
+	p = PlanShards(zero, 2)
+	if p.Assign[s0] == p.Assign[s1] || p.Assign[h0] == p.Assign[s1] {
+		t.Fatalf("assignment %v: s0-s1 and h0-s1 expected to cross", p.Assign)
+	}
+	if p.Lookahead != 0 {
+		t.Fatalf("Lookahead=%v with a zero-delay boundary link, want 0", p.Lookahead)
 	}
 }
 

@@ -33,11 +33,10 @@ var surfaceKeep = map[string]string{
 var fieldKeep = map[string]string{
 	"internal/packet.Packet.Priority":         "bench/micro.go writes it; it goes with the benchmark change of ROADMAP item 17",
 	"internal/sim.Options.ExecStats":          "ignored, every run carries its profile; bench/simwork.go writes it, and it goes with the benchmark change of ROADMAP item 17",
-	"internal/eventsim.Scheduler.live":        "the arena and edge tests read it: pending events net of cancellations",
 	"internal/eventsim.tierCounts.refillRing": "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"internal/eventsim.tierCounts.refillFar":  "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"internal/eventsim.tierCounts.migrated":   "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
-	"internal/eventsim.tierCounts.sidePops":   "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
+	"internal/eventsim.tierCounts.runInserts": "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"internal/eventsim.tierCounts.sorted":     "FuzzQueueOrder's tier coverage and the property tests' tierReach read it",
 	"bench.yardstick.sink":                    "keeps the yardstick's loads from being optimised away; bench/ changes only with the benchmark",
 }
@@ -440,7 +439,7 @@ func (c *surfaceChecker) compared(t types.Type) {
 }
 
 // wire marks read the exported fields encoding/json reads when it encodes a
-// value of type t.
+// value of type t: not those tagged json:"-", which it skips.
 func (c *surfaceChecker) wire(t types.Type) {
 	if t == nil || c.wired[t] {
 		return
@@ -457,7 +456,7 @@ func (c *surfaceChecker) wire(t types.Type) {
 		c.wire(u.Elem())
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			if f := u.Field(i); f.Exported() || f.Embedded() {
+			if f := u.Field(i); (f.Exported() || f.Embedded()) && reflect.StructTag(u.Tag(i)).Get("json") != "-" {
 				c.read[f.Origin()] = true
 				c.wire(f.Type())
 			}
